@@ -15,8 +15,9 @@ usage: ./ci.sh [--quick]
 
 Stages, in order:
   ignore-gate   tier-1 suites must contain no #[ignore]d tests
-  unsafe-gate   every crate root carries #![forbid(unsafe_code)] and no
-                .rs file contains an unsafe block
+  unsafe-gate   every crate root (perfbench's included) carries
+                #![forbid(unsafe_code)] and no .rs file contains an
+                unsafe block
   fmt           cargo fmt --all -- --check
   clippy        cargo clippy --workspace --all-targets -D warnings
   doc           cargo doc --workspace --no-deps, rustdoc warnings are
@@ -69,6 +70,11 @@ Stages, in order:
                 wall-clock), failing on any model drift
                 (--quick: smaller dataset, shorter sweep)
   workspace     cargo test --workspace
+  perfbench     the repo benchmark (BENCHMARK.json) is a package outside
+                the workspace: its unit tests and the smoke test that
+                holds the binary's output to BENCHMARK.json, then one
+                --quick run of the benchmark binary, so an API change
+                in the crates it measures cannot break it unseen
 EOF
     exit 0
 }
@@ -97,14 +103,14 @@ echo "== unsafe-gate: forbid(unsafe_code) in every crate root, no unsafe blocks"
 # so the compiler enforces it, and a grep backstop catches any unsafe
 # token that might sneak into a non-root module before compilation.
 for root in src/lib.rs crates/*/src/lib.rs crates/*/src/main.rs \
-    crates/*/src/bin/*.rs; do
+    crates/*/src/bin/*.rs perfbench/src/lib.rs perfbench/src/bin/*.rs; do
     [ -f "$root" ] || continue
     if ! grep -q '#!\[forbid(unsafe_code)\]' "$root"; then
         echo "ERROR: $root lacks #![forbid(unsafe_code)]" >&2
         exit 1
     fi
 done
-if grep -rn --include='*.rs' 'unsafe ' src crates tests \
+if grep -rn --include='*.rs' 'unsafe ' src crates tests perfbench/src \
     | grep -v 'forbid(unsafe_code)'; then
     echo "ERROR: unsafe block(s) found above" >&2
     exit 1
@@ -461,9 +467,15 @@ echo "== cluster: sharded scale-out parity + scaling bench"
 "$SERVER_BIN" --listen 127.0.0.1:0 \
     < "$SRV_TMP/ctl" > "$SRV_TMP/shard1.log" 2> "$SRV_TMP/shard1.err" &
 SHARD1_PID=$!
+# The second shard gets a control fifo of its own: two servers reading
+# one fifo race for the lines, and a single buffered read can swallow
+# both "shutdown"s, leaving the other shard (and this script) waiting
+# forever.
+mkfifo "$SRV_TMP/ctl2"
+exec 7<>"$SRV_TMP/ctl2"
 : > "$SRV_TMP/shard2.log"
 "$SERVER_BIN" --listen 127.0.0.1:0 \
-    < "$SRV_TMP/ctl" > "$SRV_TMP/shard2.log" 2> "$SRV_TMP/shard2.err" &
+    < "$SRV_TMP/ctl2" > "$SRV_TMP/shard2.log" 2> "$SRV_TMP/shard2.err" &
 SHARD2_PID=$!
 SHARD1_ADDR=''
 SHARD2_ADDR=''
@@ -493,7 +505,7 @@ cmp "$SRV_TMP/local.csv" "$SRV_TMP/cluster.csv" || {
 cmp "$SRV_TMP/local.out" "$SRV_TMP/cluster.out" || {
     echo "ERROR: sharded summary differs from in-process" >&2; exit 1; }
 echo shutdown >&9
-echo shutdown >&9
+echo shutdown >&7
 wait "$SHARD1_PID" || { echo "ERROR: shard 1 drain failed" >&2; exit 1; }
 wait "$SHARD2_PID" || { echo "ERROR: shard 2 drain failed" >&2; exit 1; }
 SHARD1_PID=''
@@ -513,5 +525,11 @@ cp "$SRV_TMP/BENCH_cluster.json" BENCH_cluster.json
 
 echo "== workspace: all crate tests"
 cargo test --workspace -q
+
+echo "== perfbench: benchmark package tests + --quick smoke run"
+cargo test --release --offline --quiet --manifest-path perfbench/Cargo.toml
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml \
+    --bin benchmark -- --workload sharded_retail --quick --trace 1 \
+    --out-dir "$SRV_TMP/perfbench" > /dev/null
 
 echo "CI OK"

@@ -14,10 +14,9 @@
 //! execution plan — without running anything. Meta-commands:
 //!
 //! * `\d` — list tables; `\d <table>` — describe one table
-//! * `\stats` — scan/statement counters; `\reset` — clear them
 //! * `\metrics on|off` — per-statement execution telemetry (printed
 //!   after each statement, like a standing EXPLAIN ANALYZE);
-//!   `\metrics` — print the recorded log
+//!   `\metrics` — print the recorded log; `\reset` — clear it
 //! * `\workers N` — set partition parallelism
 //! * `\q` — quit
 //!
@@ -133,28 +132,7 @@ fn meta_command(db: &mut Database, cmd: &str) -> bool {
                 Err(e) => eprintln!("{e}"),
             },
         },
-        "\\stats" => {
-            let s = db.stats();
-            println!(
-                "statements: {}, scans: {}, inserted: {}, updated: {}, deleted: {}",
-                s.statements(),
-                s.total_scans(),
-                s.rows_inserted(),
-                s.rows_updated(),
-                s.rows_deleted()
-            );
-            for (table, count) in {
-                let mut v: Vec<_> = s.scans_by_table().into_iter().collect();
-                v.sort();
-                v
-            } {
-                println!("  scans of {table}: {count}");
-            }
-        }
-        "\\reset" => {
-            db.reset_stats();
-            db.clear_metrics();
-        }
+        "\\reset" => db.clear_metrics(),
         "\\metrics" => match parts.next() {
             Some("on") => {
                 db.enable_metrics();
@@ -176,7 +154,7 @@ fn meta_command(db: &mut Database, cmd: &str) -> bool {
             None => eprintln!("usage: \\workers N"),
         },
         other => {
-            eprintln!("unknown command {other}; try \\d \\stats \\metrics \\reset \\workers \\q")
+            eprintln!("unknown command {other}; try \\d \\metrics \\reset \\workers \\q")
         }
     }
     true

@@ -765,16 +765,11 @@ impl<'a, E: SqlExecutor> EmSession<'a, E> {
 }
 
 impl<'a> EmSession<'a, Database> {
-    /// Immutable access to the underlying in-process database (stats
+    /// Immutable access to the underlying in-process database (metrics
     /// inspection). Only available when the session runs in-process; a
     /// remote session has no local `Database` to look at.
     pub fn database(&self) -> &Database {
         self.db
-    }
-
-    /// Reset the engine's execution statistics (scan accounting).
-    pub fn reset_stats(&mut self) {
-        self.db.reset_stats();
     }
 }
 

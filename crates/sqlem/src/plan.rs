@@ -30,7 +30,7 @@
 
 use emcore::GmmParams;
 use sqlengine::{
-    check_script, Card, CheckEnv, ScanEvent, ScriptReport, ScriptSpec, ScriptStmt, SqlExecutor,
+    check_script, Card, CheckEnv, DerivedScan, ScriptReport, ScriptSpec, ScriptStmt, SqlExecutor,
     TableLoad,
 };
 
@@ -119,7 +119,7 @@ pub struct IterationCost {
     /// Scans super-linear in `n`.
     pub pn_scans: usize,
     /// Every scan of one steady iteration, in order, classified.
-    pub scans: Vec<(ScanEvent, ScanClass)>,
+    pub scans: Vec<(DerivedScan, ScanClass)>,
 }
 
 /// Outcome of comparing the derived cost against the paper's closed
@@ -380,7 +380,7 @@ pub fn analyze_in_env(env: &CheckEnv, config: &SqlemConfig, p: usize) -> PlanRep
     let fused = config.strategy == Strategy::Hybrid && config.fused_e_step;
 
     let cost = script.iteration.as_ref().filter(|it| it.steady).map(|it| {
-        let scans: Vec<(ScanEvent, ScanClass)> = it
+        let scans: Vec<(DerivedScan, ScanClass)> = it
             .scans
             .iter()
             .map(|ev| (ev.clone(), classify_scan(&ev.rows, p, k)))

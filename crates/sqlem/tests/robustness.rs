@@ -86,6 +86,7 @@ fn preflight_without_fallback_rejects_statically() {
     let (p, k) = (40, 25);
     let mut db = Database::new();
     db.set_max_statement_len(16 * 1024);
+    db.enable_metrics();
     let config = SqlemConfig::new(k, Strategy::Horizontal).without_auto_fallback();
     let err = match EmSession::create(&mut db, &config, p) {
         Ok(_) => panic!("create should fail the preflight"),
@@ -102,7 +103,7 @@ fn preflight_without_fallback_rejects_statically() {
     // Nothing executed: the database has no SQLEM tables.
     assert!(!db.contains_table("yd"));
     assert!(!db.contains_table("gmm"));
-    assert_eq!(db.stats().statements(), 0);
+    assert!(db.metrics().is_empty());
 }
 
 /// Lint sweep over a (p, k) grid spanning the horizontal-overflow region:

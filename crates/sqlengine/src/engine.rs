@@ -1,4 +1,4 @@
-//! The [`Database`] facade: parse → execute, statistics, bulk loading,
+//! The [`Database`] facade: parse → execute, metrics, bulk loading,
 //! and the optional durability layer (WAL + snapshot compaction).
 
 use std::collections::HashMap;
@@ -18,7 +18,6 @@ use crate::exec::{
 use crate::fault::{FaultInjector, FaultKind, FaultPlan, FaultSite};
 use crate::metrics::{ExecMetrics, MetricsLog, StatementKind, StmtProbe};
 use crate::parser::parse;
-use crate::stats::Stats;
 use crate::storage::snapshot::{read_snapshot, write_snapshot};
 use crate::table::Row;
 use crate::value::Value;
@@ -110,7 +109,6 @@ pub fn is_mutating(stmt: &Statement) -> bool {
 #[derive(Debug, Default)]
 pub struct Database {
     catalog: Catalog,
-    stats: Stats,
     config: ExecConfig,
     metrics: MetricsLog,
     /// Armed fault plan (chaos testing); `None` in production use.
@@ -138,7 +136,6 @@ impl Database {
     pub fn with_config(config: EngineConfig) -> Self {
         Database {
             catalog: Catalog::new(),
-            stats: Stats::new(),
             config,
             metrics: MetricsLog::new(),
             injector: None,
@@ -190,9 +187,6 @@ impl Database {
             }
             db.replay_op(op)?;
         }
-        // Replay ran through the normal executor; its scans must not
-        // leak into the session's statistics.
-        db.stats.reset();
         let wal = Wal::open(dir, scanned.valid_len as u64)?;
         let next_seq = watermark.max(scanned.next_seq);
         db.durability = Some(Durability {
@@ -227,12 +221,11 @@ impl Database {
                 let mut replay_config = self.config.clone();
                 replay_config.memory_budget = None;
                 for stmt in &stmts {
-                    execute_statement(&mut self.catalog, &mut self.stats, &replay_config, stmt)
-                        .map_err(|e| {
-                            Error::corruption(format!(
-                                "wal replay: logged statement failed: {e} (statement: {sql})"
-                            ))
-                        })?;
+                    execute_statement(&mut self.catalog, &replay_config, stmt).map_err(|e| {
+                        Error::corruption(format!(
+                            "wal replay: logged statement failed: {e} (statement: {sql})"
+                        ))
+                    })?;
                 }
             }
             WalOp::BulkInsert { table, rows } => {
@@ -321,12 +314,7 @@ impl Database {
     /// analysis of later ones. Rejections surface as
     /// [`Error::Analyze`] with a byte position into `sql`.
     pub fn execute_all(&mut self, sql: &str) -> Result<Vec<QueryResult>> {
-        if sql.len() > self.config.max_statement_len {
-            return Err(Error::StatementTooLong {
-                len: sql.len(),
-                max: self.config.max_statement_len,
-            });
-        }
+        self.check_statement_len(sql)?;
         let stmts = parse(sql)?;
         let mut out = Vec::with_capacity(stmts.len());
         for stmt in &stmts {
@@ -349,9 +337,29 @@ impl Database {
         self.execute_metered(stmt)
     }
 
-    /// Execute one analyzed statement, recording an [`ExecMetrics`] entry
-    /// into the session log when it is enabled (a no-op probe otherwise —
-    /// the zero-overhead default). An armed fault plan is consulted
+    /// The statement-length cap (§1.3 parser limits), applied wherever
+    /// SQL text enters the engine.
+    fn check_statement_len(&self, sql: &str) -> Result<()> {
+        if sql.len() > self.config.max_statement_len {
+            return Err(Error::StatementTooLong {
+                len: sql.len(),
+                max: self.config.max_statement_len,
+            });
+        }
+        Ok(())
+    }
+
+    /// Execute one analyzed statement (see [`Database::metered`]).
+    fn execute_metered(&mut self, stmt: &Statement) -> Result<QueryResult> {
+        self.metered(stmt, |catalog, config, probe| {
+            execute_statement_metered(catalog, config, stmt, probe)
+        })
+    }
+
+    /// The frame around every statement execution: `run` gets the
+    /// catalog and a probe, and an [`ExecMetrics`] entry goes into the
+    /// session log when it is enabled (a no-op probe otherwise — the
+    /// zero-overhead default). An armed fault plan is consulted
     /// before execution (and, for after-exec rules, after): a fired rule
     /// surfaces as [`Error::Injected`] — with the target untouched for
     /// before-exec faults.
@@ -361,7 +369,11 @@ impl Database {
     /// applied in memory, then the commit marker and an `fsync`. A
     /// statement that fails in memory leaves its frame uncommitted —
     /// recovery skips it, matching the in-memory atomic semantics.
-    fn execute_metered(&mut self, stmt: &Statement) -> Result<QueryResult> {
+    fn metered<T>(
+        &mut self,
+        stmt: &Statement,
+        run: impl FnOnce(&mut Catalog, &ExecConfig, &mut StmtProbe) -> Result<T>,
+    ) -> Result<T> {
         self.check_fault(FaultSite::BeforeExec, stmt)?;
         let framed = if self.durability.is_some() && is_mutating(stmt) {
             let kind = statement_kind(stmt);
@@ -371,34 +383,45 @@ impl Database {
         } else {
             None
         };
-        let result = if !self.metrics.is_enabled() {
-            let mut probe = StmtProbe::disabled().with_budget(self.config.memory_budget.clone());
-            execute_statement_metered(
-                &mut self.catalog,
-                &mut self.stats,
-                &self.config,
-                stmt,
-                &mut probe,
-            )?
-        } else {
-            let mut probe = StmtProbe::enabled().with_budget(self.config.memory_budget.clone());
-            let t0 = std::time::Instant::now();
-            let result = execute_statement_metered(
-                &mut self.catalog,
-                &mut self.stats,
-                &self.config,
-                stmt,
-                &mut probe,
-            )?;
+        let mut probe = self.new_probe();
+        let t0 = std::time::Instant::now();
+        let result = run(&mut self.catalog, &self.config, &mut probe)?;
+        if self.metrics.is_enabled() {
             self.metrics
                 .push(probe.finish(statement_kind(stmt), t0.elapsed()));
-            result
-        };
+        }
         if let Some((seq, kind, tables)) = framed {
             self.wal_commit_frame(seq, kind, &tables)?;
         }
         self.check_fault(FaultSite::AfterExec, stmt)?;
         Ok(result)
+    }
+
+    /// A probe for one statement: live when the metrics log is enabled,
+    /// a no-op otherwise; either way it carries the memory budget.
+    fn new_probe(&self) -> StmtProbe {
+        if self.metrics.is_enabled() {
+            StmtProbe::enabled()
+        } else {
+            StmtProbe::disabled()
+        }
+        .with_budget(self.config.memory_budget.clone())
+    }
+
+    /// Length-check, parse and analyze `sql` as exactly one `SELECT`
+    /// (what both partial-aggregate entry points take).
+    fn single_select(&self, sql: &str, what: &str) -> Result<Statement> {
+        self.check_statement_len(sql)?;
+        let mut stmts = parse(sql)?;
+        if !matches!(stmts.as_slice(), [Statement::Select(_)]) {
+            return Err(Error::Unsupported(format!(
+                "{what} takes exactly one SELECT statement"
+            )));
+        }
+        let stmt = stmts.pop().expect("length checked");
+        analyze(&self.catalog, &stmt, &self.config.limits)
+            .map_err(|e| Error::Analyze(e.locate(sql)))?;
+        Ok(stmt)
     }
 
     /// Execute the *scatter* half of a distributed aggregate `SELECT`:
@@ -414,58 +437,13 @@ impl Database {
     /// accounting, metrics, deadline/budget enforcement and fault
     /// injection all behave exactly as for [`Database::execute`].
     pub fn execute_partial(&mut self, sql: &str) -> Result<PartialAggResult> {
-        if sql.len() > self.config.max_statement_len {
-            return Err(Error::StatementTooLong {
-                len: sql.len(),
-                max: self.config.max_statement_len,
-            });
-        }
-        let stmts = parse(sql)?;
-        let stmt = match stmts.as_slice() {
-            [stmt @ Statement::Select(_)] => stmt,
-            [_] => {
-                return Err(Error::Unsupported(
-                    "partial execution requires a SELECT statement".into(),
-                ))
-            }
-            _ => {
-                return Err(Error::Unsupported(
-                    "partial execution takes exactly one statement".into(),
-                ))
-            }
+        let stmt = self.single_select(sql, "partial execution")?;
+        let Statement::Select(select) = &stmt else {
+            unreachable!("single_select returns a SELECT");
         };
-        analyze(&self.catalog, stmt, &self.config.limits)
-            .map_err(|e| Error::Analyze(e.locate(sql)))?;
-        let Statement::Select(select) = stmt else {
-            unreachable!("matched above");
-        };
-        self.check_fault(FaultSite::BeforeExec, stmt)?;
-        self.stats.record_statement();
-        let result = if !self.metrics.is_enabled() {
-            let mut probe = StmtProbe::disabled().with_budget(self.config.memory_budget.clone());
-            run_select_partial(
-                &self.catalog,
-                &mut self.stats,
-                &self.config,
-                select,
-                &mut probe,
-            )?
-        } else {
-            let mut probe = StmtProbe::enabled().with_budget(self.config.memory_budget.clone());
-            let t0 = std::time::Instant::now();
-            let result = run_select_partial(
-                &self.catalog,
-                &mut self.stats,
-                &self.config,
-                select,
-                &mut probe,
-            )?;
-            self.metrics
-                .push(probe.finish(StatementKind::Select, t0.elapsed()));
-            result
-        };
-        self.check_fault(FaultSite::AfterExec, stmt)?;
-        Ok(result)
+        self.metered(&stmt, |catalog, config, probe| {
+            run_select_partial(catalog, config, select, probe)
+        })
     }
 
     /// The *gather* half of a distributed aggregate `SELECT`: rehydrate
@@ -480,19 +458,9 @@ impl Database {
         sql: &str,
         partial: &PartialAggResult,
     ) -> Result<QueryResult> {
-        let stmts = parse(sql)?;
-        let stmt = match stmts.as_slice() {
-            [stmt @ Statement::Select(_)] => stmt,
-            _ => {
-                return Err(Error::Unsupported(
-                    "partial finalize takes exactly one SELECT statement".into(),
-                ))
-            }
-        };
-        analyze(&self.catalog, stmt, &self.config.limits)
-            .map_err(|e| Error::Analyze(e.locate(sql)))?;
-        let Statement::Select(select) = stmt else {
-            unreachable!("matched above");
+        let stmt = self.single_select(sql, "partial finalize")?;
+        let Statement::Select(select) = &stmt else {
+            unreachable!("single_select returns a SELECT");
         };
         finalize_select_partials(&self.catalog, select, partial)
     }
@@ -620,7 +588,6 @@ impl Database {
         inner: &Statement,
         source: Option<&str>,
     ) -> Result<QueryResult> {
-        self.stats.record_statement();
         let mut lines: Vec<String> = Vec::new();
         match analyze(&self.catalog, inner, &Limits::unbounded()) {
             Err(e) => {
@@ -686,12 +653,7 @@ impl Database {
         symbolic: &mut SymbolicCatalog,
         sql: &str,
     ) -> Result<Vec<Statement>> {
-        if sql.len() > self.config.max_statement_len {
-            return Err(Error::StatementTooLong {
-                len: sql.len(),
-                max: self.config.max_statement_len,
-            });
-        }
+        self.check_statement_len(sql)?;
         let stmts = parse(sql)?;
         for stmt in &stmts {
             symbolic
@@ -785,12 +747,7 @@ impl Database {
         // The staging buffer is the dominant allocation of a bulk load,
         // so it is charged against the memory budget row by row — an
         // over-budget load aborts before the table or the WAL see it.
-        let mut probe = if self.metrics.is_enabled() {
-            StmtProbe::enabled()
-        } else {
-            StmtProbe::disabled()
-        }
-        .with_budget(self.config.memory_budget.clone());
+        let mut probe = self.new_probe();
         let mut staged: Vec<Row> = Vec::new();
         for row in rows {
             if row.len() != types.len() {
@@ -826,7 +783,6 @@ impl Database {
             .catalog
             .table_mut(&lname)?
             .insert_all_or_rollback(staged)?;
-        self.stats.record_inserts(inserted);
         if let Some(seq) = framed {
             self.wal_commit_frame(seq, StatementKind::Insert, &wal_tables)?;
         }
@@ -851,16 +807,6 @@ impl Database {
     /// Read-only catalog access.
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
-    }
-
-    /// Execution statistics accumulated so far.
-    pub fn stats(&self) -> &Stats {
-        &self.stats
-    }
-
-    /// Clear execution statistics (e.g. before timing one EM iteration).
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
     }
 
     /// Arm a fault plan (chaos testing): every subsequent statement is
@@ -1131,16 +1077,6 @@ mod tests {
             db.prepare("SELECT 12345678901234567890"),
             Err(Error::StatementTooLong { .. })
         ));
-    }
-
-    #[test]
-    fn stats_reset() {
-        let mut db = Database::new();
-        db.execute("CREATE TABLE t (a BIGINT)").unwrap();
-        db.execute("INSERT INTO t VALUES (1)").unwrap();
-        assert!(db.stats().statements() >= 2);
-        db.reset_stats();
-        assert_eq!(db.stats().statements(), 0);
     }
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {

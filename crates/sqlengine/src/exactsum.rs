@@ -41,8 +41,9 @@ fn two_sum(a: f64, b: f64) -> (f64, f64) {
 /// `finalize` to get the unique correctly-rounded `f64` sum.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExactSum {
-    /// Expansion components (finite, nonzero) whose mathematical sum is
-    /// the exact sum of all finite inputs so far. Normally
+    /// Expansion components (finite; nonzero unless they arrived through
+    /// [`ExactSum::from_parts`]) whose mathematical sum is the exact sum
+    /// of all finite inputs so far. Normally
     /// nonoverlapping and in increasing magnitude order; pairs whose
     /// rounded sum would overflow stay uncombined (still exact), so the
     /// list can temporarily exceed the nonoverlapping bound when the
@@ -83,11 +84,14 @@ impl ExactSum {
             }
             return;
         }
-        // Grow-expansion: thread x through every component, keeping the
-        // exact residual of each addition and eliminating zeros.
+        // Grow-expansion, in place: thread x through every component,
+        // keeping the exact residual of each addition and eliminating
+        // zeros. Each step writes at most one component, so the write
+        // index never passes the read index.
         let mut q = x;
-        let mut out = Vec::with_capacity(self.comps.len() + 1);
-        for &c in &self.comps {
+        let mut kept = 0;
+        for i in 0..self.comps.len() {
+            let c = self.comps[i];
             let (hi, lo) = two_sum(q, c);
             if hi.is_infinite() {
                 // |q + c| exceeds the f64 range, so the pair cannot be
@@ -95,18 +99,20 @@ impl ExactSum {
                 // q onward: the decomposition stays exact, and only
                 // the final rounding decides whether the sum really
                 // overflows.
-                out.push(c);
+                self.comps[kept] = c;
+                kept += 1;
                 continue;
             }
             if lo != 0.0 {
-                out.push(lo);
+                self.comps[kept] = lo;
+                kept += 1;
             }
             q = hi;
         }
+        self.comps.truncate(kept);
         if q != 0.0 {
-            out.push(q);
+            self.comps.push(q);
         }
-        self.comps = out;
     }
 
     /// Absorb another accumulator exactly. Associative and commutative
@@ -126,18 +132,24 @@ impl ExactSum {
         (&self.comps, self.has_nan, self.pos_inf, self.neg_inf)
     }
 
-    /// Rebuild an accumulator from serialized parts (components are
-    /// re-normalized through `add`, so arbitrary finite inputs are
-    /// accepted; non-finite components fold into the flags).
+    /// Rebuild an accumulator from serialized parts. Finite components
+    /// are kept as they arrived — any list of finite values is an exact
+    /// state, neither `add` nor `finalize` needs a particular shape —
+    /// so a decoded accumulator re-encodes to the same bytes; non-finite
+    /// components fold into the flags.
     pub fn from_parts(comps: &[f64], has_nan: bool, pos_inf: bool, neg_inf: bool) -> ExactSum {
         let mut s = ExactSum {
-            comps: Vec::new(),
+            comps: Vec::with_capacity(comps.len()),
             has_nan,
             pos_inf,
             neg_inf,
         };
         for &c in comps {
-            s.add(c);
+            if c.is_finite() {
+                s.comps.push(c);
+            } else {
+                s.add(c);
+            }
         }
         s
     }
@@ -181,7 +193,7 @@ const LIMB_BITS: i32 = 32;
 /// finite expansion sum that did not already saturate.
 const NLIMBS: usize = 70;
 
-/// Sum the (finite, nonzero) components into a signed fixed-point
+/// Sum the (finite) components into a signed fixed-point
 /// accumulator and round to nearest-even `f64`.
 fn fixed_point_round(comps: &[f64]) -> f64 {
     let mut limbs = [0i64; NLIMBS];

@@ -13,12 +13,15 @@
 //! `SUM`/`AVG` accumulate through [`ExactSum`], so the finalized value
 //! is the correctly-rounded sum of the input multiset — bit-identical
 //! under any partitioning, whether across execution threads or across
-//! cluster shards. [`PartialAggState`] snapshots accumulator state for
-//! shard→coordinator transport, and merging partials is exact for every
-//! aggregate except `VARIANCE`/`STDDEV` (Chan's moment combination,
-//! deterministic in shard order but not order-free; the EM-generated
-//! SQL never uses them).
+//! cluster shards. There is one accumulator type, [`AggState`], and one
+//! merge: a single-node SELECT finalizes its own group table, a shard
+//! ships it un-finalized ([`PartialAggResult`]) and the coordinator
+//! merges and finalizes. Merging is exact for every aggregate except
+//! `VARIANCE`/`STDDEV` (Chan's moment combination, deterministic in
+//! shard order but not order-free; the EM-generated SQL never uses
+//! them).
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use crate::ast::{is_aggregate_name, Expr};
@@ -243,29 +246,54 @@ fn rewrite(
 // Accumulation
 // ---------------------------------------------------------------------
 
-/// Running state of one accumulator.
-#[derive(Debug, Clone)]
-enum AggState {
+/// Running state of one accumulator. This is also the form a shard
+/// ships to the cluster coordinator: the [`ExactSum`] expansion travels
+/// as it is and merges without rounding, so recombining shards' states
+/// is exact for `SUM`/`COUNT`/`AVG`/`MIN`/`MAX`.
+#[derive(Debug, Clone, PartialEq)]
+pub enum AggState {
+    /// `SUM` — exact sum plus SQL bookkeeping.
     Sum {
+        /// Exact running sum.
         acc: ExactSum,
+        /// Non-NULL inputs seen (SUM over zero inputs is NULL).
         count: u64,
+        /// Every input was an integer (integral SUM stays integral).
         all_int: bool,
     },
+    /// `COUNT` — rows counted so far.
     Count(u64),
+    /// `AVG` — exact sum plus the divisor count.
     Avg {
+        /// Exact running sum.
         acc: ExactSum,
+        /// Non-NULL inputs seen.
         count: u64,
     },
+    /// `MIN` — best value so far (None = no non-NULL input).
     Min(Option<Value>),
+    /// `MAX` — best value so far.
     Max(Option<Value>),
-    /// Welford online moments; `stddev` selects the square root at
-    /// finalize time.
+    /// `VARIANCE`/`STDDEV` — Welford online moments. Merging uses
+    /// Chan's combination: deterministic in merge order, not order-free.
     Var {
+        /// Non-NULL inputs seen.
         count: u64,
+        /// Running mean.
         mean: f64,
+        /// Sum of squared deviations.
         m2: f64,
+        /// Finalize as standard deviation instead of variance.
         stddev: bool,
     },
+}
+
+/// Does `candidate` displace the current MIN/MAX `best`?
+fn displaces(best: &Option<Value>, candidate: &Value, want: std::cmp::Ordering) -> bool {
+    match best {
+        None => true,
+        Some(b) => candidate.sql_cmp(b) == Some(want),
+    }
 }
 
 impl AggState {
@@ -283,109 +311,76 @@ impl AggState {
             },
             AggKind::Min => AggState::Min(None),
             AggKind::Max => AggState::Max(None),
-            AggKind::Variance => AggState::Var {
+            AggKind::Variance | AggKind::Stddev => AggState::Var {
                 count: 0,
                 mean: 0.0,
                 m2: 0.0,
-                stddev: false,
-            },
-            AggKind::Stddev => AggState::Var {
-                count: 0,
-                mean: 0.0,
-                m2: 0.0,
-                stddev: true,
+                stddev: kind == AggKind::Stddev,
             },
         }
     }
 
+    /// Feed one input: `None` is `COUNT(*)`'s "count every row";
+    /// otherwise NULLs are skipped by every aggregate.
     fn update(&mut self, v: Option<Value>) -> Result<()> {
-        match self {
-            AggState::Count(c) => {
-                // COUNT(*) gets v = None (count every row); COUNT(expr)
-                // counts non-NULL values.
-                match v {
-                    None => *c += 1,
-                    Some(val) if !val.is_null() => *c += 1,
-                    Some(_) => {}
-                }
+        let Some(val) = v else {
+            if let AggState::Count(c) = self {
+                *c += 1;
             }
+            return Ok(());
+        };
+        if val.is_null() {
+            return Ok(());
+        }
+        let numeric = |what: &str| {
+            val.as_f64().ok_or_else(|| Error::TypeMismatch {
+                context: format!("{what} over non-numeric value {val}"),
+            })
+        };
+        match self {
+            AggState::Count(c) => *c += 1,
             AggState::Sum {
                 acc,
                 count,
                 all_int,
             } => {
-                if let Some(val) = v {
-                    if !val.is_null() {
-                        let x = val.as_f64().ok_or_else(|| Error::TypeMismatch {
-                            context: format!("SUM over non-numeric value {val}"),
-                        })?;
-                        if !matches!(val, Value::Int(_)) {
-                            *all_int = false;
-                        }
-                        acc.add(x);
-                        *count += 1;
-                    }
-                }
+                acc.add(numeric("SUM")?);
+                *all_int &= matches!(val, Value::Int(_));
+                *count += 1;
             }
             AggState::Avg { acc, count } => {
-                if let Some(val) = v {
-                    if !val.is_null() {
-                        let x = val.as_f64().ok_or_else(|| Error::TypeMismatch {
-                            context: format!("AVG over non-numeric value {val}"),
-                        })?;
-                        acc.add(x);
-                        *count += 1;
-                    }
-                }
+                acc.add(numeric("AVG")?);
+                *count += 1;
             }
             AggState::Min(best) => {
-                if let Some(val) = v {
-                    if !val.is_null() {
-                        let replace = match best {
-                            None => true,
-                            Some(b) => val.sql_cmp(b).is_some_and(|o| o.is_lt()),
-                        };
-                        if replace {
-                            *best = Some(val);
-                        }
-                    }
+                if displaces(best, &val, std::cmp::Ordering::Less) {
+                    *best = Some(val);
                 }
             }
             AggState::Max(best) => {
-                if let Some(val) = v {
-                    if !val.is_null() {
-                        let replace = match best {
-                            None => true,
-                            Some(b) => val.sql_cmp(b).is_some_and(|o| o.is_gt()),
-                        };
-                        if replace {
-                            *best = Some(val);
-                        }
-                    }
+                if displaces(best, &val, std::cmp::Ordering::Greater) {
+                    *best = Some(val);
                 }
             }
             AggState::Var {
                 count, mean, m2, ..
             } => {
-                if let Some(val) = v {
-                    if !val.is_null() {
-                        let x = val.as_f64().ok_or_else(|| Error::TypeMismatch {
-                            context: format!("VARIANCE over non-numeric value {val}"),
-                        })?;
-                        *count += 1;
-                        let delta = x - *mean;
-                        *mean += delta / *count as f64;
-                        *m2 += delta * (x - *mean);
-                    }
-                }
+                let x = numeric("VARIANCE")?;
+                *count += 1;
+                let delta = x - *mean;
+                *mean += delta / *count as f64;
+                *m2 += delta * (x - *mean);
             }
         }
         Ok(())
     }
 
-    /// Merge a partition-local state (parallel execution).
-    fn merge(&mut self, other: AggState) {
-        match (self, other) {
+    /// Merge another partition's or another shard's state into this
+    /// one. Mismatched kinds mean the two sides planned different
+    /// aggregates for the same statement; the other side may have
+    /// crossed a process boundary, so that is a typed error, not a panic.
+    fn merge(&mut self, other: &AggState) -> Result<()> {
+        match (&mut *self, other) {
             (
                 AggState::Sum {
                     acc,
@@ -398,35 +393,29 @@ impl AggState {
                     all_int: i2,
                 },
             ) => {
-                acc.merge(&a2);
+                acc.merge(a2);
                 *count += c2;
                 *all_int &= i2;
             }
             (AggState::Count(c), AggState::Count(c2)) => *c += c2,
             (AggState::Avg { acc, count }, AggState::Avg { acc: a2, count: c2 }) => {
-                acc.merge(&a2);
+                acc.merge(a2);
                 *count += c2;
             }
-            (AggState::Min(best), AggState::Min(Some(v))) => {
-                let replace = match best {
-                    None => true,
-                    Some(b) => v.sql_cmp(b).is_some_and(|o| o.is_lt()),
-                };
-                if replace {
-                    *best = Some(v);
+            (AggState::Min(best), AggState::Min(theirs)) => {
+                if let Some(v) = theirs {
+                    if displaces(best, v, std::cmp::Ordering::Less) {
+                        *best = Some(v.clone());
+                    }
                 }
             }
-            (AggState::Max(best), AggState::Max(Some(v))) => {
-                let replace = match best {
-                    None => true,
-                    Some(b) => v.sql_cmp(b).is_some_and(|o| o.is_gt()),
-                };
-                if replace {
-                    *best = Some(v);
+            (AggState::Max(best), AggState::Max(theirs)) => {
+                if let Some(v) = theirs {
+                    if displaces(best, v, std::cmp::Ordering::Greater) {
+                        *best = Some(v.clone());
+                    }
                 }
             }
-            (AggState::Min(_), AggState::Min(None)) => {}
-            (AggState::Max(_), AggState::Max(None)) => {}
             (
                 AggState::Var {
                     count, mean, m2, ..
@@ -439,9 +428,9 @@ impl AggState {
                 },
             ) => {
                 // Chan et al. parallel combination of moments.
-                if c2 > 0 {
+                if *c2 > 0 {
                     let n1 = *count as f64;
-                    let n2 = c2 as f64;
+                    let n2 = *c2 as f64;
                     let delta = mu2 - *mean;
                     let total = n1 + n2;
                     *mean += delta * n2 / total;
@@ -449,8 +438,13 @@ impl AggState {
                     *count += c2;
                 }
             }
-            _ => unreachable!("merging mismatched aggregate states"),
+            _ => {
+                return Err(Error::Unsupported(format!(
+                    "mismatched partial-aggregate kinds: {self:?} vs {other:?}"
+                )))
+            }
         }
+        Ok(())
     }
 
     fn finalize(&self) -> Value {
@@ -490,183 +484,57 @@ impl AggState {
             }
         }
     }
-
-    /// Snapshot for shard→coordinator transport.
-    fn to_partial(&self) -> PartialAggState {
-        match self {
-            AggState::Sum {
-                acc,
-                count,
-                all_int,
-            } => {
-                let (comps, has_nan, pos_inf, neg_inf) = acc.to_parts();
-                PartialAggState::Sum {
-                    comps: comps.to_vec(),
-                    has_nan,
-                    pos_inf,
-                    neg_inf,
-                    count: *count,
-                    all_int: *all_int,
-                }
-            }
-            AggState::Count(c) => PartialAggState::Count(*c),
-            AggState::Avg { acc, count } => {
-                let (comps, has_nan, pos_inf, neg_inf) = acc.to_parts();
-                PartialAggState::Avg {
-                    comps: comps.to_vec(),
-                    has_nan,
-                    pos_inf,
-                    neg_inf,
-                    count: *count,
-                }
-            }
-            AggState::Min(b) => PartialAggState::Min(b.clone()),
-            AggState::Max(b) => PartialAggState::Max(b.clone()),
-            AggState::Var {
-                count,
-                mean,
-                m2,
-                stddev,
-            } => PartialAggState::Var {
-                count: *count,
-                mean: *mean,
-                m2: *m2,
-                stddev: *stddev,
-            },
-        }
-    }
-
-    /// Rebuild a live accumulator from a transported snapshot.
-    fn from_partial(p: &PartialAggState) -> AggState {
-        match p {
-            PartialAggState::Sum {
-                comps,
-                has_nan,
-                pos_inf,
-                neg_inf,
-                count,
-                all_int,
-            } => AggState::Sum {
-                acc: ExactSum::from_parts(comps, *has_nan, *pos_inf, *neg_inf),
-                count: *count,
-                all_int: *all_int,
-            },
-            PartialAggState::Count(c) => AggState::Count(*c),
-            PartialAggState::Avg {
-                comps,
-                has_nan,
-                pos_inf,
-                neg_inf,
-                count,
-            } => AggState::Avg {
-                acc: ExactSum::from_parts(comps, *has_nan, *pos_inf, *neg_inf),
-                count: *count,
-            },
-            PartialAggState::Min(b) => AggState::Min(b.clone()),
-            PartialAggState::Max(b) => AggState::Max(b.clone()),
-            PartialAggState::Var {
-                count,
-                mean,
-                m2,
-                stddev,
-            } => AggState::Var {
-                count: *count,
-                mean: *mean,
-                m2: *m2,
-                stddev: *stddev,
-            },
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
-// Partial-aggregate transport (scatter/gather)
+// The group table, in memory and in transit
 // ---------------------------------------------------------------------
 
-/// Serializable snapshot of one aggregate accumulator: what a shard
-/// ships to the cluster coordinator instead of a finalized value, so
-/// the gather step can recombine partial `SUM`/`COUNT`/`AVG` states
-/// **exactly** (the expansion components of [`ExactSum`] travel as-is
-/// and merge without rounding).
-#[derive(Debug, Clone, PartialEq)]
-pub enum PartialAggState {
-    /// `COUNT` — rows counted so far.
-    Count(u64),
-    /// `SUM` — exact-sum expansion plus SQL bookkeeping.
-    Sum {
-        /// Nonoverlapping expansion components of the running sum.
-        comps: Vec<f64>,
-        /// A NaN was absorbed.
-        has_nan: bool,
-        /// A `+∞` was absorbed (or the sum overflowed upward).
-        pos_inf: bool,
-        /// A `-∞` was absorbed (or the sum overflowed downward).
-        neg_inf: bool,
-        /// Non-NULL inputs seen (SUM over zero inputs is NULL).
-        count: u64,
-        /// Every input was an integer (integral SUM stays integral).
-        all_int: bool,
-    },
-    /// `AVG` — exact-sum expansion plus the divisor count.
-    Avg {
-        /// Nonoverlapping expansion components of the running sum.
-        comps: Vec<f64>,
-        /// A NaN was absorbed.
-        has_nan: bool,
-        /// A `+∞` was absorbed (or the sum overflowed upward).
-        pos_inf: bool,
-        /// A `-∞` was absorbed (or the sum overflowed downward).
-        neg_inf: bool,
-        /// Non-NULL inputs seen.
-        count: u64,
-    },
-    /// `MIN` — best value so far (None = no non-NULL input).
-    Min(Option<Value>),
-    /// `MAX` — best value so far.
-    Max(Option<Value>),
-    /// `VARIANCE`/`STDDEV` — Welford moments. Merging uses Chan's
-    /// combination: deterministic in merge order, not order-free.
-    Var {
-        /// Non-NULL inputs seen.
-        count: u64,
-        /// Running mean.
-        mean: f64,
-        /// Sum of squared deviations.
-        m2: f64,
-        /// Finalize as standard deviation instead of variance.
-        stddev: bool,
-    },
-}
+/// One group: its key and one accumulator per planned aggregate.
+type Group = (Row, Vec<AggState>);
 
-impl PartialAggState {
-    /// Merge another shard's partial into this one. Mismatched
-    /// accumulator kinds mean the two sides planned different
-    /// aggregates for the same statement — an internal invariant
-    /// violation, surfaced as a typed error instead of a panic since
-    /// the input crossed a process boundary.
-    pub fn merge(&mut self, other: &PartialAggState) -> Result<()> {
-        let mut mine = AggState::from_partial(self);
-        let theirs = AggState::from_partial(other);
-        if std::mem::discriminant(&mine) != std::mem::discriminant(&theirs) {
-            return Err(Error::Unsupported(format!(
-                "mismatched partial-aggregate kinds: {self:?} vs {other:?}"
-            )));
+/// Fold `incoming` groups into a first-seen-ordered group table: a key
+/// already present merges state by state, a new key appends. The one
+/// merge loop behind execution partitions, shards and the gather step.
+fn merge_groups<'a>(
+    groups: &mut Vec<Group>,
+    index: &mut HashMap<Row, usize>,
+    incoming: impl IntoIterator<Item = Cow<'a, Group>>,
+) -> Result<()> {
+    for group in incoming {
+        match index.get(&group.0) {
+            Some(&i) => {
+                let mine = &mut groups[i].1;
+                if mine.len() != group.1.len() {
+                    return Err(Error::Unsupported(format!(
+                        "mismatched partial-aggregate arity: {} vs {}",
+                        mine.len(),
+                        group.1.len()
+                    )));
+                }
+                for (m, t) in mine.iter_mut().zip(&group.1) {
+                    m.merge(t)?;
+                }
+            }
+            None => {
+                let group = group.into_owned();
+                index.insert(group.0.clone(), groups.len());
+                groups.push(group);
+            }
         }
-        mine.merge(theirs);
-        *self = mine.to_partial();
-        Ok(())
     }
+    Ok(())
 }
 
-/// The partial result of one scattered aggregate statement on one
-/// shard: grouped keys with un-finalized accumulator states. The
-/// coordinator merges shards' results group-by-group, then hands the
+/// The group table of one aggregate statement with its accumulators
+/// un-finalized: what a shard returns for a scattered statement. The
+/// coordinator merges shards' results group by group, then hands the
 /// merged states back to the engine for the finalize tail (HAVING,
 /// projection, ORDER BY, LIMIT).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PartialAggResult {
     /// `(group key, accumulator states)` in first-seen order.
-    pub groups: Vec<(Vec<Value>, Vec<PartialAggState>)>,
+    pub groups: Vec<(Row, Vec<AggState>)>,
 }
 
 impl PartialAggResult {
@@ -675,29 +543,17 @@ impl PartialAggResult {
     /// order — merging shards in index order therefore yields a
     /// deterministic group order.
     pub fn merge(&mut self, other: &PartialAggResult) -> Result<()> {
-        let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-        for (i, (key, _)) in self.groups.iter().enumerate() {
-            index.insert(key.clone(), i);
-        }
-        for (key, states) in &other.groups {
-            match index.get(key) {
-                Some(&i) => {
-                    let mine = &mut self.groups[i].1;
-                    if mine.len() != states.len() {
-                        return Err(Error::Unsupported(format!(
-                            "mismatched partial-aggregate arity: {} vs {}",
-                            mine.len(),
-                            states.len()
-                        )));
-                    }
-                    for (m, t) in mine.iter_mut().zip(states) {
-                        m.merge(t)?;
-                    }
-                }
-                None => self.groups.push((key.clone(), states.clone())),
-            }
-        }
-        Ok(())
+        let mut index = self
+            .groups
+            .iter()
+            .enumerate()
+            .map(|(i, (key, _))| (key.clone(), i))
+            .collect();
+        merge_groups(
+            &mut self.groups,
+            &mut index,
+            other.groups.iter().map(Cow::Borrowed),
+        )
     }
 }
 
@@ -706,7 +562,7 @@ pub struct AggSink {
     plan: AggPlan,
     /// Group key → index into `groups`, preserving first-seen order.
     index: HashMap<Row, usize>,
-    groups: Vec<(Row, Vec<AggState>)>,
+    groups: Vec<Group>,
     /// Input rows consumed (telemetry: expr-eval accounting).
     rows_seen: u64,
 }
@@ -743,42 +599,27 @@ impl AggSink {
             .sum()
     }
 
-    /// Snapshot the accumulated groups as transportable partial states
-    /// (the scatter half of a distributed aggregate).
-    pub fn export_partial(&self) -> PartialAggResult {
+    /// Hand the accumulated groups over un-finalized (the scatter half
+    /// of a distributed aggregate).
+    pub fn into_partial(self) -> PartialAggResult {
         PartialAggResult {
-            groups: self
-                .groups
-                .iter()
-                .map(|(key, states)| {
-                    (
-                        key.to_vec(),
-                        states.iter().map(AggState::to_partial).collect(),
-                    )
-                })
-                .collect(),
+            groups: self.groups,
         }
     }
 
-    /// Absorb a merged partial result (the gather half): each group's
-    /// transported states rehydrate into live accumulators and merge
-    /// into this sink. The plan's aggregate arity must match.
-    pub fn inject_partial(&mut self, partial: &PartialAggResult) -> Result<()> {
-        for (key, states) in &partial.groups {
-            if states.len() != self.plan.aggs.len() {
+    /// Rebuild a sink from a merged partial result (the gather half).
+    /// The states crossed a process boundary, so their arity and kinds
+    /// are checked against the plan first.
+    pub fn from_partial(plan: AggPlan, partial: &PartialAggResult) -> Result<AggSink> {
+        for (_, states) in &partial.groups {
+            if states.len() != plan.aggs.len() {
                 return Err(Error::Unsupported(format!(
                     "partial-aggregate arity {} does not match plan arity {}",
                     states.len(),
-                    self.plan.aggs.len()
+                    plan.aggs.len()
                 )));
             }
-            let key: Row = key.clone().into_boxed_slice();
-            let rehydrated: Vec<AggState> = states.iter().map(AggState::from_partial).collect();
-            // Kind check before merge: the states crossed a process
-            // boundary, so a mismatch must be a typed error, not the
-            // panic the in-process merge path reserves for impossible
-            // states.
-            for (spec, st) in self.plan.aggs.iter().zip(&rehydrated) {
+            for (spec, st) in plan.aggs.iter().zip(states) {
                 let expected = AggState::new(spec.kind);
                 if std::mem::discriminant(st) != std::mem::discriminant(&expected) {
                     return Err(Error::Unsupported(format!(
@@ -787,38 +628,25 @@ impl AggSink {
                     )));
                 }
             }
-            match self.index.get(&key) {
-                Some(&i) => {
-                    for (mine, theirs) in self.groups[i].1.iter_mut().zip(rehydrated) {
-                        mine.merge(theirs);
-                    }
-                }
-                None => {
-                    self.index.insert(key.clone(), self.groups.len());
-                    self.groups.push((key, rehydrated));
-                }
-            }
         }
-        Ok(())
+        let mut sink = AggSink::new(plan);
+        merge_groups(
+            &mut sink.groups,
+            &mut sink.index,
+            partial.groups.iter().map(Cow::Borrowed),
+        )?;
+        Ok(sink)
     }
 
     /// Merge another partition's groups into this one (partition order
     /// gives deterministic group ordering).
-    pub fn merge(&mut self, other: AggSink) {
+    pub fn merge(&mut self, other: AggSink) -> Result<()> {
         self.rows_seen += other.rows_seen;
-        for (key, states) in other.groups {
-            match self.index.get(&key) {
-                Some(&i) => {
-                    for (mine, theirs) in self.groups[i].1.iter_mut().zip(states) {
-                        mine.merge(theirs);
-                    }
-                }
-                None => {
-                    self.index.insert(key.clone(), self.groups.len());
-                    self.groups.push((key, states));
-                }
-            }
-        }
+        merge_groups(
+            &mut self.groups,
+            &mut self.index,
+            other.groups.into_iter().map(Cow::Owned),
+        )
     }
 
     /// Produce the final output rows (projection + HAVING applied).
@@ -1130,7 +958,7 @@ mod tests {
         push_rows(&mut a, &[(1, 1, 2.0), (2, 2, 7.0)]);
         let mut b = AggSink::new(plan);
         push_rows(&mut b, &[(3, 1, 4.0), (4, 3, 1.0)]);
-        a.merge(b);
+        a.merge(b).unwrap();
         let rows = a.finalize().unwrap();
         assert_eq!(rows.len(), 3);
         // Group 1 merged across partitions.

@@ -7,7 +7,6 @@ use crate::exec::{run_select, ExecConfig, QueryResult};
 use crate::expr::{compile, compile_constant, ColumnResolver};
 use crate::metrics::StmtProbe;
 use crate::schema::{Column, Schema};
-use crate::stats::Stats;
 use crate::table::Row;
 use crate::value::Value;
 
@@ -39,7 +38,6 @@ pub fn drop_table(catalog: &mut Catalog, name: &str, if_exists: bool) -> Result<
 
 pub fn insert(
     catalog: &mut Catalog,
-    stats: &mut Stats,
     config: &ExecConfig,
     table_name: &str,
     columns: Option<&[String]>,
@@ -81,7 +79,7 @@ pub fn insert(
             out
         }
         InsertSource::Select(sel) => {
-            let result = run_select(catalog, stats, config, sel, probe)?;
+            let result = run_select(catalog, config, sel, probe)?;
             result.rows
         }
     };
@@ -136,14 +134,12 @@ pub fn insert(
         staged.push(coerced);
     }
     let inserted = table.insert_all_or_rollback(staged)?;
-    stats.record_inserts(inserted);
     probe.add_inserted(inserted);
     Ok(QueryResult::affected(inserted))
 }
 
 pub fn update(
     catalog: &mut Catalog,
-    stats: &mut Stats,
     table_name: &str,
     from: &[TableRef],
     assignments: &[(String, Expr)],
@@ -186,7 +182,6 @@ pub fn update(
     let mut combos: Vec<Vec<Value>> = vec![Vec::new()];
     for tref in from {
         let t = catalog.table(&tref.table)?;
-        stats.record_scan(t.name(), t.len(), true);
         probe.record_scan(t.name(), t.len(), true);
         probe.add_build_rows(t.len() as u64);
         let mut next = Vec::with_capacity(combos.len() * t.len().max(1));
@@ -233,7 +228,6 @@ pub fn update(
     };
 
     let table = catalog.table_mut(table_name)?;
-    stats.record_scan(table.name(), table.len(), false);
     probe.record_scan(table.name(), table.len(), false);
     let width = col_types.len();
     let mut ctx: Vec<Value> = Vec::new();
@@ -264,7 +258,6 @@ pub fn update(
         },
         touches_key,
     )?;
-    stats.record_updates(updated);
     probe.add_updated(updated);
     Ok(QueryResult::affected(updated))
 }
@@ -284,7 +277,6 @@ impl CopyValues for [Value] {
 
 pub fn delete(
     catalog: &mut Catalog,
-    stats: &mut Stats,
     table_name: &str,
     where_clause: Option<&Expr>,
     probe: &mut StmtProbe,
@@ -304,7 +296,6 @@ pub fn delete(
         where_clause.map(|w| compile(w, &resolver)).transpose()?
     };
     let table = catalog.table_mut(table_name)?;
-    stats.record_scan(table.name(), table.len(), false);
     probe.record_scan(table.name(), table.len(), false);
     let removed = match pred {
         None => table.truncate(),
@@ -322,7 +313,6 @@ pub fn delete(
             table.delete_where(|_| *it.next().unwrap())
         }
     };
-    stats.record_deletes(removed);
     probe.add_deleted(removed);
     Ok(QueryResult::affected(removed))
 }

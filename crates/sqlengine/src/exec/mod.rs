@@ -3,9 +3,9 @@
 //! [`execute_statement`] dispatches parsed statements against a catalog.
 //! SELECT goes through the streaming join pipeline in the `select`
 //! module; DML and DDL are handled in `dml`. Every full pass over a table's rows is
-//! recorded in [`crate::stats::Stats`], which is how the harness verifies
-//! the paper's claim that one hybrid EM iteration costs `2k+3` scans of
-//! `n`-row tables plus one scan of a `pn`-row table (§3.5).
+//! reported to the statement's [`StmtProbe`], which is how the harness
+//! verifies the paper's claim that one hybrid EM iteration costs `2k+3`
+//! scans of `n`-row tables plus one scan of a `pn`-row table (§3.5).
 
 pub mod aggregate;
 mod dml;
@@ -17,7 +17,6 @@ use crate::ast::Statement;
 use crate::catalog::Catalog;
 use crate::error::Result;
 use crate::metrics::{StatementKind, StmtProbe};
-use crate::stats::Stats;
 use crate::table::Row;
 use crate::value::Value;
 
@@ -113,12 +112,11 @@ impl QueryResult {
 /// Execute one parsed statement without telemetry (a disabled probe).
 pub fn execute_statement(
     catalog: &mut Catalog,
-    stats: &mut Stats,
     config: &ExecConfig,
     stmt: &Statement,
 ) -> Result<QueryResult> {
     let mut probe = StmtProbe::disabled().with_budget(config.memory_budget.clone());
-    execute_statement_metered(catalog, stats, config, stmt, &mut probe)
+    execute_statement_metered(catalog, config, stmt, &mut probe)
 }
 
 /// The [`crate::metrics::StatementKind`] a statement reports as.
@@ -177,12 +175,10 @@ pub fn statement_tables(stmt: &Statement) -> Vec<String> {
 /// Execute one parsed statement, recording telemetry into `probe`.
 pub fn execute_statement_metered(
     catalog: &mut Catalog,
-    stats: &mut Stats,
     config: &ExecConfig,
     stmt: &Statement,
     probe: &mut StmtProbe,
 ) -> Result<QueryResult> {
-    stats.record_statement();
     match stmt {
         Statement::CreateTable {
             name,
@@ -195,15 +191,7 @@ pub fn execute_statement_metered(
             table,
             columns,
             source,
-        } => dml::insert(
-            catalog,
-            stats,
-            config,
-            table,
-            columns.as_deref(),
-            source,
-            probe,
-        ),
+        } => dml::insert(catalog, config, table, columns.as_deref(), source, probe),
         Statement::Update {
             table,
             from,
@@ -211,7 +199,6 @@ pub fn execute_statement_metered(
             where_clause,
         } => dml::update(
             catalog,
-            stats,
             table,
             from,
             assignments,
@@ -221,15 +208,15 @@ pub fn execute_statement_metered(
         Statement::Delete {
             table,
             where_clause,
-        } => dml::delete(catalog, stats, table, where_clause.as_ref(), probe),
-        Statement::Select(sel) => run_select(catalog, stats, config, sel, probe),
+        } => dml::delete(catalog, table, where_clause.as_ref(), probe),
+        Statement::Select(sel) => run_select(catalog, config, sel, probe),
         Statement::Explain(inner) => match inner.as_ref() {
             Statement::Select(sel) => explain_select(catalog, sel),
             _ => Err(crate::error::Error::Unsupported(
                 "EXPLAIN supports SELECT statements only".into(),
             )),
         },
-        Statement::ExplainAnalyze(inner) => explain_analyze(catalog, stats, config, inner),
+        Statement::ExplainAnalyze(inner) => explain_analyze(catalog, config, inner),
     }
 }
 
@@ -240,7 +227,6 @@ pub fn execute_statement_metered(
 /// effects are real, exactly like the original.
 fn explain_analyze(
     catalog: &mut Catalog,
-    stats: &mut Stats,
     config: &ExecConfig,
     inner: &Statement,
 ) -> Result<QueryResult> {
@@ -251,7 +237,7 @@ fn explain_analyze(
     }
     let mut probe = StmtProbe::enabled().with_budget(config.memory_budget.clone());
     let t0 = std::time::Instant::now();
-    let result = execute_statement_metered(catalog, stats, config, inner, &mut probe)?;
+    let result = execute_statement_metered(catalog, config, inner, &mut probe)?;
     let metrics = probe.finish(statement_kind(inner), t0.elapsed());
     lines.extend(metrics.render());
     lines.push(format!("result: {} row(s)", result.rows_affected));

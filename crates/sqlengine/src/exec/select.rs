@@ -20,12 +20,11 @@ use std::collections::HashMap;
 use crate::ast::{BinOp, Expr, Select, SelectItem};
 use crate::catalog::Catalog;
 use crate::error::{Error, Result};
-use crate::exec::aggregate::{plan_aggregate, AggSink, PartialAggResult};
+use crate::exec::aggregate::{plan_aggregate, AggPlan, AggSink, PartialAggResult};
 use crate::exec::{ExecConfig, QueryResult};
 use crate::expr::{compile, CExpr, ColumnResolver};
 use crate::metrics::StmtProbe;
 use crate::resource::{row_bytes, ResourceTracker, ENTRY_OVERHEAD_BYTES};
-use crate::stats::Stats;
 use crate::table::Row;
 use crate::value::Value;
 
@@ -101,83 +100,100 @@ fn prepare_select(catalog: &Catalog, select: &Select) -> Result<SelectPrep> {
     })
 }
 
-/// The post-sink tail shared by full and gathered execution: sort by
-/// the hidden key columns, strip them, apply LIMIT.
-fn apply_order_and_limit(prep: &SelectPrep, select: &Select, out_rows: &mut Vec<Row>) {
-    if !select.order_by.is_empty() {
-        let descs: Vec<bool> = select.order_by.iter().map(|k| k.desc).collect();
-        sort_by_hidden(out_rows, prep.n_real, &descs);
-    }
-    if prep.n_real < prep.all_items.len() {
-        for row in out_rows.iter_mut() {
-            let mut v = std::mem::take(row).into_vec();
-            v.truncate(prep.n_real);
-            *row = v.into_boxed_slice();
+impl SelectPrep {
+    /// Partial execution and partial finalize only make sense for an
+    /// aggregate SELECT.
+    fn require_aggregate(&self, what: &str) -> Result<()> {
+        if self.is_aggregate {
+            Ok(())
+        } else {
+            Err(Error::Unsupported(format!(
+                "{what} requires an aggregate SELECT"
+            )))
         }
     }
-    if let Some(limit) = select.limit {
-        out_rows.truncate(limit);
+
+    /// The aggregation plan. Shards and the gathering coordinator both
+    /// derive it from the same statement text and the same schemas, so
+    /// the accumulator layout is identical by construction.
+    fn aggregate_plan(&self, select: &Select) -> Result<AggPlan> {
+        plan_aggregate(
+            &self.all_items,
+            &select.group_by,
+            select.having.as_ref(),
+            &self.resolver,
+        )
     }
+
+    /// The post-sink tail shared by full and gathered execution: sort by
+    /// the hidden key columns, strip them, apply LIMIT.
+    fn finish(self, select: &Select, mut rows: Vec<Row>) -> QueryResult {
+        if !select.order_by.is_empty() {
+            let descs: Vec<bool> = select.order_by.iter().map(|k| k.desc).collect();
+            sort_by_hidden(&mut rows, self.n_real, &descs);
+        }
+        if self.n_real < self.all_items.len() {
+            for row in rows.iter_mut() {
+                let mut v = std::mem::take(row).into_vec();
+                v.truncate(self.n_real);
+                *row = v.into_boxed_slice();
+            }
+        }
+        if let Some(limit) = select.limit {
+            rows.truncate(limit);
+        }
+        let n = rows.len();
+        QueryResult {
+            columns: self.output_names,
+            rows,
+            rows_affected: n,
+        }
+    }
+}
+
+/// The one aggregate path: scan/join pipeline into one [`AggSink`] per
+/// partition, merged in partition order. A full SELECT finalizes the
+/// returned sink, a shard exports it, and the gather step rebuilds an
+/// equivalent one from the shards' exports — so single-node execution
+/// is the one-shard case of partial + finalize.
+fn run_aggregate(
+    catalog: &Catalog,
+    config: &ExecConfig,
+    select: &Select,
+    prep: &SelectPrep,
+    probe: &mut StmtProbe,
+) -> Result<AggSink> {
+    let pipeline = build_pipeline(catalog, select, &prep.scopes, probe)?;
+    let plan = prep.aggregate_plan(select)?;
+    let mut sinks =
+        run_pipeline(&pipeline, config, probe, || AggSink::new(plan.clone()))?.into_iter();
+    let mut merged = sinks.next().expect("at least one sink");
+    for sink in sinks {
+        merged.merge(sink)?;
+    }
+    // The merged table is charged (not the per-partition partials):
+    // its contents are identical under serial and parallel execution,
+    // which keeps the peak-memory gauge partition-order-independent.
+    probe
+        .tracker()
+        .charge("group table", merged.footprint_bytes())?;
+    probe.set_groups(merged.group_count());
+    Ok(merged)
 }
 
 /// Run a SELECT and materialize its result, recording telemetry into
 /// `probe` (pass a disabled probe to skip).
 pub fn run_select(
     catalog: &Catalog,
-    stats: &mut Stats,
     config: &ExecConfig,
     select: &Select,
     probe: &mut StmtProbe,
 ) -> Result<QueryResult> {
     let prep = prepare_select(catalog, select)?;
-
-    // ---- classify WHERE conjuncts --------------------------------------
-    // Aggregates in WHERE are rejected by the analyze pass up front and
-    // again by `compile` when the predicates are lowered, so no separate
-    // scan is needed here.
-    let conjuncts = match &select.where_clause {
-        Some(w) => split_conjuncts(w),
-        None => Vec::new(),
-    };
-
-    let plan_t0 = std::time::Instant::now();
-    let pipeline = build_pipeline(
-        catalog,
-        stats,
-        select,
-        &prep.scopes,
-        &conjuncts,
-        &prep.resolver,
-        probe,
-    )?;
-    probe.add_plan_time(plan_t0.elapsed());
-
-    // ---- choose sink: aggregate or scalar projection -------------------
-    let mut out_rows: Vec<Row>;
-    if prep.is_aggregate {
-        let plan = plan_aggregate(
-            &prep.all_items,
-            &select.group_by,
-            select.having.as_ref(),
-            &prep.resolver,
-        )?;
-        let sinks = run_pipeline(&pipeline, config, probe, || AggSink::new(plan.clone()))?;
-        let mut merged = sinks
-            .into_iter()
-            .reduce(|mut a, b| {
-                a.merge(b);
-                a
-            })
-            .expect("at least one sink");
-        // The merged table is charged (not the per-partition partials):
-        // its contents are identical under serial and parallel execution,
-        // which keeps the peak-memory gauge partition-order-independent.
-        probe
-            .tracker()
-            .charge("group table", merged.footprint_bytes())?;
-        probe.set_groups(merged.group_count());
-        out_rows = merged.finalize()?;
+    let out_rows = if prep.is_aggregate {
+        run_aggregate(catalog, config, select, &prep, probe)?.finalize()?
     } else {
+        let pipeline = build_pipeline(catalog, select, &prep.scopes, probe)?;
         if select.having.is_some() {
             return Err(Error::InvalidAggregate(
                 "HAVING requires GROUP BY or aggregates".into(),
@@ -193,114 +209,47 @@ pub fn run_select(
             out: Vec::new(),
             mem,
         })?;
-        out_rows = Vec::new();
+        let mut out_rows = Vec::new();
         for s in sinks {
             out_rows.extend(s.out);
         }
-    }
-
-    apply_order_and_limit(&prep, select, &mut out_rows);
-
-    let n = out_rows.len();
-    probe.set_rows_produced(n);
-    Ok(QueryResult {
-        columns: prep.output_names,
-        rows: out_rows,
-        rows_affected: n,
-    })
+        out_rows
+    };
+    let result = prep.finish(select, out_rows);
+    probe.set_rows_produced(result.rows.len());
+    Ok(result)
 }
 
-/// Run the scatter half of a distributed aggregate: execute the full
-/// scan/join pipeline locally but stop *before* finalizing — the group
-/// table is exported as transportable partial states instead of being
-/// projected. Scan accounting is identical to [`run_select`] (the data
-/// really was scanned); only the finalize tail moves to the gatherer.
+/// Run the scatter half of a distributed aggregate: the same pipeline
+/// and the same scan accounting as [`run_select`] (the data really was
+/// scanned), but the group table is returned un-finalized; the finalize
+/// tail moves to the gatherer.
 pub fn run_select_partial(
     catalog: &Catalog,
-    stats: &mut Stats,
     config: &ExecConfig,
     select: &Select,
     probe: &mut StmtProbe,
 ) -> Result<PartialAggResult> {
     let prep = prepare_select(catalog, select)?;
-    if !prep.is_aggregate {
-        return Err(Error::Unsupported(
-            "partial execution requires an aggregate SELECT".into(),
-        ));
-    }
-    let conjuncts = match &select.where_clause {
-        Some(w) => split_conjuncts(w),
-        None => Vec::new(),
-    };
-    let plan_t0 = std::time::Instant::now();
-    let pipeline = build_pipeline(
-        catalog,
-        stats,
-        select,
-        &prep.scopes,
-        &conjuncts,
-        &prep.resolver,
-        probe,
-    )?;
-    probe.add_plan_time(plan_t0.elapsed());
-
-    let plan = plan_aggregate(
-        &prep.all_items,
-        &select.group_by,
-        select.having.as_ref(),
-        &prep.resolver,
-    )?;
-    let sinks = run_pipeline(&pipeline, config, probe, || AggSink::new(plan.clone()))?;
-    let merged = sinks
-        .into_iter()
-        .reduce(|mut a, b| {
-            a.merge(b);
-            a
-        })
-        .expect("at least one sink");
-    probe
-        .tracker()
-        .charge("group table", merged.footprint_bytes())?;
-    probe.set_groups(merged.group_count());
-    probe.set_rows_produced(merged.group_count());
-    Ok(merged.export_partial())
+    prep.require_aggregate("partial execution")?;
+    let sink = run_aggregate(catalog, config, select, &prep, probe)?;
+    probe.set_rows_produced(sink.group_count());
+    Ok(sink.into_partial())
 }
 
-/// Run the gather half: rebuild the aggregate plan from the same SQL
-/// (against schemas only — no rows are scanned and no tables need
-/// data), inject the merged partial states, and run the finalize tail
-/// (implicit empty group, HAVING, projection, ORDER BY, LIMIT).
-///
-/// Planning here and planning on the shards start from the same
-/// statement text and the same schemas, so the accumulator layout is
-/// identical by construction.
+/// Run the gather half: rebuild the group table from the merged partial
+/// states (against schemas only — no rows are scanned and no tables
+/// need data) and run the finalize tail (implicit empty group, HAVING,
+/// projection, ORDER BY, LIMIT).
 pub fn finalize_select_partials(
     catalog: &Catalog,
     select: &Select,
     partial: &PartialAggResult,
 ) -> Result<QueryResult> {
     let prep = prepare_select(catalog, select)?;
-    if !prep.is_aggregate {
-        return Err(Error::Unsupported(
-            "partial finalize requires an aggregate SELECT".into(),
-        ));
-    }
-    let plan = plan_aggregate(
-        &prep.all_items,
-        &select.group_by,
-        select.having.as_ref(),
-        &prep.resolver,
-    )?;
-    let mut sink = AggSink::new(plan);
-    sink.inject_partial(partial)?;
-    let mut out_rows = sink.finalize()?;
-    apply_order_and_limit(&prep, select, &mut out_rows);
-    let n = out_rows.len();
-    Ok(QueryResult {
-        columns: prep.output_names,
-        rows: out_rows,
-        rows_affected: n,
-    })
+    prep.require_aggregate("partial finalize")?;
+    let rows = AggSink::from_partial(prep.aggregate_plan(select)?, partial)?.finalize()?;
+    Ok(prep.finish(select, rows))
 }
 
 /// Expand wildcards; return per-item expressions and output names.
@@ -475,17 +424,23 @@ struct Pipeline<'a> {
 
 fn build_pipeline<'a>(
     catalog: &'a Catalog,
-    stats: &mut Stats,
     select: &Select,
     scopes: &[(String, Vec<String>)],
-    conjuncts: &[Expr],
-    _full_resolver: &ColumnResolver,
     probe: &mut StmtProbe,
 ) -> Result<Pipeline<'a>> {
+    let plan_t0 = std::time::Instant::now();
+    // Aggregates in WHERE are rejected by the analyze pass up front and
+    // again by `compile` when the predicates are lowered, so no separate
+    // scan is needed here.
+    let conjuncts = match &select.where_clause {
+        Some(w) => split_conjuncts(w),
+        None => Vec::new(),
+    };
     if select.from.is_empty() {
         if !conjuncts.is_empty() {
             return Err(Error::Unsupported("WHERE requires a FROM clause".into()));
         }
+        probe.add_plan_time(plan_t0.elapsed());
         return Ok(Pipeline {
             driver_rows: &[],
             driver_filter: None,
@@ -502,7 +457,7 @@ fn build_pipeline<'a>(
     let mut table_filters: Vec<Vec<&Expr>> = vec![Vec::new(); n_tables];
     // (conjunct, mask) still unassigned after single-table filtering.
     let mut pending: Vec<(&Expr, u64)> = Vec::new();
-    for c in conjuncts {
+    for c in &conjuncts {
         let mask = scope_mask(c, scopes)?;
         if mask.count_ones() <= 1 {
             let idx = if mask == 0 {
@@ -523,7 +478,6 @@ fn build_pipeline<'a>(
 
     // Driver.
     let driver_table = catalog.table(&select.from[0].table)?;
-    stats.record_scan(driver_table.name(), driver_table.len(), false);
     probe.record_scan(driver_table.name(), driver_table.len(), false);
     let driver_res = single_resolver(0);
     let driver_filter = combine_filters(&table_filters[0], &driver_res)?;
@@ -532,7 +486,6 @@ fn build_pipeline<'a>(
     let mut stages = Vec::with_capacity(n_tables - 1);
     for i in 1..n_tables {
         let table = catalog.table(&select.from[i].table)?;
-        stats.record_scan(table.name(), table.len(), true);
         probe.record_scan(table.name(), table.len(), true);
         let width = table.schema().arity();
         let stage_res = single_resolver(i);
@@ -664,6 +617,7 @@ fn build_pipeline<'a>(
         ));
     }
 
+    probe.add_plan_time(plan_t0.elapsed());
     Ok(Pipeline {
         driver_rows: driver_table.rows(),
         driver_filter,
@@ -1009,39 +963,8 @@ fn sort_by_hidden(rows: &mut [Row], n_real: usize, descs: &[bool]) {
 /// statements "can be easily optimized and executed in parallel" (§1.4),
 /// this shows *how* each one executes.
 pub fn explain_select(catalog: &Catalog, select: &Select) -> Result<QueryResult> {
-    // Rebuild the same structures run_select uses, with throwaway stats.
-    let mut scopes: Vec<(String, Vec<String>)> = Vec::with_capacity(select.from.len());
-    for tref in &select.from {
-        let table = catalog.table(&tref.table)?;
-        let visible = tref.visible_name().to_ascii_lowercase();
-        if scopes.iter().any(|(n, _)| *n == visible) {
-            return Err(Error::DuplicateTable(visible));
-        }
-        let cols = table
-            .schema()
-            .columns()
-            .iter()
-            .map(|c| c.name.clone())
-            .collect();
-        scopes.push((visible, cols));
-    }
-    let resolver = ColumnResolver::from_tables(&scopes);
-    let (item_exprs, _names) = expand_items(&select.items, &scopes)?;
-    let conjuncts = match &select.where_clause {
-        Some(w) => split_conjuncts(w),
-        None => Vec::new(),
-    };
-    let mut scratch_stats = Stats::new();
-    let mut scratch_probe = StmtProbe::disabled();
-    let pipeline = build_pipeline(
-        catalog,
-        &mut scratch_stats,
-        select,
-        &scopes,
-        &conjuncts,
-        &resolver,
-        &mut scratch_probe,
-    )?;
+    let prep = prepare_select(catalog, select)?;
+    let pipeline = build_pipeline(catalog, select, &prep.scopes, &mut StmtProbe::disabled())?;
 
     let mut lines: Vec<String> = Vec::new();
     if pipeline.single_row {
@@ -1080,16 +1003,8 @@ pub fn explain_select(catalog: &Catalog, select: &Select) -> Result<QueryResult>
             lines.push(format!("{desc}{res}"));
         }
     }
-    let is_aggregate = !select.group_by.is_empty()
-        || item_exprs.iter().any(Expr::contains_aggregate)
-        || select.having.as_ref().is_some_and(Expr::contains_aggregate);
-    if is_aggregate {
-        let plan = plan_aggregate(
-            &item_exprs,
-            &select.group_by,
-            select.having.as_ref(),
-            &resolver,
-        )?;
+    if prep.is_aggregate {
+        let plan = prep.aggregate_plan(select)?;
         lines.push(format!(
             "sink: hash aggregate ({} group key(s), {} accumulator(s)){}",
             plan.keys.len(),
@@ -1101,7 +1016,7 @@ pub fn explain_select(catalog: &Catalog, select: &Select) -> Result<QueryResult>
             }
         ));
     } else {
-        lines.push(format!("sink: projection ({} item(s))", item_exprs.len()));
+        lines.push(format!("sink: projection ({} item(s))", prep.n_real));
     }
     if !select.order_by.is_empty() {
         lines.push(format!("order by: {} key(s)", select.order_by.len()));

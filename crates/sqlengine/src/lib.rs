@@ -14,7 +14,8 @@
 //!   intermediate join results (§ [`exec`]);
 //! * **hash aggregation** with SQL NULL semantics;
 //! * **primary-key hash indexes** with uniqueness enforcement;
-//! * **scan accounting** ([`stats::Stats`]) so the paper's `2k+3`-scans-per-
+//! * **scan accounting** ([`metrics::ExecMetrics`], cross-checked by the
+//!   static [`plancheck`] derivation) so the paper's `2k+3`-scans-per-
 //!   iteration cost model can be verified programmatically;
 //! * optional **partition-parallel** execution (the AMP analogue);
 //! * a configurable **statement length limit** modelling the parser caps
@@ -54,7 +55,6 @@ pub mod parser;
 pub mod plancheck;
 pub mod resource;
 pub mod schema;
-pub mod stats;
 pub mod storage;
 pub mod table;
 pub mod value;
@@ -68,17 +68,16 @@ pub use engine::{
 };
 pub use error::{Error, Result};
 pub use exactsum::ExactSum;
-pub use exec::aggregate::{PartialAggResult, PartialAggState};
+pub use exec::aggregate::{AggState, PartialAggResult};
 pub use exec::QueryResult;
 pub use executor::{PrepareError, PreparedId, SqlExecutor};
 pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultRule, FaultSite, Injection};
 pub use metrics::{ExecMetrics, MetricsLog, ScanMetric, StatementKind, StmtProbe};
 pub use plancheck::{
-    check_script, Card, CheckEnv, Diagnostic, DiagnosticKind, IterationDerivation, MutationClass,
-    ScanEvent, ScriptReport, ScriptSpec, ScriptStmt, Severity, StmtReport, SymState, TableLoad,
+    check_script, Card, CheckEnv, DerivedScan, Diagnostic, DiagnosticKind, IterationDerivation,
+    MutationClass, ScriptReport, ScriptSpec, ScriptStmt, Severity, StmtReport, SymState, TableLoad,
 };
 pub use resource::{MemoryBudget, ResourceTracker};
 pub use schema::{Column, Schema};
-pub use stats::Stats;
 pub use table::Row;
 pub use value::{DataType, Value};

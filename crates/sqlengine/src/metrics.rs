@@ -1,7 +1,7 @@
 //! Per-statement execution telemetry: [`ExecMetrics`] and [`MetricsLog`].
 //!
-//! [`crate::stats::Stats`] keeps cheap always-on counters (scan events,
-//! statement/row totals). This module is the *detailed* layer beneath it:
+//! This is the engine's one runtime accounting (the static
+//! [`crate::plancheck`] derivation is the independent cross-check):
 //! when enabled, every executed statement produces one [`ExecMetrics`]
 //! record — base-table scans with table name and rows read, rows
 //! produced/inserted/updated/deleted, join build/probe row counts,

@@ -308,7 +308,7 @@ pub struct StmtReport {
 
 /// One driver scan inside the iteration span.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ScanEvent {
+pub struct DerivedScan {
     /// Statement index (within the whole script).
     pub stmt: usize,
     /// Purpose label of that statement.
@@ -326,7 +326,7 @@ pub struct IterationDerivation {
     /// first, state and scans both)?
     pub steady: bool,
     /// Driver scans of one steady-state iteration, in order.
-    pub scans: Vec<ScanEvent>,
+    pub scans: Vec<DerivedScan>,
 }
 
 /// Everything the static analysis derived about one script.
@@ -659,7 +659,7 @@ fn derive_iteration(
     catalog: &mut SymbolicCatalog,
     diagnostics: &mut Vec<Diagnostic>,
 ) -> IterationDerivation {
-    let replay = |state: &mut SymState, catalog: &mut SymbolicCatalog| -> Vec<ScanEvent> {
+    let replay = |state: &mut SymState, catalog: &mut SymbolicCatalog| -> Vec<DerivedScan> {
         let mut scans = Vec::new();
         for i in span.clone() {
             if !analyzed_ok.get(i).copied().unwrap_or(false) {
@@ -671,7 +671,7 @@ fn derive_iteration(
                 let _ = catalog.apply(stmt, &Limits::unbounded());
                 let effect = state.apply(stmt, catalog);
                 for (table, rows) in effect.scans {
-                    scans.push(ScanEvent {
+                    scans.push(DerivedScan {
                         stmt: i,
                         purpose: spec.statements[i].purpose.clone(),
                         table,

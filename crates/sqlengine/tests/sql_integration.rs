@@ -280,12 +280,13 @@ fn scan_events_recorded_per_table() {
             .unwrap();
     }
     db.execute("INSERT INTO small VALUES (1, 0.5)").unwrap();
-    db.reset_stats();
+    db.enable_metrics();
     db.execute("SELECT sum(x * w) FROM big, small").unwrap();
-    let by_table = db.stats().scans_by_table();
-    assert_eq!(by_table["big"], 1);
-    assert_eq!(by_table["small"], 1);
-    assert_eq!(db.stats().scans_with_at_least(100), 1);
+    let scans = &db.metrics().last().unwrap().scans;
+    let passes = |table: &str| scans.iter().filter(|s| s.table == table).count();
+    assert_eq!(passes("big"), 1);
+    assert_eq!(passes("small"), 1);
+    assert_eq!(scans.iter().filter(|s| s.rows >= 100).count(), 1);
 }
 
 /// Parallel execution returns the same aggregate results as serial.

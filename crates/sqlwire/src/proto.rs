@@ -37,11 +37,11 @@
 //! is durable. See `docs/SERVER.md` §3 for the full contract.
 
 use sqlengine::storage::codec::{put_str, put_u32, put_u64, put_value, read_value, Reader};
-use sqlengine::{Column, Schema, SymbolicCatalog};
 use sqlengine::{
-    Error, ExecMetrics, Limits, PartialAggResult, PartialAggState, QueryResult, ScanMetric,
+    AggState, Error, ExactSum, ExecMetrics, Limits, PartialAggResult, QueryResult, ScanMetric,
     StatementKind, Value,
 };
+use sqlengine::{Column, Schema, SymbolicCatalog};
 use std::time::Duration;
 
 /// Protocol version; [`Request::Hello`] carries the client's, the server
@@ -492,57 +492,62 @@ fn read_opt_value(r: &mut Reader<'_>) -> Result<Option<Value>, Error> {
     })
 }
 
-fn put_agg_state(buf: &mut Vec<u8>, s: &PartialAggState) {
+/// An exact sum travels as its expansion components and flags, raw.
+fn put_exact_sum(buf: &mut Vec<u8>, acc: &ExactSum) {
+    let (comps, has_nan, pos_inf, neg_inf) = acc.to_parts();
+    put_u32(buf, comps.len() as u32);
+    for &c in comps {
+        put_f64(buf, c);
+    }
+    put_bool(buf, has_nan);
+    put_bool(buf, pos_inf);
+    put_bool(buf, neg_inf);
+}
+
+fn read_exact_sum(r: &mut Reader<'_>) -> Result<ExactSum, Error> {
+    let n = r.u32()? as usize;
+    let mut comps = Vec::with_capacity(n.min(r.remaining()));
+    for _ in 0..n {
+        comps.push(read_f64(r)?);
+    }
+    Ok(ExactSum::from_parts(
+        &comps,
+        read_bool(r)?,
+        read_bool(r)?,
+        read_bool(r)?,
+    ))
+}
+
+fn put_agg_state(buf: &mut Vec<u8>, s: &AggState) {
     match s {
-        PartialAggState::Count(n) => {
+        AggState::Count(n) => {
             buf.push(AGG_COUNT);
             put_u64(buf, *n);
         }
-        PartialAggState::Sum {
-            comps,
-            has_nan,
-            pos_inf,
-            neg_inf,
+        AggState::Sum {
+            acc,
             count,
             all_int,
         } => {
             buf.push(AGG_SUM);
-            put_u32(buf, comps.len() as u32);
-            for &c in comps {
-                put_f64(buf, c);
-            }
-            put_bool(buf, *has_nan);
-            put_bool(buf, *pos_inf);
-            put_bool(buf, *neg_inf);
+            put_exact_sum(buf, acc);
             put_u64(buf, *count);
             put_bool(buf, *all_int);
         }
-        PartialAggState::Avg {
-            comps,
-            has_nan,
-            pos_inf,
-            neg_inf,
-            count,
-        } => {
+        AggState::Avg { acc, count } => {
             buf.push(AGG_AVG);
-            put_u32(buf, comps.len() as u32);
-            for &c in comps {
-                put_f64(buf, c);
-            }
-            put_bool(buf, *has_nan);
-            put_bool(buf, *pos_inf);
-            put_bool(buf, *neg_inf);
+            put_exact_sum(buf, acc);
             put_u64(buf, *count);
         }
-        PartialAggState::Min(v) => {
+        AggState::Min(v) => {
             buf.push(AGG_MIN);
             put_opt_value(buf, v);
         }
-        PartialAggState::Max(v) => {
+        AggState::Max(v) => {
             buf.push(AGG_MAX);
             put_opt_value(buf, v);
         }
-        PartialAggState::Var {
+        AggState::Var {
             count,
             mean,
             m2,
@@ -557,41 +562,21 @@ fn put_agg_state(buf: &mut Vec<u8>, s: &PartialAggState) {
     }
 }
 
-fn read_agg_state(r: &mut Reader<'_>) -> Result<PartialAggState, Error> {
+fn read_agg_state(r: &mut Reader<'_>) -> Result<AggState, Error> {
     Ok(match r.u8()? {
-        AGG_COUNT => PartialAggState::Count(r.u64()?),
-        AGG_SUM => {
-            let n = r.u32()? as usize;
-            let mut comps = Vec::with_capacity(n.min(r.remaining()));
-            for _ in 0..n {
-                comps.push(read_f64(r)?);
-            }
-            PartialAggState::Sum {
-                comps,
-                has_nan: read_bool(r)?,
-                pos_inf: read_bool(r)?,
-                neg_inf: read_bool(r)?,
-                count: r.u64()?,
-                all_int: read_bool(r)?,
-            }
-        }
-        AGG_AVG => {
-            let n = r.u32()? as usize;
-            let mut comps = Vec::with_capacity(n.min(r.remaining()));
-            for _ in 0..n {
-                comps.push(read_f64(r)?);
-            }
-            PartialAggState::Avg {
-                comps,
-                has_nan: read_bool(r)?,
-                pos_inf: read_bool(r)?,
-                neg_inf: read_bool(r)?,
-                count: r.u64()?,
-            }
-        }
-        AGG_MIN => PartialAggState::Min(read_opt_value(r)?),
-        AGG_MAX => PartialAggState::Max(read_opt_value(r)?),
-        AGG_VAR => PartialAggState::Var {
+        AGG_COUNT => AggState::Count(r.u64()?),
+        AGG_SUM => AggState::Sum {
+            acc: read_exact_sum(r)?,
+            count: r.u64()?,
+            all_int: read_bool(r)?,
+        },
+        AGG_AVG => AggState::Avg {
+            acc: read_exact_sum(r)?,
+            count: r.u64()?,
+        },
+        AGG_MIN => AggState::Min(read_opt_value(r)?),
+        AGG_MAX => AggState::Max(read_opt_value(r)?),
+        AGG_VAR => AggState::Var {
             count: r.u64()?,
             mean: read_f64(r)?,
             m2: read_f64(r)?,
@@ -605,7 +590,7 @@ fn put_partial_result(buf: &mut Vec<u8>, p: &PartialAggResult) {
     put_u32(buf, p.groups.len() as u32);
     for (key, states) in &p.groups {
         put_u32(buf, key.len() as u32);
-        for v in key {
+        for v in key.iter() {
             put_value(buf, v);
         }
         put_u32(buf, states.len() as u32);
@@ -629,7 +614,7 @@ fn read_partial_result(r: &mut Reader<'_>) -> Result<PartialAggResult, Error> {
         for _ in 0..nstates {
             states.push(read_agg_state(r)?);
         }
-        groups.push((key, states));
+        groups.push((key.into_boxed_slice(), states));
     }
     Ok(PartialAggResult { groups })
 }
@@ -1247,6 +1232,52 @@ mod tests {
         }
     }
 
+    /// Un-finalized accumulators as the engine itself builds them — one
+    /// group per awkward regime: a three-component expansion from a
+    /// catastrophic cancellation, a pair hovering beyond the f64 range
+    /// (kept uncombined), a NULL key, an absorbed `+∞` and NaN moments.
+    fn engine_partial() -> PartialAggResult {
+        let mut db = sqlengine::Database::new();
+        db.execute("CREATE TABLE t (g BIGINT, x DOUBLE, n BIGINT, s VARCHAR)")
+            .unwrap();
+        db.execute(
+            "INSERT INTO t VALUES \
+             (1, 1.0E100, 3, 'b'), (1, 1.0, 4, 'a'), (1, -1.0E100, 5, 'c'), (1, 0.1, NULL, NULL), \
+             (1, 3.0E-200, 7, 'a'), (2, 1.0E308, 1, 'z'), (2, 1.0E308, 2, 'y'), (2, -0.0, 3, 'y'), \
+             (NULL, 2.5, 9, 'n'), (NULL, NULL, NULL, NULL), \
+             (3, 1.0E308 * 10.0, 1, 'i'), (3, 0.5, 1, 'j')",
+        )
+        .unwrap();
+        db.execute_partial(
+            "SELECT g, COUNT(*), SUM(x), AVG(x), MIN(s), MAX(x), VARIANCE(x), SUM(n), STDDEV(x) \
+             FROM t GROUP BY g",
+        )
+        .unwrap()
+    }
+
+    /// `Response::Partial(engine_partial()).encode()` as the build before
+    /// the accumulator and its transport form became one type emitted it.
+    const PARENT_PARTIAL_FRAME: &str = "\
+         8c0400000001000000010100000000000000080000000005000000000000000103000000c139fb8f\
+         ed5e821600000000000098bc9a9999999999f13f0000000500000000000000000203000000c139fb\
+         8fed5e821600000000000098bc9a9999999999f13f00000005000000000000000301030100000061\
+         0401027dc39425ad49b2540505000000000000007b14ae47e17a943f5a62d7d718e7846900010100\
+         000000000000000033400000000400000000000000010505000000000000007b14ae47e17a943f5a\
+         62d7d718e784690101000000010200000000000000080000000003000000000000000102000000a0\
+         c8eb85f3cce17fa0c8eb85f3cce17f0000000300000000000000000202000000a0c8eb85f3cce17f\
+         a0c8eb85f3cce17f00000003000000000000000301030100000079040102a0c8eb85f3cce17f0503\
+         00000000000000d6603a5defbbd77f000000000000f07f0001010000000000000000001840000000\
+         030000000000000001050300000000000000d6603a5defbbd77f000000000000f07f010100000000\
+         08000000000200000000000000010100000000000000000004400000000100000000000000000201\
+         00000000000000000004400000000100000000000000030103010000006e04010200000000000004\
+         40050100000000000000000000000000044000000000000000000001010000000000000000002240\
+         00000001000000000000000105010000000000000000000000000004400000000000000000010100\
+         0000010300000000000000080000000002000000000000000101000000000000000000e03f000100\
+         0200000000000000000201000000000000000000e03f000100020000000000000003010301000000\
+         69040102000000000000f07f050200000000000000000000000000f8ff000000000000f8ff000101\
+         0000000000000000000040000000020000000000000001050200000000000000000000000000f8ff\
+         000000000000f8ff01";
+
     #[test]
     fn partial_aggregates_roundtrip_bit_exact() {
         roundtrip_req(Request::ExecutePartial {
@@ -1256,73 +1287,32 @@ mod tests {
             },
             sql: "SELECT j, SUM(w) FROM gmm GROUP BY j".into(),
         });
-        // One group per accumulator kind, with awkward doubles: a
-        // two-component expansion, a negative zero, infinities, NaN
-        // flags — everything must survive as raw bits.
-        let partial = PartialAggResult {
-            groups: vec![
-                (
-                    vec![Value::Int(3), Value::Str("a".into())],
-                    vec![
-                        PartialAggState::Count(7),
-                        PartialAggState::Sum {
-                            comps: vec![4.9e-324, -0.0, 1e300],
-                            has_nan: false,
-                            pos_inf: true,
-                            neg_inf: false,
-                            count: 7,
-                            all_int: false,
-                        },
-                    ],
-                ),
-                (
-                    vec![Value::Null],
-                    vec![
-                        PartialAggState::Avg {
-                            comps: vec![0.1, 1e-17],
-                            has_nan: true,
-                            pos_inf: false,
-                            neg_inf: true,
-                            count: 2,
-                        },
-                        PartialAggState::Min(Some(Value::Double(-1.5))),
-                        PartialAggState::Max(None),
-                        PartialAggState::Var {
-                            count: 5,
-                            mean: 2.5,
-                            m2: 0.125,
-                            stddev: true,
-                        },
-                    ],
-                ),
-            ],
-        };
-        let resp = Response::Partial(partial.clone());
+        let resp = Response::Partial(engine_partial());
         let back = Response::decode(&resp.encode()).unwrap();
         let Response::Partial(p2) = back else {
             panic!("expected Partial");
         };
-        // PartialEq is not enough for -0.0 vs 0.0; compare encodings too.
-        assert_eq!(p2, partial);
+        // NaN moments and -0.0 defeat PartialEq; bit-exactness is
+        // equality of encodings.
         assert!(same_encoding(&resp, &Response::Partial(p2)));
     }
 
     #[test]
+    fn parent_build_partial_frame_is_still_the_wire_format() {
+        let pinned: Vec<u8> = (0..PARENT_PARTIAL_FRAME.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&PARENT_PARTIAL_FRAME[i..i + 2], 16).unwrap())
+            .collect();
+        // Decoding keeps every expansion component as it arrived, so the
+        // frame re-encodes to the same bytes...
+        assert_eq!(Response::decode(&pinned).unwrap().encode(), pinned);
+        // ...and a shard of this build emits exactly what the parent did.
+        assert_eq!(Response::Partial(engine_partial()).encode(), pinned);
+    }
+
+    #[test]
     fn truncated_partial_payloads_are_rejected() {
-        let full = Response::Partial(PartialAggResult {
-            groups: vec![(
-                vec![Value::Int(1)],
-                vec![PartialAggState::Sum {
-                    comps: vec![1.0, 1e-30],
-                    has_nan: false,
-                    pos_inf: false,
-                    neg_inf: false,
-                    count: 2,
-                    all_int: false,
-                }],
-            )],
-        })
-        .encode();
+        let full = Response::Partial(engine_partial()).encode();
         for cut in 0..full.len() {
             assert!(
                 Response::decode(&full[..cut]).is_err(),
