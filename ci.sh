@@ -249,48 +249,72 @@ wait "$SERVER_PID" || { echo "ERROR: server drain failed" >&2; exit 1; }
 "$CLI_BIN" "$SRV_TMP/data.csv" --k 2 --seed 11 --epsilon 0 \
     --max-iterations "$SRV_CAP" --scores "$SRV_TMP/base.csv" \
     > "$SRV_TMP/base.out" 2> /dev/null
-start_server --durable --data-dir "$SRV_TMP/db"
-"$CLI_BIN" "$SRV_TMP/data.csv" --k 2 --seed 11 --epsilon 0 \
-    --max-iterations "$SRV_CAP" --connect "$SRV_ADDR" --namespace ci_ \
-    > /dev/null 2> "$SRV_TMP/interrupted.err" &
-CLIENT_PID=$!
-# The WAL logs statement text; checkpoint writes mention the ckpt
-# tables. Wait until at least two iterations' worth are durable, then
-# yank the server out from under the client.
-i=0
-while [ $i -lt 400 ]; do
-    kill -0 "$CLIENT_PID" 2>/dev/null || break
-    marks=$(grep -ao ckpt "$SRV_TMP/db/wal.log" 2>/dev/null | wc -l)
-    [ "$marks" -ge 30 ] && break
-    sleep 0.05
-    i=$((i + 1))
+# A kill -9 can land inside write_checkpoint's delete-meta-first /
+# insert-meta-last window; the torn checkpoint then reads back as "none"
+# and the restarted client correctly starts from scratch (the open item
+# in docs/ROBUSTNESS.md "Checkpoint schema"). So whatever the
+# restarted run reports, its stdout and scores must be byte-identical
+# to the baseline — a torn checkpoint must still give the right answer —
+# and the kill is repeated, on a fresh data directory, up to 3 times
+# until one restart actually resumes.
+RESUMED=0
+for attempt in 1 2 3; do
+    SRV_DB="$SRV_TMP/db$attempt"
+    start_server --durable --data-dir "$SRV_DB"
+    "$CLI_BIN" "$SRV_TMP/data.csv" --k 2 --seed 11 --epsilon 0 \
+        --max-iterations "$SRV_CAP" --connect "$SRV_ADDR" --namespace ci_ \
+        > /dev/null 2> "$SRV_TMP/interrupted.err" &
+    CLIENT_PID=$!
+    # The WAL logs statement text; checkpoint writes mention the ckpt
+    # tables. Wait until at least two iterations' worth are durable, then
+    # yank the server out from under the client.
+    i=0
+    while [ $i -lt 400 ]; do
+        kill -0 "$CLIENT_PID" 2>/dev/null || break
+        marks=$(grep -ao ckpt "$SRV_DB/wal.log" 2>/dev/null | wc -l)
+        [ "$marks" -ge 30 ] && break
+        sleep 0.05
+        i=$((i + 1))
+    done
+    kill -0 "$CLIENT_PID" 2>/dev/null || {
+        echo "ERROR: client finished before the server could be killed" >&2
+        exit 1
+    }
+    kill -9 "$SERVER_PID"
+    if wait "$CLIENT_PID"; then
+        echo "ERROR: client should fail when its server is killed" >&2
+        exit 1
+    fi
+    start_server --durable --data-dir "$SRV_DB"
+    "$CLI_BIN" "$SRV_TMP/data.csv" --k 2 --seed 11 --epsilon 0 \
+        --max-iterations "$SRV_CAP" --connect "$SRV_ADDR" --namespace ci_ \
+        --scores "$SRV_TMP/resumed.csv" \
+        > "$SRV_TMP/resumed.out" 2> "$SRV_TMP/resumed.err"
+    cmp "$SRV_TMP/base.csv" "$SRV_TMP/resumed.csv" || {
+        echo "ERROR: restarted run's assignments differ from uninterrupted run" >&2
+        cat "$SRV_TMP/resumed.err" >&2
+        exit 1
+    }
+    cmp "$SRV_TMP/base.out" "$SRV_TMP/resumed.out" || {
+        echo "ERROR: restarted run's summary differs from uninterrupted run" >&2
+        cat "$SRV_TMP/resumed.err" >&2
+        exit 1
+    }
+    echo shutdown >&9
+    wait "$SERVER_PID" || { echo "ERROR: server drain failed" >&2; exit 1; }
+    SERVER_PID=''
+    if grep -q "resumed from checkpoint" "$SRV_TMP/resumed.err"; then
+        RESUMED=1
+        break
+    fi
+    echo "   kill $attempt tore the checkpoint it landed in; the restarted run" \
+         "started over and still matched the baseline — killing again"
 done
-kill -0 "$CLIENT_PID" 2>/dev/null || {
-    echo "ERROR: client finished before the server could be killed" >&2
-    exit 1
-}
-kill -9 "$SERVER_PID"
-if wait "$CLIENT_PID"; then
-    echo "ERROR: client should fail when its server is killed" >&2
-    exit 1
-fi
-start_server --durable --data-dir "$SRV_TMP/db"
-"$CLI_BIN" "$SRV_TMP/data.csv" --k 2 --seed 11 --epsilon 0 \
-    --max-iterations "$SRV_CAP" --connect "$SRV_ADDR" --namespace ci_ \
-    --scores "$SRV_TMP/resumed.csv" \
-    > "$SRV_TMP/resumed.out" 2> "$SRV_TMP/resumed.err"
-grep -q "resumed from checkpoint" "$SRV_TMP/resumed.err" || {
-    echo "ERROR: restarted run did not resume from the checkpoint" >&2
+if [ "$RESUMED" != 1 ]; then
+    echo "ERROR: no restart in 3 kills resumed from a checkpoint" >&2
     cat "$SRV_TMP/resumed.err" >&2
     exit 1
-}
-cmp "$SRV_TMP/base.csv" "$SRV_TMP/resumed.csv" || {
-    echo "ERROR: resumed assignments differ from uninterrupted run" >&2; exit 1; }
-cmp "$SRV_TMP/base.out" "$SRV_TMP/resumed.out" || {
-    echo "ERROR: resumed summary differs from uninterrupted run" >&2; exit 1; }
-echo shutdown >&9
-wait "$SERVER_PID" || { echo "ERROR: server drain failed" >&2; exit 1; }
-SERVER_PID=''
+fi
 
 # Exactly-once wire protocol (docs/SERVER.md "Exactly-once execution"):
 # first the in-process sweep — tests/chaos_net.rs cuts the stream at

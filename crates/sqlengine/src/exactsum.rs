@@ -35,11 +35,74 @@ fn two_sum(a: f64, b: f64) -> (f64, f64) {
     (s, ar + br)
 }
 
+/// Expansion components kept inside the accumulator before it spills to
+/// the heap. Sums of same-scale values (every EM statistic) stay within
+/// two or three components, so a GROUP BY table of accumulators is one
+/// allocation per group instead of one more per accumulator.
+const INLINE_COMPS: usize = 4;
+
+/// The expansion: inline up to [`INLINE_COMPS`] components, on the heap
+/// (all of them, so the list stays one slice) once it outgrows that.
+#[derive(Debug, Clone)]
+enum Comps {
+    Inline { buf: [f64; INLINE_COMPS], len: u8 },
+    Heap(Vec<f64>),
+}
+
+impl Comps {
+    fn as_slice(&self) -> &[f64] {
+        match self {
+            Comps::Inline { buf, len } => &buf[..*len as usize],
+            Comps::Heap(v) => v,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [f64] {
+        match self {
+            Comps::Inline { buf, len } => &mut buf[..*len as usize],
+            Comps::Heap(v) => v,
+        }
+    }
+
+    /// Keep the first `n` components (`n` ≤ current length).
+    fn truncate(&mut self, n: usize) {
+        match self {
+            Comps::Inline { len, .. } => *len = n as u8,
+            Comps::Heap(v) => v.truncate(n),
+        }
+    }
+
+    fn push(&mut self, x: f64) {
+        match self {
+            Comps::Inline { buf, len } if (*len as usize) < INLINE_COMPS => {
+                buf[*len as usize] = x;
+                *len += 1;
+            }
+            Comps::Inline { buf, .. } => {
+                let mut v = Vec::with_capacity(2 * INLINE_COMPS);
+                v.extend_from_slice(buf);
+                v.push(x);
+                *self = Comps::Heap(v);
+            }
+            Comps::Heap(v) => v.push(x),
+        }
+    }
+}
+
+impl Default for Comps {
+    fn default() -> Self {
+        Comps::Inline {
+            buf: [0.0; INLINE_COMPS],
+            len: 0,
+        }
+    }
+}
+
 /// An exact, order-independent `f64` sum accumulator.
 ///
 /// `add` values (or `merge` other accumulators) in any order, then
 /// `finalize` to get the unique correctly-rounded `f64` sum.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct ExactSum {
     /// Expansion components (finite; nonzero unless they arrived through
     /// [`ExactSum::from_parts`]) whose mathematical sum is the exact sum
@@ -49,13 +112,21 @@ pub struct ExactSum {
     /// list can temporarily exceed the nonoverlapping bound when the
     /// running sum hovers beyond ±2^1024 — unreachable for any sane
     /// aggregate input.
-    comps: Vec<f64>,
+    comps: Comps,
     /// A NaN was added (or `+∞` and `-∞` cancelled).
     has_nan: bool,
     /// A `+∞` was added.
     pos_inf: bool,
     /// A `-∞` was added.
     neg_inf: bool,
+}
+
+/// Equal states: the same component list (wherever it is stored) and the
+/// same flags.
+impl PartialEq for ExactSum {
+    fn eq(&self, other: &Self) -> bool {
+        self.to_parts() == other.to_parts()
+    }
 }
 
 impl ExactSum {
@@ -90,8 +161,9 @@ impl ExactSum {
         // index never passes the read index.
         let mut q = x;
         let mut kept = 0;
-        for i in 0..self.comps.len() {
-            let c = self.comps[i];
+        let comps = self.comps.as_mut_slice();
+        for i in 0..comps.len() {
+            let c = comps[i];
             let (hi, lo) = two_sum(q, c);
             if hi.is_infinite() {
                 // |q + c| exceeds the f64 range, so the pair cannot be
@@ -99,12 +171,12 @@ impl ExactSum {
                 // q onward: the decomposition stays exact, and only
                 // the final rounding decides whether the sum really
                 // overflows.
-                self.comps[kept] = c;
+                comps[kept] = c;
                 kept += 1;
                 continue;
             }
             if lo != 0.0 {
-                self.comps[kept] = lo;
+                comps[kept] = lo;
                 kept += 1;
             }
             q = hi;
@@ -121,7 +193,7 @@ impl ExactSum {
         self.has_nan |= other.has_nan;
         self.pos_inf |= other.pos_inf;
         self.neg_inf |= other.neg_inf;
-        for &c in &other.comps {
+        for &c in other.comps.as_slice() {
             self.add(c);
         }
     }
@@ -129,7 +201,12 @@ impl ExactSum {
     /// Expose the raw state for serialization: the expansion components
     /// plus the `(has_nan, pos_inf, neg_inf)` flags.
     pub fn to_parts(&self) -> (&[f64], bool, bool, bool) {
-        (&self.comps, self.has_nan, self.pos_inf, self.neg_inf)
+        (
+            self.comps.as_slice(),
+            self.has_nan,
+            self.pos_inf,
+            self.neg_inf,
+        )
     }
 
     /// Rebuild an accumulator from serialized parts. Finite components
@@ -139,7 +216,7 @@ impl ExactSum {
     /// components fold into the flags.
     pub fn from_parts(comps: &[f64], has_nan: bool, pos_inf: bool, neg_inf: bool) -> ExactSum {
         let mut s = ExactSum {
-            comps: Vec::with_capacity(comps.len()),
+            comps: Comps::default(),
             has_nan,
             pos_inf,
             neg_inf,
@@ -171,10 +248,11 @@ impl ExactSum {
         if self.neg_inf {
             return f64::NEG_INFINITY;
         }
-        if self.comps.is_empty() {
+        let comps = self.comps.as_slice();
+        if comps.is_empty() {
             return 0.0;
         }
-        fixed_point_round(&self.comps)
+        fixed_point_round(comps)
     }
 }
 
@@ -585,6 +663,33 @@ mod tests {
         inf.add(f64::INFINITY);
         let (c, n, p, m) = inf.to_parts();
         assert_eq!(ExactSum::from_parts(c, n, p, m).finalize(), f64::INFINITY);
+    }
+
+    #[test]
+    fn expansion_spills_past_the_inline_components_and_compares_by_content() {
+        // Seven values 60 binades apart never combine: seven components.
+        let vals: Vec<f64> = (0..7).map(|i| 2f64.powi(60 * i)).collect();
+        let mut s = ExactSum::new();
+        for &v in &vals {
+            s.add(v);
+        }
+        let (comps, ..) = s.to_parts();
+        assert_eq!(comps, vals.as_slice());
+        assert!(comps.len() > INLINE_COMPS);
+        assert_eq!(s.finalize().to_bits(), fixed_point_round(&vals).to_bits());
+        // Serialized and rebuilt, it is the same state.
+        let back = ExactSum::from_parts(comps, false, false, false);
+        assert_eq!(back, s);
+        // Cancel the top five: two components are left, on the heap,
+        // equal to an accumulator that never left its inline storage.
+        for &v in &vals[2..] {
+            s.add(-v);
+        }
+        let mut small = ExactSum::new();
+        small.add(vals[0]);
+        small.add(vals[1]);
+        assert_eq!(s, small);
+        assert_eq!(s.finalize().to_bits(), small.finalize().to_bits());
     }
 
     #[test]

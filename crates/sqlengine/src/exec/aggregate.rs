@@ -6,6 +6,14 @@
 //! accumulator slot; expressions combining aggregates — the M step's
 //! `sum(Z.y1*x1)/sum(x1)` — evaluate over the finalized slots.
 //!
+//! Accumulation is batch-at-a-time ([`AggSink`]'s `BatchSink::push`):
+//! the group-key and argument expressions are evaluated once per batch
+//! into typed columns, each row's group is found once per batch — once
+//! per *run* of equal keys, so `GROUP BY rid` over rows stored in `rid`
+//! order costs one hash lookup per group — and `SUM`/`AVG`/`COUNT` over
+//! a numeric column are plain loops of `ExactSum::add`. Values reach an
+//! accumulator in row order, exactly as they did one row at a time.
+//!
 //! Numeric behaviour: `SUM`/`AVG` skip NULLs; `SUM` over zero non-NULL
 //! inputs is NULL (SQL), `COUNT` is 0; `SUM` of integers stays integral,
 //! anything else is a double.
@@ -16,19 +24,23 @@
 //! cluster shards. There is one accumulator type, [`AggState`], and one
 //! merge: a single-node SELECT finalizes its own group table, a shard
 //! ships it un-finalized ([`PartialAggResult`]) and the coordinator
-//! merges and finalizes. Merging is exact for every aggregate except
+//! merges and finalizes. `MIN`/`MAX` order by SQL comparison with every
+//! NaN above every number (where ORDER BY sorts it), so they too are
+//! independent of scan and merge order. Merging is exact for every
+//! aggregate except
 //! `VARIANCE`/`STDDEV` (Chan's moment combination, deterministic in
 //! shard order but not order-free; the EM-generated SQL never uses
 //! them).
 
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::ops::Range;
 
 use crate::ast::{is_aggregate_name, Expr};
 use crate::error::{Error, Result};
 use crate::exactsum::ExactSum;
-use crate::exec::select::RowSink;
-use crate::expr::{compile, CExpr, ColumnResolver};
+use crate::exec::select::BatchSink;
+use crate::expr::{compile, Batch, CExpr, Column, ColumnResolver};
 use crate::table::Row;
 use crate::value::Value;
 
@@ -146,7 +158,9 @@ fn rewrite(
                 return Ok(CExpr::Col(i));
             }
             // A constant is fine as-is.
-            if compiled.max_slot().is_none() {
+            let mut constant = true;
+            compiled.for_each_slot(&mut |_| constant = false);
+            if constant {
                 return Ok(compiled);
             }
         }
@@ -288,11 +302,33 @@ pub enum AggState {
     },
 }
 
+/// The order MIN and MAX pick by: SQL comparison, except that a NaN —
+/// which SQL comparison orders against nothing — has one fixed place,
+/// above every number, where ORDER BY ([`Value::total_cmp`]) sorts it
+/// too. NaNs order among themselves by bit pattern, so which one
+/// survives never depends on scan or merge order either.
+fn extremum_cmp(a: &Value, b: &Value) -> Option<std::cmp::Ordering> {
+    match (a.as_f64(), b.as_f64()) {
+        (Some(x), Some(y)) if x.is_nan() || y.is_nan() => {
+            Some((x.is_nan(), x.to_bits()).cmp(&(y.is_nan(), y.to_bits())))
+        }
+        _ => a.sql_cmp(b),
+    }
+}
+
 /// Does `candidate` displace the current MIN/MAX `best`?
 fn displaces(best: &Option<Value>, candidate: &Value, want: std::cmp::Ordering) -> bool {
     match best {
         None => true,
-        Some(b) => candidate.sql_cmp(b) == Some(want),
+        Some(b) => extremum_cmp(candidate, b) == Some(want),
+    }
+}
+
+/// Call `f` with every row of `rows` that holds a value.
+fn for_valid(valid: &Option<Vec<bool>>, rows: Range<usize>, mut f: impl FnMut(usize)) {
+    match valid {
+        None => rows.for_each(f),
+        Some(mask) => rows.filter(|&p| mask[p]).for_each(&mut f),
     }
 }
 
@@ -370,6 +406,55 @@ impl AggState {
                 let delta = x - *mean;
                 *mean += delta / *count as f64;
                 *m2 += delta * (x - *mean);
+            }
+        }
+        Ok(())
+    }
+
+    /// Feed the rows `rows` of one batch column (`None`: `COUNT(*)`,
+    /// which counts every row). SUM/AVG/COUNT over a typed column are
+    /// plain loops — `ExactSum::add` per value, in row order; anything
+    /// else goes value by value through [`AggState::update`].
+    fn update_rows(&mut self, arg: Option<&Column>, rows: Range<usize>) -> Result<()> {
+        let Some(col) = arg else {
+            if let AggState::Count(c) = self {
+                *c += rows.len() as u64;
+            }
+            return Ok(());
+        };
+        // A typed column's value as the double SUM/AVG add.
+        let at = |p: usize| match col {
+            Column::F64(v, _) => v[p],
+            Column::I64(v, _) => v[p] as f64,
+            Column::Val(_) => unreachable!("typed columns only"),
+        };
+        let ints = matches!(col, Column::I64(..));
+        match (self, col) {
+            (AggState::Count(c), Column::F64(_, valid) | Column::I64(_, valid)) => {
+                for_valid(valid, rows, |_| *c += 1);
+            }
+            (
+                AggState::Sum {
+                    acc,
+                    count,
+                    all_int,
+                },
+                Column::F64(_, valid) | Column::I64(_, valid),
+            ) => for_valid(valid, rows, |p| {
+                acc.add(at(p));
+                *count += 1;
+                *all_int &= ints;
+            }),
+            (AggState::Avg { acc, count }, Column::F64(_, valid) | Column::I64(_, valid)) => {
+                for_valid(valid, rows, |p| {
+                    acc.add(at(p));
+                    *count += 1;
+                })
+            }
+            (state, col) => {
+                for p in rows {
+                    state.update(Some(col.value(p)))?;
+                }
             }
         }
         Ok(())
@@ -653,13 +738,7 @@ impl AggSink {
     pub fn finalize(&mut self) -> Result<Vec<Row>> {
         // Implicit aggregation over an empty input yields one group.
         if self.groups.is_empty() && self.plan.keys.is_empty() {
-            let states: Vec<AggState> = self
-                .plan
-                .aggs
-                .iter()
-                .map(|a| AggState::new(a.kind))
-                .collect();
-            self.groups.push((Box::new([]), states));
+            self.add_group(Box::new([]));
         }
         let width = self.plan.keys.len() + self.plan.aggs.len();
         let mut out = Vec::with_capacity(self.groups.len());
@@ -688,38 +767,123 @@ impl AggSink {
     }
 }
 
-impl RowSink for AggSink {
-    fn push(&mut self, row: &[Value]) -> Result<()> {
-        self.rows_seen += 1;
-        let key: Row = self
-            .plan
+/// Can rows `i` and `j` of a group-key column be told to hold the same
+/// key without hashing? (May say no for equal keys — NULLs, NaNs — which
+/// then meet again in the hash index.)
+fn same_key(col: &Column, i: usize, j: usize) -> bool {
+    match col {
+        Column::F64(v, None) => v[i] == v[j],
+        Column::I64(v, None) => v[i] == v[j],
+        Column::F64(..) | Column::I64(..) => false,
+        Column::Val(v) => v[i] == v[j],
+    }
+}
+
+impl AggSink {
+    /// Append a group with fresh accumulators; returns its position.
+    fn add_group(&mut self, key: Row) -> usize {
+        let states = self.plan.aggs.iter().map(|a| AggState::new(a.kind));
+        self.index.insert(key.clone(), self.groups.len());
+        self.groups.push((key, states.collect()));
+        self.groups.len() - 1
+    }
+
+    /// The group of every row of a batch, from its key columns: looked
+    /// up in (or added to) the hash index once per *run* of equal keys,
+    /// so a clustered key such as `GROUP BY rid` over rows stored in
+    /// `rid` order costs one lookup per group, not per row. `None`
+    /// without GROUP BY: every row is in group 0.
+    fn group_ids(&mut self, keys: &[Column], n: usize) -> Option<Vec<u32>> {
+        if keys.is_empty() {
+            if self.groups.is_empty() {
+                self.add_group(Box::new([]));
+            }
+            return None;
+        }
+        let mut gids: Vec<u32> = Vec::with_capacity(n);
+        let mut key: Vec<Value> = Vec::with_capacity(keys.len());
+        for pos in 0..n {
+            if pos > 0 && keys.iter().all(|k| same_key(k, pos - 1, pos)) {
+                gids.push(gids[pos - 1]);
+                continue;
+            }
+            key.clear();
+            key.extend(keys.iter().map(|k| k.value(pos)));
+            let gid = match self.index.get(key.as_slice()) {
+                Some(&g) => g,
+                None => self.add_group(key.as_slice().into()),
+            };
+            gids.push(gid as u32);
+        }
+        Some(gids)
+    }
+}
+
+/// What `SUM`/`AVG`/`VARIANCE` would refuse among the first `n` rows of
+/// an argument column: the position of the first non-numeric value and
+/// the error [`AggState::update`] raises for it.
+fn first_non_numeric(kind: AggKind, col: &Column, n: usize) -> Option<(usize, Error)> {
+    let Column::Val(values) = col else {
+        return None;
+    };
+    if matches!(kind, AggKind::Count | AggKind::Min | AggKind::Max) {
+        return None;
+    }
+    let pos = values[..n]
+        .iter()
+        .position(|v| matches!(v, Value::Str(_)))?;
+    let error = AggState::new(kind)
+        .update(Some(values[pos].clone()))
+        .expect_err("a string is not numeric");
+    Some((pos, error))
+}
+
+impl BatchSink for AggSink {
+    fn push(&mut self, mut batch: Batch) -> Result<()> {
+        // Row-at-a-time order within a row is: keys, then each
+        // aggregate's argument and its update; `eval_cut` keeps the
+        // statement's error the one of the first failing row.
+        let mut pending = None;
+        let plan = &self.plan;
+        let keys: Vec<Column> = plan
             .keys
             .iter()
-            .map(|e| e.eval(row))
-            .collect::<Result<Vec<_>>>()?
-            .into_boxed_slice();
-        let idx = match self.index.get(&key) {
-            Some(&i) => i,
-            None => {
-                let states: Vec<AggState> = self
-                    .plan
-                    .aggs
-                    .iter()
-                    .map(|a| AggState::new(a.kind))
-                    .collect();
-                self.index.insert(key.clone(), self.groups.len());
-                self.groups.push((key, states));
-                self.groups.len() - 1
-            }
-        };
-        for (spec, state) in self.plan.aggs.iter().zip(&mut self.groups[idx].1) {
-            let v = match &spec.arg {
-                Some(e) => Some(e.eval(row)?),
-                None => None,
-            };
-            state.update(v)?;
+            .map(|k| batch.eval_cut(k, &mut pending))
+            .collect();
+        let mut args: Vec<Option<Column>> = Vec::with_capacity(plan.aggs.len());
+        for spec in &plan.aggs {
+            args.push(spec.arg.as_ref().map(|e| {
+                let col = batch.eval_cut(e, &mut pending);
+                if let Some((pos, error)) = first_non_numeric(spec.kind, &col, batch.len()) {
+                    batch.truncate(pos);
+                    pending = Some(error);
+                }
+                col
+            }));
         }
-        Ok(())
+        let n = batch.len();
+        self.rows_seen += n as u64;
+        if n > 0 {
+            // Run by run, so one group's accumulators stay in cache
+            // while every aggregate visits them.
+            let gids = self.group_ids(&keys, n);
+            let mut start = 0;
+            while start < n {
+                let (gid, run) = match &gids {
+                    None => (0, n),
+                    Some(gids) => {
+                        let gid = gids[start];
+                        let run = gids[start..].iter().take_while(|&&g| g == gid).count();
+                        (gid as usize, run)
+                    }
+                };
+                for (state, arg) in self.groups[gid].1.iter_mut().zip(&args) {
+                    state.update_rows(arg.as_ref(), start..start + run)?;
+                }
+                start += run;
+            }
+        }
+        pending.map_or(Ok(()), Err)
     }
 
     fn expr_evals(&self) -> u64 {
@@ -738,11 +902,22 @@ mod tests {
         ColumnResolver::from_tables(&[("t".into(), vec!["rid".into(), "i".into(), "x".into()])])
     }
 
-    fn push_rows(sink: &mut AggSink, rows: &[(i64, i64, f64)]) {
-        for (rid, i, x) in rows {
-            sink.push(&[Value::Int(*rid), Value::Int(*i), Value::Double(*x)])
-                .unwrap();
+    /// Push `rows` as one batch (one column per slot).
+    fn push_values(sink: &mut AggSink, rows: &[Vec<Value>]) {
+        let mut batch = Batch::new(rows[0].len(), rows.len());
+        for slot in 0..rows[0].len() {
+            let cells = rows.iter().map(|r| r[slot].clone()).collect();
+            batch.set(slot, Column::from_values(cells));
         }
+        sink.push(batch).unwrap();
+    }
+
+    fn push_rows(sink: &mut AggSink, rows: &[(i64, i64, f64)]) {
+        let rows: Vec<Vec<Value>> = rows
+            .iter()
+            .map(|(rid, i, x)| vec![Value::Int(*rid), Value::Int(*i), Value::Double(*x)])
+            .collect();
+        push_values(sink, &rows);
     }
 
     #[test]
@@ -807,18 +982,22 @@ mod tests {
         )
         .unwrap();
         let mut sink = AggSink::new(plan.clone());
-        sink.push(&[Value::Int(1), Value::Int(1), Value::Null])
-            .unwrap();
-        sink.push(&[Value::Int(2), Value::Int(1), Value::Double(3.0)])
-            .unwrap();
+        push_values(
+            &mut sink,
+            &[
+                vec![Value::Int(1), Value::Int(1), Value::Null],
+                vec![Value::Int(2), Value::Int(1), Value::Double(3.0)],
+            ],
+        );
         let rows = sink.finalize().unwrap();
         assert_eq!(rows[0][0], Value::Double(3.0));
 
         // All-NULL input → SUM is NULL.
         let mut empty = AggSink::new(plan);
-        empty
-            .push(&[Value::Int(1), Value::Int(1), Value::Null])
-            .unwrap();
+        push_values(
+            &mut empty,
+            &[vec![Value::Int(1), Value::Int(1), Value::Null]],
+        );
         let rows = empty.finalize().unwrap();
         assert_eq!(rows[0][0], Value::Null);
     }
@@ -843,10 +1022,13 @@ mod tests {
         )
         .unwrap();
         let mut sink = AggSink::new(plan);
-        sink.push(&[Value::Int(1), Value::Int(1), Value::Null])
-            .unwrap();
-        sink.push(&[Value::Int(2), Value::Int(1), Value::Double(1.0)])
-            .unwrap();
+        push_values(
+            &mut sink,
+            &[
+                vec![Value::Int(1), Value::Int(1), Value::Null],
+                vec![Value::Int(2), Value::Int(1), Value::Double(1.0)],
+            ],
+        );
         let rows = sink.finalize().unwrap();
         assert_eq!(rows[0][0], Value::Int(2));
         assert_eq!(rows[0][1], Value::Int(1));
@@ -1000,6 +1182,46 @@ mod tests {
     }
 
     #[test]
+    fn min_max_give_nan_one_place_whatever_the_order() {
+        // A NaN compares with nothing; MIN/MAX place it above every
+        // number, so neither scan order nor merge order picks the winner.
+        let r = ColumnResolver::from_tables(&[("t".into(), vec!["x".into()])]);
+        let call = |name: &str| Expr::Func {
+            name: name.into(),
+            args: vec![Expr::col("x")],
+        };
+        let plan = plan_aggregate(&[call("min"), call("max")], &[], None, &r).unwrap();
+        let vals = [3.0, f64::NAN, -1.0, f64::INFINITY, f64::NAN, 2.0];
+        let run = |order: &[usize], cut: usize| {
+            let part = |idx: &[usize]| {
+                let mut sink = AggSink::new(plan.clone());
+                if !idx.is_empty() {
+                    let rows: Vec<Vec<Value>> =
+                        idx.iter().map(|&i| vec![Value::Double(vals[i])]).collect();
+                    push_values(&mut sink, &rows);
+                }
+                sink
+            };
+            let mut merged = part(&order[..cut]);
+            merged.merge(part(&order[cut..])).unwrap();
+            merged.finalize().unwrap().remove(0)
+        };
+        for (order, cut) in [
+            (&[0, 1, 2, 3, 4, 5], 0),
+            (&[5, 4, 3, 2, 1, 0], 3),
+            (&[1, 0, 4, 2, 5, 3], 1),
+            (&[3, 2, 0, 5, 1, 4], 5),
+        ] {
+            let row = run(order, cut);
+            assert_eq!(row[0], Value::Double(-1.0), "{order:?}");
+            assert!(
+                matches!(row[1], Value::Double(d) if d.is_nan()),
+                "{order:?}"
+            );
+        }
+    }
+
+    #[test]
     fn integer_sum_stays_integer() {
         let r = ColumnResolver::from_tables(&[("t".into(), vec!["n".into()])]);
         let plan = plan_aggregate(
@@ -1013,8 +1235,7 @@ mod tests {
         )
         .unwrap();
         let mut sink = AggSink::new(plan);
-        sink.push(&[Value::Int(2)]).unwrap();
-        sink.push(&[Value::Int(3)]).unwrap();
+        push_values(&mut sink, &[vec![Value::Int(2)], vec![Value::Int(3)]]);
         let rows = sink.finalize().unwrap();
         assert_eq!(rows[0][0], Value::Int(5));
     }

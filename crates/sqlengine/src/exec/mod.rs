@@ -1,7 +1,7 @@
 //! Statement execution.
 //!
 //! [`execute_statement`] dispatches parsed statements against a catalog.
-//! SELECT goes through the streaming join pipeline in the `select`
+//! SELECT goes through the batch-at-a-time join pipeline in the `select`
 //! module; DML and DDL are handled in `dml`. Every full pass over a table's rows is
 //! reported to the statement's [`StmtProbe`], which is how the harness
 //! verifies the paper's claim that one hybrid EM iteration costs `2k+3`

@@ -1,14 +1,35 @@
-//! SELECT execution: a streaming left-deep hash-join pipeline.
+//! SELECT execution: a batch-at-a-time left-deep join pipeline.
 //!
 //! The FROM list is joined left-deep in declaration order: the first table
 //! is the *driver* and is scanned once; every later table becomes a build
-//! stage — a hash table when an equi-join conjunct connects it to the
+//! stage — a hash join when an equi-join conjunct connects it to the
 //! accumulated prefix (the common case in SQLEM's generated SQL, always on
 //! `RID` or `v`/`i`), or a broadcast (cross product) otherwise (the 1-row
-//! parameter tables `GMM`, `W`, `R`). Joined rows stream straight into a
-//! sink — scalar projection or hash aggregation — so no intermediate join
-//! result is ever materialized; this is what keeps the `pn`-row distance
-//! join of the hybrid E step linear in memory.
+//! parameter tables `GMM`, `W`, `R`).
+//!
+//! Rows move in batches of at most [`BATCH_ROWS`]. The driver's rows are
+//! cut into batches and the slots some expression references — probe
+//! keys, residuals, the sink's items — are gathered from the stored rows
+//! into typed [`Column`]s; nothing else is copied. A join stage evaluates
+//! its probe keys over the batch, emits the matches as two index vectors
+//! (probing row, build row) and gathers the build table's referenced
+//! columns by index. Joined batches go straight into a sink — scalar
+//! projection or hash aggregation — so no intermediate join result is
+//! ever materialized beyond one batch; this is what keeps the `pn`-row
+//! distance join of the hybrid E step linear in memory.
+//!
+//! A hash stage whose build keys are exactly its table's PRIMARY KEY,
+//! with no filter on the build side, probes the index the table already
+//! maintains (`Lookup::PrimaryKey`) instead of hashing the table again
+//! for every statement. The choice is read off the schema. Either way
+//! the stage's table is recorded as a build-side scan, so the paper's
+//! scan counts are what they were.
+//!
+//! An expression that fails on some row cuts its batch to the rows before
+//! it and parks the error ([`Batch::eval_cut`]); each step raises its
+//! parked error only after the steps downstream of it have run on the
+//! shortened batch, so the statement fails with the error of the first
+//! failing row, as it would reading one row at a time.
 //!
 //! When [`ExecConfig::workers`] > 1 the driver scan is partitioned and each
 //! worker runs the identical pipeline into a private sink; results merge in
@@ -16,16 +37,17 @@
 //! installation.
 
 use std::collections::HashMap;
+use std::time::{Duration, Instant};
 
 use crate::ast::{BinOp, Expr, Select, SelectItem};
 use crate::catalog::Catalog;
 use crate::error::{Error, Result};
 use crate::exec::aggregate::{plan_aggregate, AggPlan, AggSink, PartialAggResult};
 use crate::exec::{ExecConfig, QueryResult};
-use crate::expr::{compile, CExpr, ColumnResolver};
+use crate::expr::{compile, Batch, CExpr, Column, ColumnResolver, BATCH_ROWS};
 use crate::metrics::StmtProbe;
 use crate::resource::{row_bytes, ResourceTracker, ENTRY_OVERHEAD_BYTES};
-use crate::table::Row;
+use crate::table::{Row, Table};
 use crate::value::Value;
 
 /// Minimum driver rows before parallel execution is worth spawning.
@@ -163,8 +185,13 @@ fn run_aggregate(
     prep: &SelectPrep,
     probe: &mut StmtProbe,
 ) -> Result<AggSink> {
-    let pipeline = build_pipeline(catalog, select, &prep.scopes, probe)?;
+    let mut pipeline = build_pipeline(catalog, select, &prep.scopes, probe)?;
     let plan = prep.aggregate_plan(select)?;
+    pipeline.reference(
+        plan.keys
+            .iter()
+            .chain(plan.aggs.iter().filter_map(|a| a.arg.as_ref())),
+    );
     let mut sinks =
         run_pipeline(&pipeline, config, probe, || AggSink::new(plan.clone()))?.into_iter();
     let mut merged = sinks.next().expect("at least one sink");
@@ -193,19 +220,19 @@ pub fn run_select(
     let out_rows = if prep.is_aggregate {
         run_aggregate(catalog, config, select, &prep, probe)?.finalize()?
     } else {
-        let pipeline = build_pipeline(catalog, select, &prep.scopes, probe)?;
+        let mut pipeline = build_pipeline(catalog, select, &prep.scopes, probe)?;
         if select.having.is_some() {
             return Err(Error::InvalidAggregate(
                 "HAVING requires GROUP BY or aggregates".into(),
             ));
         }
         let compiled = compile_scalar_items(&prep.all_items, &prep.output_names, &prep.resolver)?;
+        pipeline.reference(&compiled);
         let base_width = prep.resolver.width();
         let mem = probe.tracker();
         let sinks = run_pipeline(&pipeline, config, probe, || ScalarSink {
             items: compiled.clone(),
             base_width,
-            buf: Vec::with_capacity(base_width + compiled.len()),
             out: Vec::new(),
             mem,
         })?;
@@ -388,38 +415,180 @@ fn collect_mask(expr: &Expr, scopes: &[(String, Vec<String>)], mask: &mut u64) -
 // Pipeline construction
 // ---------------------------------------------------------------------
 
+/// Where a hash stage finds the build rows matching a probe key.
+enum Lookup<'a> {
+    /// The build keys are exactly the build table's PRIMARY KEY and no
+    /// filter thins the table: probe the index the table maintains
+    /// anyway (§2.6's "primary index"). Nothing is built, charged or
+    /// dropped, and a key matches at most one row.
+    PrimaryKey(&'a Table),
+    /// A map from build key to row positions, built for this statement
+    /// over the (filtered) stage rows.
+    Built(HashMap<Row, Vec<u32>>),
+}
+
 /// How a non-driver table joins into the pipeline.
-enum StageKind {
-    /// Equi-join: probe keys are evaluated over the accumulated row, the
-    /// hash map indexes the stage table's (filtered) rows by build key.
+enum StageKind<'a> {
+    /// Equi-join: probe keys are evaluated over the accumulated columns.
     Hash {
-        map: HashMap<Row, Vec<u32>>,
+        lookup: Lookup<'a>,
         probe_keys: Vec<CExpr>,
     },
     /// Cross product with the (filtered) stage rows.
     Broadcast { indices: Vec<u32> },
 }
 
+/// One FROM table as the pipeline reads it: its rows and where its
+/// columns sit in the joined row.
+struct Source<'a> {
+    table: &'a Table,
+    /// Slot of the table's first column in the joined row.
+    offset: usize,
+}
+
+impl<'a> Source<'a> {
+    /// Gather the columns of `rows` whose slots `needed` marks into
+    /// `batch`.
+    fn gather<I>(&self, batch: &mut Batch, rows: I, needed: &[bool])
+    where
+        I: Iterator<Item = &'a Row> + Clone,
+    {
+        for (c, column) in self.table.schema().columns().iter().enumerate() {
+            if needed[self.offset + c] {
+                let cells = rows.clone().map(|r| &r[c]);
+                batch.set(self.offset + c, Column::gather(cells, column.ty));
+            }
+        }
+    }
+}
+
+/// Mark the slots `expr` references in `needed`. Slots beyond it (a
+/// projection's lateral aliases) are the sink's own.
+fn mark_slots(expr: &CExpr, needed: &mut [bool]) {
+    expr.for_each_slot(&mut |slot| {
+        if let Some(n) = needed.get_mut(slot) {
+            *n = true;
+        }
+    });
+}
+
 /// One build-side stage.
 struct Stage<'a> {
-    rows: &'a [Row],
-    width: usize,
-    kind: StageKind,
-    /// Residual predicates evaluated over the accumulated row once this
-    /// stage's columns are appended.
+    source: Source<'a>,
+    kind: StageKind<'a>,
+    /// Residual predicates evaluated over the accumulated columns once
+    /// this stage's are gathered.
     residuals: Vec<CExpr>,
     /// Visible table name (for EXPLAIN).
-    table: String,
+    name: String,
 }
 
 /// The whole FROM/WHERE pipeline.
 struct Pipeline<'a> {
-    /// Driver rows (empty slice plus `single_row` for FROM-less selects).
-    driver_rows: &'a [Row],
+    /// `None` for a FROM-less SELECT, which emits exactly one empty row.
+    driver: Option<Source<'a>>,
     driver_filter: Option<CExpr>,
     stages: Vec<Stage<'a>>,
-    /// FROM-less SELECT: emit exactly one empty row.
-    single_row: bool,
+    /// Per slot of the joined row: does any expression — of the
+    /// pipeline or, once [`Pipeline::reference`]d, of the sink — read it?
+    /// Only these slots are gathered into batches.
+    needed: Vec<bool>,
+}
+
+impl Pipeline<'_> {
+    /// Have the slots the sink's expressions reference gathered too.
+    fn reference<'e>(&mut self, exprs: impl IntoIterator<Item = &'e CExpr>) {
+        for e in exprs {
+            mark_slots(e, &mut self.needed);
+        }
+    }
+}
+
+/// Walk the rows of `table` that pass `filter` (all of them without
+/// one) in batches of the columns `exprs` reference (slots relative to
+/// the table), handing each batch and the table positions of its rows to
+/// `each`. Rows the filter rejects never reach `exprs`, as in
+/// row-at-a-time execution; a failing row cuts its batch
+/// ([`Batch::eval_cut`]) — `each` may cut it further through the parked
+/// error it is handed, which is raised once `each` returns.
+fn scan_filtered(
+    table: &Table,
+    filter: Option<&CExpr>,
+    exprs: &[CExpr],
+    mut each: impl FnMut(&mut Batch, &[u32], &mut Option<Error>) -> Result<()>,
+) -> Result<()> {
+    let source = Source { table, offset: 0 };
+    let mut needed = vec![false; table.schema().arity()];
+    for e in filter.into_iter().chain(exprs) {
+        mark_slots(e, &mut needed);
+    }
+    for (i, rows) in table.rows().chunks(BATCH_ROWS).enumerate() {
+        let first = (i * BATCH_ROWS) as u32;
+        let mut batch = Batch::new(needed.len(), rows.len());
+        source.gather(&mut batch, rows.iter(), &needed);
+        let mut pending = None;
+        let positions: Vec<u32> = match filter {
+            Some(f) => batch
+                .filter(f, &mut pending)
+                .iter()
+                .map(|p| first + p)
+                .collect(),
+            None => (first..first + rows.len() as u32).collect(),
+        };
+        each(&mut batch, &positions, &mut pending)?;
+        pending.map_or(Ok(()), Err)?;
+    }
+    Ok(())
+}
+
+/// Positions of the rows of `table` that pass `filter` (all of them
+/// without one).
+fn filtered_positions(table: &Table, filter: Option<&CExpr>) -> Result<Vec<u32>> {
+    let mut kept = Vec::new();
+    scan_filtered(table, filter, &[], |_, positions, _| {
+        kept.extend_from_slice(positions);
+        Ok(())
+    })?;
+    Ok(kept)
+}
+
+/// Build the per-statement hash map of a stage whose keys are not its
+/// table's primary key: build key → positions of the (filtered) rows.
+fn build_hash_map(
+    table: &Table,
+    filter: Option<&CExpr>,
+    build_keys: &[CExpr],
+    probe: &mut StmtProbe,
+) -> Result<HashMap<Row, Vec<u32>>> {
+    let mut map: HashMap<Row, Vec<u32>> = HashMap::with_capacity(table.len());
+    scan_filtered(table, filter, build_keys, |batch, positions, pending| {
+        let keys: Vec<Column> = build_keys
+            .iter()
+            .map(|k| batch.eval_cut(k, pending))
+            .collect();
+        for (i, &position) in positions.iter().enumerate().take(batch.len()) {
+            let key: Row = keys.iter().map(|k| k.value(i)).collect();
+            // SQL join semantics: a NULL key never matches.
+            if key.iter().any(Value::is_null) {
+                continue;
+            }
+            // Charge the build side as it grows: a new entry costs its
+            // key plus one index slot, a collision one slot. The build
+            // phase is single-threaded, so these charges are
+            // deterministic regardless of worker count.
+            let key_bytes = row_bytes(&key);
+            let slots = map.entry(key).or_default();
+            let bytes = if slots.is_empty() {
+                key_bytes + ENTRY_OVERHEAD_BYTES
+            } else {
+                ENTRY_OVERHEAD_BYTES
+            };
+            probe.tracker().charge("join build", bytes)?;
+            slots.push(position);
+        }
+        Ok(())
+    })?;
+    Ok(map)
 }
 
 fn build_pipeline<'a>(
@@ -428,7 +597,9 @@ fn build_pipeline<'a>(
     scopes: &[(String, Vec<String>)],
     probe: &mut StmtProbe,
 ) -> Result<Pipeline<'a>> {
-    let plan_t0 = std::time::Instant::now();
+    let plan_t0 = Instant::now();
+    // Time spent building join structures: execution, not planning.
+    let mut build_time = Duration::ZERO;
     // Aggregates in WHERE are rejected by the analyze pass up front and
     // again by `compile` when the predicates are lowered, so no separate
     // scan is needed here.
@@ -442,10 +613,10 @@ fn build_pipeline<'a>(
         }
         probe.add_plan_time(plan_t0.elapsed());
         return Ok(Pipeline {
-            driver_rows: &[],
+            driver: None,
             driver_filter: None,
             stages: Vec::new(),
-            single_row: true,
+            needed: Vec::new(),
         });
     }
     if select.from.len() > 64 {
@@ -471,7 +642,7 @@ fn build_pipeline<'a>(
         }
     }
 
-    // Resolver over the driver table alone (offset 0).
+    // Resolver over one table alone (offset 0).
     let single_resolver =
         |i: usize| ColumnResolver::from_tables(&[(scopes[i].0.clone(), scopes[i].1.clone())]);
     let prefix_resolver = |upto: usize| ColumnResolver::from_tables(&scopes[..=upto]);
@@ -479,23 +650,26 @@ fn build_pipeline<'a>(
     // Driver.
     let driver_table = catalog.table(&select.from[0].table)?;
     probe.record_scan(driver_table.name(), driver_table.len(), false);
-    let driver_res = single_resolver(0);
-    let driver_filter = combine_filters(&table_filters[0], &driver_res)?;
+    let driver_filter = combine_filters(&table_filters[0], &single_resolver(0))?;
 
     // Stages.
     let mut stages = Vec::with_capacity(n_tables - 1);
+    let mut needed = vec![false; scopes.iter().map(|(_, cols)| cols.len()).sum()];
+    if let Some(f) = &driver_filter {
+        mark_slots(f, &mut needed);
+    }
+    let mut offset = driver_table.schema().arity();
     for i in 1..n_tables {
         let table = catalog.table(&select.from[i].table)?;
         probe.record_scan(table.name(), table.len(), true);
-        let width = table.schema().arity();
         let stage_res = single_resolver(i);
         let build_filter = combine_filters(&table_filters[i], &stage_res)?;
 
         // Find equi-join conjuncts usable as hash keys for this stage.
         let prefix_mask: u64 = (1 << i) - 1;
         let this_bit: u64 = 1 << i;
-        let mut probe_exprs: Vec<CExpr> = Vec::new();
-        let mut build_exprs: Vec<CExpr> = Vec::new();
+        let mut probe_keys: Vec<CExpr> = Vec::new();
+        let mut build_keys: Vec<CExpr> = Vec::new();
         let prev_res = prefix_resolver(i - 1);
         for (c, mask) in pending.iter_mut() {
             if *mask == u64::MAX {
@@ -522,8 +696,8 @@ fn build_pipeline<'a>(
                 } else {
                     continue; // mixed sides → residual
                 };
-                probe_exprs.push(compile(probe_side, &prev_res)?);
-                build_exprs.push(compile(build_side, &stage_res)?);
+                probe_keys.push(compile(probe_side, &prev_res)?);
+                build_keys.push(compile(build_side, &stage_res)?);
                 *mask = u64::MAX; // mark consumed
             }
         }
@@ -542,71 +716,43 @@ fn build_pipeline<'a>(
             }
         }
 
+        for e in probe_keys.iter().chain(&residuals) {
+            mark_slots(e, &mut needed);
+        }
+
         // Build the stage.
-        let kind = if probe_exprs.is_empty() {
-            let mut indices = Vec::new();
-            for (idx, row) in table.rows().iter().enumerate() {
-                if let Some(f) = &build_filter {
-                    if !f.eval_predicate(row)? {
-                        continue;
-                    }
-                }
-                indices.push(idx as u32);
-            }
+        let build_t0 = Instant::now();
+        let kind = if probe_keys.is_empty() {
+            let indices = filtered_positions(table, build_filter.as_ref())?;
             probe.add_build_rows(indices.len() as u64);
             probe.tracker().charge(
                 "join broadcast",
                 indices.len() as u64 * ENTRY_OVERHEAD_BYTES,
             )?;
             StageKind::Broadcast { indices }
-        } else {
-            let mut map: HashMap<Row, Vec<u32>> = HashMap::with_capacity(table.len());
-            for (idx, row) in table.rows().iter().enumerate() {
-                if let Some(f) = &build_filter {
-                    if !f.eval_predicate(row)? {
-                        continue;
-                    }
-                }
-                let key: Row = build_exprs
-                    .iter()
-                    .map(|e| e.eval(row))
-                    .collect::<Result<Vec<_>>>()?
-                    .into_boxed_slice();
-                // SQL join semantics: a NULL key never matches.
-                if key.iter().any(Value::is_null) {
-                    continue;
-                }
-                // Charge the build side as it grows: a new entry costs
-                // its key plus one index slot, a collision one slot.
-                // The build phase is single-threaded, so these charges
-                // are deterministic regardless of worker count.
-                let key_bytes = row_bytes(&key);
-                match map.entry(key) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        probe.tracker().charge("join build", ENTRY_OVERHEAD_BYTES)?;
-                        e.get_mut().push(idx as u32);
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        probe
-                            .tracker()
-                            .charge("join build", key_bytes + ENTRY_OVERHEAD_BYTES)?;
-                        e.insert(vec![idx as u32]);
-                    }
-                }
+        } else if let Some(order) = primary_key_order(table, &build_keys, &build_filter) {
+            // Probe keys in the index's key order.
+            let probe_keys = order.iter().map(|&j| probe_keys[j].clone()).collect();
+            StageKind::Hash {
+                lookup: Lookup::PrimaryKey(table),
+                probe_keys,
             }
+        } else {
+            let map = build_hash_map(table, build_filter.as_ref(), &build_keys, probe)?;
             probe.add_build_rows(map.values().map(|v| v.len() as u64).sum());
             StageKind::Hash {
-                map,
-                probe_keys: probe_exprs,
+                lookup: Lookup::Built(map),
+                probe_keys,
             }
         };
+        build_time += build_t0.elapsed();
         stages.push(Stage {
-            rows: table.rows(),
-            width,
+            source: Source { table, offset },
             kind,
             residuals,
-            table: scopes[i].0.clone(),
+            name: scopes[i].0.clone(),
         });
+        offset += table.schema().arity();
     }
 
     // Any conjunct still pending means classification failed (should be
@@ -617,13 +763,34 @@ fn build_pipeline<'a>(
         ));
     }
 
-    probe.add_plan_time(plan_t0.elapsed());
+    probe.add_plan_time(plan_t0.elapsed().saturating_sub(build_time));
     Ok(Pipeline {
-        driver_rows: driver_table.rows(),
+        driver: Some(Source {
+            table: driver_table,
+            offset: 0,
+        }),
         driver_filter,
         stages,
-        single_row: false,
+        needed,
     })
+}
+
+/// If the build keys of a hash stage are exactly `table`'s primary-key
+/// columns and no filter thins the table, the table's own index serves
+/// the join: returns, for each key column in index order, which build
+/// key (hence which probe key) addresses it.
+fn primary_key_order(
+    table: &Table,
+    build_keys: &[CExpr],
+    build_filter: &Option<CExpr>,
+) -> Option<Vec<usize>> {
+    let pk = table.schema().primary_key();
+    if build_filter.is_some() || pk.is_empty() || pk.len() != build_keys.len() {
+        return None;
+    }
+    pk.iter()
+        .map(|c| build_keys.iter().position(|k| *k == CExpr::Col(*c)))
+        .collect()
 }
 
 fn combine_filters(filters: &[&Expr], resolver: &ColumnResolver) -> Result<Option<CExpr>> {
@@ -631,27 +798,20 @@ fn combine_filters(filters: &[&Expr], resolver: &ColumnResolver) -> Result<Optio
     for f in filters {
         compiled.push(compile(f, resolver)?);
     }
-    Ok(match compiled.len() {
-        0 => None,
-        1 => Some(compiled.pop().unwrap()),
-        _ => {
-            let mut it = compiled.into_iter();
-            let first = it.next().unwrap();
-            Some(it.fold(first, |acc, e| {
-                CExpr::Binary(BinOp::And, Box::new(acc), Box::new(e))
-            }))
-        }
-    })
+    Ok(compiled
+        .into_iter()
+        .reduce(|acc, e| CExpr::Binary(BinOp::And, Box::new(acc), Box::new(e))))
 }
 
 // ---------------------------------------------------------------------
 // Pipeline execution
 // ---------------------------------------------------------------------
 
-/// A consumer of joined rows.
-pub trait RowSink {
-    /// Accept one joined row (concatenated table columns).
-    fn push(&mut self, row: &[Value]) -> Result<()>;
+/// A consumer of joined batches.
+pub trait BatchSink {
+    /// Accept one batch of joined rows: the gathered columns of every
+    /// FROM table, at the slots the sink's expressions were compiled for.
+    fn push(&mut self, batch: Batch) -> Result<()>;
 
     /// Scalar expression evaluations this sink performed, reported after
     /// the pipeline drains (telemetry; 0 when untracked).
@@ -660,12 +820,12 @@ pub trait RowSink {
     }
 }
 
-/// Scalar projection sink with Teradata-style lateral aliases: the buffer
-/// holds the base row followed by one slot per already-computed item.
+/// Scalar projection sink with Teradata-style lateral aliases: each
+/// computed item becomes one more column of the batch, at the slot the
+/// items after it were compiled to read it from.
 struct ScalarSink<'t> {
     items: Vec<CExpr>,
     base_width: usize,
-    buf: Vec<Value>,
     out: Vec<Row>,
     /// Statement working-memory account; every materialized output row
     /// is charged before it is kept, so an over-budget SELECT aborts
@@ -673,18 +833,26 @@ struct ScalarSink<'t> {
     mem: &'t ResourceTracker,
 }
 
-impl RowSink for ScalarSink<'_> {
-    fn push(&mut self, row: &[Value]) -> Result<()> {
-        self.buf.clear();
-        self.buf.extend_from_slice(row);
-        for item in &self.items {
-            let v = item.eval(&self.buf)?;
-            self.buf.push(v);
+impl BatchSink for ScalarSink<'_> {
+    fn push(&mut self, mut batch: Batch) -> Result<()> {
+        let mut pending = None;
+        for (j, item) in self.items.iter().enumerate() {
+            let col = batch.eval_cut(item, &mut pending);
+            batch.set(self.base_width + j, col);
         }
-        let out_row: Row = self.buf[self.base_width..].to_vec().into_boxed_slice();
-        self.mem.charge("select output", row_bytes(&out_row))?;
-        self.out.push(out_row);
-        Ok(())
+        let mut rows: Vec<Vec<Value>> = (0..batch.len())
+            .map(|_| Vec::with_capacity(self.items.len()))
+            .collect();
+        for j in 0..self.items.len() {
+            let col = batch.column(self.base_width + j).expect("item column set");
+            col.append_to(&mut rows);
+        }
+        for row in rows {
+            let row = row.into_boxed_slice();
+            self.mem.charge("select output", row_bytes(&row))?;
+            self.out.push(row);
+        }
+        pending.map_or(Ok(()), Err)
     }
 
     fn expr_evals(&self) -> u64 {
@@ -737,152 +905,170 @@ fn run_pipeline<S, F>(
     make_sink: F,
 ) -> Result<Vec<S>>
 where
-    S: RowSink + Send,
+    S: BatchSink + Send,
     F: Fn() -> S + Sync,
 {
-    if pipeline.single_row {
-        let mut sink = make_sink();
-        sink.push(&[])?;
-        probe.add_expr_evals(sink.expr_evals());
-        return Ok(vec![sink]);
-    }
-    let deadline = config.deadline;
-    let workers = config.workers.max(1);
-    if workers == 1 || pipeline.driver_rows.len() < PARALLEL_THRESHOLD {
+    let run = |rows: Option<&[Row]>| -> Result<S> {
         let mut sink = make_sink();
         let mut tally = Tally::default();
-        drive_partition(
-            pipeline,
-            pipeline.driver_rows,
-            deadline,
-            &mut sink,
-            &mut tally,
-        )?;
+        match rows {
+            Some(rows) => pipeline.run_partition(rows, config.deadline, &mut sink, &mut tally)?,
+            None => sink.push(Batch::new(0, 1))?,
+        }
         tally.expr_evals += sink.expr_evals();
         tally.flush(probe);
-        return Ok(vec![sink]);
+        Ok(sink)
+    };
+    let Some(driver) = &pipeline.driver else {
+        return Ok(vec![run(None)?]);
+    };
+    let rows = driver.table.rows();
+    let workers = config.workers.max(1);
+    if workers == 1 || rows.len() < PARALLEL_THRESHOLD {
+        return Ok(vec![run(Some(rows))?]);
     }
-
-    let chunk = pipeline.driver_rows.len().div_ceil(workers);
-    let chunks: Vec<&[Row]> = pipeline.driver_rows.chunks(chunk).collect();
-    let results = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .iter()
-            .map(|part| {
-                scope.spawn(|| -> Result<S> {
-                    let mut sink = make_sink();
-                    let mut tally = Tally::default();
-                    drive_partition(pipeline, part, deadline, &mut sink, &mut tally)?;
-                    tally.expr_evals += sink.expr_evals();
-                    tally.flush(probe);
-                    Ok(sink)
-                })
-            })
+    let run = &run;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = rows
+            .chunks(rows.len().div_ceil(workers))
+            .map(|part| scope.spawn(move || run(Some(part))))
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("worker panicked"))
-            .collect::<Result<Vec<S>>>()
-    })?;
-    Ok(results)
+            .collect()
+    })
 }
 
-/// Rows processed between deadline checks: frequent enough that overrun
-/// stays small, rare enough that `Instant::now` never shows up in a
-/// profile of the hot loop.
-const DEADLINE_CHECK_ROWS: usize = 4096;
+impl Pipeline<'_> {
+    /// Drive one partition of the driver table through the stages into
+    /// `sink`, a batch at a time. The deadline is checked once per
+    /// batch, so overrun is bounded by one batch's work.
+    fn run_partition<S: BatchSink>(
+        &self,
+        rows: &[Row],
+        deadline: Option<Instant>,
+        sink: &mut S,
+        tally: &mut Tally,
+    ) -> Result<()> {
+        let driver = self.driver.as_ref().expect("partitions come from a driver");
+        for rows in rows.chunks(BATCH_ROWS) {
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return Err(Error::deadline("table scan", 0));
+            }
+            let mut batch = Batch::new(self.needed.len(), rows.len());
+            driver.gather(&mut batch, rows.iter(), &self.needed);
+            let mut pending = None;
+            if let Some(f) = &self.driver_filter {
+                tally.expr_evals += rows.len() as u64;
+                batch.filter(f, &mut pending);
+            }
+            self.run_stage(0, batch, sink, tally)?;
+            pending.map_or(Ok(()), Err)?;
+        }
+        Ok(())
+    }
 
-fn drive_partition<S: RowSink>(
-    pipeline: &Pipeline<'_>,
-    rows: &[Row],
-    deadline: Option<std::time::Instant>,
-    sink: &mut S,
-    tally: &mut Tally,
-) -> Result<()> {
-    let mut scratch: Vec<Value> = Vec::with_capacity(
-        rows.first().map(|r| r.len()).unwrap_or(0)
-            + pipeline.stages.iter().map(|s| s.width).sum::<usize>(),
-    );
-    let has_filter = pipeline.driver_filter.is_some();
-    for (i, row) in rows.iter().enumerate() {
-        if let Some(d) = deadline {
-            if i % DEADLINE_CHECK_ROWS == 0 && std::time::Instant::now() >= d {
-                return Err(crate::error::Error::deadline("table scan", 0));
-            }
+    /// Join `batch` with stage `idx` and hand the result on (to the sink
+    /// after the last stage). Matches are index vectors — the probing
+    /// row's position and the build row's — emitted in chunks of at most
+    /// [`BATCH_ROWS`], so a wide fan-out never grows a batch.
+    fn run_stage<S: BatchSink>(
+        &self,
+        idx: usize,
+        mut batch: Batch,
+        sink: &mut S,
+        tally: &mut Tally,
+    ) -> Result<()> {
+        if batch.is_empty() {
+            return Ok(());
         }
-        if let Some(f) = &pipeline.driver_filter {
-            if !f.eval_predicate(row)? {
-                continue;
+        let Some(stage) = self.stages.get(idx) else {
+            return sink.push(batch);
+        };
+        let mut pending = None;
+        let probe_keys: Vec<Column> = match &stage.kind {
+            StageKind::Hash { probe_keys, .. } => {
+                tally.expr_evals += (probe_keys.len() * batch.len()) as u64;
+                probe_keys
+                    .iter()
+                    .map(|k| batch.eval_cut(k, &mut pending))
+                    .collect()
             }
-        }
-        scratch.clear();
-        scratch.extend_from_slice(row);
-        walk_stages(pipeline, 0, &mut scratch, sink, tally)?;
-    }
-    if has_filter {
-        tally.expr_evals += rows.len() as u64;
-    }
-    Ok(())
-}
+            StageKind::Broadcast { .. } => Vec::new(),
+        };
 
-fn walk_stages<S: RowSink>(
-    pipeline: &Pipeline<'_>,
-    stage_idx: usize,
-    scratch: &mut Vec<Value>,
-    sink: &mut S,
-    tally: &mut Tally,
-) -> Result<()> {
-    if stage_idx == pipeline.stages.len() {
-        return sink.push(scratch);
-    }
-    let stage = &pipeline.stages[stage_idx];
-    let base_len = scratch.len();
-    match &stage.kind {
-        StageKind::Hash { map, probe_keys } => {
-            tally.expr_evals += probe_keys.len() as u64;
-            let mut key = Vec::with_capacity(probe_keys.len());
-            for e in probe_keys {
-                let v = e.eval(scratch)?;
-                if v.is_null() {
-                    return Ok(()); // NULL never joins
+        let (mut left, mut right) = (Vec::new(), Vec::new());
+        let mut join = |batch: &Batch, pos: usize, build_rows: &[u32]| -> Result<()> {
+            tally.probe_rows += build_rows.len() as u64;
+            for &row in build_rows {
+                if left.len() == BATCH_ROWS {
+                    self.emit(idx, batch.take(&left), &right, sink, tally)?;
+                    left.clear();
+                    right.clear();
                 }
-                key.push(v);
+                left.push(pos as u32);
+                right.push(row);
             }
-            let Some(matches) = map.get(key.as_slice()) else {
-                return Ok(());
-            };
-            tally.probe_rows += matches.len() as u64;
-            for &idx in matches {
-                scratch.extend_from_slice(&stage.rows[idx as usize]);
-                if check_residuals(stage, scratch, tally)? {
-                    walk_stages(pipeline, stage_idx + 1, scratch, sink, tally)?;
+            Ok(())
+        };
+        match &stage.kind {
+            StageKind::Hash { lookup, .. } => {
+                let mut key: Vec<Value> = Vec::with_capacity(probe_keys.len());
+                for pos in 0..batch.len() {
+                    key.clear();
+                    key.extend(probe_keys.iter().map(|k| k.value(pos)));
+                    // SQL join semantics: a NULL key never matches.
+                    if key.iter().any(Value::is_null) {
+                        continue;
+                    }
+                    match lookup {
+                        Lookup::PrimaryKey(table) => {
+                            if let Some(row) = table.position(&key) {
+                                join(&batch, pos, &[row as u32])?;
+                            }
+                        }
+                        Lookup::Built(map) => {
+                            if let Some(rows) = map.get(key.as_slice()) {
+                                join(&batch, pos, rows)?;
+                            }
+                        }
+                    }
                 }
-                scratch.truncate(base_len);
+            }
+            StageKind::Broadcast { indices } => {
+                for pos in 0..batch.len() {
+                    join(&batch, pos, indices)?;
+                }
             }
         }
-        StageKind::Broadcast { indices } => {
-            tally.probe_rows += indices.len() as u64;
-            for &idx in indices {
-                scratch.extend_from_slice(&stage.rows[idx as usize]);
-                if check_residuals(stage, scratch, tally)? {
-                    walk_stages(pipeline, stage_idx + 1, scratch, sink, tally)?;
-                }
-                scratch.truncate(base_len);
-            }
-        }
+        self.emit(idx, batch.take(&left), &right, sink, tally)?;
+        pending.map_or(Ok(()), Err)
     }
-    Ok(())
-}
 
-#[inline]
-fn check_residuals(stage: &Stage<'_>, row: &[Value], tally: &mut Tally) -> Result<bool> {
-    tally.expr_evals += stage.residuals.len() as u64;
-    for r in &stage.residuals {
-        if !r.eval_predicate(row)? {
-            return Ok(false);
+    /// Complete the rows joined at stage `idx` — gather the stage's
+    /// columns of the matched build rows, apply its residual predicates —
+    /// and run the next stage on them.
+    fn emit<S: BatchSink>(
+        &self,
+        idx: usize,
+        mut batch: Batch,
+        build_rows: &[u32],
+        sink: &mut S,
+        tally: &mut Tally,
+    ) -> Result<()> {
+        let stage = &self.stages[idx];
+        let rows = stage.source.table.rows();
+        let matched = build_rows.iter().map(|&r| &rows[r as usize]);
+        stage.source.gather(&mut batch, matched, &self.needed);
+        tally.expr_evals += (stage.residuals.len() * batch.len()) as u64;
+        let mut pending = None;
+        for residual in &stage.residuals {
+            batch.filter(residual, &mut pending);
         }
+        self.run_stage(idx + 1, batch, sink, tally)?;
+        pending.map_or(Ok(()), Err)
     }
-    Ok(true)
 }
 
 // ---------------------------------------------------------------------
@@ -967,41 +1153,42 @@ pub fn explain_select(catalog: &Catalog, select: &Select) -> Result<QueryResult>
     let pipeline = build_pipeline(catalog, select, &prep.scopes, &mut StmtProbe::disabled())?;
 
     let mut lines: Vec<String> = Vec::new();
-    if pipeline.single_row {
-        lines.push("single row (no FROM)".to_string());
-    } else {
-        let driver = &select.from[0];
-        lines.push(format!(
+    match &pipeline.driver {
+        None => lines.push("single row (no FROM)".to_string()),
+        Some(driver) => lines.push(format!(
             "driver scan: {} ({} rows){}",
-            driver.visible_name(),
-            pipeline.driver_rows.len(),
+            select.from[0].visible_name(),
+            driver.table.len(),
             if pipeline.driver_filter.is_some() {
                 ", filtered"
             } else {
                 ""
             }
-        ));
-        for stage in &pipeline.stages {
-            let desc = match &stage.kind {
-                StageKind::Hash { map, probe_keys } => format!(
-                    "hash join: {} on {} key(s) ({} distinct build keys)",
-                    stage.table,
-                    probe_keys.len(),
-                    map.len()
-                ),
-                StageKind::Broadcast { indices } => format!(
-                    "broadcast (cross join): {} ({} rows)",
-                    stage.table,
-                    indices.len()
-                ),
-            };
-            let res = if stage.residuals.is_empty() {
-                String::new()
-            } else {
-                format!(", {} residual predicate(s)", stage.residuals.len())
-            };
-            lines.push(format!("{desc}{res}"));
-        }
+        )),
+    }
+    for stage in &pipeline.stages {
+        let desc = match &stage.kind {
+            StageKind::Hash { lookup, probe_keys } => format!(
+                "hash join: {} on {} key(s) ({})",
+                stage.name,
+                probe_keys.len(),
+                match lookup {
+                    Lookup::PrimaryKey(_) => "primary-key index".to_string(),
+                    Lookup::Built(map) => format!("{} distinct build keys", map.len()),
+                }
+            ),
+            StageKind::Broadcast { indices } => format!(
+                "broadcast (cross join): {} ({} rows)",
+                stage.name,
+                indices.len()
+            ),
+        };
+        let res = if stage.residuals.is_empty() {
+            String::new()
+        } else {
+            format!(", {} residual predicate(s)", stage.residuals.len())
+        };
+        lines.push(format!("{desc}{res}"));
     }
     if prep.is_aggregate {
         let plan = prep.aggregate_plan(select)?;

@@ -1,0 +1,848 @@
+//! Batch evaluation: a [`CExpr`] over a [`Batch`] of typed [`Column`]s.
+//!
+//! The SELECT pipeline cuts its input into batches of at most
+//! [`BATCH_ROWS`] rows and gathers the referenced slots of the stored rows
+//! into typed vectors. [`CExpr::eval_batch`] then walks the expression
+//! tree once per batch — one dispatch per node, the per-row work in tight
+//! loops over `&[f64]` / `&[i64]` — instead of once per row.
+//!
+//! Laziness is kept with *selection vectors*: `CASE`, `AND`, `OR` and
+//! `COALESCE` evaluate a branch only for the rows that reach it, so a
+//! guard such as `CASE WHEN sump > 0 THEN ln(sump) END` never sees the
+//! rows it guards against. A failing row does not stop its batch at once:
+//! the evaluator remembers the failure of the *lowest* row (and, within a
+//! row, the first in evaluation order) and reports that, so a statement
+//! raises the error row-at-a-time evaluation would have raised.
+//!
+//! Every operator has a generic per-row path through the functions
+//! [`CExpr::eval`] uses; the typed loops are shortcuts for numeric
+//! columns and call the same per-value helpers, so the two evaluators
+//! agree bit for bit (`tests/batch_eval.rs`).
+
+use std::borrow::Cow;
+
+use super::{
+    and_values, binary_values, double_func, eval_unary, float_arith, func_values, int_arith,
+    or_values, ordering_holds, CExpr, ScalarFunc,
+};
+use crate::ast::{BinOp, UnaryOp};
+use crate::error::Error;
+use crate::value::{DataType, Value};
+
+/// Rows per batch. Three dozen `f64` columns of this length fit in a
+/// 256 KiB L2 cache, and per-batch set-up (one allocation per evaluated
+/// node) is amortized a thousandfold.
+pub const BATCH_ROWS: usize = 1024;
+
+/// Which rows hold a value: `None` means every row does.
+type Validity = Option<Vec<bool>>;
+
+/// A numeric column read as doubles, and which rows hold a value.
+type Doubles<'a> = (Cow<'a, [f64]>, Option<&'a [bool]>);
+
+/// One column of a batch. A row's value is what [`Column::value`]
+/// returns; which variant carries it is a matter of speed only.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Column {
+    /// DOUBLE values; slots without a value (NULL) hold an arbitrary number.
+    F64(Vec<f64>, Validity),
+    /// BIGINT values; slots without a value (NULL) hold an arbitrary number.
+    I64(Vec<i64>, Validity),
+    /// Anything else (VARCHAR, or rows of differing type).
+    Val(Vec<Value>),
+}
+
+fn is_valid(valid: &Validity, pos: usize) -> bool {
+    valid.as_ref().is_none_or(|v| v[pos])
+}
+
+/// Both operands hold a value.
+fn both_valid(a: Option<&[bool]>, b: Option<&[bool]>) -> Validity {
+    match (a, b) {
+        (None, None) => None,
+        (Some(v), None) | (None, Some(v)) => Some(v.to_vec()),
+        (Some(a), Some(b)) => Some(a.iter().zip(b).map(|(x, y)| *x && *y).collect()),
+    }
+}
+
+/// Drop a validity vector that marks nothing.
+fn normalize(valid: Vec<bool>) -> Validity {
+    if valid.iter().all(|v| *v) {
+        None
+    } else {
+        Some(valid)
+    }
+}
+
+fn take_valid(valid: &Validity, positions: &[u32]) -> Validity {
+    valid
+        .as_ref()
+        .map(|v| positions.iter().map(|&p| v[p as usize]).collect())
+}
+
+impl Column {
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        match self {
+            Column::F64(v, _) => v.len(),
+            Column::I64(v, _) => v.len(),
+            Column::Val(v) => v.len(),
+        }
+    }
+
+    /// True iff the column has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The value of row `pos`.
+    pub fn value(&self, pos: usize) -> Value {
+        match self {
+            Column::F64(v, valid) if is_valid(valid, pos) => Value::Double(v[pos]),
+            Column::I64(v, valid) if is_valid(valid, pos) => Value::Int(v[pos]),
+            Column::F64(..) | Column::I64(..) => Value::Null,
+            Column::Val(v) => v[pos].clone(),
+        }
+    }
+
+    /// Is row `pos` NULL?
+    pub(crate) fn is_null(&self, pos: usize) -> bool {
+        match self {
+            Column::F64(_, valid) | Column::I64(_, valid) => !is_valid(valid, pos),
+            Column::Val(v) => v[pos].is_null(),
+        }
+    }
+
+    /// Build a column from values, typed when every non-NULL value has
+    /// the same numeric type.
+    pub fn from_values(values: Vec<Value>) -> Column {
+        let all = |pred: fn(&Value) -> bool| values.iter().all(pred);
+        if all(|v| matches!(v, Value::Double(_) | Value::Null)) {
+            let valid = normalize(values.iter().map(|v| !v.is_null()).collect());
+            let vals = values.iter().map(|v| v.as_f64().unwrap_or(0.0)).collect();
+            Column::F64(vals, valid)
+        } else if all(|v| matches!(v, Value::Int(_) | Value::Null)) {
+            let valid = normalize(values.iter().map(|v| !v.is_null()).collect());
+            let vals = values
+                .iter()
+                .map(|v| if let Value::Int(i) = v { *i } else { 0 })
+                .collect();
+            Column::I64(vals, valid)
+        } else {
+            Column::Val(values)
+        }
+    }
+
+    /// `n` copies of one value.
+    fn splat(v: &Value, n: usize) -> Column {
+        match v {
+            Value::Double(d) => Column::F64(vec![*d; n], None),
+            Value::Int(i) => Column::I64(vec![*i; n], None),
+            Value::Null => Column::F64(vec![0.0; n], Some(vec![false; n])),
+            Value::Str(_) => Column::Val(vec![v.clone(); n]),
+        }
+    }
+
+    /// Gather one slot of stored rows into a column of the slot's
+    /// declared type. `cells` yields the slot's cell of each chosen row.
+    /// Storage coerces on the way in, so a cell of another type does not
+    /// occur; should one, the column falls back to [`Column::Val`].
+    pub(crate) fn gather<'v, I>(cells: I, ty: DataType) -> Column
+    where
+        I: Iterator<Item = &'v Value> + Clone,
+    {
+        let n = cells.size_hint().0;
+        macro_rules! typed {
+            ($variant:ident, $pat:path, $zero:expr) => {{
+                let mut vals = Vec::with_capacity(n);
+                let mut valid: Validity = None;
+                for cell in cells.clone() {
+                    match cell {
+                        $pat(x) => vals.push(*x),
+                        Value::Null => {
+                            // The first NULL: every row before it holds a value.
+                            valid.get_or_insert_with(|| vec![true; vals.len()]);
+                            vals.push($zero);
+                        }
+                        _ => return Column::Val(cells.cloned().collect()),
+                    }
+                    if let Some(m) = &mut valid {
+                        m.push(!cell.is_null());
+                    }
+                }
+                Column::$variant(vals, valid)
+            }};
+        }
+        match ty {
+            DataType::Double => typed!(F64, Value::Double, 0.0),
+            DataType::BigInt => typed!(I64, Value::Int, 0),
+            DataType::Varchar => Column::Val(cells.cloned().collect()),
+        }
+    }
+
+    /// The rows at `positions`, in that order (positions may repeat).
+    pub(crate) fn take(&self, positions: &[u32]) -> Column {
+        match self {
+            Column::F64(v, valid) => Column::F64(
+                positions.iter().map(|&p| v[p as usize]).collect(),
+                take_valid(valid, positions),
+            ),
+            Column::I64(v, valid) => Column::I64(
+                positions.iter().map(|&p| v[p as usize]).collect(),
+                take_valid(valid, positions),
+            ),
+            Column::Val(v) => {
+                Column::Val(positions.iter().map(|&p| v[p as usize].clone()).collect())
+            }
+        }
+    }
+
+    /// Append row `i`'s value to `rows[i]`, for every row of `rows`.
+    pub(crate) fn append_to(&self, rows: &mut [Vec<Value>]) {
+        match self {
+            Column::F64(v, None) => {
+                for (row, x) in rows.iter_mut().zip(v) {
+                    row.push(Value::Double(*x));
+                }
+            }
+            Column::I64(v, None) => {
+                for (row, x) in rows.iter_mut().zip(v) {
+                    row.push(Value::Int(*x));
+                }
+            }
+            _ => {
+                for (pos, row) in rows.iter_mut().enumerate() {
+                    row.push(self.value(pos));
+                }
+            }
+        }
+    }
+
+    fn truncate(&mut self, n: usize) {
+        match self {
+            Column::F64(v, valid) => {
+                v.truncate(n);
+                if let Some(m) = valid {
+                    m.truncate(n);
+                }
+            }
+            Column::I64(v, valid) => {
+                v.truncate(n);
+                if let Some(m) = valid {
+                    m.truncate(n);
+                }
+            }
+            Column::Val(v) => v.truncate(n),
+        }
+    }
+
+    /// SQL truthiness of every row ([`Value::truthiness`]).
+    pub(crate) fn truth(&self) -> Vec<Option<bool>> {
+        match self {
+            Column::F64(v, valid) => (0..v.len())
+                .map(|i| is_valid(valid, i).then(|| v[i] != 0.0))
+                .collect(),
+            Column::I64(v, valid) => (0..v.len())
+                .map(|i| is_valid(valid, i).then(|| v[i] != 0))
+                .collect(),
+            Column::Val(v) => v.iter().map(Value::truthiness).collect(),
+        }
+    }
+
+    /// Positions of the rows that pass as a predicate: true, not NULL.
+    pub(crate) fn true_positions(&self) -> Vec<u32> {
+        let truth = self.truth();
+        (0..truth.len() as u32)
+            .filter(|&p| truth[p as usize] == Some(true))
+            .collect()
+    }
+
+    /// A numeric column as doubles ([`Value::as_f64`] of every row) plus
+    /// its validity; `None` for a [`Column::Val`].
+    fn as_doubles(&self) -> Option<Doubles<'_>> {
+        match self {
+            Column::F64(v, valid) => Some((Cow::Borrowed(v), valid.as_deref())),
+            Column::I64(v, valid) => Some((
+                Cow::Owned(v.iter().map(|i| *i as f64).collect()),
+                valid.as_deref(),
+            )),
+            Column::Val(_) => None,
+        }
+    }
+}
+
+/// A batch: `len` rows, one optional [`Column`] per slot of the
+/// operator's input row. Only the slots some expression references are
+/// ever filled.
+#[derive(Debug, Clone)]
+pub struct Batch {
+    len: usize,
+    cols: Vec<Option<Column>>,
+}
+
+impl Batch {
+    /// A batch of `len` rows and `width` slots, none filled yet.
+    pub fn new(width: usize, len: usize) -> Batch {
+        Batch {
+            len,
+            cols: vec![None; width],
+        }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True iff the batch has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Fill `slot`, widening the batch if the slot lies beyond it (the
+    /// projection sink appends its lateral-alias slots this way).
+    ///
+    /// # Panics
+    /// If the column is shorter than the batch.
+    pub fn set(&mut self, slot: usize, mut col: Column) {
+        assert!(col.len() >= self.len, "column shorter than the batch");
+        col.truncate(self.len);
+        if slot >= self.cols.len() {
+            self.cols.resize(slot + 1, None);
+        }
+        self.cols[slot] = Some(col);
+    }
+
+    /// The column of `slot`, if filled.
+    pub fn column(&self, slot: usize) -> Option<&Column> {
+        self.cols.get(slot).and_then(Option::as_ref)
+    }
+
+    /// Keep the first `len` rows.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        if len < self.len {
+            self.len = len;
+            for col in self.cols.iter_mut().flatten() {
+                col.truncate(len);
+            }
+        }
+    }
+
+    /// A batch of the rows at `positions`, in that order (a join repeats
+    /// positions when a row matches more than once).
+    pub(crate) fn take(&self, positions: &[u32]) -> Batch {
+        Batch {
+            len: positions.len(),
+            cols: self
+                .cols
+                .iter()
+                .map(|c| c.as_ref().map(|c| c.take(positions)))
+                .collect(),
+        }
+    }
+
+    /// Evaluate `expr` over the batch. If a row fails, the batch is cut
+    /// to the rows before it, the error is parked in `pending` and those
+    /// rows are evaluated: a pipeline step hands the shortened batch on
+    /// and raises `pending` only once everything downstream of it has
+    /// run without raising — which is when row-at-a-time execution
+    /// would have reached the failing row. The column may be longer
+    /// than the batch after a later cut; rows beyond [`Batch::len`] are
+    /// to be ignored.
+    pub(crate) fn eval_cut(&mut self, expr: &CExpr, pending: &mut Option<Error>) -> Column {
+        loop {
+            match expr.eval_batch(self) {
+                Ok(col) => return col,
+                Err(RowError { row, error }) => {
+                    self.truncate(row);
+                    *pending = Some(error);
+                }
+            }
+        }
+    }
+
+    /// Keep the rows `predicate` holds for (true, not NULL), with
+    /// [`Batch::eval_cut`]'s treatment of a failing row. Returns the
+    /// positions the kept rows had before the call.
+    pub(crate) fn filter(&mut self, predicate: &CExpr, pending: &mut Option<Error>) -> Vec<u32> {
+        let mut keep = self.eval_cut(predicate, pending).true_positions();
+        keep.retain(|&p| (p as usize) < self.len);
+        if keep.len() < self.len {
+            *self = self.take(&keep);
+        }
+        keep
+    }
+}
+
+/// An evaluation failure and the batch row it belongs to.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RowError {
+    /// Row of the batch that failed; every row before it evaluates.
+    pub row: usize,
+    /// What row-at-a-time evaluation of that row returns.
+    pub error: Error,
+}
+
+/// The rows a node is evaluated for: `None` is every row of the batch,
+/// `Some` lists batch rows in ascending order. Results are dense — row
+/// `i` of a result belongs to the `i`-th selected row.
+type Sel<'s> = Option<&'s [u32]>;
+
+fn row_of(sel: Sel<'_>, pos: usize) -> usize {
+    sel.map_or(pos, |s| s[pos] as usize)
+}
+
+/// The batch rows behind the dense positions `pos` of selection `sel`.
+fn sub_sel(sel: Sel<'_>, pos: &[u32]) -> Vec<u32> {
+    pos.iter()
+        .map(|&p| row_of(sel, p as usize) as u32)
+        .collect()
+}
+
+impl CExpr {
+    /// Evaluate against every row of `batch`: row `i` of the result is
+    /// what [`CExpr::eval`] returns for row `i`. If any row fails, the
+    /// error is that of the first failing row.
+    ///
+    /// # Panics
+    /// If the expression references a slot the batch has not filled.
+    pub fn eval_batch(&self, batch: &Batch) -> std::result::Result<Column, RowError> {
+        let mut eval = Eval { batch, first: None };
+        let col = eval.expr(self, None).into_owned();
+        match eval.first {
+            None => Ok(col),
+            Some(e) => Err(e),
+        }
+    }
+}
+
+struct Eval<'a> {
+    batch: &'a Batch,
+    /// The failure to report, if any row failed so far.
+    first: Option<RowError>,
+}
+
+impl<'a> Eval<'a> {
+    /// Record that the row at dense position `pos` of `sel` failed. The
+    /// lowest row wins; for one row the first failure recorded wins,
+    /// which is the first in evaluation order, as in [`CExpr::eval`].
+    fn fail(&mut self, sel: Sel<'_>, pos: usize, error: Error) {
+        let row = row_of(sel, pos);
+        if self.first.as_ref().is_none_or(|f| row < f.row) {
+            self.first = Some(RowError { row, error });
+        }
+    }
+
+    fn rows(&self, sel: Sel<'_>) -> usize {
+        sel.map_or(self.batch.len, <[u32]>::len)
+    }
+
+    /// Evaluate `e` for the rows `pos` (dense positions of `sel`),
+    /// passing `sel` itself along when that is all of them.
+    fn expr_at(&mut self, e: &CExpr, sel: Sel<'_>, pos: &[u32]) -> Cow<'a, Column> {
+        if pos.len() == self.rows(sel) {
+            self.expr(e, sel)
+        } else {
+            self.expr(e, Some(&sub_sel(sel, pos)))
+        }
+    }
+
+    fn expr(&mut self, e: &CExpr, sel: Sel<'_>) -> Cow<'a, Column> {
+        let n = self.rows(sel);
+        match e {
+            CExpr::Const(v) => Cow::Owned(Column::splat(v, n)),
+            CExpr::Col(slot) => {
+                let col = self.batch.cols[*slot]
+                    .as_ref()
+                    .expect("referenced slot is filled");
+                match sel {
+                    None => Cow::Borrowed(col),
+                    Some(rows) => Cow::Owned(col.take(rows)),
+                }
+            }
+            CExpr::Unary(op, inner) => {
+                let col = self.expr(inner, sel);
+                Cow::Owned(self.unary(*op, &col, sel))
+            }
+            CExpr::Binary(op @ (BinOp::And | BinOp::Or), l, r) => {
+                Cow::Owned(self.and_or(*op == BinOp::And, l, r, sel))
+            }
+            CExpr::Binary(op, l, r) => {
+                let lc = self.expr(l, sel);
+                let rc = self.expr(r, sel);
+                Cow::Owned(self.binary(*op, &lc, &rc, sel))
+            }
+            CExpr::Func(ScalarFunc::Coalesce, args) => Cow::Owned(self.coalesce(args, sel)),
+            CExpr::Func(f, args) => {
+                let cols: Vec<Cow<'a, Column>> = args.iter().map(|a| self.expr(a, sel)).collect();
+                Cow::Owned(self.func(*f, &cols, sel))
+            }
+            CExpr::Case { whens, else_expr } => {
+                Cow::Owned(self.case(whens, else_expr.as_deref(), sel))
+            }
+            CExpr::IsNull(inner, negated) => {
+                let col = self.expr(inner, sel);
+                let vals = (0..n)
+                    .map(|p| (col.is_null(p) != *negated) as i64)
+                    .collect();
+                Cow::Owned(Column::I64(vals, None))
+            }
+        }
+    }
+
+    /// Row by row through a per-value function of [`CExpr::eval`]: the
+    /// path every operator has, whatever its operands' types.
+    fn per_row(
+        &mut self,
+        cols: &[&Column],
+        sel: Sel<'_>,
+        f: impl Fn(Vec<Value>) -> crate::error::Result<Value>,
+    ) -> Column {
+        let n = self.rows(sel);
+        let mut out = Vec::with_capacity(n);
+        for pos in 0..n {
+            match f(cols.iter().map(|c| c.value(pos)).collect()) {
+                Ok(v) => out.push(v),
+                Err(e) => {
+                    self.fail(sel, pos, e);
+                    out.push(Value::Null);
+                }
+            }
+        }
+        Column::from_values(out)
+    }
+
+    fn unary(&mut self, op: UnaryOp, col: &Column, sel: Sel<'_>) -> Column {
+        match (op, col) {
+            (UnaryOp::Neg, Column::F64(v, valid)) => {
+                Column::F64(v.iter().map(|x| -x).collect(), valid.clone())
+            }
+            (UnaryOp::Not, _) => {
+                let truth = col.truth();
+                Column::I64(
+                    truth.iter().map(|t| (*t == Some(false)) as i64).collect(),
+                    normalize(truth.iter().map(Option::is_some).collect()),
+                )
+            }
+            _ => self.per_row(&[col], sel, |mut v| {
+                eval_unary(op, v.pop().expect("one operand"))
+            }),
+        }
+    }
+
+    /// `AND` (`is_and`) or `OR`: the right side runs only for the rows
+    /// the left side has not decided.
+    fn and_or(&mut self, is_and: bool, l: &CExpr, r: &CExpr, sel: Sel<'_>) -> Column {
+        let lt = self.expr(l, sel).truth();
+        // The left value that settles the result on its own.
+        let decided = Some(!is_and);
+        let open: Vec<u32> = (0..lt.len() as u32)
+            .filter(|&p| lt[p as usize] != decided)
+            .collect();
+        let rt = if open.is_empty() {
+            Vec::new()
+        } else {
+            self.expr_at(r, sel, &open).truth()
+        };
+        let mut out = vec![Value::Int(!is_and as i64); lt.len()];
+        for (k, &p) in open.iter().enumerate() {
+            out[p as usize] = if is_and {
+                and_values(lt[p as usize], rt[k])
+            } else {
+                or_values(lt[p as usize], rt[k])
+            };
+        }
+        Column::from_values(out)
+    }
+
+    fn binary(&mut self, op: BinOp, l: &Column, r: &Column, sel: Sel<'_>) -> Column {
+        if let (Column::I64(a, av), Column::I64(b, bv), BinOp::Add | BinOp::Sub | BinOp::Mul) =
+            (l, r, op)
+        {
+            let valid = both_valid(av.as_deref(), bv.as_deref());
+            let vals = (0..a.len())
+                .map(|p| {
+                    if !is_valid(&valid, p) {
+                        return 0;
+                    }
+                    int_arith(op, a[p], b[p]).unwrap_or_else(|e| {
+                        self.fail(sel, p, e);
+                        0
+                    })
+                })
+                .collect();
+            return Column::I64(vals, valid);
+        }
+        let (Some((a, av)), Some((b, bv))) = (l.as_doubles(), r.as_doubles()) else {
+            return self.per_row(&[l, r], sel, |mut v| {
+                let rv = v.pop().expect("two operands");
+                binary_values(op, v.pop().expect("two operands"), rv)
+            });
+        };
+        let valid = both_valid(av, bv);
+        let pairs = a.iter().zip(b.iter());
+        match op {
+            BinOp::Add => Column::F64(pairs.map(|(x, y)| x + y).collect(), valid),
+            BinOp::Sub => Column::F64(pairs.map(|(x, y)| x - y).collect(), valid),
+            BinOp::Mul => Column::F64(pairs.map(|(x, y)| x * y).collect(), valid),
+            BinOp::Div | BinOp::Pow => {
+                let vals = pairs
+                    .enumerate()
+                    .map(|(p, (x, y))| {
+                        if !is_valid(&valid, p) {
+                            return 0.0;
+                        }
+                        float_arith(op, *x, *y).unwrap_or_else(|e| {
+                            self.fail(sel, p, e);
+                            0.0
+                        })
+                    })
+                    .collect();
+                Column::F64(vals, valid)
+            }
+            // `=`/`<>` are decided for every pair of numbers; an ordering
+            // comparison with a NaN is unknown, i.e. NULL.
+            BinOp::Eq => Column::I64(pairs.map(|(x, y)| (x == y) as i64).collect(), valid),
+            BinOp::Neq => Column::I64(pairs.map(|(x, y)| (x != y) as i64).collect(), valid),
+            BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
+                let mut known = valid.unwrap_or_else(|| vec![true; a.len()]);
+                let vals = pairs
+                    .enumerate()
+                    .map(|(p, (x, y))| match x.partial_cmp(y) {
+                        Some(o) => ordering_holds(op, o) as i64,
+                        None => {
+                            known[p] = false;
+                            0
+                        }
+                    })
+                    .collect();
+                Column::I64(vals, normalize(known))
+            }
+            BinOp::And | BinOp::Or => unreachable!("lazy operators are evaluated by and_or"),
+        }
+    }
+
+    fn func(&mut self, f: ScalarFunc, cols: &[Cow<'a, Column>], sel: Sel<'_>) -> Column {
+        if let ([col], Some(g)) = (cols, double_func(f)) {
+            if let Some((x, valid)) = col.as_doubles() {
+                let vals = x
+                    .iter()
+                    .enumerate()
+                    .map(|(p, x)| {
+                        if !valid.is_none_or(|v| v[p]) {
+                            return 0.0;
+                        }
+                        g(*x).unwrap_or_else(|e| {
+                            self.fail(sel, p, e);
+                            0.0
+                        })
+                    })
+                    .collect();
+                return Column::F64(vals, valid.map(<[bool]>::to_vec));
+            }
+        }
+        let cols: Vec<&Column> = cols.iter().map(Cow::as_ref).collect();
+        self.per_row(&cols, sel, |v| func_values(f, v))
+    }
+
+    /// `COALESCE`: each argument runs only for the rows still NULL.
+    fn coalesce(&mut self, args: &[CExpr], sel: Sel<'_>) -> Column {
+        let n = self.rows(sel);
+        let mut out = vec![Value::Null; n];
+        let mut open: Vec<u32> = (0..n as u32).collect();
+        for arg in args {
+            if open.is_empty() {
+                break;
+            }
+            let col = self.expr_at(arg, sel, &open);
+            let mut still = Vec::new();
+            for (k, &p) in open.iter().enumerate() {
+                if col.is_null(k) {
+                    still.push(p);
+                } else {
+                    out[p as usize] = col.value(k);
+                }
+            }
+            open = still;
+        }
+        Column::from_values(out)
+    }
+
+    /// Searched `CASE`: each condition runs for the rows no earlier arm
+    /// took, each result for the rows its condition holds for.
+    fn case(
+        &mut self,
+        whens: &[(CExpr, CExpr)],
+        else_expr: Option<&CExpr>,
+        sel: Sel<'_>,
+    ) -> Column {
+        let n = self.rows(sel);
+        let mut pieces: Vec<(Vec<u32>, Cow<'a, Column>)> = Vec::new();
+        let mut open: Vec<u32> = (0..n as u32).collect();
+        for (cond, result) in whens {
+            if open.is_empty() {
+                break;
+            }
+            let truth = self.expr_at(cond, sel, &open).truth();
+            let (mut hit, mut miss) = (Vec::new(), Vec::new());
+            for (k, &p) in open.iter().enumerate() {
+                if truth[k] == Some(true) {
+                    hit.push(p);
+                } else {
+                    miss.push(p);
+                }
+            }
+            if !hit.is_empty() {
+                let col = self.expr_at(result, sel, &hit);
+                pieces.push((hit, col));
+            }
+            open = miss;
+        }
+        if let (Some(e), false) = (else_expr, open.is_empty()) {
+            let col = self.expr_at(e, sel, &open);
+            pieces.push((open, col));
+        }
+        scatter(n, pieces)
+    }
+}
+
+/// Assemble an `n`-row column from pieces, each a column and the rows
+/// its values belong to; rows no piece covers are NULL.
+fn scatter(n: usize, mut pieces: Vec<(Vec<u32>, Cow<'_, Column>)>) -> Column {
+    if pieces.len() == 1 && pieces[0].0.len() == n {
+        return pieces.pop().expect("one piece").1.into_owned();
+    }
+    macro_rules! typed {
+        ($variant:ident, $zero:expr) => {
+            if pieces
+                .iter()
+                .all(|(_, c)| matches!(c.as_ref(), Column::$variant(..)))
+            {
+                let mut vals = vec![$zero; n];
+                let mut valid = vec![false; n];
+                for (rows, col) in &pieces {
+                    let Column::$variant(v, m) = col.as_ref() else {
+                        unreachable!("checked above")
+                    };
+                    for (k, &p) in rows.iter().enumerate() {
+                        vals[p as usize] = v[k];
+                        valid[p as usize] = is_valid(m, k);
+                    }
+                }
+                return Column::$variant(vals, normalize(valid));
+            }
+        };
+    }
+    typed!(F64, 0.0);
+    typed!(I64, 0);
+    let mut out = vec![Value::Null; n];
+    for (rows, col) in &pieces {
+        for (k, &p) in rows.iter().enumerate() {
+            out[p as usize] = col.value(k);
+        }
+    }
+    Column::from_values(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn batch_of(cols: Vec<Column>) -> Batch {
+        let mut b = Batch::new(cols.len(), cols[0].len());
+        for (i, c) in cols.into_iter().enumerate() {
+            b.set(i, c);
+        }
+        b
+    }
+
+    fn col(i: usize) -> Box<CExpr> {
+        Box::new(CExpr::Col(i))
+    }
+
+    fn num(v: f64) -> Box<CExpr> {
+        Box::new(CExpr::Const(Value::Double(v)))
+    }
+
+    #[test]
+    fn guard_keeps_ln_away_from_the_rows_it_guards() {
+        // CASE WHEN c0 > 0 THEN ln(c0) END — Fig. 9's llh cell.
+        let e = CExpr::Case {
+            whens: vec![(
+                CExpr::Binary(BinOp::Gt, col(0), num(0.0)),
+                CExpr::Func(ScalarFunc::Ln, vec![CExpr::Col(0)]),
+            )],
+            else_expr: None,
+        };
+        let b = batch_of(vec![Column::F64(vec![1.0, 0.0, -3.0, 1.0], None)]);
+        let out = e.eval_batch(&b).unwrap();
+        assert_eq!(out.value(0), Value::Double(0.0));
+        assert!(out.is_null(1) && out.is_null(2));
+    }
+
+    #[test]
+    fn first_failing_row_wins_over_first_failing_node() {
+        // c0 / c1 + ln(c2): row 1 fails in ln, row 2 in the division,
+        // which a node-at-a-time walk meets first.
+        let e = CExpr::Binary(
+            BinOp::Add,
+            Box::new(CExpr::Binary(BinOp::Div, col(0), col(1))),
+            Box::new(CExpr::Func(ScalarFunc::Ln, vec![CExpr::Col(2)])),
+        );
+        let b = batch_of(vec![
+            Column::F64(vec![1.0, 1.0, 1.0], None),
+            Column::F64(vec![1.0, 1.0, 0.0], None),
+            Column::F64(vec![1.0, -1.0, 1.0], None),
+        ]);
+        let err = e.eval_batch(&b).unwrap_err();
+        assert_eq!(err.row, 1);
+        let row: Vec<Value> = (0..3).map(|s| b.column(s).unwrap().value(1)).collect();
+        assert_eq!(err.error, e.eval(&row).unwrap_err());
+    }
+
+    #[test]
+    fn integer_arithmetic_stays_integral_and_nulls_pass_through() {
+        let e = CExpr::Binary(BinOp::Mul, col(0), col(1));
+        let b = batch_of(vec![
+            Column::I64(vec![2, 3, i64::MAX], Some(vec![true, false, true])),
+            Column::I64(vec![5, 7, 1], None),
+        ]);
+        let out = e.eval_batch(&b).unwrap();
+        assert_eq!(
+            out,
+            Column::I64(vec![10, 0, i64::MAX], Some(vec![true, false, true]))
+        );
+        assert!(matches!(out.value(0), Value::Int(10)));
+    }
+
+    #[test]
+    fn gather_types_by_declaration_and_falls_back_on_a_stray_cell() {
+        let cells = [Value::Double(1.5), Value::Null, Value::Double(-0.0)];
+        let c = Column::gather(cells.iter(), DataType::Double);
+        assert_eq!(
+            c,
+            Column::F64(vec![1.5, 0.0, -0.0], Some(vec![true, false, true]))
+        );
+        let stray = [Value::Double(1.5), Value::Int(2)];
+        assert!(matches!(
+            Column::gather(stray.iter(), DataType::Double),
+            Column::Val(_)
+        ));
+    }
+
+    #[test]
+    fn mixed_case_arms_keep_each_rows_own_type() {
+        // CASE WHEN c0 > 1 THEN c0 ELSE 0.5 END over integers.
+        let e = CExpr::Case {
+            whens: vec![(
+                CExpr::Binary(BinOp::Gt, col(0), Box::new(CExpr::Const(Value::Int(1)))),
+                CExpr::Col(0),
+            )],
+            else_expr: Some(num(0.5)),
+        };
+        let b = batch_of(vec![Column::I64(vec![1, 2], None)]);
+        let out = e.eval_batch(&b).unwrap();
+        assert!(matches!(out.value(0), Value::Double(d) if d == 0.5));
+        assert!(matches!(out.value(1), Value::Int(2)));
+    }
+}

@@ -3,17 +3,29 @@
 //! The parser produces name-based [`crate::ast::Expr`] trees; before
 //! execution the planner compiles them into [`CExpr`] trees where every
 //! column reference is a resolved slot index into the operator's input row.
-//! This keeps the per-row hot path free of string lookups — the E step
-//! evaluates `O(kp)` arithmetic per point, so this matters for the
-//! scalability figures.
+//! This keeps the hot path free of string lookups — the E step evaluates
+//! `O(kp)` arithmetic per point, so this matters for the scalability
+//! figures.
+//!
+//! A [`CExpr`] has two evaluators with one meaning. SELECT pipelines call
+//! [`CExpr::eval_batch`] (the `batch` module): one dispatch per node per
+//! [`BATCH_ROWS`]-row [`Batch`] of typed [`Column`]s, with selection
+//! vectors keeping `CASE`/`AND`/`OR`/`COALESCE` lazy. [`CExpr::eval`]
+//! evaluates one row of [`Value`]s; it serves the places that only ever
+//! have one row (`VALUES`, `UPDATE … FROM` parameter tables, the
+//! per-group finalize tail) and is the reference `tests/batch_eval.rs`
+//! holds the batch evaluator to, bit for bit and error for error. Both
+//! share the per-value operator functions below, so they cannot drift.
 //!
 //! Scalar semantics follow SQL with the deviations documented in DESIGN.md:
 //! `/` always produces a DOUBLE (so `1/d1` in the paper's fallback formula
 //! is a float reciprocal), `**` is `f64::powf`, NULL propagates through
 //! arithmetic and functions, and comparisons use three-valued logic.
 
+mod batch;
 mod compile;
 
+pub use batch::{Batch, Column, RowError, BATCH_ROWS};
 pub use compile::{compile, compile_constant, ColumnResolver, Scope};
 
 use crate::ast::{BinOp, UnaryOp};
@@ -142,32 +154,28 @@ impl CExpr {
         Ok(self.eval(row)?.truthiness() == Some(true))
     }
 
-    /// The highest slot index referenced, if any (used by tests and by the
-    /// executor to size scratch rows).
-    pub fn max_slot(&self) -> Option<usize> {
+    /// Call `f` with every slot index the expression references (the
+    /// executor gathers exactly these slots into a [`Batch`]).
+    pub fn for_each_slot(&self, f: &mut impl FnMut(usize)) {
         match self {
-            CExpr::Const(_) => None,
-            CExpr::Col(i) => Some(*i),
-            CExpr::Unary(_, e) => e.max_slot(),
-            CExpr::Binary(_, l, r) => opt_max(l.max_slot(), r.max_slot()),
-            CExpr::Func(_, args) => args.iter().filter_map(CExpr::max_slot).max(),
-            CExpr::Case { whens, else_expr } => {
-                let mut m = else_expr.as_ref().and_then(|e| e.max_slot());
-                for (c, r) in whens {
-                    m = opt_max(m, opt_max(c.max_slot(), r.max_slot()));
-                }
-                m
+            CExpr::Const(_) => {}
+            CExpr::Col(i) => f(*i),
+            CExpr::Unary(_, e) | CExpr::IsNull(e, _) => e.for_each_slot(f),
+            CExpr::Binary(_, l, r) => {
+                l.for_each_slot(f);
+                r.for_each_slot(f);
             }
-            CExpr::IsNull(e, _) => e.max_slot(),
+            CExpr::Func(_, args) => args.iter().for_each(|a| a.for_each_slot(f)),
+            CExpr::Case { whens, else_expr } => {
+                for (c, r) in whens {
+                    c.for_each_slot(f);
+                    r.for_each_slot(f);
+                }
+                if let Some(e) = else_expr {
+                    e.for_each_slot(f);
+                }
+            }
         }
-    }
-}
-
-fn opt_max(a: Option<usize>, b: Option<usize>) -> Option<usize> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.max(y)),
-        (x, None) => x,
-        (None, y) => y,
     }
 }
 
@@ -200,61 +208,67 @@ fn eval_binary(op: BinOp, l: &CExpr, r: &CExpr, row: &[Value]) -> Result<Value> 
             if lv == Some(false) {
                 return Ok(Value::Int(0));
             }
-            let rv = r.eval(row)?.truthiness();
-            return Ok(match (lv, rv) {
-                (_, Some(false)) => Value::Int(0),
-                (Some(true), Some(true)) => Value::Int(1),
-                _ => Value::Null,
-            });
+            Ok(and_values(lv, r.eval(row)?.truthiness()))
         }
         BinOp::Or => {
             let lv = l.eval(row)?.truthiness();
             if lv == Some(true) {
                 return Ok(Value::Int(1));
             }
-            let rv = r.eval(row)?.truthiness();
-            return Ok(match (lv, rv) {
-                (_, Some(true)) => Value::Int(1),
-                (Some(false), Some(false)) => Value::Int(0),
-                _ => Value::Null,
-            });
+            Ok(or_values(lv, r.eval(row)?.truthiness()))
         }
-        _ => {}
+        _ => binary_values(op, l.eval(row)?, r.eval(row)?),
     }
-    let lv = l.eval(row)?;
-    let rv = r.eval(row)?;
+}
+
+/// Three-valued AND of two truth values.
+fn and_values(lv: Option<bool>, rv: Option<bool>) -> Value {
+    match (lv, rv) {
+        (Some(false), _) | (_, Some(false)) => Value::Int(0),
+        (Some(true), Some(true)) => Value::Int(1),
+        _ => Value::Null,
+    }
+}
+
+/// Three-valued OR of two truth values.
+fn or_values(lv: Option<bool>, rv: Option<bool>) -> Value {
+    match (lv, rv) {
+        (Some(true), _) | (_, Some(true)) => Value::Int(1),
+        (Some(false), Some(false)) => Value::Int(0),
+        _ => Value::Null,
+    }
+}
+
+/// Every binary operator except the lazy `AND`/`OR`, over two evaluated
+/// operands.
+fn binary_values(op: BinOp, lv: Value, rv: Value) -> Result<Value> {
     match op {
         BinOp::Add | BinOp::Sub | BinOp::Mul => numeric_arith(op, lv, rv),
-        BinOp::Div => {
+        BinOp::Div | BinOp::Pow => {
             if lv.is_null() || rv.is_null() {
                 return Ok(Value::Null);
             }
-            let (x, y) = float_pair(&lv, &rv, "/")?;
-            if y == 0.0 {
-                return Err(Error::Arithmetic("division by zero".into()));
-            }
-            Ok(Value::Double(x / y))
-        }
-        BinOp::Pow => {
-            if lv.is_null() || rv.is_null() {
-                return Ok(Value::Null);
-            }
-            let (x, y) = float_pair(&lv, &rv, "**")?;
-            let p = x.powf(y);
-            if p.is_nan() && !x.is_nan() && !y.is_nan() {
-                return Err(Error::Arithmetic(format!(
-                    "{x} ** {y} is undefined (negative base, fractional exponent)"
-                )));
-            }
-            Ok(Value::Double(p))
+            let sym = if op == BinOp::Div { "/" } else { "**" };
+            let (x, y) = float_pair(&lv, &rv, sym)?;
+            float_arith(op, x, y).map(Value::Double)
         }
         BinOp::Eq => Ok(tri(lv.sql_eq(&rv))),
         BinOp::Neq => Ok(tri(lv.sql_eq(&rv).map(|b| !b))),
-        BinOp::Lt => Ok(tri(lv.sql_cmp(&rv).map(|o| o.is_lt()))),
-        BinOp::Le => Ok(tri(lv.sql_cmp(&rv).map(|o| o.is_le()))),
-        BinOp::Gt => Ok(tri(lv.sql_cmp(&rv).map(|o| o.is_gt()))),
-        BinOp::Ge => Ok(tri(lv.sql_cmp(&rv).map(|o| o.is_ge()))),
-        BinOp::And | BinOp::Or => unreachable!("handled above"),
+        BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
+            Ok(tri(lv.sql_cmp(&rv).map(|o| ordering_holds(op, o))))
+        }
+        BinOp::And | BinOp::Or => unreachable!("lazy operators are evaluated by the caller"),
+    }
+}
+
+/// Does `o` satisfy the ordering comparison `op`?
+fn ordering_holds(op: BinOp, o: std::cmp::Ordering) -> bool {
+    match op {
+        BinOp::Lt => o.is_lt(),
+        BinOp::Le => o.is_le(),
+        BinOp::Gt => o.is_gt(),
+        BinOp::Ge => o.is_ge(),
+        _ => unreachable!("not an ordering comparison"),
     }
 }
 
@@ -265,19 +279,49 @@ fn tri(b: Option<bool>) -> Value {
     }
 }
 
+/// `+ - * / **` over two doubles: one IEEE operation each, plus the two
+/// checks SQL adds (`/` by zero, an undefined `**`).
+#[inline]
+fn float_arith(op: BinOp, x: f64, y: f64) -> Result<f64> {
+    match op {
+        BinOp::Add => Ok(x + y),
+        BinOp::Sub => Ok(x - y),
+        BinOp::Mul => Ok(x * y),
+        BinOp::Div => {
+            if y == 0.0 {
+                return Err(Error::Arithmetic("division by zero".into()));
+            }
+            Ok(x / y)
+        }
+        BinOp::Pow => {
+            let p = x.powf(y);
+            if p.is_nan() && !x.is_nan() && !y.is_nan() {
+                return Err(Error::Arithmetic(format!(
+                    "{x} ** {y} is undefined (negative base, fractional exponent)"
+                )));
+            }
+            Ok(p)
+        }
+        _ => unreachable!("not an arithmetic operator"),
+    }
+}
+
+/// `+ - *` over two integers; overflow is an error, not a wrap-around.
+#[inline]
+fn int_arith(op: BinOp, a: i64, b: i64) -> Result<i64> {
+    match op {
+        BinOp::Add => a.checked_add(b),
+        BinOp::Sub => a.checked_sub(b),
+        BinOp::Mul => a.checked_mul(b),
+        _ => unreachable!("not an integer operator"),
+    }
+    .ok_or_else(|| Error::Arithmetic("integer overflow".into()))
+}
+
 fn numeric_arith(op: BinOp, lv: Value, rv: Value) -> Result<Value> {
     match (&lv, &rv) {
         (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
-        (Value::Int(a), Value::Int(b)) => {
-            let r = match op {
-                BinOp::Add => a.checked_add(*b),
-                BinOp::Sub => a.checked_sub(*b),
-                BinOp::Mul => a.checked_mul(*b),
-                _ => unreachable!(),
-            };
-            r.map(Value::Int)
-                .ok_or_else(|| Error::Arithmetic("integer overflow".into()))
-        }
+        (Value::Int(a), Value::Int(b)) => int_arith(op, *a, *b).map(Value::Int),
         _ => {
             let sym = match op {
                 BinOp::Add => "+",
@@ -286,12 +330,7 @@ fn numeric_arith(op: BinOp, lv: Value, rv: Value) -> Result<Value> {
                 _ => unreachable!(),
             };
             let (x, y) = float_pair(&lv, &rv, sym)?;
-            Ok(Value::Double(match op {
-                BinOp::Add => x + y,
-                BinOp::Sub => x - y,
-                BinOp::Mul => x * y,
-                _ => unreachable!(),
-            }))
+            float_arith(op, x, y).map(Value::Double)
         }
     }
 }
@@ -306,7 +345,7 @@ fn float_pair(l: &Value, r: &Value, op: &str) -> Result<(f64, f64)> {
 }
 
 fn eval_func(f: ScalarFunc, args: &[CExpr], row: &[Value]) -> Result<Value> {
-    // COALESCE has bespoke NULL handling.
+    // COALESCE is lazy: arguments after the first non-NULL never run.
     if f == ScalarFunc::Coalesce {
         for a in args {
             let v = a.eval(row)?;
@@ -320,6 +359,39 @@ fn eval_func(f: ScalarFunc, args: &[CExpr], row: &[Value]) -> Result<Value> {
     for a in args {
         vals.push(a.eval(row)?);
     }
+    func_values(f, vals)
+}
+
+/// The functions of one numeric argument whose result is a DOUBLE
+/// whatever the argument's type, as the function of that argument;
+/// `None` for every other function.
+fn double_func(f: ScalarFunc) -> Option<fn(f64) -> Result<f64>> {
+    Some(match f {
+        ScalarFunc::Exp => |x| Ok(x.exp()),
+        ScalarFunc::Ln => |x| {
+            if x <= 0.0 {
+                Err(Error::Arithmetic(format!("ln({x}) is undefined")))
+            } else {
+                Ok(x.ln())
+            }
+        },
+        ScalarFunc::Sqrt => |x| {
+            if x < 0.0 {
+                Err(Error::Arithmetic(format!("sqrt({x}) is undefined")))
+            } else {
+                Ok(x.sqrt())
+            }
+        },
+        ScalarFunc::Floor => |x| Ok(x.floor()),
+        ScalarFunc::Ceil => |x| Ok(x.ceil()),
+        ScalarFunc::Round => |x| Ok(x.round()),
+        _ => return None,
+    })
+}
+
+/// Every scalar function except the lazy `COALESCE`, over evaluated
+/// arguments.
+fn func_values(f: ScalarFunc, vals: Vec<Value>) -> Result<Value> {
     match f {
         ScalarFunc::Least | ScalarFunc::Greatest => {
             let mut best: Option<Value> = None;
@@ -358,26 +430,17 @@ fn eval_func(f: ScalarFunc, args: &[CExpr], row: &[Value]) -> Result<Value> {
             let x = vals[0].as_f64().ok_or_else(|| Error::TypeMismatch {
                 context: format!("function argument must be numeric, got {}", vals[0]),
             })?;
+            if let Some(g) = double_func(f) {
+                return g(x).map(Value::Double);
+            }
             match f {
-                ScalarFunc::Exp => Ok(Value::Double(x.exp())),
-                ScalarFunc::Ln => {
-                    if x <= 0.0 {
-                        Err(Error::Arithmetic(format!("ln({x}) is undefined")))
-                    } else {
-                        Ok(Value::Double(x.ln()))
-                    }
-                }
-                ScalarFunc::Sqrt => {
-                    if x < 0.0 {
-                        Err(Error::Arithmetic(format!("sqrt({x}) is undefined")))
-                    } else {
-                        Ok(Value::Double(x.sqrt()))
-                    }
-                }
-                ScalarFunc::Abs => Ok(match &vals[0] {
-                    Value::Int(i) => Value::Int(i.abs()),
-                    _ => Value::Double(x.abs()),
-                }),
+                ScalarFunc::Abs => match &vals[0] {
+                    Value::Int(i) => i
+                        .checked_abs()
+                        .map(Value::Int)
+                        .ok_or_else(|| Error::Arithmetic("integer overflow in abs()".into())),
+                    _ => Ok(Value::Double(x.abs())),
+                },
                 ScalarFunc::Power => {
                     let y = vals[1].as_f64().ok_or_else(|| Error::TypeMismatch {
                         context: "power() exponent must be numeric".into(),
@@ -389,9 +452,6 @@ fn eval_func(f: ScalarFunc, args: &[CExpr], row: &[Value]) -> Result<Value> {
                         Ok(Value::Double(p))
                     }
                 }
-                ScalarFunc::Floor => Ok(Value::Double(x.floor())),
-                ScalarFunc::Ceil => Ok(Value::Double(x.ceil())),
-                ScalarFunc::Round => Ok(Value::Double(x.round())),
                 ScalarFunc::Sign => Ok(Value::Int(if x > 0.0 {
                     1
                 } else if x < 0.0 {
@@ -406,14 +466,13 @@ fn eval_func(f: ScalarFunc, args: &[CExpr], row: &[Value]) -> Result<Value> {
                     if y == 0.0 {
                         Err(Error::Arithmetic("mod by zero".into()))
                     } else if let (Value::Int(a), Value::Int(b)) = (&vals[0], &vals[1]) {
-                        Ok(Value::Int(a % b))
+                        // i64::MIN % -1 overflows in hardware; its value is 0.
+                        Ok(Value::Int(a.checked_rem(*b).unwrap_or(0)))
                     } else {
                         Ok(Value::Double(x % y))
                     }
                 }
-                ScalarFunc::Least | ScalarFunc::Greatest | ScalarFunc::Coalesce => {
-                    unreachable!("handled above")
-                }
+                _ => unreachable!("handled above"),
             }
         }
     }
@@ -595,14 +654,19 @@ mod tests {
     }
 
     #[test]
-    fn max_slot_reports_deepest_column() {
+    fn for_each_slot_visits_every_column_reference() {
+        let slots = |e: &CExpr| {
+            let mut seen = Vec::new();
+            e.for_each_slot(&mut |i| seen.push(i));
+            seen
+        };
         let e = CExpr::Binary(
             BinOp::Add,
             Box::new(CExpr::Col(2)),
             Box::new(CExpr::Func(ScalarFunc::Exp, vec![CExpr::Col(5)])),
         );
-        assert_eq!(e.max_slot(), Some(5));
-        assert_eq!(c(1.0).max_slot(), None);
+        assert_eq!(slots(&e), vec![2, 5]);
+        assert_eq!(slots(&c(1.0)), Vec::<usize>::new());
     }
 
     #[test]

@@ -10,10 +10,12 @@
 //!   `DROP TABLE`, `INSERT … SELECT`, multi-table `SELECT` with `GROUP BY`,
 //!   `UPDATE … FROM` with sequential `SET`, `CASE WHEN`, `exp`/`ln`, the
 //!   Teradata `**` power operator, scientific literals like `1.0E-100`);
-//! * a streaming left-deep **hash-join** pipeline that never materializes
-//!   intermediate join results (§ [`exec`]);
+//! * a batch-at-a-time left-deep **hash-join** pipeline — 1024-row
+//!   batches of typed columns, expressions evaluated once per batch —
+//!   that never materializes intermediate join results (§ [`exec`]);
 //! * **hash aggregation** with SQL NULL semantics;
-//! * **primary-key hash indexes** with uniqueness enforcement;
+//! * **primary-key hash indexes** with uniqueness enforcement, which also
+//!   serve joins on the full key;
 //! * **scan accounting** ([`metrics::ExecMetrics`], cross-checked by the
 //!   static [`plancheck`] derivation) so the paper's `2k+3`-scans-per-
 //!   iteration cost model can be verified programmatically;

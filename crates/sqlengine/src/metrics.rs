@@ -99,7 +99,9 @@ pub struct ExecMetrics {
     pub rows_updated: usize,
     /// Rows deleted (DELETE).
     pub rows_deleted: usize,
-    /// Rows entered into join build structures (hash maps + broadcasts).
+    /// Rows hashed into a per-statement join map or listed for a
+    /// broadcast. A join served by the build table's primary-key index
+    /// builds nothing and adds 0.
     pub join_build_rows: u64,
     /// Rows that probed a join stage (driver-side lookups/expansions).
     pub join_probe_rows: u64,
@@ -113,7 +115,9 @@ pub struct ExecMetrics {
     /// monotone for the life of a statement, so the peak equals the
     /// total and is bit-identical across serial and parallel execution.
     pub peak_mem_bytes: u64,
-    /// Wall-clock spent in planning (pipeline/build construction).
+    /// Wall-clock spent in planning: name resolution, conjunct
+    /// classification, expression compilation. Join builds are
+    /// execution and count toward `elapsed` only.
     pub plan_time: Duration,
     /// Wall-clock for the whole statement.
     pub elapsed: Duration,
@@ -430,7 +434,7 @@ impl StmtProbe {
         }
     }
 
-    /// Record time spent planning (pipeline construction, join builds).
+    /// Record time spent planning (resolve + compile; not join builds).
     pub fn add_plan_time(&mut self, d: Duration) {
         if self.enabled {
             self.plan_time += d;

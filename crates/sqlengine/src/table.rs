@@ -175,8 +175,15 @@ impl Table {
     /// Point lookup by full primary-key tuple. `None` when the table has no
     /// key or no matching row.
     pub fn lookup(&self, key: &[Value]) -> Option<&Row> {
-        let index = self.index.as_ref()?;
-        index.get(key).map(|&pos| &self.rows[pos])
+        self.position(key).map(|pos| &self.rows[pos])
+    }
+
+    /// Position in [`Table::rows`] of the row with this full primary-key
+    /// tuple (in [`Schema::primary_key`] order). This is the probe side
+    /// of a primary-key index join: the executor borrows the index the
+    /// table already maintains instead of hashing the table again.
+    pub(crate) fn position(&self, key: &[Value]) -> Option<usize> {
+        self.index.as_ref()?.get(key).copied()
     }
 
     /// Delete every row (keeps allocation via `clear`).

@@ -7,9 +7,9 @@
 //!
 //! The summed column is hostile on purpose: NaN, ±∞, subnormals, wide
 //! exponents and `±1e308` pairs whose running sum hovers beyond the f64
-//! range. `MIN`/`MAX` read NaN-free columns (a NaN compares with nothing,
-//! so which value survives next to one depends on scan order — on one
-//! node as much as on four). `VARIANCE`/`STDDEV` read a tame column and
+//! range — and `MIN`/`MAX` read it too: a NaN has one fixed place in
+//! their order (above every number), so the survivor does not depend on
+//! where the parts were cut. `VARIANCE`/`STDDEV` read a tame column and
 //! are held to bit-identity only for the one-part split: Chan's moment
 //! combination is deterministic in shard order but rounds differently
 //! from one Welford pass.
@@ -22,8 +22,8 @@ const DDL: &str = "CREATE TABLE t (rid BIGINT PRIMARY KEY, g BIGINT, x DOUBLE, n
 
 /// Exactly merged aggregates: every cell must match bit for bit.
 const EXACT_SHAPES: &[&str] = &[
-    "SELECT SUM(x), AVG(x), COUNT(*), COUNT(x), SUM(n), MIN(n), MAX(v) FROM t",
-    "SELECT g, SUM(x), AVG(x), COUNT(*), MIN(v), MAX(n) FROM t GROUP BY g",
+    "SELECT SUM(x), AVG(x), COUNT(*), COUNT(x), SUM(n), MIN(n), MAX(v), MIN(x), MAX(x) FROM t",
+    "SELECT g, SUM(x), AVG(x), COUNT(*), MIN(v), MAX(n), MIN(x), MAX(x) FROM t GROUP BY g",
     "SELECT g, SUM(n) AS s FROM t GROUP BY g HAVING COUNT(*) > 2",
     "SELECT g, SUM(x) AS sx, COUNT(x) AS c FROM t GROUP BY g ORDER BY g DESC LIMIT 2",
     "SELECT g FROM t GROUP BY g ORDER BY SUM(n) DESC, g LIMIT 3",
