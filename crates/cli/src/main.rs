@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! sqlem-cli <input.csv> --k <clusters> [options]
-//! sqlem-cli lint --p <dims> --k <clusters> [lint options]
-//! sqlem-cli analyze --p <dims> --k <clusters> [analyze options]
+//! sqlem-cli lint --p <dims> --k <clusters> [lint / analyze options]
+//! sqlem-cli analyze --p <dims> --k <clusters> [lint / analyze options]
 //!
 //! options:
 //!   --k N                 number of clusters (required)
@@ -73,35 +73,31 @@
 //!                         expired deadline fails the run with a typed
 //!                         error and a hint to raise the budget.
 //!
-//! lint options:
+//! lint / analyze options (one parser, one analysis, two renderings):
 //!   --p N                 dimensionality (required)
 //!   --k N                 number of clusters (required)
-//!   --max-statement-len N parser byte cap to lint against (default 65536)
-//!   --max-terms N         analyzer term-count cap (default 16384)
-//!   --verbose             print every finding, not just the summaries
-//!
-//! analyze options:
-//!   --p N                 dimensionality (required)
-//!   --k N                 number of clusters (required)
-//!   --strategy S          analyze one strategy only (default: all three)
+//!   --strategy S          one strategy only (default: all three)
 //!   --fused               hybrid only: analyze the fused E step
 //!   --max-statement-len N parser byte cap to check against (default 65536)
 //!   --max-terms N         analyzer term-count cap (default 16384)
+//!   --verbose             lint: print every finding, not just the summaries
 //! ```
 //!
-//! The `lint` subcommand statically analyzes all three strategies'
-//! generated scripts for one `(p, k)` — no data needed — and reports
-//! which would survive the configured parser limits (§3.3), mirroring
-//! the preflight check `EmSession::create` runs automatically.
+//! Both subcommands statically analyze the strategies' generated
+//! scripts for one `(p, k)` — no data needed, nothing executes — with
+//! the analysis `EmSession::create` runs as its preflight (see
+//! `docs/STATIC_ANALYSIS.md`).
 //!
-//! The `analyze` subcommand prints the full static-analysis report the
-//! preflight is built on (see `docs/STATIC_ANALYSIS.md`): per-statement
-//! mutation classes and symbolic scan cardinalities, the table
-//! lifecycle verdict, the steady-state proof of the iteration span, and
-//! the per-iteration scan counts checked against the paper's closed
-//! forms (`2k+3` n-scans + 1 pn-scan for the hybrid, §3.5) — all
-//! without executing a single statement. Exits non-zero when any
-//! analyzed strategy fails a check.
+//! `lint` prints one line per strategy saying whether it would survive
+//! the configured parser limits (§3.3), and whether the driver would
+//! fall back from horizontal to hybrid.
+//!
+//! `analyze` prints the full report: per-statement mutation classes and
+//! symbolic scan cardinalities, the table lifecycle verdict, the
+//! steady-state proof of the iteration span, and the per-iteration scan
+//! counts checked against the paper's closed forms (`2k+3` n-scans + 1
+//! pn-scan for the hybrid, §3.5). Exits non-zero when any analyzed
+//! strategy fails a check.
 //!
 //! Exit codes: 0 success, 1 runtime failure, 2 usage error, 3 the
 //! `--resume` checkpoint is missing, empty, or unusable, 4 the
@@ -118,7 +114,7 @@ use std::time::Duration;
 
 use emcore::init::InitStrategy;
 use sqlem::naming::Names;
-use sqlem::{checkpoint, EmSession, RetryPolicy, SqlemConfig, Strategy};
+use sqlem::{checkpoint, EmSession, PlanReport, RetryPolicy, SqlemConfig, Strategy};
 use sqlengine::{
     Database, Error as SqlError, FaultPlan, FaultRule, MemoryBudget, SqlExecutor, StatementKind,
 };
@@ -262,10 +258,8 @@ fn usage() -> ! {
          [--memory-budget BYTES] [--load-chunk ROWS] \
          [--connect HOST:PORT | --shards HOST:PORT,...] [--namespace PREFIX] \
          [--auth-token TOKEN] [--deadline SECS]\n\
-         \x20      sqlem-cli lint --p <dims> --k <clusters> [--max-statement-len N] \
-         [--max-terms N] [--verbose]\n\
-         \x20      sqlem-cli analyze --p <dims> --k <clusters> [--strategy S] [--fused] \
-         [--max-statement-len N] [--max-terms N]"
+         \x20      sqlem-cli lint|analyze --p <dims> --k <clusters> [--strategy S] [--fused] \
+         [--max-statement-len N] [--max-terms N] [--verbose]"
     );
     std::process::exit(2);
 }
@@ -776,167 +770,108 @@ fn run_clustering<E: SqlExecutor>(
     Ok(())
 }
 
-/// `sqlem-cli lint --p P --k K [--max-statement-len N] [--max-terms N]`:
-/// static all-strategies analysis for one problem size.
-fn run_lint(args: &[String]) -> Result<(), String> {
+/// The `lint` and `analyze` subcommands: one argument parser and one
+/// static analysis (nothing executes), rendered two ways.
+///
+/// * `lint` prints one summary line per strategy (`--verbose` adds every
+///   finding) plus the horizontal→hybrid fallback advisory, mirroring
+///   the preflight check `EmSession::create` runs; it succeeds whatever
+///   the verdicts.
+/// * `analyze` prints the full report (scan derivation, lifecycle,
+///   mutation classes, steady-state proof, closed-form cost check) and
+///   errs when any analyzed strategy fails a check.
+fn run_plan(cmd: &str, args: &[String]) -> Result<(), String> {
     let mut p = None;
     let mut k = None;
-    let mut max_statement_len = None;
-    let mut max_terms = None;
+    let mut strategy = None;
+    let mut fused = false;
     let mut verbose = false;
+    let mut db = Database::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let mut req = |name: &str| -> Result<usize, String> {
+        let mut num = || -> Result<usize, String> {
             it.next()
-                .ok_or_else(|| format!("{name} requires a value"))?
+                .ok_or_else(|| format!("{a} requires a value"))?
                 .parse()
-                .map_err(|_| format!("{name} requires a number"))
+                .map_err(|_| format!("{a} requires a number"))
         };
         match a.as_str() {
-            "--p" => p = Some(req("--p")?),
-            "--k" => k = Some(req("--k")?),
-            "--max-statement-len" => max_statement_len = Some(req("--max-statement-len")?),
-            "--max-terms" => max_terms = Some(req("--max-terms")?),
+            "--p" => p = Some(num()?),
+            "--k" => k = Some(num()?),
+            "--max-statement-len" => db.set_max_statement_len(num()?),
+            "--max-terms" => db.config_mut().limits.max_terms = num()?,
+            "--strategy" => {
+                let name = it.next().ok_or("--strategy requires a value")?;
+                strategy = Some(
+                    Strategy::ALL
+                        .into_iter()
+                        .find(|s| s.to_string() == *name)
+                        .ok_or_else(|| format!("unknown strategy {name}"))?,
+                )
+            }
+            "--fused" => fused = true,
             "--verbose" => verbose = true,
-            other => return Err(format!("unknown lint argument {other}")),
+            other => return Err(format!("unknown {cmd} argument {other}")),
         }
     }
-    let p = p.ok_or("lint requires --p")?;
-    let k = k.ok_or("lint requires --k")?;
+    let p = p.ok_or_else(|| format!("{cmd} requires --p"))?;
+    let k = k.ok_or_else(|| format!("{cmd} requires --k"))?;
     if p == 0 || k == 0 {
         return Err("--p and --k must be at least 1".into());
     }
+    let mut config = SqlemConfig::new(k, Strategy::Hybrid);
+    config.fused_e_step = fused;
+    let mut reports = sqlem::analyze_all(&mut db, &config, p).map_err(|e| e.to_string())?;
+    reports.retain(|r| strategy.is_none_or(|s| r.strategy == s));
 
-    let mut db = Database::new();
-    if let Some(max) = max_statement_len {
-        db.set_max_statement_len(max);
+    if cmd == "analyze" {
+        for report in &reports {
+            print!("{}", report.render());
+            println!();
+        }
+        let failed: Vec<String> = reports
+            .iter()
+            .filter(|r| !r.ok())
+            .map(|r| r.strategy.to_string())
+            .collect();
+        return if failed.is_empty() {
+            Ok(())
+        } else {
+            Err(format!("static analysis failed for: {}", failed.join(", ")))
+        };
     }
-    if let Some(max) = max_terms {
-        db.config_mut().limits.max_terms = max;
-    }
-    let config = SqlemConfig::new(k, Strategy::Hybrid);
+
     println!(
         "lint for p={p}, k={k} (kp = {}), parser cap {} byte(s), term cap {}:",
         p * k,
         db.config().max_statement_len,
         db.config().limits.max_terms
     );
-    let reports = sqlem::lint_all(&mut db, &config, p).map_err(|e| e.to_string())?;
     for report in &reports {
         println!("  {}", report.summary());
         if verbose {
-            for finding in &report.findings {
-                println!("    {finding}");
+            for error in report.errors() {
+                println!("    {error}");
             }
         }
     }
-    for report in &reports {
-        if report.strategy == Strategy::Horizontal && !report.ok() {
-            let hybrid_ok = reports
-                .iter()
-                .any(|r| r.strategy == Strategy::Hybrid && r.ok());
-            if hybrid_ok {
-                println!(
-                    "horizontal over-runs the limits at this size; the driver \
-                     would auto-fall back to hybrid (§3.6)"
-                );
-            }
-        }
+    let verdict = |s: Strategy| reports.iter().find(|r| r.strategy == s).map(PlanReport::ok);
+    if verdict(Strategy::Horizontal) == Some(false) && verdict(Strategy::Hybrid) == Some(true) {
+        println!(
+            "horizontal over-runs the limits at this size; the driver \
+             would auto-fall back to hybrid (§3.6)"
+        );
     }
-    if reports.iter().all(sqlem::LintReport::ok) {
+    if reports.iter().all(PlanReport::ok) {
         println!("all strategies lint clean");
     }
     Ok(())
 }
 
-/// `sqlem-cli analyze --p P --k K [--strategy S] [--fused]
-/// [--max-statement-len N] [--max-terms N]`: print the full static
-/// script analysis (scan derivation, lifecycle, mutation classes,
-/// steady-state proof, closed-form cost check) without executing
-/// anything. Errs when any analyzed strategy fails a check.
-fn run_analyze(args: &[String]) -> Result<(), String> {
-    let mut p = None;
-    let mut k = None;
-    let mut strategy = None;
-    let mut fused = false;
-    let mut max_statement_len = None;
-    let mut max_terms = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut req = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
-        let num = |name: &str, v: String| -> Result<usize, String> {
-            v.parse().map_err(|_| format!("{name} requires a number"))
-        };
-        match a.as_str() {
-            "--p" => p = Some(num("--p", req("--p")?)?),
-            "--k" => k = Some(num("--k", req("--k")?)?),
-            "--strategy" => {
-                strategy = Some(match req("--strategy")?.as_str() {
-                    "horizontal" => Strategy::Horizontal,
-                    "vertical" => Strategy::Vertical,
-                    "hybrid" => Strategy::Hybrid,
-                    other => return Err(format!("unknown strategy {other}")),
-                })
-            }
-            "--fused" => fused = true,
-            "--max-statement-len" => {
-                max_statement_len = Some(num("--max-statement-len", req("--max-statement-len")?)?)
-            }
-            "--max-terms" => max_terms = Some(num("--max-terms", req("--max-terms")?)?),
-            other => return Err(format!("unknown analyze argument {other}")),
-        }
-    }
-    let p = p.ok_or("analyze requires --p")?;
-    let k = k.ok_or("analyze requires --k")?;
-    if p == 0 || k == 0 {
-        return Err("--p and --k must be at least 1".into());
-    }
-
-    let mut db = Database::new();
-    if let Some(max) = max_statement_len {
-        db.set_max_statement_len(max);
-    }
-    if let Some(max) = max_terms {
-        db.config_mut().limits.max_terms = max;
-    }
-    let mut config = SqlemConfig::new(k, strategy.unwrap_or(Strategy::Hybrid));
-    config.fused_e_step = fused;
-    let reports = match strategy {
-        Some(_) => vec![sqlem::analyze_strategy(&mut db, &config, p).map_err(|e| e.to_string())?],
-        None => sqlem::analyze_all(&mut db, &config, p).map_err(|e| e.to_string())?,
-    };
-    let mut failed = Vec::new();
-    for report in &reports {
-        print!("{}", report.render());
-        println!();
-        if !report.ok() {
-            failed.push(report.strategy.to_string());
-        }
-    }
-    if failed.is_empty() {
-        Ok(())
-    } else {
-        Err(format!("static analysis failed for: {}", failed.join(", ")))
-    }
-}
-
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("lint") {
-        return match run_lint(&argv[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if argv.first().map(String::as_str) == Some("analyze") {
-        return match run_analyze(&argv[1..]) {
+    if let Some(cmd @ ("lint" | "analyze")) = argv.first().map(String::as_str) {
+        return match run_plan(cmd, &argv[1..]) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("error: {e}");

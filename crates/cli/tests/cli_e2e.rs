@@ -862,3 +862,71 @@ fn exceeded_deadline_fails_with_actionable_hint() {
     join.join().unwrap().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The `lint` and `analyze` subcommands are two renderings of one
+/// static analysis; neither needs data.
+#[test]
+fn lint_and_analyze_subcommands() {
+    let run = |args: &[&str]| {
+        let out = Command::new(bin()).args(args).output().unwrap();
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stdout).into_owned(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+
+    // kp = 1000 under a 16 KiB parser cap: horizontal overflows (§3.3),
+    // hybrid fits, and lint reports both without failing.
+    let (code, stdout, stderr) = run(&[
+        "lint",
+        "--p",
+        "40",
+        "--k",
+        "25",
+        "--max-statement-len",
+        "16384",
+    ]);
+    assert_eq!(code, Some(0), "{stderr}");
+    let line = |strategy: &str| {
+        stdout
+            .lines()
+            .find(|l| l.trim_start().starts_with(strategy))
+            .unwrap_or_else(|| panic!("no {strategy} line in {stdout}"))
+    };
+    assert!(line("horizontal:").ends_with("1 finding(s)"), "{stdout}");
+    assert!(line("horizontal:").contains("cap 16384"), "{stdout}");
+    assert!(line("hybrid:").ends_with("ok"), "{stdout}");
+    assert!(
+        stdout.contains("would auto-fall back to hybrid"),
+        "{stdout}"
+    );
+
+    // A small problem verifies the closed-form cost of all three.
+    let (code, stdout, stderr) = run(&["analyze", "--p", "4", "--k", "3"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert_eq!(
+        stdout.matches("cost model: verified").count(),
+        3,
+        "{stdout}"
+    );
+
+    // analyze fails when an analyzed strategy does.
+    let (code, stdout, stderr) = run(&[
+        "analyze",
+        "--strategy",
+        "horizontal",
+        "--p",
+        "40",
+        "--k",
+        "25",
+        "--max-statement-len",
+        "16384",
+    ]);
+    assert_eq!(code, Some(1), "{stdout}");
+    assert!(stdout.starts_with("plan: horizontal p=40 k=25"), "{stdout}");
+    assert!(
+        stderr.contains("static analysis failed for: horizontal"),
+        "{stderr}"
+    );
+}

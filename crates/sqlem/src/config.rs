@@ -62,11 +62,11 @@ pub struct SqlemConfig {
     /// iterations". `None` (default) keeps the pure-llh criterion of
     /// Fig. 3. The check reads back only the tiny C/R/W tables.
     pub param_epsilon: Option<f64>,
-    /// Statically lint every generated statement before creating any
+    /// Statically analyze every generated statement before creating any
     /// table (default on). Catches the §3.3 parser-limit overflow — and
     /// any generator bug — before the first byte of DDL executes.
     pub preflight: bool,
-    /// When the pre-flight lint finds the horizontal strategy over a
+    /// When the pre-flight analysis finds the horizontal strategy over a
     /// capacity limit (statement length or term count), silently switch
     /// to the hybrid strategy instead of failing (default on; the
     /// decision is logged and recorded). Ignored when `preflight` is
@@ -100,7 +100,7 @@ pub struct SqlemConfig {
     /// way.
     pub cleanup_on_error: bool,
     /// Expected number of input points, used only by the pre-flight
-    /// lint: when the executor reports a memory budget, the symbolic
+    /// analysis: when the executor reports a memory budget, the symbolic
     /// peak footprint of the generated script is evaluated at this `n`
     /// and an over-budget script is flagged as a capacity finding
     /// (triggering the same auto-fallback ladder as a parser-limit
@@ -170,7 +170,7 @@ impl SqlemConfig {
         self
     }
 
-    /// Builder: skip the pre-flight lint and submit generated SQL
+    /// Builder: skip the pre-flight analysis and submit generated SQL
     /// directly, reproducing the paper's workflow where parser limits
     /// surface at statement submission (§3.3).
     pub fn without_preflight(mut self) -> Self {
@@ -179,7 +179,7 @@ impl SqlemConfig {
     }
 
     /// Builder: fail instead of switching strategy when the pre-flight
-    /// lint finds a capacity overflow.
+    /// analysis finds a capacity overflow.
     pub fn without_auto_fallback(mut self) -> Self {
         self.auto_fallback = false;
         self
@@ -212,7 +212,7 @@ impl SqlemConfig {
         self
     }
 
-    /// Builder: tell the pre-flight lint how many points will be
+    /// Builder: tell the pre-flight analysis how many points will be
     /// loaded, enabling the static memory-budget check.
     pub fn with_expected_n(mut self, n: usize) -> Self {
         assert!(n >= 1, "expected_n must be at least 1");

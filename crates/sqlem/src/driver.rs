@@ -17,10 +17,10 @@ use crate::checkpoint::{self, Checkpoint};
 use crate::config::{SqlemConfig, Strategy};
 use crate::error::SqlemError;
 use crate::generator::{build_generator, Generator, Stmt};
-use crate::lint::{lint_strategy, FallbackDecision, LintFinding};
 use crate::loader;
 use crate::naming::Names;
-use crate::retry::RetryPolicy;
+use crate::plan::{analyze_strategy, FallbackDecision, PlanError};
+use crate::retry::Retrying;
 use crate::telemetry::IterationReport;
 
 /// One degenerate-model repair performed by [`EmSession::run`] under
@@ -82,7 +82,9 @@ impl SqlemRun {
 /// (`sqlwire::RemoteConnection`), reproducing the paper's two-tier
 /// deployment where the driver talks to the DBMS over a network.
 pub struct EmSession<'a, E: SqlExecutor = Database> {
-    db: &'a mut E,
+    /// The one statement runner: every executor call below goes through
+    /// it and is retried per [`SqlemConfig::retry`].
+    db: Retrying<'a, E>,
     config: SqlemConfig,
     generator: Box<dyn Generator>,
     names: Names,
@@ -99,14 +101,12 @@ pub struct EmSession<'a, E: SqlExecutor = Database> {
     /// (§3.3) surface where the paper's workflow would hit them — at
     /// statement submission.
     prepared: Option<Vec<(String, PreparedId)>>,
-    /// Set when the pre-flight lint switched strategy before any DDL ran.
+    /// Set when the pre-flight switched strategy before any DDL ran.
     fallback: Option<FallbackDecision>,
     /// Per-iteration cost-model reports, populated when telemetry is on.
     iteration_reports: Vec<IterationReport>,
     /// Iterations executed so far (indexes the reports).
     iterations_done: usize,
-    /// Transient-fault retries performed so far.
-    retries: usize,
     /// Bulk-load chunk halvings performed so far under memory pressure.
     load_shrinks: usize,
     /// Degenerate-cluster repairs performed so far.
@@ -122,7 +122,7 @@ impl<'a, E: SqlExecutor> EmSession<'a, E> {
     /// creates (or recreates) every table.
     ///
     /// When [`SqlemConfig::preflight`] is on (the default), every
-    /// statement the strategy will generate is first statically linted
+    /// statement the strategy will generate is first statically analyzed
     /// against a symbolic catalog — nothing executes until the whole
     /// script checks out. If the horizontal strategy over-runs a
     /// capacity limit (statement bytes or term count, §3.3) and
@@ -134,48 +134,32 @@ impl<'a, E: SqlExecutor> EmSession<'a, E> {
         assert!(p >= 1, "p must be at least 1");
         let mut config = config.clone();
         let mut fallback = None;
+        let mut db = Retrying::new(db, config.retry.clone());
         // Pre-flight only *reads* the executor (catalog snapshot,
         // capacity limits) — over the wire that read can flake, and
         // re-issuing a pure read is always safe.
-        let mut retries = 0usize;
-        let policy = config.retry.clone();
         if config.preflight {
-            let report = with_retry(policy.as_ref(), &mut retries, |attempt| {
-                if attempt > 0 {
-                    db.note_statement_retry();
-                }
-                lint_strategy(&mut *db, &config, p)
-            })?;
+            let report = analyze_strategy(&mut db, &config, p)?;
             if !report.ok() {
+                let errors = report.errors();
+                let mut alt = config.clone();
+                alt.strategy = Strategy::Hybrid;
                 let recoverable = config.auto_fallback
                     && config.strategy == Strategy::Horizontal
-                    && report.findings.iter().all(LintFinding::is_capacity);
-                let mut switched = false;
-                if recoverable {
-                    let mut alt = config.clone();
-                    alt.strategy = Strategy::Hybrid;
-                    let alt_report = with_retry(policy.as_ref(), &mut retries, |attempt| {
-                        if attempt > 0 {
-                            db.note_statement_retry();
-                        }
-                        lint_strategy(&mut *db, &alt, p)
-                    })?;
-                    if alt_report.ok() {
-                        let decision = FallbackDecision {
-                            from: config.strategy,
-                            to: alt.strategy,
-                            reason: report.findings[0].to_string(),
-                        };
-                        eprintln!("sqlem preflight: {decision}");
-                        config = alt;
-                        fallback = Some(decision);
-                        switched = true;
-                    }
-                }
-                if !switched {
+                    && errors.iter().all(PlanError::is_capacity);
+                if recoverable && analyze_strategy(&mut db, &alt, p)?.ok() {
+                    let decision = FallbackDecision {
+                        from: config.strategy,
+                        to: alt.strategy,
+                        reason: errors[0].to_string(),
+                    };
+                    eprintln!("sqlem preflight: {decision}");
+                    config = alt;
+                    fallback = Some(decision);
+                } else {
                     return Err(SqlemError::Preflight {
                         strategy: report.strategy,
-                        findings: report.findings,
+                        errors,
                     });
                 }
             }
@@ -199,13 +183,12 @@ impl<'a, E: SqlExecutor> EmSession<'a, E> {
             fallback,
             iteration_reports: Vec::new(),
             iterations_done: 0,
-            retries,
             load_shrinks: 0,
             recoveries: Vec::new(),
             resumed_llh: Vec::new(),
         };
         let ddl = session.generator.create_tables();
-        if let Err(e) = session.execute_stmts(&ddl) {
+        if let Err(e) = execute_stmts(&mut session.db, &ddl) {
             // The caller never gets a session to clean up, so a failure
             // mid-DDL must not leak the tables already created.
             if session.config.cleanup_on_error {
@@ -243,7 +226,7 @@ impl<'a, E: SqlExecutor> EmSession<'a, E> {
         &self.config
     }
 
-    /// The pre-flight lint's strategy switch, if one happened.
+    /// The pre-flight's strategy switch, if one happened.
     pub fn fallback(&self) -> Option<&FallbackDecision> {
         self.fallback.as_ref()
     }
@@ -267,21 +250,18 @@ impl<'a, E: SqlExecutor> EmSession<'a, E> {
         // sequence-keyed replay makes the re-run of the *same*
         // statement safe (acked chunks are skipped, in-flight ones
         // acked from the server's reply cache).
-        let policy = self.config.retry.clone();
-        let n = loader::load_points(
-            &mut *self.db,
+        let (n, shrinks) = loader::load_points(
+            &mut self.db,
             &self.names,
             self.config.strategy,
             points,
             self.config.load_chunk_rows,
-            policy.as_ref(),
-            &mut self.retries,
-            &mut self.load_shrinks,
         )?;
+        self.load_shrinks += shrinks;
         self.n = Some(n);
         self.points = Some(points.to_vec());
         let seed = self.generator.post_load(n);
-        self.execute_stmts(&seed)?;
+        execute_stmts(&mut self.db, &seed)?;
         Ok(())
     }
 
@@ -301,20 +281,17 @@ impl<'a, E: SqlExecutor> EmSession<'a, E> {
                 value_cols.len()
             )));
         }
-        let policy = self.config.retry.clone();
         let n = loader::pivot_from_table(
-            &mut *self.db,
+            &mut self.db,
             &self.names,
             self.config.strategy,
             source,
             rid_col,
             value_cols,
-            policy.as_ref(),
-            &mut self.retries,
         )?;
         self.n = Some(n);
         let seed = self.generator.post_load(n);
-        self.execute_stmts(&seed)?;
+        execute_stmts(&mut self.db, &seed)?;
         Ok(())
     }
 
@@ -349,7 +326,7 @@ impl<'a, E: SqlExecutor> EmSession<'a, E> {
             ));
         }
         let stmts = self.generator.write_params(params);
-        self.execute_stmts(&stmts)?;
+        execute_stmts(&mut self.db, &stmts)?;
         self.initialized = true;
         Ok(())
     }
@@ -362,17 +339,7 @@ impl<'a, E: SqlExecutor> EmSession<'a, E> {
     /// rather than letting the poison propagate into summaries or
     /// convergence tests.
     pub fn params(&mut self) -> Result<GmmParams, SqlemError> {
-        // A pure read: retrying after a wire flake re-reads the same
-        // committed state.
-        let policy = self.config.retry.clone();
-        let generator = &self.generator;
-        let db = &mut *self.db;
-        let params = with_retry(policy.as_ref(), &mut self.retries, |attempt| {
-            if attempt > 0 {
-                db.note_statement_retry();
-            }
-            generator.read_params(&mut *db)
-        })?;
+        let params = self.params_unchecked()?;
         validate_finite(&params)?;
         Ok(params)
     }
@@ -380,7 +347,7 @@ impl<'a, E: SqlExecutor> EmSession<'a, E> {
     /// Read the current parameters without the finiteness check — the
     /// degenerate-recovery path needs to look at a poisoned model.
     fn params_unchecked(&mut self) -> Result<GmmParams, SqlemError> {
-        self.generator.read_params(&mut *self.db)
+        self.generator.read_params(&mut self.db)
     }
 
     /// Run one E+M iteration; returns the loglikelihood measured in the
@@ -409,23 +376,11 @@ impl<'a, E: SqlExecutor> EmSession<'a, E> {
                 .chain(&self.m_step)
                 .map(|s| s.sql.clone())
                 .collect();
-            // Preparation is pure registration (no table effects), so a
-            // wire flake mid-script is safe to retry wholesale: the
-            // re-run registers fresh ids and any half-registered batch
-            // is simply never referenced.
-            let policy = self.config.retry.clone();
-            let db = &mut *self.db;
-            let ids = with_retry(policy.as_ref(), &mut self.retries, |attempt| {
-                if attempt > 0 {
-                    db.note_statement_retry();
-                }
-                db.prepare_script(&sqls).map_err(|e| {
-                    let purpose = purposes
-                        .get(e.index)
-                        .cloned()
-                        .unwrap_or_else(|| "prepare E/M script".to_string());
-                    SqlemError::from_sql(&purpose, e.error)
-                })
+            let ids = self.db.prepare_script(&sqls).map_err(|e| {
+                let purpose = purposes
+                    .get(e.index)
+                    .map_or("prepare E/M script", String::as_str);
+                SqlemError::from_sql(purpose, e.error)
             })?;
             self.prepared = Some(purposes.into_iter().zip(ids).collect());
         }
@@ -437,38 +392,18 @@ impl<'a, E: SqlExecutor> EmSession<'a, E> {
         } else {
             0
         };
-        let retries_before = self.retries;
-        let policy = self.config.retry.clone();
-        let prepared = std::mem::take(&mut self.prepared).unwrap_or_default();
-        let mut result = Ok(());
-        for (purpose, id) in &prepared {
-            let db = &mut *self.db;
-            let r = with_retry(policy.as_ref(), &mut self.retries, |attempt| {
-                if attempt > 0 {
-                    db.note_statement_retry();
-                }
-                db.run_prepared(*id)
-                    .map(|_| ())
-                    .map_err(|e| promote_degenerate(purpose, e))
-            });
-            if let Err(e) = r {
-                result = Err(e);
-                break;
-            }
+        let retries_before = self.db.retries();
+        for (purpose, id) in self.prepared.iter().flatten() {
+            self.db
+                .run_prepared(*id)
+                .map_err(|e| promote_degenerate(purpose, e))?;
         }
-        self.prepared = Some(prepared);
-        result?;
-        let llh_sql = self.generator.llh_sql();
-        let db = &mut *self.db;
-        let r = with_retry(policy.as_ref(), &mut self.retries, |attempt| {
-            if attempt > 0 {
-                db.note_statement_retry();
-            }
-            db.execute(&llh_sql)
-                .map_err(|e| SqlemError::from_sql("read llh", e))
-        })?;
+        let r = self
+            .db
+            .execute(&self.generator.llh_sql())
+            .map_err(|e| SqlemError::from_sql("read llh", e))?;
         if telemetry {
-            self.record_iteration_report(metrics_start, self.retries - retries_before)?;
+            self.record_iteration_report(metrics_start, self.db.retries() - retries_before)?;
         }
         self.iterations_done += 1;
         Ok(r.scalar_f64().unwrap_or(0.0))
@@ -587,7 +522,7 @@ impl<'a, E: SqlExecutor> EmSession<'a, E> {
             if self.config.checkpoint {
                 let params = self.params()?;
                 checkpoint::write_checkpoint(
-                    &mut *self.db,
+                    &mut self.db,
                     &self.names,
                     &Checkpoint {
                         iteration: llh_history.len(),
@@ -622,7 +557,7 @@ impl<'a, E: SqlExecutor> EmSession<'a, E> {
             outcome,
             iteration_times,
             iteration_reports: self.iteration_reports.clone(),
-            retries: self.retries,
+            retries: self.db.retries(),
             load_shrinks: self.load_shrinks,
             recoveries: self.recoveries.clone(),
         })
@@ -640,7 +575,7 @@ impl<'a, E: SqlExecutor> EmSession<'a, E> {
     /// not the data. Re-running a half-finished iteration is safe
     /// because every E step drops and recreates its work tables.
     pub fn resume_from_checkpoint(&mut self) -> Result<Option<usize>, SqlemError> {
-        let Some(ckpt) = checkpoint::read_checkpoint(&mut *self.db, &self.names)? else {
+        let Some(ckpt) = checkpoint::read_checkpoint(&mut self.db, &self.names)? else {
             return Ok(None);
         };
         if ckpt.params.k() != self.config.k || ckpt.params.p() != self.p {
@@ -661,13 +596,13 @@ impl<'a, E: SqlExecutor> EmSession<'a, E> {
     /// Drop this session's checkpoint tables (a completed run's
     /// checkpoint is otherwise deliberately left behind).
     pub fn clear_checkpoint(&mut self) -> Result<(), SqlemError> {
-        checkpoint::clear_checkpoint(&mut *self.db, &self.names)
+        checkpoint::clear_checkpoint(&mut self.db, &self.names)
     }
 
     /// Statement retries performed so far (0 without a
     /// [`SqlemConfig::retry`] policy).
     pub fn retries(&self) -> usize {
-        self.retries
+        self.db.retries()
     }
 
     /// Bulk-load chunk halvings performed so far under memory pressure
@@ -685,7 +620,7 @@ impl<'a, E: SqlExecutor> EmSession<'a, E> {
     /// via the X/XMAX tables) and return them in RID order, 0-based.
     pub fn scores(&mut self) -> Result<Vec<usize>, SqlemError> {
         let stmts = self.generator.score_step();
-        self.execute_stmts(&stmts)?;
+        execute_stmts(&mut self.db, &stmts)?;
         let sql = format!(
             "SELECT rid, score FROM {ys} ORDER BY rid",
             ys = self.names.ys()
@@ -719,7 +654,7 @@ impl<'a, E: SqlExecutor> EmSession<'a, E> {
     /// The underlying executor (e.g. to inspect a remote connection's
     /// state or issue ad-hoc statements between iterations).
     pub fn executor(&mut self) -> &mut E {
-        self.db
+        self.db.inner_mut()
     }
 
     /// Turn on per-iteration cost-model telemetry: the engine starts
@@ -746,22 +681,6 @@ impl<'a, E: SqlExecutor> EmSession<'a, E> {
     pub fn iteration_reports(&self) -> &[IterationReport] {
         &self.iteration_reports
     }
-
-    fn execute_stmts(&mut self, stmts: &[Stmt]) -> Result<(), SqlemError> {
-        let policy = self.config.retry.clone();
-        for stmt in stmts {
-            let db = &mut *self.db;
-            with_retry(policy.as_ref(), &mut self.retries, |attempt| {
-                if attempt > 0 {
-                    db.note_statement_retry();
-                }
-                db.execute(&stmt.sql)
-                    .map(|_| ())
-                    .map_err(|e| promote_degenerate(&stmt.purpose, e))
-            })?;
-        }
-        Ok(())
-    }
 }
 
 impl<'a> EmSession<'a, Database> {
@@ -769,48 +688,19 @@ impl<'a> EmSession<'a, Database> {
     /// inspection). Only available when the session runs in-process; a
     /// remote session has no local `Database` to look at.
     pub fn database(&self) -> &Database {
-        self.db
+        self.db.inner()
     }
 }
 
-/// Run `f`, re-running it per `policy` as long as it fails transiently.
-///
-/// Sound only because the engine's statement semantics are atomic: a
-/// transiently-failed statement left no effects, so the re-run executes
-/// against exactly the state the first attempt saw (docs/ROBUSTNESS.md).
-/// Non-transient errors — every organic engine or domain error — return
-/// immediately.
-///
-/// `f` receives the 0-based attempt index. Callers executing against a
-/// [`sqlengine::Database`] must call `note_statement_retry()` when the
-/// index is non-zero, so an armed fault injector treats the re-run as
-/// the *same* statement (shared sequence number and firing budgets)
-/// rather than a fresh one.
-pub(crate) fn with_retry<T>(
-    policy: Option<&RetryPolicy>,
-    retries: &mut usize,
-    mut f: impl FnMut(usize) -> Result<T, SqlemError>,
-) -> Result<T, SqlemError> {
-    let mut attempt = 0usize;
-    loop {
-        match f(attempt) {
-            Ok(v) => return Ok(v),
-            Err(e) => {
-                let Some(policy) = policy else {
-                    return Err(e);
-                };
-                if !e.is_transient() || !policy.allows_retry(attempt) {
-                    return Err(e);
-                }
-                let delay = policy.delay_for(attempt);
-                if !delay.is_zero() {
-                    std::thread::sleep(delay);
-                }
-                attempt += 1;
-                *retries += 1;
-            }
-        }
+/// Submit `stmts` in order, tagging a failure with its statement's
+/// purpose. Retry, if any, is the executor's business (see
+/// [`Retrying`]).
+pub(crate) fn execute_stmts(db: &mut dyn SqlExecutor, stmts: &[Stmt]) -> Result<(), SqlemError> {
+    for stmt in stmts {
+        db.execute(&stmt.sql)
+            .map_err(|e| promote_degenerate(&stmt.purpose, e))?;
     }
+    Ok(())
 }
 
 /// Validate that every parameter cell read back from the C/R/W tables is
@@ -978,10 +868,8 @@ mod tests {
         // set in 4 KiB; the session must be refused before any DDL.
         let config = SqlemConfig::new(3, Strategy::Hybrid).with_expected_n(1_000_000);
         match EmSession::create(&mut db, &config, 4) {
-            Err(SqlemError::Preflight { findings, .. }) => {
-                assert!(findings
-                    .iter()
-                    .any(|f| matches!(f.kind, crate::lint::LintKind::OverBudget { .. })));
+            Err(SqlemError::Preflight { errors, .. }) => {
+                assert!(errors.iter().any(|e| matches!(e, PlanError::OverBudget(_))));
             }
             Err(other) => panic!("expected a preflight rejection, got {other}"),
             Ok(_) => panic!("over-budget script must not create a session"),

@@ -3,7 +3,7 @@
 use sqlengine::Error as SqlError;
 
 use crate::config::Strategy;
-use crate::lint::LintFinding;
+use crate::plan::PlanError;
 
 /// Anything that can go wrong while driving a SQLEM run.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,14 +26,14 @@ pub enum SqlemError {
         /// The engine's limit.
         max: usize,
     },
-    /// The pre-flight lint rejected the strategy's generated script
+    /// The pre-flight analysis rejected the strategy's generated script
     /// before anything executed (and auto-fallback was off, not
     /// applicable, or itself failed).
     Preflight {
-        /// The strategy whose script failed the lint.
+        /// The strategy whose script failed the analysis.
         strategy: Strategy,
-        /// Every statement that failed, with classification.
-        findings: Vec<LintFinding>,
+        /// Every error of its [`crate::PlanReport`].
+        errors: Vec<PlanError>,
     },
     /// Parameter read-back found missing or malformed rows.
     BadParamTable(String),
@@ -66,15 +66,15 @@ impl std::fmt::Display for SqlemError {
                 "generated statement {purpose:?} is {len} bytes, over the DBMS parser \
                  limit of {max} (the §3.3 horizontal-strategy failure mode)"
             ),
-            SqlemError::Preflight { strategy, findings } => {
+            SqlemError::Preflight { strategy, errors } => {
                 write!(
                     f,
-                    "pre-flight lint rejected the {strategy} strategy's script \
+                    "pre-flight analysis rejected the {strategy} strategy's script \
                      ({} finding(s))",
-                    findings.len()
+                    errors.len()
                 )?;
-                for finding in findings {
-                    write!(f, "; {finding}")?;
+                for error in errors {
+                    write!(f, "; {error}")?;
                 }
                 Ok(())
             }

@@ -18,8 +18,9 @@ use sqlengine::SqlExecutor;
 use crate::config::Strategy;
 use crate::error::SqlemError;
 use crate::generator::{
-    det_r_update, double_cols, horizontal_score, read_f64_grid, recreate, two_pi_p_div2,
-    values_insert, values_insert_chunked, w_update, yp_insert, yx_insert, Generator, Stmt,
+    create_table, det_r_update, double_cols, horizontal_score, read_f64_grid, recreate,
+    two_pi_p_div2, values_insert, values_insert_chunked, w_update, yp_insert, yx_insert, Generator,
+    Stmt,
 };
 use crate::naming::Names;
 use crate::sqlfmt::lit;
@@ -158,16 +159,7 @@ impl Generator for HybridGenerator {
         let n = &self.names;
         let (p, k) = (self.p, self.k);
         let mut stmts = Vec::new();
-        let mut add = |table: String, body: String| {
-            stmts.push(Stmt::new(
-                format!("DDL: drop {table}"),
-                format!("DROP TABLE IF EXISTS {table}"),
-            ));
-            stmts.push(Stmt::new(
-                format!("DDL: create {table}"),
-                format!("CREATE TABLE {table} ({body})"),
-            ));
-        };
+        let mut add = |table: String, body: String| stmts.extend(create_table(&table, &body));
         add(
             n.z(),
             format!("rid BIGINT PRIMARY KEY, {}", double_cols("y", p)),

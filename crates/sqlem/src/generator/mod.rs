@@ -138,18 +138,29 @@ pub(crate) fn det_r_update(names: &Names, p: usize) -> Stmt {
     )
 }
 
-/// Drop-and-recreate DDL for an n-row work table (§3.6: "for a big table
-/// it is faster to drop and create than deleting all the records").
-pub(crate) fn recreate(table: &str, ddl_body: &str) -> [Stmt; 2] {
+/// Setup DDL for one table, idempotent: `DROP TABLE IF EXISTS` +
+/// `CREATE TABLE`.
+pub(crate) fn create_table(table: &str, ddl_body: &str) -> [Stmt; 2] {
     [
         Stmt::new(
-            format!("refresh {table}: drop"),
+            format!("DDL: drop {table}"),
             format!("DROP TABLE IF EXISTS {table}"),
         ),
         Stmt::new(
-            format!("refresh {table}: create"),
+            format!("DDL: create {table}"),
             format!("CREATE TABLE {table} ({ddl_body})"),
         ),
+    ]
+}
+
+/// The same pair mid-iteration, for an n-row work table (§3.6: "for a
+/// big table it is faster to drop and create than deleting all the
+/// records").
+pub(crate) fn recreate(table: &str, ddl_body: &str) -> [Stmt; 2] {
+    let [drop, create] = create_table(table, ddl_body);
+    [
+        Stmt::new(format!("refresh {table}: drop"), drop.sql),
+        Stmt::new(format!("refresh {table}: create"), create.sql),
     ]
 }
 

@@ -19,7 +19,7 @@ use sqlengine::SqlExecutor;
 use crate::config::Strategy;
 use crate::error::SqlemError;
 use crate::generator::{
-    read_f64_grid, recreate, two_pi_p_div2, values_insert_chunked, Generator, Stmt,
+    create_table, read_f64_grid, recreate, two_pi_p_div2, values_insert_chunked, Generator, Stmt,
 };
 use crate::naming::Names;
 use crate::sqlfmt::lit;
@@ -48,16 +48,7 @@ impl Generator for VerticalGenerator {
     fn create_tables(&self) -> Vec<Stmt> {
         let n = &self.names;
         let mut stmts = Vec::new();
-        let mut add = |table: String, body: &str| {
-            stmts.push(Stmt::new(
-                format!("DDL: drop {table}"),
-                format!("DROP TABLE IF EXISTS {table}"),
-            ));
-            stmts.push(Stmt::new(
-                format!("DDL: create {table}"),
-                format!("CREATE TABLE {table} ({body})"),
-            ));
-        };
+        let mut add = |table: String, body: &str| stmts.extend(create_table(&table, body));
         add(
             n.y(),
             "rid BIGINT, v BIGINT, val DOUBLE, PRIMARY KEY (rid, v)",

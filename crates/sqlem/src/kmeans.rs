@@ -19,11 +19,17 @@
 
 use std::time::{Duration, Instant};
 
-use sqlengine::{Database, Value};
+use sqlengine::{Database, SqlExecutor, Value};
 
+use crate::config::Strategy;
+use crate::driver::execute_stmts;
 use crate::error::SqlemError;
-use crate::generator::{double_cols, recreate, values_insert_chunked, Stmt};
+use crate::generator::{
+    create_table, double_cols, read_f64_grid, recreate, values_insert_chunked, Stmt,
+};
+use crate::loader;
 use crate::naming::Names;
+use crate::retry::Retrying;
 
 /// Configuration for a SQL K-means run.
 #[derive(Debug, Clone)]
@@ -66,9 +72,11 @@ pub struct KmeansRun {
     pub iteration_times: Vec<Duration>,
 }
 
-/// A SQL K-means session.
-pub struct KmeansSession<'a> {
-    db: &'a mut Database,
+/// A SQL K-means session against any [`SqlExecutor`] (in-process by
+/// default), through the same statement runner and loader as
+/// [`crate::EmSession`].
+pub struct KmeansSession<'a, E: SqlExecutor = Database> {
+    db: Retrying<'a, E>,
     config: KmeansConfig,
     names: Names,
     p: usize,
@@ -76,17 +84,13 @@ pub struct KmeansSession<'a> {
     initialized: bool,
 }
 
-impl<'a> KmeansSession<'a> {
+impl<'a, E: SqlExecutor> KmeansSession<'a, E> {
     /// Create the session and its tables.
-    pub fn create(
-        db: &'a mut Database,
-        config: &KmeansConfig,
-        p: usize,
-    ) -> Result<Self, SqlemError> {
+    pub fn create(db: &'a mut E, config: &KmeansConfig, p: usize) -> Result<Self, SqlemError> {
         assert!(p >= 1);
         let names = Names::new(&config.table_prefix);
         let mut session = KmeansSession {
-            db,
+            db: Retrying::new(db, None),
             config: config.clone(),
             names,
             p,
@@ -94,7 +98,7 @@ impl<'a> KmeansSession<'a> {
             initialized: false,
         };
         let ddl = session.create_tables();
-        session.execute(&ddl)?;
+        execute_stmts(&mut session.db, &ddl)?;
         Ok(session)
     }
 
@@ -102,16 +106,7 @@ impl<'a> KmeansSession<'a> {
         let n = &self.names;
         let (p, k) = (self.p, self.config.k);
         let mut stmts = Vec::new();
-        let mut add = |table: String, body: String| {
-            stmts.push(Stmt::new(
-                format!("DDL: drop {table}"),
-                format!("DROP TABLE IF EXISTS {table}"),
-            ));
-            stmts.push(Stmt::new(
-                format!("DDL: create {table}"),
-                format!("CREATE TABLE {table} ({body})"),
-            ));
-        };
+        let mut add = |table: String, body: String| stmts.extend(create_table(&table, &body));
         add(
             n.z(),
             format!("rid BIGINT PRIMARY KEY, {}", double_cols("y", p)),
@@ -151,23 +146,15 @@ impl<'a> KmeansSession<'a> {
                 self.p
             )));
         }
-        let n = crate::loader::load_points(
-            self.db,
-            &self.names,
-            crate::config::Strategy::Hybrid,
-            points,
-            None,
-            None,
-            &mut 0,
-            &mut 0,
-        )?;
+        let (n, _) =
+            loader::load_points(&mut self.db, &self.names, Strategy::Hybrid, points, None)?;
         self.n = Some(n);
         // CR skeleton.
         let rows: Vec<(Vec<i64>, Vec<f64>)> = (1..=self.p as i64)
             .map(|v| (vec![v], vec![0.0; self.config.k]))
             .collect();
         let seed = values_insert_chunked("seed CR skeleton", &self.names.cr(), &rows, 4096);
-        self.execute(&seed)?;
+        execute_stmts(&mut self.db, &seed)?;
         Ok(())
     }
 
@@ -193,7 +180,7 @@ impl<'a> KmeansSession<'a> {
             &rows,
             4096,
         ));
-        self.execute(&stmts)?;
+        execute_stmts(&mut self.db, &stmts)?;
         self.initialized = true;
         Ok(())
     }
@@ -312,7 +299,7 @@ impl<'a> KmeansSession<'a> {
             ));
         }
         let e = self.e_step();
-        self.execute(&e)?;
+        execute_stmts(&mut self.db, &e)?;
         let sse_sql = format!("SELECT sum(mind) FROM {yd}", yd = self.names.yd());
         let sse = self
             .db
@@ -321,7 +308,7 @@ impl<'a> KmeansSession<'a> {
             .scalar_f64()
             .unwrap_or(0.0);
         let m = self.m_step();
-        self.execute(&m)?;
+        execute_stmts(&mut self.db, &m)?;
         Ok(sse)
     }
 
@@ -361,7 +348,7 @@ impl<'a> KmeansSession<'a> {
             .collect::<Vec<_>>()
             .join(", ");
         let sql = format!("SELECT {cols} FROM {c} ORDER BY i", c = self.names.c());
-        crate::generator::read_f64_grid(self.db, &sql, "read centroids")
+        read_f64_grid(&mut self.db, &sql, "read centroids")
     }
 
     /// Per-point assignments in RID order, 0-based: `score = Σ j·x_j`.
@@ -384,7 +371,7 @@ impl<'a> KmeansSession<'a> {
                 ),
             ),
         ];
-        self.execute(&stmts)?;
+        execute_stmts(&mut self.db, &stmts)?;
         let sql = format!("SELECT score FROM {ys} ORDER BY rid", ys = self.names.ys());
         let r = self
             .db
@@ -399,15 +386,6 @@ impl<'a> KmeansSession<'a> {
                 ))),
             })
             .collect()
-    }
-
-    fn execute(&mut self, stmts: &[Stmt]) -> Result<(), SqlemError> {
-        for stmt in stmts {
-            self.db
-                .execute(&stmt.sql)
-                .map_err(|e| SqlemError::from_sql(&stmt.purpose, e))?;
-        }
-        Ok(())
     }
 }
 

@@ -63,7 +63,6 @@ pub mod driver;
 pub mod error;
 pub mod generator;
 pub mod kmeans;
-pub mod lint;
 pub mod loader;
 pub mod naming;
 pub mod percluster;
@@ -79,12 +78,11 @@ pub use driver::{EmSession, RecoveryEvent, SqlemRun};
 pub use error::SqlemError;
 pub use generator::{build_generator, Generator, Stmt};
 pub use kmeans::{KmeansConfig, KmeansSession};
-pub use lint::{lint_all, lint_strategy, FallbackDecision, LintFinding, LintKind, LintReport};
 pub use naming::Names;
 pub use percluster::{PerClusterConfig, PerClusterSession};
 pub use plan::{
-    analyze_all, analyze_strategy, classify_scan, expected_scans, CostCheck, IterationCost,
-    PlanReport, ScanClass,
+    analyze_all, analyze_strategy, classify_scan, expected_scans, CostCheck, FallbackDecision,
+    IterationCost, OverBudget, PlanError, PlanReport, ScanClass,
 };
-pub use retry::{JitterMode, RetryPolicy};
+pub use retry::{RetryPolicy, Retrying};
 pub use telemetry::{scan_threshold, IterationReport, StepMetrics};

@@ -11,10 +11,8 @@
 use sqlengine::{SqlExecutor, Value};
 
 use crate::config::Strategy;
-use crate::driver::with_retry;
 use crate::error::SqlemError;
 use crate::naming::Names;
-use crate::retry::RetryPolicy;
 
 /// Which layouts a strategy consumes.
 pub fn layouts(strategy: Strategy) -> (bool, bool) {
@@ -25,96 +23,59 @@ pub fn layouts(strategy: Strategy) -> (bool, bool) {
     }
 }
 
-/// Re-run one load statement per `retry` as long as it fails
-/// transiently, bumping the engine's retry note so fault injectors see
-/// a re-run, not a fresh statement.
-///
-/// Retry granularity here is deliberately *per statement*: against a
-/// remote executor, re-issuing the same bulk load (same table, same
-/// rows) resumes from the acked chunks and replays the in-flight one
-/// under its original sequence number — exactly-once. Retrying at any
-/// coarser granularity would re-issue *earlier, already-acknowledged*
-/// statements under fresh sequence numbers, which the server would
-/// rightly execute again (duplicate-key violations at best, silent
-/// double-applies at worst).
-fn retry_stmt<T>(
-    db: &mut dyn SqlExecutor,
-    retry: Option<&RetryPolicy>,
-    retries: &mut usize,
-    mut f: impl FnMut(&mut dyn SqlExecutor) -> Result<T, SqlemError>,
-) -> Result<T, SqlemError> {
-    with_retry(retry, retries, |attempt| {
-        if attempt > 0 {
-            db.note_statement_retry();
-        }
-        f(db)
-    })
-}
-
 /// Load `rows` into `table` in bulk-insert chunks of at most `chunk`
 /// rows (the whole batch at once when `None`), the degradation rung
-/// between "load everything" and "fail the run". Each chunk statement
-/// is retried per `retry`; a chunk that still fails with
-/// [`resource exhaustion`](SqlemError::is_resource_exhausted) and has
-/// more than one row *shrinks* — the chunk size halves and the loop
-/// re-issues from the same offset, with `shrinks` counting the
-/// halvings. This is exactly-once safe: a failed bulk INSERT is
-/// atomic (the staging buffer is charged and dropped before the table
-/// is touched), already-committed chunks stay committed, and the
+/// between "load everything" and "fail the run". A chunk that fails
+/// with [`resource exhaustion`](SqlemError::is_resource_exhausted) (for
+/// a [`crate::retry::Retrying`] executor: still fails once its retries
+/// are spent) and has more than one row *shrinks* — the chunk size
+/// halves and the loop re-issues from the same offset. Returns the
+/// number of halvings. This is exactly-once safe: a failed bulk INSERT
+/// is atomic (the staging buffer is charged and dropped before the
+/// table is touched), already-committed chunks stay committed, and the
 /// smaller re-issue is a fresh statement over rows no prior statement
 /// committed.
-#[allow(clippy::too_many_arguments)]
 fn load_chunked(
     db: &mut dyn SqlExecutor,
     table: &str,
     purpose: &str,
     rows: &[Vec<Value>],
     chunk: Option<usize>,
-    retry: Option<&RetryPolicy>,
-    retries: &mut usize,
-    shrinks: &mut usize,
-) -> Result<(), SqlemError> {
+) -> Result<usize, SqlemError> {
     let total = rows.len();
     let mut size = chunk.unwrap_or(total).max(1);
     let mut at = 0usize;
+    let mut shrinks = 0usize;
     while at < total {
         let end = (at + size).min(total);
-        let slice = &rows[at..end];
-        let res = retry_stmt(&mut *db, retry, retries, |db| {
-            db.bulk_insert_rows(table, slice.to_vec())
-                .map_err(|e| SqlemError::from_sql(purpose, e))
-        });
+        let res = db
+            .bulk_insert_rows(table, rows[at..end].to_vec())
+            .map_err(|e| SqlemError::from_sql(purpose, e));
         match res {
             Ok(_) => at = end,
             Err(e) if e.is_resource_exhausted() && size > 1 => {
                 size = (size / 2).max(1);
-                *shrinks += 1;
+                shrinks += 1;
             }
             Err(e) => return Err(e),
         }
     }
-    Ok(())
+    Ok(shrinks)
 }
 
-/// Bulk-load `points` into the layout tables for `strategy`. Returns `n`.
+/// Bulk-load `points` into the layout tables for `strategy`. Returns
+/// `(n, shrinks)`.
 ///
-/// Transient failures of each individual load statement are re-run per
-/// `retry` (see `retry_stmt` for why the granularity matters), with
-/// `retries` counting the re-runs. `chunk` caps each bulk-insert
-/// statement at that many rows; under a memory budget the chunk also
-/// shrinks on resource exhaustion (see `load_chunked`), with `shrinks`
-/// counting the halvings.
-#[allow(clippy::too_many_arguments)]
+/// `chunk` caps each bulk-insert statement at that many rows; under a
+/// memory budget the chunk also shrinks on resource exhaustion (see
+/// `load_chunked`), with `shrinks` counting the halvings.
 pub fn load_points(
     db: &mut dyn SqlExecutor,
     names: &Names,
     strategy: Strategy,
     points: &[Vec<f64>],
     chunk: Option<usize>,
-    retry: Option<&RetryPolicy>,
-    retries: &mut usize,
-    shrinks: &mut usize,
-) -> Result<usize, SqlemError> {
+) -> Result<(usize, usize), SqlemError> {
     let n = points.len();
     if n == 0 {
         return Err(SqlemError::BadInput("no points to load".into()));
@@ -124,6 +85,7 @@ pub fn load_points(
         return Err(SqlemError::BadInput("ragged point vectors".into()));
     }
     let (wide, long) = layouts(strategy);
+    let mut shrinks = 0usize;
     if wide {
         let rows: Vec<Vec<Value>> = points
             .iter()
@@ -135,16 +97,7 @@ pub fn load_points(
                 row
             })
             .collect();
-        load_chunked(
-            &mut *db,
-            &names.z(),
-            "load Z",
-            &rows,
-            chunk,
-            retry,
-            retries,
-            shrinks,
-        )?;
+        shrinks += load_chunked(&mut *db, &names.z(), "load Z", &rows, chunk)?;
     }
     if long {
         let mut rows = Vec::with_capacity(n * p);
@@ -157,18 +110,9 @@ pub fn load_points(
                 ]);
             }
         }
-        load_chunked(
-            &mut *db,
-            &names.y(),
-            "load Y",
-            &rows,
-            chunk,
-            retry,
-            retries,
-            shrinks,
-        )?;
+        shrinks += load_chunked(&mut *db, &names.y(), "load Y", &rows, chunk)?;
     }
-    Ok(n)
+    Ok((n, shrinks))
 }
 
 /// Fill the layout tables from an existing table (the data-warehouse
@@ -176,7 +120,6 @@ pub fn load_points(
 /// integer key; `value_cols` are the `p` variables in order. The vertical
 /// pivot issues one `INSERT … SELECT` per dimension — the standard SQL-92
 /// unpivot.
-#[allow(clippy::too_many_arguments)]
 pub fn pivot_from_table(
     db: &mut dyn SqlExecutor,
     names: &Names,
@@ -184,8 +127,6 @@ pub fn pivot_from_table(
     source: &str,
     rid_col: &str,
     value_cols: &[&str],
-    retry: Option<&RetryPolicy>,
-    retries: &mut usize,
 ) -> Result<usize, SqlemError> {
     if value_cols.is_empty() {
         return Err(SqlemError::BadInput("no value columns".into()));
@@ -197,10 +138,8 @@ pub fn pivot_from_table(
             "INSERT INTO {z} SELECT {rid_col}, {cols} FROM {source}",
             z = names.z(),
         );
-        retry_stmt(&mut *db, retry, retries, |db| {
-            db.execute(&sql)
-                .map_err(|e| SqlemError::from_sql("pivot into Z", e))
-        })?;
+        db.execute(&sql)
+            .map_err(|e| SqlemError::from_sql("pivot into Z", e))?;
     }
     if long {
         for (d, col) in value_cols.iter().enumerate() {
@@ -209,16 +148,12 @@ pub fn pivot_from_table(
                 y = names.y(),
                 v = d + 1,
             );
-            retry_stmt(&mut *db, retry, retries, |db| {
-                db.execute(&sql)
-                    .map_err(|e| SqlemError::from_sql("pivot into Y", e))
-            })?;
+            db.execute(&sql)
+                .map_err(|e| SqlemError::from_sql("pivot into Y", e))?;
         }
     }
-    retry_stmt(&mut *db, retry, retries, |db| {
-        db.table_rows(source)
-            .map_err(|e| SqlemError::from_sql("count source", e))
-    })
+    db.table_rows(source)
+        .map_err(|e| SqlemError::from_sql("count source", e))
 }
 
 #[cfg(test)]
@@ -242,17 +177,7 @@ mod tests {
     fn hybrid_loads_both_layouts() {
         let (mut db, names) = setup(Strategy::Hybrid);
         let pts = vec![vec![1.0, 2.0], vec![3.0, 4.0]];
-        let n = load_points(
-            &mut db,
-            &names,
-            Strategy::Hybrid,
-            &pts,
-            None,
-            None,
-            &mut 0,
-            &mut 0,
-        )
-        .unwrap();
+        let (n, _) = load_points(&mut db, &names, Strategy::Hybrid, &pts, None).unwrap();
         assert_eq!(n, 2);
         assert_eq!(db.table_len("z").unwrap(), 2);
         assert_eq!(db.table_len("y").unwrap(), 4);
@@ -266,17 +191,7 @@ mod tests {
     fn horizontal_loads_wide_only() {
         let (mut db, names) = setup(Strategy::Horizontal);
         let pts = vec![vec![1.0, 2.0]];
-        load_points(
-            &mut db,
-            &names,
-            Strategy::Horizontal,
-            &pts,
-            None,
-            None,
-            &mut 0,
-            &mut 0,
-        )
-        .unwrap();
+        load_points(&mut db, &names, Strategy::Horizontal, &pts, None).unwrap();
         assert_eq!(db.table_len("z").unwrap(), 1);
         assert!(!db.contains_table("y"));
     }
@@ -285,17 +200,7 @@ mod tests {
     fn vertical_loads_long_only() {
         let (mut db, names) = setup(Strategy::Vertical);
         let pts = vec![vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]];
-        load_points(
-            &mut db,
-            &names,
-            Strategy::Vertical,
-            &pts,
-            None,
-            None,
-            &mut 0,
-            &mut 0,
-        )
-        .unwrap();
+        load_points(&mut db, &names, Strategy::Vertical, &pts, None).unwrap();
         assert_eq!(db.table_len("y").unwrap(), 6);
         assert!(!db.contains_table("z"));
     }
@@ -304,30 +209,12 @@ mod tests {
     fn rejects_bad_input() {
         let (mut db, names) = setup(Strategy::Hybrid);
         assert!(matches!(
-            load_points(
-                &mut db,
-                &names,
-                Strategy::Hybrid,
-                &[],
-                None,
-                None,
-                &mut 0,
-                &mut 0
-            ),
+            load_points(&mut db, &names, Strategy::Hybrid, &[], None),
             Err(SqlemError::BadInput(_))
         ));
         let ragged = vec![vec![1.0, 2.0], vec![3.0]];
         assert!(matches!(
-            load_points(
-                &mut db,
-                &names,
-                Strategy::Hybrid,
-                &ragged,
-                None,
-                None,
-                &mut 0,
-                &mut 0
-            ),
+            load_points(&mut db, &names, Strategy::Hybrid, &ragged, None),
             Err(SqlemError::BadInput(_))
         ));
     }
@@ -336,18 +223,7 @@ mod tests {
     fn explicit_chunking_loads_everything_exactly_once() {
         let (mut db, names) = setup(Strategy::Hybrid);
         let pts: Vec<Vec<f64>> = (0..25).map(|i| vec![i as f64, -(i as f64)]).collect();
-        let mut shrinks = 0usize;
-        let n = load_points(
-            &mut db,
-            &names,
-            Strategy::Hybrid,
-            &pts,
-            Some(7),
-            None,
-            &mut 0,
-            &mut shrinks,
-        )
-        .unwrap();
+        let (n, shrinks) = load_points(&mut db, &names, Strategy::Hybrid, &pts, Some(7)).unwrap();
         assert_eq!(n, 25);
         assert_eq!(shrinks, 0, "no budget, no shrinking");
         assert_eq!(db.table_len("z").unwrap(), 25);
@@ -365,18 +241,7 @@ mod tests {
         // but 6-row chunks fit.
         db.set_memory_budget(Some(sqlengine::MemoryBudget::new(600)));
         let pts: Vec<Vec<f64>> = (0..100).map(|i| vec![i as f64, -(i as f64)]).collect();
-        let mut shrinks = 0usize;
-        let n = load_points(
-            &mut db,
-            &names,
-            Strategy::Hybrid,
-            &pts,
-            None,
-            None,
-            &mut 0,
-            &mut shrinks,
-        )
-        .unwrap();
+        let (n, shrinks) = load_points(&mut db, &names, Strategy::Hybrid, &pts, None).unwrap();
         assert_eq!(n, 100);
         assert!(shrinks > 0, "tight budget must force chunk halving");
         assert_eq!(db.table_len("z").unwrap(), 100);
@@ -391,18 +256,7 @@ mod tests {
         let (mut db, names) = setup(Strategy::Hybrid);
         db.set_memory_budget(Some(sqlengine::MemoryBudget::new(50)));
         let pts = vec![vec![1.0, 2.0], vec![3.0, 4.0]];
-        let mut shrinks = 0usize;
-        let err = load_points(
-            &mut db,
-            &names,
-            Strategy::Hybrid,
-            &pts,
-            None,
-            None,
-            &mut 0,
-            &mut shrinks,
-        )
-        .unwrap_err();
+        let err = load_points(&mut db, &names, Strategy::Hybrid, &pts, None).unwrap_err();
         assert!(err.is_resource_exhausted(), "{err}");
         assert!(err.is_transient(), "exhaustion is typed-transient");
     }
@@ -421,8 +275,6 @@ mod tests {
             "baskets",
             "bid",
             &["hour", "sales"],
-            None,
-            &mut 0,
         )
         .unwrap();
         assert_eq!(n, 2);

@@ -22,14 +22,18 @@ use std::time::{Duration, Instant};
 
 use emcore::emfull::FullParams;
 use emcore::EmOutcome;
-use sqlengine::Database;
+use sqlengine::{Database, SqlExecutor};
 
+use crate::config::Strategy;
+use crate::driver::execute_stmts;
 use crate::error::SqlemError;
 use crate::generator::{
-    double_cols, guarded_r, horizontal_score, read_f64_grid, recreate, two_pi_p_div2,
+    create_table, double_cols, guarded_r, horizontal_score, read_f64_grid, recreate, two_pi_p_div2,
     values_insert, values_insert_chunked, w_update, Stmt,
 };
+use crate::loader;
 use crate::naming::Names;
+use crate::retry::Retrying;
 use crate::sqlfmt::lit;
 
 /// Configuration for a per-cluster-covariance run.
@@ -73,9 +77,11 @@ pub struct PerClusterRun {
     pub iteration_times: Vec<Duration>,
 }
 
-/// A per-cluster-covariance SQLEM session.
-pub struct PerClusterSession<'a> {
-    db: &'a mut Database,
+/// A per-cluster-covariance SQLEM session against any [`SqlExecutor`]
+/// (in-process by default), through the same statement runner and loader
+/// as [`crate::EmSession`].
+pub struct PerClusterSession<'a, E: SqlExecutor = Database> {
+    db: Retrying<'a, E>,
     config: PerClusterConfig,
     names: Names,
     p: usize,
@@ -83,17 +89,13 @@ pub struct PerClusterSession<'a> {
     initialized: bool,
 }
 
-impl<'a> PerClusterSession<'a> {
+impl<'a, E: SqlExecutor> PerClusterSession<'a, E> {
     /// Create the session and its tables.
-    pub fn create(
-        db: &'a mut Database,
-        config: &PerClusterConfig,
-        p: usize,
-    ) -> Result<Self, SqlemError> {
+    pub fn create(db: &'a mut E, config: &PerClusterConfig, p: usize) -> Result<Self, SqlemError> {
         assert!(p >= 1);
         let names = Names::new(&config.table_prefix);
         let mut session = PerClusterSession {
-            db,
+            db: Retrying::new(db, None),
             config: config.clone(),
             names,
             p,
@@ -101,7 +103,7 @@ impl<'a> PerClusterSession<'a> {
             initialized: false,
         };
         let ddl = session.create_tables();
-        session.execute(&ddl)?;
+        execute_stmts(&mut session.db, &ddl)?;
         Ok(session)
     }
 
@@ -117,16 +119,7 @@ impl<'a> PerClusterSession<'a> {
         let n = &self.names;
         let (p, k) = (self.p, self.config.k);
         let mut stmts = Vec::new();
-        let mut add = |table: String, body: String| {
-            stmts.push(Stmt::new(
-                format!("DDL: drop {table}"),
-                format!("DROP TABLE IF EXISTS {table}"),
-            ));
-            stmts.push(Stmt::new(
-                format!("DDL: create {table}"),
-                format!("CREATE TABLE {table} ({body})"),
-            ));
-        };
+        let mut add = |table: String, body: String| stmts.extend(create_table(&table, &body));
         add(
             n.z(),
             format!("rid BIGINT PRIMARY KEY, {}", double_cols("y", p)),
@@ -173,16 +166,8 @@ impl<'a> PerClusterSession<'a> {
                 self.p
             )));
         }
-        let n = crate::loader::load_points(
-            self.db,
-            &self.names,
-            crate::config::Strategy::Hybrid,
-            points,
-            None,
-            None,
-            &mut 0,
-            &mut 0,
-        )?;
+        let (n, _) =
+            loader::load_points(&mut self.db, &self.names, Strategy::Hybrid, points, None)?;
         self.n = Some(n);
         let mut stmts = vec![Stmt::new(
             "seed GMM",
@@ -206,7 +191,7 @@ impl<'a> PerClusterSession<'a> {
             &self.names.dett(),
             &[(vec![], vec![0.0; 2 * self.config.k])],
         ));
-        self.execute(&stmts)?;
+        execute_stmts(&mut self.db, &stmts)?;
         Ok(())
     }
 
@@ -249,7 +234,7 @@ impl<'a> PerClusterSession<'a> {
         ));
         stmts.push(Stmt::new("init: clear W", format!("DELETE FROM {}", n.w())));
         stmts.push(values_insert("init: write W", &n.w(), &[(vec![], w_row)]));
-        self.execute(&stmts)?;
+        execute_stmts(&mut self.db, &stmts)?;
         self.initialized = true;
         Ok(())
     }
@@ -440,9 +425,9 @@ impl<'a> PerClusterSession<'a> {
             ));
         }
         let e = self.e_step();
-        self.execute(&e)?;
+        execute_stmts(&mut self.db, &e)?;
         let m = self.m_step();
-        self.execute(&m)?;
+        execute_stmts(&mut self.db, &m)?;
         let r = self
             .db
             .execute(&format!("SELECT llh FROM {w}", w = self.names.w()))
@@ -487,12 +472,12 @@ impl<'a> PerClusterSession<'a> {
             .collect::<Vec<_>>()
             .join(", ");
         let means = read_f64_grid(
-            self.db,
+            &mut self.db,
             &format!("SELECT {y_cols} FROM {c} ORDER BY i", c = n.c()),
             "read C",
         )?;
         let covs = read_f64_grid(
-            self.db,
+            &mut self.db,
             &format!("SELECT {y_cols} FROM {r} ORDER BY i", r = n.r()),
             "read R",
         )?;
@@ -501,7 +486,7 @@ impl<'a> PerClusterSession<'a> {
             .collect::<Vec<_>>()
             .join(", ");
         let weights = read_f64_grid(
-            self.db,
+            &mut self.db,
             &format!("SELECT {w_cols} FROM {w}", w = n.w()),
             "read W",
         )?
@@ -526,7 +511,7 @@ impl<'a> PerClusterSession<'a> {
     /// Per-point winning cluster, 0-based, via the X/XMAX tables.
     pub fn scores(&mut self) -> Result<Vec<usize>, SqlemError> {
         let stmts = horizontal_score(&self.names, self.config.k);
-        self.execute(&stmts)?;
+        execute_stmts(&mut self.db, &stmts)?;
         let sql = format!("SELECT score FROM {ys} ORDER BY rid", ys = self.names.ys());
         let r = self
             .db
@@ -542,15 +527,6 @@ impl<'a> PerClusterSession<'a> {
                     .ok_or_else(|| SqlemError::BadParamTable("bad score".into()))
             })
             .collect()
-    }
-
-    fn execute(&mut self, stmts: &[Stmt]) -> Result<(), SqlemError> {
-        for stmt in stmts {
-            self.db
-                .execute(&stmt.sql)
-                .map_err(|e| SqlemError::from_sql(&stmt.purpose, e))?;
-        }
-        Ok(())
     }
 }
 

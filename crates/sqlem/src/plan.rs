@@ -23,15 +23,25 @@
 //!   horizontal failure mode), division-by-zero reachability through
 //!   the §2.5 guard idioms, non-finite literals.
 //!
-//! The legacy [`lint_strategy`](crate::lint_strategy) surface is a
-//! thin projection of this analysis.
+//! When the executor enforces a memory budget and the configuration
+//! says how many points are coming ([`SqlemConfig::expected_n`]), the
+//! report also records whether the script's derived peak footprint
+//! provably exceeds it.
 //!
+//! The driver runs the analysis automatically when
+//! [`SqlemConfig::preflight`] is on and, when the horizontal strategy
+//! over-runs a capacity limit, falls back to the hybrid strategy
+//! (configurable via [`SqlemConfig::auto_fallback`]), recording a
+//! [`FallbackDecision`].
+//!
+//! [`SqlemConfig::expected_n`]: crate::SqlemConfig::expected_n
+//! [`SqlemConfig::auto_fallback`]: crate::SqlemConfig::auto_fallback
 //! [`SqlemConfig::preflight`]: crate::SqlemConfig::preflight
 
 use emcore::GmmParams;
 use sqlengine::{
-    check_script, Card, CheckEnv, DerivedScan, ScriptReport, ScriptSpec, ScriptStmt, SqlExecutor,
-    TableLoad,
+    check_script, AnalyzeErrorKind, Card, CheckEnv, DerivedScan, Diagnostic, DiagnosticKind,
+    ScriptReport, ScriptSpec, ScriptStmt, SqlExecutor, TableLoad,
 };
 
 use crate::config::{SqlemConfig, Strategy};
@@ -168,6 +178,109 @@ impl std::fmt::Display for CostCheck {
     }
 }
 
+/// The statically derived peak working-memory footprint at the
+/// configured [`SqlemConfig::expected_n`] exceeds the executor's memory
+/// budget — the script would provably be load-shed at run time.
+///
+/// [`SqlemConfig::expected_n`]: crate::SqlemConfig::expected_n
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OverBudget {
+    /// Derived peak footprint in bytes.
+    pub bytes: u64,
+    /// The executor's budget in bytes.
+    pub budget: u64,
+    /// The point count the footprint was evaluated at.
+    pub n: usize,
+}
+
+/// One reason a [`PlanReport`] is not [`ok`](PlanReport::ok).
+#[derive(Debug, Clone, PartialEq)]
+pub enum PlanError {
+    /// An error-severity diagnostic of the script analysis.
+    Script(Diagnostic),
+    /// The derived per-iteration cost contradicts the closed form
+    /// ([`CostCheck::Mismatch`]).
+    CostMismatch {
+        /// `(n-scans, pn-scans)` the closed form predicts.
+        expected: (usize, usize),
+        /// `(n-scans, pn-scans)` the interpreter derived.
+        derived: (usize, usize),
+    },
+    /// See [`OverBudget`].
+    OverBudget(OverBudget),
+}
+
+impl PlanError {
+    /// True for a capacity overflow — statement bytes (the §3.3
+    /// horizontal failure mode), a complexity ceiling (term count,
+    /// depth, column width) or the memory budget — the class a leaner
+    /// strategy can fix. Everything else (lifecycle violations,
+    /// mutation-classification drift, provable division by zero,
+    /// cost-model contradictions) is a generator bug, not a sizing
+    /// problem.
+    pub fn is_capacity(&self) -> bool {
+        match self {
+            PlanError::Script(d) => match &d.kind {
+                DiagnosticKind::TooLong { .. } => true,
+                DiagnosticKind::Semantic(e) => {
+                    matches!(e.kind, AnalyzeErrorKind::TooComplex { .. })
+                }
+                _ => false,
+            },
+            PlanError::CostMismatch { .. } => false,
+            PlanError::OverBudget(_) => true,
+        }
+    }
+}
+
+impl std::fmt::Display for PlanError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PlanError::Script(d) => {
+                write!(f, "{:?}: {}", d.purpose, d.kind)?;
+                if let Some(pos) = d.pos {
+                    write!(f, " (byte {pos})")?;
+                }
+                Ok(())
+            }
+            PlanError::CostMismatch { expected, derived } => write!(
+                f,
+                "\"per-iteration cost\": derived {} n-scan(s) + {} pn-scan(s) per iteration, \
+                 closed form expects {} + {} — generator or cost-model bug",
+                derived.0, derived.1, expected.0, expected.1
+            ),
+            PlanError::OverBudget(o) => write!(
+                f,
+                "\"peak memory footprint\": derived peak working memory {} byte(s) at \
+                 n = {} exceeds the {}-byte budget",
+                o.bytes, o.n, o.budget
+            ),
+        }
+    }
+}
+
+/// Why and how the driver changed strategy before running (§3.6: the
+/// hybrid exists precisely because horizontal over-runs parser limits).
+#[derive(Debug, Clone, PartialEq)]
+pub struct FallbackDecision {
+    /// The strategy the configuration asked for.
+    pub from: Strategy,
+    /// The strategy actually used.
+    pub to: Strategy,
+    /// The capacity finding that forced the switch.
+    pub reason: String,
+}
+
+impl std::fmt::Display for FallbackDecision {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "falling back from {} to {}: {}",
+            self.from, self.to, self.reason
+        )
+    }
+}
+
 /// Everything the static analysis proved about one strategy's script.
 #[derive(Debug, Clone)]
 pub struct PlanReport {
@@ -189,13 +302,62 @@ pub struct PlanReport {
     pub cost: Option<IterationCost>,
     /// Closed-form comparison outcome.
     pub cost_check: CostCheck,
+    /// Set when the executor's memory budget is provably exceeded at
+    /// the configured `expected_n`; `None` also when either is unknown.
+    pub over_budget: Option<OverBudget>,
 }
 
 impl PlanReport {
-    /// True when the script carries no error-severity diagnostic and
-    /// the cost model was not contradicted.
+    /// True when the script carries no error-severity diagnostic, the
+    /// cost model was not contradicted and the memory budget (if
+    /// checked) holds.
     pub fn ok(&self) -> bool {
-        self.script.ok() && !matches!(self.cost_check, CostCheck::Mismatch { .. })
+        self.script.ok()
+            && !matches!(self.cost_check, CostCheck::Mismatch { .. })
+            && self.over_budget.is_none()
+    }
+
+    /// Everything that makes the report not [`ok`](Self::ok), in script
+    /// order, then the cost check, then the budget.
+    pub fn errors(&self) -> Vec<PlanError> {
+        let mut errors: Vec<PlanError> = self
+            .script
+            .errors()
+            .cloned()
+            .map(PlanError::Script)
+            .collect();
+        if let CostCheck::Mismatch { expected, derived } = self.cost_check {
+            errors.push(PlanError::CostMismatch { expected, derived });
+        }
+        errors.extend(self.over_budget.map(PlanError::OverBudget));
+        errors
+    }
+
+    /// One-line verdict for logs and the CLI `lint` subcommand.
+    pub fn summary(&self) -> String {
+        let longest = self.script.statements.iter().max_by_key(|s| s.bytes);
+        let errors = self.errors().len();
+        let verdict = if errors == 0 {
+            "ok".to_string()
+        } else {
+            format!("{errors} finding(s)")
+        };
+        format!(
+            "{}: {} statement(s), longest {} byte(s) ({:?}, cap {}), \
+             max {} term(s) — {}",
+            self.strategy,
+            self.script.statements.len(),
+            longest.map_or(0, |s| s.bytes),
+            longest.map_or("", |s| s.purpose.as_str()),
+            self.max_statement_len,
+            self.script
+                .statements
+                .iter()
+                .map(|s| s.terms)
+                .max()
+                .unwrap_or(0),
+            verdict
+        )
     }
 
     /// Symbolic peak working-memory footprint of the script, in bytes
@@ -361,19 +523,25 @@ pub fn check_env(db: &mut dyn SqlExecutor) -> Result<CheckEnv, SqlemError> {
 /// generate for `p`-dimensional data, without executing anything.
 ///
 /// The executor is only *queried* (catalog snapshot, capacity
-/// limits); the `Err` case is a transport failure fetching them.
+/// limits, memory budget); the `Err` case is a transport failure
+/// fetching them.
 pub fn analyze_strategy(
     db: &mut dyn SqlExecutor,
     config: &SqlemConfig,
     p: usize,
 ) -> Result<PlanReport, SqlemError> {
     let env = check_env(db)?;
-    Ok(analyze_in_env(&env, config, p))
+    Ok(analyze_in_env(&env, db.memory_budget_bytes(), config, p))
 }
 
-/// [`analyze_strategy`] against an explicit environment (no executor
-/// needed — useful for tests and offline analysis).
-pub fn analyze_in_env(env: &CheckEnv, config: &SqlemConfig, p: usize) -> PlanReport {
+/// [`analyze_strategy`] against an explicit environment and memory
+/// budget (no executor needed — useful for tests and offline analysis).
+pub fn analyze_in_env(
+    env: &CheckEnv,
+    budget: Option<u64>,
+    config: &SqlemConfig,
+    p: usize,
+) -> PlanReport {
     let spec = script_spec(config, p);
     let script = check_script(&spec, env);
     let k = config.k;
@@ -424,7 +592,7 @@ pub fn analyze_in_env(env: &CheckEnv, config: &SqlemConfig, p: usize) -> PlanRep
         }
     };
 
-    PlanReport {
+    let mut report = PlanReport {
         strategy: config.strategy,
         fused,
         p,
@@ -433,23 +601,35 @@ pub fn analyze_in_env(env: &CheckEnv, config: &SqlemConfig, p: usize) -> PlanRep
         script,
         cost,
         cost_check,
+        over_budget: None,
+    };
+    // Static budget check — a capacity finding, so the same fallback
+    // ladder that handles the §3.3 parser overflow can try a leaner
+    // strategy first.
+    if let (Some(budget), Some(n)) = (budget, config.expected_n) {
+        let bytes = report.footprint_bytes(n, config.load_chunk_rows);
+        if bytes > budget {
+            report.over_budget = Some(OverBudget { bytes, budget, n });
+        }
     }
+    report
 }
 
-/// Analyze all three strategies for one `(p, k)` — the CLI `analyze`
-/// subcommand's workhorse.
+/// Analyze all three strategies for one `(p, k)` — the workhorse of the
+/// CLI `lint` and `analyze` subcommands and a convenient sweep primitive.
 pub fn analyze_all(
     db: &mut dyn SqlExecutor,
     config: &SqlemConfig,
     p: usize,
 ) -> Result<Vec<PlanReport>, SqlemError> {
     let env = check_env(db)?;
+    let budget = db.memory_budget_bytes();
     Ok(Strategy::ALL
         .iter()
         .map(|&strategy| {
             let mut cfg = config.clone();
             cfg.strategy = strategy;
-            analyze_in_env(&env, &cfg, p)
+            analyze_in_env(&env, budget, &cfg, p)
         })
         .collect())
 }
@@ -557,6 +737,98 @@ mod tests {
             "{:?}",
             report.cost_check
         );
+    }
+
+    #[test]
+    fn small_problems_are_clean_in_every_strategy() {
+        let mut db = Database::new();
+        let config = SqlemConfig::new(3, Strategy::Hybrid);
+        for report in analyze_all(&mut db, &config, 4).unwrap() {
+            assert!(
+                report.ok() && report.errors().is_empty(),
+                "{} should be clean for p=4 k=3: {:?}",
+                report.strategy,
+                report.errors()
+            );
+            assert!(report.script.statements.len() > 5);
+            let s = report.summary();
+            assert!(s.starts_with(&format!("{}:", report.strategy)), "{s}");
+            assert!(s.ends_with("ok"), "{s}");
+        }
+    }
+
+    #[test]
+    fn horizontal_overflow_detected_statically() {
+        let mut db = Database::new();
+        db.set_max_statement_len(16 * 1024);
+        let (p, k) = (40, 25); // kp = 1000, the paper's ceiling
+        let config = SqlemConfig::new(k, Strategy::Horizontal);
+        let report = analyze_strategy(&mut db, &config, p).unwrap();
+        assert!(!report.ok());
+        let errors = report.errors();
+        assert!(errors.iter().all(PlanError::is_capacity), "{errors:?}");
+        assert!(errors.iter().any(|e| matches!(
+            e,
+            PlanError::Script(d) if matches!(d.kind, DiagnosticKind::TooLong { .. })
+        )));
+        assert!(report.summary().ends_with("finding(s)"));
+        // Hybrid fits the same problem under the same cap.
+        let hybrid = SqlemConfig::new(k, Strategy::Hybrid);
+        assert!(analyze_strategy(&mut db, &hybrid, p).unwrap().ok());
+    }
+
+    #[test]
+    fn term_limit_overflow_classified_as_capacity() {
+        let mut db = Database::new();
+        db.config_mut().limits.max_terms = 64;
+        let config = SqlemConfig::new(20, Strategy::Horizontal);
+        let report = analyze_strategy(&mut db, &config, 20).unwrap();
+        assert!(!report.ok());
+        let errors = report.errors();
+        assert!(errors.iter().any(|e| matches!(
+            e,
+            PlanError::Script(Diagnostic { kind: DiagnosticKind::Semantic(a), .. })
+                if matches!(a.kind, AnalyzeErrorKind::TooComplex { .. })
+        )));
+        assert!(errors.iter().all(PlanError::is_capacity), "{errors:?}");
+    }
+
+    #[test]
+    fn over_budget_script_flagged_as_capacity() {
+        let mut db = Database::new();
+        db.set_memory_budget(Some(sqlengine::MemoryBudget::new(64 * 1024)));
+        // A million points blow a 64 KiB budget in any strategy.
+        let config = SqlemConfig::new(3, Strategy::Hybrid).with_expected_n(1_000_000);
+        let report = analyze_strategy(&mut db, &config, 4).unwrap();
+        assert!(!report.ok());
+        let over = report.over_budget.expect("budget provably exceeded");
+        assert_eq!((over.budget, over.n), (64 * 1024, 1_000_000));
+        // Capacity-class, so the driver's auto-fallback machinery
+        // treats it like a §3.3 parser overflow.
+        assert_eq!(report.errors(), vec![PlanError::OverBudget(over)]);
+        assert!(report.errors()[0].is_capacity());
+
+        // Without expected_n the static check is off...
+        let blind = SqlemConfig::new(3, Strategy::Hybrid);
+        assert!(analyze_strategy(&mut db, &blind, 4).unwrap().ok());
+        // ...and with a roomy budget the same script is clean.
+        db.set_memory_budget(Some(sqlengine::MemoryBudget::new(u64::MAX)));
+        assert!(analyze_strategy(&mut db, &config, 4).unwrap().ok());
+    }
+
+    #[test]
+    fn cost_mismatch_is_not_a_capacity_error() {
+        // A cost-model contradiction must be a non-capacity error so
+        // auto-fallback does NOT treat it as a sizing problem.
+        let mut report = analyze(Strategy::Hybrid, false, 4, 3);
+        report.cost_check = CostCheck::Mismatch {
+            expected: (9, 1),
+            derived: (8, 1),
+        };
+        assert!(!report.ok());
+        let errors = report.errors();
+        assert_eq!(errors.len(), 1);
+        assert!(!errors[0].is_capacity());
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Statement-level retry with exponential backoff.
+//! The one statement runner: [`Retrying`] wraps any [`SqlExecutor`] and
+//! re-submits transiently-failed calls per a [`RetryPolicy`].
 //!
 //! The paper's deployment model (§1.4) is a thin client driving a remote
 //! DBMS: individual statements can fail transiently (deadlock victim,
@@ -12,33 +13,18 @@
 //! wait between attempts: exponential backoff (`base · 2^attempt`,
 //! capped) with deterministic seed-derived jitter so two clients with
 //! different seeds don't stampede in lockstep — and so tests replay
-//! exactly. Two jitter shapes are available ([`JitterMode`]):
-//! multiplicative (default) and AWS-style decorrelated, which spreads
-//! a synchronized fleet faster after a correlated failure.
+//! exactly.
 //!
-//! Only errors classified transient by [`crate::SqlemError::is_transient`]
+//! Only errors classified transient by [`sqlengine::Error::is_transient`]
 //! are retried; organic engine errors (parse, analysis, arithmetic,
 //! duplicate key, …) are deterministic and would only reproduce.
 
 use std::time::Duration;
 
-/// How jitter perturbs the exponential schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum JitterMode {
-    /// `base · 2^attempt · uniform[1, 2)`, capped. The classic scheme:
-    /// spread is proportional to the deterministic backbone, so early
-    /// retries stay tightly grouped.
-    #[default]
-    Multiplicative,
-    /// AWS-style *decorrelated* jitter: `d₀ = base`, then
-    /// `dᵢ₊₁ = min(cap, uniform(base, 3·dᵢ))`. Consecutive delays are
-    /// correlated with each other but not with the attempt number, so
-    /// a fleet of clients that failed together de-synchronises much
-    /// faster than with multiplicative jitter. Still a pure function of
-    /// `(seed, attempt)` — the chain is re-derived deterministically —
-    /// so schedules replay exactly in tests.
-    Decorrelated,
-}
+use sqlengine::{
+    Error, ExecMetrics, Limits, PartialAggResult, PrepareError, PreparedId, QueryResult, Result,
+    SqlExecutor, SymbolicCatalog, Value,
+};
 
 /// Retry budget and backoff schedule for one SQLEM session.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,8 +38,6 @@ pub struct RetryPolicy {
     pub max_delay: Duration,
     /// Seed for the jitter stream (deterministic across runs).
     pub seed: u64,
-    /// Shape of the jitter applied on top of the exponential backbone.
-    pub jitter: JitterMode,
 }
 
 impl Default for RetryPolicy {
@@ -72,7 +56,6 @@ impl RetryPolicy {
             base_delay: Duration::from_millis(1),
             max_delay: Duration::from_millis(100),
             seed: 0,
-            jitter: JitterMode::default(),
         }
     }
 
@@ -100,57 +83,203 @@ impl RetryPolicy {
         self
     }
 
-    /// Builder: switch to decorrelated jitter (see [`JitterMode`]).
-    pub fn with_decorrelated_jitter(mut self) -> Self {
-        self.jitter = JitterMode::Decorrelated;
-        self
-    }
-
     /// Backoff before retry number `attempt` (0-based: the delay after
-    /// the first failure is `delay_for(0)`). Exponential in `attempt`
-    /// perturbed per [`JitterMode`], capped at `max_delay`. A pure
-    /// function of `(self, attempt)` — no hidden state — so schedules
-    /// replay exactly.
+    /// the first failure is `delay_for(0)`): `base · 2^attempt ·
+    /// uniform[1, 2)`, capped at `max_delay`. A pure function of
+    /// `(self, attempt)` — no hidden state — so schedules replay
+    /// exactly.
     pub fn delay_for(&self, attempt: usize) -> Duration {
         if self.base_delay.is_zero() {
             return Duration::ZERO;
         }
-        match self.jitter {
-            JitterMode::Multiplicative => {
-                let exp = self
-                    .base_delay
-                    .saturating_mul(1u32 << attempt.min(16) as u32);
-                let capped = exp.min(self.max_delay);
-                // Jitter in [1.0, 2.0), drawn from (seed, attempt) — replayable.
-                let jitter = 1.0
-                    + unit_f64(splitmix64(
-                        self.seed ^ (attempt as u64).wrapping_mul(0xA076_1D64_78BD_642F),
-                    ));
-                capped.mul_f64(jitter).min(self.max_delay)
-            }
-            JitterMode::Decorrelated => {
-                // Re-derive the chain d₀ = base, dᵢ₊₁ = uniform(base, 3·dᵢ)
-                // from the seed; `delay_for` stays stateless. Chains are
-                // short (max_attempts is small), so the O(attempt) walk
-                // is irrelevant next to the sleeps it schedules.
-                let base = self.base_delay.as_secs_f64();
-                let cap = self.max_delay.as_secs_f64();
-                let mut d = base.min(cap);
-                for i in 0..attempt.min(64) {
-                    let u = unit_f64(splitmix64(
-                        self.seed ^ (i as u64 + 1).wrapping_mul(0xA076_1D64_78BD_642F),
-                    ));
-                    d = (base + u * (3.0 * d - base).max(0.0)).min(cap);
-                }
-                Duration::from_secs_f64(d)
-            }
-        }
+        let exp = self
+            .base_delay
+            .saturating_mul(1u32 << attempt.min(16) as u32);
+        let capped = exp.min(self.max_delay);
+        // Jitter in [1.0, 2.0), drawn from (seed, attempt) — replayable.
+        let jitter = 1.0
+            + unit_f64(splitmix64(
+                self.seed ^ (attempt as u64).wrapping_mul(0xA076_1D64_78BD_642F),
+            ));
+        capped.mul_f64(jitter).min(self.max_delay)
     }
 
     /// Whether a failure on 0-based attempt `attempt` leaves budget for
     /// another try.
     pub fn allows_retry(&self, attempt: usize) -> bool {
         attempt + 1 < self.max_attempts
+    }
+}
+
+/// An executor that re-submits each transiently-failed call to `inner`
+/// per `policy`, and is itself a [`SqlExecutor`] — so everything handed
+/// it (the driver, the loader, checkpointing, parameter read-back) is
+/// retried at *statement* granularity without knowing about retry.
+///
+/// Sound only because the engine's statement semantics are atomic: a
+/// transiently-failed statement left no effects, so the re-run executes
+/// against exactly the state the first attempt saw (docs/ROBUSTNESS.md).
+/// The granularity matters against a remote executor: re-issuing the
+/// *same* call replays under its original sequence number
+/// (exactly-once), whereas retrying anything coarser would re-issue
+/// earlier, already-acknowledged statements under fresh ones.
+///
+/// It makes no executor call of its own except
+/// [`SqlExecutor::note_statement_retry`] before a re-run, which tells
+/// an armed fault injector the next statement is the *same* one (shared
+/// sequence number and firing budgets). Infallible calls pass straight
+/// through, and with no policy so does everything else.
+pub struct Retrying<'a, E: SqlExecutor> {
+    inner: &'a mut E,
+    policy: Option<RetryPolicy>,
+    retries: usize,
+}
+
+impl<'a, E: SqlExecutor> Retrying<'a, E> {
+    /// Wrap `inner`; `None` never retries.
+    pub fn new(inner: &'a mut E, policy: Option<RetryPolicy>) -> Self {
+        Retrying {
+            inner,
+            policy,
+            retries: 0,
+        }
+    }
+
+    /// Re-submissions performed so far.
+    pub fn retries(&self) -> usize {
+        self.retries
+    }
+
+    /// The wrapped executor.
+    pub fn inner(&self) -> &E {
+        self.inner
+    }
+
+    /// The wrapped executor, mutably (calls made through it are not
+    /// retried).
+    pub fn inner_mut(&mut self) -> &mut E {
+        self.inner
+    }
+
+    /// The retry loop: `call` until it succeeds, fails non-`transient`ly
+    /// or the policy's attempts are spent.
+    fn run<T, Err>(
+        &mut self,
+        transient: impl Fn(&Err) -> bool,
+        mut call: impl FnMut(&mut E) -> std::result::Result<T, Err>,
+    ) -> std::result::Result<T, Err> {
+        let mut attempt = 0usize;
+        loop {
+            let err = match call(self.inner) {
+                Ok(v) => return Ok(v),
+                Err(e) => e,
+            };
+            let Some(policy) = &self.policy else {
+                return Err(err);
+            };
+            if !transient(&err) || !policy.allows_retry(attempt) {
+                return Err(err);
+            }
+            let delay = policy.delay_for(attempt);
+            if !delay.is_zero() {
+                std::thread::sleep(delay);
+            }
+            attempt += 1;
+            self.retries += 1;
+            self.inner.note_statement_retry();
+        }
+    }
+
+    fn run_sql<T>(&mut self, call: impl FnMut(&mut E) -> Result<T>) -> Result<T> {
+        self.run(Error::is_transient, call)
+    }
+}
+
+impl<E: SqlExecutor> SqlExecutor for Retrying<'_, E> {
+    fn execute(&mut self, sql: &str) -> Result<QueryResult> {
+        self.run_sql(|e| e.execute(sql))
+    }
+
+    fn execute_partial(&mut self, sql: &str) -> Result<PartialAggResult> {
+        self.run_sql(|e| e.execute_partial(sql))
+    }
+
+    fn prepare_script(
+        &mut self,
+        statements: &[String],
+    ) -> std::result::Result<Vec<PreparedId>, PrepareError> {
+        // Preparation is pure registration (no table effects), so a
+        // wire flake mid-script is safe to retry wholesale: the re-run
+        // registers fresh ids and any half-registered batch is simply
+        // never referenced.
+        self.run(
+            |e: &PrepareError| e.error.is_transient(),
+            |e| e.prepare_script(statements),
+        )
+    }
+
+    fn run_prepared(&mut self, id: PreparedId) -> Result<QueryResult> {
+        self.run_sql(|e| e.run_prepared(id))
+    }
+
+    fn clear_prepared(&mut self) -> Result<()> {
+        self.run_sql(|e| e.clear_prepared())
+    }
+
+    fn bulk_insert_rows(&mut self, table: &str, rows: Vec<Vec<Value>>) -> Result<usize> {
+        if self.policy.is_none() {
+            return self.inner.bulk_insert_rows(table, rows);
+        }
+        // The trait consumes the rows, so a re-run needs its own copy.
+        self.run_sql(|e| e.bulk_insert_rows(table, rows.clone()))
+    }
+
+    fn table_rows(&mut self, table: &str) -> Result<usize> {
+        self.run_sql(|e| e.table_rows(table))
+    }
+
+    fn has_table(&mut self, table: &str) -> Result<bool> {
+        self.run_sql(|e| e.has_table(table))
+    }
+
+    fn catalog_snapshot(&mut self) -> Result<SymbolicCatalog> {
+        self.run_sql(|e| e.catalog_snapshot())
+    }
+
+    fn max_statement_len(&self) -> usize {
+        self.inner.max_statement_len()
+    }
+
+    fn analyze_limits(&self) -> Limits {
+        self.inner.analyze_limits()
+    }
+
+    fn memory_budget_bytes(&self) -> Option<u64> {
+        self.inner.memory_budget_bytes()
+    }
+
+    fn note_statement_retry(&mut self) {
+        self.inner.note_statement_retry();
+    }
+
+    fn set_metrics_enabled(&mut self, on: bool) -> Result<()> {
+        self.run_sql(|e| e.set_metrics_enabled(on))
+    }
+
+    fn metrics_enabled(&self) -> bool {
+        self.inner.metrics_enabled()
+    }
+
+    fn metrics_len(&mut self) -> Result<usize> {
+        self.run_sql(|e| e.metrics_len())
+    }
+
+    fn metrics_since(&mut self, from: usize) -> Result<Vec<ExecMetrics>> {
+        self.run_sql(|e| e.metrics_since(from))
+    }
+
+    fn describe(&self) -> String {
+        self.inner.describe()
     }
 }
 
@@ -216,57 +345,5 @@ mod tests {
     #[should_panic(expected = "max_attempts")]
     fn zero_attempts_rejected() {
         RetryPolicy::new(0);
-    }
-
-    #[test]
-    fn decorrelated_schedule_is_deterministic_and_bounded() {
-        let p = RetryPolicy::new(8)
-            .with_base_delay(Duration::from_millis(2))
-            .with_max_delay(Duration::from_millis(50))
-            .with_seed(7)
-            .with_decorrelated_jitter();
-        assert_eq!(p.jitter, JitterMode::Decorrelated);
-        // First delay is the base; every delay sits in [base, cap];
-        // the whole schedule replays exactly (stateless delay_for).
-        assert_eq!(p.delay_for(0), Duration::from_millis(2));
-        for attempt in 0..12 {
-            let d = p.delay_for(attempt);
-            assert!(d >= Duration::from_millis(2), "attempt {attempt}: {d:?}");
-            assert!(d <= Duration::from_millis(50), "attempt {attempt}: {d:?}");
-            assert_eq!(d, p.delay_for(attempt), "replayable");
-        }
-        // A different seed walks a different chain.
-        let q = p.clone().with_seed(8);
-        assert!(
-            (1..12).any(|a| p.delay_for(a) != q.delay_for(a)),
-            "seed must steer the decorrelated chain"
-        );
-    }
-
-    #[test]
-    fn decorrelated_spreads_faster_than_multiplicative_early() {
-        // After one shared failure, two decorrelated clients can land
-        // anywhere in [base, 3·base) on the next retry, while the
-        // multiplicative pair is pinned to [2·base, 4·base). The point
-        // of the mode is the wider relative spread — check the chain
-        // actually leaves the backbone.
-        let p = RetryPolicy::new(8)
-            .with_base_delay(Duration::from_millis(10))
-            .with_max_delay(Duration::from_secs(10))
-            .with_seed(3)
-            .with_decorrelated_jitter();
-        let backbone: Vec<Duration> = (0..6)
-            .map(|a| Duration::from_millis(10) * (1u32 << a))
-            .collect();
-        let chain: Vec<Duration> = (0..6).map(|a| p.delay_for(a)).collect();
-        assert_ne!(chain, backbone, "decorrelated must not track 2^attempt");
-    }
-
-    #[test]
-    fn decorrelated_immediate_still_never_sleeps() {
-        let p = RetryPolicy::immediate(4).with_decorrelated_jitter();
-        for attempt in 0..8 {
-            assert_eq!(p.delay_for(attempt), Duration::ZERO);
-        }
     }
 }

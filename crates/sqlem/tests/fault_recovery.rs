@@ -217,6 +217,59 @@ fn checkpoint_resume_matches_uninterrupted_run() {
     assert_eq!(full.params, run_b.params, "identical final model");
 }
 
+/// A checkpointing, retrying configuration and its fault-free 6-iteration
+/// run. Checkpoint statements go through the session's retrying executor
+/// like every other statement, so a transient fault in one costs a retry
+/// and changes nothing else.
+fn checkpointing_baseline() -> (SqlemConfig, sqlem::SqlemRun) {
+    let config = SqlemConfig::new(2, Strategy::Hybrid)
+        .with_epsilon(0.0)
+        .with_prefix("cf_")
+        .with_checkpoints()
+        .with_retry(RetryPolicy::immediate(3));
+    let mut db = Database::new();
+    let clean = run_to_completion(&mut db, &config.clone().with_max_iterations(6));
+    assert_eq!(clean.retries, 0);
+    (config, clean)
+}
+
+#[test]
+fn transient_fault_in_checkpoint_write_is_retried() {
+    let (config, clean) = checkpointing_baseline();
+    let mut db = Database::new();
+    db.set_fault_plan(FaultPlan::single(
+        FaultRule::table("ckpt").transient().once(),
+    ));
+    let run = run_to_completion(&mut db, &config.with_max_iterations(6));
+    assert_eq!(db.fault_injector().unwrap().total_fired(), 1);
+    assert_eq!(run.retries, 1, "exactly one retry");
+    assert_eq!(clean.params, run.params, "bit-identical model");
+    assert_eq!(clean.llh_history, run.llh_history);
+}
+
+#[test]
+fn transient_fault_in_checkpoint_read_is_retried() {
+    let (config, clean) = checkpointing_baseline();
+    let mut db = Database::new();
+    run_to_completion(&mut db, &config.clone().with_max_iterations(3));
+    // The `SELECT … FROM ckptmeta` that `resume_from_checkpoint` starts
+    // with.
+    db.set_fault_plan(FaultPlan::single(
+        FaultRule::table("ckptmeta")
+            .kind_is(StatementKind::Select)
+            .transient()
+            .once(),
+    ));
+    let config = config.with_max_iterations(6);
+    let mut resumed = EmSession::create(&mut db, &config, 2).unwrap();
+    resumed.load_points(&blobs()).unwrap();
+    assert_eq!(resumed.resume_from_checkpoint().unwrap(), Some(3));
+    let run = resumed.run().unwrap();
+    assert_eq!(run.retries, 1, "exactly one retry");
+    assert_eq!(clean.params, run.params, "bit-identical model");
+    assert_eq!(clean.llh_history, run.llh_history);
+}
+
 #[test]
 fn resume_without_checkpoint_reports_none() {
     let mut db = Database::new();

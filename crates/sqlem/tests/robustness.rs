@@ -3,7 +3,7 @@
 use datagen::generate_dataset;
 use emcore::init::InitStrategy;
 use emcore::GmmParams;
-use sqlem::{lint_all, EmSession, LintFinding, SqlemConfig, SqlemError, Strategy};
+use sqlem::{analyze_all, EmSession, PlanError, SqlemConfig, SqlemError, Strategy};
 use sqlengine::Database;
 
 /// The §3.3 failure mode, reproduced with the preflight disabled: with a
@@ -46,7 +46,7 @@ fn horizontal_hits_parser_limit_where_hybrid_does_not() {
 }
 
 /// With the preflight on (the default), the same over-limit horizontal
-/// configuration never reaches the engine: the lint predicts the §3.3
+/// configuration never reaches the engine: the analysis predicts the §3.3
 /// overflow statically and the driver falls back to hybrid before any
 /// DDL executes, then completes the run with hybrid SQL.
 #[test]
@@ -93,10 +93,10 @@ fn preflight_without_fallback_rejects_statically() {
         Err(e) => e,
     };
     match err {
-        SqlemError::Preflight { strategy, findings } => {
+        SqlemError::Preflight { strategy, errors } => {
             assert_eq!(strategy, Strategy::Horizontal);
-            assert!(!findings.is_empty());
-            assert!(findings.iter().all(LintFinding::is_capacity));
+            assert!(!errors.is_empty());
+            assert!(errors.iter().all(PlanError::is_capacity));
         }
         other => panic!("expected Preflight, got {other:?}"),
     }
@@ -106,46 +106,41 @@ fn preflight_without_fallback_rejects_statically() {
     assert!(db.metrics().is_empty());
 }
 
-/// Lint sweep over a (p, k) grid spanning the horizontal-overflow region:
-/// vertical and hybrid stay clean everywhere, horizontal's verdict flips
-/// exactly where its longest statement crosses the parser cap, and every
-/// finding in the overflow region is a capacity finding (no semantic
-/// errors anywhere — the generators emit valid SQL at every size).
+/// Pre-flight sweep over a (p, k) grid spanning the horizontal-overflow
+/// region: vertical and hybrid stay clean everywhere, horizontal's
+/// verdict flips exactly where its longest statement crosses the parser
+/// cap, and every error in the overflow region is a capacity error (no
+/// semantic errors anywhere — the generators emit valid SQL at every
+/// size).
 #[test]
-fn lint_sweep_over_pk_grid() {
+fn preflight_sweep_over_pk_grid() {
     let mut db = Database::new();
     db.set_max_statement_len(16 * 1024);
     let mut horizontal_overflowed = false;
     for p in [2usize, 8, 40] {
         for k in [2usize, 10, 25] {
             let config = SqlemConfig::new(k, Strategy::Hybrid);
-            for report in lint_all(&mut db, &config, p).unwrap() {
+            for report in analyze_all(&mut db, &config, p).unwrap() {
+                let errors = report.errors();
                 match report.strategy {
                     Strategy::Horizontal => {
-                        let fits = report.longest <= 16 * 1024;
+                        let longest = report.script.statements.iter().map(|s| s.bytes).max();
+                        let fits = longest.unwrap() <= 16 * 1024;
                         assert_eq!(
                             report.ok(),
                             fits,
-                            "horizontal p={p} k={k}: longest {} vs verdict {:?}",
-                            report.longest,
-                            report.findings
+                            "horizontal p={p} k={k}: longest {longest:?} vs verdict {errors:?}",
                         );
                         if !report.ok() {
                             horizontal_overflowed = true;
                             assert!(
-                                report.findings.iter().all(LintFinding::is_capacity),
-                                "p={p} k={k}: {:?}",
-                                report.findings
+                                errors.iter().all(PlanError::is_capacity),
+                                "p={p} k={k}: {errors:?}",
                             );
                         }
                     }
                     Strategy::Vertical | Strategy::Hybrid => {
-                        assert!(
-                            report.ok(),
-                            "{} p={p} k={k}: {:?}",
-                            report.strategy,
-                            report.findings
-                        );
+                        assert!(report.ok(), "{} p={p} k={k}: {errors:?}", report.strategy,);
                     }
                 }
             }

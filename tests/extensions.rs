@@ -1,14 +1,22 @@
 //! End-to-end tests for the paper's noted extensions: categorical
-//! attributes via binary expansion (§3.7) and per-cluster covariances
-//! (§2.1).
+//! attributes via binary expansion (§3.7), per-cluster covariances
+//! (§2.1) and K-means (§2.2) — the last two also over a sharded
+//! executor, since their sessions run through `SqlExecutor` like
+//! `EmSession`.
 
 use datagen::categorical::{CategoricalEncoder, MixedRow};
 use emcore::emfull::FullParams;
 use emcore::init::InitStrategy;
 use emcore::GmmParams;
 use prng::{Rng, StdRng};
-use sqlem::{EmSession, PerClusterConfig, PerClusterSession, SqlemConfig, Strategy};
-use sqlengine::Database;
+use sqlem::kmeans::KmeansRun;
+use sqlem::percluster::PerClusterRun;
+use sqlem::{
+    EmSession, KmeansConfig, KmeansSession, PerClusterConfig, PerClusterSession, SqlemConfig,
+    Strategy,
+};
+use sqlengine::{Database, SqlExecutor};
+use sqlwire::Coordinator;
 
 /// §3.7 end to end: two behavioural segments that differ in a categorical
 /// attribute; after one-hot expansion, SQLEM's centroids read back as the
@@ -172,4 +180,72 @@ fn fused_hybrid_full_pipeline() {
     assert_eq!(classic.iterations, fused.iterations);
     assert!(emcore::compare::max_param_diff(&classic.params, &fused.params) < 1e-8);
     assert_eq!(classic_scores, fused_scores);
+}
+
+/// Two separated 2-D blobs of different spread; enough rows that both
+/// shards own data.
+fn two_blobs() -> Vec<Vec<f64>> {
+    let mut pts = Vec::new();
+    for i in 0..40 {
+        let t = (i % 8) as f64 * 0.15;
+        pts.push(vec![t, -t]);
+        pts.push(vec![9.0 + 3.0 * t, 9.0 - 2.0 * t]);
+    }
+    pts
+}
+
+fn two_shards() -> Coordinator<Database> {
+    Coordinator::new(vec![Database::new(), Database::new()]).unwrap()
+}
+
+/// `KmeansSession` is generic over the executor: over a 2-shard
+/// coordinator the centroids, SSE history and assignments are
+/// bit-identical to the embedded run.
+#[test]
+fn kmeans_over_two_shards_matches_embedded() {
+    fn run<E: SqlExecutor>(db: &mut E) -> (KmeansRun, Vec<usize>) {
+        let mut session = KmeansSession::create(db, &KmeansConfig::new(2), 2).unwrap();
+        session.load_points(&two_blobs()).unwrap();
+        session
+            .set_centroids(&[vec![2.0, 2.0], vec![7.0, 7.0]])
+            .unwrap();
+        let run = session.run().unwrap();
+        (run, session.assignments().unwrap())
+    }
+    let (embedded, embedded_assignments) = run(&mut Database::new());
+    let (sharded, sharded_assignments) = run(&mut two_shards());
+    assert!(embedded.iterations >= 2);
+    assert_eq!(sharded.centroids, embedded.centroids);
+    assert_eq!(sharded.sse_history, embedded.sse_history);
+    assert_eq!(sharded.converged, embedded.converged);
+    assert_eq!(sharded_assignments, embedded_assignments);
+}
+
+/// Likewise `PerClusterSession`: `FullParams`, llh history and scores
+/// bit-identical between one embedded database and two shards.
+#[test]
+fn per_cluster_over_two_shards_matches_embedded() {
+    fn run<E: SqlExecutor>(db: &mut E) -> (PerClusterRun, Vec<usize>) {
+        let mut config = PerClusterConfig::new(2);
+        config.epsilon = 1e-12;
+        config.max_iterations = 6;
+        let mut session = PerClusterSession::create(db, &config, 2).unwrap();
+        session.load_points(&two_blobs()).unwrap();
+        session
+            .set_params(&FullParams {
+                means: vec![vec![2.0, 2.0], vec![7.0, 7.0]],
+                covs: vec![vec![8.0, 8.0], vec![8.0, 8.0]],
+                weights: vec![0.5, 0.5],
+            })
+            .unwrap();
+        let run = session.run().unwrap();
+        (run, session.scores().unwrap())
+    }
+    let (embedded, embedded_scores) = run(&mut Database::new());
+    let (sharded, sharded_scores) = run(&mut two_shards());
+    assert!(embedded.iterations >= 2);
+    assert_eq!(sharded.params, embedded.params);
+    assert_eq!(sharded.llh_history, embedded.llh_history);
+    assert_eq!(sharded.outcome, embedded.outcome);
+    assert_eq!(sharded_scores, embedded_scores);
 }
