@@ -18,6 +18,11 @@ Stages, in order:
   unsafe-gate   every crate root (perfbench's included) carries
                 #![forbid(unsafe_code)] and no .rs file contains an
                 unsafe block
+  shape-gate    statement shape is decided in sqlengine::plan only: the
+                re-derivations the plan replaced (rid_join_connected,
+                is_rid_column, is_aggregate_select, …) must not reappear
+                under crates/*/src; prints the crates/*/src line total so
+                a PR's line delta is a CI output
   fmt           cargo fmt --all -- --check
   clippy        cargo clippy --workspace --all-targets -D warnings
   doc           cargo doc --workspace --no-deps, rustdoc warnings are
@@ -29,7 +34,10 @@ Stages, in order:
                 cost-model grid for all three strategies, and every
                 negative-corpus script must be rejected with a typed,
                 positioned diagnostic
-  tier-1        the main test suites (--quick skips the retail e2e suite)
+  tier-1        the main test suites, incl. the seeded statement-shape
+                parity of tests/plan_parity.rs, embedded vs coordinator
+                (--quick skips the retail e2e suite and runs one
+                520-case parity seed of the four)
   chaos         deterministic fault-plan sweep over every statement index
                 (--quick: SQLEM_CHAOS_STRIDE=7 samples every 7th index)
   crash         crash-recovery sweep: kill a child process at every WAL
@@ -116,6 +124,15 @@ if grep -rn --include='*.rs' 'unsafe ' src crates tests perfbench/src \
     exit 1
 fi
 
+echo "== shape-gate: one analysis of statement shape (sqlengine::plan)"
+if grep -rnE 'rid_join_connected|is_rid_column|is_aggregate_select|insert_preserves_partition|partitioned_from|substitute_aliases|fn item_count|fn conjuncts' \
+    crates/*/src; then
+    echo "ERROR: a second analysis of statement shape is back (above);" \
+         "read the plan (crates/sqlengine/src/plan.rs) instead" >&2
+    exit 1
+fi
+echo "   crates/*/src: $(find crates/*/src -name '*.rs' -exec cat {} + | wc -l) lines"
+
 echo "== fmt: cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -137,6 +154,7 @@ cargo test -q --test plancheck
 if [ "$QUICK" = 1 ]; then
     echo "== tier-1: tests (--quick: skipping the retail end-to-end suite)"
     cargo test -q --test baselines --test end_to_end --test extensions
+    cargo test -q --test plan_parity seed_1
 else
     echo "== tier-1: tests"
     cargo test -q

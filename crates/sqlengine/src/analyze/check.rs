@@ -16,8 +16,9 @@
 //!   (no aggregates in WHERE or GROUP BY, no nesting, group-key
 //!   subexpressions matched structurally).
 
-use crate::ast::{is_aggregate_name, Expr, OrderKey, Select, SelectItem};
+use crate::ast::{is_aggregate_name, Expr, Select};
 use crate::expr::ScalarFunc;
+use crate::plan::{expand_projection, resolve_sources, Source};
 use crate::value::{DataType, Value};
 
 use super::error::{AnalyzeError, AnalyzeErrorKind, Clause};
@@ -103,6 +104,19 @@ pub struct Scope {
     pub name: String,
     /// Column names (lowercase) with declared types.
     pub cols: Vec<(String, DataType)>,
+}
+
+impl Scope {
+    fn of(source: &Source) -> Scope {
+        Scope {
+            name: source.name.clone(),
+            cols: source
+                .columns
+                .iter()
+                .map(|c| (c.name.clone(), c.ty))
+                .collect(),
+        }
+    }
 }
 
 /// How aggregates are treated while checking an expression.
@@ -461,38 +475,27 @@ pub fn check_plain(
     ExprCtx::new(scopes).check(e, AggMode::Forbid(what), clause)
 }
 
+/// Carry an error of the shared planning steps ([`crate::plan`]) into
+/// the clause that was being analyzed.
+fn lift(e: crate::Error, clause: Clause) -> AnalyzeError {
+    use crate::Error;
+    let kind = match e {
+        Error::UnknownTable(t) => AnalyzeErrorKind::UnknownTable(t),
+        Error::DuplicateTable(t) => AnalyzeErrorKind::DuplicateTable(t),
+        Error::Unsupported(m) => AnalyzeErrorKind::Unsupported(m),
+        other => AnalyzeErrorKind::Unsupported(other.to_string()),
+    };
+    AnalyzeError::new(kind, clause)
+}
+
 /// Build FROM scopes from the schema provider, checking for duplicate
-/// visible names (mirrors `run_select`).
+/// visible names: the planner's own resolution, typed.
 pub fn build_scopes(
     provider: &dyn SchemaProvider,
     from: &[crate::ast::TableRef],
 ) -> Result<Vec<Scope>, AnalyzeError> {
-    let mut scopes: Vec<Scope> = Vec::with_capacity(from.len());
-    for tref in from {
-        let lname = tref.table.to_ascii_lowercase();
-        let schema = provider.table_schema(&lname).ok_or_else(|| {
-            AnalyzeError::new(AnalyzeErrorKind::UnknownTable(lname.clone()), Clause::From)
-        })?;
-        let visible = tref.visible_name().to_ascii_lowercase();
-        if scopes.iter().any(|s| s.name == visible) {
-            return Err(AnalyzeError::new(
-                AnalyzeErrorKind::DuplicateTable(format!(
-                    "{visible} appears twice in FROM; use aliases"
-                )),
-                Clause::From,
-            ));
-        }
-        let cols = schema
-            .columns()
-            .iter()
-            .map(|c| (c.name.clone(), c.ty))
-            .collect();
-        scopes.push(Scope {
-            name: visible,
-            cols,
-        });
-    }
-    Ok(scopes)
+    let sources = resolve_sources(provider, from).map_err(|e| lift(e, Clause::From))?;
+    Ok(sources.iter().map(Scope::of).collect())
 }
 
 /// Full semantic check of a SELECT; returns the output schema as
@@ -501,74 +504,24 @@ pub fn check_select(
     provider: &dyn SchemaProvider,
     select: &Select,
 ) -> Result<Vec<(String, Ty)>, AnalyzeError> {
-    let scopes = build_scopes(provider, &select.from)?;
+    let sources = resolve_sources(provider, &select.from).map_err(|e| lift(e, Clause::From))?;
+    let scopes: Vec<Scope> = sources.iter().map(Scope::of).collect();
 
-    // Expand wildcards exactly like the executor.
-    let mut item_exprs: Vec<Expr> = Vec::new();
-    let mut output_names: Vec<String> = Vec::new();
-    for item in &select.items {
-        match item {
-            SelectItem::Wildcard => {
-                if scopes.is_empty() {
-                    return Err(AnalyzeError::new(
-                        AnalyzeErrorKind::Unsupported("SELECT * requires a FROM clause".into()),
-                        Clause::Projection,
-                    ));
-                }
-                for scope in &scopes {
-                    for (c, _) in &scope.cols {
-                        item_exprs.push(Expr::qcol(&scope.name, c));
-                        output_names.push(c.clone());
-                    }
-                }
-            }
-            SelectItem::QualifiedWildcard(t) => {
-                let lt = t.to_ascii_lowercase();
-                let scope = scopes.iter().find(|s| s.name == lt).ok_or_else(|| {
-                    AnalyzeError::new(
-                        AnalyzeErrorKind::UnknownTable(lt.clone()),
-                        Clause::Projection,
-                    )
-                })?;
-                for (c, _) in &scope.cols {
-                    item_exprs.push(Expr::qcol(&lt, c));
-                    output_names.push(c.clone());
-                }
-            }
-            SelectItem::Expr { expr, alias } => {
-                let name = match alias {
-                    Some(a) => a.to_ascii_lowercase(),
-                    None => match expr {
-                        Expr::Column { name, .. } => name.clone(),
-                        _ => format!("col{}", item_exprs.len() + 1),
-                    },
-                };
-                item_exprs.push(expr.clone());
-                output_names.push(name);
-            }
-        }
-    }
+    // Wildcards, ORDER BY's view of output aliases and "is this an
+    // aggregate" are the planner's, so the check sees the statement the
+    // executor will run.
+    let projection =
+        expand_projection(select, &sources).map_err(|e| lift(e, Clause::Projection))?;
+    let output_names = &projection.names;
+    let (item_exprs, order_exprs) = projection.items.split_at(output_names.len());
 
     // WHERE: no aggregates, no lateral aliases.
     if let Some(w) = &select.where_clause {
         check_plain(&scopes, w, "WHERE", Clause::Where)?;
     }
 
-    // ORDER BY keys see output aliases (substituted textually, like the
-    // executor's hidden-column planning).
-    let order_exprs: Vec<Expr> = select
-        .order_by
-        .iter()
-        .map(|k: &OrderKey| substitute_aliases(&k.expr, &output_names, &item_exprs))
-        .collect();
-
-    let is_aggregate = !select.group_by.is_empty()
-        || item_exprs.iter().any(Expr::contains_aggregate)
-        || order_exprs.iter().any(Expr::contains_aggregate)
-        || select.having.as_ref().is_some_and(Expr::contains_aggregate);
-
     let mut out: Vec<(String, Ty)> = Vec::with_capacity(item_exprs.len());
-    if is_aggregate {
+    if projection.is_aggregate {
         let ctx = ExprCtx::new(&scopes);
         for key in &select.group_by {
             if key.contains_aggregate() {
@@ -581,14 +534,14 @@ pub fn check_select(
             }
             ctx.check(key, AggMode::Forbid("GROUP BY"), Clause::GroupBy)?;
         }
-        for (e, name) in item_exprs.iter().zip(&output_names) {
+        for (e, name) in item_exprs.iter().zip(output_names) {
             let ty = ctx.check(e, AggMode::Grouped(&select.group_by), Clause::Projection)?;
             out.push((name.clone(), ty));
         }
         if let Some(h) = &select.having {
             ctx.check(h, AggMode::Grouped(&select.group_by), Clause::Having)?;
         }
-        for e in &order_exprs {
+        for e in order_exprs {
             ctx.check(e, AggMode::Grouped(&select.group_by), Clause::OrderBy)?;
         }
     } else {
@@ -601,62 +554,14 @@ pub fn check_select(
         // Scalar path: items are checked left to right, each alias
         // becoming visible to later items (Teradata lateral aliases).
         let mut ctx = ExprCtx::new(&scopes);
-        for (e, name) in item_exprs.iter().zip(&output_names) {
+        for (e, name) in item_exprs.iter().zip(output_names) {
             let ty = ctx.check(e, AggMode::Forbid("SELECT"), Clause::Projection)?;
             ctx.laterals.push((name.clone(), ty));
             out.push((name.clone(), ty));
         }
-        for e in &order_exprs {
+        for e in order_exprs {
             ctx.check(e, AggMode::Forbid("ORDER BY"), Clause::OrderBy)?;
         }
     }
     Ok(out)
-}
-
-/// Replace references to output aliases with their defining expressions
-/// (mirror of the executor's `substitute_output_aliases`).
-fn substitute_aliases(expr: &Expr, names: &[String], items: &[Expr]) -> Expr {
-    match expr {
-        Expr::Column { table: None, name } => {
-            match names.iter().position(|n| n == &name.to_ascii_lowercase()) {
-                Some(i) => items[i].clone(),
-                None => expr.clone(),
-            }
-        }
-        Expr::Column { .. } | Expr::Literal(_) => expr.clone(),
-        Expr::Unary { op, expr: e } => Expr::Unary {
-            op: *op,
-            expr: Box::new(substitute_aliases(e, names, items)),
-        },
-        Expr::Binary { op, left, right } => Expr::Binary {
-            op: *op,
-            left: Box::new(substitute_aliases(left, names, items)),
-            right: Box::new(substitute_aliases(right, names, items)),
-        },
-        Expr::Func { name, args } => Expr::Func {
-            name: name.clone(),
-            args: args
-                .iter()
-                .map(|a| substitute_aliases(a, names, items))
-                .collect(),
-        },
-        Expr::Case { whens, else_expr } => Expr::Case {
-            whens: whens
-                .iter()
-                .map(|(c, r)| {
-                    (
-                        substitute_aliases(c, names, items),
-                        substitute_aliases(r, names, items),
-                    )
-                })
-                .collect(),
-            else_expr: else_expr
-                .as_ref()
-                .map(|e| Box::new(substitute_aliases(e, names, items))),
-        },
-        Expr::IsNull { expr: e, negated } => Expr::IsNull {
-            expr: Box::new(substitute_aliases(e, names, items)),
-            negated: *negated,
-        },
-    }
 }

@@ -32,7 +32,7 @@
 //! shard order but not order-free; the EM-generated SQL never uses
 //! them).
 
-use std::borrow::Cow;
+use std::borrow::{Borrow, Cow};
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -102,7 +102,7 @@ pub struct AggPlan {
 
 /// Rewrite SELECT items + HAVING into an [`AggPlan`].
 pub fn plan_aggregate(
-    item_exprs: &[Expr],
+    item_exprs: &[impl Borrow<Expr>],
     group_by: &[Expr],
     having: Option<&Expr>,
     resolver: &ColumnResolver,
@@ -123,7 +123,7 @@ pub fn plan_aggregate(
     let mut aggs: Vec<AggSpec> = Vec::new();
     let items = item_exprs
         .iter()
-        .map(|e| rewrite(e, &keys, &mut aggs, resolver))
+        .map(|e| rewrite(e.borrow(), &keys, &mut aggs, resolver))
         .collect::<Result<Vec<_>>>()?;
     let having = having
         .map(|h| rewrite(h, &keys, &mut aggs, resolver))

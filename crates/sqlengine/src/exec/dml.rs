@@ -1,11 +1,12 @@
 //! DDL and DML execution: CREATE/DROP TABLE, INSERT, UPDATE, DELETE.
 
-use crate::ast::{ColumnDef, Expr, InsertSource, TableRef};
+use crate::ast::{ColumnDef, InsertSource};
 use crate::catalog::Catalog;
 use crate::error::{Error, Result};
 use crate::exec::{run_select, ExecConfig, QueryResult};
-use crate::expr::{compile, compile_constant, ColumnResolver};
+use crate::expr::compile_constant;
 use crate::metrics::StmtProbe;
+use crate::plan::{DeletePlan, InsertPlan, InsertRows, UpdatePlan};
 use crate::schema::{Column, Schema};
 use crate::table::Row;
 use crate::value::Value;
@@ -39,35 +40,13 @@ pub fn drop_table(catalog: &mut Catalog, name: &str, if_exists: bool) -> Result<
 pub fn insert(
     catalog: &mut Catalog,
     config: &ExecConfig,
-    table_name: &str,
-    columns: Option<&[String]>,
+    plan: &InsertPlan,
     source: &InsertSource,
     probe: &mut StmtProbe,
 ) -> Result<QueryResult> {
-    // Map the provided column order (if any) to table slots.
-    let slot_map: Option<Vec<usize>> = {
-        let table = catalog.table(table_name)?;
-        match columns {
-            None => None,
-            Some(cols) => {
-                let mut map = Vec::with_capacity(cols.len());
-                for c in cols {
-                    let idx = table
-                        .schema()
-                        .column_index(c)
-                        .ok_or_else(|| Error::UnknownColumn(c.clone()))?;
-                    if map.contains(&idx) {
-                        return Err(Error::DuplicateColumn(c.clone()));
-                    }
-                    map.push(idx);
-                }
-                Some(map)
-            }
-        }
-    };
-
-    let incoming: Vec<Row> = match source {
-        InsertSource::Values(rows) => {
+    let incoming: Vec<Row> = match (&plan.rows, source) {
+        (InsertRows::Select(select), _) => run_select(catalog, config, select, probe)?.rows,
+        (InsertRows::Values(_), InsertSource::Values(rows)) => {
             let mut out = Vec::with_capacity(rows.len());
             for exprs in rows {
                 let vals: Vec<Value> = exprs
@@ -78,9 +57,8 @@ pub fn insert(
             }
             out
         }
-        InsertSource::Select(sel) => {
-            let result = run_select(catalog, config, sel, probe)?;
-            result.rows
+        (InsertRows::Values(_), InsertSource::Select(_)) => {
+            unreachable!("an INSERT … SELECT plans as InsertRows::Select")
         }
     };
 
@@ -89,41 +67,15 @@ pub fn insert(
     // atomically: a failed INSERT (including INSERT … SELECT) leaves
     // the target exactly as it was, so a retry is safe (§3.6 workflow
     // hardening; see docs/ROBUSTNESS.md).
-    let table = catalog.table_mut(table_name)?;
-    let arity = table.schema().arity();
+    let table = catalog.table_mut(&plan.target.table)?;
     let mut staged: Vec<Row> = Vec::with_capacity(incoming.len());
     for row in incoming {
-        let full: Row = match &slot_map {
-            None => {
-                if row.len() != arity {
-                    return Err(Error::ArityMismatch {
-                        table: table.name().to_string(),
-                        expected: arity,
-                        actual: row.len(),
-                    });
-                }
-                row
-            }
-            Some(map) => {
-                if row.len() != map.len() {
-                    return Err(Error::ArityMismatch {
-                        table: table.name().to_string(),
-                        expected: map.len(),
-                        actual: row.len(),
-                    });
-                }
-                let mut full = vec![Value::Null; arity];
-                for (v, &slot) in row.iter().zip(map) {
-                    full[slot] = v.clone();
-                }
-                full.into_boxed_slice()
-            }
-        };
         // Coerce to declared column types.
-        let coerced: Row = full
+        let coerced: Row = plan
+            .full_row(row)?
             .iter()
-            .enumerate()
-            .map(|(i, v)| v.coerce_to(table.schema().column(i).ty))
+            .zip(&plan.target.columns)
+            .map(|(v, column)| v.coerce_to(column.ty))
             .collect::<Result<Vec<_>>>()?
             .into_boxed_slice();
         // Charge the staging buffer as it grows: an over-budget INSERT
@@ -140,48 +92,19 @@ pub fn insert(
 
 pub fn update(
     catalog: &mut Catalog,
-    table_name: &str,
-    from: &[TableRef],
-    assignments: &[(String, Expr)],
-    where_clause: Option<&Expr>,
+    plan: &UpdatePlan,
     probe: &mut StmtProbe,
 ) -> Result<QueryResult> {
-    // Build scopes: target table first, then FROM tables.
-    let target_visible = table_name.to_ascii_lowercase();
-    let mut scopes: Vec<(String, Vec<String>)> = Vec::with_capacity(1 + from.len());
-    {
-        let table = catalog.table(table_name)?;
-        scopes.push((
-            target_visible.clone(),
-            table
-                .schema()
-                .columns()
-                .iter()
-                .map(|c| c.name.clone())
-                .collect(),
-        ));
-    }
-    for tref in from {
-        let t = catalog.table(&tref.table)?;
-        let visible = tref.visible_name().to_ascii_lowercase();
-        if scopes.iter().any(|(n, _)| *n == visible) {
-            return Err(Error::DuplicateTable(visible));
-        }
-        scopes.push((
-            visible,
-            t.schema()
-                .columns()
-                .iter()
-                .map(|c| c.name.clone())
-                .collect(),
-        ));
-    }
-    let resolver = ColumnResolver::from_tables(&scopes);
+    let (target, from) = plan
+        .chain
+        .sources
+        .split_first()
+        .expect("an UPDATE plan starts with its target");
 
     // Materialize the FROM cross product (auxiliary tables are tiny).
     let mut combos: Vec<Vec<Value>> = vec![Vec::new()];
-    for tref in from {
-        let t = catalog.table(&tref.table)?;
+    for source in from {
+        let t = catalog.table(&source.table)?;
         probe.record_scan(t.name(), t.len(), true);
         probe.add_build_rows(t.len() as u64);
         let mut next = Vec::with_capacity(combos.len() * t.len().max(1));
@@ -203,33 +126,13 @@ pub fn update(
         combos = next;
     }
 
-    // Compile predicate and assignments against [target ++ from] slots.
-    let pred = where_clause.map(|w| compile(w, &resolver)).transpose()?;
-    let compiled_assignments: Vec<(usize, crate::expr::CExpr)> = {
-        let table = catalog.table(table_name)?;
-        assignments
-            .iter()
-            .map(|(col, e)| {
-                let slot = table
-                    .schema()
-                    .column_index(col)
-                    .ok_or_else(|| Error::UnknownColumn(col.clone()))?;
-                Ok((slot, compile(e, &resolver)?))
-            })
-            .collect::<Result<Vec<_>>>()?
-    };
-    let (touches_key, col_types) = {
-        let table = catalog.table(table_name)?;
-        let touches = compiled_assignments
-            .iter()
-            .any(|(slot, _)| table.schema().primary_key().contains(slot));
-        let types: Vec<_> = table.schema().columns().iter().map(|c| c.ty).collect();
-        (touches, types)
-    };
-
-    let table = catalog.table_mut(table_name)?;
+    let touches_key = plan
+        .assignments
+        .iter()
+        .any(|(slot, _)| target.primary_key.contains(slot));
+    let table = catalog.table_mut(&target.table)?;
     probe.record_scan(table.name(), table.len(), false);
-    let width = col_types.len();
+    let width = target.arity();
     let mut ctx: Vec<Value> = Vec::new();
     let updated = table.update_where(
         |row| {
@@ -240,14 +143,14 @@ pub fn update(
                 ctx.clear();
                 ctx.extend_from_slice(row);
                 ctx.extend_from_slice(combo);
-                if let Some(p) = &pred {
+                if let Some(p) = &plan.predicate {
                     if !p.eval_predicate(&ctx)? {
                         continue;
                     }
                 }
                 // Sequential assignment: each SET sees the previous ones.
-                for (slot, e) in &compiled_assignments {
-                    let v = e.eval(&ctx)?.coerce_to(col_types[*slot])?;
+                for (slot, e) in &plan.assignments {
+                    let v = e.eval(&ctx)?.coerce_to(target.columns[*slot].ty)?;
                     ctx[*slot] = v;
                 }
                 row.copy_from_slice_checked(&ctx[..width]);
@@ -277,27 +180,12 @@ impl CopyValues for [Value] {
 
 pub fn delete(
     catalog: &mut Catalog,
-    table_name: &str,
-    where_clause: Option<&Expr>,
+    plan: &DeletePlan,
     probe: &mut StmtProbe,
 ) -> Result<QueryResult> {
-    let pred = {
-        let table = catalog.table(table_name)?;
-        let scopes = vec![(
-            table.name().to_string(),
-            table
-                .schema()
-                .columns()
-                .iter()
-                .map(|c| c.name.clone())
-                .collect::<Vec<_>>(),
-        )];
-        let resolver = ColumnResolver::from_tables(&scopes);
-        where_clause.map(|w| compile(w, &resolver)).transpose()?
-    };
-    let table = catalog.table_mut(table_name)?;
+    let table = catalog.table_mut(&plan.target.table)?;
     probe.record_scan(table.name(), table.len(), false);
-    let removed = match pred {
+    let removed = match &plan.predicate {
         None => table.truncate(),
         Some(p) => {
             // Evaluation errors inside retain cannot propagate; evaluate

@@ -17,6 +17,7 @@ use crate::ast::Statement;
 use crate::catalog::Catalog;
 use crate::error::Result;
 use crate::metrics::{StatementKind, StmtProbe};
+use crate::plan::{plan_statement, StatementPlan};
 use crate::table::Row;
 use crate::value::Value;
 
@@ -172,7 +173,9 @@ pub fn statement_tables(stmt: &Statement) -> Vec<String> {
     tables
 }
 
-/// Execute one parsed statement, recording telemetry into `probe`.
+/// Execute one parsed statement, recording telemetry into `probe`:
+/// plan it against the schemas ([`crate::plan`]), then instantiate the
+/// plan against the rows.
 pub fn execute_statement_metered(
     catalog: &mut Catalog,
     config: &ExecConfig,
@@ -185,38 +188,32 @@ pub fn execute_statement_metered(
             columns,
             primary_key,
             if_not_exists,
-        } => dml::create_table(catalog, name, columns, primary_key, *if_not_exists),
-        Statement::DropTable { name, if_exists } => dml::drop_table(catalog, name, *if_exists),
-        Statement::Insert {
-            table,
-            columns,
-            source,
-        } => dml::insert(catalog, config, table, columns.as_deref(), source, probe),
-        Statement::Update {
-            table,
-            from,
-            assignments,
-            where_clause,
-        } => dml::update(
-            catalog,
-            table,
-            from,
-            assignments,
-            where_clause.as_ref(),
-            probe,
-        ),
-        Statement::Delete {
-            table,
-            where_clause,
-        } => dml::delete(catalog, table, where_clause.as_ref(), probe),
-        Statement::Select(sel) => run_select(catalog, config, sel, probe),
-        Statement::Explain(inner) => match inner.as_ref() {
-            Statement::Select(sel) => explain_select(catalog, sel),
-            _ => Err(crate::error::Error::Unsupported(
-                "EXPLAIN supports SELECT statements only".into(),
-            )),
-        },
-        Statement::ExplainAnalyze(inner) => explain_analyze(catalog, config, inner),
+        } => return dml::create_table(catalog, name, columns, primary_key, *if_not_exists),
+        Statement::DropTable { name, if_exists } => {
+            return dml::drop_table(catalog, name, *if_exists)
+        }
+        Statement::Explain(inner) => {
+            return match inner.as_ref() {
+                Statement::Select(sel) => explain_select(catalog, sel),
+                _ => Err(crate::error::Error::Unsupported(
+                    "EXPLAIN supports SELECT statements only".into(),
+                )),
+            }
+        }
+        Statement::ExplainAnalyze(inner) => return explain_analyze(catalog, config, inner),
+        _ => {}
+    }
+    let t0 = std::time::Instant::now();
+    let plan = plan_statement(catalog, stmt)?;
+    probe.add_plan_time(t0.elapsed());
+    match (&plan, stmt) {
+        (StatementPlan::Select(plan), _) => run_select(catalog, config, plan, probe),
+        (StatementPlan::Insert(plan), Statement::Insert { source, .. }) => {
+            dml::insert(catalog, config, plan, source, probe)
+        }
+        (StatementPlan::Update(plan), _) => dml::update(catalog, plan, probe),
+        (StatementPlan::Delete(plan), _) => dml::delete(catalog, plan, probe),
+        _ => unreachable!("DDL and EXPLAIN returned above; a plan has its statement's kind"),
     }
 }
 

@@ -1,5 +1,10 @@
 //! SELECT execution: a batch-at-a-time left-deep join pipeline.
 //!
+//! What runs is decided by [`crate::plan`]: this module *instantiates* a
+//! [`SelectPlan`] against the stored rows — hash maps, filtered
+//! positions, memory charges, scan records — and drives batches
+//! through it.
+//!
 //! The FROM list is joined left-deep in declaration order: the first table
 //! is the *driver* and is scanned once; every later table becomes a build
 //! stage — a hash join when an equi-join conjunct connects it to the
@@ -21,7 +26,8 @@
 //! A hash stage whose build keys are exactly its table's PRIMARY KEY,
 //! with no filter on the build side, probes the index the table already
 //! maintains (`Lookup::PrimaryKey`) instead of hashing the table again
-//! for every statement. The choice is read off the schema. Either way
+//! for every statement. The choice is read off the schema, by the plan.
+//! Either way
 //! the stage's table is recorded as a build-side scan, so the paper's
 //! scan counts are what they were.
 //!
@@ -37,15 +43,16 @@
 //! installation.
 
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use crate::ast::{BinOp, Expr, Select, SelectItem};
+use crate::ast::{BinOp, Select};
 use crate::catalog::Catalog;
 use crate::error::{Error, Result};
-use crate::exec::aggregate::{plan_aggregate, AggPlan, AggSink, PartialAggResult};
+use crate::exec::aggregate::{AggPlan, AggSink, PartialAggResult};
 use crate::exec::{ExecConfig, QueryResult};
-use crate::expr::{compile, Batch, CExpr, Column, ColumnResolver, BATCH_ROWS};
+use crate::expr::{Batch, CExpr, Column, BATCH_ROWS};
 use crate::metrics::StmtProbe;
+use crate::plan::{plan_select, Join, SelectPlan, Sink};
 use crate::resource::{row_bytes, ResourceTracker, ENTRY_OVERHEAD_BYTES};
 use crate::table::{Row, Table};
 use crate::value::Value;
@@ -53,123 +60,27 @@ use crate::value::Value;
 /// Minimum driver rows before parallel execution is worth spawning.
 const PARALLEL_THRESHOLD: usize = 4096;
 
-/// The schema-level preparation every SELECT path shares: resolved FROM
-/// scopes, expanded projection items, and the hidden-sort-column
-/// planning inputs. Derivable from the catalog's *schemas* alone, so
-/// the cluster coordinator (whose shadow catalog holds no rows) plans
-/// identically to the shards.
-struct SelectPrep {
-    scopes: Vec<(String, Vec<String>)>,
-    resolver: ColumnResolver,
-    output_names: Vec<String>,
-    /// Visible projection width; columns beyond it are hidden sort keys.
-    n_real: usize,
-    /// Projection items plus hidden ORDER BY key expressions.
-    all_items: Vec<Expr>,
-    is_aggregate: bool,
-}
-
-fn prepare_select(catalog: &Catalog, select: &Select) -> Result<SelectPrep> {
-    // ---- resolve FROM scopes ------------------------------------------
-    let mut scopes: Vec<(String, Vec<String>)> = Vec::with_capacity(select.from.len());
-    for tref in &select.from {
-        let table = catalog.table(&tref.table)?;
-        let visible = tref.visible_name().to_ascii_lowercase();
-        if scopes.iter().any(|(n, _)| *n == visible) {
-            return Err(Error::DuplicateTable(format!(
-                "{visible} appears twice in FROM; use aliases"
-            )));
-        }
-        let cols = table
-            .schema()
-            .columns()
-            .iter()
-            .map(|c| c.name.clone())
-            .collect();
-        scopes.push((visible, cols));
-    }
-    let resolver = ColumnResolver::from_tables(&scopes);
-
-    // ---- expand projection wildcards ----------------------------------
-    let (item_exprs, output_names) = expand_items(&select.items, &scopes)?;
-
-    // ORDER BY may reference output aliases (`ORDER BY sump`) or base
-    // columns absent from the projection (`ORDER BY rid` under
-    // `SELECT x1, x2`). Both are handled uniformly by materializing every
-    // sort key as a trailing *hidden* output column: aliases are
-    // substituted by their defining expressions first, then the key is
-    // planned like any projection item, and the hidden columns are
-    // stripped after sorting.
-    let n_real = item_exprs.len();
-    let order_exprs: Vec<Expr> = select
-        .order_by
-        .iter()
-        .map(|k| substitute_output_aliases(&k.expr, &output_names, &item_exprs))
-        .collect();
-    let all_items: Vec<Expr> = item_exprs.iter().chain(&order_exprs).cloned().collect();
-
-    let is_aggregate = !select.group_by.is_empty()
-        || all_items.iter().any(Expr::contains_aggregate)
-        || select.having.as_ref().is_some_and(Expr::contains_aggregate);
-
-    Ok(SelectPrep {
-        scopes,
-        resolver,
-        output_names,
-        n_real,
-        all_items,
-        is_aggregate,
-    })
-}
-
-impl SelectPrep {
-    /// Partial execution and partial finalize only make sense for an
-    /// aggregate SELECT.
-    fn require_aggregate(&self, what: &str) -> Result<()> {
-        if self.is_aggregate {
-            Ok(())
-        } else {
-            Err(Error::Unsupported(format!(
-                "{what} requires an aggregate SELECT"
-            )))
+/// The post-sink tail shared by full and gathered execution: sort by the
+/// hidden key columns, strip them, apply LIMIT.
+fn finish(plan: &SelectPlan, mut rows: Vec<Row>) -> QueryResult {
+    let n_visible = plan.output_names.len();
+    if !plan.sort_keys.is_empty() {
+        let descs: Vec<bool> = plan.sort_keys.iter().map(|(_, desc)| *desc).collect();
+        sort_by_hidden(&mut rows, n_visible, &descs);
+        for row in rows.iter_mut() {
+            let mut v = std::mem::take(row).into_vec();
+            v.truncate(n_visible);
+            *row = v.into_boxed_slice();
         }
     }
-
-    /// The aggregation plan. Shards and the gathering coordinator both
-    /// derive it from the same statement text and the same schemas, so
-    /// the accumulator layout is identical by construction.
-    fn aggregate_plan(&self, select: &Select) -> Result<AggPlan> {
-        plan_aggregate(
-            &self.all_items,
-            &select.group_by,
-            select.having.as_ref(),
-            &self.resolver,
-        )
+    if let Some(limit) = plan.limit {
+        rows.truncate(limit);
     }
-
-    /// The post-sink tail shared by full and gathered execution: sort by
-    /// the hidden key columns, strip them, apply LIMIT.
-    fn finish(self, select: &Select, mut rows: Vec<Row>) -> QueryResult {
-        if !select.order_by.is_empty() {
-            let descs: Vec<bool> = select.order_by.iter().map(|k| k.desc).collect();
-            sort_by_hidden(&mut rows, self.n_real, &descs);
-        }
-        if self.n_real < self.all_items.len() {
-            for row in rows.iter_mut() {
-                let mut v = std::mem::take(row).into_vec();
-                v.truncate(self.n_real);
-                *row = v.into_boxed_slice();
-            }
-        }
-        if let Some(limit) = select.limit {
-            rows.truncate(limit);
-        }
-        let n = rows.len();
-        QueryResult {
-            columns: self.output_names,
-            rows,
-            rows_affected: n,
-        }
+    let n = rows.len();
+    QueryResult {
+        columns: plan.output_names.clone(),
+        rows,
+        rows_affected: n,
     }
 }
 
@@ -181,19 +92,13 @@ impl SelectPrep {
 fn run_aggregate(
     catalog: &Catalog,
     config: &ExecConfig,
-    select: &Select,
-    prep: &SelectPrep,
+    plan: &SelectPlan,
+    agg: &AggPlan,
     probe: &mut StmtProbe,
 ) -> Result<AggSink> {
-    let mut pipeline = build_pipeline(catalog, select, &prep.scopes, probe)?;
-    let plan = prep.aggregate_plan(select)?;
-    pipeline.reference(
-        plan.keys
-            .iter()
-            .chain(plan.aggs.iter().filter_map(|a| a.arg.as_ref())),
-    );
+    let pipeline = build_pipeline(catalog, plan, probe)?;
     let mut sinks =
-        run_pipeline(&pipeline, config, probe, || AggSink::new(plan.clone()))?.into_iter();
+        run_pipeline(&pipeline, config, probe, || AggSink::new(agg.clone()))?.into_iter();
     let mut merged = sinks.next().expect("at least one sink");
     for sink in sinks {
         merged.merge(sink)?;
@@ -208,43 +113,43 @@ fn run_aggregate(
     Ok(merged)
 }
 
-/// Run a SELECT and materialize its result, recording telemetry into
-/// `probe` (pass a disabled probe to skip).
+/// Run a planned SELECT and materialize its result, recording telemetry
+/// into `probe` (pass a disabled probe to skip).
 pub fn run_select(
     catalog: &Catalog,
     config: &ExecConfig,
-    select: &Select,
+    plan: &SelectPlan,
     probe: &mut StmtProbe,
 ) -> Result<QueryResult> {
-    let prep = prepare_select(catalog, select)?;
-    let out_rows = if prep.is_aggregate {
-        run_aggregate(catalog, config, select, &prep, probe)?.finalize()?
-    } else {
-        let mut pipeline = build_pipeline(catalog, select, &prep.scopes, probe)?;
-        if select.having.is_some() {
-            return Err(Error::InvalidAggregate(
-                "HAVING requires GROUP BY or aggregates".into(),
-            ));
+    let out_rows = match &plan.sink {
+        Sink::Aggregate(agg) => run_aggregate(catalog, config, plan, agg, probe)?.finalize()?,
+        Sink::Project(items) => {
+            let pipeline = build_pipeline(catalog, plan, probe)?;
+            let base_width = plan.chain.width();
+            let mem = probe.tracker();
+            let sinks = run_pipeline(&pipeline, config, probe, || ScalarSink {
+                items: items.clone(),
+                base_width,
+                out: Vec::new(),
+                mem,
+            })?;
+            sinks.into_iter().flat_map(|s| s.out).collect()
         }
-        let compiled = compile_scalar_items(&prep.all_items, &prep.output_names, &prep.resolver)?;
-        pipeline.reference(&compiled);
-        let base_width = prep.resolver.width();
-        let mem = probe.tracker();
-        let sinks = run_pipeline(&pipeline, config, probe, || ScalarSink {
-            items: compiled.clone(),
-            base_width,
-            out: Vec::new(),
-            mem,
-        })?;
-        let mut out_rows = Vec::new();
-        for s in sinks {
-            out_rows.extend(s.out);
-        }
-        out_rows
     };
-    let result = prep.finish(select, out_rows);
+    let result = finish(plan, out_rows);
     probe.set_rows_produced(result.rows.len());
     Ok(result)
+}
+
+/// The aggregation of `plan`; partial execution and partial finalize
+/// only make sense for an aggregate SELECT.
+fn aggregate_of<'p>(plan: &'p SelectPlan, what: &str) -> Result<&'p AggPlan> {
+    match &plan.sink {
+        Sink::Aggregate(agg) => Ok(agg),
+        Sink::Project(_) => Err(Error::Unsupported(format!(
+            "{what} requires an aggregate SELECT"
+        ))),
+    }
 }
 
 /// Run the scatter half of a distributed aggregate: the same pipeline
@@ -257,158 +162,30 @@ pub fn run_select_partial(
     select: &Select,
     probe: &mut StmtProbe,
 ) -> Result<PartialAggResult> {
-    let prep = prepare_select(catalog, select)?;
-    prep.require_aggregate("partial execution")?;
-    let sink = run_aggregate(catalog, config, select, &prep, probe)?;
+    let t0 = Instant::now();
+    let plan = plan_select(catalog, select)?;
+    probe.add_plan_time(t0.elapsed());
+    let agg = aggregate_of(&plan, "partial execution")?;
+    let sink = run_aggregate(catalog, config, &plan, agg, probe)?;
     probe.set_rows_produced(sink.group_count());
     Ok(sink.into_partial())
 }
 
 /// Run the gather half: rebuild the group table from the merged partial
-/// states (against schemas only — no rows are scanned and no tables
-/// need data) and run the finalize tail (implicit empty group, HAVING,
-/// projection, ORDER BY, LIMIT).
+/// states and run the finalize tail (implicit empty group, HAVING,
+/// projection, ORDER BY, LIMIT). Against schemas only — no rows are
+/// scanned and no tables need data; shards and the gatherer plan the
+/// same statement text over the same schemas, so the accumulator layout
+/// is identical by construction.
 pub fn finalize_select_partials(
     catalog: &Catalog,
     select: &Select,
     partial: &PartialAggResult,
 ) -> Result<QueryResult> {
-    let prep = prepare_select(catalog, select)?;
-    prep.require_aggregate("partial finalize")?;
-    let rows = AggSink::from_partial(prep.aggregate_plan(select)?, partial)?.finalize()?;
-    Ok(prep.finish(select, rows))
-}
-
-/// Expand wildcards; return per-item expressions and output names.
-fn expand_items(
-    items: &[SelectItem],
-    scopes: &[(String, Vec<String>)],
-) -> Result<(Vec<Expr>, Vec<String>)> {
-    let mut exprs = Vec::new();
-    let mut names = Vec::new();
-    for item in items {
-        match item {
-            SelectItem::Wildcard => {
-                if scopes.is_empty() {
-                    return Err(Error::Unsupported("SELECT * requires a FROM clause".into()));
-                }
-                for (t, cols) in scopes {
-                    for c in cols {
-                        exprs.push(Expr::qcol(t, c));
-                        names.push(c.clone());
-                    }
-                }
-            }
-            SelectItem::QualifiedWildcard(t) => {
-                let lt = t.to_ascii_lowercase();
-                let (_, cols) = scopes
-                    .iter()
-                    .find(|(n, _)| *n == lt)
-                    .ok_or_else(|| Error::UnknownTable(lt.clone()))?;
-                for c in cols {
-                    exprs.push(Expr::qcol(&lt, c));
-                    names.push(c.clone());
-                }
-            }
-            SelectItem::Expr { expr, alias } => {
-                let name = match alias {
-                    Some(a) => a.to_ascii_lowercase(),
-                    None => match expr {
-                        Expr::Column { name, .. } => name.clone(),
-                        _ => format!("col{}", exprs.len() + 1),
-                    },
-                };
-                exprs.push(expr.clone());
-                names.push(name);
-            }
-        }
-    }
-    Ok((exprs, names))
-}
-
-/// Split an expression on top-level ANDs.
-pub fn split_conjuncts(expr: &Expr) -> Vec<Expr> {
-    let mut out = Vec::new();
-    fn walk(e: &Expr, out: &mut Vec<Expr>) {
-        if let Expr::Binary {
-            op: BinOp::And,
-            left,
-            right,
-        } = e
-        {
-            walk(left, out);
-            walk(right, out);
-        } else {
-            out.push(e.clone());
-        }
-    }
-    walk(expr, &mut out);
-    out
-}
-
-/// Bitmask of scopes an expression references. Errors on unknown /
-/// ambiguous columns so classification failures surface as the same errors
-/// compilation would give.
-fn scope_mask(expr: &Expr, scopes: &[(String, Vec<String>)]) -> Result<u64> {
-    let mut mask = 0u64;
-    collect_mask(expr, scopes, &mut mask)?;
-    Ok(mask)
-}
-
-fn collect_mask(expr: &Expr, scopes: &[(String, Vec<String>)], mask: &mut u64) -> Result<()> {
-    match expr {
-        Expr::Literal(_) => Ok(()),
-        Expr::Column { table, name } => {
-            match table {
-                Some(t) => {
-                    let i = scopes
-                        .iter()
-                        .position(|(n, _)| n == t)
-                        .ok_or_else(|| Error::UnknownTable(t.clone()))?;
-                    if !scopes[i].1.contains(name) {
-                        return Err(Error::UnknownColumn(format!("{t}.{name}")));
-                    }
-                    *mask |= 1 << i;
-                }
-                None => {
-                    let mut found = None;
-                    for (i, (_, cols)) in scopes.iter().enumerate() {
-                        if cols.contains(name) {
-                            if found.is_some() {
-                                return Err(Error::AmbiguousColumn(name.clone()));
-                            }
-                            found = Some(i);
-                        }
-                    }
-                    let i = found.ok_or_else(|| Error::UnknownColumn(name.clone()))?;
-                    *mask |= 1 << i;
-                }
-            }
-            Ok(())
-        }
-        Expr::Unary { expr, .. } => collect_mask(expr, scopes, mask),
-        Expr::Binary { left, right, .. } => {
-            collect_mask(left, scopes, mask)?;
-            collect_mask(right, scopes, mask)
-        }
-        Expr::Func { args, .. } => {
-            for a in args {
-                collect_mask(a, scopes, mask)?;
-            }
-            Ok(())
-        }
-        Expr::Case { whens, else_expr } => {
-            for (c, r) in whens {
-                collect_mask(c, scopes, mask)?;
-                collect_mask(r, scopes, mask)?;
-            }
-            if let Some(e) = else_expr {
-                collect_mask(e, scopes, mask)?;
-            }
-            Ok(())
-        }
-        Expr::IsNull { expr, .. } => collect_mask(expr, scopes, mask),
-    }
+    let plan = plan_select(catalog, select)?;
+    let agg = aggregate_of(&plan, "partial finalize")?;
+    let rows = AggSink::from_partial(agg.clone(), partial)?.finalize()?;
+    Ok(finish(&plan, rows))
 }
 
 // ---------------------------------------------------------------------
@@ -479,8 +256,6 @@ struct Stage<'a> {
     /// Residual predicates evaluated over the accumulated columns once
     /// this stage's are gathered.
     residuals: Vec<CExpr>,
-    /// Visible table name (for EXPLAIN).
-    name: String,
 }
 
 /// The whole FROM/WHERE pipeline.
@@ -490,18 +265,9 @@ struct Pipeline<'a> {
     driver_filter: Option<CExpr>,
     stages: Vec<Stage<'a>>,
     /// Per slot of the joined row: does any expression — of the
-    /// pipeline or, once [`Pipeline::reference`]d, of the sink — read it?
-    /// Only these slots are gathered into batches.
+    /// pipeline or of the sink — read it? Only these slots are gathered
+    /// into batches.
     needed: Vec<bool>,
-}
-
-impl Pipeline<'_> {
-    /// Have the slots the sink's expressions reference gathered too.
-    fn reference<'e>(&mut self, exprs: impl IntoIterator<Item = &'e CExpr>) {
-        for e in exprs {
-            mark_slots(e, &mut self.needed);
-        }
-    }
 }
 
 /// Walk the rows of `table` that pass `filter` (all of them without
@@ -591,179 +357,108 @@ fn build_hash_map(
     Ok(map)
 }
 
+/// AND the conjuncts of one table's filter together.
+fn and_all(conjuncts: &[CExpr]) -> Option<CExpr> {
+    conjuncts
+        .iter()
+        .cloned()
+        .reduce(|acc, e| CExpr::Binary(BinOp::And, Box::new(acc), Box::new(e)))
+}
+
+/// Per slot of the joined row: does a filter, probe key or residual of
+/// the chain, or an expression of the sink, read it?
+fn slots_read(plan: &SelectPlan) -> Vec<bool> {
+    let chain = &plan.chain;
+    let mut needed = vec![false; chain.width()];
+    let mut mark = |e: &CExpr| mark_slots(e, &mut needed);
+    chain.driver_filters.iter().for_each(&mut mark);
+    for stage in &chain.stages {
+        if let Join::Hash { probe_keys, .. } = &stage.join {
+            probe_keys.iter().for_each(&mut mark);
+        }
+        stage.residuals.iter().for_each(&mut mark);
+    }
+    match &plan.sink {
+        Sink::Aggregate(agg) => {
+            agg.keys.iter().for_each(&mut mark);
+            agg.aggs
+                .iter()
+                .filter_map(|a| a.arg.as_ref())
+                .for_each(&mut mark);
+        }
+        Sink::Project(items) => items.iter().for_each(&mut mark),
+    }
+    needed
+}
+
+/// Instantiate `plan` against the stored rows: record the scans, filter
+/// and hash (or borrow the index of) each build side, charge what that
+/// allocates.
 fn build_pipeline<'a>(
     catalog: &'a Catalog,
-    select: &Select,
-    scopes: &[(String, Vec<String>)],
+    plan: &SelectPlan,
     probe: &mut StmtProbe,
 ) -> Result<Pipeline<'a>> {
-    let plan_t0 = Instant::now();
-    // Time spent building join structures: execution, not planning.
-    let mut build_time = Duration::ZERO;
-    // Aggregates in WHERE are rejected by the analyze pass up front and
-    // again by `compile` when the predicates are lowered, so no separate
-    // scan is needed here.
-    let conjuncts = match &select.where_clause {
-        Some(w) => split_conjuncts(w),
-        None => Vec::new(),
-    };
-    if select.from.is_empty() {
-        if !conjuncts.is_empty() {
-            return Err(Error::Unsupported("WHERE requires a FROM clause".into()));
-        }
-        probe.add_plan_time(plan_t0.elapsed());
+    let chain = &plan.chain;
+    let needed = slots_read(plan);
+    let Some(driver) = chain.sources.first() else {
         return Ok(Pipeline {
             driver: None,
             driver_filter: None,
             stages: Vec::new(),
-            needed: Vec::new(),
+            needed,
         });
-    }
-    if select.from.len() > 64 {
-        return Err(Error::Unsupported("more than 64 tables in FROM".into()));
-    }
-
-    // Classify conjuncts.
-    let n_tables = select.from.len();
-    let mut table_filters: Vec<Vec<&Expr>> = vec![Vec::new(); n_tables];
-    // (conjunct, mask) still unassigned after single-table filtering.
-    let mut pending: Vec<(&Expr, u64)> = Vec::new();
-    for c in &conjuncts {
-        let mask = scope_mask(c, scopes)?;
-        if mask.count_ones() <= 1 {
-            let idx = if mask == 0 {
-                0
-            } else {
-                mask.trailing_zeros() as usize
-            };
-            table_filters[idx].push(c);
-        } else {
-            pending.push((c, mask));
-        }
-    }
-
-    // Resolver over one table alone (offset 0).
-    let single_resolver =
-        |i: usize| ColumnResolver::from_tables(&[(scopes[i].0.clone(), scopes[i].1.clone())]);
-    let prefix_resolver = |upto: usize| ColumnResolver::from_tables(&scopes[..=upto]);
-
-    // Driver.
-    let driver_table = catalog.table(&select.from[0].table)?;
+    };
+    let driver_table = catalog.table(&driver.table)?;
     probe.record_scan(driver_table.name(), driver_table.len(), false);
-    let driver_filter = combine_filters(&table_filters[0], &single_resolver(0))?;
+    let driver_filter = and_all(&chain.driver_filters);
 
-    // Stages.
-    let mut stages = Vec::with_capacity(n_tables - 1);
-    let mut needed = vec![false; scopes.iter().map(|(_, cols)| cols.len()).sum()];
-    if let Some(f) = &driver_filter {
-        mark_slots(f, &mut needed);
-    }
-    let mut offset = driver_table.schema().arity();
-    for i in 1..n_tables {
-        let table = catalog.table(&select.from[i].table)?;
+    let mut stages = Vec::with_capacity(chain.stages.len());
+    for (source, stage) in chain.sources[1..].iter().zip(&chain.stages) {
+        let table = catalog.table(&source.table)?;
         probe.record_scan(table.name(), table.len(), true);
-        let stage_res = single_resolver(i);
-        let build_filter = combine_filters(&table_filters[i], &stage_res)?;
-
-        // Find equi-join conjuncts usable as hash keys for this stage.
-        let prefix_mask: u64 = (1 << i) - 1;
-        let this_bit: u64 = 1 << i;
-        let mut probe_keys: Vec<CExpr> = Vec::new();
-        let mut build_keys: Vec<CExpr> = Vec::new();
-        let prev_res = prefix_resolver(i - 1);
-        for (c, mask) in pending.iter_mut() {
-            if *mask == u64::MAX {
-                continue; // consumed
+        let build_filter = and_all(&stage.filters);
+        let kind = match &stage.join {
+            Join::Broadcast => {
+                let indices = filtered_positions(table, build_filter.as_ref())?;
+                probe.add_build_rows(indices.len() as u64);
+                probe.tracker().charge(
+                    "join broadcast",
+                    indices.len() as u64 * ENTRY_OVERHEAD_BYTES,
+                )?;
+                StageKind::Broadcast { indices }
             }
-            if mask.count_ones() < 2
-                || (*mask & this_bit) == 0
-                || (*mask & !(prefix_mask | this_bit)) != 0
-            {
-                continue;
-            }
-            if let Expr::Binary {
-                op: BinOp::Eq,
-                left,
-                right,
-            } = c
-            {
-                let lm = scope_mask(left, scopes)?;
-                let rm = scope_mask(right, scopes)?;
-                let (probe_side, build_side) = if lm & this_bit == 0 && rm == this_bit {
-                    (left, right)
-                } else if rm & this_bit == 0 && lm == this_bit {
-                    (right, left)
-                } else {
-                    continue; // mixed sides → residual
-                };
-                probe_keys.push(compile(probe_side, &prev_res)?);
-                build_keys.push(compile(build_side, &stage_res)?);
-                *mask = u64::MAX; // mark consumed
-            }
-        }
-
-        // Residuals that become checkable at this stage.
-        let full_prefix = prefix_mask | this_bit;
-        let mut residuals = Vec::new();
-        let cur_res = prefix_resolver(i);
-        for (c, mask) in pending.iter_mut() {
-            if *mask == u64::MAX {
-                continue;
-            }
-            if *mask & !full_prefix == 0 {
-                residuals.push(compile(c, &cur_res)?);
-                *mask = u64::MAX;
-            }
-        }
-
-        for e in probe_keys.iter().chain(&residuals) {
-            mark_slots(e, &mut needed);
-        }
-
-        // Build the stage.
-        let build_t0 = Instant::now();
-        let kind = if probe_keys.is_empty() {
-            let indices = filtered_positions(table, build_filter.as_ref())?;
-            probe.add_build_rows(indices.len() as u64);
-            probe.tracker().charge(
-                "join broadcast",
-                indices.len() as u64 * ENTRY_OVERHEAD_BYTES,
-            )?;
-            StageKind::Broadcast { indices }
-        } else if let Some(order) = primary_key_order(table, &build_keys, &build_filter) {
-            // Probe keys in the index's key order.
-            let probe_keys = order.iter().map(|&j| probe_keys[j].clone()).collect();
-            StageKind::Hash {
+            Join::Hash {
+                probe_keys,
+                pk_order: Some(order),
+                ..
+            } => StageKind::Hash {
                 lookup: Lookup::PrimaryKey(table),
+                // Probe keys in the index's key order.
+                probe_keys: order.iter().map(|&j| probe_keys[j].clone()).collect(),
+            },
+            Join::Hash {
                 probe_keys,
-            }
-        } else {
-            let map = build_hash_map(table, build_filter.as_ref(), &build_keys, probe)?;
-            probe.add_build_rows(map.values().map(|v| v.len() as u64).sum());
-            StageKind::Hash {
-                lookup: Lookup::Built(map),
-                probe_keys,
+                build_keys,
+                pk_order: None,
+            } => {
+                let map = build_hash_map(table, build_filter.as_ref(), build_keys, probe)?;
+                probe.add_build_rows(map.values().map(|v| v.len() as u64).sum());
+                StageKind::Hash {
+                    lookup: Lookup::Built(map),
+                    probe_keys: probe_keys.clone(),
+                }
             }
         };
-        build_time += build_t0.elapsed();
         stages.push(Stage {
-            source: Source { table, offset },
+            source: Source {
+                table,
+                offset: source.offset,
+            },
             kind,
-            residuals,
-            name: scopes[i].0.clone(),
+            residuals: stage.residuals.clone(),
         });
-        offset += table.schema().arity();
     }
-
-    // Any conjunct still pending means classification failed (should be
-    // impossible: every mask is ⊆ full prefix at the last stage).
-    if pending.iter().any(|(_, m)| *m != u64::MAX) && n_tables == 1 {
-        return Err(Error::Unsupported(
-            "multi-table predicate with single-table FROM".into(),
-        ));
-    }
-
-    probe.add_plan_time(plan_t0.elapsed().saturating_sub(build_time));
     Ok(Pipeline {
         driver: Some(Source {
             table: driver_table,
@@ -773,34 +468,6 @@ fn build_pipeline<'a>(
         stages,
         needed,
     })
-}
-
-/// If the build keys of a hash stage are exactly `table`'s primary-key
-/// columns and no filter thins the table, the table's own index serves
-/// the join: returns, for each key column in index order, which build
-/// key (hence which probe key) addresses it.
-fn primary_key_order(
-    table: &Table,
-    build_keys: &[CExpr],
-    build_filter: &Option<CExpr>,
-) -> Option<Vec<usize>> {
-    let pk = table.schema().primary_key();
-    if build_filter.is_some() || pk.is_empty() || pk.len() != build_keys.len() {
-        return None;
-    }
-    pk.iter()
-        .map(|c| build_keys.iter().position(|k| *k == CExpr::Col(*c)))
-        .collect()
-}
-
-fn combine_filters(filters: &[&Expr], resolver: &ColumnResolver) -> Result<Option<CExpr>> {
-    let mut compiled = Vec::with_capacity(filters.len());
-    for f in filters {
-        compiled.push(compile(f, resolver)?);
-    }
-    Ok(compiled
-        .into_iter()
-        .reduce(|acc, e| CExpr::Binary(BinOp::And, Box::new(acc), Box::new(e))))
 }
 
 // ---------------------------------------------------------------------
@@ -858,26 +525,6 @@ impl BatchSink for ScalarSink<'_> {
     fn expr_evals(&self) -> u64 {
         (self.out.len() as u64) * (self.items.len() as u64)
     }
-}
-
-/// Compile scalar items, registering each real item's output name as a
-/// lateral alias for the items after it. Items beyond `output_names.len()`
-/// are hidden sort columns and get no alias.
-fn compile_scalar_items(
-    item_exprs: &[Expr],
-    output_names: &[String],
-    resolver: &ColumnResolver,
-) -> Result<Vec<CExpr>> {
-    let mut res = resolver.clone();
-    let base = res.width();
-    let mut compiled = Vec::with_capacity(item_exprs.len());
-    for (j, expr) in item_exprs.iter().enumerate() {
-        compiled.push(compile(expr, &res)?);
-        if let Some(name) = output_names.get(j) {
-            res.add_lateral(name, base + j);
-        }
-    }
-    Ok(compiled)
 }
 
 /// Worker-local telemetry counters, flushed into the shared [`StmtProbe`]
@@ -1075,54 +722,6 @@ impl Pipeline<'_> {
 // ORDER BY
 // ---------------------------------------------------------------------
 
-/// Replace bare column references that name an output item with that
-/// item's defining expression (SQL's "sort by output alias" rule). The
-/// first matching output item wins. Qualified references pass through —
-/// they resolve against base tables.
-fn substitute_output_aliases(expr: &Expr, names: &[String], items: &[Expr]) -> Expr {
-    match expr {
-        Expr::Column { table: None, name } => match names.iter().position(|n| n == name) {
-            Some(i) => items[i].clone(),
-            None => expr.clone(),
-        },
-        Expr::Literal(_) | Expr::Column { .. } => expr.clone(),
-        Expr::Unary { op, expr: e } => Expr::Unary {
-            op: *op,
-            expr: Box::new(substitute_output_aliases(e, names, items)),
-        },
-        Expr::Binary { op, left, right } => Expr::Binary {
-            op: *op,
-            left: Box::new(substitute_output_aliases(left, names, items)),
-            right: Box::new(substitute_output_aliases(right, names, items)),
-        },
-        Expr::Func { name, args } => Expr::Func {
-            name: name.clone(),
-            args: args
-                .iter()
-                .map(|a| substitute_output_aliases(a, names, items))
-                .collect(),
-        },
-        Expr::Case { whens, else_expr } => Expr::Case {
-            whens: whens
-                .iter()
-                .map(|(c, r)| {
-                    (
-                        substitute_output_aliases(c, names, items),
-                        substitute_output_aliases(r, names, items),
-                    )
-                })
-                .collect(),
-            else_expr: else_expr
-                .as_ref()
-                .map(|e| Box::new(substitute_output_aliases(e, names, items))),
-        },
-        Expr::IsNull { expr: e, negated } => Expr::IsNull {
-            expr: Box::new(substitute_output_aliases(e, names, items)),
-            negated: *negated,
-        },
-    }
-}
-
 /// Stable-sort rows by the hidden sort columns at positions
 /// `n_real..n_real+descs.len()`.
 fn sort_by_hidden(rows: &mut [Row], n_real: usize, descs: &[bool]) {
@@ -1142,77 +741,26 @@ fn sort_by_hidden(rows: &mut [Row], n_real: usize, descs: &[bool]) {
 // EXPLAIN
 // ---------------------------------------------------------------------
 
-/// Describe the execution pipeline of a SELECT without running it to
-/// completion: driver table, per-stage join method (hash vs broadcast),
-/// residual predicates and sink type. One VARCHAR column, one row per
-/// plan step — in the spirit of the paper's claim that the generated
-/// statements "can be easily optimized and executed in parallel" (§1.4),
-/// this shows *how* each one executes.
+/// Describe how a SELECT executes without running it to completion: the
+/// lines of [`SelectPlan::explain`] with the row counts its
+/// instantiation finds. One VARCHAR column, one row per plan step.
 pub fn explain_select(catalog: &Catalog, select: &Select) -> Result<QueryResult> {
-    let prep = prepare_select(catalog, select)?;
-    let pipeline = build_pipeline(catalog, select, &prep.scopes, &mut StmtProbe::disabled())?;
-
-    let mut lines: Vec<String> = Vec::new();
-    match &pipeline.driver {
-        None => lines.push("single row (no FROM)".to_string()),
-        Some(driver) => lines.push(format!(
-            "driver scan: {} ({} rows){}",
-            select.from[0].visible_name(),
-            driver.table.len(),
-            if pipeline.driver_filter.is_some() {
-                ", filtered"
-            } else {
-                ""
-            }
-        )),
-    }
-    for stage in &pipeline.stages {
-        let desc = match &stage.kind {
-            StageKind::Hash { lookup, probe_keys } => format!(
-                "hash join: {} on {} key(s) ({})",
-                stage.name,
-                probe_keys.len(),
-                match lookup {
-                    Lookup::PrimaryKey(_) => "primary-key index".to_string(),
-                    Lookup::Built(map) => format!("{} distinct build keys", map.len()),
-                }
-            ),
-            StageKind::Broadcast { indices } => format!(
-                "broadcast (cross join): {} ({} rows)",
-                stage.name,
-                indices.len()
-            ),
-        };
-        let res = if stage.residuals.is_empty() {
-            String::new()
-        } else {
-            format!(", {} residual predicate(s)", stage.residuals.len())
-        };
-        lines.push(format!("{desc}{res}"));
-    }
-    if prep.is_aggregate {
-        let plan = prep.aggregate_plan(select)?;
-        lines.push(format!(
-            "sink: hash aggregate ({} group key(s), {} accumulator(s)){}",
-            plan.keys.len(),
-            plan.aggs.len(),
-            if plan.having.is_some() {
-                ", having"
-            } else {
-                ""
-            }
-        ));
-    } else {
-        lines.push(format!("sink: projection ({} item(s))", prep.n_real));
-    }
-    if !select.order_by.is_empty() {
-        lines.push(format!("order by: {} key(s)", select.order_by.len()));
-    }
-    if let Some(limit) = select.limit {
-        lines.push(format!("limit: {limit}"));
-    }
-
-    let rows: Vec<Row> = lines
+    let plan = plan_select(catalog, select)?;
+    let pipeline = build_pipeline(catalog, &plan, &mut StmtProbe::disabled())?;
+    let mut counts = vec![pipeline.driver.as_ref().map_or(0, |d| d.table.len())];
+    counts.extend(pipeline.stages.iter().map(|stage| match &stage.kind {
+        StageKind::Hash {
+            lookup: Lookup::PrimaryKey(_),
+            ..
+        } => 0,
+        StageKind::Hash {
+            lookup: Lookup::Built(map),
+            ..
+        } => map.len(),
+        StageKind::Broadcast { indices } => indices.len(),
+    }));
+    let rows: Vec<Row> = plan
+        .explain(&counts)
         .into_iter()
         .map(|l| vec![Value::from(l)].into_boxed_slice())
         .collect();
@@ -1227,85 +775,6 @@ pub fn explain_select(catalog: &Catalog, select: &Select) -> Result<QueryResult>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::UnaryOp;
-
-    #[test]
-    fn split_conjuncts_flattens_nested_ands() {
-        let e = Expr::bin(
-            BinOp::And,
-            Expr::bin(
-                BinOp::And,
-                Expr::bin(BinOp::Eq, Expr::col("a"), Expr::col("b")),
-                Expr::bin(BinOp::Gt, Expr::col("c"), Expr::int(0)),
-            ),
-            Expr::bin(BinOp::Lt, Expr::col("d"), Expr::int(9)),
-        );
-        assert_eq!(split_conjuncts(&e).len(), 3);
-        // ORs are opaque: one conjunct.
-        let or = Expr::bin(
-            BinOp::Or,
-            Expr::bin(BinOp::Eq, Expr::col("a"), Expr::int(1)),
-            Expr::bin(BinOp::Eq, Expr::col("a"), Expr::int(2)),
-        );
-        assert_eq!(split_conjuncts(&or).len(), 1);
-    }
-
-    #[test]
-    fn scope_mask_classifies_references() {
-        let scopes = vec![
-            ("y".to_string(), vec!["rid".to_string(), "v".to_string()]),
-            ("c".to_string(), vec!["i".to_string(), "v".to_string()]),
-        ];
-        // Single-table conjunct.
-        let only_y = Expr::bin(BinOp::Gt, Expr::qcol("y", "rid"), Expr::int(5));
-        assert_eq!(scope_mask(&only_y, &scopes).unwrap(), 0b01);
-        // Cross-table equi-join.
-        let join = Expr::bin(BinOp::Eq, Expr::qcol("y", "v"), Expr::qcol("c", "v"));
-        assert_eq!(scope_mask(&join, &scopes).unwrap(), 0b11);
-        // Constants reference no scope.
-        assert_eq!(scope_mask(&Expr::int(1), &scopes).unwrap(), 0);
-        // Unqualified `rid` is unique to y.
-        assert_eq!(scope_mask(&Expr::col("rid"), &scopes).unwrap(), 0b01);
-        // Unqualified `v` is ambiguous.
-        assert!(matches!(
-            scope_mask(&Expr::col("v"), &scopes),
-            Err(Error::AmbiguousColumn(_))
-        ));
-        // Unknown table / column.
-        assert!(scope_mask(&Expr::qcol("z", "v"), &scopes).is_err());
-        assert!(scope_mask(&Expr::col("zzz"), &scopes).is_err());
-    }
-
-    #[test]
-    fn alias_substitution_is_recursive_and_first_match_wins() {
-        let names = vec!["sump".to_string(), "sump".to_string()];
-        let items = vec![
-            Expr::bin(BinOp::Add, Expr::col("p1"), Expr::col("p2")),
-            Expr::col("other"),
-        ];
-        // Bare `sump` inside a function call resolves to the FIRST item.
-        let key = Expr::Func {
-            name: "ln".into(),
-            args: vec![Expr::col("sump")],
-        };
-        let out = substitute_output_aliases(&key, &names, &items);
-        assert_eq!(
-            out,
-            Expr::Func {
-                name: "ln".into(),
-                args: vec![items[0].clone()],
-            }
-        );
-        // Qualified references are never substituted.
-        let q = Expr::qcol("t", "sump");
-        assert_eq!(substitute_output_aliases(&q, &names, &items), q);
-        // Non-matching names pass through, including under unary ops.
-        let miss = Expr::Unary {
-            op: UnaryOp::Neg,
-            expr: Box::new(Expr::col("nope")),
-        };
-        assert_eq!(substitute_output_aliases(&miss, &names, &items), miss);
-    }
 
     #[test]
     fn sort_by_hidden_orders_and_respects_desc() {

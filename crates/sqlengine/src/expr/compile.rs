@@ -49,14 +49,13 @@ impl ColumnResolver {
     }
 
     /// Append a scope after the existing ones.
-    pub fn push_scope(&mut self, name: String, columns: Vec<String>) {
+    pub fn push_scope(&mut self, mut name: String, mut columns: Vec<String>) {
         let offset = self.width();
+        name.make_ascii_lowercase();
+        columns.iter_mut().for_each(|c| c.make_ascii_lowercase());
         self.scopes.push(Scope {
-            name: name.to_ascii_lowercase(),
-            columns: columns
-                .into_iter()
-                .map(|c| c.to_ascii_lowercase())
-                .collect(),
+            name,
+            columns,
             offset,
         });
     }

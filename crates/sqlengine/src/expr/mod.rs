@@ -154,6 +154,30 @@ impl CExpr {
         Ok(self.eval(row)?.truthiness() == Some(true))
     }
 
+    /// Shift every slot down by `offset`: an expression over one table of
+    /// a joined row, re-addressed to that table's own rows.
+    pub fn rebase(&mut self, offset: usize) {
+        match self {
+            CExpr::Const(_) => {}
+            CExpr::Col(i) => *i -= offset,
+            CExpr::Unary(_, e) | CExpr::IsNull(e, _) => e.rebase(offset),
+            CExpr::Binary(_, l, r) => {
+                l.rebase(offset);
+                r.rebase(offset);
+            }
+            CExpr::Func(_, args) => args.iter_mut().for_each(|a| a.rebase(offset)),
+            CExpr::Case { whens, else_expr } => {
+                for (c, r) in whens {
+                    c.rebase(offset);
+                    r.rebase(offset);
+                }
+                if let Some(e) = else_expr {
+                    e.rebase(offset);
+                }
+            }
+        }
+    }
+
     /// Call `f` with every slot index the expression references (the
     /// executor gathers exactly these slots into a [`Batch`]).
     pub fn for_each_slot(&self, f: &mut impl FnMut(usize)) {

@@ -54,6 +54,7 @@ pub mod fault;
 pub mod lexer;
 pub mod metrics;
 pub mod parser;
+pub mod plan;
 pub mod plancheck;
 pub mod resource;
 pub mod schema;

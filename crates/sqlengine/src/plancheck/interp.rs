@@ -26,8 +26,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::analyze::{SchemaProvider, SymbolicCatalog};
-use crate::ast::{BinOp, Expr, InsertSource, Select, SelectItem, Statement};
+use crate::ast::{BinOp, Expr, InsertSource, Statement};
+use crate::expr::CExpr;
+use crate::plan::{Chain, InsertRows, Output, SelectPlan, Sink, StatementPlan};
 use crate::resource::{row_width_bytes, AGG_STATE_BYTES, ENTRY_OVERHEAD_BYTES};
 
 use super::card::Card;
@@ -128,41 +129,37 @@ impl SymState {
         self.tables.get(&table.to_ascii_lowercase())
     }
 
-    /// Apply `stmt` to the state. `catalog` must reflect the symbolic
-    /// schemas *after* this statement's DDL effect (the caller runs
-    /// [`SymbolicCatalog::apply`] first); only schema lookups are done
-    /// through it, never row counts.
-    pub fn apply(&mut self, stmt: &Statement, catalog: &SymbolicCatalog) -> StmtEffect {
+    /// Apply `stmt` to the state. `plan` is the statement's
+    /// [`plan_statement`](crate::plan::plan_statement) result against
+    /// the symbolic schemas *after* this statement's DDL effect (`None`
+    /// when it does not plan — the analyzer has reported why — and the
+    /// statement then leaves the state alone).
+    pub fn apply(&mut self, stmt: &Statement, plan: Option<&StatementPlan>) -> StmtEffect {
         let mut effect = StmtEffect::default();
-        match stmt {
-            Statement::CreateTable {
-                name,
-                if_not_exists,
-                ..
-            } => {
+        match (stmt, plan) {
+            (
+                Statement::CreateTable {
+                    name,
+                    if_not_exists,
+                    ..
+                },
+                _,
+            ) => {
                 let lname = name.to_ascii_lowercase();
                 if !(*if_not_exists && self.tables.contains_key(&lname)) {
                     self.tables.insert(lname, TableCard::empty());
                 }
             }
-            Statement::DropTable { name, .. } => {
+            (Statement::DropTable { name, .. }, _) => {
                 self.tables.remove(&name.to_ascii_lowercase());
             }
-            Statement::Insert {
-                table,
-                columns,
-                source,
-            } => {
-                let lname = table.to_ascii_lowercase();
-                let dest: Vec<String> = match columns {
-                    Some(cols) => cols.iter().map(|c| c.to_ascii_lowercase()).collect(),
-                    None => catalog
-                        .table_schema(&lname)
-                        .map(|s| s.columns().iter().map(|c| c.name.clone()).collect())
-                        .unwrap_or_default(),
-                };
-                match source {
-                    InsertSource::Values(rows) => {
+            (Statement::Insert { source, .. }, Some(StatementPlan::Insert(insert))) => {
+                let target = &insert.target;
+                let dest: Vec<String> = (0..insert.incoming_arity())
+                    .map(|j| target.columns[insert.target_slot(j)].name.clone())
+                    .collect();
+                match (source, &insert.rows) {
+                    (InsertSource::Values(rows), _) => {
                         let added = Card::constant(rows.len());
                         let mut items = Vec::with_capacity(dest.len());
                         for (i, _) in dest.iter().enumerate() {
@@ -185,41 +182,38 @@ impl SymState {
                             }
                             items.push((ItemDistinct::Literal, Card::constant(uniq.len()), lits));
                         }
-                        self.append(&lname, &dest, added, &items);
+                        self.append(&target.table, &dest, added, &items);
                         effect.output_rows = Some(Card::constant(rows.len()));
                     }
-                    InsertSource::Select(sel) => {
-                        let d = self.derive_select(sel, catalog);
+                    (_, InsertRows::Select(select)) => {
+                        let d = self.derive_select(select);
                         effect.scans = d.scans;
                         let items: Vec<(ItemDistinct, Card, Option<BTreeSet<String>>)> = d
-                            .item_distinct
-                            .iter()
-                            .zip(&d.item_lits)
+                            .items
+                            .into_iter()
                             .map(|(i, lit)| {
-                                let card = match i {
+                                let card = match &i {
                                     ItemDistinct::Literal => Card::constant(1).min(&d.out_rows),
                                     ItemDistinct::Column(c) => c.min(&d.out_rows),
                                     ItemDistinct::Other => d.out_rows.clone(),
                                 };
-                                let set = lit.as_ref().map(|s| BTreeSet::from([s.clone()]));
-                                (i.clone(), card, set)
+                                (i, card, lit.map(|s| BTreeSet::from([s])))
                             })
                             .collect();
-                        self.append(&lname, &dest, d.out_rows.clone(), &items);
+                        self.append(&target.table, &dest, d.out_rows.clone(), &items);
                         effect.output_rows = Some(d.out_rows);
                     }
+                    (InsertSource::Select(_), InsertRows::Values(_)) => {}
                 }
             }
-            Statement::Update {
-                table, assignments, ..
-            } => {
+            (
+                Statement::Update {
+                    table, assignments, ..
+                },
+                _,
+            ) => {
                 let lname = table.to_ascii_lowercase();
-                let rows = self
-                    .tables
-                    .get(&lname)
-                    .map(|t| t.rows.clone())
-                    .unwrap_or_else(Card::zero);
-                effect.scans.push((lname.clone(), rows));
+                effect.scans.push((lname.clone(), self.rows_of(&lname)));
                 if let Some(t) = self.tables.get_mut(&lname) {
                     for (col, _) in assignments {
                         t.distinct.remove(&col.to_ascii_lowercase());
@@ -227,17 +221,15 @@ impl SymState {
                     }
                 }
             }
-            Statement::Delete {
-                table,
-                where_clause,
-            } => {
+            (
+                Statement::Delete {
+                    table,
+                    where_clause,
+                },
+                _,
+            ) => {
                 let lname = table.to_ascii_lowercase();
-                let rows = self
-                    .tables
-                    .get(&lname)
-                    .map(|t| t.rows.clone())
-                    .unwrap_or_else(Card::zero);
-                effect.scans.push((lname.clone(), rows));
+                effect.scans.push((lname.clone(), self.rows_of(&lname)));
                 if where_clause.is_none() {
                     if let Some(t) = self.tables.get_mut(&lname) {
                         t.rows = Card::zero();
@@ -246,21 +238,29 @@ impl SymState {
                     }
                 }
             }
-            Statement::Select(sel) => {
-                let d = self.derive_select(sel, catalog);
+            (Statement::Select(_), Some(StatementPlan::Select(select))) => {
+                let d = self.derive_select(select);
                 effect.scans = d.scans;
                 effect.output_rows = Some(d.out_rows);
             }
-            Statement::Explain(_) => {}
-            Statement::ExplainAnalyze(inner) => return self.apply(inner, catalog),
+            (Statement::ExplainAnalyze(inner), _) => return self.apply(inner, plan),
+            _ => {}
         }
         effect
     }
 
+    /// Symbolic row count of `table` (zero when unknown).
+    fn rows_of(&self, table: &str) -> Card {
+        self.table(table)
+            .map(|t| t.rows.clone())
+            .unwrap_or_else(Card::zero)
+    }
+
     /// Symbolic peak working-memory footprint, in bytes, of executing
-    /// `stmt` against the current state — the static counterpart of the
-    /// runtime [`crate::ResourceTracker`] charges, under the same
-    /// deterministic logical size model ([`crate::resource`]).
+    /// the statement `plan` was made for against the current state —
+    /// the static counterpart of the runtime [`crate::ResourceTracker`]
+    /// charges, under the same deterministic logical size model
+    /// ([`crate::resource`]).
     ///
     /// Must be derived against the state *before* [`SymState::apply`]
     /// updates it. The result is a conservative upper bound: join build
@@ -271,131 +271,77 @@ impl SymState {
     /// tables, materialized SELECT output, staged INSERT batches and
     /// UPDATE…FROM cross products. Committed table storage is not
     /// counted, matching the runtime budget's scope.
-    pub fn footprint(&self, stmt: &Statement, catalog: &SymbolicCatalog) -> Card {
+    pub fn footprint(&self, plan: &StatementPlan) -> Card {
         let bytes = |b: u64| Card::constant(b as usize);
-        match stmt {
-            Statement::Insert {
-                table,
-                columns,
-                source,
-            } => {
+        match plan {
+            StatementPlan::Insert(insert) => {
                 // `staged insert`: the full incoming batch is buffered
                 // and charged row-by-row before the table is touched.
-                let staged_arity = match columns {
-                    Some(cols) => cols.len(),
-                    None => catalog
-                        .table_schema(table)
-                        .map(|s| s.columns().len())
-                        .unwrap_or(0),
-                };
-                match source {
-                    InsertSource::Values(rows) => {
-                        Card::constant(rows.len()).mul(&bytes(row_width_bytes(staged_arity)))
-                    }
-                    InsertSource::Select(sel) => {
+                let staged = bytes(row_width_bytes(insert.incoming_arity()));
+                match &insert.rows {
+                    InsertRows::Values(rows) => Card::constant(*rows).mul(&staged),
+                    InsertRows::Select(select) => {
                         // The producing SELECT's working set is live at
                         // the same time as the staging buffer.
-                        let (working, out_rows) = self.select_footprint(sel, catalog);
-                        working.add(&out_rows.mul(&bytes(row_width_bytes(staged_arity))))
+                        let (working, out_rows) = self.select_footprint(select);
+                        working.add(&out_rows.mul(&staged))
                     }
                 }
             }
-            Statement::Select(sel) => self.select_footprint(sel, catalog).0,
-            Statement::Update { from, .. } => {
+            StatementPlan::Select(select) => self.select_footprint(select).0,
+            StatementPlan::Update(update) => {
                 // `update from`: the FROM cross product is materialized
                 // stage by stage; every intermediate combination row is
                 // charged at its width so far.
                 let mut fp = Card::zero();
                 let mut prod = Card::constant(1);
                 let mut arity = 0usize;
-                for tref in from {
-                    let rows = self
-                        .table(&tref.table)
-                        .map(|t| t.rows.clone())
-                        .unwrap_or_else(Card::zero);
-                    prod = prod.mul(&rows);
-                    arity += catalog
-                        .table_schema(&tref.table)
-                        .map(|s| s.columns().len())
-                        .unwrap_or(0);
+                for source in &update.chain.sources[1..] {
+                    prod = prod.mul(&self.rows_of(&source.table));
+                    arity += source.arity();
                     fp = fp.add(&prod.mul(&bytes(row_width_bytes(arity))));
                 }
                 fp
             }
-            Statement::ExplainAnalyze(inner) => self.footprint(inner, catalog),
-            _ => Card::zero(),
+            StatementPlan::Delete(_) | StatementPlan::Utility => Card::zero(),
         }
     }
 
     /// Footprint of one SELECT: `(working bytes, output rows)`.
-    fn select_footprint(&self, sel: &Select, catalog: &SymbolicCatalog) -> (Card, Card) {
+    fn select_footprint(&self, plan: &SelectPlan) -> (Card, Card) {
         let bytes = |b: u64| Card::constant(b as usize);
         let mut fp = Card::zero();
         // Join build sides: every FROM table after the driver is
         // hashed or broadcast. Upper bound: each build row costs one
         // entry slot plus a fresh single-column key row.
-        for tref in sel.from.iter().skip(1) {
-            let rows = self
-                .table(&tref.table)
-                .map(|t| t.rows.clone())
-                .unwrap_or_else(Card::zero);
-            fp = fp.add(&rows.mul(&bytes(ENTRY_OVERHEAD_BYTES + row_width_bytes(1))));
+        for source in plan.chain.sources.iter().skip(1) {
+            let per_row = bytes(ENTRY_OVERHEAD_BYTES + row_width_bytes(1));
+            fp = fp.add(&self.rows_of(&source.table).mul(&per_row));
         }
-        let d = self.derive_select(sel, catalog);
-        let aggregated = !sel.group_by.is_empty()
-            || sel
-                .items
-                .iter()
-                .any(|i| matches!(i, SelectItem::Expr { expr, .. } if expr.contains_aggregate()))
-            || sel.having.as_ref().is_some_and(|h| h.contains_aggregate());
-        if aggregated {
+        let d = self.derive_select(plan);
+        let per_row = match &plan.sink {
             // `group table`: the merged AggSink — one key row, one
             // entry slot and one accumulator state per aggregate item
             // for every group.
-            let n_aggs = sel
-                .items
-                .iter()
-                .filter(|i| matches!(i, SelectItem::Expr { expr, .. } if expr.contains_aggregate()))
-                .count()
-                .max(1);
-            let per_group = row_width_bytes(sel.group_by.len())
-                + ENTRY_OVERHEAD_BYTES
-                + n_aggs as u64 * AGG_STATE_BYTES;
-            fp = fp.add(&d.out_rows.mul(&bytes(per_group)));
-        } else {
+            Sink::Aggregate(agg) => {
+                let n_aggs = agg.items[..plan.output_names.len()]
+                    .iter()
+                    .filter(|item| {
+                        let mut aggregates = false;
+                        item.for_each_slot(&mut |slot| aggregates |= slot >= agg.keys.len());
+                        aggregates
+                    })
+                    .count()
+                    .max(1);
+                row_width_bytes(agg.keys.len())
+                    + ENTRY_OVERHEAD_BYTES
+                    + n_aggs as u64 * AGG_STATE_BYTES
+            }
             // `select output`: every materialized row, at the
             // projection's width (hidden ORDER BY columns included).
-            let width = self.item_count(sel, catalog) + sel.order_by.len();
-            fp = fp.add(&d.out_rows.mul(&bytes(row_width_bytes(width))));
-        }
-        (fp, d.out_rows)
-    }
-
-    /// Number of output columns a SELECT's item list expands to.
-    fn item_count(&self, sel: &Select, catalog: &SymbolicCatalog) -> usize {
-        sel.items
-            .iter()
-            .map(|item| match item {
-                SelectItem::Wildcard => sel
-                    .from
-                    .iter()
-                    .map(|t| {
-                        catalog
-                            .table_schema(&t.table)
-                            .map(|s| s.columns().len())
-                            .unwrap_or(0)
-                    })
-                    .sum(),
-                SelectItem::QualifiedWildcard(q) => sel
-                    .from
-                    .iter()
-                    .find(|t| t.visible_name().eq_ignore_ascii_case(q))
-                    .and_then(|t| catalog.table_schema(&t.table))
-                    .map(|s| s.columns().len())
-                    .unwrap_or(0),
-                SelectItem::Expr { .. } => 1,
-            })
-            .sum()
+            Sink::Project(items) => row_width_bytes(items.len()),
+        };
+        (fp.add(&d.out_rows.mul(&bytes(per_row))), d.out_rows)
     }
 
     /// Append `added` rows to `table`, merging per-column distincts.
@@ -445,189 +391,98 @@ impl SymState {
         }
     }
 
+    /// Distinct count of column `column` of `sources[source]`; `None`
+    /// when the state does not know the table.
+    fn distinct_at(&self, chain: &Chain, (source, column): (usize, usize)) -> Option<Card> {
+        let source = &chain.sources[source];
+        Some(
+            self.table(&source.table)?
+                .distinct_of(&source.columns[column].name),
+        )
+    }
+
     /// Derive driver scans, output cardinality and per-item distinct
-    /// counts for a SELECT.
-    fn derive_select(&self, sel: &Select, catalog: &SymbolicCatalog) -> SelectDerivation {
-        let mut scans = Vec::new();
-        // Visible-name → base-table map for column resolution.
-        let from: Vec<(String, String)> = sel
-            .from
-            .iter()
-            .map(|t| (t.visible_name().to_string(), t.table.clone()))
+    /// counts for a SELECT by folding over its plan.
+    fn derive_select(&self, plan: &SelectPlan) -> SelectDerivation {
+        let chain = &plan.chain;
+        // The engine streams the first FROM table and builds over the rest.
+        let scans = chain
+            .sources
+            .first()
+            .map(|driver| (driver.table.clone(), self.rows_of(&driver.table)))
+            .into_iter()
             .collect();
-        if let Some((_, base)) = from.first() {
-            let rows = self
-                .table(base)
-                .map(|t| t.rows.clone())
-                .unwrap_or_else(Card::zero);
-            scans.push((base.clone(), rows));
-        }
-        // Cross-product cardinality, then equi-join selectivities.
-        let mut join = from.iter().fold(Card::constant(1), |acc, (_, base)| {
-            acc.mul(
-                &self
-                    .table(base)
-                    .map(|t| t.rows.clone())
-                    .unwrap_or_else(Card::zero),
-            )
-        });
-        if let Some(w) = &sel.where_clause {
-            let mut preds = Vec::new();
-            conjuncts(w, &mut preds);
-            for pred in preds {
-                if let Expr::Binary {
-                    op: BinOp::Eq,
-                    left,
-                    right,
-                } = pred
-                {
-                    let divisor = match (&**left, &**right) {
-                        (Expr::Column { .. }, Expr::Column { .. }) => {
-                            let l = self.column_distinct(left, &from, catalog);
-                            let r = self.column_distinct(right, &from, catalog);
-                            match (l, r) {
-                                (Some((lt, ld)), Some((rt, rd))) if lt != rt => Some(ld.max(&rd)),
-                                _ => None,
-                            }
-                        }
-                        (Expr::Column { .. }, Expr::Literal(_)) => {
-                            self.column_distinct(left, &from, catalog).map(|(_, d)| d)
-                        }
-                        (Expr::Literal(_), Expr::Column { .. }) => {
-                            self.column_distinct(right, &from, catalog).map(|(_, d)| d)
-                        }
-                        _ => None,
-                    };
-                    if let Some(d) = divisor {
-                        if let Some(q) = join.div_exact(&d) {
-                            join = q;
-                        }
+        // Cross-product cardinality, then the selectivity of every
+        // `column = column` join key between different tables and of
+        // every `column = literal` filter.
+        let mut join = chain
+            .sources
+            .iter()
+            .fold(Card::constant(1), |acc, s| acc.mul(&self.rows_of(&s.table)));
+        let literal_filters = (0..chain.sources.len()).flat_map(|i| {
+            chain.filters(i).iter().filter_map(move |f| match f {
+                CExpr::Binary(BinOp::Eq, l, r) => match (&**l, &**r) {
+                    (CExpr::Col(c), CExpr::Const(_)) | (CExpr::Const(_), CExpr::Col(c)) => {
+                        Some((i, *c))
                     }
-                }
+                    _ => None,
+                },
+                _ => None,
+            })
+        });
+        let key_pairs = chain
+            .equi_pairs()
+            .into_iter()
+            .filter(|(probe, build)| chain.sources[probe.0].table != chain.sources[build.0].table);
+        let divisors = literal_filters
+            .map(|column| self.distinct_at(chain, column))
+            .chain(key_pairs.map(|(probe, build)| {
+                Some(
+                    self.distinct_at(chain, probe)?
+                        .max(&self.distinct_at(chain, build)?),
+                )
+            }));
+        for d in divisors.flatten() {
+            if let Some(q) = join.div_exact(&d) {
+                join = q;
             }
         }
         // Output cardinality: GROUP BY → Π distinct(key); a bare
         // aggregate → exactly one row; otherwise the join cardinality.
-        let aggregated = sel
-            .items
-            .iter()
-            .any(|i| matches!(i, SelectItem::Expr { expr, .. } if expr.contains_aggregate()));
-        let mut out_rows = if !sel.group_by.is_empty() {
-            let mut prod = Card::constant(1);
-            let mut resolved = true;
-            for key in &sel.group_by {
-                match self.column_distinct(key, &from, catalog) {
-                    Some((_, d)) => prod = prod.mul(&d),
-                    None => {
-                        resolved = false;
-                        break;
+        let mut out_rows = match &plan.sink {
+            Sink::Aggregate(agg) if agg.keys.is_empty() => Card::constant(1),
+            Sink::Aggregate(agg) => agg
+                .keys
+                .iter()
+                .try_fold(Card::constant(1), |prod, key| match key {
+                    CExpr::Col(slot) => {
+                        Some(prod.mul(&self.distinct_at(chain, chain.column(*slot)?)?))
                     }
-                }
-            }
-            if resolved {
-                prod.min(&join)
-            } else {
-                join.clone()
-            }
-        } else if aggregated {
-            Card::constant(1)
-        } else {
-            join.clone()
+                    _ => None,
+                })
+                .map_or_else(|| join.clone(), |prod| prod.min(&join)),
+            Sink::Project(_) => join,
         };
-        if let Some(limit) = sel.limit {
+        if let Some(limit) = plan.limit {
             out_rows = out_rows.min(&Card::constant(limit));
         }
         // Per-item distinct facts for INSERT propagation, plus the
-        // rendered literal value for constant items (wildcards expand
-        // to several column items, so positions must stay aligned).
-        let mut item_distinct = Vec::new();
-        let mut item_lits = Vec::new();
-        for item in &sel.items {
-            match item {
-                SelectItem::Wildcard => {
-                    for (_, base) in &from {
-                        if let Some(schema) = catalog.table_schema(base) {
-                            for c in schema.columns() {
-                                let d = self
-                                    .table(base)
-                                    .map(|t| t.distinct_of(&c.name))
-                                    .unwrap_or_else(Card::zero);
-                                item_distinct.push(ItemDistinct::Column(d));
-                                item_lits.push(None);
-                            }
-                        }
-                    }
-                }
-                SelectItem::QualifiedWildcard(q) => {
-                    if let Some((_, base)) = from.iter().find(|(v, _)| v == q) {
-                        if let Some(schema) = catalog.table_schema(base) {
-                            for c in schema.columns() {
-                                let d = self
-                                    .table(base)
-                                    .map(|t| t.distinct_of(&c.name))
-                                    .unwrap_or_else(Card::zero);
-                                item_distinct.push(ItemDistinct::Column(d));
-                                item_lits.push(None);
-                            }
-                        }
-                    }
-                }
-                SelectItem::Expr { expr, .. } => {
-                    let (kind, lit) = match expr {
-                        Expr::Literal(v) => (ItemDistinct::Literal, Some(format!("{v:?}"))),
-                        Expr::Column { .. } => match self.column_distinct(expr, &from, catalog) {
-                            Some((_, d)) => (ItemDistinct::Column(d), None),
-                            None => (ItemDistinct::Other, None),
-                        },
-                        _ => (ItemDistinct::Other, None),
-                    };
-                    item_distinct.push(kind);
-                    item_lits.push(lit);
-                }
-            }
-        }
+        // rendered literal value for constant items.
+        let items = (0..plan.output_names.len())
+            .map(|j| match plan.output(j) {
+                Output::Literal(v) => (ItemDistinct::Literal, Some(format!("{v:?}"))),
+                Output::Column(source, column) => match self.distinct_at(chain, (source, column)) {
+                    Some(d) => (ItemDistinct::Column(d), None),
+                    None => (ItemDistinct::Other, None),
+                },
+                Output::Computed => (ItemDistinct::Other, None),
+            })
+            .collect();
         SelectDerivation {
             scans,
             out_rows,
-            item_distinct,
-            item_lits,
+            items,
         }
-    }
-
-    /// Resolve a plain column expression to `(base table, distinct)`.
-    /// Returns `None` for non-columns, lateral aliases and ambiguous
-    /// references (the analyzer has already vetted real ambiguity).
-    fn column_distinct(
-        &self,
-        e: &Expr,
-        from: &[(String, String)],
-        catalog: &SymbolicCatalog,
-    ) -> Option<(String, Card)> {
-        let Expr::Column { table, name } = e else {
-            return None;
-        };
-        let base = match table {
-            Some(q) => {
-                let (_, base) = from.iter().find(|(v, _)| v == q)?;
-                let schema = catalog.table_schema(base)?;
-                schema.column_index(name)?;
-                base.clone()
-            }
-            None => {
-                let mut hits = from.iter().filter(|(_, base)| {
-                    catalog
-                        .table_schema(base)
-                        .is_some_and(|s| s.column_index(name).is_some())
-                });
-                let first = hits.next()?;
-                if hits.next().is_some() {
-                    return None;
-                }
-                first.1.clone()
-            }
-        };
-        let d = self.table(&base)?.distinct_of(name);
-        Some((base, d))
     }
 }
 
@@ -635,37 +490,26 @@ impl SymState {
 struct SelectDerivation {
     scans: Vec<(String, Card)>,
     out_rows: Card,
-    item_distinct: Vec<ItemDistinct>,
-    /// Rendered literal value per item, aligned with `item_distinct`;
-    /// `None` for anything that is not a plain literal.
-    item_lits: Vec<Option<String>>,
-}
-
-/// Split a predicate on AND into its conjuncts.
-fn conjuncts<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
-    match e {
-        Expr::Binary {
-            op: BinOp::And,
-            left,
-            right,
-        } => {
-            conjuncts(left, out);
-            conjuncts(right, out);
-        }
-        other => out.push(other),
-    }
+    /// Per visible output: its distinct facts and, for a plain literal,
+    /// its rendered value.
+    items: Vec<(ItemDistinct, Option<String>)>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze::Limits;
+    use crate::analyze::{Limits, SymbolicCatalog};
     use crate::parser::parse_one;
+    use crate::plan::plan_statement;
 
     fn apply_sql(state: &mut SymState, catalog: &mut SymbolicCatalog, sql: &str) -> StmtEffect {
         let stmt = parse_one(sql).unwrap();
         catalog.apply(&stmt, &Limits::default()).unwrap();
-        state.apply(&stmt, catalog)
+        state.apply(&stmt, plan_statement(catalog, &stmt).ok().as_ref())
+    }
+
+    fn footprint_sql(state: &SymState, catalog: &SymbolicCatalog, sql: &str) -> Card {
+        state.footprint(&plan_statement(catalog, &parse_one(sql).unwrap()).unwrap())
     }
 
     #[test]
@@ -829,11 +673,11 @@ mod tests {
             &[("rid".into(), Card::n()), ("v".into(), Card::p())],
         );
         st.load("cr", Card::p(), &[("v".into(), Card::p())]);
-        let stmt = parse_one(
+        let fp = footprint_sql(
+            &st,
+            &cat,
             "INSERT INTO yd SELECT rid, sum(val) FROM y, cr WHERE y.v = cr.v GROUP BY rid",
-        )
-        .unwrap();
-        let fp = st.footprint(&stmt, &cat);
+        );
         // Build side: p rows, each an entry slot plus a single-key row.
         // Group table: n groups, each a key row, an entry slot and one
         // accumulator. Staging: n rows at the target's two-column width.
@@ -848,10 +692,9 @@ mod tests {
         let mut cat = SymbolicCatalog::new();
         let mut st = SymState::new();
         apply_sql(&mut st, &mut cat, "CREATE TABLE w (w1 DOUBLE, llh DOUBLE)");
-        let ins = parse_one("INSERT INTO w VALUES (0.5, 0.0), (1.0, 2.0)").unwrap();
         // Two staged rows at the table's two-column width.
         assert_eq!(
-            st.footprint(&ins, &cat).eval(1, 1, 1),
+            footprint_sql(&st, &cat, "INSERT INTO w VALUES (0.5, 0.0), (1.0, 2.0)").eval(1, 1, 1),
             2 * row_width_bytes(2) as u128
         );
         apply_sql(
@@ -861,11 +704,10 @@ mod tests {
         );
         apply_sql(&mut st, &mut cat, "CREATE TABLE m (f DOUBLE, g DOUBLE)");
         apply_sql(&mut st, &mut cat, "INSERT INTO m VALUES (3.0, 4.0)");
-        let upd = parse_one("UPDATE w FROM m SET w1 = m.f").unwrap();
         // The FROM cross product (target excluded) is one m row staged
         // at m's two-column width.
         assert_eq!(
-            st.footprint(&upd, &cat).eval(1, 1, 1),
+            footprint_sql(&st, &cat, "UPDATE w FROM m SET w1 = m.f").eval(1, 1, 1),
             row_width_bytes(2) as u128
         );
     }
@@ -880,10 +722,9 @@ mod tests {
             "CREATE TABLE z (rid BIGINT PRIMARY KEY, y1 DOUBLE)",
         );
         st.load("z", Card::n(), &[("rid".into(), Card::n())]);
-        let sel = parse_one("SELECT rid, y1 FROM z ORDER BY y1").unwrap();
         // n output rows at width 2 plus one hidden sort column.
         assert_eq!(
-            st.footprint(&sel, &cat).eval(500, 1, 1),
+            footprint_sql(&st, &cat, "SELECT rid, y1 FROM z ORDER BY y1").eval(500, 1, 1),
             500 * row_width_bytes(3) as u128
         );
     }

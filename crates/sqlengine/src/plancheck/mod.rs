@@ -39,6 +39,7 @@ use crate::analyze::{AnalyzeError, Limits, SymbolicCatalog};
 use crate::ast::Statement;
 use crate::error::Error;
 use crate::parser;
+use crate::plan::plan_statement;
 
 pub mod card;
 mod interp;
@@ -594,9 +595,11 @@ pub fn check_script(spec: &ScriptSpec, env: &CheckEnv) -> ScriptReport {
             // then scans + state transfer. Statements sharing one
             // script entry execute sequentially, each under its own
             // tracker, so their footprints combine by max.
-            let fp = state.footprint(stmt, &catalog);
-            report.footprint = report.footprint.max(&fp);
-            let effect = state.apply(stmt, &catalog);
+            let plan = plan_statement(&catalog, stmt).ok();
+            if let Some(plan) = &plan {
+                report.footprint = report.footprint.max(&state.footprint(plan));
+            }
+            let effect = state.apply(stmt, plan.as_ref());
             report.scans.extend(effect.scans);
             if effect.output_rows.is_some() {
                 report.output_rows = effect.output_rows;
@@ -666,10 +669,16 @@ fn derive_iteration(
                 continue;
             }
             for stmt in &parsed[i] {
-                // DDL must replay for schema coherence; analysis errors
-                // were already reported in the main walk.
-                let _ = catalog.apply(stmt, &Limits::unbounded());
-                let effect = state.apply(stmt, catalog);
+                // DDL must replay for schema coherence; everything else
+                // was analyzed (and its errors reported) in the main walk
+                // and leaves the catalog alone.
+                if matches!(
+                    stmt,
+                    Statement::CreateTable { .. } | Statement::DropTable { .. }
+                ) {
+                    let _ = catalog.apply(stmt, &Limits::unbounded());
+                }
+                let effect = state.apply(stmt, plan_statement(catalog, stmt).ok().as_ref());
                 for (table, rows) in effect.scans {
                     scans.push(DerivedScan {
                         stmt: i,

@@ -60,6 +60,10 @@ use crate::proto::{Request, Response, StmtMeta, PROTOCOL_VERSION};
 /// [`crate::frame::MAX_FRAME_LEN`] even for wide rows.
 const BULK_CHUNK_ROWS: usize = 16 * 1024;
 
+/// Dials [`RemoteConnection::connect`] makes before giving up on a
+/// handshake that keeps failing transiently.
+const CONNECT_ATTEMPTS: usize = 3;
+
 /// Connection settings for [`RemoteConnection::connect`].
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
@@ -183,8 +187,23 @@ impl RemoteConnection {
             in_flight: None,
             bulk: None,
         };
-        conn.dial()?;
-        Ok(conn)
+        // A handshake can be cut like any later frame: redial while the
+        // wire fails transiently (the stream is gone). A bad address,
+        // version or token is permanent, and a server that *answers* —
+        // shedding load with a retry-after hint — is the caller's to
+        // wait out; both fail on the first attempt.
+        let mut attempt = 1;
+        loop {
+            match conn.dial() {
+                Ok(()) => return Ok(conn),
+                Err(e)
+                    if e.is_transient() && conn.stream.is_none() && attempt < CONNECT_ATTEMPTS =>
+                {
+                    attempt += 1
+                }
+                Err(e) => return Err(e),
+            }
+        }
     }
 
     /// The server-assigned id of the current session (changes on

@@ -22,7 +22,11 @@
 //!
 //! ## Statement fragmentation
 //!
-//! Each driver statement is classified against that map and routed:
+//! Each driver statement is planned against the shadow catalog's
+//! schemas ([`sqlengine::plan`], the plan every shard's executor
+//! instantiates) and its class read off that plan and the partition
+//! map — the coordinator analyzes no SQL of its own, and a statement no
+//! rule turns into a distributed plan is `Unsupported`:
 //!
 //! * DDL and broadcast-table mutations run verbatim on every shard.
 //! * Statements over partitioned tables whose output stays partitioned
@@ -39,9 +43,9 @@
 //!   ([`sqlengine::ExactSum`]), the merged result is **bit-identical**
 //!   to a single-node run for any shard count.
 //! * Non-aggregate reads over partitioned data *gather*: each shard
-//!   executes the statement with its `ORDER BY` keys appended as
-//!   hidden trailing columns, and the coordinator merge-sorts the
-//!   per-shard streams on those keys.
+//!   executes the statement with the plan's hidden sort keys appended
+//!   as trailing columns, and the coordinator merge-sorts the per-shard
+//!   streams on those keys.
 //!
 //! Bulk loads route each row by its rid hash; per-shard exactly-once
 //! delivery is inherited from the shard executor (the remote client's
@@ -59,8 +63,12 @@
 //! See `docs/CLUSTER.md` for the full fragment/merge grammar and the
 //! failure semantics.
 
-use sqlengine::ast::{BinOp, Expr, InsertSource, Select, SelectItem, Statement};
+use sqlengine::ast::{InsertSource, Select, SelectItem, Statement};
+use sqlengine::expr::compile_constant;
 use sqlengine::parser::parse;
+use sqlengine::plan::{
+    plan_statement, Chain, InsertPlan, InsertRows, Output, SelectPlan, Source, StatementPlan,
+};
 use sqlengine::{
     Database, Error, ExecMetrics, Limits, PartialAggResult, PrepareError, PreparedId, QueryResult,
     Result, SqlExecutor, StatementKind, SymbolicCatalog, Value,
@@ -81,8 +89,9 @@ pub fn shard_of_rid(rid: i64, nshards: usize) -> usize {
     (z % nshards as u64) as usize
 }
 
-/// How a classified statement executes across the cluster.
-#[derive(Debug)]
+/// How a statement executes across the cluster: a function of its
+/// [`StatementPlan`] and the partition map, nothing else.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Class {
     /// DDL / broadcast-table mutation: verbatim on every shard, result
     /// identical everywhere (shard 0's is returned).
@@ -94,30 +103,34 @@ enum Class {
     Local,
     /// Aggregate read over partitioned data: scatter partials, merge,
     /// finalize once on the shadow catalog.
-    ScatterRead(Box<Select>),
+    ScatterRead,
     /// `INSERT` of a scattered aggregate into a broadcast table:
     /// finalize coordinator-side, then replicate the finished rows.
-    ScatterInsert {
-        table: String,
-        columns: Option<Vec<String>>,
-        select: Box<Select>,
-    },
+    ScatterInsert,
     /// Non-aggregate read over partitioned data: per-shard execution
     /// plus an ordered (or concatenating) gather.
-    GatherRead(Box<Select>),
+    GatherRead,
     /// `INSERT` of a gathered read into a broadcast table.
-    GatherInsert {
-        table: String,
-        columns: Option<Vec<String>>,
-        select: Box<Select>,
-    },
+    GatherInsert,
     /// `INSERT … VALUES` into a partitioned table: rows route to their
     /// owning shard by rid hash.
-    RoutedValues {
-        table: String,
-        columns: Option<Vec<String>>,
-        rows: Vec<Vec<Value>>,
-    },
+    RoutedValues,
+}
+
+impl Class {
+    /// The name `EXPLAIN` prints on its `distribution:` line.
+    fn name(self) -> &'static str {
+        match self {
+            Class::AllShards => "all-shards",
+            Class::ReadOne => "read-one",
+            Class::Local => "local",
+            Class::ScatterRead => "scatter",
+            Class::ScatterInsert => "scatter-insert",
+            Class::GatherRead => "gather",
+            Class::GatherInsert => "gather-insert",
+            Class::RoutedValues => "routed-values",
+        }
+    }
 }
 
 /// A multi-shard mutation whose acknowledgement may have been lost:
@@ -252,317 +265,183 @@ impl<E: SqlExecutor + Send> Coordinator<E> {
 
     // ---- classification ----------------------------------------------
 
-    /// The rid column slot of `table`, if partitioned.
-    fn rid_slot(&self, table: &str) -> Option<usize> {
-        self.partitioned.get(&table.to_ascii_lowercase()).copied()
+    /// The partition-column slot of `source`, if its table is partitioned.
+    fn partition_column(&self, source: &Source) -> Option<usize> {
+        self.partitioned.get(&source.table).copied()
     }
 
-    /// Partitioned FROM entries of a select, as (visible_name, table).
-    fn partitioned_from(&self, sel: &Select) -> Vec<(String, String)> {
-        sel.from
+    /// Are the partitioned sources of `chain` co-located — all connected
+    /// through equalities between their partition columns? That is what
+    /// keeps a shard-local join equal to its slice of the global join.
+    fn co_located(&self, chain: &Chain) -> bool {
+        let is_key = |(source, column): (usize, usize)| {
+            self.partition_column(&chain.sources[source]) == Some(column)
+        };
+        let mut group: Vec<usize> = (0..chain.sources.len()).collect();
+        for (a, b) in chain.equi_pairs() {
+            if is_key(a) && is_key(b) {
+                let (from, to) = (group[a.0], group[b.0]);
+                group
+                    .iter_mut()
+                    .filter(|g| **g == from)
+                    .for_each(|g| *g = to);
+            }
+        }
+        let mut groups = (0..chain.sources.len())
+            .filter(|&i| self.partition_column(&chain.sources[i]).is_some())
+            .map(|i| group[i]);
+        let first = groups.next();
+        groups.all(|g| Some(g) == first)
+    }
+
+    /// How a SELECT's rows come together: `ReadOne` (broadcast sources
+    /// only), `ScatterRead` (aggregate over partitioned input) or
+    /// `GatherRead`.
+    fn select_class(&self, plan: &SelectPlan) -> Result<Class> {
+        let chain = &plan.chain;
+        if !chain
+            .sources
             .iter()
-            .filter(|t| self.rid_slot(&t.table).is_some())
-            .map(|t| {
-                (
-                    t.visible_name().to_ascii_lowercase(),
-                    t.table.to_ascii_lowercase(),
-                )
-            })
-            .collect()
-    }
-
-    /// Are all partitioned FROM tables pairwise connected through
-    /// `a.rid = b.rid` equality conjuncts? Co-partitioning on rid is
-    /// what keeps shard-local joins equal to the global join.
-    fn rid_join_connected(names: &[String], where_clause: Option<&Expr>) -> bool {
-        if names.len() <= 1 {
-            return true;
-        }
-        let mut parent: Vec<usize> = (0..names.len()).collect();
-        fn find(parent: &mut Vec<usize>, i: usize) -> usize {
-            if parent[i] != i {
-                let root = find(parent, parent[i]);
-                parent[i] = root;
-            }
-            parent[i]
-        }
-        let index = |n: &str| names.iter().position(|x| x == n);
-        let mut stack: Vec<&Expr> = where_clause.into_iter().collect();
-        while let Some(e) = stack.pop() {
-            match e {
-                Expr::Binary {
-                    op: BinOp::And,
-                    left,
-                    right,
-                } => {
-                    stack.push(left);
-                    stack.push(right);
-                }
-                Expr::Binary {
-                    op: BinOp::Eq,
-                    left,
-                    right,
-                } => {
-                    if let (
-                        Expr::Column {
-                            table: Some(a),
-                            name: an,
-                        },
-                        Expr::Column {
-                            table: Some(b),
-                            name: bn,
-                        },
-                    ) = (left.as_ref(), right.as_ref())
-                    {
-                        if an == "rid" && bn == "rid" {
-                            if let (Some(i), Some(j)) = (index(a), index(b)) {
-                                let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-                                parent[ri] = rj;
-                            }
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        let root = find(&mut parent, 0);
-        (1..names.len()).all(|i| find(&mut parent, i) == root)
-    }
-
-    fn is_aggregate_select(sel: &Select) -> bool {
-        !sel.group_by.is_empty()
-            || sel.having.as_ref().is_some_and(Expr::contains_aggregate)
-            || sel.items.iter().any(|it| match it {
-                SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
-                _ => false,
-            })
-    }
-
-    /// Does the expression name the rid column of a partitioned FROM
-    /// table (bare `rid` with a single partitioned source, or
-    /// `t.rid`)?
-    fn is_rid_column(&self, e: &Expr, sel: &Select) -> bool {
-        match e {
-            Expr::Column { table: None, name } => {
-                name == "rid" && !self.partitioned_from(sel).is_empty()
-            }
-            Expr::Column {
-                table: Some(t),
-                name,
-            } => {
-                name == "rid"
-                    && self
-                        .partitioned_from(sel)
-                        .iter()
-                        .any(|(vis, _)| vis == t.as_str())
-            }
-            _ => false,
-        }
-    }
-
-    /// Does this `INSERT … SELECT` into partitioned `table` keep every
-    /// produced row on the shard that computes it? True when the
-    /// target's rid column is filled from a source rid column — the
-    /// produced rids are then a subset of the shard's own partition.
-    fn insert_preserves_partition(
-        &self,
-        table: &str,
-        columns: Option<&[String]>,
-        sel: &Select,
-    ) -> bool {
-        let Some(rid_slot) = self.rid_slot(table) else {
-            return false;
-        };
-        // `SELECT *` / `SELECT t.*` from a single partitioned table
-        // copies rid through positionally.
-        if sel.from.len() == 1
-            && columns.is_none()
-            && sel
-                .items
-                .iter()
-                .all(|it| matches!(it, SelectItem::Wildcard | SelectItem::QualifiedWildcard(_)))
+            .any(|s| self.partition_column(s).is_some())
         {
-            return true;
+            return Ok(Class::ReadOne);
         }
-        // Which item feeds the target's rid column?
-        let item_idx = match columns {
-            Some(cols) => match cols.iter().position(|c| c == "rid") {
-                Some(i) => i,
-                None => return false, // rid filled with NULL: not routable
-            },
-            None => rid_slot,
-        };
-        match sel.items.get(item_idx) {
-            Some(SelectItem::Expr { expr, .. }) => self.is_rid_column(expr, sel),
-            _ => false,
-        }
-    }
-
-    /// Classify one parsed statement against the partition map.
-    fn classify(&self, stmt: &Statement) -> Result<Class> {
-        match stmt {
-            Statement::CreateTable { .. } | Statement::DropTable { .. } => Ok(Class::AllShards),
-            Statement::Explain(_) => Ok(Class::ReadOne),
-            Statement::ExplainAnalyze(_) => Err(Error::Unsupported(
-                "EXPLAIN ANALYZE is not supported on a cluster (per-shard \
-                 side effects cannot merge into one plan)"
-                    .into(),
-            )),
-            Statement::Select(sel) => self.classify_select(sel).map(|c| match c {
-                SelectClass::Broadcast => Class::ReadOne,
-                SelectClass::Scatter => Class::ScatterRead(Box::new(sel.clone())),
-                SelectClass::Gather => Class::GatherRead(Box::new(sel.clone())),
-            }),
-            Statement::Insert {
-                table,
-                columns,
-                source,
-            } => self.classify_insert(table, columns.as_deref(), source),
-            Statement::Update { table, from, .. } => {
-                let target_partitioned = self.rid_slot(table).is_some();
-                let from_partitioned: Vec<String> = from
-                    .iter()
-                    .filter(|t| self.rid_slot(&t.table).is_some())
-                    .map(|t| t.visible_name().to_ascii_lowercase())
-                    .collect();
-                if target_partitioned {
-                    if from_partitioned.is_empty() {
-                        return Ok(Class::Local);
-                    }
-                    // Target + partitioned FROM tables must co-join on rid.
-                    let mut names = vec![table.to_ascii_lowercase()];
-                    names.extend(from_partitioned);
-                    let wc = match stmt {
-                        Statement::Update { where_clause, .. } => where_clause.as_ref(),
-                        _ => unreachable!(),
-                    };
-                    if Self::rid_join_connected(&names, wc) {
-                        Ok(Class::Local)
-                    } else {
-                        Err(Error::Unsupported(format!(
-                            "UPDATE {table}: partitioned FROM tables must join \
-                             the target on rid to execute shard-locally"
-                        )))
-                    }
-                } else if from_partitioned.is_empty() {
-                    Ok(Class::AllShards)
-                } else {
-                    Err(Error::Unsupported(format!(
-                        "UPDATE {table}: cannot update a broadcast table from \
-                         partitioned data; aggregate into it with INSERT … SELECT instead"
-                    )))
-                }
-            }
-            Statement::Delete { table, .. } => {
-                if self.rid_slot(table).is_some() {
-                    Ok(Class::Local)
-                } else {
-                    Ok(Class::AllShards)
-                }
-            }
-        }
-    }
-
-    fn classify_insert(
-        &self,
-        table: &str,
-        columns: Option<&[String]>,
-        source: &InsertSource,
-    ) -> Result<Class> {
-        let target_partitioned = self.rid_slot(table).is_some();
-        match source {
-            InsertSource::Values(rows) => {
-                if !target_partitioned {
-                    // Literal VALUES are deterministic: every shard
-                    // computes the identical rows.
-                    return Ok(Class::AllShards);
-                }
-                let mut literal_rows = Vec::with_capacity(rows.len());
-                for row in rows {
-                    let vals: Vec<Value> = row
-                        .iter()
-                        .map(literal_value)
-                        .collect::<Option<Vec<_>>>()
-                        .ok_or_else(|| {
-                            Error::Unsupported(format!(
-                                "INSERT INTO {table}: VALUES into a partitioned \
-                                 table must be literals (rows route by rid hash)"
-                            ))
-                        })?;
-                    literal_rows.push(vals);
-                }
-                Ok(Class::RoutedValues {
-                    table: table.to_ascii_lowercase(),
-                    columns: columns.map(<[String]>::to_vec),
-                    rows: literal_rows,
-                })
-            }
-            InsertSource::Select(sel) => {
-                let inner = self.classify_select(sel)?;
-                if target_partitioned {
-                    match inner {
-                        SelectClass::Broadcast => Err(Error::Unsupported(format!(
-                            "INSERT INTO {table}: inserting broadcast-derived rows \
-                             into a partitioned table would replicate them on every \
-                             shard; load partitioned data with the bulk loader"
-                        ))),
-                        SelectClass::Scatter | SelectClass::Gather => {
-                            if self.insert_preserves_partition(table, columns, sel) {
-                                Ok(Class::Local)
-                            } else {
-                                Err(Error::Unsupported(format!(
-                                    "INSERT INTO {table}: a partitioned target requires \
-                                     the rid column to be copied from a partitioned \
-                                     source (rows must stay on their shard)"
-                                )))
-                            }
-                        }
-                    }
-                } else {
-                    // Broadcast target: re-reading it while writing it
-                    // breaks scatter/gather re-execution on retry.
-                    if sel.from.iter().any(|t| t.table.eq_ignore_ascii_case(table)) {
-                        return Err(Error::Unsupported(format!(
-                            "INSERT INTO {table}: self-referential insert into a \
-                             broadcast table is not supported on a cluster"
-                        )));
-                    }
-                    match inner {
-                        SelectClass::Broadcast => Ok(Class::AllShards),
-                        SelectClass::Scatter => Ok(Class::ScatterInsert {
-                            table: table.to_ascii_lowercase(),
-                            columns: columns.map(<[String]>::to_vec),
-                            select: Box::new((**sel).clone()),
-                        }),
-                        SelectClass::Gather => Ok(Class::GatherInsert {
-                            table: table.to_ascii_lowercase(),
-                            columns: columns.map(<[String]>::to_vec),
-                            select: Box::new((**sel).clone()),
-                        }),
-                    }
-                }
-            }
-        }
-    }
-
-    fn classify_select(&self, sel: &Select) -> Result<SelectClass> {
-        let parts = self.partitioned_from(sel);
-        if parts.is_empty() {
-            return Ok(SelectClass::Broadcast);
-        }
-        let names: Vec<String> = parts.iter().map(|(vis, _)| vis.clone()).collect();
-        if !Self::rid_join_connected(&names, sel.where_clause.as_ref()) {
+        if !self.co_located(chain) {
             return Err(Error::Unsupported(
                 "joins between partitioned tables must include a rid equality \
                  for every table (cross-shard joins are not supported)"
                     .into(),
             ));
         }
-        if Self::is_aggregate_select(sel) {
-            Ok(SelectClass::Scatter)
-        } else {
-            Ok(SelectClass::Gather)
+        if plan.limit.is_some() && plan.sort_keys.is_empty() {
+            return Err(Error::Unsupported(
+                "LIMIT without ORDER BY over partitioned data keeps whichever rows \
+                 come first, which depends on the sharding"
+                    .into(),
+            ));
         }
+        Ok(if plan.is_aggregate() {
+            Class::ScatterRead
+        } else {
+            Class::GatherRead
+        })
+    }
+
+    /// Plan `stmt` against the shadow catalog's schemas and read its
+    /// distribution class off the plan: no rule, no distributed plan —
+    /// `Unsupported`.
+    fn classify(&self, stmt: &Statement) -> Result<(Class, StatementPlan)> {
+        match stmt {
+            Statement::Explain(_) => return Ok((Class::ReadOne, StatementPlan::Utility)),
+            Statement::ExplainAnalyze(_) => {
+                return Err(Error::Unsupported(
+                    "EXPLAIN ANALYZE is not supported on a cluster (per-shard \
+                     side effects cannot merge into one plan)"
+                        .into(),
+                ))
+            }
+            _ => {}
+        }
+        let plan = plan_statement(self.shadow.catalog(), stmt)?;
+        let class = match &plan {
+            StatementPlan::Utility => Class::AllShards,
+            StatementPlan::Select(select) => self.select_class(select)?,
+            StatementPlan::Insert(insert) => self.insert_class(insert)?,
+            StatementPlan::Update(update) => {
+                let (target, from) = update
+                    .chain
+                    .sources
+                    .split_first()
+                    .expect("an UPDATE plan starts with its target");
+                let table = &target.table;
+                let from_partitioned = from.iter().any(|s| self.partition_column(s).is_some());
+                match self.partition_column(target) {
+                    None if from_partitioned => {
+                        return Err(Error::Unsupported(format!(
+                            "UPDATE {table}: cannot update a broadcast table from \
+                             partitioned data; aggregate into it with INSERT … SELECT instead"
+                        )))
+                    }
+                    None => Class::AllShards,
+                    Some(_) if !self.co_located(&update.chain) => {
+                        return Err(Error::Unsupported(format!(
+                            "UPDATE {table}: partitioned FROM tables must join \
+                             the target on rid to execute shard-locally"
+                        )))
+                    }
+                    Some(key) if update.assignments.iter().any(|(slot, _)| *slot == key) => {
+                        return Err(Error::Unsupported(format!(
+                            "UPDATE {table}: assigning the partition column would \
+                             leave rows on the wrong shard"
+                        )))
+                    }
+                    Some(_) => Class::Local,
+                }
+            }
+            StatementPlan::Delete(delete) => match self.partition_column(&delete.target) {
+                Some(_) => Class::Local,
+                None => Class::AllShards,
+            },
+        };
+        Ok((class, plan))
+    }
+
+    fn insert_class(&self, insert: &InsertPlan) -> Result<Class> {
+        let table = &insert.target.table;
+        let key = self.partition_column(&insert.target);
+        let select = match &insert.rows {
+            // Constant VALUES: every shard computes the identical rows
+            // of a broadcast table; a partitioned one routes them.
+            InsertRows::Values(_) => {
+                return Ok(key.map_or(Class::AllShards, |_| Class::RoutedValues))
+            }
+            InsertRows::Select(select) => select,
+        };
+        let inner = self.select_class(select)?;
+        let Some(key) = key else {
+            // Broadcast target: re-reading it while writing it breaks
+            // scatter/gather re-execution on retry.
+            if select.chain.sources.iter().any(|s| s.table == *table) {
+                return Err(Error::Unsupported(format!(
+                    "INSERT INTO {table}: self-referential insert into a \
+                     broadcast table is not supported on a cluster"
+                )));
+            }
+            return Ok(match inner {
+                Class::ScatterRead => Class::ScatterInsert,
+                Class::GatherRead => Class::GatherInsert,
+                _ => Class::AllShards,
+            });
+        };
+        if inner == Class::ReadOne {
+            return Err(Error::Unsupported(format!(
+                "INSERT INTO {table}: inserting broadcast-derived rows \
+                 into a partitioned table would replicate them on every \
+                 shard; load partitioned data with the bulk loader"
+            )));
+        }
+        if select.limit.is_some() {
+            return Err(Error::Unsupported(format!(
+                "INSERT INTO {table}: a LIMIT over partitioned data cannot run \
+                 shard-locally (every shard would keep its own LIMIT rows)"
+            )));
+        }
+        // Every produced row stays on the shard that computes it when
+        // the target's partition column is a copy of a source's: the
+        // produced keys are then a subset of the shard's own partition.
+        let fed_by = (0..insert.incoming_arity()).find(|&j| insert.target_slot(j) == key);
+        let keeps_partition = fed_by.is_some_and(|j| {
+            matches!(select.output(j), Output::Column(source, column)
+                if self.partition_column(&select.chain.sources[source]) == Some(column))
+        });
+        if !keeps_partition {
+            return Err(Error::Unsupported(format!(
+                "INSERT INTO {table}: a partitioned target requires \
+                 the rid column to be copied from a partitioned \
+                 source (rows must stay on their shard)"
+            )));
+        }
+        Ok(Class::Local)
     }
 
     // ---- execution ---------------------------------------------------
@@ -646,8 +525,9 @@ impl<E: SqlExecutor + Send> Coordinator<E> {
     /// Execute one parsed statement across the cluster.
     fn run_one(&mut self, stmt: &Statement) -> Result<QueryResult> {
         let text = stmt.to_string();
-        match self.classify(stmt)? {
-            Class::AllShards => {
+        let (class, plan) = self.classify(stmt)?;
+        match (class, stmt, &plan) {
+            (Class::AllShards, ..) => {
                 let fp = fingerprint_text(&text);
                 let results = self.mutate_all(fp, |_, shard| shard.execute(&text))?;
                 // DDL also lands on the shadow so the coordinator's
@@ -666,7 +546,7 @@ impl<E: SqlExecutor + Send> Coordinator<E> {
                     .next()
                     .unwrap_or(QueryResult::affected(0)))
             }
-            Class::Local => {
+            (Class::Local, ..) => {
                 let fp = fingerprint_text(&text);
                 let results = self.mutate_all(fp, |_, shard| shard.execute(&text))?;
                 self.drain_metrics(MergeMode::MergeMasked, None)?;
@@ -677,58 +557,75 @@ impl<E: SqlExecutor + Send> Coordinator<E> {
                     .sum();
                 Ok(QueryResult::affected(affected))
             }
-            Class::ReadOne => {
-                let result = self.shards[0].execute(&text)?;
+            (Class::ReadOne, ..) => {
+                let mut result = self.shards[0].execute(&text)?;
                 self.drain_metrics(MergeMode::KeepFirst, None)?;
+                if let Statement::Explain(inner) = stmt {
+                    // The class `run_one` would match on for the inner
+                    // statement, as one more plan line.
+                    let distribution = match self.classify(inner) {
+                        Ok((class, _)) => class.name().to_string(),
+                        Err(e) => format!("none ({e})"),
+                    };
+                    let line = format!("distribution: {distribution}");
+                    result.rows.push(vec![Value::from(line)].into_boxed_slice());
+                    result.rows_affected = result.rows.len();
+                }
                 Ok(result)
             }
-            Class::ScatterRead(sel) => {
-                let (merged, groups) = self.scatter_partials(&sel)?;
-                let text = Statement::Select((*sel).clone()).to_string();
+            (Class::ScatterRead, ..) => {
+                let (merged, groups) = self.scatter_partials(&text)?;
                 let result = self.shadow.finalize_partials(&text, &merged)?;
                 self.drain_metrics(MergeMode::MergeMasked, Some((groups, result.rows.len())))?;
                 Ok(result)
             }
-            Class::ScatterInsert {
-                table,
-                columns,
-                select,
-            } => {
-                let (merged, _) = self.scatter_partials(&select)?;
-                let text = Statement::Select((*select).clone()).to_string();
-                let finalized = self.shadow.finalize_partials(&text, &merged)?;
-                let rows = self.full_arity_rows(&table, columns.as_deref(), finalized.rows)?;
-                self.replicate_rows(&text, &table, rows)
-            }
-            Class::GatherRead(sel) => {
-                let result = self.gather_read(&sel)?;
+            (Class::GatherRead, Statement::Select(sel), StatementPlan::Select(select)) => {
+                let result = self.gather_read(sel, select)?;
                 self.drain_metrics(MergeMode::MergeMasked, Some((0, result.rows.len())))?;
                 Ok(result)
             }
-            Class::GatherInsert {
-                table,
-                columns,
-                select,
-            } => {
-                let gathered = self.gather_read(&select)?;
-                let rows = self.full_arity_rows(&table, columns.as_deref(), gathered.rows)?;
-                let text = Statement::Select((*select).clone()).to_string();
-                self.replicate_rows(&text, &table, rows)
+            (
+                Class::ScatterInsert | Class::GatherInsert,
+                Statement::Insert {
+                    source: InsertSource::Select(sel),
+                    ..
+                },
+                StatementPlan::Insert(
+                    insert @ InsertPlan {
+                        rows: InsertRows::Select(select),
+                        ..
+                    },
+                ),
+            ) => {
+                let select_text = Statement::Select((**sel).clone()).to_string();
+                let produced = if class == Class::ScatterInsert {
+                    let (merged, _) = self.scatter_partials(&select_text)?;
+                    self.shadow.finalize_partials(&select_text, &merged)?
+                } else {
+                    self.gather_read(sel, select)?
+                };
+                let rows = full_rows(insert, produced.rows)?;
+                self.replicate_rows(&select_text, &insert.target.table, rows)
             }
-            Class::RoutedValues {
-                table,
-                columns,
-                rows,
-            } => {
-                let full = self.full_arity_rows(
-                    &table,
-                    columns.as_deref(),
-                    rows.into_iter().map(Vec::into_boxed_slice).collect(),
-                )?;
-                let n = self.route_bulk(&table, full)?;
+            (
+                Class::RoutedValues,
+                Statement::Insert {
+                    source: InsertSource::Values(rows),
+                    ..
+                },
+                StatementPlan::Insert(insert),
+            ) => {
+                let mut constant_rows = Vec::with_capacity(rows.len());
+                for row in rows {
+                    let values: Vec<Value> =
+                        row.iter().map(compile_constant).collect::<Result<_>>()?;
+                    constant_rows.push(values.into_boxed_slice());
+                }
+                let n = self.route_bulk(&insert.target.table, full_rows(insert, constant_rows)?)?;
                 self.drain_metrics(MergeMode::MergeMasked, None)?;
                 Ok(QueryResult::affected(n))
             }
+            _ => unreachable!("classify pairs every class with its statement and plan kind"),
         }
     }
 
@@ -738,11 +635,10 @@ impl<E: SqlExecutor + Send> Coordinator<E> {
     /// `MIN`/`MAX`, and shard order makes `VARIANCE`'s Chan combination
     /// deterministic too). Returns the merged partial and its group
     /// count.
-    fn scatter_partials(&mut self, sel: &Select) -> Result<(PartialAggResult, usize)> {
-        let text = Statement::Select(sel.clone()).to_string();
+    fn scatter_partials(&mut self, text: &str) -> Result<(PartialAggResult, usize)> {
         let skip = vec![false; self.shards.len()];
         let results = Self::fan_out(&mut self.shards, &skip, |_, shard| {
-            shard.execute_partial(&text)
+            shard.execute_partial(text)
         });
         let mut merged: Option<PartialAggResult> = None;
         for r in results {
@@ -758,16 +654,14 @@ impl<E: SqlExecutor + Send> Coordinator<E> {
     }
 
     /// Gather a non-aggregate select: each shard executes it with the
-    /// ORDER BY keys appended as hidden trailing columns, then the
+    /// plan's hidden sort keys appended as trailing columns, then the
     /// per-shard streams merge on those keys (ties break by shard
     /// index). Without ORDER BY the streams concatenate in shard order.
-    fn gather_read(&mut self, sel: &Select) -> Result<QueryResult> {
-        let nkeys = sel.order_by.len();
+    fn gather_read(&mut self, sel: &Select, plan: &SelectPlan) -> Result<QueryResult> {
         let mut shard_sel = sel.clone();
-        for (j, key) in sel.order_by.iter().enumerate() {
-            let expr = substitute_aliases(&key.expr, &sel.items);
+        for (j, (expr, _)) in plan.sort_keys.iter().enumerate() {
             shard_sel.items.push(SelectItem::Expr {
-                expr,
+                expr: expr.clone(),
                 alias: Some(format!("__gk{j}")),
             });
         }
@@ -778,12 +672,11 @@ impl<E: SqlExecutor + Send> Coordinator<E> {
         for r in results {
             parts.push(r.expect("no shard skipped")?);
         }
-        let visible = parts[0].columns.len().saturating_sub(nkeys);
-        let columns: Vec<String> = parts[0].columns[..visible].to_vec();
-        let descs: Vec<bool> = sel.order_by.iter().map(|k| k.desc).collect();
+        let visible = plan.output_names.len();
+        let descs: Vec<bool> = plan.sort_keys.iter().map(|(_, desc)| *desc).collect();
 
         let mut rows: Vec<sqlengine::Row> = Vec::new();
-        if nkeys == 0 {
+        if descs.is_empty() {
             for part in parts {
                 rows.extend(part.rows);
             }
@@ -817,12 +710,12 @@ impl<E: SqlExecutor + Send> Coordinator<E> {
             v.truncate(visible);
             *row = v.into_boxed_slice();
         }
-        if let Some(limit) = sel.limit {
+        if let Some(limit) = plan.limit {
             rows.truncate(limit);
         }
         let n = rows.len();
         Ok(QueryResult {
-            columns,
+            columns: plan.output_names.clone(),
             rows,
             rows_affected: n,
         })
@@ -854,7 +747,7 @@ impl<E: SqlExecutor + Send> Coordinator<E> {
     /// Route full-arity rows of a partitioned table to their owning
     /// shards by rid hash and bulk-load each slice in parallel.
     fn route_bulk(&mut self, table: &str, rows: Vec<Vec<Value>>) -> Result<usize> {
-        let slot = self.rid_slot(table).ok_or_else(|| {
+        let slot = self.partitioned.get(table).copied().ok_or_else(|| {
             Error::Unsupported(format!("table {table} is not partitioned by rid"))
         })?;
         let n = self.shards.len();
@@ -881,69 +774,6 @@ impl<E: SqlExecutor + Send> Coordinator<E> {
             shard.bulk_insert_rows(&table_name, buckets[i].clone())
         })?;
         Ok(counts.into_iter().flatten().sum())
-    }
-
-    /// Expand a result row set to the target table's full arity,
-    /// honoring an explicit INSERT column list (missing columns become
-    /// NULL, exactly like the engine's INSERT).
-    fn full_arity_rows(
-        &self,
-        table: &str,
-        columns: Option<&[String]>,
-        rows: Vec<sqlengine::Row>,
-    ) -> Result<Vec<Vec<Value>>> {
-        let snapshot = self.shadow.symbolic_catalog();
-        let schema = snapshot
-            .tables()
-            .find(|(name, _)| *name == table)
-            .map(|(_, s)| s.clone())
-            .ok_or_else(|| Error::UnknownTable(table.to_string()))?;
-        let arity = schema.columns().len();
-        let slot_map: Option<Vec<usize>> = match columns {
-            None => None,
-            Some(cols) => {
-                let mut map = Vec::with_capacity(cols.len());
-                for c in cols {
-                    let idx = schema
-                        .columns()
-                        .iter()
-                        .position(|col| col.name == *c)
-                        .ok_or_else(|| Error::UnknownColumn(c.clone()))?;
-                    map.push(idx);
-                }
-                Some(map)
-            }
-        };
-        let mut out = Vec::with_capacity(rows.len());
-        for row in rows {
-            match &slot_map {
-                None => {
-                    if row.len() != arity {
-                        return Err(Error::ArityMismatch {
-                            table: table.to_string(),
-                            expected: arity,
-                            actual: row.len(),
-                        });
-                    }
-                    out.push(row.into_vec());
-                }
-                Some(map) => {
-                    if row.len() != map.len() {
-                        return Err(Error::ArityMismatch {
-                            table: table.to_string(),
-                            expected: map.len(),
-                            actual: row.len(),
-                        });
-                    }
-                    let mut full = vec![Value::Null; arity];
-                    for (v, &slot) in row.iter().zip(map) {
-                        full[slot] = v.clone();
-                    }
-                    out.push(full);
-                }
-            }
-        }
-        Ok(out)
     }
 
     /// After DDL, re-derive the partition map entry for the table.
@@ -1032,16 +862,6 @@ impl<E: SqlExecutor + Send> Coordinator<E> {
     }
 }
 
-/// Inner classification of a SELECT's data sources.
-enum SelectClass {
-    /// Broadcast tables only (or no FROM): any one shard answers.
-    Broadcast,
-    /// Aggregate over partitioned data.
-    Scatter,
-    /// Row-returning read over partitioned data.
-    Gather,
-}
-
 #[derive(Clone, Copy)]
 enum MergeMode {
     /// Shard 0's entries stand for the cluster (identical everywhere).
@@ -1086,69 +906,12 @@ fn fingerprint_bulk(table: &str, rows: &[Vec<Value>]) -> u64 {
     h.finish()
 }
 
-/// A VALUES expression that is a literal (or a negated numeric
-/// literal), evaluated without an engine.
-fn literal_value(e: &Expr) -> Option<Value> {
-    match e {
-        Expr::Literal(v) => Some(v.clone()),
-        Expr::Unary {
-            op: sqlengine::ast::UnaryOp::Neg,
-            expr,
-        } => match literal_value(expr)? {
-            Value::Int(i) => Some(Value::Int(-i)),
-            Value::Double(d) => Some(Value::Double(-d)),
-            _ => None,
-        },
-        _ => None,
-    }
-}
-
-/// Replace references to output aliases in an ORDER BY key with the
-/// aliased expressions, so the key can travel as a hidden projection
-/// item on each shard.
-fn substitute_aliases(e: &Expr, items: &[SelectItem]) -> Expr {
-    if let Expr::Column { table: None, name } = e {
-        for item in items {
-            if let SelectItem::Expr {
-                expr,
-                alias: Some(a),
-            } = item
-            {
-                if a == name {
-                    return expr.clone();
-                }
-            }
-        }
-    }
-    match e {
-        Expr::Unary { op, expr } => Expr::Unary {
-            op: *op,
-            expr: Box::new(substitute_aliases(expr, items)),
-        },
-        Expr::Binary { op, left, right } => Expr::Binary {
-            op: *op,
-            left: Box::new(substitute_aliases(left, items)),
-            right: Box::new(substitute_aliases(right, items)),
-        },
-        Expr::Func { name, args } => Expr::Func {
-            name: name.clone(),
-            args: args.iter().map(|a| substitute_aliases(a, items)).collect(),
-        },
-        Expr::Case { whens, else_expr } => Expr::Case {
-            whens: whens
-                .iter()
-                .map(|(c, r)| (substitute_aliases(c, items), substitute_aliases(r, items)))
-                .collect(),
-            else_expr: else_expr
-                .as_ref()
-                .map(|x| Box::new(substitute_aliases(x, items))),
-        },
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(substitute_aliases(expr, items)),
-            negated: *negated,
-        },
-        other => other.clone(),
-    }
+/// Widen produced rows to the INSERT target's arity (the engine's own
+/// column mapping) for the row-shipping calls.
+fn full_rows(insert: &InsertPlan, rows: Vec<sqlengine::Row>) -> Result<Vec<Vec<Value>>> {
+    rows.into_iter()
+        .map(|row| Ok(insert.full_row(row)?.into_vec()))
+        .collect()
 }
 
 /// Compare two gathered rows on their hidden trailing key columns.
@@ -1189,19 +952,19 @@ impl<E: SqlExecutor + Send> SqlExecutor for Coordinator<E> {
 
     fn execute_partial(&mut self, sql: &str) -> Result<PartialAggResult> {
         let stmts = parse(sql)?;
-        let [Statement::Select(sel)] = stmts.as_slice() else {
+        let [stmt @ Statement::Select(_)] = stmts.as_slice() else {
             return Err(Error::Unsupported(
                 "partial execution requires a single SELECT".into(),
             ));
         };
-        match self.classify_select(sel)? {
-            SelectClass::Broadcast => self.shards[0].execute_partial(sql),
-            SelectClass::Scatter => {
-                let (merged, _) = self.scatter_partials(sel)?;
+        match self.classify(stmt)?.0 {
+            Class::ReadOne => self.shards[0].execute_partial(sql),
+            Class::ScatterRead => {
+                let (merged, _) = self.scatter_partials(&stmt.to_string())?;
                 self.drain_metrics(MergeMode::MergeMasked, None)?;
                 Ok(merged)
             }
-            SelectClass::Gather => Err(Error::Unsupported(
+            _ => Err(Error::Unsupported(
                 "partial execution requires an aggregate SELECT".into(),
             )),
         }
@@ -1458,6 +1221,80 @@ mod tests {
             sqls.push("SELECT rid, y1 + y2 AS s FROM y ORDER BY s DESC, rid");
             assert_parity(n, &sqls);
         }
+    }
+
+    #[test]
+    fn gather_read_orders_by_the_output_name_of_a_qualified_column() {
+        // `ORDER BY rid` names output 0 (`y.rid`), as the engine reads
+        // it; shipped to the shards as a bare hidden key it would be
+        // ambiguous between y and z.
+        for n in [1, 2, 4] {
+            let mut sqls = SETUP.to_vec();
+            sqls.push("CREATE TABLE z (rid BIGINT PRIMARY KEY, z1 DOUBLE)");
+            sqls.push("INSERT INTO z VALUES (1, 0.5), (2, -1.5), (3, 2.25), (5, 8.0), (7, 0.0)");
+            sqls.push("SELECT y.rid, z.z1 FROM y, z WHERE y.rid = z.rid ORDER BY rid");
+            assert_parity(n, &sqls);
+        }
+    }
+
+    #[test]
+    fn local_insert_select_with_limit_is_rejected_not_applied_per_shard() {
+        // Run shard-locally, every shard would keep its own 3 rows: 6
+        // rows at 2 shards where a single node inserts 3.
+        for n in [1, 2, 4] {
+            let mut coord = cluster(n);
+            for sql in SETUP {
+                coord.execute(sql).unwrap();
+            }
+            coord
+                .execute("CREATE TABLE w (rid BIGINT, y1 DOUBLE)")
+                .unwrap();
+            for sql in [
+                "INSERT INTO w SELECT rid, y1 FROM y ORDER BY y1 DESC LIMIT 3",
+                "INSERT INTO w SELECT rid, y1 FROM y LIMIT 3",
+            ] {
+                match coord.execute(sql) {
+                    Err(Error::Unsupported(m)) => assert!(m.contains("LIMIT"), "{m}"),
+                    other => panic!("{sql} at {n} shard(s): {other:?}"),
+                }
+            }
+            assert_eq!(coord.table_rows("w").unwrap(), 0);
+        }
+    }
+
+    #[test]
+    fn explain_reports_the_distribution_class() {
+        let mut coord = cluster(2);
+        for sql in SETUP {
+            coord.execute(sql).unwrap();
+        }
+        let mut distribution = |sql: &str| {
+            let plan = coord.execute(&format!("EXPLAIN {sql}")).unwrap();
+            plan.rows.last().unwrap()[0].to_string()
+        };
+        for (sql, want) in [
+            ("SELECT sum(y1) FROM y", "distribution: scatter"),
+            ("SELECT rid FROM y ORDER BY rid", "distribution: gather"),
+            ("SELECT j FROM c", "distribution: read-one"),
+            ("DELETE FROM y WHERE y1 < 0.0", "distribution: local"),
+            ("UPDATE c SET c1 = 0.0", "distribution: all-shards"),
+            (
+                "INSERT INTO y VALUES (9, 0.0, 0.0)",
+                "distribution: routed-values",
+            ),
+            (
+                "INSERT INTO c SELECT rid, sum(y1), max(y2) FROM y GROUP BY rid",
+                "distribution: scatter-insert",
+            ),
+            (
+                "INSERT INTO c SELECT rid, y1, y2 FROM y",
+                "distribution: gather-insert",
+            ),
+        ] {
+            assert_eq!(distribution(sql), want, "{sql}");
+        }
+        let rejected = distribution("SELECT rid FROM y LIMIT 2");
+        assert!(rejected.starts_with("distribution: none (") && rejected.contains("LIMIT"));
     }
 
     #[test]

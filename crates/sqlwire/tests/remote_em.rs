@@ -224,18 +224,17 @@ fn concurrent_clients_match_their_embedded_runs() {
 // wire flakes and the retry policy
 
 #[test]
-fn dropped_connection_surfaces_as_transient() {
+fn dropped_first_dial_is_redialled() {
     // The server drops the very first accepted connection on the floor:
-    // the dial must fail with an error the retry machinery classifies
-    // as transient (a reconnect can fix it) — and the next dial works.
+    // the handshake dies like any cut frame — a transient wire failure —
+    // and `connect` redials instead of giving up on its first attempt.
     let config = ServerConfig {
         drop_nth_connection: Some(1),
         ..ServerConfig::default()
     };
     let server = TestServer::start(SharedDatabase::default(), config);
-    let err = RemoteConnection::connect(&server.addr, ClientConfig::default()).unwrap_err();
-    assert!(err.is_transient(), "dropped dial must be transient: {err}");
-    let mut conn = connect(&server.addr, "");
+    let mut conn = RemoteConnection::connect(&server.addr, ClientConfig::default())
+        .expect("a dropped first dial is redialled");
     assert!(!conn.has_table("nope").unwrap());
     drop(conn);
     server.stop();

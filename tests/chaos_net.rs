@@ -138,21 +138,11 @@ fn wal_stats(dir: &Path) -> (u64, usize) {
     (next_seq, committed)
 }
 
-/// Connect through a possibly-hostile wire: a cut armed on the
-/// handshake frames surfaces as a transient connect error, so retry a
-/// few times (the rule is consumed by the first attempt).
+/// Connect through a possibly-hostile wire: `RemoteConnection::connect`
+/// itself redials when a cut armed on the handshake frames eats it.
 fn connect(addr: &str) -> RemoteConnection {
-    let mut last = None;
-    for _ in 0..5 {
-        match RemoteConnection::connect(addr, ClientConfig::default()) {
-            Ok(conn) => return conn,
-            Err(e) => {
-                last = Some(e);
-                thread::sleep(Duration::from_millis(10));
-            }
-        }
-    }
-    panic!("cannot connect to {addr}: {}", last.unwrap());
+    RemoteConnection::connect(addr, ClientConfig::default())
+        .unwrap_or_else(|e| panic!("cannot connect to {addr}: {e}"))
 }
 
 /// Wait for the proxy's relay threads to drain: the final frames of a

@@ -14,10 +14,21 @@
 //! of trusting the driver's own [`sqlem::IterationReport`] numbers,
 //! then cross-check that both layers agree.
 
+use std::collections::HashMap;
+
 use datagen::generate_dataset;
+use emcore::emfull::FullParams;
 use emcore::init::InitStrategy;
-use sqlem::{scan_threshold, EmSession, IterationReport, SqlemConfig, Strategy};
-use sqlengine::{Database, ExecMetrics};
+use sqlem::{
+    scan_threshold, EmSession, IterationReport, KmeansConfig, KmeansSession, PerClusterConfig,
+    PerClusterSession, SqlemConfig, Strategy,
+};
+use sqlengine::parser::parse_one;
+use sqlengine::plan::{plan_statement, InsertRows, Join, StatementPlan};
+use sqlengine::{
+    Database, ExecMetrics, Limits, PrepareError, PreparedId, QueryResult, SqlExecutor,
+    SymbolicCatalog, Value,
+};
 
 /// Build a session, run one warm-up iteration (so every work table
 /// exists in steady state), enable telemetry and run one measured
@@ -179,4 +190,242 @@ fn horizontal_distances_are_one_scan_of_the_points_table() {
     assert_eq!(pn_scans, 0, "horizontal touches no pn-row table");
     assert_eq!(n_scans, 2 * k + 3 + 1, "horizontal pays one extra n-scan");
     assert_eq!(report.pn_scans, 0);
+}
+
+// ---------------------------------------------------------------------
+// The plan is what runs
+// ---------------------------------------------------------------------
+
+/// A `Database` that plans every statement against its catalog before
+/// running it and holds the statement's `ExecMetrics` to the plan: the
+/// driver and build tables in order, and no join-build rows where the
+/// plan says a primary-key index serves every join.
+struct PlanChecked {
+    db: Database,
+    prepared: HashMap<u64, String>,
+    checked: usize,
+    index_joins: usize,
+}
+
+impl PlanChecked {
+    fn new() -> Self {
+        let mut db = Database::new();
+        db.enable_metrics();
+        PlanChecked {
+            db,
+            prepared: HashMap::new(),
+            checked: 0,
+            index_joins: 0,
+        }
+    }
+
+    /// `(table, build side?)` per scan the plan implies, the join-build
+    /// rows it implies (`None`: a filter decides), and its index joins.
+    fn expectation(&self, plan: &StatementPlan) -> (Vec<(String, bool)>, Option<u64>, usize) {
+        let rows = |table: &str| self.db.table_len(table).unwrap() as u64;
+        match plan {
+            StatementPlan::Utility => (Vec::new(), Some(0), 0),
+            StatementPlan::Insert(insert) => match &insert.rows {
+                InsertRows::Values(_) => (Vec::new(), Some(0), 0),
+                InsertRows::Select(select) => {
+                    self.expectation(&StatementPlan::Select((**select).clone()))
+                }
+            },
+            StatementPlan::Select(select) => {
+                let chain = &select.chain;
+                let scans = chain
+                    .sources
+                    .iter()
+                    .enumerate()
+                    .map(|(i, s)| (s.table.clone(), i > 0))
+                    .collect();
+                let mut built = Some(0);
+                let mut index_joins = 0;
+                for (stage, source) in chain.stages.iter().zip(&chain.sources[1..]) {
+                    match &stage.join {
+                        Join::Hash {
+                            pk_order: Some(_), ..
+                        } => index_joins += 1,
+                        _ if stage.filters.is_empty() => {
+                            built = built.map(|b| b + rows(&source.table))
+                        }
+                        _ => built = None,
+                    }
+                }
+                (scans, built, index_joins)
+            }
+            StatementPlan::Update(update) => {
+                let (target, from) = update.chain.sources.split_first().unwrap();
+                let mut scans: Vec<(String, bool)> =
+                    from.iter().map(|s| (s.table.clone(), true)).collect();
+                scans.push((target.table.clone(), false));
+                (scans, Some(from.iter().map(|s| rows(&s.table)).sum()), 0)
+            }
+            StatementPlan::Delete(delete) => {
+                (vec![(delete.target.table.clone(), false)], Some(0), 0)
+            }
+        }
+    }
+
+    fn run_checked(
+        &mut self,
+        sql: &str,
+        run: impl FnOnce(&mut Database) -> sqlengine::Result<QueryResult>,
+    ) -> sqlengine::Result<QueryResult> {
+        let stmt = parse_one(sql)?;
+        let plan = plan_statement(self.db.catalog(), &stmt)?;
+        let (scans, built, index_joins) = self.expectation(&plan);
+        let from = self.db.metrics().len();
+        let result = run(&mut self.db)?;
+        let entries = &self.db.metrics().entries()[from..];
+        assert_eq!(entries.len(), 1, "one metrics entry per statement: {sql}");
+        let ran: Vec<(String, bool)> = entries[0]
+            .scans
+            .iter()
+            .map(|s| (s.table.clone(), s.build))
+            .collect();
+        assert_eq!(ran, scans, "driver/build tables of: {sql}");
+        if let Some(built) = built {
+            assert_eq!(entries[0].join_build_rows, built, "build rows of: {sql}");
+        }
+        self.checked += 1;
+        self.index_joins += index_joins;
+        Ok(result)
+    }
+}
+
+impl SqlExecutor for PlanChecked {
+    fn execute(&mut self, sql: &str) -> sqlengine::Result<QueryResult> {
+        self.run_checked(sql, |db| db.execute(sql))
+    }
+
+    fn prepare_script(&mut self, statements: &[String]) -> Result<Vec<PreparedId>, PrepareError> {
+        let ids = self.db.prepare_script(statements)?;
+        for (id, sql) in ids.iter().zip(statements) {
+            self.prepared.insert(id.0, sql.clone());
+        }
+        Ok(ids)
+    }
+
+    fn run_prepared(&mut self, id: PreparedId) -> sqlengine::Result<QueryResult> {
+        let sql = self.prepared[&id.0].clone();
+        self.run_checked(&sql, |db| db.run_prepared(id))
+    }
+
+    fn clear_prepared(&mut self) -> sqlengine::Result<()> {
+        self.prepared.clear();
+        self.db.clear_prepared()
+    }
+
+    fn bulk_insert_rows(&mut self, table: &str, rows: Vec<Vec<Value>>) -> sqlengine::Result<usize> {
+        self.db.bulk_insert_rows(table, rows)
+    }
+
+    fn table_rows(&mut self, table: &str) -> sqlengine::Result<usize> {
+        self.db.table_rows(table)
+    }
+
+    fn has_table(&mut self, table: &str) -> sqlengine::Result<bool> {
+        self.db.has_table(table)
+    }
+
+    fn catalog_snapshot(&mut self) -> sqlengine::Result<SymbolicCatalog> {
+        self.db.catalog_snapshot()
+    }
+
+    fn max_statement_len(&self) -> usize {
+        SqlExecutor::max_statement_len(&self.db)
+    }
+
+    fn analyze_limits(&self) -> Limits {
+        self.db.analyze_limits()
+    }
+
+    fn note_statement_retry(&mut self) {
+        self.db.note_statement_retry();
+    }
+
+    // The checks read the metrics log, so it stays on.
+    fn set_metrics_enabled(&mut self, _on: bool) -> sqlengine::Result<()> {
+        Ok(())
+    }
+
+    fn metrics_enabled(&self) -> bool {
+        true
+    }
+
+    fn metrics_len(&mut self) -> sqlengine::Result<usize> {
+        self.db.metrics_len()
+    }
+
+    fn metrics_since(&mut self, from: usize) -> sqlengine::Result<Vec<ExecMetrics>> {
+        SqlExecutor::metrics_since(&mut self.db, from)
+    }
+
+    fn describe(&self) -> String {
+        self.db.describe()
+    }
+}
+
+/// Every statement of the horizontal / vertical / hybrid / fused-E-step
+/// scripts and of the K-means and per-cluster scripts — set-up, two
+/// iterations, scoring — scans the driver and build tables its plan
+/// names, and builds nothing where the plan chose the table's index.
+#[test]
+fn every_generated_statement_runs_as_its_plan_says() {
+    let (n, p, k) = (240, 3, 2);
+    let data = generate_dataset(n, p, k, 7);
+    let mut totals = Vec::new();
+    for (strategy, fused) in [
+        (Strategy::Horizontal, false),
+        (Strategy::Vertical, false),
+        (Strategy::Hybrid, false),
+        (Strategy::Hybrid, true),
+    ] {
+        let mut db = PlanChecked::new();
+        let mut config = SqlemConfig::new(k, strategy).with_epsilon(0.0);
+        if fused {
+            config = config.with_fused_e_step();
+        }
+        let mut session = EmSession::create(&mut db, &config, p).unwrap();
+        session.load_points(&data.points).unwrap();
+        session
+            .initialize(&InitStrategy::Random { seed: 11 })
+            .unwrap();
+        session.iterate_once().unwrap();
+        session.iterate_once().unwrap();
+        assert_eq!(session.scores().unwrap().len(), n);
+        totals.push((db.checked, db.index_joins));
+    }
+
+    let mut db = PlanChecked::new();
+    let mut session = KmeansSession::create(&mut db, &KmeansConfig::new(k), p).unwrap();
+    session.load_points(&data.points).unwrap();
+    session
+        .set_centroids(&[vec![0.0; p], vec![5.0; p]])
+        .unwrap();
+    session.iterate_once().unwrap();
+    session.iterate_once().unwrap();
+    assert_eq!(session.assignments().unwrap().len(), n);
+    totals.push((db.checked, db.index_joins));
+
+    let mut db = PlanChecked::new();
+    let mut session = PerClusterSession::create(&mut db, &PerClusterConfig::new(k), p).unwrap();
+    session.load_points(&data.points).unwrap();
+    session
+        .set_params(&FullParams {
+            means: vec![vec![0.0; p], vec![5.0; p]],
+            covs: vec![vec![8.0; p]; k],
+            weights: vec![0.5; k],
+        })
+        .unwrap();
+    session.iterate_once().unwrap();
+    session.iterate_once().unwrap();
+    assert_eq!(session.scores().unwrap().len(), n);
+    totals.push((db.checked, db.index_joins));
+
+    for (script, (checked, index_joins)) in totals.iter().enumerate() {
+        assert!(*checked >= 20, "script {script}: only {checked} statements");
+        assert!(*index_joins >= 1, "script {script}: no index join checked");
+    }
 }
