@@ -20,9 +20,12 @@ Stages, in order:
                 unsafe block
   shape-gate    statement shape is decided in sqlengine::plan only: the
                 re-derivations the plan replaced (rid_join_connected,
-                is_rid_column, is_aggregate_select, …) must not reappear
-                under crates/*/src; prints the crates/*/src line total so
-                a PR's line delta is a CI output
+                is_rid_column, is_aggregate_select, …) and the mirror
+                analyzer that walked the AST beside it (ExprCtx, AggMode,
+                canon, check_plain, build_scopes, lift) must not reappear
+                under crates/*/src; prints the crates/*/src line total
+                and the non-test total (each file up to its first
+                #[cfg(test)]) so a PR's line delta is a CI output
   fmt           cargo fmt --all -- --check
   clippy        cargo clippy --workspace --all-targets -D warnings
   doc           cargo doc --workspace --no-deps, rustdoc warnings are
@@ -131,7 +134,15 @@ if grep -rnE 'rid_join_connected|is_rid_column|is_aggregate_select|insert_preser
          "read the plan (crates/sqlengine/src/plan.rs) instead" >&2
     exit 1
 fi
-echo "   crates/*/src: $(find crates/*/src -name '*.rs' -exec cat {} + | wc -l) lines"
+if grep -rnE 'ExprCtx|AggMode|fn canon|fn check_plain|fn build_scopes|fn lift\b' crates/*/src; then
+    echo "ERROR: a second front end is back (above): names resolve, aggregates" \
+         "are placed and arities are checked by sqlengine::plan, and types are" \
+         "read off its compiled expressions (crates/sqlengine/src/expr/ty.rs)" >&2
+    exit 1
+fi
+echo "   crates/*/src: $(find crates/*/src -name '*.rs' -exec cat {} + | wc -l) lines," \
+     "$(find crates/*/src -name '*.rs' -exec awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} !t' {} + | wc -l)" \
+     "outside #[cfg(test)]"
 
 echo "== fmt: cargo fmt --check"
 cargo fmt --all -- --check

@@ -16,6 +16,23 @@ fn all_statements(strategy: Strategy, p: usize, k: usize, fused: bool) -> Vec<sq
     all
 }
 
+/// Execute a script against a fresh engine; the only acceptable failure
+/// is data-dependent, not a missing table or column.
+fn run_script<'a>(label: &str, script: impl Iterator<Item = &'a str>) {
+    use sqlengine::AnalyzeErrorKind::{UnknownColumn, UnknownTable};
+    let mut db = sqlengine::Database::new();
+    for sql in script {
+        let Err(e) = db.execute(sql) else { continue };
+        match e.as_analyze().map(|e| &e.kind) {
+            Some(UnknownTable(t)) => panic!("{label}: statement uses unknown table {t}: {sql}"),
+            Some(UnknownColumn(c)) => panic!("{label}: unknown column {c}: {sql}"),
+            // Empty parameter tables make aggregates NULL and inserts
+            // fail coercion — fine for this test.
+            _ => {}
+        }
+    }
+}
+
 /// CREATE TABLE statements cover every table the other statements use.
 #[test]
 fn statements_only_use_created_tables() {
@@ -30,29 +47,20 @@ fn statements_only_use_created_tables() {
                     .map(|t| t.to_string())
             })
             .collect();
-        // Execute the whole script against a fresh engine; the only
-        // acceptable failure would be data-dependent arithmetic, not
-        // missing tables.
-        let mut db = sqlengine::Database::new();
-        for stmt in &stmts {
-            if let Err(e) = db.execute(&stmt.sql) {
-                match e {
-                    sqlengine::Error::UnknownTable(t) => {
-                        panic!("{strategy}: statement uses unknown table {t}: {}", stmt.sql)
-                    }
-                    sqlengine::Error::UnknownColumn(c) => {
-                        panic!("{strategy}: unknown column {c}: {}", stmt.sql)
-                    }
-                    // Empty parameter tables make aggregates NULL and
-                    // inserts fail coercion / arity — fine for this test.
-                    _ => {}
-                }
-            }
-        }
+        run_script(&strategy.to_string(), stmts.iter().map(|s| s.sql.as_str()));
         assert!(
             created.len() >= 8,
             "{strategy} created {} tables",
             created.len()
         );
     }
+}
+
+/// The check above can fail: one misspelt table stops the script.
+#[test]
+#[should_panic(expected = "statement uses unknown table yx_")]
+fn a_misspelt_table_is_caught() {
+    let stmts = all_statements(Strategy::Hybrid, 4, 3, false);
+    let script = stmts.iter().map(|s| s.sql.as_str());
+    run_script("hybrid", script.chain(["SELECT count(*) FROM yx_"]));
 }

@@ -1,10 +1,12 @@
 //! Typed semantic errors with source positions.
 //!
-//! Everything the analyzer rejects is described by an [`AnalyzeError`]:
-//! *what* is wrong ([`AnalyzeErrorKind`]), *where* in the statement it
-//! sits ([`Clause`]), and — when the original SQL text is available —
-//! the byte offset of the offending token, recovered by re-lexing the
-//! source (the AST itself does not carry spans).
+//! Everything wrong with a statement that can be told without its rows —
+//! by the planner that resolves and compiles it, by the type pass over
+//! the compiled plan, by the limits — is described by an
+//! [`AnalyzeError`]: *what* is wrong ([`AnalyzeErrorKind`]), *where* in
+//! the statement it sits ([`Clause`]), and — when the original SQL text
+//! is available — the byte offset of the offending token, recovered by
+//! re-lexing the source (the AST itself does not carry spans).
 
 use std::fmt;
 
@@ -33,6 +35,18 @@ pub enum Clause {
     Ddl,
     /// The statement as a whole (complexity limits, arity).
     Statement,
+}
+
+impl Clause {
+    /// The clause of item `j` of a SELECT's sink: the first `n_visible`
+    /// items are the SELECT list, the rest hidden ORDER BY keys.
+    pub fn of_item(j: usize, n_visible: usize) -> Clause {
+        if j < n_visible {
+            Clause::Projection
+        } else {
+            Clause::OrderBy
+        }
+    }
 }
 
 impl fmt::Display for Clause {
@@ -137,6 +151,23 @@ pub enum AnalyzeErrorKind {
     /// Constructs the analyzer cannot prove safe.
     Unsupported(String),
 }
+
+impl AnalyzeErrorKind {
+    /// The error for this defect found in `clause`. Name resolution,
+    /// compilation and typing know *what* is wrong; the planner step
+    /// that called them knows which clause it was compiling.
+    pub fn at(self, clause: Clause) -> AnalyzeError {
+        AnalyzeError::new(self, clause)
+    }
+}
+
+/// What compiling or typing one expression returns, before the caller
+/// says which clause the expression belongs to.
+pub(crate) type Checked<T> = Result<T, AnalyzeErrorKind>;
+
+/// What planning returns: the plan, or the one thing wrong with the
+/// statement.
+pub(crate) type Planned<T> = Result<T, AnalyzeError>;
 
 /// A semantic error produced by the analyze pass, with position.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,41 +1,54 @@
-//! Semantic analysis: the pass between the parser and the executor.
+//! Semantic analysis: everything that can be said about a statement
+//! without touching data.
 //!
 //! [`analyze`] takes a parsed [`Statement`] and a catalog view
-//! ([`SchemaProvider`]) and checks everything that can be checked
-//! without touching data: every table and column resolves, types are
-//! consistent with what evaluation will accept, aggregates sit only
-//! where the planner allows them, and the statement stays under the
-//! configured complexity [`Limits`] — the static counterpart of the
-//! DBMS parser limits that motivate SQLEM's hybrid strategy (paper
-//! §1.3, §3.3). On success it returns a [`Report`] with a per-statement
-//! [`Complexity`] measurement and, for SELECTs, the inferred output
-//! schema.
+//! ([`SchemaProvider`]) and *plans* it ([`crate::plan::plan_statement`]):
+//! the planner is the engine's one front end, so every table and column
+//! that resolves, every projection that expands, every group key,
+//! aggregate placement, function arity and INSERT column map that holds
+//! is decided by the code that will run the statement, and reported in
+//! its words ([`AnalyzeError`]: what, in which clause). On the plan the
+//! analyzer then reads what planning does not need: the static type of
+//! every compiled expression ([`crate::expr::CExpr::ty`], over the
+//! sources' declared column types — string arithmetic, a value that can
+//! never be stored in its target column) and the statement's
+//! [`Complexity`] against the configured [`Limits`] — the static
+//! counterpart of the DBMS parser limits that motivate SQLEM's hybrid
+//! strategy (paper §1.3, §3.3). On success it returns a [`Report`]: the
+//! measurement, for SELECTs the output schema, and the plan itself, so
+//! a caller that goes on to run or print the statement does not plan it
+//! again.
 //!
-//! The pass is deliberately *exact* with respect to the executor: a
-//! statement the executor would run is never rejected, and a statement
-//! the analyzer accepts only fails at runtime for data-dependent
-//! reasons (division by zero, non-integral DOUBLE→BIGINT coercion,
-//! string arithmetic reached through untyped NULLs, …).
+//! The pass is *exact* with respect to the executor by construction: the
+//! plan it accepts is the plan that runs, so a statement the executor
+//! would run is never rejected for its shape, and an accepted statement
+//! only fails at runtime for data-dependent reasons (division by zero,
+//! non-integral DOUBLE→BIGINT coercion, a string reached through an
+//! untyped arm, …). The type pass runs here only — at prepare time, for
+//! ad hoc statements, `EXPLAIN` and pre-flight — never when a prepared
+//! statement executes.
 //!
 //! [`SymbolicCatalog`] supports linting scripts that create their own
 //! tables: DDL is replayed against an in-memory schema map, so a
 //! generated script can be validated end-to-end before any of it runs
 //! — this is what the SQLEM pre-flight linter builds on.
 
-mod check;
 mod error;
 
-pub use check::{check_select, Scope, Ty};
+pub use crate::expr::Ty;
 pub use error::{AnalyzeError, AnalyzeErrorKind, Clause, Metric};
+pub(crate) use error::{Checked, Planned};
 
 use std::collections::HashMap;
 
-use crate::ast::{Expr, InsertSource, Statement};
+use crate::ast::{Expr, InsertSource, Select, SelectItem, Statement};
 use crate::catalog::Catalog;
-use crate::schema::Schema;
-use crate::value::DataType;
-
-use check::{build_scopes, check_plain};
+use crate::exec::aggregate::AggPlan;
+use crate::expr::CExpr;
+use crate::plan::{
+    plan_statement, Chain, InsertRows, Join, SelectPlan, Sink, Source, StatementPlan,
+};
+use crate::schema::{Column, Schema};
 
 /// Read-only view of table schemas the analyzer resolves names against.
 pub trait SchemaProvider {
@@ -110,7 +123,7 @@ impl SymbolicCatalog {
                     // analyze() already validated the definition.
                     let cols = columns
                         .iter()
-                        .map(|c| crate::schema::Column::new(c.name.clone(), c.ty))
+                        .map(|c| Column::new(c.name.clone(), c.ty))
                         .collect();
                     let pk: Vec<&str> = primary_key.iter().map(String::as_str).collect();
                     let schema = Schema::new(cols, &pk).map_err(|_| {
@@ -284,12 +297,15 @@ fn expr_depth(e: &Expr) -> usize {
 }
 
 /// The result of analyzing one statement.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Report {
     /// Measured complexity.
     pub complexity: Complexity,
     /// For SELECT (and EXPLAIN SELECT): inferred output columns.
     pub output: Option<Vec<(String, Ty)>>,
+    /// The plan the statement was checked on — [`plan_statement`]'s for
+    /// the same statement and schemas (so `Utility` for plain EXPLAIN).
+    pub plan: StatementPlan,
 }
 
 /// Analyze one statement against `provider`, enforcing `limits`.
@@ -302,20 +318,33 @@ pub fn analyze(
     stmt: &Statement,
     limits: &Limits,
 ) -> Result<Report, AnalyzeError> {
-    let report = analyze_unchecked(provider, stmt)?;
-    // EXPLAIN reports predicted overflow instead of failing on it.
-    if !matches!(stmt, Statement::Explain(_)) {
-        report.complexity.check(limits)?;
+    match stmt {
+        // EXPLAIN reports predicted overflow instead of failing on it,
+        // and runs nothing.
+        Statement::Explain(inner) => {
+            let mut report = analyze(provider, inner, &Limits::unbounded())?;
+            report.plan = StatementPlan::Utility;
+            return Ok(report);
+        }
+        Statement::ExplainAnalyze(inner) => return analyze(provider, inner, limits),
+        _ => {}
     }
-    Ok(report)
+    check_ddl(provider, stmt)?;
+    let plan = plan_statement(provider, stmt)?;
+    let output = check_types(&plan)?;
+    let complexity = measure(stmt, &plan);
+    complexity.check(limits)?;
+    Ok(Report {
+        complexity,
+        output,
+        plan,
+    })
 }
 
-fn analyze_unchecked(
-    provider: &dyn SchemaProvider,
-    stmt: &Statement,
-) -> Result<Report, AnalyzeError> {
-    let mut cx = Complexity::default();
-    let mut output = None;
+/// CREATE / DROP TABLE have no plan; what can be wrong with them is
+/// checked here, against the executor's `IF [NOT] EXISTS` semantics.
+fn check_ddl(provider: &dyn SchemaProvider, stmt: &Statement) -> Result<(), AnalyzeError> {
+    let ddl = |kind: AnalyzeErrorKind| Err(kind.at(Clause::Ddl));
     match stmt {
         Statement::CreateTable {
             name,
@@ -324,18 +353,12 @@ fn analyze_unchecked(
             if_not_exists,
         } => {
             if provider.table_schema(name).is_some() && !*if_not_exists {
-                return Err(AnalyzeError::new(
-                    AnalyzeErrorKind::DuplicateTable(name.to_ascii_lowercase()),
-                    Clause::Ddl,
-                ));
+                return ddl(AnalyzeErrorKind::DuplicateTable(name.to_ascii_lowercase()));
             }
             let mut seen: Vec<&str> = Vec::with_capacity(columns.len());
             for c in columns {
                 if seen.contains(&c.name.as_str()) {
-                    return Err(AnalyzeError::new(
-                        AnalyzeErrorKind::DuplicateColumn(c.name.clone()),
-                        Clause::Ddl,
-                    ));
+                    return ddl(AnalyzeErrorKind::DuplicateColumn(c.name.clone()));
                 }
                 seen.push(&c.name);
             }
@@ -343,246 +366,233 @@ fn analyze_unchecked(
             for k in primary_key {
                 let lk = k.to_ascii_lowercase();
                 if !seen.iter().any(|c| **c == *lk) {
-                    return Err(AnalyzeError::new(
-                        AnalyzeErrorKind::UnknownColumn(lk),
-                        Clause::Ddl,
-                    ));
+                    return ddl(AnalyzeErrorKind::UnknownColumn(lk));
                 }
                 if pk_seen.contains(&lk) {
-                    return Err(AnalyzeError::new(
-                        AnalyzeErrorKind::DuplicateColumn(lk),
-                        Clause::Ddl,
-                    ));
+                    return ddl(AnalyzeErrorKind::DuplicateColumn(lk));
                 }
                 pk_seen.push(lk);
             }
-            cx.columns = columns.len();
         }
-        Statement::DropTable { name, if_exists } => {
-            if provider.table_schema(name).is_none() && !*if_exists {
-                return Err(AnalyzeError::new(
-                    AnalyzeErrorKind::UnknownTable(name.to_ascii_lowercase()),
-                    Clause::Ddl,
-                ));
-            }
+        Statement::DropTable { name, if_exists }
+            if provider.table_schema(name).is_none() && !*if_exists =>
+        {
+            return ddl(AnalyzeErrorKind::UnknownTable(name.to_ascii_lowercase()));
         }
-        Statement::Insert {
-            table,
-            columns,
-            source,
-        } => {
-            let lname = table.to_ascii_lowercase();
-            let schema = provider.table_schema(&lname).ok_or_else(|| {
-                AnalyzeError::new(
-                    AnalyzeErrorKind::UnknownTable(lname.clone()),
-                    Clause::Statement,
-                )
-            })?;
-            // Destination slots, honouring an explicit column list.
-            let dest: Vec<(String, DataType)> = match columns {
-                None => schema
-                    .columns()
-                    .iter()
-                    .map(|c| (c.name.clone(), c.ty))
-                    .collect(),
-                Some(cols) => {
-                    let mut dest = Vec::with_capacity(cols.len());
-                    let mut used = Vec::with_capacity(cols.len());
-                    for c in cols {
-                        let idx = schema.column_index(c).ok_or_else(|| {
-                            AnalyzeError::new(
-                                AnalyzeErrorKind::UnknownColumn(c.to_ascii_lowercase()),
-                                Clause::Statement,
-                            )
-                        })?;
-                        if used.contains(&idx) {
-                            return Err(AnalyzeError::new(
-                                AnalyzeErrorKind::DuplicateColumn(c.to_ascii_lowercase()),
-                                Clause::Statement,
-                            ));
-                        }
-                        used.push(idx);
-                        let col = schema.column(idx);
-                        dest.push((col.name.clone(), col.ty));
-                    }
-                    dest
-                }
-            };
-            cx.columns = dest.len();
-            match source {
-                InsertSource::Values(rows) => {
-                    for row in rows {
-                        if row.len() != dest.len() {
-                            return Err(AnalyzeError::new(
-                                AnalyzeErrorKind::ArityMismatch {
-                                    table: lname.clone(),
-                                    expected: dest.len(),
-                                    actual: row.len(),
-                                },
-                                Clause::Values,
-                            ));
-                        }
-                        for (e, (cname, dt)) in row.iter().zip(&dest) {
-                            cx.absorb_expr(e);
-                            // VALUES expressions are constant-folded by
-                            // the executor: no column refs, no
-                            // aggregates.
-                            let ty = check_plain(&[], e, "VALUES", Clause::Values)?;
-                            if !ty.storable_as(*dt) {
-                                return Err(AnalyzeError::new(
-                                    AnalyzeErrorKind::TypeMismatch {
-                                        context: format!("cannot store {ty} into {cname} {dt:?}"),
-                                    },
-                                    Clause::Values,
-                                ));
-                            }
+        _ => {}
+    }
+    Ok(())
+}
+
+// ---------------------------------------------------------------------
+// The type pass: CExpr::ty over every expression of a plan
+// ---------------------------------------------------------------------
+
+/// Declared column types of `sources`, in joined-row slot order.
+fn slot_types(sources: &[Source]) -> Vec<Ty> {
+    let columns = sources.iter().flat_map(|s| &s.columns);
+    columns.map(|c| Ty::of(c.ty)).collect()
+}
+
+fn type_in(clause: Clause, e: &CExpr, slots: &[Ty]) -> Result<Ty, AnalyzeError> {
+    e.ty(slots).map_err(|k| k.at(clause))
+}
+
+/// `ty` cannot be stored in `column`; `what` describes the value.
+fn unstorable(what: String, column: &Column, clause: Clause) -> AnalyzeError {
+    let context = format!("cannot store {what} into {} {:?}", column.name, column.ty);
+    AnalyzeErrorKind::TypeMismatch { context }.at(clause)
+}
+
+/// Type every expression of `plan`; for a SELECT, the output schema.
+fn check_types(plan: &StatementPlan) -> Result<Option<Vec<(String, Ty)>>, AnalyzeError> {
+    match plan {
+        StatementPlan::Utility => {}
+        StatementPlan::Select(select) => return select_types(select).map(Some),
+        StatementPlan::Insert(insert) => {
+            let column = |j: usize| &insert.target.columns[insert.target_slot(j)];
+            match &insert.rows {
+                InsertRows::Values(rows) => {
+                    for (j, cell) in rows.iter().flat_map(|row| row.iter().enumerate()) {
+                        let ty = type_in(Clause::Values, cell, &[])?;
+                        if !ty.storable_as(column(j).ty) {
+                            return Err(unstorable(ty.to_string(), column(j), Clause::Values));
                         }
                     }
                 }
-                InsertSource::Select(sel) => {
-                    let inner = analyze_unchecked(provider, &Statement::Select((**sel).clone()))?;
-                    cx.terms += inner.complexity.terms;
-                    cx.depth = cx.depth.max(inner.complexity.depth);
-                    cx.columns = cx.columns.max(inner.complexity.columns);
-                    cx.tables += inner.complexity.tables;
-                    let cols = inner.output.unwrap_or_default();
-                    if cols.len() != dest.len() {
-                        return Err(AnalyzeError::new(
-                            AnalyzeErrorKind::ArityMismatch {
-                                table: lname.clone(),
-                                expected: dest.len(),
-                                actual: cols.len(),
-                            },
-                            Clause::Statement,
-                        ));
-                    }
-                    for ((oname, ty), (cname, dt)) in cols.iter().zip(&dest) {
-                        if !ty.storable_as(*dt) {
-                            return Err(AnalyzeError::new(
-                                AnalyzeErrorKind::TypeMismatch {
-                                    context: format!(
-                                        "cannot store {oname} ({ty}) into {cname} {dt:?}"
-                                    ),
-                                },
-                                Clause::Statement,
-                            ));
+                InsertRows::Select(select) => {
+                    for (j, (name, ty)) in select_types(select)?.iter().enumerate() {
+                        if !ty.storable_as(column(j).ty) {
+                            let what = format!("{name} ({ty})");
+                            return Err(unstorable(what, column(j), Clause::Statement));
                         }
                     }
                 }
             }
         }
-        Statement::Update {
-            table,
-            from,
-            assignments,
-            where_clause,
-        } => {
-            let lname = table.to_ascii_lowercase();
-            let schema = provider.table_schema(&lname).ok_or_else(|| {
-                AnalyzeError::new(
-                    AnalyzeErrorKind::UnknownTable(lname.clone()),
-                    Clause::Statement,
-                )
-            })?;
-            let mut scopes = vec![Scope {
-                name: lname.clone(),
-                cols: schema
-                    .columns()
-                    .iter()
-                    .map(|c| (c.name.clone(), c.ty))
-                    .collect(),
-            }];
-            for scope in build_scopes(provider, from)? {
-                if scopes.iter().any(|s| s.name == scope.name) {
-                    return Err(AnalyzeError::new(
-                        AnalyzeErrorKind::DuplicateTable(scope.name),
-                        Clause::From,
-                    ));
-                }
-                scopes.push(scope);
-            }
-            cx.tables = scopes.len();
-            cx.columns = assignments.len();
-            for (col, e) in assignments {
-                cx.absorb_expr(e);
-                let idx = schema.column_index(col).ok_or_else(|| {
-                    AnalyzeError::new(
-                        AnalyzeErrorKind::UnknownColumn(col.to_ascii_lowercase()),
-                        Clause::Set,
-                    )
-                })?;
-                let dt = schema.column(idx).ty;
-                let ty = check_plain(&scopes, e, "UPDATE SET", Clause::Set)?;
-                if !ty.storable_as(dt) {
-                    return Err(AnalyzeError::new(
-                        AnalyzeErrorKind::TypeMismatch {
-                            context: format!("cannot store {ty} into {col} {dt:?}"),
-                        },
-                        Clause::Set,
-                    ));
+        StatementPlan::Update(update) => {
+            let slots = slot_types(&update.chain.sources);
+            for (slot, value) in &update.assignments {
+                let ty = type_in(Clause::Set, value, &slots)?;
+                let column = &update.chain.sources[0].columns[*slot];
+                if !ty.storable_as(column.ty) {
+                    return Err(unstorable(ty.to_string(), column, Clause::Set));
                 }
             }
-            if let Some(w) = where_clause {
-                cx.absorb_expr(w);
-                check_plain(&scopes, w, "WHERE", Clause::Where)?;
+            if let Some(p) = &update.predicate {
+                type_in(Clause::Where, p, &slots)?;
             }
         }
-        Statement::Delete {
-            table,
-            where_clause,
-        } => {
-            let lname = table.to_ascii_lowercase();
-            let schema = provider.table_schema(&lname).ok_or_else(|| {
-                AnalyzeError::new(
-                    AnalyzeErrorKind::UnknownTable(lname.clone()),
-                    Clause::Statement,
-                )
-            })?;
-            cx.tables = 1;
-            if let Some(w) = where_clause {
-                cx.absorb_expr(w);
-                let scopes = vec![Scope {
-                    name: lname,
-                    cols: schema
-                        .columns()
-                        .iter()
-                        .map(|c| (c.name.clone(), c.ty))
-                        .collect(),
-                }];
-                check_plain(&scopes, w, "WHERE", Clause::Where)?;
+        StatementPlan::Delete(delete) => {
+            if let Some(p) = &delete.predicate {
+                type_in(
+                    Clause::Where,
+                    p,
+                    &slot_types(std::slice::from_ref(&delete.target)),
+                )?;
             }
-        }
-        Statement::Select(sel) => {
-            let cols = check_select(provider, sel)?;
-            cx.tables = sel.from.len();
-            cx.columns = cols.len();
-            for item in &sel.items {
-                if let crate::ast::SelectItem::Expr { expr, .. } = item {
-                    cx.absorb_expr(expr);
-                }
-            }
-            if let Some(w) = &sel.where_clause {
-                cx.absorb_expr(w);
-            }
-            for k in &sel.group_by {
-                cx.absorb_expr(k);
-            }
-            if let Some(h) = &sel.having {
-                cx.absorb_expr(h);
-            }
-            for k in &sel.order_by {
-                cx.absorb_expr(&k.expr);
-            }
-            output = Some(cols);
-        }
-        Statement::Explain(inner) | Statement::ExplainAnalyze(inner) => {
-            return analyze_unchecked(provider, inner);
         }
     }
-    Ok(Report {
-        complexity: cx,
-        output,
-    })
+    Ok(None)
+}
+
+/// Type a SELECT: WHERE where the chain put its conjuncts, then the sink.
+fn select_types(plan: &SelectPlan) -> Result<Vec<(String, Ty)>, AnalyzeError> {
+    let mut slots = slot_types(&plan.chain.sources);
+    chain_types(&plan.chain, &slots)?;
+    let item_types = match &plan.sink {
+        Sink::Aggregate(agg) => aggregate_types(agg, plan.output_names.len(), &slots)?,
+        // Item `j` lands in slot `width + j`, where later items read it.
+        Sink::Project(items) => {
+            let base = slots.len();
+            for (j, item) in items.iter().enumerate() {
+                let clause = Clause::of_item(j, plan.output_names.len());
+                slots.push(type_in(clause, item, &slots)?);
+            }
+            slots.split_off(base)
+        }
+    };
+    Ok(plan.output_names.iter().cloned().zip(item_types).collect())
+}
+
+/// WHERE as the chain holds it: a table's own filters and build keys
+/// read that table's slots, everything else the joined row's.
+fn chain_types(chain: &Chain, slots: &[Ty]) -> Result<(), AnalyzeError> {
+    let in_where = |e: &CExpr, slots: &[Ty]| type_in(Clause::Where, e, slots).map(drop);
+    for (i, source) in chain.sources.iter().enumerate() {
+        let own = &slots[source.offset..source.offset + source.arity()];
+        chain.filters(i).iter().try_for_each(|e| in_where(e, own))?;
+        let Some(stage) = i.checked_sub(1).map(|i| &chain.stages[i]) else {
+            continue;
+        };
+        if let Join::Hash {
+            probe_keys,
+            build_keys,
+            ..
+        } = &stage.join
+        {
+            probe_keys.iter().try_for_each(|e| in_where(e, slots))?;
+            build_keys.iter().try_for_each(|e| in_where(e, own))?;
+        }
+        stage
+            .residuals
+            .iter()
+            .try_for_each(|e| in_where(e, slots))?;
+    }
+    Ok(())
+}
+
+/// Type an aggregate sink: keys and accumulator arguments over the base
+/// row, items and HAVING over `[keys…, aggs…]`. An accumulator that
+/// cannot be fed is reported in the clause of the first item using it.
+fn aggregate_types(agg: &AggPlan, n_visible: usize, base: &[Ty]) -> Result<Vec<Ty>, AnalyzeError> {
+    let mut slots = Vec::with_capacity(agg.keys.len() + agg.aggs.len());
+    for key in &agg.keys {
+        slots.push(type_in(Clause::GroupBy, key, base)?);
+    }
+    let results: Vec<_> = agg.aggs.iter().map(|a| a.result_ty(base)).collect();
+    slots.extend(results.iter().map(|r| *r.as_ref().unwrap_or(&Ty::Any)));
+    let type_item = |clause: Clause, e: &CExpr| {
+        let mut unfed = None;
+        e.for_each_slot(&mut |slot| {
+            let result = slot.checked_sub(agg.keys.len()).map(|i| &results[i]);
+            if let (None, Some(Err(kind))) = (&unfed, result) {
+                unfed = Some(kind.clone().at(clause));
+            }
+        });
+        unfed.map_or_else(|| type_in(clause, e, &slots), Err)
+    };
+    let mut items = Vec::with_capacity(n_visible);
+    for (j, item) in agg.items.iter().enumerate() {
+        items.push(type_item(Clause::of_item(j, n_visible), item)?);
+    }
+    if let Some(h) = &agg.having {
+        type_item(Clause::Having, h)?;
+    }
+    items.truncate(n_visible);
+    Ok(items)
+}
+
+// ---------------------------------------------------------------------
+// Complexity: terms and depth off the AST, widths off the plan
+// ---------------------------------------------------------------------
+
+fn absorb_select(cx: &mut Complexity, select: &Select) {
+    for item in &select.items {
+        if let SelectItem::Expr { expr, .. } = item {
+            cx.absorb_expr(expr);
+        }
+    }
+    let clauses = select.where_clause.iter().chain(&select.group_by);
+    let order_keys = select.order_by.iter().map(|k| &k.expr);
+    for e in clauses.chain(&select.having).chain(order_keys) {
+        cx.absorb_expr(e);
+    }
+}
+
+/// Measure `stmt`, planned as `plan`.
+fn measure(stmt: &Statement, plan: &StatementPlan) -> Complexity {
+    let mut cx = Complexity::default();
+    match (stmt, plan) {
+        (Statement::CreateTable { columns, .. }, _) => cx.columns = columns.len(),
+        (Statement::Select(select), StatementPlan::Select(plan)) => {
+            absorb_select(&mut cx, select);
+            cx.columns = plan.output_names.len();
+            cx.tables = plan.chain.sources.len();
+        }
+        (Statement::Insert { source, .. }, StatementPlan::Insert(plan)) => {
+            cx.columns = plan.incoming_arity();
+            match (source, &plan.rows) {
+                (InsertSource::Values(rows), _) => {
+                    rows.iter().flatten().for_each(|e| cx.absorb_expr(e))
+                }
+                (InsertSource::Select(select), InsertRows::Select(plan)) => {
+                    absorb_select(&mut cx, select);
+                    cx.tables = plan.chain.sources.len();
+                }
+                _ => unreachable!("an INSERT … SELECT plans as InsertRows::Select"),
+            }
+        }
+        (
+            Statement::Update {
+                assignments,
+                where_clause,
+                ..
+            },
+            StatementPlan::Update(plan),
+        ) => {
+            cx.columns = assignments.len();
+            cx.tables = plan.chain.sources.len();
+            let values = assignments.iter().map(|(_, e)| e);
+            values.chain(where_clause).for_each(|e| cx.absorb_expr(e));
+        }
+        (Statement::Delete { where_clause, .. }, _) => {
+            cx.tables = 1;
+            where_clause.iter().for_each(|e| cx.absorb_expr(e));
+        }
+        _ => {}
+    }
+    cx
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use crate::analyze::{analyze, Limits, SymbolicCatalog};
+use crate::analyze::{analyze, Limits, Report, SymbolicCatalog};
 use crate::ast::Statement;
 use crate::catalog::Catalog;
 use crate::error::{Error, Result};
@@ -18,6 +18,7 @@ use crate::exec::{
 use crate::fault::{FaultInjector, FaultKind, FaultPlan, FaultSite};
 use crate::metrics::{ExecMetrics, MetricsLog, StatementKind, StmtProbe};
 use crate::parser::parse;
+use crate::plan::{SelectPlan, StatementPlan};
 use crate::storage::snapshot::{read_snapshot, write_snapshot};
 use crate::table::Row;
 use crate::value::Value;
@@ -318,23 +319,30 @@ impl Database {
         let stmts = parse(sql)?;
         let mut out = Vec::with_capacity(stmts.len());
         for stmt in &stmts {
-            out.push(self.run_statement(stmt, Some(sql))?);
+            out.push(self.run_statement(stmt, sql)?);
         }
         Ok(out)
     }
 
-    /// Analyze (unless EXPLAIN, which self-analyzes) and execute one
-    /// statement. `source` is the original SQL text, used only to attach
-    /// byte positions to analysis errors.
-    fn run_statement(&mut self, stmt: &Statement, source: Option<&str>) -> Result<QueryResult> {
+    /// Analyze one statement of `sql` and run the plan the analysis was
+    /// made on (EXPLAIN prints it instead).
+    fn run_statement(&mut self, stmt: &Statement, sql: &str) -> Result<QueryResult> {
         if let Statement::Explain(inner) = stmt {
-            return self.explain_statement(inner, source);
+            return self.explain_statement(inner, Some(sql));
         }
-        analyze(&self.catalog, stmt, &self.config.limits).map_err(|e| match source {
-            Some(sql) => Error::Analyze(e.locate(sql)),
-            None => Error::Analyze(e),
-        })?;
-        self.execute_metered(stmt)
+        let (report, front_end) = self.analyzed(stmt, sql)?;
+        self.metered(stmt, front_end, |catalog, config, probe| {
+            execute_statement_metered(catalog, config, stmt, Some(report.plan), probe)
+        })
+    }
+
+    /// Semantic analysis of one statement of `sql` against the live
+    /// catalog, under the configured limits, and how long it took.
+    fn analyzed(&self, stmt: &Statement, sql: &str) -> Result<(Report, std::time::Duration)> {
+        let t0 = std::time::Instant::now();
+        let report = analyze(&self.catalog, stmt, &self.config.limits)
+            .map_err(|e| Error::Analyze(e.locate(sql)))?;
+        Ok((report, t0.elapsed()))
     }
 
     /// The statement-length cap (§1.3 parser limits), applied wherever
@@ -349,17 +357,13 @@ impl Database {
         Ok(())
     }
 
-    /// Execute one analyzed statement (see [`Database::metered`]).
-    fn execute_metered(&mut self, stmt: &Statement) -> Result<QueryResult> {
-        self.metered(stmt, |catalog, config, probe| {
-            execute_statement_metered(catalog, config, stmt, probe)
-        })
-    }
-
     /// The frame around every statement execution: `run` gets the
     /// catalog and a probe, and an [`ExecMetrics`] entry goes into the
     /// session log when it is enabled (a no-op probe otherwise — the
-    /// zero-overhead default). An armed fault plan is consulted
+    /// zero-overhead default). `front_end` is what analysis and planning
+    /// took when they ran before the frame (zero when `run` plans): it
+    /// is the entry's plan time and part of its elapsed time, as
+    /// planning inside `run` is. An armed fault plan is consulted
     /// before execution (and, for after-exec rules, after): a fired rule
     /// surfaces as [`Error::Injected`] — with the target untouched for
     /// before-exec faults.
@@ -372,6 +376,7 @@ impl Database {
     fn metered<T>(
         &mut self,
         stmt: &Statement,
+        front_end: std::time::Duration,
         run: impl FnOnce(&mut Catalog, &ExecConfig, &mut StmtProbe) -> Result<T>,
     ) -> Result<T> {
         self.check_fault(FaultSite::BeforeExec, stmt)?;
@@ -384,11 +389,12 @@ impl Database {
             None
         };
         let mut probe = self.new_probe();
+        probe.add_plan_time(front_end);
         let t0 = std::time::Instant::now();
         let result = run(&mut self.catalog, &self.config, &mut probe)?;
         if self.metrics.is_enabled() {
             self.metrics
-                .push(probe.finish(statement_kind(stmt), t0.elapsed()));
+                .push(probe.finish(statement_kind(stmt), front_end + t0.elapsed()));
         }
         if let Some((seq, kind, tables)) = framed {
             self.wal_commit_frame(seq, kind, &tables)?;
@@ -409,8 +415,13 @@ impl Database {
     }
 
     /// Length-check, parse and analyze `sql` as exactly one `SELECT`
-    /// (what both partial-aggregate entry points take).
-    fn single_select(&self, sql: &str, what: &str) -> Result<Statement> {
+    /// (what both partial-aggregate entry points take); returns it with
+    /// the plan it was analyzed on and the time the analysis took.
+    fn single_select(
+        &self,
+        sql: &str,
+        what: &str,
+    ) -> Result<(Statement, SelectPlan, std::time::Duration)> {
         self.check_statement_len(sql)?;
         let mut stmts = parse(sql)?;
         if !matches!(stmts.as_slice(), [Statement::Select(_)]) {
@@ -419,9 +430,11 @@ impl Database {
             )));
         }
         let stmt = stmts.pop().expect("length checked");
-        analyze(&self.catalog, &stmt, &self.config.limits)
-            .map_err(|e| Error::Analyze(e.locate(sql)))?;
-        Ok(stmt)
+        let (report, front_end) = self.analyzed(&stmt, sql)?;
+        let StatementPlan::Select(plan) = report.plan else {
+            unreachable!("a SELECT plans as a SelectPlan");
+        };
+        Ok((stmt, plan, front_end))
     }
 
     /// Execute the *scatter* half of a distributed aggregate `SELECT`:
@@ -437,12 +450,9 @@ impl Database {
     /// accounting, metrics, deadline/budget enforcement and fault
     /// injection all behave exactly as for [`Database::execute`].
     pub fn execute_partial(&mut self, sql: &str) -> Result<PartialAggResult> {
-        let stmt = self.single_select(sql, "partial execution")?;
-        let Statement::Select(select) = &stmt else {
-            unreachable!("single_select returns a SELECT");
-        };
-        self.metered(&stmt, |catalog, config, probe| {
-            run_select_partial(catalog, config, select, probe)
+        let (stmt, plan, front_end) = self.single_select(sql, "partial execution")?;
+        self.metered(&stmt, front_end, |catalog, config, probe| {
+            run_select_partial(catalog, config, &plan, probe)
         })
     }
 
@@ -458,11 +468,8 @@ impl Database {
         sql: &str,
         partial: &PartialAggResult,
     ) -> Result<QueryResult> {
-        let stmt = self.single_select(sql, "partial finalize")?;
-        let Statement::Select(select) = &stmt else {
-            unreachable!("single_select returns a SELECT");
-        };
-        finalize_select_partials(&self.catalog, select, partial)
+        let (_, plan, _) = self.single_select(sql, "partial finalize")?;
+        finalize_select_partials(&plan, partial)
     }
 
     /// Consult the armed fault plan at a WAL site. Returns the fired
@@ -598,9 +605,8 @@ impl Database {
                 lines.push(format!("analysis error: {e}"));
             }
             Ok(mut report) => {
-                if let Statement::Select(sel) = inner {
-                    let plan = explain_select(&self.catalog, sel)?;
-                    lines.extend(plan.rows.iter().map(|r| r[0].to_string()));
+                if let StatementPlan::Select(plan) = &report.plan {
+                    lines.extend(explain_select(&self.catalog, plan)?);
                 }
                 // Approximate the statement size as the source text minus
                 // the EXPLAIN keyword itself.
@@ -616,16 +622,7 @@ impl Database {
                 }
             }
         }
-        let rows: Vec<Row> = lines
-            .into_iter()
-            .map(|l| vec![Value::from(l)].into_boxed_slice())
-            .collect();
-        let n = rows.len();
-        Ok(QueryResult {
-            columns: vec!["plan".to_string()],
-            rows,
-            rows_affected: n,
-        })
+        Ok(QueryResult::plan_lines(lines))
     }
 
     /// Parse and analyze statements once for repeated execution
@@ -677,7 +674,9 @@ impl Database {
         if let Statement::Explain(inner) = stmt {
             return self.explain_statement(inner, None);
         }
-        self.execute_metered(stmt)
+        self.metered(stmt, std::time::Duration::ZERO, |catalog, config, probe| {
+            execute_statement_metered(catalog, config, stmt, None, probe)
+        })
     }
 
     /// Register an already-prepared statement in the by-id registry

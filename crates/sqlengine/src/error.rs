@@ -43,8 +43,6 @@ pub enum Error {
     DuplicateTable(String),
     /// Referenced column does not exist (optionally qualified).
     UnknownColumn(String),
-    /// A column reference is ambiguous across the FROM tables.
-    AmbiguousColumn(String),
     /// Two columns in a CREATE TABLE share a name, or a SELECT output list
     /// repeats a name where uniqueness is required.
     DuplicateColumn(String),
@@ -67,15 +65,13 @@ pub enum Error {
         /// Destination table.
         table: String,
     },
-    /// An aggregate function appeared where it is not allowed (e.g. inside
-    /// WHERE) or a non-aggregated column escaped the GROUP BY list.
-    InvalidAggregate(String),
     /// Division by zero or another runtime arithmetic fault in strict mode.
     Arithmetic(String),
-    /// The semantic-analysis pass rejected the statement before
-    /// execution (see [`crate::analyze`]). Carries the clause, the kind
-    /// of defect and — when the source text was available — the byte
-    /// position of the offending token.
+    /// The statement cannot be planned, or semantic analysis rejected
+    /// its plan, before execution (see [`crate::plan`],
+    /// [`crate::analyze`]). Carries the clause, the kind of defect and —
+    /// when the source text was available — the byte position of the
+    /// offending token.
     Analyze(crate::analyze::AnalyzeError),
     /// A scripted fault from the [`crate::fault`] facility fired on this
     /// statement. `transient` faults model failures that go away on
@@ -184,7 +180,6 @@ impl fmt::Display for Error {
             Error::UnknownTable(t) => write!(f, "unknown table: {t}"),
             Error::DuplicateTable(t) => write!(f, "table already exists: {t}"),
             Error::UnknownColumn(c) => write!(f, "unknown column: {c}"),
-            Error::AmbiguousColumn(c) => write!(f, "ambiguous column reference: {c}"),
             Error::DuplicateColumn(c) => write!(f, "duplicate column name: {c}"),
             Error::ArityMismatch {
                 table,
@@ -199,7 +194,6 @@ impl fmt::Display for Error {
             Error::DuplicateKey { table } => {
                 write!(f, "primary key violation inserting into {table}")
             }
-            Error::InvalidAggregate(m) => write!(f, "invalid aggregate usage: {m}"),
             Error::Arithmetic(m) => write!(f, "arithmetic error: {m}"),
             Error::Analyze(e) => write!(f, "semantic analysis: {e}"),
             Error::Injected {

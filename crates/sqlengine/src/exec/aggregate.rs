@@ -36,11 +36,12 @@ use std::borrow::{Borrow, Cow};
 use std::collections::HashMap;
 use std::ops::Range;
 
+use crate::analyze::{AnalyzeErrorKind, Checked, Clause, Planned};
 use crate::ast::{is_aggregate_name, Expr};
 use crate::error::{Error, Result};
 use crate::exactsum::ExactSum;
 use crate::exec::select::BatchSink;
-use crate::expr::{compile, Batch, CExpr, Column, ColumnResolver};
+use crate::expr::{compile, scalar_func, Batch, CExpr, Column, ColumnResolver, Ty};
 use crate::table::Row;
 use crate::value::Value;
 
@@ -100,33 +101,28 @@ pub struct AggPlan {
     pub having: Option<CExpr>,
 }
 
-/// Rewrite SELECT items + HAVING into an [`AggPlan`].
+/// Rewrite SELECT items + HAVING into an [`AggPlan`]. The first
+/// `n_visible` items are the SELECT list, the rest hidden ORDER BY keys.
 pub fn plan_aggregate(
     item_exprs: &[impl Borrow<Expr>],
+    n_visible: usize,
     group_by: &[Expr],
     having: Option<&Expr>,
-    resolver: &ColumnResolver,
-) -> Result<AggPlan> {
+    resolver: &ColumnResolver<'_>,
+) -> Planned<AggPlan> {
     let keys: Vec<CExpr> = group_by
         .iter()
-        .map(|e| {
-            if e.contains_aggregate() {
-                Err(Error::InvalidAggregate(
-                    "aggregates are not allowed in GROUP BY".into(),
-                ))
-            } else {
-                compile(e, resolver)
-            }
-        })
-        .collect::<Result<Vec<_>>>()?;
+        .map(|e| compile(e, resolver).map_err(|k| k.at(Clause::GroupBy)))
+        .collect::<Planned<_>>()?;
 
     let mut aggs: Vec<AggSpec> = Vec::new();
-    let items = item_exprs
-        .iter()
-        .map(|e| rewrite(e.borrow(), &keys, &mut aggs, resolver))
-        .collect::<Result<Vec<_>>>()?;
+    let mut items = Vec::with_capacity(item_exprs.len());
+    for (j, e) in item_exprs.iter().enumerate() {
+        let clause = Clause::of_item(j, n_visible);
+        items.push(rewrite(e.borrow(), &keys, &mut aggs, resolver).map_err(|k| k.at(clause))?);
+    }
     let having = having
-        .map(|h| rewrite(h, &keys, &mut aggs, resolver))
+        .map(|h| rewrite(h, &keys, &mut aggs, resolver).map_err(|k| k.at(Clause::Having)))
         .transpose()?;
     Ok(AggPlan {
         keys,
@@ -149,9 +145,10 @@ fn rewrite(
     expr: &Expr,
     keys: &[CExpr],
     aggs: &mut Vec<AggSpec>,
-    resolver: &ColumnResolver,
-) -> Result<CExpr> {
-    // Rule 1: matches a group key?
+    resolver: &ColumnResolver<'_>,
+) -> Checked<CExpr> {
+    // Rule 1: matches a group key? (What does not compile is reported
+    // by the recursion below, at the leaf that is wrong.)
     if !expr.contains_aggregate() {
         if let Ok(compiled) = compile(expr, resolver) {
             if let Some(i) = keys.iter().position(|k| *k == compiled) {
@@ -165,31 +162,19 @@ fn rewrite(
             }
         }
     }
-    match expr {
+    let misuse = |m: String| Err(AnalyzeErrorKind::AggregateMisuse(m));
+    let mut sub = |e: &Expr| rewrite(e, keys, aggs, resolver);
+    Ok(match expr {
         Expr::Func { name, args } if is_aggregate_name(name) => {
-            let kind = AggKind::from_name(name).unwrap();
-            let arg = match args.len() {
-                0 => {
-                    if kind != AggKind::Count {
-                        return Err(Error::InvalidAggregate(format!(
-                            "{name}() requires an argument"
-                        )));
-                    }
-                    None
+            let kind = AggKind::from_name(name).expect("an aggregate name");
+            let arg = match args.as_slice() {
+                [] if kind == AggKind::Count => None,
+                [] => return misuse(format!("{name}() requires an argument")),
+                [arg] if arg.contains_aggregate() => {
+                    return misuse("nested aggregate calls are not allowed".into())
                 }
-                1 => {
-                    if args[0].contains_aggregate() {
-                        return Err(Error::InvalidAggregate(
-                            "nested aggregate calls are not allowed".into(),
-                        ));
-                    }
-                    Some(compile(&args[0], resolver)?)
-                }
-                n => {
-                    return Err(Error::InvalidAggregate(format!(
-                        "{name}() takes one argument, got {n}"
-                    )))
-                }
+                [arg] => Some(compile(arg, resolver)?),
+                _ => return misuse(format!("{name}() takes one argument, got {}", args.len())),
             };
             let spec = AggSpec { kind, arg };
             let idx = match aggs.iter().position(|a| *a == spec) {
@@ -199,61 +184,40 @@ fn rewrite(
                     aggs.len() - 1
                 }
             };
-            Ok(CExpr::Col(keys.len() + idx))
+            CExpr::Col(keys.len() + idx)
         }
-        Expr::Literal(v) => Ok(CExpr::Const(v.clone())),
+        Expr::Literal(v) => CExpr::Const(v.clone()),
         Expr::Column { table, name } => {
+            // A name that does not resolve is that error, not this one.
+            resolver.resolve(table.as_deref(), name)?;
             let display = match table {
                 Some(t) => format!("{t}.{name}"),
                 None => name.clone(),
             };
-            Err(Error::InvalidAggregate(format!(
+            return misuse(format!(
                 "column {display} must appear in GROUP BY or inside an aggregate"
-            )))
+            ));
         }
-        Expr::Unary { op, expr } => Ok(CExpr::Unary(
-            *op,
-            Box::new(rewrite(expr, keys, aggs, resolver)?),
-        )),
-        Expr::Binary { op, left, right } => Ok(CExpr::Binary(
-            *op,
-            Box::new(rewrite(left, keys, aggs, resolver)?),
-            Box::new(rewrite(right, keys, aggs, resolver)?),
-        )),
-        Expr::Func { name, args } => {
-            let f = crate::expr::ScalarFunc::from_name(name)
-                .ok_or_else(|| Error::Unsupported(format!("unknown function {name}()")))?;
-            let cargs = args
+        Expr::Unary { op, expr } => CExpr::Unary(*op, Box::new(sub(expr)?)),
+        Expr::Binary { op, left, right } => {
+            CExpr::Binary(*op, Box::new(sub(left)?), Box::new(sub(right)?))
+        }
+        Expr::Func { name, args } => CExpr::Func(
+            scalar_func(name, args.len())?,
+            args.iter().map(sub).collect::<Checked<_>>()?,
+        ),
+        Expr::Case { whens, else_expr } => CExpr::Case {
+            whens: whens
                 .iter()
-                .map(|a| rewrite(a, keys, aggs, resolver))
-                .collect::<Result<Vec<_>>>()?;
-            Ok(CExpr::Func(f, cargs))
-        }
-        Expr::Case { whens, else_expr } => {
-            let cwhens = whens
-                .iter()
-                .map(|(c, r)| {
-                    Ok((
-                        rewrite(c, keys, aggs, resolver)?,
-                        rewrite(r, keys, aggs, resolver)?,
-                    ))
-                })
-                .collect::<Result<Vec<_>>>()?;
-            let celse = else_expr
-                .as_ref()
-                .map(|e| rewrite(e, keys, aggs, resolver))
-                .transpose()?
-                .map(Box::new);
-            Ok(CExpr::Case {
-                whens: cwhens,
-                else_expr: celse,
-            })
-        }
-        Expr::IsNull { expr, negated } => Ok(CExpr::IsNull(
-            Box::new(rewrite(expr, keys, aggs, resolver)?),
-            *negated,
-        )),
-    }
+                .map(|(c, r)| Ok((sub(c)?, sub(r)?)))
+                .collect::<Checked<_>>()?,
+            else_expr: match else_expr {
+                Some(e) => Some(Box::new(sub(e)?)),
+                None => None,
+            },
+        },
+        Expr::IsNull { expr, negated } => CExpr::IsNull(Box::new(sub(expr)?), *negated),
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -568,6 +532,30 @@ impl AggState {
                 }
             }
         }
+    }
+}
+
+impl AggSpec {
+    /// The static type of what `AggState::finalize` returns for this
+    /// accumulator when base-row slot `i` holds values of type
+    /// `slots[i]`, or why `AggState::update` can only fail. (An
+    /// integral `SUM` past ±9·10¹⁵ finalizes as a DOUBLE; like the
+    /// DOUBLE → BIGINT coercion check that depends on the data.)
+    pub fn result_ty(&self, slots: &[Ty]) -> Checked<Ty> {
+        let arg = match &self.arg {
+            Some(a) => a.ty(slots)?,
+            None => Ty::Null,
+        };
+        let numeric = || arg.require_numeric(|| format!("{:?}", self.kind).to_ascii_lowercase());
+        Ok(match self.kind {
+            AggKind::Count => Ty::Int,
+            AggKind::Min | AggKind::Max => arg,
+            AggKind::Sum => numeric()?.arith(Ty::Int),
+            AggKind::Avg | AggKind::Variance | AggKind::Stddev => {
+                numeric()?;
+                Ty::Double
+            }
+        })
     }
 }
 
@@ -897,9 +885,22 @@ impl BatchSink for AggSink {
 mod tests {
     use super::*;
     use crate::ast::BinOp;
+    use crate::plan::tests::test_sources;
 
-    fn base_resolver() -> ColumnResolver {
-        ColumnResolver::from_tables(&[("t".into(), vec!["rid".into(), "i".into(), "x".into()])])
+    /// Plan over a table `t` of `columns`; every item is visible.
+    fn plan_over(
+        columns: &[&str],
+        items: &[Expr],
+        group_by: &[Expr],
+        having: Option<&Expr>,
+    ) -> Planned<AggPlan> {
+        let sources = test_sources(&[("t", columns)]);
+        let resolver = ColumnResolver::new(&sources);
+        plan_aggregate(items, items.len(), group_by, having, &resolver)
+    }
+
+    fn plan_t(items: &[Expr], group_by: &[Expr], having: Option<&Expr>) -> AggPlan {
+        plan_over(&["rid", "i", "x"], items, group_by, having).unwrap()
     }
 
     /// Push `rows` as one batch (one column per slot).
@@ -922,8 +923,7 @@ mod tests {
 
     #[test]
     fn sum_group_by() {
-        let r = base_resolver();
-        let plan = plan_aggregate(
+        let plan = plan_t(
             &[
                 Expr::col("i"),
                 Expr::Func {
@@ -933,9 +933,7 @@ mod tests {
             ],
             &[Expr::col("i")],
             None,
-            &r,
-        )
-        .unwrap();
+        );
         let mut sink = AggSink::new(plan);
         push_rows(&mut sink, &[(1, 1, 2.0), (2, 1, 3.0), (3, 2, 5.0)]);
         let rows = sink.finalize().unwrap();
@@ -948,19 +946,12 @@ mod tests {
 
     #[test]
     fn duplicate_aggregates_share_one_accumulator() {
-        let r = base_resolver();
         let sum_x = Expr::Func {
             name: "sum".into(),
             args: vec![Expr::col("x")],
         };
         // sum(x)/sum(x) — the M-step shape.
-        let plan = plan_aggregate(
-            &[Expr::bin(BinOp::Div, sum_x.clone(), sum_x)],
-            &[],
-            None,
-            &r,
-        )
-        .unwrap();
+        let plan = plan_t(&[Expr::bin(BinOp::Div, sum_x.clone(), sum_x)], &[], None);
         assert_eq!(plan.aggs.len(), 1);
         let mut sink = AggSink::new(plan);
         push_rows(&mut sink, &[(1, 1, 2.0), (2, 1, 4.0)]);
@@ -970,17 +961,14 @@ mod tests {
 
     #[test]
     fn sum_skips_nulls_and_empty_sum_is_null() {
-        let r = base_resolver();
-        let plan = plan_aggregate(
+        let plan = plan_t(
             &[Expr::Func {
                 name: "sum".into(),
                 args: vec![Expr::col("x")],
             }],
             &[],
             None,
-            &r,
-        )
-        .unwrap();
+        );
         let mut sink = AggSink::new(plan.clone());
         push_values(
             &mut sink,
@@ -1004,8 +992,7 @@ mod tests {
 
     #[test]
     fn count_star_vs_count_expr() {
-        let r = base_resolver();
-        let plan = plan_aggregate(
+        let plan = plan_t(
             &[
                 Expr::Func {
                     name: "count".into(),
@@ -1018,9 +1005,7 @@ mod tests {
             ],
             &[],
             None,
-            &r,
-        )
-        .unwrap();
+        );
         let mut sink = AggSink::new(plan);
         push_values(
             &mut sink,
@@ -1036,8 +1021,7 @@ mod tests {
 
     #[test]
     fn empty_input_implicit_group() {
-        let r = base_resolver();
-        let plan = plan_aggregate(
+        let plan = plan_t(
             &[
                 Expr::Func {
                     name: "count".into(),
@@ -1050,9 +1034,7 @@ mod tests {
             ],
             &[],
             None,
-            &r,
-        )
-        .unwrap();
+        );
         let mut sink = AggSink::new(plan);
         let rows = sink.finalize().unwrap();
         assert_eq!(rows.len(), 1);
@@ -1062,16 +1044,14 @@ mod tests {
 
     #[test]
     fn empty_input_with_group_by_yields_no_rows() {
-        let r = base_resolver();
-        let plan = plan_aggregate(&[Expr::col("i")], &[Expr::col("i")], None, &r).unwrap();
+        let plan = plan_t(&[Expr::col("i")], &[Expr::col("i")], None);
         let mut sink = AggSink::new(plan);
         assert!(sink.finalize().unwrap().is_empty());
     }
 
     #[test]
     fn having_filters_groups() {
-        let r = base_resolver();
-        let plan = plan_aggregate(
+        let plan = plan_t(
             &[Expr::col("i")],
             &[Expr::col("i")],
             Some(&Expr::bin(
@@ -1082,9 +1062,7 @@ mod tests {
                 },
                 Expr::num(4.0),
             )),
-            &r,
-        )
-        .unwrap();
+        );
         let mut sink = AggSink::new(plan);
         push_rows(&mut sink, &[(1, 1, 2.0), (2, 1, 1.0), (3, 2, 9.0)]);
         let rows = sink.finalize().unwrap();
@@ -1094,14 +1072,13 @@ mod tests {
 
     #[test]
     fn non_grouped_column_rejected() {
-        let r = base_resolver();
-        let err = plan_aggregate(&[Expr::col("x")], &[Expr::col("i")], None, &r).unwrap_err();
-        assert!(matches!(err, Error::InvalidAggregate(_)));
+        let err = plan_over(&["i", "x"], &[Expr::col("x")], &[Expr::col("i")], None).unwrap_err();
+        assert!(matches!(err.kind, AnalyzeErrorKind::AggregateMisuse(_)));
+        assert_eq!(err.clause, Clause::Projection);
     }
 
     #[test]
     fn nested_aggregate_rejected() {
-        let r = base_resolver();
         let nested = Expr::Func {
             name: "sum".into(),
             args: vec![Expr::Func {
@@ -1109,13 +1086,12 @@ mod tests {
                 args: vec![Expr::col("x")],
             }],
         };
-        assert!(plan_aggregate(&[nested], &[], None, &r).is_err());
+        assert!(plan_over(&["x"], &[nested], &[], None).is_err());
     }
 
     #[test]
     fn merge_combines_partitions() {
-        let r = base_resolver();
-        let plan = plan_aggregate(
+        let plan = plan_t(
             &[
                 Expr::col("i"),
                 Expr::Func {
@@ -1133,9 +1109,7 @@ mod tests {
             ],
             &[Expr::col("i")],
             None,
-            &r,
-        )
-        .unwrap();
+        );
         let mut a = AggSink::new(plan.clone());
         push_rows(&mut a, &[(1, 1, 2.0), (2, 2, 7.0)]);
         let mut b = AggSink::new(plan);
@@ -1152,8 +1126,7 @@ mod tests {
 
     #[test]
     fn avg_and_min_max() {
-        let r = base_resolver();
-        let plan = plan_aggregate(
+        let plan = plan_t(
             &[
                 Expr::Func {
                     name: "avg".into(),
@@ -1170,9 +1143,7 @@ mod tests {
             ],
             &[],
             None,
-            &r,
-        )
-        .unwrap();
+        );
         let mut sink = AggSink::new(plan);
         push_rows(&mut sink, &[(1, 1, 2.0), (2, 1, 4.0), (3, 1, 9.0)]);
         let rows = sink.finalize().unwrap();
@@ -1185,12 +1156,11 @@ mod tests {
     fn min_max_give_nan_one_place_whatever_the_order() {
         // A NaN compares with nothing; MIN/MAX place it above every
         // number, so neither scan order nor merge order picks the winner.
-        let r = ColumnResolver::from_tables(&[("t".into(), vec!["x".into()])]);
         let call = |name: &str| Expr::Func {
             name: name.into(),
             args: vec![Expr::col("x")],
         };
-        let plan = plan_aggregate(&[call("min"), call("max")], &[], None, &r).unwrap();
+        let plan = plan_over(&["x"], &[call("min"), call("max")], &[], None).unwrap();
         let vals = [3.0, f64::NAN, -1.0, f64::INFINITY, f64::NAN, 2.0];
         let run = |order: &[usize], cut: usize| {
             let part = |idx: &[usize]| {
@@ -1223,17 +1193,11 @@ mod tests {
 
     #[test]
     fn integer_sum_stays_integer() {
-        let r = ColumnResolver::from_tables(&[("t".into(), vec!["n".into()])]);
-        let plan = plan_aggregate(
-            &[Expr::Func {
-                name: "sum".into(),
-                args: vec![Expr::col("n")],
-            }],
-            &[],
-            None,
-            &r,
-        )
-        .unwrap();
+        let sum_n = Expr::Func {
+            name: "sum".into(),
+            args: vec![Expr::col("n")],
+        };
+        let plan = plan_over(&["n"], &[sum_n], &[], None).unwrap();
         let mut sink = AggSink::new(plan);
         push_values(&mut sink, &[vec![Value::Int(2)], vec![Value::Int(3)]]);
         let rows = sink.finalize().unwrap();
@@ -1243,15 +1207,8 @@ mod tests {
     #[test]
     fn group_key_expression_reused_in_projection() {
         // GROUP BY i+1, project i+1 — must match by compiled structure.
-        let r = base_resolver();
         let key = Expr::bin(BinOp::Add, Expr::col("i"), Expr::int(1));
-        let plan = plan_aggregate(
-            std::slice::from_ref(&key),
-            std::slice::from_ref(&key),
-            None,
-            &r,
-        )
-        .unwrap();
+        let plan = plan_t(std::slice::from_ref(&key), std::slice::from_ref(&key), None);
         let mut sink = AggSink::new(plan);
         push_rows(&mut sink, &[(1, 1, 0.0), (2, 1, 0.0)]);
         let rows = sink.finalize().unwrap();

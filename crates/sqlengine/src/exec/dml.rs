@@ -1,12 +1,11 @@
 //! DDL and DML execution: CREATE/DROP TABLE, INSERT, UPDATE, DELETE.
 
-use crate::ast::{ColumnDef, InsertSource};
+use crate::ast::ColumnDef;
 use crate::catalog::Catalog;
 use crate::error::{Error, Result};
 use crate::exec::{run_select, ExecConfig, QueryResult};
-use crate::expr::compile_constant;
 use crate::metrics::StmtProbe;
-use crate::plan::{DeletePlan, InsertPlan, InsertRows, UpdatePlan};
+use crate::plan::{constant_rows, DeletePlan, InsertPlan, InsertRows, UpdatePlan};
 use crate::schema::{Column, Schema};
 use crate::table::Row;
 use crate::value::Value;
@@ -41,25 +40,11 @@ pub fn insert(
     catalog: &mut Catalog,
     config: &ExecConfig,
     plan: &InsertPlan,
-    source: &InsertSource,
     probe: &mut StmtProbe,
 ) -> Result<QueryResult> {
-    let incoming: Vec<Row> = match (&plan.rows, source) {
-        (InsertRows::Select(select), _) => run_select(catalog, config, select, probe)?.rows,
-        (InsertRows::Values(_), InsertSource::Values(rows)) => {
-            let mut out = Vec::with_capacity(rows.len());
-            for exprs in rows {
-                let vals: Vec<Value> = exprs
-                    .iter()
-                    .map(compile_constant)
-                    .collect::<Result<Vec<_>>>()?;
-                out.push(vals.into_boxed_slice());
-            }
-            out
-        }
-        (InsertRows::Values(_), InsertSource::Select(_)) => {
-            unreachable!("an INSERT … SELECT plans as InsertRows::Select")
-        }
+    let incoming: Vec<Row> = match &plan.rows {
+        InsertRows::Select(select) => run_select(catalog, config, select, probe)?.rows,
+        InsertRows::Values(values) => constant_rows(values)?,
     };
 
     // Stage the full batch — slot mapping, arity checks and type

@@ -15,7 +15,7 @@ pub use select::{explain_select, finalize_select_partials, run_select, run_selec
 
 use crate::ast::Statement;
 use crate::catalog::Catalog;
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::metrics::{StatementKind, StmtProbe};
 use crate::plan::{plan_statement, StatementPlan};
 use crate::table::Row;
@@ -88,6 +88,19 @@ impl QueryResult {
         }
     }
 
+    /// The one-VARCHAR-column `plan` result EXPLAIN returns: a row per line.
+    pub fn plan_lines(lines: Vec<String>) -> Self {
+        let rows: Vec<Row> = lines
+            .into_iter()
+            .map(|l| vec![Value::from(l)].into_boxed_slice())
+            .collect();
+        QueryResult {
+            columns: vec!["plan".to_string()],
+            rows_affected: rows.len(),
+            rows,
+        }
+    }
+
     /// First cell of the first row, if any — handy for scalar queries.
     pub fn scalar(&self) -> Option<&Value> {
         self.rows.first().and_then(|r| r.first())
@@ -117,7 +130,7 @@ pub fn execute_statement(
     stmt: &Statement,
 ) -> Result<QueryResult> {
     let mut probe = StmtProbe::disabled().with_budget(config.memory_budget.clone());
-    execute_statement_metered(catalog, config, stmt, &mut probe)
+    execute_statement_metered(catalog, config, stmt, None, &mut probe)
 }
 
 /// The [`crate::metrics::StatementKind`] a statement reports as.
@@ -174,46 +187,51 @@ pub fn statement_tables(stmt: &Statement) -> Vec<String> {
 }
 
 /// Execute one parsed statement, recording telemetry into `probe`:
-/// plan it against the schemas ([`crate::plan`]), then instantiate the
-/// plan against the rows.
+/// instantiate its plan against the rows. `plan` is the statement's
+/// [`plan_statement`] result when the caller holds one (semantic
+/// analysis returns it); otherwise the statement is planned here.
 pub fn execute_statement_metered(
     catalog: &mut Catalog,
     config: &ExecConfig,
     stmt: &Statement,
+    plan: Option<StatementPlan>,
     probe: &mut StmtProbe,
 ) -> Result<QueryResult> {
-    match stmt {
-        Statement::CreateTable {
-            name,
-            columns,
-            primary_key,
-            if_not_exists,
-        } => return dml::create_table(catalog, name, columns, primary_key, *if_not_exists),
-        Statement::DropTable { name, if_exists } => {
-            return dml::drop_table(catalog, name, *if_exists)
+    let plan = match plan {
+        Some(plan) => plan,
+        None => {
+            let t0 = std::time::Instant::now();
+            let plan = plan_statement(catalog, stmt)?;
+            probe.add_plan_time(t0.elapsed());
+            plan
         }
-        Statement::Explain(inner) => {
-            return match inner.as_ref() {
-                Statement::Select(sel) => explain_select(catalog, sel),
-                _ => Err(crate::error::Error::Unsupported(
-                    "EXPLAIN supports SELECT statements only".into(),
-                )),
+    };
+    match (stmt, &plan) {
+        (
+            Statement::CreateTable {
+                name,
+                columns,
+                primary_key,
+                if_not_exists,
+            },
+            _,
+        ) => dml::create_table(catalog, name, columns, primary_key, *if_not_exists),
+        (Statement::DropTable { name, if_exists }, _) => dml::drop_table(catalog, name, *if_exists),
+        // `Database` answers EXPLAIN itself, from the statement's analysis.
+        (Statement::Explain(inner), _) => match plan_statement(catalog, inner)? {
+            StatementPlan::Select(select) => {
+                Ok(QueryResult::plan_lines(explain_select(catalog, &select)?))
             }
-        }
-        Statement::ExplainAnalyze(inner) => return explain_analyze(catalog, config, inner),
-        _ => {}
-    }
-    let t0 = std::time::Instant::now();
-    let plan = plan_statement(catalog, stmt)?;
-    probe.add_plan_time(t0.elapsed());
-    match (&plan, stmt) {
-        (StatementPlan::Select(plan), _) => run_select(catalog, config, plan, probe),
-        (StatementPlan::Insert(plan), Statement::Insert { source, .. }) => {
-            dml::insert(catalog, config, plan, source, probe)
-        }
-        (StatementPlan::Update(plan), _) => dml::update(catalog, plan, probe),
-        (StatementPlan::Delete(plan), _) => dml::delete(catalog, plan, probe),
-        _ => unreachable!("DDL and EXPLAIN returned above; a plan has its statement's kind"),
+            _ => Err(Error::Unsupported(
+                "EXPLAIN supports SELECT statements only".into(),
+            )),
+        },
+        (Statement::ExplainAnalyze(inner), _) => explain_analyze(catalog, config, inner, plan),
+        (_, StatementPlan::Select(plan)) => run_select(catalog, config, plan, probe),
+        (_, StatementPlan::Insert(plan)) => dml::insert(catalog, config, plan, probe),
+        (_, StatementPlan::Update(plan)) => dml::update(catalog, plan, probe),
+        (_, StatementPlan::Delete(plan)) => dml::delete(catalog, plan, probe),
+        (_, StatementPlan::Utility) => unreachable!("only DDL and EXPLAIN plan as Utility"),
     }
 }
 
@@ -226,26 +244,17 @@ fn explain_analyze(
     catalog: &mut Catalog,
     config: &ExecConfig,
     inner: &Statement,
+    plan: StatementPlan,
 ) -> Result<QueryResult> {
     let mut lines: Vec<String> = Vec::new();
-    if let Statement::Select(sel) = inner {
-        let plan = explain_select(catalog, sel)?;
-        lines.extend(plan.rows.iter().map(|r| r[0].to_string()));
+    if let StatementPlan::Select(select) = &plan {
+        lines.extend(explain_select(catalog, select)?);
     }
     let mut probe = StmtProbe::enabled().with_budget(config.memory_budget.clone());
     let t0 = std::time::Instant::now();
-    let result = execute_statement_metered(catalog, config, inner, &mut probe)?;
+    let result = execute_statement_metered(catalog, config, inner, Some(plan), &mut probe)?;
     let metrics = probe.finish(statement_kind(inner), t0.elapsed());
     lines.extend(metrics.render());
     lines.push(format!("result: {} row(s)", result.rows_affected));
-    let rows: Vec<Row> = lines
-        .into_iter()
-        .map(|l| vec![Value::from(l)].into_boxed_slice())
-        .collect();
-    let n = rows.len();
-    Ok(QueryResult {
-        columns: vec!["plan".to_string()],
-        rows,
-        rows_affected: n,
-    })
+    Ok(QueryResult::plan_lines(lines))
 }

@@ -45,14 +45,14 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use crate::ast::{BinOp, Select};
+use crate::ast::BinOp;
 use crate::catalog::Catalog;
 use crate::error::{Error, Result};
 use crate::exec::aggregate::{AggPlan, AggSink, PartialAggResult};
 use crate::exec::{ExecConfig, QueryResult};
 use crate::expr::{Batch, CExpr, Column, BATCH_ROWS};
 use crate::metrics::StmtProbe;
-use crate::plan::{plan_select, Join, SelectPlan, Sink};
+use crate::plan::{Join, SelectPlan, Sink};
 use crate::resource::{row_bytes, ResourceTracker, ENTRY_OVERHEAD_BYTES};
 use crate::table::{Row, Table};
 use crate::value::Value;
@@ -159,33 +159,28 @@ fn aggregate_of<'p>(plan: &'p SelectPlan, what: &str) -> Result<&'p AggPlan> {
 pub fn run_select_partial(
     catalog: &Catalog,
     config: &ExecConfig,
-    select: &Select,
+    plan: &SelectPlan,
     probe: &mut StmtProbe,
 ) -> Result<PartialAggResult> {
-    let t0 = Instant::now();
-    let plan = plan_select(catalog, select)?;
-    probe.add_plan_time(t0.elapsed());
-    let agg = aggregate_of(&plan, "partial execution")?;
-    let sink = run_aggregate(catalog, config, &plan, agg, probe)?;
+    let agg = aggregate_of(plan, "partial execution")?;
+    let sink = run_aggregate(catalog, config, plan, agg, probe)?;
     probe.set_rows_produced(sink.group_count());
     Ok(sink.into_partial())
 }
 
 /// Run the gather half: rebuild the group table from the merged partial
 /// states and run the finalize tail (implicit empty group, HAVING,
-/// projection, ORDER BY, LIMIT). Against schemas only — no rows are
+/// projection, ORDER BY, LIMIT). From the plan only — no rows are
 /// scanned and no tables need data; shards and the gatherer plan the
 /// same statement text over the same schemas, so the accumulator layout
 /// is identical by construction.
 pub fn finalize_select_partials(
-    catalog: &Catalog,
-    select: &Select,
+    plan: &SelectPlan,
     partial: &PartialAggResult,
 ) -> Result<QueryResult> {
-    let plan = plan_select(catalog, select)?;
-    let agg = aggregate_of(&plan, "partial finalize")?;
+    let agg = aggregate_of(plan, "partial finalize")?;
     let rows = AggSink::from_partial(agg.clone(), partial)?.finalize()?;
-    Ok(finish(&plan, rows))
+    Ok(finish(plan, rows))
 }
 
 // ---------------------------------------------------------------------
@@ -743,10 +738,9 @@ fn sort_by_hidden(rows: &mut [Row], n_real: usize, descs: &[bool]) {
 
 /// Describe how a SELECT executes without running it to completion: the
 /// lines of [`SelectPlan::explain`] with the row counts its
-/// instantiation finds. One VARCHAR column, one row per plan step.
-pub fn explain_select(catalog: &Catalog, select: &Select) -> Result<QueryResult> {
-    let plan = plan_select(catalog, select)?;
-    let pipeline = build_pipeline(catalog, &plan, &mut StmtProbe::disabled())?;
+/// instantiation finds, one line per plan step.
+pub fn explain_select(catalog: &Catalog, plan: &SelectPlan) -> Result<Vec<String>> {
+    let pipeline = build_pipeline(catalog, plan, &mut StmtProbe::disabled())?;
     let mut counts = vec![pipeline.driver.as_ref().map_or(0, |d| d.table.len())];
     counts.extend(pipeline.stages.iter().map(|stage| match &stage.kind {
         StageKind::Hash {
@@ -759,17 +753,7 @@ pub fn explain_select(catalog: &Catalog, select: &Select) -> Result<QueryResult>
         } => map.len(),
         StageKind::Broadcast { indices } => indices.len(),
     }));
-    let rows: Vec<Row> = plan
-        .explain(&counts)
-        .into_iter()
-        .map(|l| vec![Value::from(l)].into_boxed_slice())
-        .collect();
-    let n = rows.len();
-    Ok(QueryResult {
-        columns: vec!["plan".to_string()],
-        rows,
-        rows_affected: n,
-    })
+    Ok(plan.explain(&counts))
 }
 
 #[cfg(test)]

@@ -2,62 +2,31 @@
 
 use std::collections::HashMap;
 
+use crate::analyze::{AnalyzeErrorKind, Checked};
 use crate::ast::{is_aggregate_name, Expr};
-use crate::error::{Error, Result};
 use crate::expr::{CExpr, ScalarFunc};
-use crate::value::Value;
+use crate::plan::Source;
 
-/// One visible table (or derived input) during compilation: its visible
-/// name, its column names, and the offset of its first column in the
-/// operator's concatenated input row.
-#[derive(Debug, Clone)]
-pub struct Scope {
-    /// Visible name (alias if the FROM clause gave one), lowercase.
-    pub name: String,
-    /// Column names in order, lowercase.
-    pub columns: Vec<String>,
-    /// Slot of the first column in the input row.
-    pub offset: usize,
-}
-
-/// Resolves column references to input-row slots.
+/// Resolves column references to slots of the joined row of `sources`.
 ///
-/// Resolution: a qualified reference `t.c` must match scope `t`; an
-/// unqualified `c` must match exactly one column across all scopes, falling
+/// Resolution: a qualified reference `t.c` must match source `t`; an
+/// unqualified `c` must match exactly one column across all sources, falling
 /// back to *lateral aliases* (earlier SELECT-list items, Teradata-style —
 /// see Fig. 5's `p1+p2+…+pk AS sump`) only when no base column matches.
-#[derive(Debug, Default, Clone)]
-pub struct ColumnResolver {
-    scopes: Vec<Scope>,
+#[derive(Debug, Clone)]
+pub struct ColumnResolver<'a> {
+    sources: &'a [Source],
     laterals: HashMap<String, usize>,
 }
 
-impl ColumnResolver {
-    /// Empty resolver (constants only).
-    pub fn new() -> Self {
-        ColumnResolver::default()
-    }
-
-    /// Build from a list of `(visible_name, column_names)` pairs; offsets
-    /// are assigned by concatenation order.
-    pub fn from_tables(tables: &[(String, Vec<String>)]) -> Self {
-        let mut r = ColumnResolver::new();
-        for (name, cols) in tables {
-            r.push_scope(name.clone(), cols.clone());
+impl<'a> ColumnResolver<'a> {
+    /// A resolver over `sources` (none: constants only), no lateral
+    /// aliases yet.
+    pub fn new(sources: &'a [Source]) -> Self {
+        ColumnResolver {
+            sources,
+            laterals: HashMap::new(),
         }
-        r
-    }
-
-    /// Append a scope after the existing ones.
-    pub fn push_scope(&mut self, mut name: String, mut columns: Vec<String>) {
-        let offset = self.width();
-        name.make_ascii_lowercase();
-        columns.iter_mut().for_each(|c| c.make_ascii_lowercase());
-        self.scopes.push(Scope {
-            name,
-            columns,
-            offset,
-        });
     }
 
     /// Register a lateral alias at `slot` (slots beyond the base width).
@@ -67,138 +36,109 @@ impl ColumnResolver {
 
     /// Total number of base slots.
     pub fn width(&self) -> usize {
-        self.scopes
-            .last()
-            .map(|s| s.offset + s.columns.len())
-            .unwrap_or(0)
-    }
-
-    /// All scopes, in input-row order.
-    pub fn scopes(&self) -> &[Scope] {
-        &self.scopes
+        self.sources.last().map_or(0, |s| s.offset + s.arity())
     }
 
     /// Resolve a reference to a slot.
-    pub fn resolve(&self, table: Option<&str>, name: &str) -> Result<usize> {
+    pub fn resolve(&self, table: Option<&str>, name: &str) -> Checked<usize> {
         let lname = name.to_ascii_lowercase();
+        let slot_in = |s: &Source| {
+            let i = s.columns.iter().position(|c| c.name == lname)?;
+            Some(s.offset + i)
+        };
         match table {
             Some(t) => {
                 let lt = t.to_ascii_lowercase();
-                let scope = self
-                    .scopes
+                let source = self
+                    .sources
                     .iter()
                     .find(|s| s.name == lt)
-                    .ok_or_else(|| Error::UnknownTable(lt.clone()))?;
-                scope
-                    .columns
-                    .iter()
-                    .position(|c| *c == lname)
-                    .map(|i| scope.offset + i)
-                    .ok_or_else(|| Error::UnknownColumn(format!("{lt}.{lname}")))
+                    .ok_or_else(|| AnalyzeErrorKind::UnknownTable(lt.clone()))?;
+                slot_in(source)
+                    .ok_or_else(|| AnalyzeErrorKind::UnknownColumn(format!("{lt}.{lname}")))
             }
             None => {
-                let mut found = None;
-                for scope in &self.scopes {
-                    if let Some(i) = scope.columns.iter().position(|c| *c == lname) {
-                        if found.is_some() {
-                            return Err(Error::AmbiguousColumn(lname));
-                        }
-                        found = Some(scope.offset + i);
-                    }
+                let mut owners = self.sources.iter().filter_map(slot_in);
+                match (owners.next(), owners.next()) {
+                    (Some(_), Some(_)) => Err(AnalyzeErrorKind::AmbiguousColumn(lname)),
+                    (Some(slot), None) => Ok(slot),
+                    _ => self
+                        .laterals
+                        .get(&lname)
+                        .copied()
+                        .ok_or(AnalyzeErrorKind::UnknownColumn(lname)),
                 }
-                if let Some(slot) = found {
-                    return Ok(slot);
-                }
-                self.laterals
-                    .get(&lname)
-                    .copied()
-                    .ok_or(Error::UnknownColumn(lname))
             }
         }
     }
+}
+
+/// The scalar function `name` called with `n_args` arguments.
+pub(crate) fn scalar_func(name: &str, n_args: usize) -> Checked<ScalarFunc> {
+    let function = name.to_ascii_lowercase();
+    let f = ScalarFunc::from_name(&function)
+        .ok_or_else(|| AnalyzeErrorKind::UnknownFunction(function.clone()))?;
+    let expected = match f.arity() {
+        Some(n) if n_args != n => n.to_string(),
+        None if n_args == 0 => "at least 1".to_string(),
+        _ => return Ok(f),
+    };
+    Err(AnalyzeErrorKind::WrongArity {
+        function,
+        expected,
+        actual: n_args,
+    })
 }
 
 /// Compile an AST expression against a resolver. Aggregate function calls
-/// are rejected — the planner must have rewritten them into column
-/// references over aggregate outputs before calling this.
-pub fn compile(expr: &Expr, resolver: &ColumnResolver) -> Result<CExpr> {
-    match expr {
-        Expr::Literal(v) => Ok(CExpr::Const(v.clone())),
-        Expr::Column { table, name } => resolver.resolve(table.as_deref(), name).map(CExpr::Col),
-        Expr::Unary { op, expr } => Ok(CExpr::Unary(*op, Box::new(compile(expr, resolver)?))),
-        Expr::Binary { op, left, right } => Ok(CExpr::Binary(
-            *op,
-            Box::new(compile(left, resolver)?),
-            Box::new(compile(right, resolver)?),
-        )),
-        Expr::Func { name, args } => {
-            if is_aggregate_name(name) {
-                return Err(Error::InvalidAggregate(format!(
-                    "aggregate {name}() not allowed in this context"
-                )));
-            }
-            let f = ScalarFunc::from_name(name)
-                .ok_or_else(|| Error::Unsupported(format!("unknown function {name}()")))?;
-            if let Some(expected) = f.arity() {
-                if args.len() != expected {
-                    return Err(Error::Unsupported(format!(
-                        "{name}() takes {expected} argument(s), got {}",
-                        args.len()
-                    )));
-                }
-            } else if args.is_empty() {
-                return Err(Error::Unsupported(format!(
-                    "{name}() requires at least one argument"
-                )));
-            }
-            let cargs = args
-                .iter()
-                .map(|a| compile(a, resolver))
-                .collect::<Result<Vec<_>>>()?;
-            Ok(CExpr::Func(f, cargs))
+/// are rejected — where they are allowed the planner has rewritten them
+/// into column references over aggregate outputs before calling this.
+pub fn compile(expr: &Expr, resolver: &ColumnResolver<'_>) -> Checked<CExpr> {
+    let sub = |e: &Expr| compile(e, resolver);
+    Ok(match expr {
+        Expr::Literal(v) => CExpr::Const(v.clone()),
+        Expr::Column { table, name } => CExpr::Col(resolver.resolve(table.as_deref(), name)?),
+        Expr::Unary { op, expr } => CExpr::Unary(*op, Box::new(sub(expr)?)),
+        Expr::Binary { op, left, right } => {
+            CExpr::Binary(*op, Box::new(sub(left)?), Box::new(sub(right)?))
         }
-        Expr::Case { whens, else_expr } => {
-            let cwhens = whens
+        Expr::Func { name, .. } if is_aggregate_name(name) => {
+            return Err(AnalyzeErrorKind::AggregateMisuse(format!(
+                "aggregate {name}() is not allowed here"
+            )))
+        }
+        Expr::Func { name, args } => CExpr::Func(
+            scalar_func(name, args.len())?,
+            args.iter().map(sub).collect::<Checked<_>>()?,
+        ),
+        Expr::Case { whens, else_expr } => CExpr::Case {
+            whens: whens
                 .iter()
-                .map(|(c, r)| Ok((compile(c, resolver)?, compile(r, resolver)?)))
-                .collect::<Result<Vec<_>>>()?;
-            let celse = match else_expr {
-                Some(e) => Some(Box::new(compile(e, resolver)?)),
+                .map(|(c, r)| Ok((sub(c)?, sub(r)?)))
+                .collect::<Checked<_>>()?,
+            else_expr: match else_expr {
+                Some(e) => Some(Box::new(sub(e)?)),
                 None => None,
-            };
-            Ok(CExpr::Case {
-                whens: cwhens,
-                else_expr: celse,
-            })
-        }
-        Expr::IsNull { expr, negated } => {
-            Ok(CExpr::IsNull(Box::new(compile(expr, resolver)?), *negated))
-        }
-    }
-}
-
-/// Compile an expression that must be constant (INSERT VALUES items) and
-/// evaluate it immediately.
-pub fn compile_constant(expr: &Expr) -> Result<Value> {
-    let compiled = compile(expr, &ColumnResolver::new())?;
-    compiled.eval(&[])
+            },
+        },
+        Expr::IsNull { expr, negated } => CExpr::IsNull(Box::new(sub(expr)?), *negated),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ast::BinOp;
+    use crate::plan::tests::test_sources;
 
-    fn resolver() -> ColumnResolver {
-        ColumnResolver::from_tables(&[
-            ("y".into(), vec!["rid".into(), "y1".into(), "y2".into()]),
-            ("c".into(), vec!["i".into(), "y1".into(), "y2".into()]),
-        ])
+    fn sources() -> Vec<Source> {
+        test_sources(&[("y", &["rid", "y1", "y2"]), ("c", &["i", "y1", "y2"])])
     }
 
     #[test]
     fn qualified_resolution() {
-        let r = resolver();
+        let sources = sources();
+        let r = ColumnResolver::new(&sources);
         assert_eq!(r.resolve(Some("y"), "y1").unwrap(), 1);
         assert_eq!(r.resolve(Some("c"), "y1").unwrap(), 4);
         assert_eq!(r.resolve(Some("C"), "I").unwrap(), 3);
@@ -206,40 +146,44 @@ mod tests {
 
     #[test]
     fn unqualified_unique_resolution() {
-        let r = resolver();
+        let sources = sources();
+        let r = ColumnResolver::new(&sources);
         assert_eq!(r.resolve(None, "rid").unwrap(), 0);
         assert_eq!(r.resolve(None, "i").unwrap(), 3);
     }
 
     #[test]
     fn ambiguous_unqualified_rejected() {
-        let r = resolver();
+        let sources = sources();
+        let r = ColumnResolver::new(&sources);
         assert_eq!(
             r.resolve(None, "y1").unwrap_err(),
-            Error::AmbiguousColumn("y1".into())
+            AnalyzeErrorKind::AmbiguousColumn("y1".into())
         );
     }
 
     #[test]
     fn unknown_names_rejected() {
-        let r = resolver();
-        assert!(matches!(
+        let sources = sources();
+        let r = ColumnResolver::new(&sources);
+        assert_eq!(
             r.resolve(Some("z"), "y1").unwrap_err(),
-            Error::UnknownTable(_)
-        ));
-        assert!(matches!(
+            AnalyzeErrorKind::UnknownTable("z".into())
+        );
+        assert_eq!(
             r.resolve(Some("y"), "zzz").unwrap_err(),
-            Error::UnknownColumn(_)
-        ));
-        assert!(matches!(
+            AnalyzeErrorKind::UnknownColumn("y.zzz".into())
+        );
+        assert_eq!(
             r.resolve(None, "zzz").unwrap_err(),
-            Error::UnknownColumn(_)
-        ));
+            AnalyzeErrorKind::UnknownColumn("zzz".into())
+        );
     }
 
     #[test]
     fn lateral_alias_used_only_when_base_misses() {
-        let mut r = resolver();
+        let sources = sources();
+        let mut r = ColumnResolver::new(&sources);
         r.add_lateral("sump", 10);
         r.add_lateral("rid", 11); // shadowed by the base column
         assert_eq!(r.resolve(None, "sump").unwrap(), 10);
@@ -248,9 +192,9 @@ mod tests {
 
     #[test]
     fn compile_resolves_and_preserves_structure() {
-        let r = resolver();
+        let sources = sources();
         let e = Expr::bin(BinOp::Sub, Expr::qcol("y", "y1"), Expr::qcol("c", "y1"));
-        let c = compile(&e, &r).unwrap();
+        let c = compile(&e, &ColumnResolver::new(&sources)).unwrap();
         assert_eq!(
             c,
             CExpr::Binary(BinOp::Sub, Box::new(CExpr::Col(1)), Box::new(CExpr::Col(4)))
@@ -259,14 +203,14 @@ mod tests {
 
     #[test]
     fn aggregates_rejected_by_compile() {
-        let r = resolver();
+        let sources = sources();
         let e = Expr::Func {
             name: "sum".into(),
             args: vec![Expr::qcol("y", "y1")],
         };
         assert!(matches!(
-            compile(&e, &r).unwrap_err(),
-            Error::InvalidAggregate(_)
+            compile(&e, &ColumnResolver::new(&sources)).unwrap_err(),
+            AnalyzeErrorKind::AggregateMisuse(_)
         ));
     }
 
@@ -276,38 +220,31 @@ mod tests {
             name: "frobnicate".into(),
             args: vec![Expr::int(1)],
         };
-        assert!(matches!(
-            compile(&e, &ColumnResolver::new()).unwrap_err(),
-            Error::Unsupported(_)
-        ));
+        assert_eq!(
+            compile(&e, &ColumnResolver::new(&[])).unwrap_err(),
+            AnalyzeErrorKind::UnknownFunction("frobnicate".into())
+        );
     }
 
     #[test]
     fn arity_checked_for_scalar_functions() {
-        let e = Expr::Func {
-            name: "exp".into(),
-            args: vec![Expr::int(1), Expr::int(2)],
+        let call = |name: &str, n: usize| Expr::Func {
+            name: name.into(),
+            args: vec![Expr::int(1); n],
         };
-        assert!(compile(&e, &ColumnResolver::new()).is_err());
-        let p = Expr::Func {
-            name: "power".into(),
-            args: vec![Expr::int(2)],
-        };
-        assert!(compile(&p, &ColumnResolver::new()).is_err());
+        let constants = ColumnResolver::new(&[]);
+        for (name, n) in [("exp", 2), ("power", 1), ("coalesce", 0)] {
+            assert!(matches!(
+                compile(&call(name, n), &constants).unwrap_err(),
+                AnalyzeErrorKind::WrongArity { actual, .. } if actual == n
+            ));
+        }
+        compile(&call("least", 3), &constants).unwrap();
     }
 
     #[test]
-    fn compile_constant_evaluates() {
-        let e = Expr::bin(BinOp::Mul, Expr::num(2.0), Expr::num(3.0));
-        assert_eq!(compile_constant(&e).unwrap(), Value::Double(6.0));
-        // Column refs are not constant.
-        assert!(compile_constant(&Expr::col("x")).is_err());
-    }
-
-    #[test]
-    fn width_tracks_scopes() {
-        let r = resolver();
-        assert_eq!(r.width(), 6);
-        assert_eq!(ColumnResolver::new().width(), 0);
+    fn width_tracks_sources() {
+        assert_eq!(ColumnResolver::new(&sources()).width(), 6);
+        assert_eq!(ColumnResolver::new(&[]).width(), 0);
     }
 }

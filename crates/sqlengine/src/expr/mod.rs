@@ -24,9 +24,12 @@
 
 mod batch;
 mod compile;
+mod ty;
 
 pub use batch::{Batch, Column, RowError, BATCH_ROWS};
-pub use compile::{compile, compile_constant, ColumnResolver, Scope};
+pub(crate) use compile::scalar_func;
+pub use compile::{compile, ColumnResolver};
+pub use ty::Ty;
 
 use crate::ast::{BinOp, UnaryOp};
 use crate::error::{Error, Result};
@@ -414,7 +417,8 @@ fn double_func(f: ScalarFunc) -> Option<fn(f64) -> Result<f64>> {
 }
 
 /// Every scalar function except the lazy `COALESCE`, over evaluated
-/// arguments.
+/// arguments. Which variant comes back for which arguments is what
+/// [`CExpr::ty`] states statically.
 fn func_values(f: ScalarFunc, vals: Vec<Value>) -> Result<Value> {
     match f {
         ScalarFunc::Least | ScalarFunc::Greatest => {

@@ -11,7 +11,7 @@
 //! hidden sort keys and the LIMIT; for DML the target, the INSERT column
 //! map and UPDATE … FROM's tables through the same conjunct classifier.
 //!
-//! Four readers, no second analysis of statement shape:
+//! Five readers, no second analysis of statement shape:
 //!
 //! * `exec` instantiates a plan against rows (hash maps, filtered
 //!   positions, memory charges, scan records);
@@ -22,7 +22,17 @@
 //! * the shard coordinator (`sqlwire::cluster`) matches on which sources
 //!   are partitioned, whether equi-keys co-locate them, which output
 //!   carries the partition key and whether an aggregate, sort or limit
-//!   sits above partitioned input.
+//!   sits above partitioned input;
+//! * semantic analysis ([`crate::analyze`]) types the compiled
+//!   expressions ([`CExpr::ty`]) against the sources' declared column
+//!   types and measures the statement against its limits.
+//!
+//! Planning is also the engine's only front end: a name resolves, a
+//! projection expands, a group key matches, an aggregate is placed, a
+//! function's arity and an INSERT's column map are checked *here* (with
+//! [`crate::expr::compile`] and `exec::aggregate`'s rewrite) and nowhere
+//! else, so whatever is wrong with a statement is reported once, as an
+//! [`crate::AnalyzeError`] tagged with the clause that was being planned.
 //!
 //! Because the plan needs schemas only it is the same on a
 //! [`crate::catalog::Catalog`], a [`crate::SymbolicCatalog`] and the
@@ -30,7 +40,7 @@
 
 use std::borrow::{Borrow, Cow};
 
-use crate::analyze::SchemaProvider;
+use crate::analyze::{AnalyzeErrorKind, Checked, Clause, Metric, Planned, SchemaProvider};
 use crate::ast::{BinOp, Expr, InsertSource, Select, SelectItem, Statement, TableRef};
 use crate::error::{Error, Result};
 use crate::exec::aggregate::{plan_aggregate, AggPlan};
@@ -55,94 +65,76 @@ pub struct Source {
 }
 
 impl Source {
-    fn new(table: String, name: String, schema: &Schema, offset: usize) -> Source {
-        Source {
-            table,
-            name,
-            columns: schema.columns().to_vec(),
-            primary_key: schema.primary_key().to_vec(),
-            offset,
-        }
-    }
-
     /// Number of columns.
     pub fn arity(&self) -> usize {
         self.columns.len()
     }
 
-    fn has_column(&self, name: &str) -> bool {
-        self.columns.iter().any(|c| c.name == name)
+    /// Position of the column called `name` (any case).
+    fn column_index(&self, name: &str) -> Option<usize> {
+        let lname = name.to_ascii_lowercase();
+        self.columns.iter().position(|c| c.name == lname)
     }
 }
 
-/// A resolver over `sources` in joined-row order.
-fn resolver_over(sources: &[Source]) -> ColumnResolver {
-    let mut r = ColumnResolver::new();
-    for s in sources {
-        r.push_scope(
-            s.name.clone(),
-            s.columns.iter().map(|c| c.name.clone()).collect(),
-        );
-    }
-    r
-}
-
-fn push_source(
-    sources: &mut Vec<Source>,
-    provider: &dyn SchemaProvider,
-    table: &str,
-    visible: &str,
-) -> Result<()> {
-    let table = table.to_ascii_lowercase();
-    let schema = provider
-        .table_schema(&table)
-        .ok_or_else(|| Error::UnknownTable(table.clone()))?;
-    let name = visible.to_ascii_lowercase();
-    if sources.iter().any(|s| s.name == name) {
-        return Err(Error::DuplicateTable(format!(
-            "{name} appears twice in FROM; use aliases"
-        )));
-    }
+fn push_source(sources: &mut Vec<Source>, table: String, name: String, schema: &Schema) {
     let offset = sources.last().map_or(0, |s| s.offset + s.arity());
-    sources.push(Source::new(table, name, schema, offset));
-    Ok(())
+    sources.push(Source {
+        table,
+        name,
+        columns: schema.columns().to_vec(),
+        primary_key: schema.primary_key().to_vec(),
+        offset,
+    });
 }
 
-/// Resolve a FROM list against the schemas: the one place FROM scopes
-/// are built (the analyzer's scopes come from here too).
-pub(crate) fn resolve_sources(
+/// Resolve a statement's tables against the schemas, in joined-row
+/// order: `target` (an UPDATE's, visible under its own name) and then
+/// the FROM list. The one place a table name is looked up.
+fn resolve_sources(
     provider: &dyn SchemaProvider,
+    target: Option<&str>,
     from: &[TableRef],
-) -> Result<Vec<Source>> {
-    let mut sources = Vec::with_capacity(from.len());
-    for tref in from {
-        push_source(&mut sources, provider, &tref.table, tref.visible_name())?;
+) -> Planned<Vec<Source>> {
+    let mut sources = Vec::with_capacity(from.len() + 1);
+    let target = target.map(|t| (t, t, Clause::Statement));
+    let from = from
+        .iter()
+        .map(|t| (t.table.as_str(), t.visible_name(), Clause::From));
+    for (table, visible, clause) in target.into_iter().chain(from) {
+        let table = table.to_ascii_lowercase();
+        let Some(schema) = provider.table_schema(&table) else {
+            return Err(AnalyzeErrorKind::UnknownTable(table).at(clause));
+        };
+        let name = visible.to_ascii_lowercase();
+        if sources.iter().any(|s: &Source| s.name == name) {
+            let twice = format!("{name} appears twice in FROM; use aliases");
+            return Err(AnalyzeErrorKind::DuplicateTable(twice).at(clause));
+        }
+        push_source(&mut sources, table, name, schema);
     }
     Ok(sources)
 }
 
 /// A SELECT list with wildcards expanded and ORDER BY keys appended.
 #[derive(Debug, Clone)]
-pub(crate) struct Projection<'a> {
+struct Projection<'a> {
     /// The visible items (the statement's own, borrowed; a wildcard's,
     /// made here), then one hidden item per ORDER BY key with output
     /// aliases replaced by their defining expressions.
-    pub items: Vec<Cow<'a, Expr>>,
+    items: Vec<Cow<'a, Expr>>,
     /// Output names of the visible items.
-    pub names: Vec<String>,
+    names: Vec<String>,
     /// Does the SELECT aggregate: GROUP BY, or an aggregate call in an
     /// item, an ORDER BY key or HAVING?
-    pub is_aggregate: bool,
+    is_aggregate: bool,
 }
 
 /// Expand a SELECT list over `sources`. ORDER BY may name output aliases
 /// (`ORDER BY sump`) or base columns absent from the projection
 /// (`ORDER BY rid` under `SELECT x1, x2`); both become trailing *hidden*
 /// items, planned like any other and stripped after sorting.
-pub(crate) fn expand_projection<'a>(
-    select: &'a Select,
-    sources: &[Source],
-) -> Result<Projection<'a>> {
+fn expand_projection<'a>(select: &'a Select, sources: &[Source]) -> Planned<Projection<'a>> {
     fn expand(s: &Source, items: &mut Vec<Cow<'_, Expr>>, names: &mut Vec<String>) {
         for c in &s.columns {
             items.push(Cow::Owned(Expr::qcol(&s.name, &c.name)));
@@ -155,7 +147,8 @@ pub(crate) fn expand_projection<'a>(
         match item {
             SelectItem::Wildcard => {
                 if sources.is_empty() {
-                    return Err(Error::Unsupported("SELECT * requires a FROM clause".into()));
+                    let why = "SELECT * requires a FROM clause".into();
+                    return Err(AnalyzeErrorKind::Unsupported(why).at(Clause::Projection));
                 }
                 for s in sources {
                     expand(s, &mut items, &mut names);
@@ -163,10 +156,9 @@ pub(crate) fn expand_projection<'a>(
             }
             SelectItem::QualifiedWildcard(t) => {
                 let lt = t.to_ascii_lowercase();
-                let s = sources
-                    .iter()
-                    .find(|s| s.name == lt)
-                    .ok_or(Error::UnknownTable(lt))?;
+                let Some(s) = sources.iter().find(|s| s.name == lt) else {
+                    return Err(AnalyzeErrorKind::UnknownTable(lt).at(Clause::Projection));
+                };
                 expand(s, &mut items, &mut names);
             }
             SelectItem::Expr { expr, alias } => {
@@ -231,82 +223,25 @@ fn substitute_output_aliases(expr: &Expr, names: &[String], items: &[impl Borrow
     }
 }
 
-/// Split an expression on top-level ANDs.
-fn split_conjuncts(expr: &Expr) -> Vec<&Expr> {
-    fn walk<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
-        if let Expr::Binary {
-            op: BinOp::And,
-            left,
-            right,
-        } = e
-        {
-            walk(left, out);
-            walk(right, out);
-        } else {
-            out.push(e);
+/// Split a compiled predicate on its top-level ANDs, in source order.
+fn split_conjuncts(predicate: CExpr, out: &mut Vec<CExpr>) {
+    match predicate {
+        CExpr::Binary(BinOp::And, left, right) => {
+            split_conjuncts(*left, out);
+            split_conjuncts(*right, out);
         }
+        conjunct => out.push(conjunct),
     }
-    let mut out = Vec::new();
-    walk(expr, &mut out);
-    out
 }
 
-/// Bitmask of the sources an expression references. Errors on unknown /
-/// ambiguous columns so classification failures surface as the same
-/// errors compilation would give.
-fn scope_mask(expr: &Expr, sources: &[Source]) -> Result<u64> {
+/// Bitmask of the sources whose slots a compiled expression reads.
+fn source_mask(expr: &CExpr, sources: &[Source]) -> u64 {
     let mut mask = 0u64;
-    collect_mask(expr, sources, &mut mask)?;
-    Ok(mask)
-}
-
-fn collect_mask(expr: &Expr, sources: &[Source], mask: &mut u64) -> Result<()> {
-    match expr {
-        Expr::Literal(_) => {}
-        Expr::Column {
-            table: Some(t),
-            name,
-        } => {
-            let i = sources
-                .iter()
-                .position(|s| s.name == *t)
-                .ok_or_else(|| Error::UnknownTable(t.clone()))?;
-            if !sources[i].has_column(name) {
-                return Err(Error::UnknownColumn(format!("{t}.{name}")));
-            }
-            *mask |= 1 << i;
-        }
-        Expr::Column { table: None, name } => {
-            let mut owners = (0..sources.len()).filter(|&i| sources[i].has_column(name));
-            let i = owners
-                .next()
-                .ok_or_else(|| Error::UnknownColumn(name.clone()))?;
-            if owners.next().is_some() {
-                return Err(Error::AmbiguousColumn(name.clone()));
-            }
-            *mask |= 1 << i;
-        }
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => collect_mask(expr, sources, mask)?,
-        Expr::Binary { left, right, .. } => {
-            collect_mask(left, sources, mask)?;
-            collect_mask(right, sources, mask)?;
-        }
-        Expr::Func { args, .. } => {
-            for a in args {
-                collect_mask(a, sources, mask)?;
-            }
-        }
-        Expr::Case { whens, else_expr } => {
-            for (c, r) in whens {
-                collect_mask(c, sources, mask)?;
-                collect_mask(r, sources, mask)?;
-            }
-            if let Some(e) = else_expr {
-                collect_mask(e, sources, mask)?;
-            }
-        }
-    }
-    Ok(())
+    expr.for_each_slot(&mut |slot| {
+        let i = sources.partition_point(|s| s.offset + s.arity() <= slot);
+        mask |= 1 << i;
+    });
+    mask
 }
 
 /// How a non-driver table joins the accumulated prefix.
@@ -397,97 +332,83 @@ impl Chain {
     }
 }
 
-/// Classify WHERE over `sources`: single-table conjuncts filter their
-/// table before it joins, an equality between the prefix and the next
-/// table becomes a hash key of that stage, and whatever spans several
-/// tables otherwise is a residual of the first stage that has them all.
-fn plan_chain(
-    sources: Vec<Source>,
-    resolver: &ColumnResolver,
-    where_clause: Option<&Expr>,
-) -> Result<Chain> {
-    // Aggregates in WHERE are rejected by the analyze pass up front and
-    // again by `compile` when the predicates are lowered.
-    let conjuncts = where_clause.map(split_conjuncts).unwrap_or_default();
+/// Classify WHERE (compiled over the joined row of `sources`) into the
+/// driver's filters and the [`Stage`]s of a [`Chain`]: single-table
+/// conjuncts filter their table before it joins, an equality between the
+/// prefix and the next table becomes a hash key of that stage, and
+/// whatever spans several tables otherwise is a residual of the first
+/// stage that has them all. What a table evaluates on its own rows is
+/// rebased to them.
+fn plan_chain(sources: &[Source], predicate: Option<CExpr>) -> Planned<(Vec<CExpr>, Vec<Stage>)> {
+    let mut conjuncts = Vec::new();
+    if let Some(p) = predicate {
+        split_conjuncts(p, &mut conjuncts);
+    }
     if sources.is_empty() {
         if !conjuncts.is_empty() {
-            return Err(Error::Unsupported("WHERE requires a FROM clause".into()));
+            let why = "WHERE requires a FROM clause".into();
+            return Err(AnalyzeErrorKind::Unsupported(why).at(Clause::Where));
         }
-        return Ok(Chain::default());
+        return Ok(Default::default());
     }
+    // Source masks are 64 bits wide.
     if sources.len() > 64 {
-        return Err(Error::Unsupported("more than 64 tables in FROM".into()));
+        return Err(AnalyzeErrorKind::TooComplex {
+            metric: Metric::Tables,
+            value: sources.len(),
+            limit: 64,
+        }
+        .at(Clause::Statement));
     }
 
-    let mut table_filters: Vec<Vec<&Expr>> = vec![Vec::new(); sources.len()];
+    let mut table_filters: Vec<Vec<CExpr>> = vec![Vec::new(); sources.len()];
     // (conjunct, mask) spanning several tables; `None` once placed.
-    let mut pending: Vec<Option<(&Expr, u64)>> = Vec::new();
-    for c in conjuncts {
-        let mask = scope_mask(c, &sources)?;
+    let mut pending: Vec<Option<(CExpr, u64)>> = Vec::new();
+    for mut c in conjuncts {
+        let mask = source_mask(&c, sources);
         match mask.count_ones() {
             0 => table_filters[0].push(c),
-            1 => table_filters[mask.trailing_zeros() as usize].push(c),
+            1 => {
+                let i = mask.trailing_zeros() as usize;
+                c.rebase(sources[i].offset);
+                table_filters[i].push(c);
+            }
             _ => pending.push(Some((c, mask))),
         }
     }
-    // `scope_mask` has shown every column to resolve to one source, so
-    // `resolver` (over all of them) names the slots any prefix would;
-    // what a table evaluates on its own rows is rebased to them.
-    let compile_local = |e: &Expr, source: &Source| -> Result<CExpr> {
-        let mut compiled = compile(e, resolver)?;
-        compiled.rebase(source.offset);
-        Ok(compiled)
-    };
-    let filters_of = |i: usize| -> Result<Vec<CExpr>> {
-        table_filters[i]
-            .iter()
-            .map(|e| compile_local(e, &sources[i]))
-            .collect()
-    };
-    let driver_filters = filters_of(0)?;
+    let mut table_filters = table_filters.into_iter();
+    let driver_filters = table_filters.next().expect("a driver");
 
     let mut stages = Vec::with_capacity(sources.len() - 1);
-    for i in 1..sources.len() {
-        let filters = filters_of(i)?;
-
+    for (i, filters) in (1..).zip(table_filters) {
         // Equalities between the prefix and this table are hash keys.
         let this_bit: u64 = 1 << i;
         let full_prefix: u64 = (this_bit - 1) | this_bit;
         let (mut probe_keys, mut build_keys) = (Vec::new(), Vec::new());
-        for slot in pending.iter_mut() {
-            let Some((c, mask)) = *slot else { continue };
-            if mask & this_bit == 0 || mask & !full_prefix != 0 {
-                continue;
-            }
-            if let Expr::Binary {
-                op: BinOp::Eq,
-                left,
-                right,
-            } = c
-            {
-                let lm = scope_mask(left, &sources)?;
-                let rm = scope_mask(right, &sources)?;
-                let (probe_side, build_side) = if lm & this_bit == 0 && rm == this_bit {
-                    (left, right)
-                } else if rm & this_bit == 0 && lm == this_bit {
-                    (right, left)
-                } else {
-                    continue; // mixed sides → residual
-                };
-                probe_keys.push(compile(probe_side, resolver)?);
-                build_keys.push(compile_local(build_side, &sources[i])?);
-                *slot = None;
-            }
-        }
-
-        // Whatever else became checkable with this table is a residual.
         let mut residuals = Vec::new();
         for slot in pending.iter_mut() {
-            if let Some((c, mask)) = *slot {
-                if mask & !full_prefix == 0 {
-                    residuals.push(compile(c, resolver)?);
-                    *slot = None;
+            // Checkable once this table is joined: a key or a residual.
+            let Some((c, _)) = slot.take_if(|(_, mask)| *mask & !full_prefix == 0) else {
+                continue;
+            };
+            match c {
+                CExpr::Binary(BinOp::Eq, left, right) => {
+                    let lm = source_mask(&left, sources);
+                    let rm = source_mask(&right, sources);
+                    let (probe_side, mut build_side) = if lm & this_bit == 0 && rm == this_bit {
+                        (left, right)
+                    } else if rm & this_bit == 0 && lm == this_bit {
+                        (right, left)
+                    } else {
+                        // Mixed sides: a residual.
+                        residuals.push(CExpr::Binary(BinOp::Eq, left, right));
+                        continue;
+                    };
+                    build_side.rebase(sources[i].offset);
+                    probe_keys.push(*probe_side);
+                    build_keys.push(*build_side);
                 }
+                other => residuals.push(other),
             }
         }
 
@@ -507,11 +428,7 @@ fn plan_chain(
             residuals,
         });
     }
-    Ok(Chain {
-        sources,
-        driver_filters,
-        stages,
-    })
+    Ok((driver_filters, stages))
 }
 
 /// If the build keys of a hash stage are exactly `source`'s primary-key
@@ -666,26 +583,27 @@ impl SelectPlan {
 }
 
 /// Plan one SELECT against schemas.
-pub(crate) fn plan_select(provider: &dyn SchemaProvider, select: &Select) -> Result<SelectPlan> {
-    let sources = resolve_sources(provider, &select.from)?;
+fn plan_select(provider: &dyn SchemaProvider, select: &Select) -> Planned<SelectPlan> {
+    let sources = resolve_sources(provider, None, &select.from)?;
     let projection = expand_projection(select, &sources)?;
-    let resolver = resolver_over(&sources);
-    let chain = plan_chain(sources, &resolver, select.where_clause.as_ref())?;
+    let resolver = ColumnResolver::new(&sources);
+    let predicate = compile_in(Clause::Where, select.where_clause.as_ref(), &resolver)?;
+    let (driver_filters, stages) = plan_chain(&sources, predicate)?;
+    let n_visible = projection.names.len();
     let sink = if projection.is_aggregate {
         Sink::Aggregate(plan_aggregate(
             &projection.items,
+            n_visible,
             &select.group_by,
             select.having.as_ref(),
             &resolver,
         )?)
     } else if select.having.is_some() {
-        return Err(Error::InvalidAggregate(
-            "HAVING requires GROUP BY or aggregates".into(),
-        ));
+        let why = "HAVING requires GROUP BY or aggregates".into();
+        return Err(AnalyzeErrorKind::AggregateMisuse(why).at(Clause::Having));
     } else {
         Sink::Project(compile_scalar_items(&projection, resolver)?)
     };
-    let n_visible = projection.names.len();
     let sort_keys = projection
         .items
         .into_iter()
@@ -694,7 +612,11 @@ pub(crate) fn plan_select(provider: &dyn SchemaProvider, select: &Select) -> Res
         .zip(select.order_by.iter().map(|k| k.desc))
         .collect();
     Ok(SelectPlan {
-        chain,
+        chain: Chain {
+            sources,
+            driver_filters,
+            stages,
+        },
         sink,
         output_names: projection.names,
         sort_keys,
@@ -702,16 +624,27 @@ pub(crate) fn plan_select(provider: &dyn SchemaProvider, select: &Select) -> Res
     })
 }
 
+/// Compile the expression of `clause`, if the statement has one.
+fn compile_in(
+    clause: Clause,
+    expr: Option<&Expr>,
+    resolver: &ColumnResolver<'_>,
+) -> Planned<Option<CExpr>> {
+    expr.map(|e| compile(e, resolver).map_err(|k| k.at(clause)))
+        .transpose()
+}
+
 /// Compile scalar items, registering each visible item's output name as
 /// a lateral alias for the items after it. Hidden sort keys get none.
 fn compile_scalar_items(
     projection: &Projection<'_>,
-    mut resolver: ColumnResolver,
-) -> Result<Vec<CExpr>> {
+    mut resolver: ColumnResolver<'_>,
+) -> Planned<Vec<CExpr>> {
     let base = resolver.width();
     let mut compiled = Vec::with_capacity(projection.items.len());
     for (j, expr) in projection.items.iter().enumerate() {
-        compiled.push(compile(expr, &resolver)?);
+        let clause = Clause::of_item(j, projection.names.len());
+        compiled.push(compile(expr, &resolver).map_err(|k| k.at(clause))?);
         if let Some(name) = projection.names.get(j) {
             resolver.add_lateral(name, base + j);
         }
@@ -722,10 +655,16 @@ fn compile_scalar_items(
 /// Where an INSERT's rows come from.
 #[derive(Debug, Clone)]
 pub enum InsertRows {
-    /// `VALUES`: this many constant rows.
-    Values(usize),
+    /// `VALUES`: the rows, each cell a constant expression (no slots).
+    Values(Vec<Vec<CExpr>>),
     /// `INSERT … SELECT`.
     Select(Box<SelectPlan>),
+}
+
+/// Evaluate the rows of a `VALUES` list.
+pub fn constant_rows(values: &[Vec<CExpr>]) -> Result<Vec<Row>> {
+    let row = |cells: &Vec<CExpr>| cells.iter().map(|e| e.eval(&[])).collect();
+    values.iter().map(row).collect()
 }
 
 /// The plan of one INSERT.
@@ -813,15 +752,32 @@ pub enum StatementPlan {
     Delete(DeletePlan),
 }
 
-fn target_source(provider: &dyn SchemaProvider, table: &str) -> Result<Source> {
-    let mut sources = Vec::with_capacity(1);
-    push_source(&mut sources, provider, table, table)?;
-    Ok(sources.pop().expect("one source pushed"))
+fn target_source(provider: &dyn SchemaProvider, table: &str) -> Planned<Source> {
+    let mut sources = resolve_sources(provider, Some(table), &[])?;
+    Ok(sources.pop().expect("the target"))
 }
 
-/// Plan one statement against schemas. `EXPLAIN ANALYZE` runs its inner
-/// statement and plans as it; plain `EXPLAIN` touches nothing.
-pub fn plan_statement(provider: &dyn SchemaProvider, stmt: &Statement) -> Result<StatementPlan> {
+/// The target slot of each column an INSERT lists.
+fn insert_slot_map(target: &Source, listed: &[String]) -> Planned<Vec<usize>> {
+    let mut map = Vec::with_capacity(listed.len());
+    for c in listed {
+        let wrong = match target.column_index(c) {
+            None => AnalyzeErrorKind::UnknownColumn,
+            Some(slot) if map.contains(&slot) => AnalyzeErrorKind::DuplicateColumn,
+            Some(slot) => {
+                map.push(slot);
+                continue;
+            }
+        };
+        return Err(wrong(c.to_ascii_lowercase()).at(Clause::Statement));
+    }
+    Ok(map)
+}
+
+/// Plan one statement against schemas, or say what is wrong with it.
+/// `EXPLAIN ANALYZE` runs its inner statement and plans as it; plain
+/// `EXPLAIN` touches nothing.
+pub fn plan_statement(provider: &dyn SchemaProvider, stmt: &Statement) -> Planned<StatementPlan> {
     Ok(match stmt {
         Statement::CreateTable { .. } | Statement::DropTable { .. } | Statement::Explain(_) => {
             StatementPlan::Utility
@@ -835,28 +791,35 @@ pub fn plan_statement(provider: &dyn SchemaProvider, stmt: &Statement) -> Result
         } => {
             let target = target_source(provider, table)?;
             let slot_map = match columns {
+                Some(listed) => Some(insert_slot_map(&target, listed)?),
                 None => None,
-                Some(cols) => {
-                    let mut map = Vec::with_capacity(cols.len());
-                    for c in cols {
-                        let lc = c.to_ascii_lowercase();
-                        let idx = target
-                            .columns
-                            .iter()
-                            .position(|col| col.name == lc)
-                            .ok_or_else(|| Error::UnknownColumn(c.clone()))?;
-                        if map.contains(&idx) {
-                            return Err(Error::DuplicateColumn(c.clone()));
-                        }
-                        map.push(idx);
-                    }
-                    Some(map)
-                }
+            };
+            let arity = slot_map.as_ref().map_or(target.arity(), Vec::len);
+            let mismatch = |actual: usize| AnalyzeErrorKind::ArityMismatch {
+                table: target.table.clone(),
+                expected: arity,
+                actual,
             };
             let rows = match source {
-                InsertSource::Values(rows) => InsertRows::Values(rows.len()),
+                InsertSource::Values(rows) => {
+                    let constants = ColumnResolver::new(&[]);
+                    let in_values = |k: AnalyzeErrorKind| k.at(Clause::Values);
+                    let mut compiled = Vec::with_capacity(rows.len());
+                    for row in rows {
+                        if row.len() != arity {
+                            return Err(in_values(mismatch(row.len())));
+                        }
+                        let cells = row.iter().map(|e| compile(e, &constants));
+                        compiled.push(cells.collect::<Checked<_>>().map_err(in_values)?);
+                    }
+                    InsertRows::Values(compiled)
+                }
                 InsertSource::Select(select) => {
-                    InsertRows::Select(Box::new(plan_select(provider, select)?))
+                    let select = plan_select(provider, select)?;
+                    if select.output_names.len() != arity {
+                        return Err(mismatch(select.output_names.len()).at(Clause::Statement));
+                    }
+                    InsertRows::Select(Box::new(select))
                 }
             };
             StatementPlan::Insert(InsertPlan {
@@ -871,31 +834,26 @@ pub fn plan_statement(provider: &dyn SchemaProvider, stmt: &Statement) -> Result
             assignments,
             where_clause,
         } => {
-            let mut sources = vec![target_source(provider, table)?];
-            for tref in from {
-                push_source(&mut sources, provider, &tref.table, tref.visible_name())?;
-            }
-            let resolver = resolver_over(&sources);
-            let chain = plan_chain(sources, &resolver, where_clause.as_ref())?;
-            let predicate = where_clause
-                .as_ref()
-                .map(|w| compile(w, &resolver))
-                .transpose()?;
-            let target = &chain.sources[0];
+            let sources = resolve_sources(provider, Some(table), from)?;
+            let resolver = ColumnResolver::new(&sources);
+            let predicate = compile_in(Clause::Where, where_clause.as_ref(), &resolver)?;
+            let (driver_filters, stages) = plan_chain(&sources, predicate.clone())?;
             let assignments = assignments
                 .iter()
                 .map(|(col, e)| {
-                    let lc = col.to_ascii_lowercase();
-                    let slot = target
-                        .columns
-                        .iter()
-                        .position(|c| c.name == lc)
-                        .ok_or_else(|| Error::UnknownColumn(col.clone()))?;
+                    let slot = sources[0]
+                        .column_index(col)
+                        .ok_or_else(|| AnalyzeErrorKind::UnknownColumn(col.to_ascii_lowercase()))?;
                     Ok((slot, compile(e, &resolver)?))
                 })
-                .collect::<Result<Vec<_>>>()?;
+                .collect::<Checked<_>>()
+                .map_err(|k| k.at(Clause::Set))?;
             StatementPlan::Update(UpdatePlan {
-                chain,
+                chain: Chain {
+                    sources,
+                    driver_filters,
+                    stages,
+                },
                 predicate,
                 assignments,
             })
@@ -905,87 +863,87 @@ pub fn plan_statement(provider: &dyn SchemaProvider, stmt: &Statement) -> Result
             where_clause,
         } => {
             let target = target_source(provider, table)?;
-            let predicate = where_clause
-                .as_ref()
-                .map(|w| compile(w, &resolver_over(std::slice::from_ref(&target))))
-                .transpose()?;
+            let resolver = ColumnResolver::new(std::slice::from_ref(&target));
+            let predicate = compile_in(Clause::Where, where_clause.as_ref(), &resolver)?;
             StatementPlan::Delete(DeletePlan { target, predicate })
         }
     })
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::analyze::SymbolicCatalog;
     use crate::ast::UnaryOp;
     use crate::parser::parse_one;
 
-    fn sources() -> Vec<Source> {
-        let mut cat = SymbolicCatalog::new();
-        cat.insert(
-            "y",
-            Schema::keyless(vec![Column::bigint("rid"), Column::bigint("v")]).unwrap(),
-        );
-        cat.insert(
-            "c",
-            Schema::keyless(vec![Column::bigint("i"), Column::bigint("v")]).unwrap(),
-        );
-        let from = [
-            TableRef {
-                table: "y".into(),
-                alias: None,
-            },
-            TableRef {
-                table: "c".into(),
-                alias: None,
-            },
-        ];
-        resolve_sources(&cat, &from).unwrap()
+    /// Keyless DOUBLE-column sources in joined-row order, for unit tests
+    /// of the compile steps.
+    pub(crate) fn test_sources(tables: &[(&str, &[&str])]) -> Vec<Source> {
+        let mut sources = Vec::new();
+        for (name, columns) in tables {
+            let columns = columns.iter().map(|c| Column::double(*c)).collect();
+            let schema = Schema::keyless(columns).unwrap();
+            push_source(&mut sources, name.to_string(), name.to_string(), &schema);
+        }
+        sources
+    }
+
+    /// `e` compiled over `y(rid, v)`, `c(i, v)`.
+    fn compiled(e: &Expr) -> Checked<(CExpr, u64)> {
+        let sources = test_sources(&[("y", &["rid", "v"]), ("c", &["i", "v"])]);
+        let c = compile(e, &ColumnResolver::new(&sources))?;
+        let mask = source_mask(&c, &sources);
+        Ok((c, mask))
     }
 
     #[test]
     fn split_conjuncts_flattens_nested_ands() {
+        let split = |e: &Expr| {
+            let mut out = Vec::new();
+            split_conjuncts(compiled(e).unwrap().0, &mut out);
+            out.len()
+        };
         let e = Expr::bin(
             BinOp::And,
             Expr::bin(
                 BinOp::And,
-                Expr::bin(BinOp::Eq, Expr::col("a"), Expr::col("b")),
-                Expr::bin(BinOp::Gt, Expr::col("c"), Expr::int(0)),
+                Expr::bin(BinOp::Eq, Expr::col("rid"), Expr::col("i")),
+                Expr::bin(BinOp::Gt, Expr::col("rid"), Expr::int(0)),
             ),
-            Expr::bin(BinOp::Lt, Expr::col("d"), Expr::int(9)),
+            Expr::bin(BinOp::Lt, Expr::col("i"), Expr::int(9)),
         );
-        assert_eq!(split_conjuncts(&e).len(), 3);
+        assert_eq!(split(&e), 3);
         // ORs are opaque: one conjunct.
         let or = Expr::bin(
             BinOp::Or,
-            Expr::bin(BinOp::Eq, Expr::col("a"), Expr::int(1)),
-            Expr::bin(BinOp::Eq, Expr::col("a"), Expr::int(2)),
+            Expr::bin(BinOp::Eq, Expr::col("i"), Expr::int(1)),
+            Expr::bin(BinOp::Eq, Expr::col("i"), Expr::int(2)),
         );
-        assert_eq!(split_conjuncts(&or).len(), 1);
+        assert_eq!(split(&or), 1);
     }
 
     #[test]
-    fn scope_mask_classifies_references() {
-        let scopes = sources();
+    fn source_mask_classifies_references() {
+        let mask = |e: &Expr| compiled(e).map(|(_, mask)| mask);
         // Single-table conjunct.
         let only_y = Expr::bin(BinOp::Gt, Expr::qcol("y", "rid"), Expr::int(5));
-        assert_eq!(scope_mask(&only_y, &scopes).unwrap(), 0b01);
+        assert_eq!(mask(&only_y).unwrap(), 0b01);
         // Cross-table equi-join.
         let join = Expr::bin(BinOp::Eq, Expr::qcol("y", "v"), Expr::qcol("c", "v"));
-        assert_eq!(scope_mask(&join, &scopes).unwrap(), 0b11);
-        // Constants reference no scope.
-        assert_eq!(scope_mask(&Expr::int(1), &scopes).unwrap(), 0);
-        // Unqualified `rid` is unique to y.
-        assert_eq!(scope_mask(&Expr::col("rid"), &scopes).unwrap(), 0b01);
-        // Unqualified `v` is ambiguous.
+        assert_eq!(mask(&join).unwrap(), 0b11);
+        // Constants reference no source.
+        assert_eq!(mask(&Expr::int(1)).unwrap(), 0);
+        // Unqualified `rid` is unique to y, `i` to c.
+        assert_eq!(mask(&Expr::col("rid")).unwrap(), 0b01);
+        assert_eq!(mask(&Expr::col("i")).unwrap(), 0b10);
+        // What does not resolve never gets as far as a mask.
         assert!(matches!(
-            scope_mask(&Expr::col("v"), &scopes),
-            Err(Error::AmbiguousColumn(_))
+            mask(&Expr::col("v")),
+            Err(AnalyzeErrorKind::AmbiguousColumn(_))
         ));
-        // Unknown table / column.
-        assert!(scope_mask(&Expr::qcol("z", "v"), &scopes).is_err());
-        assert!(scope_mask(&Expr::col("zzz"), &scopes).is_err());
+        assert!(mask(&Expr::qcol("z", "v")).is_err());
+        assert!(mask(&Expr::col("zzz")).is_err());
     }
 
     #[test]

@@ -129,11 +129,11 @@ impl SymState {
         self.tables.get(&table.to_ascii_lowercase())
     }
 
-    /// Apply `stmt` to the state. `plan` is the statement's
-    /// [`plan_statement`](crate::plan::plan_statement) result against
-    /// the symbolic schemas *after* this statement's DDL effect (`None`
-    /// when it does not plan — the analyzer has reported why — and the
-    /// statement then leaves the state alone).
+    /// Apply `stmt` to the state. `plan` is the plan the statement was
+    /// analyzed on ([`crate::analyze::Report::plan`]) against the
+    /// symbolic schemas (`None` when analysis rejected it — the analyzer
+    /// has reported why — and a SELECT or INSERT then leaves the state
+    /// alone).
     pub fn apply(&mut self, stmt: &Statement, plan: Option<&StatementPlan>) -> StmtEffect {
         let mut effect = StmtEffect::default();
         match (stmt, plan) {
@@ -279,7 +279,7 @@ impl SymState {
                 // and charged row-by-row before the table is touched.
                 let staged = bytes(row_width_bytes(insert.incoming_arity()));
                 match &insert.rows {
-                    InsertRows::Values(rows) => Card::constant(*rows).mul(&staged),
+                    InsertRows::Values(rows) => Card::constant(rows.len()).mul(&staged),
                     InsertRows::Select(select) => {
                         // The producing SELECT's working set is live at
                         // the same time as the staging buffer.
@@ -504,8 +504,8 @@ mod tests {
 
     fn apply_sql(state: &mut SymState, catalog: &mut SymbolicCatalog, sql: &str) -> StmtEffect {
         let stmt = parse_one(sql).unwrap();
-        catalog.apply(&stmt, &Limits::default()).unwrap();
-        state.apply(&stmt, plan_statement(catalog, &stmt).ok().as_ref())
+        let plan = catalog.apply(&stmt, &Limits::default()).unwrap().plan;
+        state.apply(&stmt, Some(&plan))
     }
 
     fn footprint_sql(state: &SymState, catalog: &SymbolicCatalog, sql: &str) -> Card {

@@ -573,29 +573,27 @@ pub fn check_script(spec: &ScriptSpec, env: &CheckEnv) -> ScriptReport {
             // unbounded limits so DDL effects still apply — otherwise a
             // single over-limit CREATE cascades into bogus
             // unknown-table errors downstream.
-            match catalog.apply(stmt, &env.limits) {
-                Ok(rep) => report.terms = report.terms.max(rep.complexity.terms),
-                Err(e) => {
-                    ok = false;
-                    diagnostics.push(Diagnostic {
-                        severity: Severity::Error,
-                        kind: DiagnosticKind::Semantic(e.clone().locate(&script_stmt.sql)),
-                        stmt: Some(i),
-                        purpose: script_stmt.purpose.clone(),
-                        pos: e.locate(&script_stmt.sql).pos,
-                    });
-                    if let Ok(rep) = catalog.apply(stmt, &Limits::unbounded()) {
-                        report.terms = report.terms.max(rep.complexity.terms);
-                        ok = true;
-                    }
-                }
-            }
+            let analysis = catalog.apply(stmt, &env.limits).or_else(|e| {
+                let e = e.locate(&script_stmt.sql);
+                diagnostics.push(Diagnostic {
+                    severity: Severity::Error,
+                    pos: e.pos,
+                    kind: DiagnosticKind::Semantic(e),
+                    stmt: Some(i),
+                    purpose: script_stmt.purpose.clone(),
+                });
+                catalog.apply(stmt, &Limits::unbounded())
+            });
+            ok &= analysis.is_ok();
+            let plan = analysis.ok().map(|rep| {
+                report.terms = report.terms.max(rep.complexity.terms);
+                rep.plan
+            });
 
             // Abstract interpretation: footprint against the pre-state,
             // then scans + state transfer. Statements sharing one
             // script entry execute sequentially, each under its own
             // tracker, so their footprints combine by max.
-            let plan = plan_statement(&catalog, stmt).ok();
             if let Some(plan) = &plan {
                 report.footprint = report.footprint.max(&state.footprint(plan));
             }

@@ -406,6 +406,32 @@ fn explain_covers_every_statement_kind() {
 }
 
 #[test]
+fn explain_output_types_are_the_types_of_the_rows() {
+    let mut d = db();
+    d.execute("CREATE TABLE t (a DOUBLE, b BIGINT)").unwrap();
+    d.execute("INSERT INTO t VALUES (-2.5, -7)").unwrap();
+    let sql = "SELECT sign(a), abs(b), mod(b, 2), abs(a), mod(b, 2.0) FROM t";
+    let r = d.execute(&format!("EXPLAIN {sql}")).unwrap();
+    let plan: Vec<String> = r.rows.iter().map(|row| row[0].to_string()).collect();
+    assert!(
+        plan.iter().any(|l| l
+            == "output: col1 BIGINT, col2 BIGINT, col3 BIGINT, col4 DOUBLE, col5 DOUBLE"),
+        "{plan:?}"
+    );
+    let r = d.execute(sql).unwrap();
+    assert_eq!(
+        r.rows[0].to_vec(),
+        vec![
+            Value::Int(-1),
+            Value::Int(7),
+            Value::Int(-1),
+            Value::Double(2.5),
+            Value::Double(-1.0)
+        ]
+    );
+}
+
+#[test]
 fn variance_and_stddev_aggregates() {
     let mut d = db();
     d.execute("CREATE TABLE t (g BIGINT, x DOUBLE)").unwrap();

@@ -87,6 +87,10 @@ fn shared_database_records_every_statement_exactly_once() {
             .iter()
             .filter(|m| m.kind == Some(StatementKind::Select))
             .all(|m| m.rows_produced == 1));
+
+        // Planning is part of a statement's time, wherever it happened
+        // (these are ad hoc: analysis planned them before the frame).
+        assert!(log.entries().iter().all(|m| m.plan_time <= m.elapsed));
     });
 }
 

@@ -456,3 +456,29 @@ fn insert_select_arity_checked() {
         sqlengine::AnalyzeErrorKind::ArityMismatch { .. }
     ));
 }
+
+/// A group key matches across the spellings of one function: `ln`/`log`,
+/// `pow`/`power`, `ceil`/`ceiling` compile to the same call.
+#[test]
+fn group_keys_match_across_function_name_aliases() {
+    let mut db = Database::new();
+    db.execute("CREATE TABLE t (a DOUBLE)").unwrap();
+    db.execute("INSERT INTO t VALUES (1.5), (1.5), (2.5)")
+        .unwrap();
+    for (item, alias, spelled_alike) in [
+        ("ln(a)", "log(a)", "ln(a)"),
+        ("pow(a, 2)", "power(a, 2)", "pow(a, 2)"),
+        ("ceil(a)", "ceiling(a)", "ceil(a)"),
+    ] {
+        let grouped_by = |db: &mut Database, key: &str| {
+            db.execute(&format!(
+                "SELECT {item}, count(*) FROM t GROUP BY {key} ORDER BY {item}"
+            ))
+            .unwrap_or_else(|e| panic!("GROUP BY {key}: {e}"))
+        };
+        let rows = grouped_by(&mut db, alias).rows;
+        assert_eq!(rows.len(), 2, "{alias}");
+        assert_eq!(rows[0][1], Value::Int(2), "{alias}");
+        assert_eq!(rows, grouped_by(&mut db, spelled_alike).rows, "{alias}");
+    }
+}

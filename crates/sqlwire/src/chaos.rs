@@ -224,6 +224,9 @@ fn spawn_relay_pair(client: TcpStream, server: TcpStream, shared: Arc<Shared>) {
 fn relay(mut src: TcpStream, mut dst: TcpStream, dir: Direction, shared: &Shared) {
     loop {
         if shared.stop.load(Ordering::SeqCst) {
+            // The other leg may be blocked reading the socket this one
+            // writes to: close both, or its peer never sees an EOF.
+            sever(&src, &dst);
             return;
         }
         // Read one whole frame (header, then payload).

@@ -64,10 +64,10 @@
 //! failure semantics.
 
 use sqlengine::ast::{InsertSource, Select, SelectItem, Statement};
-use sqlengine::expr::compile_constant;
 use sqlengine::parser::parse;
 use sqlengine::plan::{
-    plan_statement, Chain, InsertPlan, InsertRows, Output, SelectPlan, Source, StatementPlan,
+    constant_rows, plan_statement, Chain, InsertPlan, InsertRows, Output, SelectPlan, Source,
+    StatementPlan,
 };
 use sqlengine::{
     Database, Error, ExecMetrics, Limits, PartialAggResult, PrepareError, PreparedId, QueryResult,
@@ -609,19 +609,16 @@ impl<E: SqlExecutor + Send> Coordinator<E> {
             }
             (
                 Class::RoutedValues,
-                Statement::Insert {
-                    source: InsertSource::Values(rows),
-                    ..
-                },
-                StatementPlan::Insert(insert),
+                _,
+                StatementPlan::Insert(
+                    insert @ InsertPlan {
+                        rows: InsertRows::Values(rows),
+                        ..
+                    },
+                ),
             ) => {
-                let mut constant_rows = Vec::with_capacity(rows.len());
-                for row in rows {
-                    let values: Vec<Value> =
-                        row.iter().map(compile_constant).collect::<Result<_>>()?;
-                    constant_rows.push(values.into_boxed_slice());
-                }
-                let n = self.route_bulk(&insert.target.table, full_rows(insert, constant_rows)?)?;
+                let rows = full_rows(insert, constant_rows(rows)?)?;
+                let n = self.route_bulk(&insert.target.table, rows)?;
                 self.drain_metrics(MergeMode::MergeMasked, None)?;
                 Ok(QueryResult::affected(n))
             }
@@ -942,7 +939,12 @@ impl<E: SqlExecutor + Send> SqlExecutor for Coordinator<E> {
         let stmts = parse(sql)?;
         let mut last = None;
         for stmt in &stmts {
-            last = Some(self.run_one(stmt)?);
+            // A statement the shadow catalog cannot plan fails here as it
+            // would embedded: the same analysis error, located in `sql`.
+            last = Some(self.run_one(stmt).map_err(|e| match e {
+                Error::Analyze(e) => Error::Analyze(e.locate(sql)),
+                e => e,
+            })?);
         }
         last.ok_or(Error::Parse {
             pos: 0,

@@ -7,7 +7,9 @@
 //! cells. Every row of the batch result must be the scalar result, bit
 //! for bit and type for type; if any row fails, the batch must report
 //! the *first* failing row with the error the scalar evaluator raises
-//! for it.
+//! for it. The same loop holds the static type pass (`CExpr::ty`) to the
+//! evaluator: a value a tree evaluates to is one its static type admits,
+//! and a tree is only rejected for a string under arithmetic.
 //!
 //! Part two runs SQL against a `Database` at the pipeline's seams: the
 //! batch boundary (0, 1, 1023, 1024, 1025 driver rows), a join whose
@@ -17,7 +19,7 @@
 
 use prng::{Rng, StdRng};
 use sqlengine::ast::{BinOp, UnaryOp};
-use sqlengine::expr::{Batch, CExpr, Column, ScalarFunc, BATCH_ROWS};
+use sqlengine::expr::{Batch, CExpr, Column, ScalarFunc, Ty, BATCH_ROWS};
 use sqlengine::{Database, EngineConfig, Error, ExecMetrics, Value};
 
 // ---------------------------------------------------------------------
@@ -257,10 +259,54 @@ fn row_of(batch: &Batch, row: usize) -> Vec<Value> {
         .collect()
 }
 
+/// The static types of [`random_batch`]'s slots.
+const SLOT_TYPES: [Ty; N_COLS] = [Ty::Double, Ty::Int, Ty::Double, Ty::Any];
+
+/// Does static type `ty` admit the value `v`? (`Double` is "numeric".)
+fn admits(ty: Ty, v: &Value) -> bool {
+    matches!(
+        (ty, v),
+        (_, Value::Null)
+            | (Ty::Any, _)
+            | (Ty::Int, Value::Int(_))
+            | (Ty::Str, Value::Str(_))
+            | (Ty::Double, Value::Int(_) | Value::Double(_))
+    )
+}
+
+/// Does `e` hold arithmetic or a numeric function over an operand whose
+/// static type is a string — the one thing the type pass may reject?
+fn string_under_arithmetic(e: &CExpr) -> bool {
+    let (numeric, operands): (bool, Vec<&CExpr>) = match e {
+        CExpr::Const(_) | CExpr::Col(_) => return false,
+        CExpr::Unary(op, x) => (*op == UnaryOp::Neg, vec![x]),
+        CExpr::IsNull(x, _) => (false, vec![x]),
+        CExpr::Binary(op, l, r) => {
+            let arithmetic = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div, BinOp::Pow];
+            (arithmetic.contains(op), vec![l, r])
+        }
+        CExpr::Func(f, args) => {
+            let lenient = [
+                ScalarFunc::Least,
+                ScalarFunc::Greatest,
+                ScalarFunc::Coalesce,
+            ];
+            (!lenient.contains(f), args.iter().collect())
+        }
+        CExpr::Case { whens, else_expr } => {
+            let arms = whens.iter().flat_map(|(c, r)| [c, r]);
+            (false, arms.chain(else_expr.as_deref()).collect())
+        }
+    };
+    (numeric && operands.iter().any(|o| o.ty(&SLOT_TYPES) == Ok(Ty::Str)))
+        || operands.into_iter().any(string_under_arithmetic)
+}
+
 #[test]
 fn batch_evaluation_is_scalar_evaluation_row_for_row_and_error_for_error() {
     let mut rng = StdRng::seed_from_u64(0x5EED_BA7C);
     let (mut failing, mut typed_results) = (0usize, 0usize);
+    let (mut exact_types, mut ill_typed) = (0usize, 0usize);
     for case in 0..4000 {
         let expr = random_expr(&mut rng, 1 + case % 4);
         let rows = match case % 7 {
@@ -272,6 +318,24 @@ fn batch_evaluation_is_scalar_evaluation_row_for_row_and_error_for_error() {
         let scalar: Vec<Result<Value, Error>> =
             (0..rows).map(|r| expr.eval(&row_of(&batch, r))).collect();
         let first_failure = scalar.iter().position(Result::is_err);
+        match expr.ty(&SLOT_TYPES) {
+            Ok(ty) => {
+                exact_types += matches!(ty, Ty::Int | Ty::Str) as usize;
+                for (r, v) in scalar.iter().enumerate() {
+                    assert!(
+                        v.as_ref().map_or(true, |v| admits(ty, v)),
+                        "case {case} row {r}: typed {ty}, evaluates to {v:?}\n{expr:?}"
+                    );
+                }
+            }
+            Err(why) => {
+                ill_typed += 1;
+                assert!(
+                    string_under_arithmetic(&expr),
+                    "case {case}: rejected ({why:?}) with no string under arithmetic\n{expr:?}"
+                );
+            }
+        }
         match (expr.eval_batch(&batch), first_failure) {
             (Ok(col), None) => {
                 assert_eq!(col.len(), rows, "case {case}: {expr:?}");
@@ -300,6 +364,11 @@ fn batch_evaluation_is_scalar_evaluation_row_for_row_and_error_for_error() {
     // The generator has to reach both outcomes, and the typed loops.
     assert!(failing > 300, "only {failing} failing cases");
     assert!(typed_results > 1000, "only {typed_results} typed results");
+    assert!(
+        exact_types > 1000,
+        "only {exact_types} BIGINT / VARCHAR trees"
+    );
+    assert!(ill_typed > 200, "only {ill_typed} ill-typed trees");
 }
 
 // ---------------------------------------------------------------------

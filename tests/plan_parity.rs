@@ -21,6 +21,15 @@
 //! table — or be rejected `Unsupported` with every table untouched.
 //! Seeds are fixed; a failure prints seed, case number and SQL.
 //!
+//! About one statement in ten is generated with a [`Flaw`] — an unknown
+//! or ambiguous column, a wrong function arity, a naked column beside
+//! an aggregate, string arithmetic — wherever the grammar next produces
+//! a column or an expression (SELECT list, WHERE, an aggregate's
+//! argument, HAVING, SET …). An invalid statement must fail the same
+//! way everywhere: the same `Error::Analyze` — kind, clause and byte
+//! position — embedded and through a coordinator, and never as
+//! `Unsupported`, which says "no distributed plan", not "your mistake".
+//!
 //! Not in the grammar: `VARIANCE`/`STDDEV` (their merge is deterministic
 //! in shard order but not order-free, see `exec/aggregate.rs`),
 //! expressions that can fail on some rows only (a multi-shard statement
@@ -29,7 +38,7 @@
 use std::collections::BTreeMap;
 
 use prng::{Rng, StdRng};
-use sqlengine::{Database, Error, QueryResult, Result, Row, SqlExecutor, Value};
+use sqlengine::{AnalyzeErrorKind, Database, Error, QueryResult, Result, Row, SqlExecutor, Value};
 use sqlwire::Coordinator;
 
 // ---------------------------------------------------------------------
@@ -137,6 +146,8 @@ struct Case {
     /// ORDER BY names the bare output name of an unaliased qualified
     /// `rid` item while two sources have a `rid`.
     bare_name_order: bool,
+    /// The mistake the statement was generated with.
+    flaw: Option<Flaw>,
 }
 
 /// A generated SELECT and what the comparison needs to know about it.
@@ -150,11 +161,44 @@ struct Select {
     bare_name_order: bool,
 }
 
+/// One mistake a statement can be drawn with.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Flaw {
+    UnknownColumn,
+    AmbiguousColumn,
+    WrongArity,
+    NakedColumn,
+    StringArithmetic,
+}
+
+/// What a flawed statement's flaw is drawn from: the ones few statements
+/// have a place for (two sources sharing a column name, an aggregate)
+/// are in it more often.
+const FLAWS: [Flaw; 11] = [
+    Flaw::UnknownColumn,
+    Flaw::AmbiguousColumn,
+    Flaw::AmbiguousColumn,
+    Flaw::AmbiguousColumn,
+    Flaw::AmbiguousColumn,
+    Flaw::WrongArity,
+    Flaw::NakedColumn,
+    Flaw::NakedColumn,
+    Flaw::NakedColumn,
+    Flaw::StringArithmetic,
+    Flaw::StringArithmetic,
+];
+
 struct Gen {
     rng: StdRng,
     /// SELECTs only, every join between partitioned tables co-located
     /// (large data: no cross products of the big tables).
     tame: bool,
+    /// Decides which statements are flawed and how — its own stream, so
+    /// the valid statements of a seed are the ones they always were.
+    flaw_rng: StdRng,
+    /// The flaw the statement being generated still has to receive: the
+    /// next production it fits spoils its output and takes it.
+    flaw: Option<Flaw>,
 }
 
 impl Gen {
@@ -197,11 +241,34 @@ impl Gen {
             .filter(|s| s.table.cols.iter().any(|(c, _)| *c == col))
             .count()
             == 1;
-        if (unique && self.chance(40)) || self.chance(3) {
+        let bare = (unique && self.chance(40)) || self.chance(3);
+        let col = match self.flaw {
+            Some(Flaw::UnknownColumn) => {
+                self.flaw = None;
+                "nope"
+            }
+            Some(Flaw::AmbiguousColumn) if !unique => {
+                self.flaw = None;
+                return col.to_string();
+            }
+            _ => col,
+        };
+        if bare {
             col.to_string()
         } else {
             format!("{}.{col}", src.vis)
         }
+    }
+
+    /// Spoil the numeric expression `e` if that is the pending flaw.
+    fn flawed(&mut self, e: String) -> String {
+        let spoilt = match self.flaw {
+            Some(Flaw::WrongArity) => format!("exp({e}, {e})"),
+            Some(Flaw::StringArithmetic) => format!("{e} * 'abc'"),
+            _ => return e,
+        };
+        self.flaw = None;
+        spoilt
     }
 
     fn any_col(&mut self, srcs: &[Src], ints: bool) -> String {
@@ -219,14 +286,15 @@ impl Gen {
     /// A DOUBLE-valued expression that evaluates on every row.
     fn num_expr(&mut self, srcs: &[Src]) -> String {
         let a = self.any_col(srcs, false);
-        match self.rng.random_range(0..7usize) {
+        let e = match self.rng.random_range(0..7usize) {
             0 | 1 => a,
             2 => format!("{a} + 1.5"),
             3 => format!("{a} * 2.0"),
             4 => format!("-{a}"),
             5 => format!("{a} * {}", self.any_col(srcs, false)),
             _ => format!("CASE WHEN {a} > 0.0 THEN {a} ELSE 0.0 END"),
-        }
+        };
+        self.flawed(e)
     }
 
     fn aggregate(&mut self, srcs: &[Src]) -> String {
@@ -349,6 +417,11 @@ impl Gen {
                     }
                 }
             }
+            let naked = format!("{}.{}", srcs[0].vis, srcs[0].table.key);
+            if self.flaw == Some(Flaw::NakedColumn) && !group_by.contains(&naked) {
+                self.flaw = None;
+                items.push(naked);
+            }
             if self.chance(25) {
                 having = Some(if self.chance(50) {
                     "count(*) >= 2".to_string()
@@ -388,7 +461,12 @@ impl Gen {
                     }
                 }
             }
+            // A type error in a sort key is out of the grammar: the key
+            // reaches the shards of a gather read as one more SELECT
+            // item, which is then the clause they report.
+            let held = self.flaw.take_if(|f| *f == Flaw::StringArithmetic);
             order_pool.push(self.num_expr(srcs));
+            self.flaw = self.flaw.or(held);
             order_pool.push(format!("{}.{}", srcs[0].vis, srcs[0].table.key));
             tie_breakers = srcs
                 .iter()
@@ -448,12 +526,16 @@ impl Gen {
         } else {
             self.rng.random_range(0..100usize)
         };
+        let drawn = (!self.tame && self.flaw_rng.random_range(0..7usize) == 0)
+            .then(|| FLAWS[self.flaw_rng.random_range(0..FLAWS.len())]);
+        self.flaw = drawn;
         let mut case = Case {
             sql: String::new(),
             mutating: kind >= 55,
             ordered: false,
             limited_local_insert: false,
             bare_name_order: false,
+            flaw: None,
         };
         match kind {
             0..=54 => {
@@ -546,6 +628,9 @@ impl Gen {
                 case.sql = format!("DELETE FROM {}{where_clause}", def.name);
             }
         }
+        // A flaw no production took — or one that spoilt a sort key no
+        // ORDER BY went on to use — leaves the statement valid.
+        case.flaw = drawn.filter(|_| self.flaw.is_none());
         case
     }
 }
@@ -630,6 +715,8 @@ struct Tally {
     matched: usize,
     rejected: usize,
     both_failed: usize,
+    /// Of those, the ones generated with each [`Flaw`].
+    flawed: BTreeMap<String, usize>,
     limited_local_inserts: usize,
     bare_name_orders: usize,
     classes: BTreeMap<String, usize>,
@@ -638,7 +725,16 @@ struct Tally {
 /// Hold `got` to `want`: `true` if they agree, `false` if `got` is an
 /// `Unsupported` rejection; anything else is a failure.
 fn agree(case: &Case, want: &Result<QueryResult>, got: &Result<QueryResult>, at: &str) -> bool {
+    // What planning finds wrong with a statement it finds before it can
+    // tell whether the statement distributes.
+    let misplanned = |e: &Error| {
+        let kind = e.as_analyze().map(|e| &e.kind);
+        kind.is_some_and(|k| !matches!(k, AnalyzeErrorKind::TypeMismatch { .. }))
+    };
     match (want, got) {
+        (Err(w), Err(Error::Unsupported(_))) if misplanned(w) => {
+            panic!("{at}: a user error ({w}) reported as {got:?}")
+        }
         (_, Err(Error::Unsupported(_))) => false,
         (Ok(w), Ok(g)) => {
             assert_eq!(w.columns, g.columns, "{at}: columns");
@@ -651,7 +747,11 @@ fn agree(case: &Case, want: &Result<QueryResult>, got: &Result<QueryResult>, at:
             );
             true
         }
-        (Err(_), Err(_)) => true,
+        // An invalid statement is invalid the same way everywhere.
+        (Err(w), Err(g)) => {
+            assert_eq!(w, g, "{at}");
+            true
+        }
         (w, g) => panic!("{at}: reference {w:?}, got {g:?}"),
     }
 }
@@ -661,6 +761,8 @@ fn run_seed(seed: u64, cases: usize, rows: i64, tame: bool) -> Tally {
     let mut gen = Gen {
         rng: StdRng::seed_from_u64(seed),
         tame,
+        flaw_rng: StdRng::seed_from_u64(seed ^ 0xF1A3),
+        flaw: None,
     };
     let mut tally = Tally::default();
     let mut reference = embedded(&fixture, 1);
@@ -718,7 +820,12 @@ fn run_seed(seed: u64, cases: usize, rows: i64, tame: bool) -> Tally {
         }
         match (rejections, &want) {
             (0, Ok(_)) => tally.matched += 1,
-            (0, Err(_)) => tally.both_failed += 1,
+            (0, Err(_)) => {
+                tally.both_failed += 1;
+                if let Some(flaw) = case.flaw {
+                    *tally.flawed.entry(format!("{flaw:?}")).or_default() += 1;
+                }
+            }
             _ => tally.rejected += 1,
         }
         if case.mutating {
@@ -733,11 +840,12 @@ fn run_seed(seed: u64, cases: usize, rows: i64, tame: bool) -> Tally {
 fn small(seed: u64) {
     let t = run_seed(seed, 520, 12, false);
     println!(
-        "seed {seed}: {} matched, {} rejected, {} failed alike, {} LIMIT inserts, \
+        "seed {seed}: {} matched, {} rejected, {} failed alike ({:?}), {} LIMIT inserts, \
          {} bare-name orders; classes {:?}",
         t.matched,
         t.rejected,
         t.both_failed,
+        t.flawed,
         t.limited_local_inserts,
         t.bare_name_orders,
         t.classes
@@ -745,10 +853,14 @@ fn small(seed: u64) {
     assert!(t.matched >= 250, "too few statements ran: {}", t.matched);
     assert!(t.rejected >= 40, "too few rejections: {}", t.rejected);
     assert!(
-        t.both_failed <= 60,
-        "too many invalid statements: {}",
+        (24..=60).contains(&t.both_failed),
+        "too few or too many invalid statements: {}",
         t.both_failed
     );
+    for flaw in FLAWS {
+        let seen = t.flawed.get(&format!("{flaw:?}")).copied().unwrap_or(0);
+        assert!(seen >= 1, "{flaw:?} never failed alike");
+    }
     assert!(
         t.limited_local_inserts >= 1,
         "LIMIT insert shape not reached"
