@@ -23,8 +23,13 @@ Stages, in order:
                 is_rid_column, is_aggregate_select, …) and the mirror
                 analyzer that walked the AST beside it (ExprCtx, AggMode,
                 canon, check_plain, build_scopes, lift) must not reappear
-                under crates/*/src; prints the crates/*/src line total
-                and the non-test total (each file up to its first
+                under crates/*/src; and one byte layer
+                (sqlengine::storage): outside #[cfg(test)] modules,
+                from_le_bytes appears only in storage/codec.rs (the one
+                place a header or an integer is parsed) and fs::rename( /
+                .sync_all() only under storage/ (the one log-file handle
+                and the one atomic replace); prints the crates/*/src line
+                total and the non-test total (each file up to its first
                 #[cfg(test)]) so a PR's line delta is a CI output
   fmt           cargo fmt --all -- --check
   clippy        cargo clippy --workspace --all-targets -D warnings
@@ -38,7 +43,9 @@ Stages, in order:
                 negative-corpus script must be rejected with a typed,
                 positioned diagnostic
   tier-1        the main test suites, incl. the seeded statement-shape
-                parity of tests/plan_parity.rs, embedded vs coordinator
+                parity of tests/plan_parity.rs, embedded vs coordinator,
+                the golden format digests of tests/formats.rs and the
+                seeded byte-layer properties of tests/format_props.rs
                 (--quick skips the retail e2e suite and runs one
                 520-case parity seed of the four)
   chaos         deterministic fault-plan sweep over every statement index
@@ -140,6 +147,25 @@ if grep -rnE 'ExprCtx|AggMode|fn canon|fn check_plain|fn build_scopes|fn lift\b'
          "read off its compiled expressions (crates/sqlengine/src/expr/ty.rs)" >&2
     exit 1
 fi
+# One byte layer: every record header and little-endian integer is parsed
+# in storage/codec.rs, every durable file is written under storage/
+# (logfile.rs: the append-only handle and the atomic replace). Product
+# code only — each file up to its first #[cfg(test)], as the line count
+# below — so a unit test may still build a frame by hand.
+nontest() {
+    find crates/*/src -name '*.rs' ! -path "$1" -exec \
+        awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} !t && $0 ~ pat {print FILENAME":"FNR": "$0}' pat="$2" {} +
+}
+if nontest 'crates/sqlengine/src/storage/codec.rs' 'from_le_bytes' | grep .; then
+    echo "ERROR: bytes are parsed by hand above; read them through" \
+         "sqlengine::storage::codec (Reader, record_header)" >&2
+    exit 1
+fi
+if nontest 'crates/sqlengine/src/storage/*' 'fs::rename\(|\.sync_all\(\)' | grep .; then
+    echo "ERROR: a durable file is written by hand above; use" \
+         "sqlengine::storage::logfile (LogFile, atomic_replace)" >&2
+    exit 1
+fi
 echo "   crates/*/src: $(find crates/*/src -name '*.rs' -exec cat {} + | wc -l) lines," \
      "$(find crates/*/src -name '*.rs' -exec awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} !t' {} + | wc -l)" \
      "outside #[cfg(test)]"
@@ -164,7 +190,8 @@ cargo test -q --test plancheck
 
 if [ "$QUICK" = 1 ]; then
     echo "== tier-1: tests (--quick: skipping the retail end-to-end suite)"
-    cargo test -q --test baselines --test end_to_end --test extensions
+    cargo test -q --test baselines --test end_to_end --test extensions \
+        --test formats --test format_props
     cargo test -q --test plan_parity seed_1
 else
     echo "== tier-1: tests"

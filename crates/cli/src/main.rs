@@ -115,6 +115,7 @@ use std::time::Duration;
 use emcore::init::InitStrategy;
 use sqlem::naming::Names;
 use sqlem::{checkpoint, EmSession, PlanReport, RetryPolicy, SqlemConfig, Strategy};
+use sqlengine::storage::logfile::atomic_replace;
 use sqlengine::{
     Database, Error as SqlError, FaultPlan, FaultRule, MemoryBudget, SqlExecutor, StatementKind,
 };
@@ -487,7 +488,18 @@ fn parse_fault_rule(spec: &str) -> Result<FaultRule, String> {
 fn save_checkpoint_file(db: &mut dyn SqlExecutor, names: &Names, path: &str) -> Result<(), String> {
     match checkpoint::read_checkpoint(db, names).map_err(|e| e.to_string())? {
         Some(ckpt) => {
-            std::fs::write(path, checkpoint::to_text(&ckpt))
+            // Replaced atomically: a kill mid-save leaves the previous
+            // checkpoint file, never a torn one `--resume` would reject.
+            let target = std::path::Path::new(path);
+            let name = target
+                .file_name()
+                .and_then(|n| n.to_str())
+                .ok_or_else(|| format!("cannot write {path}: not a file path"))?;
+            let dir = match target.parent() {
+                Some(dir) if !dir.as_os_str().is_empty() => dir,
+                _ => std::path::Path::new("."),
+            };
+            atomic_replace(dir, name, checkpoint::to_text(&ckpt).as_bytes())
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
             eprintln!(
                 "saved checkpoint after iteration {} to {path} (resume with --resume {path})",

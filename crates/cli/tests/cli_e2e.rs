@@ -217,6 +217,44 @@ fn checkpoint_then_resume_continues_the_run() {
 }
 
 #[test]
+fn checkpoint_save_replaces_an_existing_file_whole() {
+    let dir = std::env::temp_dir().join("sqlem_cli_test_ckpt_replace");
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = demo_csv(&dir);
+    let ckpt = dir.join("run.ckpt");
+    std::fs::write(&ckpt, "a previous run's checkpoint").unwrap();
+    let out = Command::new(bin())
+        .args([
+            input.to_str().unwrap(),
+            "--k",
+            "2",
+            "--seed",
+            "7",
+            "--epsilon",
+            "1e-12",
+            "--max-iterations",
+            "2",
+            "--checkpoint",
+            ckpt.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    // Saved through a staging file that is renamed over the target:
+    // nothing is left beside it and the file is a whole checkpoint.
+    let leftovers: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|name| name.ends_with(".tmp"))
+        .collect();
+    assert!(leftovers.is_empty(), "{leftovers:?}");
+    let saved = sqlem::checkpoint::from_text(&std::fs::read_to_string(&ckpt).unwrap()).unwrap();
+    assert_eq!(saved.iteration, 2);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn injected_transient_fault_is_retried() {
     let dir = std::env::temp_dir().join("sqlem_cli_test_fault");
     std::fs::create_dir_all(&dir).unwrap();

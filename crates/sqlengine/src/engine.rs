@@ -2,9 +2,9 @@
 //! and the optional durability layer (WAL + snapshot compaction).
 
 use std::collections::HashMap;
-use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use crate::analyze::{analyze, Limits, Report, SymbolicCatalog};
 use crate::ast::Statement;
@@ -13,16 +13,16 @@ use crate::error::{Error, Result};
 use crate::exec::aggregate::PartialAggResult;
 use crate::exec::{
     execute_statement, execute_statement_metered, explain_select, finalize_select_partials,
-    run_select_partial, statement_kind, statement_tables, ExecConfig, QueryResult,
+    run_select_partial, stage_rows, statement_kind, statement_tables, ExecConfig, QueryResult,
 };
-use crate::fault::{FaultInjector, FaultKind, FaultPlan, FaultSite};
+use crate::fault::{FaultInjector, FaultKind, FaultPlan, FaultSite, Injection};
 use crate::metrics::{ExecMetrics, MetricsLog, StatementKind, StmtProbe};
 use crate::parser::parse;
 use crate::plan::{SelectPlan, StatementPlan};
+use crate::storage::logfile::{read_or_empty, LogFile};
 use crate::storage::snapshot::{read_snapshot, write_snapshot};
-use crate::table::Row;
 use crate::value::Value;
-use crate::wal::{encode_commit, encode_frame, scan, wal_path, Wal, WalOp};
+use crate::wal::{encode_commit, encode_frame, scan, wal_path, WalOp, WAL_MAGIC};
 
 /// Configuration for a [`Database`].
 pub type EngineConfig = ExecConfig;
@@ -67,7 +67,7 @@ pub struct WalRecovery {
 #[derive(Debug)]
 struct Durability {
     dir: PathBuf,
-    wal: Wal,
+    wal: LogFile,
     /// Sequence number the next logged statement gets. Monotone across
     /// reopen and compaction.
     next_seq: u64,
@@ -93,6 +93,18 @@ pub fn is_mutating(stmt: &Statement) -> bool {
         // effects; plain EXPLAIN and SELECT touch nothing.
         Statement::ExplainAnalyze(inner) => is_mutating(inner),
         Statement::Explain(_) | Statement::Select(_) => false,
+    }
+}
+
+/// The typed error a fired, non-crash injection surfaces as. `applied`
+/// is what the exactly-once machinery keys on: at the after-exec site
+/// and once the commit marker is in the log, the statement's effects
+/// are in place and only the acknowledgement was lost.
+fn injected(hit: &Injection) -> Error {
+    Error::Injected {
+        transient: hit.fault != FaultKind::Permanent,
+        applied: matches!(hit.site, FaultSite::AfterExec | FaultSite::BeforeWalSync),
+        statement: hit.statement,
     }
 }
 
@@ -169,26 +181,20 @@ impl Database {
         options: DurabilityOptions,
     ) -> Result<Self> {
         let dir = dir.as_ref();
-        fs::create_dir_all(dir).map_err(|e| Error::io("create database directory", e))?;
-        let (catalog, watermark) = match read_snapshot(dir)? {
-            Some((catalog, watermark)) => (catalog, watermark),
-            None => (Catalog::new(), 0),
-        };
-        let wal_bytes = match fs::read(wal_path(dir)) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(Error::io("read wal", e)),
-        };
-        let scanned = scan(&wal_bytes)?;
+        std::fs::create_dir_all(dir).map_err(|e| Error::io("create database directory", e))?;
+        let (catalog, watermark) = read_snapshot(dir)?.unwrap_or_default();
+        let scanned = scan(&read_or_empty(&wal_path(dir))?)?;
         let mut db = Database::with_config(config);
         db.catalog = catalog;
-        for (seq, op) in &scanned.committed {
-            if *seq < watermark {
-                continue; // already captured by the snapshot
+        let mut committed = Vec::with_capacity(scanned.committed.len());
+        for (seq, op) in scanned.committed {
+            committed.push(seq);
+            // Below the watermark: already captured by the snapshot.
+            if seq >= watermark {
+                db.replay_op(op)?;
             }
-            db.replay_op(op)?;
         }
-        let wal = Wal::open(dir, scanned.valid_len as u64)?;
+        let wal = LogFile::open(&wal_path(dir), WAL_MAGIC, scanned.valid_len as u64)?;
         let next_seq = watermark.max(scanned.next_seq);
         db.durability = Some(Durability {
             dir: dir.to_path_buf(),
@@ -196,7 +202,7 @@ impl Database {
             next_seq,
             options,
             recovery: WalRecovery {
-                committed: scanned.committed.iter().map(|(s, _)| *s).collect(),
+                committed,
                 uncommitted: scanned.uncommitted,
                 watermark,
                 next_seq,
@@ -209,10 +215,10 @@ impl Database {
     /// against this exact state when it was logged, so any failure here
     /// means the durable image is internally inconsistent — reported as
     /// [`Error::Corruption`], never ignored.
-    fn replay_op(&mut self, op: &WalOp) -> Result<()> {
+    fn replay_op(&mut self, op: WalOp) -> Result<()> {
         match op {
             WalOp::Sql(sql) => {
-                let stmts = parse(sql).map_err(|e| {
+                let stmts = parse(&sql).map_err(|e| {
                     Error::corruption(format!("wal replay: logged statement unparsable: {e}"))
                 })?;
                 // Replay runs budget-free: every logged statement already
@@ -230,10 +236,10 @@ impl Database {
                 }
             }
             WalOp::BulkInsert { table, rows } => {
-                let t = self.catalog.table_mut(table).map_err(|e| {
+                let t = self.catalog.table_mut(&table).map_err(|e| {
                     Error::corruption(format!("wal replay: bulk-insert target missing: {e}"))
                 })?;
-                t.insert_all_or_rollback(rows.clone()).map_err(|e| {
+                t.insert_all_or_rollback(rows).map_err(|e| {
                     Error::corruption(format!("wal replay: bulk insert into {table} failed: {e}"))
                 })?;
             }
@@ -331,15 +337,15 @@ impl Database {
             return self.explain_statement(inner, Some(sql));
         }
         let (report, front_end) = self.analyzed(stmt, sql)?;
-        self.metered(stmt, front_end, |catalog, config, probe| {
+        self.metered_statement(stmt, front_end, |catalog, config, probe| {
             execute_statement_metered(catalog, config, stmt, Some(report.plan), probe)
         })
     }
 
     /// Semantic analysis of one statement of `sql` against the live
     /// catalog, under the configured limits, and how long it took.
-    fn analyzed(&self, stmt: &Statement, sql: &str) -> Result<(Report, std::time::Duration)> {
-        let t0 = std::time::Instant::now();
+    fn analyzed(&self, stmt: &Statement, sql: &str) -> Result<(Report, Duration)> {
+        let t0 = Instant::now();
         let report = analyze(&self.catalog, stmt, &self.config.limits)
             .map_err(|e| Error::Analyze(e.locate(sql)))?;
         Ok((report, t0.elapsed()))
@@ -357,50 +363,74 @@ impl Database {
         Ok(())
     }
 
-    /// The frame around every statement execution: `run` gets the
-    /// catalog and a probe, and an [`ExecMetrics`] entry goes into the
-    /// session log when it is enabled (a no-op probe otherwise — the
-    /// zero-overhead default). `front_end` is what analysis and planning
-    /// took when they ran before the frame (zero when `run` plans): it
-    /// is the entry's plan time and part of its elapsed time, as
-    /// planning inside `run` is. An armed fault plan is consulted
-    /// before execution (and, for after-exec rules, after): a fired rule
-    /// surfaces as [`Error::Injected`] — with the target untouched for
-    /// before-exec faults.
+    /// The one frame around every statement — SQL and bulk loads alike —
+    /// keyed by what a frame needs: the statement `kind`, the `tables`
+    /// it touches (what fault rules match on) and the [`WalOp`] to log.
+    /// In order: the before-exec fault site (a fired rule is
+    /// [`Error::Injected`], the target untouched); `stage` reads the
+    /// catalog and returns the operation a durable database logs (`None`
+    /// when nothing mutates); the begin+payload frame is appended;
+    /// `apply` runs the statement (it gets the staged operation back, so
+    /// a bulk load inserts the very rows that were logged); an
+    /// [`ExecMetrics`] entry goes into the session log when it is enabled
+    /// (a no-op probe otherwise — the zero-overhead default); the commit
+    /// marker and an `fsync`; the after-exec fault site. A statement
+    /// that fails in memory leaves its frame uncommitted — recovery
+    /// skips it, matching the in-memory atomic semantics.
     ///
-    /// On a durable database every mutating statement is WAL-framed
-    /// around its execution: begin+payload appended first, effects
-    /// applied in memory, then the commit marker and an `fsync`. A
-    /// statement that fails in memory leaves its frame uncommitted —
-    /// recovery skips it, matching the in-memory atomic semantics.
+    /// `front_end` is what analysis and planning took when they ran
+    /// before the frame (zero when `apply` plans): it is the entry's plan
+    /// time and part of its elapsed time, as planning inside `apply` is.
     fn metered<T>(
         &mut self,
-        stmt: &Statement,
-        front_end: std::time::Duration,
-        run: impl FnOnce(&mut Catalog, &ExecConfig, &mut StmtProbe) -> Result<T>,
+        kind: StatementKind,
+        tables: &[String],
+        front_end: Duration,
+        stage: impl FnOnce(&Catalog, &mut StmtProbe) -> Result<Option<WalOp>>,
+        apply: impl FnOnce(&mut Catalog, &ExecConfig, &mut StmtProbe, Option<WalOp>) -> Result<T>,
     ) -> Result<T> {
-        self.check_fault(FaultSite::BeforeExec, stmt)?;
-        let framed = if self.durability.is_some() && is_mutating(stmt) {
-            let kind = statement_kind(stmt);
-            let tables = statement_tables(stmt);
-            let seq = self.wal_append_frame(kind, &tables, &WalOp::Sql(stmt.to_string()))?;
-            Some((seq, kind, tables))
-        } else {
-            None
-        };
+        self.check_fault(FaultSite::BeforeExec, kind, tables)?;
         let mut probe = self.new_probe();
         probe.add_plan_time(front_end);
-        let t0 = std::time::Instant::now();
-        let result = run(&mut self.catalog, &self.config, &mut probe)?;
+        let t0 = Instant::now();
+        let op = stage(&self.catalog, &mut probe)?;
+        let seq = match &op {
+            Some(op) if self.durability.is_some() => Some(self.wal_append_frame(kind, tables, op)?),
+            _ => None,
+        };
+        let result = apply(&mut self.catalog, &self.config, &mut probe, op)?;
         if self.metrics.is_enabled() {
             self.metrics
-                .push(probe.finish(statement_kind(stmt), front_end + t0.elapsed()));
+                .push(probe.finish(kind, front_end + t0.elapsed()));
         }
-        if let Some((seq, kind, tables)) = framed {
-            self.wal_commit_frame(seq, kind, &tables)?;
+        if let Some(seq) = seq {
+            self.wal_commit_frame(seq, kind, tables)?;
         }
-        self.check_fault(FaultSite::AfterExec, stmt)?;
+        self.check_fault(FaultSite::AfterExec, kind, tables)?;
         Ok(result)
+    }
+
+    /// [`Database::metered`] for one SQL statement, logged (when it
+    /// mutates) as its rendered text.
+    fn metered_statement<T>(
+        &mut self,
+        stmt: &Statement,
+        front_end: Duration,
+        run: impl FnOnce(&mut Catalog, &ExecConfig, &mut StmtProbe) -> Result<T>,
+    ) -> Result<T> {
+        let log = self.durability.is_some() && is_mutating(stmt);
+        // Only an armed fault plan reads the table names.
+        let tables = match self.injector {
+            Some(_) => statement_tables(stmt),
+            None => Vec::new(),
+        };
+        self.metered(
+            statement_kind(stmt),
+            &tables,
+            front_end,
+            |_, _| Ok(log.then(|| WalOp::Sql(stmt.to_string()))),
+            |catalog, config, probe, _| run(catalog, config, probe),
+        )
     }
 
     /// A probe for one statement: live when the metrics log is enabled,
@@ -417,11 +447,7 @@ impl Database {
     /// Length-check, parse and analyze `sql` as exactly one `SELECT`
     /// (what both partial-aggregate entry points take); returns it with
     /// the plan it was analyzed on and the time the analysis took.
-    fn single_select(
-        &self,
-        sql: &str,
-        what: &str,
-    ) -> Result<(Statement, SelectPlan, std::time::Duration)> {
+    fn single_select(&self, sql: &str, what: &str) -> Result<(Statement, SelectPlan, Duration)> {
         self.check_statement_len(sql)?;
         let mut stmts = parse(sql)?;
         if !matches!(stmts.as_slice(), [Statement::Select(_)]) {
@@ -451,7 +477,7 @@ impl Database {
     /// injection all behave exactly as for [`Database::execute`].
     pub fn execute_partial(&mut self, sql: &str) -> Result<PartialAggResult> {
         let (stmt, plan, front_end) = self.single_select(sql, "partial execution")?;
-        self.metered(&stmt, front_end, |catalog, config, probe| {
+        self.metered_statement(&stmt, front_end, |catalog, config, probe| {
             run_select_partial(catalog, config, &plan, probe)
         })
     }
@@ -472,15 +498,15 @@ impl Database {
         finalize_select_partials(&plan, partial)
     }
 
-    /// Consult the armed fault plan at a WAL site. Returns the fired
-    /// injection (if any) for the caller to turn into a crash or a
-    /// typed error at the right point of the protocol.
-    fn wal_fault(
+    /// Consult the armed fault plan at one site of a statement's frame.
+    /// Returns the fired injection (if any) for the caller to turn into
+    /// a crash or a typed error at the right point of the protocol.
+    fn fault_at(
         &mut self,
         site: FaultSite,
         kind: StatementKind,
         tables: &[String],
-    ) -> Option<crate::fault::Injection> {
+    ) -> Option<Injection> {
         self.injector.as_mut()?.decide(site, kind, tables)
     }
 
@@ -493,24 +519,20 @@ impl Database {
         tables: &[String],
         op: &WalOp,
     ) -> Result<u64> {
-        if let Some(hit) = self.wal_fault(FaultSite::BeforeWalAppend, kind, tables) {
+        if let Some(hit) = self.fault_at(FaultSite::BeforeWalAppend, kind, tables) {
             if hit.crash {
                 // Kill before anything reached the log: recovery must
                 // see no trace of this statement.
                 std::process::abort();
             }
-            return Err(Error::Injected {
-                transient: hit.fault != FaultKind::Permanent,
-                applied: false,
-                statement: hit.statement,
-            });
+            return Err(injected(&hit));
         }
         let d = self.durability.as_mut().expect("durable database");
         let seq = d.next_seq;
         let frame = encode_frame(seq, op);
         let start = d.wal.append(&frame)?;
         d.next_seq += 1;
-        if let Some(hit) = self.wal_fault(FaultSite::AfterWalAppend, kind, tables) {
+        if let Some(hit) = self.fault_at(FaultSite::AfterWalAppend, kind, tables) {
             if hit.crash {
                 // Reproduce a kill mid-append: tear the frame to a
                 // deterministic partial prefix (statement index modulo
@@ -524,11 +546,7 @@ impl Database {
             }
             // Non-crash fault: the frame is on disk but uncommitted —
             // recovery skips it, so nothing was applied.
-            return Err(Error::Injected {
-                transient: hit.fault != FaultKind::Permanent,
-                applied: false,
-                statement: hit.statement,
-            });
+            return Err(injected(&hit));
         }
         Ok(seq)
     }
@@ -540,7 +558,7 @@ impl Database {
             let d = self.durability.as_mut().expect("durable database");
             d.wal.append(&encode_commit(seq))?;
         }
-        if let Some(hit) = self.wal_fault(FaultSite::BeforeWalSync, kind, tables) {
+        if let Some(hit) = self.fault_at(FaultSite::BeforeWalSync, kind, tables) {
             if hit.crash {
                 // Kill after the commit marker but before the fsync:
                 // the bytes are in the file, the client never saw the
@@ -549,40 +567,34 @@ impl Database {
             }
             // Non-crash flavour of the same window: the statement
             // applied (in memory and in the log) but the ack was lost.
-            return Err(Error::Injected {
-                transient: hit.fault != FaultKind::Permanent,
-                applied: true,
-                statement: hit.statement,
-            });
+            return Err(injected(&hit));
         }
         let d = self.durability.as_mut().expect("durable database");
         d.wal.sync()?;
         self.maybe_compact()
     }
 
-    /// Consult the armed fault plan (if any) for `stmt` at `site`.
-    fn check_fault(&mut self, site: FaultSite, stmt: &Statement) -> Result<()> {
-        let Some(injector) = &mut self.injector else {
+    /// [`Database::fault_at`] for the two execution sites, where a hit is
+    /// always a typed error (never a crash).
+    fn check_fault(
+        &mut self,
+        site: FaultSite,
+        kind: StatementKind,
+        tables: &[String],
+    ) -> Result<()> {
+        let Some(hit) = self.fault_at(site, kind, tables) else {
             return Ok(());
         };
-        let tables = statement_tables(stmt);
-        if let Some(hit) = injector.decide(site, statement_kind(stmt), &tables) {
-            // An injected exhaustion at the submission site models the
-            // resource governor rejecting the statement before any
-            // effect: surface the typed error so chaos plans exercise
-            // the exact path a real over-budget charge takes. At
-            // AfterExec the Injected envelope is kept — its `applied`
-            // flag is what the exactly-once machinery keys on.
-            if hit.fault == FaultKind::ResourceExhaustion && site == FaultSite::BeforeExec {
-                return Err(Error::resource_exhausted("injected fault", 0, 0));
-            }
-            return Err(Error::Injected {
-                transient: hit.fault != crate::fault::FaultKind::Permanent,
-                applied: site == FaultSite::AfterExec,
-                statement: hit.statement,
-            });
+        // An injected exhaustion at the submission site models the
+        // resource governor rejecting the statement before any effect:
+        // surface the typed error so chaos plans exercise the exact path
+        // a real over-budget charge takes. At AfterExec the Injected
+        // envelope is kept — its `applied` flag is what the exactly-once
+        // machinery keys on.
+        if hit.fault == FaultKind::ResourceExhaustion && site == FaultSite::BeforeExec {
+            return Err(Error::resource_exhausted("injected fault", 0, 0));
         }
-        Ok(())
+        Err(injected(&hit))
     }
 
     /// Run `EXPLAIN <stmt>`: one VARCHAR `plan` column describing, for a
@@ -674,7 +686,7 @@ impl Database {
         if let Statement::Explain(inner) = stmt {
             return self.explain_statement(inner, None);
         }
-        self.metered(stmt, std::time::Duration::ZERO, |catalog, config, probe| {
+        self.metered_statement(stmt, Duration::ZERO, |catalog, config, probe| {
             execute_statement_metered(catalog, config, stmt, None, probe)
         })
     }
@@ -717,80 +729,35 @@ impl Database {
     where
         I: IntoIterator<Item = Vec<Value>>,
     {
-        let lname = table.to_ascii_lowercase();
-        let wal_tables = [lname.clone()];
-        if let Some(injector) = &mut self.injector {
-            if let Some(hit) =
-                injector.decide(FaultSite::BeforeExec, StatementKind::Insert, &wal_tables)
-            {
-                if hit.fault == FaultKind::ResourceExhaustion {
-                    return Err(Error::resource_exhausted("injected fault", 0, 0));
-                }
-                return Err(Error::Injected {
-                    transient: hit.fault != FaultKind::Permanent,
-                    applied: false,
-                    statement: hit.statement,
-                });
-            }
-        }
-        let types: Vec<_> = self
-            .catalog
-            .table(&lname)?
-            .schema()
-            .columns()
-            .iter()
-            .map(|c| c.ty)
-            .collect();
-        // Coerce every row before touching the table, then insert
-        // atomically: a failed bulk load leaves the target unchanged.
-        // The staging buffer is the dominant allocation of a bulk load,
-        // so it is charged against the memory budget row by row — an
-        // over-budget load aborts before the table or the WAL see it.
-        let mut probe = self.new_probe();
-        let mut staged: Vec<Row> = Vec::new();
-        for row in rows {
-            if row.len() != types.len() {
-                return Err(Error::ArityMismatch {
-                    table: lname,
-                    expected: types.len(),
-                    actual: row.len(),
-                });
-            }
-            let coerced: Row = row
-                .iter()
-                .zip(&types)
-                .map(|(v, ty)| v.coerce_to(*ty))
-                .collect::<Result<Vec<_>>>()?
-                .into_boxed_slice();
-            probe
-                .tracker()
-                .charge("bulk-load staging", crate::resource::row_bytes(&coerced))?;
-            staged.push(coerced);
-        }
-        // Bulk loads have no SQL text; they are logged as binary row
-        // frames under the same begin/commit protocol.
-        let framed = if self.durability.is_some() {
-            let op = WalOp::BulkInsert {
-                table: lname.clone(),
-                rows: staged.clone(),
-            };
-            Some(self.wal_append_frame(StatementKind::Insert, &wal_tables, &op)?)
-        } else {
-            None
-        };
-        let inserted = self
-            .catalog
-            .table_mut(&lname)?
-            .insert_all_or_rollback(staged)?;
-        if let Some(seq) = framed {
-            self.wal_commit_frame(seq, StatementKind::Insert, &wal_tables)?;
-        }
-        if self.metrics.is_enabled() {
-            probe.add_inserted(inserted);
-            self.metrics
-                .push(probe.finish(StatementKind::Insert, std::time::Duration::ZERO));
-        }
-        Ok(inserted)
+        let tables = [table.to_ascii_lowercase()];
+        self.metered(
+            StatementKind::Insert,
+            &tables,
+            Duration::ZERO,
+            // Coerce every row before touching the table, then insert
+            // atomically: a failed bulk load leaves the target unchanged.
+            // The staging buffer is the dominant allocation of a bulk
+            // load, so it is charged against the memory budget row by
+            // row — an over-budget load aborts before the table or the
+            // WAL see it. Bulk loads have no SQL text; the staged rows
+            // are what is logged, under the same begin/commit protocol.
+            |catalog, probe| {
+                let [table] = &tables;
+                let columns = catalog.table(table)?.schema().columns();
+                let incoming = rows.into_iter().map(Ok);
+                let rows = stage_rows(table, columns, incoming, "bulk-load staging", probe)?;
+                let table = table.clone();
+                Ok(Some(WalOp::BulkInsert { table, rows }))
+            },
+            |catalog, _, probe, staged| {
+                let Some(WalOp::BulkInsert { table, rows }) = staged else {
+                    unreachable!("a bulk load stages its rows as the operation to log");
+                };
+                let inserted = catalog.table_mut(&table)?.insert_all_or_rollback(rows)?;
+                probe.add_inserted(inserted);
+                Ok(inserted)
+            },
+        )
     }
 
     /// Number of rows in `table`.

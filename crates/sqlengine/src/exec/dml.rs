@@ -52,27 +52,57 @@ pub fn insert(
     // atomically: a failed INSERT (including INSERT … SELECT) leaves
     // the target exactly as it was, so a retry is safe (§3.6 workflow
     // hardening; see docs/ROBUSTNESS.md).
-    let table = catalog.table_mut(&plan.target.table)?;
-    let mut staged: Vec<Row> = Vec::with_capacity(incoming.len());
+    let target = &plan.target;
+    let widened = incoming.into_iter().map(|row| plan.full_row(row));
+    let staged = stage_rows(
+        &target.table,
+        &target.columns,
+        widened,
+        "staged insert",
+        probe,
+    )?;
+    let inserted = catalog
+        .table_mut(&target.table)?
+        .insert_all_or_rollback(staged)?;
+    probe.add_inserted(inserted);
+    Ok(QueryResult::affected(inserted))
+}
+
+/// Stage incoming rows for `table`: check each row's arity, coerce it
+/// to the declared column types and charge it to the statement's memory
+/// budget under `context` as the buffer grows, so an over-budget or
+/// ill-typed batch aborts before the table (or the WAL) sees any of it.
+/// The one staging loop of `INSERT` and [`crate::Database::bulk_insert`].
+pub fn stage_rows<R: AsRef<[Value]>>(
+    table: &str,
+    columns: &[Column],
+    incoming: impl Iterator<Item = Result<R>>,
+    context: &'static str,
+    probe: &mut StmtProbe,
+) -> Result<Vec<Row>> {
+    let mut staged: Vec<Row> = Vec::with_capacity(incoming.size_hint().0);
     for row in incoming {
-        // Coerce to declared column types.
-        let coerced: Row = plan
-            .full_row(row)?
+        let row = row?;
+        let row = row.as_ref();
+        if row.len() != columns.len() {
+            return Err(Error::ArityMismatch {
+                table: table.to_string(),
+                expected: columns.len(),
+                actual: row.len(),
+            });
+        }
+        let coerced: Row = row
             .iter()
-            .zip(&plan.target.columns)
+            .zip(columns)
             .map(|(v, column)| v.coerce_to(column.ty))
             .collect::<Result<Vec<_>>>()?
             .into_boxed_slice();
-        // Charge the staging buffer as it grows: an over-budget INSERT
-        // aborts before the table is touched, so atomicity holds.
         probe
             .tracker()
-            .charge("staged insert", crate::resource::row_bytes(&coerced))?;
+            .charge(context, crate::resource::row_bytes(&coerced))?;
         staged.push(coerced);
     }
-    let inserted = table.insert_all_or_rollback(staged)?;
-    probe.add_inserted(inserted);
-    Ok(QueryResult::affected(inserted))
+    Ok(staged)
 }
 
 pub fn update(

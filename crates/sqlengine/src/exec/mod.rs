@@ -11,6 +11,7 @@ pub mod aggregate;
 mod dml;
 mod select;
 
+pub(crate) use dml::stage_rows;
 pub use select::{explain_select, finalize_select_partials, run_select, run_select_partial};
 
 use crate::ast::Statement;

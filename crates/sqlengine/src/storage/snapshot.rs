@@ -22,78 +22,46 @@
 //! crc     u32 crc32(body)
 //! ```
 //!
-//! Writes go to `snapshot.tmp`, which is fsynced and atomically renamed
-//! over `snapshot.bin` — readers either see the old complete snapshot or
-//! the new complete snapshot, never a partial one. A leftover
-//! `snapshot.tmp` (crash mid-write) is deleted on open.
+//! The schema layout and the row values are [`codec`]'s
+//! ([`codec::put_schema`], [`codec::put_rows`]) — the same ones the WAL
+//! and the wire use. Writes go through [`atomic_replace`] — readers see
+//! either the old complete snapshot or the new one, never a partial one
+//! — and a leftover staging file (crash mid-write) is deleted on open.
 
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use crate::catalog::Catalog;
 use crate::error::{Error, Result};
-use crate::schema::{Column, Schema};
-use crate::storage::codec::{crc32, put_str, put_u32, put_u64, put_value, read_value, Reader};
-use crate::table::{Row, Table};
-use crate::value::DataType;
+use crate::storage::codec::{self, put_str, put_u32, put_u64, Reader};
+use crate::storage::logfile::{atomic_replace, remove_stale_staging};
+use crate::table::Table;
 
 /// Magic prefix identifying a snapshot file (versioned).
 pub const SNAPSHOT_MAGIC: &[u8] = b"SQLEMSNAP1\n";
 /// Final snapshot file name within the database directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.bin";
 /// Scratch name the snapshot is staged under before the atomic rename.
-pub const SNAPSHOT_TMP: &str = "snapshot.tmp";
-
-fn dtype_tag(ty: DataType) -> u8 {
-    match ty {
-        DataType::BigInt => 0,
-        DataType::Double => 1,
-        DataType::Varchar => 2,
-    }
-}
-
-fn dtype_from_tag(tag: u8) -> Result<DataType> {
-    match tag {
-        0 => Ok(DataType::BigInt),
-        1 => Ok(DataType::Double),
-        2 => Ok(DataType::Varchar),
-        _ => Err(Error::corruption(format!(
-            "snapshot: unknown column type tag {tag:#04x}"
-        ))),
-    }
-}
+pub const SNAPSHOT_TMP: &str = "snapshot.bin.tmp";
 
 /// Serialize the catalog to snapshot bytes (magic + body + crc).
 pub fn encode_snapshot(catalog: &Catalog, watermark: u64) -> Vec<u8> {
     let mut body = Vec::new();
     put_u64(&mut body, watermark);
-    let tables = catalog.tables_sorted();
-    put_u32(&mut body, tables.len() as u32);
-    for table in tables {
-        put_str(&mut body, table.name());
-        let schema = table.schema();
-        put_u32(&mut body, schema.arity() as u32);
-        for col in schema.columns() {
-            put_str(&mut body, &col.name);
-            body.push(dtype_tag(col.ty));
-        }
-        put_u32(&mut body, schema.primary_key().len() as u32);
-        for &idx in schema.primary_key() {
-            put_u32(&mut body, idx as u32);
-        }
-        put_u64(&mut body, table.len() as u64);
-        for row in table.rows() {
-            for v in row.iter() {
-                put_value(&mut body, v);
-            }
-        }
-    }
+    codec::put_seq(
+        &mut body,
+        catalog.tables_sorted().into_iter(),
+        |body, table| {
+            put_str(body, table.name());
+            codec::put_schema(body, table.schema());
+            put_u64(body, table.len() as u64);
+            codec::put_rows(body, table.rows());
+        },
+    );
     let mut out = Vec::with_capacity(SNAPSHOT_MAGIC.len() + body.len() + 4);
     out.extend_from_slice(SNAPSHOT_MAGIC);
-    let crc = crc32(&body);
     out.extend_from_slice(&body);
-    out.extend_from_slice(&crc.to_le_bytes());
+    put_u32(&mut out, codec::crc32(&body));
     out
 }
 
@@ -106,12 +74,11 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(Catalog, u64)> {
     let Some(rest) = bytes.strip_prefix(SNAPSHOT_MAGIC) else {
         return Err(Error::corruption("snapshot: bad magic"));
     };
-    if rest.len() < 4 {
+    let Some((body, trailer)) = rest.split_last_chunk::<4>() else {
         return Err(Error::corruption("snapshot: missing checksum"));
-    }
-    let (body, crc_bytes) = rest.split_at(rest.len() - 4);
-    let stored = u32::from_le_bytes([crc_bytes[0], crc_bytes[1], crc_bytes[2], crc_bytes[3]]);
-    let actual = crc32(body);
+    };
+    let stored = Reader::new(trailer, "snapshot").u32()?;
+    let actual = codec::crc32(body);
     if stored != actual {
         return Err(Error::corruption(format!(
             "snapshot: checksum mismatch (stored {stored:#010x}, computed {actual:#010x})"
@@ -119,50 +86,18 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(Catalog, u64)> {
     }
     let mut r = Reader::new(body, "snapshot");
     let watermark = r.u64()?;
-    let table_count = r.u32()? as usize;
     let mut catalog = Catalog::new();
-    for _ in 0..table_count {
+    let tables = r.seq(|r| {
         let name = r.str()?;
-        let ncols = r.u32()? as usize;
-        let mut columns = Vec::with_capacity(ncols);
-        for _ in 0..ncols {
-            let col_name = r.str()?;
-            let ty = dtype_from_tag(r.u8()?)?;
-            columns.push(Column::new(col_name, ty));
-        }
-        let npk = r.u32()? as usize;
-        let mut pk_names: Vec<String> = Vec::with_capacity(npk);
-        for _ in 0..npk {
-            let idx = r.u32()? as usize;
-            let col = columns.get(idx).ok_or_else(|| {
-                Error::corruption(format!(
-                    "snapshot: table {name}: primary-key column index {idx} out of range"
-                ))
-            })?;
-            pk_names.push(col.name.clone());
-        }
-        let pk_refs: Vec<&str> = pk_names.iter().map(String::as_str).collect();
-        let schema = Schema::new(columns, &pk_refs)
-            .map_err(|e| Error::corruption(format!("snapshot: table {name}: bad schema: {e}")))?;
-        let arity = schema.arity();
-        let nrows = r.u64()? as usize;
-        let mut rows: Vec<Row> = Vec::with_capacity(nrows.min(1 << 20));
-        for _ in 0..nrows {
-            let mut vals = Vec::with_capacity(arity);
-            for _ in 0..arity {
-                vals.push(read_value(&mut r)?);
-            }
-            rows.push(vals.into_boxed_slice());
-        }
-        let table = Table::from_rows(&name, schema, rows)
-            .map_err(|e| Error::corruption(format!("snapshot: table {name}: bad rows: {e}")))?;
+        let schema = codec::read_schema(r)?;
+        let nrows = r.u64()?;
+        let rows = codec::read_rows(r, nrows, schema.arity())?;
+        Table::from_rows(&name, schema, rows)
+            .map_err(|e| Error::corruption(format!("snapshot: table {name}: bad rows: {e}")))
+    })?;
+    r.end()?;
+    for table in tables {
         catalog.install_table(table);
-    }
-    if r.remaining() != 0 {
-        return Err(Error::corruption(format!(
-            "snapshot: {} trailing bytes after last table",
-            r.remaining()
-        )));
     }
     Ok((catalog, watermark))
 }
@@ -172,32 +107,17 @@ pub fn snapshot_path(dir: &Path) -> PathBuf {
     dir.join(SNAPSHOT_FILE)
 }
 
-/// Write the catalog as a snapshot: stage to `snapshot.tmp`, fsync,
-/// atomically rename over `snapshot.bin`, then fsync the directory so
-/// the rename itself is durable.
+/// Write the catalog as a snapshot, atomically replacing the previous
+/// one.
 pub fn write_snapshot(dir: &Path, catalog: &Catalog, watermark: u64) -> Result<()> {
-    let bytes = encode_snapshot(catalog, watermark);
-    let tmp = dir.join(SNAPSHOT_TMP);
-    let mut f = fs::File::create(&tmp).map_err(|e| Error::io("create snapshot.tmp", e))?;
-    f.write_all(&bytes)
-        .map_err(|e| Error::io("write snapshot.tmp", e))?;
-    f.sync_all()
-        .map_err(|e| Error::io("sync snapshot.tmp", e))?;
-    drop(f);
-    fs::rename(&tmp, snapshot_path(dir)).map_err(|e| Error::io("rename snapshot", e))?;
-    sync_dir(dir)?;
-    Ok(())
+    atomic_replace(dir, SNAPSHOT_FILE, &encode_snapshot(catalog, watermark))
 }
 
-/// Load the snapshot if one exists. Removes a leftover `snapshot.tmp`
-/// from an interrupted write (it was never acknowledged).
+/// Load the snapshot if one exists. Removes the leftover staging file
+/// of an interrupted write (it was never acknowledged).
 pub fn read_snapshot(dir: &Path) -> Result<Option<(Catalog, u64)>> {
-    let tmp = dir.join(SNAPSHOT_TMP);
-    if tmp.exists() {
-        fs::remove_file(&tmp).map_err(|e| Error::io("remove stale snapshot.tmp", e))?;
-    }
-    let path = snapshot_path(dir);
-    let bytes = match fs::read(&path) {
+    remove_stale_staging(dir, SNAPSHOT_FILE)?;
+    let bytes = match fs::read(snapshot_path(dir)) {
         Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(Error::io("read snapshot", e)),
@@ -205,19 +125,10 @@ pub fn read_snapshot(dir: &Path) -> Result<Option<(Catalog, u64)>> {
     decode_snapshot(&bytes).map(Some)
 }
 
-/// fsync a directory so a rename/create within it is durable.
-pub fn sync_dir(dir: &Path) -> Result<()> {
-    // Directory fsync is a POSIX-ism; on platforms where opening a
-    // directory fails, the rename is still atomic and we proceed.
-    if let Ok(d) = fs::File::open(dir) {
-        d.sync_all().map_err(|e| Error::io("sync directory", e))?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::{Column, Schema};
     use crate::value::Value;
 
     fn sample_catalog() -> Catalog {
@@ -295,6 +206,22 @@ mod tests {
                 "cut at {cut}"
             );
         }
+    }
+
+    #[test]
+    fn oversized_column_count_under_a_valid_checksum_is_corruption() {
+        let mut body = Vec::new();
+        put_u64(&mut body, 0); // watermark
+        put_u32(&mut body, 1); // one table
+        put_str(&mut body, "y");
+        put_u32(&mut body, u32::MAX); // column count
+        let mut bytes = SNAPSHOT_MAGIC.to_vec();
+        bytes.extend_from_slice(&body);
+        put_u32(&mut bytes, codec::crc32(&body));
+        assert!(matches!(
+            decode_snapshot(&bytes),
+            Err(Error::Corruption { .. })
+        ));
     }
 
     #[test]

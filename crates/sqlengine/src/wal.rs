@@ -16,33 +16,27 @@
 //!
 //! The commit marker is the acknowledgement boundary: a frame without
 //! its `Commit` is a statement that failed (or a crash mid-statement)
-//! and is skipped on replay. [`scan`] distinguishes two failure modes:
+//! and is skipped on replay. The record frame, and the walk that tells
+//! a **torn tail** (the file ends mid-record: silently discarded, the
+//! file truncated to the last complete record) from **corruption** (a
+//! complete record whose checksum does not match), are the storage
+//! layer's ([`crate::storage::codec::walk_records`]; docs/ROBUSTNESS.md
+//! "On-disk formats"). What this module adds is the grammar: an
+//! undecodable payload or a frame-grammar violation (a `Commit` with no
+//! open frame, sequence-number mismatch) is acknowledged state gone bad
+//! too, and recovery refuses with [`Error::Corruption`] rather than
+//! silently diverging.
 //!
-//! - **Torn tail** — the file ends mid-record (a crash interrupted an
-//!   append). Only unacknowledged bytes can be torn, so the tail is
-//!   silently discarded and the file truncated to the last complete
-//!   record.
-//! - **Corruption** — a record whose checksum does not match, an
-//!   undecodable payload, or frame-grammar violations (a `Commit` with
-//!   no open frame, sequence-number mismatch) anywhere before the tail.
-//!   That is acknowledged state gone bad: recovery refuses with
-//!   [`Error::Corruption`] rather than silently diverging.
-//!
-//! One ambiguity is inherent to length-prefixed logs: a flipped bit in
-//! the *final* record's length field is indistinguishable from a torn
-//! append and is truncated rather than reported. Every other
-//! single-byte flip or truncation is detected — the recovery invariant
-//! (proved by the gated `wal_props` suite) is that [`scan`] returns
-//! either an error or a strict prefix of the committed statements,
-//! never altered content.
+//! The recovery invariant (held over seeded random logs by the tier-1
+//! `tests/format_props.rs`) is that [`scan`] returns either an error or
+//! a strict prefix of the committed statements, never altered content.
 
-use std::fs;
-use std::io::{Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
 use crate::error::{Error, Result};
-use crate::storage::codec::{crc32, put_str, put_u32, put_u64, put_value, read_value, Reader};
-use crate::storage::snapshot::sync_dir;
+use crate::storage::codec::{
+    put_record, put_rows, put_str, put_u32, put_u64, read_rows, walk_records, Reader,
+};
 use crate::table::Row;
 
 /// Magic prefix identifying a WAL file (versioned).
@@ -72,50 +66,18 @@ pub enum WalOp {
 }
 
 /// One decoded WAL record.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 enum Record {
     Begin { seq: u64 },
     Commit { seq: u64 },
     Op { seq: u64, op: WalOp },
 }
 
-fn encode_record(rec: &Record) -> Vec<u8> {
-    let mut payload = Vec::new();
-    match rec {
-        Record::Begin { seq } => {
-            payload.push(TAG_BEGIN);
-            put_u64(&mut payload, *seq);
-        }
-        Record::Commit { seq } => {
-            payload.push(TAG_COMMIT);
-            put_u64(&mut payload, *seq);
-        }
-        Record::Op { seq, op } => match op {
-            WalOp::Sql(sql) => {
-                payload.push(TAG_SQL);
-                put_u64(&mut payload, *seq);
-                put_str(&mut payload, sql);
-            }
-            WalOp::BulkInsert { table, rows } => {
-                payload.push(TAG_BULK);
-                put_u64(&mut payload, *seq);
-                put_str(&mut payload, table);
-                let arity = rows.first().map_or(0, |r| r.len());
-                put_u32(&mut payload, arity as u32);
-                put_u64(&mut payload, rows.len() as u64);
-                for row in rows {
-                    for v in row.iter() {
-                        put_value(&mut payload, v);
-                    }
-                }
-            }
-        },
-    }
-    let mut out = Vec::with_capacity(8 + payload.len());
-    put_u32(&mut out, payload.len() as u32);
-    put_u32(&mut out, crc32(&payload));
-    out.extend_from_slice(&payload);
-    out
+/// Append a `Begin` / `Commit` marker record for `seq`.
+fn put_marker(out: &mut Vec<u8>, tag: u8, seq: u64) {
+    let mut payload = vec![tag];
+    put_u64(&mut payload, seq);
+    put_record(out, &payload);
 }
 
 fn decode_payload(payload: &[u8]) -> Result<Record> {
@@ -131,15 +93,8 @@ fn decode_payload(payload: &[u8]) -> Result<Record> {
             let seq = r.u64()?;
             let table = r.str()?;
             let arity = r.u32()? as usize;
-            let nrows = r.u64()? as usize;
-            let mut rows = Vec::with_capacity(nrows.min(1 << 20));
-            for _ in 0..nrows {
-                let mut vals = Vec::with_capacity(arity);
-                for _ in 0..arity {
-                    vals.push(read_value(&mut r)?);
-                }
-                rows.push(vals.into_boxed_slice());
-            }
+            let nrows = r.u64()?;
+            let rows = read_rows(&mut r, nrows, arity)?;
             Record::Op {
                 seq,
                 op: WalOp::BulkInsert { table, rows },
@@ -151,29 +106,40 @@ fn decode_payload(payload: &[u8]) -> Result<Record> {
             )))
         }
     };
-    if r.remaining() != 0 {
-        return Err(Error::corruption(format!(
-            "wal record: {} trailing bytes",
-            r.remaining()
-        )));
-    }
+    r.end()?;
     Ok(rec)
 }
 
 /// Encode the pre-execution half of a statement frame: `Begin` plus the
 /// operation payload, as one byte run (appended with a single write).
 pub fn encode_frame(seq: u64, op: &WalOp) -> Vec<u8> {
-    let mut bytes = encode_record(&Record::Begin { seq });
-    bytes.extend_from_slice(&encode_record(&Record::Op {
-        seq,
-        op: op.clone(),
-    }));
+    let mut payload = Vec::new();
+    match op {
+        WalOp::Sql(sql) => {
+            payload.push(TAG_SQL);
+            put_u64(&mut payload, seq);
+            put_str(&mut payload, sql);
+        }
+        WalOp::BulkInsert { table, rows } => {
+            payload.push(TAG_BULK);
+            put_u64(&mut payload, seq);
+            put_str(&mut payload, table);
+            put_u32(&mut payload, rows.first().map_or(0, |r| r.len()) as u32);
+            put_u64(&mut payload, rows.len() as u64);
+            put_rows(&mut payload, rows);
+        }
+    }
+    let mut bytes = Vec::with_capacity(payload.len() + 32);
+    put_marker(&mut bytes, TAG_BEGIN, seq);
+    put_record(&mut bytes, &payload);
     bytes
 }
 
 /// Encode the post-execution commit marker for `seq`.
 pub fn encode_commit(seq: u64) -> Vec<u8> {
-    encode_record(&Record::Commit { seq })
+    let mut bytes = Vec::new();
+    put_marker(&mut bytes, TAG_COMMIT, seq);
+    bytes
 }
 
 /// Result of validating a WAL byte image.
@@ -201,54 +167,13 @@ pub struct ScanResult {
 /// tail (short record at end-of-file) is reported via a `valid_len`
 /// shorter than the input, not an error.
 pub fn scan(bytes: &[u8]) -> Result<ScanResult> {
-    if bytes.len() < WAL_MAGIC.len() {
-        // Crash during file creation, before the magic was synced:
-        // nothing was ever acknowledged, treat as an empty log.
-        return Ok(ScanResult {
-            committed: Vec::new(),
-            next_seq: 0,
-            valid_len: 0,
-            uncommitted: Vec::new(),
-        });
-    }
-    if &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-        return Err(Error::corruption("wal: bad magic"));
-    }
     let mut committed = Vec::new();
     let mut uncommitted = Vec::new();
     let mut next_seq = 0u64;
-    let mut pos = WAL_MAGIC.len();
-    let mut valid_len = pos;
     // Open frame state: Begin seen (and optionally the op), no Commit yet.
     let mut open: Option<(u64, Option<WalOp>)> = None;
-    while pos < bytes.len() {
-        let remaining = bytes.len() - pos;
-        if remaining < 8 {
-            break; // torn header
-        }
-        let len = u32::from_le_bytes([bytes[pos], bytes[pos + 1], bytes[pos + 2], bytes[pos + 3]])
-            as usize;
-        let stored_crc = u32::from_le_bytes([
-            bytes[pos + 4],
-            bytes[pos + 5],
-            bytes[pos + 6],
-            bytes[pos + 7],
-        ]);
-        if remaining - 8 < len {
-            break; // torn payload (or a flipped length in the final record)
-        }
-        let payload = &bytes[pos + 8..pos + 8 + len];
-        let actual_crc = crc32(payload);
-        if actual_crc != stored_crc {
-            return Err(Error::corruption(format!(
-                "wal: checksum mismatch at byte {pos} (stored {stored_crc:#010x}, \
-                 computed {actual_crc:#010x})"
-            )));
-        }
-        let record = decode_payload(payload)?;
-        pos += 8 + len;
-        valid_len = pos;
-        match record {
+    let valid_len = walk_records(bytes, WAL_MAGIC, "wal", |payload, pos| {
+        match decode_payload(payload)? {
             Record::Begin { seq } => {
                 // A Begin while a frame is open: the previous statement
                 // failed before committing — normal, drop it (but record
@@ -257,7 +182,7 @@ pub fn scan(bytes: &[u8]) -> Result<ScanResult> {
                     uncommitted.push(failed_seq);
                 }
                 open = Some((seq, None));
-                next_seq = next_seq.max(seq + 1);
+                next_seq = next_seq.max(seq.saturating_add(1));
             }
             Record::Op { seq, op } => match &mut open {
                 Some((frame_seq, slot @ None)) if *frame_seq == seq => {
@@ -280,10 +205,9 @@ pub fn scan(bytes: &[u8]) -> Result<ScanResult> {
                 }
             },
         }
-    }
-    if let Some((open_seq, _)) = open {
-        uncommitted.push(open_seq);
-    }
+        Ok(())
+    })?;
+    uncommitted.extend(open.map(|(open_seq, _)| open_seq));
     Ok(ScanResult {
         committed,
         next_seq,
@@ -292,100 +216,9 @@ pub fn scan(bytes: &[u8]) -> Result<ScanResult> {
     })
 }
 
-/// An open WAL file handle: append, sync, truncate.
-#[derive(Debug)]
-pub struct Wal {
-    file: fs::File,
-    path: PathBuf,
-    len: u64,
-}
-
 /// Path of the log inside a database directory.
 pub fn wal_path(dir: &Path) -> PathBuf {
     dir.join(WAL_FILE)
-}
-
-impl Wal {
-    /// Open (or create) the log in `dir`, truncating to `valid_len` as
-    /// determined by a prior [`scan`] — torn bytes are physically
-    /// removed so later appends never interleave with garbage. A fresh
-    /// or fully-torn log is (re)initialised with the magic and synced.
-    pub fn open(dir: &Path, valid_len: u64) -> Result<Self> {
-        let path = wal_path(dir);
-        let mut file = fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&path)
-            .map_err(|e| Error::io("open wal", e))?;
-        if valid_len < WAL_MAGIC.len() as u64 {
-            file.set_len(0).map_err(|e| Error::io("truncate wal", e))?;
-            file.write_all(WAL_MAGIC)
-                .map_err(|e| Error::io("write wal magic", e))?;
-            file.sync_all().map_err(|e| Error::io("sync wal", e))?;
-            sync_dir(dir)?;
-        } else {
-            file.set_len(valid_len)
-                .map_err(|e| Error::io("truncate wal", e))?;
-            file.sync_all().map_err(|e| Error::io("sync wal", e))?;
-        }
-        file.seek(SeekFrom::End(0))
-            .map_err(|e| Error::io("seek wal", e))?;
-        let len = file.metadata().map_err(|e| Error::io("stat wal", e))?.len();
-        Ok(Wal { file, path, len })
-    }
-
-    /// Current file length in bytes.
-    pub fn len(&self) -> u64 {
-        self.len
-    }
-
-    /// True when the log holds no records (magic only).
-    pub fn is_empty(&self) -> bool {
-        self.len <= WAL_MAGIC.len() as u64
-    }
-
-    /// Append raw record bytes; returns the byte offset the run started
-    /// at (used by crash simulation to compute tear points).
-    pub fn append(&mut self, bytes: &[u8]) -> Result<u64> {
-        let start = self.len;
-        self.file
-            .write_all(bytes)
-            .map_err(|e| Error::io("append wal", e))?;
-        self.len += bytes.len() as u64;
-        Ok(start)
-    }
-
-    /// Truncate the file to `len` bytes (crash simulation: tear a
-    /// partially-appended frame at an exact byte boundary).
-    pub fn truncate_to(&mut self, len: u64) -> Result<()> {
-        self.file
-            .set_len(len)
-            .map_err(|e| Error::io("truncate wal", e))?;
-        self.file
-            .seek(SeekFrom::End(0))
-            .map_err(|e| Error::io("seek wal", e))?;
-        self.len = len;
-        Ok(())
-    }
-
-    /// fsync the log — the acknowledgement point of the protocol.
-    pub fn sync(&mut self) -> Result<()> {
-        self.file.sync_all().map_err(|e| Error::io("sync wal", e))
-    }
-
-    /// Reset the log to empty (post-compaction): truncate to the magic
-    /// and sync. The snapshot now carries everything the log held.
-    pub fn reset(&mut self) -> Result<()> {
-        self.truncate_to(WAL_MAGIC.len() as u64)?;
-        self.sync()
-    }
-
-    /// The log's path (diagnostics).
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
 }
 
 #[cfg(test)]
@@ -535,30 +368,19 @@ mod tests {
     }
 
     #[test]
-    fn wal_file_append_truncate_cycle() {
-        let dir = std::env::temp_dir().join(format!("sqlem_wal_test_{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        // Fresh log.
-        let mut wal = Wal::open(&dir, 0).unwrap();
-        assert!(wal.is_empty());
-        let frame = encode_frame(0, &sql("CREATE TABLE t (a BIGINT)"));
-        let start = wal.append(&frame).unwrap();
-        assert_eq!(start, WAL_MAGIC.len() as u64);
-        wal.append(&encode_commit(0)).unwrap();
-        wal.sync().unwrap();
-        // Tear a second frame mid-way.
-        let frame2 = encode_frame(1, &sql("DROP TABLE t"));
-        let start2 = wal.append(&frame2).unwrap();
-        wal.truncate_to(start2 + 3).unwrap();
-        drop(wal);
-        // Recovery: frame 0 survives, the torn frame 1 is discarded.
-        let bytes = fs::read(wal_path(&dir)).unwrap();
-        let r = scan(&bytes).unwrap();
-        assert_eq!(r.committed.len(), 1);
-        assert_eq!(r.valid_len as u64, start2);
-        // Reopen at the valid length: the torn bytes are gone.
-        let wal = Wal::open(&dir, r.valid_len as u64).unwrap();
-        assert_eq!(wal.len(), start2);
-        fs::remove_dir_all(&dir).ok();
+    fn oversized_bulk_count_in_a_valid_record_is_corruption() {
+        // A CRC-valid bulk record claiming u32::MAX values per row: the
+        // count must be refused against the bytes that remain, not
+        // handed to the allocator.
+        let mut payload = vec![TAG_BULK];
+        put_u64(&mut payload, 0);
+        put_str(&mut payload, "y");
+        put_u32(&mut payload, u32::MAX);
+        put_u64(&mut payload, 1);
+        let mut bytes = WAL_MAGIC.to_vec();
+        put_marker(&mut bytes, TAG_BEGIN, 0);
+        put_record(&mut bytes, &payload);
+        bytes.extend_from_slice(&encode_commit(0));
+        assert!(matches!(scan(&bytes), Err(Error::Corruption { .. })));
     }
 }

@@ -158,6 +158,18 @@ fn after_exec_fault_reports_applied_effects() {
         1,
         "lost-ack fault: the row IS there even though the client saw an error"
     );
+
+    // A bulk load passes the same frame: the after-exec site fires on it
+    // too, with the rows in the table.
+    db.set_fault_plan(FaultPlan::single(FaultRule::table("t").after_exec().once()));
+    let err = db
+        .bulk_insert("t", vec![vec![Value::Int(2)], vec![Value::Int(3)]])
+        .unwrap_err();
+    assert!(
+        matches!(err, Error::Injected { applied: true, .. }),
+        "{err}"
+    );
+    assert_eq!(db.table_len("t").unwrap(), 3);
 }
 
 #[test]

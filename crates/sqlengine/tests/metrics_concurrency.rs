@@ -16,7 +16,7 @@
 
 use std::collections::HashMap;
 
-use sqlengine::{Database, SharedDatabase, StatementKind};
+use sqlengine::{Database, SharedDatabase, StatementKind, Value};
 
 #[test]
 fn shared_database_records_every_statement_exactly_once() {
@@ -92,6 +92,23 @@ fn shared_database_records_every_statement_exactly_once() {
         // (these are ad hoc: analysis planned them before the frame).
         assert!(log.entries().iter().all(|m| m.plan_time <= m.elapsed));
     });
+
+    // A bulk load is one more statement of the same frame: its entry
+    // carries the time the load took (it plans nothing).
+    let (n, entries) = shared.with(|db| {
+        db.clear_metrics();
+        let rows = (0..10_000).map(|i| vec![Value::Int(i), Value::Double(0.5)]);
+        let n = db.bulk_insert("t0", rows).unwrap();
+        (n, db.take_metrics())
+    });
+    assert_eq!(n, 10_000);
+    let [m] = entries.as_slice() else {
+        panic!("one entry per bulk load, got {}", entries.len());
+    };
+    assert_eq!(m.kind, Some(StatementKind::Insert));
+    assert_eq!(m.rows_inserted, 10_000);
+    assert_eq!(m.plan_time, std::time::Duration::ZERO);
+    assert!(m.elapsed > std::time::Duration::ZERO);
 }
 
 #[test]

@@ -32,6 +32,10 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
+use sqlengine::storage::codec::{record_header, RECORD_HEADER_LEN};
+
+use crate::frame::MAX_FRAME_LEN;
+
 /// Which way a frame is travelling through the proxy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
@@ -56,11 +60,6 @@ pub enum ChaosAction {
     /// Swallow the frame and keep the connection open (silent loss).
     Blackhole,
 }
-
-/// Byte length of the fixed frame header (`u32` len + `u32` crc).
-const HEADER_LEN: usize = 8;
-/// Upper bound accepted by the proxy; mirrors `frame::MAX_FRAME_LEN`.
-const MAX_RELAY_FRAME: usize = 64 * 1024 * 1024;
 
 #[derive(Debug)]
 struct Shared {
@@ -230,21 +229,21 @@ fn relay(mut src: TcpStream, mut dst: TcpStream, dir: Direction, shared: &Shared
             return;
         }
         // Read one whole frame (header, then payload).
-        let mut header = [0u8; HEADER_LEN];
+        let mut header = [0u8; RECORD_HEADER_LEN];
         if src.read_exact(&mut header).is_err() {
             let _ = dst.shutdown(Shutdown::Both);
             return;
         }
-        let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
-        if len > MAX_RELAY_FRAME {
+        let (len, _) = record_header(&header);
+        if len > MAX_FRAME_LEN {
             // Not our protocol: shut the pair down.
             let _ = dst.shutdown(Shutdown::Both);
             let _ = src.shutdown(Shutdown::Both);
             return;
         }
-        let mut frame = vec![0u8; HEADER_LEN + len];
-        frame[..HEADER_LEN].copy_from_slice(&header);
-        if src.read_exact(&mut frame[HEADER_LEN..]).is_err() {
+        let mut frame = vec![0u8; RECORD_HEADER_LEN + len];
+        frame[..RECORD_HEADER_LEN].copy_from_slice(&header);
+        if src.read_exact(&mut frame[RECORD_HEADER_LEN..]).is_err() {
             let _ = dst.shutdown(Shutdown::Both);
             return;
         }

@@ -1,16 +1,17 @@
 //! Length-prefixed, checksummed message framing.
 //!
-//! Every message on the wire is one *frame*:
+//! Every message on the wire is one *frame* — the storage layer's
+//! record ([`sqlengine::storage::codec::put_record`]), the same bytes a
+//! WAL or session-journal record has:
 //!
 //! ```text
 //! [u32 len (LE)] [u32 crc32(payload) (LE)] [payload: len bytes]
 //! ```
 //!
-//! `len` counts the payload only. The CRC is the same IEEE CRC-32 the
-//! storage layer uses for WAL records ([`sqlengine::storage::codec::crc32`]),
-//! so a flipped bit anywhere in the payload is rejected before the
-//! payload is parsed. The first payload byte is the opcode
-//! (see [`crate::proto`]).
+//! `len` counts the payload only; a flipped bit anywhere in the payload
+//! is rejected before the payload is parsed. The first payload byte is
+//! the opcode (see [`crate::proto`]). What this module adds is the
+//! blocking stream read, its error vocabulary and [`MAX_FRAME_LEN`].
 //!
 //! Framing errors are reported as [`sqlengine::Error::Net`]: read/write
 //! timeouts and connection resets are *transient* (a reconnect plus
@@ -23,7 +24,7 @@
 
 use std::io::{ErrorKind, Read, Write};
 
-use sqlengine::storage::codec::{crc32, put_u32};
+use sqlengine::storage::codec::{crc32, put_record, record_header, RECORD_HEADER_LEN};
 use sqlengine::{Error, Result};
 
 /// Hard ceiling on a single frame's payload, defending both sides
@@ -55,10 +56,8 @@ pub fn io_to_net(context: &str, e: &std::io::Error) -> Error {
 
 /// Encode `payload` as one frame (header + payload), ready to write.
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 8);
-    put_u32(&mut out, payload.len() as u32);
-    put_u32(&mut out, crc32(payload));
-    out.extend_from_slice(payload);
+    let mut out = Vec::new();
+    put_record(&mut out, payload);
     out
 }
 
@@ -83,7 +82,7 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<()> {
 /// up between messages, which a reconnect fixes. EOF in the middle of
 /// a frame is a transient reset (the write was torn).
 pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>> {
-    let mut header = [0u8; 8];
+    let mut header = [0u8; RECORD_HEADER_LEN];
     let mut got = 0usize;
     while got < header.len() {
         match r.read(&mut header[got..]) {
@@ -102,8 +101,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>> {
             Err(e) => return Err(io_to_net("read frame header", &e)),
         }
     }
-    let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
-    let crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
+    let (len, crc) = record_header(&header);
     if len > MAX_FRAME_LEN {
         return Err(Error::net_permanent(
             "read frame",
@@ -126,6 +124,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sqlengine::storage::codec::put_u32;
 
     #[test]
     fn frame_roundtrip() {

@@ -36,12 +36,14 @@
 //! its dedup window — even across a server `kill -9` when the server
 //! is durable. See `docs/SERVER.md` §3 for the full contract.
 
-use sqlengine::storage::codec::{put_str, put_u32, put_u64, put_value, read_value, Reader};
+use sqlengine::storage::codec::{
+    put_bool, put_f64, put_opt_value, put_schema, put_seq, put_str, put_u32, put_u64, put_value,
+    read_opt_value, read_schema, read_value, Reader,
+};
 use sqlengine::{
     AggState, Error, ExactSum, ExecMetrics, Limits, PartialAggResult, QueryResult, ScanMetric,
-    StatementKind, Value,
+    StatementKind, SymbolicCatalog, Value,
 };
-use sqlengine::{Column, Schema, SymbolicCatalog};
 use std::time::Duration;
 
 /// Protocol version; [`Request::Hello`] carries the client's, the server
@@ -296,14 +298,6 @@ fn malformed(what: &str) -> Error {
     Error::net_permanent("decode message", format!("malformed {what}"))
 }
 
-fn put_bool(buf: &mut Vec<u8>, v: bool) {
-    buf.push(u8::from(v));
-}
-
-fn read_bool(r: &mut Reader<'_>) -> Result<bool, Error> {
-    Ok(r.u8()? != 0)
-}
-
 fn read_usize(r: &mut Reader<'_>) -> Result<usize, Error> {
     Ok(r.u64()? as usize)
 }
@@ -378,14 +372,14 @@ fn read_error(r: &mut Reader<'_>) -> Result<Error, Error> {
         },
         ERR_ARITHMETIC => Error::Arithmetic(r.str()?),
         ERR_INJECTED => Error::Injected {
-            transient: read_bool(r)?,
-            applied: read_bool(r)?,
+            transient: r.bool()?,
+            applied: r.bool()?,
             statement: read_usize(r)?,
         },
         ERR_NET => Error::Net {
             context: r.str()?,
             message: r.str()?,
-            transient: read_bool(r)?,
+            transient: r.bool()?,
         },
         ERR_DEADLINE => Error::Deadline {
             context: r.str()?,
@@ -404,117 +398,50 @@ fn read_error(r: &mut Reader<'_>) -> Result<Error, Error> {
 // ---------------------------------------------------------------------
 // composite payloads
 
-fn put_rows(buf: &mut Vec<u8>, rows: &[Vec<Value>]) {
-    put_u32(buf, rows.len() as u32);
-    for row in rows {
-        put_u32(buf, row.len() as u32);
-        for v in row {
-            put_value(buf, v);
-        }
-    }
+/// Rows travel as a counted sequence of counted value sequences (the
+/// wire has no schema to take an arity from).
+fn put_rows<R: AsRef<[Value]>>(buf: &mut Vec<u8>, rows: &[R]) {
+    put_seq(buf, rows.iter(), |buf, row| {
+        put_seq(buf, row.as_ref().iter(), put_value)
+    });
 }
 
-fn read_rows(r: &mut Reader<'_>) -> Result<Vec<Vec<Value>>, Error> {
-    let n = r.u32()? as usize;
-    let mut rows = Vec::with_capacity(n.min(r.remaining()));
-    for _ in 0..n {
-        let w = r.u32()? as usize;
-        let mut row = Vec::with_capacity(w.min(r.remaining() + 1));
-        for _ in 0..w {
-            row.push(read_value(r)?);
-        }
-        rows.push(row);
-    }
-    Ok(rows)
+fn read_rows<R: From<Vec<Value>>>(r: &mut Reader<'_>) -> Result<Vec<R>, Error> {
+    r.seq(|r| Ok(r.seq(read_value)?.into()))
 }
 
 fn put_query_result(buf: &mut Vec<u8>, q: &QueryResult) {
-    put_u32(buf, q.columns.len() as u32);
-    for c in &q.columns {
-        put_str(buf, c);
-    }
-    // Result rows are boxed slices ([`sqlengine::Row`]); same layout as
-    // put_rows.
-    put_u32(buf, q.rows.len() as u32);
-    for row in &q.rows {
-        put_u32(buf, row.len() as u32);
-        for v in row.iter() {
-            put_value(buf, v);
-        }
-    }
+    put_seq(buf, q.columns.iter(), |buf, c| put_str(buf, c));
+    put_rows(buf, &q.rows);
     put_u64(buf, q.rows_affected as u64);
 }
 
 fn read_query_result(r: &mut Reader<'_>) -> Result<QueryResult, Error> {
-    let ncols = r.u32()? as usize;
-    let mut columns = Vec::with_capacity(ncols.min(r.remaining()));
-    for _ in 0..ncols {
-        columns.push(r.str()?);
-    }
-    let rows = read_rows(r)?
-        .into_iter()
-        .map(Vec::into_boxed_slice)
-        .collect();
-    let rows_affected = read_usize(r)?;
     Ok(QueryResult {
-        columns,
-        rows,
-        rows_affected,
+        columns: r.seq(|r| r.str())?,
+        rows: read_rows(r)?,
+        rows_affected: read_usize(r)?,
     })
 }
 
-// Doubles in partial states travel as raw IEEE-754 bits — an expansion
-// component reconstructed from anything lossier would destroy the
-// exact-sum invariant.
-fn put_f64(buf: &mut Vec<u8>, x: f64) {
-    put_u64(buf, x.to_bits());
-}
-
-fn read_f64(r: &mut Reader<'_>) -> Result<f64, Error> {
-    Ok(f64::from_bits(r.u64()?))
-}
-
-fn put_opt_value(buf: &mut Vec<u8>, v: &Option<Value>) {
-    match v {
-        None => put_bool(buf, false),
-        Some(v) => {
-            put_bool(buf, true);
-            put_value(buf, v);
-        }
-    }
-}
-
-fn read_opt_value(r: &mut Reader<'_>) -> Result<Option<Value>, Error> {
-    Ok(if read_bool(r)? {
-        Some(read_value(r)?)
-    } else {
-        None
-    })
-}
-
-/// An exact sum travels as its expansion components and flags, raw.
+/// An exact sum travels as its expansion components and flags, the
+/// components as raw IEEE-754 bits — one reconstructed from anything
+/// lossier would destroy the exact-sum invariant.
 fn put_exact_sum(buf: &mut Vec<u8>, acc: &ExactSum) {
     let (comps, has_nan, pos_inf, neg_inf) = acc.to_parts();
-    put_u32(buf, comps.len() as u32);
-    for &c in comps {
-        put_f64(buf, c);
-    }
+    put_seq(buf, comps.iter(), |buf, &c| put_f64(buf, c));
     put_bool(buf, has_nan);
     put_bool(buf, pos_inf);
     put_bool(buf, neg_inf);
 }
 
 fn read_exact_sum(r: &mut Reader<'_>) -> Result<ExactSum, Error> {
-    let n = r.u32()? as usize;
-    let mut comps = Vec::with_capacity(n.min(r.remaining()));
-    for _ in 0..n {
-        comps.push(read_f64(r)?);
-    }
+    let comps = r.seq(|r| r.f64())?;
     Ok(ExactSum::from_parts(
         &comps,
-        read_bool(r)?,
-        read_bool(r)?,
-        read_bool(r)?,
+        r.bool()?,
+        r.bool()?,
+        r.bool()?,
     ))
 }
 
@@ -568,7 +495,7 @@ fn read_agg_state(r: &mut Reader<'_>) -> Result<AggState, Error> {
         AGG_SUM => AggState::Sum {
             acc: read_exact_sum(r)?,
             count: r.u64()?,
-            all_int: read_bool(r)?,
+            all_int: r.bool()?,
         },
         AGG_AVG => AggState::Avg {
             acc: read_exact_sum(r)?,
@@ -578,44 +505,26 @@ fn read_agg_state(r: &mut Reader<'_>) -> Result<AggState, Error> {
         AGG_MAX => AggState::Max(read_opt_value(r)?),
         AGG_VAR => AggState::Var {
             count: r.u64()?,
-            mean: read_f64(r)?,
-            m2: read_f64(r)?,
-            stddev: read_bool(r)?,
+            mean: r.f64()?,
+            m2: r.f64()?,
+            stddev: r.bool()?,
         },
         _ => return Err(malformed("aggregate state tag")),
     })
 }
 
 fn put_partial_result(buf: &mut Vec<u8>, p: &PartialAggResult) {
-    put_u32(buf, p.groups.len() as u32);
-    for (key, states) in &p.groups {
-        put_u32(buf, key.len() as u32);
-        for v in key.iter() {
-            put_value(buf, v);
-        }
-        put_u32(buf, states.len() as u32);
-        for s in states {
-            put_agg_state(buf, s);
-        }
-    }
+    put_seq(buf, p.groups.iter(), |buf, (key, states)| {
+        put_seq(buf, key.iter(), put_value);
+        put_seq(buf, states.iter(), put_agg_state);
+    });
 }
 
 fn read_partial_result(r: &mut Reader<'_>) -> Result<PartialAggResult, Error> {
-    let ngroups = r.u32()? as usize;
-    let mut groups = Vec::with_capacity(ngroups.min(r.remaining()));
-    for _ in 0..ngroups {
-        let nkey = r.u32()? as usize;
-        let mut key = Vec::with_capacity(nkey.min(r.remaining()));
-        for _ in 0..nkey {
-            key.push(read_value(r)?);
-        }
-        let nstates = r.u32()? as usize;
-        let mut states = Vec::with_capacity(nstates.min(r.remaining()));
-        for _ in 0..nstates {
-            states.push(read_agg_state(r)?);
-        }
-        groups.push((key.into_boxed_slice(), states));
-    }
+    let groups = r.seq(|r| {
+        let key = r.seq(read_value)?.into_boxed_slice();
+        Ok((key, r.seq(read_agg_state)?))
+    })?;
     Ok(PartialAggResult { groups })
 }
 
@@ -635,104 +544,44 @@ fn read_limits(r: &mut Reader<'_>) -> Result<Limits, Error> {
     })
 }
 
-fn datatype_tag(t: sqlengine::DataType) -> u8 {
-    match t {
-        sqlengine::DataType::BigInt => 0,
-        sqlengine::DataType::Double => 1,
-        sqlengine::DataType::Varchar => 2,
-    }
-}
-
-fn read_datatype(r: &mut Reader<'_>) -> Result<sqlengine::DataType, Error> {
-    Ok(match r.u8()? {
-        0 => sqlengine::DataType::BigInt,
-        1 => sqlengine::DataType::Double,
-        2 => sqlengine::DataType::Varchar,
-        _ => return Err(malformed("data type tag")),
-    })
-}
-
 fn put_catalog(buf: &mut Vec<u8>, cat: &SymbolicCatalog) {
     // Deterministic order keeps encodings reproducible (and testable).
-    let mut tables: Vec<(&str, &Schema)> = cat.tables().collect();
+    let mut tables: Vec<_> = cat.tables().collect();
     tables.sort_by_key(|(n, _)| n.to_string());
-    put_u32(buf, tables.len() as u32);
-    for (name, schema) in tables {
+    put_seq(buf, tables.into_iter(), |buf, (name, schema)| {
         put_str(buf, name);
-        put_u32(buf, schema.columns().len() as u32);
-        for c in schema.columns() {
-            put_str(buf, &c.name);
-            buf.push(datatype_tag(c.ty));
-        }
-        put_u32(buf, schema.primary_key().len() as u32);
-        for &i in schema.primary_key() {
-            put_u32(buf, i as u32);
-        }
-    }
+        put_schema(buf, schema);
+    });
 }
 
 fn read_catalog(r: &mut Reader<'_>) -> Result<SymbolicCatalog, Error> {
-    let ntables = r.u32()? as usize;
     let mut cat = SymbolicCatalog::new();
-    for _ in 0..ntables {
-        let name = r.str()?;
-        let ncols = r.u32()? as usize;
-        let mut cols = Vec::with_capacity(ncols.min(r.remaining()));
-        for _ in 0..ncols {
-            let cname = r.str()?;
-            let ty = read_datatype(r)?;
-            cols.push(Column::new(cname, ty));
-        }
-        let npk = r.u32()? as usize;
-        let mut pk_names = Vec::with_capacity(npk.min(r.remaining()));
-        for _ in 0..npk {
-            let idx = r.u32()? as usize;
-            let col = cols.get(idx).ok_or_else(|| malformed("pk index"))?;
-            pk_names.push(col.name.clone());
-        }
-        let pk_refs: Vec<&str> = pk_names.iter().map(String::as_str).collect();
-        let schema =
-            Schema::new(cols, &pk_refs).map_err(|_| malformed("schema in catalog snapshot"))?;
+    for (name, schema) in r.seq(|r| Ok((r.str()?, read_schema(r)?)))? {
         cat.insert(&name, schema);
     }
     Ok(cat)
 }
 
-fn kind_tag(k: Option<StatementKind>) -> u8 {
-    match k {
-        None => 0,
-        Some(StatementKind::CreateTable) => 1,
-        Some(StatementKind::DropTable) => 2,
-        Some(StatementKind::Insert) => 3,
-        Some(StatementKind::Update) => 4,
-        Some(StatementKind::Delete) => 5,
-        Some(StatementKind::Select) => 6,
-        Some(StatementKind::Explain) => 7,
-    }
-}
-
-fn read_kind(r: &mut Reader<'_>) -> Result<Option<StatementKind>, Error> {
-    Ok(match r.u8()? {
-        0 => None,
-        1 => Some(StatementKind::CreateTable),
-        2 => Some(StatementKind::DropTable),
-        3 => Some(StatementKind::Insert),
-        4 => Some(StatementKind::Update),
-        5 => Some(StatementKind::Delete),
-        6 => Some(StatementKind::Select),
-        7 => Some(StatementKind::Explain),
-        _ => return Err(malformed("statement kind tag")),
-    })
-}
+/// Statement kinds by wire tag. Stable numbers — append only.
+const KINDS: [Option<StatementKind>; 8] = [
+    None,
+    Some(StatementKind::CreateTable),
+    Some(StatementKind::DropTable),
+    Some(StatementKind::Insert),
+    Some(StatementKind::Update),
+    Some(StatementKind::Delete),
+    Some(StatementKind::Select),
+    Some(StatementKind::Explain),
+];
 
 fn put_metrics_entry(buf: &mut Vec<u8>, m: &ExecMetrics) {
-    buf.push(kind_tag(m.kind));
-    put_u32(buf, m.scans.len() as u32);
-    for s in &m.scans {
+    let tag = KINDS.iter().position(|k| *k == m.kind);
+    buf.push(tag.expect("every kind has a tag") as u8);
+    put_seq(buf, m.scans.iter(), |buf, s| {
         put_str(buf, &s.table);
         put_u64(buf, s.rows as u64);
         put_bool(buf, s.build);
-    }
+    });
     put_u64(buf, m.rows_produced as u64);
     put_u64(buf, m.rows_inserted as u64);
     put_u64(buf, m.rows_updated as u64);
@@ -747,16 +596,16 @@ fn put_metrics_entry(buf: &mut Vec<u8>, m: &ExecMetrics) {
 }
 
 fn read_metrics_entry(r: &mut Reader<'_>) -> Result<ExecMetrics, Error> {
-    let kind = read_kind(r)?;
-    let nscans = r.u32()? as usize;
-    let mut scans = Vec::with_capacity(nscans.min(r.remaining()));
-    for _ in 0..nscans {
-        scans.push(ScanMetric {
+    let kind = *KINDS
+        .get(r.u8()? as usize)
+        .ok_or_else(|| malformed("statement kind tag"))?;
+    let scans = r.seq(|r| {
+        Ok(ScanMetric {
             table: r.str()?,
             rows: read_usize(r)?,
-            build: read_bool(r)?,
-        });
-    }
+            build: r.bool()?,
+        })
+    })?;
     Ok(ExecMetrics {
         kind,
         scans,
@@ -806,10 +655,7 @@ impl Request {
             }
             Request::Prepare { statements } => {
                 buf.push(OP_PREPARE);
-                put_u32(&mut buf, statements.len() as u32);
-                for s in statements {
-                    put_str(&mut buf, s);
-                }
+                put_seq(&mut buf, statements.iter(), |buf, s| put_str(buf, s));
             }
             Request::ExecutePrepared { meta, id } => {
                 buf.push(OP_EXECUTE_PREPARED);
@@ -869,14 +715,9 @@ impl Request {
                 meta: read_meta(&mut r)?,
                 sql: r.str()?,
             },
-            OP_PREPARE => {
-                let n = r.u32()? as usize;
-                let mut statements = Vec::with_capacity(n.min(r.remaining()));
-                for _ in 0..n {
-                    statements.push(r.str()?);
-                }
-                Request::Prepare { statements }
-            }
+            OP_PREPARE => Request::Prepare {
+                statements: r.seq(|r| r.str())?,
+            },
             OP_EXECUTE_PREPARED => Request::ExecutePrepared {
                 meta: read_meta(&mut r)?,
                 id: r.u64()?,
@@ -890,9 +731,7 @@ impl Request {
             OP_TABLE_ROWS => Request::TableRows { table: r.str()? },
             OP_HAS_TABLE => Request::HasTable { table: r.str()? },
             OP_CATALOG_SNAPSHOT => Request::CatalogSnapshot,
-            OP_SET_METRICS => Request::SetMetrics {
-                on: read_bool(&mut r)?,
-            },
+            OP_SET_METRICS => Request::SetMetrics { on: r.bool()? },
             OP_METRICS_LEN => Request::MetricsLen,
             OP_METRICS_SINCE => Request::MetricsSince { from: r.u64()? },
             OP_NOTE_RETRY => Request::NoteRetry,
@@ -900,9 +739,7 @@ impl Request {
             OP_GOODBYE => Request::Goodbye,
             _ => return Err(malformed("request opcode")),
         };
-        if r.remaining() != 0 {
-            return Err(malformed("request (trailing bytes)"));
-        }
+        r.end()?;
         Ok(req)
     }
 }
@@ -947,10 +784,7 @@ impl Response {
             }
             Response::PreparedIds(ids) => {
                 buf.push(OP_PREPARED_IDS);
-                put_u32(&mut buf, ids.len() as u32);
-                for id in ids {
-                    put_u64(&mut buf, *id);
-                }
+                put_seq(&mut buf, ids.iter(), |buf, &id| put_u64(buf, id));
             }
             Response::PrepareErr { index, error } => {
                 buf.push(OP_PREPARE_ERR);
@@ -963,10 +797,7 @@ impl Response {
             }
             Response::Metrics(entries) => {
                 buf.push(OP_METRICS);
-                put_u32(&mut buf, entries.len() as u32);
-                for m in entries {
-                    put_metrics_entry(&mut buf, m);
-                }
+                put_seq(&mut buf, entries.iter(), put_metrics_entry);
             }
             Response::Partial(p) => {
                 buf.push(OP_PARTIAL);
@@ -990,38 +821,22 @@ impl Response {
                 resume_token: r.str()?,
             },
             OP_OK => Response::Ok,
-            OP_BOOL => Response::Bool(read_bool(&mut r)?),
+            OP_BOOL => Response::Bool(r.bool()?),
             OP_COUNT => Response::Count(r.u64()?),
             OP_ROWS => Response::Rows(read_query_result(&mut r)?),
             OP_ERR => Response::Err(read_error(&mut r)?),
-            OP_PREPARED_IDS => {
-                let n = r.u32()? as usize;
-                let mut ids = Vec::with_capacity(n.min(r.remaining()));
-                for _ in 0..n {
-                    ids.push(r.u64()?);
-                }
-                Response::PreparedIds(ids)
-            }
+            OP_PREPARED_IDS => Response::PreparedIds(r.seq(|r| r.u64())?),
             OP_PREPARE_ERR => Response::PrepareErr {
                 index: r.u64()?,
                 error: read_error(&mut r)?,
             },
             OP_CATALOG => Response::Catalog(read_catalog(&mut r)?),
-            OP_METRICS => {
-                let n = r.u32()? as usize;
-                let mut entries = Vec::with_capacity(n.min(r.remaining()));
-                for _ in 0..n {
-                    entries.push(read_metrics_entry(&mut r)?);
-                }
-                Response::Metrics(entries)
-            }
+            OP_METRICS => Response::Metrics(r.seq(read_metrics_entry)?),
             OP_PARTIAL => Response::Partial(read_partial_result(&mut r)?),
             OP_REPLAY_APPLIED => Response::ReplayApplied,
             _ => return Err(malformed("response opcode")),
         };
-        if r.remaining() != 0 {
-            return Err(malformed("response (trailing bytes)"));
-        }
+        r.end()?;
         Ok(resp)
     }
 }
@@ -1036,6 +851,7 @@ pub fn same_encoding(a: &Response, b: &Response) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sqlengine::{Column, Schema};
 
     fn roundtrip_req(req: Request) {
         let back = Request::decode(&req.encode()).unwrap();

@@ -51,16 +51,19 @@
 //! whose intent fsync made this outcome durable first).
 //!
 //! The log is size-bounded: once it outgrows its budget it is
-//! rewritten (tmp + rename + directory fsync, the snapshot protocol)
-//! as one `Open` + `Watermark` baseline per live session.
+//! rewritten ([`atomic_replace`], the snapshot protocol) as one `Open`
+//! + `Watermark` baseline per live session.
+//!
+//! The file itself is the storage layer's (docs/ROBUSTNESS.md "On-disk
+//! formats"): a torn tail is tolerated by the scan *and* physically cut
+//! at open, before the first new append. This module owns only the five
+//! records and the fold over them.
 
 use std::collections::{BTreeMap, HashMap};
-use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use sqlengine::storage::codec::{crc32, put_str, put_u64, Reader};
-use sqlengine::storage::snapshot::sync_dir;
+use sqlengine::storage::codec::{put_bool, put_record, put_str, put_u64, walk_records, Reader};
+use sqlengine::storage::logfile::{atomic_replace, read_or_empty, remove_stale_staging, LogFile};
 use sqlengine::{Error, Result, WalRecovery};
 
 use crate::proto::Response;
@@ -199,111 +202,83 @@ const TAG_OUTCOME: u8 = 0x03;
 const TAG_CLOSE: u8 = 0x04;
 const TAG_WATERMARK: u8 = 0x05;
 
-/// One decoded session-log record.
-#[derive(Debug, Clone, PartialEq)]
+/// What one session-log record says about its token. On disk every
+/// record is `tag, str token`, then the variant's fields.
+#[derive(Debug)]
 enum SessionRecord {
-    /// A session token came into existence, bound to a namespace.
-    Open { token: String, namespace: String },
-    /// About to execute the statement `seq` of session `token`; if it
-    /// mutates, it will consume WAL sequence number `engine_seq`.
-    Intent {
-        token: String,
-        seq: u64,
-        engine_seq: u64,
-    },
+    /// The token came into existence, bound to a namespace.
+    Open { namespace: String },
+    /// About to execute the token's statement `seq`; if it mutates, it
+    /// will consume WAL sequence number `engine_seq`.
+    Intent { seq: u64, engine_seq: u64 },
     /// Statement `seq` finished; `applied` = successfully executed and
     /// mutating.
-    Outcome {
-        token: String,
-        seq: u64,
-        applied: bool,
-    },
+    Outcome { seq: u64, applied: bool },
     /// Orderly goodbye: the token's dedup state can be dropped.
-    Close { token: String },
+    Close,
     /// Rewrite baseline: everything at or below `applied` applied
     /// effects; everything at or below `max_intent` has been seen.
     Watermark {
-        token: String,
         applied: u64,
         has_applied: bool,
         max_intent: u64,
     },
 }
 
-fn encode_session_record(rec: &SessionRecord) -> Vec<u8> {
-    let mut payload = Vec::new();
-    match rec {
-        SessionRecord::Open { token, namespace } => {
-            payload.push(TAG_OPEN);
-            put_str(&mut payload, token);
+/// Append `rec` about `token` to `out` as one checksummed record.
+fn put_session_record(out: &mut Vec<u8>, token: &str, rec: &SessionRecord) {
+    let mut payload = vec![0];
+    put_str(&mut payload, token);
+    payload[0] = match rec {
+        SessionRecord::Open { namespace } => {
             put_str(&mut payload, namespace);
+            TAG_OPEN
         }
-        SessionRecord::Intent {
-            token,
-            seq,
-            engine_seq,
-        } => {
-            payload.push(TAG_INTENT);
-            put_str(&mut payload, token);
+        SessionRecord::Intent { seq, engine_seq } => {
             put_u64(&mut payload, *seq);
             put_u64(&mut payload, *engine_seq);
+            TAG_INTENT
         }
-        SessionRecord::Outcome {
-            token,
-            seq,
-            applied,
-        } => {
-            payload.push(TAG_OUTCOME);
-            put_str(&mut payload, token);
+        SessionRecord::Outcome { seq, applied } => {
             put_u64(&mut payload, *seq);
-            payload.push(u8::from(*applied));
+            put_bool(&mut payload, *applied);
+            TAG_OUTCOME
         }
-        SessionRecord::Close { token } => {
-            payload.push(TAG_CLOSE);
-            put_str(&mut payload, token);
-        }
+        SessionRecord::Close => TAG_CLOSE,
         SessionRecord::Watermark {
-            token,
             applied,
             has_applied,
             max_intent,
         } => {
-            payload.push(TAG_WATERMARK);
-            put_str(&mut payload, token);
             put_u64(&mut payload, *applied);
-            payload.push(u8::from(*has_applied));
+            put_bool(&mut payload, *has_applied);
             put_u64(&mut payload, *max_intent);
+            TAG_WATERMARK
         }
-    }
-    let mut out = Vec::with_capacity(8 + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+    };
+    put_record(out, &payload);
 }
 
-fn decode_session_payload(payload: &[u8]) -> Result<SessionRecord> {
+fn decode_session_payload(payload: &[u8]) -> Result<(String, SessionRecord)> {
     let mut r = Reader::new(payload, "session record");
-    let rec = match r.u8()? {
+    let tag = r.u8()?;
+    let token = r.str()?;
+    let rec = match tag {
         TAG_OPEN => SessionRecord::Open {
-            token: r.str()?,
             namespace: r.str()?,
         },
         TAG_INTENT => SessionRecord::Intent {
-            token: r.str()?,
             seq: r.u64()?,
             engine_seq: r.u64()?,
         },
         TAG_OUTCOME => SessionRecord::Outcome {
-            token: r.str()?,
             seq: r.u64()?,
-            applied: r.u8()? != 0,
+            applied: r.bool()?,
         },
-        TAG_CLOSE => SessionRecord::Close { token: r.str()? },
+        TAG_CLOSE => SessionRecord::Close,
         TAG_WATERMARK => SessionRecord::Watermark {
-            token: r.str()?,
             applied: r.u64()?,
-            has_applied: r.u8()? != 0,
+            has_applied: r.bool()?,
             max_intent: r.u64()?,
         },
         tag => {
@@ -312,10 +287,8 @@ fn decode_session_payload(payload: &[u8]) -> Result<SessionRecord> {
             )))
         }
     };
-    if r.remaining() != 0 {
-        return Err(Error::corruption("session record: trailing bytes"));
-    }
-    Ok(rec)
+    r.end()?;
+    Ok((token, rec))
 }
 
 /// What one recovered session knew before the crash, prior to WAL
@@ -346,9 +319,8 @@ pub struct RecoveredSession {
 /// fates. See the module docs for the append/fsync protocol.
 #[derive(Debug)]
 pub struct SessionLog {
-    file: fs::File,
+    log: LogFile,
     dir: PathBuf,
-    len: u64,
 }
 
 /// Path of the session log inside a database directory.
@@ -356,91 +328,55 @@ pub fn session_log_path(dir: &Path) -> PathBuf {
     dir.join(SESSION_LOG_FILE)
 }
 
-/// Scan a session-log byte image into per-token raw state. Torn tails
-/// are tolerated (only unacknowledged suffixes can be torn — every
+/// Fold a session-log byte image into per-token raw state, the highest
+/// server-issued token ordinal and the length of the valid prefix. Torn
+/// tails are tolerated (only unacknowledged suffixes can be torn — every
 /// judgement-relevant record was fsynced or flushed by a later fsync);
 /// checksum mismatches before the tail are corruption.
-fn scan_session_log(bytes: &[u8]) -> Result<(HashMap<String, RawSession>, u64)> {
+fn scan_session_log(bytes: &[u8]) -> Result<(HashMap<String, RawSession>, u64, usize)> {
     let mut sessions: HashMap<String, RawSession> = HashMap::new();
     let mut max_token_id = 0u64;
-    if bytes.len() < SESSION_LOG_MAGIC.len() {
-        return Ok((sessions, max_token_id));
-    }
-    if &bytes[..SESSION_LOG_MAGIC.len()] != SESSION_LOG_MAGIC {
-        return Err(Error::corruption("session log: bad magic"));
-    }
-    let mut pos = SESSION_LOG_MAGIC.len();
-    while pos < bytes.len() {
-        let remaining = bytes.len() - pos;
-        if remaining < 8 {
-            break; // torn header
-        }
-        let len = u32::from_le_bytes([bytes[pos], bytes[pos + 1], bytes[pos + 2], bytes[pos + 3]])
-            as usize;
-        let stored_crc = u32::from_le_bytes([
-            bytes[pos + 4],
-            bytes[pos + 5],
-            bytes[pos + 6],
-            bytes[pos + 7],
-        ]);
-        if remaining - 8 < len {
-            break; // torn payload
-        }
-        let payload = &bytes[pos + 8..pos + 8 + len];
-        if crc32(payload) != stored_crc {
-            return Err(Error::corruption(format!(
-                "session log: checksum mismatch at byte {pos}"
-            )));
-        }
-        let record = decode_session_payload(payload)?;
-        pos += 8 + len;
-        match record {
-            SessionRecord::Open { token, namespace } => {
+    let valid_len = walk_records(bytes, SESSION_LOG_MAGIC, "session log", |payload, _| {
+        let (token, rec) = decode_session_payload(payload)?;
+        match rec {
+            SessionRecord::Open { namespace } => {
                 if let Some(id) = token_ordinal(&token) {
                     max_token_id = max_token_id.max(id);
                 }
                 sessions.entry(token).or_default().namespace = namespace;
             }
-            SessionRecord::Intent {
-                token,
-                seq,
-                engine_seq,
-            } => {
+            SessionRecord::Intent { seq, engine_seq } => {
                 let s = sessions.entry(token).or_default();
                 // A fresh intent supersedes any stale outcome a prior
                 // incarnation of this seq left behind.
                 s.unresolved.insert(seq, engine_seq);
-                s.max_intent = Some(s.max_intent.map_or(seq, |m| m.max(seq)));
+                s.max_intent = s.max_intent.max(Some(seq));
             }
-            SessionRecord::Outcome {
-                token,
-                seq,
-                applied,
-            } => {
+            SessionRecord::Outcome { seq, applied } => {
                 let s = sessions.entry(token).or_default();
                 s.unresolved.remove(&seq);
                 if applied {
-                    s.applied = Some(s.applied.map_or(seq, |a| a.max(seq)));
+                    s.applied = s.applied.max(Some(seq));
                 }
             }
-            SessionRecord::Close { token } => {
+            SessionRecord::Close => {
                 sessions.remove(&token);
             }
             SessionRecord::Watermark {
-                token,
                 applied,
                 has_applied,
                 max_intent,
             } => {
                 let s = sessions.entry(token).or_default();
                 if has_applied {
-                    s.applied = Some(s.applied.map_or(applied, |a| a.max(applied)));
+                    s.applied = s.applied.max(Some(applied));
                 }
-                s.max_intent = Some(s.max_intent.map_or(max_intent, |m| m.max(max_intent)));
+                s.max_intent = s.max_intent.max(Some(max_intent));
             }
         }
-    }
-    Ok((sessions, max_token_id))
+        Ok(())
+    })?;
+    Ok((sessions, max_token_id, valid_len))
 }
 
 /// Parse the numeric ordinal out of a server-issued `t<N>` token.
@@ -480,19 +416,15 @@ impl SessionLog {
         dir: &Path,
         wal: &WalRecovery,
     ) -> Result<(SessionLog, HashMap<String, RecoveredSession>, u64)> {
+        remove_stale_staging(dir, SESSION_LOG_FILE)?;
         let path = session_log_path(dir);
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(Error::io("read session log", e)),
-        };
-        let (raw, max_token_id) = scan_session_log(&bytes)?;
+        let (raw, max_token_id, valid_len) = scan_session_log(&read_or_empty(&path)?)?;
         let mut recovered = HashMap::with_capacity(raw.len());
         for (token, s) in raw {
             let mut applied = s.applied;
             for (&seq, &engine_seq) in &s.unresolved {
                 if intent_applied(engine_seq, wal) {
-                    applied = Some(applied.map_or(seq, |a| a.max(seq)));
+                    applied = applied.max(Some(seq));
                 }
             }
             recovered.insert(
@@ -504,56 +436,25 @@ impl SessionLog {
                 },
             );
         }
-        // Fresh file (or recreate after reading): append from the end.
-        let exists = !bytes.is_empty();
-        let mut file = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .map_err(|e| Error::io("open session log", e))?;
-        let mut len = bytes.len() as u64;
-        if !exists {
-            file.write_all(SESSION_LOG_MAGIC)
-                .map_err(|e| Error::io("write session log magic", e))?;
-            file.sync_all()
-                .map_err(|e| Error::io("sync session log", e))?;
-            sync_dir(dir)?;
-            len = SESSION_LOG_MAGIC.len() as u64;
-        }
-        Ok((
-            SessionLog {
-                file,
-                dir: dir.to_path_buf(),
-                len,
-            },
-            recovered,
-            max_token_id,
-        ))
+        let log = LogFile::open(&path, SESSION_LOG_MAGIC, valid_len as u64)?;
+        let dir = dir.to_path_buf();
+        Ok((SessionLog { log, dir }, recovered, max_token_id))
     }
 
-    fn append(&mut self, rec: &SessionRecord, fsync: bool) -> Result<()> {
-        let bytes = encode_session_record(rec);
-        self.file
-            .write_all(&bytes)
-            .map_err(|e| Error::io("append session log", e))?;
-        self.len += bytes.len() as u64;
+    fn append(&mut self, token: &str, rec: &SessionRecord, fsync: bool) -> Result<()> {
+        let mut bytes = Vec::new();
+        put_session_record(&mut bytes, token, rec);
+        self.log.append(&bytes)?;
         if fsync {
-            self.file
-                .sync_all()
-                .map_err(|e| Error::io("sync session log", e))?;
+            self.log.sync()?;
         }
         Ok(())
     }
 
     /// Record (durably) that `token` exists and owns `namespace`.
     pub fn open_token(&mut self, token: &str, namespace: &str) -> Result<()> {
-        self.append(
-            &SessionRecord::Open {
-                token: token.into(),
-                namespace: namespace.into(),
-            },
-            true,
-        )
+        let namespace = namespace.into();
+        self.append(token, &SessionRecord::Open { namespace }, true)
     }
 
     /// Record (durably, *before* execution) that statement `seq` of
@@ -561,14 +462,7 @@ impl SessionLog {
     /// This fsync also flushes every outcome appended before it — the
     /// property the recovery judgement leans on.
     pub fn intent(&mut self, token: &str, seq: u64, engine_seq: u64) -> Result<()> {
-        self.append(
-            &SessionRecord::Intent {
-                token: token.into(),
-                seq,
-                engine_seq,
-            },
-            true,
-        )
+        self.append(token, &SessionRecord::Intent { seq, engine_seq }, true)
     }
 
     /// Record that statement `seq` finished. Fsynced only when the
@@ -576,77 +470,50 @@ impl SessionLog {
     /// can later be erased by compaction, so its failure must outlive
     /// the evidence; success is provable from the WAL itself.
     pub fn outcome(&mut self, token: &str, seq: u64, applied: bool, fsync_now: bool) -> Result<()> {
-        self.append(
-            &SessionRecord::Outcome {
-                token: token.into(),
-                seq,
-                applied,
-            },
-            fsync_now,
-        )
+        self.append(token, &SessionRecord::Outcome { seq, applied }, fsync_now)
     }
 
     /// Record an orderly goodbye: the token's state is gone.
     pub fn close_token(&mut self, token: &str) -> Result<()> {
-        self.append(
-            &SessionRecord::Close {
-                token: token.into(),
-            },
-            true,
-        )
+        self.append(token, &SessionRecord::Close, true)
     }
 
     /// Current log length in bytes (tests / rewrite trigger).
     pub fn len(&self) -> u64 {
-        self.len
+        self.log.len()
     }
 
     /// True when the log holds no records.
     pub fn is_empty(&self) -> bool {
-        self.len <= SESSION_LOG_MAGIC.len() as u64
+        self.log.is_empty()
     }
 
     /// Does the log want a rewrite? Checked by the server between
     /// statements; the rewrite itself needs the live session baselines.
     pub fn wants_rewrite(&self) -> bool {
-        self.len > SESSION_LOG_MAX_BYTES
+        self.len() > SESSION_LOG_MAX_BYTES
     }
 
     /// Rewrite the log as one `Open` + `Watermark` baseline per live
-    /// session (crash-safe: staged to a tmp file, fsynced, renamed over
-    /// the old log, directory fsynced). Callers pass the authoritative
-    /// in-memory state; every prior intent has its outcome by the time
-    /// this runs (rewrites happen between statements, under the same
-    /// lock the append path holds).
+    /// session (crash-safe: [`atomic_replace`]). Callers pass the
+    /// authoritative in-memory state; every prior intent has its outcome
+    /// by the time this runs (rewrites happen between statements, under
+    /// the same lock the append path holds).
     pub fn rewrite(&mut self, live: &[(String, String, Option<u64>, u64)]) -> Result<()> {
-        let tmp = self.dir.join("sessions.log.tmp");
         let mut buf = SESSION_LOG_MAGIC.to_vec();
         for (token, namespace, applied, expected) in live {
-            buf.extend_from_slice(&encode_session_record(&SessionRecord::Open {
-                token: token.clone(),
-                namespace: namespace.clone(),
-            }));
-            buf.extend_from_slice(&encode_session_record(&SessionRecord::Watermark {
-                token: token.clone(),
+            let namespace = namespace.clone();
+            put_session_record(&mut buf, token, &SessionRecord::Open { namespace });
+            let baseline = SessionRecord::Watermark {
                 applied: applied.unwrap_or(0),
                 has_applied: applied.is_some(),
                 max_intent: expected.saturating_sub(1),
-            }));
+            };
+            put_session_record(&mut buf, token, &baseline);
         }
-        let mut f = fs::File::create(&tmp).map_err(|e| Error::io("create session log tmp", e))?;
-        f.write_all(&buf)
-            .map_err(|e| Error::io("write session log tmp", e))?;
-        f.sync_all()
-            .map_err(|e| Error::io("sync session log tmp", e))?;
-        drop(f);
-        fs::rename(&tmp, session_log_path(&self.dir))
-            .map_err(|e| Error::io("rename session log", e))?;
-        sync_dir(&self.dir)?;
-        self.file = fs::OpenOptions::new()
-            .append(true)
-            .open(session_log_path(&self.dir))
-            .map_err(|e| Error::io("reopen session log", e))?;
-        self.len = buf.len() as u64;
+        atomic_replace(&self.dir, SESSION_LOG_FILE, &buf)?;
+        let path = session_log_path(&self.dir);
+        self.log = LogFile::open(&path, SESSION_LOG_MAGIC, buf.len() as u64)?;
         Ok(())
     }
 }
@@ -655,6 +522,7 @@ impl SessionLog {
 mod tests {
     use super::*;
     use sqlengine::QueryResult;
+    use std::fs;
 
     fn ok_reply() -> Response {
         Response::Rows(QueryResult::affected(1))
@@ -834,6 +702,46 @@ mod tests {
         let (_log, recovered, max_id) = SessionLog::open(&dir, &none).unwrap();
         assert!(!recovered.contains_key("t1"));
         assert!(recovered.contains_key("t2"));
+        assert_eq!(max_id, 2);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn torn_tail_is_cut_before_the_next_append() {
+        use std::io::Write as _;
+        let dir = tempdir("torncut");
+        let none = WalRecovery::default();
+        {
+            let (mut log, _, _) = SessionLog::open(&dir, &none).unwrap();
+            log.open_token("t1", "a_").unwrap();
+        }
+        // A crash mid-append: a header and part of a payload.
+        let path = session_log_path(&dir);
+        let intact = fs::read(&path).unwrap().len();
+        fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap()
+            .write_all(&[5, 0, 0, 0, 1, 2])
+            .unwrap();
+        // A stale rewrite staging file goes the way of snapshot staging.
+        fs::write(dir.join("sessions.log.tmp"), b"torn rewrite").unwrap();
+        {
+            // First restart: the tail is tolerated *and* removed, so these
+            // acknowledged records do not land behind garbage.
+            let (mut log, recovered, _) = SessionLog::open(&dir, &none).unwrap();
+            assert!(recovered.contains_key("t1"));
+            assert_eq!(log.len() as usize, intact);
+            assert!(!dir.join("sessions.log.tmp").exists());
+            log.open_token("t2", "b_").unwrap();
+            log.intent("t2", 0, 7).unwrap();
+            log.outcome("t2", 0, true, true).unwrap();
+        }
+        // Second restart: everything acknowledged is still readable.
+        let (_log, recovered, max_id) = SessionLog::open(&dir, &none).unwrap();
+        assert_eq!(recovered["t1"].namespace, "a_");
+        assert_eq!(recovered["t2"].namespace, "b_");
+        assert_eq!(recovered["t2"].applied, Some(0));
         assert_eq!(max_id, 2);
         fs::remove_dir_all(&dir).ok();
     }
