@@ -36,7 +36,10 @@ Stages, in order:
   doc           cargo doc --workspace --no-deps, rustdoc warnings are
                 errors
   build         cargo build --release
-  conformance   cost-model conformance + golden-SQL snapshots + differential
+  conformance   cost-model conformance + golden-SQL snapshots + differential,
+                then examples/bit_dump: every result bit of a short run of
+                each strategy must be the same embedded, with workers = 2
+                and through a 2-shard coordinator
   plancheck     static analyzer gate: the symbolic per-iteration scan
                 derivation must equal engine ExecMetrics exactly on the
                 cost-model grid for all three strategies, and every
@@ -184,6 +187,7 @@ cargo build --release --workspace
 
 echo "== conformance: cost-model + golden-SQL snapshots"
 cargo test -q --test cost_model --test snapshots --test differential
+cargo run -q --release --example bit_dump > /dev/null
 
 echo "== plancheck: static == dynamic scan counts + negative corpus"
 cargo test -q --test plancheck

@@ -5,22 +5,55 @@
 //! across cluster shards tomorrow. Naive `f64` accumulation cannot: it
 //! rounds after every addition, so the result depends on addition order.
 //!
-//! [`ExactSum`] keeps the running sum as a *nonoverlapping expansion* —
-//! a list of `f64` components whose bit ranges do not overlap and whose
-//! mathematical sum is the exact (error-free) sum of everything added so
-//! far (Shewchuk, *Adaptive Precision Floating-Point Arithmetic*, 1997).
-//! Adding a value or merging another accumulator is exact; only
-//! [`ExactSum::finalize`] rounds, once, to the nearest `f64`. The result
-//! is therefore the correctly-rounded sum of the multiset of inputs —
-//! independent of insertion order, partitioning, and merge shape.
+//! [`ExactSum`] keeps the running sum *exactly* and rounds once, in
+//! [`ExactSum::finalize`], to the nearest `f64` (ties to even). The
+//! result is therefore the correctly-rounded sum of the multiset of
+//! inputs — independent of insertion order, partitioning, and merge
+//! shape. The exact state has two tiers, and an accumulator picks by the
+//! one thing it can observe, how many components its own sum needs:
+//!
+//! * **Short sums: an inline expansion.** Up to `INLINE_COMPS` = 4 `f64`
+//!   components whose mathematical sum is the exact sum so far
+//!   (Shewchuk's grow-expansion, *Adaptive Precision Floating-Point
+//!   Arithmetic*, 1997). Same-scale inputs — every EM statistic, every
+//!   short `GROUP BY rid` sum — stay within two or three components, so
+//!   an accumulator is 48 bytes and a group table of n·k of them
+//!   allocates nothing per accumulator.
+//! * **Long sums: a fixed-point superaccumulator.** An `add` to an
+//!   expansion threads every component, and the component count grows
+//!   with the *magnitude spread* of the inputs: the M step's
+//!   responsibilities span 1e-310 … 1 (§2.5: they underflow), which is
+//!   45–60 components per add. The first add that needs a fifth
+//!   component moves the sum into a boxed `Wide`: the 70 × 32-bit limb
+//!   array that covers every finite `f64` bit position, where an add
+//!   decodes mantissa and exponent and touches three limbs whatever the
+//!   spread. A wide state stays wide.
+//!
+//! Both tiers hold the same mathematical value and round through the
+//! same function (`Wide::round`: an expansion is loaded into limbs
+//! first), so which tier a sum happened to be in never reaches a result
+//! bit — a wide partial merged into an inline one, a sum split 1–4 ways,
+//! and the expansion-only accumulator of earlier builds all finalize to
+//! the same double.
+//!
+//! **Carry bound.** Limbs are `i64`s holding 32 value bits. One add
+//! moves each of three limbs by less than 2^32, so a limb that starts
+//! carry-propagated (in `[0, 2^32)`) is below `(m + 1) · 2^32` in
+//! magnitude after m adds and stays inside `i64` for 2^31 − 1 of them.
+//! `Wide` counts adds since the last propagation and propagates when
+//! the count reaches `CARRY_PERIOD` = 2^30, so a state at rest has
+//! seen fewer than 2^30; merging two wide states adds limb by limb and
+//! adds the counts (plus one), which stays below 2^31.
 //!
 //! Non-finite inputs are tracked as flags (IEEE semantics: any NaN, or
 //! both `+∞` and `-∞`, poison the sum to NaN; a single infinity sign
-//! wins). Finite inputs never saturate early: a pair whose rounded sum
-//! would overflow is simply kept as two components (the expansion loses
-//! its nonoverlapping shape, which the fixed-point finalize does not
-//! need), so ±∞ appears only when the *final* exact sum rounds outside
-//! the `f64` range — exactly the IEEE single-rounding answer.
+//! wins). Finite inputs never saturate early: an inline pair whose
+//! rounded sum would overflow is simply kept as two components, and the
+//! limb array reaches well past 2^1024, so ±∞ appears only when the
+//! *final* exact sum rounds outside the `f64` range — exactly the IEEE
+//! single-rounding answer.
+
+use std::borrow::Cow;
 
 /// Error-free transformation: returns `(s, e)` with `s = fl(a + b)` and
 /// `a + b = s + e` exactly (Knuth two-sum; branch-free, no magnitude
@@ -35,43 +68,257 @@ fn two_sum(a: f64, b: f64) -> (f64, f64) {
     (s, ar + br)
 }
 
-/// Expansion components kept inside the accumulator before it spills to
-/// the heap. Sums of same-scale values (every EM statistic) stay within
-/// two or three components, so a GROUP BY table of accumulators is one
-/// allocation per group instead of one more per accumulator.
+/// Expansion components kept inside the accumulator; a sum that needs
+/// one more moves to the wide tier. Sums of same-scale values (every EM
+/// statistic) stay within two or three components, so a GROUP BY table
+/// of accumulators is one allocation per group instead of one more per
+/// accumulator.
 const INLINE_COMPS: usize = 4;
 
-/// The expansion: inline up to [`INLINE_COMPS`] components, on the heap
-/// (all of them, so the list stays one slice) once it outgrows that.
+/// Bit position (from the fixed-point LSB) of `2^-1074`, the smallest
+/// positive f64. `LIMB_LSB_EXP + FLOOR_BIT = -1074`.
+const FLOOR_BIT: i32 = 14;
+/// Exponent of the fixed-point accumulator's least significant bit.
+/// A multiple of 32 below -1074 so subnormal mantissas land on limb
+/// boundaries cleanly.
+const LIMB_LSB_EXP: i32 = -1088;
+/// 32 value bits per signed 64-bit limb: headroom for 2^31 − 1 adds
+/// before propagation could overflow.
+const LIMB_BITS: i32 = 32;
+/// Limb count. An input's 53-bit mantissa reaches limb 66 at most;
+/// `70 * 32 = 2240` bits put the top limb at `2^1120`, which a sum of
+/// finite doubles reaches only after 2^96 of them — it holds the sign.
+const NLIMBS: usize = 70;
+/// The limb whose least significant bit is `2^1024`: what sits here and
+/// above is outside the `f64` range.
+const OVER_LIMB: usize = ((1024 - LIMB_LSB_EXP) / LIMB_BITS) as usize;
+/// Adds a [`Wide`] absorbs between carry propagations (see the module
+/// docs: the hard bound is 2^31 − 1).
+const CARRY_PERIOD: u32 = 1 << 30;
+
+/// The fixed-point superaccumulator: value = `Σ limbs[i] · 2^(32·i − 1088)`,
+/// limbs signed and — between propagations — not confined to 32 bits.
+#[derive(Debug, Clone)]
+struct Wide {
+    limbs: [i64; NLIMBS],
+    /// Adds since the limbs were last carry-propagated: every limb below
+    /// the top one is smaller than `(pending + 1) · 2^32` in magnitude.
+    pending: u32,
+}
+
+impl Wide {
+    fn zero() -> Wide {
+        Wide {
+            limbs: [0; NLIMBS],
+            pending: 0,
+        }
+    }
+
+    /// The exact sum of finite `comps`.
+    fn load(comps: &[f64]) -> Wide {
+        let mut w = Wide::zero();
+        for &c in comps {
+            w.add(c);
+        }
+        w
+    }
+
+    /// Add one finite value exactly.
+    #[inline]
+    fn add(&mut self, x: f64) {
+        self.add_times(x, 1);
+    }
+
+    /// Add finite `x`, `times` (≤ [`CARRY_PERIOD`]) times over, exactly.
+    /// `add` is the `times = 1` instance; tests reach the carry bound
+    /// through larger ones.
+    #[inline(always)]
+    fn add_times(&mut self, x: f64, times: u32) {
+        debug_assert!(x.is_finite() && times <= CARRY_PERIOD);
+        let bits = x.to_bits();
+        let sign: i64 = if bits >> 63 == 1 { -1 } else { 1 };
+        let biased = ((bits >> 52) & 0x7ff) as i32;
+        let frac = bits & ((1u64 << 52) - 1);
+        // Subnormal: frac · 2^-1074. Normal: (2^52 + frac) · 2^(biased − 1075).
+        let (mant, exp_lsb) = if biased == 0 {
+            (frac, -1074)
+        } else {
+            ((1u64 << 52) | frac, biased - 1075)
+        };
+        let pos = exp_lsb - LIMB_LSB_EXP;
+        debug_assert!(pos >= FLOOR_BIT);
+        let shift = (pos % LIMB_BITS) as u32;
+        // mant (53 bits) << shift (≤ 31) spans ≤ 84 bits: three limbs,
+        // the low two from the 64 bits the shift keeps, the third from
+        // the ≤ 20 it pushes out.
+        let low = mant << shift;
+        let high = (mant >> LIMB_BITS) >> (LIMB_BITS as u32 - shift);
+        let scale = sign * times as i64;
+        let at = (pos / LIMB_BITS) as usize;
+        let limbs = &mut self.limbs[at..at + 3];
+        limbs[0] += scale * (low & 0xffff_ffff) as i64;
+        limbs[1] += scale * (low >> LIMB_BITS) as i64;
+        limbs[2] += scale * high as i64;
+        self.absorbed(times);
+    }
+
+    /// Count `n` more adds; propagate carries once a period's worth has
+    /// gone in, so the count at rest stays below [`CARRY_PERIOD`].
+    #[inline]
+    fn absorbed(&mut self, n: u32) {
+        self.pending += n;
+        if self.pending >= CARRY_PERIOD {
+            self.propagate();
+        }
+    }
+
+    /// Absorb another wide sum exactly: a limb-wise add.
+    fn merge(&mut self, other: &Wide) {
+        for (l, o) in self.limbs.iter_mut().zip(&other.limbs) {
+            *l += o;
+        }
+        // The two bounds add up: (p₁ + 1) + (p₂ + 1) = (p₁ + p₂ + 1) + 1.
+        self.absorbed(other.pending + 1);
+    }
+
+    /// Carry upward so every limb below the top one holds a value in
+    /// `[0, 2^32)` (Euclidean remainder keeps them nonnegative even when
+    /// mixed-sign accumulation drove some negative); the top limb keeps
+    /// the sign.
+    fn propagate(&mut self) {
+        let base = 1i64 << LIMB_BITS;
+        for i in 0..NLIMBS - 1 {
+            let r = self.limbs[i].rem_euclid(base);
+            let carry = (self.limbs[i] - r) >> LIMB_BITS;
+            self.limbs[i] = r;
+            self.limbs[i + 1] += carry;
+        }
+        self.pending = 0;
+    }
+
+    /// The value as a sign and magnitude limbs, every one in
+    /// `[0, 2^32)`: the one canonical form of a sum, whatever sequence of
+    /// adds and merges built it.
+    fn sign_magnitude(&self) -> (bool, [i64; NLIMBS]) {
+        let mut w = self.clone();
+        w.propagate();
+        let neg = w.limbs[NLIMBS - 1] < 0;
+        if neg {
+            for l in w.limbs.iter_mut() {
+                *l = -*l;
+            }
+            w.propagate();
+        }
+        (neg, w.limbs)
+    }
+
+    /// The value as finite doubles, for transport: one per non-zero
+    /// magnitude limb below `2^1024`, in increasing magnitude, then —
+    /// a partial sum may sit outside the `f64` range until it cancels —
+    /// the part at or above `2^1024` as that many pairs of `±2^1023`.
+    /// A function of the value alone, so a decoded list re-encodes to
+    /// the same bytes.
+    fn to_comps(&self) -> Vec<f64> {
+        let (neg, mag) = self.sign_magnitude();
+        let mut comps = Vec::new();
+        for (i, &limb) in mag[..OVER_LIMB].iter().enumerate() {
+            if limb != 0 {
+                // Limb 0 starts FLOOR_BIT bits below 2^-1074; no input
+                // has bits there.
+                comps.push(match i {
+                    0 => compose(neg, (limb >> FLOOR_BIT) as u64, -1074),
+                    _ => compose(neg, limb as u64, i as i32 * LIMB_BITS + LIMB_LSB_EXP),
+                });
+            }
+        }
+        let over = mag[OVER_LIMB..]
+            .iter()
+            .rev()
+            .fold(0u128, |acc, &limb| (acc << LIMB_BITS) | limb as u128);
+        let half = compose(neg, 1, 1023);
+        for _ in 0..2 * over {
+            comps.push(half);
+        }
+        comps
+    }
+
+    /// Round the exact value to nearest-even `f64`.
+    fn round(&self) -> f64 {
+        let (neg, limbs) = self.sign_magnitude();
+
+        // Highest set bit.
+        let mut high: Option<i32> = None;
+        for i in (0..NLIMBS).rev() {
+            if limbs[i] != 0 {
+                let top = 63 - (limbs[i] as u64).leading_zeros() as i32;
+                high = Some(i as i32 * LIMB_BITS + top);
+                break;
+            }
+        }
+        let Some(h) = high else {
+            return 0.0;
+        };
+
+        let bit = |pos: i32| -> u64 {
+            if pos < 0 {
+                return 0;
+            }
+            ((limbs[(pos / LIMB_BITS) as usize] >> (pos % LIMB_BITS)) & 1) as u64
+        };
+
+        // Keep 53 significant bits, clamped so the result LSB never drops
+        // below 2^-1074 (bits below FLOOR_BIT cannot exist: every input has
+        // exponent ≥ -1074, so a clamped extraction is exact).
+        let lsb_pos = (h - 52).max(FLOOR_BIT);
+        let mut mant: u64 = 0;
+        for pos in (lsb_pos..=h).rev() {
+            mant = (mant << 1) | bit(pos);
+        }
+        let guard = bit(lsb_pos - 1) == 1;
+        let sticky = {
+            let mut any = false;
+            let whole = ((lsb_pos - 1).max(0) / LIMB_BITS) as usize;
+            for (i, &l) in limbs.iter().enumerate().take(whole + 1) {
+                let limb_base = i as i32 * LIMB_BITS;
+                let mask_top = (lsb_pos - 1 - limb_base).min(LIMB_BITS);
+                if mask_top <= 0 {
+                    break;
+                }
+                let mask = if mask_top >= LIMB_BITS {
+                    -1i64 as u64
+                } else {
+                    (1u64 << mask_top) - 1
+                };
+                if (l as u64) & mask != 0 {
+                    any = true;
+                    break;
+                }
+            }
+            any
+        };
+        let mut e_lsb = lsb_pos + LIMB_LSB_EXP;
+        if guard && (sticky || mant & 1 == 1) {
+            mant += 1;
+            if mant == 1 << 53 {
+                mant >>= 1;
+                e_lsb += 1;
+            }
+        }
+        compose(neg, mant, e_lsb)
+    }
+}
+
+/// The exact state: an expansion of up to [`INLINE_COMPS`] components,
+/// or the superaccumulator once a sum has needed more.
 #[derive(Debug, Clone)]
 enum Comps {
     Inline { buf: [f64; INLINE_COMPS], len: u8 },
-    Heap(Vec<f64>),
+    Wide(Box<Wide>),
 }
 
 impl Comps {
-    fn as_slice(&self) -> &[f64] {
-        match self {
-            Comps::Inline { buf, len } => &buf[..*len as usize],
-            Comps::Heap(v) => v,
-        }
-    }
-
-    fn as_mut_slice(&mut self) -> &mut [f64] {
-        match self {
-            Comps::Inline { buf, len } => &mut buf[..*len as usize],
-            Comps::Heap(v) => v,
-        }
-    }
-
-    /// Keep the first `n` components (`n` ≤ current length).
-    fn truncate(&mut self, n: usize) {
-        match self {
-            Comps::Inline { len, .. } => *len = n as u8,
-            Comps::Heap(v) => v.truncate(n),
-        }
-    }
-
+    /// Append a finite component as it is; the one that does not fit
+    /// takes the sum to the wide tier.
     fn push(&mut self, x: f64) {
         match self {
             Comps::Inline { buf, len } if (*len as usize) < INLINE_COMPS => {
@@ -79,12 +326,19 @@ impl Comps {
                 *len += 1;
             }
             Comps::Inline { buf, .. } => {
-                let mut v = Vec::with_capacity(2 * INLINE_COMPS);
-                v.extend_from_slice(buf);
-                v.push(x);
-                *self = Comps::Heap(v);
+                let mut w = Box::new(Wide::load(buf));
+                w.add(x);
+                *self = Comps::Wide(w);
             }
-            Comps::Heap(v) => v.push(x),
+            Comps::Wide(w) => w.add(x),
+        }
+    }
+
+    /// The exact value in limbs, whichever tier holds it.
+    fn to_wide(&self) -> Wide {
+        match self {
+            Comps::Inline { buf, len } => Wide::load(&buf[..*len as usize]),
+            Comps::Wide(w) => (**w).clone(),
         }
     }
 }
@@ -104,14 +358,11 @@ impl Default for Comps {
 /// `finalize` to get the unique correctly-rounded `f64` sum.
 #[derive(Debug, Clone, Default)]
 pub struct ExactSum {
-    /// Expansion components (finite; nonzero unless they arrived through
-    /// [`ExactSum::from_parts`]) whose mathematical sum is the exact sum
-    /// of all finite inputs so far. Normally
-    /// nonoverlapping and in increasing magnitude order; pairs whose
-    /// rounded sum would overflow stay uncombined (still exact), so the
-    /// list can temporarily exceed the nonoverlapping bound when the
-    /// running sum hovers beyond ±2^1024 — unreachable for any sane
-    /// aggregate input.
+    /// The exact sum of all finite inputs so far. Inline components are
+    /// finite; nonzero, nonoverlapping and in increasing magnitude order
+    /// unless they arrived through [`ExactSum::from_parts`] (any list of
+    /// finite values is an exact state) or are a pair whose rounded sum
+    /// would overflow, kept uncombined.
     comps: Comps,
     /// A NaN was added (or `+∞` and `-∞` cancelled).
     has_nan: bool,
@@ -121,11 +372,12 @@ pub struct ExactSum {
     neg_inf: bool,
 }
 
-/// Equal states: the same component list (wherever it is stored) and the
-/// same flags.
+/// Equal states: the same exact value (whichever tier, whatever
+/// component list holds it) and the same flags.
 impl PartialEq for ExactSum {
     fn eq(&self, other: &Self) -> bool {
-        self.to_parts() == other.to_parts()
+        (self.has_nan, self.pos_inf, self.neg_inf) == (other.has_nan, other.pos_inf, other.neg_inf)
+            && self.comps.to_wide().sign_magnitude() == other.comps.to_wide().sign_magnitude()
     }
 }
 
@@ -141,29 +393,30 @@ impl ExactSum {
         self.has_nan || self.pos_inf || self.neg_inf
     }
 
+    /// Record a non-finite input.
+    fn flag(&mut self, x: f64) {
+        self.has_nan |= x.is_nan();
+        self.pos_inf |= x == f64::INFINITY;
+        self.neg_inf |= x == f64::NEG_INFINITY;
+    }
+
     /// Add one value exactly.
     pub fn add(&mut self, x: f64) {
-        if x.is_nan() {
-            self.has_nan = true;
-            return;
+        if !x.is_finite() {
+            return self.flag(x);
         }
-        if x.is_infinite() {
-            if x > 0.0 {
-                self.pos_inf = true;
-            } else {
-                self.neg_inf = true;
-            }
-            return;
-        }
+        let (buf, len) = match &mut self.comps {
+            Comps::Inline { buf, len } => (buf, len),
+            Comps::Wide(w) => return w.add(x),
+        };
         // Grow-expansion, in place: thread x through every component,
         // keeping the exact residual of each addition and eliminating
         // zeros. Each step writes at most one component, so the write
         // index never passes the read index.
         let mut q = x;
         let mut kept = 0;
-        let comps = self.comps.as_mut_slice();
-        for i in 0..comps.len() {
-            let c = comps[i];
+        for i in 0..*len as usize {
+            let c = buf[i];
             let (hi, lo) = two_sum(q, c);
             if hi.is_infinite() {
                 // |q + c| exceeds the f64 range, so the pair cannot be
@@ -171,19 +424,51 @@ impl ExactSum {
                 // q onward: the decomposition stays exact, and only
                 // the final rounding decides whether the sum really
                 // overflows.
-                comps[kept] = c;
+                buf[kept] = c;
                 kept += 1;
                 continue;
             }
             if lo != 0.0 {
-                comps[kept] = lo;
+                buf[kept] = lo;
                 kept += 1;
             }
             q = hi;
         }
-        self.comps.truncate(kept);
+        *len = kept as u8;
         if q != 0.0 {
             self.comps.push(q);
+        }
+    }
+
+    /// Add every value of a slice exactly, in order. Once the sum is
+    /// wide, a run of finite values is one loop over the limb array.
+    pub fn add_slice(&mut self, xs: &[f64]) {
+        let mut i = 0;
+        while i < xs.len() {
+            if let Comps::Wide(w) = &mut self.comps {
+                while i < xs.len() && xs[i].is_finite() {
+                    w.add(xs[i]);
+                    i += 1;
+                }
+                if i == xs.len() {
+                    return;
+                }
+            }
+            self.add(xs[i]);
+            i += 1;
+        }
+    }
+
+    /// Add an integer exactly: the nearest double, then what that
+    /// rounding dropped (nothing below 2^53 in magnitude, so small
+    /// integers cost one add and leave the state `add(v as f64)` leaves).
+    pub fn add_i64(&mut self, v: i64) {
+        let head = v as f64;
+        // |head| ≤ 2^63 and |v − head| ≤ 2^10: both exact.
+        let tail = (v as i128 - head as i128) as i64;
+        self.add(head);
+        if tail != 0 {
+            self.add(tail as f64);
         }
     }
 
@@ -193,26 +478,41 @@ impl ExactSum {
         self.has_nan |= other.has_nan;
         self.pos_inf |= other.pos_inf;
         self.neg_inf |= other.neg_inf;
-        for &c in other.comps.as_slice() {
-            self.add(c);
+        match (&mut self.comps, &other.comps) {
+            (_, Comps::Inline { buf, len }) => {
+                for &c in &buf[..*len as usize] {
+                    self.add(c);
+                }
+            }
+            (Comps::Wide(mine), Comps::Wide(theirs)) => mine.merge(theirs),
+            (Comps::Inline { buf, len }, Comps::Wide(theirs)) => {
+                let mut w = theirs.clone();
+                for &c in &buf[..*len as usize] {
+                    w.add(c);
+                }
+                self.comps = Comps::Wide(w);
+            }
         }
     }
 
-    /// Expose the raw state for serialization: the expansion components
-    /// plus the `(has_nan, pos_inf, neg_inf)` flags.
-    pub fn to_parts(&self) -> (&[f64], bool, bool, bool) {
-        (
-            self.comps.as_slice(),
-            self.has_nan,
-            self.pos_inf,
-            self.neg_inf,
-        )
+    /// Expose the state for serialization: finite components whose sum
+    /// is the exact sum, plus the `(has_nan, pos_inf, neg_inf)` flags.
+    /// An inline state lends its components as they are; a wide one
+    /// lists its canonical doubles (`Wide::to_comps`).
+    pub fn to_parts(&self) -> (Cow<'_, [f64]>, bool, bool, bool) {
+        let comps = match &self.comps {
+            Comps::Inline { buf, len } => Cow::Borrowed(&buf[..*len as usize]),
+            Comps::Wide(w) => Cow::Owned(w.to_comps()),
+        };
+        (comps, self.has_nan, self.pos_inf, self.neg_inf)
     }
 
-    /// Rebuild an accumulator from serialized parts. Finite components
-    /// are kept as they arrived — any list of finite values is an exact
-    /// state, neither `add` nor `finalize` needs a particular shape —
-    /// so a decoded accumulator re-encodes to the same bytes; non-finite
+    /// Rebuild an accumulator from serialized parts. Up to
+    /// `INLINE_COMPS` finite components are kept as they arrived — any
+    /// list of finite values is an exact state, neither `add` nor
+    /// `finalize` needs a particular shape — and a longer list is summed
+    /// into the wide tier; either way a decoded accumulator re-encodes
+    /// to the bytes [`ExactSum::to_parts`] produced. Non-finite
     /// components fold into the flags.
     pub fn from_parts(comps: &[f64], has_nan: bool, pos_inf: bool, neg_inf: bool) -> ExactSum {
         let mut s = ExactSum {
@@ -225,7 +525,7 @@ impl ExactSum {
             if c.is_finite() {
                 s.comps.push(c);
             } else {
-                s.add(c);
+                s.flag(c);
             }
         }
         s
@@ -233,11 +533,14 @@ impl ExactSum {
 
     /// Round the exact sum to the nearest `f64` (ties to even).
     ///
-    /// Expansion components are summed in a fixed-point accumulator wide
-    /// enough to hold the exact value, then rounded once. (Summing the
-    /// components in floating point would be only *faithfully* rounded:
-    /// nonoverlapping expansions of the same value are not unique, so
-    /// partition shape could still leak into the last bit.)
+    /// Up to two inline components need no limbs: one IEEE-754 addition
+    /// *is* the correctly rounded exact sum of its operands — overflow
+    /// to ±∞ and gradual underflow included — and `+ 0.0` turns a `-0.0`
+    /// into the `+0.0` the fixed-point path returns for a zero sum.
+    /// Anything longer is rounded from the limb array. (Summing three or
+    /// more components in floating point would be only *faithfully*
+    /// rounded: nonoverlapping expansions of the same value are not
+    /// unique, so partition shape could still leak into the last bit.)
     pub fn finalize(&self) -> f64 {
         if self.has_nan || (self.pos_inf && self.neg_inf) {
             return f64::NAN;
@@ -248,141 +551,22 @@ impl ExactSum {
         if self.neg_inf {
             return f64::NEG_INFINITY;
         }
-        let comps = self.comps.as_slice();
-        if comps.is_empty() {
-            return 0.0;
+        match &self.comps {
+            Comps::Inline { buf, len } => match buf[..*len as usize] {
+                [] => 0.0,
+                [a] => a + 0.0,
+                [a, b] => (a + b) + 0.0,
+                ref comps => fixed_point_round(comps),
+            },
+            Comps::Wide(w) => w.round(),
         }
-        fixed_point_round(comps)
     }
 }
 
-/// Bit position (from the fixed-point LSB) of `2^-1074`, the smallest
-/// positive f64. `LIMB_LSB_EXP + FLOOR_BIT = -1074`.
-const FLOOR_BIT: i32 = 14;
-/// Exponent of the fixed-point accumulator's least significant bit.
-/// A multiple of 32 below -1074 so subnormal mantissas land on limb
-/// boundaries cleanly.
-const LIMB_LSB_EXP: i32 = -1088;
-/// 32 value bits per signed 64-bit limb: headroom for thousands of
-/// carries before propagation could overflow.
-const LIMB_BITS: i32 = 32;
-/// Limb count: bit positions up to `1023 + 52 + log2(#comps)` above the
-/// LSB exponent. `70 * 32 = 2240` bits covers `2^1152` — far above any
-/// finite expansion sum that did not already saturate.
-const NLIMBS: usize = 70;
-
-/// Sum the (finite) components into a signed fixed-point
-/// accumulator and round to nearest-even `f64`.
+/// Sum the (finite) components in fixed point and round to nearest-even
+/// `f64`.
 fn fixed_point_round(comps: &[f64]) -> f64 {
-    let mut limbs = [0i64; NLIMBS];
-    for &c in comps {
-        let bits = c.to_bits();
-        let sign: i64 = if bits >> 63 == 1 { -1 } else { 1 };
-        let biased = ((bits >> 52) & 0x7ff) as i64;
-        let frac = bits & ((1u64 << 52) - 1);
-        let (mant, exp_lsb) = if biased == 0 {
-            // Subnormal: value = frac * 2^-1074.
-            (frac, -1074i32)
-        } else {
-            // Normal: value = (2^52 + frac) * 2^(biased - 1075).
-            ((1u64 << 52) | frac, biased as i32 - 1075)
-        };
-        if mant == 0 {
-            continue;
-        }
-        let pos = exp_lsb - LIMB_LSB_EXP;
-        debug_assert!(pos >= FLOOR_BIT);
-        let limb = (pos / LIMB_BITS) as usize;
-        let shift = (pos % LIMB_BITS) as u32;
-        // mant (53 bits) << shift (≤31) spans ≤ 84 bits: three limbs.
-        let wide = (mant as u128) << shift;
-        let mask = (1u128 << LIMB_BITS) - 1;
-        limbs[limb] += sign * ((wide & mask) as i64);
-        limbs[limb + 1] += sign * (((wide >> LIMB_BITS) & mask) as i64);
-        limbs[limb + 2] += sign * (((wide >> (2 * LIMB_BITS)) & mask) as i64);
-    }
-    propagate(&mut limbs);
-    let mut neg = false;
-    if limbs[NLIMBS - 1] < 0 {
-        neg = true;
-        for l in limbs.iter_mut() {
-            *l = -*l;
-        }
-        propagate(&mut limbs);
-    }
-
-    // Highest set bit.
-    let mut high: Option<i32> = None;
-    for i in (0..NLIMBS).rev() {
-        if limbs[i] != 0 {
-            let top = 63 - (limbs[i] as u64).leading_zeros() as i32;
-            high = Some(i as i32 * LIMB_BITS + top);
-            break;
-        }
-    }
-    let Some(h) = high else {
-        return 0.0;
-    };
-
-    let bit = |pos: i32| -> u64 {
-        if pos < 0 {
-            return 0;
-        }
-        ((limbs[(pos / LIMB_BITS) as usize] >> (pos % LIMB_BITS)) & 1) as u64
-    };
-
-    // Keep 53 significant bits, clamped so the result LSB never drops
-    // below 2^-1074 (bits below FLOOR_BIT cannot exist: every input has
-    // exponent ≥ -1074, so a clamped extraction is exact).
-    let lsb_pos = (h - 52).max(FLOOR_BIT);
-    let mut mant: u64 = 0;
-    for pos in (lsb_pos..=h).rev() {
-        mant = (mant << 1) | bit(pos);
-    }
-    let guard = bit(lsb_pos - 1) == 1;
-    let sticky = {
-        let mut any = false;
-        let whole = ((lsb_pos - 1).max(0) / LIMB_BITS) as usize;
-        for (i, &l) in limbs.iter().enumerate().take(whole + 1) {
-            let limb_base = i as i32 * LIMB_BITS;
-            let mask_top = (lsb_pos - 1 - limb_base).min(LIMB_BITS);
-            if mask_top <= 0 {
-                break;
-            }
-            let mask = if mask_top >= LIMB_BITS {
-                -1i64 as u64
-            } else {
-                (1u64 << mask_top) - 1
-            };
-            if (l as u64) & mask != 0 {
-                any = true;
-                break;
-            }
-        }
-        any
-    };
-    let mut e_lsb = lsb_pos + LIMB_LSB_EXP;
-    if guard && (sticky || mant & 1 == 1) {
-        mant += 1;
-        if mant == 1 << 53 {
-            mant >>= 1;
-            e_lsb += 1;
-        }
-    }
-    compose(neg, mant, e_lsb)
-}
-
-/// Normalize limbs so each holds a value in `[0, 2^32)`, carrying
-/// upward (Euclidean remainder keeps per-limb values nonnegative even
-/// when mixed-sign accumulation drove some negative).
-fn propagate(limbs: &mut [i64; NLIMBS]) {
-    let base = 1i64 << LIMB_BITS;
-    for i in 0..NLIMBS - 1 {
-        let r = limbs[i].rem_euclid(base);
-        let carry = (limbs[i] - r) >> LIMB_BITS;
-        limbs[i] = r;
-        limbs[i + 1] += carry;
-    }
+    Wide::load(comps).round()
 }
 
 /// Build the `f64` with value `±mant * 2^e_lsb` (`mant < 2^53`,
@@ -656,40 +840,67 @@ mod tests {
             s.add(v);
         }
         let (comps, nan, pinf, ninf) = s.to_parts();
-        let back = ExactSum::from_parts(comps, nan, pinf, ninf);
+        let back = ExactSum::from_parts(&comps, nan, pinf, ninf);
         assert_eq!(s.finalize().to_bits(), back.finalize().to_bits());
 
         let mut inf = ExactSum::new();
         inf.add(f64::INFINITY);
         let (c, n, p, m) = inf.to_parts();
-        assert_eq!(ExactSum::from_parts(c, n, p, m).finalize(), f64::INFINITY);
+        assert_eq!(ExactSum::from_parts(&c, n, p, m).finalize(), f64::INFINITY);
+    }
+
+    fn is_wide(s: &ExactSum) -> bool {
+        matches!(s.comps, Comps::Wide(_))
     }
 
     #[test]
-    fn expansion_spills_past_the_inline_components_and_compares_by_content() {
-        // Seven values 60 binades apart never combine: seven components.
+    fn a_fifth_component_takes_the_sum_wide_and_states_compare_by_value() {
+        // A group table of short sums must stay at 48 bytes an accumulator.
+        assert_eq!(std::mem::size_of::<ExactSum>(), 48);
+        // Seven values 60 binades apart never combine: the fifth one
+        // moves the sum out of its inline expansion.
         let vals: Vec<f64> = (0..7).map(|i| 2f64.powi(60 * i)).collect();
         let mut s = ExactSum::new();
-        for &v in &vals {
+        for &v in &vals[..INLINE_COMPS] {
             s.add(v);
         }
+        assert!(!is_wide(&s));
+        assert_eq!(s.to_parts().0, &vals[..INLINE_COMPS]);
+        for &v in &vals[INLINE_COMPS..] {
+            s.add(v);
+        }
+        assert!(is_wide(&s));
+        assert_eq!(s.finalize().to_bits(), fixed_point_round(&vals).to_bits());
+        // Each value sits in a limb of its own, so the transport list is
+        // the values again; rebuilt from it, it is the same state.
         let (comps, ..) = s.to_parts();
         assert_eq!(comps, vals.as_slice());
-        assert!(comps.len() > INLINE_COMPS);
-        assert_eq!(s.finalize().to_bits(), fixed_point_round(&vals).to_bits());
-        // Serialized and rebuilt, it is the same state.
-        let back = ExactSum::from_parts(comps, false, false, false);
+        let back = ExactSum::from_parts(&comps, false, false, false);
+        assert!(is_wide(&back));
         assert_eq!(back, s);
-        // Cancel the top five: two components are left, on the heap,
-        // equal to an accumulator that never left its inline storage.
+        // Cancel the top five: the sum stays wide, and equals — by value,
+        // not by representation — an accumulator that never left its
+        // inline storage, and one rebuilt from a different list of the
+        // same sum.
         for &v in &vals[2..] {
             s.add(-v);
         }
         let mut small = ExactSum::new();
         small.add(vals[0]);
         small.add(vals[1]);
+        assert!(is_wide(&s) && !is_wide(&small));
         assert_eq!(s, small);
+        assert_eq!(small, s);
         assert_eq!(s.finalize().to_bits(), small.finalize().to_bits());
+        let halves = [vals[0] / 2.0, vals[1], vals[0] / 2.0, -0.0];
+        assert_eq!(ExactSum::from_parts(&halves, false, false, false), small);
+        // A different value, or a different flag, is a different state.
+        small.add(f64::from_bits(1));
+        assert_ne!(s, small);
+        s.add(f64::from_bits(1));
+        assert_eq!(s, small);
+        s.add(f64::NAN);
+        assert_ne!(s, small);
     }
 
     #[test]
@@ -713,6 +924,500 @@ mod tests {
             }
             pos.merge(&neg);
             assert_eq!(flat.to_bits(), pos.finalize().to_bits());
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // The oracle: the accumulator of the builds before the wide tier
+    // -----------------------------------------------------------------
+
+    /// One grow-expansion of any length, its `add` as those builds had
+    /// it, rounded by loading the components into limbs with their
+    /// loop. [`ExactSum`] must finalize to the same bits whatever it
+    /// was fed and however it was split, shipped and merged.
+    #[derive(Debug, Clone, Default)]
+    struct Reference {
+        comps: Vec<f64>,
+        nan: bool,
+        pos_inf: bool,
+        neg_inf: bool,
+    }
+
+    impl Reference {
+        fn add(&mut self, x: f64) {
+            if x.is_nan() {
+                self.nan = true;
+                return;
+            }
+            if x.is_infinite() {
+                if x > 0.0 {
+                    self.pos_inf = true;
+                } else {
+                    self.neg_inf = true;
+                }
+                return;
+            }
+            let mut q = x;
+            let mut kept = 0;
+            for i in 0..self.comps.len() {
+                let c = self.comps[i];
+                let (hi, lo) = two_sum(q, c);
+                if hi.is_infinite() {
+                    self.comps[kept] = c;
+                    kept += 1;
+                    continue;
+                }
+                if lo != 0.0 {
+                    self.comps[kept] = lo;
+                    kept += 1;
+                }
+                q = hi;
+            }
+            self.comps.truncate(kept);
+            if q != 0.0 {
+                self.comps.push(q);
+            }
+        }
+
+        fn merge(&mut self, other: &Reference) {
+            self.nan |= other.nan;
+            self.pos_inf |= other.pos_inf;
+            self.neg_inf |= other.neg_inf;
+            for &c in &other.comps {
+                self.add(c);
+            }
+        }
+
+        fn finalize(&self) -> f64 {
+            if self.nan || (self.pos_inf && self.neg_inf) {
+                return f64::NAN;
+            }
+            if self.pos_inf {
+                return f64::INFINITY;
+            }
+            if self.neg_inf {
+                return f64::NEG_INFINITY;
+            }
+            let mut limbs = [0i64; NLIMBS];
+            for &c in &self.comps {
+                let bits = c.to_bits();
+                let sign: i64 = if bits >> 63 == 1 { -1 } else { 1 };
+                let biased = ((bits >> 52) & 0x7ff) as i64;
+                let frac = bits & ((1u64 << 52) - 1);
+                let (mant, exp_lsb) = if biased == 0 {
+                    (frac, -1074i32)
+                } else {
+                    ((1u64 << 52) | frac, biased as i32 - 1075)
+                };
+                let pos = exp_lsb - LIMB_LSB_EXP;
+                let limb = (pos / LIMB_BITS) as usize;
+                let wide = (mant as u128) << (pos % LIMB_BITS) as u32;
+                let mask = (1u128 << LIMB_BITS) - 1;
+                limbs[limb] += sign * ((wide & mask) as i64);
+                limbs[limb + 1] += sign * (((wide >> LIMB_BITS) & mask) as i64);
+                limbs[limb + 2] += sign * (((wide >> (2 * LIMB_BITS)) & mask) as i64);
+            }
+            Wide { limbs, pending: 0 }.round()
+        }
+    }
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        /// A double from one of the regimes the engine meets or must
+        /// survive, `regime` picking which.
+        fn hostile(&mut self, regime: usize) -> f64 {
+            let sign = if self.next() & 1 == 0 { 1.0 } else { -1.0 };
+            match regime {
+                // Any bit pattern: every exponent, both signs, the odd
+                // NaN or infinity.
+                0 => f64::from_bits(self.next()),
+                1 => sign * f64::from_bits(self.next() >> 12), // subnormal
+                2 => sign * 0.0,
+                3 => [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][self.below(3)],
+                // Excursions past MAX that may or may not cancel.
+                4 => sign * [f64::MAX, 1.0e308, 2f64.powi(1023)][self.below(3)],
+                // A responsibility (2.5: most of them underflow).
+                5 => 10f64.powf(-(self.below(311000) as f64) / 1000.0),
+                _ => self.f64_wide(),
+            }
+        }
+
+        /// `min..min + span` values drawn from a random subset of the
+        /// regimes.
+        fn hostile_seq(&mut self, min: usize, span: usize) -> Vec<f64> {
+            let len = min + self.below(span);
+            let regimes: Vec<usize> = (0..7).filter(|_| self.next() & 1 == 0).collect();
+            (0..len)
+                .map(|_| match regimes.len() {
+                    0 => self.hostile(6),
+                    n => {
+                        let r = regimes[self.below(n)];
+                        self.hostile(r)
+                    }
+                })
+                .collect()
+        }
+    }
+
+    fn reference(values: &[f64]) -> Reference {
+        let mut r = Reference::default();
+        for &v in values {
+            r.add(v);
+        }
+        r
+    }
+
+    fn through_parts(s: &ExactSum) -> ExactSum {
+        let (comps, nan, pinf, ninf) = s.to_parts();
+        assert!(comps.iter().all(|c| c.is_finite()), "{comps:?}");
+        let back = ExactSum::from_parts(&comps, nan, pinf, ninf);
+        // Shipped again it is the same bytes, and the same state.
+        let bits = |c: &[f64]| c.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back.to_parts().0), bits(&comps));
+        assert_eq!(&back, s);
+        back
+    }
+
+    #[test]
+    fn finalize_of_up_to_two_components_is_one_ieee_addition() {
+        // The shortcut against the limb path, bit for bit, on the pairs
+        // where they could differ: signed zeros, subnormals, overflow,
+        // exact cancellation, ties.
+        let tiny = f64::from_bits(1);
+        let ulp = 2f64.powi(-52);
+        let mut pairs = vec![
+            (0.0, 0.0),
+            (-0.0, -0.0),
+            (-0.0, 0.0),
+            (tiny, -tiny),
+            (tiny, tiny),
+            (f64::MIN_POSITIVE, -tiny),
+            (f64::MAX, f64::MAX),
+            (-f64::MAX, -f64::MAX),
+            (f64::MAX, 2f64.powi(970)),
+            (f64::MAX, 2f64.powi(969)),
+            (f64::MAX, -f64::MAX),
+            (1.0, ulp / 2.0),
+            (1.0 + ulp, ulp / 2.0),
+            (1.0, -ulp / 4.0),
+            (1.0e100, -1.0e100),
+        ];
+        let mut rng = Rng(0x2C0FFEE);
+        for _ in 0..4000 {
+            let (ra, rb) = (rng.below(7), rng.below(7));
+            let (a, b) = (rng.hostile(ra), rng.hostile(rb));
+            if a.is_finite() && b.is_finite() {
+                pairs.push((a, b));
+                // Near-ties: b a half ulp of a, give or take one bit.
+                let half = a * 2f64.powi(-53);
+                pairs.push((a, half));
+                pairs.push((a, f64::from_bits(half.to_bits() ^ (rng.next() & 1))));
+            }
+        }
+        assert_eq!(ExactSum::new().finalize().to_bits(), 0);
+        for (a, b) in pairs {
+            let one = ExactSum::from_parts(&[a], false, false, false);
+            assert_eq!(one.to_parts().0.len(), 1);
+            assert_eq!(
+                one.finalize().to_bits(),
+                fixed_point_round(&[a]).to_bits(),
+                "{a:e}"
+            );
+            let two = ExactSum::from_parts(&[a, b], false, false, false);
+            assert_eq!(two.to_parts().0.len(), 2);
+            assert_eq!(
+                two.finalize().to_bits(),
+                fixed_point_round(&[a, b]).to_bits(),
+                "{a:e} + {b:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn integers_are_added_as_the_integers_they_are() {
+        let sum = |vals: &[i64]| {
+            let mut s = ExactSum::new();
+            for &v in vals {
+                s.add_i64(v);
+            }
+            s
+        };
+        // Past 2^53 the nearest double is not the integer.
+        assert_eq!(sum(&[(1 << 53) + 1, -(1 << 53)]).finalize(), 1.0);
+        assert_eq!(sum(&[(1 << 62) + 1, -(1 << 62), 1]).finalize(), 2.0);
+        assert_eq!(sum(&[i64::MAX, i64::MIN]).finalize(), -1.0);
+        assert_eq!(sum(&[i64::MAX, -i64::MAX]).finalize(), 0.0);
+        assert_eq!(
+            sum(&[i64::MIN, i64::MAX, i64::MAX, 3]).finalize(),
+            2f64.powi(63) + 1024.0
+        );
+        // A double-sized integer is one add, and the state `add` leaves.
+        for v in [0, 1, -1, 7, -(1 << 40), (1 << 53) - 1, 1 << 53, -(1 << 60)] {
+            let mut plain = ExactSum::new();
+            plain.add(v as f64);
+            assert_eq!(sum(&[v]).to_parts(), plain.to_parts());
+        }
+        // Against i128 arithmetic.
+        let mut rng = Rng(64);
+        for _ in 0..300 {
+            let vals: Vec<i64> = (0..1 + rng.below(12))
+                .map(|_| (rng.next() as i64) >> rng.below(64))
+                .collect();
+            let total: i128 = vals.iter().map(|&v| v as i128).sum();
+            assert_eq!(sum(&vals).finalize().to_bits(), (total as f64).to_bits());
+        }
+    }
+
+    #[test]
+    fn any_interleaving_of_add_merge_and_transport_matches_the_expansion() {
+        let mut rng = Rng(0x0AC1E);
+        // Which tiers met in a merge: [into inline, into wide] × [from
+        // inline, from wide].
+        let mut merges = [[0u32; 2]; 2];
+        for round in 0..300 {
+            let mut pool: Vec<(ExactSum, Reference)> = (0..4)
+                .map(|_| (ExactSum::new(), Reference::default()))
+                .collect();
+            let values = rng.hostile_seq(8, 60);
+            let mut values = values.iter().copied();
+            while values.len() > 0 {
+                let i = rng.below(pool.len());
+                match rng.below(8) {
+                    0 => {
+                        let j = rng.below(pool.len());
+                        let (theirs, their_ref) = pool[j].clone();
+                        merges[is_wide(&pool[i].0) as usize][is_wide(&theirs) as usize] += 1;
+                        pool[i].0.merge(&theirs);
+                        pool[i].1.merge(&their_ref);
+                    }
+                    1 => pool[i].0 = through_parts(&pool[i].0),
+                    2 => {
+                        let run: Vec<f64> = values.by_ref().take(1 + rng.below(9)).collect();
+                        pool[i].0.add_slice(&run);
+                        run.iter().for_each(|&v| pool[i].1.add(v));
+                    }
+                    _ => {
+                        let v = values.next().expect("one is left");
+                        pool[i].0.add(v);
+                        pool[i].1.add(v);
+                    }
+                }
+                let (ours, theirs) = &pool[i];
+                assert_eq!(
+                    ours.finalize().to_bits(),
+                    theirs.finalize().to_bits(),
+                    "round {round}: {ours:?} vs {theirs:?}"
+                );
+            }
+        }
+        assert!(merges.iter().flatten().all(|&n| n > 20), "{merges:?}");
+    }
+
+    #[test]
+    fn every_split_and_merge_order_matches_the_flat_expansion() {
+        let mut rng = Rng(0x5B11D);
+        for round in 0..120 {
+            let values = rng.hostile_seq(1, 80);
+            let want = reference(&values).finalize().to_bits();
+            assert_eq!(exact(&values).to_bits(), want, "round {round}");
+            let nparts = 1 + rng.below(4);
+            let mut parts = vec![ExactSum::new(); nparts];
+            for &v in &values {
+                parts[rng.below(nparts)].add(v);
+            }
+            let shipped: Vec<ExactSum> = parts.iter().map(through_parts).collect();
+            // Every order of the parts (Heap's algorithm), each part as
+            // it is or as it crossed the wire.
+            let mut order: Vec<usize> = (0..nparts).collect();
+            let mut counters = vec![0; nparts];
+            let mut i = 0;
+            loop {
+                let mut merged = ExactSum::new();
+                for &part in &order {
+                    let from = if rng.next() & 1 == 0 {
+                        &parts
+                    } else {
+                        &shipped
+                    };
+                    merged.merge(&from[part]);
+                }
+                assert_eq!(
+                    merged.finalize().to_bits(),
+                    want,
+                    "round {round}, {order:?}"
+                );
+                while i < nparts && counters[i] >= i {
+                    counters[i] = 0;
+                    i += 1;
+                }
+                if i == nparts {
+                    break;
+                }
+                order.swap(if i % 2 == 0 { 0 } else { counters[i] }, i);
+                counters[i] += 1;
+                i = 0;
+            }
+        }
+    }
+
+    #[test]
+    fn a_column_of_responsibilities_sums_to_the_expansions_bits() {
+        // The M step's shape: 10^4 values 1e-310 … 1, times a coordinate.
+        let mut rng = Rng(0x25);
+        let values: Vec<f64> = (0..10_000)
+            .map(|_| rng.hostile(5) * (rng.f64_wide() % 100.0))
+            .collect();
+        let want = reference(&values);
+        assert!(want.comps.len() > 4 * INLINE_COMPS);
+        let mut whole = ExactSum::new();
+        whole.add_slice(&values);
+        assert!(is_wide(&whole));
+        assert_eq!(whole.finalize().to_bits(), want.finalize().to_bits());
+        let (left, right) = values.split_at(3333);
+        let mut merged = ExactSum::new();
+        merged.add_slice(right);
+        let mut first = ExactSum::new();
+        first.add_slice(left);
+        merged.merge(&through_parts(&first));
+        assert_eq!(merged, whole);
+        assert_eq!(merged.finalize().to_bits(), want.finalize().to_bits());
+    }
+
+    #[test]
+    fn a_sum_outside_the_f64_range_travels_as_finite_terms() {
+        let big = f64::MAX;
+        let mut s = ExactSum::new();
+        for v in [big, 1.0e308, big, 1.0, big, 2f64.powi(-1074), big, 1.0e308] {
+            s.add(v);
+        }
+        assert!(is_wide(&s));
+        assert_eq!(s.finalize(), f64::INFINITY);
+        let mut back = through_parts(&s);
+        assert_eq!(back.finalize(), f64::INFINITY);
+        // What brings it back into range arrives after the hop.
+        for v in [-big, -big, -big, -1.0e308, -1.0e308] {
+            back.add(v);
+        }
+        let want = reference(&[big, 1.0, 2f64.powi(-1074)]).finalize();
+        assert_eq!(back.finalize().to_bits(), want.to_bits());
+        // And below zero.
+        let mut neg = ExactSum::new();
+        for v in [-big, -big, -big, 3.0, -2f64.powi(-1060), -big, -1.0e-300] {
+            neg.add(v);
+        }
+        assert_eq!(through_parts(&neg).finalize(), f64::NEG_INFINITY);
+        let mut merged = through_parts(&neg);
+        merged.merge(&through_parts(&s));
+        let mut flat = reference(&[1.0e308, 1.0e308, 1.0, 3.0, 2f64.powi(-1074)]);
+        flat.add(-2f64.powi(-1060));
+        flat.add(-1.0e-300);
+        assert_eq!(merged.finalize().to_bits(), flat.finalize().to_bits());
+    }
+
+    /// A wide accumulator holding `x`, `times` times over.
+    fn wide_times(x: f64, times: u32) -> ExactSum {
+        let mut w = Box::new(Wide::zero());
+        w.add_times(x, times);
+        ExactSum {
+            comps: Comps::Wide(w),
+            ..ExactSum::default()
+        }
+    }
+
+    #[test]
+    fn limbs_hold_a_carry_periods_worth_of_the_largest_adds() {
+        // An all-ones mantissa at limb alignment moves a limb by
+        // 2^32 - 1 per add: the most an add can. A state at rest has
+        // absorbed at most CARRY_PERIOD - 1 adds; one more period's
+        // worth on top, or a merge with another such state, is the
+        // furthest a limb gets from zero (a debug build panics on the
+        // overflow this would be if the period were too long).
+        let ones = f64::from_bits((1075u64 + 64) << 52 | ((1 << 52) - 1)); // (2^53 - 1) · 2^64
+        assert_eq!(ones, ((1u64 << 53) - 1) as f64 * 2f64.powi(64));
+        let period = 2f64.powi(30);
+        assert_eq!(period, CARRY_PERIOD as f64);
+        for x in [ones, -ones] {
+            let rested = wide_times(x, CARRY_PERIOD - 1);
+            let Comps::Wide(w) = &rested.comps else {
+                unreachable!()
+            };
+            assert_eq!(w.pending, CARRY_PERIOD - 1);
+            assert_eq!(
+                w.limbs[36].abs(),
+                (CARRY_PERIOD as i64 - 1) * ((1 << 32) - 1)
+            );
+
+            // (period - 1) + period adds of x.
+            let mut more = rested.clone();
+            let Comps::Wide(w) = &mut more.comps else {
+                unreachable!()
+            };
+            w.add_times(x, CARRY_PERIOD);
+            assert_eq!(w.pending, 0);
+            assert_eq!(
+                more.finalize().to_bits(),
+                reference(&[x * period, x * period, -x])
+                    .finalize()
+                    .to_bits()
+            );
+
+            // A chain of merges counts the adds each one brings in.
+            let mut chain = wide_times(x, CARRY_PERIOD / 2);
+            let mut want = reference(&[x * (period / 2.0)]);
+            for _ in 0..3 {
+                chain.merge(&rested);
+                want.add(x * period);
+                want.add(-x);
+            }
+            assert_eq!(chain.finalize().to_bits(), want.finalize().to_bits());
+
+            // Two rested states merged, either sign on the other side.
+            for y in [x, -x] {
+                let mut merged = rested.clone();
+                merged.merge(&wide_times(y, CARRY_PERIOD - 1));
+                let want = reference(&[x * period, -x, y * period, -y]);
+                assert_eq!(merged.finalize().to_bits(), want.finalize().to_bits());
+                // ...and then kept in use.
+                merged.add(x);
+                merged.merge(&rested);
+                let want = reference(&[x * period, y * period, -y, x * period, -x]);
+                assert_eq!(merged.finalize().to_bits(), want.finalize().to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn bulk_adds_match_the_expansion_across_carry_propagations() {
+        let mut rng = Rng(0xCA221);
+        for round in 0..200 {
+            let mut ours = wide_times(0.0, 1);
+            let mut want = Reference::default();
+            for _ in 0..1 + rng.below(12) {
+                // Moderate exponents, so that x · 2^30 stays finite.
+                let x = rng.f64_wide();
+                let times = 1 + (rng.next() % CARRY_PERIOD as u64) as u32;
+                // In place, or merged in (the only way into a sum that
+                // came back from transport short enough to be inline).
+                match &mut ours.comps {
+                    Comps::Wide(w) if rng.below(3) != 0 => w.add_times(x, times),
+                    _ => ours.merge(&wide_times(x, times)),
+                }
+                // x · times, exactly: one term per set bit.
+                for bit in (0..32).filter(|b| times >> b & 1 == 1) {
+                    want.add(x * 2f64.powi(bit));
+                }
+                if rng.below(4) == 0 {
+                    ours = through_parts(&ours);
+                }
+            }
+            assert_eq!(
+                ours.finalize().to_bits(),
+                want.finalize().to_bits(),
+                "round {round}"
+            );
         }
     }
 }

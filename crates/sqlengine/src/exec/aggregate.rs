@@ -11,7 +11,10 @@
 //! into typed columns, each row's group is found once per batch — once
 //! per *run* of equal keys, so `GROUP BY rid` over rows stored in `rid`
 //! order costs one hash lookup per group — and `SUM`/`AVG`/`COUNT` over
-//! a numeric column are plain loops of `ExactSum::add`. Values reach an
+//! a numeric column are plain loops: a run of rows of a DOUBLE column
+//! goes to its accumulator as one slice (`ExactSum::add_slice`, which
+//! picks its tier once, not per row), a BIGINT column integer by integer
+//! (`ExactSum::add_i64`: exact past 2^53 too). Values reach an
 //! accumulator in row order, exactly as they did one row at a time.
 //!
 //! Numeric behaviour: `SUM`/`AVG` skip NULLs; `SUM` over zero non-NULL
@@ -21,7 +24,12 @@
 //! `SUM`/`AVG` accumulate through [`ExactSum`], so the finalized value
 //! is the correctly-rounded sum of the input multiset — bit-identical
 //! under any partitioning, whether across execution threads or across
-//! cluster shards. There is one accumulator type, [`AggState`], and one
+//! cluster shards. An `ExactSum` is 48 bytes while its sum is short (a
+//! `GROUP BY rid` table holds n·k of them) and moves itself into a
+//! fixed-point superaccumulator when it is not (the M step's whole-table
+//! sums over underflowing responsibilities), where an add costs the same
+//! whatever the magnitude spread; which of the two a sum was in never
+//! shows in a result. There is one accumulator type, [`AggState`], and one
 //! merge: a single-node SELECT finalizes its own group table, a shard
 //! ships it un-finalized ([`PartialAggResult`]) and the coordinator
 //! merges and finalizes. `MIN`/`MAX` order by SQL comparison with every
@@ -225,9 +233,12 @@ fn rewrite(
 // ---------------------------------------------------------------------
 
 /// Running state of one accumulator. This is also the form a shard
-/// ships to the cluster coordinator: the [`ExactSum`] expansion travels
-/// as it is and merges without rounding, so recombining shards' states
-/// is exact for `SUM`/`COUNT`/`AVG`/`MIN`/`MAX`.
+/// ships to the cluster coordinator: an [`ExactSum`] travels as finite
+/// doubles whose sum is its exact value ([`ExactSum::to_parts`]: an
+/// inline expansion as it is, a wide sum as its canonical list) and
+/// merges without rounding, so recombining shards' states is exact for
+/// `SUM`/`COUNT`/`AVG`/`MIN`/`MAX`. Two states are equal when they hold
+/// the same values, however each is represented.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AggState {
     /// `SUM` — exact sum plus SQL bookkeeping.
@@ -296,6 +307,30 @@ fn for_valid(valid: &Option<Vec<bool>>, rows: Range<usize>, mut f: impl FnMut(us
     }
 }
 
+/// Add the values rows `rows` of a typed column hold to `acc`, exactly
+/// and in row order; returns how many there were. A DOUBLE column
+/// without NULLs goes in as one slice, so the accumulator picks its
+/// tier once per run of rows, not once per row.
+fn add_rows(acc: &mut ExactSum, col: &Column, rows: Range<usize>) -> u64 {
+    let mut added = 0;
+    match col {
+        Column::F64(v, None) => {
+            added = rows.len() as u64;
+            acc.add_slice(&v[rows]);
+        }
+        Column::F64(v, valid) => for_valid(valid, rows, |p| {
+            acc.add(v[p]);
+            added += 1;
+        }),
+        Column::I64(v, valid) => for_valid(valid, rows, |p| {
+            acc.add_i64(v[p]);
+            added += 1;
+        }),
+        Column::Val(_) => unreachable!("typed columns only"),
+    }
+    added
+}
+
 impl AggState {
     fn new(kind: AggKind) -> AggState {
         match kind {
@@ -337,6 +372,15 @@ impl AggState {
                 context: format!("{what} over non-numeric value {val}"),
             })
         };
+        // SUM/AVG take an integer as the integer it is: past 2^53 its
+        // nearest double is another number.
+        let add_to = |acc: &mut ExactSum, what: &str| {
+            match val {
+                Value::Int(i) => acc.add_i64(i),
+                _ => acc.add(numeric(what)?),
+            }
+            Ok::<(), Error>(())
+        };
         match self {
             AggState::Count(c) => *c += 1,
             AggState::Sum {
@@ -344,12 +388,12 @@ impl AggState {
                 count,
                 all_int,
             } => {
-                acc.add(numeric("SUM")?);
+                add_to(acc, "SUM")?;
                 *all_int &= matches!(val, Value::Int(_));
                 *count += 1;
             }
             AggState::Avg { acc, count } => {
-                acc.add(numeric("AVG")?);
+                add_to(acc, "AVG")?;
                 *count += 1;
             }
             AggState::Min(best) => {
@@ -377,8 +421,8 @@ impl AggState {
 
     /// Feed the rows `rows` of one batch column (`None`: `COUNT(*)`,
     /// which counts every row). SUM/AVG/COUNT over a typed column are
-    /// plain loops — `ExactSum::add` per value, in row order; anything
-    /// else goes value by value through [`AggState::update`].
+    /// plain loops ([`add_rows`]), in row order; anything else goes
+    /// value by value through [`AggState::update`].
     fn update_rows(&mut self, arg: Option<&Column>, rows: Range<usize>) -> Result<()> {
         let Some(col) = arg else {
             if let AggState::Count(c) = self {
@@ -386,13 +430,6 @@ impl AggState {
             }
             return Ok(());
         };
-        // A typed column's value as the double SUM/AVG add.
-        let at = |p: usize| match col {
-            Column::F64(v, _) => v[p],
-            Column::I64(v, _) => v[p] as f64,
-            Column::Val(_) => unreachable!("typed columns only"),
-        };
-        let ints = matches!(col, Column::I64(..));
         match (self, col) {
             (AggState::Count(c), Column::F64(_, valid) | Column::I64(_, valid)) => {
                 for_valid(valid, rows, |_| *c += 1);
@@ -403,17 +440,14 @@ impl AggState {
                     count,
                     all_int,
                 },
-                Column::F64(_, valid) | Column::I64(_, valid),
-            ) => for_valid(valid, rows, |p| {
-                acc.add(at(p));
-                *count += 1;
-                *all_int &= ints;
-            }),
-            (AggState::Avg { acc, count }, Column::F64(_, valid) | Column::I64(_, valid)) => {
-                for_valid(valid, rows, |p| {
-                    acc.add(at(p));
-                    *count += 1;
-                })
+                Column::F64(..) | Column::I64(..),
+            ) => {
+                let added = add_rows(acc, col, rows);
+                *count += added;
+                *all_int &= added == 0 || matches!(col, Column::I64(..));
+            }
+            (AggState::Avg { acc, count }, Column::F64(..) | Column::I64(..)) => {
+                *count += add_rows(acc, col, rows);
             }
             (state, col) => {
                 for p in rows {

@@ -546,3 +546,54 @@ fn drop_recreate_changes_schema() {
     let r = d.execute("SELECT c FROM w").unwrap();
     assert_eq!(r.scalar_f64(), Some(3.0));
 }
+
+#[test]
+fn sum_and_avg_of_bigints_past_2_53_are_exact() {
+    // An addend of 2^53 or more is not its nearest double: added as
+    // `n as f64` the first set summed to 0 and the second to 1.
+    let cases: [(&[i64], i64); 2] = [
+        (&[9007199254740993, -9007199254740992], 1),
+        (&[4611686018427387905, -4611686018427387904, 1], 2),
+    ];
+    let ddl = "CREATE TABLE t (rid BIGINT PRIMARY KEY, n BIGINT)";
+    // The CASE mixes types, so its integers reach SUM one value at a time.
+    let sql = "SELECT SUM(n), AVG(n), SUM(CASE WHEN rid = 1 THEN 0.5 ELSE n END) FROM t";
+    for (big, want) in cases {
+        // The big values first and last, small ones between: enough
+        // rows that two workers each take a part.
+        let mut ns: Vec<i64> = (0..5000).map(|i| i % 7 - 3).collect();
+        ns.splice(0..0, big[..1].iter().copied());
+        ns.extend(&big[1..]);
+        let total = want + ns[1..=5000].iter().sum::<i64>();
+        let rows: Vec<Vec<Value>> = (0..)
+            .zip(&ns)
+            .map(|(rid, &n)| vec![Value::Int(rid), Value::Int(n)])
+            .collect();
+        let expected = vec![
+            Value::Int(total),
+            Value::Double(total as f64 / ns.len() as f64),
+            Value::Double((total - ns[1]) as f64 + 0.5),
+        ];
+        let load = |workers: usize, rows: &[Vec<Value>]| {
+            let mut d = Database::with_config(sqlengine::EngineConfig {
+                workers,
+                ..Default::default()
+            });
+            d.execute(ddl).unwrap();
+            d.bulk_insert("t", rows.to_vec()).unwrap();
+            d
+        };
+        for workers in [1, 2] {
+            let got = load(workers, &rows).execute(sql).unwrap();
+            assert_eq!(got.rows[0].to_vec(), expected, "{workers} worker(s)");
+        }
+        // Two shards' partials, merged and finalized where no row lives.
+        let (left, right) = rows.split_at(1700);
+        let mut merged = load(1, left).execute_partial(sql).unwrap();
+        merged
+            .merge(&load(1, right).execute_partial(sql).unwrap())
+            .unwrap();
+        let got = load(1, &[]).finalize_partials(sql, &merged).unwrap();
+        assert_eq!(got.rows[0].to_vec(), expected, "partials");
+    }
+}

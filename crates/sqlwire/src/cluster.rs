@@ -39,7 +39,7 @@
 //!   returning exact per-group accumulator states
 //!   ([`sqlengine::PartialAggResult`]); the coordinator merges them in
 //!   shard order and finalizes once on its rowless shadow catalog.
-//!   Because `SUM`/`AVG` accumulate in an exact expansion
+//!   Because `SUM`/`AVG` accumulate exactly and round once
 //!   ([`sqlengine::ExactSum`]), the merged result is **bit-identical**
 //!   to a single-node run for any shard count.
 //! * Non-aggregate reads over partitioned data *gather*: each shard

@@ -424,9 +424,10 @@ fn read_query_result(r: &mut Reader<'_>) -> Result<QueryResult, Error> {
     })
 }
 
-/// An exact sum travels as its expansion components and flags, the
-/// components as raw IEEE-754 bits — one reconstructed from anything
-/// lossier would destroy the exact-sum invariant.
+/// An exact sum travels as finite doubles whose sum it is — an inline
+/// expansion's components as they are, a wide sum's canonical list —
+/// and flags, the doubles as raw IEEE-754 bits: one reconstructed from
+/// anything lossier would destroy the exact-sum invariant.
 fn put_exact_sum(buf: &mut Vec<u8>, acc: &ExactSum) {
     let (comps, has_nan, pos_inf, neg_inf) = acc.to_parts();
     put_seq(buf, comps.iter(), |buf, &c| put_f64(buf, c));

@@ -1,0 +1,125 @@
+//! Every result bit of a short EM run, per strategy and per executor —
+//! the dump a change that must not move a bit is checked with.
+//!
+//! For hybrid, hybrid with the fused E step, vertical and horizontal,
+//! on an embedded `Database`, on one with `workers = 2`, and through a
+//! `Coordinator` over 2 shards, it prints the loglikelihood history,
+//! the means, the covariance and the weights as `f64::to_bits` hex, and
+//! a hash of the scores. The data is the §4.1 retail shape (p = 6,
+//! k = 9) from a sample-based start, so the early iterations'
+//! responsibilities underflow (§2.5) and the M step's sums span
+//! 1e-310 … 1.
+//!
+//! Two uses. Across builds: run it at the parent commit and at the
+//! change and `diff` the two outputs — on one machine they must be
+//! byte-identical (across machines `libm` may differ, so no golden
+//! copy is checked in). Within one build: the three executors' sections
+//! of a strategy must be equal; the example checks that itself and
+//! exits non-zero otherwise, which is what `ci.sh` runs it for.
+//!
+//! ```text
+//! cargo run --release --example bit_dump
+//! ```
+
+use std::process::ExitCode;
+
+use datagen::retail::{retail_dataset, RetailConfig, RETAIL_K, RETAIL_P};
+use emcore::init::InitStrategy;
+use sqlem::{EmSession, SqlemConfig, Strategy};
+use sqlengine::{Database, EngineConfig, SqlExecutor};
+use sqlwire::Coordinator;
+
+/// Above the engine's parallel threshold (4096 driver rows): below it
+/// `workers = 2` runs serially and its section would prove nothing.
+const N: usize = 4500;
+const SEED: u64 = 20000518;
+const ITERATIONS: usize = 5;
+
+fn hex(values: &[f64]) -> String {
+    let words: Vec<String> = values
+        .iter()
+        .map(|v| format!("{:016x}", v.to_bits()))
+        .collect();
+    words.join(" ")
+}
+
+/// One section: everything the run produced, bit for bit.
+fn dump<E: SqlExecutor>(exec: &mut E, config: &SqlemConfig, points: &[Vec<f64>]) -> String {
+    let mut session = EmSession::create(exec, config, RETAIL_P).expect("create");
+    session.load_points(points).expect("load");
+    session
+        .initialize(&InitStrategy::FromSample {
+            fraction: 0.1,
+            seed: SEED,
+            em_iterations: 3,
+        })
+        .expect("initialize");
+    let run = session.run().expect("run");
+    let scores = session.scores().expect("scores");
+    // FNV-1a over the labels.
+    let hash = scores.iter().fold(0xcbf29ce484222325u64, |h, &s| {
+        (h ^ s as u64).wrapping_mul(0x100000001b3)
+    });
+    let means: Vec<f64> = run.params.means.concat();
+    format!(
+        "llh {}\nmeans {}\ncov {}\nweights {}\nscores {hash:016x} ({} rows)\n",
+        hex(&run.llh_history),
+        hex(&means),
+        hex(&run.params.cov),
+        hex(&run.params.weights),
+        scores.len(),
+    )
+}
+
+fn main() -> ExitCode {
+    let data = retail_dataset(&RetailConfig { n: N, seed: SEED });
+    let base = |strategy| {
+        SqlemConfig::new(RETAIL_K, strategy)
+            .with_epsilon(0.0)
+            .with_max_iterations(ITERATIONS)
+    };
+    let strategies = [
+        ("hybrid", base(Strategy::Hybrid)),
+        ("hybrid-fused", base(Strategy::Hybrid).with_fused_e_step()),
+        ("vertical", base(Strategy::Vertical)),
+        ("horizontal", base(Strategy::Horizontal)),
+    ];
+    let mut equal = true;
+    for (name, config) in &strategies {
+        let sections = [
+            ("embedded", dump(&mut Database::new(), config, &data.points)),
+            (
+                "workers=2",
+                dump(
+                    &mut Database::with_config(EngineConfig {
+                        workers: 2,
+                        ..EngineConfig::default()
+                    }),
+                    config,
+                    &data.points,
+                ),
+            ),
+            (
+                "coordinator/2",
+                dump(
+                    &mut Coordinator::new(vec![Database::new(), Database::new()])
+                        .expect("coordinator"),
+                    config,
+                    &data.points,
+                ),
+            ),
+        ];
+        for (executor, section) in &sections {
+            print!("== {name} {executor}\n{section}");
+            if *section != sections[0].1 {
+                eprintln!("bit_dump: {name}: {executor} differs from embedded");
+                equal = false;
+            }
+        }
+    }
+    if equal {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}

@@ -6,8 +6,11 @@
 //! whole table returns, bit for bit.
 //!
 //! The summed column is hostile on purpose: NaN, ±∞, subnormals, wide
-//! exponents and `±1e308` pairs whose running sum hovers beyond the f64
-//! range — and `MIN`/`MAX` read it too: a NaN has one fixed place in
+//! exponents, responsibilities from 1 down to 1e-310 (between them they
+//! take several hundred of the sums past the inline expansion, so the
+//! wide accumulator's transport form crosses the wire too) and `±1e308`
+//! pairs whose running sum hovers beyond the f64 range — and `MIN`/`MAX`
+//! read it too: a NaN has one fixed place in
 //! their order (above every number), so the survivor does not depend on
 //! where the parts were cut. `VARIANCE`/`STDDEV` read a tame column and
 //! are held to bit-identity only for the one-part split: Chan's moment
@@ -38,7 +41,7 @@ const MOMENT_SHAPES: &[&str] = &[
 
 fn wild_double(rng: &mut StdRng) -> Value {
     let unit: f64 = rng.random();
-    Value::Double(match rng.random_range(0..12usize) {
+    Value::Double(match rng.random_range(0..14usize) {
         0 => f64::NAN,
         1 => f64::INFINITY,
         2 => f64::NEG_INFINITY,
@@ -47,6 +50,11 @@ fn wild_double(rng: &mut StdRng) -> Value {
         5 => -1.0e308,
         6 => f64::MAX,
         7 => -0.0,
+        // A responsibility: 1 down to 1e-310, gradual underflow included.
+        8 | 9 => {
+            let (a, b) = (rng.random_range(0..156usize), rng.random_range(0..156usize));
+            unit * 10f64.powi(-(a as i32)) * 10f64.powi(-(b as i32))
+        }
         _ => {
             let sign = if rng.random::<bool>() { 1.0 } else { -1.0 };
             sign * unit * 2f64.powi(rng.random_range(0..600usize) as i32 - 300)
