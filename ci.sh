@@ -28,7 +28,10 @@ Stages, in order:
                 from_le_bytes appears only in storage/codec.rs (the one
                 place a header or an integer is parsed) and fs::rename( /
                 .sync_all() only under storage/ (the one log-file handle
-                and the one atomic replace); prints the crates/*/src line
+                and the one atomic replace); and one row store: outside
+                #[cfg(test)], table.rs holds no HashMap<Row / Vec<Row>
+                and expr/batch.rs no per-cell `fn gather`; prints the
+                crates/*/src line
                 total and the non-test total (each file up to its first
                 #[cfg(test)]) so a PR's line delta is a CI output
   fmt           cargo fmt --all -- --check
@@ -47,8 +50,10 @@ Stages, in order:
                 positioned diagnostic
   tier-1        the main test suites, incl. the seeded statement-shape
                 parity of tests/plan_parity.rs, embedded vs coordinator,
-                the golden format digests of tests/formats.rs and the
+                the golden format digests of tests/formats.rs, the
                 seeded byte-layer properties of tests/format_props.rs
+                and the table-against-its-model sequences of
+                tests/table_model.rs
                 (--quick skips the retail e2e suite and runs one
                 520-case parity seed of the four)
   chaos         deterministic fault-plan sweep over every statement index
@@ -155,18 +160,30 @@ fi
 # (logfile.rs: the append-only handle and the atomic replace). Product
 # code only — each file up to its first #[cfg(test)], as the line count
 # below — so a unit test may still build a frame by hand.
+# nontest PATTERN [find predicates choosing among crates/*/src/**.rs]
 nontest() {
-    find crates/*/src -name '*.rs' ! -path "$1" -exec \
-        awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} !t && $0 ~ pat {print FILENAME":"FNR": "$0}' pat="$2" {} +
+    pat="$1"; shift
+    find crates/*/src -name '*.rs' "$@" -exec \
+        awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} !t && $0 ~ pat {print FILENAME":"FNR": "$0}' pat="$pat" {} +
 }
-if nontest 'crates/sqlengine/src/storage/codec.rs' 'from_le_bytes' | grep .; then
+if nontest 'from_le_bytes' ! -path 'crates/sqlengine/src/storage/codec.rs' | grep .; then
     echo "ERROR: bytes are parsed by hand above; read them through" \
          "sqlengine::storage::codec (Reader, record_header)" >&2
     exit 1
 fi
-if nontest 'crates/sqlengine/src/storage/*' 'fs::rename\(|\.sync_all\(\)' | grep .; then
+if nontest 'fs::rename\(|\.sync_all\(\)' ! -path 'crates/sqlengine/src/storage/*' | grep .; then
     echo "ERROR: a durable file is written by hand above; use" \
          "sqlengine::storage::logfile (LogFile, atomic_replace)" >&2
+    exit 1
+fi
+# One row store: a table is typed columns under a positions-only key
+# index (crates/sqlengine/src/table.rs), and a batch is a slice or a take
+# of them — no boxed rows, no map keyed by a copy of the key, no
+# per-cell gather.
+if { nontest 'HashMap<Row|Vec<Row>' -path 'crates/sqlengine/src/table.rs'
+     nontest 'fn gather' -path 'crates/sqlengine/src/expr/batch.rs'; } | grep .; then
+    echo "ERROR: row storage is back (above); a table stores expr::Column" \
+         "vectors and hands out slices of them" >&2
     exit 1
 fi
 echo "   crates/*/src: $(find crates/*/src -name '*.rs' -exec cat {} + | wc -l) lines," \
@@ -195,7 +212,7 @@ cargo test -q --test plancheck
 if [ "$QUICK" = 1 ]; then
     echo "== tier-1: tests (--quick: skipping the retail end-to-end suite)"
     cargo test -q --test baselines --test end_to_end --test extensions \
-        --test formats --test format_props
+        --test formats --test format_props --test table_model
     cargo test -q --test plan_parity seed_1
 else
     echo "== tier-1: tests"

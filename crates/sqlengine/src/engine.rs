@@ -15,6 +15,7 @@ use crate::exec::{
     execute_statement, execute_statement_metered, explain_select, finalize_select_partials,
     run_select_partial, stage_rows, statement_kind, statement_tables, ExecConfig, QueryResult,
 };
+use crate::expr::Column;
 use crate::fault::{FaultInjector, FaultKind, FaultPlan, FaultSite, Injection};
 use crate::metrics::{ExecMetrics, MetricsLog, StatementKind, StmtProbe};
 use crate::parser::parse;
@@ -22,7 +23,9 @@ use crate::plan::{SelectPlan, StatementPlan};
 use crate::storage::logfile::{read_or_empty, LogFile};
 use crate::storage::snapshot::{read_snapshot, write_snapshot};
 use crate::value::Value;
-use crate::wal::{encode_commit, encode_frame, scan, wal_path, WalOp, WAL_MAGIC};
+use crate::wal::{
+    encode_bulk_frame, encode_commit, encode_sql_frame, scan, wal_path, WalOp, WAL_MAGIC,
+};
 
 /// Configuration for a [`Database`].
 pub type EngineConfig = ExecConfig;
@@ -42,6 +45,20 @@ impl Default for DurabilityOptions {
             auto_compact_bytes: 8 * 1024 * 1024,
         }
     }
+}
+
+/// The operation a mutating statement logs, as staged before it runs:
+/// what [`WalOp`] is once decoded.
+enum Staged {
+    /// A statement, logged as its rendered SQL text.
+    Sql(String),
+    /// A bulk load, logged as the rows its staged columns hold.
+    Bulk {
+        /// Destination table (lowercase).
+        table: String,
+        /// One storage column per declared column of the table.
+        columns: Vec<Column>,
+    },
 }
 
 /// What WAL recovery found when a durable database was (re)opened —
@@ -239,9 +256,16 @@ impl Database {
                 let t = self.catalog.table_mut(&table).map_err(|e| {
                     Error::corruption(format!("wal replay: bulk-insert target missing: {e}"))
                 })?;
-                t.insert_all_or_rollback(rows).map_err(|e| {
-                    Error::corruption(format!("wal replay: bulk insert into {table} failed: {e}"))
-                })?;
+                let declared = t.schema().columns();
+                let rows = rows.into_iter().map(Ok);
+                let mut probe = StmtProbe::disabled();
+                stage_rows(&table, declared, rows, "wal replay", &mut probe)
+                    .and_then(|staged| t.append(staged))
+                    .map_err(|e| {
+                        Error::corruption(format!(
+                            "wal replay: bulk insert into {table} failed: {e}"
+                        ))
+                    })?;
             }
         }
         Ok(())
@@ -365,13 +389,14 @@ impl Database {
 
     /// The one frame around every statement — SQL and bulk loads alike —
     /// keyed by what a frame needs: the statement `kind`, the `tables`
-    /// it touches (what fault rules match on) and the [`WalOp`] to log.
+    /// it touches (what fault rules match on) and the [`Staged`]
+    /// operation to log.
     /// In order: the before-exec fault site (a fired rule is
     /// [`Error::Injected`], the target untouched); `stage` reads the
     /// catalog and returns the operation a durable database logs (`None`
     /// when nothing mutates); the begin+payload frame is appended;
     /// `apply` runs the statement (it gets the staged operation back, so
-    /// a bulk load inserts the very rows that were logged); an
+    /// a bulk load appends the very columns that were logged); an
     /// [`ExecMetrics`] entry goes into the session log when it is enabled
     /// (a no-op probe otherwise — the zero-overhead default); the commit
     /// marker and an `fsync`; the after-exec fault site. A statement
@@ -386,8 +411,8 @@ impl Database {
         kind: StatementKind,
         tables: &[String],
         front_end: Duration,
-        stage: impl FnOnce(&Catalog, &mut StmtProbe) -> Result<Option<WalOp>>,
-        apply: impl FnOnce(&mut Catalog, &ExecConfig, &mut StmtProbe, Option<WalOp>) -> Result<T>,
+        stage: impl FnOnce(&Catalog, &mut StmtProbe) -> Result<Option<Staged>>,
+        apply: impl FnOnce(&mut Catalog, &ExecConfig, &mut StmtProbe, Option<Staged>) -> Result<T>,
     ) -> Result<T> {
         self.check_fault(FaultSite::BeforeExec, kind, tables)?;
         let mut probe = self.new_probe();
@@ -428,7 +453,7 @@ impl Database {
             statement_kind(stmt),
             &tables,
             front_end,
-            |_, _| Ok(log.then(|| WalOp::Sql(stmt.to_string()))),
+            |_, _| Ok(log.then(|| Staged::Sql(stmt.to_string()))),
             |catalog, config, probe, _| run(catalog, config, probe),
         )
     }
@@ -517,7 +542,7 @@ impl Database {
         &mut self,
         kind: StatementKind,
         tables: &[String],
-        op: &WalOp,
+        op: &Staged,
     ) -> Result<u64> {
         if let Some(hit) = self.fault_at(FaultSite::BeforeWalAppend, kind, tables) {
             if hit.crash {
@@ -529,7 +554,10 @@ impl Database {
         }
         let d = self.durability.as_mut().expect("durable database");
         let seq = d.next_seq;
-        let frame = encode_frame(seq, op);
+        let frame = match op {
+            Staged::Sql(sql) => encode_sql_frame(seq, sql),
+            Staged::Bulk { table, columns } => encode_bulk_frame(seq, table, columns),
+        };
         let start = d.wal.append(&frame)?;
         d.next_seq += 1;
         if let Some(hit) = self.fault_at(FaultSite::AfterWalAppend, kind, tables) {
@@ -734,26 +762,27 @@ impl Database {
             StatementKind::Insert,
             &tables,
             Duration::ZERO,
-            // Coerce every row before touching the table, then insert
+            // Coerce every row before touching the table, then append
             // atomically: a failed bulk load leaves the target unchanged.
             // The staging buffer is the dominant allocation of a bulk
             // load, so it is charged against the memory budget row by
             // row — an over-budget load aborts before the table or the
-            // WAL see it. Bulk loads have no SQL text; the staged rows
-            // are what is logged, under the same begin/commit protocol.
+            // WAL see it. Bulk loads have no SQL text; the staged
+            // columns are what is logged (as rows), under the same
+            // begin/commit protocol.
             |catalog, probe| {
                 let [table] = &tables;
-                let columns = catalog.table(table)?.schema().columns();
+                let declared = catalog.table(table)?.schema().columns();
                 let incoming = rows.into_iter().map(Ok);
-                let rows = stage_rows(table, columns, incoming, "bulk-load staging", probe)?;
+                let columns = stage_rows(table, declared, incoming, "bulk-load staging", probe)?;
                 let table = table.clone();
-                Ok(Some(WalOp::BulkInsert { table, rows }))
+                Ok(Some(Staged::Bulk { table, columns }))
             },
             |catalog, _, probe, staged| {
-                let Some(WalOp::BulkInsert { table, rows }) = staged else {
-                    unreachable!("a bulk load stages its rows as the operation to log");
+                let Some(Staged::Bulk { table, columns }) = staged else {
+                    unreachable!("a bulk load stages its columns as the operation to log");
                 };
-                let inserted = catalog.table_mut(&table)?.insert_all_or_rollback(rows)?;
+                let inserted = catalog.table_mut(&table)?.append(columns)?;
                 probe.add_inserted(inserted);
                 Ok(inserted)
             },
@@ -1092,9 +1121,9 @@ mod tests {
             .unwrap();
         }
         let db = Database::open_durable(&dir).unwrap();
-        let rows = db.catalog().table("y").unwrap().rows();
-        assert_eq!(rows.len(), 2);
-        match &rows[0][1] {
+        let y = db.catalog().table("y").unwrap();
+        assert_eq!(y.len(), 2);
+        match &y.row(0)[1] {
             Value::Double(d) => assert_eq!(d.to_bits(), (1.0f64 / 3.0).to_bits()),
             other => panic!("expected double, got {other:?}"),
         }

@@ -65,6 +65,14 @@ pub enum Error {
         /// Destination table.
         table: String,
     },
+    /// An insert would take a table past the most rows one can hold (row
+    /// positions are 32-bit); nothing was inserted.
+    TableFull {
+        /// Destination table.
+        table: String,
+        /// The most rows a table holds.
+        max_rows: usize,
+    },
     /// Division by zero or another runtime arithmetic fault in strict mode.
     Arithmetic(String),
     /// The statement cannot be planned, or semantic analysis rejected
@@ -193,6 +201,12 @@ impl fmt::Display for Error {
             Error::TypeMismatch { context } => write!(f, "type mismatch: {context}"),
             Error::DuplicateKey { table } => {
                 write!(f, "primary key violation inserting into {table}")
+            }
+            Error::TableFull { table, max_rows } => {
+                write!(
+                    f,
+                    "table {table} is full: a table holds at most {max_rows} rows"
+                )
             }
             Error::Arithmetic(m) => write!(f, "arithmetic error: {m}"),
             Error::Analyze(e) => write!(f, "semantic analysis: {e}"),

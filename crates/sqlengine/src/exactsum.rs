@@ -537,10 +537,11 @@ impl ExactSum {
     /// *is* the correctly rounded exact sum of its operands — overflow
     /// to ±∞ and gradual underflow included — and `+ 0.0` turns a `-0.0`
     /// into the `+0.0` the fixed-point path returns for a zero sum.
-    /// Anything longer is rounded from the limb array. (Summing three or
-    /// more components in floating point would be only *faithfully*
-    /// rounded: nonoverlapping expansions of the same value are not
-    /// unique, so partition shape could still leak into the last bit.)
+    /// Three or four are rounded in floating point too
+    /// (`round_inline`), though not by adding them up: that would be
+    /// only *faithfully* rounded — nonoverlapping expansions of the same
+    /// value are not unique, so partition shape could still leak into
+    /// the last bit. The wide tier is rounded from its limb array.
     pub fn finalize(&self) -> f64 {
         if self.has_nan || (self.pos_inf && self.neg_inf) {
             return f64::NAN;
@@ -556,11 +557,62 @@ impl ExactSum {
                 [] => 0.0,
                 [a] => a + 0.0,
                 [a, b] => (a + b) + 0.0,
-                ref comps => fixed_point_round(comps),
+                ref comps => round_inline(comps),
             },
             Comps::Wide(w) => w.round(),
         }
     }
+}
+
+/// The correctly rounded sum of up to [`INLINE_COMPS`] finite components,
+/// bit for bit what [`fixed_point_round`] returns, without the limbs.
+///
+/// Adding the components to a fresh accumulator renormalizes them —
+/// whatever list [`ExactSum::from_parts`] was handed — into a
+/// nonoverlapping expansion of increasing magnitude (Shewchuk's
+/// grow-expansion; it holds no more components than went in). Summed
+/// from the top by two-sums, the first nonzero residual `lo` is where
+/// the running sum `hi` was rounded; everything below is smaller than
+/// `lo`'s last bit, so it moves the result only when `lo` is exactly
+/// half an ulp of `hi` (a tie, which `hi` broke to even) and the next
+/// component lies on `lo`'s side: then the true sum is past the tie and
+/// `hi + 2·lo`, exact, is the neighbour it rounds to. (The final
+/// rounding of CPython's `math.fsum`, with its proof.) A two-sum is
+/// exact only where no sum overflows and `hi + 2·lo` must not either,
+/// so components near the top of the range take the limbs.
+fn round_inline(comps: &[f64]) -> f64 {
+    const NEAR_OVERFLOW: f64 = 1.0e300;
+    if comps.iter().any(|c| c.abs() >= NEAR_OVERFLOW) {
+        return fixed_point_round(comps);
+    }
+    let mut sorted = ExactSum::new();
+    for &c in comps {
+        sorted.add(c);
+    }
+    let Comps::Inline { buf, len } = sorted.comps else {
+        unreachable!("an expansion is no longer than the list it sums");
+    };
+    let mut rest = buf[..len as usize].iter().rev();
+    let Some(&top) = rest.next() else {
+        return 0.0;
+    };
+    let (mut hi, mut lo) = (top, 0.0);
+    for &c in rest.by_ref() {
+        (hi, lo) = two_sum(hi, c);
+        if lo != 0.0 {
+            break;
+        }
+    }
+    if let Some(&next) = rest.next() {
+        if (lo < 0.0 && next < 0.0) || (lo > 0.0 && next > 0.0) {
+            let twice = lo * 2.0;
+            let past = hi + twice;
+            if past - hi == twice {
+                hi = past;
+            }
+        }
+    }
+    hi
 }
 
 /// Sum the (finite) components in fixed point and round to nearest-even
@@ -1133,6 +1185,76 @@ mod tests {
                 fixed_point_round(&[a, b]).to_bits(),
                 "{a:e} + {b:e}"
             );
+        }
+    }
+
+    #[test]
+    fn finalize_of_three_and_four_components_is_the_limb_rounding() {
+        // The floating-point rounding against the limb path, bit for
+        // bit: lists as `add` leaves them (nonoverlapping) and as
+        // `from_parts` may be handed them (anything finite), over the
+        // regimes of the test above, with a component placed on and
+        // next to the tie of the ones before it, on either side, and
+        // a further one below that to break the tie.
+        let mut rng = Rng(0x3C0FFEE);
+        let mut lists: Vec<Vec<f64>> = Vec::new();
+        let tiny = f64::from_bits(1);
+        let ulp = 2f64.powi(-52);
+        for tail in [
+            tiny,
+            -tiny,
+            1.0e-300,
+            -1.0e-300,
+            2f64.powi(-200),
+            -(2f64.powi(-200)),
+        ] {
+            lists.push(vec![1.0, ulp / 2.0, tail]);
+            lists.push(vec![1.0, -ulp / 4.0, tail]);
+            lists.push(vec![1.0 + ulp, ulp / 2.0, tail]);
+            lists.push(vec![1.0 + ulp, -ulp / 2.0, tail, tail]);
+            lists.push(vec![1.0e299, 1.0e299 * ulp / 2.0, tail]);
+            lists.push(vec![f64::MAX, 2f64.powi(970), tail]);
+            lists.push(vec![-f64::MAX, -(2f64.powi(970)), tail, tail]);
+            lists.push(vec![f64::MIN_POSITIVE, -tiny, tail]);
+            lists.push(vec![tail, -tail, tail, -tail]);
+        }
+        lists.push(vec![0.0, -0.0, -0.0]);
+        lists.push(vec![-0.0; 4]);
+        lists.push(vec![f64::MAX, f64::MAX, -f64::MAX]);
+        lists.push(vec![f64::MAX, f64::MAX, -f64::MAX, -f64::MAX]);
+        lists.push(vec![1.0e100, 1.0, -1.0e100]);
+        for _ in 0..20000 {
+            let len = 3 + rng.below(2);
+            let mut list: Vec<f64> = Vec::new();
+            while list.len() < len {
+                let r = rng.below(7);
+                let mut x = rng.hostile(r);
+                if !list.is_empty() && rng.below(3) == 0 {
+                    // Half an ulp of the sum so far, give or take a bit,
+                    // or a speck on either side.
+                    let sum: f64 = list.iter().sum();
+                    let half = sum * 2f64.powi(-53);
+                    x = match rng.below(4) {
+                        0 => half,
+                        1 => -half,
+                        2 => f64::from_bits(half.to_bits() ^ (rng.next() & 1)),
+                        _ => half * 2f64.powi(-(rng.below(900) as i32)),
+                    };
+                }
+                if x.is_finite() {
+                    list.push(x);
+                }
+            }
+            lists.push(list);
+        }
+        for list in lists {
+            let expect = fixed_point_round(&list).to_bits();
+            let parts = ExactSum::from_parts(&list, false, false, false);
+            assert_eq!(parts.to_parts().0.len(), list.len());
+            assert_eq!(parts.finalize().to_bits(), expect, "parts {list:?}");
+            let mut added = ExactSum::new();
+            list.iter().for_each(|&x| added.add(x));
+            assert_eq!(added.finalize().to_bits(), expect, "added {list:?}");
         }
     }
 

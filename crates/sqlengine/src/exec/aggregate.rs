@@ -789,18 +789,6 @@ impl AggSink {
     }
 }
 
-/// Can rows `i` and `j` of a group-key column be told to hold the same
-/// key without hashing? (May say no for equal keys — NULLs, NaNs — which
-/// then meet again in the hash index.)
-fn same_key(col: &Column, i: usize, j: usize) -> bool {
-    match col {
-        Column::F64(v, None) => v[i] == v[j],
-        Column::I64(v, None) => v[i] == v[j],
-        Column::F64(..) | Column::I64(..) => false,
-        Column::Val(v) => v[i] == v[j],
-    }
-}
-
 impl AggSink {
     /// Append a group with fresh accumulators; returns its position.
     fn add_group(&mut self, key: Row) -> usize {
@@ -825,7 +813,7 @@ impl AggSink {
         let mut gids: Vec<u32> = Vec::with_capacity(n);
         let mut key: Vec<Value> = Vec::with_capacity(keys.len());
         for pos in 0..n {
-            if pos > 0 && keys.iter().all(|k| same_key(k, pos - 1, pos)) {
+            if pos > 0 && keys.iter().all(|k| k.eq_at(pos - 1, k, pos)) {
                 gids.push(gids[pos - 1]);
                 continue;
             }

@@ -3,11 +3,11 @@
 use crate::ast::ColumnDef;
 use crate::catalog::Catalog;
 use crate::error::{Error, Result};
-use crate::exec::{run_select, ExecConfig, QueryResult};
+use crate::exec::{run_select_columns, ExecConfig, QueryResult};
+use crate::expr::{Column, RowError};
 use crate::metrics::StmtProbe;
 use crate::plan::{constant_rows, DeletePlan, InsertPlan, InsertRows, UpdatePlan};
-use crate::schema::{Column, Schema};
-use crate::table::Row;
+use crate::schema::{self, Schema};
 use crate::value::Value;
 
 /// Safety bound on the UPDATE…FROM cross product (the paper's auxiliary
@@ -21,9 +21,9 @@ pub fn create_table(
     primary_key: &[String],
     if_not_exists: bool,
 ) -> Result<QueryResult> {
-    let cols: Vec<Column> = columns
+    let cols: Vec<schema::Column> = columns
         .iter()
-        .map(|c| Column::new(c.name.clone(), c.ty))
+        .map(|c| schema::Column::new(c.name.clone(), c.ty))
         .collect();
     let pk: Vec<&str> = primary_key.iter().map(String::as_str).collect();
     let schema = Schema::new(cols, &pk)?;
@@ -42,65 +42,128 @@ pub fn insert(
     plan: &InsertPlan,
     probe: &mut StmtProbe,
 ) -> Result<QueryResult> {
-    let incoming: Vec<Row> = match &plan.rows {
-        InsertRows::Select(select) => run_select(catalog, config, select, probe)?.rows,
-        InsertRows::Values(values) => constant_rows(values)?,
-    };
-
     // Stage the full batch — slot mapping, arity checks and type
-    // coercion all happen before the table is touched — then insert
+    // coercion all happen before the table is touched — then append
     // atomically: a failed INSERT (including INSERT … SELECT) leaves
     // the target exactly as it was, so a retry is safe (§3.6 workflow
     // hardening; see docs/ROBUSTNESS.md).
     let target = &plan.target;
-    let widened = incoming.into_iter().map(|row| plan.full_row(row));
-    let staged = stage_rows(
-        &target.table,
-        &target.columns,
-        widened,
-        "staged insert",
-        probe,
-    )?;
-    let inserted = catalog
-        .table_mut(&target.table)?
-        .insert_all_or_rollback(staged)?;
+    let staged = match &plan.rows {
+        InsertRows::Select(select) => {
+            let mut staged = empty_columns(&target.columns);
+            for cols in run_select_columns(catalog, config, select, probe)? {
+                let n = cols[0].len();
+                let mut full: Vec<Option<Column>> = vec![None; target.arity()];
+                for (j, col) in cols.into_iter().enumerate() {
+                    full[plan.target_slot(j)] = Some(col);
+                }
+                // NULL in the columns the column list leaves out.
+                let declared = target.columns.iter();
+                let widened = full
+                    .into_iter()
+                    .zip(declared)
+                    .map(|(col, d)| col.unwrap_or_else(|| Column::nulls(d.ty, n)));
+                stage_columns(
+                    &mut staged,
+                    &target.columns,
+                    widened,
+                    "staged insert",
+                    probe,
+                )?;
+            }
+            staged
+        }
+        InsertRows::Values(values) => {
+            let widened = constant_rows(values)?
+                .into_iter()
+                .map(|row| plan.full_row(row));
+            stage_rows(
+                &target.table,
+                &target.columns,
+                widened,
+                "staged insert",
+                probe,
+            )?
+        }
+    };
+    let inserted = catalog.table_mut(&target.table)?.append(staged)?;
     probe.add_inserted(inserted);
     Ok(QueryResult::affected(inserted))
 }
 
-/// Stage incoming rows for `table`: check each row's arity, coerce it
-/// to the declared column types and charge it to the statement's memory
-/// budget under `context` as the buffer grows, so an over-budget or
-/// ill-typed batch aborts before the table (or the WAL) sees any of it.
-/// The one staging loop of `INSERT` and [`crate::Database::bulk_insert`].
+fn empty_columns(declared: &[schema::Column]) -> Vec<Column> {
+    declared.iter().map(|d| Column::empty(d.ty)).collect()
+}
+
+/// Stage one batch of incoming columns, one per column of `declared`:
+/// coerce each to its declared type and charge the batch's rows to the
+/// statement's memory budget under `context`, then append it to
+/// `staged`. Fails as staging the same rows one at a time fails
+/// ([`stage_rows`]): with the error of the first row that does not
+/// coerce or does not fit the budget, the rows before it charged.
+fn stage_columns(
+    staged: &mut [Column],
+    declared: &[schema::Column],
+    incoming: impl Iterator<Item = Column>,
+    context: &'static str,
+    probe: &mut StmtProbe,
+) -> Result<()> {
+    let mut first: Option<RowError> = None;
+    let mut n = usize::MAX;
+    let coerced: Vec<Column> = incoming
+        .zip(declared)
+        .map(|(col, d)| {
+            let (col, failed) = col.coerce(d.ty);
+            n = n.min(col.len());
+            if let Some(f) = failed {
+                if first.as_ref().is_none_or(|e| f.row < e.row) {
+                    first = Some(f);
+                }
+            }
+            col
+        })
+        .collect();
+    probe.tracker().charge_rows(context, &coerced, n)?;
+    if let Some(failed) = first {
+        return Err(failed.error);
+    }
+    for (col, more) in staged.iter_mut().zip(coerced) {
+        col.append(more);
+    }
+    Ok(())
+}
+
+/// Stage incoming rows for `table` as one storage column per declared
+/// column: check each row's arity, coerce it to the declared column
+/// types and charge it to the statement's memory budget under `context`
+/// as the buffer grows, so an over-budget or ill-typed batch aborts
+/// before the table (or the WAL) sees any of it. The one staging loop of
+/// `INSERT … VALUES`, [`crate::Database::bulk_insert`] and WAL replay.
 pub fn stage_rows<R: AsRef<[Value]>>(
     table: &str,
-    columns: &[Column],
+    declared: &[schema::Column],
     incoming: impl Iterator<Item = Result<R>>,
     context: &'static str,
     probe: &mut StmtProbe,
-) -> Result<Vec<Row>> {
-    let mut staged: Vec<Row> = Vec::with_capacity(incoming.size_hint().0);
+) -> Result<Vec<Column>> {
+    let mut staged = empty_columns(declared);
     for row in incoming {
         let row = row?;
         let row = row.as_ref();
-        if row.len() != columns.len() {
+        if row.len() != declared.len() {
             return Err(Error::ArityMismatch {
                 table: table.to_string(),
-                expected: columns.len(),
+                expected: declared.len(),
                 actual: row.len(),
             });
         }
-        let coerced: Row = row
-            .iter()
-            .zip(columns)
-            .map(|(v, column)| v.coerce_to(column.ty))
-            .collect::<Result<Vec<_>>>()?
-            .into_boxed_slice();
+        for (col, v) in staged.iter_mut().zip(row) {
+            col.push(v)?;
+        }
+        // Coercion keeps a cell's logical size.
         probe
             .tracker()
-            .charge(context, crate::resource::row_bytes(&coerced))?;
-        staged.push(coerced);
+            .charge(context, crate::resource::row_bytes(row))?;
     }
     Ok(staged)
 }
@@ -124,9 +187,9 @@ pub fn update(
         probe.add_build_rows(t.len() as u64);
         let mut next = Vec::with_capacity(combos.len() * t.len().max(1));
         for combo in &combos {
-            for row in t.rows() {
+            for pos in 0..t.len() {
                 let mut c = combo.clone();
-                c.extend_from_slice(row);
+                c.extend(t.row(pos));
                 probe
                     .tracker()
                     .charge("update from", crate::resource::row_bytes(&c))?;
@@ -207,10 +270,8 @@ pub fn delete(
             // first, then delete by mark. DELETE is rare in this workload
             // (the paper prefers DROP/CREATE, §3.6), so the extra pass is
             // acceptable.
-            let marks: Vec<bool> = table
-                .rows()
-                .iter()
-                .map(|r| p.eval_predicate(r))
+            let marks: Vec<bool> = (0..table.len())
+                .map(|pos| p.eval_predicate(&table.row(pos)))
                 .collect::<Result<Vec<_>>>()?;
             let mut it = marks.iter();
             table.delete_where(|_| *it.next().unwrap())

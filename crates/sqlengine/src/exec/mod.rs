@@ -12,7 +12,9 @@ mod dml;
 mod select;
 
 pub(crate) use dml::stage_rows;
-pub use select::{explain_select, finalize_select_partials, run_select, run_select_partial};
+pub use select::{
+    explain_select, finalize_select_partials, run_select, run_select_columns, run_select_partial,
+};
 
 use crate::ast::Statement;
 use crate::catalog::Catalog;

@@ -1,7 +1,7 @@
 //! SELECT execution: a batch-at-a-time left-deep join pipeline.
 //!
 //! What runs is decided by [`crate::plan`]: this module *instantiates* a
-//! [`SelectPlan`] against the stored rows — hash maps, filtered
+//! [`SelectPlan`] against the stored columns — hash maps, filtered
 //! positions, memory charges, scan records — and drives batches
 //! through it.
 //!
@@ -12,24 +12,28 @@
 //! `RID` or `v`/`i`), or a broadcast (cross product) otherwise (the 1-row
 //! parameter tables `GMM`, `W`, `R`).
 //!
-//! Rows move in batches of at most [`BATCH_ROWS`]. The driver's rows are
-//! cut into batches and the slots some expression references — probe
-//! keys, residuals, the sink's items — are gathered from the stored rows
-//! into typed [`Column`]s; nothing else is copied. A join stage evaluates
-//! its probe keys over the batch, emits the matches as two index vectors
-//! (probing row, build row) and gathers the build table's referenced
-//! columns by index. Joined batches go straight into a sink — scalar
-//! projection or hash aggregation — so no intermediate join result is
-//! ever materialized beyond one batch; this is what keeps the `pn`-row
-//! distance join of the hybrid E step linear in memory.
+//! Rows move in batches of at most [`BATCH_ROWS`]. A table stores typed
+//! [`Column`]s, so a batch of the driver is a range of its rows: the
+//! slots some expression references — probe keys, residuals, the sink's
+//! items — are filled with slices of the stored columns; nothing else is
+//! copied. A join stage evaluates its probe keys over the batch, emits
+//! the matches as two index vectors (probing row, build row) and takes
+//! the build table's referenced columns at the matched positions. Joined
+//! batches go straight into a sink — scalar projection or hash
+//! aggregation — so no intermediate join result is ever materialized
+//! beyond one batch; this is what keeps the `pn`-row distance join of
+//! the hybrid E step linear in memory. The projection sink keeps its
+//! output as columns too: `INSERT … SELECT` appends them to the target
+//! ([`run_select_columns`]) and rows are built only for a client
+//! ([`run_select`]).
 //!
 //! A hash stage whose build keys are exactly its table's PRIMARY KEY,
 //! with no filter on the build side, probes the index the table already
-//! maintains (`Lookup::PrimaryKey`) instead of hashing the table again
-//! for every statement. The choice is read off the schema, by the plan.
-//! Either way
-//! the stage's table is recorded as a build-side scan, so the paper's
-//! scan counts are what they were.
+//! maintains (`Lookup::PrimaryKey`, a batch of key columns at a time)
+//! instead of hashing the table again for every statement. The choice is
+//! read off the schema, by the plan. Either way the stage's table is
+//! recorded as a build-side scan, so the paper's scan counts are what
+//! they were.
 //!
 //! An expression that fails on some row cuts its batch to the rows before
 //! it and parks the error ([`Batch::eval_cut`]); each step raises its
@@ -43,6 +47,7 @@
 //! installation.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::time::Instant;
 
 use crate::ast::BinOp;
@@ -54,7 +59,7 @@ use crate::expr::{Batch, CExpr, Column, BATCH_ROWS};
 use crate::metrics::StmtProbe;
 use crate::plan::{Join, SelectPlan, Sink};
 use crate::resource::{row_bytes, ResourceTracker, ENTRY_OVERHEAD_BYTES};
-use crate::table::{Row, Table};
+use crate::table::{Row, Table, NO_ROW};
 use crate::value::Value;
 
 /// Minimum driver rows before parallel execution is worth spawning.
@@ -124,21 +129,66 @@ pub fn run_select(
     let out_rows = match &plan.sink {
         Sink::Aggregate(agg) => run_aggregate(catalog, config, plan, agg, probe)?.finalize()?,
         Sink::Project(items) => {
-            let pipeline = build_pipeline(catalog, plan, probe)?;
-            let base_width = plan.chain.width();
-            let mem = probe.tracker();
-            let sinks = run_pipeline(&pipeline, config, probe, || ScalarSink {
-                items: items.clone(),
-                base_width,
-                out: Vec::new(),
-                mem,
-            })?;
-            sinks.into_iter().flat_map(|s| s.out).collect()
+            let mut rows = Vec::new();
+            for cols in run_project(catalog, config, plan, items, probe)? {
+                let row = |_| Vec::with_capacity(cols.len());
+                let mut chunk: Vec<Vec<Value>> = (0..cols[0].len()).map(row).collect();
+                cols.iter().for_each(|col| col.append_to(&mut chunk));
+                rows.extend(chunk.into_iter().map(Vec::into_boxed_slice));
+            }
+            rows
         }
     };
     let result = finish(plan, out_rows);
     probe.set_rows_produced(result.rows.len());
     Ok(result)
+}
+
+/// The scalar projection of `plan`: its output as the sinks' batches of
+/// item columns, in driver order.
+fn run_project(
+    catalog: &Catalog,
+    config: &ExecConfig,
+    plan: &SelectPlan,
+    items: &[CExpr],
+    probe: &mut StmtProbe,
+) -> Result<Vec<Vec<Column>>> {
+    let pipeline = build_pipeline(catalog, plan, probe)?;
+    let base_width = plan.chain.width();
+    let mem = probe.tracker();
+    let sinks = run_pipeline(&pipeline, config, probe, || ScalarSink {
+        items,
+        base_width,
+        out: Vec::new(),
+        rows: 0,
+        mem,
+    })?;
+    Ok(sinks.into_iter().flat_map(|s| s.out).collect())
+}
+
+/// Run a planned SELECT for `INSERT … SELECT`: the result of
+/// [`run_select`] as non-empty batches of columns, one column per
+/// output. A plain projection hands over what its sink holds and no row
+/// is ever built; an aggregate's finalized rows (or a sorted, limited
+/// result) are converted once, here.
+pub fn run_select_columns(
+    catalog: &Catalog,
+    config: &ExecConfig,
+    plan: &SelectPlan,
+    probe: &mut StmtProbe,
+) -> Result<Vec<Vec<Column>>> {
+    if let (Sink::Project(items), true, None) = (&plan.sink, plan.sort_keys.is_empty(), plan.limit)
+    {
+        let chunks = run_project(catalog, config, plan, items, probe)?;
+        probe.set_rows_produced(chunks.iter().map(|cols| cols[0].len()).sum());
+        return Ok(chunks);
+    }
+    let rows = run_select(catalog, config, plan, probe)?.rows;
+    let column = |j: usize| Column::from_values(rows.iter().map(|r| r[j].clone()).collect());
+    Ok(match rows.len() {
+        0 => Vec::new(),
+        _ => vec![(0..plan.output_names.len()).map(column).collect()],
+    })
 }
 
 /// The aggregation of `plan`; partial execution and partial finalize
@@ -210,25 +260,22 @@ enum StageKind<'a> {
     Broadcast { indices: Vec<u32> },
 }
 
-/// One FROM table as the pipeline reads it: its rows and where its
-/// columns sit in the joined row.
+/// One FROM table as the pipeline reads it: its columns and where they
+/// sit in the joined row.
 struct Source<'a> {
     table: &'a Table,
     /// Slot of the table's first column in the joined row.
     offset: usize,
 }
 
-impl<'a> Source<'a> {
-    /// Gather the columns of `rows` whose slots `needed` marks into
-    /// `batch`.
-    fn gather<I>(&self, batch: &mut Batch, rows: I, needed: &[bool])
-    where
-        I: Iterator<Item = &'a Row> + Clone,
-    {
-        for (c, column) in self.table.schema().columns().iter().enumerate() {
+impl Source<'_> {
+    /// Fill the slots of this table that `needed` marks with `rows` of
+    /// its stored columns: a slice of a driver range, or the matched
+    /// build positions taken.
+    fn fill(&self, batch: &mut Batch, needed: &[bool], rows: impl Fn(&Column) -> Column) {
+        for (c, column) in self.table.columns().iter().enumerate() {
             if needed[self.offset + c] {
-                let cells = rows.clone().map(|r| &r[c]);
-                batch.set(self.offset + c, Column::gather(cells, column.ty));
+                batch.set(self.offset + c, rows(column));
             }
         }
     }
@@ -249,7 +296,7 @@ struct Stage<'a> {
     source: Source<'a>,
     kind: StageKind<'a>,
     /// Residual predicates evaluated over the accumulated columns once
-    /// this stage's are gathered.
+    /// this stage's are filled in.
     residuals: Vec<CExpr>,
 }
 
@@ -260,9 +307,16 @@ struct Pipeline<'a> {
     driver_filter: Option<CExpr>,
     stages: Vec<Stage<'a>>,
     /// Per slot of the joined row: does any expression — of the
-    /// pipeline or of the sink — read it? Only these slots are gathered
-    /// into batches.
+    /// pipeline or of the sink — read it? Only these slots are filled
+    /// in a batch.
     needed: Vec<bool>,
+}
+
+/// `rows` cut into ranges of at most [`BATCH_ROWS`].
+fn batches(rows: Range<usize>) -> impl Iterator<Item = Range<usize>> {
+    let end = rows.end;
+    rows.step_by(BATCH_ROWS)
+        .map(move |first| first..end.min(first + BATCH_ROWS))
 }
 
 /// Walk the rows of `table` that pass `filter` (all of them without
@@ -283,10 +337,11 @@ fn scan_filtered(
     for e in filter.into_iter().chain(exprs) {
         mark_slots(e, &mut needed);
     }
-    for (i, rows) in table.rows().chunks(BATCH_ROWS).enumerate() {
-        let first = (i * BATCH_ROWS) as u32;
+    for rows in batches(0..table.len()) {
+        // A table holds at most `u32::MAX` rows.
+        let (first, end) = (rows.start as u32, rows.end as u32);
         let mut batch = Batch::new(needed.len(), rows.len());
-        source.gather(&mut batch, rows.iter(), &needed);
+        source.fill(&mut batch, &needed, |col| col.slice(rows.clone()));
         let mut pending = None;
         let positions: Vec<u32> = match filter {
             Some(f) => batch
@@ -294,7 +349,7 @@ fn scan_filtered(
                 .iter()
                 .map(|p| first + p)
                 .collect(),
-            None => (first..first + rows.len() as u32).collect(),
+            None => (first..end).collect(),
         };
         each(&mut batch, &positions, &mut pending)?;
         pending.map_or(Ok(()), Err)?;
@@ -386,7 +441,7 @@ fn slots_read(plan: &SelectPlan) -> Vec<bool> {
     needed
 }
 
-/// Instantiate `plan` against the stored rows: record the scans, filter
+/// Instantiate `plan` against the stored tables: record the scans, filter
 /// and hash (or borrow the index of) each build side, charge what that
 /// allocates.
 fn build_pipeline<'a>(
@@ -471,7 +526,7 @@ fn build_pipeline<'a>(
 
 /// A consumer of joined batches.
 pub trait BatchSink {
-    /// Accept one batch of joined rows: the gathered columns of every
+    /// Accept one batch of joined rows: the referenced columns of every
     /// FROM table, at the slots the sink's expressions were compiled for.
     fn push(&mut self, batch: Batch) -> Result<()>;
 
@@ -484,13 +539,16 @@ pub trait BatchSink {
 
 /// Scalar projection sink with Teradata-style lateral aliases: each
 /// computed item becomes one more column of the batch, at the slot the
-/// items after it were compiled to read it from.
+/// items after it were compiled to read it from. The item columns of
+/// every batch are what it keeps.
 struct ScalarSink<'t> {
-    items: Vec<CExpr>,
+    items: &'t [CExpr],
     base_width: usize,
-    out: Vec<Row>,
-    /// Statement working-memory account; every materialized output row
-    /// is charged before it is kept, so an over-budget SELECT aborts
+    out: Vec<Vec<Column>>,
+    /// Rows kept in `out`.
+    rows: u64,
+    /// Statement working-memory account; every batch of output rows is
+    /// charged before it is kept, so an over-budget SELECT aborts
     /// mid-stream instead of after buffering the whole result.
     mem: &'t ResourceTracker,
 }
@@ -502,23 +560,20 @@ impl BatchSink for ScalarSink<'_> {
             let col = batch.eval_cut(item, &mut pending);
             batch.set(self.base_width + j, col);
         }
-        let mut rows: Vec<Vec<Value>> = (0..batch.len())
-            .map(|_| Vec::with_capacity(self.items.len()))
-            .collect();
-        for j in 0..self.items.len() {
-            let col = batch.column(self.base_width + j).expect("item column set");
-            col.append_to(&mut rows);
-        }
-        for row in rows {
-            let row = row.into_boxed_slice();
-            self.mem.charge("select output", row_bytes(&row))?;
-            self.out.push(row);
+        if !batch.is_empty() {
+            let slots = self.base_width..self.base_width + self.items.len();
+            let cols: Vec<Column> = slots
+                .map(|slot| batch.take_slot(slot).expect("item column set"))
+                .collect();
+            self.mem.charge_rows("select output", &cols, batch.len())?;
+            self.rows += batch.len() as u64;
+            self.out.push(cols);
         }
         pending.map_or(Ok(()), Err)
     }
 
     fn expr_evals(&self) -> u64 {
-        (self.out.len() as u64) * (self.items.len() as u64)
+        self.rows * (self.items.len() as u64)
     }
 }
 
@@ -550,7 +605,7 @@ where
     S: BatchSink + Send,
     F: Fn() -> S + Sync,
 {
-    let run = |rows: Option<&[Row]>| -> Result<S> {
+    let run = |rows: Option<Range<usize>>| -> Result<S> {
         let mut sink = make_sink();
         let mut tally = Tally::default();
         match rows {
@@ -564,16 +619,17 @@ where
     let Some(driver) = &pipeline.driver else {
         return Ok(vec![run(None)?]);
     };
-    let rows = driver.table.rows();
+    let n = driver.table.len();
     let workers = config.workers.max(1);
-    if workers == 1 || rows.len() < PARALLEL_THRESHOLD {
-        return Ok(vec![run(Some(rows))?]);
+    if workers == 1 || n < PARALLEL_THRESHOLD {
+        return Ok(vec![run(Some(0..n))?]);
     }
     let run = &run;
+    let share = n.div_ceil(workers);
     std::thread::scope(|scope| {
-        let handles: Vec<_> = rows
-            .chunks(rows.len().div_ceil(workers))
-            .map(|part| scope.spawn(move || run(Some(part))))
+        let handles: Vec<_> = (0..n)
+            .step_by(share)
+            .map(|first| scope.spawn(move || run(Some(first..n.min(first + share)))))
             .collect();
         handles
             .into_iter()
@@ -588,18 +644,18 @@ impl Pipeline<'_> {
     /// batch, so overrun is bounded by one batch's work.
     fn run_partition<S: BatchSink>(
         &self,
-        rows: &[Row],
+        rows: Range<usize>,
         deadline: Option<Instant>,
         sink: &mut S,
         tally: &mut Tally,
     ) -> Result<()> {
         let driver = self.driver.as_ref().expect("partitions come from a driver");
-        for rows in rows.chunks(BATCH_ROWS) {
+        for rows in batches(rows) {
             if deadline.is_some_and(|d| Instant::now() >= d) {
                 return Err(Error::deadline("table scan", 0));
             }
             let mut batch = Batch::new(self.needed.len(), rows.len());
-            driver.gather(&mut batch, rows.iter(), &self.needed);
+            driver.fill(&mut batch, &self.needed, |col| col.slice(rows.clone()));
             let mut pending = None;
             if let Some(f) = &self.driver_filter {
                 tally.expr_evals += rows.len() as u64;
@@ -655,7 +711,21 @@ impl Pipeline<'_> {
             Ok(())
         };
         match &stage.kind {
-            StageKind::Hash { lookup, .. } => {
+            StageKind::Hash {
+                lookup: Lookup::PrimaryKey(table),
+                ..
+            } => {
+                let hits = table.probe(&probe_keys, batch.len());
+                for (pos, row) in hits.iter().enumerate() {
+                    if *row != NO_ROW {
+                        join(&batch, pos, std::slice::from_ref(row))?;
+                    }
+                }
+            }
+            StageKind::Hash {
+                lookup: Lookup::Built(map),
+                ..
+            } => {
                 let mut key: Vec<Value> = Vec::with_capacity(probe_keys.len());
                 for pos in 0..batch.len() {
                     key.clear();
@@ -664,17 +734,8 @@ impl Pipeline<'_> {
                     if key.iter().any(Value::is_null) {
                         continue;
                     }
-                    match lookup {
-                        Lookup::PrimaryKey(table) => {
-                            if let Some(row) = table.position(&key) {
-                                join(&batch, pos, &[row as u32])?;
-                            }
-                        }
-                        Lookup::Built(map) => {
-                            if let Some(rows) = map.get(key.as_slice()) {
-                                join(&batch, pos, rows)?;
-                            }
-                        }
+                    if let Some(rows) = map.get(key.as_slice()) {
+                        join(&batch, pos, rows)?;
                     }
                 }
             }
@@ -688,8 +749,8 @@ impl Pipeline<'_> {
         pending.map_or(Ok(()), Err)
     }
 
-    /// Complete the rows joined at stage `idx` — gather the stage's
-    /// columns of the matched build rows, apply its residual predicates —
+    /// Complete the rows joined at stage `idx` — take the stage's
+    /// columns at the matched build rows, apply its residual predicates —
     /// and run the next stage on them.
     fn emit<S: BatchSink>(
         &self,
@@ -700,9 +761,8 @@ impl Pipeline<'_> {
         tally: &mut Tally,
     ) -> Result<()> {
         let stage = &self.stages[idx];
-        let rows = stage.source.table.rows();
-        let matched = build_rows.iter().map(|&r| &rows[r as usize]);
-        stage.source.gather(&mut batch, matched, &self.needed);
+        let matched = |col: &Column| col.take(build_rows);
+        stage.source.fill(&mut batch, &self.needed, matched);
         tally.expr_evals += (stage.residuals.len() * batch.len()) as u64;
         let mut pending = None;
         for residual in &stage.residuals {

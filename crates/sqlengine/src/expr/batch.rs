@@ -1,8 +1,11 @@
 //! Batch evaluation: a [`CExpr`] over a [`Batch`] of typed [`Column`]s.
 //!
-//! The SELECT pipeline cuts its input into batches of at most
-//! [`BATCH_ROWS`] rows and gathers the referenced slots of the stored rows
-//! into typed vectors. [`CExpr::eval_batch`] then walks the expression
+//! A [`Column`] is also how a table stores a declared column
+//! ([`crate::table::Table`]): DOUBLE as [`Column::F64`], BIGINT as
+//! [`Column::I64`], VARCHAR as [`Column::Val`]. The SELECT pipeline cuts
+//! its input into batches of at most [`BATCH_ROWS`] rows — slices of the
+//! stored columns some expression references — and
+//! [`CExpr::eval_batch`] then walks the expression
 //! tree once per batch — one dispatch per node, the per-row work in tight
 //! loops over `&[f64]` / `&[i64]` — instead of once per row.
 //!
@@ -20,6 +23,7 @@
 //! agree bit for bit (`tests/batch_eval.rs`).
 
 use std::borrow::Cow;
+use std::ops::Range;
 
 use super::{
     and_values, binary_values, double_func, eval_unary, float_arith, func_values, int_arith,
@@ -78,6 +82,18 @@ fn take_valid(valid: &Validity, positions: &[u32]) -> Validity {
     valid
         .as_ref()
         .map(|v| positions.iter().map(|&p| v[p as usize]).collect())
+}
+
+/// The validity of a column of `n` rows followed by one of `m` rows.
+fn append_valid(valid: &mut Validity, n: usize, more: Validity, m: usize) {
+    if valid.is_none() && more.is_none() {
+        return;
+    }
+    let all = valid.get_or_insert_with(|| vec![true; n]);
+    match more {
+        Some(more) => all.extend(more),
+        None => all.resize(n + m, true),
+    }
 }
 
 impl Column {
@@ -143,40 +159,121 @@ impl Column {
         }
     }
 
-    /// Gather one slot of stored rows into a column of the slot's
-    /// declared type. `cells` yields the slot's cell of each chosen row.
-    /// Storage coerces on the way in, so a cell of another type does not
-    /// occur; should one, the column falls back to [`Column::Val`].
-    pub(crate) fn gather<'v, I>(cells: I, ty: DataType) -> Column
-    where
-        I: Iterator<Item = &'v Value> + Clone,
-    {
-        let n = cells.size_hint().0;
-        macro_rules! typed {
-            ($variant:ident, $pat:path, $zero:expr) => {{
-                let mut vals = Vec::with_capacity(n);
-                let mut valid: Validity = None;
-                for cell in cells.clone() {
-                    match cell {
-                        $pat(x) => vals.push(*x),
-                        Value::Null => {
-                            // The first NULL: every row before it holds a value.
-                            valid.get_or_insert_with(|| vec![true; vals.len()]);
-                            vals.push($zero);
-                        }
-                        _ => return Column::Val(cells.cloned().collect()),
-                    }
-                    if let Some(m) = &mut valid {
-                        m.push(!cell.is_null());
+    /// An empty storage column of declared type `ty`.
+    pub fn empty(ty: DataType) -> Column {
+        Column::nulls(ty, 0)
+    }
+
+    /// `n` NULLs as a storage column of declared type `ty`.
+    pub fn nulls(ty: DataType, n: usize) -> Column {
+        let valid = (n > 0).then(|| vec![false; n]);
+        match ty {
+            DataType::Double => Column::F64(vec![0.0; n], valid),
+            DataType::BigInt => Column::I64(vec![0; n], valid),
+            DataType::Varchar => Column::Val(vec![Value::Null; n]),
+        }
+    }
+
+    /// Is this the variant a table stores a column of declared type `ty`
+    /// in? (What [`Column::coerce`] returns.)
+    pub fn stores(&self, ty: DataType) -> bool {
+        matches!(
+            (self, ty),
+            (Column::F64(..), DataType::Double)
+                | (Column::I64(..), DataType::BigInt)
+                | (Column::Val(_), DataType::Varchar)
+        )
+    }
+
+    /// A copy of the rows `range`.
+    pub fn slice(&self, range: Range<usize>) -> Column {
+        let cut = |valid: &Validity| valid.as_ref().map(|m| m[range.clone()].to_vec());
+        match self {
+            Column::F64(v, valid) => Column::F64(v[range.clone()].to_vec(), cut(valid)),
+            Column::I64(v, valid) => Column::I64(v[range.clone()].to_vec(), cut(valid)),
+            Column::Val(v) => Column::Val(v[range].to_vec()),
+        }
+    }
+
+    /// Append the rows of `other`, a column of the same variant.
+    ///
+    /// # Panics
+    /// If the variants differ: both sides are storage columns of one
+    /// declared type.
+    pub fn append(&mut self, other: Column) {
+        match (self, other) {
+            (Column::F64(v, valid), Column::F64(w, more)) => {
+                append_valid(valid, v.len(), more, w.len());
+                v.extend(w);
+            }
+            (Column::I64(v, valid), Column::I64(w, more)) => {
+                append_valid(valid, v.len(), more, w.len());
+                v.extend(w);
+            }
+            (Column::Val(v), Column::Val(w)) => v.extend(w),
+            _ => panic!("appended column is of another storage type"),
+        }
+    }
+
+    /// Append `v`, coerced to the type this column stores as
+    /// [`Value::coerce_to`] coerces it.
+    pub fn push(&mut self, v: &Value) -> crate::error::Result<()> {
+        fn cell<T>(vals: &mut Vec<T>, valid: &mut Validity, x: Option<T>, zero: T) {
+            if x.is_none() || valid.is_some() {
+                let n = vals.len();
+                valid.get_or_insert_with(|| vec![true; n]).push(x.is_some());
+            }
+            vals.push(x.unwrap_or(zero));
+        }
+        match self {
+            Column::F64(vals, valid) => match v.coerce_to(DataType::Double)? {
+                Value::Double(d) => cell(vals, valid, Some(d), 0.0),
+                _ => cell(vals, valid, None, 0.0),
+            },
+            Column::I64(vals, valid) => match v.coerce_to(DataType::BigInt)? {
+                Value::Int(i) => cell(vals, valid, Some(i), 0),
+                _ => cell(vals, valid, None, 0),
+            },
+            Column::Val(vals) => vals.push(v.coerce_to(DataType::Varchar)?),
+        }
+        Ok(())
+    }
+
+    /// This column as a table stores declared type `ty`: every value
+    /// coerced as [`Value::coerce_to`] coerces it — through it, but for a
+    /// column that is stored as it is or widens in a loop. If a row
+    /// fails, the column is cut to the rows before it and the failure
+    /// handed back (`Batch::eval_cut`'s treatment of a failing row).
+    pub fn coerce(self, ty: DataType) -> (Column, Option<RowError>) {
+        match (self, ty) {
+            (col @ Column::F64(..), DataType::Double)
+            | (col @ Column::I64(..), DataType::BigInt) => (col, None),
+            (Column::I64(v, valid), DataType::Double) => (
+                Column::F64(v.iter().map(|i| *i as f64).collect(), valid),
+                None,
+            ),
+            (col, ty) => {
+                let mut out = Column::empty(ty);
+                for row in 0..col.len() {
+                    if let Err(error) = out.push(&col.value(row)) {
+                        return (out, Some(RowError { row, error }));
                     }
                 }
-                Column::$variant(vals, valid)
-            }};
+                (out, None)
+            }
         }
-        match ty {
-            DataType::Double => typed!(F64, Value::Double, 0.0),
-            DataType::BigInt => typed!(I64, Value::Int, 0),
-            DataType::Varchar => Column::Val(cells.cloned().collect()),
+    }
+
+    /// Do row `i` and row `j` of `other` hold the same key, as
+    /// [`Value`]'s `==` has it (NULL equals NULL, `1 = 1.0`, exact past
+    /// 2^53)?
+    pub(crate) fn eq_at(&self, i: usize, other: &Column, j: usize) -> bool {
+        match (self, other) {
+            (Column::I64(v, None), Column::I64(w, None)) => v[i] == w[j],
+            (Column::F64(v, None), Column::F64(w, None)) => {
+                v[i] == w[j] || (v[i].is_nan() && w[j].is_nan())
+            }
+            _ => self.value(i) == other.value(j),
         }
     }
 
@@ -218,7 +315,8 @@ impl Column {
         }
     }
 
-    fn truncate(&mut self, n: usize) {
+    /// Keep the first `n` rows.
+    pub(crate) fn truncate(&mut self, n: usize) {
         match self {
             Column::F64(v, valid) => {
                 v.truncate(n);
@@ -316,6 +414,11 @@ impl Batch {
     /// The column of `slot`, if filled.
     pub fn column(&self, slot: usize) -> Option<&Column> {
         self.cols.get(slot).and_then(Option::as_ref)
+    }
+
+    /// Move the column of `slot` out of the batch, if filled.
+    pub(crate) fn take_slot(&mut self, slot: usize) -> Option<Column> {
+        self.cols.get_mut(slot).and_then(Option::take)
     }
 
     /// Keep the first `len` rows.
@@ -556,21 +659,32 @@ impl<'a> Eval<'a> {
     }
 
     fn binary(&mut self, op: BinOp, l: &Column, r: &Column, sel: Sel<'_>) -> Column {
-        if let (Column::I64(a, av), Column::I64(b, bv), BinOp::Add | BinOp::Sub | BinOp::Mul) =
-            (l, r, op)
+        // Two BIGINT columns stay integral: `+ - *` check for overflow,
+        // comparisons are exact past 2^53 (`/` and `**` go on as doubles).
+        if let (Column::I64(a, av), Column::I64(b, bv), false) =
+            (l, r, matches!(op, BinOp::Div | BinOp::Pow))
         {
             let valid = both_valid(av.as_deref(), bv.as_deref());
-            let vals = (0..a.len())
-                .map(|p| {
-                    if !is_valid(&valid, p) {
-                        return 0;
-                    }
-                    int_arith(op, a[p], b[p]).unwrap_or_else(|e| {
-                        self.fail(sel, p, e);
-                        0
+            let pairs = a.iter().zip(b.iter());
+            let vals = match op {
+                BinOp::Eq => pairs.map(|(x, y)| (x == y) as i64).collect(),
+                BinOp::Neq => pairs.map(|(x, y)| (x != y) as i64).collect(),
+                BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => pairs
+                    .map(|(x, y)| ordering_holds(op, x.cmp(y)) as i64)
+                    .collect(),
+                _ => pairs
+                    .enumerate()
+                    .map(|(p, (x, y))| {
+                        if !is_valid(&valid, p) {
+                            return 0;
+                        }
+                        int_arith(op, *x, *y).unwrap_or_else(|e| {
+                            self.fail(sel, p, e);
+                            0
+                        })
                     })
-                })
-                .collect();
+                    .collect(),
+            };
             return Column::I64(vals, valid);
         }
         let (Some((a, av)), Some((b, bv))) = (l.as_doubles(), r.as_doubles()) else {
@@ -816,18 +930,65 @@ mod tests {
     }
 
     #[test]
-    fn gather_types_by_declaration_and_falls_back_on_a_stray_cell() {
-        let cells = [Value::Double(1.5), Value::Null, Value::Double(-0.0)];
-        let c = Column::gather(cells.iter(), DataType::Double);
+    fn storage_columns_slice_append_and_push_by_declared_type() {
+        let mut c = Column::empty(DataType::Double);
+        for v in [
+            Value::Double(1.5),
+            Value::Int(2),
+            Value::Null,
+            Value::Double(-0.0),
+        ] {
+            c.push(&v).unwrap();
+        }
+        assert!(c.stores(DataType::Double) && !c.stores(DataType::BigInt));
         assert_eq!(
             c,
-            Column::F64(vec![1.5, 0.0, -0.0], Some(vec![true, false, true]))
+            Column::F64(
+                vec![1.5, 2.0, 0.0, -0.0],
+                Some(vec![true, true, false, true])
+            )
         );
-        let stray = [Value::Double(1.5), Value::Int(2)];
-        assert!(matches!(
-            Column::gather(stray.iter(), DataType::Double),
-            Column::Val(_)
-        ));
+        assert!(c.push(&Value::str("x")).is_err());
+        assert_eq!(
+            c.slice(1..3),
+            Column::F64(vec![2.0, 0.0], Some(vec![true, false]))
+        );
+        let mut d = Column::F64(vec![7.0], None);
+        d.append(c.slice(2..4));
+        assert_eq!(
+            d,
+            Column::F64(vec![7.0, 0.0, -0.0], Some(vec![true, false, true]))
+        );
+        d.append(Column::F64(vec![8.0], None));
+        assert!(!d.is_null(3) && d.is_null(1));
+        assert_eq!(Column::nulls(DataType::BigInt, 2).value(1), Value::Null);
+    }
+
+    #[test]
+    fn coerce_is_value_coercion_and_cuts_at_the_first_failing_row() {
+        let (c, e) = Column::I64(vec![1, 2], Some(vec![true, false])).coerce(DataType::Double);
+        assert_eq!(
+            (c, e),
+            (Column::F64(vec![1.0, 2.0], Some(vec![true, false])), None)
+        );
+        let (c, e) = Column::F64(
+            vec![3.0, 0.5, 2.5, 4.0],
+            Some(vec![true, false, true, true]),
+        )
+        .coerce(DataType::BigInt);
+        assert_eq!(c, Column::I64(vec![3, 0], Some(vec![true, false])));
+        let e = e.unwrap();
+        assert_eq!(e.row, 2);
+        assert_eq!(
+            e.error,
+            Value::Double(2.5).coerce_to(DataType::BigInt).unwrap_err()
+        );
+        // The per-value path: a mixed column, a string into a number.
+        let mixed = Column::Val(vec![Value::Int(1), Value::Double(2.0), Value::str("x")]);
+        let (c, e) = mixed.coerce(DataType::BigInt);
+        assert_eq!((c, e.unwrap().row), (Column::I64(vec![1, 2], None), 2));
+        let (c, e) = Column::nulls(DataType::Double, 2).coerce(DataType::Varchar);
+        assert_eq!((c, e), (Column::Val(vec![Value::Null, Value::Null]), None));
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! Sizes follow a **deterministic logical model**, not allocator truth:
 //! a scalar cell costs [`VALUE_BYTES`], a string adds its UTF-8 length,
 //! a row adds [`ROW_OVERHEAD_BYTES`], and hash-table entries add
-//! [`ENTRY_OVERHEAD_BYTES`]. The model is platform-independent so the
+//! [`ENTRY_OVERHEAD_BYTES`] — also where the rows are held as columns
+//! ([`rows_bytes`], charged a batch at a time). The model is platform-independent so the
 //! peak-memory gauge in [`crate::ExecMetrics`] is bit-identical across
 //! machines and across serial vs parallel execution: charges are
 //! **monotone** for the life of a statement (nothing is released until
@@ -28,6 +29,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::error::{Error, Result};
+use crate::expr::Column;
 use crate::value::Value;
 
 /// Logical size of one scalar cell ([`Value`]), in bytes.
@@ -54,6 +56,19 @@ pub fn value_bytes(v: &Value) -> u64 {
 /// Logical size of one row (cells plus [`ROW_OVERHEAD_BYTES`]).
 pub fn row_bytes(row: &[Value]) -> u64 {
     ROW_OVERHEAD_BYTES + row.iter().map(value_bytes).sum::<u64>()
+}
+
+/// Logical size of rows `rows` of a column set: what [`row_bytes`] of
+/// each of them adds up to.
+pub fn rows_bytes(cols: &[Column], rows: std::ops::Range<usize>) -> u64 {
+    let strings = |col: &Column| match col {
+        Column::Val(v) => v[rows.clone()]
+            .iter()
+            .map(|v| value_bytes(v) - VALUE_BYTES)
+            .sum(),
+        _ => 0,
+    };
+    rows.len() as u64 * row_width_bytes(cols.len()) + cols.iter().map(strings).sum::<u64>()
 }
 
 /// Logical size of a row of `arity` scalar cells — the symbolic-width
@@ -221,6 +236,18 @@ impl ResourceTracker {
         Ok(())
     }
 
+    /// Charge the first `n` rows of a column set, row by row as far as
+    /// the total is concerned ([`row_bytes`] each) but in one charge per
+    /// batch. A batch that does not fit is charged row by row after all,
+    /// so the statement fails at the row, and with the footprint,
+    /// row-at-a-time staging fails with.
+    pub fn charge_rows(&self, context: &str, cols: &[Column], n: usize) -> Result<()> {
+        if self.charge(context, rows_bytes(cols, 0..n)).is_ok() {
+            return Ok(());
+        }
+        (0..n).try_for_each(|row| self.charge(context, rows_bytes(cols, row..row + 1)))
+    }
+
     /// Total bytes charged by this statement so far. Because charges
     /// are monotone, this is also the statement's peak footprint.
     pub fn charged(&self) -> u64 {
@@ -248,6 +275,26 @@ mod tests {
         assert_eq!(value_bytes(&Value::str("abcd")), 20);
         assert_eq!(row_bytes(&[Value::Int(1), Value::Double(2.0)]), 24 + 32);
         assert_eq!(row_width_bytes(2), 24 + 32);
+    }
+
+    #[test]
+    fn a_batch_is_charged_as_its_rows_and_fails_at_the_row_that_does_not_fit() {
+        let strs = ["abcd", "", "xy"].map(Value::str).to_vec();
+        let cols = [Column::I64(vec![1, 2, 3], None), Column::Val(strs.clone())];
+        let per_row = |i: usize| row_bytes(&[Value::Int(0), strs[i].clone()]);
+        assert_eq!(rows_bytes(&cols, 0..3), (0..3).map(per_row).sum::<u64>());
+        assert_eq!(rows_bytes(&cols, 1..2), per_row(1));
+        let budget = MemoryBudget::new(per_row(0) + per_row(1) + 1);
+        let tracker = ResourceTracker::new(Some(budget));
+        assert_eq!(
+            tracker.charge_rows("staged insert", &cols, 3).unwrap_err(),
+            Error::resource_exhausted(
+                "staged insert",
+                rows_bytes(&cols, 0..3),
+                per_row(0) + per_row(1) + 1
+            )
+        );
+        assert_eq!(tracker.charged(), per_row(0) + per_row(1));
     }
 
     #[test]

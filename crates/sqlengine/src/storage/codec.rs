@@ -7,9 +7,10 @@
 //! - **Counted sequences** — `u32 count, item*` ([`put_seq`] /
 //!   [`Reader::seq`]); [`Reader::counted`] is the only place a decoded
 //!   count turns into an allocation.
-//! - **Rows and schemas** — [`put_rows`] / [`read_rows`] and
-//!   [`put_schema`] / [`read_schema`], shared by the WAL, the snapshot
-//!   and the wire.
+//! - **Rows and schemas** — [`put_rows`] / [`read_rows`], the same
+//!   row-major bytes written from and read into stored columns
+//!   ([`put_columns`] / [`read_columns`]), and [`put_schema`] /
+//!   [`read_schema`], shared by the WAL, the snapshot and the wire.
 //! - **Records** — `u32 len | u32 crc32(payload) | payload`
 //!   ([`put_record`], [`record_header`]) and [`walk_records`], the walk
 //!   over a log image that tells a torn tail from corruption.
@@ -18,6 +19,7 @@
 //! one zlib/PNG use) so the layer stays dependency-free.
 
 use crate::error::{Error, Result};
+use crate::expr;
 use crate::schema::{Column, Schema};
 use crate::table::Row;
 use crate::value::{DataType, Value};
@@ -241,6 +243,40 @@ pub fn read_rows(r: &mut Reader<'_>, nrows: u64, arity: usize) -> Result<Vec<Row
     r.counted(nrows as usize, |r| {
         Ok(r.counted(arity, read_value)?.into_boxed_slice())
     })
+}
+
+/// Append the first `nrows` rows of a column set, value by value in row
+/// order: the bytes [`put_rows`] writes for the same rows.
+pub fn put_columns(buf: &mut Vec<u8>, cols: &[expr::Column], nrows: usize) {
+    for pos in 0..nrows {
+        for col in cols {
+            put_value(buf, &col.value(pos));
+        }
+    }
+}
+
+/// Decode `nrows` rows written by [`put_rows`] or [`put_columns`] into
+/// one storage column per declared column; a value its column cannot
+/// store is corruption. Bounded against the input as [`read_rows`] is.
+pub fn read_columns(
+    r: &mut Reader<'_>,
+    nrows: u64,
+    declared: &[Column],
+) -> Result<Vec<expr::Column>> {
+    if u128::from(nrows) * declared.len().max(1) as u128 > r.remaining() as u128 {
+        let arity = declared.len();
+        return Err(r.corrupt(format_args!(
+            "{nrows} rows of {arity} values overrun the input"
+        )));
+    }
+    let mut cols: Vec<_> = declared.iter().map(|c| expr::Column::empty(c.ty)).collect();
+    for _ in 0..nrows {
+        for col in &mut cols {
+            let v = read_value(r)?;
+            col.push(&v).map_err(|e| r.corrupt(e))?;
+        }
+    }
+    Ok(cols)
 }
 
 /// Column types by tag. Stable on-disk and on-wire numbers — append only.

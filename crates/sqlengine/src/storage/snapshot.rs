@@ -23,8 +23,9 @@
 //! ```
 //!
 //! The schema layout and the row values are [`codec`]'s
-//! ([`codec::put_schema`], [`codec::put_rows`]) — the same ones the WAL
-//! and the wire use. Writes go through [`atomic_replace`] — readers see
+//! ([`codec::put_schema`], [`codec::put_columns`]: row-major, written
+//! from and read into the stored columns) — the same ones the WAL and
+//! the wire use. Writes go through [`atomic_replace`] — readers see
 //! either the old complete snapshot or the new one, never a partial one
 //! — and a leftover staging file (crash mid-write) is deleted on open.
 
@@ -55,7 +56,7 @@ pub fn encode_snapshot(catalog: &Catalog, watermark: u64) -> Vec<u8> {
             put_str(body, table.name());
             codec::put_schema(body, table.schema());
             put_u64(body, table.len() as u64);
-            codec::put_rows(body, table.rows());
+            codec::put_columns(body, table.columns(), table.len());
         },
     );
     let mut out = Vec::with_capacity(SNAPSHOT_MAGIC.len() + body.len() + 4);
@@ -91,9 +92,16 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(Catalog, u64)> {
         let name = r.str()?;
         let schema = codec::read_schema(r)?;
         let nrows = r.u64()?;
-        let rows = codec::read_rows(r, nrows, schema.arity())?;
-        Table::from_rows(&name, schema, rows)
-            .map_err(|e| Error::corruption(format!("snapshot: table {name}: bad rows: {e}")))
+        let rows = codec::read_columns(r, nrows, schema.columns())?;
+        // Appending re-validates primary-key uniqueness, so a corrupted
+        // snapshot cannot install an inconsistent index.
+        let mut table = Table::new(&name, schema);
+        match table.append(rows) {
+            Ok(_) => Ok(table),
+            Err(e) => Err(Error::corruption(format!(
+                "snapshot: table {name}: bad rows: {e}"
+            ))),
+        }
     })?;
     r.end()?;
     for table in tables {
@@ -128,6 +136,7 @@ pub fn read_snapshot(dir: &Path) -> Result<Option<(Catalog, u64)>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr;
     use crate::schema::{Column, Schema};
     use crate::value::Value;
 
@@ -142,18 +151,16 @@ mod tests {
             &["rid"],
         )
         .unwrap();
-        let rows = vec![
-            vec![
-                Value::Int(1),
-                Value::Double(1.0 / 3.0),
-                Value::Str("a".into()),
-            ]
-            .into_boxed_slice(),
-            vec![Value::Int(2), Value::Double(-0.0), Value::Null].into_boxed_slice(),
-        ];
-        c.install_table(Table::from_rows("y", schema, rows).unwrap());
+        let mut y = Table::new("y", schema);
+        y.append(vec![
+            expr::Column::I64(vec![1, 2], None),
+            expr::Column::F64(vec![1.0 / 3.0, -0.0], None),
+            expr::Column::Val(vec![Value::Str("a".into()), Value::Null]),
+        ])
+        .unwrap();
+        c.install_table(y);
         let keyless = Schema::keyless(vec![Column::double("w")]).unwrap();
-        c.install_table(Table::from_rows("w", keyless, vec![]).unwrap());
+        c.install_table(Table::new("w", keyless));
         c
     }
 
@@ -167,15 +174,15 @@ mod tests {
         let y = c2.table("y").unwrap();
         assert_eq!(y.len(), 2);
         assert_eq!(y.schema().primary_key(), &[0]);
-        match &y.rows()[0][1] {
+        match &y.row(0)[1] {
             Value::Double(d) => assert_eq!(d.to_bits(), (1.0f64 / 3.0).to_bits()),
             other => panic!("expected double, got {other:?}"),
         }
-        match &y.rows()[1][1] {
+        match &y.row(1)[1] {
             Value::Double(d) => assert!(d.is_sign_negative() && *d == 0.0),
             other => panic!("expected -0.0, got {other:?}"),
         }
-        assert_eq!(y.rows()[1][2], Value::Null);
+        assert_eq!(y.row(1)[2], Value::Null);
         assert!(c2.table("w").unwrap().is_empty());
     }
 

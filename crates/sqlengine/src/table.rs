@@ -1,54 +1,118 @@
-//! In-memory table storage with an optional primary-key hash index.
+//! In-memory table storage: typed columns and a positions-only key index.
 //!
-//! Rows are boxed slices of [`Value`]; the table is a `Vec` of rows plus a
-//! hash index from primary-key tuples to row positions when the schema
-//! declares a key. The index gives O(1) duplicate detection on insert —
-//! the "primary index" behaviour the paper relies on (§2.6) — and fast
-//! point lookups for UPDATE/DELETE with key predicates.
+//! A table holds one [`Column`] per declared column — DOUBLE as a
+//! `Vec<f64>`, BIGINT as a `Vec<i64>`, each with a validity vector once a
+//! NULL arrives; VARCHAR as values — so a scan hands the executor slices,
+//! `INSERT … SELECT` appends columns and DROP frees one vector per column.
+//! Rows exist where a client or row-wise DML reads them ([`Table::row`]).
+//!
+//! When the schema declares a key, an open-addressing index maps a key to
+//! its row: the slots hold row *positions* only, hashing and equality read
+//! the key cells out of the columns. It gives O(1) duplicate detection on
+//! insert — the "primary index" behaviour the paper relies on (§2.6) —
+//! and the probe side of a primary-key join ([`Table::probe`]). Key
+//! equality is [`Value`]'s `==`: `1 = 1.0`, exact for BIGINTs past 2^53.
+//! The hash is a fixed multiplicative mix, not keyed: a table is as
+//! exposed to crafted colliding keys as to any other quadratic statement
+//! a client may send.
 
-use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
+use std::ops::Range;
 
 use crate::error::{Error, Result};
+use crate::expr::Column;
 use crate::schema::Schema;
 use crate::value::Value;
 
-/// A stored row.
+/// A row as a client reads it.
 pub type Row = Box<[Value]>;
 
-/// Build a row from an iterator of values.
-pub fn row_from<I: IntoIterator<Item = Value>>(vals: I) -> Row {
-    vals.into_iter().collect::<Vec<_>>().into_boxed_slice()
+/// An index slot that holds no row, and [`Table::probe`]'s "no match".
+pub const NO_ROW: u32 = u32::MAX;
+
+/// Most rows a table holds: positions are `u32` in the index and along
+/// the SELECT pipeline, and [`NO_ROW`] is not a position. (Lowered for
+/// this crate's unit tests, which fill a table.)
+const MAX_ROWS: usize = if cfg!(test) { 1 << 16 } else { NO_ROW as usize };
+
+/// Fold one key cell's hash image into `h`.
+fn mix(h: u64, bits: u64) -> u64 {
+    (h.rotate_left(5) ^ bits).wrapping_mul(0x517c_c1b7_2722_0a95)
 }
 
-/// One table: schema + rows + optional PK index.
+/// The hash image of a number: its double (so `Int(1)` and `Double(1.0)`
+/// meet), `-0.0` as `0.0`, every NaN alike — what [`Value`]'s `Hash` feeds.
+fn number_bits(x: f64) -> u64 {
+    if x == 0.0 {
+        0
+    } else if x.is_nan() {
+        f64::NAN.to_bits()
+    } else {
+        x.to_bits()
+    }
+}
+
+/// Fold the cells of rows `start..start + hashes.len()` of `col` into
+/// `hashes`, one key column of a composite key at a time.
+fn fold_hashes(col: &Column, start: usize, hashes: &mut [u64]) {
+    // Any constant no number's image is likely to equal.
+    const NULL_BITS: u64 = 0x6e75_6c6c_6e75_6c6c;
+    let rows = start..start + hashes.len();
+    match col {
+        Column::F64(v, None) => {
+            for (h, x) in hashes.iter_mut().zip(&v[rows]) {
+                *h = mix(*h, number_bits(*x));
+            }
+        }
+        Column::I64(v, None) => {
+            for (h, x) in hashes.iter_mut().zip(&v[rows]) {
+                *h = mix(*h, number_bits(*x as f64));
+            }
+        }
+        _ => {
+            for (h, pos) in hashes.iter_mut().zip(rows) {
+                let bits = match col.value(pos) {
+                    Value::Null => NULL_BITS,
+                    Value::Str(s) => {
+                        let mut hasher = std::collections::hash_map::DefaultHasher::new();
+                        s.hash(&mut hasher);
+                        hasher.finish()
+                    }
+                    number => number_bits(number.as_f64().expect("a number")),
+                };
+                *h = mix(*h, bits);
+            }
+        }
+    }
+}
+
+/// One table: schema + columns + optional key index.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
     schema: Schema,
-    rows: Vec<Row>,
-    /// PK tuple -> position in `rows`. Present iff the schema has a key.
-    index: Option<HashMap<Row, usize>>,
+    /// One storage column per declared column, all of one length.
+    cols: Vec<Column>,
+    /// Open-addressing key index, present iff the schema has a key: a
+    /// power-of-two number of slots (none until the first row), each a
+    /// row position or [`NO_ROW`], at most half of them taken; a key
+    /// sits at or after the slot its hash's top bits name.
+    index: Option<Vec<u32>>,
 }
 
 impl Table {
     /// Create an empty table.
     pub fn new(name: impl Into<String>, schema: Schema) -> Self {
-        let index = schema.has_primary_key().then(HashMap::new);
         Table {
             name: name.into().to_ascii_lowercase(),
+            cols: schema
+                .columns()
+                .iter()
+                .map(|c| Column::empty(c.ty))
+                .collect(),
+            index: schema.has_primary_key().then(Vec::new),
             schema,
-            rows: Vec::new(),
-            index,
         }
-    }
-
-    /// Rebuild a table from a schema plus stored rows (snapshot load).
-    /// Re-validates arity and primary-key uniqueness so a corrupted
-    /// snapshot cannot install an inconsistent index.
-    pub fn from_rows(name: impl Into<String>, schema: Schema, rows: Vec<Row>) -> Result<Self> {
-        let mut table = Table::new(name, schema);
-        table.insert_many(rows)?;
-        Ok(table)
     }
 
     /// Table name (lowercase).
@@ -63,155 +127,105 @@ impl Table {
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.cols.first().map_or(0, Column::len)
     }
 
     /// True iff the table holds no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len() == 0
     }
 
-    /// All rows, in insertion order.
-    pub fn rows(&self) -> &[Row] {
-        &self.rows
+    /// The stored columns, in declaration order, rows in insertion order.
+    pub fn columns(&self) -> &[Column] {
+        &self.cols
     }
 
-    /// Extract the PK tuple of a candidate row.
-    fn key_of(&self, row: &[Value]) -> Row {
-        self.schema
-            .primary_key()
-            .iter()
-            .map(|&i| row[i].clone())
-            .collect()
+    /// Row `pos`, materialized.
+    pub fn row(&self, pos: usize) -> Vec<Value> {
+        self.cols.iter().map(|c| c.value(pos)).collect()
     }
 
-    /// Insert one row. Values must already be coerced to the schema types
-    /// (the executor does that). Enforces arity and PK uniqueness.
-    pub fn insert(&mut self, row: Row) -> Result<()> {
-        if row.len() != self.schema.arity() {
+    /// Append a batch of rows held as one storage column per declared
+    /// column ([`Column::coerce`]d to its type) — the one way rows enter
+    /// a table. All or nothing: on a duplicate key (or a batch that does
+    /// not fit the schema or the row limit) the table is exactly as it
+    /// was, which is what makes a statement retry safe. Returns the
+    /// number of rows appended.
+    pub fn append(&mut self, batch: Vec<Column>) -> Result<usize> {
+        if batch.len() != self.schema.arity() {
             return Err(Error::ArityMismatch {
                 table: self.name.clone(),
                 expected: self.schema.arity(),
-                actual: row.len(),
+                actual: batch.len(),
             });
         }
-        if let Some(index) = &mut self.index {
-            let key = self
-                .schema
-                .primary_key()
-                .iter()
-                .map(|&i| row[i].clone())
-                .collect::<Row>();
-            match index.entry(key) {
-                std::collections::hash_map::Entry::Occupied(_) => {
-                    return Err(Error::DuplicateKey {
-                        table: self.name.clone(),
-                    });
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(self.rows.len());
-                }
+        let n = batch.first().map_or(0, Column::len);
+        let declared = self.schema.columns().iter();
+        if !batch
+            .iter()
+            .zip(declared)
+            .all(|(c, d)| c.stores(d.ty) && c.len() == n)
+        {
+            return Err(Error::TypeMismatch {
+                context: format!("column batch does not match the schema of {}", self.name),
+            });
+        }
+        let before = self.len();
+        if n > MAX_ROWS - before {
+            return Err(Error::TableFull {
+                table: self.name.clone(),
+                max_rows: MAX_ROWS,
+            });
+        }
+        if before == 0 {
+            self.cols = batch;
+        } else {
+            for (col, more) in self.cols.iter_mut().zip(batch) {
+                col.append(more);
             }
         }
-        self.rows.push(row);
-        Ok(())
+        if self.index_rows(before) {
+            return Ok(n);
+        }
+        self.keep(before);
+        Err(Error::DuplicateKey {
+            table: self.name.clone(),
+        })
     }
 
-    /// Bulk insert with pre-reserved capacity. On error the table may
-    /// retain a prefix of `rows`; use [`Table::insert_all_or_rollback`]
-    /// when statement atomicity is required.
-    pub fn insert_many<I: IntoIterator<Item = Row>>(&mut self, rows: I) -> Result<usize> {
-        let iter = rows.into_iter();
-        let (lo, _) = iter.size_hint();
-        self.rows.reserve(lo);
-        if let Some(index) = &mut self.index {
-            index.reserve(lo);
-        }
-        let mut n = 0;
-        for row in iter {
-            self.insert(row)?;
-            n += 1;
-        }
-        Ok(n)
+    /// Cut the table back to its first `len` rows.
+    fn keep(&mut self, len: usize) {
+        self.cols.iter_mut().for_each(|c| c.truncate(len));
+        self.reindex();
     }
 
-    /// Atomic bulk insert: either every row lands or none do. On a
-    /// mid-batch failure (duplicate key, arity) the rows inserted so far
-    /// are popped back off and their index entries removed, restoring
-    /// the table to its pre-statement state — the staging half of the
-    /// stage-and-swap semantics that make statement retries safe.
-    pub fn insert_all_or_rollback(&mut self, rows: Vec<Row>) -> Result<usize> {
-        let start = self.rows.len();
-        self.rows.reserve(rows.len());
-        if let Some(index) = &mut self.index {
-            index.reserve(rows.len());
-        }
-        let total = rows.len();
-        let mut failure = None;
-        for row in rows {
-            if let Err(e) = self.insert(row) {
-                failure = Some(e);
-                break;
-            }
-        }
-        let Some(e) = failure else {
-            return Ok(total);
-        };
-        while self.rows.len() > start {
-            let row = self.rows.pop().expect("len > start implies non-empty");
-            let key: Row = self
-                .schema
-                .primary_key()
-                .iter()
-                .map(|&i| row[i].clone())
-                .collect();
-            if let Some(index) = &mut self.index {
-                index.remove(&key);
-            }
-        }
-        Err(e)
-    }
-
-    /// Point lookup by full primary-key tuple. `None` when the table has no
-    /// key or no matching row.
-    pub fn lookup(&self, key: &[Value]) -> Option<&Row> {
-        self.position(key).map(|pos| &self.rows[pos])
-    }
-
-    /// Position in [`Table::rows`] of the row with this full primary-key
-    /// tuple (in [`Schema::primary_key`] order). This is the probe side
-    /// of a primary-key index join: the executor borrows the index the
-    /// table already maintains instead of hashing the table again.
-    pub(crate) fn position(&self, key: &[Value]) -> Option<usize> {
-        self.index.as_ref()?.get(key).copied()
-    }
-
-    /// Delete every row (keeps allocation via `clear`).
+    /// Delete every row; returns how many there were.
     pub fn truncate(&mut self) -> usize {
-        let n = self.rows.len();
-        self.rows.clear();
-        if let Some(index) = &mut self.index {
-            index.clear();
-        }
+        let n = self.len();
+        self.keep(0);
         n
     }
 
-    /// Delete rows matching `pred`; returns how many were removed. The PK
-    /// index is rebuilt afterwards (deletes are rare in the SQLEM workload;
-    /// the paper explicitly prefers DROP/CREATE over bulk DELETE §3.6).
+    /// Delete rows matching `pred`; returns how many were removed. The
+    /// key index is rebuilt afterwards (deletes are rare in the SQLEM
+    /// workload; the paper explicitly prefers DROP/CREATE over bulk
+    /// DELETE §3.6).
     pub fn delete_where<F: FnMut(&[Value]) -> bool>(&mut self, mut pred: F) -> usize {
-        let before = self.rows.len();
-        self.rows.retain(|r| !pred(r));
-        let removed = before - self.rows.len();
+        let keep: Vec<u32> = (0..self.len())
+            .filter(|&pos| !pred(&self.row(pos)))
+            .map(|pos| pos as u32)
+            .collect();
+        let removed = self.len() - keep.len();
         if removed > 0 {
-            self.rebuild_index();
+            self.cols = self.cols.iter().map(|c| c.take(&keep)).collect();
+            self.reindex();
         }
         removed
     }
 
     /// Apply `f` to every row (UPDATE). `f` returns true when it
-    /// modified the row. **Atomic**: the updates are staged on a copy of
-    /// the rows and swapped in only if every evaluation succeeds (and,
+    /// modified the row. **Atomic**: the updated rows are staged as new
+    /// columns and swapped in only if every evaluation succeeds (and,
     /// when `touches_key`, only if the updated keys are still unique) —
     /// a failed UPDATE leaves the table exactly as it was, so retrying
     /// the statement is safe. Returns the number of modified rows.
@@ -220,161 +234,243 @@ impl Table {
         mut f: F,
         touches_key: bool,
     ) -> Result<usize> {
-        let mut new_rows = self.rows.clone();
+        let declared = self.schema.columns().iter();
+        let mut staged: Vec<Column> = declared.map(|c| Column::empty(c.ty)).collect();
         let mut n = 0;
-        for row in &mut new_rows {
-            if f(row)? {
-                n += 1;
+        for pos in 0..self.len() {
+            let mut row = self.row(pos);
+            n += usize::from(f(&mut row)?);
+            for (col, v) in staged.iter_mut().zip(&row) {
+                col.push(v)?;
             }
         }
         if n == 0 {
             return Ok(0);
         }
-        if touches_key && self.index.is_some() {
-            // Build the replacement index before committing anything;
-            // a duplicate key aborts with the table untouched.
-            let mut new_index = HashMap::with_capacity(new_rows.len());
-            for (pos, row) in new_rows.iter().enumerate() {
-                let key: Row = self
-                    .schema
-                    .primary_key()
-                    .iter()
-                    .map(|&i| row[i].clone())
-                    .collect();
-                if new_index.insert(key, pos).is_some() {
-                    return Err(Error::DuplicateKey {
-                        table: self.name.clone(),
-                    });
-                }
-            }
-            self.index = Some(new_index);
+        let old = std::mem::replace(&mut self.cols, staged);
+        if touches_key && !self.reindex() {
+            self.cols = old;
+            self.reindex();
+            return Err(Error::DuplicateKey {
+                table: self.name.clone(),
+            });
         }
-        self.rows = new_rows;
         Ok(n)
     }
 
-    fn rebuild_index(&mut self) {
-        if !self.try_rebuild_index() {
-            // delete_where cannot introduce duplicates; this branch is
-            // unreachable but kept defensive.
-            unreachable!("index rebuild after delete found duplicates");
-        }
+    /// The key columns, in [`Schema::primary_key`] order.
+    fn key_cols(&self) -> impl Iterator<Item = &Column> + Clone {
+        self.schema.primary_key().iter().map(|&c| &self.cols[c])
     }
 
-    fn try_rebuild_index(&mut self) -> bool {
-        let Some(index) = &mut self.index else {
+    /// Hashes of the keys `cols` hold in `rows`.
+    fn key_hashes<'c>(cols: impl Iterator<Item = &'c Column>, rows: Range<usize>) -> Vec<u64> {
+        let mut hashes = vec![0; rows.len()];
+        cols.for_each(|c| fold_hashes(c, rows.start, &mut hashes));
+        hashes
+    }
+
+    /// The slots a key hashing to `hash` may sit in, first choice first.
+    fn slots_from(slots: &[u32], hash: u64) -> impl Iterator<Item = usize> {
+        let mask = slots.len() - 1;
+        let first = (hash >> (64 - slots.len().trailing_zeros())) as usize;
+        (0..slots.len()).map(move |k| (first + k) & mask)
+    }
+
+    /// Enter the rows from `from` on into the key index, growing it
+    /// first if they would fill more than half of it. False if one of
+    /// them repeats a key; the index is then to be rebuilt.
+    fn index_rows(&mut self, mut from: usize) -> bool {
+        let Some(mut slots) = self.index.take() else {
             return true;
         };
-        index.clear();
-        index.reserve(self.rows.len());
-        for (pos, row) in self.rows.iter().enumerate() {
-            let key: Row = self
-                .schema
-                .primary_key()
-                .iter()
-                .map(|&i| row[i].clone())
-                .collect();
-            if index.insert(key, pos).is_some() {
-                return false;
-            }
+        let len = self.len();
+        if len * 2 > slots.len() {
+            slots = vec![NO_ROW; (len * 2).next_power_of_two().max(8)];
+            from = 0;
         }
-        true
+        let hashes = Self::key_hashes(self.key_cols(), from..len);
+        let unique = hashes.iter().zip(from..).all(|(&hash, pos)| {
+            for s in Self::slots_from(&slots, hash) {
+                match slots[s] {
+                    NO_ROW => {
+                        slots[s] = pos as u32;
+                        return true;
+                    }
+                    other => {
+                        if self.key_cols().all(|c| c.eq_at(other as usize, c, pos)) {
+                            return false;
+                        }
+                    }
+                }
+            }
+            unreachable!("at most half of the slots are taken")
+        });
+        self.index = Some(slots);
+        unique
     }
 
-    /// Clone of key extraction for external callers (executor point lookups).
-    pub fn key_for_row(&self, row: &[Value]) -> Row {
-        self.key_of(row)
+    /// Rebuild the key index over the rows as they are; false on a
+    /// repeated key.
+    fn reindex(&mut self) -> bool {
+        if let Some(slots) = &mut self.index {
+            slots.fill(NO_ROW);
+        }
+        self.index_rows(0)
+    }
+
+    /// The position of the row whose primary key is row `i` of `keys`
+    /// (one column per key column, in [`Schema::primary_key`] order, of
+    /// any numeric or string type), for each `i < n`; [`NO_ROW`] where
+    /// there is none. SQL join semantics: a NULL key matches nothing.
+    /// This is the probe side of a primary-key index join: the executor
+    /// borrows the index the table maintains anyway instead of hashing
+    /// the table again. A table without a key matches nothing.
+    pub fn probe(&self, keys: &[Column], n: usize) -> Vec<u32> {
+        let slots = match &self.index {
+            Some(slots) if !slots.is_empty() => slots,
+            _ => return vec![NO_ROW; n],
+        };
+        let hashes = Self::key_hashes(keys.iter(), 0..n);
+        let find = |(i, &hash): (usize, &u64)| {
+            if keys.iter().any(|k| k.is_null(i)) {
+                return NO_ROW;
+            }
+            Self::slots_from(slots, hash)
+                .map(|s| slots[s])
+                .find(|&pos| {
+                    pos == NO_ROW
+                        || keys
+                            .iter()
+                            .zip(self.key_cols())
+                            .all(|(k, c)| k.eq_at(i, c, pos as usize))
+                })
+                .expect("at most half of the slots are taken")
+        };
+        hashes.iter().enumerate().map(find).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::Column;
+    use crate::schema::Column as ColumnDef;
 
     fn yd_schema() -> Schema {
-        Schema::new(vec![Column::bigint("rid"), Column::double("d1")], &["rid"]).unwrap()
+        Schema::new(
+            vec![ColumnDef::bigint("rid"), ColumnDef::double("d1")],
+            &["rid"],
+        )
+        .unwrap()
     }
 
-    fn r(vals: Vec<Value>) -> Row {
-        vals.into_boxed_slice()
+    /// Append one row, coerced to the schema.
+    fn insert(t: &mut Table, row: Vec<Value>) -> Result<usize> {
+        let declared = t.schema().columns().iter();
+        let cols = row.iter().zip(declared).map(|(v, d)| {
+            let mut c = Column::empty(d.ty);
+            c.push(v).unwrap();
+            c
+        });
+        t.append(cols.collect())
+    }
+
+    fn position(t: &Table, key: Value) -> Option<usize> {
+        let hit = t.probe(&[Column::from_values(vec![key])], 1)[0];
+        (hit != NO_ROW).then_some(hit as usize)
     }
 
     #[test]
-    fn insert_and_lookup() {
+    fn insert_and_probe() {
         let mut t = Table::new("YD", yd_schema());
-        t.insert(r(vec![Value::Int(1), Value::Double(0.5)]))
-            .unwrap();
-        t.insert(r(vec![Value::Int(2), Value::Double(1.5)]))
-            .unwrap();
+        insert(&mut t, vec![Value::Int(1), Value::Double(0.5)]).unwrap();
+        insert(&mut t, vec![Value::Int(2), Value::Double(1.5)]).unwrap();
         assert_eq!(t.len(), 2);
-        let found = t.lookup(&[Value::Int(2)]).unwrap();
-        assert_eq!(found[1], Value::Double(1.5));
-        assert!(t.lookup(&[Value::Int(3)]).is_none());
+        let found = position(&t, Value::Int(2)).unwrap();
+        assert_eq!(t.row(found)[1], Value::Double(1.5));
+        assert_eq!(position(&t, Value::Int(3)), None);
+        assert_eq!(position(&t, Value::Double(1.0)), Some(0));
+        assert_eq!(position(&t, Value::Double(1.5)), None);
+        assert_eq!(position(&t, Value::Null), None);
     }
 
     #[test]
     fn duplicate_key_rejected() {
         let mut t = Table::new("yd", yd_schema());
-        t.insert(r(vec![Value::Int(1), Value::Double(0.5)]))
-            .unwrap();
-        let err = t
-            .insert(r(vec![Value::Int(1), Value::Double(9.9)]))
-            .unwrap_err();
+        insert(&mut t, vec![Value::Int(1), Value::Double(0.5)]).unwrap();
+        let err = insert(&mut t, vec![Value::Int(1), Value::Double(9.9)]).unwrap_err();
         assert_eq!(err, Error::DuplicateKey { table: "yd".into() });
         assert_eq!(t.len(), 1);
+        assert_eq!(position(&t, Value::Int(1)), Some(0));
     }
 
     #[test]
-    fn cross_type_keys_collide() {
-        // Int(1) and Double(1.0) are the same key — matters because
-        // generated SQL mixes integer literals and computed doubles.
+    fn a_batch_that_does_not_fit_the_schema_is_refused() {
         let mut t = Table::new("yd", yd_schema());
-        t.insert(r(vec![Value::Int(1), Value::Double(0.0)]))
-            .unwrap();
-        let err = t.insert(r(vec![Value::Double(1.0), Value::Double(0.0)]));
-        assert!(err.is_err());
-    }
-
-    #[test]
-    fn arity_checked() {
-        let mut t = Table::new("yd", yd_schema());
-        let err = t.insert(r(vec![Value::Int(1)])).unwrap_err();
+        let err = t.append(vec![Column::I64(vec![1], None)]).unwrap_err();
         assert!(matches!(err, Error::ArityMismatch { .. }));
+        let ints = || Column::I64(vec![1], None);
+        let err = t.append(vec![ints(), ints()]).unwrap_err();
+        assert!(matches!(err, Error::TypeMismatch { .. }));
+        let err = t
+            .append(vec![ints(), Column::F64(vec![], None)])
+            .unwrap_err();
+        assert!(matches!(err, Error::TypeMismatch { .. }));
+        assert!(t.is_empty());
+    }
+
+    #[test]
+    fn a_table_refuses_to_grow_past_the_row_limit() {
+        let mut t = Table::new("yd", yd_schema());
+        let batch = |from: usize, n: usize| {
+            vec![
+                Column::I64((from..from + n).map(|i| i as i64).collect(), None),
+                Column::F64(vec![0.0; n], None),
+            ]
+        };
+        assert_eq!(t.append(batch(0, MAX_ROWS - 1)).unwrap(), MAX_ROWS - 1);
+        let err = t.append(batch(MAX_ROWS - 1, 2)).unwrap_err();
+        let full = Error::TableFull {
+            table: "yd".into(),
+            max_rows: MAX_ROWS,
+        };
+        assert_eq!(err, full);
+        assert_eq!(t.len(), MAX_ROWS - 1);
+        assert_eq!(t.append(batch(MAX_ROWS - 1, 1)).unwrap(), 1);
+        assert_eq!(t.append(batch(MAX_ROWS, 1)).unwrap_err(), full);
+        assert_eq!(
+            position(&t, Value::Int(MAX_ROWS as i64 - 1)),
+            Some(MAX_ROWS - 1)
+        );
     }
 
     #[test]
     fn truncate_clears_rows_and_index() {
         let mut t = Table::new("yd", yd_schema());
-        t.insert(r(vec![Value::Int(1), Value::Double(0.5)]))
-            .unwrap();
+        insert(&mut t, vec![Value::Int(1), Value::Double(0.5)]).unwrap();
         assert_eq!(t.truncate(), 1);
         assert!(t.is_empty());
         // Key is free again.
-        t.insert(r(vec![Value::Int(1), Value::Double(0.7)]))
-            .unwrap();
+        insert(&mut t, vec![Value::Int(1), Value::Double(0.7)]).unwrap();
     }
 
     #[test]
     fn delete_where_rebuilds_index() {
         let mut t = Table::new("yd", yd_schema());
         for i in 0..10 {
-            t.insert(r(vec![Value::Int(i), Value::Double(i as f64)]))
-                .unwrap();
+            insert(&mut t, vec![Value::Int(i), Value::Double(i as f64)]).unwrap();
         }
         let removed = t.delete_where(|row| matches!(row[0], Value::Int(i) if i % 2 == 0));
         assert_eq!(removed, 5);
-        assert!(t.lookup(&[Value::Int(2)]).is_none());
-        assert!(t.lookup(&[Value::Int(3)]).is_some());
+        assert_eq!(position(&t, Value::Int(2)), None);
+        assert_eq!(position(&t, Value::Int(3)), Some(1));
     }
 
     #[test]
     fn update_where_detects_key_collision() {
         let mut t = Table::new("yd", yd_schema());
-        t.insert(r(vec![Value::Int(1), Value::Double(0.0)]))
-            .unwrap();
-        t.insert(r(vec![Value::Int(2), Value::Double(0.0)]))
-            .unwrap();
+        insert(&mut t, vec![Value::Int(1), Value::Double(0.0)]).unwrap();
+        insert(&mut t, vec![Value::Int(2), Value::Double(0.0)]).unwrap();
         // Set every rid to 7 → collision.
         let err = t.update_where(
             |row| {
@@ -384,13 +480,14 @@ mod tests {
             true,
         );
         assert!(err.is_err());
+        assert_eq!(t.row(1)[0], Value::Int(2));
+        assert_eq!(position(&t, Value::Int(2)), Some(1));
     }
 
     #[test]
     fn update_non_key_columns() {
         let mut t = Table::new("yd", yd_schema());
-        t.insert(r(vec![Value::Int(1), Value::Double(0.0)]))
-            .unwrap();
+        insert(&mut t, vec![Value::Int(1), Value::Double(0.0)]).unwrap();
         let n = t
             .update_where(
                 |row| {
@@ -401,16 +498,16 @@ mod tests {
             )
             .unwrap();
         assert_eq!(n, 1);
-        assert_eq!(t.rows()[0][1], Value::Double(5.0));
+        assert_eq!(t.row(0)[1], Value::Double(5.0));
     }
 
     #[test]
     fn keyless_table_allows_duplicates() {
-        let schema = Schema::keyless(vec![Column::double("w")]).unwrap();
+        let schema = Schema::keyless(vec![ColumnDef::double("w")]).unwrap();
         let mut t = Table::new("w", schema);
-        t.insert(r(vec![Value::Double(0.5)])).unwrap();
-        t.insert(r(vec![Value::Double(0.5)])).unwrap();
+        insert(&mut t, vec![Value::Double(0.5)]).unwrap();
+        insert(&mut t, vec![Value::Double(0.5)]).unwrap();
         assert_eq!(t.len(), 2);
-        assert!(t.lookup(&[Value::Double(0.5)]).is_none());
+        assert_eq!(position(&t, Value::Double(0.5)), None);
     }
 }

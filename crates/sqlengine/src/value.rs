@@ -138,6 +138,8 @@ impl Value {
         }
         Some(match (self, other) {
             (Value::Str(a), Value::Str(b)) => a == b,
+            // Two BIGINTs compare as integers: their doubles collide past 2^53.
+            (Value::Int(a), Value::Int(b)) => a == b,
             (a, b) => match (a.as_f64(), b.as_f64()) {
                 (Some(x), Some(y)) => x == y,
                 _ => false,
@@ -153,6 +155,7 @@ impl Value {
         }
         match (self, other) {
             (Value::Str(a), Value::Str(b)) => Some(a.cmp(b)),
+            (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
             (a, b) => match (a.as_f64(), b.as_f64()) {
                 (Some(x), Some(y)) => x.partial_cmp(&y),
                 _ => None,
@@ -173,6 +176,7 @@ impl Value {
         match (self, other) {
             (Value::Null, Value::Null) => Ordering::Equal,
             (Value::Str(a), Value::Str(b)) => a.cmp(b),
+            (Value::Int(a), Value::Int(b)) => a.cmp(b),
             (a, b) if rank(a) == 1 && rank(b) == 1 => {
                 let x = a.as_f64().unwrap();
                 let y = b.as_f64().unwrap();
@@ -183,25 +187,30 @@ impl Value {
     }
 }
 
+/// Is the double `d` exactly the integer `i`? Decided without rounding
+/// `i`: past 2^53 neighbouring integers share a double, and `2^63 as i64`
+/// saturates to `i64::MAX`.
+fn int_eq_double(i: i64, d: f64) -> bool {
+    const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+    (-TWO_63..TWO_63).contains(&d) && d as i64 == i && i as f64 == d
+}
+
 /// Grouping/join-key equality: unlike SQL `=`, NULL equals NULL here
-/// (GROUP BY puts NULLs in one group) and `1 = 1.0`.
+/// (GROUP BY puts NULLs in one group) and `1 = 1.0`. Exact: two BIGINTs
+/// compare as integers and a BIGINT equals a DOUBLE only when the double
+/// is that integer, so keys past 2^53 stay distinct and equality stays
+/// transitive. `-0.0 == 0.0` and `NaN == NaN`, as [`Hash`] has them.
 impl PartialEq for Value {
     fn eq(&self, other: &Self) -> bool {
         match (self, other) {
             (Value::Null, Value::Null) => true,
             (Value::Str(a), Value::Str(b)) => a == b,
-            (a, b) => match (a.as_f64(), b.as_f64()) {
-                (Some(x), Some(y)) => {
-                    // Normalize so that hashing and equality agree: treat
-                    // -0.0 == 0.0 and NaN == NaN.
-                    if x.is_nan() && y.is_nan() {
-                        true
-                    } else {
-                        x == y
-                    }
-                }
-                _ => false,
-            },
+            (Value::Int(a), Value::Int(b)) => a == b,
+            (Value::Int(i), Value::Double(d)) | (Value::Double(d), Value::Int(i)) => {
+                int_eq_double(*i, *d)
+            }
+            (Value::Double(x), Value::Double(y)) => x == y || (x.is_nan() && y.is_nan()),
+            _ => false,
         }
     }
 }
@@ -219,7 +228,8 @@ impl Hash for Value {
             v => {
                 state.write_u8(1);
                 // Hash the canonical f64 bit pattern so Int(1) and
-                // Double(1.0) land in the same bucket, matching PartialEq.
+                // Double(1.0) land in the same bucket, matching PartialEq
+                // (distinct BIGINTs past 2^53 may share a bucket, no more).
                 let x = v.as_f64().unwrap();
                 let bits = if x.is_nan() {
                     f64::NAN.to_bits()
@@ -296,6 +306,24 @@ mod tests {
         assert_eq!(Value::Int(3), Value::Double(3.0));
         assert_eq!(hash_of(&Value::Int(3)), hash_of(&Value::Double(3.0)));
         assert_ne!(Value::Int(3), Value::Double(3.5));
+    }
+
+    #[test]
+    fn bigints_past_2_pow_53_stay_distinct_and_equality_is_exact() {
+        let (a, b) = (9_007_199_254_740_992_i64, 9_007_199_254_740_993_i64);
+        assert_ne!(Value::Int(a), Value::Int(b));
+        assert_eq!(Value::Int(a).sql_eq(&Value::Int(b)), Some(false));
+        assert_eq!(Value::Int(a).sql_cmp(&Value::Int(b)), Some(Ordering::Less));
+        assert_eq!(Value::Int(a).total_cmp(&Value::Int(b)), Ordering::Less);
+        // The double 2^53 is the integer `a` and no other.
+        assert_eq!(Value::Int(a), Value::Double(a as f64));
+        assert_ne!(Value::Int(b), Value::Double(b as f64));
+        assert_eq!(hash_of(&Value::Int(a)), hash_of(&Value::Double(a as f64)));
+        // 2^63 is no i64, though `as` saturates it to i64::MAX.
+        assert_ne!(Value::Int(i64::MAX), Value::Double(i64::MAX as f64));
+        assert_eq!(Value::Int(i64::MIN), Value::Double(i64::MIN as f64));
+        assert_ne!(Value::Int(1), Value::Double(1.5));
+        assert_ne!(Value::Int(0), Value::Double(f64::NAN));
     }
 
     #[test]

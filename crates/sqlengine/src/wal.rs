@@ -34,8 +34,9 @@
 use std::path::{Path, PathBuf};
 
 use crate::error::{Error, Result};
+use crate::expr::Column;
 use crate::storage::codec::{
-    put_record, put_rows, put_str, put_u32, put_u64, read_rows, walk_records, Reader,
+    put_columns, put_record, put_rows, put_str, put_u32, put_u64, read_rows, walk_records, Reader,
 };
 use crate::table::Row;
 
@@ -110,29 +111,49 @@ fn decode_payload(payload: &[u8]) -> Result<Record> {
     Ok(rec)
 }
 
-/// Encode the pre-execution half of a statement frame: `Begin` plus the
-/// operation payload, as one byte run (appended with a single write).
-pub fn encode_frame(seq: u64, op: &WalOp) -> Vec<u8> {
-    let mut payload = Vec::new();
-    match op {
-        WalOp::Sql(sql) => {
-            payload.push(TAG_SQL);
-            put_u64(&mut payload, seq);
-            put_str(&mut payload, sql);
-        }
-        WalOp::BulkInsert { table, rows } => {
-            payload.push(TAG_BULK);
-            put_u64(&mut payload, seq);
-            put_str(&mut payload, table);
-            put_u32(&mut payload, rows.first().map_or(0, |r| r.len()) as u32);
-            put_u64(&mut payload, rows.len() as u64);
-            put_rows(&mut payload, rows);
-        }
-    }
+/// The pre-execution half of a statement frame: `Begin` plus the
+/// operation payload — `tag`, `seq`, then what `body` writes — as one
+/// byte run (appended with a single write).
+fn frame(seq: u64, tag: u8, body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut payload = vec![tag];
+    put_u64(&mut payload, seq);
+    body(&mut payload);
     let mut bytes = Vec::with_capacity(payload.len() + 32);
     put_marker(&mut bytes, TAG_BEGIN, seq);
     put_record(&mut bytes, &payload);
     bytes
+}
+
+/// Encode the pre-execution half of the frame of a statement logged as
+/// its rendered text.
+pub fn encode_sql_frame(seq: u64, sql: &str) -> Vec<u8> {
+    frame(seq, TAG_SQL, |payload| put_str(payload, sql))
+}
+
+/// Encode the pre-execution half of a statement frame.
+pub fn encode_frame(seq: u64, op: &WalOp) -> Vec<u8> {
+    match op {
+        WalOp::Sql(sql) => encode_sql_frame(seq, sql),
+        WalOp::BulkInsert { table, rows } => frame(seq, TAG_BULK, |payload| {
+            put_str(payload, table);
+            put_u32(payload, rows.first().map_or(0, |r| r.len()) as u32);
+            put_u64(payload, rows.len() as u64);
+            put_rows(payload, rows);
+        }),
+    }
+}
+
+/// Encode the pre-execution half of a bulk load's frame from its staged
+/// columns: the bytes [`encode_frame`] makes of a [`WalOp::BulkInsert`]
+/// of the same rows, which is what a scan decodes them as.
+pub fn encode_bulk_frame(seq: u64, table: &str, columns: &[Column]) -> Vec<u8> {
+    let nrows = columns.first().map_or(0, Column::len);
+    frame(seq, TAG_BULK, |payload| {
+        put_str(payload, table);
+        put_u32(payload, if nrows == 0 { 0 } else { columns.len() as u32 });
+        put_u64(payload, nrows as u64);
+        put_columns(payload, columns, nrows);
+    })
 }
 
 /// Encode the post-execution commit marker for `seq`.
@@ -267,6 +288,36 @@ mod tests {
             assert_eq!(seq, got_seq);
             assert_eq!(op, got_op);
         }
+    }
+
+    #[test]
+    fn a_bulk_frame_from_columns_is_the_frame_of_its_rows() {
+        let rows: Vec<Row> = vec![
+            vec![Value::Int(1), Value::Double(-0.0), Value::str("a")].into(),
+            vec![Value::Int(2), Value::Null, Value::Null].into(),
+        ];
+        let columns = [
+            Column::I64(vec![1, 2], None),
+            Column::F64(vec![-0.0, 7.0], Some(vec![true, false])),
+            Column::Val(vec![Value::str("a"), Value::Null]),
+        ];
+        let table = "y".to_string();
+        assert_eq!(
+            encode_bulk_frame(5, &table, &columns),
+            encode_frame(5, &WalOp::BulkInsert { table, rows })
+        );
+        let empty = [Column::I64(vec![], None), Column::F64(vec![], None)];
+        let table = "y".to_string();
+        assert_eq!(
+            encode_bulk_frame(6, &table, &empty),
+            encode_frame(
+                6,
+                &WalOp::BulkInsert {
+                    table,
+                    rows: vec![]
+                }
+            )
+        );
     }
 
     #[test]

@@ -597,3 +597,96 @@ fn sum_and_avg_of_bigints_past_2_53_are_exact() {
         assert_eq!(got.rows[0].to_vec(), expected, "partials");
     }
 }
+
+#[test]
+fn bigint_keys_past_2_53_are_distinct_keys() {
+    // 2^53 and 2^53 + 1 share a double. Compared through it they were
+    // one primary key, one group, one join key and one WHERE match.
+    const A: i64 = 9007199254740992;
+    const B: i64 = A + 1;
+    // `assert_eq!` on values is the equality under test: read the bits.
+    let int = |v: &Value| match v {
+        Value::Int(i) => *i,
+        other => panic!("expected a BIGINT, got {other:?}"),
+    };
+    let rows_of = |range: std::ops::Range<i64>| -> Vec<Vec<Value>> {
+        range
+            .map(|i| vec![Value::Int(A + i % 2), Value::Double(i as f64)])
+            .collect()
+    };
+    let load = |workers: usize, rows: Vec<Vec<Value>>| {
+        let mut d = Database::with_config(sqlengine::EngineConfig {
+            workers,
+            ..Default::default()
+        });
+        d.execute(
+            "CREATE TABLE t (id BIGINT PRIMARY KEY, x DOUBLE);
+             CREATE TABLE u (id BIGINT, y DOUBLE)",
+        )
+        .unwrap();
+        d.bulk_insert("u", rows).unwrap();
+        d
+    };
+    let grouped = "SELECT id, count(*) FROM u GROUP BY id ORDER BY id";
+    let check_groups = |r: &sqlengine::QueryResult, each: i64, what: &str| {
+        let got: Vec<(i64, i64)> = r.rows.iter().map(|r| (int(&r[0]), int(&r[1]))).collect();
+        assert_eq!(got, vec![(A, each), (B, each)], "{what}");
+    };
+    for workers in [1, 2] {
+        // Enough rows that two workers each take a part.
+        let mut d = load(workers, rows_of(0..5000));
+        d.execute(&format!("INSERT INTO t VALUES ({A}, 1.0)"))
+            .unwrap();
+        d.execute(&format!("INSERT INTO t VALUES ({B}, 2.0)"))
+            .unwrap();
+        let err = d
+            .execute(&format!("INSERT INTO t VALUES ({B}, 3.0)"))
+            .unwrap_err();
+        assert!(matches!(err, Error::DuplicateKey { .. }), "{err}");
+
+        check_groups(&d.execute(grouped).unwrap(), 2500, "group by");
+
+        // The primary-key index join, and the same join through a hash
+        // table built for the statement (a computed build key).
+        for on in ["u.id = t.id", "u.id = t.id + 0"] {
+            let r = d
+                .execute(&format!("SELECT u.id, t.id, t.x FROM u, t WHERE {on}"))
+                .unwrap();
+            assert_eq!(r.rows.len(), 5000, "{on}");
+            for row in r.rows.iter() {
+                assert_eq!(int(&row[0]), int(&row[1]), "{on}");
+                let x = (int(&row[1]) - A + 1) as f64;
+                assert_eq!(row[2].as_f64(), Some(x), "{on}");
+            }
+        }
+
+        let ids = |d: &mut Database, predicate: &str| -> Vec<i64> {
+            let sql = format!("SELECT id FROM t WHERE {predicate} ORDER BY id");
+            d.execute(&sql)
+                .unwrap()
+                .rows
+                .iter()
+                .map(|r| int(&r[0]))
+                .collect()
+        };
+        assert_eq!(ids(&mut d, &format!("id = {B}")), [B]);
+        assert_eq!(ids(&mut d, &format!("id <> {B}")), [A]);
+        assert_eq!(ids(&mut d, &format!("id < {B}")), [A]);
+        assert_eq!(ids(&mut d, &format!("id >= {B}")), [B]);
+        let r = d
+            .execute(&format!("SELECT count(*) FROM u WHERE id = {B}"))
+            .unwrap();
+        assert_eq!(int(&r.rows[0][0]), 2500);
+    }
+    // Two shards' group tables, merged and finalized where no row lives.
+    let mut merged = load(1, rows_of(0..1700)).execute_partial(grouped).unwrap();
+    merged
+        .merge(
+            &load(1, rows_of(1700..5000))
+                .execute_partial(grouped)
+                .unwrap(),
+        )
+        .unwrap();
+    let got = load(1, vec![]).finalize_partials(grouped, &merged).unwrap();
+    check_groups(&got, 2500, "partials");
+}

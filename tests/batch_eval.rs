@@ -371,6 +371,66 @@ fn batch_evaluation_is_scalar_evaluation_row_for_row_and_error_for_error() {
     assert!(ill_typed > 200, "only {ill_typed} ill-typed trees");
 }
 
+#[test]
+fn bigint_comparisons_are_exact_in_both_evaluators() {
+    // Past 2^53 neighbouring integers share a double: two BIGINT
+    // operands compare as the integers they are, column against column
+    // and column against constant, row at a time and batch at a time.
+    let big = 1i64 << 53;
+    let ints = [big, big + 1, -big, -big - 1, i64::MAX, i64::MAX - 1, 0, 1];
+    let (mut left, mut right) = (
+        vec![Value::Null, Value::Int(1)],
+        vec![Value::Int(1), Value::Null],
+    );
+    for a in ints {
+        for b in ints {
+            left.push(Value::Int(a));
+            right.push(Value::Int(b));
+        }
+    }
+    let rows = left.len();
+    let mut batch = Batch::new(2, rows);
+    batch.set(0, Column::from_values(left.clone()));
+    batch.set(1, Column::from_values(right.clone()));
+    type Holds = fn(&i64, &i64) -> bool;
+    let ops: [(BinOp, Holds); 6] = [
+        (BinOp::Eq, i64::eq),
+        (BinOp::Neq, i64::ne),
+        (BinOp::Lt, i64::lt),
+        (BinOp::Le, i64::le),
+        (BinOp::Gt, i64::gt),
+        (BinOp::Ge, i64::ge),
+    ];
+    for (op, holds) in ops {
+        let constant = Value::Int(big + 1);
+        let exprs = [
+            (bin(op, CExpr::Col(0), CExpr::Col(1)), None),
+            (
+                bin(op, CExpr::Col(0), CExpr::Const(constant.clone())),
+                Some(&constant),
+            ),
+        ];
+        for (expr, constant) in exprs {
+            let col = expr.eval_batch(&batch).unwrap();
+            assert!(matches!(col, Column::I64(..)), "{op:?}: {col:?}");
+            for row in 0..rows {
+                let (l, r) = (&left[row], constant.unwrap_or(&right[row]));
+                let want = match (l, r) {
+                    (Value::Int(a), Value::Int(b)) => Value::Int(holds(a, b) as i64),
+                    _ => Value::Null,
+                };
+                let scalar = expr.eval(&[l.clone(), right[row].clone()]).unwrap();
+                assert!(
+                    same_value(&scalar, &want),
+                    "{l:?} {op:?} {r:?}: scalar {scalar:?}"
+                );
+                let got = col.value(row);
+                assert!(same_value(&got, &want), "{l:?} {op:?} {r:?}: batch {got:?}");
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Part two: the pipeline's seams, as SQL
 // ---------------------------------------------------------------------
