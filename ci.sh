@@ -29,8 +29,15 @@ Stages, in order:
                 place a header or an integer is parsed) and fs::rename( /
                 .sync_all() only under storage/ (the one log-file handle
                 and the one atomic replace); and one row store: outside
-                #[cfg(test)], table.rs holds no HashMap<Row / Vec<Row>
-                and expr/batch.rs no per-cell `fn gather`; prints the
+                #[cfg(test)], table.rs holds no Vec<Row> and
+                expr/batch.rs no per-cell `fn gather`; and one hash
+                table (sqlengine::keytable): outside #[cfg(test)] no
+                file under crates/sqlengine/src names a HashMap<Row or
+                a HashMap<Vec<Value>, and the slot-probing loop (the
+                first slot read off the hash's top bits by
+                `len().trailing_zeros()`, the next by `(slot + 1) &
+                mask`; once `fn slots_from`) is written in keytable.rs
+                and nowhere else; prints the
                 crates/*/src line
                 total and the non-test total (each file up to its first
                 #[cfg(test)]) so a PR's line delta is a CI output
@@ -53,7 +60,7 @@ Stages, in order:
                 the golden format digests of tests/formats.rs, the
                 seeded byte-layer properties of tests/format_props.rs
                 and the table-against-its-model sequences of
-                tests/table_model.rs
+                tests/table_model.rs and tests/keytable_model.rs
                 (--quick skips the retail e2e suite and runs one
                 520-case parity seed of the four)
   chaos         deterministic fault-plan sweep over every statement index
@@ -180,10 +187,27 @@ fi
 # index (crates/sqlengine/src/table.rs), and a batch is a slice or a take
 # of them — no boxed rows, no map keyed by a copy of the key, no
 # per-cell gather.
-if { nontest 'HashMap<Row|Vec<Row>' -path 'crates/sqlengine/src/table.rs'
+if { nontest 'Vec<Row>' -path 'crates/sqlengine/src/table.rs'
      nontest 'fn gather' -path 'crates/sqlengine/src/expr/batch.rs'; } | grep .; then
     echo "ERROR: row storage is back (above); a table stores expr::Column" \
          "vectors and hands out slices of them" >&2
+    exit 1
+fi
+# One hash table: a table's key index, the GROUP BY table and a join's
+# build side are crates/sqlengine/src/keytable.rs — u32 slots over keys
+# held as typed columns. No map keyed by a boxed copy of the key, and no
+# second probe loop.
+if nontest 'HashMap<Row|HashMap<Vec<Value' -path 'crates/sqlengine/src/*' | grep .; then
+    echo "ERROR: a map keyed by boxed rows is back (above); key a" \
+         "sqlengine::keytable::KeyTable by the key columns instead" >&2
+    exit 1
+fi
+probe_loops=$(nontest 'fn slots_from|\(slot \+ 1\) & mask|len\(\)\.trailing_zeros\(\)' \
+    -path 'crates/sqlengine/src/*' \
+    | cut -d: -f1 | sort -u)
+if [ "$probe_loops" != crates/sqlengine/src/keytable.rs ]; then
+    echo "ERROR: the open-addressing probe loop is defined in: $probe_loops;" \
+         "crates/sqlengine/src/keytable.rs is to be the only place" >&2
     exit 1
 fi
 echo "   crates/*/src: $(find crates/*/src -name '*.rs' -exec cat {} + | wc -l) lines," \
@@ -212,7 +236,8 @@ cargo test -q --test plancheck
 if [ "$QUICK" = 1 ]; then
     echo "== tier-1: tests (--quick: skipping the retail end-to-end suite)"
     cargo test -q --test baselines --test end_to_end --test extensions \
-        --test formats --test format_props --test table_model
+        --test formats --test format_props --test table_model \
+        --test keytable_model
     cargo test -q --test plan_parity seed_1
 else
     echo "== tier-1: tests"

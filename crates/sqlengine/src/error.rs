@@ -73,6 +73,12 @@ pub enum Error {
         /// The most rows a table holds.
         max_rows: usize,
     },
+    /// A GROUP BY met more distinct keys than a group table can number
+    /// (group numbers are 32-bit, as row positions are).
+    GroupTableFull {
+        /// The most groups one statement holds.
+        max_groups: usize,
+    },
     /// Division by zero or another runtime arithmetic fault in strict mode.
     Arithmetic(String),
     /// The statement cannot be planned, or semantic analysis rejected
@@ -206,6 +212,12 @@ impl fmt::Display for Error {
                 write!(
                     f,
                     "table {table} is full: a table holds at most {max_rows} rows"
+                )
+            }
+            Error::GroupTableFull { max_groups } => {
+                write!(
+                    f,
+                    "group table is full: a GROUP BY holds at most {max_groups} groups"
                 )
             }
             Error::Arithmetic(m) => write!(f, "arithmetic error: {m}"),

@@ -8,14 +8,22 @@
 //!
 //! Accumulation is batch-at-a-time ([`AggSink`]'s `BatchSink::push`):
 //! the group-key and argument expressions are evaluated once per batch
-//! into typed columns, each row's group is found once per batch — once
-//! per *run* of equal keys, so `GROUP BY rid` over rows stored in `rid`
-//! order costs one hash lookup per group — and `SUM`/`AVG`/`COUNT` over
-//! a numeric column are plain loops: a run of rows of a DOUBLE column
-//! goes to its accumulator as one slice (`ExactSum::add_slice`, which
-//! picks its tier once, not per row), a BIGINT column integer by integer
-//! (`ExactSum::add_i64`: exact past 2^53 too). Values reach an
-//! accumulator in row order, exactly as they did one row at a time.
+//! into typed columns, and the key columns are hashed once, a column at
+//! a time. The group table is the engine's one hash table
+//! ([`crate::keytable`]) over the distinct keys, which it keeps as one
+//! column per GROUP BY expression in first-seen order — each key exactly
+//! as it first arrived: `Int(1)` stays `Int(1)` when `Double(1.0)` joins
+//! its group. No key is boxed into a row to be looked up; rows are made
+//! from the key columns once, when the table is finalized or shipped. A
+//! row's group is looked up once per *run* of equal keys — so `GROUP BY
+//! rid` over rows stored in `rid` order costs one lookup per group —
+//! and `SUM`/`AVG`/`COUNT` over a numeric column are plain loops: a run
+//! of rows of a DOUBLE column goes to its accumulator as one slice
+//! (`ExactSum::add_slice`, which picks its tier once, not per row), a
+//! BIGINT column integer by integer (`ExactSum::add_i64`: exact past
+//! 2^53 too). Values reach an accumulator in row order, exactly as they
+//! did one row at a time. Groups are numbered in 32 bits; a statement
+//! that meets more fails with [`Error::GroupTableFull`].
 //!
 //! Numeric behaviour: `SUM`/`AVG` skip NULLs; `SUM` over zero non-NULL
 //! inputs is NULL (SQL), `COUNT` is 0; `SUM` of integers stays integral,
@@ -41,7 +49,6 @@
 //! them).
 
 use std::borrow::{Borrow, Cow};
-use std::collections::HashMap;
 use std::ops::Range;
 
 use crate::analyze::{AnalyzeErrorKind, Checked, Clause, Planned};
@@ -50,6 +57,7 @@ use crate::error::{Error, Result};
 use crate::exactsum::ExactSum;
 use crate::exec::select::BatchSink;
 use crate::expr::{compile, scalar_func, Batch, CExpr, Column, ColumnResolver, Ty};
+use crate::keytable::{hash_rows, keys_eq, KeySet, MAX_KEYS};
 use crate::table::Row;
 use crate::value::Value;
 
@@ -597,40 +605,96 @@ impl AggSpec {
 // The group table, in memory and in transit
 // ---------------------------------------------------------------------
 
-/// One group: its key and one accumulator per planned aggregate.
-type Group = (Row, Vec<AggState>);
+/// The group table: the distinct keys in first-seen order, one column
+/// per GROUP BY expression ([`KeySet`]: each key kept as the value that
+/// arrived first), and one accumulator per planned aggregate for each.
+/// Without GROUP BY the one key is the empty key.
+#[derive(Debug)]
+struct Groups {
+    keys: KeySet,
+    /// `states[g]` belongs to key `g`.
+    states: Vec<Vec<AggState>>,
+}
 
-/// Fold `incoming` groups into a first-seen-ordered group table: a key
-/// already present merges state by state, a new key appends. The one
-/// merge loop behind execution partitions, shards and the gather step.
-fn merge_groups<'a>(
-    groups: &mut Vec<Group>,
-    index: &mut HashMap<Row, usize>,
-    incoming: impl IntoIterator<Item = Cow<'a, Group>>,
-) -> Result<()> {
-    for group in incoming {
-        match index.get(&group.0) {
-            Some(&i) => {
-                let mine = &mut groups[i].1;
-                if mine.len() != group.1.len() {
-                    return Err(Error::Unsupported(format!(
-                        "mismatched partial-aggregate arity: {} vs {}",
-                        mine.len(),
-                        group.1.len()
-                    )));
-                }
-                for (m, t) in mine.iter_mut().zip(&group.1) {
-                    m.merge(t)?;
-                }
-            }
-            None => {
-                let group = group.into_owned();
-                index.insert(group.0.clone(), groups.len());
-                groups.push(group);
-            }
+/// Why two sides of a merge cannot be one statement's partial states.
+fn mismatch(what: &str, mine: usize, theirs: usize) -> Error {
+    Error::Unsupported(format!(
+        "mismatched partial-aggregate {what}: {mine} vs {theirs}"
+    ))
+}
+
+/// Group keys that arrived as rows, as one column per key cell.
+fn key_columns<'a>(
+    arity: usize,
+    rows: impl Iterator<Item = &'a Row> + Clone,
+) -> Result<Vec<Column>> {
+    if let Some(odd) = rows.clone().find(|key| key.len() != arity) {
+        return Err(mismatch("key arity", arity, odd.len()));
+    }
+    let column = |c: usize| Column::from_values(rows.clone().map(|key| key[c].clone()).collect());
+    Ok((0..arity).map(column).collect())
+}
+
+impl Groups {
+    fn new(arity: usize) -> Groups {
+        Groups {
+            keys: KeySet::new(arity),
+            states: Vec::new(),
         }
     }
-    Ok(())
+
+    /// The group of the key in row `row` of `keys` and whether it is
+    /// new, in which case the caller owes `states` its accumulators.
+    fn intern(&mut self, keys: &[Column], row: usize, hash: u64) -> Result<(usize, bool)> {
+        let full = Error::GroupTableFull {
+            max_groups: MAX_KEYS,
+        };
+        let (gid, new) = self.keys.intern(keys, row, hash).ok_or(full)?;
+        Ok((gid as usize, new))
+    }
+
+    /// Fold in groups — row `i` of `keys` with the `i`-th of `states` —
+    /// in order: a key already present merges state by state, a new key
+    /// appends. The one merge loop behind execution partitions, shards
+    /// and the gather step.
+    fn absorb<'a>(
+        &mut self,
+        keys: &[Column],
+        states: impl ExactSizeIterator<Item = Cow<'a, [AggState]>>,
+    ) -> Result<()> {
+        let hashes = hash_rows(keys, 0..states.len());
+        self.keys.reserve(hashes.len());
+        for (row, theirs) in states.enumerate() {
+            let (gid, new) = self.intern(keys, row, hashes[row])?;
+            if new {
+                self.states.push(theirs.into_owned());
+                continue;
+            }
+            let mine = &mut self.states[gid];
+            if mine.len() != theirs.len() {
+                return Err(mismatch("arity", mine.len(), theirs.len()));
+            }
+            for (m, t) in mine.iter_mut().zip(theirs.iter()) {
+                m.merge(t)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Fold in groups that arrived as rows (a shard's partial result).
+    fn absorb_rows(&mut self, groups: &[(Row, Vec<AggState>)]) -> Result<()> {
+        let arity = self.keys.columns().len();
+        let keys = key_columns(arity, groups.iter().map(|(key, _)| key))?;
+        let states = groups.iter().map(|(_, states)| Cow::Borrowed(&states[..]));
+        self.absorb(&keys, states)
+    }
+
+    /// The groups as rows: made from the key columns once, here.
+    fn into_rows(self) -> Vec<(Row, Vec<AggState>)> {
+        let key = |g: usize| self.keys.key(g).into_boxed_slice();
+        let keys: Vec<Row> = (0..self.keys.len()).map(key).collect();
+        keys.into_iter().zip(self.states).collect()
+    }
 }
 
 /// The group table of one aggregate statement with its accumulators
@@ -648,28 +712,31 @@ impl PartialAggResult {
     /// Merge another shard's partial result. Groups present on both
     /// sides combine state-by-state; new groups append in `other`'s
     /// order — merging shards in index order therefore yields a
-    /// deterministic group order.
+    /// deterministic group order. Two sides that are not one
+    /// statement's partial states are an error, and leave `self` empty.
     pub fn merge(&mut self, other: &PartialAggResult) -> Result<()> {
-        let mut index = self
-            .groups
-            .iter()
-            .enumerate()
-            .map(|(i, (key, _))| (key.clone(), i))
-            .collect();
-        merge_groups(
-            &mut self.groups,
-            &mut index,
-            other.groups.iter().map(Cow::Borrowed),
-        )
+        let Some(arity) = self.groups.first().or(other.groups.first()) else {
+            return Ok(());
+        };
+        let arity = arity.0.len();
+        let mut table = Groups::new(arity);
+        let mine = std::mem::take(&mut self.groups);
+        let keys = key_columns(arity, mine.iter().map(|(key, _)| key))?;
+        let states = mine.into_iter().map(|(_, states)| Cow::Owned(states));
+        table.absorb(&keys, states)?;
+        table.absorb_rows(&other.groups)?;
+        self.groups = table.into_rows();
+        Ok(())
     }
 }
 
 /// Hash-aggregation sink: one per execution partition.
 pub struct AggSink {
     plan: AggPlan,
-    /// Group key → index into `groups`, preserving first-seen order.
-    index: HashMap<Row, usize>,
-    groups: Vec<Group>,
+    groups: Groups,
+    /// The runs of the batch in hand ([`AggSink::find_runs`]); kept
+    /// between batches for its allocation.
+    runs: Vec<(usize, usize)>,
     /// Input rows consumed (telemetry: expr-eval accounting).
     rows_seen: u64,
 }
@@ -678,16 +745,16 @@ impl AggSink {
     /// Fresh sink for `plan`.
     pub fn new(plan: AggPlan) -> Self {
         AggSink {
+            groups: Groups::new(plan.keys.len()),
             plan,
-            index: HashMap::new(),
-            groups: Vec::new(),
+            runs: Vec::new(),
             rows_seen: 0,
         }
     }
 
     /// Number of distinct groups accumulated so far.
     pub fn group_count(&self) -> usize {
-        self.groups.len()
+        self.groups.keys.len()
     }
 
     /// Working-memory footprint of the group table under the logical
@@ -697,20 +764,17 @@ impl AggSink {
     /// merge — the merged table is identical under serial and parallel
     /// execution, so the charge is deterministic.
     pub fn footprint_bytes(&self) -> u64 {
-        use crate::resource::{row_bytes, AGG_STATE_BYTES, ENTRY_OVERHEAD_BYTES};
-        self.groups
-            .iter()
-            .map(|(key, states)| {
-                row_bytes(key) + ENTRY_OVERHEAD_BYTES + states.len() as u64 * AGG_STATE_BYTES
-            })
-            .sum()
+        use crate::resource::{rows_bytes, AGG_STATE_BYTES, ENTRY_OVERHEAD_BYTES};
+        let groups = self.group_count();
+        let per_group = ENTRY_OVERHEAD_BYTES + self.plan.aggs.len() as u64 * AGG_STATE_BYTES;
+        rows_bytes(self.groups.keys.columns(), 0..groups) + groups as u64 * per_group
     }
 
     /// Hand the accumulated groups over un-finalized (the scatter half
     /// of a distributed aggregate).
     pub fn into_partial(self) -> PartialAggResult {
         PartialAggResult {
-            groups: self.groups,
+            groups: self.groups.into_rows(),
         }
     }
 
@@ -737,11 +801,7 @@ impl AggSink {
             }
         }
         let mut sink = AggSink::new(plan);
-        merge_groups(
-            &mut sink.groups,
-            &mut sink.index,
-            partial.groups.iter().map(Cow::Borrowed),
-        )?;
+        sink.groups.absorb_rows(&partial.groups)?;
         Ok(sink)
     }
 
@@ -749,25 +809,24 @@ impl AggSink {
     /// gives deterministic group ordering).
     pub fn merge(&mut self, other: AggSink) -> Result<()> {
         self.rows_seen += other.rows_seen;
-        merge_groups(
-            &mut self.groups,
-            &mut self.index,
-            other.groups.into_iter().map(Cow::Owned),
-        )
+        let Groups { keys, states } = other.groups;
+        self.groups
+            .absorb(keys.columns(), states.into_iter().map(Cow::Owned))
     }
 
     /// Produce the final output rows (projection + HAVING applied).
     pub fn finalize(&mut self) -> Result<Vec<Row>> {
         // Implicit aggregation over an empty input yields one group.
-        if self.groups.is_empty() && self.plan.keys.is_empty() {
-            self.add_group(Box::new([]));
+        if self.plan.keys.is_empty() {
+            self.find_runs(&[], 0)?;
         }
-        let width = self.plan.keys.len() + self.plan.aggs.len();
-        let mut out = Vec::with_capacity(self.groups.len());
+        let keys = self.groups.keys.columns();
+        let width = keys.len() + self.plan.aggs.len();
+        let mut out = Vec::with_capacity(self.groups.states.len());
         let mut scratch: Vec<Value> = Vec::with_capacity(width);
-        for (key, states) in &self.groups {
+        for (g, states) in self.groups.states.iter().enumerate() {
             scratch.clear();
-            scratch.extend_from_slice(key);
+            scratch.extend(keys.iter().map(|k| k.value(g)));
             for s in states {
                 scratch.push(s.finalize());
             }
@@ -790,42 +849,37 @@ impl AggSink {
 }
 
 impl AggSink {
-    /// Append a group with fresh accumulators; returns its position.
-    fn add_group(&mut self, key: Row) -> usize {
-        let states = self.plan.aggs.iter().map(|a| AggState::new(a.kind));
-        self.index.insert(key.clone(), self.groups.len());
-        self.groups.push((key, states.collect()));
-        self.groups.len() - 1
-    }
-
-    /// The group of every row of a batch, from its key columns: looked
-    /// up in (or added to) the hash index once per *run* of equal keys,
-    /// so a clustered key such as `GROUP BY rid` over rows stored in
-    /// `rid` order costs one lookup per group, not per row. `None`
-    /// without GROUP BY: every row is in group 0.
-    fn group_ids(&mut self, keys: &[Column], n: usize) -> Option<Vec<u32>> {
-        if keys.is_empty() {
-            if self.groups.is_empty() {
-                self.add_group(Box::new([]));
-            }
-            return None;
-        }
-        let mut gids: Vec<u32> = Vec::with_capacity(n);
-        let mut key: Vec<Value> = Vec::with_capacity(keys.len());
-        for pos in 0..n {
-            if pos > 0 && keys.iter().all(|k| k.eq_at(pos - 1, k, pos)) {
-                gids.push(gids[pos - 1]);
+    /// Cut the first `n` rows of a batch into runs of one group, from
+    /// its key columns, into `self.runs` as `(group, end row)`: the key
+    /// columns are hashed once, and a group is looked up in (or added
+    /// to) the group table once per *run* of equal keys, so a clustered
+    /// key such as `GROUP BY rid` over rows stored in `rid` order costs
+    /// one lookup per group, not per row. Without GROUP BY every row is
+    /// in group 0, which this adds if it is not there.
+    fn find_runs(&mut self, keys: &[Column], n: usize) -> Result<()> {
+        // Without GROUP BY: one look for the empty key (which hashes to
+        // 0, as `hash_rows` of no columns has it).
+        let (rows, hashes) = match keys {
+            [] => (1, vec![0]),
+            _ => (n, hash_rows(keys, 0..n)),
+        };
+        self.groups.keys.reserve(rows);
+        self.runs.clear();
+        for row in 0..rows {
+            if row > 0 && hashes[row] == hashes[row - 1] && keys_eq(keys, row - 1, keys, row) {
                 continue;
             }
-            key.clear();
-            key.extend(keys.iter().map(|k| k.value(pos)));
-            let gid = match self.index.get(key.as_slice()) {
-                Some(&g) => g,
-                None => self.add_group(key.as_slice().into()),
-            };
-            gids.push(gid as u32);
+            if let Some(run) = self.runs.last_mut() {
+                run.1 = row;
+            }
+            let (gid, new) = self.groups.intern(keys, row, hashes[row])?;
+            if new {
+                let fresh = self.plan.aggs.iter().map(|a| AggState::new(a.kind));
+                self.groups.states.push(fresh.collect());
+            }
+            self.runs.push((gid, n));
         }
-        Some(gids)
+        Ok(())
     }
 }
 
@@ -876,21 +930,13 @@ impl BatchSink for AggSink {
         if n > 0 {
             // Run by run, so one group's accumulators stay in cache
             // while every aggregate visits them.
-            let gids = self.group_ids(&keys, n);
+            self.find_runs(&keys, n)?;
             let mut start = 0;
-            while start < n {
-                let (gid, run) = match &gids {
-                    None => (0, n),
-                    Some(gids) => {
-                        let gid = gids[start];
-                        let run = gids[start..].iter().take_while(|&&g| g == gid).count();
-                        (gid as usize, run)
-                    }
-                };
-                for (state, arg) in self.groups[gid].1.iter_mut().zip(&args) {
-                    state.update_rows(arg.as_ref(), start..start + run)?;
+            for &(gid, end) in &self.runs {
+                for (state, arg) in self.groups.states[gid].iter_mut().zip(&args) {
+                    state.update_rows(arg.as_ref(), start..end)?;
                 }
-                start += run;
+                start = end;
             }
         }
         pending.map_or(Ok(()), Err)
@@ -1224,6 +1270,33 @@ mod tests {
         push_values(&mut sink, &[vec![Value::Int(2)], vec![Value::Int(3)]]);
         let rows = sink.finalize().unwrap();
         assert_eq!(rows[0][0], Value::Int(5));
+    }
+
+    #[test]
+    fn a_group_table_refuses_to_grow_past_the_group_limit() {
+        let plan = plan_t(&[Expr::col("rid")], &[Expr::col("rid")], None);
+        let push = |sink: &mut AggSink, rids: Range<usize>| {
+            let mut batch = Batch::new(3, rids.len());
+            batch.set(0, Column::I64(rids.map(|r| r as i64).collect(), None));
+            sink.push(batch)
+        };
+        let full = Error::GroupTableFull {
+            max_groups: MAX_KEYS,
+        };
+        let mut sink = AggSink::new(plan.clone());
+        for first in (0..MAX_KEYS).step_by(1024) {
+            push(&mut sink, first..first + 1024).unwrap();
+        }
+        assert_eq!(sink.group_count(), MAX_KEYS);
+        // A group it holds is still found; one more is refused, not
+        // numbered modulo 2^32.
+        push(&mut sink, 17..18).unwrap();
+        assert_eq!(push(&mut sink, MAX_KEYS..MAX_KEYS + 1), Err(full.clone()));
+        assert_eq!(sink.group_count(), MAX_KEYS);
+        // Partitions (or shards) that fit one by one may not fit merged.
+        let mut other = AggSink::new(plan);
+        push(&mut other, MAX_KEYS - 1..MAX_KEYS + 1).unwrap();
+        assert_eq!(sink.merge(other), Err(full));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! SELECT execution: a batch-at-a-time left-deep join pipeline.
 //!
 //! What runs is decided by [`crate::plan`]: this module *instantiates* a
-//! [`SelectPlan`] against the stored columns — hash maps, filtered
+//! [`SelectPlan`] against the stored columns — join tables, filtered
 //! positions, memory charges, scan records — and drives batches
 //! through it.
 //!
@@ -46,7 +46,6 @@
 //! partition order, mimicking the AMP parallelism of the paper's Teradata
 //! installation.
 
-use std::collections::HashMap;
 use std::ops::Range;
 use std::time::Instant;
 
@@ -56,9 +55,10 @@ use crate::error::{Error, Result};
 use crate::exec::aggregate::{AggPlan, AggSink, PartialAggResult};
 use crate::exec::{ExecConfig, QueryResult};
 use crate::expr::{Batch, CExpr, Column, BATCH_ROWS};
+use crate::keytable::{hash_rows, JoinBuild, JoinTable};
 use crate::metrics::StmtProbe;
 use crate::plan::{Join, SelectPlan, Sink};
-use crate::resource::{row_bytes, ResourceTracker, ENTRY_OVERHEAD_BYTES};
+use crate::resource::{rows_bytes, ResourceTracker, ENTRY_OVERHEAD_BYTES};
 use crate::table::{Row, Table, NO_ROW};
 use crate::value::Value;
 
@@ -244,9 +244,10 @@ enum Lookup<'a> {
     /// anyway (§2.6's "primary index"). Nothing is built, charged or
     /// dropped, and a key matches at most one row.
     PrimaryKey(&'a Table),
-    /// A map from build key to row positions, built for this statement
-    /// over the (filtered) stage rows.
-    Built(HashMap<Row, Vec<u32>>),
+    /// Build key → row positions, built for this statement over the
+    /// (filtered) stage rows: the distinct keys as columns under the
+    /// engine's one hash table, their positions as one CSR array.
+    Built(JoinTable),
 }
 
 /// How a non-driver table joins into the pipeline.
@@ -368,43 +369,37 @@ fn filtered_positions(table: &Table, filter: Option<&CExpr>) -> Result<Vec<u32>>
     Ok(kept)
 }
 
-/// Build the per-statement hash map of a stage whose keys are not its
+/// Build the per-statement join table of a stage whose keys are not its
 /// table's primary key: build key → positions of the (filtered) rows.
-fn build_hash_map(
+fn build_join_table(
     table: &Table,
     filter: Option<&CExpr>,
     build_keys: &[CExpr],
     probe: &mut StmtProbe,
-) -> Result<HashMap<Row, Vec<u32>>> {
-    let mut map: HashMap<Row, Vec<u32>> = HashMap::with_capacity(table.len());
+) -> Result<JoinTable> {
+    let mut build = JoinBuild::new(build_keys.len());
     scan_filtered(table, filter, build_keys, |batch, positions, pending| {
         let keys: Vec<Column> = build_keys
             .iter()
             .map(|k| batch.eval_cut(k, pending))
             .collect();
-        for (i, &position) in positions.iter().enumerate().take(batch.len()) {
-            let key: Row = keys.iter().map(|k| k.value(i)).collect();
-            // SQL join semantics: a NULL key never matches.
-            if key.iter().any(Value::is_null) {
-                continue;
-            }
-            // Charge the build side as it grows: a new entry costs its
-            // key plus one index slot, a collision one slot. The build
-            // phase is single-threaded, so these charges are
-            // deterministic regardless of worker count.
-            let key_bytes = row_bytes(&key);
-            let slots = map.entry(key).or_default();
-            let bytes = if slots.is_empty() {
-                key_bytes + ENTRY_OVERHEAD_BYTES
+        let hashes = hash_rows(&keys, 0..batch.len());
+        // Charge the build side as it grows: a new entry costs its
+        // key plus one index slot, a repeated key one slot. The build
+        // phase is single-threaded, so these charges are
+        // deterministic regardless of worker count.
+        build.push(&keys, &hashes, positions, |row, new| {
+            let key_bytes = if new {
+                rows_bytes(&keys, row..row + 1)
             } else {
-                ENTRY_OVERHEAD_BYTES
+                0
             };
-            probe.tracker().charge("join build", bytes)?;
-            slots.push(position);
-        }
-        Ok(())
+            probe
+                .tracker()
+                .charge("join build", key_bytes + ENTRY_OVERHEAD_BYTES)
+        })
     })?;
-    Ok(map)
+    Ok(build.finish())
 }
 
 /// AND the conjuncts of one table's filter together.
@@ -492,10 +487,10 @@ fn build_pipeline<'a>(
                 build_keys,
                 pk_order: None,
             } => {
-                let map = build_hash_map(table, build_filter.as_ref(), build_keys, probe)?;
-                probe.add_build_rows(map.values().map(|v| v.len() as u64).sum());
+                let built = build_join_table(table, build_filter.as_ref(), build_keys, probe)?;
+                probe.add_build_rows(built.rows() as u64);
                 StageKind::Hash {
-                    lookup: Lookup::Built(map),
+                    lookup: Lookup::Built(built),
                     probe_keys: probe_keys.clone(),
                 }
             }
@@ -578,11 +573,16 @@ impl BatchSink for ScalarSink<'_> {
 }
 
 /// Worker-local telemetry counters, flushed into the shared [`StmtProbe`]
-/// once per partition so the hot loop never touches an atomic.
+/// once per partition so the hot loop never touches an atomic — and the
+/// worker's match buffers, kept from batch to batch.
 #[derive(Default)]
 struct Tally {
     probe_rows: u64,
     expr_evals: u64,
+    /// Per stage, the `(probing row, build row)` index vectors
+    /// [`Pipeline::run_stage`] fills; a stage takes its pair for the
+    /// length of a call and puts it back emptied.
+    matches: Vec<(Vec<u32>, Vec<u32>)>,
 }
 
 impl Tally {
@@ -696,7 +696,10 @@ impl Pipeline<'_> {
             StageKind::Broadcast { .. } => Vec::new(),
         };
 
-        let (mut left, mut right) = (Vec::new(), Vec::new());
+        if tally.matches.len() <= idx {
+            tally.matches.resize_with(idx + 1, Default::default);
+        }
+        let (mut left, mut right) = std::mem::take(&mut tally.matches[idx]);
         let mut join = |batch: &Batch, pos: usize, build_rows: &[u32]| -> Result<()> {
             tally.probe_rows += build_rows.len() as u64;
             for &row in build_rows {
@@ -723,19 +726,14 @@ impl Pipeline<'_> {
                 }
             }
             StageKind::Hash {
-                lookup: Lookup::Built(map),
+                lookup: Lookup::Built(built),
                 ..
             } => {
-                let mut key: Vec<Value> = Vec::with_capacity(probe_keys.len());
-                for pos in 0..batch.len() {
-                    key.clear();
-                    key.extend(probe_keys.iter().map(|k| k.value(pos)));
-                    // SQL join semantics: a NULL key never matches.
-                    if key.iter().any(Value::is_null) {
-                        continue;
-                    }
-                    if let Some(rows) = map.get(key.as_slice()) {
-                        join(&batch, pos, rows)?;
+                let hashes = hash_rows(&probe_keys, 0..batch.len());
+                let hits = built.probe(&probe_keys, &hashes);
+                for (pos, id) in hits.iter().enumerate() {
+                    if *id != NO_ROW {
+                        join(&batch, pos, built.matches(*id))?;
                     }
                 }
             }
@@ -746,6 +744,9 @@ impl Pipeline<'_> {
             }
         }
         self.emit(idx, batch.take(&left), &right, sink, tally)?;
+        left.clear();
+        right.clear();
+        tally.matches[idx] = (left, right);
         pending.map_or(Ok(()), Err)
     }
 
@@ -808,9 +809,9 @@ pub fn explain_select(catalog: &Catalog, plan: &SelectPlan) -> Result<Vec<String
             ..
         } => 0,
         StageKind::Hash {
-            lookup: Lookup::Built(map),
+            lookup: Lookup::Built(built),
             ..
-        } => map.len(),
+        } => built.distinct_keys(),
         StageKind::Broadcast { indices } => indices.len(),
     }));
     Ok(plan.explain(&counts))

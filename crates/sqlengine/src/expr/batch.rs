@@ -84,6 +84,15 @@ fn take_valid(valid: &Validity, positions: &[u32]) -> Validity {
         .map(|v| positions.iter().map(|&p| v[p as usize]).collect())
 }
 
+/// Append one cell (`None`: NULL, stored as `zero`) to a typed column.
+fn cell<T>(vals: &mut Vec<T>, valid: &mut Validity, x: Option<T>, zero: T) {
+    if x.is_none() || valid.is_some() {
+        let n = vals.len();
+        valid.get_or_insert_with(|| vec![true; n]).push(x.is_some());
+    }
+    vals.push(x.unwrap_or(zero));
+}
+
 /// The validity of a column of `n` rows followed by one of `m` rows.
 fn append_valid(valid: &mut Validity, n: usize, more: Validity, m: usize) {
     if valid.is_none() && more.is_none() {
@@ -218,13 +227,6 @@ impl Column {
     /// Append `v`, coerced to the type this column stores as
     /// [`Value::coerce_to`] coerces it.
     pub fn push(&mut self, v: &Value) -> crate::error::Result<()> {
-        fn cell<T>(vals: &mut Vec<T>, valid: &mut Validity, x: Option<T>, zero: T) {
-            if x.is_none() || valid.is_some() {
-                let n = vals.len();
-                valid.get_or_insert_with(|| vec![true; n]).push(x.is_some());
-            }
-            vals.push(x.unwrap_or(zero));
-        }
         match self {
             Column::F64(vals, valid) => match v.coerce_to(DataType::Double)? {
                 Value::Double(d) => cell(vals, valid, Some(d), 0.0),
@@ -237,6 +239,28 @@ impl Column {
             Column::Val(vals) => vals.push(v.coerce_to(DataType::Varchar)?),
         }
         Ok(())
+    }
+
+    /// Append row `pos` of `from` exactly as it is — its variant, its
+    /// sign of zero, its NaN. A cell of another variant than this column
+    /// holds turns the column into a [`Column::Val`] of the values it
+    /// held (an empty column takes `from`'s variant): nothing is coerced.
+    pub(crate) fn push_cell(&mut self, from: &Column, pos: usize) {
+        match (&mut *self, from) {
+            (Column::F64(v, valid), Column::F64(w, w_valid)) => {
+                cell(v, valid, is_valid(w_valid, pos).then_some(w[pos]), 0.0)
+            }
+            (Column::I64(v, valid), Column::I64(w, w_valid)) => {
+                cell(v, valid, is_valid(w_valid, pos).then_some(w[pos]), 0)
+            }
+            (Column::Val(v), _) if !v.is_empty() => v.push(from.value(pos)),
+            (col, _) if col.is_empty() => *col = from.slice(pos..pos + 1),
+            (col, _) => {
+                let mut values: Vec<Value> = (0..col.len()).map(|i| col.value(i)).collect();
+                values.push(from.value(pos));
+                *col = Column::Val(values);
+            }
+        }
     }
 
     /// This column as a table stores declared type `ty`: every value

@@ -15,7 +15,9 @@
 //!   that never materializes intermediate join results (§ [`exec`]);
 //! * **hash aggregation** with SQL NULL semantics;
 //! * **primary-key hash indexes** with uniqueness enforcement, which also
-//!   serve joins on the full key;
+//!   serve joins on the full key — the index, the GROUP BY table and a
+//!   join's build side are one hash table over typed key columns
+//!   ([`keytable`]);
 //! * **scan accounting** ([`metrics::ExecMetrics`], cross-checked by the
 //!   static [`plancheck`] derivation) so the paper's `2k+3`-scans-per-
 //!   iteration cost model can be verified programmatically;
@@ -51,6 +53,7 @@ pub mod exec;
 pub mod executor;
 pub mod expr;
 pub mod fault;
+pub mod keytable;
 pub mod lexer;
 pub mod metrics;
 pub mod parser;

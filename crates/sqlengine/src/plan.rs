@@ -13,7 +13,7 @@
 //!
 //! Five readers, no second analysis of statement shape:
 //!
-//! * `exec` instantiates a plan against rows (hash maps, filtered
+//! * `exec` instantiates a plan against rows (join tables, filtered
 //!   positions, memory charges, scan records);
 //! * `EXPLAIN` prints [`SelectPlan::explain`] with the row counts of
 //!   that instantiation;

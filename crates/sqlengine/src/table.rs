@@ -6,85 +6,28 @@
 //! `INSERT … SELECT` appends columns and DROP frees one vector per column.
 //! Rows exist where a client or row-wise DML reads them ([`Table::row`]).
 //!
-//! When the schema declares a key, an open-addressing index maps a key to
-//! its row: the slots hold row *positions* only, hashing and equality read
-//! the key cells out of the columns. It gives O(1) duplicate detection on
-//! insert — the "primary index" behaviour the paper relies on (§2.6) —
-//! and the probe side of a primary-key join ([`Table::probe`]). Key
-//! equality is [`Value`]'s `==`: `1 = 1.0`, exact for BIGINTs past 2^53.
-//! The hash is a fixed multiplicative mix, not keyed: a table is as
-//! exposed to crafted colliding keys as to any other quadratic statement
-//! a client may send.
-
-use std::hash::{Hash, Hasher};
-use std::ops::Range;
+//! When the schema declares a key, a [`KeyTable`] — the engine's one hash
+//! table — maps a key to its row: the slots hold row *positions* only,
+//! hashing and equality read the key cells out of the columns. It gives
+//! O(1) duplicate detection on insert — the "primary index" behaviour the
+//! paper relies on (§2.6) — and the probe side of a primary-key join
+//! ([`Table::probe`]). Key equality is [`Value`]'s `==`: `1 = 1.0`, exact
+//! for BIGINTs past 2^53.
 
 use crate::error::{Error, Result};
 use crate::expr::Column;
+use crate::keytable::{hash_rows, keys_eq, KeyTable, MAX_KEYS};
 use crate::schema::Schema;
 use crate::value::Value;
+
+pub use crate::keytable::NO_ROW;
 
 /// A row as a client reads it.
 pub type Row = Box<[Value]>;
 
-/// An index slot that holds no row, and [`Table::probe`]'s "no match".
-pub const NO_ROW: u32 = u32::MAX;
-
 /// Most rows a table holds: positions are `u32` in the index and along
-/// the SELECT pipeline, and [`NO_ROW`] is not a position. (Lowered for
-/// this crate's unit tests, which fill a table.)
-const MAX_ROWS: usize = if cfg!(test) { 1 << 16 } else { NO_ROW as usize };
-
-/// Fold one key cell's hash image into `h`.
-fn mix(h: u64, bits: u64) -> u64 {
-    (h.rotate_left(5) ^ bits).wrapping_mul(0x517c_c1b7_2722_0a95)
-}
-
-/// The hash image of a number: its double (so `Int(1)` and `Double(1.0)`
-/// meet), `-0.0` as `0.0`, every NaN alike — what [`Value`]'s `Hash` feeds.
-fn number_bits(x: f64) -> u64 {
-    if x == 0.0 {
-        0
-    } else if x.is_nan() {
-        f64::NAN.to_bits()
-    } else {
-        x.to_bits()
-    }
-}
-
-/// Fold the cells of rows `start..start + hashes.len()` of `col` into
-/// `hashes`, one key column of a composite key at a time.
-fn fold_hashes(col: &Column, start: usize, hashes: &mut [u64]) {
-    // Any constant no number's image is likely to equal.
-    const NULL_BITS: u64 = 0x6e75_6c6c_6e75_6c6c;
-    let rows = start..start + hashes.len();
-    match col {
-        Column::F64(v, None) => {
-            for (h, x) in hashes.iter_mut().zip(&v[rows]) {
-                *h = mix(*h, number_bits(*x));
-            }
-        }
-        Column::I64(v, None) => {
-            for (h, x) in hashes.iter_mut().zip(&v[rows]) {
-                *h = mix(*h, number_bits(*x as f64));
-            }
-        }
-        _ => {
-            for (h, pos) in hashes.iter_mut().zip(rows) {
-                let bits = match col.value(pos) {
-                    Value::Null => NULL_BITS,
-                    Value::Str(s) => {
-                        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-                        s.hash(&mut hasher);
-                        hasher.finish()
-                    }
-                    number => number_bits(number.as_f64().expect("a number")),
-                };
-                *h = mix(*h, bits);
-            }
-        }
-    }
-}
+/// the SELECT pipeline, and [`NO_ROW`] is not a position.
+const MAX_ROWS: usize = MAX_KEYS;
 
 /// One table: schema + columns + optional key index.
 #[derive(Debug, Clone)]
@@ -93,11 +36,9 @@ pub struct Table {
     schema: Schema,
     /// One storage column per declared column, all of one length.
     cols: Vec<Column>,
-    /// Open-addressing key index, present iff the schema has a key: a
-    /// power-of-two number of slots (none until the first row), each a
-    /// row position or [`NO_ROW`], at most half of them taken; a key
-    /// sits at or after the slot its hash's top bits name.
-    index: Option<Vec<u32>>,
+    /// Key → row position over the key columns, present iff the schema
+    /// has a key; it holds every row.
+    index: Option<KeyTable>,
 }
 
 impl Table {
@@ -110,7 +51,7 @@ impl Table {
                 .iter()
                 .map(|c| Column::empty(c.ty))
                 .collect(),
-            index: schema.has_primary_key().then(Vec::new),
+            index: schema.has_primary_key().then(KeyTable::new),
             schema,
         }
     }
@@ -259,62 +200,34 @@ impl Table {
     }
 
     /// The key columns, in [`Schema::primary_key`] order.
-    fn key_cols(&self) -> impl Iterator<Item = &Column> + Clone {
-        self.schema.primary_key().iter().map(|&c| &self.cols[c])
+    fn key_cols(&self) -> Vec<&Column> {
+        let key = self.schema.primary_key().iter();
+        key.map(|&c| &self.cols[c]).collect()
     }
 
-    /// Hashes of the keys `cols` hold in `rows`.
-    fn key_hashes<'c>(cols: impl Iterator<Item = &'c Column>, rows: Range<usize>) -> Vec<u64> {
-        let mut hashes = vec![0; rows.len()];
-        cols.for_each(|c| fold_hashes(c, rows.start, &mut hashes));
-        hashes
-    }
-
-    /// The slots a key hashing to `hash` may sit in, first choice first.
-    fn slots_from(slots: &[u32], hash: u64) -> impl Iterator<Item = usize> {
-        let mask = slots.len() - 1;
-        let first = (hash >> (64 - slots.len().trailing_zeros())) as usize;
-        (0..slots.len()).map(move |k| (first + k) & mask)
-    }
-
-    /// Enter the rows from `from` on into the key index, growing it
-    /// first if they would fill more than half of it. False if one of
-    /// them repeats a key; the index is then to be rebuilt.
-    fn index_rows(&mut self, mut from: usize) -> bool {
-        let Some(mut slots) = self.index.take() else {
+    /// Enter the rows from `from` on — the index holds those before —
+    /// into the key index. False if one of them repeats a key; the index
+    /// is then to be rebuilt.
+    fn index_rows(&mut self, from: usize) -> bool {
+        let Some(mut index) = self.index.take() else {
             return true;
         };
-        let len = self.len();
-        if len * 2 > slots.len() {
-            slots = vec![NO_ROW; (len * 2).next_power_of_two().max(8)];
-            from = 0;
-        }
-        let hashes = Self::key_hashes(self.key_cols(), from..len);
+        let keys = self.key_cols();
+        index.reserve(self.len() - from, || hash_rows(&keys, 0..from));
+        let hashes = hash_rows(&keys, from..self.len());
         let unique = hashes.iter().zip(from..).all(|(&hash, pos)| {
-            for s in Self::slots_from(&slots, hash) {
-                match slots[s] {
-                    NO_ROW => {
-                        slots[s] = pos as u32;
-                        return true;
-                    }
-                    other => {
-                        if self.key_cols().all(|c| c.eq_at(other as usize, c, pos)) {
-                            return false;
-                        }
-                    }
-                }
-            }
-            unreachable!("at most half of the slots are taken")
+            let entered = index.enter(hash, |other| keys_eq(&keys, other, &keys, pos));
+            entered.expect("append checked the row limit").1
         });
-        self.index = Some(slots);
+        self.index = Some(index);
         unique
     }
 
     /// Rebuild the key index over the rows as they are; false on a
     /// repeated key.
     fn reindex(&mut self) -> bool {
-        if let Some(slots) = &mut self.index {
-            slots.fill(NO_ROW);
+        if let Some(index) = &mut self.index {
+            index.clear();
         }
         self.index_rows(0)
     }
@@ -327,27 +240,13 @@ impl Table {
     /// borrows the index the table maintains anyway instead of hashing
     /// the table again. A table without a key matches nothing.
     pub fn probe(&self, keys: &[Column], n: usize) -> Vec<u32> {
-        let slots = match &self.index {
-            Some(slots) if !slots.is_empty() => slots,
-            _ => return vec![NO_ROW; n],
+        let Some(index) = &self.index else {
+            return vec![NO_ROW; n];
         };
-        let hashes = Self::key_hashes(keys.iter(), 0..n);
-        let find = |(i, &hash): (usize, &u64)| {
-            if keys.iter().any(|k| k.is_null(i)) {
-                return NO_ROW;
-            }
-            Self::slots_from(slots, hash)
-                .map(|s| slots[s])
-                .find(|&pos| {
-                    pos == NO_ROW
-                        || keys
-                            .iter()
-                            .zip(self.key_cols())
-                            .all(|(k, c)| k.eq_at(i, c, pos as usize))
-                })
-                .expect("at most half of the slots are taken")
-        };
-        hashes.iter().enumerate().map(find).collect()
+        let stored = self.key_cols();
+        index.probe(keys, &hash_rows(keys, 0..n), |i, pos| {
+            keys_eq(keys, i, &stored, pos)
+        })
     }
 }
 
