@@ -37,7 +37,11 @@ Stages, in order:
                 first slot read off the hash's top bits by
                 `len().trailing_zeros()`, the next by `(slot + 1) &
                 mask`; once `fn slots_from`) is written in keytable.rs
-                and nowhere else; prints the
+                and nowhere else; and one accumulator layout
+                (exec/aggregate.rs: one accumulator column per
+                aggregate): outside #[cfg(test)] no file under
+                crates/sqlengine/src names a Vec<Vec<AggState>> or
+                defines `fn update_rows`; prints the
                 crates/*/src line
                 total and the non-test total (each file up to its first
                 #[cfg(test)]) so a PR's line delta is a CI output
@@ -60,7 +64,8 @@ Stages, in order:
                 the golden format digests of tests/formats.rs, the
                 seeded byte-layer properties of tests/format_props.rs
                 and the table-against-its-model sequences of
-                tests/table_model.rs and tests/keytable_model.rs
+                tests/table_model.rs, tests/keytable_model.rs and
+                tests/agg_model.rs
                 (--quick skips the retail e2e suite and runs one
                 520-case parity seed of the four)
   chaos         deterministic fault-plan sweep over every statement index
@@ -210,6 +215,15 @@ if [ "$probe_loops" != crates/sqlengine/src/keytable.rs ]; then
          "crates/sqlengine/src/keytable.rs is to be the only place" >&2
     exit 1
 fi
+# One accumulator layout: the group table holds one accumulator column
+# per planned aggregate (crates/sqlengine/src/exec/aggregate.rs), updated
+# a batch at a time — no vector of states per group, no per-run dispatch
+# on a state's kind.
+if nontest 'Vec<Vec<AggState>>|fn update_rows' -path 'crates/sqlengine/src/*' | grep .; then
+    echo "ERROR: per-group accumulator vectors are back (above); a group is" \
+         "a row of exec::aggregate's accumulator columns" >&2
+    exit 1
+fi
 echo "   crates/*/src: $(find crates/*/src -name '*.rs' -exec cat {} + | wc -l) lines," \
      "$(find crates/*/src -name '*.rs' -exec awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} !t' {} + | wc -l)" \
      "outside #[cfg(test)]"
@@ -237,7 +251,7 @@ if [ "$QUICK" = 1 ]; then
     echo "== tier-1: tests (--quick: skipping the retail end-to-end suite)"
     cargo test -q --test baselines --test end_to_end --test extensions \
         --test formats --test format_props --test table_model \
-        --test keytable_model
+        --test keytable_model --test agg_model
     cargo test -q --test plan_parity seed_1
 else
     echo "== tier-1: tests"

@@ -9,21 +9,30 @@
 //! Accumulation is batch-at-a-time ([`AggSink`]'s `BatchSink::push`):
 //! the group-key and argument expressions are evaluated once per batch
 //! into typed columns, and the key columns are hashed once, a column at
-//! a time. The group table is the engine's one hash table
-//! ([`crate::keytable`]) over the distinct keys, which it keeps as one
+//! a time. The group table is columns on both sides. The distinct keys
+//! sit under the engine's one hash table ([`crate::keytable`]) as one
 //! column per GROUP BY expression in first-seen order — each key exactly
 //! as it first arrived: `Int(1)` stays `Int(1)` when `Double(1.0)` joins
-//! its group. No key is boxed into a row to be looked up; rows are made
-//! from the key columns once, when the table is finalized or shipped. A
-//! row's group is looked up once per *run* of equal keys — so `GROUP BY
-//! rid` over rows stored in `rid` order costs one lookup per group —
-//! and `SUM`/`AVG`/`COUNT` over a numeric column are plain loops: a run
-//! of rows of a DOUBLE column goes to its accumulator as one slice
-//! (`ExactSum::add_slice`, which picks its tier once, not per row), a
-//! BIGINT column integer by integer (`ExactSum::add_i64`: exact past
-//! 2^53 too). Values reach an accumulator in row order, exactly as they
-//! did one row at a time. Groups are numbered in 32 bits; a statement
-//! that meets more fails with [`Error::GroupTableFull`].
+//! its group. The accumulators are one column per planned aggregate —
+//! `SUM`/`AVG` a vector of [`ExactSum`]s beside a vector of counts,
+//! `COUNT` a vector of counts — and group `g` is row `g` of every one
+//! of them: a new group is one push per column, and nothing is
+//! allocated per group. A batch is cut into *runs* of equal keys, one
+//! lookup per run — so `GROUP BY rid` over rows stored in `rid` order
+//! costs one lookup per group — and the runs are then fed aggregate by
+//! aggregate, the loop chosen once per batch by the aggregate and the
+//! variant of its argument column: a run of a DOUBLE column goes to its
+//! sum as one slice (`ExactSum::add_slice`, which picks its tier once,
+//! not per row), a BIGINT column integer by integer
+//! (`ExactSum::add_i64`: exact past 2^53 too). Values reach an
+//! accumulator in row order, exactly as they did one row at a time.
+//! Finalizing writes each aggregate's results as one typed column
+//! beside the key columns and runs HAVING and the SELECT items over
+//! those as over any other batch, so an `INSERT … SELECT` appends
+//! columns to its target and no row is built between GROUP BY and the
+//! table; rows are made once, for a client or for a shard's partial
+//! result. Groups are numbered in 32 bits; a statement that meets more
+//! fails with [`Error::GroupTableFull`].
 //!
 //! Numeric behaviour: `SUM`/`AVG` skip NULLs; `SUM` over zero non-NULL
 //! inputs is NULL (SQL), `COUNT` is 0; `SUM` of integers stays integral,
@@ -37,16 +46,17 @@
 //! fixed-point superaccumulator when it is not (the M step's whole-table
 //! sums over underflowing responsibilities), where an add costs the same
 //! whatever the magnitude spread; which of the two a sum was in never
-//! shows in a result. There is one accumulator type, [`AggState`], and one
-//! merge: a single-node SELECT finalizes its own group table, a shard
-//! ships it un-finalized ([`PartialAggResult`]) and the coordinator
-//! merges and finalizes. `MIN`/`MAX` order by SQL comparison with every
-//! NaN above every number (where ORDER BY sorts it), so they too are
-//! independent of scan and merge order. Merging is exact for every
-//! aggregate except
-//! `VARIANCE`/`STDDEV` (Chan's moment combination, deterministic in
-//! shard order but not order-free; the EM-generated SQL never uses
-//! them).
+//! shows in a result. Outside the columns an accumulator is an
+//! [`AggState`] — the form it crosses a partition, a process or the wire
+//! in, gathered from the columns once and scattered into them once —
+//! and there is one merge: a single-node SELECT finalizes its own group
+//! table, a shard ships it un-finalized ([`PartialAggResult`]) and the
+//! coordinator merges and finalizes. `MIN`/`MAX` order by SQL comparison
+//! with every NaN above every number (where ORDER BY sorts it), so they
+//! too are independent of scan and merge order. Merging is exact for
+//! every aggregate except `VARIANCE`/`STDDEV` (Chan's moment
+//! combination, deterministic in shard order but not order-free; the
+//! EM-generated SQL never uses them).
 
 use std::borrow::{Borrow, Cow};
 use std::ops::Range;
@@ -240,10 +250,15 @@ fn rewrite(
 // Accumulation
 // ---------------------------------------------------------------------
 
-/// Running state of one accumulator. This is also the form a shard
-/// ships to the cluster coordinator: an [`ExactSum`] travels as finite
-/// doubles whose sum is its exact value ([`ExactSum::to_parts`]: an
-/// inline expansion as it is, a wide sum as its canonical list) and
+/// One accumulator on its own: the form a group's accumulators take
+/// outside the group table's columns — what a shard ships to the
+/// cluster coordinator, what partitions hand each other, and what a
+/// value-by-value update (`MIN`/`MAX`/`VARIANCE`, or any aggregate over
+/// a column of mixed variants) works on. Fed one row at a time
+/// ([`AggState::update`]) it is also the reference the batch loops are
+/// tested against (`tests/agg_model.rs`). An [`ExactSum`] travels as
+/// finite doubles whose sum is its exact value ([`ExactSum::to_parts`]:
+/// an inline expansion as it is, a wide sum as its canonical list) and
 /// merges without rounding, so recombining shards' states is exact for
 /// `SUM`/`COUNT`/`AVG`/`MIN`/`MAX`. Two states are equal when they hold
 /// the same values, however each is represented.
@@ -307,40 +322,9 @@ fn displaces(best: &Option<Value>, candidate: &Value, want: std::cmp::Ordering) 
     }
 }
 
-/// Call `f` with every row of `rows` that holds a value.
-fn for_valid(valid: &Option<Vec<bool>>, rows: Range<usize>, mut f: impl FnMut(usize)) {
-    match valid {
-        None => rows.for_each(f),
-        Some(mask) => rows.filter(|&p| mask[p]).for_each(&mut f),
-    }
-}
-
-/// Add the values rows `rows` of a typed column hold to `acc`, exactly
-/// and in row order; returns how many there were. A DOUBLE column
-/// without NULLs goes in as one slice, so the accumulator picks its
-/// tier once per run of rows, not once per row.
-fn add_rows(acc: &mut ExactSum, col: &Column, rows: Range<usize>) -> u64 {
-    let mut added = 0;
-    match col {
-        Column::F64(v, None) => {
-            added = rows.len() as u64;
-            acc.add_slice(&v[rows]);
-        }
-        Column::F64(v, valid) => for_valid(valid, rows, |p| {
-            acc.add(v[p]);
-            added += 1;
-        }),
-        Column::I64(v, valid) => for_valid(valid, rows, |p| {
-            acc.add_i64(v[p]);
-            added += 1;
-        }),
-        Column::Val(_) => unreachable!("typed columns only"),
-    }
-    added
-}
-
 impl AggState {
-    fn new(kind: AggKind) -> AggState {
+    /// The state of `kind` before any input.
+    pub fn new(kind: AggKind) -> AggState {
         match kind {
             AggKind::Sum => AggState::Sum {
                 acc: ExactSum::new(),
@@ -365,7 +349,7 @@ impl AggState {
 
     /// Feed one input: `None` is `COUNT(*)`'s "count every row";
     /// otherwise NULLs are skipped by every aggregate.
-    fn update(&mut self, v: Option<Value>) -> Result<()> {
+    pub fn update(&mut self, v: Option<Value>) -> Result<()> {
         let Some(val) = v else {
             if let AggState::Count(c) = self {
                 *c += 1;
@@ -422,45 +406,6 @@ impl AggState {
                 let delta = x - *mean;
                 *mean += delta / *count as f64;
                 *m2 += delta * (x - *mean);
-            }
-        }
-        Ok(())
-    }
-
-    /// Feed the rows `rows` of one batch column (`None`: `COUNT(*)`,
-    /// which counts every row). SUM/AVG/COUNT over a typed column are
-    /// plain loops ([`add_rows`]), in row order; anything else goes
-    /// value by value through [`AggState::update`].
-    fn update_rows(&mut self, arg: Option<&Column>, rows: Range<usize>) -> Result<()> {
-        let Some(col) = arg else {
-            if let AggState::Count(c) = self {
-                *c += rows.len() as u64;
-            }
-            return Ok(());
-        };
-        match (self, col) {
-            (AggState::Count(c), Column::F64(_, valid) | Column::I64(_, valid)) => {
-                for_valid(valid, rows, |_| *c += 1);
-            }
-            (
-                AggState::Sum {
-                    acc,
-                    count,
-                    all_int,
-                },
-                Column::F64(..) | Column::I64(..),
-            ) => {
-                let added = add_rows(acc, col, rows);
-                *count += added;
-                *all_int &= added == 0 || matches!(col, Column::I64(..));
-            }
-            (AggState::Avg { acc, count }, Column::F64(..) | Column::I64(..)) => {
-                *count += add_rows(acc, col, rows);
-            }
-            (state, col) => {
-                for p in rows {
-                    state.update(Some(col.value(p)))?;
-                }
             }
         }
         Ok(())
@@ -538,7 +483,8 @@ impl AggState {
         Ok(())
     }
 
-    fn finalize(&self) -> Value {
+    /// The aggregate's result over the inputs fed so far.
+    pub fn finalize(&self) -> Value {
         match self {
             AggState::Sum {
                 acc,
@@ -605,15 +551,262 @@ impl AggSpec {
 // The group table, in memory and in transit
 // ---------------------------------------------------------------------
 
+/// What [`AggState::Sum`] holds, a vector per field: row `g` of each is
+/// group `g`'s. (`AVG` carries `all_int` without reading it.)
+#[derive(Debug, Default)]
+struct Sums {
+    acc: Vec<ExactSum>,
+    count: Vec<u64>,
+    all_int: Vec<bool>,
+}
+
+/// One planned aggregate's accumulators, one per group. `SUM`, `AVG` and
+/// `COUNT` are plain vectors a batch updates in typed loops; the rest
+/// keep one [`AggState`] a group and are fed value by value.
+#[derive(Debug)]
+enum Accumulators {
+    Sum(Sums),
+    Avg(Sums),
+    Count(Vec<u64>),
+    /// `MIN`, `MAX`, `VARIANCE`, `STDDEV`.
+    States(AggKind, Vec<AggState>),
+}
+
+/// Call `f` with each run's group and rows, in row order.
+fn for_runs(runs: &[(usize, usize)], mut f: impl FnMut(usize, Range<usize>)) {
+    let mut start = 0;
+    for &(gid, end) in runs {
+        f(gid, start..end);
+        start = end;
+    }
+}
+
+/// The rows of `rows` that hold a value.
+fn valid_rows(valid: &Option<Vec<bool>>, rows: Range<usize>) -> impl Iterator<Item = usize> + '_ {
+    rows.filter(move |&p| valid.as_ref().is_none_or(|mask| mask[p]))
+}
+
+impl Sums {
+    /// Add each run's rows of a typed column to its group's sum,
+    /// exactly and in row order.
+    fn add(&mut self, col: &Column, runs: &[(usize, usize)]) {
+        let Sums {
+            acc,
+            count,
+            all_int,
+        } = self;
+        match col {
+            // A DOUBLE column without NULLs: a run is one slice, so the
+            // sum picks its tier once per run, not once per row.
+            Column::F64(v, None) => for_runs(runs, |gid, rows| {
+                count[gid] += rows.len() as u64;
+                all_int[gid] = false;
+                acc[gid].add_slice(&v[rows]);
+            }),
+            Column::F64(v, valid) => for_runs(runs, |gid, rows| {
+                for p in valid_rows(valid, rows) {
+                    acc[gid].add(v[p]);
+                    count[gid] += 1;
+                    all_int[gid] = false;
+                }
+            }),
+            // An integer goes in as the integer it is: exact past 2^53.
+            Column::I64(v, valid) => for_runs(runs, |gid, rows| {
+                for p in valid_rows(valid, rows) {
+                    acc[gid].add_i64(v[p]);
+                    count[gid] += 1;
+                }
+            }),
+            Column::Val(_) => unreachable!("typed columns only"),
+        }
+    }
+
+    /// Which groups saw an input (`SUM`/`AVG` of the others is NULL), as
+    /// a column's validity.
+    fn seen(&self) -> Option<Vec<bool>> {
+        let seen = || self.count.iter().map(|c| *c > 0).collect();
+        self.count.contains(&0).then(seen)
+    }
+}
+
+impl Accumulators {
+    fn new(kind: AggKind) -> Accumulators {
+        match kind {
+            AggKind::Sum => Accumulators::Sum(Sums::default()),
+            AggKind::Avg => Accumulators::Avg(Sums::default()),
+            AggKind::Count => Accumulators::Count(Vec::new()),
+            _ => Accumulators::States(kind, Vec::new()),
+        }
+    }
+
+    /// Accumulators of the aggregate `state` is a state of.
+    fn like(state: &AggState) -> Accumulators {
+        Accumulators::new(match state {
+            AggState::Sum { .. } => AggKind::Sum,
+            AggState::Count(_) => AggKind::Count,
+            AggState::Avg { .. } => AggKind::Avg,
+            AggState::Min(_) => AggKind::Min,
+            AggState::Max(_) => AggKind::Max,
+            AggState::Var { stddev: false, .. } => AggKind::Variance,
+            AggState::Var { stddev: true, .. } => AggKind::Stddev,
+        })
+    }
+
+    /// Append a new group's accumulator, before any input.
+    fn grow(&mut self) {
+        match self {
+            Accumulators::Sum(s) | Accumulators::Avg(s) => {
+                s.acc.push(ExactSum::new());
+                s.count.push(0);
+                s.all_int.push(true);
+            }
+            Accumulators::Count(counts) => counts.push(0),
+            Accumulators::States(kind, states) => states.push(AggState::new(*kind)),
+        }
+    }
+
+    /// Group `gid`'s accumulator, moved out (a fresh one is left).
+    fn take(&mut self, gid: usize) -> AggState {
+        match self {
+            Accumulators::Sum(s) => AggState::Sum {
+                acc: std::mem::take(&mut s.acc[gid]),
+                count: s.count[gid],
+                all_int: s.all_int[gid],
+            },
+            Accumulators::Avg(s) => AggState::Avg {
+                acc: std::mem::take(&mut s.acc[gid]),
+                count: s.count[gid],
+            },
+            Accumulators::Count(counts) => AggState::Count(counts[gid]),
+            Accumulators::States(kind, states) => {
+                std::mem::replace(&mut states[gid], AggState::new(*kind))
+            }
+        }
+    }
+
+    /// Set group `gid`'s accumulator. A state of another aggregate means
+    /// two sides planned different statements; it may have crossed a
+    /// process boundary, so that is a typed error, not a panic.
+    fn put(&mut self, gid: usize, state: AggState) -> Result<()> {
+        match (&mut *self, state) {
+            (
+                Accumulators::Sum(s),
+                AggState::Sum {
+                    acc,
+                    count,
+                    all_int,
+                },
+            ) => (s.acc[gid], s.count[gid], s.all_int[gid]) = (acc, count, all_int),
+            (Accumulators::Avg(s), AggState::Avg { acc, count }) => {
+                (s.acc[gid], s.count[gid]) = (acc, count)
+            }
+            (Accumulators::Count(counts), AggState::Count(c)) => counts[gid] = c,
+            (Accumulators::States(kind, states), state)
+                if std::mem::discriminant(&state)
+                    == std::mem::discriminant(&AggState::new(*kind)) =>
+            {
+                states[gid] = state
+            }
+            (mine, state) => {
+                return Err(Error::Unsupported(format!(
+                    "mismatched partial-aggregate kinds: {state:?} among {mine:?}"
+                )))
+            }
+        }
+        Ok(())
+    }
+
+    /// Work on group `gid`'s accumulator as an [`AggState`].
+    fn with<R>(&mut self, gid: usize, f: impl FnOnce(&mut AggState) -> R) -> R {
+        if let Accumulators::States(_, states) = self {
+            return f(&mut states[gid]);
+        }
+        let mut state = self.take(gid);
+        let result = f(&mut state);
+        self.put(gid, state).expect("a state keeps its kind");
+        result
+    }
+
+    /// Feed every run of a batch its rows of the argument column
+    /// (`None`: `COUNT(*)`, which counts every row): which loop runs is
+    /// decided here, once per batch. Run after run, so the values of a
+    /// group reach its accumulator in row order.
+    fn update(&mut self, arg: Option<&Column>, runs: &[(usize, usize)]) -> Result<()> {
+        match (self, arg) {
+            (Accumulators::Count(counts), None) => {
+                for_runs(runs, |gid, rows| counts[gid] += rows.len() as u64)
+            }
+            (_, None) => {}
+            (Accumulators::Count(counts), Some(Column::F64(_, valid) | Column::I64(_, valid))) => {
+                for_runs(runs, |gid, rows| {
+                    counts[gid] += valid_rows(valid, rows).count() as u64
+                })
+            }
+            (
+                Accumulators::Sum(sums) | Accumulators::Avg(sums),
+                Some(col @ (Column::F64(..) | Column::I64(..))),
+            ) => sums.add(col, runs),
+            // MIN, MAX, the moments, and anything over a column of mixed
+            // variants: value by value.
+            (accs, Some(col)) => {
+                let mut start = 0;
+                for &(gid, end) in runs {
+                    let mut rows = start..end;
+                    accs.with(gid, |state| {
+                        rows.try_for_each(|p| state.update(Some(col.value(p))))
+                    })?;
+                    start = end;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Every group's result as one column, each value exactly what
+    /// [`AggState::finalize`] returns for it: DOUBLE or BIGINT where
+    /// every group's is (NULLs aside), [`Column::Val`] otherwise.
+    fn finalize(&self) -> Column {
+        match self {
+            Accumulators::Count(counts) => {
+                Column::I64(counts.iter().map(|c| *c as i64).collect(), None)
+            }
+            Accumulators::Avg(s) => {
+                let mean = |(a, c): (&ExactSum, &u64)| match c {
+                    0 => 0.0,
+                    _ => a.finalize() / *c as f64,
+                };
+                Column::F64(s.acc.iter().zip(&s.count).map(mean).collect(), s.seen())
+            }
+            Accumulators::Sum(s) => {
+                let totals: Vec<f64> = s.acc.iter().map(ExactSum::finalize).collect();
+                // An integral SUM stays integral while a double holds it.
+                let integral = |g: usize| s.all_int[g] && totals[g].abs() < 9.0e15;
+                if !(0..totals.len()).any(|g| s.count[g] > 0 && integral(g)) {
+                    return Column::F64(totals, s.seen());
+                }
+                let value = |g: usize| match (s.count[g], integral(g)) {
+                    (0, _) => Value::Null,
+                    (_, true) => Value::Int(totals[g] as i64),
+                    (_, false) => Value::Double(totals[g]),
+                };
+                Column::from_values((0..totals.len()).map(value).collect())
+            }
+            Accumulators::States(_, states) => {
+                Column::from_values(states.iter().map(AggState::finalize).collect())
+            }
+        }
+    }
+}
+
 /// The group table: the distinct keys in first-seen order, one column
 /// per GROUP BY expression ([`KeySet`]: each key kept as the value that
-/// arrived first), and one accumulator per planned aggregate for each.
+/// arrived first), and one column of accumulators per planned aggregate.
 /// Without GROUP BY the one key is the empty key.
 #[derive(Debug)]
 struct Groups {
     keys: KeySet,
-    /// `states[g]` belongs to key `g`.
-    states: Vec<Vec<AggState>>,
+    /// Row `g` of each belongs to key `g`.
+    accs: Vec<Accumulators>,
 }
 
 /// Why two sides of a merge cannot be one statement's partial states.
@@ -636,15 +829,15 @@ fn key_columns<'a>(
 }
 
 impl Groups {
-    fn new(arity: usize) -> Groups {
+    fn new(arity: usize, accs: Vec<Accumulators>) -> Groups {
         Groups {
             keys: KeySet::new(arity),
-            states: Vec::new(),
+            accs,
         }
     }
 
     /// The group of the key in row `row` of `keys` and whether it is
-    /// new, in which case the caller owes `states` its accumulators.
+    /// new, in which case the caller owes each of `accs` its accumulator.
     fn intern(&mut self, keys: &[Column], row: usize, hash: u64) -> Result<(usize, bool)> {
         let full = Error::GroupTableFull {
             max_groups: MAX_KEYS,
@@ -653,29 +846,28 @@ impl Groups {
         Ok((gid as usize, new))
     }
 
-    /// Fold in groups — row `i` of `keys` with the `i`-th of `states` —
-    /// in order: a key already present merges state by state, a new key
-    /// appends. The one merge loop behind execution partitions, shards
-    /// and the gather step.
+    /// Fold in `n` groups — row `i` of `keys` with `state(i, j)` for
+    /// aggregate `j` — in order: a key already present merges state by
+    /// state, a new key appends. The one merge loop behind execution
+    /// partitions, shards and the gather step.
     fn absorb<'a>(
         &mut self,
         keys: &[Column],
-        states: impl ExactSizeIterator<Item = Cow<'a, [AggState]>>,
+        n: usize,
+        mut state: impl FnMut(usize, usize) -> Cow<'a, AggState>,
     ) -> Result<()> {
-        let hashes = hash_rows(keys, 0..states.len());
-        self.keys.reserve(hashes.len());
-        for (row, theirs) in states.enumerate() {
-            let (gid, new) = self.intern(keys, row, hashes[row])?;
-            if new {
-                self.states.push(theirs.into_owned());
-                continue;
-            }
-            let mine = &mut self.states[gid];
-            if mine.len() != theirs.len() {
-                return Err(mismatch("arity", mine.len(), theirs.len()));
-            }
-            for (m, t) in mine.iter_mut().zip(theirs.iter()) {
-                m.merge(t)?;
+        let hashes = hash_rows(keys, 0..n);
+        self.keys.reserve(n);
+        for (row, &hash) in hashes.iter().enumerate() {
+            let (gid, new) = self.intern(keys, row, hash)?;
+            for (j, accs) in self.accs.iter_mut().enumerate() {
+                let theirs = state(row, j);
+                if new {
+                    accs.grow();
+                    accs.put(gid, theirs.into_owned())?;
+                } else {
+                    accs.with(gid, |mine| mine.merge(&theirs))?;
+                }
             }
         }
         Ok(())
@@ -683,17 +875,23 @@ impl Groups {
 
     /// Fold in groups that arrived as rows (a shard's partial result).
     fn absorb_rows(&mut self, groups: &[(Row, Vec<AggState>)]) -> Result<()> {
+        if let Some((_, odd)) = groups.iter().find(|(_, s)| s.len() != self.accs.len()) {
+            return Err(mismatch("arity", self.accs.len(), odd.len()));
+        }
         let arity = self.keys.columns().len();
         let keys = key_columns(arity, groups.iter().map(|(key, _)| key))?;
-        let states = groups.iter().map(|(_, states)| Cow::Borrowed(&states[..]));
-        self.absorb(&keys, states)
+        self.absorb(&keys, groups.len(), |row, j| {
+            Cow::Borrowed(&groups[row].1[j])
+        })
     }
 
-    /// The groups as rows: made from the key columns once, here.
-    fn into_rows(self) -> Vec<(Row, Vec<AggState>)> {
-        let key = |g: usize| self.keys.key(g).into_boxed_slice();
-        let keys: Vec<Row> = (0..self.keys.len()).map(key).collect();
-        keys.into_iter().zip(self.states).collect()
+    /// The groups as rows: made from the columns once, here.
+    fn into_rows(mut self) -> Vec<(Row, Vec<AggState>)> {
+        let group = |g: usize| {
+            let key = self.keys.key(g).into_boxed_slice();
+            (key, self.accs.iter_mut().map(|a| a.take(g)).collect())
+        };
+        (0..self.keys.len()).map(group).collect()
     }
 }
 
@@ -715,15 +913,12 @@ impl PartialAggResult {
     /// deterministic group order. Two sides that are not one
     /// statement's partial states are an error, and leave `self` empty.
     pub fn merge(&mut self, other: &PartialAggResult) -> Result<()> {
-        let Some(arity) = self.groups.first().or(other.groups.first()) else {
+        let Some((key, states)) = self.groups.first().or(other.groups.first()) else {
             return Ok(());
         };
-        let arity = arity.0.len();
-        let mut table = Groups::new(arity);
-        let mine = std::mem::take(&mut self.groups);
-        let keys = key_columns(arity, mine.iter().map(|(key, _)| key))?;
-        let states = mine.into_iter().map(|(_, states)| Cow::Owned(states));
-        table.absorb(&keys, states)?;
+        let accs = states.iter().map(Accumulators::like).collect();
+        let mut table = Groups::new(key.len(), accs);
+        table.absorb_rows(&std::mem::take(&mut self.groups))?;
         table.absorb_rows(&other.groups)?;
         self.groups = table.into_rows();
         Ok(())
@@ -744,8 +939,9 @@ pub struct AggSink {
 impl AggSink {
     /// Fresh sink for `plan`.
     pub fn new(plan: AggPlan) -> Self {
+        let accs = plan.aggs.iter().map(|a| Accumulators::new(a.kind));
         AggSink {
-            groups: Groups::new(plan.keys.len()),
+            groups: Groups::new(plan.keys.len(), accs.collect()),
             plan,
             runs: Vec::new(),
             rows_seen: 0,
@@ -780,26 +976,8 @@ impl AggSink {
 
     /// Rebuild a sink from a merged partial result (the gather half).
     /// The states crossed a process boundary, so their arity and kinds
-    /// are checked against the plan first.
+    /// are checked against the plan as they go in.
     pub fn from_partial(plan: AggPlan, partial: &PartialAggResult) -> Result<AggSink> {
-        for (_, states) in &partial.groups {
-            if states.len() != plan.aggs.len() {
-                return Err(Error::Unsupported(format!(
-                    "partial-aggregate arity {} does not match plan arity {}",
-                    states.len(),
-                    plan.aggs.len()
-                )));
-            }
-            for (spec, st) in plan.aggs.iter().zip(states) {
-                let expected = AggState::new(spec.kind);
-                if std::mem::discriminant(st) != std::mem::discriminant(&expected) {
-                    return Err(Error::Unsupported(format!(
-                        "partial-aggregate state {st:?} does not match planned {:?}",
-                        spec.kind
-                    )));
-                }
-            }
-        }
         let mut sink = AggSink::new(plan);
         sink.groups.absorb_rows(&partial.groups)?;
         Ok(sink)
@@ -809,42 +987,39 @@ impl AggSink {
     /// gives deterministic group ordering).
     pub fn merge(&mut self, other: AggSink) -> Result<()> {
         self.rows_seen += other.rows_seen;
-        let Groups { keys, states } = other.groups;
-        self.groups
-            .absorb(keys.columns(), states.into_iter().map(Cow::Owned))
+        let Groups { keys, mut accs } = other.groups;
+        let state = |row, j: usize| Cow::Owned(accs[j].take(row));
+        self.groups.absorb(keys.columns(), keys.len(), state)
     }
 
-    /// Produce the final output rows (projection + HAVING applied).
-    pub fn finalize(&mut self) -> Result<Vec<Row>> {
+    /// Produce the final output (HAVING + projection applied): one
+    /// column per item of the plan, a row per surviving group. The
+    /// groups are one batch — keys, then each aggregate's results — so
+    /// HAVING is a `Batch::filter` and an item a `Batch::eval_cut`,
+    /// which keep the error the one of the first failing group, that
+    /// group's HAVING before its items.
+    pub fn finalize(mut self) -> Result<Vec<Column>> {
         // Implicit aggregation over an empty input yields one group.
         if self.plan.keys.is_empty() {
             self.find_runs(&[], 0)?;
         }
-        let keys = self.groups.keys.columns();
-        let width = keys.len() + self.plan.aggs.len();
-        let mut out = Vec::with_capacity(self.groups.states.len());
-        let mut scratch: Vec<Value> = Vec::with_capacity(width);
-        for (g, states) in self.groups.states.iter().enumerate() {
-            scratch.clear();
-            scratch.extend(keys.iter().map(|k| k.value(g)));
-            for s in states {
-                scratch.push(s.finalize());
-            }
-            if let Some(h) = &self.plan.having {
-                if !h.eval_predicate(&scratch)? {
-                    continue;
-                }
-            }
-            let row: Row = self
-                .plan
-                .items
-                .iter()
-                .map(|e| e.eval(&scratch))
-                .collect::<Result<Vec<_>>>()?
-                .into_boxed_slice();
-            out.push(row);
+        let Groups { keys, accs } = self.groups;
+        let mut batch = Batch::new(keys.columns().len() + accs.len(), keys.len());
+        let slots = keys
+            .into_columns()
+            .into_iter()
+            .chain(accs.iter().map(Accumulators::finalize));
+        for (slot, col) in slots.enumerate() {
+            batch.set(slot, col);
         }
-        Ok(out)
+        let mut pending = None;
+        if let Some(h) = &self.plan.having {
+            batch.filter(h, &mut pending);
+        }
+        let items = &self.plan.items;
+        let items = items.iter().map(|e| batch.eval_cut(e, &mut pending));
+        let items = items.collect();
+        pending.map_or(Ok(items), Err)
     }
 }
 
@@ -874,8 +1049,7 @@ impl AggSink {
             }
             let (gid, new) = self.groups.intern(keys, row, hashes[row])?;
             if new {
-                let fresh = self.plan.aggs.iter().map(|a| AggState::new(a.kind));
-                self.groups.states.push(fresh.collect());
+                self.groups.accs.iter_mut().for_each(Accumulators::grow);
             }
             self.runs.push((gid, n));
         }
@@ -928,15 +1102,11 @@ impl BatchSink for AggSink {
         let n = batch.len();
         self.rows_seen += n as u64;
         if n > 0 {
-            // Run by run, so one group's accumulators stay in cache
-            // while every aggregate visits them.
+            // Aggregate by aggregate over the batch's runs: one
+            // argument column and one accumulator column at a time.
             self.find_runs(&keys, n)?;
-            let mut start = 0;
-            for &(gid, end) in &self.runs {
-                for (state, arg) in self.groups.states[gid].iter_mut().zip(&args) {
-                    state.update_rows(arg.as_ref(), start..end)?;
-                }
-                start = end;
+            for (accs, arg) in self.groups.accs.iter_mut().zip(&args) {
+                accs.update(arg.as_ref(), &self.runs)?;
             }
         }
         pending.map_or(Ok(()), Err)
@@ -981,6 +1151,13 @@ mod tests {
         sink.push(batch).unwrap();
     }
 
+    /// The finalized output, row by row.
+    fn finalized(sink: AggSink) -> Vec<Vec<Value>> {
+        let cols = sink.finalize().unwrap();
+        let row = |g: usize| cols.iter().map(|c| c.value(g)).collect();
+        (0..cols[0].len()).map(row).collect()
+    }
+
     fn push_rows(sink: &mut AggSink, rows: &[(i64, i64, f64)]) {
         let rows: Vec<Vec<Value>> = rows
             .iter()
@@ -1004,7 +1181,7 @@ mod tests {
         );
         let mut sink = AggSink::new(plan);
         push_rows(&mut sink, &[(1, 1, 2.0), (2, 1, 3.0), (3, 2, 5.0)]);
-        let rows = sink.finalize().unwrap();
+        let rows = finalized(sink);
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0][0], Value::Int(1));
         assert_eq!(rows[0][1], Value::Double(5.0));
@@ -1023,7 +1200,7 @@ mod tests {
         assert_eq!(plan.aggs.len(), 1);
         let mut sink = AggSink::new(plan);
         push_rows(&mut sink, &[(1, 1, 2.0), (2, 1, 4.0)]);
-        let rows = sink.finalize().unwrap();
+        let rows = finalized(sink);
         assert_eq!(rows[0][0], Value::Double(1.0));
     }
 
@@ -1045,7 +1222,7 @@ mod tests {
                 vec![Value::Int(2), Value::Int(1), Value::Double(3.0)],
             ],
         );
-        let rows = sink.finalize().unwrap();
+        let rows = finalized(sink);
         assert_eq!(rows[0][0], Value::Double(3.0));
 
         // All-NULL input → SUM is NULL.
@@ -1054,7 +1231,7 @@ mod tests {
             &mut empty,
             &[vec![Value::Int(1), Value::Int(1), Value::Null]],
         );
-        let rows = empty.finalize().unwrap();
+        let rows = finalized(empty);
         assert_eq!(rows[0][0], Value::Null);
     }
 
@@ -1082,7 +1259,7 @@ mod tests {
                 vec![Value::Int(2), Value::Int(1), Value::Double(1.0)],
             ],
         );
-        let rows = sink.finalize().unwrap();
+        let rows = finalized(sink);
         assert_eq!(rows[0][0], Value::Int(2));
         assert_eq!(rows[0][1], Value::Int(1));
     }
@@ -1103,8 +1280,8 @@ mod tests {
             &[],
             None,
         );
-        let mut sink = AggSink::new(plan);
-        let rows = sink.finalize().unwrap();
+        let sink = AggSink::new(plan);
+        let rows = finalized(sink);
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0][0], Value::Int(0));
         assert_eq!(rows[0][1], Value::Null);
@@ -1113,8 +1290,8 @@ mod tests {
     #[test]
     fn empty_input_with_group_by_yields_no_rows() {
         let plan = plan_t(&[Expr::col("i")], &[Expr::col("i")], None);
-        let mut sink = AggSink::new(plan);
-        assert!(sink.finalize().unwrap().is_empty());
+        let sink = AggSink::new(plan);
+        assert!(finalized(sink).is_empty());
     }
 
     #[test]
@@ -1133,7 +1310,7 @@ mod tests {
         );
         let mut sink = AggSink::new(plan);
         push_rows(&mut sink, &[(1, 1, 2.0), (2, 1, 1.0), (3, 2, 9.0)]);
-        let rows = sink.finalize().unwrap();
+        let rows = finalized(sink);
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0][0], Value::Int(2));
     }
@@ -1183,7 +1360,7 @@ mod tests {
         let mut b = AggSink::new(plan);
         push_rows(&mut b, &[(3, 1, 4.0), (4, 3, 1.0)]);
         a.merge(b).unwrap();
-        let rows = a.finalize().unwrap();
+        let rows = finalized(a);
         assert_eq!(rows.len(), 3);
         // Group 1 merged across partitions.
         assert_eq!(rows[0][0], Value::Int(1));
@@ -1214,7 +1391,7 @@ mod tests {
         );
         let mut sink = AggSink::new(plan);
         push_rows(&mut sink, &[(1, 1, 2.0), (2, 1, 4.0), (3, 1, 9.0)]);
-        let rows = sink.finalize().unwrap();
+        let rows = finalized(sink);
         assert_eq!(rows[0][0], Value::Double(5.0));
         assert_eq!(rows[0][1], Value::Double(2.0));
         assert_eq!(rows[0][2], Value::Double(9.0));
@@ -1242,7 +1419,7 @@ mod tests {
             };
             let mut merged = part(&order[..cut]);
             merged.merge(part(&order[cut..])).unwrap();
-            merged.finalize().unwrap().remove(0)
+            finalized(merged).remove(0)
         };
         for (order, cut) in [
             (&[0, 1, 2, 3, 4, 5], 0),
@@ -1268,7 +1445,7 @@ mod tests {
         let plan = plan_over(&["n"], &[sum_n], &[], None).unwrap();
         let mut sink = AggSink::new(plan);
         push_values(&mut sink, &[vec![Value::Int(2)], vec![Value::Int(3)]]);
-        let rows = sink.finalize().unwrap();
+        let rows = finalized(sink);
         assert_eq!(rows[0][0], Value::Int(5));
     }
 
@@ -1306,7 +1483,7 @@ mod tests {
         let plan = plan_t(std::slice::from_ref(&key), std::slice::from_ref(&key), None);
         let mut sink = AggSink::new(plan);
         push_rows(&mut sink, &[(1, 1, 0.0), (2, 1, 0.0)]);
-        let rows = sink.finalize().unwrap();
+        let rows = finalized(sink);
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0][0], Value::Int(2));
     }

@@ -18,14 +18,19 @@
 //! items — are filled with slices of the stored columns; nothing else is
 //! copied. A join stage evaluates its probe keys over the batch, emits
 //! the matches as two index vectors (probing row, build row) and takes
-//! the build table's referenced columns at the matched positions. Joined
-//! batches go straight into a sink — scalar projection or hash
-//! aggregation — so no intermediate join result is ever materialized
-//! beyond one batch; this is what keeps the `pn`-row distance join of
-//! the hybrid E step linear in memory. The projection sink keeps its
-//! output as columns too: `INSERT … SELECT` appends them to the target
+//! the build table's referenced columns at the matched positions; when
+//! every probing row matched exactly once (a key lookup that always
+//! hits, a one-row parameter table) the probing side is the batch as it
+//! is and goes on uncopied. Joined batches go straight into a sink —
+//! scalar projection or hash aggregation — so no intermediate join
+//! result is ever materialized beyond one batch; this is what keeps the
+//! `pn`-row distance join of the hybrid E step linear in memory. Both
+//! sinks hand their output over as columns — the projection the item
+//! columns of its batches, the aggregation what its group table
+//! finalizes into: `INSERT … SELECT` appends them to the target
 //! ([`run_select_columns`]) and rows are built only for a client
-//! ([`run_select`]).
+//! ([`run_select`]), or to sort and cut a result that is ordered or
+//! limited.
 //!
 //! A hash stage whose build keys are exactly its table's PRIMARY KEY,
 //! with no filter on the build side, probes the index the table already
@@ -118,6 +123,48 @@ fn run_aggregate(
     Ok(merged)
 }
 
+/// Rows for a client, made of batches of output columns: the one place
+/// a result becomes rows.
+fn rows_of(chunks: Vec<Vec<Column>>) -> Vec<Row> {
+    let mut rows = Vec::new();
+    for cols in chunks {
+        let row = |_| Vec::with_capacity(cols.len());
+        let mut chunk: Vec<Vec<Value>> = (0..cols[0].len()).map(row).collect();
+        cols.iter().for_each(|col| col.append_to(&mut chunk));
+        rows.extend(chunk.into_iter().map(Vec::into_boxed_slice));
+    }
+    rows
+}
+
+/// A finalized group table's output columns as the batches
+/// [`run_columns`] returns: one, or none when no group is left.
+fn one_chunk(cols: Vec<Column>) -> Vec<Vec<Column>> {
+    match cols.first() {
+        Some(first) if !first.is_empty() => vec![cols],
+        _ => Vec::new(),
+    }
+}
+
+/// Run a planned SELECT up to its sink: the output as non-empty batches
+/// of columns, one column per item (hidden sort keys included), before
+/// ORDER BY and LIMIT. No row is built on the way: a projection hands
+/// over what its sinks hold, an aggregate what its group table
+/// finalizes into.
+fn run_columns(
+    catalog: &Catalog,
+    config: &ExecConfig,
+    plan: &SelectPlan,
+    probe: &mut StmtProbe,
+) -> Result<Vec<Vec<Column>>> {
+    match &plan.sink {
+        Sink::Aggregate(agg) => {
+            let sink = run_aggregate(catalog, config, plan, agg, probe)?;
+            Ok(one_chunk(sink.finalize()?))
+        }
+        Sink::Project(items) => run_project(catalog, config, plan, items, probe),
+    }
+}
+
 /// Run a planned SELECT and materialize its result, recording telemetry
 /// into `probe` (pass a disabled probe to skip).
 pub fn run_select(
@@ -126,20 +173,8 @@ pub fn run_select(
     plan: &SelectPlan,
     probe: &mut StmtProbe,
 ) -> Result<QueryResult> {
-    let out_rows = match &plan.sink {
-        Sink::Aggregate(agg) => run_aggregate(catalog, config, plan, agg, probe)?.finalize()?,
-        Sink::Project(items) => {
-            let mut rows = Vec::new();
-            for cols in run_project(catalog, config, plan, items, probe)? {
-                let row = |_| Vec::with_capacity(cols.len());
-                let mut chunk: Vec<Vec<Value>> = (0..cols[0].len()).map(row).collect();
-                cols.iter().for_each(|col| col.append_to(&mut chunk));
-                rows.extend(chunk.into_iter().map(Vec::into_boxed_slice));
-            }
-            rows
-        }
-    };
-    let result = finish(plan, out_rows);
+    let chunks = run_columns(catalog, config, plan, probe)?;
+    let result = finish(plan, rows_of(chunks));
     probe.set_rows_produced(result.rows.len());
     Ok(result)
 }
@@ -168,18 +203,17 @@ fn run_project(
 
 /// Run a planned SELECT for `INSERT … SELECT`: the result of
 /// [`run_select`] as non-empty batches of columns, one column per
-/// output. A plain projection hands over what its sink holds and no row
-/// is ever built; an aggregate's finalized rows (or a sorted, limited
-/// result) are converted once, here.
+/// output. A projection's or an aggregate's columns go to the target as
+/// they come (`run_columns`) and no row is ever built; only a sorted
+/// or limited result is sorted and cut as rows and converted once, here.
 pub fn run_select_columns(
     catalog: &Catalog,
     config: &ExecConfig,
     plan: &SelectPlan,
     probe: &mut StmtProbe,
 ) -> Result<Vec<Vec<Column>>> {
-    if let (Sink::Project(items), true, None) = (&plan.sink, plan.sort_keys.is_empty(), plan.limit)
-    {
-        let chunks = run_project(catalog, config, plan, items, probe)?;
+    if plan.sort_keys.is_empty() && plan.limit.is_none() {
+        let chunks = run_columns(catalog, config, plan, probe)?;
         probe.set_rows_produced(chunks.iter().map(|cols| cols[0].len()).sum());
         return Ok(chunks);
     }
@@ -229,8 +263,8 @@ pub fn finalize_select_partials(
     partial: &PartialAggResult,
 ) -> Result<QueryResult> {
     let agg = aggregate_of(plan, "partial finalize")?;
-    let rows = AggSink::from_partial(agg.clone(), partial)?.finalize()?;
-    Ok(finish(plan, rows))
+    let cols = AggSink::from_partial(agg.clone(), partial)?.finalize()?;
+    Ok(finish(plan, rows_of(one_chunk(cols))))
 }
 
 // ---------------------------------------------------------------------
@@ -696,11 +730,51 @@ impl Pipeline<'_> {
             StageKind::Broadcast { .. } => Vec::new(),
         };
 
+        let n = batch.len();
+        let hits = match &stage.kind {
+            StageKind::Hash {
+                lookup: Lookup::PrimaryKey(table),
+                ..
+            } => table.probe(&probe_keys, n),
+            StageKind::Hash {
+                lookup: Lookup::Built(built),
+                ..
+            } => built.probe(&probe_keys, &hash_rows(&probe_keys, 0..n)),
+            StageKind::Broadcast { .. } => Vec::new(),
+        };
+        // The build rows probing row `pos` matched, ascending.
+        let matches = |pos: usize| match &stage.kind {
+            StageKind::Broadcast { indices } => &indices[..],
+            StageKind::Hash { .. } if hits[pos] == NO_ROW => &[],
+            StageKind::Hash {
+                lookup: Lookup::PrimaryKey(_),
+                ..
+            } => std::slice::from_ref(&hits[pos]),
+            StageKind::Hash {
+                lookup: Lookup::Built(built),
+                ..
+            } => built.matches(hits[pos]),
+        };
+
+        // Every probing row matched exactly once (a key lookup that
+        // always hits, a one-row parameter table): the probing rows are
+        // the batch as it is, which goes on uncopied.
+        let once = |pos: usize| match matches(pos) {
+            [row] => Some(*row),
+            _ => None,
+        };
+        if let Some(build_rows) = (0..n).map(once).collect::<Option<Vec<u32>>>() {
+            tally.probe_rows += n as u64;
+            self.emit(idx, batch, &build_rows, sink, tally)?;
+            return pending.map_or(Ok(()), Err);
+        }
+
         if tally.matches.len() <= idx {
             tally.matches.resize_with(idx + 1, Default::default);
         }
         let (mut left, mut right) = std::mem::take(&mut tally.matches[idx]);
-        let mut join = |batch: &Batch, pos: usize, build_rows: &[u32]| -> Result<()> {
+        for pos in 0..n {
+            let build_rows = matches(pos);
             tally.probe_rows += build_rows.len() as u64;
             for &row in build_rows {
                 if left.len() == BATCH_ROWS {
@@ -710,37 +784,6 @@ impl Pipeline<'_> {
                 }
                 left.push(pos as u32);
                 right.push(row);
-            }
-            Ok(())
-        };
-        match &stage.kind {
-            StageKind::Hash {
-                lookup: Lookup::PrimaryKey(table),
-                ..
-            } => {
-                let hits = table.probe(&probe_keys, batch.len());
-                for (pos, row) in hits.iter().enumerate() {
-                    if *row != NO_ROW {
-                        join(&batch, pos, std::slice::from_ref(row))?;
-                    }
-                }
-            }
-            StageKind::Hash {
-                lookup: Lookup::Built(built),
-                ..
-            } => {
-                let hashes = hash_rows(&probe_keys, 0..batch.len());
-                let hits = built.probe(&probe_keys, &hashes);
-                for (pos, id) in hits.iter().enumerate() {
-                    if *id != NO_ROW {
-                        join(&batch, pos, built.matches(*id))?;
-                    }
-                }
-            }
-            StageKind::Broadcast { indices } => {
-                for pos in 0..batch.len() {
-                    join(&batch, pos, indices)?;
-                }
             }
         }
         self.emit(idx, batch.take(&left), &right, sink, tally)?;

@@ -204,13 +204,20 @@ impl Column {
         }
     }
 
-    /// Append the rows of `other`, a column of the same variant.
+    /// Append the rows of `other`, a column of the same variant; an
+    /// empty column takes `other`'s vectors as they are.
     ///
     /// # Panics
     /// If the variants differ: both sides are storage columns of one
     /// declared type.
     pub fn append(&mut self, other: Column) {
         match (self, other) {
+            (me, other)
+                if me.is_empty()
+                    && std::mem::discriminant(me) == std::mem::discriminant(&other) =>
+            {
+                *me = other
+            }
             (Column::F64(v, valid), Column::F64(w, more)) => {
                 append_valid(valid, v.len(), more, w.len());
                 v.extend(w);

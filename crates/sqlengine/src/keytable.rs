@@ -277,6 +277,11 @@ impl KeySet {
         &self.cols
     }
 
+    /// The keys, handed over: what [`KeySet::columns`] lends.
+    pub fn into_columns(self) -> Vec<Column> {
+        self.cols
+    }
+
     /// Key `id`, materialized.
     pub fn key(&self, id: usize) -> Vec<Value> {
         self.cols.iter().map(|c| c.value(id)).collect()

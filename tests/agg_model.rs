@@ -1,0 +1,675 @@
+//! The columnar group table (`sqlengine::exec::aggregate`: one
+//! accumulator column per aggregate, updated batch by batch in typed
+//! loops, finalized into typed columns) against the obvious reference:
+//! one `AggState` per group and aggregate, fed one row at a time through
+//! `AggState::update`, finalized group by group — HAVING, then the items.
+//!
+//! Part one runs seeded random plans — `SUM`/`AVG`/`COUNT`/`COUNT(*)`/
+//! `MIN`/`MAX`/`VARIANCE`/`STDDEV` over a wild DOUBLE column, a BIGINT
+//! column past 2^53 (whose sums are BIGINT in one group and DOUBLE in
+//! the next), NULL-bearing columns of both types, an all-NULL column and
+//! a `CASE` that is BIGINT or DOUBLE by row; no GROUP BY, a clustered
+//! key (runs of 7 that straddle the batch boundary), a key whose runs
+//! are one row long, two keys; HAVING or none; an item that fails
+//! (`ln` of a non-positive number) in some group; inputs cut at 0, 1
+//! and around 1024 rows — as SQL with `workers` 1 and 2 and merged from
+//! the partial results of 1, 2 and 4 contiguous shards. Every cell must
+//! be the reference's: variant, sign of zero, NaN payload; a failing
+//! statement must fail with the reference's error, i.e. the first
+//! failing group's, that group's HAVING before its items. (Moment
+//! aggregates are held to the reference where one pass runs — Chan's
+//! combination of partitions rounds differently from one Welford pass.)
+//!
+//! The same checks then run against the reference itself with a fault
+//! seeded in — a group's rows fed batch by batch in the wrong order, and
+//! the items of a group evaluated before its HAVING — and must reject
+//! both: the assertions can tell.
+//!
+//! Part two holds `INSERT … SELECT` over a GROUP BY to the first group
+//! whose aggregate does not coerce to the target's type, and to leaving
+//! the target as it was.
+
+use std::collections::BTreeMap;
+
+use prng::{Rng, StdRng};
+use sqlengine::exec::aggregate::AggKind;
+use sqlengine::expr::BATCH_ROWS;
+use sqlengine::{AggState, DataType, Database, Error, PartialAggResult, Value};
+
+// ---------------------------------------------------------------------
+// The table
+// ---------------------------------------------------------------------
+
+const DDL: &str = "CREATE TABLE t (rid BIGINT PRIMARY KEY, c BIGINT, u BIGINT, k2 BIGINT, \
+                   d DOUBLE, b BIGINT, nd DOUBLE, nb BIGINT, z DOUBLE, pick BIGINT, \
+                   v DOUBLE, w DOUBLE)";
+
+/// Rows of `t`: enough that `workers = 2` runs two partitions.
+const ROWS: usize = 5000;
+
+/// Rows of one clustered (`c`) group: not a divisor of [`BATCH_ROWS`],
+/// so a group straddles every batch boundary.
+const RUN: usize = 7;
+
+// Column positions.
+const C: usize = 1;
+const U: usize = 2;
+const K2: usize = 3;
+const D: usize = 4;
+const B: usize = 5;
+const PICK: usize = 9;
+const V: usize = 10;
+const W: usize = 11;
+
+fn wild_double(rng: &mut StdRng) -> f64 {
+    let unit: f64 = rng.random();
+    match rng.random_range(0..16usize) {
+        0 => f64::from_bits(f64::NAN.to_bits() | rng.random_range(1..3usize) as u64),
+        1 => -0.0,
+        2 => 0.0,
+        3 => f64::from_bits(rng.next_u64() % (1 << 52)), // subnormal
+        // A responsibility: 1 down to 1e-300, so sums go wide.
+        4..=6 => unit * 10f64.powi(-(rng.random_range(0..300usize) as i32)),
+        7 => (unit - 0.5) * 1.0e300,
+        _ => (unit - 0.5) * 200.0,
+    }
+}
+
+/// Mostly small; one in six beyond 2^53, where neighbouring integers
+/// share a double and a sum of seven no longer fits a BIGINT result.
+fn wild_int(rng: &mut StdRng) -> i64 {
+    let small = rng.random_range(0..2001usize) as i64 - 1000;
+    match rng.random_range(0..6usize) {
+        0 => (1 << 53) + small,
+        1 if small % 2 == 0 => -(1 << 53) - small,
+        _ => small,
+    }
+}
+
+fn table_rows(rng: &mut StdRng) -> Vec<Vec<Value>> {
+    (0..ROWS)
+        .map(|rid| {
+            let nullable = |rng: &mut StdRng, v: Value| match rng.random_range(0..5usize) {
+                0 => Value::Null,
+                _ => v,
+            };
+            let nd = Value::Double(wild_double(rng));
+            let nb = Value::Int(wild_int(rng));
+            vec![
+                Value::Int(rid as i64),
+                Value::Int((rid / RUN) as i64),
+                Value::Int((rid % 37) as i64),
+                Value::Int((rid / RUN % 5) as i64),
+                Value::Double(wild_double(rng)),
+                Value::Int(wild_int(rng)),
+                nullable(rng, nd),
+                nullable(rng, nb),
+                Value::Null,
+                Value::Int(rng.random_range(0..2usize) as i64),
+                Value::Double(rng.random::<f64>() * 20.0 - 10.0),
+                // Falls by one from one clustered group to the next.
+                Value::Double(1000.0 - (rid / RUN) as f64),
+            ]
+        })
+        .collect()
+}
+
+// ---------------------------------------------------------------------
+// Plans
+// ---------------------------------------------------------------------
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Func {
+    Sum,
+    Avg,
+    Count,
+    CountStar,
+    Min,
+    Max,
+    Variance,
+    Stddev,
+}
+
+/// An aggregate's argument: a column of `t`, or the `CASE` that is
+/// `b` (BIGINT) where `pick > 0` and `d` (DOUBLE) elsewhere.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Arg {
+    Col(usize),
+    Mixed,
+}
+
+const ARG_COLS: [(usize, &str); 7] = [
+    (D, "d"),
+    (B, "b"),
+    (6, "nd"),
+    (7, "nb"),
+    (8, "z"),
+    (V, "v"),
+    (W, "w"),
+];
+
+type Agg = (Func, Arg);
+
+fn agg_sql((func, arg): Agg) -> String {
+    let arg = match arg {
+        Arg::Col(c) => ARG_COLS.iter().find(|(pos, _)| *pos == c).unwrap().1,
+        Arg::Mixed => "CASE WHEN pick > 0 THEN b ELSE d END",
+    };
+    match func {
+        Func::Sum => format!("SUM({arg})"),
+        Func::Avg => format!("AVG({arg})"),
+        Func::Count => format!("COUNT({arg})"),
+        Func::CountStar => "COUNT(*)".into(),
+        Func::Min => format!("MIN({arg})"),
+        Func::Max => format!("MAX({arg})"),
+        Func::Variance => format!("VARIANCE({arg})"),
+        Func::Stddev => format!("STDDEV({arg})"),
+    }
+}
+
+/// A SELECT item over the aggregates.
+#[derive(Debug, Clone, Copy)]
+enum Item {
+    /// Aggregate `i` of the plan.
+    Agg(usize),
+    /// `ln(<aggregate i> - t)`: fails where the aggregate is at most `t`.
+    LnAbove(usize, f64),
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Having {
+    /// `HAVING COUNT(*) > m`
+    CountAbove(i64),
+    /// `HAVING ln(<aggregate i> - t) > -1.0E300`: true unless it fails
+    /// (or is NULL).
+    LnAbove(usize, f64),
+}
+
+#[derive(Debug, Clone)]
+struct Plan {
+    /// GROUP BY columns (none: one implicit group).
+    keys: Vec<usize>,
+    aggs: Vec<Agg>,
+    items: Vec<Item>,
+    having: Option<Having>,
+    /// `WHERE rid < below`.
+    below: usize,
+}
+
+impl Plan {
+    fn sql(&self) -> String {
+        let name = |k: &usize| ["", "c", "u", "k2"][*k];
+        let keys: Vec<&str> = self.keys.iter().map(name).collect();
+        let ln = |i: usize, t: f64| format!("ln({} - {t:?})", agg_sql(self.aggs[i]));
+        let items = self.items.iter().map(|item| match *item {
+            Item::Agg(i) => agg_sql(self.aggs[i]),
+            Item::LnAbove(i, t) => ln(i, t),
+        });
+        let list: Vec<String> = keys.iter().map(|k| k.to_string()).chain(items).collect();
+        let mut sql = format!(
+            "SELECT {} FROM t WHERE rid < {}",
+            list.join(", "),
+            self.below
+        );
+        if !keys.is_empty() {
+            sql += &format!(" GROUP BY {}", keys.join(", "));
+        }
+        match self.having {
+            None => {}
+            Some(Having::CountAbove(m)) => sql += &format!(" HAVING COUNT(*) > {m}"),
+            Some(Having::LnAbove(i, t)) => sql += &format!(" HAVING {} > -1.0E300", ln(i, t)),
+        }
+        sql
+    }
+
+    /// One Welford pass and Chan's combination of partitions round
+    /// differently: a plan with a moment aggregate is held to the
+    /// reference where one pass runs.
+    fn order_free(&self) -> bool {
+        !self
+            .aggs
+            .iter()
+            .any(|(f, _)| matches!(f, Func::Variance | Func::Stddev))
+    }
+}
+
+/// How a plan is run: in one database, or merged from contiguous shards.
+#[derive(Debug, Clone, Copy)]
+enum How {
+    Workers(usize),
+    Shards(usize),
+}
+
+const HOWS: [How; 5] = [
+    How::Workers(1),
+    How::Workers(2),
+    How::Shards(1),
+    How::Shards(2),
+    How::Shards(4),
+];
+
+type Outcome = Result<Vec<Vec<Value>>, Error>;
+
+trait Subject {
+    fn run(&mut self, plan: &Plan, how: How) -> Outcome;
+}
+
+// ---------------------------------------------------------------------
+// The reference, and the faults it can be seeded with
+// ---------------------------------------------------------------------
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Fault {
+    /// A group is fed the rows of a later batch before those of an
+    /// earlier one: group-major, out of row order across the boundary.
+    BatchesBackwards,
+    /// A group's items are evaluated before its HAVING.
+    HavingAfterItems,
+}
+
+struct Reference {
+    rows: Vec<Vec<Value>>,
+    fault: Option<Fault>,
+}
+
+fn fresh(func: Func) -> AggState {
+    AggState::new(match func {
+        Func::Sum => AggKind::Sum,
+        Func::Avg => AggKind::Avg,
+        Func::Count | Func::CountStar => AggKind::Count,
+        Func::Min => AggKind::Min,
+        Func::Max => AggKind::Max,
+        Func::Variance => AggKind::Variance,
+        Func::Stddev => AggKind::Stddev,
+    })
+}
+
+/// `ln(v - t)` as the engine's evaluators have it.
+fn ln_above(v: &Value, t: f64) -> Result<Value, Error> {
+    let Some(x) = v.as_f64() else {
+        return Ok(Value::Null);
+    };
+    let x = x - t;
+    if x <= 0.0 {
+        return Err(Error::Arithmetic(format!("ln({x}) is undefined")));
+    }
+    Ok(Value::Double(x.ln()))
+}
+
+impl Subject for Reference {
+    fn run(&mut self, plan: &Plan, _: How) -> Outcome {
+        let rows = &self.rows[..plan.below.min(self.rows.len())];
+        // Groups in first-seen order, each with the rows it holds.
+        let mut ids: BTreeMap<Vec<i64>, usize> = BTreeMap::new();
+        let mut groups: Vec<(Vec<Value>, Vec<usize>)> = Vec::new();
+        if plan.keys.is_empty() {
+            ids.insert(Vec::new(), 0);
+            groups.push((Vec::new(), Vec::new()));
+        }
+        for (pos, row) in rows.iter().enumerate() {
+            let key: Vec<Value> = plan.keys.iter().map(|&k| row[k].clone()).collect();
+            let cells = key.iter().map(|v| v.as_i64().unwrap()).collect();
+            let id = *ids.entry(cells).or_insert_with(|| {
+                groups.push((key, Vec::new()));
+                groups.len() - 1
+            });
+            groups[id].1.push(pos);
+        }
+
+        let mut out = Vec::new();
+        for (key, mut members) in groups {
+            if self.fault == Some(Fault::BatchesBackwards) {
+                // Stable: rows of one batch keep their order.
+                members.sort_by_key(|pos| std::cmp::Reverse(pos / BATCH_ROWS));
+            }
+            let mut states: Vec<AggState> = plan.aggs.iter().map(|(f, _)| fresh(*f)).collect();
+            for &pos in &members {
+                let row = &rows[pos];
+                for (state, (func, arg)) in states.iter_mut().zip(&plan.aggs) {
+                    let input = match (func, arg) {
+                        (Func::CountStar, _) => None,
+                        (_, Arg::Col(c)) => Some(row[*c].clone()),
+                        (_, Arg::Mixed) => {
+                            let picked = matches!(row[PICK], Value::Int(p) if p > 0);
+                            Some(row[if picked { B } else { D }].clone())
+                        }
+                    };
+                    state.update(input)?;
+                }
+            }
+            let results: Vec<Value> = states.iter().map(AggState::finalize).collect();
+            let items = || -> Result<Vec<Value>, Error> {
+                let item = |item: &Item| match *item {
+                    Item::Agg(i) => Ok(results[i].clone()),
+                    Item::LnAbove(i, t) => ln_above(&results[i], t),
+                };
+                plan.items.iter().map(item).collect()
+            };
+            let having = || -> Result<bool, Error> {
+                Ok(match plan.having {
+                    None => true,
+                    Some(Having::CountAbove(m)) => members.len() as i64 > m,
+                    Some(Having::LnAbove(i, t)) => {
+                        matches!(ln_above(&results[i], t)?, Value::Double(y) if y > -1.0e300)
+                    }
+                })
+            };
+            let row = match self.fault {
+                Some(Fault::HavingAfterItems) => {
+                    let row = items()?;
+                    having()?.then_some(row)
+                }
+                _ => match having()? {
+                    true => Some(items()?),
+                    false => None,
+                },
+            };
+            out.extend(row.map(|items| key.into_iter().chain(items).collect()));
+        }
+        Ok(out)
+    }
+}
+
+// ---------------------------------------------------------------------
+// The engine
+// ---------------------------------------------------------------------
+
+struct Engine {
+    whole: Database,
+    /// The table cut into 1, 2 and 4 contiguous shards.
+    sharded: Vec<Vec<Database>>,
+    /// Finalizes merged partials: the schema, no rows.
+    shadow: Database,
+}
+
+fn database_with(rows: &[Vec<Value>]) -> Database {
+    let mut db = Database::new();
+    db.execute(DDL).unwrap();
+    db.bulk_insert("t", rows.to_vec()).unwrap();
+    db
+}
+
+impl Engine {
+    fn new(rows: &[Vec<Value>]) -> Engine {
+        let cut = |shards: usize| {
+            rows.chunks(rows.len().div_ceil(shards))
+                .map(database_with)
+                .collect()
+        };
+        Engine {
+            whole: database_with(rows),
+            sharded: [1, 2, 4].map(cut).into(),
+            shadow: database_with(&[]),
+        }
+    }
+}
+
+impl Subject for Engine {
+    fn run(&mut self, plan: &Plan, how: How) -> Outcome {
+        let sql = plan.sql();
+        let result = match how {
+            How::Workers(workers) => {
+                self.whole.set_workers(workers);
+                self.whole.execute(&sql)?
+            }
+            How::Shards(shards) => {
+                let mut merged = PartialAggResult::default();
+                for shard in &mut self.sharded[shards.trailing_zeros() as usize] {
+                    merged.merge(&shard.execute_partial(&sql)?)?;
+                }
+                self.shadow.finalize_partials(&sql, &merged)?
+            }
+        };
+        Ok(result.rows.into_iter().map(|r| r.into_vec()).collect())
+    }
+}
+
+// ---------------------------------------------------------------------
+// The checks
+// ---------------------------------------------------------------------
+
+/// Same variant, and doubles by bit pattern (sign of zero, NaN payload).
+fn same_value(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Double(x), Value::Double(y)) => x.to_bits() == y.to_bits(),
+        (Value::Double(_), _) | (_, Value::Double(_)) => false,
+        _ => a == b,
+    }
+}
+
+fn same_outcome(got: &Outcome, want: &Outcome) -> bool {
+    match (got, want) {
+        (Ok(got), Ok(want)) => {
+            got.len() == want.len()
+                && got.iter().zip(want).all(|(g, w)| {
+                    g.len() == w.len() && g.iter().zip(w).all(|(a, b)| same_value(a, b))
+                })
+        }
+        (Err(got), Err(want)) => got == want,
+        _ => false,
+    }
+}
+
+fn random_agg(rng: &mut StdRng) -> Agg {
+    const FUNCS: [Func; 8] = [
+        Func::Sum,
+        Func::Avg,
+        Func::Count,
+        Func::CountStar,
+        Func::Min,
+        Func::Max,
+        Func::Variance,
+        Func::Stddev,
+    ];
+    let func = FUNCS[rng.random_range(0..FUNCS.len())];
+    // A moment of the wild columns is NaN or ∞ nearly everywhere.
+    let arg = match (func, rng.random_range(0..ARG_COLS.len() + 1)) {
+        (Func::Variance | Func::Stddev, _) => Arg::Col(V),
+        (_, n) if n == ARG_COLS.len() => Arg::Mixed,
+        (_, n) => Arg::Col(ARG_COLS[n].0),
+    };
+    (func, arg)
+}
+
+const KEY_SHAPES: [&[usize]; 4] = [&[], &[C], &[U], &[K2, U]];
+
+fn random_plan(rng: &mut StdRng) -> Plan {
+    let keys = KEY_SHAPES[rng.random_range(0..KEY_SHAPES.len())].to_vec();
+    let mut aggs: Vec<Agg> = (0..rng.random_range(1..5usize))
+        .map(|_| random_agg(rng))
+        .collect();
+    let mut items: Vec<Item> = (0..aggs.len()).map(Item::Agg).collect();
+    // One plan in three reads an extremum of the tame column through an
+    // `ln` that some groups fail (a 7-row group's maximum is below 9
+    // one time in two).
+    let ln_of_extremum = |rng: &mut StdRng, aggs: &mut Vec<Agg>| {
+        let func = [Func::Max, Func::Min][rng.random_range(0..2usize)];
+        aggs.push((func, Arg::Col(V)));
+        (aggs.len() - 1, rng.random_range(0..10usize) as f64 + 0.5)
+    };
+    if rng.random_range(0..3usize) == 0 {
+        let (i, t) = ln_of_extremum(rng, &mut aggs);
+        items.push(Item::LnAbove(i, t));
+    }
+    let having = match rng.random_range(0..4usize) {
+        0 => Some(Having::CountAbove(
+            [0, 6, 7, 135, 1000][rng.random_range(0..5usize)],
+        )),
+        1 => {
+            let (i, t) = ln_of_extremum(rng, &mut aggs);
+            Some(Having::LnAbove(i, t))
+        }
+        _ => None,
+    };
+    let below = match rng.random_range(0..8usize) {
+        0 => 0,
+        1 => 1,
+        2 => BATCH_ROWS - 1,
+        3 => BATCH_ROWS,
+        4 => BATCH_ROWS + 1,
+        _ => ROWS,
+    };
+    Plan {
+        keys,
+        aggs,
+        items,
+        having,
+        below,
+    }
+}
+
+/// The plans every subject must get right whatever the seed draws:
+/// empty input with and without GROUP BY, moments over each key shape,
+/// and the three orders in which a HAVING and an item can fail.
+fn fixed_plans() -> Vec<Plan> {
+    let moments = vec![
+        (Func::Variance, Arg::Col(V)),
+        (Func::Stddev, Arg::Col(V)),
+        (Func::Sum, Arg::Col(D)),
+        (Func::CountStar, Arg::Col(V)),
+    ];
+    let plain = |keys: &[usize], aggs: &[Agg], below: usize| Plan {
+        keys: keys.to_vec(),
+        aggs: aggs.to_vec(),
+        items: (0..aggs.len()).map(Item::Agg).collect(),
+        having: None,
+        below,
+    };
+    let mut plans = vec![plain(&[], &moments, 0), plain(&[C], &moments, 0)];
+    plans.extend(KEY_SHAPES.iter().map(|keys| plain(keys, &moments, ROWS)));
+    // `w` is 1000 - c: `ln(MAX(w) - 990.5)` fails from group 10 on,
+    // `ln(MIN(w) - 980.25)` from group 20 on.
+    let extrema = [(Func::Max, Arg::Col(W)), (Func::Min, Arg::Col(W))];
+    let ordered = |item: Item, having: Having| Plan {
+        keys: vec![C],
+        aggs: extrema.to_vec(),
+        items: vec![Item::Agg(1), item],
+        having: Some(having),
+        below: ROWS,
+    };
+    plans.extend([
+        // The item fails at an earlier group than HAVING: the item's error.
+        ordered(Item::LnAbove(0, 990.5), Having::LnAbove(1, 980.25)),
+        // Both fail at group 10: HAVING's error.
+        ordered(Item::LnAbove(0, 990.5), Having::LnAbove(1, 990.25)),
+        // HAVING keeps no group (none has more than 7 rows): no error.
+        ordered(Item::LnAbove(0, 990.5), Having::CountAbove(RUN as i64)),
+    ]);
+    plans
+}
+
+/// Run every plan every way; the first disagreement with the reference,
+/// or how many statements failed (as the reference said they would).
+fn check_all(subject: &mut dyn Subject, truth: &mut Reference) -> Result<usize, String> {
+    let mut rng = StdRng::seed_from_u64(0x0A66_C015);
+    let mut plans = fixed_plans();
+    plans.extend((0..120).map(|_| random_plan(&mut rng)));
+    let mut failing = 0;
+    for plan in &plans {
+        let want = truth.run(plan, How::Workers(1));
+        failing += want.is_err() as usize;
+        for how in HOWS {
+            let one_pass = matches!(how, How::Workers(1) | How::Shards(1));
+            if !plan.order_free() && !one_pass {
+                continue;
+            }
+            let got = subject.run(plan, how);
+            if !same_outcome(&got, &want) {
+                let show = |o: &Outcome| match o {
+                    Ok(rows) => format!("{} row(s), first {:?}", rows.len(), rows.first()),
+                    Err(e) => format!("error {e:?}"),
+                };
+                return Err(format!(
+                    "{} ({how:?}): {}; the reference says {}",
+                    plan.sql(),
+                    show(&got),
+                    show(&want)
+                ));
+            }
+        }
+    }
+    Ok(failing)
+}
+
+#[test]
+fn statements_aggregate_as_the_row_at_a_time_reference_whatever_the_partitioning() {
+    let rows = table_rows(&mut StdRng::seed_from_u64(0x0A66_7AB1));
+    let mut truth = Reference {
+        rows: rows.clone(),
+        fault: None,
+    };
+    let failing = check_all(&mut Engine::new(&rows), &mut truth).unwrap();
+    // The plans have to reach both outcomes.
+    assert!((10..100).contains(&failing), "{failing} failing plans");
+}
+
+#[test]
+fn the_checks_reject_updates_out_of_row_order_and_a_having_evaluated_after_the_items() {
+    let rows = table_rows(&mut StdRng::seed_from_u64(0x0A66_7AB1));
+    let subject = |fault| Reference {
+        rows: rows.clone(),
+        fault,
+    };
+    let mut truth = subject(None);
+    check_all(&mut subject(None), &mut truth).unwrap();
+    for fault in [Fault::BatchesBackwards, Fault::HavingAfterItems] {
+        let verdict = check_all(&mut subject(Some(fault)), &mut truth);
+        assert!(verdict.is_err(), "{fault:?} passes the checks");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Part two: INSERT … SELECT
+// ---------------------------------------------------------------------
+
+#[test]
+fn an_insert_select_fails_at_the_first_group_whose_aggregate_does_not_coerce() {
+    // Group g of `t` holds g, g and g + h: the sum is integral where h
+    // is, and that is every group before the fourth.
+    let mut db = Database::new();
+    db.execute("CREATE TABLE t (rid BIGINT PRIMARY KEY, g BIGINT, x DOUBLE)")
+        .unwrap();
+    let halves = [0.0, 1.0, 0.0, 0.5, 0.0, 0.25];
+    let rows: Vec<Vec<Value>> = (0..3 * halves.len())
+        .map(|rid| {
+            let g = rid / 3;
+            let x = g as f64 + if rid % 3 == 2 { halves[g] } else { 0.0 };
+            vec![
+                Value::Int(rid as i64),
+                Value::Int(g as i64),
+                Value::Double(x),
+            ]
+        })
+        .collect();
+    db.bulk_insert("t", rows).unwrap();
+    db.execute("CREATE TABLE o (g BIGINT PRIMARY KEY, s BIGINT, n BIGINT)")
+        .unwrap();
+
+    let insert = "INSERT INTO o SELECT g, SUM(x), COUNT(*) FROM t";
+    let err = db.execute(&format!("{insert} GROUP BY g")).unwrap_err();
+    let want = Value::Double(9.5).coerce_to(DataType::BigInt).unwrap_err();
+    assert_eq!(err, want);
+    let count =
+        |db: &mut Database| db.execute("SELECT COUNT(*) FROM o").unwrap().rows[0][0].clone();
+    assert_eq!(
+        count(&mut db),
+        Value::Int(0),
+        "a failed insert changes nothing"
+    );
+
+    // With the failing groups kept out by HAVING, and by WHERE, it lands.
+    for (tail, groups) in [
+        ("GROUP BY g HAVING SUM(x) = 3 * g OR g = 1", 4),
+        ("WHERE g < 3 GROUP BY g", 3),
+    ] {
+        let done = db.execute(&format!("{insert} {tail}")).unwrap();
+        assert_eq!(done.rows_affected, groups, "{tail}");
+        let sums = db.execute("SELECT g, s, n FROM o ORDER BY g").unwrap();
+        for row in &sums.rows {
+            let g = row[0].as_i64().unwrap();
+            let s = 3 * g + (g == 1) as i64;
+            assert_eq!(row[1..], [Value::Int(s), Value::Int(3)], "group {g}");
+        }
+        db.execute("DELETE FROM o").unwrap();
+    }
+}

@@ -431,6 +431,43 @@ fn bigint_comparisons_are_exact_in_both_evaluators() {
     }
 }
 
+#[test]
+fn pow_by_two_is_powf_not_a_multiply_in_both_evaluators() {
+    // `x ** 2` is `f64::powf(x, 2.0)`, and that is not `x * x`: on
+    // rustc 1.95.0 / glibc 2.36 they differ in the last bit for 16 668
+    // of 2·10⁷ uniform[-100, 100] doubles (about 1 in 1 200; the first
+    // is the number below), 8 497 of 2·10⁷ random finite bit patterns
+    // and 16 734 of 2·10⁷ over 1e-165 … 1. A multiply in place of the
+    // call would move that share of every `(y - c) ** 2`.
+    let mut rng = StdRng::seed_from_u64(0x000B_17E5);
+    let mut xs = vec![56.71659783215489f64];
+    for _ in 0..200_000 {
+        let x = rng.random::<f64>() * 200.0 - 100.0;
+        if xs.len() < 9 && (x * x).to_bits() != x.powf(2.0).to_bits() {
+            xs.push(x);
+        }
+    }
+    let mut batch = Batch::new(1, xs.len());
+    batch.set(0, Column::F64(xs.clone(), None));
+    // The generators write `** 2`, a BIGINT literal.
+    for two in [Value::Int(2), Value::Double(2.0)] {
+        let squared = bin(BinOp::Pow, CExpr::Col(0), CExpr::Const(two));
+        let col = squared.eval_batch(&batch).unwrap();
+        for (row, x) in xs.iter().enumerate() {
+            let want = Value::Double(x.powf(2.0));
+            let scalar = squared.eval(&[Value::Double(*x)]).unwrap();
+            assert!(same_value(&scalar, &want), "{x} ** 2: scalar {scalar:?}");
+            let got = col.value(row);
+            assert!(same_value(&got, &want), "{x} ** 2: batch {got:?}");
+        }
+    }
+    // Where this libm's `pow` is the one measured above, the handful
+    // really tells the two apart.
+    if (xs[0] * xs[0]).to_bits() != xs[0].powf(2.0).to_bits() {
+        assert_eq!(xs.len(), 9, "a multiply would pass: {xs:?}");
+    }
+}
+
 // ---------------------------------------------------------------------
 // Part two: the pipeline's seams, as SQL
 // ---------------------------------------------------------------------
