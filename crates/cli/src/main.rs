@@ -114,7 +114,7 @@ use std::time::Duration;
 
 use emcore::init::InitStrategy;
 use sqlem::naming::Names;
-use sqlem::{checkpoint, EmSession, PlanReport, RetryPolicy, SqlemConfig, Strategy};
+use sqlem::{checkpoint, Checkpoint, EmSession, PlanReport, RetryPolicy, SqlemConfig, Strategy};
 use sqlengine::storage::logfile::atomic_replace;
 use sqlengine::{
     Database, Error as SqlError, FaultPlan, FaultRule, MemoryBudget, SqlExecutor, StatementKind,
@@ -486,7 +486,9 @@ fn parse_fault_rule(spec: &str) -> Result<FaultRule, String> {
 /// process can `--resume` it; works against any executor (in-process
 /// or a remote server's checkpoint tables).
 fn save_checkpoint_file(db: &mut dyn SqlExecutor, names: &Names, path: &str) -> Result<(), String> {
-    match checkpoint::read_checkpoint(db, names).map_err(|e| e.to_string())? {
+    let saved: Option<Checkpoint> =
+        checkpoint::read_checkpoint(db, names).map_err(|e| e.to_string())?;
+    match saved {
         Some(ckpt) => {
             // Replaced atomically: a kill mid-save leaves the previous
             // checkpoint file, never a torn one `--resume` would reject.
@@ -666,7 +668,7 @@ fn run_clustering<E: SqlExecutor>(
                 "checkpoint {path} is empty: nothing to resume"
             )));
         }
-        let ckpt = checkpoint::from_text(&text)
+        let ckpt: Checkpoint = checkpoint::from_text(&text)
             .map_err(|e| CliError::no_checkpoint(format!("checkpoint {path} is unusable: {e}")))?;
         checkpoint::write_checkpoint(&mut *db, &names, &ckpt)?;
     }

@@ -249,7 +249,8 @@ fn checkpoint_save_replaces_an_existing_file_whole() {
         .filter(|name| name.ends_with(".tmp"))
         .collect();
     assert!(leftovers.is_empty(), "{leftovers:?}");
-    let saved = sqlem::checkpoint::from_text(&std::fs::read_to_string(&ckpt).unwrap()).unwrap();
+    let saved: sqlem::Checkpoint =
+        sqlem::checkpoint::from_text(&std::fs::read_to_string(&ckpt).unwrap()).unwrap();
     assert_eq!(saved.iteration, 2);
     std::fs::remove_dir_all(&dir).ok();
 }

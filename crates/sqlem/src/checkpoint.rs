@@ -21,7 +21,9 @@
 //!
 //! The table layout is strategy-agnostic — plain `(index, value)` pairs
 //! — so a run checkpointed under one strategy can in principle resume
-//! under another.
+//! under another. Any model's parameters fit it: the cells are the
+//! [`ParamSet::cells`] of the model (`ckptr` holds `p` global covariances
+//! for [`GmmParams`], `k × p` for per-cluster ones).
 //!
 //! ## Durable databases
 //!
@@ -42,18 +44,19 @@ use sqlengine::SqlExecutor;
 
 use crate::error::SqlemError;
 use crate::naming::Names;
+use crate::params::ParamSet;
 
 /// One durable snapshot of a run: everything [`crate::EmSession::run`]
 /// needs to continue where a previous session stopped.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Checkpoint {
+pub struct Checkpoint<P = GmmParams> {
     /// Iterations completed when the snapshot was taken.
     pub iteration: usize,
     /// Loglikelihood after each completed iteration (length =
     /// `iteration`).
     pub llh_history: Vec<f64>,
     /// The model as of the last completed M step.
-    pub params: GmmParams,
+    pub params: P,
 }
 
 fn exec(db: &mut dyn SqlExecutor, sql: &str) -> Result<(), SqlemError> {
@@ -77,10 +80,10 @@ fn fmt_f64(v: f64) -> String {
 /// Write (or overwrite) the checkpoint for this session's prefix.
 ///
 /// Meta is invalidated first and revalidated last; see the module docs.
-pub fn write_checkpoint(
+pub fn write_checkpoint<P: ParamSet>(
     db: &mut dyn SqlExecutor,
     names: &Names,
-    ckpt: &Checkpoint,
+    ckpt: &Checkpoint<P>,
 ) -> Result<(), SqlemError> {
     let (meta, c, r, w, llh) = (
         names.ckpt_meta(),
@@ -89,8 +92,8 @@ pub fn write_checkpoint(
         names.ckpt_w(),
         names.ckpt_llh(),
     );
-    let k = ckpt.params.k();
-    let p = ckpt.params.p();
+    let (k, p) = ckpt.params.shape();
+    let (means, cov, weights) = ckpt.params.cells();
     exec(
         db,
         &format!(
@@ -119,25 +122,21 @@ pub fn write_checkpoint(
     // 2. Model matrices (cell = j*p + d for mean [j][d], 0-based).
     exec(db, &format!("DELETE FROM {c}"))?;
     let mut c_rows = Vec::with_capacity(k * p);
-    for (j, mean) in ckpt.params.means.iter().enumerate() {
+    for (j, mean) in means.iter().enumerate() {
         for (d, &val) in mean.iter().enumerate() {
             c_rows.push(format!("({}, {})", j * p + d, fmt_f64(val)));
         }
     }
     exec(db, &format!("INSERT INTO {c} VALUES {}", c_rows.join(", ")))?;
     exec(db, &format!("DELETE FROM {r}"))?;
-    let r_rows: Vec<String> = ckpt
-        .params
-        .cov
+    let r_rows: Vec<String> = cov
         .iter()
         .enumerate()
         .map(|(d, &val)| format!("({d}, {})", fmt_f64(val)))
         .collect();
     exec(db, &format!("INSERT INTO {r} VALUES {}", r_rows.join(", ")))?;
     exec(db, &format!("DELETE FROM {w}"))?;
-    let w_rows: Vec<String> = ckpt
-        .params
-        .weights
+    let w_rows: Vec<String> = weights
         .iter()
         .enumerate()
         .map(|(j, &val)| format!("({j}, {})", fmt_f64(val)))
@@ -195,10 +194,10 @@ fn read_f64_pairs(
 /// interrupted before revalidation. Shape mismatches (a checkpoint taken
 /// with different `k`/`p` than the tables now hold) are reported as
 /// [`SqlemError::BadParamTable`].
-pub fn read_checkpoint(
+pub fn read_checkpoint<P: ParamSet>(
     db: &mut dyn SqlExecutor,
     names: &Names,
-) -> Result<Option<Checkpoint>, SqlemError> {
+) -> Result<Option<Checkpoint<P>>, SqlemError> {
     let meta = names.ckpt_meta();
     if !db
         .has_table(&meta)
@@ -226,7 +225,7 @@ pub fn read_checkpoint(
     let c_cells = read_f64_pairs(db, &names.ckpt_c(), "cell")?;
     let cov = read_f64_pairs(db, &names.ckpt_r(), "v")?;
     let weights = read_f64_pairs(db, &names.ckpt_w(), "i")?;
-    if c_cells.len() != k * p || cov.len() != p || weights.len() != k {
+    if c_cells.len() != k * p || cov.len() != P::cov_len(k, p) || weights.len() != k {
         return Err(SqlemError::BadParamTable(format!(
             "checkpoint shape mismatch: {} mean cells, {} cov, {} weights for k={k} p={p}",
             c_cells.len(),
@@ -245,11 +244,7 @@ pub fn read_checkpoint(
     Ok(Some(Checkpoint {
         iteration,
         llh_history,
-        params: GmmParams {
-            means,
-            cov,
-            weights,
-        },
+        params: P::from_cells(means, cov, weights),
     }))
 }
 
@@ -264,11 +259,13 @@ pub fn clear_checkpoint(db: &mut dyn SqlExecutor, names: &Names) -> Result<(), S
 /// Serialize a checkpoint to a small line-oriented text format, for
 /// carrying a resume point across *processes* (the in-memory engine dies
 /// with its process; `sqlem-cli --checkpoint/--resume` uses this).
-pub fn to_text(ckpt: &Checkpoint) -> String {
+pub fn to_text<P: ParamSet>(ckpt: &Checkpoint<P>) -> String {
+    let (k, p) = ckpt.params.shape();
+    let (means, cov, weights) = ckpt.params.cells();
     let mut out = String::from("sqlem-checkpoint v1\n");
     out.push_str(&format!("iteration {}\n", ckpt.iteration));
-    out.push_str(&format!("k {}\n", ckpt.params.k()));
-    out.push_str(&format!("p {}\n", ckpt.params.p()));
+    out.push_str(&format!("k {k}\n"));
+    out.push_str(&format!("p {p}\n"));
     let join = |vals: &[f64]| {
         vals.iter()
             .map(|&v| fmt_f64(v))
@@ -276,16 +273,16 @@ pub fn to_text(ckpt: &Checkpoint) -> String {
             .join(" ")
     };
     out.push_str(&format!("llh {}\n", join(&ckpt.llh_history)));
-    out.push_str(&format!("weights {}\n", join(&ckpt.params.weights)));
-    out.push_str(&format!("cov {}\n", join(&ckpt.params.cov)));
-    for mean in &ckpt.params.means {
+    out.push_str(&format!("weights {}\n", join(weights)));
+    out.push_str(&format!("cov {}\n", join(&cov)));
+    for mean in means {
         out.push_str(&format!("mean {}\n", join(mean)));
     }
     out
 }
 
 /// Parse the [`to_text`] format back.
-pub fn from_text(text: &str) -> Result<Checkpoint, SqlemError> {
+pub fn from_text<P: ParamSet>(text: &str) -> Result<Checkpoint<P>, SqlemError> {
     let bad = |m: &str| SqlemError::BadInput(format!("checkpoint file: {m}"));
     let mut lines = text.lines();
     if lines.next().map(str::trim) != Some("sqlem-checkpoint v1") {
@@ -338,7 +335,7 @@ pub fn from_text(text: &str) -> Result<Checkpoint, SqlemError> {
     if means.len() != k
         || means.iter().any(|m| m.len() != p)
         || weights.len() != k
-        || cov.len() != p
+        || cov.len() != P::cov_len(k, p)
     {
         return Err(bad("shape mismatch between header and vectors"));
     }
@@ -348,17 +345,14 @@ pub fn from_text(text: &str) -> Result<Checkpoint, SqlemError> {
     Ok(Checkpoint {
         iteration,
         llh_history,
-        params: GmmParams {
-            means,
-            cov,
-            weights,
-        },
+        params: P::from_cells(means, cov, weights),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emcore::emfull::FullParams;
     use sqlengine::Database;
 
     fn sample() -> Checkpoint {
@@ -379,7 +373,9 @@ mod tests {
         let names = Names::new("s_");
         let ckpt = sample();
         write_checkpoint(&mut db, &names, &ckpt).unwrap();
-        let back = read_checkpoint(&mut db, &names).unwrap().unwrap();
+        let back = read_checkpoint::<GmmParams>(&mut db, &names)
+            .unwrap()
+            .unwrap();
         assert_eq!(back, ckpt, "bit-identical roundtrip");
     }
 
@@ -393,7 +389,9 @@ mod tests {
         ckpt.llh_history.push(-117.9);
         ckpt.params.weights = vec![0.5, 0.5];
         write_checkpoint(&mut db, &names, &ckpt).unwrap();
-        let back = read_checkpoint(&mut db, &names).unwrap().unwrap();
+        let back = read_checkpoint::<GmmParams>(&mut db, &names)
+            .unwrap()
+            .unwrap();
         assert_eq!(back, ckpt);
     }
 
@@ -401,12 +399,12 @@ mod tests {
     fn missing_and_invalidated_checkpoints_read_as_none() {
         let mut db = Database::new();
         let names = Names::new("");
-        assert_eq!(read_checkpoint(&mut db, &names).unwrap(), None);
+        assert_eq!(read_checkpoint::<GmmParams>(&mut db, &names).unwrap(), None);
         // Simulate a torn write: tables exist, meta row deleted.
         write_checkpoint(&mut db, &names, &sample()).unwrap();
         db.execute(&format!("DELETE FROM {}", names.ckpt_meta()))
             .unwrap();
-        assert_eq!(read_checkpoint(&mut db, &names).unwrap(), None);
+        assert_eq!(read_checkpoint::<GmmParams>(&mut db, &names).unwrap(), None);
     }
 
     #[test]
@@ -426,8 +424,29 @@ mod tests {
     fn text_roundtrip_is_exact() {
         let ckpt = sample();
         let text = to_text(&ckpt);
-        let back = from_text(&text).unwrap();
+        let back = from_text::<GmmParams>(&text).unwrap();
         assert_eq!(back, ckpt);
+    }
+
+    #[test]
+    fn per_cluster_covariances_round_trip() {
+        let ckpt = Checkpoint {
+            iteration: 1,
+            llh_history: vec![-3.5],
+            params: FullParams {
+                means: vec![vec![0.1, 0.2], vec![9.9, 10.1]],
+                covs: vec![vec![1.5, 2.5], vec![0.5, 1.0 / 3.0]],
+                weights: vec![0.25, 0.75],
+            },
+        };
+        assert_eq!(from_text::<FullParams>(&to_text(&ckpt)).unwrap(), ckpt);
+        let mut db = Database::new();
+        let names = Names::new("pc_");
+        write_checkpoint(&mut db, &names, &ckpt).unwrap();
+        let back = read_checkpoint::<FullParams>(&mut db, &names).unwrap();
+        assert_eq!(back, Some(ckpt));
+        // A shared-R reader sees k × p covariance cells: not its shape.
+        assert!(read_checkpoint::<GmmParams>(&mut db, &names).is_err());
     }
 
     #[test]
@@ -436,18 +455,18 @@ mod tests {
         ckpt.params.means[0][0] = 1.0 / 3.0;
         ckpt.params.cov[1] = f64::MIN_POSITIVE;
         ckpt.llh_history[0] = -1.234_567_890_123_456_7e300;
-        let back = from_text(&to_text(&ckpt)).unwrap();
+        let back = from_text::<GmmParams>(&to_text(&ckpt)).unwrap();
         assert_eq!(back, ckpt);
     }
 
     #[test]
     fn malformed_text_is_rejected() {
-        assert!(from_text("").is_err());
-        assert!(from_text("sqlem-checkpoint v1\niteration 1\n").is_err());
+        assert!(from_text::<GmmParams>("").is_err());
+        assert!(from_text::<GmmParams>("sqlem-checkpoint v1\niteration 1\n").is_err());
         let mut ckpt = sample();
         ckpt.llh_history.pop();
         let text = to_text(&ckpt); // iteration 3 but 2 llh entries
-        assert!(from_text(&text).is_err());
+        assert!(from_text::<GmmParams>(&text).is_err());
     }
 
     #[test]
@@ -458,7 +477,7 @@ mod tests {
         db.execute(&format!("DELETE FROM {} WHERE i = 1", names.ckpt_w()))
             .unwrap();
         assert!(matches!(
-            read_checkpoint(&mut db, &names),
+            read_checkpoint::<GmmParams>(&mut db, &names),
             Err(SqlemError::BadParamTable(_))
         ));
     }

@@ -6,6 +6,12 @@
 //! then alternates E and M steps — each a fixed list of SQL statements —
 //! reading back one number per iteration (the loglikelihood) to decide
 //! convergence, exactly as the paper's Java/JDBC client did.
+//!
+//! The session is generic over the model: its [`Generator`] — one of the
+//! paper's three strategies (the default), [`crate::KmeansGenerator`] or
+//! [`crate::PerClusterGenerator`] — supplies the SQL and the parameter
+//! set; the loop, retry, pre-flight, telemetry, checkpoints and
+//! degenerate-cluster recovery are the same for all of them.
 
 use std::time::{Duration, Instant};
 
@@ -19,7 +25,8 @@ use crate::error::SqlemError;
 use crate::generator::{build_generator, Generator, Stmt};
 use crate::loader;
 use crate::naming::Names;
-use crate::plan::{analyze_strategy, FallbackDecision, PlanError};
+use crate::params::ParamSet;
+use crate::plan::{analyze_generator, FallbackDecision, PlanError};
 use crate::retry::Retrying;
 use crate::telemetry::IterationReport;
 
@@ -37,10 +44,11 @@ pub struct RecoveryEvent {
 
 /// Result of a SQLEM run.
 #[derive(Debug, Clone)]
-pub struct SqlemRun {
+pub struct SqlemRun<P = GmmParams> {
     /// Final mixture parameters, read back from the C/R/W tables.
-    pub params: GmmParams,
-    /// Loglikelihood after each completed iteration.
+    pub params: P,
+    /// Loglikelihood after each completed iteration (for K-means, the
+    /// SSE).
     pub llh_history: Vec<f64>,
     /// Iterations executed.
     pub iterations: usize,
@@ -63,7 +71,7 @@ pub struct SqlemRun {
     pub recoveries: Vec<RecoveryEvent>,
 }
 
-impl SqlemRun {
+impl<P> SqlemRun<P> {
     /// Mean wall-clock seconds per iteration.
     pub fn secs_per_iteration(&self) -> f64 {
         if self.iteration_times.is_empty() {
@@ -80,13 +88,18 @@ impl SqlemRun {
 /// One clustering session against any [`SqlExecutor`] — the in-process
 /// [`Database`] (the default) or a remote server connection
 /// (`sqlwire::RemoteConnection`), reproducing the paper's two-tier
-/// deployment where the driver talks to the DBMS over a network.
-pub struct EmSession<'a, E: SqlExecutor = Database> {
+/// deployment where the driver talks to the DBMS over a network — for
+/// any model `G` (by default the configured strategy's generator).
+pub struct EmSession<
+    'a,
+    E: SqlExecutor = Database,
+    G: Generator = Box<dyn Generator<Params = GmmParams>>,
+> {
     /// The one statement runner: every executor call below goes through
     /// it and is retried per [`SqlemConfig::retry`].
     db: Retrying<'a, E>,
     config: SqlemConfig,
-    generator: Box<dyn Generator>,
+    generator: G,
     names: Names,
     p: usize,
     n: Option<usize>,
@@ -118,7 +131,17 @@ pub struct EmSession<'a, E: SqlExecutor = Database> {
 }
 
 impl<'a, E: SqlExecutor> EmSession<'a, E> {
-    /// Create a session for `p`-dimensional data: generates the SQL and
+    /// Create a session for `p`-dimensional data running the configured
+    /// strategy ([`build_generator`]); see [`EmSession::create_with`].
+    pub fn create(db: &'a mut E, config: &SqlemConfig, p: usize) -> Result<Self, SqlemError> {
+        Self::create_with(db, config, p, build_generator)
+    }
+}
+
+impl<'a, E: SqlExecutor, G: Generator> EmSession<'a, E, G> {
+    /// Create a session for `p`-dimensional data running the model
+    /// `build(config, p)` — e.g. `KmeansGenerator::new` — which takes
+    /// `k` and the table prefix from `config`: generates the SQL and
     /// creates (or recreates) every table.
     ///
     /// When [`SqlemConfig::preflight`] is on (the default), every
@@ -130,7 +153,12 @@ impl<'a, E: SqlExecutor> EmSession<'a, E> {
     /// hybrid strategy (§3.6) and records a [`FallbackDecision`]
     /// retrievable via [`EmSession::fallback`]; otherwise creation fails
     /// with [`SqlemError::Preflight`] and the database is untouched.
-    pub fn create(db: &'a mut E, config: &SqlemConfig, p: usize) -> Result<Self, SqlemError> {
+    pub fn create_with(
+        db: &'a mut E,
+        config: &SqlemConfig,
+        p: usize,
+        build: impl Fn(&SqlemConfig, usize) -> G,
+    ) -> Result<Self, SqlemError> {
         assert!(p >= 1, "p must be at least 1");
         let mut config = config.clone();
         let mut fallback = None;
@@ -139,7 +167,7 @@ impl<'a, E: SqlExecutor> EmSession<'a, E> {
         // capacity limits) — over the wire that read can flake, and
         // re-issuing a pure read is always safe.
         if config.preflight {
-            let report = analyze_strategy(&mut db, &config, p)?;
+            let report = analyze_generator(&mut db, &build(&config, p), &config, p)?;
             if !report.ok() {
                 let errors = report.errors();
                 let mut alt = config.clone();
@@ -147,7 +175,7 @@ impl<'a, E: SqlExecutor> EmSession<'a, E> {
                 let recoverable = config.auto_fallback
                     && config.strategy == Strategy::Horizontal
                     && errors.iter().all(PlanError::is_capacity);
-                if recoverable && analyze_strategy(&mut db, &alt, p)?.ok() {
+                if recoverable && analyze_generator(&mut db, &build(&alt, p), &alt, p)?.ok() {
                     let decision = FallbackDecision {
                         from: config.strategy,
                         to: alt.strategy,
@@ -164,7 +192,7 @@ impl<'a, E: SqlExecutor> EmSession<'a, E> {
                 }
             }
         }
-        let generator = build_generator(&config, p);
+        let generator = build(&config, p);
         let names = Names::new(&config.table_prefix);
         let e_step = generator.e_step();
         let m_step = generator.m_step();
@@ -253,7 +281,7 @@ impl<'a, E: SqlExecutor> EmSession<'a, E> {
         let (n, shrinks) = loader::load_points(
             &mut self.db,
             &self.names,
-            self.config.strategy,
+            self.generator.layouts(),
             points,
             self.config.load_chunk_rows,
         )?;
@@ -284,7 +312,7 @@ impl<'a, E: SqlExecutor> EmSession<'a, E> {
         let n = loader::pivot_from_table(
             &mut self.db,
             &self.names,
-            self.config.strategy,
+            self.generator.layouts(),
             source,
             rid_col,
             value_cols,
@@ -295,17 +323,11 @@ impl<'a, E: SqlExecutor> EmSession<'a, E> {
         Ok(())
     }
 
-    /// Write initial parameters into the C/R/W tables.
+    /// Write initial parameters into the parameter tables (lifted to
+    /// the model's parameter set by [`ParamSet::from_gmm`]).
     pub fn initialize(&mut self, strategy: &InitStrategy) -> Result<(), SqlemError> {
         let params = match (strategy, &self.points) {
-            (InitStrategy::Explicit(p), _) => {
-                if p.k() != self.config.k || p.p() != self.p {
-                    return Err(SqlemError::BadInput(
-                        "explicit parameters have the wrong shape".into(),
-                    ));
-                }
-                p.clone()
-            }
+            (InitStrategy::Explicit(p), _) => p.clone(),
             (s, Some(points)) => initialize(points, self.config.k, s),
             (_, None) => {
                 return Err(SqlemError::BadInput(
@@ -315,12 +337,12 @@ impl<'a, E: SqlExecutor> EmSession<'a, E> {
                 ))
             }
         };
-        self.set_params(&params)
+        self.set_params(&G::Params::from_gmm(params))
     }
 
     /// Write explicit parameters (also usable mid-run for checkpoints).
-    pub fn set_params(&mut self, params: &GmmParams) -> Result<(), SqlemError> {
-        if params.k() != self.config.k || params.p() != self.p {
+    pub fn set_params(&mut self, params: &G::Params) -> Result<(), SqlemError> {
+        if params.shape() != (self.config.k, self.p) {
             return Err(SqlemError::BadInput(
                 "parameters have the wrong shape".into(),
             ));
@@ -331,22 +353,22 @@ impl<'a, E: SqlExecutor> EmSession<'a, E> {
         Ok(())
     }
 
-    /// Read the current parameters from the C/R/W tables.
+    /// Read the current parameters from the parameter tables.
     ///
     /// Every cell is checked for finiteness on the way out: a NaN or
     /// infinite mean/weight/covariance yields
     /// [`SqlemError::Degenerate`] naming the cluster and parameter
     /// rather than letting the poison propagate into summaries or
     /// convergence tests.
-    pub fn params(&mut self) -> Result<GmmParams, SqlemError> {
+    pub fn params(&mut self) -> Result<G::Params, SqlemError> {
         let params = self.params_unchecked()?;
-        validate_finite(&params)?;
+        params.check_finite()?;
         Ok(params)
     }
 
     /// Read the current parameters without the finiteness check — the
     /// degenerate-recovery path needs to look at a poisoned model.
-    fn params_unchecked(&mut self) -> Result<GmmParams, SqlemError> {
+    fn params_unchecked(&mut self) -> Result<G::Params, SqlemError> {
         self.generator.read_params(&mut self.db)
     }
 
@@ -453,7 +475,7 @@ impl<'a, E: SqlExecutor> EmSession<'a, E> {
     /// [`SqlemConfig::recover_degenerate`] is on. On error, every work
     /// table is dropped unless [`SqlemConfig::cleanup_on_error`] was
     /// disabled — a failed run never leaks prefixed temp tables.
-    pub fn run(&mut self) -> Result<SqlemRun, SqlemError> {
+    pub fn run(&mut self) -> Result<SqlemRun<G::Params>, SqlemError> {
         match self.run_inner() {
             Ok(run) => Ok(run),
             Err(e) => {
@@ -466,11 +488,11 @@ impl<'a, E: SqlExecutor> EmSession<'a, E> {
         }
     }
 
-    fn run_inner(&mut self) -> Result<SqlemRun, SqlemError> {
+    fn run_inner(&mut self) -> Result<SqlemRun<G::Params>, SqlemError> {
         let mut llh_history = std::mem::take(&mut self.resumed_llh);
         let mut iteration_times = Vec::new();
         let mut prev: Option<f64> = llh_history.last().copied();
-        let mut prev_params: Option<GmmParams> = None;
+        let mut prev_params: Option<G::Params> = None;
         let mut outcome = EmOutcome::MaxIterations;
         // At most k repairs per run: re-seeding the same model more
         // often than it has clusters means the data cannot support k
@@ -487,8 +509,7 @@ impl<'a, E: SqlExecutor> EmSession<'a, E> {
                 // Under recovery, inspect the M step's output before
                 // accepting the iteration.
                 if self.config.recover_degenerate {
-                    let params = self.params_unchecked()?;
-                    validate_finite(&params)?;
+                    self.params_unchecked()?.check_finite()?;
                 }
                 Ok(llh)
             });
@@ -505,12 +526,7 @@ impl<'a, E: SqlExecutor> EmSession<'a, E> {
                         cluster,
                         reason: e.to_string(),
                     };
-                    reseed_cluster(
-                        &mut params,
-                        cluster,
-                        self.config.recovery_seed,
-                        self.recoveries.len(),
-                    );
+                    params.reseed(cluster, self.config.recovery_seed, self.recoveries.len());
                     self.set_params(&params)?;
                     self.recoveries.push(event);
                     continue; // repeat the iteration with the repaired model
@@ -540,7 +556,7 @@ impl<'a, E: SqlExecutor> EmSession<'a, E> {
             if let Some(eps) = self.config.param_epsilon {
                 let params = self.params()?;
                 if let Some(prev_params) = &prev_params {
-                    if emcore::compare::direct_max_diff(prev_params, &params) <= eps {
+                    if prev_params.max_diff(&params) <= eps {
                         outcome = EmOutcome::Converged;
                         break;
                     }
@@ -575,16 +591,15 @@ impl<'a, E: SqlExecutor> EmSession<'a, E> {
     /// not the data. Re-running a half-finished iteration is safe
     /// because every E step drops and recreates its work tables.
     pub fn resume_from_checkpoint(&mut self) -> Result<Option<usize>, SqlemError> {
-        let Some(ckpt) = checkpoint::read_checkpoint(&mut self.db, &self.names)? else {
+        let Some(ckpt) = checkpoint::read_checkpoint::<G::Params>(&mut self.db, &self.names)?
+        else {
             return Ok(None);
         };
-        if ckpt.params.k() != self.config.k || ckpt.params.p() != self.p {
+        let (k, p) = ckpt.params.shape();
+        if (k, p) != (self.config.k, self.p) {
             return Err(SqlemError::BadInput(format!(
-                "checkpoint shape (k={}, p={}) does not match session (k={}, p={})",
-                ckpt.params.k(),
-                ckpt.params.p(),
-                self.config.k,
-                self.p
+                "checkpoint shape (k={k}, p={p}) does not match session (k={}, p={})",
+                self.config.k, self.p
             )));
         }
         self.set_params(&ckpt.params)?;
@@ -683,7 +698,7 @@ impl<'a, E: SqlExecutor> EmSession<'a, E> {
     }
 }
 
-impl<'a> EmSession<'a, Database> {
+impl<'a, G: Generator> EmSession<'a, Database, G> {
     /// Immutable access to the underlying in-process database (metrics
     /// inspection). Only available when the session runs in-process; a
     /// remote session has no local `Database` to look at.
@@ -701,110 +716,6 @@ pub(crate) fn execute_stmts(db: &mut dyn SqlExecutor, stmts: &[Stmt]) -> Result<
             .map_err(|e| promote_degenerate(&stmt.purpose, e))?;
     }
     Ok(())
-}
-
-/// Validate that every parameter cell read back from the C/R/W tables is
-/// finite, naming the first offender (satellite of the §2.5 safeguards:
-/// the generated SQL guards against *expected* degeneracies, this guards
-/// the read-back against everything else).
-fn validate_finite(params: &GmmParams) -> Result<(), SqlemError> {
-    for (j, mean) in params.means.iter().enumerate() {
-        for (d, v) in mean.iter().enumerate() {
-            if !v.is_finite() {
-                return Err(SqlemError::Degenerate {
-                    cluster: j,
-                    param: format!("mean y{}", d + 1),
-                });
-            }
-        }
-    }
-    for (j, w) in params.weights.iter().enumerate() {
-        if !w.is_finite() {
-            return Err(SqlemError::Degenerate {
-                cluster: j,
-                param: "weight".to_string(),
-            });
-        }
-    }
-    for (d, r) in params.cov.iter().enumerate() {
-        if !r.is_finite() {
-            return Err(SqlemError::Degenerate {
-                cluster: d,
-                param: format!("covariance r{}", d + 1),
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Deterministically re-seed cluster `j` of a degenerate model: repair
-/// any non-finite cells, move the dead cluster's mean to the centroid of
-/// the surviving means plus a seeded jitter of one standard deviation,
-/// and give it weight `1/k` (renormalizing the rest). Pure splitmix64 —
-/// the same `(seed, round, j)` always produces the same re-seed.
-fn reseed_cluster(params: &mut GmmParams, j: usize, seed: u64, round: usize) {
-    let k = params.k();
-    let p = params.p();
-    let mix = |x: u64| -> u64 {
-        let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
-    // Repair non-finite covariance cells first; their sqrt scales the
-    // jitter below.
-    for c in &mut params.cov {
-        if !c.is_finite() || *c < 0.0 {
-            *c = 1.0;
-        }
-    }
-    for d in 0..p {
-        let (mut sum, mut cnt) = (0.0, 0usize);
-        for (i, mean) in params.means.iter().enumerate() {
-            if i != j && mean[d].is_finite() {
-                sum += mean[d];
-                cnt += 1;
-            }
-        }
-        let centroid = if cnt > 0 { sum / cnt as f64 } else { 0.0 };
-        let h = mix(seed
-            ^ (round as u64).wrapping_mul(0xA076_1D64_78BD_642F)
-            ^ ((j * p + d) as u64).wrapping_mul(0xE703_7ED1_A0B4_28DB));
-        // Uniform in [-1, 1).
-        let u = ((h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)) * 2.0 - 1.0;
-        let sigma = params.cov[d].sqrt().max(1e-6);
-        params.means[j][d] = centroid + u * sigma;
-    }
-    // Repair any other dead mean cells without moving live clusters.
-    for mean in &mut params.means {
-        for v in mean.iter_mut() {
-            if !v.is_finite() {
-                *v = 0.0;
-            }
-        }
-    }
-    let w_new = 1.0 / k as f64;
-    let others: f64 = params
-        .weights
-        .iter()
-        .enumerate()
-        .filter(|&(i, w)| i != j && w.is_finite())
-        .map(|(_, w)| *w)
-        .sum();
-    if others > 0.0 && others.is_finite() {
-        let scale = (1.0 - w_new) / others;
-        for (i, w) in params.weights.iter_mut().enumerate() {
-            if i != j {
-                *w = if w.is_finite() { *w * scale } else { 0.0 };
-            }
-        }
-    } else {
-        // Everything died: flat restart.
-        for w in params.weights.iter_mut() {
-            *w = w_new;
-        }
-    }
-    params.weights[j] = w_new;
 }
 
 /// Map a division-by-zero inside a mean-update statement to the
@@ -1028,66 +939,6 @@ mod tests {
             .unwrap();
         let run = session.run().unwrap();
         assert_eq!(run.iterations, 2);
-    }
-
-    #[test]
-    fn validate_finite_names_first_offender() {
-        let mut p = init_params();
-        assert!(validate_finite(&p).is_ok());
-        p.means[1][0] = f64::NAN;
-        match validate_finite(&p).unwrap_err() {
-            SqlemError::Degenerate { cluster, param } => {
-                assert_eq!(cluster, 1);
-                assert_eq!(param, "mean y1");
-            }
-            other => panic!("unexpected {other}"),
-        }
-        let mut p = init_params();
-        p.cov[1] = f64::INFINITY;
-        match validate_finite(&p).unwrap_err() {
-            SqlemError::Degenerate { cluster, param } => {
-                assert_eq!(cluster, 1);
-                assert_eq!(param, "covariance r2");
-            }
-            other => panic!("unexpected {other}"),
-        }
-        let mut p = init_params();
-        p.weights[0] = f64::NAN;
-        assert!(matches!(
-            validate_finite(&p),
-            Err(SqlemError::Degenerate { cluster: 0, .. })
-        ));
-    }
-
-    #[test]
-    fn reseed_repairs_and_renormalizes() {
-        let mut p = GmmParams {
-            means: vec![vec![0.0, 0.0], vec![f64::NAN, 1.0e9]],
-            cov: vec![4.0, f64::NAN],
-            weights: vec![1.0, 0.0],
-        };
-        reseed_cluster(&mut p, 1, 7, 0);
-        p.validate().expect("re-seeded model is structurally valid");
-        assert!((p.weights[1] - 0.5).abs() < 1e-12, "dead cluster gets 1/k");
-        assert!(p.weights_normalized());
-        // Mean lands near the surviving cluster, jittered by ≤ sqrt(cov).
-        assert!(p.means[1][0].abs() <= 2.0 + 1e-9, "{:?}", p.means[1]);
-        assert_eq!(p.cov[1], 1.0, "non-finite covariance reset");
-
-        // Determinism in (seed, round); sensitivity to both.
-        let mk = || GmmParams {
-            means: vec![vec![0.0, 0.0], vec![f64::NAN, 1.0e9]],
-            cov: vec![4.0, f64::NAN],
-            weights: vec![1.0, 0.0],
-        };
-        let (mut a, mut b, mut c, mut d) = (mk(), mk(), mk(), mk());
-        reseed_cluster(&mut a, 1, 7, 0);
-        reseed_cluster(&mut b, 1, 7, 0);
-        reseed_cluster(&mut c, 1, 8, 0);
-        reseed_cluster(&mut d, 1, 7, 1);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert_ne!(a, d);
     }
 
     #[test]

@@ -16,15 +16,14 @@
 use emcore::GmmParams;
 use sqlengine::SqlExecutor;
 
-use crate::config::Strategy;
 use crate::error::SqlemError;
 use crate::generator::{
-    create_table, read_f64_grid, recreate, two_pi_p_div2, values_insert_chunked, Generator, Stmt,
+    create_table, point_tables, read_f64_grid, recreate, seed_gmm, values_insert_chunked,
+    Generator, Stmt,
 };
 use crate::naming::Names;
-use crate::sqlfmt::lit;
 
-/// Generator for [`Strategy::Vertical`].
+/// Generator for [`crate::Strategy::Vertical`].
 #[derive(Debug, Clone)]
 pub struct VerticalGenerator {
     names: Names,
@@ -41,18 +40,24 @@ impl VerticalGenerator {
 }
 
 impl Generator for VerticalGenerator {
-    fn strategy(&self) -> Strategy {
-        Strategy::Vertical
+    type Params = GmmParams;
+
+    fn name(&self) -> &'static str {
+        "vertical"
+    }
+
+    fn layouts(&self) -> (bool, bool) {
+        (false, true)
+    }
+
+    fn expected_scans(&self) -> (usize, usize) {
+        (1, 9)
     }
 
     fn create_tables(&self) -> Vec<Stmt> {
         let n = &self.names;
-        let mut stmts = Vec::new();
+        let mut stmts = point_tables(n, self.p, self.layouts());
         let mut add = |table: String, body: &str| stmts.extend(create_table(&table, body));
-        add(
-            n.y(),
-            "rid BIGINT, v BIGINT, val DOUBLE, PRIMARY KEY (rid, v)",
-        );
         add(
             n.yd(),
             "rid BIGINT, i BIGINT, d DOUBLE, PRIMARY KEY (rid, i)",
@@ -92,14 +97,7 @@ impl Generator for VerticalGenerator {
     }
 
     fn post_load(&self, n_points: usize) -> Vec<Stmt> {
-        vec![Stmt::new(
-            "seed GMM (n, (2π)^{p/2})",
-            format!(
-                "INSERT INTO {gmm} VALUES ({n_points}, {tp}, 0, 0)",
-                gmm = self.names.gmm(),
-                tp = lit(two_pi_p_div2(self.p)),
-            ),
-        )]
+        vec![seed_gmm(&self.names, n_points, self.p)]
     }
 
     fn e_step(&self) -> Vec<Stmt> {

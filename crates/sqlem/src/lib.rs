@@ -22,6 +22,11 @@
 //!   iteration costs `2k+3` scans of `n`-row tables plus one scan of a
 //!   `pn`-row table.
 //!
+//! The paper's two noted extensions are models of the same loop, not
+//! second drivers: [`KmeansGenerator`] (§2.2: EM with W = 1/k, R = I and
+//! hard assignments) and [`PerClusterGenerator`] (§2.1: one diagonal Σ
+//! per cluster) run through [`EmSession::create_with`].
+//!
 //! The numerical safeguards of §2.5 are generated into the SQL: the
 //! inverse-distance fallback (`CASE WHEN sump>0 … ELSE (1/d)/suminvd END`
 //! with the `1.0E-100` guard) and zero-covariance skipping (`CASE WHEN r=0
@@ -62,10 +67,9 @@ pub mod config;
 pub mod driver;
 pub mod error;
 pub mod generator;
-pub mod kmeans;
 pub mod loader;
 pub mod naming;
-pub mod percluster;
+pub mod params;
 pub mod plan;
 pub mod retry;
 pub mod sqlfmt;
@@ -76,12 +80,11 @@ pub use checkpoint::Checkpoint;
 pub use config::{SqlemConfig, Strategy};
 pub use driver::{EmSession, RecoveryEvent, SqlemRun};
 pub use error::SqlemError;
-pub use generator::{build_generator, Generator, Stmt};
-pub use kmeans::{KmeansConfig, KmeansSession};
+pub use generator::{build_generator, Generator, KmeansGenerator, PerClusterGenerator, Stmt};
 pub use naming::Names;
-pub use percluster::{PerClusterConfig, PerClusterSession};
+pub use params::ParamSet;
 pub use plan::{
-    analyze_all, analyze_strategy, classify_scan, expected_scans, CostCheck, FallbackDecision,
+    analyze_all, analyze_generator, analyze_strategy, classify_scan, CostCheck, FallbackDecision,
     IterationCost, OverBudget, PlanError, PlanReport, ScanClass,
 };
 pub use retry::{RetryPolicy, Retrying};

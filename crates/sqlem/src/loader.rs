@@ -1,8 +1,9 @@
-//! Loading points into the strategy's table layout(s).
+//! Loading points into a generator's table layout(s).
 //!
 //! The horizontal strategy reads points from the wide `Z(RID, y1…yp)`
 //! table, the vertical strategy from the long `Y(RID, v, val)` table, and
-//! the hybrid from both (Fig. 8 lists Z *and* Y). Rows are assigned RIDs
+//! the hybrid from both (Fig. 8 lists Z *and* Y) — each generator says
+//! which through [`crate::Generator::layouts`]. Rows are assigned RIDs
 //! 1…n in input order. Bulk loading bypasses the SQL parser — the
 //! FastLoad / JDBC-batch analogue (DESIGN.md §5) — while
 //! [`pivot_from_table`] supports the warehouse scenario where the data
@@ -10,18 +11,8 @@
 
 use sqlengine::{SqlExecutor, Value};
 
-use crate::config::Strategy;
 use crate::error::SqlemError;
 use crate::naming::Names;
-
-/// Which layouts a strategy consumes.
-pub fn layouts(strategy: Strategy) -> (bool, bool) {
-    match strategy {
-        Strategy::Horizontal => (true, false),
-        Strategy::Vertical => (false, true),
-        Strategy::Hybrid => (true, true),
-    }
-}
 
 /// Load `rows` into `table` in bulk-insert chunks of at most `chunk`
 /// rows (the whole batch at once when `None`), the degradation rung
@@ -63,7 +54,7 @@ fn load_chunked(
     Ok(shrinks)
 }
 
-/// Bulk-load `points` into the layout tables for `strategy`. Returns
+/// Bulk-load `points` into the `(wide, long)` layout tables. Returns
 /// `(n, shrinks)`.
 ///
 /// `chunk` caps each bulk-insert statement at that many rows; under a
@@ -72,7 +63,7 @@ fn load_chunked(
 pub fn load_points(
     db: &mut dyn SqlExecutor,
     names: &Names,
-    strategy: Strategy,
+    (wide, long): (bool, bool),
     points: &[Vec<f64>],
     chunk: Option<usize>,
 ) -> Result<(usize, usize), SqlemError> {
@@ -84,7 +75,6 @@ pub fn load_points(
     if points.iter().any(|pt| pt.len() != p) {
         return Err(SqlemError::BadInput("ragged point vectors".into()));
     }
-    let (wide, long) = layouts(strategy);
     let mut shrinks = 0usize;
     if wide {
         let rows: Vec<Vec<Value>> = points
@@ -123,7 +113,7 @@ pub fn load_points(
 pub fn pivot_from_table(
     db: &mut dyn SqlExecutor,
     names: &Names,
-    strategy: Strategy,
+    (wide, long): (bool, bool),
     source: &str,
     rid_col: &str,
     value_cols: &[&str],
@@ -131,7 +121,6 @@ pub fn pivot_from_table(
     if value_cols.is_empty() {
         return Err(SqlemError::BadInput("no value columns".into()));
     }
-    let (wide, long) = layouts(strategy);
     if wide {
         let cols = value_cols.join(", ");
         let sql = format!(
@@ -159,9 +148,11 @@ pub fn pivot_from_table(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SqlemConfig;
-    use crate::generator::build_generator;
+    use crate::config::{SqlemConfig, Strategy};
+    use crate::generator::{build_generator, Generator};
     use sqlengine::Database;
+
+    const HYBRID: (bool, bool) = (true, true);
 
     fn setup(strategy: Strategy) -> (Database, Names) {
         let mut db = Database::new();
@@ -173,11 +164,15 @@ mod tests {
         (db, Names::new(""))
     }
 
+    fn layouts(strategy: Strategy) -> (bool, bool) {
+        build_generator(&SqlemConfig::new(2, strategy), 2).layouts()
+    }
+
     #[test]
     fn hybrid_loads_both_layouts() {
         let (mut db, names) = setup(Strategy::Hybrid);
         let pts = vec![vec![1.0, 2.0], vec![3.0, 4.0]];
-        let (n, _) = load_points(&mut db, &names, Strategy::Hybrid, &pts, None).unwrap();
+        let (n, _) = load_points(&mut db, &names, HYBRID, &pts, None).unwrap();
         assert_eq!(n, 2);
         assert_eq!(db.table_len("z").unwrap(), 2);
         assert_eq!(db.table_len("y").unwrap(), 4);
@@ -191,7 +186,7 @@ mod tests {
     fn horizontal_loads_wide_only() {
         let (mut db, names) = setup(Strategy::Horizontal);
         let pts = vec![vec![1.0, 2.0]];
-        load_points(&mut db, &names, Strategy::Horizontal, &pts, None).unwrap();
+        load_points(&mut db, &names, layouts(Strategy::Horizontal), &pts, None).unwrap();
         assert_eq!(db.table_len("z").unwrap(), 1);
         assert!(!db.contains_table("y"));
     }
@@ -200,7 +195,7 @@ mod tests {
     fn vertical_loads_long_only() {
         let (mut db, names) = setup(Strategy::Vertical);
         let pts = vec![vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]];
-        load_points(&mut db, &names, Strategy::Vertical, &pts, None).unwrap();
+        load_points(&mut db, &names, layouts(Strategy::Vertical), &pts, None).unwrap();
         assert_eq!(db.table_len("y").unwrap(), 6);
         assert!(!db.contains_table("z"));
     }
@@ -209,12 +204,12 @@ mod tests {
     fn rejects_bad_input() {
         let (mut db, names) = setup(Strategy::Hybrid);
         assert!(matches!(
-            load_points(&mut db, &names, Strategy::Hybrid, &[], None),
+            load_points(&mut db, &names, HYBRID, &[], None),
             Err(SqlemError::BadInput(_))
         ));
         let ragged = vec![vec![1.0, 2.0], vec![3.0]];
         assert!(matches!(
-            load_points(&mut db, &names, Strategy::Hybrid, &ragged, None),
+            load_points(&mut db, &names, HYBRID, &ragged, None),
             Err(SqlemError::BadInput(_))
         ));
     }
@@ -223,7 +218,7 @@ mod tests {
     fn explicit_chunking_loads_everything_exactly_once() {
         let (mut db, names) = setup(Strategy::Hybrid);
         let pts: Vec<Vec<f64>> = (0..25).map(|i| vec![i as f64, -(i as f64)]).collect();
-        let (n, shrinks) = load_points(&mut db, &names, Strategy::Hybrid, &pts, Some(7)).unwrap();
+        let (n, shrinks) = load_points(&mut db, &names, HYBRID, &pts, Some(7)).unwrap();
         assert_eq!(n, 25);
         assert_eq!(shrinks, 0, "no budget, no shrinking");
         assert_eq!(db.table_len("z").unwrap(), 25);
@@ -241,7 +236,7 @@ mod tests {
         // but 6-row chunks fit.
         db.set_memory_budget(Some(sqlengine::MemoryBudget::new(600)));
         let pts: Vec<Vec<f64>> = (0..100).map(|i| vec![i as f64, -(i as f64)]).collect();
-        let (n, shrinks) = load_points(&mut db, &names, Strategy::Hybrid, &pts, None).unwrap();
+        let (n, shrinks) = load_points(&mut db, &names, HYBRID, &pts, None).unwrap();
         assert_eq!(n, 100);
         assert!(shrinks > 0, "tight budget must force chunk halving");
         assert_eq!(db.table_len("z").unwrap(), 100);
@@ -256,7 +251,7 @@ mod tests {
         let (mut db, names) = setup(Strategy::Hybrid);
         db.set_memory_budget(Some(sqlengine::MemoryBudget::new(50)));
         let pts = vec![vec![1.0, 2.0], vec![3.0, 4.0]];
-        let err = load_points(&mut db, &names, Strategy::Hybrid, &pts, None).unwrap_err();
+        let err = load_points(&mut db, &names, HYBRID, &pts, None).unwrap_err();
         assert!(err.is_resource_exhausted(), "{err}");
         assert!(err.is_transient(), "exhaustion is typed-transient");
     }
@@ -271,7 +266,7 @@ mod tests {
         let n = pivot_from_table(
             &mut db,
             &names,
-            Strategy::Hybrid,
+            HYBRID,
             "baskets",
             "bid",
             &["hour", "sales"],

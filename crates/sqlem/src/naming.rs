@@ -89,7 +89,8 @@ impl Names {
     pub fn ys(&self) -> String {
         self.t("ys")
     }
-    /// Vertical strategy scratch: unnormalized means.
+    /// Unnormalized means: vertical `(i, v, cv)`, K-means `(i, x,
+    /// y1…yp)` with the cluster mass `x = Σ x_j`.
     pub fn ctmp(&self) -> String {
         self.t("ctmp")
     }

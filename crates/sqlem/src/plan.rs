@@ -13,8 +13,9 @@
 //! * **the §3.3 cost model** — per-iteration driver scans as
 //!   closed-form polynomials in `(n, p, k)`, classified into n-scans
 //!   and pn-scans with the same threshold the runtime telemetry uses,
-//!   and compared against the paper's closed forms (`2k+3` n-scans +
-//!   1 pn-scan for the hybrid, and so on);
+//!   and compared against the generator's closed form
+//!   ([`Generator::expected_scans`]: `2k+3` n-scans + 1 pn-scan for the
+//!   hybrid, and so on);
 //! * **table lifecycle** — no work-table leaks (checkpoint tables are
 //!   declared persistent), no use-before-create, no read-after-drop;
 //! * **mutation classes** — the WAL layer's mutating/read-only split,
@@ -46,9 +47,9 @@ use sqlengine::{
 
 use crate::config::{SqlemConfig, Strategy};
 use crate::error::SqlemError;
-use crate::generator::{build_generator, Stmt};
-use crate::loader::layouts;
+use crate::generator::{build_generator, Generator, Stmt};
 use crate::naming::Names;
+use crate::params::ParamSet;
 
 /// Placeholder row count used when sizing `post_load` statements before
 /// any data is loaded (matches `Generator::longest_statement`).
@@ -106,17 +107,6 @@ pub fn classify_scan(rows: &Card, p: usize, k: usize) -> ScanClass {
         }
         2 if poly[1] == 1 && poly[0] == 0 => ScanClass::N,
         _ => ScanClass::Pn,
-    }
-}
-
-/// The paper's closed-form per-iteration base-table scan counts
-/// `(n-scans, pn-scans)` (§3.3–§3.5; fused E step per §5).
-pub fn expected_scans(strategy: Strategy, fused: bool, k: usize) -> (usize, usize) {
-    match strategy {
-        Strategy::Hybrid if fused => (2 * k + 2, 1),
-        Strategy::Hybrid => (2 * k + 3, 1),
-        Strategy::Horizontal => (2 * k + 4, 0),
-        Strategy::Vertical => (1, 9),
     }
 }
 
@@ -281,13 +271,17 @@ impl std::fmt::Display for FallbackDecision {
     }
 }
 
-/// Everything the static analysis proved about one strategy's script.
+/// Everything the static analysis proved about one generator's script.
 #[derive(Debug, Clone)]
 pub struct PlanReport {
-    /// Strategy analyzed.
+    /// The configured strategy.
     pub strategy: Strategy,
-    /// Whether the hybrid's fused E step was generated.
+    /// The generator analyzed ([`Generator::name`]).
+    pub model: &'static str,
+    /// Whether the E step was generated fused.
     pub fused: bool,
+    /// The point layouts the script reads ([`Generator::layouts`]).
+    pub layouts: (bool, bool),
     /// Dimensionality.
     pub p: usize,
     /// Cluster count.
@@ -345,7 +339,7 @@ impl PlanReport {
         format!(
             "{}: {} statement(s), longest {} byte(s) ({:?}, cap {}), \
              max {} term(s) — {}",
-            self.strategy,
+            self.model,
             self.script.statements.len(),
             longest.map_or(0, |s| s.bytes),
             longest.map_or("", |s| s.purpose.as_str()),
@@ -379,7 +373,7 @@ impl PlanReport {
         use sqlengine::resource::row_width_bytes;
         let stmt_peak = self.peak_footprint().eval(n, self.p, self.k);
         let chunk = |total: usize| load_chunk.map_or(total, |c| c.min(total)) as u128;
-        let (wide, long) = layouts(self.strategy);
+        let (wide, long) = self.layouts;
         let mut load: u128 = 0;
         if wide {
             // z(rid, y1..yp): n rows of p+1 columns.
@@ -398,11 +392,7 @@ impl PlanReport {
         use std::fmt::Write as _;
         let mut out = String::new();
         let fused = if self.fused { " (fused E step)" } else { "" };
-        let _ = writeln!(
-            out,
-            "plan: {} p={} k={}{fused}",
-            self.strategy, self.p, self.k
-        );
+        let _ = writeln!(out, "plan: {} p={} k={}{fused}", self.model, self.p, self.k);
         out.push_str(&self.script.render());
         if let Some(cost) = &self.cost {
             let _ = writeln!(out, "per-iteration driver scans (steady state):");
@@ -428,12 +418,15 @@ fn extend(statements: &mut Vec<ScriptStmt>, batch: Vec<Stmt>) {
     statements.extend(batch.into_iter().map(|s| ScriptStmt::new(s.purpose, s.sql)));
 }
 
-/// Assemble the full symbolic script a session will execute for
-/// `config` on `p`-dimensional data: DDL, symbolic bulk load,
+/// Assemble the full symbolic script a session will execute with
+/// `generator` on `p`-dimensional data: DDL, symbolic bulk load,
 /// post-load seeding, a parameter write, one iteration (declared as
 /// the steady-state span), scoring, and the driver's cleanup drops.
-pub fn script_spec(config: &SqlemConfig, p: usize) -> ScriptSpec {
-    let generator = build_generator(config, p);
+pub fn script_spec<G: Generator + ?Sized>(
+    generator: &G,
+    config: &SqlemConfig,
+    p: usize,
+) -> ScriptSpec {
     let names = Names::new(&config.table_prefix);
     let mut statements: Vec<ScriptStmt> = Vec::new();
     extend(&mut statements, generator.create_tables());
@@ -443,7 +436,7 @@ pub fn script_spec(config: &SqlemConfig, p: usize) -> ScriptSpec {
     let load_at = statements.len();
     let n = Card::n();
     let mut loads = Vec::new();
-    let (wide, long) = layouts(config.strategy);
+    let (wide, long) = generator.layouts();
     if wide {
         loads.push((
             load_at,
@@ -473,7 +466,10 @@ pub fn script_spec(config: &SqlemConfig, p: usize) -> ScriptSpec {
         vec![1.0; p],
         vec![1.0 / config.k as f64; config.k],
     );
-    extend(&mut statements, generator.write_params(&dummy));
+    extend(
+        &mut statements,
+        generator.write_params(&G::Params::from_gmm(dummy)),
+    );
 
     // One EM iteration: E step, M step, llh read — exactly what
     // `EmSession::iterate_once` executes in a loop.
@@ -530,22 +526,33 @@ pub fn analyze_strategy(
     config: &SqlemConfig,
     p: usize,
 ) -> Result<PlanReport, SqlemError> {
-    let env = check_env(db)?;
-    Ok(analyze_in_env(&env, db.memory_budget_bytes(), config, p))
+    analyze_generator(db, &build_generator(config, p), config, p)
 }
 
-/// [`analyze_strategy`] against an explicit environment and memory
+/// [`analyze_strategy`] for any generator built from `config`.
+pub fn analyze_generator<G: Generator + ?Sized>(
+    db: &mut dyn SqlExecutor,
+    generator: &G,
+    config: &SqlemConfig,
+    p: usize,
+) -> Result<PlanReport, SqlemError> {
+    let env = check_env(db)?;
+    let budget = db.memory_budget_bytes();
+    Ok(analyze_in_env(&env, budget, generator, config, p))
+}
+
+/// [`analyze_generator`] against an explicit environment and memory
 /// budget (no executor needed — useful for tests and offline analysis).
-pub fn analyze_in_env(
+pub fn analyze_in_env<G: Generator + ?Sized>(
     env: &CheckEnv,
     budget: Option<u64>,
+    generator: &G,
     config: &SqlemConfig,
     p: usize,
 ) -> PlanReport {
-    let spec = script_spec(config, p);
+    let spec = script_spec(generator, config, p);
     let script = check_script(&spec, env);
     let k = config.k;
-    let fused = config.strategy == Strategy::Hybrid && config.fused_e_step;
 
     let cost = script.iteration.as_ref().filter(|it| it.steady).map(|it| {
         let scans: Vec<(DerivedScan, ScanClass)> = it
@@ -574,7 +581,7 @@ pub fn analyze_in_env(
             reason: format!("closed form needs p >= 2 and k >= 2 (p={p}, k={k})"),
         }
     } else if let Some(cost) = &cost {
-        let expected = expected_scans(config.strategy, fused, k);
+        let expected = generator.expected_scans();
         if (cost.n_scans, cost.pn_scans) == expected {
             CostCheck::Verified {
                 n_scans: cost.n_scans,
@@ -594,7 +601,9 @@ pub fn analyze_in_env(
 
     let mut report = PlanReport {
         strategy: config.strategy,
-        fused,
+        model: generator.name(),
+        fused: generator.fused(),
+        layouts: generator.layouts(),
         p,
         k,
         max_statement_len: env.max_statement_len,
@@ -629,7 +638,7 @@ pub fn analyze_all(
         .map(|&strategy| {
             let mut cfg = config.clone();
             cfg.strategy = strategy;
-            analyze_in_env(&env, budget, &cfg, p)
+            analyze_in_env(&env, budget, &build_generator(&cfg, p), &cfg, p)
         })
         .collect())
 }

@@ -17,20 +17,10 @@ pub fn lit(x: f64) -> String {
     }
 }
 
-/// Format an `i64` literal.
-pub fn ilit(x: i64) -> String {
-    format!("{x}")
-}
-
-/// Join expressions with a separator — tiny convenience used everywhere
-/// the generators build k- or p-term lists.
-pub fn join(parts: &[String], sep: &str) -> String {
-    parts.join(sep)
-}
-
-/// `expr1 + expr2 + … + exprN`.
-pub fn sum_of(parts: &[String]) -> String {
-    parts.join(" + ")
+/// `f(1) sep f(2) sep … sep f(count)` — the unrolled per-cluster and
+/// per-dimension term lists every generated statement is made of.
+pub fn unroll(count: usize, sep: &str, f: impl Fn(usize) -> String) -> String {
+    (1..=count).map(f).collect::<Vec<_>>().join(sep)
 }
 
 #[cfg(test)]
@@ -78,8 +68,7 @@ mod tests {
 
     #[test]
     fn helpers() {
-        assert_eq!(ilit(-3), "-3");
-        assert_eq!(sum_of(&["a".into(), "b".into()]), "a + b");
-        assert_eq!(join(&["a".into(), "b".into()], ", "), "a, b");
+        assert_eq!(unroll(3, " + ", |j| format!("p{j}")), "p1 + p2 + p3");
+        assert_eq!(unroll(0, ", ", |d| format!("y{d}")), "");
     }
 }

@@ -1,14 +1,16 @@
 //! Every result bit of a short EM run, per strategy and per executor —
 //! the dump a change that must not move a bit is checked with.
 //!
-//! For hybrid, hybrid with the fused E step, vertical and horizontal,
-//! on an embedded `Database`, on one with `workers = 2`, and through a
-//! `Coordinator` over 2 shards, it prints the loglikelihood history,
-//! the means, the covariance and the weights as `f64::to_bits` hex, and
-//! a hash of the scores. The data is the §4.1 retail shape (p = 6,
-//! k = 9) from a sample-based start, so the early iterations'
-//! responsibilities underflow (§2.5) and the M step's sums span
-//! 1e-310 … 1.
+//! For hybrid, hybrid with the fused E step, vertical and horizontal —
+//! and for the two extension models, K-means (§2.2) and per-cluster
+//! covariances (§2.1) — on an embedded `Database`, on one with
+//! `workers = 2`, and through a `Coordinator` over 2 shards, it prints
+//! the loglikelihood (K-means: SSE) history, the means, the covariance
+//! and the weights as `f64::to_bits` hex, and a hash of the scores; the
+//! two extensions also print how the run ended. The data is the §4.1
+//! retail shape (p = 6, k = 9) from a sample-based start (K-means: from
+//! k spread data points), so the early iterations' responsibilities
+//! underflow (§2.5) and the M step's sums span 1e-310 … 1.
 //!
 //! Two uses. Across builds: run it at the parent commit and at the
 //! change and `diff` the two outputs — on one machine they must be
@@ -25,7 +27,10 @@ use std::process::ExitCode;
 
 use datagen::retail::{retail_dataset, RetailConfig, RETAIL_K, RETAIL_P};
 use emcore::init::InitStrategy;
-use sqlem::{EmSession, SqlemConfig, Strategy};
+use sqlem::{
+    build_generator, EmSession, Generator, KmeansGenerator, ParamSet, PerClusterGenerator,
+    SqlemConfig, Strategy,
+};
 use sqlengine::{Database, EngineConfig, SqlExecutor};
 use sqlwire::Coordinator;
 
@@ -43,32 +48,75 @@ fn hex(values: &[f64]) -> String {
     words.join(" ")
 }
 
+/// Which model a section runs: the paper's EM under the configured
+/// strategy, or one of its two extensions.
+#[derive(Clone, Copy)]
+enum Model {
+    Paper,
+    Kmeans,
+    PerCluster,
+}
+
 /// One section: everything the run produced, bit for bit.
-fn dump<E: SqlExecutor>(exec: &mut E, config: &SqlemConfig, points: &[Vec<f64>]) -> String {
-    let mut session = EmSession::create(exec, config, RETAIL_P).expect("create");
+fn dump<E: SqlExecutor>(
+    exec: &mut E,
+    model: Model,
+    config: &SqlemConfig,
+    points: &[Vec<f64>],
+) -> String {
+    let from_sample = InitStrategy::FromSample {
+        fraction: 0.1,
+        seed: SEED,
+        em_iterations: 3,
+    };
+    match model {
+        Model::Paper => run(exec, config, build_generator, &from_sample, points, false),
+        Model::Kmeans => {
+            let spread = (0..RETAIL_K).map(|j| points[j * N / RETAIL_K].clone());
+            let init = InitStrategy::Explicit(KmeansGenerator::params(spread.collect()));
+            run(exec, config, KmeansGenerator::new, &init, points, true)
+        }
+        Model::PerCluster => run(
+            exec,
+            config,
+            PerClusterGenerator::new,
+            &from_sample,
+            points,
+            true,
+        ),
+    }
+}
+
+fn run<E: SqlExecutor, G: Generator>(
+    exec: &mut E,
+    config: &SqlemConfig,
+    build: impl Fn(&SqlemConfig, usize) -> G,
+    init: &InitStrategy,
+    points: &[Vec<f64>],
+    with_outcome: bool,
+) -> String {
+    let mut session = EmSession::create_with(exec, config, RETAIL_P, build).expect("create");
     session.load_points(points).expect("load");
-    session
-        .initialize(&InitStrategy::FromSample {
-            fraction: 0.1,
-            seed: SEED,
-            em_iterations: 3,
-        })
-        .expect("initialize");
+    session.initialize(init).expect("initialize");
     let run = session.run().expect("run");
     let scores = session.scores().expect("scores");
     // FNV-1a over the labels.
     let hash = scores.iter().fold(0xcbf29ce484222325u64, |h, &s| {
         (h ^ s as u64).wrapping_mul(0x100000001b3)
     });
-    let means: Vec<f64> = run.params.means.concat();
-    format!(
+    let (means, cov, weights) = run.params.cells();
+    let mut out = format!(
         "llh {}\nmeans {}\ncov {}\nweights {}\nscores {hash:016x} ({} rows)\n",
         hex(&run.llh_history),
-        hex(&means),
-        hex(&run.params.cov),
-        hex(&run.params.weights),
+        hex(&means.concat()),
+        hex(&cov),
+        hex(weights),
         scores.len(),
-    )
+    );
+    if with_outcome {
+        out.push_str(&format!("outcome {:?}\n", run.outcome));
+    }
+    out
 }
 
 fn main() -> ExitCode {
@@ -79,15 +127,24 @@ fn main() -> ExitCode {
             .with_max_iterations(ITERATIONS)
     };
     let strategies = [
-        ("hybrid", base(Strategy::Hybrid)),
-        ("hybrid-fused", base(Strategy::Hybrid).with_fused_e_step()),
-        ("vertical", base(Strategy::Vertical)),
-        ("horizontal", base(Strategy::Horizontal)),
+        ("hybrid", Model::Paper, base(Strategy::Hybrid)),
+        (
+            "hybrid-fused",
+            Model::Paper,
+            base(Strategy::Hybrid).with_fused_e_step(),
+        ),
+        ("vertical", Model::Paper, base(Strategy::Vertical)),
+        ("horizontal", Model::Paper, base(Strategy::Horizontal)),
+        ("kmeans", Model::Kmeans, base(Strategy::Hybrid)),
+        ("per-cluster", Model::PerCluster, base(Strategy::Hybrid)),
     ];
     let mut equal = true;
-    for (name, config) in &strategies {
+    for &(name, model, ref config) in &strategies {
         let sections = [
-            ("embedded", dump(&mut Database::new(), config, &data.points)),
+            (
+                "embedded",
+                dump(&mut Database::new(), model, config, &data.points),
+            ),
             (
                 "workers=2",
                 dump(
@@ -95,6 +152,7 @@ fn main() -> ExitCode {
                         workers: 2,
                         ..EngineConfig::default()
                     }),
+                    model,
                     config,
                     &data.points,
                 ),
@@ -104,6 +162,7 @@ fn main() -> ExitCode {
                 dump(
                     &mut Coordinator::new(vec![Database::new(), Database::new()])
                         .expect("coordinator"),
+                    model,
                     config,
                     &data.points,
                 ),

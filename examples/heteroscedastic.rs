@@ -12,7 +12,7 @@ use emcore::emfull::FullParams;
 use emcore::init::InitStrategy;
 use emcore::GmmParams;
 use prng::StdRng;
-use sqlem::{EmSession, PerClusterConfig, PerClusterSession, SqlemConfig, Strategy};
+use sqlem::{EmSession, PerClusterGenerator, SqlemConfig, Strategy};
 use sqlengine::Database;
 
 fn main() {
@@ -63,10 +63,11 @@ fn main() {
 
     // Per-cluster R (the extension).
     let mut db2 = Database::new();
-    let mut full_cfg = PerClusterConfig::new(2);
-    full_cfg.epsilon = 1e-6;
-    full_cfg.max_iterations = 30;
-    let mut full = PerClusterSession::create(&mut db2, &full_cfg, 2).unwrap();
+    let full_cfg = SqlemConfig::new(2, Strategy::Hybrid)
+        .with_epsilon(1e-6)
+        .with_max_iterations(30);
+    let mut full =
+        EmSession::create_with(&mut db2, &full_cfg, 2, PerClusterGenerator::new).unwrap();
     full.load_points(&pts).unwrap();
     full.set_params(&FullParams {
         means: vec![vec![5.0, 0.0], vec![25.0, -15.0]],

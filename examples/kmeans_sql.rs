@@ -7,7 +7,7 @@
 //! ```
 
 use datagen::generate_dataset;
-use sqlem::{KmeansConfig, KmeansSession};
+use sqlem::{EmSession, KmeansGenerator, SqlemConfig, Strategy};
 use sqlengine::Database;
 
 fn main() {
@@ -19,16 +19,21 @@ fn main() {
     let init: Vec<Vec<f64>> = (0..k).map(|j| data.points[j * step].clone()).collect();
 
     let mut db = Database::new();
-    let config = KmeansConfig::new(k);
-    let mut session = KmeansSession::create(&mut db, &config, p).expect("create");
+    let config = SqlemConfig::new(k, Strategy::Hybrid)
+        .with_epsilon(1e-6)
+        .with_max_iterations(20);
+    let mut session =
+        EmSession::create_with(&mut db, &config, p, KmeansGenerator::new).expect("create");
     session.load_points(&data.points).expect("load");
-    session.set_centroids(&init).expect("init");
+    session
+        .set_params(&KmeansGenerator::params(init.clone()))
+        .expect("init");
     let sql_run = session.run().expect("run");
     println!(
         "SQL K-means: {} iterations, converged = {}, final SSE = {:.1}",
         sql_run.iterations,
-        sql_run.converged,
-        sql_run.sse_history.last().unwrap()
+        sql_run.outcome == emcore::EmOutcome::Converged,
+        sql_run.llh_history.last().unwrap()
     );
 
     let mem_run = emcore::kmeans::kmeans_from(&data.points, init, 20);
@@ -39,7 +44,7 @@ fn main() {
 
     // Same algorithm, same start → same centroids.
     let mut worst: f64 = 0.0;
-    for (a, b) in sql_run.centroids.iter().zip(&mem_run.centroids) {
+    for (a, b) in sql_run.params.means.iter().zip(&mem_run.centroids) {
         for (x, y) in a.iter().zip(b) {
             worst = worst.max((x - y).abs());
         }
@@ -47,7 +52,7 @@ fn main() {
     println!("max centroid difference SQL vs memory: {worst:.2e}");
     assert!(worst < 1e-9);
 
-    let assignments = session.assignments().expect("assignments");
+    let assignments = session.scores().expect("assignments");
     let purity = emcore::compare::purity(&data.labels, &assignments, k);
     println!("purity vs generating clusters: {purity:.3}");
 }

@@ -20,8 +20,8 @@ use datagen::generate_dataset;
 use emcore::emfull::FullParams;
 use emcore::init::InitStrategy;
 use sqlem::{
-    scan_threshold, EmSession, IterationReport, KmeansConfig, KmeansSession, PerClusterConfig,
-    PerClusterSession, SqlemConfig, Strategy,
+    scan_threshold, EmSession, IterationReport, KmeansGenerator, PerClusterGenerator, SqlemConfig,
+    Strategy,
 };
 use sqlengine::parser::parse_one;
 use sqlengine::plan::{plan_statement, InsertRows, Join, StatementPlan};
@@ -398,19 +398,24 @@ fn every_generated_statement_runs_as_its_plan_says() {
         totals.push((db.checked, db.index_joins));
     }
 
+    let kmeans = SqlemConfig::new(k, Strategy::Hybrid)
+        .with_epsilon(1e-6)
+        .with_max_iterations(20);
     let mut db = PlanChecked::new();
-    let mut session = KmeansSession::create(&mut db, &KmeansConfig::new(k), p).unwrap();
+    let mut session = EmSession::create_with(&mut db, &kmeans, p, KmeansGenerator::new).unwrap();
     session.load_points(&data.points).unwrap();
     session
-        .set_centroids(&[vec![0.0; p], vec![5.0; p]])
+        .set_params(&KmeansGenerator::params(vec![vec![0.0; p], vec![5.0; p]]))
         .unwrap();
     session.iterate_once().unwrap();
     session.iterate_once().unwrap();
-    assert_eq!(session.assignments().unwrap().len(), n);
+    assert_eq!(session.scores().unwrap().len(), n);
     totals.push((db.checked, db.index_joins));
 
     let mut db = PlanChecked::new();
-    let mut session = PerClusterSession::create(&mut db, &PerClusterConfig::new(k), p).unwrap();
+    let config = SqlemConfig::new(k, Strategy::Hybrid);
+    let mut session =
+        EmSession::create_with(&mut db, &config, p, PerClusterGenerator::new).unwrap();
     session.load_points(&data.points).unwrap();
     session
         .set_params(&FullParams {

@@ -177,15 +177,18 @@ fn sql_kmeans_and_sql_em_agree_on_separated_data() {
     let em_run = em.run().unwrap();
 
     let mut db2 = Database::new();
-    let km_cfg = sqlem::KmeansConfig::new(k);
-    let mut km = sqlem::KmeansSession::create(&mut db2, &km_cfg, p).unwrap();
+    let km_cfg = SqlemConfig::new(k, Strategy::Hybrid)
+        .with_epsilon(1e-6)
+        .with_max_iterations(20);
+    let mut km = EmSession::create_with(&mut db2, &km_cfg, p, sqlem::KmeansGenerator::new).unwrap();
     km.load_points(&data.points).unwrap();
-    km.set_centroids(&em_run.params.means).unwrap();
+    km.set_params(&sqlem::KmeansGenerator::params(em_run.params.means.clone()))
+        .unwrap();
     let km_run = km.run().unwrap();
 
     // Seeded at EM's solution, K-means stays there (both are local
     // optima of closely related objectives on well-separated blobs).
-    for (em_mean, km_c) in em_run.params.means.iter().zip(&km_run.centroids) {
+    for (em_mean, km_c) in em_run.params.means.iter().zip(&km_run.params.means) {
         let dist: f64 = em_mean
             .iter()
             .zip(km_c)

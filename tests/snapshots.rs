@@ -6,8 +6,9 @@
 //! listings — so accidental drift in the emitted text (a lost CASE
 //! guard, a changed join predicate, a renamed work table) is a
 //! correctness bug even when the numbers still happen to come out right.
-//! These tests freeze the full script per strategy: DDL, post-load
-//! seeding, E step, M step, scoring and the llh query.
+//! These tests freeze the full script per strategy — and per model: the
+//! K-means and per-cluster-covariance generators are pinned the same way
+//! — DDL, post-load seeding, E step, M step, scoring and the llh query.
 //!
 //! To update after an intentional generator change:
 //!
@@ -17,7 +18,9 @@
 //!
 //! then review the diff like any other code change.
 
-use sqlem::{build_generator, Generator, SqlemConfig, Strategy};
+use sqlem::{
+    build_generator, Generator, KmeansGenerator, PerClusterGenerator, SqlemConfig, Strategy,
+};
 
 /// Problem size for the snapshots: small enough to read, large enough
 /// that per-dimension/per-cluster unrolling (y1..y3, c1..c2) shows up.
@@ -26,7 +29,7 @@ const K: usize = 2;
 const N: usize = 1000;
 
 /// Render a generator's full script as one annotated SQL document.
-fn render(generator: &dyn Generator) -> String {
+fn render<G: Generator + ?Sized>(generator: &G) -> String {
     let mut out = String::new();
     let mut section = |title: &str, stmts: &[sqlem::Stmt]| {
         out.push_str(&format!("-- ==== {title} ====\n"));
@@ -45,13 +48,15 @@ fn render(generator: &dyn Generator) -> String {
 }
 
 fn check_snapshot(name: &str, config: &SqlemConfig) {
-    let generator = build_generator(config, P);
-    let rendered = render(generator.as_ref());
+    check_rendered(name, &render(&build_generator(config, P)));
+}
+
+fn check_rendered(name: &str, rendered: &str) {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/snapshots")
         .join(format!("{name}.sql"));
     if std::env::var_os("UPDATE_SNAPSHOTS").is_some() {
-        std::fs::write(&path, &rendered).unwrap();
+        std::fs::write(&path, rendered).unwrap();
         return;
     }
     let golden = std::fs::read_to_string(&path)
@@ -101,6 +106,21 @@ fn hybrid_fused_sql_matches_snapshot() {
 }
 
 #[test]
+fn kmeans_sql_matches_snapshot() {
+    let config = SqlemConfig::new(K, Strategy::Hybrid);
+    check_rendered("kmeans_p3_k2", &render(&KmeansGenerator::new(&config, P)));
+}
+
+#[test]
+fn percluster_sql_matches_snapshot() {
+    let config = SqlemConfig::new(K, Strategy::Hybrid);
+    check_rendered(
+        "percluster_p3_k2",
+        &render(&PerClusterGenerator::new(&config, P)),
+    );
+}
+
+#[test]
 fn snapshots_parse_under_default_engine_limits() {
     // Every pinned statement must survive the engine's own parser and
     // analyzer limits — a snapshot that cannot even parse is stale.
@@ -112,6 +132,8 @@ fn snapshots_parse_under_default_engine_limits() {
         "vertical_p3_k2",
         "hybrid_p3_k2",
         "hybrid_fused_p3_k2",
+        "kmeans_p3_k2",
+        "percluster_p3_k2",
     ] {
         let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("tests/snapshots")
