@@ -3,8 +3,8 @@
 //! The paper (§2.2) observes that "the popular K-means clustering
 //! algorithm is a particular case of EM when W and R are fixed:
 //! `W = 1/k, R = I`" and that SQLEM trivially simplifies to it. This
-//! module is the in-memory baseline for the SQL K-means in
-//! `sqlem::kmeans`.
+//! module is the in-memory baseline for the SQL K-means of
+//! `sqlem::KmeansGenerator`.
 
 use prng::{Rng, StdRng};
 
@@ -79,9 +79,8 @@ pub fn kmeans_from(
                 }
             }
             // Empty clusters keep their centroid (they may capture points
-            // later); this matches the SQL variant, where the mean-update
-            // SELECT for an empty cluster inserts nothing and the old row
-            // is retained.
+            // later); so does the SQL variant, whose M step updates a
+            // centroid only where the cluster's Σx > 0.
         }
         if !changed {
             converged = true;
