@@ -41,7 +41,12 @@ Stages, in order:
                 (exec/aggregate.rs: one accumulator column per
                 aggregate): outside #[cfg(test)] no file under
                 crates/sqlengine/src names a Vec<Vec<AggState>> or
-                defines `fn update_rows`; prints the
+                defines `fn update_rows`; and one session (every model
+                is a sqlem::Generator that EmSession runs): outside
+                #[cfg(test)] EmSession is the only `pub struct …Session`
+                under crates/sqlem/src, and no `Strategy::X =>` arm
+                there outside generator/ and config.rs (a strategy's
+                layout and closed form are its generator's); prints the
                 crates/*/src line
                 total and the non-test total (each file up to its first
                 #[cfg(test)]) so a PR's line delta is a CI output
@@ -56,7 +61,8 @@ Stages, in order:
                 and through a 2-shard coordinator
   plancheck     static analyzer gate: the symbolic per-iteration scan
                 derivation must equal engine ExecMetrics exactly on the
-                cost-model grid for all three strategies, and every
+                cost-model grid for all three strategies, the fused
+                hybrid, K-means and per-cluster covariances, and every
                 negative-corpus script must be rejected with a typed,
                 positioned diagnostic
   tier-1        the main test suites, incl. the seeded statement-shape
@@ -65,7 +71,8 @@ Stages, in order:
                 seeded byte-layer properties of tests/format_props.rs
                 and the table-against-its-model sequences of
                 tests/table_model.rs, tests/keytable_model.rs and
-                tests/agg_model.rs
+                tests/agg_model.rs, and sqlem's seeded generator and
+                run properties over every model
                 (--quick skips the retail e2e suite and runs one
                 520-case parity seed of the four)
   chaos         deterministic fault-plan sweep over every statement index
@@ -224,6 +231,23 @@ if nontest 'Vec<Vec<AggState>>|fn update_rows' -path 'crates/sqlengine/src/*' | 
          "a row of exec::aggregate's accumulator columns" >&2
     exit 1
 fi
+# One session: the paper's strategies, K-means and per-cluster
+# covariances are sqlem::Generators run by one EmSession loop — no second
+# session type — and a strategy's point layouts and closed-form scan
+# counts are facts of its generator, not a `match` elsewhere.
+sessions=$(nontest 'pub struct [A-Za-z0-9_]*Session([^A-Za-z0-9_]|$)' -path 'crates/sqlem/src/*' \
+    | sed 's/.*pub struct \([A-Za-z0-9_]*Session\).*/\1/' | sort -u | tr '\n' ' ')
+if [ "$sessions" != "EmSession " ]; then
+    echo "ERROR: session types under crates/sqlem/src: $sessions— a model is" \
+         "a sqlem::Generator that EmSession runs" >&2
+    exit 1
+fi
+if nontest '(^|[^A-Za-z0-9_])Strategy::[A-Za-z]+.*=>' -path 'crates/sqlem/src/*' \
+    ! -path 'crates/sqlem/src/generator/*' ! -path 'crates/sqlem/src/config.rs' | grep .; then
+    echo "ERROR: a strategy's layout or closed form is decided outside its" \
+         "generator (above); ask the sqlem::Generator instead" >&2
+    exit 1
+fi
 echo "   crates/*/src: $(find crates/*/src -name '*.rs' -exec cat {} + | wc -l) lines," \
      "$(find crates/*/src -name '*.rs' -exec awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} !t' {} + | wc -l)" \
      "outside #[cfg(test)]"
@@ -252,6 +276,7 @@ if [ "$QUICK" = 1 ]; then
     cargo test -q --test baselines --test end_to_end --test extensions \
         --test formats --test format_props --test table_model \
         --test keytable_model --test agg_model
+    cargo test -q -p sqlem --test generator_properties --test robustness_props
     cargo test -q --test plan_parity seed_1
 else
     echo "== tier-1: tests"

@@ -12,8 +12,12 @@
 //!    [`DiagnosticKind`] variant anchored to a statement index and a
 //!    byte offset.
 //! 3. **Golden reports.** The rendered [`sqlem::PlanReport`] for each
-//!    strategy at `p=3, k=2` is pinned as a snapshot under
-//!    `tests/snapshots/` (refresh with `UPDATE_SNAPSHOTS=1`).
+//!    strategy — and for the K-means and per-cluster models — at `p=3,
+//!    k=2` is pinned as a snapshot under `tests/snapshots/` (refresh with
+//!    `UPDATE_SNAPSHOTS=1`).
+//!
+//! Parts 1 and 3 cover all five models: the paper's three strategies
+//! (hybrid also fused), K-means and per-cluster covariances.
 
 use std::fs;
 use std::path::PathBuf;
@@ -21,8 +25,8 @@ use std::path::PathBuf;
 use datagen::generate_dataset;
 use emcore::init::InitStrategy;
 use sqlem::{
-    analyze_strategy, scan_threshold, CostCheck, EmSession, PlanReport, ScanClass, SqlemConfig,
-    Strategy,
+    analyze_generator, build_generator, scan_threshold, CostCheck, EmSession, Generator,
+    KmeansGenerator, PerClusterGenerator, PlanReport, ScanClass, SqlemConfig, Strategy,
 };
 use sqlengine::{
     check_script, CheckEnv, Database, DiagnosticKind, ExecMetrics, ScriptSpec, ScriptStmt,
@@ -32,25 +36,52 @@ use sqlengine::{
 // Part 1: static scan derivation == engine telemetry, exactly.
 // ---------------------------------------------------------------------------
 
+/// One model of the conformance grid: a strategy of the paper's EM
+/// (hybrid possibly fused), or one of its two extensions.
+#[derive(Debug, Clone, Copy)]
+enum Model {
+    Paper(Strategy, bool),
+    Kmeans,
+    PerCluster,
+}
+
+impl Model {
+    fn config(self, k: usize) -> SqlemConfig {
+        match self {
+            Model::Paper(strategy, true) => SqlemConfig::new(k, strategy).with_fused_e_step(),
+            Model::Paper(strategy, false) => SqlemConfig::new(k, strategy),
+            Model::Kmeans | Model::PerCluster => SqlemConfig::new(k, Strategy::Hybrid),
+        }
+    }
+}
+
 /// Run one measured steady-state iteration (same protocol as
 /// `tests/cost_model.rs`: warm-up iteration, then telemetry on) and
 /// return the engine metrics for it.
 fn measured_iteration(
     db: &mut Database,
-    strategy: Strategy,
-    fused: bool,
+    model: Model,
     n: usize,
     p: usize,
     k: usize,
 ) -> Vec<ExecMetrics> {
-    let data = generate_dataset(n, p, k, 7);
-    let mut config = SqlemConfig::new(k, strategy)
-        .with_epsilon(0.0)
-        .with_max_iterations(3);
-    if fused {
-        config = config.with_fused_e_step();
+    let config = model.config(k).with_epsilon(0.0).with_max_iterations(3);
+    match model {
+        Model::Paper(..) => measure(db, &config, build_generator, n, p),
+        Model::Kmeans => measure(db, &config, KmeansGenerator::new, n, p),
+        Model::PerCluster => measure(db, &config, PerClusterGenerator::new, n, p),
     }
-    let mut session = EmSession::create(db, &config, p).unwrap();
+}
+
+fn measure<G: Generator>(
+    db: &mut Database,
+    config: &SqlemConfig,
+    build: impl Fn(&SqlemConfig, usize) -> G,
+    n: usize,
+    p: usize,
+) -> Vec<ExecMetrics> {
+    let data = generate_dataset(n, p, config.k, 7);
+    let mut session = EmSession::create_with(db, config, p, build).unwrap();
     session.load_points(&data.points).unwrap();
     session
         .initialize(&InitStrategy::Random { seed: 11 })
@@ -80,36 +111,41 @@ fn dynamic_scan_events(
         .collect()
 }
 
-/// Analyze a strategy against a *fresh, empty* database — the static
+/// Analyze a model against a *fresh, empty* database — the static
 /// side never sees the session that actually ran.
-fn static_report(strategy: Strategy, fused: bool, p: usize, k: usize) -> PlanReport {
+fn static_report(model: Model, p: usize, k: usize) -> PlanReport {
     let mut db = Database::new();
-    let mut config = SqlemConfig::new(k, strategy);
-    if fused {
-        config = config.with_fused_e_step();
-    }
-    analyze_strategy(&mut db, &config, p).unwrap()
+    let config = model.config(k);
+    let report = match model {
+        Model::Paper(..) => analyze_generator(&mut db, &build_generator(&config, p), &config, p),
+        Model::Kmeans => analyze_generator(&mut db, &KmeansGenerator::new(&config, p), &config, p),
+        Model::PerCluster => {
+            analyze_generator(&mut db, &PerClusterGenerator::new(&config, p), &config, p)
+        }
+    };
+    report.unwrap()
 }
 
-/// One strategy's slice of the conformance grid.
-type GridRow = (Strategy, bool, &'static [(usize, usize, usize)]);
+/// One model's slice of the conformance grid.
+type GridRow = (Model, &'static [(usize, usize, usize)]);
 
 #[test]
 fn static_scan_counts_match_engine_telemetry_on_the_cost_model_grid() {
     let grid: &[GridRow] = &[
         (
-            Strategy::Hybrid,
-            false,
+            Model::Paper(Strategy::Hybrid, false),
             &[(500, 4, 3), (800, 6, 5), (400, 3, 2), (600, 2, 7)],
         ),
-        (Strategy::Hybrid, true, &[(500, 4, 3)]),
-        (Strategy::Vertical, false, &[(300, 4, 3)]),
-        (Strategy::Horizontal, false, &[(400, 4, 3)]),
+        (Model::Paper(Strategy::Hybrid, true), &[(500, 4, 3)]),
+        (Model::Paper(Strategy::Vertical, false), &[(300, 4, 3)]),
+        (Model::Paper(Strategy::Horizontal, false), &[(400, 4, 3)]),
+        (Model::Kmeans, &[(500, 4, 3), (400, 3, 2)]),
+        (Model::PerCluster, &[(500, 4, 3), (400, 3, 2)]),
     ];
-    for &(strategy, fused, points) in grid {
+    for &(model, points) in grid {
         for &(n, p, k) in points {
             let mut db = Database::new();
-            let entries = measured_iteration(&mut db, strategy, fused, n, p, k);
+            let entries = measured_iteration(&mut db, model, n, p, k);
 
             // Dynamic truth: counts recomputed from raw engine records.
             let threshold = scan_threshold(n, p, k);
@@ -119,10 +155,10 @@ fn static_scan_counts_match_engine_telemetry_on_the_cost_model_grid() {
 
             // Static derivation: abstract interpretation of the script,
             // fresh database, nothing executed.
-            let report = static_report(strategy, fused, p, k);
+            let report = static_report(model, p, k);
             assert!(
                 report.ok(),
-                "{strategy} p={p} k={k} should analyze clean:\n{}",
+                "{model:?} p={p} k={k} should analyze clean:\n{}",
                 report.render()
             );
             let cost = report
@@ -132,12 +168,11 @@ fn static_scan_counts_match_engine_telemetry_on_the_cost_model_grid() {
             assert_eq!(
                 (cost.n_scans, cost.pn_scans),
                 (dyn_n, dyn_pn),
-                "{strategy} (fused={fused}) static vs dynamic scan counts \
-                 for (n={n}, p={p}, k={k})"
+                "{model:?} static vs dynamic scan counts for (n={n}, p={p}, k={k})"
             );
             assert!(
                 matches!(report.cost_check, CostCheck::Verified { .. }),
-                "{strategy} closed form should verify, got: {}",
+                "{model:?} closed form should verify, got: {}",
                 report.cost_check
             );
 
@@ -152,8 +187,8 @@ fn static_scan_counts_match_engine_telemetry_on_the_cost_model_grid() {
                 .collect();
             assert_eq!(
                 evaluated, dynamic,
-                "{strategy} (fused={fused}) symbolic scan events vs engine \
-                 records for (n={n}, p={p}, k={k}, threshold={threshold})"
+                "{model:?} symbolic scan events vs engine records \
+                 for (n={n}, p={p}, k={k}, threshold={threshold})"
             );
         }
     }
@@ -166,18 +201,20 @@ fn every_static_verdict_matches_the_paper_closed_form() {
     // all, so this sweep is cheap.
     for k in 2..=8 {
         for p in 2..=6 {
-            for (strategy, fused, expect) in [
-                (Strategy::Hybrid, false, (2 * k + 3, 1)),
-                (Strategy::Hybrid, true, (2 * k + 2, 1)),
-                (Strategy::Horizontal, false, (2 * k + 4, 0)),
-                (Strategy::Vertical, false, (1, 9)),
+            for (model, expect) in [
+                (Model::Paper(Strategy::Hybrid, false), (2 * k + 3, 1)),
+                (Model::Paper(Strategy::Hybrid, true), (2 * k + 2, 1)),
+                (Model::Paper(Strategy::Horizontal, false), (2 * k + 4, 0)),
+                (Model::Paper(Strategy::Vertical, false), (1, 9)),
+                (Model::Kmeans, (k + 3, 1)),
+                (Model::PerCluster, (2 * k + 2, 1)),
             ] {
-                let report = static_report(strategy, fused, p, k);
+                let report = static_report(model, p, k);
                 let cost = report.cost.as_ref().unwrap();
                 assert_eq!(
                     (cost.n_scans, cost.pn_scans),
                     expect,
-                    "{strategy} fused={fused} p={p} k={k}"
+                    "{model:?} p={p} k={k}"
                 );
                 assert!(matches!(report.cost_check, CostCheck::Verified { .. }));
             }
@@ -339,8 +376,8 @@ fn corpus_diagnostics_point_at_the_offending_token() {
 const P: usize = 3;
 const K: usize = 2;
 
-fn check_report_snapshot(name: &str, strategy: Strategy, fused: bool) {
-    let report = static_report(strategy, fused, P, K);
+fn check_report_snapshot(name: &str, model: Model) {
+    let report = static_report(model, P, K);
     let rendered = report.render();
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/snapshots")
@@ -373,20 +410,42 @@ fn check_report_snapshot(name: &str, strategy: Strategy, fused: bool) {
 
 #[test]
 fn plancheck_report_snapshot_hybrid() {
-    check_report_snapshot("plancheck_hybrid_p3_k2", Strategy::Hybrid, false);
+    check_report_snapshot(
+        "plancheck_hybrid_p3_k2",
+        Model::Paper(Strategy::Hybrid, false),
+    );
 }
 
 #[test]
 fn plancheck_report_snapshot_hybrid_fused() {
-    check_report_snapshot("plancheck_hybrid_fused_p3_k2", Strategy::Hybrid, true);
+    check_report_snapshot(
+        "plancheck_hybrid_fused_p3_k2",
+        Model::Paper(Strategy::Hybrid, true),
+    );
 }
 
 #[test]
 fn plancheck_report_snapshot_horizontal() {
-    check_report_snapshot("plancheck_horizontal_p3_k2", Strategy::Horizontal, false);
+    check_report_snapshot(
+        "plancheck_horizontal_p3_k2",
+        Model::Paper(Strategy::Horizontal, false),
+    );
 }
 
 #[test]
 fn plancheck_report_snapshot_vertical() {
-    check_report_snapshot("plancheck_vertical_p3_k2", Strategy::Vertical, false);
+    check_report_snapshot(
+        "plancheck_vertical_p3_k2",
+        Model::Paper(Strategy::Vertical, false),
+    );
+}
+
+#[test]
+fn plancheck_report_snapshot_kmeans() {
+    check_report_snapshot("plancheck_kmeans_p3_k2", Model::Kmeans);
+}
+
+#[test]
+fn plancheck_report_snapshot_percluster() {
+    check_report_snapshot("plancheck_percluster_p3_k2", Model::PerCluster);
 }
