@@ -41,7 +41,13 @@ Stages, in order:
                 (exec/aggregate.rs: one accumulator column per
                 aggregate): outside #[cfg(test)] no file under
                 crates/sqlengine/src names a Vec<Vec<AggState>> or
-                defines `fn update_rows`; and one session (every model
+                defines `fn update_rows`; and one group-table form (a
+                partial aggregate is the group table's columns in
+                memory and in transit): outside #[cfg(test)] no file
+                under crates/*/src names a Vec<(Row, Vec<AggState>)>
+                or defines `fn into_rows` / `fn absorb_rows` /
+                `fn key_columns`, and exec/aggregate.rs no
+                `fn take(` / `fn put(`; and one session (every model
                 is a sqlem::Generator that EmSession runs): outside
                 #[cfg(test)] EmSession is the only `pub struct …Session`
                 under crates/sqlem/src, and no `Strategy::X =>` arm
@@ -71,8 +77,11 @@ Stages, in order:
                 seeded byte-layer properties of tests/format_props.rs
                 and the table-against-its-model sequences of
                 tests/table_model.rs, tests/keytable_model.rs and
-                tests/agg_model.rs, and sqlem's seeded generator and
-                run properties over every model
+                tests/agg_model.rs, the partial + merge + finalize
+                equality of tests/partial_agg.rs, sqlem's seeded
+                generator and run properties over every model, and
+                sqlengine's seeded properties (reference queries,
+                parallel = serial, parse inverts render)
                 (--quick skips the retail e2e suite and runs one
                 520-case parity seed of the four)
   chaos         deterministic fault-plan sweep over every statement index
@@ -231,6 +240,16 @@ if nontest 'Vec<Vec<AggState>>|fn update_rows' -path 'crates/sqlengine/src/*' | 
          "a row of exec::aggregate's accumulator columns" >&2
     exit 1
 fi
+# One group-table form: a partial aggregate crosses partitions, shards
+# and the wire as the group table's columns (PartialAggResult holds
+# them) — no table of (key row, states) pairs, and no gathering of the
+# columns into states or scattering of states back into them.
+if { nontest 'Vec<\(Row, Vec<AggState>\)>|fn into_rows|fn absorb_rows|fn key_columns'
+     nontest 'fn take\(|fn put\(' -path 'crates/sqlengine/src/exec/aggregate.rs'; } | grep .; then
+    echo "ERROR: the row-of-states form of the group table is back (above);" \
+         "merge and ship exec::aggregate's columns as they are" >&2
+    exit 1
+fi
 # One session: the paper's strategies, K-means and per-cluster
 # covariances are sqlem::Generators run by one EmSession loop — no second
 # session type — and a strategy's point layouts and closed-form scan
@@ -275,8 +294,9 @@ if [ "$QUICK" = 1 ]; then
     echo "== tier-1: tests (--quick: skipping the retail end-to-end suite)"
     cargo test -q --test baselines --test end_to_end --test extensions \
         --test formats --test format_props --test table_model \
-        --test keytable_model --test agg_model
+        --test keytable_model --test agg_model --test partial_agg
     cargo test -q -p sqlem --test generator_properties --test robustness_props
+    cargo test -q -p sqlengine --test properties --test parser_roundtrip
     cargo test -q --test plan_parity seed_1
 else
     echo "== tier-1: tests"

@@ -14,8 +14,10 @@ use sqlengine::{SqlExecutor, Value};
 use crate::error::SqlemError;
 use crate::naming::Names;
 
-/// Load `rows` into `table` in bulk-insert chunks of at most `chunk`
-/// rows (the whole batch at once when `None`), the degradation rung
+/// Load rows `0..total` — row `r` is `row(r)` — into `table` in
+/// bulk-insert chunks of at most `chunk` rows (all at once when `None`),
+/// each chunk's rows made for its statement and handed over, never a
+/// copy of them: the degradation rung
 /// between "load everything" and "fail the run". A chunk that fails
 /// with [`resource exhaustion`](SqlemError::is_resource_exhausted) (for
 /// a [`crate::retry::Retrying`] executor: still fails once its retries
@@ -30,17 +32,17 @@ fn load_chunked(
     db: &mut dyn SqlExecutor,
     table: &str,
     purpose: &str,
-    rows: &[Vec<Value>],
+    total: usize,
+    row: impl Fn(usize) -> Vec<Value>,
     chunk: Option<usize>,
 ) -> Result<usize, SqlemError> {
-    let total = rows.len();
     let mut size = chunk.unwrap_or(total).max(1);
     let mut at = 0usize;
     let mut shrinks = 0usize;
     while at < total {
         let end = (at + size).min(total);
         let res = db
-            .bulk_insert_rows(table, rows[at..end].to_vec())
+            .bulk_insert_rows(table, (at..end).map(&row).collect())
             .map_err(|e| SqlemError::from_sql(purpose, e));
         match res {
             Ok(_) => at = end,
@@ -77,30 +79,25 @@ pub fn load_points(
     }
     let mut shrinks = 0usize;
     if wide {
-        let rows: Vec<Vec<Value>> = points
-            .iter()
-            .enumerate()
-            .map(|(i, pt)| {
-                let mut row = Vec::with_capacity(p + 1);
-                row.push(Value::Int(i as i64 + 1));
-                row.extend(pt.iter().map(|&v| Value::Double(v)));
-                row
-            })
-            .collect();
-        shrinks += load_chunked(&mut *db, &names.z(), "load Z", &rows, chunk)?;
+        let row = |i: usize| {
+            let mut row = Vec::with_capacity(p + 1);
+            row.push(Value::Int(i as i64 + 1));
+            row.extend(points[i].iter().map(|&v| Value::Double(v)));
+            row
+        };
+        shrinks += load_chunked(&mut *db, &names.z(), "load Z", n, row, chunk)?;
     }
     if long {
-        let mut rows = Vec::with_capacity(n * p);
-        for (i, pt) in points.iter().enumerate() {
-            for (d, &v) in pt.iter().enumerate() {
-                rows.push(vec![
-                    Value::Int(i as i64 + 1),
-                    Value::Int(d as i64 + 1),
-                    Value::Double(v),
-                ]);
-            }
-        }
-        shrinks += load_chunked(&mut *db, &names.y(), "load Y", &rows, chunk)?;
+        // Row `r` is dimension `r % p` of point `r / p`.
+        let row = |r: usize| {
+            let (i, d) = (r / p, r % p);
+            vec![
+                Value::Int(i as i64 + 1),
+                Value::Int(d as i64 + 1),
+                Value::Double(points[i][d]),
+            ]
+        };
+        shrinks += load_chunked(&mut *db, &names.y(), "load Y", n * p, row, chunk)?;
     }
     Ok((n, shrinks))
 }

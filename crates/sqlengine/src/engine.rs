@@ -490,11 +490,11 @@ impl Database {
 
     /// Execute the *scatter* half of a distributed aggregate `SELECT`:
     /// run the full scan/join/group pipeline locally but stop **before**
-    /// finalizing the accumulators, returning the exact per-group partial
-    /// states ([`crate::PartialAggResult`]) instead of finished rows. A
-    /// cluster coordinator merges the partials from every shard and
-    /// finalizes once ([`Database::finalize_partials`]), so the result is
-    /// bit-identical to a single-node run of the same statement.
+    /// finalizing the accumulators, returning the group table
+    /// un-finalized ([`crate::PartialAggResult`]) instead of finished
+    /// rows. A cluster coordinator merges the partials from every shard
+    /// and finalizes once ([`crate::exec::finalize_select_partials`]), so
+    /// the result is bit-identical to a single-node run of the statement.
     ///
     /// `sql` must be exactly one aggregate `SELECT` (no `ORDER BY`
     /// restrictions — ordering is applied at finalize time). Scan
@@ -507,20 +507,20 @@ impl Database {
         })
     }
 
-    /// The *gather* half of a distributed aggregate `SELECT`: rehydrate
-    /// merged partial states produced by [`Database::execute_partial`] on
-    /// the shards, finalize them once, and apply the statement's
-    /// `ORDER BY`/`LIMIT`. Runs against this database's **catalog schema
-    /// only** — no base-table rows are read and no scans are recorded, so
-    /// a coordinator can call it on a rowless shadow catalog. No metrics
-    /// entry is pushed: the statement's telemetry lives on the shards.
+    /// The *gather* half of a distributed aggregate `SELECT`, from its
+    /// text: finalize a merged group table produced by
+    /// [`Database::execute_partial`] on the shards once, and apply the
+    /// statement's `ORDER BY`/`LIMIT`. Runs against this database's
+    /// **catalog schema only** — no base-table rows are read and no scans
+    /// are recorded, so a rowless catalog will do. No metrics entry is
+    /// pushed: the statement's telemetry lives on the shards.
     pub fn finalize_partials(
         &mut self,
         sql: &str,
         partial: &PartialAggResult,
     ) -> Result<QueryResult> {
         let (_, plan, _) = self.single_select(sql, "partial finalize")?;
-        finalize_select_partials(&plan, partial)
+        finalize_select_partials(&plan, partial.clone())
     }
 
     /// Consult the armed fault plan at one site of a statement's frame.

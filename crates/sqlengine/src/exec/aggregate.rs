@@ -30,9 +30,8 @@
 //! beside the key columns and runs HAVING and the SELECT items over
 //! those as over any other batch, so an `INSERT … SELECT` appends
 //! columns to its target and no row is built between GROUP BY and the
-//! table; rows are made once, for a client or for a shard's partial
-//! result. Groups are numbered in 32 bits; a statement that meets more
-//! fails with [`Error::GroupTableFull`].
+//! table; rows are made once, for a client. Groups are numbered in 32
+//! bits; a statement that meets more fails with [`Error::GroupTableFull`].
 //!
 //! Numeric behaviour: `SUM`/`AVG` skip NULLs; `SUM` over zero non-NULL
 //! inputs is NULL (SQL), `COUNT` is 0; `SUM` of integers stays integral,
@@ -46,19 +45,18 @@
 //! fixed-point superaccumulator when it is not (the M step's whole-table
 //! sums over underflowing responsibilities), where an add costs the same
 //! whatever the magnitude spread; which of the two a sum was in never
-//! shows in a result. Outside the columns an accumulator is an
-//! [`AggState`] — the form it crosses a partition, a process or the wire
-//! in, gathered from the columns once and scattered into them once —
-//! and there is one merge: a single-node SELECT finalizes its own group
-//! table, a shard ships it un-finalized ([`PartialAggResult`]) and the
-//! coordinator merges and finalizes. `MIN`/`MAX` order by SQL comparison
+//! shows in a result. The group table crosses a partition, a process or
+//! the wire as these columns, and there is one merge, column into
+//! column: a single-node SELECT finalizes its own group table, a shard
+//! ships it un-finalized ([`PartialAggResult`]) and the coordinator
+//! merges and finalizes. `MIN`/`MAX` order by SQL comparison
 //! with every NaN above every number (where ORDER BY sorts it), so they
 //! too are independent of scan and merge order. Merging is exact for
 //! every aggregate except `VARIANCE`/`STDDEV` (Chan's moment
 //! combination, deterministic in shard order but not order-free; the
 //! EM-generated SQL never uses them).
 
-use std::borrow::{Borrow, Cow};
+use std::borrow::Borrow;
 use std::ops::Range;
 
 use crate::analyze::{AnalyzeErrorKind, Checked, Clause, Planned};
@@ -68,7 +66,6 @@ use crate::exactsum::ExactSum;
 use crate::exec::select::BatchSink;
 use crate::expr::{compile, scalar_func, Batch, CExpr, Column, ColumnResolver, Ty};
 use crate::keytable::{hash_rows, keys_eq, KeySet, MAX_KEYS};
-use crate::table::Row;
 use crate::value::Value;
 
 /// The supported aggregate functions.
@@ -250,16 +247,15 @@ fn rewrite(
 // Accumulation
 // ---------------------------------------------------------------------
 
-/// One accumulator on its own: the form a group's accumulators take
-/// outside the group table's columns — what a shard ships to the
-/// cluster coordinator, what partitions hand each other, and what a
-/// value-by-value update (`MIN`/`MAX`/`VARIANCE`, or any aggregate over
-/// a column of mixed variants) works on. Fed one row at a time
+/// One accumulator on its own: what the group table's `MIN`, `MAX`,
+/// `VARIANCE` and `STDDEV` columns hold a group of and update value by
+/// value, and one group's accumulator as the wire decodes it
+/// ([`PartialAggResult::push_group`]). Fed one row at a time
 /// ([`AggState::update`]) it is also the reference the batch loops are
 /// tested against (`tests/agg_model.rs`). An [`ExactSum`] travels as
 /// finite doubles whose sum is its exact value ([`ExactSum::to_parts`]:
 /// an inline expansion as it is, a wide sum as its canonical list) and
-/// merges without rounding, so recombining shards' states is exact for
+/// merges without rounding, so recombining shards' groups is exact for
 /// `SUM`/`COUNT`/`AVG`/`MIN`/`MAX`. Two states are equal when they hold
 /// the same values, however each is represented.
 #[derive(Debug, Clone, PartialEq)]
@@ -411,33 +407,24 @@ impl AggState {
         Ok(())
     }
 
-    /// Merge another partition's or another shard's state into this
-    /// one. Mismatched kinds mean the two sides planned different
-    /// aggregates for the same statement; the other side may have
-    /// crossed a process boundary, so that is a typed error, not a panic.
-    fn merge(&mut self, other: &AggState) -> Result<()> {
-        match (&mut *self, other) {
-            (
-                AggState::Sum {
-                    acc,
-                    count,
-                    all_int,
-                },
-                AggState::Sum {
-                    acc: a2,
-                    count: c2,
-                    all_int: i2,
-                },
-            ) => {
-                acc.merge(a2);
-                *count += c2;
-                *all_int &= i2;
-            }
-            (AggState::Count(c), AggState::Count(c2)) => *c += c2,
-            (AggState::Avg { acc, count }, AggState::Avg { acc: a2, count: c2 }) => {
-                acc.merge(a2);
-                *count += c2;
-            }
+    /// The aggregate this is a state of.
+    fn kind(&self) -> AggKind {
+        match self {
+            AggState::Sum { .. } => AggKind::Sum,
+            AggState::Count(_) => AggKind::Count,
+            AggState::Avg { .. } => AggKind::Avg,
+            AggState::Min(_) => AggKind::Min,
+            AggState::Max(_) => AggKind::Max,
+            AggState::Var { stddev: false, .. } => AggKind::Variance,
+            AggState::Var { stddev: true, .. } => AggKind::Stddev,
+        }
+    }
+
+    /// Merge another partition's or another shard's `MIN`, `MAX` or
+    /// moments into this state of the same aggregate (`SUM`, `AVG` and
+    /// `COUNT` merge in their columns).
+    fn merge(&mut self, other: &AggState) {
+        match (self, other) {
             (AggState::Min(best), AggState::Min(theirs)) => {
                 if let Some(v) = theirs {
                     if displaces(best, v, std::cmp::Ordering::Less) {
@@ -474,13 +461,8 @@ impl AggState {
                     *count += c2;
                 }
             }
-            _ => {
-                return Err(Error::Unsupported(format!(
-                    "mismatched partial-aggregate kinds: {self:?} vs {other:?}"
-                )))
-            }
+            (mine, theirs) => unreachable!("{theirs:?} was checked to be a state like {mine:?}"),
         }
-        Ok(())
     }
 
     /// The aggregate's result over the inputs fed so far.
@@ -553,7 +535,7 @@ impl AggSpec {
 
 /// What [`AggState::Sum`] holds, a vector per field: row `g` of each is
 /// group `g`'s. (`AVG` carries `all_int` without reading it.)
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct Sums {
     acc: Vec<ExactSum>,
     count: Vec<u64>,
@@ -563,13 +545,43 @@ struct Sums {
 /// One planned aggregate's accumulators, one per group. `SUM`, `AVG` and
 /// `COUNT` are plain vectors a batch updates in typed loops; the rest
 /// keep one [`AggState`] a group and are fed value by value.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Accumulators {
     Sum(Sums),
     Avg(Sums),
     Count(Vec<u64>),
     /// `MIN`, `MAX`, `VARIANCE`, `STDDEV`.
     States(AggKind, Vec<AggState>),
+}
+
+/// One group's accumulator of one aggregate, borrowed from its column
+/// (or from an [`AggState`]): what a partial result is written out in
+/// ([`PartialAggResult::group`]) and what a merge copies or merges in.
+#[derive(Debug, Clone, Copy)]
+pub enum AggCell<'a> {
+    /// `SUM`: the exact sum, the non-NULL inputs, whether each was an integer.
+    Sum(&'a ExactSum, u64, bool),
+    /// `AVG`: the exact sum and the non-NULL inputs.
+    Avg(&'a ExactSum, u64),
+    /// `COUNT`: the rows counted.
+    Count(u64),
+    /// `MIN`, `MAX`, `VARIANCE` or `STDDEV`: the value-by-value state.
+    State(&'a AggState),
+}
+
+impl<'a> From<&'a AggState> for AggCell<'a> {
+    fn from(state: &'a AggState) -> AggCell<'a> {
+        match state {
+            AggState::Sum {
+                acc,
+                count,
+                all_int,
+            } => AggCell::Sum(acc, *count, *all_int),
+            AggState::Avg { acc, count } => AggCell::Avg(acc, *count),
+            AggState::Count(count) => AggCell::Count(*count),
+            _ => AggCell::State(state),
+        }
+    }
 }
 
 /// Call `f` with each run's group and rows, in row order.
@@ -581,14 +593,9 @@ fn for_runs(runs: &[(usize, usize)], mut f: impl FnMut(usize, Range<usize>)) {
     }
 }
 
-/// The rows of `rows` that hold a value.
-fn valid_rows(valid: &Option<Vec<bool>>, rows: Range<usize>) -> impl Iterator<Item = usize> + '_ {
-    rows.filter(move |&p| valid.as_ref().is_none_or(|mask| mask[p]))
-}
-
 impl Sums {
-    /// Add each run's rows of a typed column to its group's sum,
-    /// exactly and in row order.
+    /// Add each run's rows of a column to its group's sum, exactly and
+    /// in row order.
     fn add(&mut self, col: &Column, runs: &[(usize, usize)]) {
         let Sums {
             acc,
@@ -603,21 +610,22 @@ impl Sums {
                 all_int[gid] = false;
                 acc[gid].add_slice(&v[rows]);
             }),
-            Column::F64(v, valid) => for_runs(runs, |gid, rows| {
-                for p in valid_rows(valid, rows) {
-                    acc[gid].add(v[p]);
+            // Otherwise value by value, as `AggState::update` takes them:
+            // an integer as the integer it is (exact past 2^53), a NULL
+            // skipped (a string ended the batch before it).
+            _ => for_runs(runs, |gid, rows| {
+                for p in rows {
+                    match col.value(p) {
+                        Value::Int(i) => acc[gid].add_i64(i),
+                        Value::Double(d) => {
+                            acc[gid].add(d);
+                            all_int[gid] = false;
+                        }
+                        _ => continue,
+                    }
                     count[gid] += 1;
-                    all_int[gid] = false;
                 }
             }),
-            // An integer goes in as the integer it is: exact past 2^53.
-            Column::I64(v, valid) => for_runs(runs, |gid, rows| {
-                for p in valid_rows(valid, rows) {
-                    acc[gid].add_i64(v[p]);
-                    count[gid] += 1;
-                }
-            }),
-            Column::Val(_) => unreachable!("typed columns only"),
         }
     }
 
@@ -639,17 +647,55 @@ impl Accumulators {
         }
     }
 
-    /// Accumulators of the aggregate `state` is a state of.
-    fn like(state: &AggState) -> Accumulators {
-        Accumulators::new(match state {
-            AggState::Sum { .. } => AggKind::Sum,
-            AggState::Count(_) => AggKind::Count,
-            AggState::Avg { .. } => AggKind::Avg,
-            AggState::Min(_) => AggKind::Min,
-            AggState::Max(_) => AggKind::Max,
-            AggState::Var { stddev: false, .. } => AggKind::Variance,
-            AggState::Var { stddev: true, .. } => AggKind::Stddev,
-        })
+    /// The aggregate whose accumulators these are.
+    fn kind(&self) -> AggKind {
+        match self {
+            Accumulators::Sum(_) => AggKind::Sum,
+            Accumulators::Avg(_) => AggKind::Avg,
+            Accumulators::Count(_) => AggKind::Count,
+            Accumulators::States(kind, _) => *kind,
+        }
+    }
+
+    /// Group `g`'s accumulator.
+    fn cell(&self, g: usize) -> AggCell<'_> {
+        match self {
+            Accumulators::Sum(s) => AggCell::Sum(&s.acc[g], s.count[g], s.all_int[g]),
+            Accumulators::Avg(s) => AggCell::Avg(&s.acc[g], s.count[g]),
+            Accumulators::Count(counts) => AggCell::Count(counts[g]),
+            Accumulators::States(_, states) => AggCell::State(&states[g]),
+        }
+    }
+
+    /// Fold in `cell`, an accumulator of this aggregate: a new group's
+    /// copy (`into` is `None`; merging into a fresh state would re-round
+    /// `VARIANCE`'s moments), or merged into group `into`'s in place.
+    fn absorb(&mut self, into: Option<usize>, cell: AggCell<'_>) {
+        let (s, acc, count, all_int) = match (self, cell) {
+            (Accumulators::Sum(s), AggCell::Sum(acc, count, all_int)) => (s, acc, count, all_int),
+            (Accumulators::Avg(s), AggCell::Avg(acc, count)) => (s, acc, count, true),
+            (Accumulators::Count(counts), AggCell::Count(c)) => match into {
+                None => return counts.push(c),
+                Some(g) => return counts[g] += c,
+            },
+            (Accumulators::States(_, states), AggCell::State(state)) => match into {
+                None => return states.push(state.clone()),
+                Some(g) => return states[g].merge(state),
+            },
+            (accs, cell) => unreachable!("{cell:?} was checked to be a {:?}", accs.kind()),
+        };
+        match into {
+            None => {
+                s.acc.push(acc.clone());
+                s.count.push(count);
+                s.all_int.push(all_int);
+            }
+            Some(g) => {
+                s.acc[g].merge(acc);
+                s.count[g] += count;
+                s.all_int[g] &= all_int;
+            }
+        }
     }
 
     /// Append a new group's accumulator, before any input.
@@ -665,68 +711,6 @@ impl Accumulators {
         }
     }
 
-    /// Group `gid`'s accumulator, moved out (a fresh one is left).
-    fn take(&mut self, gid: usize) -> AggState {
-        match self {
-            Accumulators::Sum(s) => AggState::Sum {
-                acc: std::mem::take(&mut s.acc[gid]),
-                count: s.count[gid],
-                all_int: s.all_int[gid],
-            },
-            Accumulators::Avg(s) => AggState::Avg {
-                acc: std::mem::take(&mut s.acc[gid]),
-                count: s.count[gid],
-            },
-            Accumulators::Count(counts) => AggState::Count(counts[gid]),
-            Accumulators::States(kind, states) => {
-                std::mem::replace(&mut states[gid], AggState::new(*kind))
-            }
-        }
-    }
-
-    /// Set group `gid`'s accumulator. A state of another aggregate means
-    /// two sides planned different statements; it may have crossed a
-    /// process boundary, so that is a typed error, not a panic.
-    fn put(&mut self, gid: usize, state: AggState) -> Result<()> {
-        match (&mut *self, state) {
-            (
-                Accumulators::Sum(s),
-                AggState::Sum {
-                    acc,
-                    count,
-                    all_int,
-                },
-            ) => (s.acc[gid], s.count[gid], s.all_int[gid]) = (acc, count, all_int),
-            (Accumulators::Avg(s), AggState::Avg { acc, count }) => {
-                (s.acc[gid], s.count[gid]) = (acc, count)
-            }
-            (Accumulators::Count(counts), AggState::Count(c)) => counts[gid] = c,
-            (Accumulators::States(kind, states), state)
-                if std::mem::discriminant(&state)
-                    == std::mem::discriminant(&AggState::new(*kind)) =>
-            {
-                states[gid] = state
-            }
-            (mine, state) => {
-                return Err(Error::Unsupported(format!(
-                    "mismatched partial-aggregate kinds: {state:?} among {mine:?}"
-                )))
-            }
-        }
-        Ok(())
-    }
-
-    /// Work on group `gid`'s accumulator as an [`AggState`].
-    fn with<R>(&mut self, gid: usize, f: impl FnOnce(&mut AggState) -> R) -> R {
-        if let Accumulators::States(_, states) = self {
-            return f(&mut states[gid]);
-        }
-        let mut state = self.take(gid);
-        let result = f(&mut state);
-        self.put(gid, state).expect("a state keeps its kind");
-        result
-    }
-
     /// Feed every run of a batch its rows of the argument column
     /// (`None`: `COUNT(*)`, which counts every row): which loop runs is
     /// decided here, once per batch. Run after run, so the values of a
@@ -737,24 +721,15 @@ impl Accumulators {
                 for_runs(runs, |gid, rows| counts[gid] += rows.len() as u64)
             }
             (_, None) => {}
-            (Accumulators::Count(counts), Some(Column::F64(_, valid) | Column::I64(_, valid))) => {
-                for_runs(runs, |gid, rows| {
-                    counts[gid] += valid_rows(valid, rows).count() as u64
-                })
-            }
-            (
-                Accumulators::Sum(sums) | Accumulators::Avg(sums),
-                Some(col @ (Column::F64(..) | Column::I64(..))),
-            ) => sums.add(col, runs),
-            // MIN, MAX, the moments, and anything over a column of mixed
-            // variants: value by value.
-            (accs, Some(col)) => {
+            (Accumulators::Count(counts), Some(col)) => for_runs(runs, |gid, rows| {
+                counts[gid] += rows.filter(|&p| !col.is_null(p)).count() as u64
+            }),
+            (Accumulators::Sum(sums) | Accumulators::Avg(sums), Some(col)) => sums.add(col, runs),
+            // MIN, MAX and the moments: value by value.
+            (Accumulators::States(_, states), Some(col)) => {
                 let mut start = 0;
                 for &(gid, end) in runs {
-                    let mut rows = start..end;
-                    accs.with(gid, |state| {
-                        rows.try_for_each(|p| state.update(Some(col.value(p))))
-                    })?;
+                    (start..end).try_for_each(|p| states[gid].update(Some(col.value(p))))?;
                     start = end;
                 }
             }
@@ -802,30 +777,11 @@ impl Accumulators {
 /// per GROUP BY expression ([`KeySet`]: each key kept as the value that
 /// arrived first), and one column of accumulators per planned aggregate.
 /// Without GROUP BY the one key is the empty key.
-#[derive(Debug)]
+#[derive(Debug, Clone, Default)]
 struct Groups {
     keys: KeySet,
     /// Row `g` of each belongs to key `g`.
     accs: Vec<Accumulators>,
-}
-
-/// Why two sides of a merge cannot be one statement's partial states.
-fn mismatch(what: &str, mine: usize, theirs: usize) -> Error {
-    Error::Unsupported(format!(
-        "mismatched partial-aggregate {what}: {mine} vs {theirs}"
-    ))
-}
-
-/// Group keys that arrived as rows, as one column per key cell.
-fn key_columns<'a>(
-    arity: usize,
-    rows: impl Iterator<Item = &'a Row> + Clone,
-) -> Result<Vec<Column>> {
-    if let Some(odd) = rows.clone().find(|key| key.len() != arity) {
-        return Err(mismatch("key arity", arity, odd.len()));
-    }
-    let column = |c: usize| Column::from_values(rows.clone().map(|key| key[c].clone()).collect());
-    Ok((0..arity).map(column).collect())
 }
 
 impl Groups {
@@ -846,82 +802,103 @@ impl Groups {
         Ok((gid as usize, new))
     }
 
-    /// Fold in `n` groups — row `i` of `keys` with `state(i, j)` for
-    /// aggregate `j` — in order: a key already present merges state by
-    /// state, a new key appends. The one merge loop behind execution
-    /// partitions, shards and the gather step.
-    fn absorb<'a>(
+    /// Fail unless groups of `arity` key cells with accumulators of
+    /// `kinds` are this table's kind. They may have crossed a process
+    /// boundary, so a mismatch is a typed error, not a panic.
+    fn check(&self, arity: usize, kinds: impl Iterator<Item = AggKind>) -> Result<()> {
+        let mine: Vec<AggKind> = self.accs.iter().map(Accumulators::kind).collect();
+        let theirs: Vec<AggKind> = kinds.collect();
+        match self.keys.columns().len() {
+            n if (n, &mine) == (arity, &theirs) => Ok(()),
+            n => Err(Error::Unsupported(format!(
+                "mismatched partial-aggregate kinds: {n} key cell(s) and {mine:?} \
+                 vs {arity} and {theirs:?}"
+            ))),
+        }
+    }
+
+    /// Fold in `n` groups of checked kinds, in order — row `i` of `keys`
+    /// with `cell(i, j)` for aggregate `j`: the one merge loop behind
+    /// execution partitions, shards, the wire and the gather step.
+    fn absorb<'c>(
         &mut self,
         keys: &[Column],
         n: usize,
-        mut state: impl FnMut(usize, usize) -> Cow<'a, AggState>,
+        cell: impl Fn(usize, usize) -> AggCell<'c>,
     ) -> Result<()> {
-        let hashes = hash_rows(keys, 0..n);
         self.keys.reserve(n);
-        for (row, &hash) in hashes.iter().enumerate() {
+        for (row, hash) in hash_rows(keys, 0..n).into_iter().enumerate() {
             let (gid, new) = self.intern(keys, row, hash)?;
             for (j, accs) in self.accs.iter_mut().enumerate() {
-                let theirs = state(row, j);
-                if new {
-                    accs.grow();
-                    accs.put(gid, theirs.into_owned())?;
-                } else {
-                    accs.with(gid, |mine| mine.merge(&theirs))?;
-                }
+                accs.absorb((!new).then_some(gid), cell(row, j));
             }
         }
         Ok(())
     }
 
-    /// Fold in groups that arrived as rows (a shard's partial result).
-    fn absorb_rows(&mut self, groups: &[(Row, Vec<AggState>)]) -> Result<()> {
-        if let Some((_, odd)) = groups.iter().find(|(_, s)| s.len() != self.accs.len()) {
-            return Err(mismatch("arity", self.accs.len(), odd.len()));
+    /// Fold in another table's groups, in its order, once they are
+    /// checked to be this statement's (a table without any has no shape).
+    fn absorb_table(&mut self, other: &Groups) -> Result<()> {
+        let (keys, accs) = (other.keys.columns(), &other.accs);
+        if other.keys.is_empty() {
+            return Ok(());
         }
-        let arity = self.keys.columns().len();
-        let keys = key_columns(arity, groups.iter().map(|(key, _)| key))?;
-        self.absorb(&keys, groups.len(), |row, j| {
-            Cow::Borrowed(&groups[row].1[j])
-        })
-    }
-
-    /// The groups as rows: made from the columns once, here.
-    fn into_rows(mut self) -> Vec<(Row, Vec<AggState>)> {
-        let group = |g: usize| {
-            let key = self.keys.key(g).into_boxed_slice();
-            (key, self.accs.iter_mut().map(|a| a.take(g)).collect())
-        };
-        (0..self.keys.len()).map(group).collect()
+        self.check(keys.len(), accs.iter().map(Accumulators::kind))?;
+        self.absorb(keys, other.keys.len(), |row, j| accs[j].cell(row))
     }
 }
 
 /// The group table of one aggregate statement with its accumulators
-/// un-finalized: what a shard returns for a scattered statement. The
-/// coordinator merges shards' results group by group, then hands the
-/// merged states back to the engine for the finalize tail (HAVING,
-/// projection, ORDER BY, LIMIT).
-#[derive(Debug, Clone, PartialEq, Default)]
+/// un-finalized: what a shard returns for a scattered statement and
+/// ships group by group. The coordinator merges shards' tables, then
+/// hands the merged one back to the engine for the finalize tail
+/// (HAVING, projection, ORDER BY, LIMIT). One without groups has no
+/// shape: it merges with any.
+#[derive(Debug, Clone, Default)]
 pub struct PartialAggResult {
-    /// `(group key, accumulator states)` in first-seen order.
-    pub groups: Vec<(Row, Vec<AggState>)>,
+    groups: Groups,
 }
 
 impl PartialAggResult {
-    /// Merge another shard's partial result. Groups present on both
-    /// sides combine state-by-state; new groups append in `other`'s
-    /// order — merging shards in index order therefore yields a
-    /// deterministic group order. Two sides that are not one
-    /// statement's partial states are an error, and leave `self` empty.
+    /// Number of groups.
+    pub fn group_count(&self) -> usize {
+        self.groups.keys.len()
+    }
+
+    /// Group `g`, in first-seen order: its key and one accumulator per
+    /// aggregate.
+    pub fn group(&self, g: usize) -> (Vec<Value>, impl ExactSizeIterator<Item = AggCell<'_>>) {
+        let Groups { keys, accs } = &self.groups;
+        (keys.key(g), accs.iter().map(move |a| a.cell(g)))
+    }
+
+    /// Append a group that crossed a process boundary: its key and one
+    /// accumulator per aggregate. The first group shapes the table; one
+    /// of another key arity or aggregates is a typed error and adds
+    /// nothing. A key already present merges into its group.
+    pub fn push_group(&mut self, key: Vec<Value>, states: &[AggState]) -> Result<()> {
+        let kinds = || states.iter().map(AggState::kind);
+        let groups = &mut self.groups;
+        if groups.keys.is_empty() {
+            *groups = Groups::new(key.len(), kinds().map(Accumulators::new).collect());
+        }
+        groups.check(key.len(), kinds())?;
+        let key = key.into_iter().map(|cell| Column::from_values(vec![cell]));
+        let key: Vec<Column> = key.collect();
+        groups.absorb(&key, 1, |_, j| AggCell::from(&states[j]))
+    }
+
+    /// Merge another shard's partial result: a group present on both
+    /// sides merges accumulator by accumulator, a new group appends in
+    /// `other`'s order — merging shards in index order therefore yields
+    /// a deterministic group order. Two sides that are not one
+    /// statement's partial results are an error that changes nothing.
     pub fn merge(&mut self, other: &PartialAggResult) -> Result<()> {
-        let Some((key, states)) = self.groups.first().or(other.groups.first()) else {
+        if self.group_count() == 0 {
+            self.groups = other.groups.clone();
             return Ok(());
-        };
-        let accs = states.iter().map(Accumulators::like).collect();
-        let mut table = Groups::new(key.len(), accs);
-        table.absorb_rows(&std::mem::take(&mut self.groups))?;
-        table.absorb_rows(&other.groups)?;
-        self.groups = table.into_rows();
-        Ok(())
+        }
+        self.groups.absorb_table(&other.groups)
     }
 }
 
@@ -970,16 +947,20 @@ impl AggSink {
     /// of a distributed aggregate).
     pub fn into_partial(self) -> PartialAggResult {
         PartialAggResult {
-            groups: self.groups.into_rows(),
+            groups: self.groups,
         }
     }
 
-    /// Rebuild a sink from a merged partial result (the gather half).
-    /// The states crossed a process boundary, so their arity and kinds
-    /// are checked against the plan as they go in.
-    pub fn from_partial(plan: AggPlan, partial: &PartialAggResult) -> Result<AggSink> {
+    /// Rebuild a sink from a merged partial result (the gather half),
+    /// adopting its columns. They crossed a process boundary, so their
+    /// key arity and aggregate kinds are checked against the plan first.
+    pub fn from_partial(plan: AggPlan, partial: PartialAggResult) -> Result<AggSink> {
         let mut sink = AggSink::new(plan);
-        sink.groups.absorb_rows(&partial.groups)?;
+        if partial.group_count() > 0 {
+            let kinds = sink.plan.aggs.iter().map(|a| a.kind);
+            partial.groups.check(sink.plan.keys.len(), kinds)?;
+            sink.groups = partial.groups;
+        }
         Ok(sink)
     }
 
@@ -987,9 +968,7 @@ impl AggSink {
     /// gives deterministic group ordering).
     pub fn merge(&mut self, other: AggSink) -> Result<()> {
         self.rows_seen += other.rows_seen;
-        let Groups { keys, mut accs } = other.groups;
-        let state = |row, j: usize| Cow::Owned(accs[j].take(row));
-        self.groups.absorb(keys.columns(), keys.len(), state)
+        self.groups.absorb_table(&other.groups)
     }
 
     /// Produce the final output (HAVING + projection applied): one
@@ -1474,6 +1453,30 @@ mod tests {
         let mut other = AggSink::new(plan);
         push(&mut other, MAX_KEYS - 1..MAX_KEYS + 1).unwrap();
         assert_eq!(sink.merge(other), Err(full));
+    }
+
+    #[test]
+    fn a_partial_of_one_aggregate_is_refused_as_another() {
+        // VARIANCE and STDDEV keep the same moments: only their kind
+        // tells them apart.
+        let mut db = crate::Database::new();
+        db.execute("CREATE TABLE t (x DOUBLE)").unwrap();
+        db.execute("INSERT INTO t VALUES (1.0), (2.0), (6.0)")
+            .unwrap();
+        let refused = |r: &Result<()>| matches!(r, Err(Error::Unsupported(_)));
+        let pairs = [
+            ("VARIANCE", "STDDEV"),
+            ("STDDEV", "VARIANCE"),
+            ("SUM", "AVG"),
+        ];
+        for (made, read) in pairs {
+            let made = db.execute_partial(&format!("SELECT {made}(x) FROM t"));
+            let read_sql = format!("SELECT {read}(x) FROM t");
+            let (made, read) = (made.unwrap(), db.execute_partial(&read_sql).unwrap());
+            let finalized = db.finalize_partials(&read_sql, &made).map(|_| ());
+            assert!(refused(&finalized), "{read_sql}: {finalized:?}");
+            assert!(refused(&read.clone().merge(&made)), "{read_sql}");
+        }
     }
 
     #[test]

@@ -252,15 +252,15 @@ pub fn run_select_partial(
     Ok(sink.into_partial())
 }
 
-/// Run the gather half: rebuild the group table from the merged partial
-/// states and run the finalize tail (implicit empty group, HAVING,
-/// projection, ORDER BY, LIMIT). From the plan only — no rows are
-/// scanned and no tables need data; shards and the gatherer plan the
-/// same statement text over the same schemas, so the accumulator layout
-/// is identical by construction.
+/// Run the gather half: adopt the merged group table and run the
+/// finalize tail (implicit empty group, HAVING, projection, ORDER BY,
+/// LIMIT). From the plan only — no rows are scanned and no tables need
+/// data; shards and the gatherer plan the same statement text over the
+/// same schemas, so the accumulator layout is identical by construction
+/// (and checked, since the table may have crossed the wire).
 pub fn finalize_select_partials(
     plan: &SelectPlan,
-    partial: &PartialAggResult,
+    partial: PartialAggResult,
 ) -> Result<QueryResult> {
     let agg = aggregate_of(plan, "partial finalize")?;
     let cols = AggSink::from_partial(agg.clone(), partial)?.finalize()?;

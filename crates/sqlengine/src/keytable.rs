@@ -244,7 +244,7 @@ impl KeyTable {
 /// [`KeySet::columns`]. NULL is a key cell like any other here — GROUP
 /// BY puts NULLs in one group; a join keeps NULL keys out
 /// ([`JoinBuild::push`]).
-#[derive(Debug)]
+#[derive(Debug, Clone, Default)]
 pub struct KeySet {
     cols: Vec<Column>,
     /// The hash each key was entered under, for [`KeyTable::reserve`].

@@ -1,56 +1,91 @@
-//! Property-based tests: the engine against brute-force reference
-//! implementations on randomized data.
+//! Seeded properties: the engine against brute-force reference
+//! implementations on random data. Cases draw from the in-repo `prng`,
+//! so a failure reproduces from its case number.
 
-use proptest::prelude::*;
-use sqlengine::{Database, Value};
+use prng::{Rng, StdRng};
+use sqlengine::{Database, EngineConfig, Value};
 
-/// Row values small enough to avoid FP-associativity noise in sums.
-fn small_rows() -> impl Strategy<Value = Vec<(i64, i64, f64)>> {
-    prop::collection::vec((0i64..50, 0i64..5, -100.0f64..100.0), 1..120).prop_map(|mut rows| {
-        // Unique (a) PK by re-keying sequentially; keep b, x random.
-        for (i, r) in rows.iter_mut().enumerate() {
-            r.0 = i as i64;
-        }
-        rows
-    })
+/// Cases per property.
+const CASES: u64 = 64;
+
+/// `(a, b, x)` rows: `a` a sequential primary key, `b` in `0..5`, `x` in
+/// `[-100, 100)` — small enough to keep FP-associativity noise out of
+/// the sums.
+fn small_rows(rng: &mut StdRng) -> Vec<(i64, i64, f64)> {
+    (0..rng.random_range(1..120))
+        .map(|a| {
+            let b = rng.random_range(0..5) as i64;
+            (a as i64, b, small_double(rng))
+        })
+        .collect()
+}
+
+/// A double in `[-100, 100)`.
+fn small_double(rng: &mut StdRng) -> f64 {
+    rng.random::<f64>() * 200.0 - 100.0
+}
+
+/// Run `property` on `CASES` seeded cases, each with its own generator.
+fn check(seed: u64, mut property: impl FnMut(u64, &mut StdRng)) {
+    for case in 0..CASES {
+        property(case, &mut StdRng::seed_from_u64(seed * 1000 + case));
+    }
+}
+
+fn insert(db: &mut Database, table: &str, rows: &[(i64, i64, f64)]) {
+    let values =
+        |(a, b, x): &(i64, i64, f64)| vec![Value::Int(*a), Value::Int(*b), Value::Double(*x)];
+    db.bulk_insert(table, rows.iter().map(values)).unwrap();
 }
 
 fn load(db: &mut Database, rows: &[(i64, i64, f64)]) {
     db.execute("CREATE TABLE t (a BIGINT PRIMARY KEY, b BIGINT, x DOUBLE)")
         .unwrap();
-    db.bulk_insert(
-        "t",
-        rows.iter()
-            .map(|(a, b, x)| vec![Value::Int(*a), Value::Int(*b), Value::Double(*x)]),
-    )
-    .unwrap();
+    insert(db, "t", rows);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+fn loaded(rows: &[(i64, i64, f64)]) -> Database {
+    let mut db = Database::new();
+    load(&mut db, rows);
+    db
+}
 
-    /// COUNT/SUM/MIN/MAX against direct computation.
-    #[test]
-    fn aggregates_match_reference(rows in small_rows()) {
-        let mut db = Database::new();
-        load(&mut db, &rows);
-        let r = db.execute("SELECT count(*), sum(x), min(x), max(x) FROM t").unwrap();
-        let count = r.rows[0][0].as_i64().unwrap();
-        prop_assert_eq!(count, rows.len() as i64);
-        let sum: f64 = rows.iter().map(|r| r.2).sum();
-        prop_assert!((r.rows[0][1].as_f64().unwrap() - sum).abs() < 1e-6);
-        let min = rows.iter().map(|r| r.2).fold(f64::INFINITY, f64::min);
-        let max = rows.iter().map(|r| r.2).fold(f64::NEG_INFINITY, f64::max);
-        prop_assert_eq!(r.rows[0][2].as_f64().unwrap(), min);
-        prop_assert_eq!(r.rows[0][3].as_f64().unwrap(), max);
-    }
+/// COUNT/SUM/MIN/MAX against direct computation.
+#[test]
+fn aggregates_match_reference() {
+    check(1, |case, rng| {
+        let rows = small_rows(rng);
+        let r = loaded(&rows)
+            .execute("SELECT count(*), sum(x), min(x), max(x) FROM t")
+            .unwrap();
+        assert_eq!(
+            r.rows[0][0].as_i64(),
+            Some(rows.len() as i64),
+            "case {case}"
+        );
+        let xs = || rows.iter().map(|r| r.2);
+        let sum: f64 = xs().sum();
+        assert!(
+            (r.rows[0][1].as_f64().unwrap() - sum).abs() < 1e-6,
+            "case {case}"
+        );
+        assert_eq!(
+            r.rows[0][2].as_f64(),
+            Some(xs().fold(f64::INFINITY, f64::min))
+        );
+        assert_eq!(
+            r.rows[0][3].as_f64(),
+            Some(xs().fold(f64::NEG_INFINITY, f64::max))
+        );
+    });
+}
 
-    /// GROUP BY sums equal a HashMap-based reference.
-    #[test]
-    fn group_by_matches_reference(rows in small_rows()) {
-        let mut db = Database::new();
-        load(&mut db, &rows);
-        let r = db
+/// GROUP BY sums equal a map-based reference.
+#[test]
+fn group_by_matches_reference() {
+    check(2, |case, rng| {
+        let rows = small_rows(rng);
+        let r = loaded(&rows)
             .execute("SELECT b, sum(x), count(*) FROM t GROUP BY b ORDER BY b")
             .unwrap();
         let mut expect: std::collections::BTreeMap<i64, (f64, i64)> = Default::default();
@@ -59,32 +94,28 @@ proptest! {
             e.0 += x;
             e.1 += 1;
         }
-        prop_assert_eq!(r.rows.len(), expect.len());
+        assert_eq!(r.rows.len(), expect.len(), "case {case}");
         for (row, (b, (sum, count))) in r.rows.iter().zip(expect) {
-            prop_assert_eq!(row[0].as_i64().unwrap(), b);
-            prop_assert!((row[1].as_f64().unwrap() - sum).abs() < 1e-6);
-            prop_assert_eq!(row[2].as_i64().unwrap(), count);
+            assert_eq!(row[0].as_i64(), Some(b), "case {case}");
+            assert!((row[1].as_f64().unwrap() - sum).abs() < 1e-6, "case {case}");
+            assert_eq!(row[2].as_i64(), Some(count), "case {case}");
         }
-    }
+    });
+}
 
-    /// Hash equi-join against a nested-loop reference.
-    #[test]
-    fn join_matches_nested_loop(
-        left in small_rows(),
-        right in small_rows(),
-    ) {
+/// Hash equi-join against a nested-loop reference.
+#[test]
+fn join_matches_nested_loop() {
+    check(3, |case, rng| {
+        let (left, right) = (small_rows(rng), small_rows(rng));
         let mut db = Database::new();
         db.execute(
             "CREATE TABLE l (a BIGINT PRIMARY KEY, b BIGINT, x DOUBLE);
              CREATE TABLE r (a BIGINT PRIMARY KEY, b BIGINT, x DOUBLE)",
         )
         .unwrap();
-        db.bulk_insert("l", left.iter().map(|(a, b, x)| {
-            vec![Value::Int(*a), Value::Int(*b), Value::Double(*x)]
-        })).unwrap();
-        db.bulk_insert("r", right.iter().map(|(a, b, x)| {
-            vec![Value::Int(*a), Value::Int(*b), Value::Double(*x)]
-        })).unwrap();
+        insert(&mut db, "l", &left);
+        insert(&mut db, "r", &right);
         let got = db
             .execute("SELECT l.a, r.a FROM l, r WHERE l.b = r.b ORDER BY l.a, r.a")
             .unwrap();
@@ -97,92 +128,95 @@ proptest! {
             }
         }
         expect.sort_unstable();
-        prop_assert_eq!(got.rows.len(), expect.len());
+        assert_eq!(got.rows.len(), expect.len(), "case {case}");
         for (row, (la, ra)) in got.rows.iter().zip(expect) {
-            prop_assert_eq!(row[0].as_i64().unwrap(), la);
-            prop_assert_eq!(row[1].as_i64().unwrap(), ra);
+            assert_eq!((row[0].as_i64(), row[1].as_i64()), (Some(la), Some(ra)));
         }
-    }
+    });
+}
 
-    /// WHERE filtering equals retain().
-    #[test]
-    fn where_matches_filter(rows in small_rows(), threshold in -100.0f64..100.0) {
-        let mut db = Database::new();
-        load(&mut db, &rows);
+/// WHERE filtering equals `filter`.
+#[test]
+fn where_matches_filter() {
+    check(4, |case, rng| {
+        let (rows, threshold) = (small_rows(rng), small_double(rng));
         let sql = format!("SELECT a FROM t WHERE x > {threshold} ORDER BY a");
-        let got = db.execute(&sql).unwrap();
+        let got = loaded(&rows).execute(&sql).unwrap();
         let expect: Vec<i64> = rows
             .iter()
             .filter(|(_, _, x)| *x > threshold)
             .map(|(a, _, _)| *a)
             .collect();
-        prop_assert_eq!(got.rows.len(), expect.len());
-        for (row, a) in got.rows.iter().zip(expect) {
-            prop_assert_eq!(row[0].as_i64().unwrap(), a);
-        }
-    }
+        let got: Vec<i64> = got.rows.iter().map(|r| r[0].as_i64().unwrap()).collect();
+        assert_eq!(got, expect, "case {case}: {sql}");
+    });
+}
 
-    /// ORDER BY DESC sorts; LIMIT truncates.
-    #[test]
-    fn order_and_limit(rows in small_rows(), limit in 0usize..20) {
-        let mut db = Database::new();
-        load(&mut db, &rows);
-        let got = db
-            .execute(&format!("SELECT x FROM t ORDER BY x DESC LIMIT {limit}"))
-            .unwrap();
+/// ORDER BY DESC sorts; LIMIT truncates.
+#[test]
+fn order_and_limit() {
+    check(5, |case, rng| {
+        let (rows, limit) = (small_rows(rng), rng.random_range(0..20));
+        let sql = format!("SELECT x FROM t ORDER BY x DESC LIMIT {limit}");
+        let got = loaded(&rows).execute(&sql).unwrap();
         let mut expect: Vec<f64> = rows.iter().map(|r| r.2).collect();
         expect.sort_by(|a, b| b.total_cmp(a));
         expect.truncate(limit);
-        prop_assert_eq!(got.rows.len(), expect.len());
-        for (row, x) in got.rows.iter().zip(expect) {
-            prop_assert_eq!(row[0].as_f64().unwrap(), x);
-        }
-    }
+        let got: Vec<f64> = got.rows.iter().map(|r| r[0].as_f64().unwrap()).collect();
+        assert_eq!(got, expect, "case {case}: {sql}");
+    });
+}
 
-    /// DELETE + COUNT stays consistent.
-    #[test]
-    fn delete_then_count(rows in small_rows(), threshold in -100.0f64..100.0) {
-        let mut db = Database::new();
-        load(&mut db, &rows);
+/// DELETE + COUNT stays consistent.
+#[test]
+fn delete_then_count() {
+    check(6, |case, rng| {
+        let (rows, threshold) = (small_rows(rng), small_double(rng));
+        let mut db = loaded(&rows);
         let deleted = db
             .execute(&format!("DELETE FROM t WHERE x <= {threshold}"))
             .unwrap()
             .rows_affected;
-        let remaining = db
-            .execute("SELECT count(*) FROM t")
-            .unwrap()
-            .rows[0][0]
+        let remaining = db.execute("SELECT count(*) FROM t").unwrap().rows[0][0]
             .as_i64()
             .unwrap() as usize;
-        prop_assert_eq!(deleted + remaining, rows.len());
+        assert_eq!(deleted + remaining, rows.len(), "case {case}");
         // All the survivors satisfy the predicate's complement.
-        let r = db.execute("SELECT min(x) FROM t").unwrap();
-        if remaining > 0 {
-            prop_assert!(r.rows[0][0].as_f64().unwrap() > threshold);
-        } else {
-            prop_assert!(r.rows[0][0].is_null());
+        let min = db.execute("SELECT min(x) FROM t").unwrap().rows[0][0].clone();
+        match remaining {
+            0 => assert!(min.is_null(), "case {case}"),
+            _ => assert!(min.as_f64().unwrap() > threshold, "case {case}"),
         }
-    }
+    });
+}
 
-    /// UPDATE applies the assignment to exactly the matching rows.
-    #[test]
-    fn update_applies_expression(rows in small_rows()) {
-        let mut db = Database::new();
-        load(&mut db, &rows);
+/// UPDATE applies the assignment to exactly the matching rows.
+#[test]
+fn update_applies_expression() {
+    check(7, |case, rng| {
+        let rows = small_rows(rng);
+        let mut db = loaded(&rows);
         db.execute("UPDATE t SET x = x * 2 WHERE b = 1").unwrap();
         let got = db.execute("SELECT a, x FROM t ORDER BY a").unwrap();
+        assert_eq!(got.rows.len(), rows.len(), "case {case}");
         for (row, (_, b, x)) in got.rows.iter().zip(&rows) {
             let expect = if *b == 1 { x * 2.0 } else { *x };
-            prop_assert!((row[1].as_f64().unwrap() - expect).abs() < 1e-9);
+            assert!(
+                (row[1].as_f64().unwrap() - expect).abs() < 1e-9,
+                "case {case}"
+            );
         }
-    }
+    });
+}
 
-    /// Parallel execution agrees with serial for scalar and aggregate
-    /// queries (up to FP summation order).
-    #[test]
-    fn parallel_agrees_with_serial(rows in small_rows()) {
+/// Parallel execution agrees with serial for scalar and aggregate
+/// queries: the partitions' group tables merge into the serial one.
+#[test]
+fn parallel_agrees_with_serial() {
+    check(8, |case, rng| {
+        let rows = small_rows(rng);
         let run = |workers: usize| {
-            let mut db = Database::with_config(sqlengine::EngineConfig {
+            let mut db = Database::with_config(EngineConfig {
                 workers,
                 ..Default::default()
             });
@@ -195,13 +229,12 @@ proptest! {
         };
         let (agg1, scalar1) = run(1);
         let (agg4, scalar4) = run(4);
-        prop_assert_eq!(agg1.rows.len(), agg4.rows.len());
+        assert_eq!(agg1.rows.len(), agg4.rows.len(), "case {case}");
         for (a, b) in agg1.rows.iter().zip(&agg4.rows) {
-            prop_assert_eq!(a[0].clone(), b[0].clone());
-            prop_assert!(
-                (a[1].as_f64().unwrap() - b[1].as_f64().unwrap()).abs() < 1e-6
-            );
+            assert_eq!(a[0], b[0], "case {case}");
+            let (x, y) = (a[1].as_f64().unwrap(), b[1].as_f64().unwrap());
+            assert!((x - y).abs() < 1e-6, "case {case}: {x} vs {y}");
         }
-        prop_assert_eq!(scalar1.rows, scalar4.rows);
-    }
+        assert_eq!(scalar1.rows, scalar4.rows, "case {case}");
+    });
 }

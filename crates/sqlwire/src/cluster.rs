@@ -36,9 +36,9 @@
 //!   tables are co-partitioned on `rid`.
 //! * Aggregates over partitioned data *scatter*: each shard runs the
 //!   statement through [`sqlengine::Database::execute_partial`],
-//!   returning exact per-group accumulator states
-//!   ([`sqlengine::PartialAggResult`]); the coordinator merges them in
-//!   shard order and finalizes once on its rowless shadow catalog.
+//!   returning its group table un-finalized ([`sqlengine::PartialAggResult`]);
+//!   the coordinator merges the tables in shard order and finalizes
+//!   once, from the plan it classified the statement by.
 //!   Because `SUM`/`AVG` accumulate exactly and round once
 //!   ([`sqlengine::ExactSum`]), the merged result is **bit-identical**
 //!   to a single-node run for any shard count.
@@ -64,6 +64,7 @@
 //! failure semantics.
 
 use sqlengine::ast::{InsertSource, Select, SelectItem, Statement};
+use sqlengine::exec::finalize_select_partials;
 use sqlengine::parser::parse;
 use sqlengine::plan::{
     constant_rows, plan_statement, Chain, InsertPlan, InsertRows, Output, SelectPlan, Source,
@@ -102,7 +103,7 @@ enum Class {
     /// touching only its rid slice; affected-row counts add.
     Local,
     /// Aggregate read over partitioned data: scatter partials, merge,
-    /// finalize once on the shadow catalog.
+    /// finalize once from the plan.
     ScatterRead,
     /// `INSERT` of a scattered aggregate into a broadcast table:
     /// finalize coordinator-side, then replicate the finished rows.
@@ -154,8 +155,8 @@ struct Inflight {
 pub struct Coordinator<E: SqlExecutor + Send> {
     shards: Vec<E>,
     /// Rowless schema mirror: receives every DDL statement, validates
-    /// prepared scripts, and finalizes scattered aggregates. Holding
-    /// no base rows, it plans exactly like the shards do.
+    /// prepared scripts, and plans every statement. Holding no base
+    /// rows, it plans exactly like the shards do.
     shadow: Database,
     /// Partitioned table name → rid column slot.
     partitioned: HashMap<String, usize>,
@@ -573,9 +574,10 @@ impl<E: SqlExecutor + Send> Coordinator<E> {
                 }
                 Ok(result)
             }
-            (Class::ScatterRead, ..) => {
-                let (merged, groups) = self.scatter_partials(&text)?;
-                let result = self.shadow.finalize_partials(&text, &merged)?;
+            (Class::ScatterRead, _, StatementPlan::Select(select)) => {
+                let merged = self.scatter_partials(&text)?;
+                let groups = merged.group_count();
+                let result = finalize_select_partials(select, merged)?;
                 self.drain_metrics(MergeMode::MergeMasked, Some((groups, result.rows.len())))?;
                 Ok(result)
             }
@@ -599,8 +601,7 @@ impl<E: SqlExecutor + Send> Coordinator<E> {
             ) => {
                 let select_text = Statement::Select((**sel).clone()).to_string();
                 let produced = if class == Class::ScatterInsert {
-                    let (merged, _) = self.scatter_partials(&select_text)?;
-                    self.shadow.finalize_partials(&select_text, &merged)?
+                    finalize_select_partials(select, self.scatter_partials(&select_text)?)?
                 } else {
                     self.gather_read(sel, select)?
                 };
@@ -626,28 +627,21 @@ impl<E: SqlExecutor + Send> Coordinator<E> {
         }
     }
 
-    /// Scatter an aggregate select: every shard computes exact partial
-    /// accumulator states over its slice; merge them in shard index
-    /// order (the merge itself is order-free for `SUM`/`AVG`/`COUNT`/
-    /// `MIN`/`MAX`, and shard order makes `VARIANCE`'s Chan combination
-    /// deterministic too). Returns the merged partial and its group
-    /// count.
-    fn scatter_partials(&mut self, text: &str) -> Result<(PartialAggResult, usize)> {
+    /// Scatter an aggregate select: every shard computes its group table
+    /// over its slice; merge the tables in shard index order (the merge
+    /// itself is order-free for `SUM`/`AVG`/`COUNT`/`MIN`/`MAX`, and
+    /// shard order makes `VARIANCE`'s Chan combination deterministic
+    /// too) into one the coordinator's thread owns.
+    fn scatter_partials(&mut self, text: &str) -> Result<PartialAggResult> {
         let skip = vec![false; self.shards.len()];
         let results = Self::fan_out(&mut self.shards, &skip, |_, shard| {
             shard.execute_partial(text)
         });
-        let mut merged: Option<PartialAggResult> = None;
+        let mut merged = PartialAggResult::default();
         for r in results {
-            let partial = r.expect("no shard skipped")?;
-            match &mut merged {
-                None => merged = Some(partial),
-                Some(m) => m.merge(&partial)?,
-            }
+            merged.merge(&r.expect("no shard skipped")?)?;
         }
-        let merged = merged.expect("at least one shard");
-        let groups = merged.groups.len();
-        Ok((merged, groups))
+        Ok(merged)
     }
 
     /// Gather a non-aggregate select: each shard executes it with the
@@ -962,7 +956,7 @@ impl<E: SqlExecutor + Send> SqlExecutor for Coordinator<E> {
         match self.classify(stmt)?.0 {
             Class::ReadOne => self.shards[0].execute_partial(sql),
             Class::ScatterRead => {
-                let (merged, _) = self.scatter_partials(&stmt.to_string())?;
+                let merged = self.scatter_partials(&stmt.to_string())?;
                 self.drain_metrics(MergeMode::MergeMasked, None)?;
                 Ok(merged)
             }

@@ -41,8 +41,8 @@ use sqlengine::storage::codec::{
     read_opt_value, read_schema, read_value, Reader,
 };
 use sqlengine::{
-    AggState, Error, ExactSum, ExecMetrics, Limits, PartialAggResult, QueryResult, ScanMetric,
-    StatementKind, SymbolicCatalog, Value,
+    AggCell, AggState, Error, ExactSum, ExecMetrics, Limits, PartialAggResult, QueryResult,
+    ScanMetric, StatementKind, SymbolicCatalog, Value,
 };
 use std::time::Duration;
 
@@ -230,7 +230,7 @@ pub enum Response {
     Catalog(SymbolicCatalog),
     /// Telemetry entries answering [`Request::MetricsSince`].
     Metrics(Vec<ExecMetrics>),
-    /// Exact per-group partial accumulator states answering a
+    /// The un-finalized group table answering a
     /// [`Request::ExecutePartial`]. Expansion components travel as raw
     /// IEEE-754 bits, so merged sums finalize bit-identically to a
     /// single-node run.
@@ -446,47 +446,45 @@ fn read_exact_sum(r: &mut Reader<'_>) -> Result<ExactSum, Error> {
     ))
 }
 
-fn put_agg_state(buf: &mut Vec<u8>, s: &AggState) {
-    match s {
-        AggState::Count(n) => {
+fn put_agg_cell(buf: &mut Vec<u8>, cell: AggCell<'_>) {
+    match cell {
+        AggCell::Count(n) => {
             buf.push(AGG_COUNT);
-            put_u64(buf, *n);
+            put_u64(buf, n);
         }
-        AggState::Sum {
-            acc,
-            count,
-            all_int,
-        } => {
+        AggCell::Sum(acc, count, all_int) => {
             buf.push(AGG_SUM);
             put_exact_sum(buf, acc);
-            put_u64(buf, *count);
-            put_bool(buf, *all_int);
+            put_u64(buf, count);
+            put_bool(buf, all_int);
         }
-        AggState::Avg { acc, count } => {
+        AggCell::Avg(acc, count) => {
             buf.push(AGG_AVG);
             put_exact_sum(buf, acc);
-            put_u64(buf, *count);
+            put_u64(buf, count);
         }
-        AggState::Min(v) => {
+        AggCell::State(AggState::Min(v)) => {
             buf.push(AGG_MIN);
             put_opt_value(buf, v);
         }
-        AggState::Max(v) => {
+        AggCell::State(AggState::Max(v)) => {
             buf.push(AGG_MAX);
             put_opt_value(buf, v);
         }
-        AggState::Var {
+        AggCell::State(AggState::Var {
             count,
             mean,
             m2,
             stddev,
-        } => {
+        }) => {
             buf.push(AGG_VAR);
             put_u64(buf, *count);
             put_f64(buf, *mean);
             put_f64(buf, *m2);
             put_bool(buf, *stddev);
         }
+        // A SUM, AVG or COUNT state: as its column holds it.
+        AggCell::State(state) => put_agg_cell(buf, state.into()),
     }
 }
 
@@ -514,19 +512,22 @@ fn read_agg_state(r: &mut Reader<'_>) -> Result<AggState, Error> {
     })
 }
 
+/// A partial result travels group by group: key, then accumulators.
 fn put_partial_result(buf: &mut Vec<u8>, p: &PartialAggResult) {
-    put_seq(buf, p.groups.iter(), |buf, (key, states)| {
+    let groups = (0..p.group_count()).map(|g| p.group(g));
+    put_seq(buf, groups, |buf, (key, cells)| {
         put_seq(buf, key.iter(), put_value);
-        put_seq(buf, states.iter(), put_agg_state);
+        put_seq(buf, cells, put_agg_cell);
     });
 }
 
 fn read_partial_result(r: &mut Reader<'_>) -> Result<PartialAggResult, Error> {
-    let groups = r.seq(|r| {
-        let key = r.seq(read_value)?.into_boxed_slice();
-        Ok((key, r.seq(read_agg_state)?))
+    let mut partial = PartialAggResult::default();
+    r.seq(|r| {
+        let key = r.seq(read_value)?;
+        partial.push_group(key, &r.seq(read_agg_state)?)
     })?;
-    Ok(PartialAggResult { groups })
+    Ok(partial)
 }
 
 fn put_limits(buf: &mut Vec<u8>, l: &Limits) {

@@ -16,6 +16,8 @@
 //! **Wire** (`sqlwire::{proto, frame}`)
 //! - `requests_and_responses_reencode_identically` — every variant, with
 //!   arbitrary double bit patterns (NaN payloads, `-0.0`, subnormals).
+//! - `ragged_partial_payloads_decode_to_a_typed_error` — a partial result
+//!   whose groups disagree on key arity or an aggregate is refused.
 //! - `frame_round_trip_truncation_and_flips` — any payload survives
 //!   framing; every strict prefix is a *transient* error; every
 //!   single-bit flip is rejected.
@@ -252,8 +254,10 @@ fn gen_exact_sum(rng: &mut StdRng) -> ExactSum {
     ExactSum::from_parts(&comps, rng.random(), rng.random(), rng.random())
 }
 
-fn gen_agg_state(rng: &mut StdRng) -> AggState {
-    match below(rng, 6) {
+/// An accumulator of aggregate `kind`: `COUNT`, `SUM`, `AVG`, `MIN`,
+/// `MAX`, `VARIANCE`, `STDDEV` by number.
+fn gen_agg_state(rng: &mut StdRng, kind: usize) -> AggState {
+    match kind {
         0 => AggState::Count(rng.next_u64()),
         1 => AggState::Sum {
             acc: gen_exact_sum(rng),
@@ -270,9 +274,29 @@ fn gen_agg_state(rng: &mut StdRng) -> AggState {
             count: rng.next_u64(),
             mean: gen_f64(rng),
             m2: gen_f64(rng),
-            stddev: rng.random(),
+            stddev: kind == 6,
         },
     }
+}
+
+/// A partial result of the one shape a statement produces: one key
+/// arity, one aggregate per accumulator position, and keys distinct
+/// under `Value` equality.
+fn gen_partial(rng: &mut StdRng) -> PartialAggResult {
+    let arity = below(rng, 3);
+    let kinds: Vec<usize> = (0..below(rng, 5)).map(|_| below(rng, 7)).collect();
+    let mut keys: Vec<Vec<Value>> = Vec::new();
+    let mut partial = PartialAggResult::default();
+    for _ in 0..below(rng, 5) {
+        let key = gen_row(rng, arity);
+        if keys.contains(&key) {
+            continue;
+        }
+        let states: Vec<AggState> = kinds.iter().map(|&k| gen_agg_state(rng, k)).collect();
+        partial.push_group(key.clone(), &states).unwrap();
+        keys.push(key);
+    }
+    partial
 }
 
 fn gen_catalog(rng: &mut StdRng) -> SymbolicCatalog {
@@ -365,18 +389,7 @@ fn gen_response(rng: &mut StdRng) -> Response {
         },
         8 => Response::Catalog(gen_catalog(rng)),
         9 => Response::Metrics((0..below(rng, 4)).map(|_| gen_metrics_entry(rng)).collect()),
-        10 => Response::Partial(PartialAggResult {
-            groups: (0..below(rng, 5))
-                .map(|_| {
-                    let key = below(rng, 3);
-                    let states = below(rng, 5);
-                    (
-                        gen_row(rng, key).into_boxed_slice(),
-                        (0..states).map(|_| gen_agg_state(rng)).collect(),
-                    )
-                })
-                .collect(),
-        }),
+        10 => Response::Partial(gen_partial(rng)),
         _ => Response::ReplayApplied,
     }
 }
@@ -465,6 +478,36 @@ fn requests_and_responses_reencode_identically() {
         let back =
             Response::decode(&bytes).unwrap_or_else(|e| panic!("case {case}: {resp:?}: {e}"));
         assert!(same_encoding(&back, &resp), "case {case}: {resp:?}");
+    }
+}
+
+#[test]
+fn ragged_partial_payloads_decode_to_a_typed_error() {
+    // One-group partials a statement could each produce, spliced into one
+    // payload whose second group has another key arity or aggregate.
+    let frame = |key: Vec<Value>, state: AggState| {
+        let mut partial = PartialAggResult::default();
+        partial.push_group(key, &[state]).unwrap();
+        Response::Partial(partial).encode()
+    };
+    let moments = |stddev| AggState::Var {
+        count: 3,
+        mean: 3.0,
+        m2: 14.0,
+        stddev,
+    };
+    let first = frame(vec![Value::Int(1)], moments(false));
+    for second in [
+        frame(vec![Value::Int(2), Value::Null], moments(false)),
+        frame(vec![Value::Int(2)], moments(true)),
+        frame(vec![Value::Int(2)], AggState::Count(3)),
+    ] {
+        // Opcode, group count, then the groups.
+        let mut payload = first.clone();
+        payload[1..5].copy_from_slice(&2u32.to_le_bytes());
+        payload.extend_from_slice(&second[5..]);
+        let decoded = Response::decode(&payload);
+        assert!(matches!(decoded, Err(Error::Unsupported(_))), "{decoded:?}");
     }
 }
 

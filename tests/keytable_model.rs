@@ -39,50 +39,15 @@ use sqlengine::keytable::{hash_rows, JoinBuild, KeySet, KeyTable, NO_ROW};
 use sqlengine::resource::MemoryBudget;
 use sqlengine::{Database, Error, PartialAggResult, QueryResult, Value};
 
+mod common;
+use common::keys::{key_cell, same_value, KeyCell};
+
 // ---------------------------------------------------------------------
 // The model
 // ---------------------------------------------------------------------
 
-/// One key cell as the model orders it: the equality the engine
-/// documents, stated independently — NULL equals NULL, a number equals
-/// the numbers with its exact value (`1 = 1.0`, `-0.0 = 0.0`, every NaN
-/// one value, 2^53 + 1 not the double 2^53), a string itself.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-enum KeyCell {
-    Null,
-    Integer(i64),
-    /// A double that is no `i64`, by its bits (NaNs collapsed).
-    Other(u64),
-    Str(String),
-}
-
-fn key_cell(v: &Value) -> KeyCell {
-    const TWO_63: f64 = 9_223_372_036_854_775_808.0;
-    match v {
-        Value::Null => KeyCell::Null,
-        Value::Int(i) => KeyCell::Integer(*i),
-        Value::Double(d) if d.fract() == 0.0 && *d >= -TWO_63 && *d < TWO_63 => {
-            KeyCell::Integer(*d as i64)
-        }
-        Value::Double(d) if d.is_nan() => KeyCell::Other(f64::NAN.to_bits()),
-        Value::Double(d) => KeyCell::Other(d.to_bits()),
-        Value::Str(s) => KeyCell::Str(s.to_string()),
-    }
-}
-
 fn model_key(key: &[Value]) -> Vec<KeyCell> {
     key.iter().map(key_cell).collect()
-}
-
-/// Same variant, doubles by bit pattern.
-fn same_value(a: &Value, b: &Value) -> bool {
-    match (a, b) {
-        (Value::Null, Value::Null) => true,
-        (Value::Int(x), Value::Int(y)) => x == y,
-        (Value::Double(x), Value::Double(y)) => x.to_bits() == y.to_bits(),
-        (Value::Str(x), Value::Str(y)) => x == y,
-        _ => false,
-    }
 }
 
 fn same_row(a: &[Value], b: &[Value]) -> bool {
