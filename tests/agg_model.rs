@@ -130,12 +130,14 @@ enum Func {
     Stddev,
 }
 
-/// An aggregate's argument: a column of `t`, or the `CASE` that is
-/// `b` (BIGINT) where `pick > 0` and `d` (DOUBLE) elsewhere.
+/// An aggregate's argument: a column of `t`, the `CASE` that is
+/// `b` (BIGINT) where `pick > 0` and `d` (DOUBLE) elsewhere, or a
+/// distance term as the E step sums them: non-negative, same-scale.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Arg {
     Col(usize),
     Mixed,
+    Dist,
 }
 
 const ARG_COLS: [(usize, &str); 7] = [
@@ -154,6 +156,7 @@ fn agg_sql((func, arg): Agg) -> String {
     let arg = match arg {
         Arg::Col(c) => ARG_COLS.iter().find(|(pos, _)| *pos == c).unwrap().1,
         Arg::Mixed => "CASE WHEN pick > 0 THEN b ELSE d END",
+        Arg::Dist => "(v - 3) ** 2 / 0.7",
     };
     match func {
         Func::Sum => format!("SUM({arg})"),
@@ -333,6 +336,10 @@ impl Subject for Reference {
                             let picked = matches!(row[PICK], Value::Int(p) if p > 0);
                             Some(row[if picked { B } else { D }].clone())
                         }
+                        (_, Arg::Dist) => {
+                            let v = row[V].as_f64().unwrap() - 3.0;
+                            Some(Value::Double(v.powf(std::hint::black_box(2.0)) / 0.7))
+                        }
                     };
                     state.update(input)?;
                 }
@@ -463,9 +470,10 @@ fn random_agg(rng: &mut StdRng) -> Agg {
     ];
     let func = FUNCS[rng.random_range(0..FUNCS.len())];
     // A moment of the wild columns is NaN or ∞ nearly everywhere.
-    let arg = match (func, rng.random_range(0..ARG_COLS.len() + 1)) {
+    let arg = match (func, rng.random_range(0..ARG_COLS.len() + 2)) {
         (Func::Variance | Func::Stddev, _) => Arg::Col(V),
         (_, n) if n == ARG_COLS.len() => Arg::Mixed,
+        (_, n) if n == ARG_COLS.len() + 1 => Arg::Dist,
         (_, n) => Arg::Col(ARG_COLS[n].0),
     };
     (func, arg)
