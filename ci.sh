@@ -47,7 +47,13 @@ Stages, in order:
                 under crates/*/src names a Vec<(Row, Vec<AggState>)>
                 or defines `fn into_rows` / `fn absorb_rows` /
                 `fn key_columns`, and exec/aggregate.rs no
-                `fn take(` / `fn put(`; and one session (every model
+                `fn take(` / `fn put(`; and one executor (UPDATE and
+                DELETE run on the SELECT pipeline): outside
+                #[cfg(test)] no file under crates/sqlengine/src defines
+                `fn update_where` / `fn delete_where` or names
+                eval_predicate or MAX_UPDATE_FROM_ROWS, and none but
+                expr/mod.rs calls the reference `.eval(`
+                (plancheck/card.rs's symbolic one aside); and one session (every model
                 is a sqlem::Generator that EmSession runs): outside
                 #[cfg(test)] EmSession is the only `pub struct …Session`
                 under crates/sqlem/src, and no `Strategy::X =>` arm
@@ -250,6 +256,20 @@ if { nontest 'Vec<\(Row, Vec<AggState>\)>|fn into_rows|fn absorb_rows|fn key_col
      nontest 'fn take\(|fn put\(' -path 'crates/sqlengine/src/exec/aggregate.rs'; } | grep .; then
     echo "ERROR: the row-of-states form of the group table is back (above);" \
          "merge and ship exec::aggregate's columns as they are" >&2
+    exit 1
+fi
+# One executor: UPDATE and DELETE run on the SELECT pipeline
+# (crates/sqlengine/src/exec/select.rs) and VALUES on a one-row batch — no
+# row-at-a-time table mutation, no whole-row predicate, no materialized
+# FROM cross product. The scalar CExpr::eval is the reference
+# tests/batch_eval.rs checks eval_batch against, called nowhere else
+# (plancheck/card.rs's eval is the symbolic polynomial's).
+if { nontest 'fn update_where|fn delete_where|eval_predicate|MAX_UPDATE_FROM_ROWS' \
+         -path 'crates/sqlengine/src/*'
+     nontest '\.eval\(' -path 'crates/sqlengine/src/*' \
+         ! -path 'crates/sqlengine/src/expr/mod.rs' ! -path 'crates/sqlengine/src/plancheck/card.rs'; } | grep .; then
+    echo "ERROR: a second, row-at-a-time executor is back (above); run DML" \
+         "through exec::select's pipeline and evaluate with eval_batch" >&2
     exit 1
 fi
 # One session: the paper's strategies, K-means and per-cluster

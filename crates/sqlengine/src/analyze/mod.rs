@@ -439,18 +439,10 @@ fn check_types(plan: &StatementPlan) -> Result<Option<Vec<(String, Ty)>>, Analyz
                     return Err(unstorable(ty.to_string(), column, Clause::Set));
                 }
             }
-            if let Some(p) = &update.predicate {
-                type_in(Clause::Where, p, &slots)?;
-            }
+            chain_types(&update.chain, &slots)?;
         }
         StatementPlan::Delete(delete) => {
-            if let Some(p) = &delete.predicate {
-                type_in(
-                    Clause::Where,
-                    p,
-                    &slot_types(std::slice::from_ref(&delete.target)),
-                )?;
-            }
+            chain_types(&delete.chain, &slot_types(&delete.chain.sources))?;
         }
     }
     Ok(None)

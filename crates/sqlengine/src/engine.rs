@@ -1123,7 +1123,7 @@ mod tests {
         let db = Database::open_durable(&dir).unwrap();
         let y = db.catalog().table("y").unwrap();
         assert_eq!(y.len(), 2);
-        match &y.row(0)[1] {
+        match &y.columns()[1].value(0) {
             Value::Double(d) => assert_eq!(d.to_bits(), (1.0f64 / 3.0).to_bits()),
             other => panic!("expected double, got {other:?}"),
         }

@@ -1,18 +1,18 @@
 //! DDL and DML execution: CREATE/DROP TABLE, INSERT, UPDATE, DELETE.
+//! UPDATE and DELETE run on the SELECT pipeline (`select`) into sinks of
+//! their own.
 
 use crate::ast::ColumnDef;
 use crate::catalog::Catalog;
 use crate::error::{Error, Result};
+use crate::exec::select::{build_pipeline, run_pipeline, BatchSink};
 use crate::exec::{run_select_columns, ExecConfig, QueryResult};
-use crate::expr::{Column, RowError};
+use crate::expr::{Batch, CExpr, Column, RowError};
 use crate::metrics::StmtProbe;
-use crate::plan::{constant_rows, DeletePlan, InsertPlan, InsertRows, UpdatePlan};
+use crate::plan::{constant_rows, Chain, DeletePlan, InsertPlan, InsertRows, UpdatePlan};
+use crate::resource::ResourceTracker;
 use crate::schema::{self, Schema};
 use crate::value::Value;
-
-/// Safety bound on the UPDATE…FROM cross product (the paper's auxiliary
-/// tables have 1..k rows; anything huge is a generator bug).
-const MAX_UPDATE_FROM_ROWS: usize = 1 << 20;
 
 pub fn create_table(
     catalog: &mut Catalog,
@@ -48,44 +48,36 @@ pub fn insert(
     // the target exactly as it was, so a retry is safe (§3.6 workflow
     // hardening; see docs/ROBUSTNESS.md).
     let target = &plan.target;
-    let staged = match &plan.rows {
-        InsertRows::Select(select) => {
-            let mut staged = empty_columns(&target.columns);
-            for cols in run_select_columns(catalog, config, select, probe)? {
-                let n = cols[0].len();
-                let mut full: Vec<Option<Column>> = vec![None; target.arity()];
-                for (j, col) in cols.into_iter().enumerate() {
-                    full[plan.target_slot(j)] = Some(col);
-                }
-                // NULL in the columns the column list leaves out.
-                let declared = target.columns.iter();
-                let widened = full
-                    .into_iter()
-                    .zip(declared)
-                    .map(|(col, d)| col.unwrap_or_else(|| Column::nulls(d.ty, n)));
-                stage_columns(
-                    &mut staged,
-                    &target.columns,
-                    widened,
-                    "staged insert",
-                    probe,
-                )?;
-            }
-            staged
-        }
+    let chunks = match &plan.rows {
+        InsertRows::Select(select) => run_select_columns(catalog, config, select, probe)?,
         InsertRows::Values(values) => {
-            let widened = constant_rows(values)?
-                .into_iter()
-                .map(|row| plan.full_row(row));
-            stage_rows(
-                &target.table,
-                &target.columns,
-                widened,
-                "staged insert",
-                probe,
-            )?
+            let rows = constant_rows(values)?;
+            let column =
+                |j: usize| Column::from_values(rows.iter().map(|r| r[j].clone()).collect());
+            vec![(0..plan.incoming_arity()).map(column).collect()]
         }
     };
+    let mut staged = empty_columns(&target.columns);
+    for cols in chunks {
+        let n = cols[0].len();
+        let mut full: Vec<Option<Column>> = vec![None; target.arity()];
+        for (j, col) in cols.into_iter().enumerate() {
+            full[plan.target_slot(j)] = Some(col);
+        }
+        // NULL in the columns the column list leaves out.
+        let declared = target.columns.iter();
+        let widened = full
+            .into_iter()
+            .zip(declared)
+            .map(|(col, d)| col.unwrap_or_else(|| Column::nulls(d.ty, n)));
+        stage_columns(
+            &mut staged,
+            &target.columns,
+            widened,
+            "staged insert",
+            probe,
+        )?;
+    }
     let inserted = catalog.table_mut(&target.table)?.append(staged)?;
     probe.add_inserted(inserted);
     Ok(QueryResult::affected(inserted))
@@ -137,8 +129,8 @@ fn stage_columns(
 /// column: check each row's arity, coerce it to the declared column
 /// types and charge it to the statement's memory budget under `context`
 /// as the buffer grows, so an over-budget or ill-typed batch aborts
-/// before the table (or the WAL) sees any of it. The one staging loop of
-/// `INSERT … VALUES`, [`crate::Database::bulk_insert`] and WAL replay.
+/// before the table (or the WAL) sees any of it. The staging loop of
+/// [`crate::Database::bulk_insert`] and WAL replay.
 pub fn stage_rows<R: AsRef<[Value]>>(
     table: &str,
     declared: &[schema::Column],
@@ -168,115 +160,128 @@ pub fn stage_rows<R: AsRef<[Value]>>(
     Ok(staged)
 }
 
+/// The sink of UPDATE and DELETE. Of each target position it keeps the
+/// first joined row: a probing row's build rows arrive in ascending
+/// order, so that is the first FROM combination satisfying WHERE in
+/// table order. Over those rows it evaluates the SETs in order, each
+/// coerced to its column's type and written into the slot the SETs after
+/// it read (as a projection's lateral aliases are), and keeps the
+/// positions and the new values of the assigned columns.
+struct DmlSink<'t> {
+    chain: &'t Chain,
+    assignments: &'t [(usize, CExpr)],
+    /// The matched target positions, ascending: they arrive in order
+    /// within a partition.
+    positions: Vec<u32>,
+    /// Per batch, the new values of each SET's column.
+    values: Vec<Vec<Column>>,
+    mem: &'t ResourceTracker,
+}
+
+impl BatchSink for DmlSink<'_> {
+    fn push(&mut self, batch: Batch) -> Result<()> {
+        let Some(Column::I64(positions, None)) = batch.column(self.chain.width()) else {
+            unreachable!("the driver fills the positions slot");
+        };
+        let before = self.positions.len();
+        let mut first = Vec::new();
+        for (row, &pos) in positions.iter().enumerate() {
+            if self.positions.last().is_none_or(|&last| pos as u32 > last) {
+                first.push(row as u32);
+                self.positions.push(pos as u32);
+            }
+        }
+        let mut batch = batch.take(&first);
+        let mut pending = None;
+        for (slot, value) in self.assignments {
+            let ty = self.chain.sources[0].columns[*slot].ty;
+            let (col, failed) = batch.eval_cut(value, &mut pending).coerce(ty);
+            if let Some(failed) = failed.filter(|f| f.row < batch.len()) {
+                batch.truncate(failed.row);
+                pending = Some(failed.error);
+            }
+            batch.set(*slot, col);
+        }
+        self.positions.truncate(before + batch.len());
+        if !batch.is_empty() && !self.assignments.is_empty() {
+            let new = |(slot, _): &(usize, CExpr)| batch.column(*slot).expect("set").clone();
+            let cols: Vec<Column> = self.assignments.iter().map(new).collect();
+            self.mem.charge_rows("staged update", &cols, batch.len())?;
+            self.values.push(cols);
+        }
+        pending.map_or(Ok(()), Err)
+    }
+
+    fn expr_evals(&self) -> u64 {
+        (self.positions.len() * self.assignments.len()) as u64
+    }
+}
+
+/// Run the chain of an UPDATE or a DELETE, whose target drives it: the
+/// target positions it matched, ascending, and for each SET the new
+/// values there — staged (and charged) before the table is touched.
+fn run_dml(
+    catalog: &Catalog,
+    config: &ExecConfig,
+    chain: &Chain,
+    assignments: &[(usize, CExpr)],
+    probe: &mut StmtProbe,
+) -> Result<(Vec<u32>, Vec<Column>)> {
+    let reads: Vec<&CExpr> = assignments.iter().map(|(_, e)| e).collect();
+    let pipeline = build_pipeline(catalog, chain, &reads, true, probe)?;
+    let mem = probe.tracker();
+    let sinks = run_pipeline(&pipeline, config, probe, || DmlSink {
+        chain,
+        assignments,
+        positions: Vec::new(),
+        values: Vec::new(),
+        mem,
+    })?;
+    let mut positions = Vec::new();
+    let declared = assignments
+        .iter()
+        .map(|(c, _)| chain.sources[0].columns[*c].ty);
+    let mut values: Vec<Column> = declared.map(Column::empty).collect();
+    for sink in sinks {
+        positions.extend(sink.positions);
+        for batch in sink.values {
+            values
+                .iter_mut()
+                .zip(batch)
+                .for_each(|(col, more)| col.append(more));
+        }
+    }
+    Ok((positions, values))
+}
+
+/// UPDATE [… FROM]: the FROM tables are the target's build stages, and
+/// the new values are swapped in at once (`Table::update`), so a failed
+/// UPDATE leaves the table as it was.
 pub fn update(
     catalog: &mut Catalog,
+    config: &ExecConfig,
     plan: &UpdatePlan,
     probe: &mut StmtProbe,
 ) -> Result<QueryResult> {
-    let (target, from) = plan
-        .chain
-        .sources
-        .split_first()
-        .expect("an UPDATE plan starts with its target");
-
-    // Materialize the FROM cross product (auxiliary tables are tiny).
-    let mut combos: Vec<Vec<Value>> = vec![Vec::new()];
-    for source in from {
-        let t = catalog.table(&source.table)?;
-        probe.record_scan(t.name(), t.len(), true);
-        probe.add_build_rows(t.len() as u64);
-        let mut next = Vec::with_capacity(combos.len() * t.len().max(1));
-        for combo in &combos {
-            for pos in 0..t.len() {
-                let mut c = combo.clone();
-                c.extend(t.row(pos));
-                probe
-                    .tracker()
-                    .charge("update from", crate::resource::row_bytes(&c))?;
-                next.push(c);
-            }
-        }
-        if next.len() > MAX_UPDATE_FROM_ROWS {
-            return Err(Error::Unsupported(
-                "UPDATE … FROM cross product too large".into(),
-            ));
-        }
-        combos = next;
+    let (positions, values) = run_dml(catalog, config, &plan.chain, &plan.assignments, probe)?;
+    if !positions.is_empty() {
+        let columns = plan.assignments.iter().map(|(c, _)| *c);
+        let table = catalog.table_mut(&plan.chain.sources[0].table)?;
+        table.update(&positions, columns.zip(values).collect())?;
     }
-
-    let touches_key = plan
-        .assignments
-        .iter()
-        .any(|(slot, _)| target.primary_key.contains(slot));
-    let table = catalog.table_mut(&target.table)?;
-    probe.record_scan(table.name(), table.len(), false);
-    let width = target.arity();
-    let mut ctx: Vec<Value> = Vec::new();
-    let updated = table.update_where(
-        |row| {
-            // Find the first FROM combination satisfying WHERE; rows with
-            // no match are left untouched (standard UPDATE…FROM behaviour).
-            let mut matched = false;
-            for combo in &combos {
-                ctx.clear();
-                ctx.extend_from_slice(row);
-                ctx.extend_from_slice(combo);
-                if let Some(p) = &plan.predicate {
-                    if !p.eval_predicate(&ctx)? {
-                        continue;
-                    }
-                }
-                // Sequential assignment: each SET sees the previous ones.
-                for (slot, e) in &plan.assignments {
-                    let v = e.eval(&ctx)?.coerce_to(target.columns[*slot].ty)?;
-                    ctx[*slot] = v;
-                }
-                row.copy_from_slice_checked(&ctx[..width]);
-                matched = true;
-                break;
-            }
-            Ok(matched)
-        },
-        touches_key,
-    )?;
-    probe.add_updated(updated);
-    Ok(QueryResult::affected(updated))
+    probe.add_updated(positions.len());
+    Ok(QueryResult::affected(positions.len()))
 }
 
-/// Small extension trait: clone-assign a slice of values onto a row.
-trait CopyValues {
-    fn copy_from_slice_checked(&mut self, src: &[Value]);
-}
-
-impl CopyValues for [Value] {
-    fn copy_from_slice_checked(&mut self, src: &[Value]) {
-        for (dst, s) in self.iter_mut().zip(src) {
-            *dst = s.clone();
-        }
-    }
-}
-
+/// DELETE: the table keeps the rows WHERE did not match.
 pub fn delete(
     catalog: &mut Catalog,
+    config: &ExecConfig,
     plan: &DeletePlan,
     probe: &mut StmtProbe,
 ) -> Result<QueryResult> {
-    let table = catalog.table_mut(&plan.target.table)?;
-    probe.record_scan(table.name(), table.len(), false);
-    let removed = match &plan.predicate {
-        None => table.truncate(),
-        Some(p) => {
-            // Evaluation errors inside retain cannot propagate; evaluate
-            // first, then delete by mark. DELETE is rare in this workload
-            // (the paper prefers DROP/CREATE, §3.6), so the extra pass is
-            // acceptable.
-            let marks: Vec<bool> = (0..table.len())
-                .map(|pos| p.eval_predicate(&table.row(pos)))
-                .collect::<Result<Vec<_>>>()?;
-            let mut it = marks.iter();
-            table.delete_where(|_| *it.next().unwrap())
-        }
-    };
+    let (doomed, _) = run_dml(catalog, config, &plan.chain, &[], probe)?;
+    let removed = catalog.table_mut(&plan.target.table)?.delete(&doomed);
     probe.add_deleted(removed);
     Ok(QueryResult::affected(removed))
 }

@@ -1,8 +1,9 @@
 //! Statement execution.
 //!
 //! [`execute_statement`] dispatches parsed statements against a catalog.
-//! SELECT goes through the batch-at-a-time join pipeline in the `select`
-//! module; DML and DDL are handled in `dml`. Every full pass over a table's rows is
+//! SELECT, `INSERT … SELECT`, UPDATE and DELETE go through the
+//! batch-at-a-time join pipeline in the `select` module; DML and DDL are
+//! handled in `dml`. Every full pass over a table's rows is
 //! reported to the statement's [`StmtProbe`], which is how the harness
 //! verifies the paper's claim that one hybrid EM iteration costs `2k+3`
 //! scans of `n`-row tables plus one scan of a `pn`-row table (§3.5).
@@ -232,8 +233,8 @@ pub fn execute_statement_metered(
         (Statement::ExplainAnalyze(inner), _) => explain_analyze(catalog, config, inner, plan),
         (_, StatementPlan::Select(plan)) => run_select(catalog, config, plan, probe),
         (_, StatementPlan::Insert(plan)) => dml::insert(catalog, config, plan, probe),
-        (_, StatementPlan::Update(plan)) => dml::update(catalog, plan, probe),
-        (_, StatementPlan::Delete(plan)) => dml::delete(catalog, plan, probe),
+        (_, StatementPlan::Update(plan)) => dml::update(catalog, config, plan, probe),
+        (_, StatementPlan::Delete(plan)) => dml::delete(catalog, config, plan, probe),
         (_, StatementPlan::Utility) => unreachable!("only DDL and EXPLAIN plan as Utility"),
     }
 }

@@ -1,9 +1,12 @@
 //! SELECT execution: a batch-at-a-time left-deep join pipeline.
 //!
 //! What runs is decided by [`crate::plan`]: this module *instantiates* a
-//! [`SelectPlan`] against the stored columns — join tables, filtered
+//! [`Chain`] against the stored columns — join tables, filtered
 //! positions, memory charges, scan records — and drives batches
-//! through it.
+//! through it. SELECT and `INSERT … SELECT` sink the batches into a
+//! projection or an aggregation; UPDATE and DELETE (the `dml` module)
+//! run the same pipeline into their own sinks, with one more slot the
+//! driver fills with its row positions.
 //!
 //! The FROM list is joined left-deep in declaration order: the first table
 //! is the *driver* and is scanned once; every later table becomes a build
@@ -62,7 +65,7 @@ use crate::exec::{ExecConfig, QueryResult};
 use crate::expr::{Batch, CExpr, Column, BATCH_ROWS};
 use crate::keytable::{hash_rows, JoinBuild, JoinTable};
 use crate::metrics::StmtProbe;
-use crate::plan::{Join, SelectPlan, Sink};
+use crate::plan::{Chain, Join, SelectPlan, Sink};
 use crate::resource::{rows_bytes, ResourceTracker, ENTRY_OVERHEAD_BYTES};
 use crate::table::{Row, Table, NO_ROW};
 use crate::value::Value;
@@ -106,7 +109,7 @@ fn run_aggregate(
     agg: &AggPlan,
     probe: &mut StmtProbe,
 ) -> Result<AggSink> {
-    let pipeline = build_pipeline(catalog, plan, probe)?;
+    let pipeline = build_pipeline(catalog, &plan.chain, &sink_reads(&plan.sink), false, probe)?;
     let mut sinks =
         run_pipeline(&pipeline, config, probe, || AggSink::new(agg.clone()))?.into_iter();
     let mut merged = sinks.next().expect("at least one sink");
@@ -188,7 +191,7 @@ fn run_project(
     items: &[CExpr],
     probe: &mut StmtProbe,
 ) -> Result<Vec<Vec<Column>>> {
-    let pipeline = build_pipeline(catalog, plan, probe)?;
+    let pipeline = build_pipeline(catalog, &plan.chain, &sink_reads(&plan.sink), false, probe)?;
     let base_width = plan.chain.width();
     let mem = probe.tracker();
     let sinks = run_pipeline(&pipeline, config, probe, || ScalarSink {
@@ -336,7 +339,7 @@ struct Stage<'a> {
 }
 
 /// The whole FROM/WHERE pipeline.
-struct Pipeline<'a> {
+pub(super) struct Pipeline<'a> {
     /// `None` for a FROM-less SELECT, which emits exactly one empty row.
     driver: Option<Source<'a>>,
     driver_filter: Option<CExpr>,
@@ -345,6 +348,9 @@ struct Pipeline<'a> {
     /// pipeline or of the sink — read it? Only these slots are filled
     /// in a batch.
     needed: Vec<bool>,
+    /// The slot the driver fills with the table positions of its rows,
+    /// for a DML sink; `filter` and `take` carry it like any column.
+    positions: Option<usize>,
 }
 
 /// `rows` cut into ranges of at most [`BATCH_ROWS`].
@@ -444,10 +450,20 @@ fn and_all(conjuncts: &[CExpr]) -> Option<CExpr> {
         .reduce(|acc, e| CExpr::Binary(BinOp::And, Box::new(acc), Box::new(e)))
 }
 
+/// The expressions a SELECT's sink evaluates over the joined row.
+fn sink_reads(sink: &Sink) -> Vec<&CExpr> {
+    match sink {
+        Sink::Aggregate(agg) => {
+            let args = agg.aggs.iter().filter_map(|a| a.arg.as_ref());
+            agg.keys.iter().chain(args).collect()
+        }
+        Sink::Project(items) => items.iter().collect(),
+    }
+}
+
 /// Per slot of the joined row: does a filter, probe key or residual of
-/// the chain, or an expression of the sink, read it?
-fn slots_read(plan: &SelectPlan) -> Vec<bool> {
-    let chain = &plan.chain;
+/// the chain, or an expression of the sink (`reads`), read it?
+fn slots_read(chain: &Chain, reads: &[&CExpr]) -> Vec<bool> {
     let mut needed = vec![false; chain.width()];
     let mut mark = |e: &CExpr| mark_slots(e, &mut needed);
     chain.driver_filters.iter().for_each(&mut mark);
@@ -457,50 +473,54 @@ fn slots_read(plan: &SelectPlan) -> Vec<bool> {
         }
         stage.residuals.iter().for_each(&mut mark);
     }
-    match &plan.sink {
-        Sink::Aggregate(agg) => {
-            agg.keys.iter().for_each(&mut mark);
-            agg.aggs
-                .iter()
-                .filter_map(|a| a.arg.as_ref())
-                .for_each(&mut mark);
-        }
-        Sink::Project(items) => items.iter().for_each(&mut mark),
-    }
+    reads.iter().for_each(|e| mark(e));
     needed
 }
 
-/// Instantiate `plan` against the stored tables: record the scans, filter
+/// Instantiate `chain` against the stored tables: record the scans, filter
 /// and hash (or borrow the index of) each build side, charge what that
-/// allocates.
-fn build_pipeline<'a>(
+/// allocates. `reads` are the sink's expressions. A `dml` pipeline
+/// carries the driver's row positions in slot `chain.width()`.
+pub(super) fn build_pipeline<'a>(
     catalog: &'a Catalog,
-    plan: &SelectPlan,
+    chain: &Chain,
+    reads: &[&CExpr],
+    dml: bool,
     probe: &mut StmtProbe,
 ) -> Result<Pipeline<'a>> {
-    let chain = &plan.chain;
-    let needed = slots_read(plan);
+    let needed = slots_read(chain, reads);
     let Some(driver) = chain.sources.first() else {
         return Ok(Pipeline {
             driver: None,
             driver_filter: None,
             stages: Vec::new(),
             needed,
+            positions: None,
         });
     };
+    // A DML statement reports each FROM table read whole into its build
+    // side, then its target's pass.
+    let n = chain.sources.len();
+    for i in (0..n).map(|i| (i + usize::from(dml)) % n) {
+        let table = catalog.table(&chain.sources[i].table)?;
+        probe.record_scan(table.name(), table.len(), i > 0);
+        if dml && i > 0 {
+            probe.add_build_rows(table.len() as u64);
+        }
+    }
     let driver_table = catalog.table(&driver.table)?;
-    probe.record_scan(driver_table.name(), driver_table.len(), false);
     let driver_filter = and_all(&chain.driver_filters);
 
     let mut stages = Vec::with_capacity(chain.stages.len());
     for (source, stage) in chain.sources[1..].iter().zip(&chain.stages) {
         let table = catalog.table(&source.table)?;
-        probe.record_scan(table.name(), table.len(), true);
         let build_filter = and_all(&stage.filters);
         let kind = match &stage.join {
             Join::Broadcast => {
                 let indices = filtered_positions(table, build_filter.as_ref())?;
-                probe.add_build_rows(indices.len() as u64);
+                if !dml {
+                    probe.add_build_rows(indices.len() as u64);
+                }
                 probe.tracker().charge(
                     "join broadcast",
                     indices.len() as u64 * ENTRY_OVERHEAD_BYTES,
@@ -522,7 +542,9 @@ fn build_pipeline<'a>(
                 pk_order: None,
             } => {
                 let built = build_join_table(table, build_filter.as_ref(), build_keys, probe)?;
-                probe.add_build_rows(built.rows() as u64);
+                if !dml {
+                    probe.add_build_rows(built.rows() as u64);
+                }
                 StageKind::Hash {
                     lookup: Lookup::Built(built),
                     probe_keys: probe_keys.clone(),
@@ -546,6 +568,7 @@ fn build_pipeline<'a>(
         driver_filter,
         stages,
         needed,
+        positions: dml.then_some(chain.width()),
     })
 }
 
@@ -629,7 +652,7 @@ impl Tally {
 /// Run the pipeline into one sink per partition; returns the sinks in
 /// partition order. Join-probe and expression-eval counts accumulate into
 /// `probe` (shared across workers through relaxed atomics).
-fn run_pipeline<S, F>(
+pub(super) fn run_pipeline<S, F>(
     pipeline: &Pipeline<'_>,
     config: &ExecConfig,
     probe: &StmtProbe,
@@ -690,6 +713,10 @@ impl Pipeline<'_> {
             }
             let mut batch = Batch::new(self.needed.len(), rows.len());
             driver.fill(&mut batch, &self.needed, |col| col.slice(rows.clone()));
+            if let Some(slot) = self.positions {
+                let positions = (rows.start as i64..rows.end as i64).collect();
+                batch.set(slot, Column::I64(positions, None));
+            }
             let mut pending = None;
             if let Some(f) = &self.driver_filter {
                 tally.expr_evals += rows.len() as u64;
@@ -844,7 +871,8 @@ fn sort_by_hidden(rows: &mut [Row], n_real: usize, descs: &[bool]) {
 /// lines of [`SelectPlan::explain`] with the row counts its
 /// instantiation finds, one line per plan step.
 pub fn explain_select(catalog: &Catalog, plan: &SelectPlan) -> Result<Vec<String>> {
-    let pipeline = build_pipeline(catalog, plan, &mut StmtProbe::disabled())?;
+    let (reads, mut probe) = (sink_reads(&plan.sink), StmtProbe::disabled());
+    let pipeline = build_pipeline(catalog, &plan.chain, &reads, false, &mut probe)?;
     let mut counts = vec![pipeline.driver.as_ref().map_or(0, |d| d.table.len())];
     counts.extend(pipeline.stages.iter().map(|stage| match &stage.kind {
         StageKind::Hash {

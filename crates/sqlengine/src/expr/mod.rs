@@ -10,12 +10,12 @@
 //! A [`CExpr`] has two evaluators with one meaning. SELECT pipelines call
 //! [`CExpr::eval_batch`] (the `batch` module): one dispatch per node per
 //! [`BATCH_ROWS`]-row [`Batch`] of typed [`Column`]s, with selection
-//! vectors keeping `CASE`/`AND`/`OR`/`COALESCE` lazy. [`CExpr::eval`]
-//! evaluates one row of [`Value`]s; it serves the places that only ever
-//! have one row (`VALUES`, `UPDATE … FROM` parameter tables, the
-//! per-group finalize tail) and is the reference `tests/batch_eval.rs`
-//! holds the batch evaluator to, bit for bit and error for error. Both
-//! share the per-value operator functions below, so they cannot drift.
+//! vectors keeping `CASE`/`AND`/`OR`/`COALESCE` lazy — every statement,
+//! DML and `VALUES` (a one-row batch) included. [`CExpr::eval`]
+//! evaluates one row of [`Value`]s; the executor never calls it: it is
+//! the reference `tests/batch_eval.rs` holds the batch evaluator to, bit
+//! for bit and error for error. Both share the per-value operator
+//! functions below, so they cannot drift.
 //!
 //! Scalar semantics follow SQL with the deviations documented in DESIGN.md:
 //! `/` always produces a DOUBLE (so `1/d1` in the paper's fallback formula
@@ -122,7 +122,7 @@ pub enum CExpr {
 }
 
 impl CExpr {
-    /// Evaluate against one input row.
+    /// Evaluate against one input row: the reference evaluator.
     pub fn eval(&self, row: &[Value]) -> Result<Value> {
         match self {
             CExpr::Const(v) => Ok(v.clone()),
@@ -149,12 +149,6 @@ impl CExpr {
                 Ok(Value::Int((isnull != *negated) as i64))
             }
         }
-    }
-
-    /// Evaluate as a predicate: NULL counts as false (SQL WHERE semantics).
-    #[inline]
-    pub fn eval_predicate(&self, row: &[Value]) -> Result<bool> {
-        Ok(self.eval(row)?.truthiness() == Some(true))
     }
 
     /// Shift every slot down by `offset`: an expression over one table of
@@ -609,7 +603,7 @@ mod tests {
             Box::new(c(0.0)),
         );
         assert_eq!(e.eval(&[]).unwrap(), Value::Null);
-        assert!(!e.eval_predicate(&[]).unwrap());
+        assert_eq!(e.eval(&[]).unwrap().truthiness(), None);
     }
 
     #[test]

@@ -44,7 +44,7 @@ use crate::analyze::{AnalyzeErrorKind, Checked, Clause, Metric, Planned, SchemaP
 use crate::ast::{BinOp, Expr, InsertSource, Select, SelectItem, Statement, TableRef};
 use crate::error::{Error, Result};
 use crate::exec::aggregate::{plan_aggregate, AggPlan};
-use crate::expr::{compile, CExpr, ColumnResolver};
+use crate::expr::{compile, Batch, CExpr, ColumnResolver};
 use crate::schema::{Column, Schema};
 use crate::table::Row;
 use crate::value::Value;
@@ -332,14 +332,16 @@ impl Chain {
     }
 }
 
-/// Classify WHERE (compiled over the joined row of `sources`) into the
-/// driver's filters and the [`Stage`]s of a [`Chain`]: single-table
+/// The [`Chain`] of `sources` (the FROM tables; an UPDATE's or a
+/// DELETE's target first): WHERE, compiled over their joined row, is
+/// classified into the driver's filters and the [`Stage`]s: single-table
 /// conjuncts filter their table before it joins, an equality between the
 /// prefix and the next table becomes a hash key of that stage, and
 /// whatever spans several tables otherwise is a residual of the first
 /// stage that has them all. What a table evaluates on its own rows is
 /// rebased to them.
-fn plan_chain(sources: &[Source], predicate: Option<CExpr>) -> Planned<(Vec<CExpr>, Vec<Stage>)> {
+fn plan_chain(sources: Vec<Source>, where_clause: Option<&Expr>) -> Planned<Chain> {
+    let predicate = compile_in(Clause::Where, where_clause, &ColumnResolver::new(&sources))?;
     let mut conjuncts = Vec::new();
     if let Some(p) = predicate {
         split_conjuncts(p, &mut conjuncts);
@@ -365,7 +367,7 @@ fn plan_chain(sources: &[Source], predicate: Option<CExpr>) -> Planned<(Vec<CExp
     // (conjunct, mask) spanning several tables; `None` once placed.
     let mut pending: Vec<Option<(CExpr, u64)>> = Vec::new();
     for mut c in conjuncts {
-        let mask = source_mask(&c, sources);
+        let mask = source_mask(&c, &sources);
         match mask.count_ones() {
             0 => table_filters[0].push(c),
             1 => {
@@ -393,8 +395,8 @@ fn plan_chain(sources: &[Source], predicate: Option<CExpr>) -> Planned<(Vec<CExp
             };
             match c {
                 CExpr::Binary(BinOp::Eq, left, right) => {
-                    let lm = source_mask(&left, sources);
-                    let rm = source_mask(&right, sources);
+                    let lm = source_mask(&left, &sources);
+                    let rm = source_mask(&right, &sources);
                     let (probe_side, mut build_side) = if lm & this_bit == 0 && rm == this_bit {
                         (left, right)
                     } else if rm & this_bit == 0 && lm == this_bit {
@@ -428,7 +430,11 @@ fn plan_chain(sources: &[Source], predicate: Option<CExpr>) -> Planned<(Vec<CExp
             residuals,
         });
     }
-    Ok((driver_filters, stages))
+    Ok(Chain {
+        sources,
+        driver_filters,
+        stages,
+    })
 }
 
 /// If the build keys of a hash stage are exactly `source`'s primary-key
@@ -586,9 +592,8 @@ impl SelectPlan {
 fn plan_select(provider: &dyn SchemaProvider, select: &Select) -> Planned<SelectPlan> {
     let sources = resolve_sources(provider, None, &select.from)?;
     let projection = expand_projection(select, &sources)?;
-    let resolver = ColumnResolver::new(&sources);
-    let predicate = compile_in(Clause::Where, select.where_clause.as_ref(), &resolver)?;
-    let (driver_filters, stages) = plan_chain(&sources, predicate)?;
+    let chain = plan_chain(sources, select.where_clause.as_ref())?;
+    let resolver = ColumnResolver::new(&chain.sources);
     let n_visible = projection.names.len();
     let sink = if projection.is_aggregate {
         Sink::Aggregate(plan_aggregate(
@@ -612,11 +617,7 @@ fn plan_select(provider: &dyn SchemaProvider, select: &Select) -> Planned<Select
         .zip(select.order_by.iter().map(|k| k.desc))
         .collect();
     Ok(SelectPlan {
-        chain: Chain {
-            sources,
-            driver_filters,
-            stages,
-        },
+        chain,
         sink,
         output_names: projection.names,
         sort_keys,
@@ -661,9 +662,14 @@ pub enum InsertRows {
     Select(Box<SelectPlan>),
 }
 
-/// Evaluate the rows of a `VALUES` list.
+/// Evaluate the rows of a `VALUES` list, each cell over a one-row batch.
 pub fn constant_rows(values: &[Vec<CExpr>]) -> Result<Vec<Row>> {
-    let row = |cells: &Vec<CExpr>| cells.iter().map(|e| e.eval(&[])).collect();
+    let one = Batch::new(0, 1);
+    let cell = |e: &CExpr| match e.eval_batch(&one) {
+        Ok(col) => Ok(col.value(0)),
+        Err(failed) => Err(failed.error),
+    };
+    let row = |cells: &Vec<CExpr>| cells.iter().map(cell).collect();
     values.iter().map(row).collect()
 }
 
@@ -716,14 +722,11 @@ impl InsertPlan {
 /// The plan of one UPDATE.
 #[derive(Debug, Clone)]
 pub struct UpdatePlan {
-    /// The target (`sources[0]`) and the FROM tables, with WHERE
-    /// classified as for a SELECT. Execution materializes the FROM
-    /// cross product and evaluates [`UpdatePlan::predicate`] whole; the
-    /// classification is what tells a coordinator whether partitioned
-    /// FROM tables are co-located with the target.
+    /// The target (`sources[0]`, the driver) and the FROM tables (its
+    /// build stages), with WHERE classified as for a SELECT. The
+    /// classification also tells a coordinator whether partitioned FROM
+    /// tables are co-located with the target.
     pub chain: Chain,
-    /// WHERE over `[target ++ from]`.
-    pub predicate: Option<CExpr>,
     /// `(target slot, value)` per SET, in order; each sees the ones before.
     pub assignments: Vec<(usize, CExpr)>,
 }
@@ -733,8 +736,8 @@ pub struct UpdatePlan {
 pub struct DeletePlan {
     /// The target table.
     pub target: Source,
-    /// WHERE over the target's columns.
-    pub predicate: Option<CExpr>,
+    /// The target as a one-source chain: WHERE is its driver filter.
+    pub chain: Chain,
 }
 
 /// The plan of one statement.
@@ -835,37 +838,27 @@ pub fn plan_statement(provider: &dyn SchemaProvider, stmt: &Statement) -> Planne
             where_clause,
         } => {
             let sources = resolve_sources(provider, Some(table), from)?;
-            let resolver = ColumnResolver::new(&sources);
-            let predicate = compile_in(Clause::Where, where_clause.as_ref(), &resolver)?;
-            let (driver_filters, stages) = plan_chain(&sources, predicate.clone())?;
+            let chain = plan_chain(sources, where_clause.as_ref())?;
+            let resolver = ColumnResolver::new(&chain.sources);
             let assignments = assignments
                 .iter()
                 .map(|(col, e)| {
-                    let slot = sources[0]
+                    let slot = chain.sources[0]
                         .column_index(col)
                         .ok_or_else(|| AnalyzeErrorKind::UnknownColumn(col.to_ascii_lowercase()))?;
                     Ok((slot, compile(e, &resolver)?))
                 })
                 .collect::<Checked<_>>()
                 .map_err(|k| k.at(Clause::Set))?;
-            StatementPlan::Update(UpdatePlan {
-                chain: Chain {
-                    sources,
-                    driver_filters,
-                    stages,
-                },
-                predicate,
-                assignments,
-            })
+            StatementPlan::Update(UpdatePlan { chain, assignments })
         }
         Statement::Delete {
             table,
             where_clause,
         } => {
             let target = target_source(provider, table)?;
-            let resolver = ColumnResolver::new(std::slice::from_ref(&target));
-            let predicate = compile_in(Clause::Where, where_clause.as_ref(), &resolver)?;
-            StatementPlan::Delete(DeletePlan { target, predicate })
+            let chain = plan_chain(vec![target.clone()], where_clause.as_ref())?;
+            StatementPlan::Delete(DeletePlan { target, chain })
         }
     })
 }

@@ -269,7 +269,7 @@ impl SymState {
     /// unmodeled length bytes. What is summed mirrors the executor's
     /// charge sites: join builds and broadcasts, merged GROUP BY
     /// tables, materialized SELECT output, staged INSERT batches and
-    /// UPDATE…FROM cross products. Committed table storage is not
+    /// staged UPDATE values. Committed table storage is not
     /// counted, matching the runtime budget's scope.
     pub fn footprint(&self, plan: &StatementPlan) -> Card {
         let bytes = |b: u64| Card::constant(b as usize);
@@ -290,34 +290,31 @@ impl SymState {
             }
             StatementPlan::Select(select) => self.select_footprint(select).0,
             StatementPlan::Update(update) => {
-                // `update from`: the FROM cross product is materialized
-                // stage by stage; every intermediate combination row is
-                // charged at its width so far.
-                let mut fp = Card::zero();
-                let mut prod = Card::constant(1);
-                let mut arity = 0usize;
-                for source in &update.chain.sources[1..] {
-                    prod = prod.mul(&self.rows_of(&source.table));
-                    arity += source.arity();
-                    fp = fp.add(&prod.mul(&bytes(row_width_bytes(arity))));
-                }
-                fp
+                // The join build sides of the FROM tables, and `staged
+                // update`: every target row's new values may be staged.
+                let target = &update.chain.sources[0].table;
+                let staged = bytes(row_width_bytes(update.assignments.len()));
+                let builds = self.build_footprint(&update.chain);
+                builds.add(&self.rows_of(target).mul(&staged))
             }
             StatementPlan::Delete(_) | StatementPlan::Utility => Card::zero(),
         }
     }
 
+    /// Footprint of a chain's join build sides: every source after the
+    /// driver is hashed or broadcast. Upper bound: each build row costs
+    /// one entry slot plus a fresh single-column key row.
+    fn build_footprint(&self, chain: &Chain) -> Card {
+        let per_row = Card::constant((ENTRY_OVERHEAD_BYTES + row_width_bytes(1)) as usize);
+        chain.sources[1..].iter().fold(Card::zero(), |fp, s| {
+            fp.add(&self.rows_of(&s.table).mul(&per_row))
+        })
+    }
+
     /// Footprint of one SELECT: `(working bytes, output rows)`.
     fn select_footprint(&self, plan: &SelectPlan) -> (Card, Card) {
         let bytes = |b: u64| Card::constant(b as usize);
-        let mut fp = Card::zero();
-        // Join build sides: every FROM table after the driver is
-        // hashed or broadcast. Upper bound: each build row costs one
-        // entry slot plus a fresh single-column key row.
-        for source in plan.chain.sources.iter().skip(1) {
-            let per_row = bytes(ENTRY_OVERHEAD_BYTES + row_width_bytes(1));
-            fp = fp.add(&self.rows_of(&source.table).mul(&per_row));
-        }
+        let fp = self.build_footprint(&plan.chain);
         let d = self.derive_select(plan);
         let per_row = match &plan.sink {
             // `group table`: the merged AggSink — one key row, one
@@ -704,11 +701,11 @@ mod tests {
         );
         apply_sql(&mut st, &mut cat, "CREATE TABLE m (f DOUBLE, g DOUBLE)");
         apply_sql(&mut st, &mut cat, "INSERT INTO m VALUES (3.0, 4.0)");
-        // The FROM cross product (target excluded) is one m row staged
-        // at m's two-column width.
+        // One m row on the build side, and w's two rows staged at the
+        // width of the one assigned column.
         assert_eq!(
             footprint_sql(&st, &cat, "UPDATE w FROM m SET w1 = m.f").eval(1, 1, 1),
-            row_width_bytes(2) as u128
+            (ENTRY_OVERHEAD_BYTES + row_width_bytes(1) + 2 * row_width_bytes(1)) as u128
         );
     }
 

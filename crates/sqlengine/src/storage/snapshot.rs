@@ -174,15 +174,15 @@ mod tests {
         let y = c2.table("y").unwrap();
         assert_eq!(y.len(), 2);
         assert_eq!(y.schema().primary_key(), &[0]);
-        match &y.row(0)[1] {
+        match &y.columns()[1].value(0) {
             Value::Double(d) => assert_eq!(d.to_bits(), (1.0f64 / 3.0).to_bits()),
             other => panic!("expected double, got {other:?}"),
         }
-        match &y.row(1)[1] {
+        match &y.columns()[1].value(1) {
             Value::Double(d) => assert!(d.is_sign_negative() && *d == 0.0),
             other => panic!("expected -0.0, got {other:?}"),
         }
-        assert_eq!(y.row(1)[2], Value::Null);
+        assert_eq!(y.columns()[2].value(1), Value::Null);
         assert!(c2.table("w").unwrap().is_empty());
     }
 

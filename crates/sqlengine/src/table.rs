@@ -4,7 +4,8 @@
 //! `Vec<f64>`, BIGINT as a `Vec<i64>`, each with a validity vector once a
 //! NULL arrives; VARCHAR as values — so a scan hands the executor slices,
 //! `INSERT … SELECT` appends columns and DROP frees one vector per column.
-//! Rows exist where a client or row-wise DML reads them ([`Table::row`]).
+//! UPDATE and DELETE hand the table the positions they matched
+//! ([`Table::update`], [`Table::delete`]).
 //!
 //! When the schema declares a key, a [`KeyTable`] — the engine's one hash
 //! table — maps a key to its row: the slots hold row *positions* only,
@@ -81,11 +82,6 @@ impl Table {
         &self.cols
     }
 
-    /// Row `pos`, materialized.
-    pub fn row(&self, pos: usize) -> Vec<Value> {
-        self.cols.iter().map(|c| c.value(pos)).collect()
-    }
-
     /// Append a batch of rows held as one storage column per declared
     /// column ([`Column::coerce`]d to its type) — the one way rows enter
     /// a table. All or nothing: on a duplicate key (or a batch that does
@@ -128,75 +124,59 @@ impl Table {
         if self.index_rows(before) {
             return Ok(n);
         }
-        self.keep(before);
+        self.cols.iter_mut().for_each(|c| c.truncate(before));
+        self.reindex();
         Err(Error::DuplicateKey {
             table: self.name.clone(),
         })
     }
 
-    /// Cut the table back to its first `len` rows.
-    fn keep(&mut self, len: usize) {
-        self.cols.iter_mut().for_each(|c| c.truncate(len));
-        self.reindex();
-    }
-
-    /// Delete every row; returns how many there were.
-    pub fn truncate(&mut self) -> usize {
-        let n = self.len();
-        self.keep(0);
-        n
-    }
-
-    /// Delete rows matching `pred`; returns how many were removed. The
-    /// key index is rebuilt afterwards (deletes are rare in the SQLEM
-    /// workload; the paper explicitly prefers DROP/CREATE over bulk
-    /// DELETE §3.6).
-    pub fn delete_where<F: FnMut(&[Value]) -> bool>(&mut self, mut pred: F) -> usize {
-        let keep: Vec<u32> = (0..self.len())
-            .filter(|&pos| !pred(&self.row(pos)))
-            .map(|pos| pos as u32)
+    /// Delete the rows at `positions` (ascending, distinct); the rest are
+    /// kept with one `Column::take` each and the key index is rebuilt.
+    /// Returns how many rows were removed.
+    pub fn delete(&mut self, positions: &[u32]) -> usize {
+        if positions.is_empty() {
+            return 0;
+        }
+        let mut doomed = positions.iter().peekable();
+        let keep: Vec<u32> = (0..self.len() as u32)
+            .filter(|pos| doomed.next_if_eq(&pos).is_none())
             .collect();
-        let removed = self.len() - keep.len();
-        if removed > 0 {
-            self.cols = self.cols.iter().map(|c| c.take(&keep)).collect();
-            self.reindex();
-        }
-        removed
+        self.cols = self.cols.iter().map(|c| c.take(&keep)).collect();
+        self.reindex();
+        positions.len()
     }
 
-    /// Apply `f` to every row (UPDATE). `f` returns true when it
-    /// modified the row. **Atomic**: the updated rows are staged as new
-    /// columns and swapped in only if every evaluation succeeds (and,
-    /// when `touches_key`, only if the updated keys are still unique) —
-    /// a failed UPDATE leaves the table exactly as it was, so retrying
-    /// the statement is safe. Returns the number of modified rows.
-    pub fn update_where<F: FnMut(&mut [Value]) -> Result<bool>>(
-        &mut self,
-        mut f: F,
-        touches_key: bool,
-    ) -> Result<usize> {
-        let declared = self.schema.columns().iter();
-        let mut staged: Vec<Column> = declared.map(|c| Column::empty(c.ty)).collect();
-        let mut n = 0;
-        for pos in 0..self.len() {
-            let mut row = self.row(pos);
-            n += usize::from(f(&mut row)?);
-            for (col, v) in staged.iter_mut().zip(&row) {
-                col.push(v)?;
-            }
+    /// Overwrite the rows at `positions` (ascending, distinct) of each
+    /// column `c` of `values`, in order, with the rows of its new column,
+    /// a storage column of the declared type — the replacement is one
+    /// take over the old column followed by the new values. **Atomic**:
+    /// when a key column changes and the keys are no longer unique, the
+    /// table is exactly as it was and the UPDATE fails, so a retry is safe.
+    pub fn update(&mut self, positions: &[u32], values: Vec<(usize, Column)>) -> Result<()> {
+        let n = self.len() as u32;
+        let mut from: Vec<u32> = (0..n).collect();
+        for (new, &pos) in (n..).zip(positions) {
+            from[pos as usize] = new;
         }
-        if n == 0 {
-            return Ok(0);
+        let key = self.schema.primary_key();
+        let old = values
+            .iter()
+            .any(|(c, _)| key.contains(c))
+            .then(|| self.cols.clone());
+        for (c, new) in values {
+            let mut staged = self.cols[c].clone();
+            staged.append(new);
+            self.cols[c] = staged.take(&from);
         }
-        let old = std::mem::replace(&mut self.cols, staged);
-        if touches_key && !self.reindex() {
+        if let Some(old) = old.filter(|_| !self.reindex()) {
             self.cols = old;
             self.reindex();
             return Err(Error::DuplicateKey {
                 table: self.name.clone(),
             });
         }
-        Ok(n)
+        Ok(())
     }
 
     /// The key columns, in [`Schema::primary_key`] order.
@@ -286,7 +266,7 @@ mod tests {
         insert(&mut t, vec![Value::Int(2), Value::Double(1.5)]).unwrap();
         assert_eq!(t.len(), 2);
         let found = position(&t, Value::Int(2)).unwrap();
-        assert_eq!(t.row(found)[1], Value::Double(1.5));
+        assert_eq!(t.columns()[1].value(found), Value::Double(1.5));
         assert_eq!(position(&t, Value::Int(3)), None);
         assert_eq!(position(&t, Value::Double(1.0)), Some(0));
         assert_eq!(position(&t, Value::Double(1.5)), None);
@@ -344,60 +324,52 @@ mod tests {
     }
 
     #[test]
-    fn truncate_clears_rows_and_index() {
+    fn deleting_every_row_clears_rows_and_index() {
         let mut t = Table::new("yd", yd_schema());
         insert(&mut t, vec![Value::Int(1), Value::Double(0.5)]).unwrap();
-        assert_eq!(t.truncate(), 1);
+        assert_eq!(t.delete(&[0]), 1);
         assert!(t.is_empty());
         // Key is free again.
         insert(&mut t, vec![Value::Int(1), Value::Double(0.7)]).unwrap();
     }
 
     #[test]
-    fn delete_where_rebuilds_index() {
+    fn delete_rebuilds_index() {
         let mut t = Table::new("yd", yd_schema());
         for i in 0..10 {
             insert(&mut t, vec![Value::Int(i), Value::Double(i as f64)]).unwrap();
         }
-        let removed = t.delete_where(|row| matches!(row[0], Value::Int(i) if i % 2 == 0));
-        assert_eq!(removed, 5);
+        assert_eq!(t.delete(&[0, 2, 4, 6, 8]), 5);
         assert_eq!(position(&t, Value::Int(2)), None);
         assert_eq!(position(&t, Value::Int(3)), Some(1));
     }
 
     #[test]
-    fn update_where_detects_key_collision() {
+    fn update_detects_key_collision() {
         let mut t = Table::new("yd", yd_schema());
         insert(&mut t, vec![Value::Int(1), Value::Double(0.0)]).unwrap();
         insert(&mut t, vec![Value::Int(2), Value::Double(0.0)]).unwrap();
         // Set every rid to 7 → collision.
-        let err = t.update_where(
-            |row| {
-                row[0] = Value::Int(7);
-                Ok(true)
-            },
-            true,
-        );
+        let err = t.update(&[0, 1], vec![(0, Column::I64(vec![7, 7], None))]);
         assert!(err.is_err());
-        assert_eq!(t.row(1)[0], Value::Int(2));
+        assert_eq!(t.columns()[0].value(1), Value::Int(2));
         assert_eq!(position(&t, Value::Int(2)), Some(1));
     }
 
     #[test]
     fn update_non_key_columns() {
         let mut t = Table::new("yd", yd_schema());
-        insert(&mut t, vec![Value::Int(1), Value::Double(0.0)]).unwrap();
-        let n = t
-            .update_where(
-                |row| {
-                    row[1] = Value::Double(5.0);
-                    Ok(true)
-                },
-                false,
-            )
+        for i in 0..3 {
+            insert(&mut t, vec![Value::Int(i), Value::Double(0.0)]).unwrap();
+        }
+        t.update(&[1], vec![(1, Column::F64(vec![5.0], None))])
             .unwrap();
-        assert_eq!(n, 1);
-        assert_eq!(t.row(0)[1], Value::Double(5.0));
+        let d1 = &t.columns()[1];
+        assert_eq!(
+            (d1.value(0), d1.value(1)),
+            (Value::Double(0.0), Value::Double(5.0))
+        );
+        assert_eq!(position(&t, Value::Int(2)), Some(2));
     }
 
     #[test]

@@ -524,6 +524,46 @@ fn update_from_first_match_wins() {
 }
 
 #[test]
+fn update_from_first_match_wins_through_joins() {
+    // The first match in table order, whichever way the FROM tables
+    // join: a hash join whose build side repeats keys, and the cross
+    // product of two FROM tables, the first of them varying slowest.
+    let mut d = db();
+    d.execute(
+        "CREATE TABLE t (k BIGINT PRIMARY KEY, x DOUBLE);
+         CREATE TABLE lookup (k BIGINT, v DOUBLE);
+         CREATE TABLE a (v DOUBLE);
+         CREATE TABLE b (w DOUBLE)",
+    )
+    .unwrap();
+    d.execute(
+        "INSERT INTO t VALUES (1, 0.0), (2, 0.0), (3, 0.0);
+         INSERT INTO lookup VALUES (2, 5.0), (1, 10.0), (2, 6.0), (1, 20.0);
+         INSERT INTO a VALUES (1.0), (2.0);
+         INSERT INTO b VALUES (3.0), (4.0)",
+    )
+    .unwrap();
+    let xs = |d: &mut Database| -> Vec<Value> {
+        let r = d.execute("SELECT x FROM t ORDER BY k").unwrap();
+        r.rows.into_iter().map(|row| row[0].clone()).collect()
+    };
+    let r = d
+        .execute("UPDATE t FROM lookup SET x = lookup.v WHERE t.k = lookup.k")
+        .unwrap();
+    assert_eq!(r.rows_affected, 2);
+    let want = [10.0, 5.0, 0.0].map(Value::Double);
+    assert_eq!(xs(&mut d), want);
+    // (a, b) combinations in order: (1, 3), (1, 4), (2, 3), (2, 4).
+    // Row 1 takes (1, 4), not (2, 3); row 3 matches nothing.
+    let r = d
+        .execute("UPDATE t FROM a, b SET x = a.v * 100 + b.w WHERE a.v + b.w > t.k + 3")
+        .unwrap();
+    assert_eq!(r.rows_affected, 2);
+    let want = [104.0, 204.0, 0.0].map(Value::Double);
+    assert_eq!(xs(&mut d), want);
+}
+
+#[test]
 fn limit_zero_and_limit_beyond_rows() {
     let mut d = db();
     d.execute("CREATE TABLE t (a BIGINT)").unwrap();

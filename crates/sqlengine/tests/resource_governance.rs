@@ -14,11 +14,17 @@
 //!   tables. Running the same workload serially or through concurrent
 //!   `SharedDatabase` clones must yield bit-identical gauge multisets.
 
-use sqlengine::{check_script, CheckEnv, Database, ScriptSpec, ScriptStmt, SharedDatabase};
+use std::time::Instant;
+
+use sqlengine::resource::MemoryBudget;
+use sqlengine::{
+    check_script, CheckEnv, Database, Error, Row, ScriptSpec, ScriptStmt, SharedDatabase, Value,
+};
 
 /// A small join + group-by script exercising every runtime charge
 /// site: staged INSERT batches, a hash-join build side, a merged
-/// group table and a materialized sorted SELECT.
+/// group table, a materialized sorted SELECT and staged UPDATE values
+/// (one UPDATE … FROM building a hash table over its filtered FROM table).
 const SCRIPT: &[(&str, &str)] = &[
     (
         "create:t",
@@ -46,6 +52,11 @@ const SCRIPT: &[(&str, &str)] = &[
          WHERE t.a = u.a GROUP BY t.a",
     ),
     ("read", "SELECT a, s FROM o ORDER BY s"),
+    ("update", "UPDATE t SET b = b + 1"),
+    (
+        "update from",
+        "UPDATE t FROM u SET b = u.c * 2 WHERE t.a = u.a AND u.c > 15.0",
+    ),
     ("drop:o", "DROP TABLE o"),
     ("drop:u", "DROP TABLE u"),
     ("drop:t", "DROP TABLE t"),
@@ -87,6 +98,8 @@ fn static_footprint_bounds_runtime_peak_memory() {
     let join = &metrics[5];
     assert!(join.peak_mem_bytes > 0, "join statement charged nothing");
     assert!(!report.statements[5].footprint.is_zero());
+    // Both UPDATEs stage their new values; the second also builds.
+    assert!(metrics[7].peak_mem_bytes > 0 && metrics[8].peak_mem_bytes > metrics[7].peak_mem_bytes);
     // And the script-wide peak is exactly the statement-wise max.
     let peak = report.peak_footprint().eval(1, 1, 1);
     assert!(report
@@ -158,4 +171,62 @@ fn peak_memory_gauges_are_identical_serial_and_shared_parallel() {
     // The gauges are real, not a wall of zeros: every INSERT stages at
     // least one row.
     assert!(serial.iter().filter(|(_, p)| *p > 0).count() >= CLIENTS * 20);
+}
+
+/// `t(k, x)` of `n` rows and a ten-row lookup `l(k, y)` matching ten of
+/// them.
+fn dml_fixture(n: i64) -> Database {
+    let mut db = Database::new();
+    db.execute(
+        "CREATE TABLE t (k BIGINT PRIMARY KEY, x DOUBLE);
+         CREATE TABLE l (k BIGINT PRIMARY KEY, y DOUBLE)",
+    )
+    .unwrap();
+    let rows = |n: i64, step: i64| {
+        (0..n).map(move |i| vec![Value::Int(i * step), Value::Double(i as f64)])
+    };
+    db.bulk_insert("t", rows(n, 1)).unwrap();
+    db.bulk_insert("l", rows(10, 7)).unwrap();
+    db
+}
+
+fn contents(db: &mut Database) -> Vec<Row> {
+    db.execute("SELECT k, x FROM t ORDER BY k").unwrap().rows
+}
+
+/// UPDATE and DELETE run on the SELECT pipeline, so a statement deadline
+/// that has passed stops them before they change anything.
+#[test]
+fn an_expired_deadline_stops_update_and_delete() {
+    for sql in [
+        "UPDATE t SET x = x + 1",
+        "UPDATE t FROM l SET x = l.y WHERE t.k = l.k",
+        "DELETE FROM t WHERE x > 2500.0",
+    ] {
+        let mut db = dml_fixture(5000);
+        let before = contents(&mut db);
+        db.set_statement_deadline(Some(Instant::now()));
+        let err = db.execute(sql).unwrap_err();
+        assert!(matches!(err, Error::Deadline { .. }), "{sql}: {err:?}");
+        db.set_statement_deadline(None);
+        assert_eq!(contents(&mut db), before, "{sql}");
+        // And with time to spare it goes through.
+        assert!(db.execute(sql).unwrap().rows_affected > 0, "{sql}");
+    }
+}
+
+/// An UPDATE's staged values are charged ("staged update"): over a small
+/// budget it fails before the table is touched.
+#[test]
+fn an_update_over_budget_fails_and_changes_nothing() {
+    let mut db = dml_fixture(10_000);
+    let before = contents(&mut db);
+    db.set_memory_budget(Some(MemoryBudget::new(4096)));
+    let err = db.execute("UPDATE t SET x = x + 1").unwrap_err();
+    assert!(
+        matches!(&err, Error::ResourceExhausted { context, .. } if context == "staged update"),
+        "{err:?}"
+    );
+    db.set_memory_budget(None);
+    assert_eq!(contents(&mut db), before);
 }

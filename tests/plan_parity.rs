@@ -757,19 +757,23 @@ fn agree(case: &Case, want: &Result<QueryResult>, got: &Result<QueryResult>, at:
 }
 
 fn run_seed(seed: u64, cases: usize, rows: i64, tame: bool) -> Tally {
-    let fixture = setup(rows);
     let mut gen = Gen {
         rng: StdRng::seed_from_u64(seed),
         tame,
         flaw_rng: StdRng::seed_from_u64(seed ^ 0xF1A3),
         flaw: None,
     };
+    run_cases(seed, &setup(rows), (0..cases).map(|_| gen.case()))
+}
+
+/// Hold every contender to the reference on `cases`, each against a
+/// fresh `fixture` once a statement has mutated it.
+fn run_cases(seed: u64, fixture: &[String], cases: impl Iterator<Item = Case>) -> Tally {
     let mut tally = Tally::default();
-    let mut reference = embedded(&fixture, 1);
-    let mut others = contenders(&fixture);
+    let mut reference = embedded(fixture, 1);
+    let mut others = contenders(fixture);
     let untouched = dump(reference.as_mut());
-    for number in 0..cases {
-        let case = gen.case();
+    for (number, case) in cases.enumerate() {
         let at = |who: &str| format!("seed {seed} case {number} [{who}]: {}", case.sql);
         let want = reference.execute(&case.sql);
         let after = if case.mutating {
@@ -829,8 +833,8 @@ fn run_seed(seed: u64, cases: usize, rows: i64, tame: bool) -> Tally {
             _ => tally.rejected += 1,
         }
         if case.mutating {
-            reference = embedded(&fixture, 1);
-            others = contenders(&fixture);
+            reference = embedded(fixture, 1);
+            others = contenders(fixture);
         }
     }
     tally
@@ -909,4 +913,30 @@ fn seed_4() {
 fn large_driver_selects_match_under_two_workers() {
     let t = run_seed(5, 40, 6000, true);
     assert!(t.matched >= 30, "too few statements ran: {}", t.matched);
+}
+
+/// UPDATE … FROM and DELETE … WHERE over a driver past the executor's
+/// parallel threshold: the same rows change embedded with one worker and
+/// two, and over one, two and four shards — the first matching FROM row
+/// included (`m` has two, and the WHERE lets both through).
+#[test]
+fn large_driver_dml_matches_under_two_workers() {
+    let dml = [
+        "UPDATE y FROM z SET y1 = y1 + z.z1 WHERE y.rid = z.rid",
+        "UPDATE y FROM c SET y2 = y2 * c.c1 WHERE c.j = 2",
+        "UPDATE y FROM m SET y1 = m.m1 + y.rid, y2 = y1 * 2.0 WHERE y.y2 > 0.0",
+        "UPDATE z FROM y SET z1 = y.y1 WHERE z.rid = y.rid AND y.y2 < 0.0",
+        "DELETE FROM y WHERE y1 > 100.0",
+        "DELETE FROM z WHERE g <= 1",
+    ];
+    let cases = dml.iter().map(|sql| Case {
+        sql: sql.to_string(),
+        mutating: true,
+        ordered: false,
+        limited_local_insert: false,
+        bare_name_order: false,
+        flaw: None,
+    });
+    let t = run_cases(6, &setup(6000), cases);
+    assert_eq!(t.matched, dml.len(), "every statement ran everywhere");
 }

@@ -4,8 +4,9 @@
 //!
 //! Part one drives seeded random sequences of the table's mutations —
 //! appends (one row, a column batch, a batch with a duplicate in the
-//! middle), truncate, `delete_where`, `update_where` (off the key, on it
-//! without and with a collision, failing half way) — over schemas with
+//! middle), `delete` of chosen positions (all of them too) and `update`
+//! of them (off the key, on it without and with a collision, of no rows)
+//! — over schemas with
 //! no key, one BIGINT key, the three-BIGINT key of the vertical
 //! strategy's YC, and a VARCHAR + DOUBLE key, with NULLs, NaNs, signed
 //! zeros and integers past 2^53 in key and non-key cells. After every
@@ -81,6 +82,11 @@ fn columns(schema: &Schema, rows: &[Vec<Value>]) -> Vec<Column> {
     schema.columns().iter().enumerate().map(column).collect()
 }
 
+/// Row `pos` of `table`, read back.
+fn row(table: &Table, pos: usize) -> Vec<Value> {
+    table.columns().iter().map(|c| c.value(pos)).collect()
+}
+
 /// Probe `table` with the key cells of `keys` (rows of key-column values).
 fn probe(table: &Table, arity: usize, keys: &[Vec<Value>]) -> Vec<u32> {
     let cols: Vec<Column> = (0..arity)
@@ -94,7 +100,7 @@ fn check(table: &Table, model: &Model, rng: &mut StdRng, step: &str) {
     assert_eq!(table.len(), model.rows.len(), "{step}: length");
     assert_eq!(table.is_empty(), model.rows.is_empty(), "{step}");
     for (pos, want) in model.rows.iter().enumerate() {
-        let got = table.row(pos);
+        let got = row(table, pos);
         assert!(
             got.len() == want.len() && got.iter().zip(want).all(|(g, w)| same_value(g, w)),
             "{step}: row {pos} reads {got:?}, model holds {want:?}"
@@ -306,30 +312,17 @@ fn random_mutations_keep_table_and_index_equal_to_the_model() {
                         // Off the key.
                         let to = random_cell(&mut rng, free_ty, 40);
                         let pick = rng.random_range(1..4usize);
-                        let mut seen = 0;
-                        let hit = |row: &[Value], seen: &mut usize| {
-                            *seen += 1;
-                            seen.is_multiple_of(pick) && !same_value(&row[free], &to)
-                        };
-                        let mut want = 0;
-                        for row in model.rows.iter_mut() {
-                            if hit(row, &mut seen) {
+                        let mut positions = Vec::new();
+                        for (pos, row) in model.rows.iter_mut().enumerate() {
+                            if (pos + 1).is_multiple_of(pick) && !same_value(&row[free], &to) {
                                 row[free] = to.clone();
-                                want += 1;
+                                positions.push(pos as u32);
                             }
                         }
-                        let mut seen = 0;
-                        let got = table.update_where(
-                            |row| {
-                                let hit = hit(row, &mut seen);
-                                if hit {
-                                    row[free] = to.clone();
-                                }
-                                Ok(hit)
-                            },
-                            false,
-                        );
-                        assert_eq!(got, Ok(want), "{what}");
+                        let values = vec![to; positions.len()];
+                        let (values, _) = Column::from_values(values).coerce(free_ty);
+                        let got = table.update(&positions, vec![(free, values)]);
+                        assert_eq!(got, Ok(()), "{what}");
                     }
                     11 if model.keyed() => {
                         // On the key: every BIGINT key cell moves by one
@@ -339,7 +332,8 @@ fn random_mutations_keep_table_and_index_equal_to_the_model() {
                         let stride = 1 << 21;
                         let first: Vec<Value> = model.rows.first().cloned().unwrap_or_default();
                         let last = model.rows.len().wrapping_sub(1);
-                        let change = |row: &mut [Value], pos: usize| {
+                        let mut after = model.rows.clone();
+                        for (pos, row) in after.iter_mut().enumerate() {
                             for &c in &key_cols {
                                 if collide && pos == last {
                                     row[c] = first[c].clone();
@@ -347,23 +341,13 @@ fn random_mutations_keep_table_and_index_equal_to_the_model() {
                                     row[c] = Value::Int(i.wrapping_add(stride));
                                 }
                             }
-                            true
-                        };
-                        let mut after = model.rows.clone();
-                        let mut moved = 0;
-                        for (pos, row) in after.iter_mut().enumerate() {
-                            moved += change(row, pos) as usize;
                         }
-                        let mut pos = 0;
-                        let got = table.update_where(
-                            |row| {
-                                pos += 1;
-                                Ok(change(row, pos - 1))
-                            },
-                            true,
-                        );
+                        let positions: Vec<u32> = (0..after.len() as u32).collect();
+                        let staged = columns(&model.schema, &after);
+                        let keys = key_cols.iter().map(|&c| (c, staged[c].clone()));
+                        let got = table.update(&positions, keys.collect());
                         if model.admits(&after) {
-                            assert_eq!(got, Ok(moved), "{what}");
+                            assert_eq!(got, Ok(()), "{what}");
                             model.rows = after;
                             rebuilt += 1;
                         } else {
@@ -375,41 +359,24 @@ fn random_mutations_keep_table_and_index_equal_to_the_model() {
                         }
                     }
                     12 => {
-                        // An UPDATE that fails on its last row changes nothing.
-                        let n = model.rows.len();
-                        let mut pos = 0;
-                        let got = table.update_where(
-                            |row| {
-                                pos += 1;
-                                if pos == n {
-                                    return Err(Error::Arithmetic("division by zero".into()));
-                                }
-                                row[free] = Value::Null;
-                                Ok(true)
-                            },
-                            false,
-                        );
-                        match n {
-                            0 => assert_eq!(got, Ok(0), "{what}"),
-                            _ => assert!(matches!(got, Err(Error::Arithmetic(_))), "{what}"),
-                        }
+                        // An UPDATE of no rows changes nothing.
+                        let got = table.update(&[], vec![(free, Column::empty(free_ty))]);
+                        assert_eq!(got, Ok(()), "{what}");
                     }
                     13 | 14 => {
                         let pick = rng.random_range(2..5usize);
-                        let doomed = |seen: &mut usize| {
-                            *seen += 1;
-                            seen.is_multiple_of(pick)
-                        };
-                        let before = model.rows.len();
-                        let mut seen = 0;
-                        model.rows.retain(|_| !doomed(&mut seen));
-                        let mut seen = 0;
-                        let removed = table.delete_where(|_| doomed(&mut seen));
-                        assert_eq!(removed, before - model.rows.len(), "{what}");
+                        let doomed: Vec<u32> = (0..model.rows.len() as u32)
+                            .filter(|pos| (pos + 1).is_multiple_of(pick as u32))
+                            .collect();
+                        for &pos in doomed.iter().rev() {
+                            model.rows.remove(pos as usize);
+                        }
+                        assert_eq!(table.delete(&doomed), doomed.len(), "{what}");
                         rebuilt += 1;
                     }
                     15 if rng.random_range(0..4usize) == 0 => {
-                        assert_eq!(table.truncate(), model.rows.len(), "{what}");
+                        let every: Vec<u32> = (0..model.rows.len() as u32).collect();
+                        assert_eq!(table.delete(&every), model.rows.len(), "{what}");
                         model.rows.clear();
                     }
                     _ => {}
@@ -496,7 +463,7 @@ fn target_state(db: &Database) -> (Vec<Vec<Value>>, Vec<u32>) {
     let t = db.catalog().table("t").unwrap();
     let keys = Column::from_values((-3..3).map(Value::Int).collect());
     (
-        (0..t.len()).map(|pos| t.row(pos)).collect(),
+        (0..t.len()).map(|pos| row(t, pos)).collect(),
         t.probe(&[keys], 6),
     )
 }
