@@ -58,8 +58,14 @@ Stages, in order:
                 #[cfg(test)] EmSession is the only `pub struct …Session`
                 under crates/sqlem/src, and no `Strategy::X =>` arm
                 there outside generator/ and config.rs (a strategy's
-                layout and closed form are its generator's); prints the
-                crates/*/src line
+                layout and closed form are its generator's); and one
+                parallelism mechanism (the shard coordinator, the AMP
+                analogue): outside #[cfg(test)] nothing under
+                crates/sqlengine/src calls thread::scope or
+                thread::spawn, and nothing under crates/*/src names
+                PARALLEL_THRESHOLD, `fn set_workers`, a `workers:`
+                field, a "--workers" flag or a \workers shell command;
+                prints the crates/*/src line
                 total and the non-test total (each file up to its first
                 #[cfg(test)]) so a PR's line delta is a CI output
   fmt           cargo fmt --all -- --check
@@ -69,8 +75,8 @@ Stages, in order:
   build         cargo build --release
   conformance   cost-model conformance + golden-SQL snapshots + differential,
                 then examples/bit_dump: every result bit of a short run of
-                each strategy must be the same embedded, with workers = 2
-                and through a 2-shard coordinator
+                each strategy must be the same embedded and through a
+                2-shard coordinator
   plancheck     static analyzer gate: the symbolic per-iteration scan
                 derivation must equal engine ExecMetrics exactly on the
                 cost-model grid for all three strategies, the fused
@@ -287,6 +293,16 @@ if nontest '(^|[^A-Za-z0-9_])Strategy::[A-Za-z]+.*=>' -path 'crates/sqlem/src/*'
     ! -path 'crates/sqlem/src/generator/*' ! -path 'crates/sqlem/src/config.rs' | grep .; then
     echo "ERROR: a strategy's layout or closed form is decided outside its" \
          "generator (above); ask the sqlem::Generator instead" >&2
+    exit 1
+fi
+# One parallelism mechanism: a statement runs on one thread inside the
+# engine; more than one core is the shard coordinator's (sqlwire's
+# Coordinator over embedded Databases or sqlem-servers, the paper's AMPs)
+# — no partition workers beside it, and no option choosing them.
+if { nontest 'thread::(scope|spawn)' -path 'crates/sqlengine/src/*'
+     nontest 'PARALLEL_THRESHOLD|fn set_workers|^[[:space:]]*(pub[[:space:]]+)?workers:|"--workers"|\\\\workers'; } | grep .; then
+    echo "ERROR: a second parallelism mechanism is back (above); run a" \
+         "statement on more than one core through sqlwire::Coordinator" >&2
     exit 1
 fi
 echo "   crates/*/src: $(find crates/*/src -name '*.rs' -exec cat {} + | wc -l) lines," \

@@ -261,7 +261,7 @@ fn last(xs: &[f64]) -> Option<f64> {
     xs.last().copied()
 }
 
-/// Design ablations: classic vs fused E step, worker count.
+/// Design ablations: classic vs fused E step, shard count.
 fn ablations(opts: &Opts) {
     let (n, p, k, iters) = if opts.quick {
         (2_000, 4, 3, 2)
@@ -303,12 +303,12 @@ fn ablations(opts: &Opts) {
         series.push(ord as f64, run.secs_per_iteration());
     }
 
-    // Worker count (AMP-style partitions).
-    for (ord, workers) in [(2usize, 1usize), (3, 2), (4, 4)] {
-        let t = time_em_iterations(Strategy::Hybrid, n, p, k, iters, 7, workers);
+    // Shard count: embedded, then an in-process coordinator (the AMPs).
+    for (ord, shards) in [(2usize, 1usize), (3, 2), (4, 4)] {
+        let t = time_em_iterations(Strategy::Hybrid, n, p, k, iters, 7, shards);
         println!(
             "{:>22}: {:.4} s/iter",
-            format!("hybrid, workers = {workers}"),
+            format!("hybrid, shards = {shards}"),
             t.secs_per_iteration
         );
         series.push(ord as f64, t.secs_per_iteration);

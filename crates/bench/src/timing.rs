@@ -3,7 +3,8 @@
 use datagen::generate_dataset;
 use emcore::init::InitStrategy;
 use sqlem::{EmSession, SqlemConfig, Strategy};
-use sqlengine::Database;
+use sqlengine::{Database, SqlExecutor};
+use sqlwire::Coordinator;
 
 /// Result of a timed run.
 #[derive(Debug, Clone)]
@@ -20,7 +21,8 @@ pub struct TimedRun {
 /// Generate a `(n, p, k)` dataset (20% noise, §4.2), run `iterations` EM
 /// iterations under `strategy`, and report the mean time per iteration.
 ///
-/// `workers` sets the engine's partition parallelism (1 = serial).
+/// `shards` is where the SQL runs: 1 is one embedded `Database`, more
+/// an in-process `Coordinator` over that many (the paper's AMPs).
 pub fn time_em_iterations(
     strategy: Strategy,
     n: usize,
@@ -28,16 +30,29 @@ pub fn time_em_iterations(
     k: usize,
     iterations: usize,
     seed: u64,
-    workers: usize,
+    shards: usize,
 ) -> TimedRun {
     let data = generate_dataset(n, p, k, seed);
-    let mut db = Database::new();
-    db.set_workers(workers);
     let config = SqlemConfig::new(k, strategy)
         .with_epsilon(0.0)
         .with_max_iterations(iterations);
-    let mut session = EmSession::create(&mut db, &config, p).expect("session creation failed");
-    session.load_points(&data.points).expect("load failed");
+    if shards <= 1 {
+        return timed_run(&mut Database::new(), &config, p, &data.points, seed);
+    }
+    let dbs = (0..shards).map(|_| Database::new()).collect();
+    let mut coordinator = Coordinator::new(dbs).expect("coordinator assembly failed");
+    timed_run(&mut coordinator, &config, p, &data.points, seed)
+}
+
+fn timed_run<E: SqlExecutor>(
+    db: &mut E,
+    config: &SqlemConfig,
+    p: usize,
+    points: &[Vec<f64>],
+    seed: u64,
+) -> TimedRun {
+    let mut session = EmSession::create(db, config, p).expect("session creation failed");
+    session.load_points(points).expect("load failed");
     // Sample-based initialization (§3.1) keeps the run numerically sane
     // at every sweep size; its cost is excluded from the timing.
     session
@@ -73,5 +88,18 @@ mod tests {
             let t = time_em_iterations(strategy, 200, 2, 2, 2, 3, 1);
             assert!(t.secs_per_iteration > 0.0, "{strategy}");
         }
+    }
+
+    #[test]
+    fn a_sharded_run_matches_the_embedded_one() {
+        let embedded = time_em_iterations(Strategy::Hybrid, 300, 2, 2, 3, 7, 1);
+        let sharded = time_em_iterations(Strategy::Hybrid, 300, 2, 2, 3, 7, 2);
+        let bits = |t: &TimedRun| {
+            t.llh_history
+                .iter()
+                .map(|l| l.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&embedded), bits(&sharded));
     }
 }

@@ -17,7 +17,6 @@
 //! * `\metrics on|off` — per-statement execution telemetry (printed
 //!   after each statement, like a standing EXPLAIN ANALYZE);
 //!   `\metrics` — print the recorded log; `\reset` — clear it
-//! * `\workers N` — set partition parallelism
 //! * `\q` — quit
 //!
 //! `EXPLAIN ANALYZE <stmt>;` executes the statement with telemetry and
@@ -149,13 +148,7 @@ fn meta_command(db: &mut Database, cmd: &str) -> bool {
             }
             Some(other) => eprintln!("usage: \\metrics [on|off], got {other}"),
         },
-        "\\workers" => match parts.next().and_then(|w| w.parse::<usize>().ok()) {
-            Some(w) => db.set_workers(w),
-            None => eprintln!("usage: \\workers N"),
-        },
-        other => {
-            eprintln!("unknown command {other}; try \\d \\metrics \\reset \\workers \\q")
-        }
+        other => eprintln!("unknown command {other}; try \\d \\metrics \\reset \\q"),
     }
     true
 }

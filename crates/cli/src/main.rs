@@ -16,9 +16,9 @@
 //!   --scores PATH         write per-row cluster assignments as CSV
 //!   --sql                 print the generated SQL instead of running
 //!   --fused               use the fused E step (one fewer scan/iteration)
-//!   --workers N           engine scan partitions, AMP-style (default 1)
 //!   --trace-metrics       print per-iteration cost-model telemetry
 //!                         (n-scans / pn-scans / temp rows / E+M timings)
+//!                         beside the strategy's closed-form scan counts
 //!   --retries N           retry transiently-failed statements up to N
 //!                         times each (exponential backoff)
 //!   --checkpoint PATH     checkpoint every iteration; save the latest
@@ -54,8 +54,8 @@
 //!   --connect HOST:PORT   run against a remote sqlem-server instead of
 //!                         an in-process database (the paper's two-tier
 //!                         deployment, §1.4). Server-side options
-//!                         (--durable, --data-dir, --workers,
-//!                         --inject-fault) then belong to the server.
+//!                         (--durable, --data-dir, --inject-fault,
+//!                         --memory-budget) then belong to the server.
 //!   --shards ADDR,...     run against a *cluster* of sqlem-servers:
 //!                         rid-bearing tables are hash-partitioned
 //!                         across the comma-separated HOST:PORT shards
@@ -114,7 +114,10 @@ use std::time::Duration;
 
 use emcore::init::InitStrategy;
 use sqlem::naming::Names;
-use sqlem::{checkpoint, Checkpoint, EmSession, PlanReport, RetryPolicy, SqlemConfig, Strategy};
+use sqlem::{
+    build_generator, checkpoint, Checkpoint, EmSession, Generator, PlanReport, RetryPolicy,
+    SqlemConfig, Strategy,
+};
 use sqlengine::storage::logfile::atomic_replace;
 use sqlengine::{
     Database, Error as SqlError, FaultPlan, FaultRule, MemoryBudget, SqlExecutor, StatementKind,
@@ -232,7 +235,6 @@ struct Args {
     scores_path: Option<String>,
     print_sql: bool,
     fused: bool,
-    workers: usize,
     trace_metrics: bool,
     retries: Option<usize>,
     checkpoint_path: Option<String>,
@@ -253,7 +255,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: sqlem-cli <input.csv> --k <clusters> [--strategy hybrid|horizontal|vertical] \
          [--epsilon E] [--max-iterations N] [--seed N] [--sample F] [--no-header] \
-         [--scores PATH] [--sql] [--fused] [--workers N] [--trace-metrics] \
+         [--scores PATH] [--sql] [--fused] [--trace-metrics] \
          [--retries N] [--checkpoint PATH] [--resume PATH] [--durable] [--data-dir PATH] \
          [--recover] [--inject-fault SPEC]... \
          [--memory-budget BYTES] [--load-chunk ROWS] \
@@ -277,7 +279,6 @@ fn parse_args() -> Args {
     let mut scores_path = None;
     let mut print_sql = false;
     let mut fused = false;
-    let mut workers = 1usize;
     let mut trace_metrics = false;
     let mut retries = None;
     let mut checkpoint_path = None;
@@ -325,7 +326,6 @@ fn parse_args() -> Args {
             "--scores" => scores_path = Some(req("--scores")),
             "--sql" => print_sql = true,
             "--fused" => fused = true,
-            "--workers" => workers = req("--workers").parse().unwrap_or_else(|_| usage()),
             "--trace-metrics" => trace_metrics = true,
             "--retries" => retries = Some(req("--retries").parse().unwrap_or_else(|_| usage())),
             "--checkpoint" => checkpoint_path = Some(req("--checkpoint")),
@@ -404,7 +404,6 @@ fn parse_args() -> Args {
         scores_path,
         print_sql,
         fused,
-        workers,
         trace_metrics,
         retries,
         checkpoint_path,
@@ -580,7 +579,6 @@ fn run(args: &Args) -> Result<(), CliError> {
         for (flag, set) in [
             ("--durable/--data-dir", args.data_dir.is_some()),
             ("--inject-fault", !args.fault_specs.is_empty()),
-            ("--workers", args.workers != 1),
             ("--memory-budget", args.memory_budget.is_some()),
         ] {
             if set {
@@ -630,7 +628,6 @@ fn run(args: &Args) -> Result<(), CliError> {
         }
         None => Database::new(),
     };
-    db.set_workers(args.workers);
     if let Some(b) = args.memory_budget {
         db.set_memory_budget(Some(MemoryBudget::new(b)));
         eprintln!("working-memory budget: {b} byte(s)");
@@ -741,10 +738,13 @@ fn run_clustering<E: SqlExecutor>(
         run.llh_history.last().copied().unwrap_or(f64::NAN),
     );
     if args.trace_metrics {
+        let generator = build_generator(session.config(), p);
+        let (n_scans, pn_scans) = generator.expected_scans();
+        let fused = if generator.fused() { " fused" } else { "" };
         eprintln!(
-            "cost model: paper §3.6 predicts 2k+3 = {} n-scan(s) + 1 pn-scan \
-             per hybrid iteration",
-            2 * args.k + 3
+            "cost model: the {}{fused} closed form predicts {n_scans} n-scan(s) + \
+             {pn_scans} pn-scan(s) per iteration",
+            generator.name()
         );
         for report in &run.iteration_reports {
             eprintln!("{}", report.summary());

@@ -68,6 +68,36 @@ fn sql_mode_prints_statements_without_running() {
 }
 
 #[test]
+fn trace_metrics_prints_each_strategys_closed_form() {
+    let dir = std::env::temp_dir().join("sqlem_cli_test_trace_metrics");
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = demo_csv(&dir);
+    // p = 2, k = 2: hybrid 2k+3, fused 2k+2, vertical 1 + 9 pn-scans,
+    // horizontal 2k+4 and none.
+    let cases: [(&[&str], usize, usize); 4] = [
+        (&[], 7, 1),
+        (&["--fused"], 6, 1),
+        (&["--strategy", "vertical"], 1, 9),
+        (&["--strategy", "horizontal"], 8, 0),
+    ];
+    for (flags, n_scans, pn_scans) in cases {
+        let out = Command::new(bin())
+            .args([input.to_str().unwrap(), "--k", "2", "--max-iterations", "2"])
+            .args(flags)
+            .arg("--trace-metrics")
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{flags:?}: {stderr}");
+        let predicted = format!("predicts {n_scans} n-scan(s) + {pn_scans} pn-scan(s)");
+        assert!(stderr.contains(&predicted), "{flags:?}: {stderr}");
+        let measured = format!("iter 2: {n_scans} n-scan(s), {pn_scans} pn-scan(s),");
+        assert!(stderr.contains(&measured), "{flags:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn bad_input_fails_cleanly() {
     let dir = std::env::temp_dir().join("sqlem_cli_test3");
     std::fs::create_dir_all(&dir).unwrap();
@@ -725,8 +755,8 @@ fn shards_conflicts_with_database_process_flags() {
             "2",
             "--shards",
             "127.0.0.1:1,127.0.0.1:2",
-            "--workers",
-            "4",
+            "--memory-budget",
+            "64M",
         ])
         .output()
         .unwrap();

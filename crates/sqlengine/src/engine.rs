@@ -866,15 +866,10 @@ impl Database {
         &self.config
     }
 
-    /// Mutable configuration access (workers, statement cap, analyzer
-    /// limits) for subsequent statements.
+    /// Mutable configuration access (statement cap, analyzer limits,
+    /// memory budget) for subsequent statements.
     pub fn config_mut(&mut self) -> &mut EngineConfig {
         &mut self.config
-    }
-
-    /// Change the worker (partition) count for subsequent queries.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.config.workers = workers.max(1);
     }
 
     /// Change the statement-length limit (models DBMS parser limits, §1.3).

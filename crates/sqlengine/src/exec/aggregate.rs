@@ -39,15 +39,15 @@
 //!
 //! `SUM`/`AVG` accumulate through [`ExactSum`], so the finalized value
 //! is the correctly-rounded sum of the input multiset — bit-identical
-//! under any partitioning, whether across execution threads or across
-//! cluster shards. An `ExactSum` is 48 bytes while its sum is short (a
-//! `GROUP BY rid` table holds n·k of them) and moves itself into a
-//! fixed-point superaccumulator when it is not (the M step's whole-table
-//! sums over underflowing responsibilities), where an add costs the same
-//! whatever the magnitude spread; which of the two a sum was in never
-//! shows in a result. The group table crosses a partition, a process or
-//! the wire as these columns, and there is one merge, column into
-//! column: a single-node SELECT finalizes its own group table, a shard
+//! under any partitioning across cluster shards. An `ExactSum` is 48
+//! bytes while its sum is short (a `GROUP BY rid` table holds n·k of
+//! them) and moves itself into a fixed-point superaccumulator when it is
+//! not (the M step's whole-table sums over underflowing
+//! responsibilities), where an add costs the same whatever the magnitude
+//! spread; which of the two a sum was in never shows in a result. The
+//! group table crosses a process or the wire as these columns, and there
+//! is one merge, column into column: a single-node SELECT finalizes its
+//! own group table, a shard
 //! ships it un-finalized ([`PartialAggResult`]) and the coordinator
 //! merges and finalizes. `MIN`/`MAX` order by SQL comparison
 //! with every NaN above every number (where ORDER BY sorts it), so they
@@ -420,9 +420,9 @@ impl AggState {
         }
     }
 
-    /// Merge another partition's or another shard's `MIN`, `MAX` or
-    /// moments into this state of the same aggregate (`SUM`, `AVG` and
-    /// `COUNT` merge in their columns).
+    /// Merge another shard's `MIN`, `MAX` or moments into this state of
+    /// the same aggregate (`SUM`, `AVG` and `COUNT` merge in their
+    /// columns).
     fn merge(&mut self, other: &AggState) {
         match (self, other) {
             (AggState::Min(best), AggState::Min(theirs)) => {
@@ -819,7 +819,7 @@ impl Groups {
 
     /// Fold in `n` groups of checked kinds, in order — row `i` of `keys`
     /// with `cell(i, j)` for aggregate `j`: the one merge loop behind
-    /// execution partitions, shards, the wire and the gather step.
+    /// shards, the wire and the gather step.
     fn absorb<'c>(
         &mut self,
         keys: &[Column],
@@ -902,7 +902,7 @@ impl PartialAggResult {
     }
 }
 
-/// Hash-aggregation sink: one per execution partition.
+/// Hash-aggregation sink: the group table of one statement's pipeline.
 pub struct AggSink {
     plan: AggPlan,
     groups: Groups,
@@ -933,9 +933,8 @@ impl AggSink {
     /// Working-memory footprint of the group table under the logical
     /// size model of [`crate::resource`]: one hash entry per group (key
     /// row + entry overhead) plus one accumulator state per aggregate.
-    /// Charged against the statement's memory budget after partitions
-    /// merge — the merged table is identical under serial and parallel
-    /// execution, so the charge is deterministic.
+    /// Charged against the statement's memory budget once the pipeline
+    /// drains.
     pub fn footprint_bytes(&self) -> u64 {
         use crate::resource::{rows_bytes, AGG_STATE_BYTES, ENTRY_OVERHEAD_BYTES};
         let groups = self.group_count();
@@ -962,13 +961,6 @@ impl AggSink {
             sink.groups = partial.groups;
         }
         Ok(sink)
-    }
-
-    /// Merge another partition's groups into this one (partition order
-    /// gives deterministic group ordering).
-    pub fn merge(&mut self, other: AggSink) -> Result<()> {
-        self.rows_seen += other.rows_seen;
-        self.groups.absorb_table(&other.groups)
     }
 
     /// Produce the final output (HAVING + projection applied): one
@@ -1313,6 +1305,14 @@ mod tests {
         assert!(plan_over(&["x"], &[nested], &[], None).is_err());
     }
 
+    /// Merge `b`'s groups into `a`'s as the coordinator merges shards'.
+    fn merged(a: AggSink, b: AggSink) -> Result<AggSink> {
+        let plan = a.plan.clone();
+        let mut partial = a.into_partial();
+        partial.merge(&b.into_partial())?;
+        AggSink::from_partial(plan, partial)
+    }
+
     #[test]
     fn merge_combines_partitions() {
         let plan = plan_t(
@@ -1338,8 +1338,7 @@ mod tests {
         push_rows(&mut a, &[(1, 1, 2.0), (2, 2, 7.0)]);
         let mut b = AggSink::new(plan);
         push_rows(&mut b, &[(3, 1, 4.0), (4, 3, 1.0)]);
-        a.merge(b).unwrap();
-        let rows = finalized(a);
+        let rows = finalized(merged(a, b).unwrap());
         assert_eq!(rows.len(), 3);
         // Group 1 merged across partitions.
         assert_eq!(rows[0][0], Value::Int(1));
@@ -1396,9 +1395,8 @@ mod tests {
                 }
                 sink
             };
-            let mut merged = part(&order[..cut]);
-            merged.merge(part(&order[cut..])).unwrap();
-            finalized(merged).remove(0)
+            let both = merged(part(&order[..cut]), part(&order[cut..]));
+            finalized(both.unwrap()).remove(0)
         };
         for (order, cut) in [
             (&[0, 1, 2, 3, 4, 5], 0),
@@ -1449,10 +1447,10 @@ mod tests {
         push(&mut sink, 17..18).unwrap();
         assert_eq!(push(&mut sink, MAX_KEYS..MAX_KEYS + 1), Err(full.clone()));
         assert_eq!(sink.group_count(), MAX_KEYS);
-        // Partitions (or shards) that fit one by one may not fit merged.
+        // Shards that fit one by one may not fit merged.
         let mut other = AggSink::new(plan);
         push(&mut other, MAX_KEYS - 1..MAX_KEYS + 1).unwrap();
-        assert_eq!(sink.merge(other), Err(full));
+        assert_eq!(merged(sink, other).err(), Some(full));
     }
 
     #[test]

@@ -170,8 +170,8 @@ pub fn stage_rows<R: AsRef<[Value]>>(
 struct DmlSink<'t> {
     chain: &'t Chain,
     assignments: &'t [(usize, CExpr)],
-    /// The matched target positions, ascending: they arrive in order
-    /// within a partition.
+    /// The matched target positions, ascending: they arrive in driver
+    /// order.
     positions: Vec<u32>,
     /// Per batch, the new values of each SET's column.
     values: Vec<Vec<Column>>,
@@ -229,29 +229,25 @@ fn run_dml(
 ) -> Result<(Vec<u32>, Vec<Column>)> {
     let reads: Vec<&CExpr> = assignments.iter().map(|(_, e)| e).collect();
     let pipeline = build_pipeline(catalog, chain, &reads, true, probe)?;
-    let mem = probe.tracker();
-    let sinks = run_pipeline(&pipeline, config, probe, || DmlSink {
+    let sink = DmlSink {
         chain,
         assignments,
         positions: Vec::new(),
         values: Vec::new(),
-        mem,
-    })?;
-    let mut positions = Vec::new();
+        mem: probe.tracker(),
+    };
+    let sink = run_pipeline(&pipeline, config, probe, sink)?;
     let declared = assignments
         .iter()
         .map(|(c, _)| chain.sources[0].columns[*c].ty);
     let mut values: Vec<Column> = declared.map(Column::empty).collect();
-    for sink in sinks {
-        positions.extend(sink.positions);
-        for batch in sink.values {
-            values
-                .iter_mut()
-                .zip(batch)
-                .for_each(|(col, more)| col.append(more));
-        }
+    for batch in sink.values {
+        values
+            .iter_mut()
+            .zip(batch)
+            .for_each(|(col, more)| col.append(more));
     }
-    Ok((positions, values))
+    Ok((sink.positions, values))
 }
 
 /// UPDATE [… FROM]: the FROM tables are the target's build stages, and

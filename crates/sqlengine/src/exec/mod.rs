@@ -14,7 +14,8 @@ mod select;
 
 pub(crate) use dml::stage_rows;
 pub use select::{
-    explain_select, finalize_select_partials, run_select, run_select_columns, run_select_partial,
+    explain_select, finalize_select_partials, finish_select, run_select, run_select_columns,
+    run_select_partial,
 };
 
 use crate::ast::Statement;
@@ -28,9 +29,6 @@ use crate::value::Value;
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ExecConfig {
-    /// Number of partitions ("AMPs") scans and aggregations are split
-    /// across. 1 = serial.
-    pub workers: usize,
     /// Statements longer than this are rejected before parsing, modelling
     /// the DBMS parser limits that motivate the hybrid strategy (§1.3).
     pub max_statement_len: usize,
@@ -62,7 +60,6 @@ pub struct ExecConfig {
 impl Default for ExecConfig {
     fn default() -> Self {
         ExecConfig {
-            workers: 1,
             max_statement_len: 64 * 1024,
             limits: crate::analyze::Limits::default(),
             deadline: None,

@@ -49,10 +49,11 @@
 //! shortened batch, so the statement fails with the error of the first
 //! failing row, as it would reading one row at a time.
 //!
-//! When [`ExecConfig::workers`] > 1 the driver scan is partitioned and each
-//! worker runs the identical pipeline into a private sink; results merge in
-//! partition order, mimicking the AMP parallelism of the paper's Teradata
-//! installation.
+//! A statement runs on one thread. The AMP parallelism of the paper's
+//! Teradata installation is the shard coordinator's (`sqlwire`): it runs
+//! this pipeline on every shard and merges what they return — partial
+//! aggregates through [`PartialAggResult::merge`], sorted rows through
+//! [`finish_select`].
 
 use std::ops::Range;
 use std::time::Instant;
@@ -70,12 +71,11 @@ use crate::resource::{rows_bytes, ResourceTracker, ENTRY_OVERHEAD_BYTES};
 use crate::table::{Row, Table, NO_ROW};
 use crate::value::Value;
 
-/// Minimum driver rows before parallel execution is worth spawning.
-const PARALLEL_THRESHOLD: usize = 4096;
-
 /// The post-sink tail shared by full and gathered execution: sort by the
-/// hidden key columns, strip them, apply LIMIT.
-fn finish(plan: &SelectPlan, mut rows: Vec<Row>) -> QueryResult {
+/// hidden key columns, strip them, apply LIMIT. The sort is stable, so
+/// sorted runs concatenated in shard order come out as a merge of them
+/// that breaks ties by shard.
+pub fn finish_select(plan: &SelectPlan, mut rows: Vec<Row>) -> QueryResult {
     let n_visible = plan.output_names.len();
     if !plan.sort_keys.is_empty() {
         let descs: Vec<bool> = plan.sort_keys.iter().map(|(_, desc)| *desc).collect();
@@ -97,11 +97,10 @@ fn finish(plan: &SelectPlan, mut rows: Vec<Row>) -> QueryResult {
     }
 }
 
-/// The one aggregate path: scan/join pipeline into one [`AggSink`] per
-/// partition, merged in partition order. A full SELECT finalizes the
-/// returned sink, a shard exports it, and the gather step rebuilds an
-/// equivalent one from the shards' exports — so single-node execution
-/// is the one-shard case of partial + finalize.
+/// The one aggregate path: scan/join pipeline into one [`AggSink`]. A
+/// full SELECT finalizes the returned sink, a shard exports it, and the
+/// gather step rebuilds an equivalent one from the shards' exports — so
+/// single-node execution is the one-shard case of partial + finalize.
 fn run_aggregate(
     catalog: &Catalog,
     config: &ExecConfig,
@@ -110,20 +109,13 @@ fn run_aggregate(
     probe: &mut StmtProbe,
 ) -> Result<AggSink> {
     let pipeline = build_pipeline(catalog, &plan.chain, &sink_reads(&plan.sink), false, probe)?;
-    let mut sinks =
-        run_pipeline(&pipeline, config, probe, || AggSink::new(agg.clone()))?.into_iter();
-    let mut merged = sinks.next().expect("at least one sink");
-    for sink in sinks {
-        merged.merge(sink)?;
-    }
-    // The merged table is charged (not the per-partition partials):
-    // its contents are identical under serial and parallel execution,
-    // which keeps the peak-memory gauge partition-order-independent.
+    let sink = run_pipeline(&pipeline, config, probe, AggSink::new(agg.clone()))?;
+    // The finished table is charged once, whole.
     probe
         .tracker()
-        .charge("group table", merged.footprint_bytes())?;
-    probe.set_groups(merged.group_count());
-    Ok(merged)
+        .charge("group table", sink.footprint_bytes())?;
+    probe.set_groups(sink.group_count());
+    Ok(sink)
 }
 
 /// Rows for a client, made of batches of output columns: the one place
@@ -151,7 +143,7 @@ fn one_chunk(cols: Vec<Column>) -> Vec<Vec<Column>> {
 /// Run a planned SELECT up to its sink: the output as non-empty batches
 /// of columns, one column per item (hidden sort keys included), before
 /// ORDER BY and LIMIT. No row is built on the way: a projection hands
-/// over what its sinks hold, an aggregate what its group table
+/// over what its sink holds, an aggregate what its group table
 /// finalizes into.
 fn run_columns(
     catalog: &Catalog,
@@ -177,12 +169,12 @@ pub fn run_select(
     probe: &mut StmtProbe,
 ) -> Result<QueryResult> {
     let chunks = run_columns(catalog, config, plan, probe)?;
-    let result = finish(plan, rows_of(chunks));
+    let result = finish_select(plan, rows_of(chunks));
     probe.set_rows_produced(result.rows.len());
     Ok(result)
 }
 
-/// The scalar projection of `plan`: its output as the sinks' batches of
+/// The scalar projection of `plan`: its output as the sink's batches of
 /// item columns, in driver order.
 fn run_project(
     catalog: &Catalog,
@@ -193,15 +185,14 @@ fn run_project(
 ) -> Result<Vec<Vec<Column>>> {
     let pipeline = build_pipeline(catalog, &plan.chain, &sink_reads(&plan.sink), false, probe)?;
     let base_width = plan.chain.width();
-    let mem = probe.tracker();
-    let sinks = run_pipeline(&pipeline, config, probe, || ScalarSink {
+    let sink = ScalarSink {
         items,
         base_width,
         out: Vec::new(),
         rows: 0,
-        mem,
-    })?;
-    Ok(sinks.into_iter().flat_map(|s| s.out).collect())
+        mem: probe.tracker(),
+    };
+    Ok(run_pipeline(&pipeline, config, probe, sink)?.out)
 }
 
 /// Run a planned SELECT for `INSERT … SELECT`: the result of
@@ -267,7 +258,7 @@ pub fn finalize_select_partials(
 ) -> Result<QueryResult> {
     let agg = aggregate_of(plan, "partial finalize")?;
     let cols = AggSink::from_partial(agg.clone(), partial)?.finalize()?;
-    Ok(finish(plan, rows_of(one_chunk(cols))))
+    Ok(finish_select(plan, rows_of(one_chunk(cols))))
 }
 
 // ---------------------------------------------------------------------
@@ -425,9 +416,7 @@ fn build_join_table(
             .collect();
         let hashes = hash_rows(&keys, 0..batch.len());
         // Charge the build side as it grows: a new entry costs its
-        // key plus one index slot, a repeated key one slot. The build
-        // phase is single-threaded, so these charges are
-        // deterministic regardless of worker count.
+        // key plus one index slot, a repeated key one slot.
         build.push(&keys, &hashes, positions, |row, new| {
             let key_bytes = if new {
                 rows_bytes(&keys, row..row + 1)
@@ -629,9 +618,9 @@ impl BatchSink for ScalarSink<'_> {
     }
 }
 
-/// Worker-local telemetry counters, flushed into the shared [`StmtProbe`]
-/// once per partition so the hot loop never touches an atomic — and the
-/// worker's match buffers, kept from batch to batch.
+/// The pipeline's telemetry counters, reported to the [`StmtProbe`] once
+/// the driver is drained so the hot loop never touches the probe — and
+/// the match buffers, kept from batch to batch.
 #[derive(Default)]
 struct Tally {
     probe_rows: u64,
@@ -642,72 +631,36 @@ struct Tally {
     matches: Vec<(Vec<u32>, Vec<u32>)>,
 }
 
-impl Tally {
-    fn flush(&self, probe: &StmtProbe) {
-        probe.add_probe_rows(self.probe_rows);
-        probe.add_expr_evals(self.expr_evals);
-    }
-}
-
-/// Run the pipeline into one sink per partition; returns the sinks in
-/// partition order. Join-probe and expression-eval counts accumulate into
-/// `probe` (shared across workers through relaxed atomics).
-pub(super) fn run_pipeline<S, F>(
+/// Run the pipeline into `sink` and return it. Join-probe and
+/// expression-eval counts go to `probe`.
+pub(super) fn run_pipeline<S: BatchSink>(
     pipeline: &Pipeline<'_>,
     config: &ExecConfig,
     probe: &StmtProbe,
-    make_sink: F,
-) -> Result<Vec<S>>
-where
-    S: BatchSink + Send,
-    F: Fn() -> S + Sync,
-{
-    let run = |rows: Option<Range<usize>>| -> Result<S> {
-        let mut sink = make_sink();
-        let mut tally = Tally::default();
-        match rows {
-            Some(rows) => pipeline.run_partition(rows, config.deadline, &mut sink, &mut tally)?,
-            None => sink.push(Batch::new(0, 1))?,
-        }
-        tally.expr_evals += sink.expr_evals();
-        tally.flush(probe);
-        Ok(sink)
-    };
-    let Some(driver) = &pipeline.driver else {
-        return Ok(vec![run(None)?]);
-    };
-    let n = driver.table.len();
-    let workers = config.workers.max(1);
-    if workers == 1 || n < PARALLEL_THRESHOLD {
-        return Ok(vec![run(Some(0..n))?]);
+    mut sink: S,
+) -> Result<S> {
+    let mut tally = Tally::default();
+    match &pipeline.driver {
+        Some(driver) => pipeline.run_driver(driver, config.deadline, &mut sink, &mut tally)?,
+        None => sink.push(Batch::new(0, 1))?,
     }
-    let run = &run;
-    let share = n.div_ceil(workers);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n)
-            .step_by(share)
-            .map(|first| scope.spawn(move || run(Some(first..n.min(first + share)))))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    })
+    probe.add_probe_rows(tally.probe_rows);
+    probe.add_expr_evals(tally.expr_evals + sink.expr_evals());
+    Ok(sink)
 }
 
 impl Pipeline<'_> {
-    /// Drive one partition of the driver table through the stages into
-    /// `sink`, a batch at a time. The deadline is checked once per
-    /// batch, so overrun is bounded by one batch's work.
-    fn run_partition<S: BatchSink>(
+    /// Drive the rows of `driver` through the stages into `sink`, a
+    /// batch at a time. The deadline is checked once per batch, so
+    /// overrun is bounded by one batch's work.
+    fn run_driver<S: BatchSink>(
         &self,
-        rows: Range<usize>,
+        driver: &Source<'_>,
         deadline: Option<Instant>,
         sink: &mut S,
         tally: &mut Tally,
     ) -> Result<()> {
-        let driver = self.driver.as_ref().expect("partitions come from a driver");
-        for rows in batches(rows) {
+        for rows in batches(0..driver.table.len()) {
             if deadline.is_some_and(|d| Instant::now() >= d) {
                 return Err(Error::deadline("table scan", 0));
             }

@@ -21,7 +21,6 @@
 //! * **scan accounting** ([`metrics::ExecMetrics`], cross-checked by the
 //!   static [`plancheck`] derivation) so the paper's `2k+3`-scans-per-
 //!   iteration cost model can be verified programmatically;
-//! * optional **partition-parallel** execution (the AMP analogue);
 //! * a configurable **statement length limit** modelling the parser caps
 //!   that motivate the paper's hybrid strategy.
 //!

@@ -21,21 +21,20 @@
 //! When the log is disabled (the default) nothing is recorded: the probe
 //! handed to the executor is a no-op whose methods check one boolean and
 //! return, and no `ExecMetrics` is allocated. Enabling costs one record
-//! per statement plus relaxed atomic adds on the parallel-scan path.
+//! per statement; the pipeline tallies its counters locally and reports
+//! them once per statement.
 //!
 //! ## Thread safety
 //!
-//! A statement may fan out across worker threads
-//! ([`crate::exec::ExecConfig::workers`] > 1). Worker-side counters
-//! (expression evaluations, join probe rows) accumulate into relaxed
-//! [`AtomicU64`]s on the shared [`StmtProbe`]; each worker tallies locally
-//! and flushes once per partition, so counts are exact, not sampled.
-//! Session-level accumulation is serialized by the engine (one statement
-//! at a time per [`crate::Database`]; `SharedDatabase` serializes through
-//! its mutex), which `tests/metrics_concurrency.rs` pins down.
+//! A statement runs on one thread, so a [`StmtProbe`] is a plain
+//! single-owner collector. Session-level accumulation is serialized by
+//! the engine (one statement at a time per [`crate::Database`];
+//! `SharedDatabase` serializes through its mutex), which
+//! `tests/metrics_concurrency.rs` pins down. Parallel work is a shard
+//! coordinator's, which merges its shards' records ([`ExecMetrics::merge`]).
 
+use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// What kind of statement a metrics record describes.
@@ -113,7 +112,7 @@ pub struct ExecMetrics {
     /// Peak working memory charged by the statement, in bytes of the
     /// deterministic logical model of [`crate::resource`]. Charges are
     /// monotone for the life of a statement, so the peak equals the
-    /// total and is bit-identical across serial and parallel execution.
+    /// total and is bit-identical across runs.
     pub peak_mem_bytes: u64,
     /// Wall-clock spent in planning: name resolution, conjunct
     /// classification, expression compilation. Join builds are
@@ -311,9 +310,9 @@ impl MetricsLog {
 
 /// Live collector for one statement's metrics, handed down the executor.
 ///
-/// Single-threaded phases (pipeline build, DML row loops) use the `&mut`
-/// methods; the parallel scan path shares `&StmtProbe` across workers and
-/// accumulates through relaxed atomics. A disabled probe records nothing.
+/// Most recorders take `&mut self`; the pipeline's counters are cells,
+/// reported through `&StmtProbe` while its sink borrows the probe's
+/// memory account. A disabled probe records nothing.
 #[derive(Debug, Default)]
 pub struct StmtProbe {
     enabled: bool,
@@ -325,12 +324,12 @@ pub struct StmtProbe {
     join_build_rows: u64,
     groups: usize,
     plan_time: Duration,
-    // Worker-shared counters.
-    expr_evals: AtomicU64,
-    join_probe_rows: AtomicU64,
+    // Counters the pipeline reports through `&self`.
+    expr_evals: Cell<u64>,
+    join_probe_rows: Cell<u64>,
     // Working-memory account. Unlike the counters above this is *not*
     // gated on `enabled`: budget enforcement must work without
-    // telemetry, and the gauge costs one atomic add per charge.
+    // telemetry, and the gauge costs one add per charge.
     tracker: crate::resource::ResourceTracker,
 }
 
@@ -385,17 +384,17 @@ impl StmtProbe {
         }
     }
 
-    /// Record join probe lookups (worker-shared).
+    /// Record join probe lookups.
     pub fn add_probe_rows(&self, n: u64) {
-        if self.enabled && n > 0 {
-            self.join_probe_rows.fetch_add(n, Ordering::Relaxed);
+        if self.enabled {
+            self.join_probe_rows.set(self.join_probe_rows.get() + n);
         }
     }
 
-    /// Record scalar expression evaluations (worker-shared).
+    /// Record scalar expression evaluations.
     pub fn add_expr_evals(&self, n: u64) {
-        if self.enabled && n > 0 {
-            self.expr_evals.fetch_add(n, Ordering::Relaxed);
+        if self.enabled {
+            self.expr_evals.set(self.expr_evals.get() + n);
         }
     }
 
@@ -451,9 +450,9 @@ impl StmtProbe {
             rows_updated: self.rows_updated,
             rows_deleted: self.rows_deleted,
             join_build_rows: self.join_build_rows,
-            join_probe_rows: self.join_probe_rows.into_inner(),
+            join_probe_rows: self.join_probe_rows.get(),
             groups: self.groups,
-            expr_evals: self.expr_evals.into_inner(),
+            expr_evals: self.expr_evals.get(),
             peak_mem_bytes: self.tracker.charged(),
             plan_time: self.plan_time,
             elapsed,
@@ -500,24 +499,6 @@ mod tests {
         assert_eq!(m.expr_evals, 200);
         assert_eq!(m.groups, 4);
         assert_eq!(m.kind, Some(StatementKind::Select));
-    }
-
-    #[test]
-    fn probe_is_shareable_across_threads() {
-        let p = StmtProbe::enabled();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..1000 {
-                        p.add_expr_evals(1);
-                        p.add_probe_rows(2);
-                    }
-                });
-            }
-        });
-        let m = p.finish(StatementKind::Select, Duration::ZERO);
-        assert_eq!(m.expr_evals, 4000);
-        assert_eq!(m.join_probe_rows, 8000);
     }
 
     #[test]

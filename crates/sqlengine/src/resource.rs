@@ -13,10 +13,9 @@
 //! [`ENTRY_OVERHEAD_BYTES`] — also where the rows are held as columns
 //! ([`rows_bytes`], charged a batch at a time). The model is platform-independent so the
 //! peak-memory gauge in [`crate::ExecMetrics`] is bit-identical across
-//! machines and across serial vs parallel execution: charges are
-//! **monotone** for the life of a statement (nothing is released until
-//! the statement ends), so the statement's peak equals its total — an
-//! order-independent sum that does not depend on worker interleaving.
+//! machines: charges are **monotone** for the life of a statement
+//! (nothing is released until the statement ends), so the statement's
+//! peak equals its total.
 //!
 //! What is charged: join build sides and broadcast index tables
 //! (`exec/select.rs`), materialized output rows, merged GROUP BY tables
@@ -25,6 +24,7 @@
 //! storage is *not* charged — the budget governs transient working
 //! memory, which is what concurrent sessions contend for.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -203,13 +203,13 @@ impl MemoryBudget {
 ///
 /// Created once per executed statement; every allocating operator
 /// charges it. Charges are monotone while the statement runs (peak =
-/// total, independent of worker interleaving) and are released in one
-/// piece when the tracker drops — whether the statement committed or
-/// aborted, no bytes leak into the shared [`MemoryBudget`].
+/// total) and are released in one piece when the tracker drops —
+/// whether the statement committed or aborted, no bytes leak into the
+/// shared [`MemoryBudget`].
 #[derive(Debug, Default)]
 pub struct ResourceTracker {
     budget: Option<MemoryBudget>,
-    charged: AtomicU64,
+    charged: Cell<u64>,
 }
 
 impl ResourceTracker {
@@ -217,7 +217,7 @@ impl ResourceTracker {
     pub fn new(budget: Option<MemoryBudget>) -> Self {
         ResourceTracker {
             budget,
-            charged: AtomicU64::new(0),
+            charged: Cell::new(0),
         }
     }
 
@@ -232,7 +232,7 @@ impl ResourceTracker {
         if let Some(budget) = &self.budget {
             budget.try_charge(context, bytes)?;
         }
-        self.charged.fetch_add(bytes, Ordering::SeqCst);
+        self.charged.set(self.charged.get() + bytes);
         Ok(())
     }
 
@@ -251,14 +251,14 @@ impl ResourceTracker {
     /// Total bytes charged by this statement so far. Because charges
     /// are monotone, this is also the statement's peak footprint.
     pub fn charged(&self) -> u64 {
-        self.charged.load(Ordering::SeqCst)
+        self.charged.get()
     }
 }
 
 impl Drop for ResourceTracker {
     fn drop(&mut self) {
         if let Some(budget) = &self.budget {
-            budget.release(self.charged.load(Ordering::SeqCst));
+            budget.release(self.charged.get());
         }
     }
 }

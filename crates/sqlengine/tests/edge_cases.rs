@@ -454,27 +454,30 @@ fn variance_and_stddev_aggregates() {
 }
 
 #[test]
-fn variance_parallel_matches_serial() {
-    let build = |workers: usize| {
-        let mut d = Database::with_config(sqlengine::EngineConfig {
-            workers,
-            ..Default::default()
-        });
+fn variance_merged_from_two_shards_matches_one_table() {
+    // The large-input check of VARIANCE/STDDEV's Chan merge: two shards'
+    // moments, merged and finalized where no row lives.
+    let sql = "SELECT variance(x), stddev(x) FROM t";
+    let load = |rows: &[Vec<Value>]| {
+        let mut d = db();
         d.execute("CREATE TABLE t (x DOUBLE)").unwrap();
-        let rows: Vec<Vec<Value>> = (0..20_000)
-            .map(|i| vec![Value::Double(((i * 37) % 101) as f64)])
-            .collect();
-        d.bulk_insert("t", rows).unwrap();
-        d.execute("SELECT variance(x), stddev(x) FROM t")
-            .unwrap()
-            .rows[0]
-            .iter()
-            .map(|v| v.as_f64().unwrap())
-            .collect::<Vec<_>>()
+        d.bulk_insert("t", rows.to_vec()).unwrap();
+        d
     };
-    let serial = build(1);
-    let parallel = build(4);
-    for (a, b) in serial.iter().zip(&parallel) {
+    let doubles = |r: sqlengine::QueryResult| -> Vec<f64> {
+        r.rows[0].iter().map(|v| v.as_f64().unwrap()).collect()
+    };
+    let rows: Vec<Vec<Value>> = (0..20_000)
+        .map(|i| vec![Value::Double(((i * 37) % 101) as f64)])
+        .collect();
+    let whole = doubles(load(&rows).execute(sql).unwrap());
+    let (left, right) = rows.split_at(7_000);
+    let mut merged = load(left).execute_partial(sql).unwrap();
+    merged
+        .merge(&load(right).execute_partial(sql).unwrap())
+        .unwrap();
+    let sharded = doubles(load(&[]).finalize_partials(sql, &merged).unwrap());
+    for (a, b) in whole.iter().zip(&sharded) {
         assert!((a - b).abs() < 1e-9 * a.abs().max(1.0), "{a} vs {b}");
     }
 }
@@ -599,8 +602,8 @@ fn sum_and_avg_of_bigints_past_2_53_are_exact() {
     // The CASE mixes types, so its integers reach SUM one value at a time.
     let sql = "SELECT SUM(n), AVG(n), SUM(CASE WHEN rid = 1 THEN 0.5 ELSE n END) FROM t";
     for (big, want) in cases {
-        // The big values first and last, small ones between: enough
-        // rows that two workers each take a part.
+        // The big values first and last, small ones between, so each
+        // shard below holds one of them.
         let mut ns: Vec<i64> = (0..5000).map(|i| i % 7 - 3).collect();
         ns.splice(0..0, big[..1].iter().copied());
         ns.extend(&big[1..]);
@@ -614,26 +617,21 @@ fn sum_and_avg_of_bigints_past_2_53_are_exact() {
             Value::Double(total as f64 / ns.len() as f64),
             Value::Double((total - ns[1]) as f64 + 0.5),
         ];
-        let load = |workers: usize, rows: &[Vec<Value>]| {
-            let mut d = Database::with_config(sqlengine::EngineConfig {
-                workers,
-                ..Default::default()
-            });
+        let load = |rows: &[Vec<Value>]| {
+            let mut d = db();
             d.execute(ddl).unwrap();
             d.bulk_insert("t", rows.to_vec()).unwrap();
             d
         };
-        for workers in [1, 2] {
-            let got = load(workers, &rows).execute(sql).unwrap();
-            assert_eq!(got.rows[0].to_vec(), expected, "{workers} worker(s)");
-        }
+        let got = load(&rows).execute(sql).unwrap();
+        assert_eq!(got.rows[0].to_vec(), expected, "one table");
         // Two shards' partials, merged and finalized where no row lives.
         let (left, right) = rows.split_at(1700);
-        let mut merged = load(1, left).execute_partial(sql).unwrap();
+        let mut merged = load(left).execute_partial(sql).unwrap();
         merged
-            .merge(&load(1, right).execute_partial(sql).unwrap())
+            .merge(&load(right).execute_partial(sql).unwrap())
             .unwrap();
-        let got = load(1, &[]).finalize_partials(sql, &merged).unwrap();
+        let got = load(&[]).finalize_partials(sql, &merged).unwrap();
         assert_eq!(got.rows[0].to_vec(), expected, "partials");
     }
 }
@@ -654,11 +652,8 @@ fn bigint_keys_past_2_53_are_distinct_keys() {
             .map(|i| vec![Value::Int(A + i % 2), Value::Double(i as f64)])
             .collect()
     };
-    let load = |workers: usize, rows: Vec<Vec<Value>>| {
-        let mut d = Database::with_config(sqlengine::EngineConfig {
-            workers,
-            ..Default::default()
-        });
+    let load = |rows: Vec<Vec<Value>>| {
+        let mut d = db();
         d.execute(
             "CREATE TABLE t (id BIGINT PRIMARY KEY, x DOUBLE);
              CREATE TABLE u (id BIGINT, y DOUBLE)",
@@ -672,61 +667,54 @@ fn bigint_keys_past_2_53_are_distinct_keys() {
         let got: Vec<(i64, i64)> = r.rows.iter().map(|r| (int(&r[0]), int(&r[1]))).collect();
         assert_eq!(got, vec![(A, each), (B, each)], "{what}");
     };
-    for workers in [1, 2] {
-        // Enough rows that two workers each take a part.
-        let mut d = load(workers, rows_of(0..5000));
-        d.execute(&format!("INSERT INTO t VALUES ({A}, 1.0)"))
-            .unwrap();
-        d.execute(&format!("INSERT INTO t VALUES ({B}, 2.0)"))
-            .unwrap();
-        let err = d
-            .execute(&format!("INSERT INTO t VALUES ({B}, 3.0)"))
-            .unwrap_err();
-        assert!(matches!(err, Error::DuplicateKey { .. }), "{err}");
-
-        check_groups(&d.execute(grouped).unwrap(), 2500, "group by");
-
-        // The primary-key index join, and the same join through a hash
-        // table built for the statement (a computed build key).
-        for on in ["u.id = t.id", "u.id = t.id + 0"] {
-            let r = d
-                .execute(&format!("SELECT u.id, t.id, t.x FROM u, t WHERE {on}"))
-                .unwrap();
-            assert_eq!(r.rows.len(), 5000, "{on}");
-            for row in r.rows.iter() {
-                assert_eq!(int(&row[0]), int(&row[1]), "{on}");
-                let x = (int(&row[1]) - A + 1) as f64;
-                assert_eq!(row[2].as_f64(), Some(x), "{on}");
-            }
-        }
-
-        let ids = |d: &mut Database, predicate: &str| -> Vec<i64> {
-            let sql = format!("SELECT id FROM t WHERE {predicate} ORDER BY id");
-            d.execute(&sql)
-                .unwrap()
-                .rows
-                .iter()
-                .map(|r| int(&r[0]))
-                .collect()
-        };
-        assert_eq!(ids(&mut d, &format!("id = {B}")), [B]);
-        assert_eq!(ids(&mut d, &format!("id <> {B}")), [A]);
-        assert_eq!(ids(&mut d, &format!("id < {B}")), [A]);
-        assert_eq!(ids(&mut d, &format!("id >= {B}")), [B]);
-        let r = d
-            .execute(&format!("SELECT count(*) FROM u WHERE id = {B}"))
-            .unwrap();
-        assert_eq!(int(&r.rows[0][0]), 2500);
-    }
-    // Two shards' group tables, merged and finalized where no row lives.
-    let mut merged = load(1, rows_of(0..1700)).execute_partial(grouped).unwrap();
-    merged
-        .merge(
-            &load(1, rows_of(1700..5000))
-                .execute_partial(grouped)
-                .unwrap(),
-        )
+    let mut d = load(rows_of(0..5000));
+    d.execute(&format!("INSERT INTO t VALUES ({A}, 1.0)"))
         .unwrap();
-    let got = load(1, vec![]).finalize_partials(grouped, &merged).unwrap();
+    d.execute(&format!("INSERT INTO t VALUES ({B}, 2.0)"))
+        .unwrap();
+    let err = d
+        .execute(&format!("INSERT INTO t VALUES ({B}, 3.0)"))
+        .unwrap_err();
+    assert!(matches!(err, Error::DuplicateKey { .. }), "{err}");
+
+    check_groups(&d.execute(grouped).unwrap(), 2500, "group by");
+
+    // The primary-key index join, and the same join through a hash
+    // table built for the statement (a computed build key).
+    for on in ["u.id = t.id", "u.id = t.id + 0"] {
+        let r = d
+            .execute(&format!("SELECT u.id, t.id, t.x FROM u, t WHERE {on}"))
+            .unwrap();
+        assert_eq!(r.rows.len(), 5000, "{on}");
+        for row in r.rows.iter() {
+            assert_eq!(int(&row[0]), int(&row[1]), "{on}");
+            let x = (int(&row[1]) - A + 1) as f64;
+            assert_eq!(row[2].as_f64(), Some(x), "{on}");
+        }
+    }
+
+    let ids = |d: &mut Database, predicate: &str| -> Vec<i64> {
+        let sql = format!("SELECT id FROM t WHERE {predicate} ORDER BY id");
+        d.execute(&sql)
+            .unwrap()
+            .rows
+            .iter()
+            .map(|r| int(&r[0]))
+            .collect()
+    };
+    assert_eq!(ids(&mut d, &format!("id = {B}")), [B]);
+    assert_eq!(ids(&mut d, &format!("id <> {B}")), [A]);
+    assert_eq!(ids(&mut d, &format!("id < {B}")), [A]);
+    assert_eq!(ids(&mut d, &format!("id >= {B}")), [B]);
+    let r = d
+        .execute(&format!("SELECT count(*) FROM u WHERE id = {B}"))
+        .unwrap();
+    assert_eq!(int(&r.rows[0][0]), 2500);
+    // Two shards' group tables, merged and finalized where no row lives.
+    let mut merged = load(rows_of(0..1700)).execute_partial(grouped).unwrap();
+    merged
+        .merge(&load(rows_of(1700..5000)).execute_partial(grouped).unwrap())
+        .unwrap();
+    let got = load(vec![]).finalize_partials(grouped, &merged).unwrap();
     check_groups(&got, 2500, "partials");
 }

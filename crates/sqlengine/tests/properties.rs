@@ -3,7 +3,7 @@
 //! so a failure reproduces from its case number.
 
 use prng::{Rng, StdRng};
-use sqlengine::{Database, EngineConfig, Value};
+use sqlengine::{Database, Value};
 
 /// Cases per property.
 const CASES: u64 = 64;
@@ -209,32 +209,21 @@ fn update_applies_expression() {
     });
 }
 
-/// Parallel execution agrees with serial for scalar and aggregate
-/// queries: the partitions' group tables merge into the serial one.
+/// Two shards' group tables, merged and finalized where no row lives,
+/// agree bit for bit with one table holding every row: the merge a
+/// shard coordinator runs.
 #[test]
-fn parallel_agrees_with_serial() {
+fn two_shards_agree_with_one_table() {
     check(8, |case, rng| {
         let rows = small_rows(rng);
-        let run = |workers: usize| {
-            let mut db = Database::with_config(EngineConfig {
-                workers,
-                ..Default::default()
-            });
-            load(&mut db, &rows);
-            let agg = db
-                .execute("SELECT b, sum(x) FROM t GROUP BY b ORDER BY b")
-                .unwrap();
-            let scalar = db.execute("SELECT a, x + 1 FROM t ORDER BY a").unwrap();
-            (agg, scalar)
-        };
-        let (agg1, scalar1) = run(1);
-        let (agg4, scalar4) = run(4);
-        assert_eq!(agg1.rows.len(), agg4.rows.len(), "case {case}");
-        for (a, b) in agg1.rows.iter().zip(&agg4.rows) {
-            assert_eq!(a[0], b[0], "case {case}");
-            let (x, y) = (a[1].as_f64().unwrap(), b[1].as_f64().unwrap());
-            assert!((x - y).abs() < 1e-6, "case {case}: {x} vs {y}");
-        }
-        assert_eq!(scalar1.rows, scalar4.rows, "case {case}");
+        let sql = "SELECT b, sum(x), count(*) FROM t GROUP BY b ORDER BY b";
+        let whole = loaded(&rows).execute(sql).unwrap();
+        let (left, right) = rows.split_at(rng.random_range(0..rows.len() + 1));
+        let mut merged = loaded(left).execute_partial(sql).unwrap();
+        merged
+            .merge(&loaded(right).execute_partial(sql).unwrap())
+            .unwrap();
+        let sharded = loaded(&[]).finalize_partials(sql, &merged).unwrap();
+        assert_eq!(whole.rows, sharded.rows, "case {case}");
     });
 }

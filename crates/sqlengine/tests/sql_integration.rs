@@ -289,19 +289,21 @@ fn scan_events_recorded_per_table() {
     assert_eq!(scans.iter().filter(|s| s.rows >= 100).count(), 1);
 }
 
-/// Parallel execution returns the same aggregate results as serial.
+/// Two shards' partial aggregates, merged and finalized, return what one
+/// table holding every row returns.
 #[test]
-fn parallel_matches_serial() {
-    let build = |workers: usize| {
+fn two_shards_match_one_table() {
+    let sql = "SELECT c.i, count(*), sum((y.val - c.val)**2) AS ss \
+               FROM y, c WHERE y.v = c.v GROUP BY c.i ORDER BY c.i";
+    let load = |rids: std::ops::Range<i64>| {
         let mut db = Database::new();
-        db.set_workers(workers);
         db.execute(
             "CREATE TABLE y (rid BIGINT, v BIGINT, val DOUBLE, PRIMARY KEY (rid, v));
              CREATE TABLE c (i BIGINT, v BIGINT, val DOUBLE, PRIMARY KEY (i, v))",
         )
         .unwrap();
         let mut rows = Vec::new();
-        for rid in 0..5000i64 {
+        for rid in rids {
             for vdim in 1..=2i64 {
                 rows.push(vec![
                     Value::Int(rid),
@@ -313,31 +315,16 @@ fn parallel_matches_serial() {
         db.bulk_insert("y", rows).unwrap();
         db.execute("INSERT INTO c VALUES (1,1,0.5),(1,2,1.5),(2,1,4.0),(2,2,2.0)")
             .unwrap();
-        let mut r = db
-            .execute(
-                "SELECT c.i, count(*), sum((y.val - c.val)**2) AS ss \
-                 FROM y, c WHERE y.v = c.v GROUP BY c.i ORDER BY c.i",
-            )
-            .unwrap();
-        r.rows
-            .drain(..)
-            .map(|row| {
-                (
-                    row[0].as_i64().unwrap(),
-                    row[1].as_i64().unwrap(),
-                    row[2].as_f64().unwrap(),
-                )
-            })
-            .collect::<Vec<_>>()
+        db
     };
-    let serial = build(1);
-    let parallel = build(4);
-    assert_eq!(serial.len(), parallel.len());
-    for (s, p) in serial.iter().zip(&parallel) {
-        assert_eq!(s.0, p.0);
-        assert_eq!(s.1, p.1);
-        assert!((s.2 - p.2).abs() < 1e-6 * s.2.abs().max(1.0));
-    }
+    let whole = load(0..5000).execute(sql).unwrap();
+    assert_eq!(whole.rows.len(), 2);
+    let mut merged = load(0..2000).execute_partial(sql).unwrap();
+    merged
+        .merge(&load(2000..5000).execute_partial(sql).unwrap())
+        .unwrap();
+    let sharded = load(0..0).finalize_partials(sql, &merged).unwrap();
+    assert_eq!(whole.rows, sharded.rows);
 }
 
 /// Statement-length limit mirrors the parser caps that break the

@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! sqlem-server [--listen ADDR] [--durable] [--data-dir DIR]
-//!              [--workers N] [--max-connections N]
+//!              [--max-connections N]
 //!              [--idle-timeout SECS] [--lock-timeout SECS]
 //!              [--auth-token TOKEN] [--drop-nth-connection N]
 //!              [--memory-budget BYTES] [--session-memory-budget BYTES]
@@ -34,14 +34,13 @@ use sqlwire::{Server, ServerConfig};
 struct Args {
     listen: String,
     data_dir: Option<String>,
-    workers: usize,
     seed: u64,
     fault_specs: Vec<String>,
     server: ServerConfig,
 }
 
 const USAGE: &str = "usage: sqlem-server [--listen ADDR] [--durable] [--data-dir DIR]\n\
-     [--workers N] [--max-connections N] [--idle-timeout SECS]\n\
+     [--max-connections N] [--idle-timeout SECS]\n\
      [--lock-timeout SECS] [--auth-token TOKEN]\n\
      [--drop-nth-connection N] [--memory-budget BYTES]\n\
      [--session-memory-budget BYTES] [--inject-fault SPEC]... [--seed N]\n\
@@ -55,7 +54,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         listen: "127.0.0.1:7878".to_string(),
         data_dir: None,
-        workers: 1,
         seed: 0,
         fault_specs: Vec::new(),
         server: ServerConfig::default(),
@@ -72,11 +70,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--listen" => args.listen = req("--listen")?,
             "--durable" => durable = true,
             "--data-dir" => args.data_dir = Some(req("--data-dir")?),
-            "--workers" => {
-                args.workers = req("--workers")?
-                    .parse()
-                    .map_err(|_| "--workers needs an integer".to_string())?;
-            }
             "--max-connections" => {
                 args.server.max_connections = req("--max-connections")?
                     .parse()
@@ -205,7 +198,6 @@ fn run(args: Args) -> Result<(), String> {
         }
         None => Database::new(),
     };
-    db.set_workers(args.workers);
     if !args.fault_specs.is_empty() {
         let rules = args
             .fault_specs

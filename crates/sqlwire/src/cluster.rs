@@ -44,8 +44,9 @@
 //!   to a single-node run for any shard count.
 //! * Non-aggregate reads over partitioned data *gather*: each shard
 //!   executes the statement with the plan's hidden sort keys appended
-//!   as trailing columns, and the coordinator merge-sorts the per-shard
-//!   streams on those keys.
+//!   as trailing columns, and the coordinator sorts the shards' runs,
+//!   concatenated in shard order, through the engine's own ORDER BY /
+//!   LIMIT tail ([`finish_select`]).
 //!
 //! Bulk loads route each row by its rid hash; per-shard exactly-once
 //! delivery is inherited from the shard executor (the remote client's
@@ -64,7 +65,7 @@
 //! failure semantics.
 
 use sqlengine::ast::{InsertSource, Select, SelectItem, Statement};
-use sqlengine::exec::finalize_select_partials;
+use sqlengine::exec::{finalize_select_partials, finish_select};
 use sqlengine::parser::parse;
 use sqlengine::plan::{
     constant_rows, plan_statement, Chain, InsertPlan, InsertRows, Output, SelectPlan, Source,
@@ -645,9 +646,10 @@ impl<E: SqlExecutor + Send> Coordinator<E> {
     }
 
     /// Gather a non-aggregate select: each shard executes it with the
-    /// plan's hidden sort keys appended as trailing columns, then the
-    /// per-shard streams merge on those keys (ties break by shard
-    /// index). Without ORDER BY the streams concatenate in shard order.
+    /// plan's hidden sort keys appended as trailing columns, and the
+    /// shards' sorted runs, concatenated in shard order, go through the
+    /// engine's own ORDER BY / LIMIT tail — a stable sort, so equal keys
+    /// keep shard order. Without ORDER BY the runs stay in shard order.
     fn gather_read(&mut self, sel: &Select, plan: &SelectPlan) -> Result<QueryResult> {
         let mut shard_sel = sel.clone();
         for (j, (expr, _)) in plan.sort_keys.iter().enumerate() {
@@ -659,57 +661,11 @@ impl<E: SqlExecutor + Send> Coordinator<E> {
         let text = Statement::Select(shard_sel).to_string();
         let skip = vec![false; self.shards.len()];
         let results = Self::fan_out(&mut self.shards, &skip, |_, shard| shard.execute(&text));
-        let mut parts = Vec::with_capacity(results.len());
+        let mut rows = Vec::new();
         for r in results {
-            parts.push(r.expect("no shard skipped")?);
+            rows.extend(r.expect("no shard skipped")?.rows);
         }
-        let visible = plan.output_names.len();
-        let descs: Vec<bool> = plan.sort_keys.iter().map(|(_, desc)| *desc).collect();
-
-        let mut rows: Vec<sqlengine::Row> = Vec::new();
-        if descs.is_empty() {
-            for part in parts {
-                rows.extend(part.rows);
-            }
-        } else {
-            // K-way merge over per-shard sorted streams.
-            let mut streams: Vec<std::vec::IntoIter<sqlengine::Row>> =
-                parts.into_iter().map(|p| p.rows.into_iter()).collect();
-            let mut heads: Vec<Option<sqlengine::Row>> =
-                streams.iter_mut().map(Iterator::next).collect();
-            loop {
-                let mut best: Option<usize> = None;
-                for (i, head) in heads.iter().enumerate() {
-                    let Some(row) = head else { continue };
-                    let better = match best {
-                        None => true,
-                        Some(b) => {
-                            key_cmp(row, heads[b].as_ref().unwrap(), visible, &descs).is_lt()
-                        }
-                    };
-                    if better {
-                        best = Some(i);
-                    }
-                }
-                let Some(i) = best else { break };
-                rows.push(heads[i].take().unwrap());
-                heads[i] = streams[i].next();
-            }
-        }
-        for row in &mut rows {
-            let mut v = std::mem::take(row).into_vec();
-            v.truncate(visible);
-            *row = v.into_boxed_slice();
-        }
-        if let Some(limit) = plan.limit {
-            rows.truncate(limit);
-        }
-        let n = rows.len();
-        Ok(QueryResult {
-            columns: plan.output_names.clone(),
-            rows,
-            rows_affected: n,
-        })
+        Ok(finish_select(plan, rows))
     }
 
     /// Replicate finished rows into a broadcast table on every shard
@@ -903,23 +859,6 @@ fn full_rows(insert: &InsertPlan, rows: Vec<sqlengine::Row>) -> Result<Vec<Vec<V
     rows.into_iter()
         .map(|row| Ok(insert.full_row(row)?.into_vec()))
         .collect()
-}
-
-/// Compare two gathered rows on their hidden trailing key columns.
-fn key_cmp(
-    a: &sqlengine::Row,
-    b: &sqlengine::Row,
-    visible: usize,
-    descs: &[bool],
-) -> std::cmp::Ordering {
-    for (j, desc) in descs.iter().enumerate() {
-        let ord = a[visible + j].total_cmp(&b[visible + j]);
-        let ord = if *desc { ord.reverse() } else { ord };
-        if ord != std::cmp::Ordering::Equal {
-            return ord;
-        }
-    }
-    std::cmp::Ordering::Equal
 }
 
 impl<E: SqlExecutor + Send> SqlExecutor for Coordinator<E> {

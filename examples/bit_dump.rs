@@ -3,8 +3,8 @@
 //!
 //! For hybrid, hybrid with the fused E step, vertical and horizontal —
 //! and for the two extension models, K-means (§2.2) and per-cluster
-//! covariances (§2.1) — on an embedded `Database`, on one with
-//! `workers = 2`, and through a `Coordinator` over 2 shards, it prints
+//! covariances (§2.1) — on an embedded `Database` and through a
+//! `Coordinator` over 2 shards, it prints
 //! the loglikelihood (K-means: SSE) history, the means, the covariance
 //! and the weights as `f64::to_bits` hex, and a hash of the scores; the
 //! two extensions also print how the run ended. The data is the §4.1
@@ -15,7 +15,7 @@
 //! Two uses. Across builds: run it at the parent commit and at the
 //! change and `diff` the two outputs — on one machine they must be
 //! byte-identical (across machines `libm` may differ, so no golden
-//! copy is checked in). Within one build: the three executors' sections
+//! copy is checked in). Within one build: the two executors' sections
 //! of a strategy must be equal; the example checks that itself and
 //! exits non-zero otherwise, which is what `ci.sh` runs it for.
 //!
@@ -31,11 +31,11 @@ use sqlem::{
     build_generator, EmSession, Generator, KmeansGenerator, ParamSet, PerClusterGenerator,
     SqlemConfig, Strategy,
 };
-use sqlengine::{Database, EngineConfig, SqlExecutor};
+use sqlengine::{Database, SqlExecutor};
 use sqlwire::Coordinator;
 
-/// Above the engine's parallel threshold (4096 driver rows): below it
-/// `workers = 2` runs serially and its section would prove nothing.
+/// Kept at the size earlier builds dumped, so a dump still diffs
+/// against theirs.
 const N: usize = 4500;
 const SEED: u64 = 20000518;
 const ITERATIONS: usize = 5;
@@ -144,18 +144,6 @@ fn main() -> ExitCode {
             (
                 "embedded",
                 dump(&mut Database::new(), model, config, &data.points),
-            ),
-            (
-                "workers=2",
-                dump(
-                    &mut Database::with_config(EngineConfig {
-                        workers: 2,
-                        ..EngineConfig::default()
-                    }),
-                    model,
-                    config,
-                    &data.points,
-                ),
             ),
             (
                 "coordinator/2",

@@ -12,13 +12,13 @@
 //! key (runs of 7 that straddle the batch boundary), a key whose runs
 //! are one row long, two keys; HAVING or none; an item that fails
 //! (`ln` of a non-positive number) in some group; inputs cut at 0, 1
-//! and around 1024 rows — as SQL with `workers` 1 and 2 and merged from
+//! and around 1024 rows — as SQL over the whole table and merged from
 //! the partial results of 1, 2 and 4 contiguous shards. Every cell must
 //! be the reference's: variant, sign of zero, NaN payload; a failing
 //! statement must fail with the reference's error, i.e. the first
 //! failing group's, that group's HAVING before its items. (Moment
 //! aggregates are held to the reference where one pass runs — Chan's
-//! combination of partitions rounds differently from one Welford pass.)
+//! combination of shards rounds differently from one Welford pass.)
 //!
 //! The same checks then run against the reference itself with a fault
 //! seeded in — a group's rows fed batch by batch in the wrong order, and
@@ -44,7 +44,7 @@ const DDL: &str = "CREATE TABLE t (rid BIGINT PRIMARY KEY, c BIGINT, u BIGINT, k
                    d DOUBLE, b BIGINT, nd DOUBLE, nb BIGINT, z DOUBLE, pick BIGINT, \
                    v DOUBLE, w DOUBLE)";
 
-/// Rows of `t`: enough that `workers = 2` runs two partitions.
+/// Rows of `t`: several batches on every shard.
 const ROWS: usize = 5000;
 
 /// Rows of one clustered (`c`) group: not a divisor of [`BATCH_ROWS`],
@@ -239,17 +239,11 @@ impl Plan {
 /// How a plan is run: in one database, or merged from contiguous shards.
 #[derive(Debug, Clone, Copy)]
 enum How {
-    Workers(usize),
+    Whole,
     Shards(usize),
 }
 
-const HOWS: [How; 5] = [
-    How::Workers(1),
-    How::Workers(2),
-    How::Shards(1),
-    How::Shards(2),
-    How::Shards(4),
-];
+const HOWS: [How; 4] = [How::Whole, How::Shards(1), How::Shards(2), How::Shards(4)];
 
 type Outcome = Result<Vec<Vec<Value>>, Error>;
 
@@ -415,10 +409,7 @@ impl Subject for Engine {
     fn run(&mut self, plan: &Plan, how: How) -> Outcome {
         let sql = plan.sql();
         let result = match how {
-            How::Workers(workers) => {
-                self.whole.set_workers(workers);
-                self.whole.execute(&sql)?
-            }
+            How::Whole => self.whole.execute(&sql)?,
             How::Shards(shards) => {
                 let mut merged = PartialAggResult::default();
                 for shard in &mut self.sharded[shards.trailing_zeros() as usize] {
@@ -574,10 +565,10 @@ fn check_all(subject: &mut dyn Subject, truth: &mut Reference) -> Result<usize, 
     plans.extend((0..120).map(|_| random_plan(&mut rng)));
     let mut failing = 0;
     for plan in &plans {
-        let want = truth.run(plan, How::Workers(1));
+        let want = truth.run(plan, How::Whole);
         failing += want.is_err() as usize;
         for how in HOWS {
-            let one_pass = matches!(how, How::Workers(1) | How::Shards(1));
+            let one_pass = matches!(how, How::Whole | How::Shards(1));
             if !plan.order_free() && !one_pass {
                 continue;
             }

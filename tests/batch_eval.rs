@@ -15,12 +15,13 @@
 //! batch boundary (0, 1, 1023, 1024, 1025 driver rows), a join whose
 //! fan-out crosses it, a filter that empties a batch, the primary-key
 //! index join against the same join with the key dropped, and one
-//! worker against two.
+//! database against a coordinator over two.
 
 use prng::{Rng, StdRng};
 use sqlengine::ast::{BinOp, UnaryOp};
 use sqlengine::expr::{Batch, CExpr, Column, ScalarFunc, Ty, BATCH_ROWS};
-use sqlengine::{Database, EngineConfig, Error, ExecMetrics, Value};
+use sqlengine::{Database, Error, ExecMetrics, SqlExecutor, Value};
+use sqlwire::Coordinator;
 
 // ---------------------------------------------------------------------
 // Part one: batch evaluator == scalar evaluator
@@ -764,47 +765,46 @@ fn primary_key_index_join_equals_the_built_hash_join() {
     assert_eq!(m[6].join_build_rows, m[7].join_build_rows);
 }
 
-/// Everything a metrics record counts; not what it times.
-fn counts(m: &ExecMetrics) -> impl PartialEq + std::fmt::Debug {
-    (
-        m.scans.clone(),
-        m.rows_produced,
-        m.rows_inserted,
-        (m.join_build_rows, m.join_probe_rows),
-        m.groups,
-        m.expr_evals,
-        m.peak_mem_bytes,
-    )
-}
-
 #[test]
-fn one_worker_and_two_return_the_same_rows_and_the_same_counts() {
-    let run = |workers: usize| {
-        let mut db = Database::with_config(EngineConfig {
-            workers,
-            ..Default::default()
-        });
-        numbered(&mut db, "t", 9000);
-        numbered(&mut db, "u", 9000);
+fn one_database_and_two_shards_return_the_same_rows_and_the_same_counts() {
+    fn run(db: &mut dyn SqlExecutor) -> (Vec<Vec<Vec<String>>>, Vec<ExecMetrics>) {
+        for table in ["t", "u"] {
+            db.execute(&format!(
+                "CREATE TABLE {table} (rid BIGINT PRIMARY KEY, x DOUBLE)"
+            ))
+            .unwrap();
+            let row = |i: i64| vec![Value::Int(i), Value::Double(i as f64 / 2.0)];
+            db.bulk_insert_rows(table, (0..9000).map(row).collect())
+                .unwrap();
+        }
         db.execute("CREATE TABLE o (rid BIGINT PRIMARY KEY, s DOUBLE)")
             .unwrap();
-        db.enable_metrics();
+        db.set_metrics_enabled(true).unwrap();
+        let from = db.metrics_len().unwrap();
         let mut results = Vec::new();
         for sql in [
             "SELECT count(*), sum(t.x * u.x), avg(u.x) FROM t, u WHERE t.rid = u.rid",
-            "SELECT t.rid, exp(-0.5 * u.x / 4500) FROM t, u WHERE t.rid = u.rid AND t.rid >= 4000",
+            "SELECT t.rid, exp(-0.5 * u.x / 4500) FROM t, u \
+             WHERE t.rid = u.rid AND t.rid >= 4000 ORDER BY t.rid",
             "INSERT INTO o SELECT rid, sum(x * x) FROM t WHERE rid <> 5000 GROUP BY rid",
             "SELECT count(*), sum(s) FROM o",
         ] {
             results.push(cells(&db.execute(sql).unwrap().rows));
         }
-        (results, db.take_metrics())
-    };
-    let (rows1, metrics1) = run(1);
-    let (rows2, metrics2) = run(2);
+        (results, db.metrics_since(from).unwrap())
+    }
+    let (rows1, metrics1) = run(&mut Database::new());
+    let shards = vec![Database::new(), Database::new()];
+    let (rows2, metrics2) = run(&mut Coordinator::new(shards).unwrap());
     assert_eq!(rows1, rows2);
+    // Not expression evaluations (a shard evaluates a gathered read's
+    // sort keys as items too) or peak memory (each shard's own).
+    let shared = |m: &ExecMetrics| {
+        let work = (m.join_build_rows, m.join_probe_rows, m.groups);
+        (m.scans.clone(), m.rows_produced, m.rows_inserted, work)
+    };
     assert_eq!(metrics1.len(), metrics2.len());
     for (a, b) in metrics1.iter().zip(&metrics2) {
-        assert_eq!(counts(a), counts(b));
+        assert_eq!(shared(a), shared(b));
     }
 }

@@ -4,8 +4,10 @@
 use datagen::generate_dataset;
 use emcore::compare::{max_param_diff, purity};
 use emcore::init::{initialize, InitStrategy};
+use emcore::GmmParams;
 use sqlem::{EmSession, SqlemConfig, Strategy};
-use sqlengine::Database;
+use sqlengine::{Database, SqlExecutor};
+use sqlwire::Coordinator;
 
 /// Full pipeline: generate → load → initialize from a sample → run →
 /// score, with quality gates on the recovered model.
@@ -67,30 +69,34 @@ fn full_pipeline_recovers_well_separated_mixture() {
     assert!(pur > 0.9, "purity {pur}");
 }
 
-/// The engine's partition parallelism must not change the result.
+/// Running in parallel — a coordinator over four in-process shards, the
+/// AMP analogue — must not change the result.
 #[test]
 fn parallel_engine_produces_identical_clustering_story() {
     let (n, p, k) = (6_000, 3, 3);
     let data = generate_dataset(n, p, k, 31);
     let init = initialize(&data.points, k, &InitStrategy::Random { seed: 31 });
-    let mut results = Vec::new();
-    for workers in [1usize, 4] {
-        let mut db = Database::new();
-        db.set_workers(workers);
-        let config = SqlemConfig::new(k, Strategy::Hybrid)
-            .with_epsilon(0.0)
-            .with_max_iterations(4);
-        let mut session = EmSession::create(&mut db, &config, p).unwrap();
-        session.load_points(&data.points).unwrap();
-        session
-            .initialize(&InitStrategy::Explicit(init.clone()))
-            .unwrap();
-        results.push(session.run().unwrap().params);
+    let config = SqlemConfig::new(k, Strategy::Hybrid)
+        .with_epsilon(0.0)
+        .with_max_iterations(4);
+    let init = InitStrategy::Explicit(init);
+    fn run<E: SqlExecutor>(
+        db: &mut E,
+        config: &SqlemConfig,
+        points: &[Vec<f64>],
+        init: &InitStrategy,
+    ) -> GmmParams {
+        let mut session = EmSession::create(db, config, points[0].len()).unwrap();
+        session.load_points(points).unwrap();
+        session.initialize(init).unwrap();
+        session.run().unwrap().params
     }
-    // FP summation order differs across partitions; the solutions must
-    // still agree far beyond statistical noise.
-    let d = max_param_diff(&results[0], &results[1]);
-    assert!(d < 1e-6, "parallel diverged from serial by {d}");
+    let serial = run(&mut Database::new(), &config, &data.points, &init);
+    let mut shards = Coordinator::new((0..4).map(|_| Database::new()).collect()).unwrap();
+    let parallel = run(&mut shards, &config, &data.points, &init);
+    // Every sum is exact, so the shards' merge is the single node's.
+    let d = max_param_diff(&serial, &parallel);
+    assert_eq!(d, 0.0, "parallel diverged from serial by {d}");
 }
 
 /// The paper's §1.3 requirement: results must not depend on input order.

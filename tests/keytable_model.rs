@@ -22,7 +22,7 @@
 //!
 //! Part two asks whole statements: GROUP BY and a built (non-primary-key)
 //! hash join over a table of such keys return what the model says, in
-//! its order, with `workers` 1 and 2 and merged from the partial results
+//! its order, over the whole table and merged from the partial results
 //! of 1, 2 and 4 shards.
 //!
 //! Part three holds an over-budget built join and an over-budget GROUP BY
@@ -435,7 +435,7 @@ fn the_checks_reject_a_table_that_trusts_hashes_and_one_that_forgets_the_null_ru
 const T_DDL: &str = "CREATE TABLE t (rid BIGINT PRIMARY KEY, a BIGINT, d DOUBLE, s VARCHAR, \
                      pick BIGINT, x DOUBLE)";
 
-/// Rows of `t`: enough that `workers = 2` runs two partitions.
+/// Rows of `t`: several batches on every shard.
 const T_ROWS: usize = 6000;
 
 fn t_rows(rng: &mut StdRng) -> Vec<Vec<Value>> {
@@ -512,11 +512,8 @@ fn statements_group_and_join_as_the_model_says_whatever_the_partitioning() {
             .map(|(key, &n)| key.iter().cloned().chain([Value::Int(n)]).collect())
             .collect();
 
-        for workers in [1, 2] {
-            whole.set_workers(workers);
-            let got = whole.execute(&sql).unwrap();
-            assert_rows(&got, &want, &format!("{sql} with {workers} worker(s)"));
-        }
+        let got = whole.execute(&sql).unwrap();
+        assert_rows(&got, &want, &sql);
         // Contiguous shards, so that first-seen order over the shards in
         // index order is the table's.
         for shards in [1, 2, 4] {
@@ -570,11 +567,8 @@ fn statements_group_and_join_as_the_model_says_whatever_the_partitioning() {
     }
     assert!(want.len() > T_ROWS, "the join fans out");
     let sql = "SELECT t.rid, b.pos FROM t, b WHERE t.a = b.a AND t.s = b.s";
-    for workers in [1, 2] {
-        whole.set_workers(workers);
-        let got = whole.execute(sql).unwrap();
-        assert_rows(&got, &want, &format!("{sql} with {workers} worker(s)"));
-    }
+    let got = whole.execute(sql).unwrap();
+    assert_rows(&got, &want, sql);
 }
 
 // ---------------------------------------------------------------------
@@ -667,29 +661,26 @@ fn an_over_budget_join_build_or_group_table_fails_where_and_as_the_parent_build_
     let mut db = Database::new();
     load_budget_tables(&mut db);
     db.enable_metrics();
-    for workers in [1, 2] {
-        db.set_workers(workers);
-        for (sql, budget, recorded) in &cases {
-            db.set_memory_budget(Some(MemoryBudget::new(*budget)));
-            let outcome = db.execute(sql);
-            let context = format!("{sql} under {budget} bytes, {workers} worker(s)");
-            match recorded {
-                Exhausted(what, used) => assert_eq!(
-                    outcome.unwrap_err(),
-                    Error::resource_exhausted(*what, *used, *budget),
-                    "{context}"
-                ),
-                LnRefuses => assert_eq!(
-                    outcome.unwrap_err(),
-                    Error::Arithmetic("ln(-1) is undefined".into()),
-                    "{context}"
-                ),
-                Peak(bytes) => {
-                    outcome.expect(&context);
-                    let metrics = db.take_metrics();
-                    let peak = metrics.last().expect("metrics are on").peak_mem_bytes;
-                    assert_eq!(peak, *bytes, "{context}");
-                }
+    for (sql, budget, recorded) in &cases {
+        db.set_memory_budget(Some(MemoryBudget::new(*budget)));
+        let outcome = db.execute(sql);
+        let context = format!("{sql} under {budget} bytes");
+        match recorded {
+            Exhausted(what, used) => assert_eq!(
+                outcome.unwrap_err(),
+                Error::resource_exhausted(*what, *used, *budget),
+                "{context}"
+            ),
+            LnRefuses => assert_eq!(
+                outcome.unwrap_err(),
+                Error::Arithmetic("ln(-1) is undefined".into()),
+                "{context}"
+            ),
+            Peak(bytes) => {
+                outcome.expect(&context);
+                let metrics = db.take_metrics();
+                let peak = metrics.last().expect("metrics are on").peak_mem_bytes;
+                assert_eq!(peak, *bytes, "{context}");
             }
         }
     }

@@ -11,9 +11,8 @@
 //! vs aggregate vs GROUP BY items, HAVING, ORDER BY on an alias / an
 //! output name / an expression, LIMIT; SELECT, `INSERT … SELECT` into a
 //! partitioned and a broadcast target, UPDATE [… FROM], DELETE — and
-//! runs each against an embedded [`Database`] (the reference, one
-//! worker), the same with two workers, and `Coordinator<Database>` at
-//! 1, 2 and 4 shards with one and two workers per shard.
+//! runs each against an embedded [`Database`] (the reference) and
+//! `Coordinator<Database>` at 1, 2 and 4 shards.
 //!
 //! Every statement must either match the reference — the result rows
 //! bit for bit (in order when its ORDER BY is total, as a multiset
@@ -639,23 +638,16 @@ impl Gen {
 // Executors and comparison
 // ---------------------------------------------------------------------
 
-fn embedded(setup: &[String], workers: usize) -> Box<dyn SqlExecutor> {
+fn embedded(setup: &[String]) -> Box<dyn SqlExecutor> {
     let mut db = Database::new();
-    db.set_workers(workers);
     for sql in setup {
         db.execute(sql).unwrap();
     }
     Box::new(db)
 }
 
-fn cluster(setup: &[String], shards: usize, workers: usize) -> Box<dyn SqlExecutor> {
-    let dbs = (0..shards)
-        .map(|_| {
-            let mut db = Database::new();
-            db.set_workers(workers);
-            db
-        })
-        .collect();
+fn cluster(setup: &[String], shards: usize) -> Box<dyn SqlExecutor> {
+    let dbs = (0..shards).map(|_| Database::new()).collect();
     let mut coord = Coordinator::new(dbs).unwrap();
     for sql in setup {
         coord.execute(sql).unwrap();
@@ -665,16 +657,10 @@ fn cluster(setup: &[String], shards: usize, workers: usize) -> Box<dyn SqlExecut
 
 /// The executors held against the reference, each with a label.
 fn contenders(setup: &[String]) -> Vec<(String, Box<dyn SqlExecutor>)> {
-    let mut all = vec![("embedded, 2 workers".to_string(), embedded(setup, 2))];
-    for shards in [1, 2, 4] {
-        for workers in [1, 2] {
-            all.push((
-                format!("{shards} shard(s), {workers} worker(s)"),
-                cluster(setup, shards, workers),
-            ));
-        }
-    }
-    all
+    let shards = [1, 2, 4].into_iter();
+    shards
+        .map(|n| (format!("{n} shard(s)"), cluster(setup, n)))
+        .collect()
 }
 
 /// A cell as its type and bit pattern: `0.0` and `-0.0` differ, as do
@@ -770,7 +756,7 @@ fn run_seed(seed: u64, cases: usize, rows: i64, tame: bool) -> Tally {
 /// fresh `fixture` once a statement has mutated it.
 fn run_cases(seed: u64, fixture: &[String], cases: impl Iterator<Item = Case>) -> Tally {
     let mut tally = Tally::default();
-    let mut reference = embedded(fixture, 1);
+    let mut reference = embedded(fixture);
     let mut others = contenders(fixture);
     let untouched = dump(reference.as_mut());
     for (number, case) in cases.enumerate() {
@@ -796,7 +782,7 @@ fn run_cases(seed: u64, fixture: &[String], cases: impl Iterator<Item = Case>) -
                     at(label)
                 );
             }
-            if label == "2 shard(s), 1 worker(s)" && want.is_ok() {
+            if label == "2 shard(s)" && want.is_ok() {
                 let explained = exec.execute(&format!("EXPLAIN {}", case.sql)).unwrap();
                 let line = explained.rows.last().unwrap()[0].to_string();
                 let class = line
@@ -812,15 +798,16 @@ fn run_cases(seed: u64, fixture: &[String], cases: impl Iterator<Item = Case>) -
                 *tally.classes.entry(class).or_default() += 1;
             }
         }
-        // The embedded contender never rejects; a coordinator's verdict
-        // reads schemas and the partition map, not the shard count.
+        // A coordinator's verdict reads schemas and the partition map,
+        // not the shard count: all reject or none does.
+        let all = others.len();
         assert!(
-            rejections == 0 || rejections == 6,
+            rejections == 0 || rejections == all,
             "{}",
             at("rejected by some")
         );
         if case.limited_local_insert && want.is_ok() {
-            assert_eq!(rejections, 6, "{}", at("LIMIT must be rejected"));
+            assert_eq!(rejections, all, "{}", at("LIMIT must be rejected"));
         }
         match (rejections, &want) {
             (0, Ok(_)) => tally.matched += 1,
@@ -833,7 +820,7 @@ fn run_cases(seed: u64, fixture: &[String], cases: impl Iterator<Item = Case>) -
             _ => tally.rejected += 1,
         }
         if case.mutating {
-            reference = embedded(fixture, 1);
+            reference = embedded(fixture);
             others = contenders(fixture);
         }
     }
@@ -907,20 +894,19 @@ fn seed_4() {
     small(4);
 }
 
-/// SELECTs over a driver past the executor's parallel threshold, so two
-/// workers really split the scan (embedded and at one shard).
+/// SELECTs over a driver of several batches on every shard.
 #[test]
-fn large_driver_selects_match_under_two_workers() {
+fn large_driver_selects_match_over_shards() {
     let t = run_seed(5, 40, 6000, true);
     assert!(t.matched >= 30, "too few statements ran: {}", t.matched);
 }
 
-/// UPDATE … FROM and DELETE … WHERE over a driver past the executor's
-/// parallel threshold: the same rows change embedded with one worker and
-/// two, and over one, two and four shards — the first matching FROM row
-/// included (`m` has two, and the WHERE lets both through).
+/// UPDATE … FROM and DELETE … WHERE over a driver of several batches
+/// on every shard: the same rows change embedded and over one, two and
+/// four shards — the first matching FROM row included (`m` has two, and
+/// the WHERE lets both through).
 #[test]
-fn large_driver_dml_matches_under_two_workers() {
+fn large_driver_dml_matches_over_shards() {
     let dml = [
         "UPDATE y FROM z SET y1 = y1 + z.z1 WHERE y.rid = z.rid",
         "UPDATE y FROM c SET y2 = y2 * c.c1 WHERE c.j = 2",
