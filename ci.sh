@@ -65,6 +65,11 @@ Stages, in order:
                 thread::spawn, and nothing under crates/*/src names
                 PARALLEL_THRESHOLD, `fn set_workers`, a `workers:`
                 field, a "--workers" flag or a \workers shell command;
+                and one pow call: outside #[cfg(test)] no file under
+                crates/sqlengine/src but expr/mod.rs calls .powf(, and
+                no .rs file under crates/, tests/ or examples/ writes a
+                powf of a literal 2 (an optimised build folds it into
+                x * x);
                 prints the crates/*/src line
                 total and the non-test total (each file up to its first
                 #[cfg(test)]) so a PR's line delta is a CI output
@@ -96,8 +101,9 @@ Stages, in order:
                 parallel = serial, parse inverts render)
                 (--quick skips the retail e2e suite and runs one
                 520-case parity seed of the four); then, in a release
-                build, tests/batch_eval.rs (`**` is powf, which an
-                optimiser may fold)
+                build, tests/batch_eval.rs (`**` is powf's bits, which
+                an optimiser may fold, and `x ** 2`'s proven squares
+                hold against this libm's pow)
   chaos         deterministic fault-plan sweep over every statement index
                 (--quick: SQLEM_CHAOS_STRIDE=7 samples every 7th index)
   crash         crash-recovery sweep: kill a child process at every WAL
@@ -305,6 +311,18 @@ if { nontest 'thread::(scope|spawn)' -path 'crates/sqlengine/src/*'
          "statement on more than one core through sqlwire::Coordinator" >&2
     exit 1
 fi
+# One call of libm's pow: `**` and power() return f64::powf's bits, and
+# expr/mod.rs's `powf` is where the engine calls it (the batch kernel
+# skips the call only where it proves the answer). A literal exponent 2
+# is folded into a multiply by an optimised build, in tests too: pass it
+# as data (std::hint::black_box(2.0)). Comment lines are not code.
+if { nontest '\.powf\(' -path 'crates/sqlengine/src/*' ! -path 'crates/sqlengine/src/expr/mod.rs'
+     grep -rnE --include='*.rs' 'powf\(([^,()]*, *)?2(\.0*)?(_?f64)? *\)' crates tests examples; } \
+    | grep -vE '^[^:]+:[0-9]+: *//' | grep .; then
+    echo "ERROR: a second pow call or a literal exponent 2 (above); call" \
+         "expr::powf, and hand an exponent of 2 over as data" >&2
+    exit 1
+fi
 echo "   crates/*/src: $(find crates/*/src -name '*.rs' -exec cat {} + | wc -l) lines," \
      "$(find crates/*/src -name '*.rs' -exec awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} !t' {} + | wc -l)" \
      "outside #[cfg(test)]"
@@ -342,7 +360,8 @@ else
 fi
 # An optimised build may fold what a debug build calls (a constant
 # `powf(2.0)` becomes a multiply), so the `**` oracle is held in a
-# release build too.
+# release build too; its pow_is_powf_bit_for_bit_on_every_path is what
+# fails on a libm whose pow breaks the proof behind x ** 2's squares.
 cargo test -q --release --test batch_eval
 
 # Deterministic fault-plan sweep (docs/ROBUSTNESS.md): every statement

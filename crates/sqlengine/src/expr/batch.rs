@@ -27,7 +27,7 @@ use std::ops::Range;
 
 use super::{
     and_values, binary_values, double_func, eval_unary, float_arith, func_values, int_arith,
-    or_values, ordering_holds, CExpr, ScalarFunc,
+    or_values, ordering_holds, power, CExpr, ScalarFunc,
 };
 use crate::ast::{BinOp, UnaryOp};
 use crate::error::Error;
@@ -730,7 +730,8 @@ impl<'a> Eval<'a> {
             BinOp::Add => Column::F64(pairs.map(|(x, y)| x + y).collect(), valid),
             BinOp::Sub => Column::F64(pairs.map(|(x, y)| x - y).collect(), valid),
             BinOp::Mul => Column::F64(pairs.map(|(x, y)| x * y).collect(), valid),
-            BinOp::Div | BinOp::Pow => {
+            BinOp::Pow => self.pow(&a, &b, valid, sel, |x, y| float_arith(BinOp::Pow, x, y)),
+            BinOp::Div => {
                 let vals = pairs
                     .enumerate()
                     .map(|(p, (x, y))| {
@@ -767,7 +768,32 @@ impl<'a> Eval<'a> {
         }
     }
 
+    /// `x ** y` for every row: `x * x` where [`square_is_powf`] proves
+    /// it, `power` — the scalar evaluator's helper, whose error names
+    /// `**` or `power()` — in every other row that holds a value.
+    fn pow(
+        &mut self,
+        a: &[f64],
+        b: &[f64],
+        valid: Validity,
+        sel: Sel<'_>,
+        power: fn(f64, f64) -> crate::error::Result<f64>,
+    ) -> Column {
+        let vals = pow_rows(a, b, valid.as_deref(), |p, x, y| {
+            power(x, y).unwrap_or_else(|e| {
+                self.fail(sel, p, e);
+                0.0
+            })
+        });
+        Column::F64(vals, valid)
+    }
+
     fn func(&mut self, f: ScalarFunc, cols: &[Cow<'a, Column>], sel: Sel<'_>) -> Column {
+        if let (ScalarFunc::Power, [x, y]) = (f, cols) {
+            if let (Some((a, av)), Some((b, bv))) = (x.as_doubles(), y.as_doubles()) {
+                return self.pow(&a, &b, both_valid(av, bv), sel, power);
+            }
+        }
         if let ([col], Some(g)) = (cols, double_func(f)) {
             if let Some((x, valid)) = col.as_doubles() {
                 let vals = x
@@ -887,6 +913,73 @@ fn scatter(n: usize, mut pieces: Vec<(Vec<u32>, Cow<'_, Column>)>) -> Column {
         }
     }
     Column::from_values(out)
+}
+
+/// `f64::powf`'s bits for every pair of `a` and `b`, in two passes. The
+/// first, branch-free, keeps `x * x` in the rows whose exponent is 2 and
+/// whose square [`square_is_powf`] proves; the second calls
+/// `fallback(row, x, y)` for every other row that holds a value (NULL
+/// rows hold 0). `fallback` must take the exponent as data: an optimised
+/// build folds `pow` of a literal 2 into `x * x`.
+fn pow_rows(
+    a: &[f64],
+    b: &[f64],
+    valid: Option<&[bool]>,
+    mut fallback: impl FnMut(usize, f64, f64) -> f64,
+) -> Vec<f64> {
+    // A row left unproven holds NaN, which no proven square is.
+    let mut vals: Vec<f64> = a
+        .iter()
+        .zip(b)
+        .map(|(&x, &y)| match square_is_powf(x) {
+            (h, true) if y == 2.0 => h,
+            _ => f64::NAN,
+        })
+        .collect();
+    for (p, v) in vals.iter_mut().enumerate() {
+        if !valid.is_none_or(|m| m[p]) {
+            *v = 0.0;
+        } else if v.is_nan() {
+            *v = fallback(p, a[p], b[p]);
+        }
+    }
+    vals
+}
+
+/// `h = x * x`, and whether `h` is provably the bits `pow(x, 2)` returns.
+///
+/// Dekker's product (Veltkamp's split by 2^27 + 1: no FMA, no libm, and
+/// it vectorizes) gives the exact error `e = x² − h`. `h` is proven when
+/// |h| ∈ [2^-500, 2^501) (biased exponent 523..=1523), `h` is not a power
+/// of two, and |e| < 0.45 ulp(h); about 90 % of uniformly drawn `x` are.
+/// Then `h` is x² rounded to nearest and every other double is at least
+/// 0.55 ulp(h) away from x² (below a power of two the spacing halves,
+/// hence the exclusion). glibc ≥ 2.28 and musl share one `pow`, ARM's
+/// optimized-routines code, whose header bounds its error by
+/// `ulperr_exp + |ln result| · relerr_log · 2^53`: 0.509 ULP (0.511
+/// without FMA) from the final `exp`, plus |ln result| ≤ 501 · ln 2 ≈ 347
+/// times 1.3 · 2^-68 (1.5 · 2^-68 without FMA) · 2^53, ≤ 0.016 ULP — so
+/// ≤ 0.53 ULP inside the window, and `pow` can only return `h`. Older
+/// glibc's `pow` is correctly rounded, which returns `h` outright. The
+/// window keeps the split and the error terms clear of overflow and
+/// underflow. Zeros, subnormals, infinities and NaN fall outside it.
+#[inline]
+fn square_is_powf(x: f64) -> (f64, bool) {
+    const SPLIT: f64 = 134_217_729.0; // 2^27 + 1
+    const EXP: u64 = 0x7ff << 52;
+    const MANTISSA: u64 = (1 << 52) - 1;
+    let h = x * x;
+    let c = SPLIT * x;
+    let hi = c - (c - x);
+    let lo = x - hi;
+    let e = ((hi * hi - h) + 2.0 * hi * lo) + lo * lo;
+    let bits = h.to_bits();
+    // ulp(h) = 2^-52 · the power of two at or below |h|.
+    let ulp = f64::EPSILON * f64::from_bits(bits & EXP);
+    let exact = (523..=1523).contains(&((bits & EXP) >> 52))
+        & (bits & MANTISSA != 0)
+        & (e.abs() < 0.45 * ulp);
+    (h, exact)
 }
 
 #[cfg(test)]
@@ -1020,6 +1113,45 @@ mod tests {
         assert_eq!((c, e.unwrap().row), (Column::I64(vec![1, 2], None), 2));
         let (c, e) = Column::nulls(DataType::Double, 2).coerce(DataType::Varchar);
         assert_eq!((c, e), (Column::Val(vec![Value::Null, Value::Null]), None));
+    }
+
+    #[test]
+    fn most_squares_skip_the_pow_call() {
+        // Uniform[-100, 100]: about 10 % of rows lie too near a rounding
+        // midpoint to prove; an edit sending every row to `pow` fails here.
+        use prng::{Rng, StdRng};
+        let mut rng = StdRng::seed_from_u64(0x5100_A2E5);
+        let xs: Vec<f64> = (0..100_000)
+            .map(|_| rng.random::<f64>() * 200.0 - 100.0)
+            .collect();
+        let twos = vec![2.0; xs.len()];
+        let mut calls = 0;
+        let out = pow_rows(&xs, &twos, None, |_, x, y| {
+            calls += 1;
+            float_arith(BinOp::Pow, x, y).unwrap()
+        });
+        assert!(
+            calls * 100 <= 15 * xs.len(),
+            "{calls} of {} rows call pow",
+            xs.len()
+        );
+        assert!(calls > 0);
+        for (x, v) in xs.iter().zip(&out) {
+            let want = x.powf(std::hint::black_box(2.0));
+            assert_eq!(v.to_bits(), want.to_bits(), "{x} ** 2");
+        }
+        // Another exponent, or a NULL row, never takes the square.
+        let mut called = Vec::new();
+        let out = pow_rows(
+            &[3.0, 3.0, 3.0],
+            &[2.0, 3.0, 2.0],
+            Some(&[true, true, false]),
+            |p, x, y| {
+                called.push(p);
+                float_arith(BinOp::Pow, x, y).unwrap()
+            },
+        );
+        assert_eq!((out, called), (vec![9.0, 27.0, 0.0], vec![1]));
     }
 
     #[test]

@@ -19,8 +19,18 @@
 //!
 //! Scalar semantics follow SQL with the deviations documented in DESIGN.md:
 //! `/` always produces a DOUBLE (so `1/d1` in the paper's fallback formula
-//! is a float reciprocal), `**` is `f64::powf`, NULL propagates through
-//! arithmetic and functions, and comparisons use three-valued logic.
+//! is a float reciprocal), NULL propagates through arithmetic and
+//! functions, and comparisons use three-valued logic.
+//!
+//! `**` (and `power`) returns `f64::powf`'s bits; `x ** 2` computes them
+//! as x·x where the exact product error proves it, and calls `pow` for
+//! the rest. The proof assumes the libm's `pow` errs by less than 0.53
+//! ULP for results in [2^-500, 2^501) — true of glibc ≥ 2.28 and musl
+//! (one shared implementation) and of any correctly rounded `pow`; the
+//! batch evaluator's `square_is_powf` states the argument, and
+//! `tests/batch_eval.rs`'s `pow_is_powf_bit_for_bit_on_every_path` is
+//! the test that fails on a libm breaking it. [`CExpr::eval`] calls
+//! `pow` for every row: it is the oracle.
 
 mod batch;
 mod compile;
@@ -314,17 +324,26 @@ fn float_arith(op: BinOp, x: f64, y: f64) -> Result<f64> {
             }
             Ok(x / y)
         }
-        BinOp::Pow => {
-            let p = x.powf(y);
-            if p.is_nan() && !x.is_nan() && !y.is_nan() {
-                return Err(Error::Arithmetic(format!(
-                    "{x} ** {y} is undefined (negative base, fractional exponent)"
-                )));
-            }
-            Ok(p)
-        }
+        BinOp::Pow => powf(x, y).ok_or_else(|| {
+            Error::Arithmetic(format!(
+                "{x} ** {y} is undefined (negative base, fractional exponent)"
+            ))
+        }),
         _ => unreachable!("not an arithmetic operator"),
     }
+}
+
+/// `power(x, y)`: `x ** y`, its error named after the function.
+fn power(x: f64, y: f64) -> Result<f64> {
+    powf(x, y).ok_or_else(|| Error::Arithmetic(format!("power({x}, {y}) is undefined")))
+}
+
+/// `f64::powf(x, y)`, or `None` where SQL has no value for it: a NaN
+/// from two operands that are not NaN (negative base, fractional
+/// exponent). The engine's one call of libm's `pow`.
+fn powf(x: f64, y: f64) -> Option<f64> {
+    let p = x.powf(y);
+    (!p.is_nan() || x.is_nan() || y.is_nan()).then_some(p)
 }
 
 /// `+ - *` over two integers; overflow is an error, not a wrap-around.
@@ -467,12 +486,7 @@ fn func_values(f: ScalarFunc, vals: Vec<Value>) -> Result<Value> {
                     let y = vals[1].as_f64().ok_or_else(|| Error::TypeMismatch {
                         context: "power() exponent must be numeric".into(),
                     })?;
-                    let p = x.powf(y);
-                    if p.is_nan() && !x.is_nan() && !y.is_nan() {
-                        Err(Error::Arithmetic(format!("power({x}, {y}) is undefined")))
-                    } else {
-                        Ok(Value::Double(p))
-                    }
+                    power(x, y).map(Value::Double)
                 }
                 ScalarFunc::Sign => Ok(Value::Int(if x > 0.0 {
                     1

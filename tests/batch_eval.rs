@@ -469,6 +469,229 @@ fn pow_by_two_is_powf_not_a_multiply_in_both_evaluators() {
     }
 }
 
+/// `x ** y` and `power(x, y)` with `x` in slot 0 and `y` the exponent
+/// (a constant or slot 1), over every row of `batch`: the batch result, the scalar
+/// reference and `x.powf(y)` with the exponent as data agree bit for bit
+/// (NULL where an operand is NULL). No row may fail.
+fn assert_pow_is_powf(batch: &Batch, y: &CExpr) {
+    let exponent = |row: usize| match y {
+        CExpr::Const(v) => v.clone(),
+        CExpr::Col(1) => batch.column(1).expect("slot filled").value(row),
+        _ => unreachable!("a constant or slot 1"),
+    };
+    let x = batch.column(0).expect("slot filled");
+    for expr in [
+        bin(BinOp::Pow, CExpr::Col(0), y.clone()),
+        CExpr::Func(ScalarFunc::Power, vec![CExpr::Col(0), y.clone()]),
+    ] {
+        let col = expr.eval_batch(batch).unwrap();
+        assert!(matches!(col, Column::F64(..)), "{expr:?} is not typed");
+        for row in 0..batch.len() {
+            let (xv, yv) = (x.value(row), exponent(row));
+            let want = match (xv.as_f64(), yv.as_f64()) {
+                (Some(x), Some(y)) => Value::Double(x.powf(std::hint::black_box(y))),
+                _ => Value::Null,
+            };
+            let scalar = expr.eval(&[xv.clone(), yv.clone()]).unwrap();
+            assert!(
+                same_value(&scalar, &want),
+                "{xv:?}, {yv:?}: scalar {scalar:?}"
+            );
+            let got = col.value(row);
+            assert!(
+                same_value(&got, &want),
+                "{xv:?}, {yv:?}: batch {got:?} ≠ {want:?}"
+            );
+        }
+    }
+}
+
+fn one_column(x: Column) -> Batch {
+    let mut batch = Batch::new(1, x.len());
+    batch.set(0, x);
+    batch
+}
+
+#[test]
+fn pow_is_powf_bit_for_bit_on_every_path() {
+    // The batch evaluator computes `x ** 2` as `x * x` where the exact
+    // product error proves that is `pow`'s answer and calls `pow` for the
+    // rest; that proof rests on the libm's `pow` erring by < 0.53 ULP,
+    // and a libm breaking it fails here. 2²⁰ · 10 rows over three
+    // distributions, then the edges of the proof, then the other paths
+    // into the same kernel.
+    let mut rng = StdRng::seed_from_u64(0x90F2_5A7E);
+    let two = [
+        CExpr::Const(Value::Int(2)),
+        CExpr::Const(Value::Double(2.0)),
+        CExpr::Col(1),
+    ];
+    for batch_no in 0..10 * 1024 {
+        let xs: Vec<f64> = (0..BATCH_ROWS)
+            .map(|_| match batch_no % 3 {
+                0 => rng.random::<f64>() * 200.0 - 100.0,
+                1 => loop {
+                    let x = f64::from_bits(rng.next_u64());
+                    if x.is_finite() {
+                        break x;
+                    }
+                },
+                // Log-uniform over 1e-165 … 1, either sign.
+                _ => {
+                    let x = (-165.0 * std::f64::consts::LN_10 * rng.random::<f64>()).exp();
+                    if rng.random() {
+                        -x
+                    } else {
+                        x
+                    }
+                }
+            })
+            .collect();
+        let mut batch = Batch::new(2, xs.len());
+        batch.set(0, Column::F64(xs, None));
+        batch.set(1, Column::F64(vec![2.0; BATCH_ROWS], None));
+        assert_pow_is_powf(&batch, &two[batch_no % two.len()]);
+    }
+
+    // Squares at the edges of the [2^-500, 2^501) window, powers of two
+    // and their neighbours, subnormals, zeros, infinities and NaN.
+    // 2^k from its bits (a folded `powi` differs between debug and release).
+    let pow2 = |k: i64| match k {
+        -1074..=-1023 => f64::from_bits(1 << (k + 1074)),
+        _ => f64::from_bits(((k + 1023) as u64) << 52),
+    };
+    let root_two = std::f64::consts::SQRT_2;
+    let mut edges = vec![0.0, f64::INFINITY, f64::NAN, f64::from_bits(1)];
+    for centre in [
+        pow2(-250),
+        pow2(-251) * root_two,
+        pow2(-250) * root_two,
+        pow2(250),
+        pow2(250) * root_two,
+        pow2(251),
+    ] {
+        let (mut up, mut down) = (centre, centre);
+        for _ in 0..64 {
+            edges.extend([up, down]);
+            (up, down) = (up.next_up(), down.next_down());
+        }
+    }
+    for k in -1074..=1023 {
+        let p = pow2(k);
+        edges.extend([p, p.next_up(), p.next_down()]);
+    }
+    for _ in 0..1000 {
+        edges.push(f64::from_bits(rng.next_u64() % (1 << 52)));
+    }
+    let negated: Vec<f64> = edges.iter().map(|x| -x).collect();
+    edges.extend(negated);
+    for two in &two[..2] {
+        assert_pow_is_powf(&one_column(Column::F64(edges.clone(), None)), two);
+    }
+
+    // BIGINT bases; NULL rows in either operand.
+    let ints: Vec<i64> = (0..4000)
+        .map(|i| match i % 4 {
+            0 => rng.random_range(0..2_000_001usize) as i64 - 1_000_000,
+            1 => (rng.next_u64() >> 1) as i64,
+            2 => -((rng.next_u64() >> 12) as i64),
+            _ => [0, 1, -1, i64::MAX, i64::MIN, 1 << 26, 94_906_267][i / 4 % 7],
+        })
+        .collect();
+    assert_pow_is_powf(&one_column(Column::I64(ints, None)), &two[0]);
+    let n = 3000;
+    let xs: Vec<f64> = (0..n)
+        .map(|_| rng.random::<f64>() * 200.0 - 100.0)
+        .collect();
+    let holes = |rng: &mut StdRng| Some((0..n).map(|_| rng.random_range(0..5usize) > 0).collect());
+    let mut batch = Batch::new(2, n);
+    batch.set(0, Column::F64(xs.clone(), holes(&mut rng)));
+    batch.set(1, Column::I64(vec![2; n], holes(&mut rng)));
+    assert_pow_is_powf(&batch, &CExpr::Col(1));
+
+    // Exponent columns mixing 2, 2.0, 0.5, 3, -2 and 2 + ulp, as DOUBLE,
+    // as BIGINT and as a column of both (the per-row path); a negative
+    // base only under an integral exponent.
+    let doubles = [2.0, 0.5, 3.0, -2.0, 2f64.next_up()];
+    let ys: Vec<f64> = (0..n)
+        .map(|_| doubles[rng.random_range(0..5usize)])
+        .collect();
+    let bases = |ys: &[f64]| -> Vec<f64> {
+        xs.iter()
+            .zip(ys)
+            .map(|(x, y)| if y.fract() == 0.0 { *x } else { x.abs() })
+            .collect()
+    };
+    let mixed_ints: Vec<i64> = (0..n).map(|i| [2, 3, -2][i % 3]).collect();
+    let mixed_values: Vec<Value> = ys
+        .iter()
+        .map(|&y| {
+            if y == 2.0 {
+                Value::Int(2)
+            } else {
+                Value::Double(y)
+            }
+        })
+        .collect();
+    for y in [
+        Column::F64(ys.clone(), None),
+        Column::I64(mixed_ints, None),
+        Column::from_values(mixed_values),
+    ] {
+        let ys: Vec<f64> = (0..n).map(|r| y.value(r).as_f64().unwrap()).collect();
+        let mut batch = Batch::new(2, n);
+        batch.set(0, Column::F64(bases(&ys), None));
+        batch.set(1, y);
+        assert_pow_is_powf(&batch, &CExpr::Col(1));
+    }
+
+    // Under a CASE the kernel sees a selection vector's rows only:
+    // CASE WHEN x > 0 THEN x ** y ELSE power(x, 2) END.
+    let ys: Vec<f64> = (0..n)
+        .map(|_| doubles[rng.random_range(0..5usize)])
+        .collect();
+    let case = CExpr::Case {
+        whens: vec![(
+            bin(BinOp::Gt, CExpr::Col(0), num(0.0)),
+            bin(BinOp::Pow, CExpr::Col(0), CExpr::Col(1)),
+        )],
+        else_expr: Some(boxed(CExpr::Func(
+            ScalarFunc::Power,
+            vec![CExpr::Col(0), CExpr::Const(Value::Int(2))],
+        ))),
+    };
+    let mut batch = Batch::new(2, n);
+    batch.set(0, Column::F64(xs.clone(), holes(&mut rng)));
+    batch.set(1, Column::F64(ys.clone(), None));
+    let col = case.eval_batch(&batch).unwrap();
+    for (row, x) in xs.iter().enumerate() {
+        let cells = [batch.column(0).unwrap().value(row), Value::Double(ys[row])];
+        let want = match cells[0] {
+            Value::Null => Value::Null,
+            _ if *x > 0.0 => Value::Double(x.powf(std::hint::black_box(ys[row]))),
+            _ => Value::Double(x.powf(std::hint::black_box(2.0))),
+        };
+        let scalar = case.eval(&cells).unwrap();
+        assert!(same_value(&scalar, &want), "{cells:?}: scalar {scalar:?}");
+        assert!(same_value(&col.value(row), &want), "{cells:?}: batch");
+    }
+
+    // An undefined row fails the batch at that row, with the scalar
+    // evaluator's error for `**` and for `power()` alike.
+    let mut batch = Batch::new(2, 3);
+    batch.set(0, Column::F64(vec![3.0, 4.0, -4.0], None));
+    batch.set(1, Column::F64(vec![2.0, 0.5, 0.5], None));
+    for expr in [
+        bin(BinOp::Pow, CExpr::Col(0), CExpr::Col(1)),
+        CExpr::Func(ScalarFunc::Power, vec![CExpr::Col(0), CExpr::Col(1)]),
+    ] {
+        let err = expr.eval_batch(&batch).unwrap_err();
+        assert_eq!(err.row, 2);
+        let want = expr.eval(&[Value::Double(-4.0), Value::Double(0.5)]);
+        assert_eq!(Err(err.error), want);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Part two: the pipeline's seams, as SQL
 // ---------------------------------------------------------------------
