@@ -69,7 +69,10 @@ Stages, in order:
                 crates/sqlengine/src but expr/mod.rs calls .powf(, and
                 no .rs file under crates/, tests/ or examples/ writes a
                 powf of a literal 2 (an optimised build folds it into
-                x * x);
+                x * x); and one fan-out mechanism (the coordinator's
+                long-lived shard workers): outside #[cfg(test)] nothing
+                under crates/sqlwire/src calls thread::scope, and one
+                call in cluster.rs starts a thread;
                 prints the crates/*/src line
                 total and the non-test total (each file up to its first
                 #[cfg(test)]) so a PR's line delta is a CI output
@@ -142,7 +145,8 @@ Stages, in order:
                 shard counts 1/2/4 over the retail workload and emits
                 BENCH_cluster.json (per-shard-count E/M-step
                 wall-clock), failing on any model drift
-                (--quick: smaller dataset, shorter sweep)
+                (--quick: smaller dataset, shorter sweep, and the
+                checked-in BENCH_cluster.json is left as it is)
   workspace     cargo test --workspace
   perfbench     the repo benchmark (BENCHMARK.json) is a package outside
                 the workspace: its unit tests and the smoke test that
@@ -321,6 +325,16 @@ if { nontest '\.powf\(' -path 'crates/sqlengine/src/*' ! -path 'crates/sqlengine
     | grep -vE '^[^:]+:[0-9]+: *//' | grep .; then
     echo "ERROR: a second pow call or a literal exponent 2 (above); call" \
          "expr::powf, and hand an exponent of 2 over as data" >&2
+    exit 1
+fi
+# One fan-out mechanism: a coordinator's shards 1.. live on worker
+# threads started with it (crates/sqlwire/src/cluster.rs, Worker::spawn)
+# and shard 0 on the caller's — no scoped threads per statement, and one
+# call in cluster.rs that starts a thread (`sed 1d` lets that one pass).
+if { nontest 'thread::scope' -path 'crates/sqlwire/src/*'
+     nontest 'thread::spawn|\.spawn\(' -path 'crates/sqlwire/src/cluster.rs' | sed 1d; } | grep .; then
+    echo "ERROR: a second fan-out mechanism is back (above); send jobs to" \
+         "the coordinator's shard workers instead" >&2
     exit 1
 fi
 echo "   crates/*/src: $(find crates/*/src -name '*.rs' -exec cat {} + | wc -l) lines," \
@@ -767,7 +781,11 @@ else
 fi
 grep -q '"bench":"cluster"' "$SRV_TMP/BENCH_cluster.json" || {
     echo "ERROR: cluster bench produced no telemetry" >&2; exit 1; }
-cp "$SRV_TMP/BENCH_cluster.json" BENCH_cluster.json
+# Only a full run's numbers are the checked-in file's; a --quick run's
+# smaller sweep stays in the scratch directory, leaving the tree clean.
+if [ "$QUICK" = 0 ]; then
+    cp "$SRV_TMP/BENCH_cluster.json" BENCH_cluster.json
+fi
 
 echo "== workspace: all crate tests"
 cargo test --workspace -q

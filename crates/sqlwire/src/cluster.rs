@@ -61,6 +61,17 @@
 //! per-shard max), so the paper's `2k+3` scans-per-iteration cost
 //! model verifies against a cluster exactly as it does single-node.
 //!
+//! ## Threads
+//!
+//! Shard 0's executor stays on the thread that built the coordinator;
+//! every other shard's moves onto a worker thread of its own, which
+//! lives as long as the coordinator (dropping it joins the workers, and
+//! they drop their executors on the way out). A fan-out sends each
+//! worker a job over a channel, runs shard 0's part inline meanwhile,
+//! and collects the replies in shard order, so a statement starts no
+//! thread and a 1-shard coordinator never starts one. A shard that
+//! panics panics the caller.
+//!
 //! See `docs/CLUSTER.md` for the full fragment/merge grammar and the
 //! failure semantics.
 
@@ -78,6 +89,9 @@ use sqlengine::{
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::Arc;
+use std::thread::{self, JoinHandle};
 
 /// The shard owning `rid` in an `nshards`-way cluster: a splitmix64
 /// finalizer over the rid, reduced mod `nshards`. Stateless and
@@ -146,6 +160,62 @@ struct Inflight {
     done: Vec<bool>,
 }
 
+/// A prepared script entry, parsed once: the text as prepared (for the
+/// length check and analysis-error locations) and each of its
+/// statements with its rendering, the text the shards run.
+struct Prepared {
+    sql: String,
+    statements: Vec<(Statement, String)>,
+}
+
+/// A job for a shard worker: runs on the worker's thread against the
+/// shard's executor.
+type Job<E> = Box<dyn FnOnce(&mut E) + Send>;
+
+/// A shard executor on a thread of its own for the coordinator's
+/// lifetime; its jobs run in the order they were sent.
+struct Worker<E> {
+    jobs: Sender<Job<E>>,
+    thread: JoinHandle<()>,
+}
+
+impl<E: SqlExecutor + Send + 'static> Worker<E> {
+    /// Move shard `index`'s executor onto a new thread. The thread ends,
+    /// dropping the executor, once the job channel closes.
+    fn spawn(index: usize, mut shard: E) -> Result<Self> {
+        let (jobs, queue) = mpsc::channel::<Job<E>>();
+        let thread = thread::Builder::new()
+            .name(format!("shard-{index}"))
+            .spawn(move || {
+                for job in queue {
+                    job(&mut shard);
+                }
+            })
+            .map_err(|e| Error::io(format!("start the worker of shard {index}"), e))?;
+        Ok(Worker { jobs, thread })
+    }
+
+    /// Queue `f` on the worker; [`reply`] waits for its value.
+    fn submit<R: Send + 'static>(
+        &self,
+        f: impl FnOnce(&mut E) -> R + Send + 'static,
+    ) -> Receiver<R> {
+        let (tx, rx) = mpsc::sync_channel(1);
+        // Neither send fails unless a job panicked: the caller then
+        // panics in `reply`, or is already unwinding.
+        let _ = self.jobs.send(Box::new(move |shard: &mut E| {
+            let _ = tx.send(f(shard));
+        }));
+        rx
+    }
+}
+
+/// Wait for a worker's reply. A job that panicked dropped its reply
+/// channel, so the shard's panic becomes the caller's here.
+fn reply<R>(rx: Receiver<R>) -> R {
+    rx.recv().expect("shard worker panicked")
+}
+
 /// Hash-partitioned scatter/gather coordinator over `E` shards.
 ///
 /// Implements [`SqlExecutor`], so the EM driver, the plancheck
@@ -153,17 +223,23 @@ struct Inflight {
 /// Construct with [`Coordinator::new`] over any executors — remote
 /// connections for a real cluster, embedded [`Database`]s for tests
 /// and benchmarks.
-pub struct Coordinator<E: SqlExecutor + Send> {
-    shards: Vec<E>,
+pub struct Coordinator<E: SqlExecutor + Send + 'static> {
+    /// Shard 0's executor, on the caller's thread.
+    local: E,
+    /// Shards 1.., each on a worker thread of its own; dropping the
+    /// coordinator joins them.
+    shard_workers: Vec<Worker<E>>,
     /// Rowless schema mirror: receives every DDL statement, validates
     /// prepared scripts, and plans every statement. Holding no base
-    /// rows, it plans exactly like the shards do.
+    /// rows, it plans exactly like the shards do. Its statement-length
+    /// cap is the smallest shard's, read at construction.
     shadow: Database,
     /// Partitioned table name → rid column slot.
     partitioned: HashMap<String, usize>,
-    /// Prepared-statement id → original text (statements re-classify
-    /// at execution; shards are not pre-prepared).
-    prepared: HashMap<u64, String>,
+    /// Prepared-statement id → its script entry, parsed once. Shards
+    /// are not pre-prepared, and each run classifies afresh: a script's
+    /// own DDL changes what the shadow plans against.
+    prepared: HashMap<u64, Arc<Prepared>>,
     inflight: Option<Inflight>,
     /// Coordinator-level telemetry: one merged entry per statement.
     metrics: Vec<ExecMetrics>,
@@ -176,10 +252,11 @@ pub struct Coordinator<E: SqlExecutor + Send> {
 /// and primary-key column indexes.
 type AdoptedTable = (String, Vec<(String, sqlengine::DataType)>, Vec<usize>);
 
-impl<E: SqlExecutor + Send> Coordinator<E> {
+impl<E: SqlExecutor + Send + 'static> Coordinator<E> {
     /// Build a coordinator over `shards` (at least one). Adopts the
     /// first shard's catalog into the shadow so a coordinator can
-    /// attach to a cluster that already holds tables.
+    /// attach to a cluster that already holds tables. Shard 0 stays on
+    /// the calling thread; every other shard moves to a worker thread.
     pub fn new(mut shards: Vec<E>) -> Result<Self> {
         if shards.is_empty() {
             return Err(Error::Unsupported(
@@ -232,8 +309,10 @@ impl<E: SqlExecutor + Send> Coordinator<E> {
         let cursors = vec![0; shards.len()];
         // Drain any pre-existing metrics so merged entries start clean.
         let metrics_on = shards[0].metrics_enabled();
+        let mut shards = shards.into_iter();
         let mut coord = Coordinator {
-            shards,
+            local: shards.next().expect("checked non-empty"),
+            shard_workers: Vec::new(),
             shadow,
             partitioned,
             prepared: HashMap::new(),
@@ -242,6 +321,10 @@ impl<E: SqlExecutor + Send> Coordinator<E> {
             metrics_on,
             cursors,
         };
+        for (shard, index) in shards.zip(1..) {
+            // On failure `coord` drops, joining the workers already started.
+            coord.shard_workers.push(Worker::spawn(index, shard)?);
+        }
         if metrics_on {
             coord.reset_cursors()?;
         }
@@ -250,7 +333,7 @@ impl<E: SqlExecutor + Send> Coordinator<E> {
 
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
+        self.shard_workers.len() + 1
     }
 
     /// Is `table` hash-partitioned (as opposed to broadcast)?
@@ -259,9 +342,11 @@ impl<E: SqlExecutor + Send> Coordinator<E> {
     }
 
     fn reset_cursors(&mut self) -> Result<()> {
-        for i in 0..self.shards.len() {
-            self.cursors[i] = self.shards[i].metrics_len()?;
-        }
+        self.cursors = self
+            .fan_out(&[], |_, shard| shard.metrics_len())
+            .into_iter()
+            .flatten()
+            .collect::<Result<_>>()?;
         Ok(())
     }
 
@@ -448,32 +533,52 @@ impl<E: SqlExecutor + Send> Coordinator<E> {
 
     // ---- execution ---------------------------------------------------
 
-    /// Run `f` against every shard whose `skip` flag is false, in
-    /// parallel (one scoped thread per shard). Results come back in
+    /// Run `f` on every shard whose `skip` flag is false (a missing flag
+    /// is false): each worker's part goes out over its channel, shard
+    /// 0's runs on this thread meanwhile, and the results come back in
     /// shard order; skipped shards yield `None`.
-    fn fan_out<R, F>(shards: &mut [E], skip: &[bool], f: F) -> Vec<Option<Result<R>>>
+    fn fan_out<T, F>(&mut self, skip: &[bool], f: F) -> Vec<Option<T>>
     where
-        R: Send,
-        F: Fn(usize, &mut E) -> Result<R> + Sync,
+        T: Send + 'static,
+        F: Fn(usize, &mut E) -> T + Send + Sync + 'static,
     {
-        std::thread::scope(|scope| {
-            let f = &f;
-            let handles: Vec<_> = shards
-                .iter_mut()
-                .enumerate()
-                .map(|(i, shard)| {
-                    if skip.get(i).copied().unwrap_or(false) {
-                        None
-                    } else {
-                        Some(scope.spawn(move || f(i, shard)))
-                    }
+        let runs = |i: usize| !skip.get(i).copied().unwrap_or(false);
+        let f = Arc::new(f);
+        let pending: Vec<Option<Receiver<T>>> = self
+            .shard_workers
+            .iter()
+            .zip(1..)
+            .map(|(worker, i)| {
+                runs(i).then(|| {
+                    let f = Arc::clone(&f);
+                    worker.submit(move |shard| f(i, shard))
                 })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.map(|h| h.join().expect("shard worker panicked")))
-                .collect()
-        })
+            })
+            .collect();
+        let first = runs(0).then(|| f(0, &mut self.local));
+        std::iter::once(first)
+            .chain(pending.into_iter().map(|rx| rx.map(reply)))
+            .collect()
+    }
+
+    /// [`Self::fan_out`] of a read-only question to every shard.
+    fn ask<T, F>(&self, f: F) -> Vec<T>
+    where
+        T: Send + 'static,
+        F: Fn(&E) -> T + Send + Sync + 'static,
+    {
+        let f = Arc::new(f);
+        let pending: Vec<Receiver<T>> = self
+            .shard_workers
+            .iter()
+            .map(|worker| {
+                let f = Arc::clone(&f);
+                worker.submit(move |shard| f(shard))
+            })
+            .collect();
+        std::iter::once(f(&self.local))
+            .chain(pending.into_iter().map(reply))
+            .collect()
     }
 
     /// Per-shard completion flags for a mutating fan-out: fresh unless
@@ -481,7 +586,7 @@ impl<E: SqlExecutor + Send> Coordinator<E> {
     fn arm_inflight(&mut self, fingerprint: u64) -> Vec<bool> {
         match &self.inflight {
             Some(f) if f.fingerprint == fingerprint => f.done.clone(),
-            _ => vec![false; self.shards.len()],
+            _ => vec![false; self.num_shards()],
         }
     }
 
@@ -490,11 +595,11 @@ impl<E: SqlExecutor + Send> Coordinator<E> {
     /// that already applied it.
     fn mutate_all<R, F>(&mut self, fingerprint: u64, f: F) -> Result<Vec<Option<R>>>
     where
-        R: Send,
-        F: Fn(usize, &mut E) -> Result<R> + Sync,
+        R: Send + 'static,
+        F: Fn(usize, &mut E) -> Result<R> + Send + Sync + 'static,
     {
         let mut done = self.arm_inflight(fingerprint);
-        let results = Self::fan_out(&mut self.shards, &done, f);
+        let results = self.fan_out(&done, f);
         let mut out = Vec::with_capacity(results.len());
         let mut first_err = None;
         for (i, r) in results.into_iter().enumerate() {
@@ -524,21 +629,53 @@ impl<E: SqlExecutor + Send> Coordinator<E> {
         }
     }
 
-    /// Execute one parsed statement across the cluster.
-    fn run_one(&mut self, stmt: &Statement) -> Result<QueryResult> {
-        let text = stmt.to_string();
+    /// Fail a script longer than the smallest shard's cap, as a shard
+    /// would.
+    fn check_len(&self, sql: &str) -> Result<()> {
+        let max = self.max_statement_len();
+        if sql.len() > max {
+            return Err(Error::StatementTooLong {
+                len: sql.len(),
+                max,
+            });
+        }
+        Ok(())
+    }
+
+    /// Run the parsed statements of `sql` in order; the result is the
+    /// last one's.
+    fn run_script(&mut self, sql: &str, statements: &[(Statement, String)]) -> Result<QueryResult> {
+        let mut last = None;
+        for (stmt, text) in statements {
+            // A statement the shadow catalog cannot plan fails here as it
+            // would embedded: the same analysis error, located in `sql`.
+            last = Some(self.run_one(stmt, text).map_err(|e| match e {
+                Error::Analyze(e) => Error::Analyze(e.locate(sql)),
+                e => e,
+            })?);
+        }
+        last.ok_or(Error::Parse {
+            pos: 0,
+            message: "empty statement".into(),
+        })
+    }
+
+    /// Execute one parsed statement, rendered as `text`, across the
+    /// cluster.
+    fn run_one(&mut self, stmt: &Statement, text: &str) -> Result<QueryResult> {
         let (class, plan) = self.classify(stmt)?;
         match (class, stmt, &plan) {
             (Class::AllShards, ..) => {
-                let fp = fingerprint_text(&text);
-                let results = self.mutate_all(fp, |_, shard| shard.execute(&text))?;
+                let fp = fingerprint_text(text);
+                let sql = text.to_string();
+                let results = self.mutate_all(fp, move |_, shard| shard.execute(&sql))?;
                 // DDL also lands on the shadow so the coordinator's
                 // schema mirror stays exact.
                 if matches!(
                     stmt,
                     Statement::CreateTable { .. } | Statement::DropTable { .. }
                 ) {
-                    self.shadow.execute(&text)?;
+                    self.shadow.execute(text)?;
                     self.refresh_partition_map(stmt);
                 }
                 self.drain_metrics(MergeMode::KeepFirst, None)?;
@@ -549,8 +686,9 @@ impl<E: SqlExecutor + Send> Coordinator<E> {
                     .unwrap_or(QueryResult::affected(0)))
             }
             (Class::Local, ..) => {
-                let fp = fingerprint_text(&text);
-                let results = self.mutate_all(fp, |_, shard| shard.execute(&text))?;
+                let fp = fingerprint_text(text);
+                let sql = text.to_string();
+                let results = self.mutate_all(fp, move |_, shard| shard.execute(&sql))?;
                 self.drain_metrics(MergeMode::MergeMasked, None)?;
                 let affected: usize = results
                     .iter()
@@ -560,7 +698,7 @@ impl<E: SqlExecutor + Send> Coordinator<E> {
                 Ok(QueryResult::affected(affected))
             }
             (Class::ReadOne, ..) => {
-                let mut result = self.shards[0].execute(&text)?;
+                let mut result = self.local.execute(text)?;
                 self.drain_metrics(MergeMode::KeepFirst, None)?;
                 if let Statement::Explain(inner) = stmt {
                     // The class `run_one` would match on for the inner
@@ -576,7 +714,7 @@ impl<E: SqlExecutor + Send> Coordinator<E> {
                 Ok(result)
             }
             (Class::ScatterRead, _, StatementPlan::Select(select)) => {
-                let merged = self.scatter_partials(&text)?;
+                let merged = self.scatter_partials(text)?;
                 let groups = merged.group_count();
                 let result = finalize_select_partials(select, merged)?;
                 self.drain_metrics(MergeMode::MergeMasked, Some((groups, result.rows.len())))?;
@@ -634,13 +772,11 @@ impl<E: SqlExecutor + Send> Coordinator<E> {
     /// shard order makes `VARIANCE`'s Chan combination deterministic
     /// too) into one the coordinator's thread owns.
     fn scatter_partials(&mut self, text: &str) -> Result<PartialAggResult> {
-        let skip = vec![false; self.shards.len()];
-        let results = Self::fan_out(&mut self.shards, &skip, |_, shard| {
-            shard.execute_partial(text)
-        });
+        let sql = text.to_string();
+        let results = self.fan_out(&[], move |_, shard| shard.execute_partial(&sql));
         let mut merged = PartialAggResult::default();
-        for r in results {
-            merged.merge(&r.expect("no shard skipped")?)?;
+        for r in results.into_iter().flatten() {
+            merged.merge(&r?)?;
         }
         Ok(merged)
     }
@@ -659,11 +795,10 @@ impl<E: SqlExecutor + Send> Coordinator<E> {
             });
         }
         let text = Statement::Select(shard_sel).to_string();
-        let skip = vec![false; self.shards.len()];
-        let results = Self::fan_out(&mut self.shards, &skip, |_, shard| shard.execute(&text));
+        let results = self.fan_out(&[], move |_, shard| shard.execute(&text));
         let mut rows = Vec::new();
-        for r in results {
-            rows.extend(r.expect("no shard skipped")?.rows);
+        for r in results.into_iter().flatten() {
+            rows.extend(r?.rows);
         }
         Ok(finish_select(plan, rows))
     }
@@ -678,17 +813,27 @@ impl<E: SqlExecutor + Send> Coordinator<E> {
         rows: Vec<Vec<Value>>,
     ) -> Result<QueryResult> {
         let n = rows.len();
-        let fp = fingerprint_text(origin_text);
-        let rows = &rows;
+        self.replicate_bulk(fingerprint_text(origin_text), table, rows)?;
+        Ok(QueryResult::affected(n))
+    }
+
+    /// Bulk-load the same rows into a broadcast table on every shard,
+    /// with per-shard completion tracking keyed on `fingerprint`.
+    fn replicate_bulk(
+        &mut self,
+        fingerprint: u64,
+        table: &str,
+        rows: Vec<Vec<Value>>,
+    ) -> Result<()> {
+        let rows = Arc::new(rows);
         let table_name = table.to_string();
-        self.mutate_all(fp, move |_, shard| {
+        self.mutate_all(fingerprint, move |_, shard| {
             if rows.is_empty() {
                 return Ok(0usize);
             }
-            shard.bulk_insert_rows(&table_name, rows.clone())
+            shard.bulk_insert_rows(&table_name, rows.to_vec())
         })?;
-        self.drain_metrics(MergeMode::MergeReplicated, None)?;
-        Ok(QueryResult::affected(n))
+        self.drain_metrics(MergeMode::MergeReplicated, None)
     }
 
     /// Route full-arity rows of a partitioned table to their owning
@@ -697,7 +842,7 @@ impl<E: SqlExecutor + Send> Coordinator<E> {
         let slot = self.partitioned.get(table).copied().ok_or_else(|| {
             Error::Unsupported(format!("table {table} is not partitioned by rid"))
         })?;
-        let n = self.shards.len();
+        let n = self.num_shards();
         let mut buckets: Vec<Vec<Vec<Value>>> = vec![Vec::new(); n];
         let fp = fingerprint_bulk(table, &rows);
         for row in rows {
@@ -713,7 +858,7 @@ impl<E: SqlExecutor + Send> Coordinator<E> {
             buckets[shard_of_rid(rid, n)].push(row);
         }
         let table_name = table.to_string();
-        let buckets = &buckets;
+        let buckets = Arc::new(buckets);
         let counts = self.mutate_all(fp, move |i, shard| {
             if buckets[i].is_empty() {
                 return Ok(0usize);
@@ -758,9 +903,11 @@ impl<E: SqlExecutor + Send> Coordinator<E> {
         if !self.metrics_on {
             return Ok(());
         }
-        let mut per_shard: Vec<Vec<ExecMetrics>> = Vec::with_capacity(self.shards.len());
-        for i in 0..self.shards.len() {
-            let entries = self.shards[i].metrics_since(self.cursors[i])?;
+        let cursors = self.cursors.clone();
+        let fetched = self.fan_out(&[], move |i, shard| shard.metrics_since(cursors[i]));
+        let mut per_shard: Vec<Vec<ExecMetrics>> = Vec::with_capacity(fetched.len());
+        for (i, entries) in fetched.into_iter().flatten().enumerate() {
+            let entries = entries?;
             self.cursors[i] += entries.len();
             per_shard.push(entries);
         }
@@ -832,6 +979,17 @@ fn fold_entries(entries: Vec<ExecMetrics>) -> Option<ExecMetrics> {
     Some(first)
 }
 
+/// Each statement of `sql` with its rendering.
+fn parse_rendered(sql: &str) -> Result<Vec<(Statement, String)>> {
+    Ok(parse(sql)?
+        .into_iter()
+        .map(|stmt| {
+            let text = stmt.to_string();
+            (stmt, text)
+        })
+        .collect())
+}
+
 fn fingerprint_text(text: &str) -> u64 {
     let mut h = DefaultHasher::new();
     "stmt".hash(&mut h);
@@ -861,28 +1019,27 @@ fn full_rows(insert: &InsertPlan, rows: Vec<sqlengine::Row>) -> Result<Vec<Vec<V
         .collect()
 }
 
-impl<E: SqlExecutor + Send> SqlExecutor for Coordinator<E> {
+impl<E: SqlExecutor + Send + 'static> Drop for Coordinator<E> {
+    /// Close every worker's queue, then join them all: each drops its
+    /// executor on the way out, so every shard is gone when this
+    /// returns.
+    fn drop(&mut self) {
+        let threads: Vec<JoinHandle<()>> = std::mem::take(&mut self.shard_workers)
+            .into_iter()
+            .map(|worker| worker.thread)
+            .collect();
+        for thread in threads {
+            // A worker that panicked has already panicked its caller.
+            let _ = thread.join();
+        }
+    }
+}
+
+impl<E: SqlExecutor + Send + 'static> SqlExecutor for Coordinator<E> {
     fn execute(&mut self, sql: &str) -> Result<QueryResult> {
-        if sql.len() > self.max_statement_len() {
-            return Err(Error::StatementTooLong {
-                len: sql.len(),
-                max: self.max_statement_len(),
-            });
-        }
-        let stmts = parse(sql)?;
-        let mut last = None;
-        for stmt in &stmts {
-            // A statement the shadow catalog cannot plan fails here as it
-            // would embedded: the same analysis error, located in `sql`.
-            last = Some(self.run_one(stmt).map_err(|e| match e {
-                Error::Analyze(e) => Error::Analyze(e.locate(sql)),
-                e => e,
-            })?);
-        }
-        last.ok_or(Error::Parse {
-            pos: 0,
-            message: "empty statement".into(),
-        })
+        self.check_len(sql)?;
+        let statements = parse_rendered(sql)?;
+        self.run_script(sql, &statements)
     }
 
     fn execute_partial(&mut self, sql: &str) -> Result<PartialAggResult> {
@@ -893,7 +1050,11 @@ impl<E: SqlExecutor + Send> SqlExecutor for Coordinator<E> {
             ));
         };
         match self.classify(stmt)?.0 {
-            Class::ReadOne => self.shards[0].execute_partial(sql),
+            Class::ReadOne => {
+                let partial = self.local.execute_partial(sql)?;
+                self.drain_metrics(MergeMode::KeepFirst, None)?;
+                Ok(partial)
+            }
             Class::ScatterRead => {
                 let merged = self.scatter_partials(&stmt.to_string())?;
                 self.drain_metrics(MergeMode::MergeMasked, None)?;
@@ -913,19 +1074,23 @@ impl<E: SqlExecutor + Send> SqlExecutor for Coordinator<E> {
         // included) and allocates ids; shards see each statement only
         // when it runs, freshly classified.
         let ids = self.shadow.prepare_script(statements)?;
-        for (id, text) in ids.iter().zip(statements) {
-            self.prepared.insert(id.0, text.clone());
+        for (index, (id, sql)) in ids.iter().zip(statements).enumerate() {
+            let statements = parse_rendered(sql).map_err(|error| PrepareError { index, error })?;
+            let sql = sql.clone();
+            self.prepared
+                .insert(id.0, Arc::new(Prepared { sql, statements }));
         }
         Ok(ids)
     }
 
     fn run_prepared(&mut self, id: PreparedId) -> Result<QueryResult> {
-        let text = self
+        let prepared = self
             .prepared
             .get(&id.0)
             .cloned()
             .ok_or_else(|| Error::Unsupported(format!("unknown prepared id {}", id.0)))?;
-        self.execute(&text)
+        self.check_len(&prepared.sql)?;
+        self.run_script(&prepared.sql, &prepared.statements)
     }
 
     fn clear_prepared(&mut self) -> Result<()> {
@@ -941,41 +1106,27 @@ impl<E: SqlExecutor + Send> SqlExecutor for Coordinator<E> {
             Ok(inserted)
         } else {
             let n = rows.len();
-            let fp = fingerprint_bulk(&lname, &rows);
-            {
-                let rows = &rows;
-                let table_name = lname.clone();
-                self.mutate_all(fp, move |_, shard| {
-                    if rows.is_empty() {
-                        return Ok(0usize);
-                    }
-                    shard.bulk_insert_rows(&table_name, rows.clone())
-                })?;
-            }
-            self.drain_metrics(MergeMode::MergeReplicated, None)?;
+            self.replicate_bulk(fingerprint_bulk(&lname, &rows), &lname, rows)?;
             Ok(n)
         }
     }
 
     fn table_rows(&mut self, table: &str) -> Result<usize> {
         if self.partitioned.contains_key(&table.to_ascii_lowercase()) {
-            let skip = vec![false; self.shards.len()];
             let table = table.to_string();
-            let results = Self::fan_out(&mut self.shards, &skip, move |_, shard| {
-                shard.table_rows(&table)
-            });
+            let results = self.fan_out(&[], move |_, shard| shard.table_rows(&table));
             let mut total = 0;
-            for r in results {
-                total += r.expect("no shard skipped")?;
+            for r in results.into_iter().flatten() {
+                total += r?;
             }
             Ok(total)
         } else {
-            self.shards[0].table_rows(table)
+            self.local.table_rows(table)
         }
     }
 
     fn has_table(&mut self, table: &str) -> Result<bool> {
-        self.shards[0].has_table(table)
+        self.local.has_table(table)
     }
 
     fn catalog_snapshot(&mut self) -> Result<SymbolicCatalog> {
@@ -983,33 +1134,28 @@ impl<E: SqlExecutor + Send> SqlExecutor for Coordinator<E> {
     }
 
     fn max_statement_len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(SqlExecutor::max_statement_len)
-            .min()
-            .unwrap_or(0)
+        SqlExecutor::max_statement_len(&self.shadow)
     }
 
     fn analyze_limits(&self) -> Limits {
-        self.shards[0].analyze_limits()
+        self.local.analyze_limits()
     }
 
     fn memory_budget_bytes(&self) -> Option<u64> {
-        self.shards
-            .iter()
-            .filter_map(SqlExecutor::memory_budget_bytes)
+        self.ask(|shard| shard.memory_budget_bytes())
+            .into_iter()
+            .flatten()
             .min()
     }
 
     fn note_statement_retry(&mut self) {
-        for shard in &mut self.shards {
-            shard.note_statement_retry();
-        }
+        self.fan_out(&[], |_, shard| shard.note_statement_retry());
     }
 
     fn set_metrics_enabled(&mut self, on: bool) -> Result<()> {
-        for shard in &mut self.shards {
-            shard.set_metrics_enabled(on)?;
+        let results = self.fan_out(&[], move |_, shard| shard.set_metrics_enabled(on));
+        for r in results.into_iter().flatten() {
+            r?;
         }
         self.metrics_on = on;
         if on {
@@ -1032,10 +1178,10 @@ impl<E: SqlExecutor + Send> SqlExecutor for Coordinator<E> {
     }
 
     fn describe(&self) -> String {
-        let shards: Vec<String> = self.shards.iter().map(|s| s.describe()).collect();
+        let shards = self.ask(|shard| shard.describe());
         format!(
             "cluster coordinator over {} shard(s): [{}]",
-            self.shards.len(),
+            shards.len(),
             shards.join(", ")
         )
     }
@@ -1044,6 +1190,20 @@ impl<E: SqlExecutor + Send> SqlExecutor for Coordinator<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<E: SqlExecutor + Send + 'static> Coordinator<E> {
+        /// Run `f` on shard `i`'s executor, on the thread that owns it.
+        fn on_shard<R: Send + 'static>(
+            &mut self,
+            i: usize,
+            f: impl FnOnce(&mut E) -> R + Send + 'static,
+        ) -> R {
+            match i {
+                0 => f(&mut self.local),
+                _ => reply(self.shard_workers[i - 1].submit(f)),
+            }
+        }
+    }
 
     fn cluster(n: usize) -> Coordinator<Database> {
         Coordinator::new((0..n).map(|_| Database::new()).collect()).unwrap()
@@ -1120,11 +1280,11 @@ mod tests {
             expect[shard_of_rid(rid, 4)] += 1;
         }
         for (i, want) in expect.iter().enumerate() {
-            assert_eq!(coord.shards[i].table_len("y").unwrap(), *want);
+            assert_eq!(coord.on_shard(i, |s| s.table_len("y")).unwrap(), *want);
         }
         // Broadcast tables replicate in full.
-        for shard in &mut coord.shards {
-            assert_eq!(shard.table_len("c").unwrap(), 2);
+        for i in 0..coord.num_shards() {
+            assert_eq!(coord.on_shard(i, |s| s.table_len("c")).unwrap(), 2);
         }
     }
 
@@ -1260,8 +1420,8 @@ mod tests {
         // Derived rows co-locate with their source rows.
         for i in 0..4 {
             assert_eq!(
-                coord.shards[i].table_len("yd").unwrap(),
-                coord.shards[i].table_len("y").unwrap()
+                coord.on_shard(i, |s| s.table_len("yd")).unwrap(),
+                coord.on_shard(i, |s| s.table_len("y")).unwrap()
             );
         }
         // And the derived table reads back identically to single node.
@@ -1291,8 +1451,8 @@ mod tests {
             )
             .unwrap();
         // The broadcast result lands in full on every shard.
-        for shard in &mut coord.shards {
-            assert_eq!(shard.table_len("stats").unwrap(), 2);
+        for i in 0..coord.num_shards() {
+            assert_eq!(coord.on_shard(i, |s| s.table_len("stats")).unwrap(), 2);
         }
         let mut sqls: Vec<&str> = SETUP.to_vec();
         sqls.push("CREATE TABLE stats (j BIGINT, total DOUBLE, n BIGINT)");
@@ -1359,7 +1519,7 @@ mod tests {
             .unwrap();
         let plan =
             sqlengine::FaultPlan::single(sqlengine::FaultRule::table("w").transient().once());
-        coord.shards[1].set_fault_plan(plan);
+        coord.on_shard(1, move |s| s.set_fault_plan(plan));
         let sql = "INSERT INTO w VALUES (1, 1.0)";
         let err = coord.execute(sql).unwrap_err();
         assert!(matches!(
@@ -1371,8 +1531,12 @@ mod tests {
         ));
         coord.note_statement_retry();
         coord.execute(sql).unwrap();
-        for shard in &mut coord.shards {
-            assert_eq!(shard.table_len("w").unwrap(), 1, "exactly once per shard");
+        for i in 0..coord.num_shards() {
+            assert_eq!(
+                coord.on_shard(i, |s| s.table_len("w")).unwrap(),
+                1,
+                "exactly once per shard"
+            );
         }
     }
 
@@ -1442,12 +1606,24 @@ mod tests {
         assert_eq!(coord.bulk_insert_rows("m", rows).unwrap(), 30);
         assert_eq!(coord.table_rows("y").unwrap(), 30);
         let spread: usize = (0..3)
-            .map(|i| coord.shards[i].table_len("y").unwrap())
+            .map(|i| coord.on_shard(i, |s| s.table_len("y")).unwrap())
             .sum();
         assert_eq!(spread, 30);
-        for shard in &mut coord.shards {
-            assert_eq!(shard.table_len("m").unwrap(), 30);
+        for i in 0..coord.num_shards() {
+            assert_eq!(coord.on_shard(i, |s| s.table_len("m")).unwrap(), 30);
         }
+    }
+
+    #[test]
+    fn a_panicking_shard_panics_the_caller_and_the_coordinator_still_drops() {
+        let mut coord = cluster(2);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            coord.fan_out(&[], |i, _: &mut Database| {
+                assert_eq!(i, 0, "shard {i} fails")
+            })
+        }));
+        assert!(caught.is_err(), "shard 1's panic must reach the caller");
+        drop(coord);
     }
 
     #[test]

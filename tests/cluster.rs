@@ -17,18 +17,27 @@
 //!   the coordinator surfaces the typed transient error, the driver's
 //!   `RetryPolicy` rides out the restart through the shard's resume
 //!   token, surviving shards are not double-applied, and the final
-//!   model is bit-identical to an uninterrupted run.
+//!   model is bit-identical to an uninterrupted run;
+//! * the threads: shard 0 runs on the caller's thread, every other
+//!   shard on one long-lived thread of its own, and dropping the
+//!   coordinator drops every shard;
+//! * one merged metrics entry per call, partial reads of broadcast
+//!   tables included.
 
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread;
+use std::sync::{Arc, Mutex};
+use std::thread::{self, ThreadId};
 use std::time::{Duration, Instant};
 
 use emcore::init::InitStrategy;
 use emcore::GmmParams;
 use sqlem::{EmSession, RetryPolicy, SqlemConfig, SqlemRun, Strategy};
-use sqlengine::{Database, SharedDatabase, SqlExecutor};
+use sqlengine::{
+    Database, ExecMetrics, Limits, PartialAggResult, PrepareError, PreparedId, QueryResult,
+    SharedDatabase, SqlExecutor, SymbolicCatalog, Value,
+};
 use sqlwire::{
     ChaosAction, ChaosProxy, ClientConfig, Coordinator, Direction, RemoteConnection, Server,
     ServerConfig, ServerHandle,
@@ -265,4 +274,219 @@ fn shard_kill_and_restart_mid_run_is_exactly_once() {
     let _ = std::fs::remove_dir_all(&dir);
 
     assert_same_run("kill+restart", &run, &baseline);
+}
+
+// ---------------------------------------------------------------------
+// the threads a coordinator runs its shards on
+
+/// A `Database` that logs the thread of every call made on it and
+/// raises a flag when it is dropped.
+struct ThreadLog {
+    db: Database,
+    threads: Arc<Mutex<Vec<ThreadId>>>,
+    dropped: Arc<AtomicBool>,
+}
+
+impl ThreadLog {
+    fn note(&self) {
+        self.threads.lock().unwrap().push(thread::current().id());
+    }
+}
+
+impl Drop for ThreadLog {
+    fn drop(&mut self) {
+        self.dropped.store(true, Ordering::SeqCst);
+    }
+}
+
+impl SqlExecutor for ThreadLog {
+    fn execute(&mut self, sql: &str) -> sqlengine::Result<QueryResult> {
+        self.note();
+        self.db.execute(sql)
+    }
+    fn execute_partial(&mut self, sql: &str) -> sqlengine::Result<PartialAggResult> {
+        self.note();
+        self.db.execute_partial(sql)
+    }
+    fn prepare_script(&mut self, statements: &[String]) -> Result<Vec<PreparedId>, PrepareError> {
+        self.note();
+        SqlExecutor::prepare_script(&mut self.db, statements)
+    }
+    fn run_prepared(&mut self, id: PreparedId) -> sqlengine::Result<QueryResult> {
+        self.note();
+        SqlExecutor::run_prepared(&mut self.db, id)
+    }
+    fn clear_prepared(&mut self) -> sqlengine::Result<()> {
+        self.note();
+        SqlExecutor::clear_prepared(&mut self.db)
+    }
+    fn bulk_insert_rows(&mut self, table: &str, rows: Vec<Vec<Value>>) -> sqlengine::Result<usize> {
+        self.note();
+        SqlExecutor::bulk_insert_rows(&mut self.db, table, rows)
+    }
+    fn table_rows(&mut self, table: &str) -> sqlengine::Result<usize> {
+        self.note();
+        SqlExecutor::table_rows(&mut self.db, table)
+    }
+    fn has_table(&mut self, table: &str) -> sqlengine::Result<bool> {
+        self.note();
+        SqlExecutor::has_table(&mut self.db, table)
+    }
+    fn catalog_snapshot(&mut self) -> sqlengine::Result<SymbolicCatalog> {
+        self.note();
+        SqlExecutor::catalog_snapshot(&mut self.db)
+    }
+    fn max_statement_len(&self) -> usize {
+        self.note();
+        SqlExecutor::max_statement_len(&self.db)
+    }
+    fn analyze_limits(&self) -> Limits {
+        self.note();
+        SqlExecutor::analyze_limits(&self.db)
+    }
+    fn memory_budget_bytes(&self) -> Option<u64> {
+        self.note();
+        SqlExecutor::memory_budget_bytes(&self.db)
+    }
+    fn note_statement_retry(&mut self) {
+        self.note();
+        SqlExecutor::note_statement_retry(&mut self.db)
+    }
+    fn set_metrics_enabled(&mut self, on: bool) -> sqlengine::Result<()> {
+        self.note();
+        SqlExecutor::set_metrics_enabled(&mut self.db, on)
+    }
+    fn metrics_enabled(&self) -> bool {
+        self.note();
+        SqlExecutor::metrics_enabled(&self.db)
+    }
+    fn metrics_len(&mut self) -> sqlengine::Result<usize> {
+        self.note();
+        SqlExecutor::metrics_len(&mut self.db)
+    }
+    fn metrics_since(&mut self, from: usize) -> sqlengine::Result<Vec<ExecMetrics>> {
+        self.note();
+        SqlExecutor::metrics_since(&mut self.db, from)
+    }
+    fn describe(&self) -> String {
+        self.note();
+        SqlExecutor::describe(&self.db)
+    }
+}
+
+#[test]
+fn shard_zero_runs_on_the_caller_and_every_other_shard_on_a_thread_of_its_own() {
+    let caller = thread::current().id();
+    for nshards in [2usize, 4] {
+        let threads: Vec<Arc<Mutex<Vec<ThreadId>>>> =
+            (0..nshards).map(|_| Arc::default()).collect();
+        let dropped: Vec<Arc<AtomicBool>> = (0..nshards).map(|_| Arc::default()).collect();
+        let shards: Vec<ThreadLog> = (0..nshards)
+            .map(|i| ThreadLog {
+                db: Database::new(),
+                threads: Arc::clone(&threads[i]),
+                dropped: Arc::clone(&dropped[i]),
+            })
+            .collect();
+        let mut coord = Coordinator::new(shards).unwrap();
+        // Construction reads every shard's limits here, before the
+        // executors move; what counts is every call after it.
+        for log in &threads {
+            log.lock().unwrap().clear();
+        }
+        for sql in [
+            "CREATE TABLE y (rid BIGINT PRIMARY KEY, v DOUBLE)",
+            "CREATE TABLE c (j BIGINT PRIMARY KEY, v DOUBLE)",
+            "INSERT INTO y VALUES (1, 1.0), (2, 2.0), (3, 3.0), (4, 4.0), (5, 5.0), \
+             (6, 6.0), (7, 7.0), (8, 8.0), (9, 9.0), (10, 10.0)",
+            "INSERT INTO c SELECT count(rid), sum(v) FROM y",
+            "SELECT rid, v FROM y ORDER BY v DESC",
+            "UPDATE y SET v = v * 2.0",
+        ] {
+            coord.execute(sql).unwrap();
+        }
+        assert_eq!(coord.table_rows("y").unwrap(), 10);
+        assert!(coord
+            .describe()
+            .contains(&format!("over {nshards} shard(s)")));
+        coord.note_statement_retry();
+
+        let seen: Vec<HashSet<ThreadId>> = threads
+            .iter()
+            .map(|log| log.lock().unwrap().iter().copied().collect())
+            .collect();
+        assert_eq!(
+            seen[0],
+            HashSet::from([caller]),
+            "{nshards} shards: shard 0 runs on the caller's thread"
+        );
+        for (i, shard) in seen.iter().enumerate().skip(1) {
+            assert_eq!(
+                shard.len(),
+                1,
+                "{nshards} shards: shard {i} runs on one thread"
+            );
+            for (j, other) in seen.iter().enumerate().take(i) {
+                assert!(
+                    shard.is_disjoint(other),
+                    "{nshards} shards: shards {j} and {i} share a thread"
+                );
+            }
+        }
+        assert!(
+            threads.iter().all(|log| log.lock().unwrap().len() >= 6),
+            "{nshards} shards: every shard ran every statement"
+        );
+
+        drop(coord);
+        for (i, flag) in dropped.iter().enumerate() {
+            assert!(
+                flag.load(Ordering::SeqCst),
+                "{nshards} shards: shard {i} outlived its coordinator"
+            );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// telemetry: one merged entry per call
+
+/// The `(table, rows)` scans of every metrics entry `run` logs.
+fn logged_scans(
+    db: &mut dyn SqlExecutor,
+    run: impl FnOnce(&mut dyn SqlExecutor),
+) -> Vec<Vec<(String, usize)>> {
+    let from = db.metrics_len().unwrap();
+    run(&mut *db);
+    db.metrics_since(from)
+        .unwrap()
+        .iter()
+        .map(|m| m.scans.iter().map(|s| (s.table.clone(), s.rows)).collect())
+        .collect()
+}
+
+#[test]
+fn partial_read_of_broadcast_tables_logs_its_own_metrics_entry() {
+    let setup = [
+        "CREATE TABLE t (x DOUBLE)",
+        "INSERT INTO t VALUES (1.0), (2.0)",
+        "CREATE TABLE u (x DOUBLE)",
+        "INSERT INTO u VALUES (1.0), (2.0), (3.0)",
+    ];
+    let mut single = Database::new();
+    let mut coord = Coordinator::new(vec![Database::new(), Database::new()]).unwrap();
+    let mut logs = Vec::new();
+    for db in [&mut single as &mut dyn SqlExecutor, &mut coord] {
+        for sql in setup {
+            db.execute(sql).unwrap();
+        }
+        db.set_metrics_enabled(true).unwrap();
+        logs.push(logged_scans(db, |db| {
+            db.execute_partial("SELECT sum(x) FROM t").unwrap();
+            db.execute("SELECT count(*) FROM u").unwrap();
+        }));
+    }
+    let want = vec![vec![("t".to_string(), 2)], vec![("u".to_string(), 3)]];
+    assert_eq!(logs[0], want, "embedded");
+    assert_eq!(logs[1], want, "2-shard coordinator");
 }
