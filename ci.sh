@@ -72,7 +72,9 @@ Stages, in order:
                 x * x); and one fan-out mechanism (the coordinator's
                 long-lived shard workers): outside #[cfg(test)] nothing
                 under crates/sqlwire/src calls thread::scope, and one
-                call in cluster.rs starts a thread;
+                call in cluster.rs starts a thread; and one checkpoint
+                table: outside #[cfg(test)] naming.rs names one ckpt
+                table and checkpoint.rs renders no INSERT INTO;
                 prints the crates/*/src line
                 total and the non-test total (each file up to its first
                 #[cfg(test)]) so a PR's line delta is a CI output
@@ -337,6 +339,17 @@ if { nontest 'thread::scope' -path 'crates/sqlwire/src/*'
          "the coordinator's shard workers instead" >&2
     exit 1
 fi
+# One checkpoint table, written by one bulk insert (crates/sqlem/src/
+# checkpoint.rs): naming.rs names one ckpt table, and checkpoint.rs
+# renders no INSERT text — generations are rows of that table, so no
+# write can leave a model half-replaced.
+ckpt_names=$(nontest '"ckpt' -path 'crates/sqlem/src/naming.rs' | wc -l)
+if [ "$ckpt_names" != 1 ] || nontest 'INSERT INTO' -path 'crates/sqlem/src/checkpoint.rs' | grep .; then
+    echo "ERROR: naming.rs names $ckpt_names checkpoint tables, or checkpoint.rs" \
+         "writes INSERT … VALUES (above); a checkpoint is one generation of" \
+         "rows in Names::ckpt, written by one bulk insert" >&2
+    exit 1
+fi
 echo "   crates/*/src: $(find crates/*/src -name '*.rs' -exec cat {} + | wc -l) lines," \
      "$(find crates/*/src -name '*.rs' -exec awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} !t' {} + | wc -l)" \
      "outside #[cfg(test)]"
@@ -485,72 +498,60 @@ wait "$SERVER_PID" || { echo "ERROR: server drain failed" >&2; exit 1; }
 "$CLI_BIN" "$SRV_TMP/data.csv" --k 2 --seed 11 --epsilon 0 \
     --max-iterations "$SRV_CAP" --scores "$SRV_TMP/base.csv" \
     > "$SRV_TMP/base.out" 2> /dev/null
-# A kill -9 can land inside write_checkpoint's delete-meta-first /
-# insert-meta-last window; the torn checkpoint then reads back as "none"
-# and the restarted client correctly starts from scratch (the open item
-# in docs/ROBUSTNESS.md "Checkpoint schema"). So whatever the
-# restarted run reports, its stdout and scores must be byte-identical
-# to the baseline — a torn checkpoint must still give the right answer —
-# and the kill is repeated, on a fresh data directory, up to 3 times
-# until one restart actually resumes.
-RESUMED=0
-for attempt in 1 2 3; do
-    SRV_DB="$SRV_TMP/db$attempt"
-    start_server --durable --data-dir "$SRV_DB"
-    "$CLI_BIN" "$SRV_TMP/data.csv" --k 2 --seed 11 --epsilon 0 \
-        --max-iterations "$SRV_CAP" --connect "$SRV_ADDR" --namespace ci_ \
-        > /dev/null 2> "$SRV_TMP/interrupted.err" &
-    CLIENT_PID=$!
-    # The WAL logs statement text; checkpoint writes mention the ckpt
-    # tables. Wait until at least two iterations' worth are durable, then
-    # yank the server out from under the client.
-    i=0
-    while [ $i -lt 400 ]; do
-        kill -0 "$CLIENT_PID" 2>/dev/null || break
-        marks=$(grep -ao ckpt "$SRV_DB/wal.log" 2>/dev/null | wc -l)
-        [ "$marks" -ge 30 ] && break
-        sleep 0.05
-        i=$((i + 1))
-    done
-    kill -0 "$CLIENT_PID" 2>/dev/null || {
-        echo "ERROR: client finished before the server could be killed" >&2
-        exit 1
-    }
-    kill -9 "$SERVER_PID"
-    if wait "$CLIENT_PID"; then
-        echo "ERROR: client should fail when its server is killed" >&2
-        exit 1
-    fi
-    start_server --durable --data-dir "$SRV_DB"
-    "$CLI_BIN" "$SRV_TMP/data.csv" --k 2 --seed 11 --epsilon 0 \
-        --max-iterations "$SRV_CAP" --connect "$SRV_ADDR" --namespace ci_ \
-        --scores "$SRV_TMP/resumed.csv" \
-        > "$SRV_TMP/resumed.out" 2> "$SRV_TMP/resumed.err"
-    cmp "$SRV_TMP/base.csv" "$SRV_TMP/resumed.csv" || {
-        echo "ERROR: restarted run's assignments differ from uninterrupted run" >&2
-        cat "$SRV_TMP/resumed.err" >&2
-        exit 1
-    }
-    cmp "$SRV_TMP/base.out" "$SRV_TMP/resumed.out" || {
-        echo "ERROR: restarted run's summary differs from uninterrupted run" >&2
-        cat "$SRV_TMP/resumed.err" >&2
-        exit 1
-    }
-    echo shutdown >&9
-    wait "$SERVER_PID" || { echo "ERROR: server drain failed" >&2; exit 1; }
-    SERVER_PID=''
-    if grep -q "resumed from checkpoint" "$SRV_TMP/resumed.err"; then
-        RESUMED=1
-        break
-    fi
-    echo "   kill $attempt tore the checkpoint it landed in; the restarted run" \
-         "started over and still matched the baseline — killing again"
+# A checkpoint write keeps the previous generation readable until the
+# next one lands, so wherever the kill -9 falls after the first
+# checkpoint, the restarted client must resume from a checkpoint and
+# reproduce the baseline's stdout and scores byte for byte.
+SRV_DB="$SRV_TMP/db"
+start_server --durable --data-dir "$SRV_DB"
+"$CLI_BIN" "$SRV_TMP/data.csv" --k 2 --seed 11 --epsilon 0 \
+    --max-iterations "$SRV_CAP" --connect "$SRV_ADDR" --namespace ci_ \
+    > /dev/null 2> "$SRV_TMP/interrupted.err" &
+CLIENT_PID=$!
+# The WAL mentions the ckpt table 4 times per checkpoint (the CREATE,
+# two DELETEs and the bulk insert's frame). Wait until at least two
+# checkpoints are durable, then yank the server out from under the
+# client.
+i=0
+while [ $i -lt 400 ]; do
+    kill -0 "$CLIENT_PID" 2>/dev/null || break
+    marks=$(grep -ao ckpt "$SRV_DB/wal.log" 2>/dev/null | wc -l)
+    [ "$marks" -ge 8 ] && break
+    sleep 0.05
+    i=$((i + 1))
 done
-if [ "$RESUMED" != 1 ]; then
-    echo "ERROR: no restart in 3 kills resumed from a checkpoint" >&2
-    cat "$SRV_TMP/resumed.err" >&2
+kill -0 "$CLIENT_PID" 2>/dev/null || {
+    echo "ERROR: client finished before the server could be killed" >&2
+    exit 1
+}
+kill -9 "$SERVER_PID"
+if wait "$CLIENT_PID"; then
+    echo "ERROR: client should fail when its server is killed" >&2
     exit 1
 fi
+start_server --durable --data-dir "$SRV_DB"
+"$CLI_BIN" "$SRV_TMP/data.csv" --k 2 --seed 11 --epsilon 0 \
+    --max-iterations "$SRV_CAP" --connect "$SRV_ADDR" --namespace ci_ \
+    --scores "$SRV_TMP/resumed.csv" \
+    > "$SRV_TMP/resumed.out" 2> "$SRV_TMP/resumed.err"
+grep -q "resumed from checkpoint" "$SRV_TMP/resumed.err" || {
+    echo "ERROR: the restarted run did not resume from a checkpoint" >&2
+    cat "$SRV_TMP/resumed.err" >&2
+    exit 1
+}
+cmp "$SRV_TMP/base.csv" "$SRV_TMP/resumed.csv" || {
+    echo "ERROR: resumed run's assignments differ from uninterrupted run" >&2
+    cat "$SRV_TMP/resumed.err" >&2
+    exit 1
+}
+cmp "$SRV_TMP/base.out" "$SRV_TMP/resumed.out" || {
+    echo "ERROR: resumed run's summary differs from uninterrupted run" >&2
+    cat "$SRV_TMP/resumed.err" >&2
+    exit 1
+}
+echo shutdown >&9
+wait "$SERVER_PID" || { echo "ERROR: server drain failed" >&2; exit 1; }
+SERVER_PID=''
 
 # Exactly-once wire protocol (docs/SERVER.md "Exactly-once execution"):
 # first the in-process sweep — tests/chaos_net.rs cuts the stream at

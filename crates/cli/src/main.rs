@@ -483,7 +483,7 @@ fn parse_fault_rule(spec: &str) -> Result<FaultRule, String> {
 
 /// Persist the in-database checkpoint (if any) to `path` so a later
 /// process can `--resume` it; works against any executor (in-process
-/// or a remote server's checkpoint tables).
+/// or a remote server's checkpoint table).
 fn save_checkpoint_file(db: &mut dyn SqlExecutor, names: &Names, path: &str) -> Result<(), String> {
     let saved: Option<Checkpoint> =
         checkpoint::read_checkpoint(db, names).map_err(|e| e.to_string())?;
@@ -542,8 +542,8 @@ fn run(args: &Args) -> Result<(), CliError> {
     }
     if args.checkpoint_path.is_some() || args.data_dir.is_some() || args.connect.is_some() {
         // Durable and remote runs always checkpoint: the database (or
-        // server) can outlive this process, and the checkpoint tables
-        // are what a later invocation resumes from.
+        // server) can outlive this process, and the checkpoint table
+        // is what a later invocation resumes from.
         config = config.with_checkpoints();
     }
     if args.recover {

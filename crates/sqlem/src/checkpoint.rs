@@ -10,37 +10,45 @@
 //! because each E step drops and recreates its work tables, re-running a
 //! half-finished iteration is idempotent.
 //!
-//! ## Crash consistency
+//! ## Generations
 //!
-//! The validity marker ([`crate::Names::ckpt_meta`], a single row) is
-//! deleted **first** and re-inserted **last**. A crash anywhere inside
-//! [`write_checkpoint`] therefore leaves no meta row, and
-//! [`read_checkpoint`] reports "no checkpoint" rather than serving a
-//! torn one. Statement atomicity (see `docs/ROBUSTNESS.md`) covers each
-//! individual write.
+//! One table, [`crate::Names::ckpt`], holds every cell of a checkpoint
+//! as a row `(iteration, part, i, val)`: `iteration` names the
+//! *generation*, `part` says what the cell is (the shape `k` and `p`, a
+//! mean cell `j·p + d`, a covariance cell, a weight or a loglikelihood)
+//! and `i` is its index within the part. Writing generation `t` is four
+//! statements, each atomic (see `docs/ROBUSTNESS.md`):
 //!
-//! The table layout is strategy-agnostic — plain `(index, value)` pairs
-//! — so a run checkpointed under one strategy can in principle resume
-//! under another. Any model's parameters fit it: the cells are the
-//! [`ParamSet::cells`] of the model (`ckptr` holds `p` global covariances
-//! for [`GmmParams`], `k × p` for per-cluster ones).
+//! 1. `CREATE TABLE IF NOT EXISTS`;
+//! 2. `DELETE … WHERE iteration >= t` (a stale generation, e.g. one a
+//!    resume from an older checkpoint left ahead of the run);
+//! 3. one bulk insert of generation `t`;
+//! 4. `DELETE … WHERE iteration < t`.
+//!
+//! So after every step some complete generation is readable: `t − 1`
+//! until step 3 commits, `t` from then on. [`read_checkpoint`] takes the
+//! newest generation whose row counts match its own shape cells.
+//!
+//! The layout is strategy-agnostic, so a run checkpointed under one
+//! strategy can in principle resume under another. Any model's
+//! parameters fit it: the cells are the [`ParamSet::cells`] of the
+//! model (`p` global covariances for [`GmmParams`], `k × p` for
+//! per-cluster ones).
 //!
 //! ## Durable databases
 //!
 //! On a database opened with [`sqlengine::Database::open_durable`],
-//! every checkpoint write is WAL-framed like any other statement, so
-//! the `ckpt*` tables survive a **process kill**: a fresh process
-//! reopens the directory and [`crate::EmSession::resume_from_checkpoint`]
-//! finds the checkpoint without any text side-channel ([`to_text`]/
-//! [`from_text`] remain available for moving checkpoints *between*
-//! databases). The delete-first/
-//! insert-last marker protocol composes with WAL recovery: a kill
-//! mid-checkpoint replays only the committed statements, which is a
-//! state this module already treats as "no checkpoint yet" or "previous
-//! checkpoint intact".
+//! every checkpoint write is WAL-framed like any other statement (the
+//! bulk insert as its binary rows, so the doubles stay bit-exact), and
+//! the table survives a **process kill**: a fresh process reopens the
+//! directory and [`crate::EmSession::resume_from_checkpoint`] finds the
+//! checkpoint without any text side-channel ([`to_text`]/[`from_text`]
+//! remain available for moving checkpoints *between* databases). A kill
+//! mid-checkpoint replays only the committed statements, which leaves
+//! the previous generation, the new one, or both.
 
 use emcore::GmmParams;
-use sqlengine::SqlExecutor;
+use sqlengine::{SqlExecutor, Value};
 
 use crate::error::SqlemError;
 use crate::naming::Names;
@@ -58,6 +66,17 @@ pub struct Checkpoint<P = GmmParams> {
     /// The model as of the last completed M step.
     pub params: P,
 }
+
+/// `part` of the two shape cells, `k` (`i = 0`) and `p` (`i = 1`).
+const SHAPE: usize = 0;
+/// `part` of the mean cells, `i = j·p + d` for cluster `j`, dimension `d`.
+const MEAN: usize = 1;
+/// `part` of the covariance cells.
+const COV: usize = 2;
+/// `part` of the mixture weights.
+const WEIGHT: usize = 3;
+/// `part` of the loglikelihood history, one cell per iteration.
+const LLH: usize = 4;
 
 fn exec(db: &mut dyn SqlExecutor, sql: &str) -> Result<(), SqlemError> {
     db.execute(sql)
@@ -77,183 +96,141 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
-/// Write (or overwrite) the checkpoint for this session's prefix.
-///
-/// Meta is invalidated first and revalidated last; see the module docs.
+/// Write generation `ckpt.iteration` of the checkpoint for this
+/// session's prefix, replacing the previous one; see the module docs.
 pub fn write_checkpoint<P: ParamSet>(
     db: &mut dyn SqlExecutor,
     names: &Names,
     ckpt: &Checkpoint<P>,
 ) -> Result<(), SqlemError> {
-    let (meta, c, r, w, llh) = (
-        names.ckpt_meta(),
-        names.ckpt_c(),
-        names.ckpt_r(),
-        names.ckpt_w(),
-        names.ckpt_llh(),
-    );
+    let table = names.ckpt();
+    let t = ckpt.iteration;
     let (k, p) = ckpt.params.shape();
     let (means, cov, weights) = ckpt.params.cells();
-    exec(
-        db,
-        &format!(
-            "CREATE TABLE IF NOT EXISTS {meta} (iteration BIGINT, k BIGINT, p BIGINT, llh DOUBLE)"
-        ),
-    )?;
-    exec(
-        db,
-        &format!("CREATE TABLE IF NOT EXISTS {c} (cell BIGINT PRIMARY KEY, val DOUBLE)"),
-    )?;
-    exec(
-        db,
-        &format!("CREATE TABLE IF NOT EXISTS {r} (v BIGINT PRIMARY KEY, val DOUBLE)"),
-    )?;
-    exec(
-        db,
-        &format!("CREATE TABLE IF NOT EXISTS {w} (i BIGINT PRIMARY KEY, val DOUBLE)"),
-    )?;
-    exec(
-        db,
-        &format!("CREATE TABLE IF NOT EXISTS {llh} (iteration BIGINT PRIMARY KEY, val DOUBLE)"),
-    )?;
-
-    // 1. Invalidate.
-    exec(db, &format!("DELETE FROM {meta}"))?;
-    // 2. Model matrices (cell = j*p + d for mean [j][d], 0-based).
-    exec(db, &format!("DELETE FROM {c}"))?;
-    let mut c_rows = Vec::with_capacity(k * p);
-    for (j, mean) in means.iter().enumerate() {
-        for (d, &val) in mean.iter().enumerate() {
-            c_rows.push(format!("({}, {})", j * p + d, fmt_f64(val)));
-        }
-    }
-    exec(db, &format!("INSERT INTO {c} VALUES {}", c_rows.join(", ")))?;
-    exec(db, &format!("DELETE FROM {r}"))?;
-    let r_rows: Vec<String> = cov
+    let parts: [(usize, &[f64]); 5] = [
+        (SHAPE, &[k as f64, p as f64]),
+        (MEAN, &means.concat()),
+        (COV, &cov),
+        (WEIGHT, weights),
+        (LLH, &ckpt.llh_history),
+    ];
+    let rows = parts
         .iter()
-        .enumerate()
-        .map(|(d, &val)| format!("({d}, {})", fmt_f64(val)))
-        .collect();
-    exec(db, &format!("INSERT INTO {r} VALUES {}", r_rows.join(", ")))?;
-    exec(db, &format!("DELETE FROM {w}"))?;
-    let w_rows: Vec<String> = weights
-        .iter()
-        .enumerate()
-        .map(|(j, &val)| format!("({j}, {})", fmt_f64(val)))
-        .collect();
-    exec(db, &format!("INSERT INTO {w} VALUES {}", w_rows.join(", ")))?;
-    // 3. Loglikelihood history.
-    exec(db, &format!("DELETE FROM {llh}"))?;
-    if !ckpt.llh_history.is_empty() {
-        let llh_rows: Vec<String> = ckpt
-            .llh_history
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| format!("({i}, {})", fmt_f64(v)))
-            .collect();
-        exec(
-            db,
-            &format!("INSERT INTO {llh} VALUES {}", llh_rows.join(", ")),
-        )?;
-    }
-    // 4. Revalidate — the single point at which the checkpoint becomes
-    // visible to readers.
-    let last_llh = ckpt.llh_history.last().copied().unwrap_or(f64::NAN);
-    exec(
-        db,
-        &format!(
-            "INSERT INTO {meta} VALUES ({}, {k}, {p}, {})",
-            ckpt.iteration,
-            fmt_f64(last_llh)
-        ),
-    )?;
-    Ok(())
-}
-
-fn read_f64_pairs(
-    db: &mut dyn SqlExecutor,
-    table: &str,
-    key: &str,
-) -> Result<Vec<f64>, SqlemError> {
-    let r = db
-        .execute(&format!("SELECT {key}, val FROM {table} ORDER BY {key}"))
-        .map_err(|e| SqlemError::from_sql("checkpoint read", e))?;
-    r.rows
-        .iter()
-        .map(|row| {
-            row[1]
-                .as_f64()
-                .ok_or_else(|| SqlemError::BadParamTable(format!("bad cell in {table}")))
+        .flat_map(|&(part, cells)| {
+            cells.iter().enumerate().map(move |(i, &val)| {
+                vec![
+                    Value::Int(t as i64),
+                    Value::Int(part as i64),
+                    Value::Int(i as i64),
+                    Value::Double(val),
+                ]
+            })
         })
-        .collect()
+        .collect();
+    exec(
+        db,
+        &format!(
+            "CREATE TABLE IF NOT EXISTS {table} (iteration BIGINT, part BIGINT, i BIGINT, \
+             val DOUBLE, PRIMARY KEY (iteration, part, i))"
+        ),
+    )?;
+    exec(db, &format!("DELETE FROM {table} WHERE iteration >= {t}"))?;
+    db.bulk_insert_rows(&table, rows)
+        .map_err(|e| SqlemError::from_sql("checkpoint", e))?;
+    exec(db, &format!("DELETE FROM {table} WHERE iteration < {t}"))
 }
 
-/// Read the checkpoint for this session's prefix, if a valid one exists.
+/// Rebuild one generation from its cells, grouped by part, or say why
+/// its row counts do not match its shape cells.
+fn generation<P: ParamSet>(
+    iteration: usize,
+    parts: [Vec<f64>; 5],
+) -> Result<Checkpoint<P>, SqlemError> {
+    let [shape, means, cov, weights, llh_history] = parts;
+    let bad = |m: String| SqlemError::BadParamTable(format!("checkpoint {iteration}: {m}"));
+    let dim = |v: f64| (v >= 1.0 && v.fract() == 0.0).then_some(v as usize);
+    let [Some(k), Some(p)] = (match shape[..] {
+        [k, p] => [dim(k), dim(p)],
+        _ => [None, None],
+    }) else {
+        return Err(bad(format!("bad shape cells {shape:?}")));
+    };
+    if means.len() != k * p || cov.len() != P::cov_len(k, p) || weights.len() != k {
+        return Err(bad(format!(
+            "shape mismatch: {} mean cells, {} cov, {} weights for k={k} p={p}",
+            means.len(),
+            cov.len(),
+            weights.len()
+        )));
+    }
+    if llh_history.len() != iteration {
+        return Err(bad(format!(
+            "llh history has {} entries",
+            llh_history.len()
+        )));
+    }
+    let means = means.chunks(p).map(<[f64]>::to_vec).collect();
+    Ok(Checkpoint {
+        iteration,
+        llh_history,
+        params: P::from_cells(means, cov, weights),
+    })
+}
+
+/// Read the checkpoint for this session's prefix, if one exists.
 ///
-/// Returns `Ok(None)` when no checkpoint was ever written or a write was
-/// interrupted before revalidation. Shape mismatches (a checkpoint taken
-/// with different `k`/`p` than the tables now hold) are reported as
+/// Returns `Ok(None)` when no checkpoint was ever written, and the
+/// newest generation whose row counts match its shape cells otherwise.
+/// When no generation matches (a checkpoint of another model type, or
+/// damaged rows), the newest one's mismatch is reported as
 /// [`SqlemError::BadParamTable`].
 pub fn read_checkpoint<P: ParamSet>(
     db: &mut dyn SqlExecutor,
     names: &Names,
 ) -> Result<Option<Checkpoint<P>>, SqlemError> {
-    let meta = names.ckpt_meta();
-    if !db
-        .has_table(&meta)
-        .map_err(|e| SqlemError::from_sql("checkpoint read", e))?
-    {
+    let table = names.ckpt();
+    let read_err = |e| SqlemError::from_sql("checkpoint read", e);
+    if !db.has_table(&table).map_err(read_err)? {
         return Ok(None);
     }
-    let m = db
-        .execute(&format!("SELECT iteration, k, p, llh FROM {meta}"))
-        .map_err(|e| SqlemError::from_sql("checkpoint read", e))?;
-    let Some(row) = m.rows.first() else {
-        return Ok(None); // invalidated (torn write)
-    };
-    let geti = |idx: usize| -> Result<usize, SqlemError> {
-        row[idx]
-            .as_i64()
-            .filter(|&v| v >= 0)
-            .map(|v| v as usize)
-            .ok_or_else(|| SqlemError::BadParamTable(format!("bad checkpoint meta cell {idx}")))
-    };
-    let (iteration, k, p) = (geti(0)?, geti(1)?, geti(2)?);
-    if k == 0 || p == 0 {
-        return Err(SqlemError::BadParamTable("empty checkpoint shape".into()));
+    let r = db
+        .execute(&format!(
+            "SELECT iteration, part, i, val FROM {table} ORDER BY iteration, part, i"
+        ))
+        .map_err(read_err)?;
+    let mut generations: Vec<(usize, [Vec<f64>; 5])> = Vec::new();
+    for row in &r.rows {
+        let cell = |c: usize| row[c].as_i64().and_then(|v| usize::try_from(v).ok());
+        let part = cell(1).filter(|&part| part <= LLH);
+        let (Some(iteration), Some(part), Some(val)) = (cell(0), part, row[3].as_f64()) else {
+            return Err(SqlemError::BadParamTable(format!(
+                "bad checkpoint row {row:?}"
+            )));
+        };
+        match generations.last_mut() {
+            Some((t, parts)) if *t == iteration => parts[part].push(val),
+            _ => {
+                let mut parts: [Vec<f64>; 5] = Default::default();
+                parts[part].push(val);
+                generations.push((iteration, parts));
+            }
+        }
     }
-    let c_cells = read_f64_pairs(db, &names.ckpt_c(), "cell")?;
-    let cov = read_f64_pairs(db, &names.ckpt_r(), "v")?;
-    let weights = read_f64_pairs(db, &names.ckpt_w(), "i")?;
-    if c_cells.len() != k * p || cov.len() != P::cov_len(k, p) || weights.len() != k {
-        return Err(SqlemError::BadParamTable(format!(
-            "checkpoint shape mismatch: {} mean cells, {} cov, {} weights for k={k} p={p}",
-            c_cells.len(),
-            cov.len(),
-            weights.len()
-        )));
+    let mut newest_err = None;
+    for (iteration, parts) in generations.into_iter().rev() {
+        match generation(iteration, parts) {
+            Ok(ckpt) => return Ok(Some(ckpt)),
+            Err(e) => {
+                newest_err.get_or_insert(e);
+            }
+        }
     }
-    let means: Vec<Vec<f64>> = c_cells.chunks(p).map(<[f64]>::to_vec).collect();
-    let llh_history = read_f64_pairs(db, &names.ckpt_llh(), "iteration")?;
-    if llh_history.len() != iteration {
-        return Err(SqlemError::BadParamTable(format!(
-            "checkpoint llh history has {} entries for iteration {iteration}",
-            llh_history.len()
-        )));
-    }
-    Ok(Some(Checkpoint {
-        iteration,
-        llh_history,
-        params: P::from_cells(means, cov, weights),
-    }))
+    newest_err.map_or(Ok(None), Err)
 }
 
-/// Drop the checkpoint tables for this prefix (if any).
+/// Drop the checkpoint table for this prefix (if any).
 pub fn clear_checkpoint(db: &mut dyn SqlExecutor, names: &Names) -> Result<(), SqlemError> {
-    for table in names.checkpoints() {
-        exec(db, &format!("DROP TABLE IF EXISTS {table}"))?;
-    }
-    Ok(())
+    exec(db, &format!("DROP TABLE IF EXISTS {}", names.ckpt()))
 }
 
 /// Serialize a checkpoint to a small line-oriented text format, for
@@ -353,7 +330,7 @@ pub fn from_text<P: ParamSet>(text: &str) -> Result<Checkpoint<P>, SqlemError> {
 mod tests {
     use super::*;
     use emcore::emfull::FullParams;
-    use sqlengine::Database;
+    use sqlengine::{Database, FaultPlan, FaultRule};
 
     fn sample() -> Checkpoint {
         Checkpoint {
@@ -393,6 +370,9 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(back, ckpt);
+        // Only generation 4's cells are left: shape, means, cov,
+        // weights, llh.
+        assert_eq!(db.table_len(&names.ckpt()).unwrap(), 2 + 4 + 2 + 2 + 4);
     }
 
     #[test]
@@ -400,9 +380,9 @@ mod tests {
         let mut db = Database::new();
         let names = Names::new("");
         assert_eq!(read_checkpoint::<GmmParams>(&mut db, &names).unwrap(), None);
-        // Simulate a torn write: tables exist, meta row deleted.
+        // A table holding no generation reads as none too.
         write_checkpoint(&mut db, &names, &sample()).unwrap();
-        db.execute(&format!("DELETE FROM {}", names.ckpt_meta()))
+        db.execute(&format!("DELETE FROM {}", names.ckpt()))
             .unwrap();
         assert_eq!(read_checkpoint::<GmmParams>(&mut db, &names).unwrap(), None);
     }
@@ -413,9 +393,7 @@ mod tests {
         let names = Names::new("x_");
         write_checkpoint(&mut db, &names, &sample()).unwrap();
         clear_checkpoint(&mut db, &names).unwrap();
-        for t in names.checkpoints() {
-            assert!(!db.contains_table(&t), "{t} leaked");
-        }
+        assert!(!db.contains_table(&names.ckpt()), "checkpoint table leaked");
         // Idempotent on an empty database.
         clear_checkpoint(&mut db, &names).unwrap();
     }
@@ -474,11 +452,94 @@ mod tests {
         let mut db = Database::new();
         let names = Names::new("");
         write_checkpoint(&mut db, &names, &sample()).unwrap();
-        db.execute(&format!("DELETE FROM {} WHERE i = 1", names.ckpt_w()))
+        db.execute(&format!("DELETE FROM {} WHERE i = 1", names.ckpt()))
             .unwrap();
         assert!(matches!(
             read_checkpoint::<GmmParams>(&mut db, &names),
             Err(SqlemError::BadParamTable(_))
         ));
+    }
+
+    /// Generation 4 on top of `sample()`'s generation 3.
+    fn next_generation() -> Checkpoint {
+        let mut ckpt = sample();
+        ckpt.iteration = 4;
+        ckpt.llh_history.push(-117.9);
+        ckpt.params.weights = vec![0.5, 0.5];
+        ckpt
+    }
+
+    #[test]
+    fn a_failure_at_any_statement_of_a_write_leaves_a_generation() {
+        let names = Names::new("g_");
+        let (old, new) = (sample(), next_generation());
+        // (statement the fault hit, after it ran?, what reads back)
+        let mut reads = Vec::new();
+        let mut statements = Vec::new();
+        for after_exec in [false, true] {
+            for n in 0.. {
+                let mut db = Database::new();
+                write_checkpoint(&mut db, &names, &old).unwrap();
+                let rule = FaultRule::nth(n).permanent();
+                let rule = if after_exec { rule.after_exec() } else { rule };
+                db.set_fault_plan(FaultPlan::single(rule));
+                let failed = write_checkpoint(&mut db, &names, &new).is_err();
+                db.clear_fault_plan();
+                let back = read_checkpoint::<GmmParams>(&mut db, &names).unwrap();
+                if !failed {
+                    assert_eq!(back.as_ref(), Some(&new));
+                    statements.push(n);
+                    break;
+                }
+                reads.push((n, after_exec, back));
+            }
+        }
+        for (n, after_exec, back) in &reads {
+            let ctx = format!("fault at statement {n}, after_exec {after_exec}");
+            assert!(back.is_some(), "{ctx}: no generation readable");
+        }
+        assert_eq!(statements, [4, 4], "a write is four statements");
+        for (n, after_exec, back) in reads {
+            // Statement 2 is the bulk insert: the new generation is
+            // readable once it has run.
+            let landed = n > 2 || (after_exec && n == 2);
+            let want = if landed { &new } else { &old };
+            let ctx = format!("fault at statement {n}, after_exec {after_exec}");
+            assert_eq!(back.as_ref(), Some(want), "{ctx}");
+        }
+    }
+
+    #[test]
+    fn an_older_generation_overwrites_a_newer_one() {
+        // A resume from an older checkpoint (a `--resume` file) restarts
+        // the generations there.
+        let mut db = Database::new();
+        let names = Names::new("");
+        write_checkpoint(&mut db, &names, &next_generation()).unwrap();
+        write_checkpoint(&mut db, &names, &sample()).unwrap();
+        let back = read_checkpoint::<GmmParams>(&mut db, &names).unwrap();
+        assert_eq!(back, Some(sample()));
+        assert_eq!(db.table_len(&names.ckpt()).unwrap(), 2 + 4 + 2 + 2 + 3);
+    }
+
+    #[test]
+    fn a_damaged_newest_generation_falls_back_to_the_previous_one() {
+        let mut db = Database::new();
+        let names = Names::new("");
+        let (old, new) = (sample(), next_generation());
+        write_checkpoint(&mut db, &names, &old).unwrap();
+        // Stop the write before its last DELETE: generation 4 beside 3.
+        db.set_fault_plan(FaultPlan::single(FaultRule::nth(3).permanent()));
+        assert!(write_checkpoint(&mut db, &names, &new).is_err());
+        db.clear_fault_plan();
+        let t = names.ckpt();
+        let back = read_checkpoint::<GmmParams>(&mut db, &names).unwrap();
+        assert_eq!(back, Some(new));
+        db.execute(&format!(
+            "DELETE FROM {t} WHERE iteration = 4 AND part = 3 AND i = 0"
+        ))
+        .unwrap();
+        let back = read_checkpoint::<GmmParams>(&mut db, &names).unwrap();
+        assert_eq!(back, Some(old));
     }
 }

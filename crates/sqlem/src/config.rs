@@ -78,10 +78,10 @@ pub struct SqlemConfig {
     /// `docs/ROBUSTNESS.md`).
     pub retry: Option<RetryPolicy>,
     /// Persist the model + iteration counter + llh history into durable
-    /// checkpoint tables after every completed iteration (default off).
+    /// checkpoint table after every completed iteration (default off).
     /// An interrupted run can then continue via
     /// [`crate::EmSession::resume_from_checkpoint`]. On a durable
-    /// database (`Database::open_durable`) the checkpoint tables are
+    /// database (`Database::open_durable`) the checkpoint table is
     /// WAL-logged like everything else, so a resume works across real
     /// process restarts, not just dropped sessions.
     pub checkpoint: bool,

@@ -608,7 +608,7 @@ impl<'a, E: SqlExecutor, G: Generator> EmSession<'a, E, G> {
         Ok(Some(ckpt.iteration))
     }
 
-    /// Drop this session's checkpoint tables (a completed run's
+    /// Drop this session's checkpoint table (a completed run's
     /// checkpoint is otherwise deliberately left behind).
     pub fn clear_checkpoint(&mut self) -> Result<(), SqlemError> {
         checkpoint::clear_checkpoint(&mut self.db, &self.names)

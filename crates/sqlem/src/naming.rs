@@ -108,40 +108,13 @@ impl Names {
         self.t("dett")
     }
 
-    /// Checkpoint validity marker + iteration counter (single row,
-    /// written last — see `docs/ROBUSTNESS.md`).
-    pub fn ckpt_meta(&self) -> String {
-        self.t("ckptmeta")
-    }
-    /// Checkpointed means, one row per matrix cell.
-    pub fn ckpt_c(&self) -> String {
-        self.t("ckptc")
-    }
-    /// Checkpointed global covariance vector.
-    pub fn ckpt_r(&self) -> String {
-        self.t("ckptr")
-    }
-    /// Checkpointed weights.
-    pub fn ckpt_w(&self) -> String {
-        self.t("ckptw")
-    }
-    /// Checkpointed loglikelihood history, one row per iteration.
-    pub fn ckpt_llh(&self) -> String {
-        self.t("ckptllh")
-    }
-
-    /// The durable checkpoint tables. Deliberately *not* part of
-    /// [`Names::all`]: session cleanup must preserve checkpoints so a
-    /// later session can resume; use [`crate::checkpoint::clear_checkpoint`]
-    /// to drop them.
-    pub fn checkpoints(&self) -> Vec<String> {
-        vec![
-            self.ckpt_meta(),
-            self.ckpt_c(),
-            self.ckpt_r(),
-            self.ckpt_w(),
-            self.ckpt_llh(),
-        ]
+    /// The durable checkpoint table: every generation's cells as
+    /// `(iteration, part, i, val)` rows (see [`crate::checkpoint`]).
+    /// Deliberately *not* part of [`Names::all`]: session cleanup must
+    /// preserve checkpoints so a later session can resume; use
+    /// [`crate::checkpoint::clear_checkpoint`] to drop it.
+    pub fn ckpt(&self) -> String {
+        self.t("ckpt")
     }
 
     /// Every table this session may create (used by cleanup).

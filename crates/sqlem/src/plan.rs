@@ -16,10 +16,8 @@
 //!   and compared against the generator's closed form
 //!   ([`Generator::expected_scans`]: `2k+3` n-scans + 1 pn-scan for the
 //!   hybrid, and so on);
-//! * **table lifecycle** — no work-table leaks (checkpoint tables are
+//! * **table lifecycle** — no work-table leaks (the checkpoint table is
 //!   declared persistent), no use-before-create, no read-after-drop;
-//! * **mutation classes** — the WAL layer's mutating/read-only split,
-//!   re-derived independently and cross-checked per statement;
 //! * **expression safety** — parser-capacity overflow (the §3.3
 //!   horizontal failure mode), division-by-zero reachability through
 //!   the §2.5 guard idioms, non-finite literals.

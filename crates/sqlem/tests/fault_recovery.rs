@@ -234,6 +234,41 @@ fn checkpointing_baseline() -> (SqlemConfig, sqlem::SqlemRun) {
 }
 
 #[test]
+fn a_checkpointed_iteration_costs_four_statements_on_one_table() {
+    let config = SqlemConfig::new(2, Strategy::Hybrid).with_max_iterations(1);
+    // (statements of one iteration, of one model read, ckpt tables)
+    let count = |config: &SqlemConfig| {
+        let mut db = Database::new();
+        db.set_fault_plan(FaultPlan::default()); // count statements only
+        let mut session = EmSession::create(&mut db, config, 2).unwrap();
+        session.load_points(&blobs()).unwrap();
+        session
+            .initialize(&InitStrategy::Explicit(init_params()))
+            .unwrap();
+        let executed =
+            |s: &EmSession<'_, Database>| s.database().fault_injector().unwrap().executed();
+        let before = executed(&session);
+        session.run().unwrap();
+        let iteration = executed(&session) - before;
+        session.params().unwrap();
+        let read = executed(&session) - before - iteration;
+        drop(session);
+        let tables = db.catalog().table_names();
+        let ckpt_tables = tables.iter().filter(|t| t.contains("ckpt")).count();
+        (iteration, read, ckpt_tables)
+    };
+    let (plain, read, _) = count(&config);
+    let (checkpointed, _, tables) = count(&config.with_checkpoints());
+    // The driver reads the model back once more, to checkpoint it.
+    assert_eq!(
+        checkpointed - plain - read,
+        4,
+        "CREATE, DELETE, bulk insert, DELETE"
+    );
+    assert_eq!(tables, 1);
+}
+
+#[test]
 fn transient_fault_in_checkpoint_write_is_retried() {
     let (config, clean) = checkpointing_baseline();
     let mut db = Database::new();
@@ -252,10 +287,10 @@ fn transient_fault_in_checkpoint_read_is_retried() {
     let (config, clean) = checkpointing_baseline();
     let mut db = Database::new();
     run_to_completion(&mut db, &config.clone().with_max_iterations(3));
-    // The `SELECT … FROM ckptmeta` that `resume_from_checkpoint` starts
+    // The `SELECT … FROM ckpt` that `resume_from_checkpoint` starts
     // with.
     db.set_fault_plan(FaultPlan::single(
-        FaultRule::table("ckptmeta")
+        FaultRule::table("ckpt")
             .kind_is(StatementKind::Select)
             .transient()
             .once(),
@@ -294,7 +329,7 @@ fn checkpoint_survives_cleanup_and_can_be_cleared() {
     session.run().unwrap();
     session.cleanup().unwrap();
     assert!(
-        db.contains_table("cs_ckptmeta"),
+        db.contains_table("cs_ckpt"),
         "cleanup must preserve checkpoints"
     );
     assert!(!db.contains_table("cs_yd"), "work tables dropped");
@@ -302,7 +337,7 @@ fn checkpoint_survives_cleanup_and_can_be_cleared() {
     let mut session = EmSession::create(&mut db, &config, 2).unwrap();
     session.clear_checkpoint().unwrap();
     drop(session);
-    assert!(!db.contains_table("cs_ckptmeta"));
+    assert!(!db.contains_table("cs_ckpt"));
 }
 
 #[test]

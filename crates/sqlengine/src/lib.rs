@@ -80,7 +80,7 @@ pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultRule, FaultSite, Injec
 pub use metrics::{ExecMetrics, MetricsLog, ScanMetric, StatementKind, StmtProbe};
 pub use plancheck::{
     check_script, Card, CheckEnv, DerivedScan, Diagnostic, DiagnosticKind, IterationDerivation,
-    MutationClass, ScriptReport, ScriptSpec, ScriptStmt, Severity, StmtReport, SymState, TableLoad,
+    ScriptReport, ScriptSpec, ScriptStmt, Severity, StmtReport, SymState, TableLoad,
 };
 pub use resource::{MemoryBudget, ResourceTracker};
 pub use schema::{Column, Schema};

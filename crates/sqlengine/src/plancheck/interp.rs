@@ -318,21 +318,12 @@ impl SymState {
         let d = self.derive_select(plan);
         let per_row = match &plan.sink {
             // `group table`: the merged AggSink — one key row, one
-            // entry slot and one accumulator state per aggregate item
-            // for every group.
+            // entry slot and one accumulator state per aggregate for
+            // every group (`sum(a) / sum(b)` is two accumulators).
             Sink::Aggregate(agg) => {
-                let n_aggs = agg.items[..plan.output_names.len()]
-                    .iter()
-                    .filter(|item| {
-                        let mut aggregates = false;
-                        item.for_each_slot(&mut |slot| aggregates |= slot >= agg.keys.len());
-                        aggregates
-                    })
-                    .count()
-                    .max(1);
                 row_width_bytes(agg.keys.len())
                     + ENTRY_OVERHEAD_BYTES
-                    + n_aggs as u64 * AGG_STATE_BYTES
+                    + agg.aggs.len() as u64 * AGG_STATE_BYTES
             }
             // `select output`: every materialized row, at the
             // projection's width (hidden ORDER BY columns included).

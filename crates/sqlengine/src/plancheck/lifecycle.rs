@@ -11,8 +11,8 @@
 //! * **read-after-drop** — referenced after its `DROP TABLE`;
 //! * **double-create** — plain `CREATE TABLE` over a live table.
 //!
-//! Tables matching a declared persistent prefix (SQLEM's `ckpt*`
-//! checkpoint tables) are exempt from leak detection: surviving the
+//! Tables matching a declared persistent prefix (SQLEM's `ckpt`
+//! checkpoint table) are exempt from leak detection: surviving the
 //! session is their whole point.
 
 use std::collections::BTreeMap;

@@ -14,9 +14,9 @@
 //!   engine's runtime `ExecMetrics` measures (§3.3 cost model);
 //! * **lifecycle diagnostics** — work-table leaks, use-before-create,
 //!   read-after-drop, double-create (the `lifecycle` module);
-//! * **mutation classification** — an independent re-derivation of the
-//!   WAL layer's mutating/read-only split, cross-checked
-//!   statement-for-statement (the `mutation` module);
+//! * **mutation classification** — each statement's mutating/read-only
+//!   class is the WAL layer's own ([`crate::is_mutating`]),
+//!   checked against the script author's annotation;
 //! * **expression safety lints** — statement-size capacity overflow,
 //!   division-by-zero reachability through the §2.5 guard idioms,
 //!   non-finite literals (the `lints` module);
@@ -45,11 +45,9 @@ pub mod card;
 mod interp;
 mod lifecycle;
 mod lints;
-mod mutation;
 
 pub use card::Card;
 pub use interp::{StmtEffect, SymState, TableCard};
-pub use mutation::{classify, MutationClass};
 
 /// One statement of a script, with its provenance.
 #[derive(Debug, Clone)]
@@ -59,7 +57,7 @@ pub struct ScriptStmt {
     /// The SQL text.
     pub sql: String,
     /// What the script author believes about mutation, if anything;
-    /// checked against the derived classification.
+    /// checked against the WAL layer's classification.
     pub expected_mutating: Option<bool>,
 }
 
@@ -168,12 +166,12 @@ pub enum DiagnosticKind {
         /// The table.
         table: String,
     },
-    /// The derived mutation class disagrees with the expected one (the
-    /// WAL layer's own classifier, or the script author's annotation).
+    /// The WAL layer's mutation class disagrees with the script
+    /// author's annotation ([`ScriptStmt::expected_mutating`]).
     MutationMismatch {
-        /// What the reference says.
+        /// What the annotation says.
         expected: bool,
-        /// What [`classify`] derived.
+        /// What [`crate::is_mutating`] says.
         derived: bool,
     },
     /// A denominator that is literally zero.
@@ -532,23 +530,7 @@ pub fn check_script(spec: &ScriptSpec, env: &CheckEnv) -> ScriptReport {
         };
         let mut ok = !parsed[i].is_empty();
         for stmt in &parsed[i] {
-            // Mutation classification, cross-checked two ways: against
-            // the WAL layer's own classifier and against the script
-            // author's annotation.
-            let derived = mutation::classify(stmt);
-            report.mutating |= derived.is_mutating();
-            if derived.is_mutating() != crate::engine::is_mutating(stmt) {
-                diagnostics.push(Diagnostic {
-                    severity: Severity::Error,
-                    kind: DiagnosticKind::MutationMismatch {
-                        expected: crate::engine::is_mutating(stmt),
-                        derived: derived.is_mutating(),
-                    },
-                    stmt: Some(i),
-                    purpose: script_stmt.purpose.clone(),
-                    pos: Some(0),
-                });
-            }
+            report.mutating |= crate::engine::is_mutating(stmt);
 
             // Expression safety lints. The same denominator repeated
             // across adjacent select items (one per dimension/cluster)

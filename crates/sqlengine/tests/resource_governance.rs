@@ -57,6 +57,9 @@ const SCRIPT: &[(&str, &str)] = &[
         "update from",
         "UPDATE t FROM u SET b = u.c * 2 WHERE t.a = u.a AND u.c > 15.0",
     ),
+    // One visible item, two accumulators: the hybrid C statement's
+    // `sum(z.yd * xj) / sum(xj)` shape.
+    ("ratio", "SELECT a, sum(b * b) / sum(b) FROM t GROUP BY a"),
     ("drop:o", "DROP TABLE o"),
     ("drop:u", "DROP TABLE u"),
     ("drop:t", "DROP TABLE t"),

@@ -20,7 +20,7 @@
 //! write-ahead-logs every mutation under `--data-dir` (default
 //! `sqlem_data`), so `kill -9` + restart recovers to the last
 //! acknowledged statement and remote clients resume from their
-//! checkpoint tables.
+//! checkpoint table.
 
 #![forbid(unsafe_code)]
 

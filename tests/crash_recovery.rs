@@ -173,20 +173,20 @@ fn spawn_child(dir: &Path, site: FaultSite, nth: usize) -> bool {
 }
 
 /// Reopen the durable database the child left behind and finish the
-/// run, resuming from the surviving checkpoint when there is one.
+/// run from its checkpoint. Every kill of the sweep lands after
+/// iteration 1's checkpoint committed, and a checkpoint write keeps the
+/// previous generation readable until the next one lands, so there is
+/// always one to resume.
 fn recover_and_finish(dir: &Path, cfg: &SqlemConfig, init: &GmmParams, ctx: &str) -> SqlemRun {
     let mut db = Database::open_durable(dir)
         .unwrap_or_else(|e| panic!("{ctx}: a pure kill must never corrupt the log: {e}"));
     let mut session = EmSession::create(&mut db, cfg, init.p()).unwrap();
     session.load_points(&blobs()).unwrap();
     let resumed = session.resume_from_checkpoint().unwrap();
-    if resumed.is_none() {
-        // Killed before the first checkpoint committed (or mid-
-        // checkpoint, which atomically invalidates it): start over.
-        session
-            .initialize(&InitStrategy::Explicit(init.clone()))
-            .unwrap();
-    }
+    assert!(
+        matches!(resumed, Some(i) if i >= 1),
+        "{ctx}: no checkpoint to resume from ({resumed:?})"
+    );
     let run = session.run().unwrap();
     session.cleanup().unwrap();
     session.clear_checkpoint().unwrap();
@@ -210,9 +210,8 @@ fn kill_at_every_wal_crash_point_recovers_bit_identical() {
     let per_iter = (total - after_init) / ITERS;
     assert!(per_iter > 0, "no statements in an iteration?");
 
-    // Iteration 2: after the iteration-1 checkpoint exists, so the
-    // sweep exercises both resume-from-checkpoint and fresh-restart
-    // recovery (kills inside the checkpoint write destroy it).
+    // Iteration 2, its checkpoint write included: the iteration-1
+    // checkpoint exists throughout, so every recovery must resume.
     let sweep: Vec<usize> = (after_init + per_iter..after_init + 2 * per_iter + 1)
         .step_by(stride())
         .collect();

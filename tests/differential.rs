@@ -14,14 +14,19 @@
 //! to agree to floating-point noise — including through the two §2.5
 //! degenerate regimes, which get dedicated scenarios below: the
 //! inverse-distance fallback when every cluster's density underflows,
-//! and zero-covariance skipping when a dimension collapses.
+//! and zero-covariance skipping when a dimension collapses. Those two
+//! scenarios also run over every other executor tier — two and four
+//! in-process shards behind a `Coordinator`, and a `RemoteConnection`
+//! to an in-process `Server` — and must reproduce the embedded run bit
+//! for bit, iteration by iteration.
 
 use datagen::generate_dataset;
 use emcore::em::em_step;
 use emcore::init::{initialize, InitStrategy};
 use emcore::GmmParams;
 use sqlem::{EmSession, SqlemConfig, Strategy};
-use sqlengine::Database;
+use sqlengine::{Database, SharedDatabase, SqlExecutor};
+use sqlwire::{ClientConfig, Coordinator, RemoteConnection, Server, ServerConfig};
 
 const ITERS: usize = 3;
 
@@ -45,22 +50,35 @@ fn assert_params_agree(sql: &GmmParams, oracle: &GmmParams, tol: f64, ctx: &str)
     assert!(d <= tol, "{ctx}: weights diverged by {d}");
 }
 
-/// Run `ITERS` lockstep iterations from explicit shared parameters.
-fn lockstep(strategy: Strategy, points: &[Vec<f64>], init: GmmParams, ctx: &str) {
-    let (p, k) = (init.p(), init.k());
-    let mut db = Database::new();
-    let config = SqlemConfig::new(k, strategy)
+/// The loglikelihood and parameters after each of `ITERS` iterations
+/// from explicit initial parameters, run on `db`.
+fn trace<E: SqlExecutor>(
+    db: &mut E,
+    strategy: Strategy,
+    points: &[Vec<f64>],
+    init: &GmmParams,
+) -> Vec<(f64, GmmParams)> {
+    let config = SqlemConfig::new(init.k(), strategy)
         .with_epsilon(0.0)
         .with_max_iterations(ITERS);
-    let mut session = EmSession::create(&mut db, &config, p).unwrap();
+    let mut session = EmSession::create(db, &config, init.p()).unwrap();
     session.load_points(points).unwrap();
     session
         .initialize(&InitStrategy::Explicit(init.clone()))
         .unwrap();
+    (0..ITERS)
+        .map(|_| {
+            let llh = session.iterate_once().unwrap();
+            (llh, session.params().unwrap())
+        })
+        .collect()
+}
 
+/// Run `ITERS` lockstep iterations from explicit shared parameters.
+fn lockstep(strategy: Strategy, points: &[Vec<f64>], init: GmmParams, ctx: &str) {
+    let sql = trace(&mut Database::new(), strategy, points, &init);
     let mut oracle = init;
-    for iter in 0..ITERS {
-        let sql_llh = session.iterate_once().unwrap();
+    for (iter, (sql_llh, sql_params)) in sql.into_iter().enumerate() {
         let (next, oracle_llh) = em_step(&oracle, points).unwrap();
         oracle = next;
         let denom = oracle_llh.abs().max(1.0);
@@ -68,9 +86,50 @@ fn lockstep(strategy: Strategy, points: &[Vec<f64>], init: GmmParams, ctx: &str)
             ((sql_llh - oracle_llh) / denom).abs() < 1e-9,
             "{ctx} iter {iter}: llh {sql_llh} vs oracle {oracle_llh}"
         );
-        let sql_params = session.params().unwrap();
         assert_params_agree(&sql_params, &oracle, 1e-8, &format!("{ctx} iter {iter}"));
     }
+}
+
+/// One iteration's llh and parameters as raw IEEE-754 bits.
+fn bits((llh, params): &(f64, GmmParams)) -> Vec<u64> {
+    let cells = params.means.iter().flatten().chain(&params.cov);
+    std::iter::once(llh)
+        .chain(cells)
+        .chain(&params.weights)
+        .map(|v| v.to_bits())
+        .collect()
+}
+
+/// The same run over two and four in-process shards and over the wire
+/// must reproduce the embedded run's every iteration bit for bit.
+fn tiers_match_embedded(strategy: Strategy, points: &[Vec<f64>], init: &GmmParams, ctx: &str) {
+    let embedded = trace(&mut Database::new(), strategy, points, init);
+    let same = |tier: &str, run: Vec<(f64, GmmParams)>| {
+        for (iter, (got, want)) in run.iter().zip(&embedded).enumerate() {
+            assert_eq!(bits(got), bits(want), "{ctx} over {tier}, iter {iter}");
+        }
+    };
+    for shards in [2, 4] {
+        let mut coord = Coordinator::new((0..shards).map(|_| Database::new()).collect()).unwrap();
+        same(
+            &format!("{shards} shards"),
+            trace(&mut coord, strategy, points, init),
+        );
+    }
+    let server = Server::bind(
+        "127.0.0.1:0",
+        SharedDatabase::default(),
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let handle = server.handle();
+    let join = std::thread::spawn(move || server.run());
+    let mut conn = RemoteConnection::connect(&addr, ClientConfig::default()).unwrap();
+    same("the wire", trace(&mut conn, strategy, points, init));
+    drop(conn);
+    handle.shutdown();
+    join.join().unwrap().unwrap();
 }
 
 #[test]
@@ -114,12 +173,9 @@ fn underflow_fallback_agrees_with_oracle() {
     );
 
     for strategy in [Strategy::Hybrid, Strategy::Horizontal, Strategy::Vertical] {
-        lockstep(
-            strategy,
-            &points,
-            init.clone(),
-            &format!("underflow/{strategy}"),
-        );
+        let ctx = format!("underflow/{strategy}");
+        lockstep(strategy, &points, init.clone(), &ctx);
+        tiers_match_embedded(strategy, &points, &init, &ctx);
     }
 }
 
@@ -148,11 +204,8 @@ fn zero_covariance_dimension_agrees_with_oracle() {
     assert_eq!(after_one.cov[1], 0.0, "constant dimension collapses to 0");
 
     for strategy in [Strategy::Hybrid, Strategy::Horizontal, Strategy::Vertical] {
-        lockstep(
-            strategy,
-            &points,
-            init.clone(),
-            &format!("zero-cov/{strategy}"),
-        );
+        let ctx = format!("zero-cov/{strategy}");
+        lockstep(strategy, &points, init.clone(), &ctx);
+        tiers_match_embedded(strategy, &points, &init, &ctx);
     }
 }
