@@ -369,6 +369,16 @@ cargo build --release --workspace
 echo "== conformance: cost-model + golden-SQL snapshots"
 cargo test -q --test cost_model --test snapshots --test differential
 cargo run -q --release --example bit_dump > /dev/null
+# The E step's distance statement streams its GROUP BY: load_points
+# writes Y in rid order, so YD keeps one open group instead of an n·k
+# table of exact sums. A silent fall-back to the hash sink fails here.
+if ! cargo run -q --release --example explain_plans |
+    awk '/^-- E: Mahalanobis distances/ { yd = 1; next } /^-- / { yd = 0 }
+         yd && /sink: stream aggregate/ { ok = 1 } END { exit !ok }'; then
+    echo "ERROR: the plan of \"E: Mahalanobis distances\" (examples/explain_plans)" \
+         "does not read 'sink: stream aggregate'" >&2
+    exit 1
+fi
 
 echo "== plancheck: static == dynamic scan counts + negative corpus"
 cargo test -q --test plancheck

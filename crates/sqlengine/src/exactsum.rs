@@ -482,6 +482,22 @@ impl ExactSum {
         }
     }
 
+    /// The correctly rounded sum of `xs`: the bits [`ExactSum::add_slice`]
+    /// into a fresh accumulator and [`ExactSum::finalize`] give. A slice
+    /// that fits a `window` is its `v · scale` rounded once, as
+    /// `finalize` rounds a window, and no accumulator is built; any other
+    /// slice takes that accumulator.
+    pub fn sum_slice(xs: &[f64]) -> f64 {
+        if xs.len() <= WINDOW_LEN {
+            if let Some((v, scale)) = window(xs) {
+                return v as f64 * scale;
+            }
+        }
+        let mut sum = ExactSum::new();
+        sum.add_slice(xs);
+        sum.finalize()
+    }
+
     /// Add an integer exactly: the nearest double, then what that
     /// rounding dropped (nothing below 2^53 in magnitude, so small
     /// integers cost one add and leave the state `add(v as f64)` leaves).
@@ -1409,6 +1425,51 @@ mod tests {
         assert!(
             inside > 500 && outside > 500 && went_wide > 100,
             "{inside} {outside} {went_wide}"
+        );
+    }
+
+    #[test]
+    fn a_slice_summed_without_an_accumulator_has_the_accumulators_bits() {
+        let mut rng = Rng(0x5_11CE);
+        // Slices the window took, and ones that needed the accumulator.
+        let (mut windowed, mut accumulated) = (0, 0);
+        for round in 0..4000 {
+            let len = match rng.below(4) {
+                0 => rng.below(8),
+                1 => WINDOW_LEN - 2 + rng.below(5),
+                _ => rng.below(601),
+            };
+            let xs = match rng.below(5) {
+                // Anything: subnormals, NaNs, infinities, huge values.
+                0 => rng.hostile_seq(len, 1),
+                _ => {
+                    let (lo, spread) = match rng.below(3) {
+                        0 => (116 + rng.below(2) as u64, rng.below(66) as u64),
+                        1 => (1000 + rng.below(900) as u64, rng.below(70) as u64),
+                        _ => (60 + rng.below(1840) as u64, rng.below(70) as u64),
+                    };
+                    let signed = rng.below(2) == 0;
+                    let mut xs = rng.run_at(len, lo, spread, signed);
+                    for _ in 0..rng.below(4).min(len) {
+                        let (i, regime) = (rng.below(len), rng.below(4));
+                        xs[i] = rng.hostile(regime);
+                    }
+                    xs
+                }
+            };
+            let mut acc = ExactSum::new();
+            acc.add_slice(&xs);
+            let want = acc.finalize().to_bits();
+            let got = ExactSum::sum_slice(&xs).to_bits();
+            assert_eq!(got, want, "round {round}: {xs:?}");
+            match len <= WINDOW_LEN && window(&xs).is_some() {
+                true => windowed += 1,
+                false => accumulated += 1,
+            }
+        }
+        assert!(
+            windowed > 500 && accumulated > 1000,
+            "{windowed} {accumulated}"
         );
     }
 

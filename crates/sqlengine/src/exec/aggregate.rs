@@ -1,4 +1,5 @@
-//! Hash aggregation (GROUP BY) and aggregate-expression rewriting.
+//! Aggregation (GROUP BY), hashed or streamed, and aggregate-expression
+//! rewriting.
 //!
 //! The planner rewrites projection/HAVING expressions into *post-aggregate*
 //! expressions over a synthetic row `[group keys…, aggregate results…]`.
@@ -18,8 +19,7 @@
 //! `COUNT` a vector of counts — and group `g` is row `g` of every one
 //! of them: a new group is one push per column, and nothing is
 //! allocated per group. A batch is cut into *runs* of equal keys, one
-//! lookup per run — so `GROUP BY rid` over rows stored in `rid` order
-//! costs one lookup per group — and the runs are then fed aggregate by
+//! lookup per run, and the runs are then fed aggregate by
 //! aggregate, the loop chosen once per batch by the aggregate and the
 //! variant of its argument column: a run of a DOUBLE column goes to its
 //! sum as one slice (`ExactSum::add_slice`, which picks its tier once,
@@ -32,6 +32,14 @@
 //! columns to its target and no row is built between GROUP BY and the
 //! table; rows are made once, for a client. Groups are numbered in 32
 //! bits; a statement that meets more fails with [`Error::GroupTableFull`].
+//!
+//! Input already in key order needs no group table: [`StreamSink`] holds
+//! one open group and hands each batch's finished groups through the same
+//! finalize tail as they complete. `exec::select` picks it when the one
+//! GROUP BY key is a driver column stored in non-decreasing order — the
+//! E step's `GROUP BY rid` over `Y`, loaded in `rid` order — and the hash
+//! sink ([`AggSink`]) for everything else, the scatter half of a
+//! distributed aggregate included. Both give every result the same bits.
 //!
 //! Numeric behaviour: `SUM`/`AVG` skip NULLs; `SUM` over zero non-NULL
 //! inputs is NULL (SQL), `COUNT` is 0; `SUM` of integers stays integral,
@@ -925,23 +933,6 @@ impl AggSink {
         }
     }
 
-    /// Number of distinct groups accumulated so far.
-    pub fn group_count(&self) -> usize {
-        self.groups.keys.len()
-    }
-
-    /// Working-memory footprint of the group table under the logical
-    /// size model of [`crate::resource`]: one hash entry per group (key
-    /// row + entry overhead) plus one accumulator state per aggregate.
-    /// Charged against the statement's memory budget once the pipeline
-    /// drains.
-    pub fn footprint_bytes(&self) -> u64 {
-        use crate::resource::{rows_bytes, AGG_STATE_BYTES, ENTRY_OVERHEAD_BYTES};
-        let groups = self.group_count();
-        let per_group = ENTRY_OVERHEAD_BYTES + self.plan.aggs.len() as u64 * AGG_STATE_BYTES;
-        rows_bytes(self.groups.keys.columns(), 0..groups) + groups as u64 * per_group
-    }
-
     /// Hand the accumulated groups over un-finalized (the scatter half
     /// of a distributed aggregate).
     pub fn into_partial(self) -> PartialAggResult {
@@ -964,33 +955,18 @@ impl AggSink {
     }
 
     /// Produce the final output (HAVING + projection applied): one
-    /// column per item of the plan, a row per surviving group. The
-    /// groups are one batch — keys, then each aggregate's results — so
-    /// HAVING is a `Batch::filter` and an item a `Batch::eval_cut`,
-    /// which keep the error the one of the first failing group, that
-    /// group's HAVING before its items.
+    /// column per item of the plan, a row per surviving group, the
+    /// whole table run through `project_groups` as one batch.
     pub fn finalize(mut self) -> Result<Vec<Column>> {
         // Implicit aggregation over an empty input yields one group.
         if self.plan.keys.is_empty() {
             self.find_runs(&[], 0)?;
         }
         let Groups { keys, accs } = self.groups;
-        let mut batch = Batch::new(keys.columns().len() + accs.len(), keys.len());
-        let slots = keys
-            .into_columns()
-            .into_iter()
-            .chain(accs.iter().map(Accumulators::finalize));
-        for (slot, col) in slots.enumerate() {
-            batch.set(slot, col);
-        }
-        let mut pending = None;
-        if let Some(h) = &self.plan.having {
-            batch.filter(h, &mut pending);
-        }
-        let items = &self.plan.items;
-        let items = items.iter().map(|e| batch.eval_cut(e, &mut pending));
-        let items = items.collect();
-        pending.map_or(Ok(items), Err)
+        let groups = keys.len();
+        let slots = keys.into_columns().into_iter();
+        let slots = slots.chain(accs.iter().map(Accumulators::finalize));
+        project_groups(&self.plan, slots.collect(), groups)
     }
 }
 
@@ -998,10 +974,9 @@ impl AggSink {
     /// Cut the first `n` rows of a batch into runs of one group, from
     /// its key columns, into `self.runs` as `(group, end row)`: the key
     /// columns are hashed once, and a group is looked up in (or added
-    /// to) the group table once per *run* of equal keys, so a clustered
-    /// key such as `GROUP BY rid` over rows stored in `rid` order costs
-    /// one lookup per group, not per row. Without GROUP BY every row is
-    /// in group 0, which this adds if it is not there.
+    /// to) the group table once per *run* of equal keys, not once per
+    /// row. Without GROUP BY every row is in group 0, which this adds if
+    /// it is not there.
     fn find_runs(&mut self, keys: &[Column], n: usize) -> Result<()> {
         // Without GROUP BY: one look for the empty key (which hashes to
         // 0, as `hash_rows` of no columns has it).
@@ -1047,29 +1022,86 @@ fn first_non_numeric(kind: AggKind, col: &Column, n: usize) -> Option<(usize, Er
     Some((pos, error))
 }
 
+/// A batch's group keys and aggregate arguments, evaluated in the order
+/// one row at a time takes them — keys, then each aggregate's argument
+/// and its update. `eval_cut` and [`first_non_numeric`] cut the batch
+/// before the first row that fails; its error comes back to be raised
+/// once the rows before it are accumulated.
+fn eval_inputs(
+    plan: &AggPlan,
+    batch: &mut Batch,
+) -> (Vec<Column>, Vec<Option<Column>>, Option<Error>) {
+    let mut pending = None;
+    let keys: Vec<Column> = plan
+        .keys
+        .iter()
+        .map(|k| batch.eval_cut(k, &mut pending))
+        .collect();
+    let mut args: Vec<Option<Column>> = Vec::with_capacity(plan.aggs.len());
+    for spec in &plan.aggs {
+        args.push(spec.arg.as_ref().map(|e| {
+            let col = batch.eval_cut(e, &mut pending);
+            if let Some((pos, error)) = first_non_numeric(spec.kind, &col, batch.len()) {
+                batch.truncate(pos);
+                pending = Some(error);
+            }
+            col
+        }));
+    }
+    (keys, args, pending)
+}
+
+/// Expressions evaluated for `rows` input rows: each key and each
+/// aggregate argument, once a row.
+fn input_evals(plan: &AggPlan, rows: u64) -> u64 {
+    let args = plan.aggs.iter().filter(|a| a.arg.is_some()).count();
+    rows * (plan.keys.len() + args) as u64
+}
+
+/// The finalize tail over `groups` finished groups given as columns —
+/// keys, then each aggregate's results — as one batch: HAVING is a
+/// `Batch::filter` and an item a `Batch::eval_cut`, which keep the error
+/// the one of the first failing group, that group's HAVING before its
+/// items. One column per item, a row per surviving group.
+fn project_groups(plan: &AggPlan, slots: Vec<Column>, groups: usize) -> Result<Vec<Column>> {
+    let mut batch = Batch::new(slots.len(), groups);
+    for (slot, col) in slots.into_iter().enumerate() {
+        batch.set(slot, col);
+    }
+    let mut pending = None;
+    if let Some(h) = &plan.having {
+        batch.filter(h, &mut pending);
+    }
+    let items = plan.items.iter().map(|e| batch.eval_cut(e, &mut pending));
+    let items = items.collect();
+    pending.map_or(Ok(items), Err)
+}
+
+/// Working-memory footprint of `groups` groups of a group table under
+/// the logical size model of [`crate::resource`]: one hash entry per
+/// group (key row + entry overhead) plus one accumulator state per
+/// aggregate of `aggs`.
+fn table_bytes(keys: &[Column], groups: usize, aggs: usize) -> u64 {
+    use crate::resource::{rows_bytes, AGG_STATE_BYTES, ENTRY_OVERHEAD_BYTES};
+    let per_group = ENTRY_OVERHEAD_BYTES + aggs as u64 * AGG_STATE_BYTES;
+    rows_bytes(keys, 0..groups) + groups as u64 * per_group
+}
+
+/// A GROUP BY sink as its statement accounts for it once the pipeline
+/// drains: the groups it met, and the group table it held.
+pub trait GroupSink: BatchSink {
+    /// Number of distinct groups accumulated so far.
+    fn group_count(&self) -> usize;
+
+    /// The most group-table bytes (`table_bytes`) held at once,
+    /// charged against the statement's memory budget once the
+    /// pipeline drains.
+    fn footprint_bytes(&self) -> u64;
+}
+
 impl BatchSink for AggSink {
     fn push(&mut self, mut batch: Batch) -> Result<()> {
-        // Row-at-a-time order within a row is: keys, then each
-        // aggregate's argument and its update; `eval_cut` keeps the
-        // statement's error the one of the first failing row.
-        let mut pending = None;
-        let plan = &self.plan;
-        let keys: Vec<Column> = plan
-            .keys
-            .iter()
-            .map(|k| batch.eval_cut(k, &mut pending))
-            .collect();
-        let mut args: Vec<Option<Column>> = Vec::with_capacity(plan.aggs.len());
-        for spec in &plan.aggs {
-            args.push(spec.arg.as_ref().map(|e| {
-                let col = batch.eval_cut(e, &mut pending);
-                if let Some((pos, error)) = first_non_numeric(spec.kind, &col, batch.len()) {
-                    batch.truncate(pos);
-                    pending = Some(error);
-                }
-                col
-            }));
-        }
+        let (keys, args, pending) = eval_inputs(&self.plan, &mut batch);
         let n = batch.len();
         self.rows_seen += n as u64;
         if n > 0 {
@@ -1084,10 +1116,221 @@ impl BatchSink for AggSink {
     }
 
     fn expr_evals(&self) -> u64 {
-        let per_row = self.plan.keys.len() as u64
-            + self.plan.aggs.iter().filter(|a| a.arg.is_some()).count() as u64;
-        self.rows_seen * per_row
+        input_evals(&self.plan, self.rows_seen)
     }
+}
+
+impl GroupSink for AggSink {
+    fn group_count(&self) -> usize {
+        self.groups.keys.len()
+    }
+
+    /// The whole table: it is held until it is finalized.
+    fn footprint_bytes(&self) -> u64 {
+        let keys = self.groups.keys.columns();
+        table_bytes(keys, self.group_count(), self.plan.aggs.len())
+    }
+}
+
+/// Streaming aggregation: the sink of a GROUP BY over input already in
+/// key order, where each group's rows arrive as one run and a group is
+/// complete once the key changes (`exec::select` picks it when the one
+/// key is a driver column stored as BIGINTs without NULLs in
+/// non-decreasing order, a variant every batch of it keeps). It holds
+/// one open group — its key and, per aggregate, an `Accumulators` of one
+/// row. A batch that moves past it finishes it and every group that
+/// begins and ends inside the batch; those go through the finalize tail
+/// (`project_groups`) as one chunk of output columns, in key order,
+/// which is the hash sink's first-seen order. A group inside one batch
+/// gets no accumulator where it can do without: a `SUM` or `AVG` of a
+/// DOUBLE column without NULLs is rounded from its slice
+/// ([`ExactSum::sum_slice`]), any other aggregate fills a batch-local
+/// `Accumulators` row. Each group's values reach the same code in row
+/// order, so every result has the hash sink's bits.
+///
+/// Errors are the hash sink's too: an accumulation error — the first
+/// failing row — fails the push, and with it the statement. The tail's
+/// error, the first failing group's, is parked until the pipeline has
+/// drained ([`StreamSink::finish`]), because a later row may still fail
+/// to accumulate, and that error wins.
+pub struct StreamSink {
+    plan: AggPlan,
+    /// The open group: its key and its accumulators (one row per
+    /// aggregate).
+    open: Option<(i64, Vec<Accumulators>)>,
+    /// The finished groups' output, one chunk per batch that finished any.
+    out: Vec<Vec<Column>>,
+    /// The tail's first error; the tail runs no more once it is set.
+    parked: Option<Error>,
+    /// Groups opened so far.
+    groups: usize,
+    /// Input rows consumed (telemetry: expr-eval accounting).
+    rows_seen: u64,
+    /// The most group-table bytes held at once: the open group and the
+    /// groups one batch finished.
+    peak_bytes: u64,
+}
+
+impl StreamSink {
+    /// Fresh sink for `plan`, whose input must arrive in key order.
+    pub fn new(plan: AggPlan) -> Self {
+        StreamSink {
+            plan,
+            open: None,
+            out: Vec::new(),
+            parked: None,
+            groups: 0,
+            rows_seen: 0,
+            peak_bytes: 0,
+        }
+    }
+
+    /// Fold in the first `n` rows of a batch's key and arguments.
+    fn advance(&mut self, keys: &[Column], args: &[Option<Column>], n: usize) -> Result<()> {
+        let [Column::I64(key, None)] = keys else {
+            unreachable!("a streamed GROUP BY key is one BIGINT column without NULLs");
+        };
+        // Where the runs of equal keys begin.
+        let mut starts: Vec<usize> = (0..n).filter(|&p| p == 0 || key[p] != key[p - 1]).collect();
+        // A first run with the open group's key is more of it.
+        if let Some((open, accs)) = &mut self.open {
+            if *open == key[0] {
+                let end = starts.get(1).copied().unwrap_or(n);
+                for (acc, arg) in accs.iter_mut().zip(args) {
+                    acc.update(arg.as_ref(), &[(0, end)])?;
+                }
+                starts.remove(0);
+            }
+        }
+        // Otherwise the open group is finished, and so is every run but
+        // the last, which opens the next group.
+        let Some(&last) = starts.last() else {
+            return Ok(());
+        };
+        let finished = self.open.take();
+        let done = starts.len() - 1 + finished.is_some() as usize;
+        let arity = self.plan.aggs.len();
+        // The keys of the finished groups, then the one the last run
+        // opens: every group held at once.
+        let held = finished.iter().map(|(k, _)| *k);
+        let held = held.chain(starts.iter().map(|&p| key[p]));
+        let mut keys = Column::I64(held.collect(), None);
+        let bytes = table_bytes(std::slice::from_ref(&keys), done + 1, arity);
+        self.peak_bytes = self.peak_bytes.max(bytes);
+        keys.truncate(done);
+        let mut slots = Vec::with_capacity(1 + arity);
+        slots.push(keys);
+        for (j, (spec, arg)) in self.plan.aggs.iter().zip(args).enumerate() {
+            let complete = finish_runs(spec.kind, arg.as_ref(), &starts)?;
+            slots.push(match &finished {
+                Some((_, accs)) => concat(accs[j].finalize(), complete),
+                None => complete,
+            });
+        }
+        let mut accs = Vec::with_capacity(arity);
+        for (spec, arg) in self.plan.aggs.iter().zip(args) {
+            let mut acc = Accumulators::new(spec.kind);
+            acc.grow();
+            let rows = arg.as_ref().map(|a| a.slice(last..n));
+            acc.update(rows.as_ref(), &[(0, n - last)])?;
+            accs.push(acc);
+        }
+        self.open = Some((key[last], accs));
+        self.groups += starts.len();
+        self.emit(slots, done);
+        Ok(())
+    }
+
+    /// Run the tail over `groups` finished groups and keep their output,
+    /// unless an earlier group's error is parked.
+    fn emit(&mut self, slots: Vec<Column>, groups: usize) {
+        if self.parked.is_some() || groups == 0 {
+            return;
+        }
+        match project_groups(&self.plan, slots, groups) {
+            Ok(cols) if cols.first().is_some_and(|c| !c.is_empty()) => self.out.push(cols),
+            Ok(_) => {}
+            Err(error) => self.parked = Some(error),
+        }
+    }
+
+    /// Finish the open group and hand over the output: non-empty chunks
+    /// of one column per item, or the first failing group's error.
+    pub fn finish(mut self) -> Result<Vec<Vec<Column>>> {
+        if let Some((key, accs)) = self.open.take() {
+            let key = Column::I64(vec![key], None);
+            let slots = std::iter::once(key).chain(accs.iter().map(Accumulators::finalize));
+            self.emit(slots.collect(), 1);
+        }
+        self.parked.map_or(Ok(self.out), Err)
+    }
+}
+
+impl BatchSink for StreamSink {
+    fn push(&mut self, mut batch: Batch) -> Result<()> {
+        let (keys, args, pending) = eval_inputs(&self.plan, &mut batch);
+        let n = batch.len();
+        self.rows_seen += n as u64;
+        if n > 0 {
+            self.advance(&keys, &args, n)?;
+        }
+        pending.map_or(Ok(()), Err)
+    }
+
+    fn expr_evals(&self) -> u64 {
+        input_evals(&self.plan, self.rows_seen)
+    }
+}
+
+impl GroupSink for StreamSink {
+    fn group_count(&self) -> usize {
+        self.groups
+    }
+
+    fn footprint_bytes(&self) -> u64 {
+        self.peak_bytes
+    }
+}
+
+/// One aggregate's results for the runs `bounds[i]..bounds[i + 1]` of
+/// an argument column, a group each: a `SUM` or `AVG` of a DOUBLE
+/// column without NULLs rounded from each slice, anything else through
+/// a batch-local `Accumulators` row per run.
+fn finish_runs(kind: AggKind, arg: Option<&Column>, bounds: &[usize]) -> Result<Column> {
+    let runs = bounds.windows(2).map(|w| w[0]..w[1]);
+    Ok(match (kind, arg) {
+        (AggKind::Sum, Some(Column::F64(v, None))) => {
+            Column::F64(runs.map(|r| ExactSum::sum_slice(&v[r])).collect(), None)
+        }
+        (AggKind::Avg, Some(Column::F64(v, None))) => {
+            let mean = |r: Range<usize>| ExactSum::sum_slice(&v[r.clone()]) / r.len() as f64;
+            Column::F64(runs.map(mean).collect(), None)
+        }
+        _ => {
+            // The runs' rows as a column of their own, whose runs end
+            // where theirs do.
+            let (first, rows) = (bounds[0], bounds[0]..bounds[bounds.len() - 1]);
+            let mut accs = Accumulators::new(kind);
+            let ends: Vec<(usize, usize)> = bounds[1..]
+                .iter()
+                .map(|&end| end - first)
+                .enumerate()
+                .collect();
+            ends.iter().for_each(|_| accs.grow());
+            accs.update(arg.map(|a| a.slice(rows)).as_ref(), &ends)?;
+            accs.finalize()
+        }
+    })
+}
+
+/// `a`'s rows followed by `b`'s, whatever the variants.
+fn concat(mut a: Column, b: Column) -> Column {
+    if std::mem::discriminant(&a) == std::mem::discriminant(&b) {
+        a.append(b);
+    } else {
+        (0..b.len()).for_each(|p| a.push_cell(&b, p));
+    }
+    a
 }
 
 #[cfg(test)]

@@ -25,12 +25,17 @@
 //! every probing row matched exactly once (a key lookup that always
 //! hits, a one-row parameter table) the probing side is the batch as it
 //! is and goes on uncopied. Joined batches go straight into a sink —
-//! scalar projection or hash aggregation — so no intermediate join
-//! result is ever materialized beyond one batch; this is what keeps the
-//! `pn`-row distance join of the hybrid E step linear in memory. Both
-//! sinks hand their output over as columns — the projection the item
-//! columns of its batches, the aggregation what its group table
-//! finalizes into: `INSERT … SELECT` appends them to the target
+//! scalar projection, or hash or stream aggregation — so no intermediate
+//! join result is ever materialized beyond one batch. Every stage emits
+//! its matches in probing-row order, so rows leave the pipeline in driver
+//! order: a GROUP BY whose one key is a driver column stored in
+//! non-decreasing order sees each group's rows together and streams
+//! ([`StreamSink`]: one open group, no group table), which keeps the
+//! `pn`-row distance join of the hybrid E step within one batch's groups
+//! of memory. Every sink hands its output over as columns — the
+//! projection the item columns of its batches, the hash aggregation what
+//! its group table finalizes into, the stream aggregation the groups each
+//! batch finished: `INSERT … SELECT` appends them to the target
 //! ([`run_select_columns`]) and rows are built only for a client
 //! ([`run_select`]), or to sort and cut a result that is ordered or
 //! limited.
@@ -41,7 +46,9 @@
 //! instead of hashing the table again for every statement. The choice is
 //! read off the schema, by the plan. Either way the stage's table is
 //! recorded as a build-side scan, so the paper's scan counts are what
-//! they were.
+//! they were. Whether an aggregate streams is read off the stored driver
+//! column when the plan is instantiated (`streams`), and `EXPLAIN`
+//! names the sink that runs.
 //!
 //! An expression that fails on some row cuts its batch to the rows before
 //! it and parks the error ([`Batch::eval_cut`]); each step raises its
@@ -61,7 +68,7 @@ use std::time::Instant;
 use crate::ast::BinOp;
 use crate::catalog::Catalog;
 use crate::error::{Error, Result};
-use crate::exec::aggregate::{AggPlan, AggSink, PartialAggResult};
+use crate::exec::aggregate::{AggPlan, AggSink, GroupSink, PartialAggResult, StreamSink};
 use crate::exec::{ExecConfig, QueryResult};
 use crate::expr::{Batch, CExpr, Column, BATCH_ROWS};
 use crate::keytable::{hash_rows, JoinBuild, JoinTable};
@@ -97,25 +104,42 @@ pub fn finish_select(plan: &SelectPlan, mut rows: Vec<Row>) -> QueryResult {
     }
 }
 
-/// The one aggregate path: scan/join pipeline into one [`AggSink`]. A
-/// full SELECT finalizes the returned sink, a shard exports it, and the
-/// gather step rebuilds an equivalent one from the shards' exports — so
-/// single-node execution is the one-shard case of partial + finalize.
-fn run_aggregate(
-    catalog: &Catalog,
+/// Run the pipeline into a GROUP BY sink and charge the most of a group
+/// table it held at once, after the pipeline drains: an accumulation
+/// error, the first failing row's, comes first. A finalize-tail error
+/// comes after the charge — the hash sink's raised by its `finalize`,
+/// the stream sink's, met while it ran the tail batch by batch, parked
+/// until its `finish`.
+fn run_aggregate<S: GroupSink>(
+    pipeline: &Pipeline<'_>,
     config: &ExecConfig,
-    plan: &SelectPlan,
-    agg: &AggPlan,
     probe: &mut StmtProbe,
-) -> Result<AggSink> {
-    let pipeline = build_pipeline(catalog, &plan.chain, &sink_reads(&plan.sink), false, probe)?;
-    let sink = run_pipeline(&pipeline, config, probe, AggSink::new(agg.clone()))?;
-    // The finished table is charged once, whole.
+    sink: S,
+) -> Result<S> {
+    let sink = run_pipeline(pipeline, config, probe, sink)?;
     probe
         .tracker()
         .charge("group table", sink.footprint_bytes())?;
     probe.set_groups(sink.group_count());
     Ok(sink)
+}
+
+/// Does the aggregate stream ([`StreamSink`])? Only when its input is in
+/// key order: one GROUP BY key, a column of the driver, stored as
+/// BIGINTs without NULLs in non-decreasing order — every pipeline stage
+/// emits its matches in probing-row order, so each group's rows then
+/// arrive together. The order is read off the stored column, one pass
+/// that stops at the first descent, each time the plan is instantiated:
+/// there is no flag to keep true through appends, DELETE, UPDATE, WAL
+/// replay and snapshot loads, and the plan stays free of data.
+fn streams(pipeline: &Pipeline<'_>, agg: &AggPlan) -> bool {
+    let (Some(driver), [CExpr::Col(slot)]) = (&pipeline.driver, agg.keys.as_slice()) else {
+        return false;
+    };
+    matches!(
+        driver.table.columns().get(*slot),
+        Some(Column::I64(v, None)) if v.windows(2).all(|w| w[0] <= w[1])
+    )
 }
 
 /// Rows for a client, made of batches of output columns: the one place
@@ -151,13 +175,17 @@ fn run_columns(
     plan: &SelectPlan,
     probe: &mut StmtProbe,
 ) -> Result<Vec<Vec<Column>>> {
-    match &plan.sink {
-        Sink::Aggregate(agg) => {
-            let sink = run_aggregate(catalog, config, plan, agg, probe)?;
-            Ok(one_chunk(sink.finalize()?))
-        }
-        Sink::Project(items) => run_project(catalog, config, plan, items, probe),
+    let agg = match &plan.sink {
+        Sink::Aggregate(agg) => agg,
+        Sink::Project(items) => return run_project(catalog, config, plan, items, probe),
+    };
+    let pipeline = build_pipeline(catalog, &plan.chain, &sink_reads(&plan.sink), false, probe)?;
+    if streams(&pipeline, agg) {
+        let sink = StreamSink::new(agg.clone());
+        return run_aggregate(&pipeline, config, probe, sink)?.finish();
     }
+    let sink = run_aggregate(&pipeline, config, probe, AggSink::new(agg.clone()))?;
+    Ok(one_chunk(sink.finalize()?))
 }
 
 /// Run a planned SELECT and materialize its result, recording telemetry
@@ -241,7 +269,8 @@ pub fn run_select_partial(
     probe: &mut StmtProbe,
 ) -> Result<PartialAggResult> {
     let agg = aggregate_of(plan, "partial execution")?;
-    let sink = run_aggregate(catalog, config, plan, agg, probe)?;
+    let pipeline = build_pipeline(catalog, &plan.chain, &sink_reads(&plan.sink), false, probe)?;
+    let sink = run_aggregate(&pipeline, config, probe, AggSink::new(agg.clone()))?;
     probe.set_rows_produced(sink.group_count());
     Ok(sink.into_partial())
 }
@@ -838,7 +867,11 @@ pub fn explain_select(catalog: &Catalog, plan: &SelectPlan) -> Result<Vec<String
         } => built.distinct_keys(),
         StageKind::Broadcast { indices } => indices.len(),
     }));
-    Ok(plan.explain(&counts))
+    let streamed = match &plan.sink {
+        Sink::Aggregate(agg) => streams(&pipeline, agg),
+        Sink::Project(_) => false,
+    };
+    Ok(plan.explain(&counts, streamed))
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! operator tree: the FROM tables in declaration order ([`Source`], each
 //! with its slot offset in the joined row), the WHERE conjuncts
 //! classified into per-table filters, equi-join keys and residuals
-//! ([`Chain`]), the sink ([`Sink`]: hash aggregate or projection), the
+//! ([`Chain`]), the sink ([`Sink`]: aggregate or projection), the
 //! hidden sort keys and the LIMIT; for DML the target, the INSERT column
 //! map and UPDATE … FROM's tables through the same conjunct classifier.
 //!
@@ -528,8 +528,9 @@ impl SelectPlan {
     /// optimized and executed in parallel" (§1.4), this shows *how* each
     /// one executes. `counts[i]` is what instantiating the plan found
     /// for `sources[i]`: the driver's rows, a broadcast stage's kept
-    /// rows, a built hash stage's distinct keys.
-    pub fn explain(&self, counts: &[usize]) -> Vec<String> {
+    /// rows, a built hash stage's distinct keys. `streamed`: the
+    /// aggregate's input was found in key order, so it streams.
+    pub fn explain(&self, counts: &[usize], streamed: bool) -> Vec<String> {
         let mut lines = Vec::new();
         match self.chain.sources.first() {
             None => lines.push("single row (no FROM)".to_string()),
@@ -571,7 +572,8 @@ impl SelectPlan {
         }
         lines.push(match &self.sink {
             Sink::Aggregate(agg) => format!(
-                "sink: hash aggregate ({} group key(s), {} accumulator(s)){}",
+                "sink: {} aggregate ({} group key(s), {} accumulator(s)){}",
+                if streamed { "stream" } else { "hash" },
                 agg.keys.len(),
                 agg.aggs.len(),
                 if agg.having.is_some() { ", having" } else { "" }

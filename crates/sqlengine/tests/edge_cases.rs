@@ -346,15 +346,18 @@ fn explain_describes_the_pipeline() {
          CREATE TABLE gmm (n BIGINT)",
     )
     .unwrap();
-    d.execute("INSERT INTO y VALUES (1,1,0.5); INSERT INTO cr VALUES (1, 0.0, 1.0); INSERT INTO gmm VALUES (1)")
+    // `y` stored out of `rid` order: the GROUP BY hashes.
+    d.execute("INSERT INTO y VALUES (2,1,0.5), (1,1,0.5); INSERT INTO cr VALUES (1, 0.0, 1.0); INSERT INTO gmm VALUES (1)")
         .unwrap();
-    let r = d
-        .execute(
-            "EXPLAIN SELECT rid, sum((y.val - cr.c1) ** 2 / cr.r) FROM y, cr, gmm \
-             WHERE y.v = cr.v GROUP BY rid",
-        )
-        .unwrap();
-    let plan: Vec<String> = r.rows.iter().map(|row| row[0].to_string()).collect();
+    let explain = |d: &mut Database, table: &str| -> Vec<String> {
+        let sql = format!(
+            "EXPLAIN SELECT rid, sum(({table}.val - cr.c1) ** 2 / cr.r) FROM {table}, cr, gmm \
+             WHERE {table}.v = cr.v GROUP BY rid"
+        );
+        let r = d.execute(&sql).unwrap();
+        r.rows.iter().map(|row| row[0].to_string()).collect()
+    };
+    let plan = explain(&mut d, "y");
     assert!(plan[0].starts_with("driver scan: y"), "{plan:?}");
     assert!(plan[1].starts_with("hash join: cr on 1 key(s)"), "{plan:?}");
     assert!(
@@ -362,7 +365,18 @@ fn explain_describes_the_pipeline() {
         "{plan:?}"
     );
     assert!(
-        plan[3].contains("hash aggregate (1 group key(s), 1 accumulator(s))"),
+        plan[3].contains("sink: hash aggregate (1 group key(s), 1 accumulator(s))"),
+        "{plan:?}"
+    );
+    // Its twin stored in `rid` order: the same plan streams.
+    d.execute(
+        "CREATE TABLE ys (rid BIGINT, v BIGINT, val DOUBLE, PRIMARY KEY (rid, v));
+         INSERT INTO ys VALUES (1,1,0.5), (2,1,0.5)",
+    )
+    .unwrap();
+    let plan = explain(&mut d, "ys");
+    assert!(
+        plan[3].contains("sink: stream aggregate (1 group key(s), 1 accumulator(s))"),
         "{plan:?}"
     );
 }

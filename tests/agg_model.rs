@@ -9,16 +9,22 @@
 //! column past 2^53 (whose sums are BIGINT in one group and DOUBLE in
 //! the next), NULL-bearing columns of both types, an all-NULL column and
 //! a `CASE` that is BIGINT or DOUBLE by row; no GROUP BY, a clustered
-//! key (runs of 7 that straddle the batch boundary), a key whose runs
-//! are one row long, two keys; HAVING or none; an item that fails
-//! (`ln` of a non-positive number) in some group; inputs cut at 0, 1
-//! and around 1024 rows — as SQL over the whole table and merged from
-//! the partial results of 1, 2 and 4 contiguous shards. Every cell must
-//! be the reference's: variant, sign of zero, NaN payload; a failing
-//! statement must fail with the reference's error, i.e. the first
-//! failing group's, that group's HAVING before its items. (Moment
-//! aggregates are held to the reference where one pass runs — Chan's
-//! combination of shards rounds differently from one Welford pass.)
+//! key (runs of 7 that straddle the batch boundary), `rid` (runs one
+//! row long), a key whose runs are one row long, a NULL-bearing key,
+//! two keys; HAVING or none; an item that fails (`ln` of a non-positive
+//! number) in some group; a join with a primary-keyed table in the
+//! E step's distance shape; the table stored in `rid` order and a copy
+//! of it stored backwards; inputs cut at 0, 1 and around 1024 rows — as
+//! SQL over the whole table and merged from the partial results of 1, 2
+//! and 4 contiguous shards. Every cell must be the reference's: variant,
+//! sign of zero, NaN payload; a failing statement must fail with the
+//! reference's error: the first row that fails to accumulate (a VARCHAR
+//! reaching a `SUM`), else the first failing group's, that group's
+//! HAVING before its items. (Moment aggregates are held to the reference
+//! where one pass runs — Chan's combination of shards rounds differently
+//! from one Welford pass.) A one-key GROUP BY over a driver column
+//! stored in non-decreasing order streams (`EXPLAIN` reads `stream
+//! aggregate`); every other shape, and every shard's partial, hashes.
 //!
 //! The same checks then run against the reference itself with a fault
 //! seeded in — a group's rows fed batch by batch in the wrong order, and
@@ -40,9 +46,24 @@ use sqlengine::{AggState, DataType, Database, Error, PartialAggResult, Value};
 // The table
 // ---------------------------------------------------------------------
 
-const DDL: &str = "CREATE TABLE t (rid BIGINT PRIMARY KEY, c BIGINT, u BIGINT, k2 BIGINT, \
-                   d DOUBLE, b BIGINT, nd DOUBLE, nb BIGINT, z DOUBLE, pick BIGINT, \
-                   v DOUBLE, w DOUBLE)";
+/// `t`'s columns; `tr` is a copy of `t` stored in descending `rid` order.
+const COLUMNS: &str = "(rid BIGINT PRIMARY KEY, c BIGINT, u BIGINT, k2 BIGINT, \
+                       d DOUBLE, b BIGINT, nd DOUBLE, nb BIGINT, z DOUBLE, pick BIGINT, \
+                       v DOUBLE, w DOUBLE)";
+
+/// The primary-keyed table a join probes, as the E step's `CR`: a mean
+/// and a variance for each `u` below [`CR_ROWS`] — rows of `t` with a
+/// larger `u` find no match.
+const CR_DDL: &str = "CREATE TABLE cr (cu BIGINT PRIMARY KEY, cj DOUBLE, r DOUBLE)";
+const CR_ROWS: i64 = 30;
+
+/// Row `cu` of `cr`: its mean and variance.
+fn cr_row(cu: i64) -> (f64, f64) {
+    (cu as f64 * 0.25 - 3.0, 0.5 + cu as f64 / 16.0)
+}
+
+/// The row of `t` whose `SUM` of [`Arg::Varchar`] meets a string.
+const VARCHAR_RID: i64 = 4000;
 
 /// Rows of `t`: several batches on every shard.
 const ROWS: usize = 5000;
@@ -52,11 +73,13 @@ const ROWS: usize = 5000;
 const RUN: usize = 7;
 
 // Column positions.
+const RID: usize = 0;
 const C: usize = 1;
 const U: usize = 2;
 const K2: usize = 3;
 const D: usize = 4;
 const B: usize = 5;
+const NB: usize = 7;
 const PICK: usize = 9;
 const V: usize = 10;
 const W: usize = 11;
@@ -131,13 +154,17 @@ enum Func {
 }
 
 /// An aggregate's argument: a column of `t`, the `CASE` that is
-/// `b` (BIGINT) where `pick > 0` and `d` (DOUBLE) elsewhere, or a
-/// distance term as the E step sums them: non-negative, same-scale.
+/// `b` (BIGINT) where `pick > 0` and `d` (DOUBLE) elsewhere, a
+/// distance term as the E step sums them (non-negative, same-scale),
+/// the same over the joined `cr` row, or `v` but a string in row
+/// [`VARCHAR_RID`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Arg {
     Col(usize),
     Mixed,
     Dist,
+    JoinDist,
+    Varchar,
 }
 
 const ARG_COLS: [(usize, &str); 7] = [
@@ -157,6 +184,8 @@ fn agg_sql((func, arg): Agg) -> String {
         Arg::Col(c) => ARG_COLS.iter().find(|(pos, _)| *pos == c).unwrap().1,
         Arg::Mixed => "CASE WHEN pick > 0 THEN b ELSE d END",
         Arg::Dist => "(v - 3) ** 2 / 0.7",
+        Arg::JoinDist => "(v - cj) ** 2 / r",
+        Arg::Varchar => &format!("CASE WHEN rid = {VARCHAR_RID} THEN 'x' ELSE v END"),
     };
     match func {
         Func::Sum => format!("SUM({arg})"),
@@ -197,11 +226,22 @@ struct Plan {
     having: Option<Having>,
     /// `WHERE rid < below`.
     below: usize,
+    /// Read `tr`, the copy stored backwards, instead of `t`.
+    backwards: bool,
+    /// Join `cr` on `u = cu`.
+    join: bool,
 }
 
 impl Plan {
     fn sql(&self) -> String {
-        let name = |k: &usize| ["", "c", "u", "k2"][*k];
+        let name = |k: &usize| match *k {
+            RID => "rid",
+            C => "c",
+            U => "u",
+            K2 => "k2",
+            NB => "nb",
+            k => unreachable!("column {k} is no key"),
+        };
         let keys: Vec<&str> = self.keys.iter().map(name).collect();
         let ln = |i: usize, t: f64| format!("ln({} - {t:?})", agg_sql(self.aggs[i]));
         let items = self.items.iter().map(|item| match *item {
@@ -209,11 +249,19 @@ impl Plan {
             Item::LnAbove(i, t) => ln(i, t),
         });
         let list: Vec<String> = keys.iter().map(|k| k.to_string()).chain(items).collect();
-        let mut sql = format!(
-            "SELECT {} FROM t WHERE rid < {}",
-            list.join(", "),
-            self.below
-        );
+        let table = if self.backwards { "tr" } else { "t" };
+        let mut sql = match self.join {
+            false => format!(
+                "SELECT {} FROM {table} WHERE rid < {}",
+                list.join(", "),
+                self.below
+            ),
+            true => format!(
+                "SELECT {} FROM {table}, cr WHERE rid < {} AND u = cu",
+                list.join(", "),
+                self.below
+            ),
+        };
         if !keys.is_empty() {
             sql += &format!(" GROUP BY {}", keys.join(", "));
         }
@@ -233,6 +281,12 @@ impl Plan {
             .aggs
             .iter()
             .any(|(f, _)| matches!(f, Func::Variance | Func::Stddev))
+    }
+
+    /// Does the statement stream: one key, a driver column stored in
+    /// non-decreasing order without NULLs?
+    fn streams(&self) -> bool {
+        !self.backwards && matches!(self.keys[..], [RID] | [C])
     }
 }
 
@@ -293,51 +347,85 @@ fn ln_above(v: &Value, t: f64) -> Result<Value, Error> {
     Ok(Value::Double(x.ln()))
 }
 
+/// The joined `cr` row of a row of `t`, if it has one.
+fn joined(row: &[Value]) -> Option<(f64, f64)> {
+    let u = row[U].as_i64().unwrap();
+    (u < CR_ROWS).then(|| cr_row(u))
+}
+
 impl Subject for Reference {
     fn run(&mut self, plan: &Plan, _: How) -> Outcome {
-        let rows = &self.rows[..plan.below.min(self.rows.len())];
+        // The rows in stored order that pass WHERE and find a join match.
+        let mut rows: Vec<&Vec<Value>> = self.rows.iter().collect();
+        if plan.backwards {
+            rows.reverse();
+        }
+        rows.retain(|row| {
+            let rid = row[RID].as_i64().unwrap() as usize;
+            rid < plan.below && (!plan.join || joined(row).is_some())
+        });
         // Groups in first-seen order, each with the rows it holds.
-        let mut ids: BTreeMap<Vec<i64>, usize> = BTreeMap::new();
+        let mut ids: BTreeMap<Vec<Option<i64>>, usize> = BTreeMap::new();
         let mut groups: Vec<(Vec<Value>, Vec<usize>)> = Vec::new();
         if plan.keys.is_empty() {
             ids.insert(Vec::new(), 0);
             groups.push((Vec::new(), Vec::new()));
         }
+        let mut group_of = Vec::with_capacity(rows.len());
         for (pos, row) in rows.iter().enumerate() {
             let key: Vec<Value> = plan.keys.iter().map(|&k| row[k].clone()).collect();
-            let cells = key.iter().map(|v| v.as_i64().unwrap()).collect();
+            let cells = key.iter().map(Value::as_i64).collect();
             let id = *ids.entry(cells).or_insert_with(|| {
                 groups.push((key, Vec::new()));
                 groups.len() - 1
             });
             groups[id].1.push(pos);
+            group_of.push(id);
+        }
+
+        // Every row accumulates before any group is finalized: in row
+        // order, or group by group with the batches backwards.
+        let mut feed: Vec<usize> = (0..rows.len()).collect();
+        if self.fault == Some(Fault::BatchesBackwards) {
+            feed.clear();
+            for (_, members) in &groups {
+                let mut members = members.clone();
+                // Stable: rows of one batch keep their order.
+                members.sort_by_key(|pos| std::cmp::Reverse(pos / BATCH_ROWS));
+                feed.extend(members);
+            }
+        }
+        let fresh_states = || plan.aggs.iter().map(|(f, _)| fresh(*f)).collect();
+        let mut states: Vec<Vec<AggState>> = groups.iter().map(|_| fresh_states()).collect();
+        for pos in feed {
+            let row = rows[pos];
+            for (state, (func, arg)) in states[group_of[pos]].iter_mut().zip(&plan.aggs) {
+                let input = match (func, arg) {
+                    (Func::CountStar, _) => None,
+                    (_, Arg::Col(c)) => Some(row[*c].clone()),
+                    (_, Arg::Mixed) => {
+                        let picked = matches!(row[PICK], Value::Int(p) if p > 0);
+                        Some(row[if picked { B } else { D }].clone())
+                    }
+                    (_, Arg::Dist | Arg::JoinDist) => {
+                        let (mean, var) = match arg {
+                            Arg::Dist => (3.0, 0.7),
+                            _ => joined(row).unwrap(),
+                        };
+                        let v = row[V].as_f64().unwrap() - mean;
+                        Some(Value::Double(v.powf(std::hint::black_box(2.0)) / var))
+                    }
+                    (_, Arg::Varchar) => match row[RID] {
+                        Value::Int(VARCHAR_RID) => Some(Value::str("x")),
+                        _ => Some(row[V].clone()),
+                    },
+                };
+                state.update(input)?;
+            }
         }
 
         let mut out = Vec::new();
-        for (key, mut members) in groups {
-            if self.fault == Some(Fault::BatchesBackwards) {
-                // Stable: rows of one batch keep their order.
-                members.sort_by_key(|pos| std::cmp::Reverse(pos / BATCH_ROWS));
-            }
-            let mut states: Vec<AggState> = plan.aggs.iter().map(|(f, _)| fresh(*f)).collect();
-            for &pos in &members {
-                let row = &rows[pos];
-                for (state, (func, arg)) in states.iter_mut().zip(&plan.aggs) {
-                    let input = match (func, arg) {
-                        (Func::CountStar, _) => None,
-                        (_, Arg::Col(c)) => Some(row[*c].clone()),
-                        (_, Arg::Mixed) => {
-                            let picked = matches!(row[PICK], Value::Int(p) if p > 0);
-                            Some(row[if picked { B } else { D }].clone())
-                        }
-                        (_, Arg::Dist) => {
-                            let v = row[V].as_f64().unwrap() - 3.0;
-                            Some(Value::Double(v.powf(std::hint::black_box(2.0)) / 0.7))
-                        }
-                    };
-                    state.update(input)?;
-                }
-            }
+        for ((key, members), states) in groups.into_iter().zip(states) {
             let results: Vec<Value> = states.iter().map(AggState::finalize).collect();
             let items = || -> Result<Vec<Value>, Error> {
                 let item = |item: &Item| match *item {
@@ -383,33 +471,55 @@ struct Engine {
     shadow: Database,
 }
 
-fn database_with(rows: &[Vec<Value>]) -> Database {
+/// A database holding `t`, `tr` and `cr`.
+fn database_with(t: &[Vec<Value>], tr: &[Vec<Value>]) -> Database {
     let mut db = Database::new();
-    db.execute(DDL).unwrap();
-    db.bulk_insert("t", rows.to_vec()).unwrap();
+    db.execute(&format!(
+        "CREATE TABLE t {COLUMNS}; CREATE TABLE tr {COLUMNS}; {CR_DDL}"
+    ))
+    .unwrap();
+    db.bulk_insert("t", t.to_vec()).unwrap();
+    db.bulk_insert("tr", tr.to_vec()).unwrap();
+    let cr = (0..CR_ROWS).map(|cu| {
+        let (cj, r) = cr_row(cu);
+        vec![Value::Int(cu), Value::Double(cj), Value::Double(r)]
+    });
+    db.bulk_insert("cr", cr).unwrap();
     db
 }
 
 impl Engine {
     fn new(rows: &[Vec<Value>]) -> Engine {
+        let backwards: Vec<Vec<Value>> = rows.iter().rev().cloned().collect();
         let cut = |shards: usize| {
-            rows.chunks(rows.len().div_ceil(shards))
-                .map(database_with)
-                .collect()
+            let len = rows.len().div_ceil(shards);
+            let chunks = rows.chunks(len).zip(backwards.chunks(len));
+            chunks.map(|(t, tr)| database_with(t, tr)).collect()
         };
         Engine {
-            whole: database_with(rows),
+            whole: database_with(rows, &backwards),
             sharded: [1, 2, 4].map(cut).into(),
-            shadow: database_with(&[]),
+            shadow: database_with(&[], &[]),
         }
     }
+}
+
+/// Does `EXPLAIN` of `sql` in `db` name the streaming sink?
+fn explains_a_stream(db: &mut Database, sql: &str) -> bool {
+    let plan = db.execute(&format!("EXPLAIN {sql}")).unwrap();
+    let mut lines = plan.rows.iter().map(|row| row[0].to_string());
+    lines.any(|l| l.starts_with("sink: stream aggregate"))
 }
 
 impl Subject for Engine {
     fn run(&mut self, plan: &Plan, how: How) -> Outcome {
         let sql = plan.sql();
         let result = match how {
-            How::Whole => self.whole.execute(&sql)?,
+            How::Whole => {
+                let streams = explains_a_stream(&mut self.whole, &sql);
+                assert_eq!(streams, plan.streams(), "{sql}");
+                self.whole.execute(&sql)?
+            }
             How::Shards(shards) => {
                 let mut merged = PartialAggResult::default();
                 for shard in &mut self.sharded[shards.trailing_zeros() as usize] {
@@ -448,7 +558,7 @@ fn same_outcome(got: &Outcome, want: &Outcome) -> bool {
     }
 }
 
-fn random_agg(rng: &mut StdRng) -> Agg {
+fn random_agg(rng: &mut StdRng, join: bool) -> Agg {
     const FUNCS: [Func; 8] = [
         Func::Sum,
         Func::Avg,
@@ -461,21 +571,27 @@ fn random_agg(rng: &mut StdRng) -> Agg {
     ];
     let func = FUNCS[rng.random_range(0..FUNCS.len())];
     // A moment of the wild columns is NaN or ∞ nearly everywhere.
-    let arg = match (func, rng.random_range(0..ARG_COLS.len() + 2)) {
+    let arg = match (func, rng.random_range(0..ARG_COLS.len() + 3)) {
         (Func::Variance | Func::Stddev, _) => Arg::Col(V),
         (_, n) if n == ARG_COLS.len() => Arg::Mixed,
         (_, n) if n == ARG_COLS.len() + 1 => Arg::Dist,
+        (_, n) if n == ARG_COLS.len() + 2 && join => Arg::JoinDist,
+        (_, n) if n == ARG_COLS.len() + 2 => Arg::Dist,
         (_, n) => Arg::Col(ARG_COLS[n].0),
     };
     (func, arg)
 }
 
-const KEY_SHAPES: [&[usize]; 4] = [&[], &[C], &[U], &[K2, U]];
+const KEY_SHAPES: [&[usize]; 6] = [&[], &[C], &[RID], &[U], &[NB], &[K2, U]];
 
 fn random_plan(rng: &mut StdRng) -> Plan {
     let keys = KEY_SHAPES[rng.random_range(0..KEY_SHAPES.len())].to_vec();
+    let (backwards, join) = (
+        rng.random_range(0..4usize) == 0,
+        rng.random_range(0..4usize) == 0,
+    );
     let mut aggs: Vec<Agg> = (0..rng.random_range(1..5usize))
-        .map(|_| random_agg(rng))
+        .map(|_| random_agg(rng, join))
         .collect();
     let mut items: Vec<Item> = (0..aggs.len()).map(Item::Agg).collect();
     // One plan in three reads an extremum of the tame column through an
@@ -514,6 +630,8 @@ fn random_plan(rng: &mut StdRng) -> Plan {
         items,
         having,
         below,
+        backwards,
+        join,
     }
 }
 
@@ -533,9 +651,30 @@ fn fixed_plans() -> Vec<Plan> {
         items: (0..aggs.len()).map(Item::Agg).collect(),
         having: None,
         below,
+        backwards: false,
+        join: false,
     };
     let mut plans = vec![plain(&[], &moments, 0), plain(&[C], &moments, 0)];
     plans.extend(KEY_SHAPES.iter().map(|keys| plain(keys, &moments, ROWS)));
+    // The same over the copy stored backwards: every shape hashes.
+    let backwards = |plan: Plan| Plan {
+        backwards: true,
+        ..plan
+    };
+    plans.extend(
+        KEY_SHAPES
+            .iter()
+            .map(|keys| backwards(plain(keys, &moments, ROWS))),
+    );
+    // The E step's distances: `GROUP BY rid` over a primary-key join,
+    // whose matches come in probing-row order (rows without one drop).
+    let distances = [(Func::Sum, Arg::JoinDist), (Func::Avg, Arg::JoinDist)];
+    for keys in [&[RID][..], &[C]] {
+        let plan = plain(keys, &distances, ROWS);
+        plans.push(Plan { join: true, ..plan });
+        let plan = backwards(plain(keys, &distances, ROWS));
+        plans.push(Plan { join: true, ..plan });
+    }
     // `w` is 1000 - c: `ln(MAX(w) - 990.5)` fails from group 10 on,
     // `ln(MIN(w) - 980.25)` from group 20 on.
     let extrema = [(Func::Max, Arg::Col(W)), (Func::Min, Arg::Col(W))];
@@ -545,6 +684,8 @@ fn fixed_plans() -> Vec<Plan> {
         items: vec![Item::Agg(1), item],
         having: Some(having),
         below: ROWS,
+        backwards: false,
+        join: false,
     };
     plans.extend([
         // The item fails at an earlier group than HAVING: the item's error.
@@ -554,6 +695,18 @@ fn fixed_plans() -> Vec<Plan> {
         // HAVING keeps no group (none has more than 7 rows): no error.
         ordered(Item::LnAbove(0, 990.5), Having::CountAbove(RUN as i64)),
     ]);
+    // A string reaches a SUM batches after a group failed in its item,
+    // or in its HAVING: the row's accumulation error, not the group's.
+    for (item, having) in [
+        (Item::LnAbove(0, 990.5), Having::CountAbove(0)),
+        (Item::Agg(0), Having::LnAbove(1, 980.25)),
+    ] {
+        let mut plan = ordered(item, having);
+        plan.aggs.push((Func::Sum, Arg::Varchar));
+        plan.items.push(Item::Agg(2));
+        plans.push(plan.clone());
+        plans.push(backwards(plan));
+    }
     plans
 }
 

@@ -14,11 +14,12 @@
 //! to agree to floating-point noise — including through the two §2.5
 //! degenerate regimes, which get dedicated scenarios below: the
 //! inverse-distance fallback when every cluster's density underflows,
-//! and zero-covariance skipping when a dimension collapses. Those two
-//! scenarios also run over every other executor tier — two and four
-//! in-process shards behind a `Coordinator`, and a `RemoteConnection`
-//! to an in-process `Server` — and must reproduce the embedded run bit
-//! for bit, iteration by iteration.
+//! and zero-covariance skipping when a dimension collapses — and a
+//! degenerate cluster whose weight collapses. Those three scenarios also
+//! run over every other executor tier — two and four in-process shards
+//! behind a `Coordinator`, and a `RemoteConnection` to an in-process
+//! `Server` — and must reproduce the embedded run bit for bit,
+//! iteration by iteration.
 
 use datagen::generate_dataset;
 use emcore::em::em_step;
@@ -205,6 +206,43 @@ fn zero_covariance_dimension_agrees_with_oracle() {
 
     for strategy in [Strategy::Hybrid, Strategy::Horizontal, Strategy::Vertical] {
         let ctx = format!("zero-cov/{strategy}");
+        lockstep(strategy, &points, init.clone(), &ctx);
+        tiers_match_embedded(strategy, &points, &init, &ctx);
+    }
+}
+
+/// A degenerate cluster: the third component starts 13 σ beyond every
+/// point, so after one M step its weight has collapsed to below 1e-37 —
+/// positive, not zero, and it stays collapsed. Its sums are then 37
+/// orders of magnitude below the other clusters' in the same statements
+/// (the covariance sums all clusters' contributions), so every tier
+/// must round the same wide sums: each iteration over two and four
+/// shards and over the wire is the embedded run's, bit for bit.
+#[test]
+fn collapsed_cluster_weight_agrees_with_oracle() {
+    let mut points: Vec<Vec<f64>> = Vec::new();
+    for i in 0..80 {
+        let (a, b) = ((i % 9) as f64 * 0.25, (i % 5) as f64 * 0.2);
+        points.push(vec![a, b]);
+        points.push(vec![10.0 + a, b]);
+    }
+    let init = GmmParams::new(
+        vec![vec![0.0, 0.0], vec![10.0, 0.0], vec![25.0, 0.0]],
+        vec![1.0, 1.0],
+        vec![1.0 / 3.0; 3],
+    );
+
+    // Sanity: the third weight collapses, and stays collapsed, on the
+    // oracle's side.
+    let (one, _) = em_step(&init, &points).unwrap();
+    let (two, _) = em_step(&one, &points).unwrap();
+    for params in [&one, &two] {
+        let w = params.weights[2];
+        assert!(w > 0.0 && w < 1e-30, "third weight {w:e}");
+    }
+
+    for strategy in [Strategy::Hybrid, Strategy::Horizontal, Strategy::Vertical] {
+        let ctx = format!("collapsed-weight/{strategy}");
         lockstep(strategy, &points, init.clone(), &ctx);
         tiers_match_embedded(strategy, &points, &init, &ctx);
     }

@@ -204,3 +204,128 @@ fn sql_kmeans_and_sql_em_agree_on_separated_data() {
         assert!(dist < 1.0, "EM mean and K-means centroid diverged: {dist}");
     }
 }
+
+/// The `sink:` line of `EXPLAIN` for the distance statement (YD) of
+/// `script`, run on `exec`.
+fn yd_sink<E: SqlExecutor>(exec: &mut E, script: &[sqlem::Stmt]) -> String {
+    let yd = script.iter().find(|s| s.purpose.contains("distances (YD"));
+    let sql = &yd.expect("a distance statement").sql;
+    let select = &sql[sql.find("SELECT").expect("INSERT … SELECT")..];
+    let plan = exec.execute(&format!("EXPLAIN {select}")).unwrap();
+    let lines = plan.rows.iter().map(|row| row[0].to_string());
+    lines
+        .filter(|l| l.starts_with("sink:"))
+        .collect::<Vec<_>>()
+        .join("; ")
+}
+
+/// A model's run as bits — the loglikelihood (K-means: SSE) trace, then
+/// means, covariances and weights — with its YD's `sink:` line. The
+/// points reach `Y` by `load_points`, in `rid` order, or by
+/// `load_from_table`'s pivot out of a table `src`, one dimension after
+/// the other.
+fn run_bits<E: SqlExecutor, G: sqlem::Generator>(
+    exec: &mut E,
+    build: impl Fn(&SqlemConfig, usize) -> G,
+    pivot: bool,
+    points: &[Vec<f64>],
+    init: &GmmParams,
+) -> (Vec<u64>, String) {
+    use sqlem::ParamSet;
+    let p = points[0].len();
+    if pivot {
+        let cols: Vec<String> = (1..=p).map(|d| format!("x{d}")).collect();
+        let ddl: Vec<String> = cols.iter().map(|c| format!("{c} DOUBLE")).collect();
+        let ddl = format!(
+            "CREATE TABLE src (rid BIGINT PRIMARY KEY, {})",
+            ddl.join(", ")
+        );
+        exec.execute(&ddl).unwrap();
+        let rows = points.iter().enumerate().map(|(i, pt)| {
+            let cells = pt.iter().map(|&x| sqlengine::Value::Double(x));
+            std::iter::once(sqlengine::Value::Int(i as i64 + 1))
+                .chain(cells)
+                .collect()
+        });
+        exec.bulk_insert_rows("src", rows.collect()).unwrap();
+    }
+    let k = init.k();
+    let config = SqlemConfig::new(k, Strategy::Hybrid)
+        .with_epsilon(0.0)
+        .with_max_iterations(4);
+    let mut session = EmSession::create_with(exec, &config, p, build).unwrap();
+    if pivot {
+        let cols: Vec<String> = (1..=p).map(|d| format!("x{d}")).collect();
+        let cols: Vec<&str> = cols.iter().map(String::as_str).collect();
+        session.load_from_table("src", "rid", &cols).unwrap();
+    } else {
+        session.load_points(points).unwrap();
+    }
+    session
+        .initialize(&InitStrategy::Explicit(init.clone()))
+        .unwrap();
+    let run = session.run().unwrap();
+    let script = session.script();
+    drop(session);
+    let (means, cov, weights) = run.params.cells();
+    let means = means.concat();
+    let cells = run
+        .llh_history
+        .iter()
+        .chain(&means)
+        .chain(&cov)
+        .chain(weights);
+    let bits = cells.map(|v| v.to_bits());
+    (bits.collect(), yd_sink(exec, &script))
+}
+
+/// One GROUP BY, two sinks: where `Y` is stored in `rid` order the
+/// distance statement streams, where a pivot wrote it a dimension at a
+/// time it hashes — and the paper's EM, K-means and per-cluster
+/// covariances come out bit for bit the same either way, embedded and
+/// over two shards (each shard streams or hashes its own slice).
+#[test]
+fn streamed_and_hashed_distances_give_the_same_bits() {
+    let (n, p, k) = (1_200, 3, 3);
+    let data = generate_dataset(n, p, k, 23);
+    let init = initialize(&data.points, k, &InitStrategy::Random { seed: 23 });
+    let kmeans_init = sqlem::KmeansGenerator::params(init.means.clone());
+    fn both<G: sqlem::Generator>(
+        model: &str,
+        build: impl Fn(&SqlemConfig, usize) -> G + Copy,
+        points: &[Vec<f64>],
+        init: &GmmParams,
+    ) {
+        for shards in [1, 2] {
+            let run = |pivot: bool| match shards {
+                1 => run_bits(&mut Database::new(), build, pivot, points, init),
+                _ => {
+                    let dbs = (0..shards).map(|_| Database::new()).collect();
+                    let mut coord = Coordinator::new(dbs).unwrap();
+                    run_bits(&mut coord, build, pivot, points, init)
+                }
+            };
+            let ((streamed, stream_sink), (hashed, hash_sink)) = (run(false), run(true));
+            let ctx = format!("{model}, {shards} shard(s)");
+            assert!(
+                stream_sink.contains("stream aggregate"),
+                "{ctx}: {stream_sink}"
+            );
+            assert!(hash_sink.contains("hash aggregate"), "{ctx}: {hash_sink}");
+            assert_eq!(streamed, hashed, "{ctx}");
+        }
+    }
+    both("hybrid", sqlem::build_generator, &data.points, &init);
+    both(
+        "k-means",
+        sqlem::KmeansGenerator::new,
+        &data.points,
+        &kmeans_init,
+    );
+    both(
+        "per-cluster",
+        sqlem::PerClusterGenerator::new,
+        &data.points,
+        &init,
+    );
+}
