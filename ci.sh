@@ -72,7 +72,9 @@ Stages, in order:
                 x * x); and one fan-out mechanism (the coordinator's
                 long-lived shard workers): outside #[cfg(test)] nothing
                 under crates/sqlwire/src calls thread::scope, and one
-                call in cluster.rs starts a thread; and one checkpoint
+                call in cluster.rs starts a thread; and no polling
+                server: outside #[cfg(test)] server.rs calls no
+                thread::sleep; and one checkpoint
                 table: outside #[cfg(test)] naming.rs names one ckpt
                 table and checkpoint.rs renders no INSERT INTO;
                 prints the crates/*/src line
@@ -337,6 +339,14 @@ if { nontest 'thread::scope' -path 'crates/sqlwire/src/*'
      nontest 'thread::spawn|\.spawn\(' -path 'crates/sqlwire/src/cluster.rs' | sed 1d; } | grep .; then
     echo "ERROR: a second fan-out mechanism is back (above); send jobs to" \
          "the coordinator's shard workers instead" >&2
+    exit 1
+fi
+# No polling server: its accept blocks (ServerHandle::shutdown dials the
+# listener to wake it) and its drain waits on the condition variable the
+# last session signals, so no loop in server.rs sleeps.
+if nontest 'thread::sleep' -path 'crates/sqlwire/src/server.rs' | grep .; then
+    echo "ERROR: crates/sqlwire/src/server.rs sleeps (above); block in accept" \
+         "and wait on the drain's condition variable instead" >&2
     exit 1
 fi
 # One checkpoint table, written by one bulk insert (crates/sqlem/src/

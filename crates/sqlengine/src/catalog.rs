@@ -1,4 +1,14 @@
 //! The catalog: a name → table map with create/drop semantics.
+//!
+//! The SQLEM driver refreshes a work table by dropping and re-creating
+//! it (§3.6: "for a big table it is faster to drop and create than
+//! deleting all the records"). So a dropped table is kept for exactly
+//! one statement: when that statement creates a table of the same name
+//! and schema, the new table is the dropped one, cleared
+//! (`Table::clear`) — its column vectors and index slots already
+//! sized for the rows the refresh brings back. Every other statement
+//! frees it ([`Catalog::release_dropped`]), so at most one dropped
+//! table is held, and only until the next statement.
 
 use std::collections::HashMap;
 
@@ -10,6 +20,8 @@ use crate::table::Table;
 #[derive(Debug, Default, Clone)]
 pub struct Catalog {
     tables: HashMap<String, Table>,
+    /// The table the last statement dropped, if that was a DROP.
+    dropped: Option<Table>,
 }
 
 impl Catalog {
@@ -20,25 +32,43 @@ impl Catalog {
 
     /// Create a table. Errors if the name is taken and `if_not_exists` is
     /// false; silently succeeds otherwise (keeping the existing table).
+    /// The table the previous statement dropped is the new table, cleared,
+    /// when its name and schema are the same; it is freed otherwise.
     pub fn create_table(&mut self, name: &str, schema: Schema, if_not_exists: bool) -> Result<()> {
         let lname = name.to_ascii_lowercase();
+        let dropped = self.dropped.take();
         if self.tables.contains_key(&lname) {
             if if_not_exists {
                 return Ok(());
             }
             return Err(Error::DuplicateTable(lname));
         }
-        self.tables.insert(lname.clone(), Table::new(lname, schema));
+        let table = match dropped {
+            Some(mut kept) if kept.name() == lname && *kept.schema() == schema => {
+                kept.clear();
+                kept
+            }
+            _ => Table::new(lname.clone(), schema),
+        };
+        self.tables.insert(lname, table);
         Ok(())
     }
 
-    /// Drop a table. Errors if missing and `if_exists` is false.
+    /// Drop a table, keeping it for the next statement (see the module
+    /// docs). Errors if missing and `if_exists` is false.
     pub fn drop_table(&mut self, name: &str, if_exists: bool) -> Result<()> {
         let lname = name.to_ascii_lowercase();
-        if self.tables.remove(&lname).is_none() && !if_exists {
+        self.dropped = self.tables.remove(&lname);
+        if self.dropped.is_none() && !if_exists {
             return Err(Error::UnknownTable(lname));
         }
         Ok(())
+    }
+
+    /// Free the table the previous statement dropped: a statement that
+    /// is not a CREATE is about to run.
+    pub fn release_dropped(&mut self) {
+        self.dropped = None;
     }
 
     /// Shared access to a table.
@@ -85,7 +115,9 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::Column as ExprColumn;
     use crate::schema::Column;
+    use crate::value::{DataType, Value};
 
     fn schema() -> Schema {
         Schema::keyless(vec![Column::double("x")]).unwrap()
@@ -114,6 +146,82 @@ mod tests {
         let mut c = Catalog::new();
         assert!(c.drop_table("nope", false).is_err());
         c.drop_table("nope", true).unwrap();
+    }
+
+    fn keyed(pk: &str, ty: DataType) -> Schema {
+        let cols = vec![
+            Column::bigint("rid"),
+            Column::new("i", ty),
+            Column::double("x"),
+        ];
+        Schema::new(cols, &[pk]).unwrap()
+    }
+
+    /// Create `name` and fill it with `rows` rows; the capacity of its
+    /// columns.
+    fn filled(c: &mut Catalog, name: &str, schema: Schema, rows: usize) -> Vec<usize> {
+        c.create_table(name, schema, false).unwrap();
+        let t = c.table_mut(name).unwrap();
+        let batch = t.schema().columns().iter().map(|d| {
+            let col = ExprColumn::from_values((0..rows as i64).map(Value::Int).collect());
+            col.coerce(d.ty).0
+        });
+        t.append(batch.collect()).unwrap();
+        storage(c, name)
+    }
+
+    fn storage(c: &Catalog, name: &str) -> Vec<usize> {
+        let cols = c.table(name).unwrap().columns();
+        cols.iter().map(ExprColumn::capacity).collect()
+    }
+
+    #[test]
+    fn a_same_schema_drop_and_create_keeps_the_storage() {
+        let mut c = Catalog::new();
+        let kept = filled(&mut c, "x", keyed("rid", DataType::BigInt), 3000);
+        assert!(kept.iter().all(|&c| c >= 3000), "{kept:?}");
+        c.drop_table("X", false).unwrap();
+        c.create_table("x", keyed("rid", DataType::BigInt), false)
+            .unwrap();
+        assert!(c.table("x").unwrap().is_empty());
+        assert_eq!(storage(&c, "x"), kept);
+    }
+
+    #[test]
+    fn another_schema_name_or_statement_gets_a_fresh_table() {
+        let fresh = vec![0; 3];
+        let schema = || keyed("rid", DataType::BigInt);
+        let others = [
+            ("x", keyed("i", DataType::BigInt)),
+            ("x", keyed("rid", DataType::Double)),
+            ("y", schema()),
+        ];
+        for (name, other) in others {
+            let mut c = Catalog::new();
+            filled(&mut c, "x", schema(), 3000);
+            c.drop_table("x", false).unwrap();
+            c.create_table(name, other, false).unwrap();
+            assert_eq!(storage(&c, name), fresh, "{name}");
+        }
+        // A statement in between frees the dropped table.
+        let mut c = Catalog::new();
+        filled(&mut c, "x", schema(), 3000);
+        c.drop_table("x", false).unwrap();
+        c.release_dropped();
+        c.create_table("x", schema(), false).unwrap();
+        assert_eq!(storage(&c, "x"), fresh);
+        // So does a DROP of another table, or a CREATE that fails.
+        filled(&mut c, "y", schema(), 10);
+        for between in ["drop y", "create y"] {
+            let mut c2 = c.clone();
+            c2.drop_table("x", false).unwrap();
+            match between {
+                "drop y" => c2.drop_table("y", false).unwrap(),
+                _ => assert!(c2.create_table("y", schema(), false).is_err()),
+            }
+            c2.create_table("x", schema(), false).unwrap();
+            assert_eq!(storage(&c2, "x"), fresh, "{between}");
+        }
     }
 
     #[test]

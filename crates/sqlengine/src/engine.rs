@@ -245,6 +245,9 @@ impl Database {
                 let mut replay_config = self.config.clone();
                 replay_config.memory_budget = None;
                 for stmt in &stmts {
+                    if !matches!(stmt, Statement::CreateTable { .. }) {
+                        self.catalog.release_dropped();
+                    }
                     execute_statement(&mut self.catalog, &replay_config, stmt).map_err(|e| {
                         Error::corruption(format!(
                             "wal replay: logged statement failed: {e} (statement: {sql})"
@@ -253,6 +256,7 @@ impl Database {
                 }
             }
             WalOp::BulkInsert { table, rows } => {
+                self.catalog.release_dropped();
                 let t = self.catalog.table_mut(&table).map_err(|e| {
                     Error::corruption(format!("wal replay: bulk-insert target missing: {e}"))
                 })?;
@@ -357,13 +361,36 @@ impl Database {
     /// Analyze one statement of `sql` and run the plan the analysis was
     /// made on (EXPLAIN prints it instead).
     fn run_statement(&mut self, stmt: &Statement, sql: &str) -> Result<QueryResult> {
-        if let Statement::Explain(inner) = stmt {
-            return self.explain_statement(inner, Some(sql));
-        }
-        let (report, front_end) = self.analyzed(stmt, sql)?;
-        self.metered_statement(stmt, front_end, |catalog, config, probe| {
-            execute_statement_metered(catalog, config, stmt, Some(report.plan), probe)
+        self.offering_dropped(stmt, |db| {
+            if let Statement::Explain(inner) = stmt {
+                return db.explain_statement(inner, Some(sql));
+            }
+            let (report, front_end) = db.analyzed(stmt, sql)?;
+            db.metered_statement(stmt, front_end, |catalog, config, probe| {
+                execute_statement_metered(catalog, config, stmt, Some(report.plan), probe)
+            })
         })
+    }
+
+    /// Run `stmt` with the table the previous statement dropped settled
+    /// ([`crate::catalog`]): a statement that is not a CREATE TABLE
+    /// frees it before it starts; a CREATE TABLE takes it, or frees it
+    /// when it fails. Every entry point runs a statement in here, or
+    /// frees the table itself.
+    fn offering_dropped<T>(
+        &mut self,
+        stmt: &Statement,
+        run: impl FnOnce(&mut Self) -> Result<T>,
+    ) -> Result<T> {
+        let creates = matches!(stmt, Statement::CreateTable { .. });
+        if !creates {
+            self.catalog.release_dropped();
+        }
+        let result = run(self);
+        if creates {
+            self.catalog.release_dropped();
+        }
+        result
     }
 
     /// Semantic analysis of one statement of `sql` against the live
@@ -501,6 +528,7 @@ impl Database {
     /// accounting, metrics, deadline/budget enforcement and fault
     /// injection all behave exactly as for [`Database::execute`].
     pub fn execute_partial(&mut self, sql: &str) -> Result<PartialAggResult> {
+        self.catalog.release_dropped();
         let (stmt, plan, front_end) = self.single_select(sql, "partial execution")?;
         self.metered_statement(&stmt, front_end, |catalog, config, probe| {
             run_select_partial(catalog, config, &plan, probe)
@@ -711,11 +739,13 @@ impl Database {
     /// every iteration, like the paper's JDBC client would. Analysis
     /// already happened at prepare time and is not repeated.
     pub fn execute_prepared(&mut self, stmt: &Statement) -> Result<QueryResult> {
-        if let Statement::Explain(inner) = stmt {
-            return self.explain_statement(inner, None);
-        }
-        self.metered_statement(stmt, Duration::ZERO, |catalog, config, probe| {
-            execute_statement_metered(catalog, config, stmt, None, probe)
+        self.offering_dropped(stmt, |db| {
+            if let Statement::Explain(inner) = stmt {
+                return db.explain_statement(inner, None);
+            }
+            db.metered_statement(stmt, Duration::ZERO, |catalog, config, probe| {
+                execute_statement_metered(catalog, config, stmt, None, probe)
+            })
         })
     }
 
@@ -757,6 +787,7 @@ impl Database {
     where
         I: IntoIterator<Item = Vec<Value>>,
     {
+        self.catalog.release_dropped();
         let tables = [table.to_ascii_lowercase()];
         self.metered(
             StatementKind::Insert,
@@ -1023,6 +1054,49 @@ mod tests {
         assert!(db
             .bulk_insert("y", vec![vec![Value::Int(1), Value::Double(0.0)]])
             .is_err());
+    }
+
+    #[test]
+    fn a_dropped_table_is_kept_for_the_next_statement_only() {
+        const T: &str = "CREATE TABLE t (rid BIGINT PRIMARY KEY, x DOUBLE)";
+        let mut db = Database::new();
+        db.execute("CREATE TABLE o (a BIGINT)").unwrap();
+        let capacity = |db: &Database| db.catalog().table("t").unwrap().columns()[1].capacity();
+        type Step = fn(&mut Database);
+        let between: [(&str, Step); 7] = [
+            ("nothing", |_| {}),
+            ("select", |db| drop(db.execute("SELECT a FROM o").unwrap())),
+            ("explain", |db| {
+                drop(db.execute("EXPLAIN SELECT a FROM o").unwrap())
+            }),
+            ("bulk load", |db| {
+                db.bulk_insert("o", vec![vec![Value::Int(1)]]).unwrap();
+            }),
+            ("failed insert", |db| {
+                db.execute("INSERT INTO o VALUES ('no')").unwrap_err();
+            }),
+            ("failed create", |db| {
+                db.execute("CREATE TABLE o (a BIGINT)").unwrap_err();
+            }),
+            ("create of another schema", |db| {
+                db.execute("CREATE TABLE t (rid BIGINT, x DOUBLE)").unwrap();
+                db.execute("DROP TABLE t").unwrap();
+            }),
+        ];
+        for (what, run) in between {
+            db.execute(T).unwrap();
+            db.execute("INSERT INTO t SELECT a, a FROM o").unwrap();
+            db.bulk_insert("t", (10..5000).map(|i| vec![Value::Int(i), Value::Int(i)]))
+                .unwrap();
+            let kept = capacity(&db);
+            db.execute("DROP TABLE t").unwrap();
+            run(&mut db);
+            db.execute(T).unwrap();
+            assert_eq!(db.table_len("t").unwrap(), 0, "{what}");
+            let want = if what == "nothing" { kept } else { 0 };
+            assert_eq!(capacity(&db), want, "{what}");
+            db.execute("DROP TABLE t").unwrap();
+        }
     }
 
     #[test]

@@ -1152,14 +1152,16 @@ impl GroupSink for AggSink {
 /// failing row — fails the push, and with it the statement. The tail's
 /// error, the first failing group's, is parked until the pipeline has
 /// drained ([`StreamSink::finish`]), because a later row may still fail
-/// to accumulate, and that error wins.
-pub struct StreamSink {
+/// to accumulate, and that error wins. The groups before it have gone to
+/// `out` by then; a failed statement drops what they went into.
+pub struct StreamSink<E> {
     plan: AggPlan,
     /// The open group: its key and its accumulators (one row per
     /// aggregate).
     open: Option<(i64, Vec<Accumulators>)>,
-    /// The finished groups' output, one chunk per batch that finished any.
-    out: Vec<Vec<Column>>,
+    /// Takes the finished groups' output as it is made: a non-empty
+    /// chunk per batch that finished any.
+    out: E,
     /// The tail's first error; the tail runs no more once it is set.
     parked: Option<Error>,
     /// Groups opened so far.
@@ -1171,13 +1173,14 @@ pub struct StreamSink {
     peak_bytes: u64,
 }
 
-impl StreamSink {
-    /// Fresh sink for `plan`, whose input must arrive in key order.
-    pub fn new(plan: AggPlan) -> Self {
+impl<E: FnMut(Vec<Column>)> StreamSink<E> {
+    /// Fresh sink for `plan`, whose input must arrive in key order,
+    /// handing its output to `out`.
+    pub fn new(plan: AggPlan, out: E) -> Self {
         StreamSink {
             plan,
             open: None,
-            out: Vec::new(),
+            out,
             parked: None,
             groups: 0,
             rows_seen: 0,
@@ -1241,32 +1244,32 @@ impl StreamSink {
         Ok(())
     }
 
-    /// Run the tail over `groups` finished groups and keep their output,
-    /// unless an earlier group's error is parked.
+    /// Run the tail over `groups` finished groups and hand on their
+    /// output, unless an earlier group's error is parked.
     fn emit(&mut self, slots: Vec<Column>, groups: usize) {
         if self.parked.is_some() || groups == 0 {
             return;
         }
         match project_groups(&self.plan, slots, groups) {
-            Ok(cols) if cols.first().is_some_and(|c| !c.is_empty()) => self.out.push(cols),
+            Ok(cols) if cols.first().is_some_and(|c| !c.is_empty()) => (self.out)(cols),
             Ok(_) => {}
             Err(error) => self.parked = Some(error),
         }
     }
 
-    /// Finish the open group and hand over the output: non-empty chunks
-    /// of one column per item, or the first failing group's error.
-    pub fn finish(mut self) -> Result<Vec<Vec<Column>>> {
+    /// Finish the open group and hand on its output; the first failing
+    /// group's error, if any.
+    pub fn finish(mut self) -> Result<()> {
         if let Some((key, accs)) = self.open.take() {
             let key = Column::I64(vec![key], None);
             let slots = std::iter::once(key).chain(accs.iter().map(Accumulators::finalize));
             self.emit(slots.collect(), 1);
         }
-        self.parked.map_or(Ok(self.out), Err)
+        self.parked.map_or(Ok(()), Err)
     }
 }
 
-impl BatchSink for StreamSink {
+impl<E: FnMut(Vec<Column>)> BatchSink for StreamSink<E> {
     fn push(&mut self, mut batch: Batch) -> Result<()> {
         let (keys, args, pending) = eval_inputs(&self.plan, &mut batch);
         let n = batch.len();
@@ -1282,7 +1285,7 @@ impl BatchSink for StreamSink {
     }
 }
 
-impl GroupSink for StreamSink {
+impl<E: FnMut(Vec<Column>)> GroupSink for StreamSink<E> {
     fn group_count(&self) -> usize {
         self.groups
     }

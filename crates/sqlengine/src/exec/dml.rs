@@ -46,38 +46,34 @@ pub fn insert(
     // coercion all happen before the table is touched — then append
     // atomically: a failed INSERT (including INSERT … SELECT) leaves
     // the target exactly as it was, so a retry is safe (§3.6 workflow
-    // hardening; see docs/ROBUSTNESS.md).
+    // hardening; see docs/ROBUSTNESS.md). An empty target lends its
+    // column vectors as the staging buffer (a re-created work table's
+    // are sized already), and the SELECT hands each batch over as it is
+    // made, so the buffer and the statement's whole output are never
+    // held at once.
     let target = &plan.target;
-    let chunks = match &plan.rows {
-        InsertRows::Select(select) => run_select_columns(catalog, config, select, probe)?,
+    let table = catalog.table_mut(&target.table)?;
+    let staged = match table.is_empty() {
+        true => table.take_storage(),
+        false => empty_columns(&target.columns),
+    };
+    let mut staging = Staging {
+        plan,
+        staged,
+        failed: None,
+    };
+    match &plan.rows {
+        InsertRows::Select(select) => {
+            run_select_columns(catalog, config, select, probe, |cols| staging.stage(cols))?
+        }
         InsertRows::Values(values) => {
             let rows = constant_rows(values)?;
             let column =
                 |j: usize| Column::from_values(rows.iter().map(|r| r[j].clone()).collect());
-            vec![(0..plan.incoming_arity()).map(column).collect()]
+            staging.stage((0..plan.incoming_arity()).map(column).collect());
         }
-    };
-    let mut staged = empty_columns(&target.columns);
-    for cols in chunks {
-        let n = cols[0].len();
-        let mut full: Vec<Option<Column>> = vec![None; target.arity()];
-        for (j, col) in cols.into_iter().enumerate() {
-            full[plan.target_slot(j)] = Some(col);
-        }
-        // NULL in the columns the column list leaves out.
-        let declared = target.columns.iter();
-        let widened = full
-            .into_iter()
-            .zip(declared)
-            .map(|(col, d)| col.unwrap_or_else(|| Column::nulls(d.ty, n)));
-        stage_columns(
-            &mut staged,
-            &target.columns,
-            widened,
-            "staged insert",
-            probe,
-        )?;
     }
+    let staged = staging.finish(probe)?;
     let inserted = catalog.table_mut(&target.table)?.append(staged)?;
     probe.add_inserted(inserted);
     Ok(QueryResult::affected(inserted))
@@ -87,42 +83,66 @@ fn empty_columns(declared: &[schema::Column]) -> Vec<Column> {
     declared.iter().map(|d| Column::empty(d.ty)).collect()
 }
 
-/// Stage one batch of incoming columns, one per column of `declared`:
-/// coerce each to its declared type and charge the batch's rows to the
-/// statement's memory budget under `context`, then append it to
-/// `staged`. Fails as staging the same rows one at a time fails
-/// ([`stage_rows`]): with the error of the first row that does not
-/// coerce or does not fit the budget, the rows before it charged.
-fn stage_columns(
-    staged: &mut [Column],
-    declared: &[schema::Column],
-    incoming: impl Iterator<Item = Column>,
-    context: &'static str,
-    probe: &mut StmtProbe,
-) -> Result<()> {
-    let mut first: Option<RowError> = None;
-    let mut n = usize::MAX;
-    let coerced: Vec<Column> = incoming
-        .zip(declared)
-        .map(|(col, d)| {
-            let (col, failed) = col.coerce(d.ty);
-            n = n.min(col.len());
-            if let Some(f) = failed {
-                if first.as_ref().is_none_or(|e| f.row < e.row) {
-                    first = Some(f);
+/// The staging buffer of an INSERT, filled a batch of incoming columns
+/// at a time while the SELECT runs. A batch is widened to the target's
+/// columns and coerced to their types as it arrives; the first row that
+/// does not coerce ends the staging, and its error waits for the SELECT
+/// to finish — an error of the SELECT comes first. The rows are charged
+/// once the SELECT is done, so the statement fails as staging the same
+/// rows one at a time after the whole SELECT would ([`stage_rows`]):
+/// with the error of the first row that does not coerce or does not fit
+/// the budget, the rows before it charged.
+struct Staging<'p> {
+    plan: &'p InsertPlan,
+    staged: Vec<Column>,
+    failed: Option<RowError>,
+}
+
+impl Staging<'_> {
+    /// Stage one batch of incoming columns, in the plan's column order.
+    fn stage(&mut self, cols: Vec<Column>) {
+        if self.failed.is_some() {
+            return;
+        }
+        let target = &self.plan.target;
+        let n = cols[0].len();
+        let mut full: Vec<Option<Column>> = vec![None; target.arity()];
+        for (j, col) in cols.into_iter().enumerate() {
+            full[self.plan.target_slot(j)] = Some(col);
+        }
+        // NULL in the columns the column list leaves out.
+        let coerced: Vec<Column> = full
+            .into_iter()
+            .zip(&target.columns)
+            .map(|(col, d)| {
+                let (col, failed) = col.unwrap_or_else(|| Column::nulls(d.ty, n)).coerce(d.ty);
+                if let Some(f) = failed {
+                    if self.failed.as_ref().is_none_or(|e| f.row < e.row) {
+                        self.failed = Some(f);
+                    }
                 }
-            }
-            col
-        })
-        .collect();
-    probe.tracker().charge_rows(context, &coerced, n)?;
-    if let Some(failed) = first {
-        return Err(failed.error);
+                col
+            })
+            .collect();
+        let rows = coerced.iter().map(Column::len).min().unwrap_or(0);
+        for (col, mut more) in self.staged.iter_mut().zip(coerced) {
+            more.truncate(rows);
+            col.append(more);
+        }
     }
-    for (col, more) in staged.iter_mut().zip(coerced) {
-        col.append(more);
+
+    /// Charge the staged rows under `staged insert` and hand them over,
+    /// or the error of the first row that did not coerce.
+    fn finish(self, probe: &mut StmtProbe) -> Result<Vec<Column>> {
+        let rows = self.staged.first().map_or(0, Column::len);
+        probe
+            .tracker()
+            .charge_rows("staged insert", &self.staged, rows)?;
+        match self.failed {
+            Some(failed) => Err(failed.error),
+            None => Ok(self.staged),
+        }
     }
-    Ok(())
 }
 
 /// Stage incoming rows for `table` as one storage column per declared

@@ -35,10 +35,10 @@
 //! of memory. Every sink hands its output over as columns — the
 //! projection the item columns of its batches, the hash aggregation what
 //! its group table finalizes into, the stream aggregation the groups each
-//! batch finished: `INSERT … SELECT` appends them to the target
-//! ([`run_select_columns`]) and rows are built only for a client
-//! ([`run_select`]), or to sort and cut a result that is ordered or
-//! limited.
+//! batch finished: `INSERT … SELECT` stages them into the target as
+//! they are made ([`run_select_columns`]), and rows are built only for
+//! a client ([`run_select`]), or to sort and cut a result that is
+//! ordered or limited.
 //!
 //! A hash stage whose build keys are exactly its table's PRIMARY KEY,
 //! with no filter on the build side, probes the index the table already
@@ -156,7 +156,7 @@ fn rows_of(chunks: Vec<Vec<Column>>) -> Vec<Row> {
 }
 
 /// A finalized group table's output columns as the batches
-/// [`run_columns`] returns: one, or none when no group is left.
+/// [`run_columns`] hands on: one, or none when no group is left.
 fn one_chunk(cols: Vec<Column>) -> Vec<Vec<Column>> {
     match cols.first() {
         Some(first) if !first.is_empty() => vec![cols],
@@ -164,28 +164,31 @@ fn one_chunk(cols: Vec<Column>) -> Vec<Vec<Column>> {
     }
 }
 
-/// Run a planned SELECT up to its sink: the output as non-empty batches
-/// of columns, one column per item (hidden sort keys included), before
-/// ORDER BY and LIMIT. No row is built on the way: a projection hands
-/// over what its sink holds, an aggregate what its group table
-/// finalizes into.
+/// Run a planned SELECT up to its sink, handing the output to `out` as
+/// it is made: non-empty batches of columns, one column per item
+/// (hidden sort keys included), before ORDER BY and LIMIT. No row is
+/// built on the way: a projection hands on its batches' item columns, a
+/// streamed aggregate the groups each batch finished, a hashed one what
+/// its group table finalizes into.
 fn run_columns(
     catalog: &Catalog,
     config: &ExecConfig,
     plan: &SelectPlan,
     probe: &mut StmtProbe,
-) -> Result<Vec<Vec<Column>>> {
+    out: impl FnMut(Vec<Column>),
+) -> Result<()> {
     let agg = match &plan.sink {
         Sink::Aggregate(agg) => agg,
-        Sink::Project(items) => return run_project(catalog, config, plan, items, probe),
+        Sink::Project(items) => return run_project(catalog, config, plan, items, probe, out),
     };
     let pipeline = build_pipeline(catalog, &plan.chain, &sink_reads(&plan.sink), false, probe)?;
     if streams(&pipeline, agg) {
-        let sink = StreamSink::new(agg.clone());
+        let sink = StreamSink::new(agg.clone(), out);
         return run_aggregate(&pipeline, config, probe, sink)?.finish();
     }
     let sink = run_aggregate(&pipeline, config, probe, AggSink::new(agg.clone()))?;
-    Ok(one_chunk(sink.finalize()?))
+    one_chunk(sink.finalize()?).into_iter().for_each(out);
+    Ok(())
 }
 
 /// Run a planned SELECT and materialize its result, recording telemetry
@@ -196,55 +199,64 @@ pub fn run_select(
     plan: &SelectPlan,
     probe: &mut StmtProbe,
 ) -> Result<QueryResult> {
-    let chunks = run_columns(catalog, config, plan, probe)?;
+    let mut chunks = Vec::new();
+    run_columns(catalog, config, plan, probe, |cols| chunks.push(cols))?;
     let result = finish_select(plan, rows_of(chunks));
     probe.set_rows_produced(result.rows.len());
     Ok(result)
 }
 
-/// The scalar projection of `plan`: its output as the sink's batches of
-/// item columns, in driver order.
+/// The scalar projection of `plan`: its output handed to `out` as the
+/// sink's batches of item columns, in driver order.
 fn run_project(
     catalog: &Catalog,
     config: &ExecConfig,
     plan: &SelectPlan,
     items: &[CExpr],
     probe: &mut StmtProbe,
-) -> Result<Vec<Vec<Column>>> {
+    out: impl FnMut(Vec<Column>),
+) -> Result<()> {
     let pipeline = build_pipeline(catalog, &plan.chain, &sink_reads(&plan.sink), false, probe)?;
     let base_width = plan.chain.width();
     let sink = ScalarSink {
         items,
         base_width,
-        out: Vec::new(),
+        out,
         rows: 0,
         mem: probe.tracker(),
     };
-    Ok(run_pipeline(&pipeline, config, probe, sink)?.out)
+    run_pipeline(&pipeline, config, probe, sink)?;
+    Ok(())
 }
 
 /// Run a planned SELECT for `INSERT … SELECT`: the result of
-/// [`run_select`] as non-empty batches of columns, one column per
-/// output. A projection's or an aggregate's columns go to the target as
-/// they come (`run_columns`) and no row is ever built; only a sorted
+/// [`run_select`] handed to `out` as non-empty batches of columns, one
+/// column per output. A projection's or an aggregate's columns go to the
+/// target as they are made (`run_columns`), so the INSERT stages each
+/// batch before the next is made, and no row is ever built; only a sorted
 /// or limited result is sorted and cut as rows and converted once, here.
 pub fn run_select_columns(
     catalog: &Catalog,
     config: &ExecConfig,
     plan: &SelectPlan,
     probe: &mut StmtProbe,
-) -> Result<Vec<Vec<Column>>> {
+    mut out: impl FnMut(Vec<Column>),
+) -> Result<()> {
     if plan.sort_keys.is_empty() && plan.limit.is_none() {
-        let chunks = run_columns(catalog, config, plan, probe)?;
-        probe.set_rows_produced(chunks.iter().map(|cols| cols[0].len()).sum());
-        return Ok(chunks);
+        let mut rows = 0;
+        run_columns(catalog, config, plan, probe, |cols| {
+            rows += cols[0].len();
+            out(cols)
+        })?;
+        probe.set_rows_produced(rows);
+        return Ok(());
     }
     let rows = run_select(catalog, config, plan, probe)?.rows;
-    let column = |j: usize| Column::from_values(rows.iter().map(|r| r[j].clone()).collect());
-    Ok(match rows.len() {
-        0 => Vec::new(),
-        _ => vec![(0..plan.output_names.len()).map(column).collect()],
-    })
+    if !rows.is_empty() {
+        let column = |j: usize| Column::from_values(rows.iter().map(|r| r[j].clone()).collect());
+        out((0..plan.output_names.len()).map(column).collect());
+    }
+    Ok(())
 }
 
 /// The aggregation of `plan`; partial execution and partial finalize
@@ -610,20 +622,20 @@ pub trait BatchSink {
 /// Scalar projection sink with Teradata-style lateral aliases: each
 /// computed item becomes one more column of the batch, at the slot the
 /// items after it were compiled to read it from. The item columns of
-/// every batch are what it keeps.
-struct ScalarSink<'t> {
+/// every batch are what it hands to `out`.
+struct ScalarSink<'t, E> {
     items: &'t [CExpr],
     base_width: usize,
-    out: Vec<Vec<Column>>,
-    /// Rows kept in `out`.
+    out: E,
+    /// Rows handed to `out`.
     rows: u64,
     /// Statement working-memory account; every batch of output rows is
-    /// charged before it is kept, so an over-budget SELECT aborts
+    /// charged before it is handed on, so an over-budget SELECT aborts
     /// mid-stream instead of after buffering the whole result.
     mem: &'t ResourceTracker,
 }
 
-impl BatchSink for ScalarSink<'_> {
+impl<E: FnMut(Vec<Column>)> BatchSink for ScalarSink<'_, E> {
     fn push(&mut self, mut batch: Batch) -> Result<()> {
         let mut pending = None;
         for (j, item) in self.items.iter().enumerate() {
@@ -637,7 +649,7 @@ impl BatchSink for ScalarSink<'_> {
                 .collect();
             self.mem.charge_rows("select output", &cols, batch.len())?;
             self.rows += batch.len() as u64;
-            self.out.push(cols);
+            (self.out)(cols);
         }
         pending.map_or(Ok(()), Err)
     }

@@ -94,7 +94,14 @@ fn cell<T>(vals: &mut Vec<T>, valid: &mut Validity, x: Option<T>, zero: T) {
 }
 
 /// The validity of a column of `n` rows followed by one of `m` rows.
+/// Of an empty column it is `more`'s: a vector an emptied column still
+/// holds marks nothing, and would keep a key column off the streamed
+/// aggregate, which wants it `None`.
 fn append_valid(valid: &mut Validity, n: usize, more: Validity, m: usize) {
+    if n == 0 {
+        *valid = more;
+        return;
+    }
     if valid.is_none() && more.is_none() {
         return;
     }
@@ -204,8 +211,27 @@ impl Column {
         }
     }
 
-    /// Append the rows of `other`, a column of the same variant; an
-    /// empty column takes `other`'s vectors as they are.
+    /// Rows the column's value vector holds room for.
+    pub(crate) fn capacity(&self) -> usize {
+        match self {
+            Column::F64(v, _) => v.capacity(),
+            Column::I64(v, _) => v.capacity(),
+            Column::Val(v) => v.capacity(),
+        }
+    }
+
+    /// Drop every row and the validity vector; the value vector keeps
+    /// its allocation for the rows appended next.
+    pub(crate) fn clear(&mut self) {
+        self.truncate(0);
+        if let Column::F64(_, valid) | Column::I64(_, valid) = self {
+            *valid = None;
+        }
+    }
+
+    /// Append the rows of `other`, a column of the same variant. An
+    /// empty column without room for them takes `other`'s vectors as
+    /// they are; one with room (a cleared column) copies them in.
     ///
     /// # Panics
     /// If the variants differ: both sides are storage columns of one
@@ -214,6 +240,7 @@ impl Column {
         match (self, other) {
             (me, other)
                 if me.is_empty()
+                    && me.capacity() < other.len()
                     && std::mem::discriminant(me) == std::mem::discriminant(&other) =>
             {
                 *me = other

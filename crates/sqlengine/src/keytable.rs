@@ -145,6 +145,12 @@ impl KeyTable {
         self.len == 0
     }
 
+    /// Keys the slots hold room for: entering that many places none
+    /// again.
+    pub fn capacity(&self) -> usize {
+        self.slots.len() / 2
+    }
+
     /// Forget every key; the slots stay allocated.
     pub fn clear(&mut self) {
         self.slots.fill(NO_ROW);

@@ -82,6 +82,27 @@ impl Table {
         &self.cols
     }
 
+    /// Empty the table for a CREATE of its name and schema (see
+    /// [`crate::catalog`]): its rows, NULL masks and keys go, its column
+    /// vectors and index slots stay allocated.
+    pub(crate) fn clear(&mut self) {
+        self.cols.iter_mut().for_each(Column::clear);
+        if let Some(index) = &mut self.index {
+            index.clear();
+        }
+    }
+
+    /// The column vectors of an empty table, as the staging buffer of an
+    /// INSERT: the rows it stages land where [`Table::append`] keeps
+    /// them. The table holds fresh empty columns meanwhile, so a failed
+    /// INSERT, which drops the buffer, leaves it empty and usable.
+    pub(crate) fn take_storage(&mut self) -> Vec<Column> {
+        debug_assert!(self.is_empty(), "only an empty table lends its storage");
+        let declared = self.schema.columns().iter();
+        let fresh = declared.map(|c| Column::empty(c.ty)).collect();
+        std::mem::replace(&mut self.cols, fresh)
+    }
+
     /// Append a batch of rows held as one storage column per declared
     /// column ([`Column::coerce`]d to its type) — the one way rows enter
     /// a table. All or nothing: on a duplicate key (or a batch that does
@@ -370,6 +391,64 @@ mod tests {
             (Value::Double(0.0), Value::Double(5.0))
         );
         assert_eq!(position(&t, Value::Int(2)), Some(2));
+    }
+
+    #[test]
+    fn a_cleared_table_keeps_its_storage_and_answers_as_a_fresh_one() {
+        let mut t = Table::new("yd", yd_schema());
+        let rows = 5000;
+        let batch = |nulls: bool| {
+            let d1 = (0..rows).map(|i| (i as f64) * 0.5);
+            let valid = nulls.then(|| (0..rows).map(|i| i % 3 != 0).collect());
+            vec![
+                Column::I64((0..rows as i64).collect(), None),
+                Column::F64(d1.collect(), valid),
+            ]
+        };
+        t.append(batch(true)).unwrap();
+        let slots = t.index.as_ref().unwrap().capacity();
+        let capacity: Vec<usize> = t.columns().iter().map(Column::capacity).collect();
+        t.clear();
+        assert!(t.is_empty());
+        assert_eq!(position(&t, Value::Int(7)), None);
+        assert!(matches!(&t.columns()[1], Column::F64(v, None) if v.is_empty()));
+        let kept: Vec<usize> = t.columns().iter().map(Column::capacity).collect();
+        assert_eq!(kept, capacity);
+        assert_eq!(t.index.as_ref().unwrap().capacity(), slots);
+
+        // Staged into its own storage, the rows land without a regrowth.
+        let mut staged = t.take_storage();
+        assert!(t.columns().iter().all(|c| c.capacity() == 0));
+        for (col, more) in staged.iter_mut().zip(batch(false)) {
+            col.append(more);
+        }
+        t.append(staged).unwrap();
+        let kept: Vec<usize> = t.columns().iter().map(Column::capacity).collect();
+        assert_eq!(kept, capacity);
+        assert_eq!(t.index.as_ref().unwrap().capacity(), slots);
+        assert_eq!(t.columns(), &batch(false)[..]);
+        assert_eq!(position(&t, Value::Int(4999)), Some(4999));
+        let err = insert(&mut t, vec![Value::Int(3), Value::Double(0.0)]).unwrap_err();
+        assert_eq!(err, Error::DuplicateKey { table: "yd".into() });
+    }
+
+    #[test]
+    fn a_refused_batch_leaves_no_mask_on_the_storage_it_lends() {
+        let mut t = Table::new("yd", yd_schema());
+        let nulls = Column::I64(vec![1, 0, 1], Some(vec![true, false, true]));
+        let refused = t.append(vec![nulls, Column::F64(vec![0.0; 3], None)]);
+        assert!(refused.is_err());
+        let mut staged = t.take_storage();
+        let batch = [
+            Column::I64(vec![1, 2], None),
+            Column::F64(vec![0.5, 1.5], None),
+        ];
+        for (col, more) in staged.iter_mut().zip(batch) {
+            col.append(more);
+        }
+        t.append(staged).unwrap();
+        // What the streamed aggregate asks of its key column.
+        assert!(matches!(&t.columns()[0], Column::I64(v, None) if v == &[1, 2]));
     }
 
     #[test]

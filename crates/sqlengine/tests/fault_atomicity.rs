@@ -183,3 +183,59 @@ fn fault_sequence_counts_only_top_level_statements() {
     assert_eq!(db.fault_injector().unwrap().executed(), 4);
     assert_eq!(db.fault_injector().unwrap().total_fired(), 0);
 }
+
+/// A work table filled, dropped and re-created with its schema: the new
+/// table holds the dropped one's storage (the catalog hands it over).
+fn recreated_work_table() -> Database {
+    let mut db = Database::new();
+    db.execute("CREATE TABLE s (a BIGINT, v DOUBLE)").unwrap();
+    let rows = (0..3000).map(|i| vec![Value::Int(i), Value::Double(i as f64 + 0.5)]);
+    db.bulk_insert("s", rows).unwrap();
+    db.execute("CREATE TABLE t (a BIGINT PRIMARY KEY, v DOUBLE)")
+        .unwrap();
+    db.execute("INSERT INTO t SELECT a, v FROM s").unwrap();
+    db.execute("DROP TABLE t").unwrap();
+    db.execute("CREATE TABLE t (a BIGINT PRIMARY KEY, v DOUBLE)")
+        .unwrap();
+    db
+}
+
+#[test]
+fn failed_inserts_into_a_recreated_table_leave_it_empty_and_usable() {
+    let insert = "INSERT INTO t SELECT a, v FROM s";
+    // An injected fault: the statement never runs.
+    let mut db = recreated_work_table();
+    db.set_fault_plan(FaultPlan::single(
+        FaultRule::table("t").kind_is(StatementKind::Insert).once(),
+    ));
+    let err = db.execute(insert).unwrap_err();
+    assert!(matches!(err, Error::Injected { .. }), "{err}");
+    assert_eq!(db.table_len("t").unwrap(), 0);
+    assert_eq!(db.execute(insert).unwrap().rows_affected, 3000);
+    db.clear_fault_plan();
+
+    // A row that does not coerce, after the SELECT staged 2000 rows into
+    // the table's storage: the storage goes with the failed statement.
+    let mut db = recreated_work_table();
+    let err = db
+        .execute("INSERT INTO t SELECT CASE WHEN a < 2000 THEN a ELSE v END, v FROM s")
+        .unwrap_err();
+    assert!(matches!(err, Error::TypeMismatch { .. }), "{err}");
+    assert_eq!(db.table_len("t").unwrap(), 0);
+    assert!(table_rows(&mut db, "SELECT a FROM t WHERE a = 7").is_empty());
+    assert_eq!(db.execute(insert).unwrap().rows_affected, 3000);
+    let rows = table_rows(
+        &mut db,
+        "SELECT s.a, t.v FROM s, t WHERE s.a = t.a AND s.a = 2999",
+    );
+    assert_eq!(rows, [vec![Value::Int(2999), Value::Double(2999.5)]]);
+
+    // A duplicate key found once every row is staged.
+    let mut db = recreated_work_table();
+    let err = db
+        .execute("INSERT INTO t SELECT a - mod(a, 2), v FROM s")
+        .unwrap_err();
+    assert!(matches!(err, Error::DuplicateKey { .. }), "{err}");
+    assert_eq!(db.table_len("t").unwrap(), 0);
+    assert_eq!(db.execute(insert).unwrap().rows_affected, 3000);
+}

@@ -96,7 +96,6 @@ impl ChaosProxy {
             .next()
             .ok_or_else(|| std::io::Error::other("upstream resolved to no address"))?;
         let listener = TcpListener::bind("127.0.0.1:0")?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             upstream: Mutex::new(upstream),
@@ -162,15 +161,24 @@ impl ChaosProxy {
 impl Drop for ChaosProxy {
     fn drop(&mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
+        // The accept loop blocks in `accept`: one dial wakes it to see
+        // the flag.
+        let _ = TcpStream::connect(self.addr);
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
     }
 }
 
+/// Accept clients, blocking, until the stop flag is set (the proxy's
+/// drop dials once so that this sees it).
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    while !shared.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if shared.stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((client, _)) => {
                 let upstream_addr = *shared.upstream.lock().unwrap();
                 let server =
@@ -185,9 +193,6 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                 let _ = client.set_nodelay(true);
                 let _ = server.set_nodelay(true);
                 spawn_relay_pair(client, server, Arc::clone(&shared));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(5));
             }
             Err(_) => break,
         }

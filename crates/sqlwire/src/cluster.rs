@@ -90,7 +90,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 
 /// The shard owning `rid` in an `nshards`-way cluster: a splitmix64
@@ -858,12 +858,17 @@ impl<E: SqlExecutor + Send + 'static> Coordinator<E> {
             buckets[shard_of_rid(rid, n)].push(row);
         }
         let table_name = table.to_string();
-        let buckets = Arc::new(buckets);
+        // Each shard's job moves its bucket out of a take-once slot (the
+        // job is an `Fn`, run once per shard); a retried load brings
+        // fresh rows from its caller.
+        let buckets: Arc<Vec<Mutex<Vec<Vec<Value>>>>> =
+            Arc::new(buckets.into_iter().map(Mutex::new).collect());
         let counts = self.mutate_all(fp, move |i, shard| {
-            if buckets[i].is_empty() {
+            let rows = std::mem::take(&mut *buckets[i].lock().unwrap_or_else(|e| e.into_inner()));
+            if rows.is_empty() {
                 return Ok(0usize);
             }
-            shard.bulk_insert_rows(&table_name, buckets[i].clone())
+            shard.bulk_insert_rows(&table_name, rows)
         })?;
         Ok(counts.into_iter().flatten().sum())
     }

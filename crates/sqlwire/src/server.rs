@@ -52,10 +52,9 @@
 //! log is created next to the WAL automatically.
 
 use std::collections::HashMap;
-use std::io::ErrorKind;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use sqlengine::{Database, Error, MemoryBudget, Result, SharedDatabase, SqlExecutor, WalRecovery};
@@ -138,8 +137,14 @@ struct DedupEntry {
 
 /// State shared between the accept loop, session threads and handles.
 struct ServerState {
+    /// The listener's address, which [`ServerHandle::shutdown`] dials
+    /// to wake the blocking accept.
+    addr: SocketAddr,
     shutdown: AtomicBool,
     active: AtomicUsize,
+    /// Notified, under its mutex, when the last live session ends: what
+    /// the drain waits on.
+    idle: (Mutex<()>, Condvar),
     accepted: AtomicU64,
     /// Connections shed at admission (over capacity).
     shed: AtomicU64,
@@ -165,6 +170,16 @@ impl ServerHandle {
     /// Stop accepting connections and let the accept loop drain.
     pub fn shutdown(&self) {
         self.state.shutdown.store(true, Ordering::SeqCst);
+        // The accept loop blocks in `accept`: one dial wakes it to see
+        // the flag. An unspecified bind address is dialled on loopback.
+        let mut addr = self.state.addr;
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect(addr);
     }
 
     /// Number of currently live sessions.
@@ -241,13 +256,18 @@ impl Server {
             None => None,
         };
         let global_budget = config.memory_budget.map(MemoryBudget::new);
+        let addr = listener
+            .local_addr()
+            .map_err(|e| Error::net_permanent("local_addr", e.to_string()))?;
         Ok(Server {
             listener,
             db,
             config,
             state: Arc::new(ServerState {
+                addr,
                 shutdown: AtomicBool::new(false),
                 active: AtomicUsize::new(0),
+                idle: (Mutex::new(()), Condvar::new()),
                 accepted: AtomicU64::new(0),
                 shed: AtomicU64::new(0),
                 global_budget,
@@ -262,9 +282,7 @@ impl Server {
 
     /// The address actually bound (resolves ephemeral ports).
     pub fn local_addr(&self) -> Result<SocketAddr> {
-        self.listener
-            .local_addr()
-            .map_err(|e| Error::net_permanent("local_addr", e.to_string()))
+        Ok(self.state.addr)
     }
 
     /// A control handle usable from other threads.
@@ -275,12 +293,16 @@ impl Server {
     }
 
     /// Serve until [`ServerHandle::shutdown`], then drain and return.
+    /// The accept blocks; `shutdown` dials the listener to wake it, and
+    /// the drain waits on the condition variable the last session
+    /// signals as it ends.
     pub fn run(self) -> Result<()> {
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| Error::net_permanent("set_nonblocking", e.to_string()))?;
-        while !self.state.shutdown.load(Ordering::SeqCst) {
-            match self.listener.accept() {
+        loop {
+            let accepted = self.listener.accept();
+            if self.state.shutdown.load(Ordering::SeqCst) {
+                break;
+            }
+            match accepted {
                 Ok((stream, _peer)) => {
                     let n = self.state.accepted.fetch_add(1, Ordering::SeqCst) + 1;
                     if self.config.drop_nth_connection == Some(n) {
@@ -311,20 +333,21 @@ impl Server {
                         // The session outcome is reported to the peer over
                         // the wire; a torn connection has nowhere to report.
                         let _ = serve_session(stream, &db, &config, &state);
-                        state.active.fetch_sub(1, Ordering::SeqCst);
+                        if state.active.fetch_sub(1, Ordering::SeqCst) == 1 {
+                            let (lock, idle) = &state.idle;
+                            let _held = lock.lock().unwrap_or_else(|e| e.into_inner());
+                            idle.notify_all();
+                        }
                     });
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
                 }
                 Err(e) => return Err(Error::net_permanent("accept", e.to_string())),
             }
         }
         // Drain: no new sessions; wait for the live ones.
-        let deadline = std::time::Instant::now() + self.config.drain_timeout;
-        while self.state.active.load(Ordering::SeqCst) > 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        let (lock, idle) = &self.state.idle;
+        let held = lock.lock().unwrap_or_else(|e| e.into_inner());
+        let live = |_: &mut ()| self.state.active.load(Ordering::SeqCst) > 0;
+        let _ = idle.wait_timeout_while(held, self.config.drain_timeout, live);
         Ok(())
     }
 }

@@ -796,3 +796,32 @@ fn statement_deadline_surfaces_as_typed_transient_error() {
     drop(conn);
     server.stop();
 }
+
+// ---------------------------------------------------------------------
+// accept and drain
+
+#[test]
+fn a_new_connection_is_served_without_waiting_out_a_poll() {
+    let server = TestServer::start(SharedDatabase::default(), ServerConfig::default());
+    let mut cycles: Vec<Duration> = (0..31)
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            drop(RemoteConnection::connect(server.addr.as_str(), ClientConfig::default()).unwrap());
+            t0.elapsed()
+        })
+        .collect();
+    cycles.sort();
+    // A 5 ms accept poll made every cycle wait out most of a sleep.
+    assert!(cycles[15] < Duration::from_micros(2500), "{cycles:?}");
+    server.stop();
+}
+
+#[test]
+fn an_idle_server_stops_as_soon_as_it_is_told() {
+    let server = TestServer::start(SharedDatabase::default(), ServerConfig::default());
+    // Let the accept loop block before it is woken.
+    thread::sleep(Duration::from_millis(50));
+    let t0 = std::time::Instant::now();
+    server.stop();
+    assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
+}

@@ -7,7 +7,7 @@ use emcore::init::{initialize, InitStrategy};
 use emcore::GmmParams;
 use sqlem::{EmSession, SqlemConfig, Strategy};
 use sqlengine::{Database, SqlExecutor};
-use sqlwire::Coordinator;
+use sqlwire::{ClientConfig, Coordinator, RemoteConnection, Server, ServerConfig};
 
 /// Full pipeline: generate → load → initialize from a sample → run →
 /// score, with quality gates on the recovered model.
@@ -328,4 +328,67 @@ fn streamed_and_hashed_distances_give_the_same_bits() {
         &data.points,
         &init,
     );
+}
+
+/// Every iteration and every score drops and re-creates its work tables,
+/// and the catalog hands each dropped table's storage to the CREATE that
+/// follows: after 3 iterations and 2 scores the distance statement still
+/// streams, and the loglikelihoods, parameters and scores come out bit
+/// for bit the same embedded, over two shards and over the wire.
+#[test]
+fn recreated_work_tables_give_the_same_bits_everywhere() {
+    let (n, p, k) = (1_500, 3, 3);
+    let data = generate_dataset(n, p, k, 31);
+    let init = initialize(&data.points, k, &InitStrategy::Random { seed: 31 });
+    fn run<E: SqlExecutor>(
+        exec: &mut E,
+        points: &[Vec<f64>],
+        init: &GmmParams,
+    ) -> (Vec<u64>, Vec<usize>, String) {
+        use sqlem::ParamSet;
+        let config = SqlemConfig::new(init.k(), Strategy::Hybrid).with_epsilon(0.0);
+        let mut session = EmSession::create(exec, &config, points[0].len()).unwrap();
+        session.load_points(points).unwrap();
+        session
+            .initialize(&InitStrategy::Explicit(init.clone()))
+            .unwrap();
+        let mut bits: Vec<u64> = (0..3)
+            .map(|_| session.iterate_once().unwrap().to_bits())
+            .collect();
+        let scores = session.scores().unwrap();
+        assert_eq!(session.scores().unwrap(), scores, "a second score");
+        let params = session.params().unwrap();
+        let (means, cov, weights) = params.cells();
+        let means = means.concat();
+        let cells = means.iter().chain(&cov).chain(weights);
+        bits.extend(cells.map(|v| v.to_bits()));
+        let script = session.script();
+        drop(session);
+        (bits, scores, yd_sink(exec, &script))
+    }
+    let embedded = run(&mut Database::new(), &data.points, &init);
+    let dbs = vec![Database::new(), Database::new()];
+    let sharded = run(&mut Coordinator::new(dbs).unwrap(), &data.points, &init);
+    let server = Server::bind(
+        "127.0.0.1:0",
+        sqlengine::SharedDatabase::default(),
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let handle = server.handle();
+    let join = std::thread::spawn(move || server.run());
+    let mut conn = RemoteConnection::connect(addr.as_str(), ClientConfig::default()).unwrap();
+    let remote = run(&mut conn, &data.points, &init);
+    drop(conn);
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+
+    assert!(embedded.2.contains("stream aggregate"), "{}", embedded.2);
+    assert_eq!(embedded.1.len(), n);
+    for (how, other) in [("2 shards", &sharded), ("remote", &remote)] {
+        assert_eq!(other.0, embedded.0, "{how}: loglikelihoods and parameters");
+        assert_eq!(other.1, embedded.1, "{how}: scores");
+        assert!(other.2.contains("stream aggregate"), "{how}: {}", other.2);
+    }
 }

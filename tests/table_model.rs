@@ -20,6 +20,15 @@
 //! to leaving the target, its index and a durable database's log as a
 //! statement that never ran leaves them (the log gains the frame every
 //! attempted statement writes, uncommitted).
+//!
+//! Part three drives seeded random SQL through a [`Database`] whose
+//! table is dropped and re-created again and again — with its schema,
+//! which hands the new table the dropped one's storage, and with the
+//! other one (keyed or not) — and filled by `INSERT … SELECT` from a
+//! source of the same special cells, from itself (keys shifted, or not
+//! and so repeated), through a coercion that fails part way, and thinned
+//! by DELETE: after every statement the table is the model's, as in
+//! part one.
 
 use std::collections::BTreeMap;
 
@@ -598,4 +607,156 @@ fn a_failing_insert_select_fails_as_row_at_a_time_staging_did_and_changes_nothin
     let keys = Column::F64((0..SOURCE_ROWS).map(|k| k as f64).collect(), None);
     let hits = t.probe(&[keys], SOURCE_ROWS);
     assert!(hits.iter().zip(2..).all(|(hit, pos)| *hit == pos));
+}
+
+// ---------------------------------------------------------------------
+// Part three: drop and re-create, through SQL
+// ---------------------------------------------------------------------
+
+const KEYED: &str = "CREATE TABLE t (id BIGINT PRIMARY KEY, x DOUBLE)";
+const KEYLESS: &str = "CREATE TABLE t (id BIGINT, x DOUBLE)";
+
+/// Run `sql`, an `INSERT` into `t` that the model says appends `rows`
+/// (or fails with that error before it gets to), and check both agree;
+/// whether it failed on a duplicate key.
+fn insert_as_modelled(
+    db: &mut Database,
+    model: &mut Model,
+    sql: &str,
+    rows: Result<Vec<Vec<Value>>, Error>,
+    step: &str,
+) -> bool {
+    let rows = rows.and_then(|rows| {
+        let mut after = model.rows.clone();
+        after.extend(rows);
+        match model.admits(&after) {
+            true => Ok(after),
+            false => Err(Error::DuplicateKey { table: "t".into() }),
+        }
+    });
+    match (db.execute(sql), rows) {
+        (Ok(_), Ok(after)) => model.rows = after,
+        (Err(got), Err(want)) => {
+            assert_eq!(got, want, "{step}: {sql}");
+            return matches!(got, Error::DuplicateKey { .. });
+        }
+        (got, want) => panic!("{step}: {sql} gave {got:?}, the model {want:?}"),
+    }
+    false
+}
+
+#[test]
+fn drop_and_recreate_cycles_keep_table_and_index_equal_to_the_model() {
+    for seed in [0xD20B, 0x5EED] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut db = Database::new();
+        db.execute("CREATE TABLE src (id BIGINT, x DOUBLE)")
+            .unwrap();
+        db.execute(KEYED).unwrap();
+        let table = |db: &Database| db.catalog().table("t").unwrap().schema().clone();
+        let mut model = Model {
+            schema: table(&db),
+            rows: Vec::new(),
+        };
+        let mut source: Vec<Vec<Value>> = Vec::new();
+        let (mut recreated, mut duplicates) = (0, 0);
+        for step in 0..160 {
+            let what = format!("seed {seed:#x} step {step}");
+            match rng.random_range(0..10usize) {
+                0 | 1 => {
+                    let keyed = rng.random_range(0..4usize) > 0;
+                    let create = if keyed { KEYED } else { KEYLESS };
+                    db.execute("DROP TABLE t").unwrap();
+                    db.execute(create).unwrap();
+                    model = Model {
+                        schema: table(&db),
+                        rows: Vec::new(),
+                    };
+                    recreated += 1;
+                }
+                2 => {
+                    // A new source: its `x` rich in NULLs and special
+                    // doubles, its keys drawn from a small domain (so
+                    // they collide) or distinct.
+                    let n = rng.random_range(0..1500usize);
+                    let colliding = rng.random_range(0..3usize) == 0;
+                    let base = rng.random_range(0..1 << 20) as i64;
+                    let row = |(i, rng): (i64, &mut StdRng)| {
+                        let id = match colliding {
+                            true => random_cell(rng, DataType::BigInt, 40),
+                            false => Value::Int(base + i),
+                        };
+                        vec![id, random_cell(rng, DataType::Double, 40)]
+                    };
+                    source = (0..n as i64).map(|i| row((i, &mut rng))).collect();
+                    db.execute("DROP TABLE IF EXISTS src").unwrap();
+                    db.execute("CREATE TABLE src (id BIGINT, x DOUBLE)")
+                        .unwrap();
+                    db.bulk_insert("src", source.clone()).unwrap();
+                }
+                3..=5 => {
+                    // The source's rows from one of its keys on, so the
+                    // NULLs of `x` fall elsewhere each time.
+                    let cut = match source.len() {
+                        0 => 0,
+                        n => match source[rng.random_range(0..n)][0] {
+                            Value::Int(i) => i,
+                            _ => -(1 << 60),
+                        },
+                    };
+                    let kept = |r: &&Vec<Value>| matches!(r[0], Value::Int(i) if i >= cut);
+                    let rows = Ok(source.iter().filter(kept).cloned().collect());
+                    let sql = format!("INSERT INTO t SELECT id, x FROM src WHERE id >= {cut}");
+                    duplicates +=
+                        insert_as_modelled(&mut db, &mut model, &sql, rows, &what) as usize;
+                }
+                6 | 7 => {
+                    // From itself: keys shifted clear of the ones held,
+                    // or not shifted, and so each repeated.
+                    let off = [0, 1 << 24][rng.random_range(0..2usize)];
+                    let shift = |v: &Value| match v {
+                        Value::Int(i) => Value::Int(i + off),
+                        other => other.clone(),
+                    };
+                    let rows = model.rows.iter().map(|r| vec![shift(&r[0]), r[1].clone()]);
+                    let rows = Ok(rows.collect());
+                    let sql = format!("INSERT INTO t SELECT id + {off}, x FROM t");
+                    duplicates +=
+                        insert_as_modelled(&mut db, &mut model, &sql, rows, &what) as usize;
+                }
+                8 => {
+                    // `x + 0.5` is whole only where `x` was a half: the
+                    // first row where it is not fails the statement.
+                    let key = |x: &Value| match x {
+                        Value::Double(d) => Value::Double(d + 0.5).coerce_to(DataType::BigInt),
+                        other => Ok(other.clone()),
+                    };
+                    let rows = source.iter().map(|r| Ok(vec![key(&r[1])?, r[1].clone()]));
+                    let sql = "INSERT INTO t SELECT x + 0.5, x FROM src";
+                    let rows = rows.collect();
+                    duplicates +=
+                        insert_as_modelled(&mut db, &mut model, sql, rows, &what) as usize;
+                }
+                _ => {
+                    // Below the key of a row the table holds, if any.
+                    let cut = match model.rows.len() {
+                        0 => 0,
+                        n => match model.rows[rng.random_range(0..n)][0] {
+                            Value::Int(i) => i,
+                            _ => 20,
+                        },
+                    };
+                    db.execute(&format!("DELETE FROM t WHERE id < {cut}"))
+                        .unwrap();
+                    let doomed = |r: &Vec<Value>| matches!(r[0], Value::Int(i) if i < cut);
+                    model.rows.retain(|r| !doomed(r));
+                }
+            }
+            check(db.catalog().table("t").unwrap(), &model, &mut rng, &what);
+        }
+        assert!(
+            recreated >= 20 && duplicates >= 10,
+            "{recreated} {duplicates}"
+        );
+    }
 }
