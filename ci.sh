@@ -76,7 +76,12 @@ Stages, in order:
                 server: outside #[cfg(test)] server.rs calls no
                 thread::sleep; and one checkpoint
                 table: outside #[cfg(test)] naming.rs names one ckpt
-                table and checkpoint.rs renders no INSERT INTO;
+                table and checkpoint.rs renders no INSERT INTO; and
+                no aggregate that merges in shard order and no file
+                checkpoint: outside #[cfg(test)] nothing under
+                crates/*/src names var_pop, stddev_pop, AGG_VAR or
+                AggState::Var, defines fn to_text / fn from_text, or
+                reads a "--checkpoint" / "--resume" flag;
                 prints the crates/*/src line
                 total and the non-test total (each file up to its first
                 #[cfg(test)]) so a PR's line delta is a CI output
@@ -358,6 +363,16 @@ if [ "$ckpt_names" != 1 ] || nontest 'INSERT INTO' -path 'crates/sqlem/src/check
     echo "ERROR: naming.rs names $ckpt_names checkpoint tables, or checkpoint.rs" \
          "writes INSERT … VALUES (above); a checkpoint is one generation of" \
          "rows in Names::ckpt, written by one bulk insert" >&2
+    exit 1
+fi
+# The aggregates are SUM, COUNT, AVG, MIN and MAX, each merging exactly
+# in any shard order, and a checkpoint lives in the database only: the
+# moment aggregates (VARIANCE / STDDEV, merged in shard order) and the
+# text checkpoint file (sqlem-cli --checkpoint / --resume) stay gone.
+if nontest 'var_pop|stddev_pop|AGG_VAR|AggState::Var|fn to_text|fn from_text|"--checkpoint"|"--resume"' | grep .; then
+    echo "ERROR: a moment aggregate or a file checkpoint is back (above); the" \
+         "aggregates merge in any order, and --data-dir or a server keeps the" \
+         "checkpoint" >&2
     exit 1
 fi
 echo "   crates/*/src: $(find crates/*/src -name '*.rs' -exec cat {} + | wc -l) lines," \

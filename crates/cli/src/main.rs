@@ -21,16 +21,10 @@
 //!                         beside the strategy's closed-form scan counts
 //!   --retries N           retry transiently-failed statements up to N
 //!                         times each (exponential backoff)
-//!   --checkpoint PATH     checkpoint every iteration; save the latest
-//!                         snapshot to PATH when the run ends — even on
-//!                         error — so it can be resumed
-//!   --resume PATH         restore model/iteration/llh state from a
-//!                         checkpoint file before running (a missing or
-//!                         empty checkpoint exits with code 3)
 //!   --durable             persist the database under a write-ahead
 //!                         logged directory (default ./sqlem_data); a
-//!                         killed run resumes from its in-database
-//!                         checkpoint on the next invocation
+//!                         killed, failed or capped run resumes from its
+//!                         in-database checkpoint on the next invocation
 //!   --data-dir PATH       where the durable database lives (implies
 //!                         --durable)
 //!   --recover             re-seed degenerate (empty/NaN) clusters
@@ -64,6 +58,8 @@
 //!                         bit-identically to a single node. Mutually
 //!                         exclusive with --connect; an unreachable or
 //!                         version-mismatched shard exits with code 5.
+//!                         A remote or sharded run checkpoints like a
+//!                         durable one, in the server's database.
 //!   --namespace PREFIX    work-table prefix to claim exclusively on the
 //!                         server (lets concurrent clients share it)
 //!   --auth-token TOKEN    shared secret for the server handshake
@@ -73,7 +69,7 @@
 //!                         expired deadline fails the run with a typed
 //!                         error and a hint to raise the budget.
 //!
-//! lint / analyze options (one parser, one analysis, two renderings):
+//! lint / analyze options (one analysis, two renderings):
 //!   --p N                 dimensionality (required)
 //!   --k N                 number of clusters (required)
 //!   --strategy S          one strategy only (default: all three)
@@ -82,6 +78,10 @@
 //!   --max-terms N         analyzer term-count cap (default 16384)
 //!   --verbose             lint: print every finding, not just the summaries
 //! ```
+//!
+//! One parser reads every command's flags: a flag the chosen command
+//! does not read, a missing or malformed value, or a missing required
+//! flag is a usage error.
 //!
 //! Both subcommands statically analyze the strategies' generated
 //! scripts for one `(p, k)` — no data needed, nothing executes — with
@@ -99,40 +99,34 @@
 //! pn-scan for the hybrid, §3.5). Exits non-zero when any analyzed
 //! strategy fails a check.
 //!
-//! Exit codes: 0 success, 1 runtime failure, 2 usage error, 3 the
-//! `--resume` checkpoint is missing, empty, or unusable, 4 the
-//! `--connect` target is unreachable or the handshake was rejected
-//! (version/token mismatch), 5 a `--shards` shard is unreachable,
-//! version-mismatched, or its catalog could not be adopted.
+//! Exit codes: 0 success, 1 runtime failure (a failed `analyze` check
+//! included), 2 usage error, 4 the `--connect` target is unreachable or
+//! the handshake was rejected (version/token mismatch), 5 a `--shards`
+//! shard is unreachable, version-mismatched, or its catalog could not be
+//! adopted. Code 3 is not used.
 
 #![forbid(unsafe_code)]
 
 mod csv;
 
+use std::fmt::Display;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
 use emcore::init::InitStrategy;
-use sqlem::naming::Names;
 use sqlem::{
-    build_generator, checkpoint, Checkpoint, EmSession, Generator, PlanReport, RetryPolicy,
-    SqlemConfig, Strategy,
+    build_generator, EmSession, Generator, PlanReport, RetryPolicy, SqlemConfig, Strategy,
 };
-use sqlengine::storage::logfile::atomic_replace;
 use sqlengine::{
     Database, Error as SqlError, FaultPlan, FaultRule, MemoryBudget, SqlExecutor, StatementKind,
 };
 use sqlwire::{ClientConfig, Coordinator, RemoteConnection};
 
-/// Exit code for a `--resume` checkpoint that is missing, empty, or
-/// unusable — distinct from generic runtime failure (1) and usage
-/// errors (2) so scripts can branch on "nothing to resume".
-const EXIT_NO_CHECKPOINT: u8 = 3;
-
 /// Exit code for a `--connect` target that is unreachable or whose
 /// handshake was rejected (protocol version / auth token mismatch) —
 /// distinct from runtime failure (1) so scripts can branch on "the
-/// server is not there", mirroring the checkpoint convention (3).
+/// server is not there".
 const EXIT_CONNECT: u8 = 4;
 
 /// Exit code for a `--shards` cluster that could not be assembled: a
@@ -149,13 +143,6 @@ struct CliError {
 }
 
 impl CliError {
-    fn no_checkpoint(message: String) -> Self {
-        CliError {
-            code: EXIT_NO_CHECKPOINT,
-            message,
-        }
-    }
-
     /// Wrap a failed `--connect` with an actionable next step.
     fn connect(addr: &str, e: &SqlError) -> Self {
         let hint = match &e {
@@ -223,10 +210,31 @@ impl From<sqlem::SqlemError> for CliError {
     }
 }
 
+/// What the command line asks for: a clustering run, or one of the two
+/// static-analysis subcommands.
+#[derive(Clone, Copy, PartialEq)]
+enum Command {
+    Cluster,
+    Lint,
+    Analyze,
+}
+
+/// The flags only `lint` and `analyze` read. `--k`, `--strategy` and
+/// `--fused` are every command's; every other flag is the clustering
+/// run's.
+const PLAN_FLAGS: [&str; 4] = ["--p", "--max-statement-len", "--max-terms", "--verbose"];
+
 struct Args {
+    command: Command,
     input: String,
     k: usize,
-    strategy: Strategy,
+    /// `None`: hybrid for a run, all three for `lint` / `analyze`.
+    strategy: Option<Strategy>,
+    fused: bool,
+    p: usize,
+    max_statement_len: Option<usize>,
+    max_terms: Option<usize>,
+    verbose: bool,
     epsilon: f64,
     max_iterations: usize,
     seed: u64,
@@ -234,16 +242,13 @@ struct Args {
     has_header: bool,
     scores_path: Option<String>,
     print_sql: bool,
-    fused: bool,
     trace_metrics: bool,
     retries: Option<usize>,
-    checkpoint_path: Option<String>,
-    resume_path: Option<String>,
     data_dir: Option<String>,
     recover: bool,
     memory_budget: Option<u64>,
     load_chunk: Option<usize>,
-    fault_specs: Vec<String>,
+    faults: Vec<FaultRule>,
     connect: Option<String>,
     shards: Vec<String>,
     namespace: String,
@@ -256,7 +261,7 @@ fn usage() -> ! {
         "usage: sqlem-cli <input.csv> --k <clusters> [--strategy hybrid|horizontal|vertical] \
          [--epsilon E] [--max-iterations N] [--seed N] [--sample F] [--no-header] \
          [--scores PATH] [--sql] [--fused] [--trace-metrics] \
-         [--retries N] [--checkpoint PATH] [--resume PATH] [--durable] [--data-dir PATH] \
+         [--retries N] [--durable] [--data-dir PATH] \
          [--recover] [--inject-fault SPEC]... \
          [--memory-budget BYTES] [--load-chunk ROWS] \
          [--connect HOST:PORT | --shards HOST:PORT,...] [--namespace PREFIX] \
@@ -267,158 +272,188 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn parse_args() -> Args {
-    let mut input = None;
-    let mut k = None;
-    let mut strategy = Strategy::Hybrid;
-    let mut epsilon = 1e-3;
-    let mut max_iterations = 10;
-    let mut seed = 0;
-    let mut sample = 0.1;
-    let mut has_header = true;
-    let mut scores_path = None;
-    let mut print_sql = false;
-    let mut fused = false;
-    let mut trace_metrics = false;
-    let mut retries = None;
-    let mut checkpoint_path = None;
-    let mut resume_path = None;
-    let mut data_dir = None;
-    let mut durable = false;
-    let mut recover = false;
-    let mut memory_budget = None;
-    let mut load_chunk = None;
-    let mut fault_specs = Vec::new();
-    let mut connect = None;
-    let mut shards = Vec::new();
-    let mut namespace = String::new();
-    let mut auth_token = String::new();
-    let mut deadline = None;
+/// Say what is wrong with the command line, then print the usage and
+/// exit 2.
+fn usage_error(message: impl Display) -> ! {
+    eprintln!("{message}");
+    usage()
+}
 
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut req = |name: &str| -> String {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{name} requires a value");
-                usage()
-            })
+/// `flag`'s value parsed as a `T`, or a usage error.
+fn parsed<T: FromStr>(flag: &str, value: String) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| usage_error(format!("{flag}: cannot parse {value:?}")))
+}
+
+/// Parse the command line (without the program name). Every usage
+/// error exits here, before anything runs.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Args {
+    let mut argv = argv.into_iter().peekable();
+    let (command, command_name) = match argv.peek().map(String::as_str) {
+        Some("lint") => (Command::Lint, "lint"),
+        Some("analyze") => (Command::Analyze, "analyze"),
+        _ => (Command::Cluster, "a clustering run"),
+    };
+    let plan = command != Command::Cluster;
+    if plan {
+        argv.next();
+    }
+    let mut args = Args {
+        command,
+        input: String::new(),
+        k: 0,
+        strategy: None,
+        fused: false,
+        p: 0,
+        max_statement_len: None,
+        max_terms: None,
+        verbose: false,
+        epsilon: 1e-3,
+        max_iterations: 10,
+        seed: 0,
+        sample: 0.1,
+        has_header: true,
+        scores_path: None,
+        print_sql: false,
+        trace_metrics: false,
+        retries: None,
+        data_dir: None,
+        recover: false,
+        memory_budget: None,
+        load_chunk: None,
+        faults: Vec::new(),
+        connect: None,
+        shards: Vec::new(),
+        namespace: String::new(),
+        auth_token: String::new(),
+        deadline: None,
+    };
+    let mut durable = false;
+    while let Some(flag) = argv.next() {
+        let shared = matches!(
+            flag.as_str(),
+            "--k" | "--strategy" | "--fused" | "--help" | "-h"
+        );
+        if flag.starts_with('-') && !shared && PLAN_FLAGS.contains(&flag.as_str()) != plan {
+            usage_error(format!("{flag} is not an option of {command_name}"));
+        }
+        let mut value = || {
+            argv.next()
+                .unwrap_or_else(|| usage_error(format!("{flag} requires a value")))
         };
-        match a.as_str() {
-            "--k" => k = req("--k").parse().ok(),
+        match flag.as_str() {
+            "--k" => args.k = parsed(&flag, value()),
             "--strategy" => {
-                strategy = match req("--strategy").as_str() {
-                    "horizontal" => Strategy::Horizontal,
-                    "vertical" => Strategy::Vertical,
-                    "hybrid" => Strategy::Hybrid,
-                    other => {
-                        eprintln!("unknown strategy {other}");
-                        usage()
-                    }
-                }
+                let name = value();
+                let strategy = Strategy::ALL.into_iter().find(|s| s.to_string() == name);
+                args.strategy = Some(
+                    strategy.unwrap_or_else(|| usage_error(format!("unknown strategy {name}"))),
+                )
             }
-            "--epsilon" => epsilon = req("--epsilon").parse().unwrap_or_else(|_| usage()),
-            "--max-iterations" => {
-                max_iterations = req("--max-iterations").parse().unwrap_or_else(|_| usage())
-            }
-            "--seed" => seed = req("--seed").parse().unwrap_or_else(|_| usage()),
-            "--sample" => sample = req("--sample").parse().unwrap_or_else(|_| usage()),
-            "--no-header" => has_header = false,
-            "--scores" => scores_path = Some(req("--scores")),
-            "--sql" => print_sql = true,
-            "--fused" => fused = true,
-            "--trace-metrics" => trace_metrics = true,
-            "--retries" => retries = Some(req("--retries").parse().unwrap_or_else(|_| usage())),
-            "--checkpoint" => checkpoint_path = Some(req("--checkpoint")),
-            "--resume" => resume_path = Some(req("--resume")),
+            "--fused" => args.fused = true,
+            "--p" => args.p = parsed(&flag, value()),
+            "--max-statement-len" => args.max_statement_len = Some(parsed(&flag, value())),
+            "--max-terms" => args.max_terms = Some(parsed(&flag, value())),
+            "--verbose" => args.verbose = true,
+            "--epsilon" => args.epsilon = parsed(&flag, value()),
+            "--max-iterations" => args.max_iterations = parsed(&flag, value()),
+            "--seed" => args.seed = parsed(&flag, value()),
+            "--sample" => args.sample = parsed(&flag, value()),
+            "--no-header" => args.has_header = false,
+            "--scores" => args.scores_path = Some(value()),
+            "--sql" => args.print_sql = true,
+            "--trace-metrics" => args.trace_metrics = true,
+            "--retries" => args.retries = Some(parsed(&flag, value())),
             "--durable" => durable = true,
-            "--data-dir" => data_dir = Some(req("--data-dir")),
-            "--recover" => recover = true,
+            "--data-dir" => args.data_dir = Some(value()),
+            "--recover" => args.recover = true,
             "--memory-budget" => {
-                let v = req("--memory-budget");
+                let v = value();
                 match parse_bytes(&v) {
-                    Some(b) if b > 0 => memory_budget = Some(b),
-                    _ => {
-                        eprintln!("--memory-budget needs a positive byte count, got {v:?}");
-                        usage();
-                    }
+                    Some(b) if b > 0 => args.memory_budget = Some(b),
+                    _ => usage_error(format!(
+                        "--memory-budget needs a positive byte count, got {v:?}"
+                    )),
                 }
             }
-            "--load-chunk" => {
-                let rows: usize = req("--load-chunk").parse().unwrap_or_else(|_| usage());
-                if rows == 0 {
-                    eprintln!("--load-chunk must be at least 1 row");
-                    usage();
-                }
-                load_chunk = Some(rows);
+            "--load-chunk" => match parsed(&flag, value()) {
+                0 => usage_error("--load-chunk must be at least 1 row"),
+                rows => args.load_chunk = Some(rows),
+            },
+            "--inject-fault" => {
+                let rule = parse_fault_rule(&value()).unwrap_or_else(|e| usage_error(e));
+                args.faults.push(rule)
             }
-            "--inject-fault" => fault_specs.push(req("--inject-fault")),
-            "--connect" => connect = Some(req("--connect")),
+            "--connect" => args.connect = Some(value()),
             "--shards" => {
-                let list = req("--shards");
-                shards = list
+                args.shards = value()
                     .split(',')
                     .map(str::trim)
                     .filter(|s| !s.is_empty())
                     .map(String::from)
                     .collect();
-                if shards.is_empty() {
-                    eprintln!("--shards needs a comma-separated list of HOST:PORT addresses");
-                    usage();
+                if args.shards.is_empty() {
+                    usage_error("--shards needs a comma-separated list of HOST:PORT addresses");
                 }
             }
-            "--namespace" => namespace = req("--namespace"),
-            "--auth-token" => auth_token = req("--auth-token"),
+            "--namespace" => args.namespace = value(),
+            "--auth-token" => args.auth_token = value(),
             "--deadline" => {
-                let secs: f64 = req("--deadline").parse().unwrap_or_else(|_| usage());
+                let secs: f64 = parsed(&flag, value());
                 if !(secs > 0.0 && secs.is_finite()) {
-                    eprintln!("--deadline must be a positive number of seconds");
-                    usage();
+                    usage_error("--deadline must be a positive number of seconds");
                 }
-                deadline = Some(secs);
+                args.deadline = Some(secs);
             }
             "--help" | "-h" => usage(),
-            other if !other.starts_with('-') && input.is_none() => input = Some(other.to_string()),
-            other => {
-                eprintln!("unknown argument {other}");
-                usage()
-            }
+            other if !other.starts_with('-') && !plan && args.input.is_empty() => args.input = flag,
+            other => usage_error(format!("unknown argument {other}")),
         }
     }
-    let Some(input) = input else {
-        eprintln!("missing input file");
-        usage()
-    };
-    let Some(k) = k else {
-        eprintln!("--k is required");
-        usage()
-    };
-    Args {
-        input,
-        k,
-        strategy,
-        epsilon,
-        max_iterations,
-        seed,
-        sample,
-        has_header,
-        scores_path,
-        print_sql,
-        fused,
-        trace_metrics,
-        retries,
-        checkpoint_path,
-        resume_path,
-        data_dir: data_dir.or_else(|| durable.then(|| "sqlem_data".to_string())),
-        recover,
-        memory_budget,
-        load_chunk,
-        fault_specs,
-        connect,
-        shards,
-        namespace,
-        auth_token,
-        deadline,
+    if args.k == 0 {
+        usage_error("--k is required and must be at least 1");
     }
+    if plan {
+        if args.p == 0 {
+            usage_error(format!("{command_name} requires --p, at least 1"));
+        }
+        return args;
+    }
+    if args.input.is_empty() {
+        usage_error("missing input file");
+    }
+    if durable && args.data_dir.is_none() {
+        args.data_dir = Some("sqlem_data".to_string());
+    }
+    let remote = args.connect.is_some() || !args.shards.is_empty();
+    if args.deadline.is_some() && !remote {
+        usage_error("--deadline budgets remote statements; it requires --connect or --shards");
+    }
+    if args.connect.is_some() && !args.shards.is_empty() {
+        usage_error(
+            "--connect and --shards are mutually exclusive: --connect targets one \
+             server, --shards assembles a hash-partitioned cluster",
+        );
+    }
+    let mode = if args.connect.is_some() {
+        "--connect"
+    } else {
+        "--shards"
+    };
+    for (flag, set) in [
+        ("--durable/--data-dir", args.data_dir.is_some()),
+        ("--inject-fault", !args.faults.is_empty()),
+        ("--memory-budget", args.memory_budget.is_some()),
+    ] {
+        if remote && set {
+            usage_error(format!(
+                "{flag} configures the database process; with {mode}, pass it \
+                 to sqlem-server instead"
+            ));
+        }
+    }
+    args
 }
 
 /// Parse a byte count with an optional K/M/G suffix (powers of 1024).
@@ -481,40 +516,6 @@ fn parse_fault_rule(spec: &str) -> Result<FaultRule, String> {
     Ok(rule)
 }
 
-/// Persist the in-database checkpoint (if any) to `path` so a later
-/// process can `--resume` it; works against any executor (in-process
-/// or a remote server's checkpoint table).
-fn save_checkpoint_file(db: &mut dyn SqlExecutor, names: &Names, path: &str) -> Result<(), String> {
-    let saved: Option<Checkpoint> =
-        checkpoint::read_checkpoint(db, names).map_err(|e| e.to_string())?;
-    match saved {
-        Some(ckpt) => {
-            // Replaced atomically: a kill mid-save leaves the previous
-            // checkpoint file, never a torn one `--resume` would reject.
-            let target = std::path::Path::new(path);
-            let name = target
-                .file_name()
-                .and_then(|n| n.to_str())
-                .ok_or_else(|| format!("cannot write {path}: not a file path"))?;
-            let dir = match target.parent() {
-                Some(dir) if !dir.as_os_str().is_empty() => dir,
-                _ => std::path::Path::new("."),
-            };
-            atomic_replace(dir, name, checkpoint::to_text(&ckpt).as_bytes())
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
-            eprintln!(
-                "saved checkpoint after iteration {} to {path} (resume with --resume {path})",
-                ckpt.iteration
-            );
-            Ok(())
-        }
-        None => {
-            eprintln!("no checkpoint to save (no iteration completed)");
-            Ok(())
-        }
-    }
-}
-
 fn run(args: &Args) -> Result<(), CliError> {
     let text = std::fs::read_to_string(&args.input)
         .map_err(|e| format!("cannot read {}: {e}", args.input))?;
@@ -529,7 +530,7 @@ fn run(args: &Args) -> Result<(), CliError> {
         return Err(format!("--k {} exceeds the number of rows {n}", args.k).into());
     }
 
-    let mut config = SqlemConfig::new(args.k, args.strategy)
+    let mut config = SqlemConfig::new(args.k, args.strategy.unwrap_or(Strategy::Hybrid))
         .with_epsilon(args.epsilon)
         .with_max_iterations(args.max_iterations)
         .with_prefix(&args.namespace);
@@ -540,10 +541,11 @@ fn run(args: &Args) -> Result<(), CliError> {
         // N retries = N+1 attempts per statement.
         config = config.with_retry(RetryPolicy::new(n + 1).with_seed(args.seed));
     }
-    if args.checkpoint_path.is_some() || args.data_dir.is_some() || args.connect.is_some() {
-        // Durable and remote runs always checkpoint: the database (or
-        // server) can outlive this process, and the checkpoint table
-        // is what a later invocation resumes from.
+    let remote = args.connect.is_some() || !args.shards.is_empty();
+    if remote || args.data_dir.is_some() {
+        // Durable, remote and sharded runs always checkpoint: the
+        // database (or its servers) can outlive this process, and the
+        // checkpoint table is what a later invocation resumes from.
         config = config.with_checkpoints();
     }
     if args.recover {
@@ -558,37 +560,7 @@ fn run(args: &Args) -> Result<(), CliError> {
         config = config.with_expected_n(n.max(1));
     }
 
-    let remote = args.connect.is_some() || !args.shards.is_empty();
-    if args.deadline.is_some() && !remote {
-        eprintln!("--deadline budgets remote statements; it requires --connect or --shards");
-        usage();
-    }
-    if args.connect.is_some() && !args.shards.is_empty() {
-        eprintln!(
-            "--connect and --shards are mutually exclusive: --connect targets one \
-             server, --shards assembles a hash-partitioned cluster"
-        );
-        usage();
-    }
     if remote {
-        let mode = if args.connect.is_some() {
-            "--connect"
-        } else {
-            "--shards"
-        };
-        for (flag, set) in [
-            ("--durable/--data-dir", args.data_dir.is_some()),
-            ("--inject-fault", !args.fault_specs.is_empty()),
-            ("--memory-budget", args.memory_budget.is_some()),
-        ] {
-            if set {
-                eprintln!(
-                    "{flag} configures the database process; with {mode}, pass it \
-                     to sqlem-server instead"
-                );
-                usage();
-            }
-        }
         let client = ClientConfig {
             auth_token: args.auth_token.clone(),
             namespace: args.namespace.clone(),
@@ -599,7 +571,7 @@ fn run(args: &Args) -> Result<(), CliError> {
             let mut conn =
                 RemoteConnection::connect(addr, client).map_err(|e| CliError::connect(addr, &e))?;
             eprintln!("connected: {}", conn.describe());
-            return run_clustering(args, &config, &data, p, &mut conn, true);
+            return run_clustering(args, &config, &data, p, &mut conn);
         }
         let mut conns = Vec::with_capacity(args.shards.len());
         for addr in &args.shards {
@@ -616,7 +588,7 @@ fn run(args: &Args) -> Result<(), CliError> {
             message: format!("cannot assemble the shard cluster: {e}"),
         })?;
         eprintln!("connected: {}", coord.describe());
-        return run_clustering(args, &config, &data, p, &mut coord, true);
+        return run_clustering(args, &config, &data, p, &mut coord);
     }
 
     let mut db = match &args.data_dir {
@@ -632,43 +604,25 @@ fn run(args: &Args) -> Result<(), CliError> {
         db.set_memory_budget(Some(MemoryBudget::new(b)));
         eprintln!("working-memory budget: {b} byte(s)");
     }
-    if !args.fault_specs.is_empty() {
-        let rules = args
-            .fault_specs
-            .iter()
-            .map(|s| parse_fault_rule(s))
-            .collect::<Result<Vec<_>, _>>()?;
-        db.set_fault_plan(FaultPlan::new(rules).with_seed(args.seed));
+    if !args.faults.is_empty() {
+        db.set_fault_plan(FaultPlan::new(args.faults.clone()).with_seed(args.seed));
     }
-    run_clustering(args, &config, &data, p, &mut db, args.data_dir.is_some())
+    run_clustering(args, &config, &data, p, &mut db)
 }
 
 /// The clustering run proper, generic over where the SQL executes: an
-/// in-process [`Database`] or a [`RemoteConnection`] to a server.
-/// `persistent` marks executors whose state outlives this process
-/// (durable directory or remote server), enabling in-database resume
-/// and end-of-run checkpoint housekeeping.
+/// in-process [`Database`], a [`RemoteConnection`] to a server or a
+/// [`Coordinator`] over shards. A run that checkpoints
+/// (`config.checkpoint`: its database outlives this process) resumes
+/// from the checkpoint it finds, keeps it when the iteration cap stops
+/// the run, and clears it on convergence.
 fn run_clustering<E: SqlExecutor>(
     args: &Args,
     config: &SqlemConfig,
     data: &csv::NumericCsv,
     p: usize,
     db: &mut E,
-    persistent: bool,
 ) -> Result<(), CliError> {
-    let names = Names::new(&args.namespace);
-    if let Some(path) = &args.resume_path {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| CliError::no_checkpoint(format!("cannot read checkpoint {path}: {e}")))?;
-        if text.trim().is_empty() {
-            return Err(CliError::no_checkpoint(format!(
-                "checkpoint {path} is empty: nothing to resume"
-            )));
-        }
-        let ckpt: Checkpoint = checkpoint::from_text(&text)
-            .map_err(|e| CliError::no_checkpoint(format!("checkpoint {path} is unusable: {e}")))?;
-        checkpoint::write_checkpoint(&mut *db, &names, &ckpt)?;
-    }
     let mut session = EmSession::create(&mut *db, config, p)?;
 
     if args.print_sql {
@@ -680,10 +634,7 @@ fn run_clustering<E: SqlExecutor>(
     }
 
     session.load_points(&data.rows)?;
-    // Durable databases and remote servers carry their checkpoint
-    // tables across process restarts, so try an in-database resume even
-    // without --resume.
-    let resumed_at = if args.resume_path.is_some() || persistent {
+    let resumed_at = if config.checkpoint {
         session.resume_from_checkpoint()?
     } else {
         None
@@ -691,11 +642,6 @@ fn run_clustering<E: SqlExecutor>(
     match resumed_at {
         Some(done) => eprintln!("resumed from checkpoint: {done} iteration(s) already complete"),
         None => {
-            if let Some(path) = &args.resume_path {
-                return Err(CliError::no_checkpoint(format!(
-                    "{path} holds no usable checkpoint for this data (k/p mismatch?)"
-                )));
-            }
             session.initialize(&InitStrategy::FromSample {
                 fraction: args.sample.clamp(0.01, 1.0),
                 seed: args.seed,
@@ -707,18 +653,7 @@ fn run_clustering<E: SqlExecutor>(
     if args.trace_metrics {
         session.enable_telemetry()?;
     }
-    let run = match session.run() {
-        Ok(run) => run,
-        Err(e) => {
-            // Even a failed run may have checkpointed completed
-            // iterations: persist them so the user can resume.
-            drop(session);
-            if let Some(path) = &args.checkpoint_path {
-                save_checkpoint_file(&mut *db, &names, path)?;
-            }
-            return Err(e.into());
-        }
-    };
+    let run = session.run()?;
     if run.retries > 0 {
         eprintln!("retried {} transient statement failure(s)", run.retries);
     }
@@ -765,16 +700,11 @@ fn run_clustering<E: SqlExecutor>(
         std::fs::write(path, out).map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("wrote {} assignments to {path}", scores.len());
     }
-    let converged = run.outcome == emcore::EmOutcome::Converged;
-    drop(session);
-    if let Some(path) = &args.checkpoint_path {
-        save_checkpoint_file(&mut *db, &names, path)?;
-    }
-    if persistent {
-        if converged {
+    if config.checkpoint {
+        if run.outcome == emcore::EmOutcome::Converged {
             // Clear the in-database checkpoint so the next invocation
             // starts fresh instead of "resuming" a finished run.
-            checkpoint::clear_checkpoint(&mut *db, &names).map_err(|e| e.to_string())?;
+            session.clear_checkpoint()?;
         } else {
             // Stopped at the iteration cap: keep the checkpoint so a
             // rerun with a higher --max-iterations picks up from here.
@@ -784,8 +714,8 @@ fn run_clustering<E: SqlExecutor>(
     Ok(())
 }
 
-/// The `lint` and `analyze` subcommands: one argument parser and one
-/// static analysis (nothing executes), rendered two ways.
+/// The `lint` and `analyze` subcommands: one static analysis (nothing
+/// executes), rendered two ways.
 ///
 /// * `lint` prints one summary line per strategy (`--verbose` adds every
 ///   finding) plus the horizontal→hybrid fallback advisory, mirroring
@@ -794,51 +724,21 @@ fn run_clustering<E: SqlExecutor>(
 /// * `analyze` prints the full report (scan derivation, lifecycle,
 ///   mutation classes, steady-state proof, closed-form cost check) and
 ///   errs when any analyzed strategy fails a check.
-fn run_plan(cmd: &str, args: &[String]) -> Result<(), String> {
-    let mut p = None;
-    let mut k = None;
-    let mut strategy = None;
-    let mut fused = false;
-    let mut verbose = false;
+fn run_plan(args: &Args) -> Result<(), CliError> {
+    let (p, k) = (args.p, args.k);
     let mut db = Database::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut num = || -> Result<usize, String> {
-            it.next()
-                .ok_or_else(|| format!("{a} requires a value"))?
-                .parse()
-                .map_err(|_| format!("{a} requires a number"))
-        };
-        match a.as_str() {
-            "--p" => p = Some(num()?),
-            "--k" => k = Some(num()?),
-            "--max-statement-len" => db.set_max_statement_len(num()?),
-            "--max-terms" => db.config_mut().limits.max_terms = num()?,
-            "--strategy" => {
-                let name = it.next().ok_or("--strategy requires a value")?;
-                strategy = Some(
-                    Strategy::ALL
-                        .into_iter()
-                        .find(|s| s.to_string() == *name)
-                        .ok_or_else(|| format!("unknown strategy {name}"))?,
-                )
-            }
-            "--fused" => fused = true,
-            "--verbose" => verbose = true,
-            other => return Err(format!("unknown {cmd} argument {other}")),
-        }
+    if let Some(len) = args.max_statement_len {
+        db.set_max_statement_len(len);
     }
-    let p = p.ok_or_else(|| format!("{cmd} requires --p"))?;
-    let k = k.ok_or_else(|| format!("{cmd} requires --k"))?;
-    if p == 0 || k == 0 {
-        return Err("--p and --k must be at least 1".into());
+    if let Some(terms) = args.max_terms {
+        db.config_mut().limits.max_terms = terms;
     }
     let mut config = SqlemConfig::new(k, Strategy::Hybrid);
-    config.fused_e_step = fused;
+    config.fused_e_step = args.fused;
     let mut reports = sqlem::analyze_all(&mut db, &config, p).map_err(|e| e.to_string())?;
-    reports.retain(|r| strategy.is_none_or(|s| r.strategy == s));
+    reports.retain(|r| args.strategy.is_none_or(|s| r.strategy == s));
 
-    if cmd == "analyze" {
+    if args.command == Command::Analyze {
         for report in &reports {
             print!("{}", report.render());
             println!();
@@ -851,7 +751,7 @@ fn run_plan(cmd: &str, args: &[String]) -> Result<(), String> {
         return if failed.is_empty() {
             Ok(())
         } else {
-            Err(format!("static analysis failed for: {}", failed.join(", ")))
+            Err(format!("static analysis failed for: {}", failed.join(", ")).into())
         };
     }
 
@@ -863,7 +763,7 @@ fn run_plan(cmd: &str, args: &[String]) -> Result<(), String> {
     );
     for report in &reports {
         println!("  {}", report.summary());
-        if verbose {
+        if args.verbose {
             for error in report.errors() {
                 println!("    {error}");
             }
@@ -883,18 +783,12 @@ fn run_plan(cmd: &str, args: &[String]) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(cmd @ ("lint" | "analyze")) = argv.first().map(String::as_str) {
-        return match run_plan(cmd, &argv[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let args = parse_args();
-    match run(&args) {
+    let args = parse_args(std::env::args().skip(1));
+    let result = match args.command {
+        Command::Cluster => run(&args),
+        Command::Lint | Command::Analyze => run_plan(&args),
+    };
+    match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {}", e.message);

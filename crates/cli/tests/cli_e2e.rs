@@ -188,104 +188,6 @@ fn shell_runs_script_files_from_args() {
 }
 
 #[test]
-fn checkpoint_then_resume_continues_the_run() {
-    let dir = std::env::temp_dir().join("sqlem_cli_test_ckpt");
-    std::fs::create_dir_all(&dir).unwrap();
-    let input = demo_csv(&dir);
-    let ckpt = dir.join("run.ckpt");
-
-    // Phase 1: three iterations, checkpoint persisted to disk.
-    let out = Command::new(bin())
-        .args([
-            input.to_str().unwrap(),
-            "--k",
-            "2",
-            "--seed",
-            "7",
-            "--epsilon",
-            "1e-12",
-            "--max-iterations",
-            "3",
-            "--checkpoint",
-            ckpt.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "{stderr}");
-    assert!(
-        stderr.contains("saved checkpoint after iteration 3"),
-        "{stderr}"
-    );
-    let text = std::fs::read_to_string(&ckpt).unwrap();
-    assert!(text.starts_with("sqlem-checkpoint v1"), "{text}");
-
-    // Phase 2: a fresh process resumes where phase 1 stopped.
-    let out = Command::new(bin())
-        .args([
-            input.to_str().unwrap(),
-            "--k",
-            "2",
-            "--seed",
-            "7",
-            "--epsilon",
-            "1e-12",
-            "--max-iterations",
-            "8",
-            "--resume",
-            ckpt.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "{stderr}");
-    assert!(
-        stderr.contains("resumed from checkpoint: 3 iteration(s) already complete"),
-        "{stderr}"
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn checkpoint_save_replaces_an_existing_file_whole() {
-    let dir = std::env::temp_dir().join("sqlem_cli_test_ckpt_replace");
-    std::fs::create_dir_all(&dir).unwrap();
-    let input = demo_csv(&dir);
-    let ckpt = dir.join("run.ckpt");
-    std::fs::write(&ckpt, "a previous run's checkpoint").unwrap();
-    let out = Command::new(bin())
-        .args([
-            input.to_str().unwrap(),
-            "--k",
-            "2",
-            "--seed",
-            "7",
-            "--epsilon",
-            "1e-12",
-            "--max-iterations",
-            "2",
-            "--checkpoint",
-            ckpt.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "{stderr}");
-    // Saved through a staging file that is renamed over the target:
-    // nothing is left beside it and the file is a whole checkpoint.
-    let leftovers: Vec<_> = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().file_name().into_string().unwrap())
-        .filter(|name| name.ends_with(".tmp"))
-        .collect();
-    assert!(leftovers.is_empty(), "{leftovers:?}");
-    let saved: sqlem::Checkpoint =
-        sqlem::checkpoint::from_text(&std::fs::read_to_string(&ckpt).unwrap()).unwrap();
-    assert_eq!(saved.iteration, 2);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn injected_transient_fault_is_retried() {
     let dir = std::env::temp_dir().join("sqlem_cli_test_fault");
     std::fs::create_dir_all(&dir).unwrap();
@@ -339,51 +241,6 @@ fn injected_permanent_fault_fails_with_typed_error() {
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("injected permanent fault"), "{stderr}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn missing_resume_checkpoint_exits_with_code_3() {
-    let dir = std::env::temp_dir().join("sqlem_cli_test_resume_missing");
-    std::fs::create_dir_all(&dir).unwrap();
-    let input = demo_csv(&dir);
-    let out = Command::new(bin())
-        .args([
-            input.to_str().unwrap(),
-            "--k",
-            "2",
-            "--resume",
-            dir.join("no_such.ckpt").to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(3), "distinct no-checkpoint code");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("cannot read checkpoint"), "{stderr}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn empty_resume_checkpoint_exits_with_code_3() {
-    let dir = std::env::temp_dir().join("sqlem_cli_test_resume_empty");
-    std::fs::create_dir_all(&dir).unwrap();
-    let input = demo_csv(&dir);
-    let ckpt = dir.join("empty.ckpt");
-    std::fs::write(&ckpt, "").unwrap();
-    let out = Command::new(bin())
-        .args([
-            input.to_str().unwrap(),
-            "--k",
-            "2",
-            "--resume",
-            ckpt.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(3), "distinct no-checkpoint code");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("empty"), "{stderr}");
-    assert!(stderr.contains("nothing to resume"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -874,6 +731,47 @@ fn sharded_cluster_run_matches_in_process_run() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A sharded run checkpoints in its servers' databases like a durable
+/// one: stopped by the iteration cap, it is continued by the next
+/// invocation over the same shards, to the bits an uninterrupted run
+/// reaches.
+#[test]
+fn sharded_run_resumes_from_its_checkpoint_after_iteration_cap() {
+    let dir = std::env::temp_dir().join("sqlem_cli_test_shards_resume");
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = demo_csv(&dir);
+    let run = |cap: &str, shards: Option<&str>| {
+        let mut cmd = Command::new(bin());
+        cmd.args([input.to_str().unwrap(), "--k", "2", "--seed", "7"])
+            .args(["--epsilon", "1e-12", "--max-iterations", cap]);
+        if let Some(addrs) = shards {
+            cmd.args(["--shards", addrs, "--namespace", "e2r_"]);
+        }
+        let out = cmd.output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "{stderr}");
+        (String::from_utf8_lossy(&out.stdout).into_owned(), stderr)
+    };
+    let (uninterrupted, _) = run("8", None);
+
+    let (a0, h0, j0) = spawn_server(sqlwire::ServerConfig::default());
+    let (a1, h1, j1) = spawn_server(sqlwire::ServerConfig::default());
+    let shards = format!("{a0},{a1}");
+    let (_, first) = run("3", Some(&shards));
+    let (resumed, second) = run("8", Some(&shards));
+    h0.shutdown();
+    h1.shutdown();
+    j0.join().unwrap().unwrap();
+    j1.join().unwrap().unwrap();
+    assert!(first.contains("iteration cap reached"), "{first}");
+    assert!(
+        second.contains("resumed from checkpoint: 3 iteration(s) already complete"),
+        "{second}"
+    );
+    assert_eq!(resumed, uninterrupted);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn exceeded_deadline_fails_with_actionable_hint() {
     let dir = std::env::temp_dir().join("sqlem_cli_test_deadline_hit");
@@ -998,4 +896,21 @@ fn lint_and_analyze_subcommands() {
         stderr.contains("static analysis failed for: horizontal"),
         "{stderr}"
     );
+}
+
+/// `lint` and `analyze` take their flags from the one parser: a
+/// malformed value, a missing required flag and a clustering-run flag
+/// are usage errors (exit 2), like the clustering run's own.
+#[test]
+fn lint_and_analyze_usage_errors_exit_2() {
+    for args in [
+        &["lint", "--p", "x", "--k", "2"][..],
+        &["analyze", "--k", "2"],
+        &["lint", "--p", "2", "--k", "2", "--scores", "f"],
+    ] {
+        let out = Command::new(bin()).args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: sqlem-cli"), "{args:?}: {stderr}");
+    }
 }

@@ -20,8 +20,9 @@
 //! statements, each atomic (see `docs/ROBUSTNESS.md`):
 //!
 //! 1. `CREATE TABLE IF NOT EXISTS`;
-//! 2. `DELETE … WHERE iteration >= t` (a stale generation, e.g. one a
-//!    resume from an older checkpoint left ahead of the run);
+//! 2. `DELETE … WHERE iteration >= t` (a stale generation, e.g. an
+//!    earlier run's, which a fresh run over the same prefix finds ahead
+//!    of its own);
 //! 3. one bulk insert of generation `t`;
 //! 4. `DELETE … WHERE iteration < t`.
 //!
@@ -42,10 +43,9 @@
 //! bulk insert as its binary rows, so the doubles stay bit-exact), and
 //! the table survives a **process kill**: a fresh process reopens the
 //! directory and [`crate::EmSession::resume_from_checkpoint`] finds the
-//! checkpoint without any text side-channel ([`to_text`]/[`from_text`]
-//! remain available for moving checkpoints *between* databases). A kill
-//! mid-checkpoint replays only the committed statements, which leaves
-//! the previous generation, the new one, or both.
+//! checkpoint. A kill mid-checkpoint replays only the committed
+//! statements, which leaves the previous generation, the new one, or
+//! both.
 
 use emcore::GmmParams;
 use sqlengine::{SqlExecutor, Value};
@@ -82,18 +82,6 @@ fn exec(db: &mut dyn SqlExecutor, sql: &str) -> Result<(), SqlemError> {
     db.execute(sql)
         .map(|_| ())
         .map_err(|e| SqlemError::from_sql("checkpoint", e))
-}
-
-/// Format an f64 so it parses back bit-identically (17 significant
-/// digits round-trip IEEE doubles; NaN/±inf get spelled out).
-fn fmt_f64(v: f64) -> String {
-    if v.is_nan() {
-        "nan".to_string()
-    } else if v.is_infinite() {
-        if v > 0.0 { "inf" } else { "-inf" }.to_string()
-    } else {
-        format!("{v:.17e}")
-    }
 }
 
 /// Write generation `ckpt.iteration` of the checkpoint for this
@@ -233,99 +221,6 @@ pub fn clear_checkpoint(db: &mut dyn SqlExecutor, names: &Names) -> Result<(), S
     exec(db, &format!("DROP TABLE IF EXISTS {}", names.ckpt()))
 }
 
-/// Serialize a checkpoint to a small line-oriented text format, for
-/// carrying a resume point across *processes* (the in-memory engine dies
-/// with its process; `sqlem-cli --checkpoint/--resume` uses this).
-pub fn to_text<P: ParamSet>(ckpt: &Checkpoint<P>) -> String {
-    let (k, p) = ckpt.params.shape();
-    let (means, cov, weights) = ckpt.params.cells();
-    let mut out = String::from("sqlem-checkpoint v1\n");
-    out.push_str(&format!("iteration {}\n", ckpt.iteration));
-    out.push_str(&format!("k {k}\n"));
-    out.push_str(&format!("p {p}\n"));
-    let join = |vals: &[f64]| {
-        vals.iter()
-            .map(|&v| fmt_f64(v))
-            .collect::<Vec<_>>()
-            .join(" ")
-    };
-    out.push_str(&format!("llh {}\n", join(&ckpt.llh_history)));
-    out.push_str(&format!("weights {}\n", join(weights)));
-    out.push_str(&format!("cov {}\n", join(&cov)));
-    for mean in means {
-        out.push_str(&format!("mean {}\n", join(mean)));
-    }
-    out
-}
-
-/// Parse the [`to_text`] format back.
-pub fn from_text<P: ParamSet>(text: &str) -> Result<Checkpoint<P>, SqlemError> {
-    let bad = |m: &str| SqlemError::BadInput(format!("checkpoint file: {m}"));
-    let mut lines = text.lines();
-    if lines.next().map(str::trim) != Some("sqlem-checkpoint v1") {
-        return Err(bad("missing 'sqlem-checkpoint v1' header"));
-    }
-    let mut iteration = None;
-    let mut k = None;
-    let mut p = None;
-    let mut llh_history = None;
-    let mut weights = None;
-    let mut cov = None;
-    let mut means: Vec<Vec<f64>> = Vec::new();
-    let parse_vals = |rest: &str| -> Result<Vec<f64>, SqlemError> {
-        rest.split_whitespace()
-            .map(|t| match t {
-                "nan" => Ok(f64::NAN),
-                "inf" => Ok(f64::INFINITY),
-                "-inf" => Ok(f64::NEG_INFINITY),
-                _ => t.parse::<f64>().map_err(|_| {
-                    SqlemError::BadInput(format!("checkpoint file: bad number {t:?}"))
-                }),
-            })
-            .collect()
-    };
-    for line in lines {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let (tag, rest) = line.split_once(' ').unwrap_or((line, ""));
-        match tag {
-            "iteration" => {
-                iteration = Some(rest.parse::<usize>().map_err(|_| bad("bad iteration"))?)
-            }
-            "k" => k = Some(rest.parse::<usize>().map_err(|_| bad("bad k"))?),
-            "p" => p = Some(rest.parse::<usize>().map_err(|_| bad("bad p"))?),
-            "llh" => llh_history = Some(parse_vals(rest)?),
-            "weights" => weights = Some(parse_vals(rest)?),
-            "cov" => cov = Some(parse_vals(rest)?),
-            "mean" => means.push(parse_vals(rest)?),
-            _ => return Err(bad(&format!("unknown line tag {tag:?}"))),
-        }
-    }
-    let iteration = iteration.ok_or_else(|| bad("missing iteration"))?;
-    let k = k.ok_or_else(|| bad("missing k"))?;
-    let p = p.ok_or_else(|| bad("missing p"))?;
-    let llh_history = llh_history.ok_or_else(|| bad("missing llh"))?;
-    let weights = weights.ok_or_else(|| bad("missing weights"))?;
-    let cov = cov.ok_or_else(|| bad("missing cov"))?;
-    if means.len() != k
-        || means.iter().any(|m| m.len() != p)
-        || weights.len() != k
-        || cov.len() != P::cov_len(k, p)
-    {
-        return Err(bad("shape mismatch between header and vectors"));
-    }
-    if llh_history.len() != iteration {
-        return Err(bad("llh history length does not match iteration"));
-    }
-    Ok(Checkpoint {
-        iteration,
-        llh_history,
-        params: P::from_cells(means, cov, weights),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,14 +241,19 @@ mod tests {
 
     #[test]
     fn db_roundtrip_is_exact() {
-        let mut db = Database::new();
-        let names = Names::new("s_");
-        let ckpt = sample();
-        write_checkpoint(&mut db, &names, &ckpt).unwrap();
-        let back = read_checkpoint::<GmmParams>(&mut db, &names)
-            .unwrap()
-            .unwrap();
-        assert_eq!(back, ckpt, "bit-identical roundtrip");
+        let mut awkward = sample();
+        awkward.params.means[0][0] = 1.0 / 3.0;
+        awkward.params.cov[1] = f64::MIN_POSITIVE;
+        awkward.llh_history[0] = -1.234_567_890_123_456_7e300;
+        for ckpt in [sample(), awkward] {
+            let mut db = Database::new();
+            let names = Names::new("s_");
+            write_checkpoint(&mut db, &names, &ckpt).unwrap();
+            let back = read_checkpoint::<GmmParams>(&mut db, &names)
+                .unwrap()
+                .unwrap();
+            assert_eq!(back, ckpt, "bit-identical roundtrip");
+        }
     }
 
     #[test]
@@ -399,14 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn text_roundtrip_is_exact() {
-        let ckpt = sample();
-        let text = to_text(&ckpt);
-        let back = from_text::<GmmParams>(&text).unwrap();
-        assert_eq!(back, ckpt);
-    }
-
-    #[test]
     fn per_cluster_covariances_round_trip() {
         let ckpt = Checkpoint {
             iteration: 1,
@@ -417,7 +309,6 @@ mod tests {
                 weights: vec![0.25, 0.75],
             },
         };
-        assert_eq!(from_text::<FullParams>(&to_text(&ckpt)).unwrap(), ckpt);
         let mut db = Database::new();
         let names = Names::new("pc_");
         write_checkpoint(&mut db, &names, &ckpt).unwrap();
@@ -425,26 +316,6 @@ mod tests {
         assert_eq!(back, Some(ckpt));
         // A shared-R reader sees k × p covariance cells: not its shape.
         assert!(read_checkpoint::<GmmParams>(&mut db, &names).is_err());
-    }
-
-    #[test]
-    fn text_roundtrip_preserves_awkward_floats() {
-        let mut ckpt = sample();
-        ckpt.params.means[0][0] = 1.0 / 3.0;
-        ckpt.params.cov[1] = f64::MIN_POSITIVE;
-        ckpt.llh_history[0] = -1.234_567_890_123_456_7e300;
-        let back = from_text::<GmmParams>(&to_text(&ckpt)).unwrap();
-        assert_eq!(back, ckpt);
-    }
-
-    #[test]
-    fn malformed_text_is_rejected() {
-        assert!(from_text::<GmmParams>("").is_err());
-        assert!(from_text::<GmmParams>("sqlem-checkpoint v1\niteration 1\n").is_err());
-        let mut ckpt = sample();
-        ckpt.llh_history.pop();
-        let text = to_text(&ckpt); // iteration 3 but 2 llh entries
-        assert!(from_text::<GmmParams>(&text).is_err());
     }
 
     #[test]
@@ -511,8 +382,8 @@ mod tests {
 
     #[test]
     fn an_older_generation_overwrites_a_newer_one() {
-        // A resume from an older checkpoint (a `--resume` file) restarts
-        // the generations there.
+        // A fresh run over an earlier run's checkpoint restarts the
+        // generations at its own.
         let mut db = Database::new();
         let names = Names::new("");
         write_checkpoint(&mut db, &names, &next_generation()).unwrap();

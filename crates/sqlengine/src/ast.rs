@@ -439,10 +439,7 @@ impl std::fmt::Display for Statement {
 
 /// Is `name` one of the supported aggregate functions?
 pub fn is_aggregate_name(name: &str) -> bool {
-    matches!(
-        name,
-        "sum" | "count" | "avg" | "min" | "max" | "variance" | "var_pop" | "stddev" | "stddev_pop"
-    )
+    matches!(name, "sum" | "count" | "avg" | "min" | "max")
 }
 
 /// One item of a SELECT list.

@@ -59,10 +59,8 @@
 //! ships it un-finalized ([`PartialAggResult`]) and the coordinator
 //! merges and finalizes. `MIN`/`MAX` order by SQL comparison
 //! with every NaN above every number (where ORDER BY sorts it), so they
-//! too are independent of scan and merge order. Merging is exact for
-//! every aggregate except `VARIANCE`/`STDDEV` (Chan's moment
-//! combination, deterministic in shard order but not order-free; the
-//! EM-generated SQL never uses them).
+//! too are independent of scan and merge order: every aggregate merges
+//! exactly, in any order.
 
 use std::borrow::Borrow;
 use std::ops::Range;
@@ -89,10 +87,6 @@ pub enum AggKind {
     Min,
     /// `MAX(expr)`
     Max,
-    /// `VARIANCE(expr)` — population variance (Welford accumulation).
-    Variance,
-    /// `STDDEV(expr)` — population standard deviation.
-    Stddev,
 }
 
 impl AggKind {
@@ -103,8 +97,6 @@ impl AggKind {
             "avg" => AggKind::Avg,
             "min" => AggKind::Min,
             "max" => AggKind::Max,
-            "variance" | "var_pop" => AggKind::Variance,
-            "stddev" | "stddev_pop" => AggKind::Stddev,
             _ => return None,
         })
     }
@@ -255,10 +247,9 @@ fn rewrite(
 // Accumulation
 // ---------------------------------------------------------------------
 
-/// One accumulator on its own: what the group table's `MIN`, `MAX`,
-/// `VARIANCE` and `STDDEV` columns hold a group of and update value by
-/// value, and one group's accumulator as the wire decodes it
-/// ([`PartialAggResult::push_group`]). Fed one row at a time
+/// One accumulator on its own: what the group table's `MIN` and `MAX`
+/// columns hold a group of and update value by value, and one group's
+/// accumulator as the wire decodes it ([`PartialAggResult::push_group`]). Fed one row at a time
 /// ([`AggState::update`]) it is also the reference the batch loops are
 /// tested against (`tests/agg_model.rs`). An [`ExactSum`] travels as
 /// finite doubles whose sum is its exact value ([`ExactSum::to_parts`]:
@@ -290,18 +281,6 @@ pub enum AggState {
     Min(Option<Value>),
     /// `MAX` — best value so far.
     Max(Option<Value>),
-    /// `VARIANCE`/`STDDEV` — Welford online moments. Merging uses
-    /// Chan's combination: deterministic in merge order, not order-free.
-    Var {
-        /// Non-NULL inputs seen.
-        count: u64,
-        /// Running mean.
-        mean: f64,
-        /// Sum of squared deviations.
-        m2: f64,
-        /// Finalize as standard deviation instead of variance.
-        stddev: bool,
-    },
 }
 
 /// The order MIN and MAX pick by: SQL comparison, except that a NaN —
@@ -342,12 +321,6 @@ impl AggState {
             },
             AggKind::Min => AggState::Min(None),
             AggKind::Max => AggState::Max(None),
-            AggKind::Variance | AggKind::Stddev => AggState::Var {
-                count: 0,
-                mean: 0.0,
-                m2: 0.0,
-                stddev: kind == AggKind::Stddev,
-            },
         }
     }
 
@@ -363,17 +336,14 @@ impl AggState {
         if val.is_null() {
             return Ok(());
         }
-        let numeric = |what: &str| {
-            val.as_f64().ok_or_else(|| Error::TypeMismatch {
-                context: format!("{what} over non-numeric value {val}"),
-            })
-        };
         // SUM/AVG take an integer as the integer it is: past 2^53 its
         // nearest double is another number.
         let add_to = |acc: &mut ExactSum, what: &str| {
             match val {
                 Value::Int(i) => acc.add_i64(i),
-                _ => acc.add(numeric(what)?),
+                _ => acc.add(val.as_f64().ok_or_else(|| Error::TypeMismatch {
+                    context: format!("{what} over non-numeric value {val}"),
+                })?),
             }
             Ok::<(), Error>(())
         };
@@ -402,15 +372,6 @@ impl AggState {
                     *best = Some(val);
                 }
             }
-            AggState::Var {
-                count, mean, m2, ..
-            } => {
-                let x = numeric("VARIANCE")?;
-                *count += 1;
-                let delta = x - *mean;
-                *mean += delta / *count as f64;
-                *m2 += delta * (x - *mean);
-            }
         }
         Ok(())
     }
@@ -423,13 +384,11 @@ impl AggState {
             AggState::Avg { .. } => AggKind::Avg,
             AggState::Min(_) => AggKind::Min,
             AggState::Max(_) => AggKind::Max,
-            AggState::Var { stddev: false, .. } => AggKind::Variance,
-            AggState::Var { stddev: true, .. } => AggKind::Stddev,
         }
     }
 
-    /// Merge another shard's `MIN`, `MAX` or moments into this state of
-    /// the same aggregate (`SUM`, `AVG` and `COUNT` merge in their
+    /// Merge another shard's `MIN` or `MAX` into this state of the same
+    /// aggregate (`SUM`, `AVG` and `COUNT` merge in their
     /// columns).
     fn merge(&mut self, other: &AggState) {
         match (self, other) {
@@ -445,28 +404,6 @@ impl AggState {
                     if displaces(best, v, std::cmp::Ordering::Greater) {
                         *best = Some(v.clone());
                     }
-                }
-            }
-            (
-                AggState::Var {
-                    count, mean, m2, ..
-                },
-                AggState::Var {
-                    count: c2,
-                    mean: mu2,
-                    m2: s2,
-                    ..
-                },
-            ) => {
-                // Chan et al. parallel combination of moments.
-                if *c2 > 0 {
-                    let n1 = *count as f64;
-                    let n2 = *c2 as f64;
-                    let delta = mu2 - *mean;
-                    let total = n1 + n2;
-                    *mean += delta * n2 / total;
-                    *m2 += s2 + delta * delta * n1 * n2 / total;
-                    *count += c2;
                 }
             }
             (mine, theirs) => unreachable!("{theirs:?} was checked to be a state like {mine:?}"),
@@ -499,16 +436,6 @@ impl AggState {
                 }
             }
             AggState::Min(b) | AggState::Max(b) => b.clone().unwrap_or(Value::Null),
-            AggState::Var {
-                count, m2, stddev, ..
-            } => {
-                if *count == 0 {
-                    Value::Null
-                } else {
-                    let var = m2 / *count as f64;
-                    Value::Double(if *stddev { var.sqrt() } else { var })
-                }
-            }
         }
     }
 }
@@ -529,7 +456,7 @@ impl AggSpec {
             AggKind::Count => Ty::Int,
             AggKind::Min | AggKind::Max => arg,
             AggKind::Sum => numeric()?.arith(Ty::Int),
-            AggKind::Avg | AggKind::Variance | AggKind::Stddev => {
+            AggKind::Avg => {
                 numeric()?;
                 Ty::Double
             }
@@ -558,7 +485,7 @@ enum Accumulators {
     Sum(Sums),
     Avg(Sums),
     Count(Vec<u64>),
-    /// `MIN`, `MAX`, `VARIANCE`, `STDDEV`.
+    /// `MIN`, `MAX`.
     States(AggKind, Vec<AggState>),
 }
 
@@ -573,7 +500,7 @@ pub enum AggCell<'a> {
     Avg(&'a ExactSum, u64),
     /// `COUNT`: the rows counted.
     Count(u64),
-    /// `MIN`, `MAX`, `VARIANCE` or `STDDEV`: the value-by-value state.
+    /// `MIN` or `MAX`: the value-by-value state.
     State(&'a AggState),
 }
 
@@ -676,8 +603,7 @@ impl Accumulators {
     }
 
     /// Fold in `cell`, an accumulator of this aggregate: a new group's
-    /// copy (`into` is `None`; merging into a fresh state would re-round
-    /// `VARIANCE`'s moments), or merged into group `into`'s in place.
+    /// copy (`into` is `None`), or merged into group `into`'s in place.
     fn absorb(&mut self, into: Option<usize>, cell: AggCell<'_>) {
         let (s, acc, count, all_int) = match (self, cell) {
             (Accumulators::Sum(s), AggCell::Sum(acc, count, all_int)) => (s, acc, count, all_int),
@@ -1003,7 +929,7 @@ impl AggSink {
     }
 }
 
-/// What `SUM`/`AVG`/`VARIANCE` would refuse among the first `n` rows of
+/// What `SUM`/`AVG` would refuse among the first `n` rows of
 /// an argument column: the position of the first non-numeric value and
 /// the error [`AggState::update`] raises for it.
 fn first_non_numeric(kind: AggKind, col: &Column, n: usize) -> Option<(usize, Error)> {
@@ -1701,18 +1627,14 @@ mod tests {
 
     #[test]
     fn a_partial_of_one_aggregate_is_refused_as_another() {
-        // VARIANCE and STDDEV keep the same moments: only their kind
-        // tells them apart.
+        // MIN and MAX keep the same value: only their kind tells them
+        // apart.
         let mut db = crate::Database::new();
         db.execute("CREATE TABLE t (x DOUBLE)").unwrap();
         db.execute("INSERT INTO t VALUES (1.0), (2.0), (6.0)")
             .unwrap();
         let refused = |r: &Result<()>| matches!(r, Err(Error::Unsupported(_)));
-        let pairs = [
-            ("VARIANCE", "STDDEV"),
-            ("STDDEV", "VARIANCE"),
-            ("SUM", "AVG"),
-        ];
+        let pairs = [("MIN", "MAX"), ("MAX", "MIN"), ("SUM", "AVG")];
         for (made, read) in pairs {
             let made = db.execute_partial(&format!("SELECT {made}(x) FROM t"));
             let read_sql = format!("SELECT {read}(x) FROM t");

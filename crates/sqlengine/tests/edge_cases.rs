@@ -446,54 +446,35 @@ fn explain_output_types_are_the_types_of_the_rows() {
 }
 
 #[test]
-fn variance_and_stddev_aggregates() {
+fn variance_is_an_unknown_function() {
+    // The aggregates are SUM, COUNT, AVG, MIN and MAX, each merging
+    // across shards in any order. VARIANCE and STDDEV are not among
+    // them: analysis refuses them before a row is read, in a statement
+    // and in a shard's partial alike.
     let mut d = db();
     d.execute("CREATE TABLE t (g BIGINT, x DOUBLE)").unwrap();
-    d.execute("INSERT INTO t VALUES (1, 2.0), (1, 4.0), (1, 6.0), (2, 5.0)")
+    d.execute("CREATE TABLE u (v DOUBLE)").unwrap();
+    d.execute("INSERT INTO t VALUES (1, 2.0), (1, 4.0), (2, 5.0)")
         .unwrap();
-    // Population variance of {2,4,6} = 8/3.
-    let r = d
-        .execute("SELECT g, variance(x), stddev(x) FROM t GROUP BY g ORDER BY g")
-        .unwrap();
-    let var = r.rows[0][1].as_f64().unwrap();
-    assert!((var - 8.0 / 3.0).abs() < 1e-12, "var {var}");
-    let sd = r.rows[0][2].as_f64().unwrap();
-    assert!((sd - (8.0f64 / 3.0).sqrt()).abs() < 1e-12);
-    // Single value → variance 0; empty after NULL-skip → NULL.
-    assert_eq!(r.rows[1][1], Value::Double(0.0));
-    d.execute("CREATE TABLE e (x DOUBLE)").unwrap();
-    d.execute("INSERT INTO e VALUES (NULL)").unwrap();
-    let r = d.execute("SELECT variance(x) FROM e").unwrap();
-    assert!(r.rows[0][0].is_null());
-}
-
-#[test]
-fn variance_merged_from_two_shards_matches_one_table() {
-    // The large-input check of VARIANCE/STDDEV's Chan merge: two shards'
-    // moments, merged and finalized where no row lives.
-    let sql = "SELECT variance(x), stddev(x) FROM t";
-    let load = |rows: &[Vec<Value>]| {
-        let mut d = db();
-        d.execute("CREATE TABLE t (x DOUBLE)").unwrap();
-        d.bulk_insert("t", rows.to_vec()).unwrap();
-        d
-    };
-    let doubles = |r: sqlengine::QueryResult| -> Vec<f64> {
-        r.rows[0].iter().map(|v| v.as_f64().unwrap()).collect()
-    };
-    let rows: Vec<Vec<Value>> = (0..20_000)
-        .map(|i| vec![Value::Double(((i * 37) % 101) as f64)])
-        .collect();
-    let whole = doubles(load(&rows).execute(sql).unwrap());
-    let (left, right) = rows.split_at(7_000);
-    let mut merged = load(left).execute_partial(sql).unwrap();
-    merged
-        .merge(&load(right).execute_partial(sql).unwrap())
-        .unwrap();
-    let sharded = doubles(load(&[]).finalize_partials(sql, &merged).unwrap());
-    for (a, b) in whole.iter().zip(&sharded) {
-        assert!((a - b).abs() < 1e-9 * a.abs().max(1.0), "{a} vs {b}");
+    for name in ["variance", "var_pop", "stddev", "stddev_pop"] {
+        let select = format!("SELECT g, {name}(x) FROM t GROUP BY g");
+        let insert = format!("INSERT INTO u SELECT {name}(x) FROM t");
+        let errors = [
+            d.execute(&select).unwrap_err(),
+            d.execute(&insert).unwrap_err(),
+            d.execute_partial(&select).unwrap_err(),
+        ];
+        for e in errors {
+            assert!(e.as_analyze().is_some(), "{name}: {e}");
+            assert!(
+                e.to_string()
+                    .contains(&format!("unknown function {name}()")),
+                "{e}"
+            );
+        }
     }
+    let r = d.execute("SELECT count(*) FROM u").unwrap();
+    assert_eq!(r.rows[0][0], Value::Int(0));
 }
 
 #[test]

@@ -108,72 +108,12 @@ fn is_reserved(s: &str) -> bool {
     // Superset of the parser's reserved list plus function names and the
     // bare literals that parse specially.
     const WORDS: &[&str] = &[
-        "select",
-        "from",
-        "where",
-        "group",
-        "by",
-        "order",
-        "insert",
-        "into",
-        "values",
-        "update",
-        "set",
-        "delete",
-        "create",
-        "drop",
-        "table",
-        "primary",
-        "key",
-        "and",
-        "or",
-        "not",
-        "null",
-        "is",
-        "case",
-        "when",
-        "then",
-        "else",
-        "end",
-        "as",
-        "having",
-        "limit",
-        "if",
-        "exists",
-        "asc",
-        "desc",
-        "distinct",
-        "on",
-        "join",
-        "inner",
-        "left",
-        "right",
-        "explain",
-        "exp",
-        "ln",
-        "log",
-        "sqrt",
-        "abs",
-        "power",
-        "pow",
-        "floor",
-        "ceil",
-        "ceiling",
-        "round",
-        "sign",
-        "mod",
-        "least",
-        "greatest",
-        "coalesce",
-        "sum",
-        "count",
-        "avg",
-        "min",
-        "max",
-        "variance",
-        "var_pop",
-        "stddev",
-        "stddev_pop",
+        "select", "from", "where", "group", "by", "order", "insert", "into", "values", "update",
+        "set", "delete", "create", "drop", "table", "primary", "key", "and", "or", "not", "null",
+        "is", "case", "when", "then", "else", "end", "as", "having", "limit", "if", "exists",
+        "asc", "desc", "distinct", "on", "join", "inner", "left", "right", "explain", "exp", "ln",
+        "log", "sqrt", "abs", "power", "pow", "floor", "ceil", "ceiling", "round", "sign", "mod",
+        "least", "greatest", "coalesce", "sum", "count", "avg", "min", "max",
     ];
     WORDS.contains(&s)
 }

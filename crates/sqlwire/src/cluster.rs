@@ -767,10 +767,9 @@ impl<E: SqlExecutor + Send + 'static> Coordinator<E> {
     }
 
     /// Scatter an aggregate select: every shard computes its group table
-    /// over its slice; merge the tables in shard index order (the merge
-    /// itself is order-free for `SUM`/`AVG`/`COUNT`/`MIN`/`MAX`, and
-    /// shard order makes `VARIANCE`'s Chan combination deterministic
-    /// too) into one the coordinator's thread owns.
+    /// over its slice; merge the tables in shard index order (which fixes
+    /// the merged table's group order; each aggregate merges order-free)
+    /// into one the coordinator's thread owns.
     fn scatter_partials(&mut self, text: &str) -> Result<PartialAggResult> {
         let sql = text.to_string();
         let results = self.fan_out(&[], move |_, shard| shard.execute_partial(&sql));

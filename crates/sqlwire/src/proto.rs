@@ -283,7 +283,7 @@ const AGG_SUM: u8 = 1;
 const AGG_AVG: u8 = 2;
 const AGG_MIN: u8 = 3;
 const AGG_MAX: u8 = 4;
-const AGG_VAR: u8 = 5;
+// Tag 5 is retired: a peer that still sends it is refused, not misread.
 
 // error relay tags
 const ERR_OTHER: u8 = 0;
@@ -471,18 +471,6 @@ fn put_agg_cell(buf: &mut Vec<u8>, cell: AggCell<'_>) {
             buf.push(AGG_MAX);
             put_opt_value(buf, v);
         }
-        AggCell::State(AggState::Var {
-            count,
-            mean,
-            m2,
-            stddev,
-        }) => {
-            buf.push(AGG_VAR);
-            put_u64(buf, *count);
-            put_f64(buf, *mean);
-            put_f64(buf, *m2);
-            put_bool(buf, *stddev);
-        }
         // A SUM, AVG or COUNT state: as its column holds it.
         AggCell::State(state) => put_agg_cell(buf, state.into()),
     }
@@ -502,12 +490,6 @@ fn read_agg_state(r: &mut Reader<'_>) -> Result<AggState, Error> {
         },
         AGG_MIN => AggState::Min(read_opt_value(r)?),
         AGG_MAX => AggState::Max(read_opt_value(r)?),
-        AGG_VAR => AggState::Var {
-            count: r.u64()?,
-            mean: r.f64()?,
-            m2: r.f64()?,
-            stddev: r.bool()?,
-        },
         _ => return Err(malformed("aggregate state tag")),
     })
 }
@@ -1053,7 +1035,7 @@ mod tests {
     /// Un-finalized accumulators as the engine itself builds them — one
     /// group per awkward regime: a three-component expansion from a
     /// catastrophic cancellation, a pair hovering beyond the f64 range
-    /// (kept uncombined), a NULL key, an absorbed `+∞` and NaN moments.
+    /// (kept uncombined), a NULL key and an absorbed `+∞`.
     fn engine_partial() -> PartialAggResult {
         let mut db = sqlengine::Database::new();
         db.execute("CREATE TABLE t (g BIGINT, x DOUBLE, n BIGINT, s VARCHAR)")
@@ -1067,34 +1049,30 @@ mod tests {
         )
         .unwrap();
         db.execute_partial(
-            "SELECT g, COUNT(*), SUM(x), AVG(x), MIN(s), MAX(x), VARIANCE(x), SUM(n), STDDEV(x) \
-             FROM t GROUP BY g",
+            "SELECT g, COUNT(*), SUM(x), AVG(x), MIN(s), MAX(x), SUM(n) FROM t GROUP BY g",
         )
         .unwrap()
     }
 
     /// `Response::Partial(engine_partial()).encode()` as the build before
-    /// the accumulator and its transport form became one type emitted it.
+    /// the accumulator and its transport form became one type emitted it
+    /// (re-recorded without the query's dropped moment aggregates; no
+    /// other cell moved).
     const PARENT_PARTIAL_FRAME: &str = "\
-         8c0400000001000000010100000000000000080000000005000000000000000103000000c139fb8f\
+         8c0400000001000000010100000000000000060000000005000000000000000103000000c139fb8f\
          ed5e821600000000000098bc9a9999999999f13f0000000500000000000000000203000000c139fb\
          8fed5e821600000000000098bc9a9999999999f13f00000005000000000000000301030100000061\
-         0401027dc39425ad49b2540505000000000000007b14ae47e17a943f5a62d7d718e7846900010100\
-         000000000000000033400000000400000000000000010505000000000000007b14ae47e17a943f5a\
-         62d7d718e784690101000000010200000000000000080000000003000000000000000102000000a0\
-         c8eb85f3cce17fa0c8eb85f3cce17f0000000300000000000000000202000000a0c8eb85f3cce17f\
-         a0c8eb85f3cce17f00000003000000000000000301030100000079040102a0c8eb85f3cce17f0503\
-         00000000000000d6603a5defbbd77f000000000000f07f0001010000000000000000001840000000\
-         030000000000000001050300000000000000d6603a5defbbd77f000000000000f07f010100000000\
-         08000000000200000000000000010100000000000000000004400000000100000000000000000201\
-         00000000000000000004400000000100000000000000030103010000006e04010200000000000004\
-         40050100000000000000000000000000044000000000000000000001010000000000000000002240\
-         00000001000000000000000105010000000000000000000000000004400000000000000000010100\
-         0000010300000000000000080000000002000000000000000101000000000000000000e03f000100\
-         0200000000000000000201000000000000000000e03f000100020000000000000003010301000000\
-         69040102000000000000f07f050200000000000000000000000000f8ff000000000000f8ff000101\
-         0000000000000000000040000000020000000000000001050200000000000000000000000000f8ff\
-         000000000000f8ff01";
+         0401027dc39425ad49b2540101000000000000000000334000000004000000000000000101000000\
+         010200000000000000060000000003000000000000000102000000a0c8eb85f3cce17fa0c8eb85f3\
+         cce17f0000000300000000000000000202000000a0c8eb85f3cce17fa0c8eb85f3cce17f00000003\
+         000000000000000301030100000079040102a0c8eb85f3cce17f0101000000000000000000184000\
+         00000300000000000000010100000000060000000002000000000000000101000000000000000000\
+         04400000000100000000000000000201000000000000000000044000000001000000000000000301\
+         03010000006e04010200000000000004400101000000000000000000224000000001000000000000\
+         000101000000010300000000000000060000000002000000000000000101000000000000000000e0\
+         3f0001000200000000000000000201000000000000000000e03f0001000200000000000000030103\
+         0100000069040102000000000000f07f010100000000000000000000400000000200000000000000\
+         01";
 
     #[test]
     fn partial_aggregates_roundtrip_bit_exact() {
@@ -1110,8 +1088,8 @@ mod tests {
         let Response::Partial(p2) = back else {
             panic!("expected Partial");
         };
-        // NaN moments and -0.0 defeat PartialEq; bit-exactness is
-        // equality of encodings.
+        // -0.0 passes PartialEq as 0.0; bit-exactness is equality of
+        // encodings.
         assert!(same_encoding(&resp, &Response::Partial(p2)));
     }
 

@@ -22,7 +22,10 @@
 //!   shard on one long-lived thread of its own, and dropping the
 //!   coordinator drops every shard;
 //! * one merged metrics entry per call, partial reads of broadcast
-//!   tables included.
+//!   tables included;
+//! * a checkpointed run over 2 and 4 shards, capped and then resumed by
+//!   a new session, bit-identical to an uninterrupted embedded run; and
+//!   `VARIANCE` refused with the embedded engine's typed error.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -489,4 +492,62 @@ fn partial_read_of_broadcast_tables_logs_its_own_metrics_entry() {
     let want = vec![vec![("t".to_string(), 2)], vec![("u".to_string(), 3)]];
     assert_eq!(logs[0], want, "embedded");
     assert_eq!(logs[1], want, "2-shard coordinator");
+}
+
+// ---------------------------------------------------------------------
+// checkpoints and analysis errors through the coordinator
+
+/// A checkpointed run over embedded shards, stopped by its iteration
+/// cap and continued by a new session over the same shards, ends on
+/// the bits of one uninterrupted embedded run.
+#[test]
+fn capped_sharded_run_resumes_from_its_checkpoint_bit_identically() {
+    let cfg = em_config("ck_").with_max_iterations(8).with_checkpoints();
+    let baseline = run_em(&mut Database::new(), &cfg, false);
+    assert!(baseline.iterations > 3, "the cap must stop a live run");
+
+    for nshards in [2usize, 4] {
+        let label = format!("{nshards} shards");
+        let shards: Vec<Database> = (0..nshards).map(|_| Database::new()).collect();
+        let mut coord = Coordinator::new(shards).unwrap();
+        let capped = run_em(&mut coord, &cfg.clone().with_max_iterations(3), false);
+        assert_eq!(capped.iterations, 3, "{label}");
+
+        let mut session = EmSession::create(&mut coord, &cfg, 2).unwrap();
+        session.load_points(&points()).unwrap();
+        assert_eq!(
+            session.resume_from_checkpoint().unwrap(),
+            Some(3),
+            "{label}"
+        );
+        let resumed = session.run().unwrap();
+        assert_same_run(&label, &resumed, &baseline);
+    }
+}
+
+/// `VARIANCE` is no aggregate of the engine's: a coordinator refuses it
+/// with the embedded engine's typed error, before any shard runs a
+/// statement.
+#[test]
+fn variance_is_refused_before_anything_executes() {
+    let mut single = Database::new();
+    let mut coord = Coordinator::new(vec![Database::new(), Database::new()]).unwrap();
+    for db in [&mut single as &mut dyn SqlExecutor, &mut coord] {
+        db.execute("CREATE TABLE t (rid BIGINT PRIMARY KEY, x DOUBLE)")
+            .unwrap();
+        db.execute("INSERT INTO t VALUES (1, 2.0), (2, 4.0), (3, 5.0)")
+            .unwrap();
+        db.set_metrics_enabled(true).unwrap();
+        let mut error = None;
+        let logged = logged_scans(db, |db| {
+            error = db.execute("SELECT variance(x) FROM t").err();
+        });
+        let error = error.expect("variance() must fail");
+        assert!(error.as_analyze().is_some(), "{error}");
+        assert!(
+            error.to_string().contains("unknown function variance()"),
+            "{error}"
+        );
+        assert!(logged.is_empty(), "{logged:?}");
+    }
 }

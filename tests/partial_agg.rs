@@ -12,10 +12,8 @@
 //! pairs whose running sum hovers beyond the f64 range — and `MIN`/`MAX`
 //! read it too: a NaN has one fixed place in
 //! their order (above every number), so the survivor does not depend on
-//! where the parts were cut. `VARIANCE`/`STDDEV` read a tame column and
-//! are held to bit-identity only for the one-part split: Chan's moment
-//! combination is deterministic in shard order but rounds differently
-//! from one Welford pass.
+//! where the parts were cut. Every shape is held bit-exact at every
+//! split: each aggregate the engine has merges exactly, in any order.
 
 use prng::{Rng, StdRng};
 use sqlengine::{Database, PartialAggResult, QueryResult, Value};
@@ -23,20 +21,14 @@ use sqlwire::Response;
 
 const DDL: &str = "CREATE TABLE t (rid BIGINT PRIMARY KEY, g BIGINT, x DOUBLE, n BIGINT, v DOUBLE)";
 
-/// Exactly merged aggregates: every cell must match bit for bit.
-const EXACT_SHAPES: &[&str] = &[
+/// Aggregate shapes: every cell must match bit for bit.
+const SHAPES: &[&str] = &[
     "SELECT SUM(x), AVG(x), COUNT(*), COUNT(x), SUM(n), MIN(n), MAX(v), MIN(x), MAX(x) FROM t",
     "SELECT g, SUM(x), AVG(x), COUNT(*), MIN(v), MAX(n), MIN(x), MAX(x) FROM t GROUP BY g",
     "SELECT g, SUM(n) AS s FROM t GROUP BY g HAVING COUNT(*) > 2",
     "SELECT g, SUM(x) AS sx, COUNT(x) AS c FROM t GROUP BY g ORDER BY g DESC LIMIT 2",
     "SELECT g FROM t GROUP BY g ORDER BY SUM(n) DESC, g LIMIT 3",
     "SELECT g + 1 AS h, AVG(x) / COUNT(*) FROM t WHERE n > 0 GROUP BY g + 1",
-];
-
-/// Moment aggregates: bit-exact for one part, close for several.
-const MOMENT_SHAPES: &[&str] = &[
-    "SELECT VARIANCE(v), STDDEV(v), COUNT(v) FROM t",
-    "SELECT g, VARIANCE(v), STDDEV(v) FROM t GROUP BY g",
 ];
 
 fn wild_double(rng: &mut StdRng) -> Value {
@@ -141,20 +133,6 @@ fn bits(result: &QueryResult) -> Vec<Vec<String>> {
         .collect()
 }
 
-fn assert_close(single: &QueryResult, gathered: &QueryResult, context: &str) {
-    assert_eq!(single.rows.len(), gathered.rows.len(), "{context}");
-    for (a, b) in single.rows.iter().zip(&gathered.rows) {
-        for (x, y) in a.iter().zip(b.iter()) {
-            match (x, y) {
-                (Value::Double(x), Value::Double(y)) => {
-                    assert!((x - y).abs() <= 1e-9, "{context}: {x} vs {y}")
-                }
-                _ => assert_eq!(x, y, "{context}"),
-            }
-        }
-    }
-}
-
 #[test]
 fn partial_plus_finalize_equals_single_node_bit_for_bit() {
     let mut shadow = Database::new();
@@ -174,16 +152,12 @@ fn partial_plus_finalize_equals_single_node_bit_for_bit() {
                 .into_iter()
                 .map(database_with)
                 .collect();
-            for sql in EXACT_SHAPES.iter().chain(MOMENT_SHAPES) {
+            for sql in SHAPES {
                 let context = format!("seed {seed}, {n_rows} row(s), {parts} part(s): {sql}");
                 let single = full.execute(sql).unwrap();
                 let gathered = scatter_gather(&mut shards, &mut shadow, sql);
                 assert_eq!(single.columns, gathered.columns, "{context}");
-                if parts == 1 || EXACT_SHAPES.contains(sql) {
-                    assert_eq!(bits(&single), bits(&gathered), "{context}");
-                } else {
-                    assert_close(&single, &gathered, &context);
-                }
+                assert_eq!(bits(&single), bits(&gathered), "{context}");
             }
         }
     }
