@@ -81,7 +81,12 @@ Stages, in order:
                 checkpoint: outside #[cfg(test)] nothing under
                 crates/*/src names var_pop, stddev_pop, AGG_VAR or
                 AggState::Var, defines fn to_text / fn from_text, or
-                reads a "--checkpoint" / "--resume" flag;
+                reads a "--checkpoint" / "--resume" flag; and one
+                memory model (the runtime governor, sqlengine::resource):
+                outside #[cfg(test)] nothing under crates/*/src names
+                a static footprint (fn footprint(, select_footprint,
+                build_footprint, peak_footprint, OverBudget) or the
+                switches expected_n, auto_fallback, cleanup_on_error;
                 prints the crates/*/src line
                 total and the non-test total (each file up to its first
                 #[cfg(test)]) so a PR's line delta is a CI output
@@ -373,6 +378,15 @@ if nontest 'var_pop|stddev_pop|AGG_VAR|AggState::Var|fn to_text|fn from_text|"--
     echo "ERROR: a moment aggregate or a file checkpoint is back (above); the" \
          "aggregates merge in any order, and --data-dir or a server keeps the" \
          "checkpoint" >&2
+    exit 1
+fi
+# One memory model: the runtime governor (sqlengine::resource) alone
+# judges a budget — no static footprint beside it in plancheck or the
+# preflight — and the fallback and error-path cleanup are not switches.
+if nontest 'fn footprint\(|select_footprint|build_footprint|peak_footprint|OverBudget|expected_n|auto_fallback|cleanup_on_error' | grep .; then
+    echo "ERROR: a second memory model or a removed switch is back (above); a" \
+         "budget is judged at run time (ResourceExhausted), the preflight falls" \
+         "back and a failed run drops its tables unconditionally" >&2
     exit 1
 fi
 echo "   crates/*/src: $(find crates/*/src -name '*.rs' -exec cat {} + | wc -l) lines," \

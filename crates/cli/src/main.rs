@@ -37,11 +37,11 @@
 //!                         (a typed out-of-memory failure), once
 //!                         (default), always. Repeatable.
 //!   --memory-budget B     cap the engine's working memory at B bytes
-//!                         (K/M/G suffixes accepted). The pre-flight
-//!                         lint then also proves the script's peak
-//!                         footprint fits, and over-budget statements
-//!                         fail with a typed transient error instead
-//!                         of growing without bound.
+//!                         (K/M/G suffixes accepted). The load halves
+//!                         its chunks under memory pressure; a
+//!                         statement that still does not fit fails
+//!                         with a typed transient error instead of
+//!                         growing without bound.
 //!   --load-chunk N        bulk-load at most N rows per INSERT; under
 //!                         a budget the chunk also halves on memory
 //!                         pressure instead of failing the load.
@@ -554,11 +554,6 @@ fn run(args: &Args) -> Result<(), CliError> {
     if let Some(rows) = args.load_chunk {
         config = config.with_load_chunk_rows(rows);
     }
-    if args.memory_budget.is_some() {
-        // We know n up front, so let the pre-flight lint prove the
-        // script's peak footprint fits the budget before any DDL.
-        config = config.with_expected_n(n.max(1));
-    }
 
     if remote {
         let client = ClientConfig {
@@ -624,6 +619,9 @@ fn run_clustering<E: SqlExecutor>(
     db: &mut E,
 ) -> Result<(), CliError> {
     let mut session = EmSession::create(&mut *db, config, p)?;
+    if let Some(decision) = session.fallback() {
+        eprintln!("sqlem preflight: {decision}");
+    }
 
     if args.print_sql {
         for stmt in session.script() {

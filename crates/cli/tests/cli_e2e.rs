@@ -245,6 +245,70 @@ fn injected_permanent_fault_fails_with_typed_error() {
 }
 
 #[test]
+fn horizontal_over_the_parser_cap_falls_back_to_hybrid() {
+    let dir = std::env::temp_dir().join("sqlem_cli_test_fallback");
+    std::fs::create_dir_all(&dir).unwrap();
+    // p = 40, k = 25: horizontal's longest statement is over the
+    // default 64 KiB cap, the hybrid's is not.
+    let input = dir.join("wide40.csv");
+    let header: Vec<String> = (0..40).map(|j| format!("c{j}")).collect();
+    let mut text = header.join(",") + "\n";
+    for i in 0..50 {
+        let off = (i % 2) as f64 * 10.0;
+        let row: Vec<String> = (0..40)
+            .map(|j| format!("{:.4}", off + ((i * 31 + j * 17) % 100) as f64 / 100.0))
+            .collect();
+        text += &(row.join(",") + "\n");
+    }
+    std::fs::write(&input, text).unwrap();
+    let out = Command::new(bin())
+        .args([
+            input.to_str().unwrap(),
+            "--k",
+            "25",
+            "--strategy",
+            "horizontal",
+        ])
+        .args(["--max-iterations", "1"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(
+        stderr.contains("sqlem preflight: falling back from horizontal to hybrid: "),
+        "{stderr}"
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("cluster"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn memory_budget_fails_typed_when_tight_and_changes_nothing_when_roomy() {
+    let dir = std::env::temp_dir().join("sqlem_cli_test_memory_budget");
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = demo_csv(&dir);
+    let run = |budget: &[&str]| {
+        Command::new(bin())
+            .args([input.to_str().unwrap(), "--k", "2", "--seed", "7"])
+            .args(budget)
+            .output()
+            .unwrap()
+    };
+    // Far below the run's peak: the first statement that does not fit
+    // fails with the engine's typed error.
+    let tight = run(&["--memory-budget", "1K"]);
+    let stderr = String::from_utf8_lossy(&tight.stderr);
+    assert!(!tight.status.success(), "{stderr}");
+    assert!(stderr.contains("resource exhausted"), "{stderr}");
+    // A roomy budget prints what the unbudgeted run prints.
+    let roomy = run(&["--memory-budget", "1G"]);
+    let free = run(&[]);
+    assert!(roomy.status.success() && free.status.success());
+    assert_eq!(roomy.stdout, free.stdout);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn durable_run_persists_and_reruns_cleanly() {
     let dir = std::env::temp_dir().join("sqlem_cli_test_durable");
     std::fs::remove_dir_all(&dir).ok();

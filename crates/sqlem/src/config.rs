@@ -64,14 +64,12 @@ pub struct SqlemConfig {
     pub param_epsilon: Option<f64>,
     /// Statically analyze every generated statement before creating any
     /// table (default on). Catches the §3.3 parser-limit overflow — and
-    /// any generator bug — before the first byte of DDL executes.
+    /// any generator bug — before the first byte of DDL executes. When
+    /// it finds the horizontal strategy over a capacity limit
+    /// (statement length or term count), the session switches to the
+    /// hybrid strategy and records the decision
+    /// ([`crate::EmSession::fallback`]).
     pub preflight: bool,
-    /// When the pre-flight analysis finds the horizontal strategy over a
-    /// capacity limit (statement length or term count), silently switch
-    /// to the hybrid strategy instead of failing (default on; the
-    /// decision is logged and recorded). Ignored when `preflight` is
-    /// off.
-    pub auto_fallback: bool,
     /// Re-submit statements that fail with a transient error, per this
     /// policy. `None` (default) fails fast on the first error. Safe
     /// because the engine's statement semantics are atomic (see
@@ -94,18 +92,6 @@ pub struct SqlemConfig {
     /// Seed for degenerate-cluster re-seeding (so recovery is
     /// reproducible).
     pub recovery_seed: u64,
-    /// Drop every session work table when [`crate::EmSession::run`]
-    /// fails (default on), so a failed run never leaks prefixed temp
-    /// tables into a shared database. Checkpoint tables survive either
-    /// way.
-    pub cleanup_on_error: bool,
-    /// Expected number of input points, used only by the pre-flight
-    /// analysis: when the executor reports a memory budget, the symbolic
-    /// peak footprint of the generated script is evaluated at this `n`
-    /// and an over-budget script is flagged as a capacity finding
-    /// (triggering the same auto-fallback ladder as a parser-limit
-    /// overflow). `None` (default) skips the static budget check.
-    pub expected_n: Option<usize>,
     /// Load the input points in bulk-insert chunks of at most this
     /// many rows (`None`, the default, loads each layout in one
     /// statement). Under a memory budget the loader also *shrinks*
@@ -127,13 +113,10 @@ impl SqlemConfig {
             fused_e_step: false,
             param_epsilon: None,
             preflight: true,
-            auto_fallback: true,
             retry: None,
             checkpoint: false,
             recover_degenerate: false,
             recovery_seed: 0,
-            cleanup_on_error: true,
-            expected_n: None,
             load_chunk_rows: None,
         }
     }
@@ -178,13 +161,6 @@ impl SqlemConfig {
         self
     }
 
-    /// Builder: fail instead of switching strategy when the pre-flight
-    /// analysis finds a capacity overflow.
-    pub fn without_auto_fallback(mut self) -> Self {
-        self.auto_fallback = false;
-        self
-    }
-
     /// Builder: retry transiently-failing statements per `policy`.
     pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
         self.retry = Some(policy);
@@ -202,21 +178,6 @@ impl SqlemConfig {
     pub fn with_degenerate_recovery(mut self, seed: u64) -> Self {
         self.recover_degenerate = true;
         self.recovery_seed = seed;
-        self
-    }
-
-    /// Builder: keep work tables around when a run fails (for
-    /// post-mortem inspection).
-    pub fn without_cleanup_on_error(mut self) -> Self {
-        self.cleanup_on_error = false;
-        self
-    }
-
-    /// Builder: tell the pre-flight analysis how many points will be
-    /// loaded, enabling the static memory-budget check.
-    pub fn with_expected_n(mut self, n: usize) -> Self {
-        assert!(n >= 1, "expected_n must be at least 1");
-        self.expected_n = Some(n);
         self
     }
 
@@ -244,12 +205,8 @@ mod tests {
         assert_eq!(c.table_prefix, "retail_");
         assert!(!c.fused_e_step);
         assert!(c.preflight);
-        assert!(c.auto_fallback);
-        let bare = SqlemConfig::new(2, Strategy::Hybrid)
-            .without_preflight()
-            .without_auto_fallback();
+        let bare = SqlemConfig::new(2, Strategy::Hybrid).without_preflight();
         assert!(!bare.preflight);
-        assert!(!bare.auto_fallback);
         let f = SqlemConfig::new(2, Strategy::Hybrid).with_fused_e_step();
         assert!(f.fused_e_step);
     }

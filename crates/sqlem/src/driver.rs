@@ -148,11 +148,12 @@ impl<'a, E: SqlExecutor, G: Generator> EmSession<'a, E, G> {
     /// statement the strategy will generate is first statically analyzed
     /// against a symbolic catalog — nothing executes until the whole
     /// script checks out. If the horizontal strategy over-runs a
-    /// capacity limit (statement bytes or term count, §3.3) and
-    /// [`SqlemConfig::auto_fallback`] is on, the session switches to the
-    /// hybrid strategy (§3.6) and records a [`FallbackDecision`]
-    /// retrievable via [`EmSession::fallback`]; otherwise creation fails
-    /// with [`SqlemError::Preflight`] and the database is untouched.
+    /// capacity limit (statement bytes or term count, §3.3), the session
+    /// switches to the hybrid strategy (§3.6) and records a
+    /// [`FallbackDecision`] retrievable via [`EmSession::fallback`];
+    /// otherwise creation fails with [`SqlemError::Preflight`] and the
+    /// database is untouched. A failure while creating the tables drops
+    /// the ones already created.
     pub fn create_with(
         db: &'a mut E,
         config: &SqlemConfig,
@@ -172,8 +173,7 @@ impl<'a, E: SqlExecutor, G: Generator> EmSession<'a, E, G> {
                 let errors = report.errors();
                 let mut alt = config.clone();
                 alt.strategy = Strategy::Hybrid;
-                let recoverable = config.auto_fallback
-                    && config.strategy == Strategy::Horizontal
+                let recoverable = config.strategy == Strategy::Horizontal
                     && errors.iter().all(PlanError::is_capacity);
                 if recoverable && analyze_generator(&mut db, &build(&alt, p), &alt, p)?.ok() {
                     let decision = FallbackDecision {
@@ -181,7 +181,6 @@ impl<'a, E: SqlExecutor, G: Generator> EmSession<'a, E, G> {
                         to: alt.strategy,
                         reason: errors[0].to_string(),
                     };
-                    eprintln!("sqlem preflight: {decision}");
                     config = alt;
                     fallback = Some(decision);
                 } else {
@@ -219,9 +218,7 @@ impl<'a, E: SqlExecutor, G: Generator> EmSession<'a, E, G> {
         if let Err(e) = execute_stmts(&mut session.db, &ddl) {
             // The caller never gets a session to clean up, so a failure
             // mid-DDL must not leak the tables already created.
-            if session.config.cleanup_on_error {
-                let _ = session.cleanup();
-            }
+            let _ = session.cleanup();
             return Err(e);
         }
         Ok(session)
@@ -473,19 +470,13 @@ impl<'a, E: SqlExecutor, G: Generator> EmSession<'a, E, G> {
     /// the recorded iteration); a degenerate M step is repaired by
     /// re-seeding the dead cluster when
     /// [`SqlemConfig::recover_degenerate`] is on. On error, every work
-    /// table is dropped unless [`SqlemConfig::cleanup_on_error`] was
-    /// disabled — a failed run never leaks prefixed temp tables.
+    /// table is dropped — a failed run never leaks prefixed temp tables
+    /// (checkpoint tables survive).
     pub fn run(&mut self) -> Result<SqlemRun<G::Params>, SqlemError> {
-        match self.run_inner() {
-            Ok(run) => Ok(run),
-            Err(e) => {
-                if self.config.cleanup_on_error {
-                    // Best effort; the original error is what matters.
-                    let _ = self.cleanup();
-                }
-                Err(e)
-            }
-        }
+        self.run_inner().inspect_err(|_| {
+            // Best effort; the original error is what matters.
+            let _ = self.cleanup();
+        })
     }
 
     fn run_inner(&mut self) -> Result<SqlemRun<G::Params>, SqlemError> {
@@ -769,24 +760,6 @@ mod tests {
             .initialize(&InitStrategy::Explicit(init_params()))
             .unwrap();
         session.run().unwrap()
-    }
-
-    #[test]
-    fn preflight_rejects_provably_over_budget_scripts() {
-        let mut db = Database::new();
-        db.set_memory_budget(Some(sqlengine::MemoryBudget::new(4096)));
-        // A million points cannot fit any strategy's E-step working
-        // set in 4 KiB; the session must be refused before any DDL.
-        let config = SqlemConfig::new(3, Strategy::Hybrid).with_expected_n(1_000_000);
-        match EmSession::create(&mut db, &config, 4) {
-            Err(SqlemError::Preflight { errors, .. }) => {
-                assert!(errors.iter().any(|e| matches!(e, PlanError::OverBudget(_))));
-            }
-            Err(other) => panic!("expected a preflight rejection, got {other}"),
-            Ok(_) => panic!("over-budget script must not create a session"),
-        }
-        // Nothing executed: the database has no tables.
-        assert_eq!(db.catalog_snapshot().unwrap().tables().count(), 0);
     }
 
     #[test]

@@ -27,8 +27,8 @@ pub enum SqlemError {
         max: usize,
     },
     /// The pre-flight analysis rejected the strategy's generated script
-    /// before anything executed (and auto-fallback was off, not
-    /// applicable, or itself failed).
+    /// before anything executed (and the horizontal→hybrid fallback was
+    /// not applicable, or itself failed).
     Preflight {
         /// The strategy whose script failed the analysis.
         strategy: Strategy,

@@ -85,7 +85,7 @@ pub use naming::Names;
 pub use params::ParamSet;
 pub use plan::{
     analyze_all, analyze_generator, analyze_strategy, classify_scan, CostCheck, FallbackDecision,
-    IterationCost, OverBudget, PlanError, PlanReport, ScanClass,
+    IterationCost, PlanError, PlanReport, ScanClass,
 };
 pub use retry::{RetryPolicy, Retrying};
 pub use telemetry::{scan_threshold, IterationReport, StepMetrics};

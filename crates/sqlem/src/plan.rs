@@ -22,19 +22,11 @@
 //!   horizontal failure mode), division-by-zero reachability through
 //!   the §2.5 guard idioms, non-finite literals.
 //!
-//! When the executor enforces a memory budget and the configuration
-//! says how many points are coming ([`SqlemConfig::expected_n`]), the
-//! report also records whether the script's derived peak footprint
-//! provably exceeds it.
-//!
 //! The driver runs the analysis automatically when
 //! [`SqlemConfig::preflight`] is on and, when the horizontal strategy
-//! over-runs a capacity limit, falls back to the hybrid strategy
-//! (configurable via [`SqlemConfig::auto_fallback`]), recording a
-//! [`FallbackDecision`].
+//! over-runs a capacity limit, falls back to the hybrid strategy,
+//! recording a [`FallbackDecision`].
 //!
-//! [`SqlemConfig::expected_n`]: crate::SqlemConfig::expected_n
-//! [`SqlemConfig::auto_fallback`]: crate::SqlemConfig::auto_fallback
 //! [`SqlemConfig::preflight`]: crate::SqlemConfig::preflight
 
 use emcore::GmmParams;
@@ -166,21 +158,6 @@ impl std::fmt::Display for CostCheck {
     }
 }
 
-/// The statically derived peak working-memory footprint at the
-/// configured [`SqlemConfig::expected_n`] exceeds the executor's memory
-/// budget — the script would provably be load-shed at run time.
-///
-/// [`SqlemConfig::expected_n`]: crate::SqlemConfig::expected_n
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OverBudget {
-    /// Derived peak footprint in bytes.
-    pub bytes: u64,
-    /// The executor's budget in bytes.
-    pub budget: u64,
-    /// The point count the footprint was evaluated at.
-    pub n: usize,
-}
-
 /// One reason a [`PlanReport`] is not [`ok`](PlanReport::ok).
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanError {
@@ -194,14 +171,12 @@ pub enum PlanError {
         /// `(n-scans, pn-scans)` the interpreter derived.
         derived: (usize, usize),
     },
-    /// See [`OverBudget`].
-    OverBudget(OverBudget),
 }
 
 impl PlanError {
     /// True for a capacity overflow — statement bytes (the §3.3
-    /// horizontal failure mode), a complexity ceiling (term count,
-    /// depth, column width) or the memory budget — the class a leaner
+    /// horizontal failure mode) or a complexity ceiling (term count,
+    /// depth, column width) — the class a leaner
     /// strategy can fix. Everything else (lifecycle violations,
     /// mutation-classification drift, provable division by zero,
     /// cost-model contradictions) is a generator bug, not a sizing
@@ -216,7 +191,6 @@ impl PlanError {
                 _ => false,
             },
             PlanError::CostMismatch { .. } => false,
-            PlanError::OverBudget(_) => true,
         }
     }
 }
@@ -236,12 +210,6 @@ impl std::fmt::Display for PlanError {
                 "\"per-iteration cost\": derived {} n-scan(s) + {} pn-scan(s) per iteration, \
                  closed form expects {} + {} — generator or cost-model bug",
                 derived.0, derived.1, expected.0, expected.1
-            ),
-            PlanError::OverBudget(o) => write!(
-                f,
-                "\"peak memory footprint\": derived peak working memory {} byte(s) at \
-                 n = {} exceeds the {}-byte budget",
-                o.bytes, o.n, o.budget
             ),
         }
     }
@@ -278,8 +246,6 @@ pub struct PlanReport {
     pub model: &'static str,
     /// Whether the E step was generated fused.
     pub fused: bool,
-    /// The point layouts the script reads ([`Generator::layouts`]).
-    pub layouts: (bool, bool),
     /// Dimensionality.
     pub p: usize,
     /// Cluster count.
@@ -294,23 +260,17 @@ pub struct PlanReport {
     pub cost: Option<IterationCost>,
     /// Closed-form comparison outcome.
     pub cost_check: CostCheck,
-    /// Set when the executor's memory budget is provably exceeded at
-    /// the configured `expected_n`; `None` also when either is unknown.
-    pub over_budget: Option<OverBudget>,
 }
 
 impl PlanReport {
-    /// True when the script carries no error-severity diagnostic, the
-    /// cost model was not contradicted and the memory budget (if
-    /// checked) holds.
+    /// True when the script carries no error-severity diagnostic and
+    /// the cost model was not contradicted.
     pub fn ok(&self) -> bool {
-        self.script.ok()
-            && !matches!(self.cost_check, CostCheck::Mismatch { .. })
-            && self.over_budget.is_none()
+        self.script.ok() && !matches!(self.cost_check, CostCheck::Mismatch { .. })
     }
 
     /// Everything that makes the report not [`ok`](Self::ok), in script
-    /// order, then the cost check, then the budget.
+    /// order, then the cost check.
     pub fn errors(&self) -> Vec<PlanError> {
         let mut errors: Vec<PlanError> = self
             .script
@@ -321,7 +281,6 @@ impl PlanReport {
         if let CostCheck::Mismatch { expected, derived } = self.cost_check {
             errors.push(PlanError::CostMismatch { expected, derived });
         }
-        errors.extend(self.over_budget.map(PlanError::OverBudget));
         errors
     }
 
@@ -350,38 +309,6 @@ impl PlanReport {
                 .unwrap_or(0),
             verdict
         )
-    }
-
-    /// Symbolic peak working-memory footprint of the script, in bytes
-    /// as a polynomial in `(n, p, k)` — the statement-wise maximum of
-    /// the per-statement footprints (statements run sequentially, each
-    /// under its own tracker). The external bulk load is *not*
-    /// included; [`PlanReport::footprint_bytes`] folds it in.
-    pub fn peak_footprint(&self) -> Card {
-        self.script.peak_footprint()
-    }
-
-    /// Concrete peak working-memory bound, in bytes, for a run over
-    /// `n` points: the script's symbolic peak evaluated at
-    /// `(n, p, k)`, combined with the loader's staging buffers (per
-    /// layout, one bulk-insert statement of at most `load_chunk` rows
-    /// — the whole table when `None`). Layouts load sequentially, so
-    /// they combine by max, like statements.
-    pub fn footprint_bytes(&self, n: usize, load_chunk: Option<usize>) -> u64 {
-        use sqlengine::resource::row_width_bytes;
-        let stmt_peak = self.peak_footprint().eval(n, self.p, self.k);
-        let chunk = |total: usize| load_chunk.map_or(total, |c| c.min(total)) as u128;
-        let (wide, long) = self.layouts;
-        let mut load: u128 = 0;
-        if wide {
-            // z(rid, y1..yp): n rows of p+1 columns.
-            load = load.max(chunk(n) * u128::from(row_width_bytes(self.p + 1)));
-        }
-        if long {
-            // y(rid, v, val): pn rows of 3 columns.
-            load = load.max(chunk(n.saturating_mul(self.p)) * u128::from(row_width_bytes(3)));
-        }
-        u64::try_from(stmt_peak.max(load)).unwrap_or(u64::MAX)
     }
 
     /// Deterministic rendering for the CLI `analyze` subcommand and
@@ -517,7 +444,7 @@ pub fn check_env(db: &mut dyn SqlExecutor) -> Result<CheckEnv, SqlemError> {
 /// generate for `p`-dimensional data, without executing anything.
 ///
 /// The executor is only *queried* (catalog snapshot, capacity
-/// limits, memory budget); the `Err` case is a transport failure
+/// limits); the `Err` case is a transport failure
 /// fetching them.
 pub fn analyze_strategy(
     db: &mut dyn SqlExecutor,
@@ -534,16 +461,13 @@ pub fn analyze_generator<G: Generator + ?Sized>(
     config: &SqlemConfig,
     p: usize,
 ) -> Result<PlanReport, SqlemError> {
-    let env = check_env(db)?;
-    let budget = db.memory_budget_bytes();
-    Ok(analyze_in_env(&env, budget, generator, config, p))
+    Ok(analyze_in_env(&check_env(db)?, generator, config, p))
 }
 
-/// [`analyze_generator`] against an explicit environment and memory
-/// budget (no executor needed — useful for tests and offline analysis).
+/// [`analyze_generator`] against an explicit environment (no executor
+/// needed — useful for tests and offline analysis).
 pub fn analyze_in_env<G: Generator + ?Sized>(
     env: &CheckEnv,
-    budget: Option<u64>,
     generator: &G,
     config: &SqlemConfig,
     p: usize,
@@ -597,29 +521,17 @@ pub fn analyze_in_env<G: Generator + ?Sized>(
         }
     };
 
-    let mut report = PlanReport {
+    PlanReport {
         strategy: config.strategy,
         model: generator.name(),
         fused: generator.fused(),
-        layouts: generator.layouts(),
         p,
         k,
         max_statement_len: env.max_statement_len,
         script,
         cost,
         cost_check,
-        over_budget: None,
-    };
-    // Static budget check — a capacity finding, so the same fallback
-    // ladder that handles the §3.3 parser overflow can try a leaner
-    // strategy first.
-    if let (Some(budget), Some(n)) = (budget, config.expected_n) {
-        let bytes = report.footprint_bytes(n, config.load_chunk_rows);
-        if bytes > budget {
-            report.over_budget = Some(OverBudget { bytes, budget, n });
-        }
     }
-    report
 }
 
 /// Analyze all three strategies for one `(p, k)` — the workhorse of the
@@ -630,13 +542,12 @@ pub fn analyze_all(
     p: usize,
 ) -> Result<Vec<PlanReport>, SqlemError> {
     let env = check_env(db)?;
-    let budget = db.memory_budget_bytes();
     Ok(Strategy::ALL
         .iter()
         .map(|&strategy| {
             let mut cfg = config.clone();
             cfg.strategy = strategy;
-            analyze_in_env(&env, budget, &build_generator(&cfg, p), &cfg, p)
+            analyze_in_env(&env, &build_generator(&cfg, p), &cfg, p)
         })
         .collect())
 }
@@ -798,29 +709,6 @@ mod tests {
                 if matches!(a.kind, AnalyzeErrorKind::TooComplex { .. })
         )));
         assert!(errors.iter().all(PlanError::is_capacity), "{errors:?}");
-    }
-
-    #[test]
-    fn over_budget_script_flagged_as_capacity() {
-        let mut db = Database::new();
-        db.set_memory_budget(Some(sqlengine::MemoryBudget::new(64 * 1024)));
-        // A million points blow a 64 KiB budget in any strategy.
-        let config = SqlemConfig::new(3, Strategy::Hybrid).with_expected_n(1_000_000);
-        let report = analyze_strategy(&mut db, &config, 4).unwrap();
-        assert!(!report.ok());
-        let over = report.over_budget.expect("budget provably exceeded");
-        assert_eq!((over.budget, over.n), (64 * 1024, 1_000_000));
-        // Capacity-class, so the driver's auto-fallback machinery
-        // treats it like a §3.3 parser overflow.
-        assert_eq!(report.errors(), vec![PlanError::OverBudget(over)]);
-        assert!(report.errors()[0].is_capacity());
-
-        // Without expected_n the static check is off...
-        let blind = SqlemConfig::new(3, Strategy::Hybrid);
-        assert!(analyze_strategy(&mut db, &blind, 4).unwrap().ok());
-        // ...and with a roomy budget the same script is clean.
-        db.set_memory_budget(Some(sqlengine::MemoryBudget::new(u64::MAX)));
-        assert!(analyze_strategy(&mut db, &config, 4).unwrap().ok());
     }
 
     #[test]

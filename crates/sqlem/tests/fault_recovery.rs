@@ -165,28 +165,6 @@ fn permanent_fault_fails_fast_and_leaks_no_tables() {
 }
 
 #[test]
-fn without_cleanup_on_error_keeps_tables_for_postmortem() {
-    let mut db = Database::new();
-    db.set_fault_plan(FaultPlan::single(
-        FaultRule::table("yx")
-            .kind_is(StatementKind::Insert)
-            .permanent(),
-    ));
-    let config = SqlemConfig::new(2, Strategy::Hybrid)
-        .with_prefix("pm_")
-        .with_max_iterations(3)
-        .without_cleanup_on_error();
-    let mut session = EmSession::create(&mut db, &config, 2).unwrap();
-    session.load_points(&blobs()).unwrap();
-    session
-        .initialize(&InitStrategy::Explicit(init_params()))
-        .unwrap();
-    session.run().unwrap_err();
-    drop(session);
-    assert!(db.contains_table("pm_z"), "work tables kept for inspection");
-}
-
-#[test]
 fn checkpoint_resume_matches_uninterrupted_run() {
     // Epsilon 0.0 only converges once llh repeats bit-exactly, which
     // keeps the iteration count deterministic for the comparison.

@@ -79,15 +79,16 @@ fn preflight_falls_back_to_hybrid_before_any_sql_runs() {
     session.iterate_once().unwrap();
 }
 
-/// With auto-fallback disabled, the preflight rejects the horizontal
-/// strategy outright — before a single table is created.
+/// When the hybrid script does not fit the parser cap either, the
+/// fallback cannot help: the preflight rejects the horizontal strategy
+/// outright — before a single table is created.
 #[test]
-fn preflight_without_fallback_rejects_statically() {
+fn preflight_rejects_statically_when_no_fallback_fits() {
     let (p, k) = (40, 25);
     let mut db = Database::new();
-    db.set_max_statement_len(16 * 1024);
+    db.set_max_statement_len(1024);
     db.enable_metrics();
-    let config = SqlemConfig::new(k, Strategy::Horizontal).without_auto_fallback();
+    let config = SqlemConfig::new(k, Strategy::Horizontal);
     let err = match EmSession::create(&mut db, &config, p) {
         Ok(_) => panic!("create should fail the preflight"),
         Err(e) => e,

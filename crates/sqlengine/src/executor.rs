@@ -114,12 +114,12 @@ pub trait SqlExecutor {
     fn analyze_limits(&self) -> Limits;
 
     /// The working-memory budget this executor enforces, in bytes, when
-    /// one is installed and introspectable. The in-process engine
-    /// reports its configured [`crate::MemoryBudget`] limit so
-    /// pre-flight footprint checks can reject over-budget scripts;
-    /// remote implementations default to `None` — server-side budgets
-    /// are enforced at execution time and surface as typed transient
-    /// `ResourceExhausted` errors instead.
+    /// one is installed and introspectable: the in-process engine
+    /// reports its configured [`crate::MemoryBudget`] limit, remote
+    /// implementations default to `None`. Informational only — no
+    /// analysis judges a script against it; a budget is enforced at
+    /// execution time, where a statement that does not fit fails with
+    /// a typed transient `ResourceExhausted` error.
     fn memory_budget_bytes(&self) -> Option<u64> {
         None
     }

@@ -29,7 +29,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use crate::ast::{BinOp, Expr, InsertSource, Statement};
 use crate::expr::CExpr;
 use crate::plan::{Chain, InsertRows, Output, SelectPlan, Sink, StatementPlan};
-use crate::resource::{row_width_bytes, AGG_STATE_BYTES, ENTRY_OVERHEAD_BYTES};
 
 use super::card::Card;
 
@@ -256,82 +255,6 @@ impl SymState {
             .unwrap_or_else(Card::zero)
     }
 
-    /// Symbolic peak working-memory footprint, in bytes, of executing
-    /// the statement `plan` was made for against the current state —
-    /// the static counterpart of the runtime [`crate::ResourceTracker`]
-    /// charges, under the same deterministic logical size model
-    /// ([`crate::resource`]).
-    ///
-    /// Must be derived against the state *before* [`SymState::apply`]
-    /// updates it. The result is a conservative upper bound: join build
-    /// sides assume every build row introduces a fresh single-column
-    /// hash key, and numeric cell widths are exact while strings add
-    /// unmodeled length bytes. What is summed mirrors the executor's
-    /// charge sites: join builds and broadcasts, merged GROUP BY
-    /// tables, materialized SELECT output, staged INSERT batches and
-    /// staged UPDATE values. Committed table storage is not
-    /// counted, matching the runtime budget's scope.
-    pub fn footprint(&self, plan: &StatementPlan) -> Card {
-        let bytes = |b: u64| Card::constant(b as usize);
-        match plan {
-            StatementPlan::Insert(insert) => {
-                // `staged insert`: the full incoming batch is buffered
-                // and charged row-by-row before the table is touched.
-                let staged = bytes(row_width_bytes(insert.incoming_arity()));
-                match &insert.rows {
-                    InsertRows::Values(rows) => Card::constant(rows.len()).mul(&staged),
-                    InsertRows::Select(select) => {
-                        // The producing SELECT's working set is live at
-                        // the same time as the staging buffer.
-                        let (working, out_rows) = self.select_footprint(select);
-                        working.add(&out_rows.mul(&staged))
-                    }
-                }
-            }
-            StatementPlan::Select(select) => self.select_footprint(select).0,
-            StatementPlan::Update(update) => {
-                // The join build sides of the FROM tables, and `staged
-                // update`: every target row's new values may be staged.
-                let target = &update.chain.sources[0].table;
-                let staged = bytes(row_width_bytes(update.assignments.len()));
-                let builds = self.build_footprint(&update.chain);
-                builds.add(&self.rows_of(target).mul(&staged))
-            }
-            StatementPlan::Delete(_) | StatementPlan::Utility => Card::zero(),
-        }
-    }
-
-    /// Footprint of a chain's join build sides: every source after the
-    /// driver is hashed or broadcast. Upper bound: each build row costs
-    /// one entry slot plus a fresh single-column key row.
-    fn build_footprint(&self, chain: &Chain) -> Card {
-        let per_row = Card::constant((ENTRY_OVERHEAD_BYTES + row_width_bytes(1)) as usize);
-        chain.sources[1..].iter().fold(Card::zero(), |fp, s| {
-            fp.add(&self.rows_of(&s.table).mul(&per_row))
-        })
-    }
-
-    /// Footprint of one SELECT: `(working bytes, output rows)`.
-    fn select_footprint(&self, plan: &SelectPlan) -> (Card, Card) {
-        let bytes = |b: u64| Card::constant(b as usize);
-        let fp = self.build_footprint(&plan.chain);
-        let d = self.derive_select(plan);
-        let per_row = match &plan.sink {
-            // `group table`: the merged AggSink — one key row, one
-            // entry slot and one accumulator state per aggregate for
-            // every group (`sum(a) / sum(b)` is two accumulators).
-            Sink::Aggregate(agg) => {
-                row_width_bytes(agg.keys.len())
-                    + ENTRY_OVERHEAD_BYTES
-                    + agg.aggs.len() as u64 * AGG_STATE_BYTES
-            }
-            // `select output`: every materialized row, at the
-            // projection's width (hidden ORDER BY columns included).
-            Sink::Project(items) => row_width_bytes(items.len()),
-        };
-        (fp.add(&d.out_rows.mul(&bytes(per_row))), d.out_rows)
-    }
-
     /// Append `added` rows to `table`, merging per-column distincts.
     fn append(
         &mut self,
@@ -488,16 +411,11 @@ mod tests {
     use super::*;
     use crate::analyze::{Limits, SymbolicCatalog};
     use crate::parser::parse_one;
-    use crate::plan::plan_statement;
 
     fn apply_sql(state: &mut SymState, catalog: &mut SymbolicCatalog, sql: &str) -> StmtEffect {
         let stmt = parse_one(sql).unwrap();
         let plan = catalog.apply(&stmt, &Limits::default()).unwrap().plan;
         state.apply(&stmt, Some(&plan))
-    }
-
-    fn footprint_sql(state: &SymState, catalog: &SymbolicCatalog, sql: &str) -> Card {
-        state.footprint(&plan_statement(catalog, &parse_one(sql).unwrap()).unwrap())
     }
 
     #[test]
@@ -634,86 +552,5 @@ mod tests {
         // i values {1,2,3}, j values {1,2} — exact across both chunks.
         assert_eq!(c.distinct_of("i"), Card::constant(3));
         assert_eq!(c.distinct_of("j"), Card::constant(2));
-    }
-
-    #[test]
-    fn footprint_sums_join_build_group_table_and_staging() {
-        let mut cat = SymbolicCatalog::new();
-        let mut st = SymState::new();
-        apply_sql(
-            &mut st,
-            &mut cat,
-            "CREATE TABLE y (rid BIGINT, v BIGINT, val DOUBLE, PRIMARY KEY (rid, v))",
-        );
-        apply_sql(
-            &mut st,
-            &mut cat,
-            "CREATE TABLE cr (v BIGINT PRIMARY KEY, c1 DOUBLE)",
-        );
-        apply_sql(
-            &mut st,
-            &mut cat,
-            "CREATE TABLE yd (rid BIGINT PRIMARY KEY, d1 DOUBLE)",
-        );
-        st.load(
-            "y",
-            Card::p().mul(&Card::n()),
-            &[("rid".into(), Card::n()), ("v".into(), Card::p())],
-        );
-        st.load("cr", Card::p(), &[("v".into(), Card::p())]);
-        let fp = footprint_sql(
-            &st,
-            &cat,
-            "INSERT INTO yd SELECT rid, sum(val) FROM y, cr WHERE y.v = cr.v GROUP BY rid",
-        );
-        // Build side: p rows, each an entry slot plus a single-key row.
-        // Group table: n groups, each a key row, an entry slot and one
-        // accumulator. Staging: n rows at the target's two-column width.
-        let build = (ENTRY_OVERHEAD_BYTES + row_width_bytes(1)) as u128;
-        let per_group = (row_width_bytes(1) + ENTRY_OVERHEAD_BYTES + AGG_STATE_BYTES) as u128;
-        let staged = row_width_bytes(2) as u128;
-        assert_eq!(fp.eval(1000, 4, 3), 4 * build + 1000 * (per_group + staged));
-    }
-
-    #[test]
-    fn footprint_of_values_insert_and_update_from() {
-        let mut cat = SymbolicCatalog::new();
-        let mut st = SymState::new();
-        apply_sql(&mut st, &mut cat, "CREATE TABLE w (w1 DOUBLE, llh DOUBLE)");
-        // Two staged rows at the table's two-column width.
-        assert_eq!(
-            footprint_sql(&st, &cat, "INSERT INTO w VALUES (0.5, 0.0), (1.0, 2.0)").eval(1, 1, 1),
-            2 * row_width_bytes(2) as u128
-        );
-        apply_sql(
-            &mut st,
-            &mut cat,
-            "INSERT INTO w VALUES (0.5, 0.0), (1.0, 2.0)",
-        );
-        apply_sql(&mut st, &mut cat, "CREATE TABLE m (f DOUBLE, g DOUBLE)");
-        apply_sql(&mut st, &mut cat, "INSERT INTO m VALUES (3.0, 4.0)");
-        // One m row on the build side, and w's two rows staged at the
-        // width of the one assigned column.
-        assert_eq!(
-            footprint_sql(&st, &cat, "UPDATE w FROM m SET w1 = m.f").eval(1, 1, 1),
-            (ENTRY_OVERHEAD_BYTES + row_width_bytes(1) + 2 * row_width_bytes(1)) as u128
-        );
-    }
-
-    #[test]
-    fn footprint_of_plain_select_counts_materialized_output() {
-        let mut cat = SymbolicCatalog::new();
-        let mut st = SymState::new();
-        apply_sql(
-            &mut st,
-            &mut cat,
-            "CREATE TABLE z (rid BIGINT PRIMARY KEY, y1 DOUBLE)",
-        );
-        st.load("z", Card::n(), &[("rid".into(), Card::n())]);
-        // n output rows at width 2 plus one hidden sort column.
-        assert_eq!(
-            footprint_sql(&st, &cat, "SELECT rid, y1 FROM z ORDER BY y1").eval(500, 1, 1),
-            500 * row_width_bytes(3) as u128
-        );
     }
 }

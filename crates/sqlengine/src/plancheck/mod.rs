@@ -299,10 +299,6 @@ pub struct StmtReport {
     pub scans: Vec<(String, Card)>,
     /// Symbolic output cardinality, for row-producing statements.
     pub output_rows: Option<Card>,
-    /// Symbolic peak working-memory footprint in bytes — the static
-    /// counterpart of the runtime [`crate::ResourceTracker`] charges
-    /// (see [`SymState::footprint`]).
-    pub footprint: Card,
 }
 
 /// One driver scan inside the iteration span.
@@ -350,20 +346,6 @@ impl ScriptReport {
     /// No error-severity findings?
     pub fn ok(&self) -> bool {
         self.errors().next().is_none()
-    }
-
-    /// Symbolic peak working-memory footprint of the whole script: the
-    /// statement-wise maximum of [`StmtReport::footprint`] under the
-    /// large-`n` order. Statements run one at a time and every tracker
-    /// releases its charges at statement end, so the script's peak is
-    /// its worst statement. External bulk loads
-    /// ([`ScriptSpec::loads`]) are *not* included — their staging
-    /// footprint belongs to the driver that performs them (and shrinks
-    /// when the driver chunks the load).
-    pub fn peak_footprint(&self) -> Card {
-        self.statements
-            .iter()
-            .fold(Card::zero(), |acc, s| acc.max(&s.footprint))
     }
 
     /// Deterministic human-readable rendering (used by golden
@@ -526,7 +508,6 @@ pub fn check_script(spec: &ScriptSpec, env: &CheckEnv) -> ScriptReport {
             mutating: false,
             scans: Vec::new(),
             output_rows: None,
-            footprint: Card::zero(),
         };
         let mut ok = !parsed[i].is_empty();
         for stmt in &parsed[i] {
@@ -572,13 +553,7 @@ pub fn check_script(spec: &ScriptSpec, env: &CheckEnv) -> ScriptReport {
                 rep.plan
             });
 
-            // Abstract interpretation: footprint against the pre-state,
-            // then scans + state transfer. Statements sharing one
-            // script entry execute sequentially, each under its own
-            // tracker, so their footprints combine by max.
-            if let Some(plan) = &plan {
-                report.footprint = report.footprint.max(&state.footprint(plan));
-            }
+            // Abstract interpretation: scans + state transfer.
             let effect = state.apply(stmt, plan.as_ref());
             report.scans.extend(effect.scans);
             if effect.output_rows.is_some() {
@@ -726,32 +701,6 @@ mod tests {
         assert!(report.statements[2].scans[0].1 == Card::constant(2));
         assert!(!report.statements[2].mutating);
         assert!(report.statements[1].mutating);
-    }
-
-    #[test]
-    fn script_peak_footprint_is_statement_wise_max() {
-        use crate::resource::{row_width_bytes, AGG_STATE_BYTES, ENTRY_OVERHEAD_BYTES};
-        let spec = ScriptSpec {
-            statements: stmts(&[
-                (
-                    "create:t",
-                    "CREATE TABLE t (a BIGINT PRIMARY KEY, b DOUBLE)",
-                ),
-                ("fill", "INSERT INTO t VALUES (1, 2.0), (2, 3.0)"),
-                ("read", "SELECT sum(b) FROM t"),
-                ("drop:t", "DROP TABLE t"),
-            ]),
-            ..ScriptSpec::default()
-        };
-        let report = check_script(&spec, &CheckEnv::default());
-        assert!(report.statements[0].footprint.is_zero());
-        // The fill stages two rows at the table's two-column width.
-        let fill = 2 * row_width_bytes(2) as u128;
-        assert_eq!(report.statements[1].footprint.eval(1, 1, 1), fill);
-        // The bare aggregate keeps one zero-key group with one state.
-        let read = (row_width_bytes(0) + ENTRY_OVERHEAD_BYTES + AGG_STATE_BYTES) as u128;
-        assert_eq!(report.statements[2].footprint.eval(1, 1, 1), read);
-        assert_eq!(report.peak_footprint().eval(1, 1, 1), fill.max(read));
     }
 
     #[test]

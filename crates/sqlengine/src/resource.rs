@@ -71,10 +71,9 @@ pub fn rows_bytes(cols: &[Column], rows: std::ops::Range<usize>) -> u64 {
     rows.len() as u64 * row_width_bytes(cols.len()) + cols.iter().map(strings).sum::<u64>()
 }
 
-/// Logical size of a row of `arity` scalar cells — the symbolic-width
-/// counterpart of [`row_bytes`], shared with the plancheck footprint
-/// model so static predictions and runtime charges use the same ruler.
-pub fn row_width_bytes(arity: usize) -> u64 {
+/// Logical size of a row of `arity` non-string cells: [`row_bytes`]
+/// without the per-string length bytes.
+fn row_width_bytes(arity: usize) -> u64 {
     ROW_OVERHEAD_BYTES + arity as u64 * VALUE_BYTES
 }
 

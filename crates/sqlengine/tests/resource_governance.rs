@@ -1,13 +1,10 @@
 //! Resource-governance invariants (integration tests).
 //!
-//! Two properties tie the static and runtime halves of the memory
-//! model together:
+//! The runtime governor is the engine's one memory model
+//! (`sqlengine::resource`):
 //!
-//! * **static bounds runtime** — the symbolic peak footprint that
-//!   `plancheck` derives for a statement is a true upper bound on the
-//!   `peak_mem_bytes` gauge the executor reports for the same
-//!   statement, because both sides share one deterministic logical
-//!   size model (`sqlengine::resource`);
+//! * **charge sites** — the statements that build, group, materialize
+//!   or stage report a nonzero `peak_mem_bytes` gauge;
 //! * **accounting determinism** — charges are monotone within a
 //!   statement (released only at statement end), so the per-statement
 //!   peak gauge is a pure function of the statement and its input
@@ -17,9 +14,7 @@
 use std::time::Instant;
 
 use sqlengine::resource::MemoryBudget;
-use sqlengine::{
-    check_script, CheckEnv, Database, Error, Row, ScriptSpec, ScriptStmt, SharedDatabase, Value,
-};
+use sqlengine::{Database, Error, Row, SharedDatabase, Value};
 
 /// A small join + group-by script exercising every runtime charge
 /// site: staged INSERT batches, a hash-join build side, a merged
@@ -66,17 +61,7 @@ const SCRIPT: &[(&str, &str)] = &[
 ];
 
 #[test]
-fn static_footprint_bounds_runtime_peak_memory() {
-    let spec = ScriptSpec {
-        statements: SCRIPT
-            .iter()
-            .map(|(p, s)| ScriptStmt::new(*p, *s))
-            .collect(),
-        ..ScriptSpec::default()
-    };
-    let report = check_script(&spec, &CheckEnv::default());
-    assert!(report.ok(), "unexpected findings: {:?}", report.diagnostics);
-
+fn join_and_update_from_charge_runtime_peak_memory() {
     let mut db = Database::new();
     db.enable_metrics();
     for (_, sql) in SCRIPT {
@@ -84,35 +69,17 @@ fn static_footprint_bounds_runtime_peak_memory() {
     }
     let metrics = db.take_metrics();
     assert_eq!(metrics.len(), SCRIPT.len());
+    let peak = |purpose: &str| {
+        let i = SCRIPT.iter().position(|(p, _)| *p == purpose).unwrap();
+        metrics[i].peak_mem_bytes
+    };
 
-    for ((m, s), (purpose, _)) in metrics.iter().zip(&report.statements).zip(SCRIPT) {
-        // All cardinalities in this script are literal constants, so
-        // the polynomial is flat in (n, p, k).
-        let bound = s.footprint.eval(1, 1, 1);
-        assert!(
-            u128::from(m.peak_mem_bytes) <= bound,
-            "{purpose}: runtime peak {} exceeds static bound {bound}",
-            m.peak_mem_bytes,
-        );
-    }
-
-    // The interesting statements genuinely charge: the join INSERT
-    // touches a build side, a group table and a staging buffer.
-    let join = &metrics[5];
-    assert!(join.peak_mem_bytes > 0, "join statement charged nothing");
-    assert!(!report.statements[5].footprint.is_zero());
+    // The join INSERT touches a build side, a group table and a
+    // staging buffer.
+    assert!(peak("join") > 0, "join statement charged nothing");
     // Both UPDATEs stage their new values; the second also builds.
-    assert!(metrics[7].peak_mem_bytes > 0 && metrics[8].peak_mem_bytes > metrics[7].peak_mem_bytes);
-    // And the script-wide peak is exactly the statement-wise max.
-    let peak = report.peak_footprint().eval(1, 1, 1);
-    assert!(report
-        .statements
-        .iter()
-        .all(|s| s.footprint.eval(1, 1, 1) <= peak));
-    assert!(report
-        .statements
-        .iter()
-        .any(|s| s.footprint.eval(1, 1, 1) == peak));
+    assert!(peak("update") > 0);
+    assert!(peak("update from") > peak("update"));
 }
 
 /// One client's workload against its private table.

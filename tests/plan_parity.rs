@@ -29,10 +29,9 @@
 //! position — embedded and through a coordinator, and never as
 //! `Unsupported`, which says "no distributed plan", not "your mistake".
 //!
-//! Not in the grammar: `VARIANCE`/`STDDEV` (their merge is deterministic
-//! in shard order but not order-free, see `exec/aggregate.rs`),
-//! expressions that can fail on some rows only (a multi-shard statement
-//! is atomic per shard), and ORDER BY … LIMIT with ties at the cut.
+//! Not in the grammar: expressions that can fail on some rows only (a
+//! multi-shard statement is atomic per shard), and ORDER BY … LIMIT with
+//! ties at the cut.
 
 use std::collections::BTreeMap;
 
