@@ -41,7 +41,9 @@ Stages, in order:
                 (exec/aggregate.rs: one accumulator column per
                 aggregate): outside #[cfg(test)] no file under
                 crates/sqlengine/src names a Vec<Vec<AggState>> or
-                defines `fn update_rows`; and one group-table form (a
+                defines `fn update_rows`, and exec/aggregate.rs names
+                no Vec<AggState> and no `States(` (MIN/MAX are a typed
+                column of best values); and one group-table form (a
                 partial aggregate is the group table's columns in
                 memory and in transit): outside #[cfg(test)] no file
                 under crates/*/src names a Vec<(Row, Vec<AggState>)>
@@ -272,8 +274,10 @@ fi
 # One accumulator layout: the group table holds one accumulator column
 # per planned aggregate (crates/sqlengine/src/exec/aggregate.rs), updated
 # a batch at a time — no vector of states per group, no per-run dispatch
-# on a state's kind.
-if nontest 'Vec<Vec<AggState>>|fn update_rows' -path 'crates/sqlengine/src/*' | grep .; then
+# on a state's kind. MIN and MAX too: a typed column of best values, not
+# a column of value-by-value states.
+if { nontest 'Vec<Vec<AggState>>|fn update_rows' -path 'crates/sqlengine/src/*'
+     nontest 'Vec<AggState>|States\(' -path 'crates/sqlengine/src/exec/aggregate.rs'; } | grep .; then
     echo "ERROR: per-group accumulator vectors are back (above); a group is" \
          "a row of exec::aggregate's accumulator columns" >&2
     exit 1

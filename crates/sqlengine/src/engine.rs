@@ -149,8 +149,9 @@ pub struct Database {
     /// Statements registered by id for repeated execution (the
     /// [`crate::executor::SqlExecutor`] prepared-statement registry).
     /// Keyed so a multi-session server can drop one session's ids
-    /// without shifting another's.
-    prepared: HashMap<u64, Statement>,
+    /// without shifting another's. Shared, so a run borrows a pointer
+    /// to its statement rather than a copy of the tree.
+    prepared: HashMap<u64, Arc<Statement>>,
     /// Next id [`Database::register_prepared`] hands out.
     next_prepared: u64,
 }
@@ -758,13 +759,13 @@ impl Database {
     pub fn register_prepared(&mut self, stmt: Statement) -> u64 {
         let id = self.next_prepared;
         self.next_prepared += 1;
-        self.prepared.insert(id, stmt);
+        self.prepared.insert(id, Arc::new(stmt));
         id
     }
 
-    /// The registered statement with this id, if any (cloned out so the
-    /// borrow does not pin the registry during execution).
-    pub fn registered_prepared(&self, id: u64) -> Option<Statement> {
+    /// The registered statement with this id, if any (a shared pointer,
+    /// so the borrow does not pin the registry during execution).
+    pub fn registered_prepared(&self, id: u64) -> Option<Arc<Statement>> {
         self.prepared.get(&id).cloned()
     }
 

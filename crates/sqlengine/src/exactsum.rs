@@ -458,6 +458,11 @@ impl ExactSum {
     /// non-empty one; once the sum is wide, a run of finite values is
     /// one loop over the limb array. Anything else goes value by value.
     pub fn add_slice(&mut self, xs: &[f64]) {
+        // Every path below takes one value to this same `add`; a GROUP
+        // BY whose runs are one row long sends nothing else.
+        if let [x] = xs {
+            return self.add(*x);
+        }
         for chunk in xs.chunks(WINDOW_LEN) {
             let summed = match &mut self.comps {
                 Comps::Wide(w) if chunk.iter().all(|x| x.is_finite()) => {

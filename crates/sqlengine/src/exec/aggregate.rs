@@ -16,7 +16,8 @@
 //! as it first arrived: `Int(1)` stays `Int(1)` when `Double(1.0)` joins
 //! its group. The accumulators are one column per planned aggregate —
 //! `SUM`/`AVG` a vector of [`ExactSum`]s beside a vector of counts,
-//! `COUNT` a vector of counts — and group `g` is row `g` of every one
+//! `COUNT` a vector of counts, `MIN`/`MAX` a typed column of best
+//! values — and group `g` is row `g` of every one
 //! of them: a new group is one push per column, and nothing is
 //! allocated per group. A batch is cut into *runs* of equal keys, one
 //! lookup per run, and the runs are then fed aggregate by
@@ -63,6 +64,7 @@
 //! exactly, in any order.
 
 use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::ops::Range;
 
 use crate::analyze::{AnalyzeErrorKind, Checked, Clause, Planned};
@@ -71,7 +73,7 @@ use crate::error::{Error, Result};
 use crate::exactsum::ExactSum;
 use crate::exec::select::BatchSink;
 use crate::expr::{compile, scalar_func, Batch, CExpr, Column, ColumnResolver, Ty};
-use crate::keytable::{hash_rows, keys_eq, KeySet, MAX_KEYS};
+use crate::keytable::{hash_rows, KeySet, KeyView, MAX_KEYS};
 use crate::value::Value;
 
 /// The supported aggregate functions.
@@ -247,9 +249,8 @@ fn rewrite(
 // Accumulation
 // ---------------------------------------------------------------------
 
-/// One accumulator on its own: what the group table's `MIN` and `MAX`
-/// columns hold a group of and update value by value, and one group's
-/// accumulator as the wire decodes it ([`PartialAggResult::push_group`]). Fed one row at a time
+/// One accumulator on its own: one group's accumulator as the wire
+/// decodes it ([`PartialAggResult::push_group`]). Fed one row at a time
 /// ([`AggState::update`]) it is also the reference the batch loops are
 /// tested against (`tests/agg_model.rs`). An [`ExactSum`] travels as
 /// finite doubles whose sum is its exact value ([`ExactSum::to_parts`]:
@@ -288,17 +289,20 @@ pub enum AggState {
 /// above every number, where ORDER BY ([`Value::total_cmp`]) sorts it
 /// too. NaNs order among themselves by bit pattern, so which one
 /// survives never depends on scan or merge order either.
-fn extremum_cmp(a: &Value, b: &Value) -> Option<std::cmp::Ordering> {
+fn extremum_cmp(a: &Value, b: &Value) -> Option<Ordering> {
     match (a.as_f64(), b.as_f64()) {
-        (Some(x), Some(y)) if x.is_nan() || y.is_nan() => {
-            Some((x.is_nan(), x.to_bits()).cmp(&(y.is_nan(), y.to_bits())))
-        }
+        (Some(x), Some(y)) if x.is_nan() || y.is_nan() => Some(nan_cmp(x, y)),
         _ => a.sql_cmp(b),
     }
 }
 
+/// [`extremum_cmp`] of two doubles of which one at least is a NaN.
+fn nan_cmp(x: f64, y: f64) -> Ordering {
+    (x.is_nan(), x.to_bits()).cmp(&(y.is_nan(), y.to_bits()))
+}
+
 /// Does `candidate` displace the current MIN/MAX `best`?
-fn displaces(best: &Option<Value>, candidate: &Value, want: std::cmp::Ordering) -> bool {
+fn displaces(best: &Option<Value>, candidate: &Value, want: Ordering) -> bool {
     match best {
         None => true,
         Some(b) => extremum_cmp(candidate, b) == Some(want),
@@ -363,12 +367,12 @@ impl AggState {
                 *count += 1;
             }
             AggState::Min(best) => {
-                if displaces(best, &val, std::cmp::Ordering::Less) {
+                if displaces(best, &val, Ordering::Less) {
                     *best = Some(val);
                 }
             }
             AggState::Max(best) => {
-                if displaces(best, &val, std::cmp::Ordering::Greater) {
+                if displaces(best, &val, Ordering::Greater) {
                     *best = Some(val);
                 }
             }
@@ -384,29 +388,6 @@ impl AggState {
             AggState::Avg { .. } => AggKind::Avg,
             AggState::Min(_) => AggKind::Min,
             AggState::Max(_) => AggKind::Max,
-        }
-    }
-
-    /// Merge another shard's `MIN` or `MAX` into this state of the same
-    /// aggregate (`SUM`, `AVG` and `COUNT` merge in their
-    /// columns).
-    fn merge(&mut self, other: &AggState) {
-        match (self, other) {
-            (AggState::Min(best), AggState::Min(theirs)) => {
-                if let Some(v) = theirs {
-                    if displaces(best, v, std::cmp::Ordering::Less) {
-                        *best = Some(v.clone());
-                    }
-                }
-            }
-            (AggState::Max(best), AggState::Max(theirs)) => {
-                if let Some(v) = theirs {
-                    if displaces(best, v, std::cmp::Ordering::Greater) {
-                        *best = Some(v.clone());
-                    }
-                }
-            }
-            (mine, theirs) => unreachable!("{theirs:?} was checked to be a state like {mine:?}"),
         }
     }
 
@@ -477,21 +458,40 @@ struct Sums {
     all_int: Vec<bool>,
 }
 
-/// One planned aggregate's accumulators, one per group. `SUM`, `AVG` and
-/// `COUNT` are plain vectors a batch updates in typed loops; the rest
-/// keep one [`AggState`] a group and are fed value by value.
+/// What `MIN` or `MAX` holds, a column of the best value of each group
+/// so far: row `g` is group `g`'s, NULL until its first non-NULL input.
+/// While every input is a DOUBLE, or every one a BIGINT, it is a column
+/// of that type with a validity mask, updated in a typed loop; an input
+/// of another variant once a group holds a value demotes it to a
+/// [`Column::Val`], compared value by value — as a [`KeySet`] key column
+/// demotes. Either way a value displaces the best only when
+/// [`extremum_cmp`] orders it strictly before (`MIN`) or after (`MAX`),
+/// so the first of equal values stays.
+#[derive(Debug, Clone)]
+struct Extrema {
+    /// `Less` for `MIN`, `Greater` for `MAX`.
+    want: Ordering,
+    /// A DOUBLE or BIGINT column, its mask always present, or values.
+    best: Column,
+    /// Whether a group holds a value: until one does the column may
+    /// take any variant.
+    seen: bool,
+}
+
+/// One planned aggregate's accumulators, one per group: plain vectors
+/// and columns a batch updates in typed loops.
 #[derive(Debug, Clone)]
 enum Accumulators {
     Sum(Sums),
     Avg(Sums),
     Count(Vec<u64>),
     /// `MIN`, `MAX`.
-    States(AggKind, Vec<AggState>),
+    Best(Extrema),
 }
 
-/// One group's accumulator of one aggregate, borrowed from its column
-/// (or from an [`AggState`]): what a partial result is written out in
-/// ([`PartialAggResult::group`]) and what a merge copies or merges in.
+/// One group's accumulator of one aggregate, borrowed from its column:
+/// what a partial result is written out in ([`PartialAggResult::group`])
+/// and what a merge copies or merges in.
 #[derive(Debug, Clone, Copy)]
 pub enum AggCell<'a> {
     /// `SUM`: the exact sum, the non-NULL inputs, whether each was an integer.
@@ -500,23 +500,10 @@ pub enum AggCell<'a> {
     Avg(&'a ExactSum, u64),
     /// `COUNT`: the rows counted.
     Count(u64),
-    /// `MIN` or `MAX`: the value-by-value state.
-    State(&'a AggState),
-}
-
-impl<'a> From<&'a AggState> for AggCell<'a> {
-    fn from(state: &'a AggState) -> AggCell<'a> {
-        match state {
-            AggState::Sum {
-                acc,
-                count,
-                all_int,
-            } => AggCell::Sum(acc, *count, *all_int),
-            AggState::Avg { acc, count } => AggCell::Avg(acc, *count),
-            AggState::Count(count) => AggCell::Count(*count),
-            _ => AggCell::State(state),
-        }
-    }
+    /// `MIN`: row `.1` of the column `.0` is the best value (NULL: none).
+    Min(&'a Column, usize),
+    /// `MAX`: as `MIN`.
+    Max(&'a Column, usize),
 }
 
 /// Call `f` with each run's group and rows, in row order.
@@ -572,13 +559,129 @@ impl Sums {
     }
 }
 
+/// Fold the values of `v` (NULL where `valid` says so) into the best of
+/// each run's group, in row order: `beats(x, b)` when `x` displaces `b`.
+/// Whether a value was kept.
+fn keep_best<T: Copy>(
+    (best, held): (&mut [T], &mut [bool]),
+    (v, valid): (&[T], &Option<Vec<bool>>),
+    runs: &[(usize, usize)],
+    beats: impl Fn(T, T) -> bool,
+) -> bool {
+    let mut kept = false;
+    for_runs(runs, |g, rows| {
+        for p in rows {
+            let x = v[p];
+            if valid.as_ref().is_none_or(|m| m[p]) && (!held[g] || beats(x, best[g])) {
+                (best[g], held[g], kept) = (x, true, true);
+            }
+        }
+    });
+    kept
+}
+
+impl Extrema {
+    fn new(want: Ordering) -> Extrema {
+        Extrema {
+            want,
+            best: Column::F64(Vec::new(), Some(Vec::new())),
+            seen: false,
+        }
+    }
+
+    /// Append a group, NULL.
+    fn grow(&mut self) {
+        match &mut self.best {
+            Column::F64(v, Some(held)) => {
+                v.push(0.0);
+                held.push(false);
+            }
+            Column::I64(v, Some(held)) => {
+                v.push(0);
+                held.push(false);
+            }
+            Column::Val(v) => v.push(Value::Null),
+            col => unreachable!("a typed best column keeps its mask: {col:?}"),
+        }
+    }
+
+    /// Make the column one that takes `arg`'s cells: as it is when it is
+    /// of `arg`'s variant or values already; `arg`'s variant while no
+    /// group holds a value; values otherwise.
+    fn settle(&mut self, arg: &Column) {
+        let n = self.best.len();
+        self.best = match (&self.best, arg) {
+            (Column::F64(..), Column::F64(..))
+            | (Column::I64(..), Column::I64(..))
+            | (Column::Val(_), _) => return,
+            (_, Column::F64(..)) if !self.seen => Column::F64(vec![0.0; n], Some(vec![false; n])),
+            (_, Column::I64(..)) if !self.seen => Column::I64(vec![0; n], Some(vec![false; n])),
+            (best, _) => Column::Val((0..n).map(|g| best.value(g)).collect()),
+        };
+    }
+
+    /// Offer each run's rows of `arg` to its group, in row order.
+    fn update(&mut self, arg: &Column, runs: &[(usize, usize)]) {
+        self.settle(arg);
+        let want = self.want;
+        let kept = match (&mut self.best, arg) {
+            (Column::F64(best, Some(held)), Column::F64(v, valid)) => {
+                let beats = |x: f64, b: f64| match x.is_nan() || b.is_nan() {
+                    true => nan_cmp(x, b) == want,
+                    false => x.partial_cmp(&b) == Some(want),
+                };
+                keep_best((best, held), (v, valid), runs, beats)
+            }
+            (Column::I64(best, Some(held)), Column::I64(v, valid)) => {
+                keep_best((best, held), (v, valid), runs, |x, b| x.cmp(&b) == want)
+            }
+            (Column::Val(best), arg) => {
+                let mut kept = false;
+                for_runs(runs, |g, rows| {
+                    for p in rows {
+                        let x = arg.value(p);
+                        let displaces =
+                            best[g].is_null() || extremum_cmp(&x, &best[g]) == Some(want);
+                        if !x.is_null() && displaces {
+                            (best[g], kept) = (x, true);
+                        }
+                    }
+                });
+                kept
+            }
+            (best, arg) => unreachable!("{best:?} was settled to take {arg:?}"),
+        };
+        self.seen |= kept;
+    }
+
+    /// Every group's best value as a column — what
+    /// [`Column::from_values`] makes of the values.
+    fn finalize(&self) -> Column {
+        match &self.best {
+            _ if !self.seen => {
+                let n = self.best.len();
+                Column::F64(vec![0.0; n], (n > 0).then(|| vec![false; n]))
+            }
+            Column::F64(v, Some(held)) => Column::F64(v.clone(), mask(held)),
+            Column::I64(v, Some(held)) => Column::I64(v.clone(), mask(held)),
+            col => Column::from_values((0..col.len()).map(|g| col.value(g)).collect()),
+        }
+    }
+}
+
+/// A validity mask as a column keeps it: none when it marks nothing.
+fn mask(held: &[bool]) -> Option<Vec<bool>> {
+    held.contains(&false).then(|| held.to_vec())
+}
+
 impl Accumulators {
     fn new(kind: AggKind) -> Accumulators {
         match kind {
             AggKind::Sum => Accumulators::Sum(Sums::default()),
             AggKind::Avg => Accumulators::Avg(Sums::default()),
             AggKind::Count => Accumulators::Count(Vec::new()),
-            _ => Accumulators::States(kind, Vec::new()),
+            AggKind::Min => Accumulators::Best(Extrema::new(Ordering::Less)),
+            AggKind::Max => Accumulators::Best(Extrema::new(Ordering::Greater)),
         }
     }
 
@@ -588,7 +691,8 @@ impl Accumulators {
             Accumulators::Sum(_) => AggKind::Sum,
             Accumulators::Avg(_) => AggKind::Avg,
             Accumulators::Count(_) => AggKind::Count,
-            Accumulators::States(kind, _) => *kind,
+            Accumulators::Best(e) if e.want == Ordering::Less => AggKind::Min,
+            Accumulators::Best(_) => AggKind::Max,
         }
     }
 
@@ -598,7 +702,8 @@ impl Accumulators {
             Accumulators::Sum(s) => AggCell::Sum(&s.acc[g], s.count[g], s.all_int[g]),
             Accumulators::Avg(s) => AggCell::Avg(&s.acc[g], s.count[g]),
             Accumulators::Count(counts) => AggCell::Count(counts[g]),
-            Accumulators::States(_, states) => AggCell::State(&states[g]),
+            Accumulators::Best(e) if e.want == Ordering::Less => AggCell::Min(&e.best, g),
+            Accumulators::Best(e) => AggCell::Max(&e.best, g),
         }
     }
 
@@ -612,10 +717,19 @@ impl Accumulators {
                 None => return counts.push(c),
                 Some(g) => return counts[g] += c,
             },
-            (Accumulators::States(_, states), AggCell::State(state)) => match into {
-                None => return states.push(state.clone()),
-                Some(g) => return states[g].merge(state),
-            },
+            (Accumulators::Best(e), AggCell::Min(col, row) | AggCell::Max(col, row)) => {
+                let g = match into {
+                    Some(g) => g,
+                    None => {
+                        e.grow();
+                        e.best.len() - 1
+                    }
+                };
+                if !col.is_null(row) {
+                    e.update(&col.slice(row..row + 1), &[(g, 1)]);
+                }
+                return;
+            }
             (accs, cell) => unreachable!("{cell:?} was checked to be a {:?}", accs.kind()),
         };
         match into {
@@ -641,7 +755,7 @@ impl Accumulators {
                 s.all_int.push(true);
             }
             Accumulators::Count(counts) => counts.push(0),
-            Accumulators::States(kind, states) => states.push(AggState::new(*kind)),
+            Accumulators::Best(e) => e.grow(),
         }
     }
 
@@ -649,7 +763,7 @@ impl Accumulators {
     /// (`None`: `COUNT(*)`, which counts every row): which loop runs is
     /// decided here, once per batch. Run after run, so the values of a
     /// group reach its accumulator in row order.
-    fn update(&mut self, arg: Option<&Column>, runs: &[(usize, usize)]) -> Result<()> {
+    fn update(&mut self, arg: Option<&Column>, runs: &[(usize, usize)]) {
         match (self, arg) {
             (Accumulators::Count(counts), None) => {
                 for_runs(runs, |gid, rows| counts[gid] += rows.len() as u64)
@@ -659,16 +773,8 @@ impl Accumulators {
                 counts[gid] += rows.filter(|&p| !col.is_null(p)).count() as u64
             }),
             (Accumulators::Sum(sums) | Accumulators::Avg(sums), Some(col)) => sums.add(col, runs),
-            // MIN, MAX and the moments: value by value.
-            (Accumulators::States(_, states), Some(col)) => {
-                let mut start = 0;
-                for &(gid, end) in runs {
-                    (start..end).try_for_each(|p| states[gid].update(Some(col.value(p))))?;
-                    start = end;
-                }
-            }
+            (Accumulators::Best(e), Some(col)) => e.update(col, runs),
         }
-        Ok(())
     }
 
     /// Every group's result as one column, each value exactly what
@@ -700,9 +806,7 @@ impl Accumulators {
                 };
                 Column::from_values((0..totals.len()).map(value).collect())
             }
-            Accumulators::States(_, states) => {
-                Column::from_values(states.iter().map(AggState::finalize).collect())
-            }
+            Accumulators::Best(e) => e.finalize(),
         }
     }
 }
@@ -726,14 +830,25 @@ impl Groups {
         }
     }
 
-    /// The group of the key in row `row` of `keys` and whether it is
-    /// new, in which case the caller owes each of `accs` its accumulator.
-    fn intern(&mut self, keys: &[Column], row: usize, hash: u64) -> Result<(usize, bool)> {
-        let full = Error::GroupTableFull {
-            max_groups: MAX_KEYS,
-        };
-        let (gid, new) = self.keys.intern(keys, row, hash).ok_or(full)?;
-        Ok((gid as usize, new))
+    /// The group of the key in each row of `keys` that `rows` names
+    /// (with its hash), in order ([`KeySet::intern_rows`]):
+    /// `found(accs, row, group, new)` is told each, and owes each of
+    /// `accs` its accumulator for a new group.
+    fn intern_rows(
+        &mut self,
+        keys: &[Column],
+        rows: impl IntoIterator<Item = (usize, u64)>,
+        mut found: impl FnMut(&mut [Accumulators], usize, usize, bool),
+    ) -> Result<()> {
+        let Groups { keys: set, accs } = self;
+        set.intern_rows(keys, rows, |row, entered| {
+            let full = || Error::GroupTableFull {
+                max_groups: MAX_KEYS,
+            };
+            let (gid, new) = entered.ok_or_else(full)?;
+            found(accs, row, gid as usize, new);
+            Ok(())
+        })
     }
 
     /// Fail unless groups of `arity` key cells with accumulators of
@@ -761,13 +876,12 @@ impl Groups {
         cell: impl Fn(usize, usize) -> AggCell<'c>,
     ) -> Result<()> {
         self.keys.reserve(n);
-        for (row, hash) in hash_rows(keys, 0..n).into_iter().enumerate() {
-            let (gid, new) = self.intern(keys, row, hash)?;
-            for (j, accs) in self.accs.iter_mut().enumerate() {
-                accs.absorb((!new).then_some(gid), cell(row, j));
+        let rows = hash_rows(keys, 0..n).into_iter().enumerate();
+        self.intern_rows(keys, rows, |accs, row, gid, new| {
+            for (j, acc) in accs.iter_mut().enumerate() {
+                acc.absorb((!new).then_some(gid), cell(row, j));
             }
-        }
-        Ok(())
+        })
     }
 
     /// Fold in another table's groups, in its order, once they are
@@ -817,9 +931,27 @@ impl PartialAggResult {
             *groups = Groups::new(key.len(), kinds().map(Accumulators::new).collect());
         }
         groups.check(key.len(), kinds())?;
-        let key = key.into_iter().map(|cell| Column::from_values(vec![cell]));
-        let key: Vec<Column> = key.collect();
-        groups.absorb(&key, 1, |_, j| AggCell::from(&states[j]))
+        let column = |cell: Value| Column::from_values(vec![cell]);
+        let key: Vec<Column> = key.into_iter().map(column).collect();
+        // A MIN or MAX state's value as the one-row column it merges from.
+        let best: Vec<Column> = states
+            .iter()
+            .map(|state| match state {
+                AggState::Min(v) | AggState::Max(v) => column(v.clone().unwrap_or(Value::Null)),
+                _ => Column::Val(Vec::new()),
+            })
+            .collect();
+        groups.absorb(&key, 1, |_, j| match &states[j] {
+            AggState::Sum {
+                acc,
+                count,
+                all_int,
+            } => AggCell::Sum(acc, *count, *all_int),
+            AggState::Avg { acc, count } => AggCell::Avg(acc, *count),
+            AggState::Count(count) => AggCell::Count(*count),
+            AggState::Min(_) => AggCell::Min(&best[j], 0),
+            AggState::Max(_) => AggCell::Max(&best[j], 0),
+        })
     }
 
     /// Merge another shard's partial result: a group present on both
@@ -911,21 +1043,24 @@ impl AggSink {
             _ => (n, hash_rows(keys, 0..n)),
         };
         self.groups.keys.reserve(rows);
-        self.runs.clear();
-        for row in 0..rows {
-            if row > 0 && hashes[row] == hashes[row - 1] && keys_eq(keys, row - 1, keys, row) {
-                continue;
-            }
-            if let Some(run) = self.runs.last_mut() {
-                run.1 = row;
-            }
-            let (gid, new) = self.groups.intern(keys, row, hashes[row])?;
-            if new {
-                self.groups.accs.iter_mut().for_each(Accumulators::grow);
-            }
-            self.runs.push((gid, n));
-        }
-        Ok(())
+        let runs = &mut self.runs;
+        runs.clear();
+        // A run begins where the key is not the row before's.
+        let view = KeyView::new(keys);
+        let starts = (0..rows).filter(|&row| {
+            row == 0 || hashes[row] != hashes[row - 1] || !view.eq(row - 1, &view, row)
+        });
+        let starts = starts.map(|row| (row, hashes[row]));
+        self.groups
+            .intern_rows(keys, starts, |accs, row, gid, new| {
+                if let Some(run) = runs.last_mut() {
+                    run.1 = row;
+                }
+                if new {
+                    accs.iter_mut().for_each(Accumulators::grow);
+                }
+                runs.push((gid, n));
+            })
     }
 }
 
@@ -1035,7 +1170,7 @@ impl BatchSink for AggSink {
             // argument column and one accumulator column at a time.
             self.find_runs(&keys, n)?;
             for (accs, arg) in self.groups.accs.iter_mut().zip(&args) {
-                accs.update(arg.as_ref(), &self.runs)?;
+                accs.update(arg.as_ref(), &self.runs);
             }
         }
         pending.map_or(Ok(()), Err)
@@ -1115,7 +1250,7 @@ impl<E: FnMut(Vec<Column>)> StreamSink<E> {
     }
 
     /// Fold in the first `n` rows of a batch's key and arguments.
-    fn advance(&mut self, keys: &[Column], args: &[Option<Column>], n: usize) -> Result<()> {
+    fn advance(&mut self, keys: &[Column], args: &[Option<Column>], n: usize) {
         let [Column::I64(key, None)] = keys else {
             unreachable!("a streamed GROUP BY key is one BIGINT column without NULLs");
         };
@@ -1126,7 +1261,7 @@ impl<E: FnMut(Vec<Column>)> StreamSink<E> {
             if *open == key[0] {
                 let end = starts.get(1).copied().unwrap_or(n);
                 for (acc, arg) in accs.iter_mut().zip(args) {
-                    acc.update(arg.as_ref(), &[(0, end)])?;
+                    acc.update(arg.as_ref(), &[(0, end)]);
                 }
                 starts.remove(0);
             }
@@ -1134,7 +1269,7 @@ impl<E: FnMut(Vec<Column>)> StreamSink<E> {
         // Otherwise the open group is finished, and so is every run but
         // the last, which opens the next group.
         let Some(&last) = starts.last() else {
-            return Ok(());
+            return;
         };
         let finished = self.open.take();
         let done = starts.len() - 1 + finished.is_some() as usize;
@@ -1150,7 +1285,7 @@ impl<E: FnMut(Vec<Column>)> StreamSink<E> {
         let mut slots = Vec::with_capacity(1 + arity);
         slots.push(keys);
         for (j, (spec, arg)) in self.plan.aggs.iter().zip(args).enumerate() {
-            let complete = finish_runs(spec.kind, arg.as_ref(), &starts)?;
+            let complete = finish_runs(spec.kind, arg.as_ref(), &starts);
             slots.push(match &finished {
                 Some((_, accs)) => concat(accs[j].finalize(), complete),
                 None => complete,
@@ -1161,13 +1296,12 @@ impl<E: FnMut(Vec<Column>)> StreamSink<E> {
             let mut acc = Accumulators::new(spec.kind);
             acc.grow();
             let rows = arg.as_ref().map(|a| a.slice(last..n));
-            acc.update(rows.as_ref(), &[(0, n - last)])?;
+            acc.update(rows.as_ref(), &[(0, n - last)]);
             accs.push(acc);
         }
         self.open = Some((key[last], accs));
         self.groups += starts.len();
         self.emit(slots, done);
-        Ok(())
     }
 
     /// Run the tail over `groups` finished groups and hand on their
@@ -1201,7 +1335,7 @@ impl<E: FnMut(Vec<Column>)> BatchSink for StreamSink<E> {
         let n = batch.len();
         self.rows_seen += n as u64;
         if n > 0 {
-            self.advance(&keys, &args, n)?;
+            self.advance(&keys, &args, n);
         }
         pending.map_or(Ok(()), Err)
     }
@@ -1225,9 +1359,9 @@ impl<E: FnMut(Vec<Column>)> GroupSink for StreamSink<E> {
 /// an argument column, a group each: a `SUM` or `AVG` of a DOUBLE
 /// column without NULLs rounded from each slice, anything else through
 /// a batch-local `Accumulators` row per run.
-fn finish_runs(kind: AggKind, arg: Option<&Column>, bounds: &[usize]) -> Result<Column> {
+fn finish_runs(kind: AggKind, arg: Option<&Column>, bounds: &[usize]) -> Column {
     let runs = bounds.windows(2).map(|w| w[0]..w[1]);
-    Ok(match (kind, arg) {
+    match (kind, arg) {
         (AggKind::Sum, Some(Column::F64(v, None))) => {
             Column::F64(runs.map(|r| ExactSum::sum_slice(&v[r])).collect(), None)
         }
@@ -1246,10 +1380,10 @@ fn finish_runs(kind: AggKind, arg: Option<&Column>, bounds: &[usize]) -> Result<
                 .enumerate()
                 .collect();
             ends.iter().for_each(|_| accs.grow());
-            accs.update(arg.map(|a| a.slice(rows)).as_ref(), &ends)?;
+            accs.update(arg.map(|a| a.slice(rows)).as_ref(), &ends);
             accs.finalize()
         }
-    })
+    }
 }
 
 /// `a`'s rows followed by `b`'s, whatever the variants.

@@ -288,7 +288,13 @@ impl Column {
                 cell(v, valid, is_valid(w_valid, pos).then_some(w[pos]), 0)
             }
             (Column::Val(v), _) if !v.is_empty() => v.push(from.value(pos)),
-            (col, _) if col.is_empty() => *col = from.slice(pos..pos + 1),
+            (col, _) if col.is_empty() => {
+                *col = from.slice(pos..pos + 1);
+                // A mask that marks nothing keeps no column off a typed loop.
+                if let Column::F64(_, valid) | Column::I64(_, valid) = col {
+                    valid.take_if(|m| m[0]);
+                }
+            }
             (col, _) => {
                 let mut values: Vec<Value> = (0..col.len()).map(|i| col.value(i)).collect();
                 values.push(from.value(pos));
@@ -319,19 +325,6 @@ impl Column {
                 }
                 (out, None)
             }
-        }
-    }
-
-    /// Do row `i` and row `j` of `other` hold the same key, as
-    /// [`Value`]'s `==` has it (NULL equals NULL, `1 = 1.0`, exact past
-    /// 2^53)?
-    pub(crate) fn eq_at(&self, i: usize, other: &Column, j: usize) -> bool {
-        match (self, other) {
-            (Column::I64(v, None), Column::I64(w, None)) => v[i] == w[j],
-            (Column::F64(v, None), Column::F64(w, None)) => {
-                v[i] == w[j] || (v[i].is_nan() && w[j].is_nan())
-            }
-            _ => self.value(i) == other.value(j),
         }
     }
 

@@ -5,11 +5,14 @@
 //! nothing else: a power-of-two vector of `u32` slots, at most half of
 //! them taken, probed linearly from the slot the hash's top bits name.
 //! The key cells live in typed [`Column`]s its user owns; hashing reads
-//! them a column at a time ([`hash_rows`]) and equality is [`keys_eq`] —
-//! [`Value`]'s `==`: NULL equals NULL, `1 = 1.0`, `-0.0 = 0.0`, every
-//! NaN one value, BIGINTs exact past 2^53. No key is ever boxed into a
-//! row to be looked up. Every operation takes the hashes it needs as
-//! `u64`s already computed, so a test may hand in colliding ones.
+//! them a column at a time ([`hash_rows`]) and equality is a
+//! [`KeyView`]'s — [`Value`]'s `==`: NULL equals NULL, `1 = 1.0`,
+//! `-0.0 = 0.0`, every NaN one value, BIGINTs exact past 2^53. A view
+//! resolves each key column's cell type once per batch: a BIGINT or
+//! DOUBLE column without NULLs compares as `i64`s or `f64`s, anything
+//! else as values. No key is ever boxed into a row to be looked up.
+//! Every operation takes the hashes it needs as `u64`s already computed,
+//! so a test may hand in colliding ones.
 //!
 //! Three users, one probe loop ([`KeyTable`]'s `locate`):
 //!
@@ -99,7 +102,7 @@ fn fold_hashes(col: &Column, start: usize, hashes: &mut [u64]) {
 }
 
 /// Hashes of the keys `cols` hold in `rows`, one column per key cell:
-/// equal keys ([`keys_eq`]) hash alike whatever variants carry them.
+/// equal keys ([`KeyView::eq`]) hash alike whatever variants carry them.
 pub fn hash_rows<K: Borrow<Column>>(cols: &[K], rows: Range<usize>) -> Vec<u64> {
     let mut hashes = vec![0; rows.len()];
     for col in cols {
@@ -108,12 +111,72 @@ pub fn hash_rows<K: Borrow<Column>>(cols: &[K], rows: Range<usize>) -> Vec<u64> 
     hashes
 }
 
-/// Is the key in row `i` of `a` the key in row `j` of `b`, cell by cell
-/// as [`Value`]'s `==` has it?
-pub fn keys_eq<A: Borrow<Column>, B: Borrow<Column>>(a: &[A], i: usize, b: &[B], j: usize) -> bool {
-    a.iter()
-        .zip(b)
-        .all(|(x, y)| x.borrow().eq_at(i, y.borrow(), j))
+/// One key column's cells, their type resolved once.
+#[derive(Debug, Clone, Copy)]
+enum Cells<'a> {
+    /// BIGINT without NULLs.
+    I64(&'a [i64]),
+    /// DOUBLE without NULLs.
+    F64(&'a [f64]),
+    /// VARCHAR, a column with NULLs or one of mixed variants.
+    Any(&'a Column),
+}
+
+impl Cells<'_> {
+    fn value(self, i: usize) -> Value {
+        match self {
+            Cells::I64(v) => Value::Int(v[i]),
+            Cells::F64(v) => Value::Double(v[i]),
+            Cells::Any(col) => col.value(i),
+        }
+    }
+
+    /// Is cell `i` cell `j` of `other`, as [`Value`]'s `==` has it?
+    #[inline]
+    fn eq(self, i: usize, other: Cells<'_>, j: usize) -> bool {
+        match (self, other) {
+            (Cells::I64(a), Cells::I64(b)) => a[i] == b[j],
+            // `==` has -0.0 = 0.0; every NaN is one key.
+            (Cells::F64(a), Cells::F64(b)) => a[i] == b[j] || (a[i].is_nan() && b[j].is_nan()),
+            (a, b) => a.value(i) == b.value(j),
+        }
+    }
+}
+
+/// Key columns — a batch's, or the keys a table holds — with each
+/// column's cell type resolved once, for as long as the columns do not
+/// change: what every `is_key` the probe loop asks compares by.
+#[derive(Debug, Clone)]
+pub struct KeyView<'a> {
+    cells: Vec<Cells<'a>>,
+}
+
+impl<'a> KeyView<'a> {
+    /// The view of `cols`, one column per key cell.
+    pub fn new<K: Borrow<Column>>(cols: &'a [K]) -> KeyView<'a> {
+        let cells = cols.iter().map(|col| match col.borrow() {
+            Column::I64(v, None) => Cells::I64(v),
+            Column::F64(v, None) => Cells::F64(v),
+            col => Cells::Any(col),
+        });
+        KeyView {
+            cells: cells.collect(),
+        }
+    }
+
+    /// Is the key in row `i` the key in row `j` of `other`, cell by cell
+    /// as [`Value`]'s `==` has it?
+    #[inline]
+    pub fn eq(&self, i: usize, other: &KeyView<'_>, j: usize) -> bool {
+        let mut cells = self.cells.iter().zip(&other.cells);
+        cells.all(|(a, b)| a.eq(i, *b, j))
+    }
+
+    /// Does the key in row `i` have a NULL cell?
+    pub fn has_null(&self, i: usize) -> bool {
+        let null = |c: &Cells<'_>| matches!(c, Cells::Any(col) if col.is_null(i));
+        self.cells.iter().any(null)
+    }
 }
 
 /// Positions by key: the slots of an open-addressing hash table whose
@@ -228,20 +291,25 @@ impl KeyTable {
     /// The probe side of a join: for each row `i < hashes.len()` of the
     /// key columns `keys` (hashing to `hashes[i]`), the position
     /// `is_key(i, position)` accepts, [`NO_ROW`] where there is none —
-    /// and, SQL join semantics, where a cell of the key is NULL.
+    /// and, SQL join semantics, where a cell of the key is NULL. A row
+    /// whose key is the row before's — a probe side in key order, as a
+    /// join's output often is — takes that row's answer without a walk.
     pub fn probe(
         &self,
-        keys: &[Column],
+        keys: &KeyView<'_>,
         hashes: &[u64],
         is_key: impl Fn(usize, usize) -> bool,
     ) -> Vec<u32> {
-        let find = |(i, &hash): (usize, &u64)| {
-            if keys.iter().any(|k| k.is_null(i)) {
-                return NO_ROW;
-            }
-            self.find(hash, |pos| is_key(i, pos))
-        };
-        hashes.iter().enumerate().map(find).collect()
+        let mut hits: Vec<u32> = Vec::with_capacity(hashes.len());
+        for (i, &hash) in hashes.iter().enumerate() {
+            let hit = match hits.last() {
+                Some(&last) if hash == hashes[i - 1] && keys.eq(i - 1, keys, i) => last,
+                _ if keys.has_null(i) => NO_ROW,
+                _ => self.find(hash, |pos| is_key(i, pos)),
+            };
+            hits.push(hit);
+        }
+        hits
     }
 }
 
@@ -306,24 +374,70 @@ impl KeySet {
     /// # Panics
     /// If no room was [`KeySet::reserve`]d for a new key.
     pub fn intern(&mut self, keys: &[Column], row: usize, hash: u64) -> Option<(u32, bool)> {
-        let (cols, hashes) = (&self.cols, &self.hashes);
-        let is_key = |id: usize| hashes[id] == hash && keys_eq(cols, id, keys, row);
-        let (id, new) = self.index.enter(hash, is_key)?;
-        if new {
-            self.hashes.push(hash);
-            for (col, key) in self.cols.iter_mut().zip(keys) {
-                col.push_cell(key, row);
+        let mut found = None;
+        let result = self.intern_rows(keys, [(row, hash)], |_, entered| {
+            found = entered;
+            Ok::<(), ()>(())
+        });
+        result.ok().and(found)
+    }
+
+    /// [`KeySet::intern`] for a batch: the key in each row of `keys`
+    /// that `rows` names (with its hash), in that order, under one view
+    /// of the batch's key columns and one of the set's. `found(row,
+    /// entered)` is told each row's id and whether it is new — `None`
+    /// when the set is full — and stops the batch by failing.
+    ///
+    /// # Panics
+    /// If no room was [`KeySet::reserve`]d for a new key.
+    pub fn intern_rows<E>(
+        &mut self,
+        keys: &[Column],
+        rows: impl IntoIterator<Item = (usize, u64)>,
+        mut found: impl FnMut(usize, Option<(u32, bool)>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let KeySet {
+            cols,
+            hashes,
+            index,
+        } = self;
+        let before = hashes.len();
+        // The row each key new to the set arrived in: its cells stay in
+        // the batch, and join the set's columns once the batch is done.
+        let mut firsts = Vec::new();
+        let (held, batch) = (KeyView::new(cols), KeyView::new(keys));
+        let mut result = Ok(());
+        for (row, hash) in rows {
+            let is_key = |id: usize| {
+                hashes[id] == hash
+                    && match id.checked_sub(before) {
+                        None => held.eq(id, &batch, row),
+                        Some(k) => batch.eq(firsts[k], &batch, row),
+                    }
+            };
+            let entered = index.enter(hash, is_key);
+            if let Some((_, true)) = entered {
+                hashes.push(hash);
+                firsts.push(row);
+            }
+            result = found(row, entered);
+            if result.is_err() {
+                break;
             }
         }
-        Some((id, new))
+        for (col, key) in cols.iter_mut().zip(keys) {
+            firsts.iter().for_each(|&row| col.push_cell(key, row));
+        }
+        result
     }
 
     /// The id of the key in each row `i < hashes.len()` of `keys`,
     /// [`NO_ROW`] for a key the set does not hold or one with a NULL
     /// cell ([`KeyTable::probe`]).
     pub fn probe(&self, keys: &[Column], hashes: &[u64]) -> Vec<u32> {
-        self.index.probe(keys, hashes, |i, id| {
-            self.hashes[id] == hashes[i] && keys_eq(keys, i, &self.cols, id)
+        let (batch, held) = (KeyView::new(keys), KeyView::new(&self.cols));
+        self.index.probe(&batch, hashes, |i, id| {
+            self.hashes[id] == hashes[i] && batch.eq(i, &held, id)
         })
     }
 }
@@ -358,18 +472,15 @@ impl JoinBuild {
         mut entered: impl FnMut(usize, bool) -> Result<(), E>,
     ) -> Result<(), E> {
         self.keys.reserve(hashes.len());
-        for (i, (&hash, &position)) in hashes.iter().zip(positions).enumerate() {
-            if keys.iter().any(|k| k.is_null(i)) {
-                continue;
-            }
-            let (id, new) = self
-                .keys
-                .intern(keys, i, hash)
-                .expect("a build side is no longer than a table");
-            self.rows.push((id, position));
-            entered(i, new)?;
-        }
-        Ok(())
+        let view = KeyView::new(keys);
+        let rows = hashes.iter().copied().enumerate();
+        let rows = rows.filter(|&(i, _)| !view.has_null(i));
+        let build = &mut self.rows;
+        self.keys.intern_rows(keys, rows, |i, found| {
+            let (id, new) = found.expect("a build side is no longer than a table");
+            build.push((id, positions[i]));
+            entered(i, new)
+        })
     }
 
     /// Lay the rows out by key: a counting sort, stable, so each key's

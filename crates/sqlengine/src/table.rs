@@ -13,11 +13,12 @@
 //! O(1) duplicate detection on insert — the "primary index" behaviour the
 //! paper relies on (§2.6) — and the probe side of a primary-key join
 //! ([`Table::probe`]). Key equality is [`Value`]'s `==`: `1 = 1.0`, exact
-//! for BIGINTs past 2^53.
+//! for BIGINTs past 2^53 — through a [`crate::keytable::KeyView`], so a
+//! BIGINT key column without NULLs compares as integers.
 
 use crate::error::{Error, Result};
 use crate::expr::Column;
-use crate::keytable::{hash_rows, keys_eq, KeyTable, MAX_KEYS};
+use crate::keytable::{hash_rows, KeyTable, KeyView, MAX_KEYS};
 use crate::schema::Schema;
 use crate::value::Value;
 
@@ -214,10 +215,11 @@ impl Table {
             return true;
         };
         let keys = self.key_cols();
+        let view = KeyView::new(&keys);
         index.reserve(self.len() - from, || hash_rows(&keys, 0..from));
         let hashes = hash_rows(&keys, from..self.len());
         let unique = hashes.iter().zip(from..).all(|(&hash, pos)| {
-            let entered = index.enter(hash, |other| keys_eq(&keys, other, &keys, pos));
+            let entered = index.enter(hash, |other| view.eq(other, &view, pos));
             entered.expect("append checked the row limit").1
         });
         self.index = Some(index);
@@ -245,8 +247,9 @@ impl Table {
             return vec![NO_ROW; n];
         };
         let stored = self.key_cols();
-        index.probe(keys, &hash_rows(keys, 0..n), |i, pos| {
-            keys_eq(keys, i, &stored, pos)
+        let (probe, held) = (KeyView::new(keys), KeyView::new(&stored));
+        index.probe(&probe, &hash_rows(keys, 0..n), |i, pos| {
+            probe.eq(i, &held, pos)
         })
     }
 }

@@ -36,6 +36,7 @@
 //! its dedup window — even across a server `kill -9` when the server
 //! is durable. See `docs/SERVER.md` §3 for the full contract.
 
+use sqlengine::expr::Column;
 use sqlengine::storage::codec::{
     put_bool, put_f64, put_opt_value, put_schema, put_seq, put_str, put_u32, put_u64, put_value,
     read_opt_value, read_schema, read_value, Reader,
@@ -463,17 +464,21 @@ fn put_agg_cell(buf: &mut Vec<u8>, cell: AggCell<'_>) {
             put_exact_sum(buf, acc);
             put_u64(buf, count);
         }
-        AggCell::State(AggState::Min(v)) => {
+        AggCell::Min(col, row) => {
             buf.push(AGG_MIN);
-            put_opt_value(buf, v);
+            put_opt_value(buf, &best_value(col, row));
         }
-        AggCell::State(AggState::Max(v)) => {
+        AggCell::Max(col, row) => {
             buf.push(AGG_MAX);
-            put_opt_value(buf, v);
+            put_opt_value(buf, &best_value(col, row));
         }
-        // A SUM, AVG or COUNT state: as its column holds it.
-        AggCell::State(state) => put_agg_cell(buf, state.into()),
     }
+}
+
+/// A MIN or MAX accumulator's value as its state holds it: `None` for
+/// a group that saw no non-NULL input.
+fn best_value(col: &Column, row: usize) -> Option<Value> {
+    Some(col.value(row)).filter(|v| !v.is_null())
 }
 
 fn read_agg_state(r: &mut Reader<'_>) -> Result<AggState, Error> {

@@ -24,6 +24,15 @@
 //! stored in non-decreasing order streams (`EXPLAIN` reads `stream
 //! aggregate`); every other shape, and every shard's partial, hashes.
 //!
+//! A second set of plans holds `MIN` and `MAX` over NULL-free columns —
+//! where the group table keeps a typed column of best values — to the
+//! same reference: a DOUBLE of ±0 (the least value: the first to arrive
+//! must stay), 1, 2 and NaNs of two payloads, its negation, a BIGINT
+//! with ±2^53 ± 1 and the `i64` bounds among small numbers, and a `CASE`
+//! that is that BIGINT in the first batch and that DOUBLE after it, so a
+//! group meets a BIGINT, then a DOUBLE — each with no GROUP BY, streamed,
+//! hashed, and merged from 1, 2 and 4 shards.
+//!
 //! The same checks then run against the reference itself with a fault
 //! seeded in — a group's rows fed batch by batch in the wrong order, and
 //! the items of a group evaluated before its HAVING — and must reject
@@ -47,7 +56,7 @@ use sqlengine::{AggState, DataType, Database, Error, PartialAggResult, Value};
 /// `t`'s columns; `tr` is a copy of `t` stored in descending `rid` order.
 const COLUMNS: &str = "(rid BIGINT PRIMARY KEY, c BIGINT, u BIGINT, k2 BIGINT, \
                        d DOUBLE, b BIGINT, nd DOUBLE, nb BIGINT, z DOUBLE, pick BIGINT, \
-                       v DOUBLE, w DOUBLE)";
+                       v DOUBLE, w DOUBLE, e DOUBLE, ne DOUBLE, eb BIGINT)";
 
 /// The primary-keyed table a join probes, as the E step's `CR`: a mean
 /// and a variance for each `u` below [`CR_ROWS`] — rows of `t` with a
@@ -81,6 +90,9 @@ const NB: usize = 7;
 const PICK: usize = 9;
 const V: usize = 10;
 const W: usize = 11;
+const E: usize = 12;
+const NE: usize = 13;
+const EB: usize = 14;
 
 fn wild_double(rng: &mut StdRng) -> f64 {
     let unit: f64 = rng.random();
@@ -107,6 +119,39 @@ fn wild_int(rng: &mut StdRng) -> i64 {
     }
 }
 
+/// Row `rid`'s draw among 32, from its number alone (the seeded rows
+/// above stay as they were).
+fn bucket(rid: usize) -> u64 {
+    (rid as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 59
+}
+
+/// A NULL-free DOUBLE for `MIN`/`MAX`: ±0 half the time, the least
+/// value, whose first arrival must stay; 1 or 2; one row in 16 a NaN of
+/// one of two payloads, above every number.
+fn extremum_double(rid: usize) -> f64 {
+    match bucket(rid) {
+        0 => f64::from_bits(f64::NAN.to_bits() | 1),
+        1 => f64::from_bits(f64::NAN.to_bits() | 2),
+        2..=9 => -0.0,
+        10..=17 => 0.0,
+        18..=24 => 1.0,
+        _ => 2.0,
+    }
+}
+
+/// A NULL-free BIGINT for `MIN`/`MAX`: ±2^53 ± 1 and the `i64` bounds
+/// among small numbers.
+fn extremum_int(rid: usize) -> i64 {
+    match bucket(rid) {
+        0 => (1 << 53) + 1,
+        1 => (1 << 53) - 1,
+        2 => -(1 << 53) - 1,
+        3 => i64::MIN,
+        4 => i64::MAX,
+        b => b as i64 % 11 - 5,
+    }
+}
+
 fn table_rows(rng: &mut StdRng) -> Vec<Vec<Value>> {
     (0..ROWS)
         .map(|rid| {
@@ -130,6 +175,9 @@ fn table_rows(rng: &mut StdRng) -> Vec<Vec<Value>> {
                 Value::Double(rng.random::<f64>() * 20.0 - 10.0),
                 // Falls by one from one clustered group to the next.
                 Value::Double(1000.0 - (rid / RUN) as f64),
+                Value::Double(extremum_double(rid)),
+                Value::Double(-extremum_double(rid)),
+                Value::Int(extremum_int(rid)),
             ]
         })
         .collect()
@@ -152,8 +200,9 @@ enum Func {
 /// An aggregate's argument: a column of `t`, the `CASE` that is
 /// `b` (BIGINT) where `pick > 0` and `d` (DOUBLE) elsewhere, a
 /// distance term as the E step sums them (non-negative, same-scale),
-/// the same over the joined `cr` row, or `v` but a string in row
-/// [`VARCHAR_RID`].
+/// the same over the joined `cr` row, `v` but a string in row
+/// [`VARCHAR_RID`], or `eb` (BIGINT) in the first batch of `t` and `e`
+/// (DOUBLE) after it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Arg {
     Col(usize),
@@ -161,6 +210,7 @@ enum Arg {
     Dist,
     JoinDist,
     Varchar,
+    Flip,
 }
 
 const ARG_COLS: [(usize, &str); 7] = [
@@ -173,15 +223,20 @@ const ARG_COLS: [(usize, &str); 7] = [
     (W, "w"),
 ];
 
+/// The NULL-free columns only the extremum plans read.
+const EXTREMUM_COLS: [(usize, &str); 3] = [(E, "e"), (NE, "ne"), (EB, "eb")];
+
 type Agg = (Func, Arg);
 
 fn agg_sql((func, arg): Agg) -> String {
+    let mut cols = ARG_COLS.iter().chain(&EXTREMUM_COLS);
     let arg = match arg {
-        Arg::Col(c) => ARG_COLS.iter().find(|(pos, _)| *pos == c).unwrap().1,
+        Arg::Col(c) => cols.find(|(pos, _)| *pos == c).unwrap().1,
         Arg::Mixed => "CASE WHEN pick > 0 THEN b ELSE d END",
         Arg::Dist => "(v - 3) ** 2 / 0.7",
         Arg::JoinDist => "(v - cj) ** 2 / r",
         Arg::Varchar => &format!("CASE WHEN rid = {VARCHAR_RID} THEN 'x' ELSE v END"),
+        Arg::Flip => &format!("CASE WHEN rid < {BATCH_ROWS} THEN eb ELSE e END"),
     };
     match func {
         Func::Sum => format!("SUM({arg})"),
@@ -401,6 +456,10 @@ impl Subject for Reference {
                         Value::Int(VARCHAR_RID) => Some(Value::str("x")),
                         _ => Some(row[V].clone()),
                     },
+                    (_, Arg::Flip) => {
+                        let first = row[RID].as_i64().unwrap() < BATCH_ROWS as i64;
+                        Some(row[if first { EB } else { E }].clone())
+                    }
                 };
                 state.update(input)?;
             }
@@ -689,14 +748,49 @@ fn fixed_plans() -> Vec<Plan> {
     plans
 }
 
+/// `MIN` and `MAX` of every NULL-free extremum argument, with no GROUP
+/// BY and by `c` (streamed over `t`, hashed over `tr`) and by `u`
+/// (hashed, ~135 rows a group: every group sees both batch variants of
+/// [`Arg::Flip`]).
+fn extremum_plans() -> Vec<Plan> {
+    let args = [Arg::Col(E), Arg::Col(NE), Arg::Col(EB), Arg::Flip];
+    let aggs: Vec<Agg> = args
+        .iter()
+        .flat_map(|&arg| [(Func::Min, arg), (Func::Max, arg)])
+        .collect();
+    let mut plans = Vec::new();
+    for (keys, backwards) in [(&[][..], false), (&[C], false), (&[C], true), (&[U], false)] {
+        plans.push(Plan {
+            keys: keys.to_vec(),
+            items: (0..aggs.len()).map(Item::Agg).collect(),
+            aggs: aggs.clone(),
+            having: None,
+            below: ROWS,
+            backwards,
+            join: false,
+        });
+    }
+    plans
+}
+
 /// Run every plan every way; the first disagreement with the reference,
 /// or how many statements failed (as the reference said they would).
 fn check_all(subject: &mut dyn Subject, truth: &mut Reference) -> Result<usize, String> {
     let mut rng = StdRng::seed_from_u64(0x0A66_C015);
     let mut plans = fixed_plans();
     plans.extend((0..120).map(|_| random_plan(&mut rng)));
+    check_plans(subject, truth, &plans)
+}
+
+/// Run `plans` every way; the first disagreement with the reference, or
+/// how many statements failed (as the reference said they would).
+fn check_plans(
+    subject: &mut dyn Subject,
+    truth: &mut Reference,
+    plans: &[Plan],
+) -> Result<usize, String> {
     let mut failing = 0;
-    for plan in &plans {
+    for plan in plans {
         let want = truth.run(plan, How::Whole);
         failing += want.is_err() as usize;
         for how in HOWS {
@@ -728,6 +822,28 @@ fn statements_aggregate_as_the_row_at_a_time_reference_whatever_the_partitioning
     let failing = check_all(&mut Engine::new(&rows), &mut truth).unwrap();
     // The plans have to reach both outcomes.
     assert!((10..100).contains(&failing), "{failing} failing plans");
+}
+
+#[test]
+fn min_and_max_over_null_free_columns_are_the_references_whatever_the_partitioning() {
+    let rows = table_rows(&mut StdRng::seed_from_u64(0x0A66_7AB1));
+    let mut truth = Reference {
+        rows: rows.clone(),
+        fault: None,
+    };
+    let plans = extremum_plans();
+    assert_eq!(
+        check_plans(&mut Engine::new(&rows), &mut truth, &plans),
+        Ok(0)
+    );
+    // The data reach what the plans are for: a group whose least value
+    // is a zero of either sign, a NaN maximum, and (by `u`) both signs
+    // of zero in one group.
+    let e: Vec<f64> = (0..ROWS).map(extremum_double).collect();
+    assert!(e.iter().any(|x| x.is_nan()) && e.iter().any(|x| x.is_sign_negative()));
+    let group: Vec<f64> = e.iter().step_by(37).copied().collect();
+    let zero = |negative: bool| move |x: &f64| *x == 0.0 && x.is_sign_negative() == negative;
+    assert!(group.iter().any(zero(false)) && group.iter().any(zero(true)));
 }
 
 #[test]

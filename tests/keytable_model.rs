@@ -29,6 +29,16 @@
 //! to the error the parent build raised — context, the row it fails at
 //! (through the bytes charged by then) — and a GROUP BY whose keys all
 //! share one probe chain to the statement deadline.
+//!
+//! Part four feeds batches without a NULL — BIGINT (±2^53 ± 1, 0),
+//! DOUBLE (NaNs of two payloads, ±0.0, integers as doubles), a BIGINT ×
+//! DOUBLE composite, and a column that is BIGINT in the first batch and
+//! DOUBLE after it — the columns a key view compares as `i64`s and
+//! `f64`s. The checks of part one hold for the engine's tables, row by
+//! row and a batch at a time, and a `Table`'s primary-key index must
+//! refuse a repeated key and find each key the model finds. Two
+//! compositions whose typed DOUBLE compare has NaN ≠ NaN, or −0.0 ≠ 0.0,
+//! must be rejected.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -37,7 +47,9 @@ use prng::{Rng, StdRng};
 use sqlengine::expr::Column;
 use sqlengine::keytable::{hash_rows, JoinBuild, KeySet, KeyTable, NO_ROW};
 use sqlengine::resource::MemoryBudget;
-use sqlengine::{Database, Error, PartialAggResult, QueryResult, Value};
+use sqlengine::schema::{self, Schema};
+use sqlengine::table::Table;
+use sqlengine::{DataType, Database, Error, PartialAggResult, QueryResult, Value};
 
 mod common;
 use common::keys::{key_cell, same_value, KeyCell};
@@ -140,6 +152,36 @@ impl Subject for Engine {
     }
 }
 
+/// The engine's GROUP BY table a batch at a time (`KeySet::intern_rows`).
+struct Batched(Engine);
+
+impl Subject for Batched {
+    fn fresh(&self, arity: usize) -> Box<dyn Subject> {
+        Box::new(Batched(Engine(KeySet::new(arity))))
+    }
+
+    fn group(&mut self, batch: &KeyBatch) -> Vec<u32> {
+        let set = &mut self.0 .0;
+        set.reserve(batch.hashes.len());
+        let mut ids = Vec::new();
+        let rows = batch.hashes.iter().copied().enumerate();
+        let found = |_, entered: Option<(u32, bool)>| {
+            ids.push(entered.expect("room").0);
+            Ok::<(), ()>(())
+        };
+        set.intern_rows(&batch.cols, rows, found).unwrap();
+        ids
+    }
+
+    fn keys(&self) -> Vec<Vec<Value>> {
+        self.0.keys()
+    }
+
+    fn join(&self, build: &[KeyBatch], positions: &[Vec<u32>], probe: &KeyBatch) -> Vec<Vec<u32>> {
+        self.0.join(build, positions, probe)
+    }
+}
+
 /// A table put together from the public `KeyTable` primitive, keys held
 /// as rows — with a fault, if asked for one.
 #[derive(Default)]
@@ -148,6 +190,8 @@ struct Composed {
     hashes_only: bool,
     /// Let a NULL key cell match in a join as it does under GROUP BY.
     no_null_rule: bool,
+    /// Compare two DOUBLE cells with this instead of the model.
+    double_eq: Option<fn(f64, f64) -> bool>,
     keys: Vec<Vec<Value>>,
     hashes: Vec<u64>,
     index: KeyTable,
@@ -162,8 +206,22 @@ impl Composed {
         }
     }
 
+    /// An empty table with this one's faults.
+    fn like(&self) -> Composed {
+        Composed {
+            double_eq: self.double_eq,
+            ..Composed::faulty(self.hashes_only, self.no_null_rule)
+        }
+    }
+
     fn is_key(&self, id: usize, key: &[Value], hash: u64) -> bool {
-        self.hashes[id] == hash && (self.hashes_only || model_key(&self.keys[id]) == model_key(key))
+        let cells_eq = |a: &Value, b: &Value| match (a, b, self.double_eq) {
+            (Value::Double(x), Value::Double(y), Some(eq)) => eq(*x, *y),
+            _ => key_cell(a) == key_cell(b),
+        };
+        let held = &self.keys[id];
+        self.hashes[id] == hash
+            && (self.hashes_only || held.iter().zip(key).all(|(a, b)| cells_eq(a, b)))
     }
 
     fn intern(&mut self, key: &[Value], hash: u64) -> u32 {
@@ -183,7 +241,7 @@ impl Composed {
 
 impl Subject for Composed {
     fn fresh(&self, _arity: usize) -> Box<dyn Subject> {
-        Box::new(Composed::faulty(self.hashes_only, self.no_null_rule))
+        Box::new(self.like())
     }
 
     fn group(&mut self, batch: &KeyBatch) -> Vec<u32> {
@@ -196,7 +254,7 @@ impl Subject for Composed {
     }
 
     fn join(&self, build: &[KeyBatch], positions: &[Vec<u32>], probe: &KeyBatch) -> Vec<Vec<u32>> {
-        let mut keys = Composed::faulty(self.hashes_only, self.no_null_rule);
+        let mut keys = self.like();
         let mut rows: Vec<Vec<u32>> = Vec::new();
         let skip = |key: &[Value]| !self.no_null_rule && key.iter().any(Value::is_null);
         for (batch, positions) in build.iter().zip(positions) {
@@ -296,6 +354,12 @@ fn random_batch(
     let rows: Vec<Vec<Value>> = (0..rows)
         .map(|_| kinds.iter().map(|&k| random_cell(rng, k, spread)).collect())
         .collect();
+    key_batch(rows, arity, hashing)
+}
+
+/// Rows of `arity` key cells as a batch: one column each, and hashes as
+/// `hashing` makes them.
+fn key_batch(rows: Vec<Vec<Value>>, arity: usize, hashing: Hashing) -> KeyBatch {
     let column = |c: usize| Column::from_values(rows.iter().map(|r| r[c].clone()).collect());
     let cols: Vec<Column> = (0..arity).map(column).collect();
     let squeeze = |h: u64| match hashing {
@@ -311,11 +375,29 @@ fn random_batch(
     }
 }
 
+/// Batch `b` of `rows` rows of a sequence.
+type Source<'a> = &'a dyn Fn(&mut StdRng, usize, usize) -> KeyBatch;
+
 /// Group one sequence of batches; the first disagreement with the model.
 fn check_grouping(subject: &dyn Subject, seed: u64, hashing: Hashing) -> Result<usize, String> {
     let mut rng = StdRng::seed_from_u64(seed);
     let arity = rng.random_range(1..4usize);
     let spread = [3, 40, 700][rng.random_range(0..3usize)];
+    let source = |rng: &mut StdRng, _, rows| random_batch(rng, arity, rows, spread, hashing);
+    let context = format!("seed {seed} {hashing:?}");
+    group_batches(subject, &mut rng, arity, hashing, &source, &context)
+}
+
+/// Group the batches `source` draws; the first disagreement with the
+/// model.
+fn group_batches(
+    subject: &dyn Subject,
+    rng: &mut StdRng,
+    arity: usize,
+    hashing: Hashing,
+    source: Source<'_>,
+    context: &str,
+) -> Result<usize, String> {
     // Fewer rows where every lookup walks every key.
     let batches = match hashing {
         Hashing::Engine => 60,
@@ -325,13 +407,13 @@ fn check_grouping(subject: &dyn Subject, seed: u64, hashing: Hashing) -> Result<
     let mut model = Model::default();
     for b in 0..batches {
         let rows = rng.random_range(1..200usize);
-        let batch = random_batch(&mut rng, arity, rows, spread, hashing);
+        let batch = source(rng, b, rows);
         let want: Vec<u32> = batch.rows.iter().map(|key| model.group(key)).collect();
         let got = table.group(&batch);
         if got != want {
             let row = got.iter().zip(&want).position(|(g, w)| g != w);
             return Err(format!(
-                "seed {seed} {hashing:?} batch {b}: group ids differ at row {row:?}"
+                "{context} batch {b}: group ids differ at row {row:?}"
             ));
         }
         let held = table.keys();
@@ -342,7 +424,7 @@ fn check_grouping(subject: &dyn Subject, seed: u64, hashing: Hashing) -> Result<
                 .all(|(h, m)| same_row(h, m))
         {
             return Err(format!(
-                "seed {seed} {hashing:?} batch {b}: the keys held are not the first arrivals"
+                "{context} batch {b}: the keys held are not the first arrivals"
             ));
         }
     }
@@ -354,13 +436,27 @@ fn check_join(subject: &dyn Subject, seed: u64, hashing: Hashing) -> Result<(), 
     let mut rng = StdRng::seed_from_u64(seed);
     let arity = rng.random_range(1..4usize);
     let spread = [3, 40][rng.random_range(0..2usize)];
+    let source = |rng: &mut StdRng, _, rows| random_batch(rng, arity, rows, spread, hashing);
+    let context = format!("seed {seed} {hashing:?}");
+    join_batches(subject, &mut rng, arity, &source, &context)
+}
+
+/// Build a join over batches `source` draws and probe it with another;
+/// the first disagreement with the model.
+fn join_batches(
+    subject: &dyn Subject,
+    rng: &mut StdRng,
+    arity: usize,
+    source: Source<'_>,
+    context: &str,
+) -> Result<(), String> {
     let mut next = 0u32;
     let mut build = Vec::new();
     let mut positions = Vec::new();
     let mut model: BTreeMap<Vec<KeyCell>, Vec<u32>> = BTreeMap::new();
-    for _ in 0..rng.random_range(1..5usize) {
+    for b in 0..rng.random_range(1..5usize) {
         let rows = rng.random_range(1..150usize);
-        let batch = random_batch(&mut rng, arity, rows, spread, hashing);
+        let batch = source(rng, b, rows);
         // Filtered build rows: positions ascend with gaps.
         let at: Vec<u32> = (0..batch.rows.len())
             .map(|_| {
@@ -376,7 +472,7 @@ fn check_join(subject: &dyn Subject, seed: u64, hashing: Hashing) -> Result<(), 
         build.push(batch);
         positions.push(at);
     }
-    let probe = random_batch(&mut rng, arity, 300, spread, hashing);
+    let probe = source(rng, 1, 300);
     let got = subject.fresh(arity).join(&build, &positions, &probe);
     for (i, key) in probe.rows.iter().enumerate() {
         let want = match key.iter().any(Value::is_null) {
@@ -385,7 +481,7 @@ fn check_join(subject: &dyn Subject, seed: u64, hashing: Hashing) -> Result<(), 
         };
         if got[i] != want {
             return Err(format!(
-                "seed {seed} {hashing:?}: probe row {i} ({key:?}) matches {:?}, the model says {want:?}",
+                "{context}: probe row {i} ({key:?}) matches {:?}, the model says {want:?}",
                 got[i]
             ));
         }
@@ -743,4 +839,188 @@ fn a_group_by_over_one_long_probe_chain_still_honours_the_deadline() {
     );
     db.set_statement_deadline(None);
     assert_eq!(db.execute(sql).unwrap().rows.len(), keys.len());
+}
+
+// ---------------------------------------------------------------------
+// Part four: NULL-free batches, compared as numbers
+// ---------------------------------------------------------------------
+
+/// The variants of a NULL-free key's columns, batch after batch.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    BigInt,
+    Double,
+    BigIntDouble,
+    /// One column: BIGINT in the first batch, DOUBLE after it.
+    Flips,
+}
+
+const SHAPES: [Shape; 4] = [
+    Shape::BigInt,
+    Shape::Double,
+    Shape::BigIntDouble,
+    Shape::Flips,
+];
+
+impl Shape {
+    /// What the key columns of batch `b` draw their cells from.
+    fn kinds(self, b: usize) -> &'static [Kind] {
+        match (self, b) {
+            (Shape::BigInt, _) | (Shape::Flips, 0) => &[Kind::BigInt],
+            (Shape::Double, _) | (Shape::Flips, _) => &[Kind::Double],
+            (Shape::BigIntDouble, _) => &[Kind::BigInt, Kind::Double],
+        }
+    }
+}
+
+/// Batch `b` of a shape: part one's cells but for NULL, in typed columns
+/// without a validity mask.
+fn typed_batch(
+    rng: &mut StdRng,
+    shape: Shape,
+    b: usize,
+    rows: usize,
+    spread: usize,
+    hashing: Hashing,
+) -> KeyBatch {
+    let kinds = shape.kinds(b);
+    let cell = |rng: &mut StdRng, kind: Kind| loop {
+        match random_cell(rng, kind, spread) {
+            Value::Null => continue,
+            v => break v,
+        }
+    };
+    let rows: Vec<Vec<Value>> = (0..rows)
+        .map(|_| kinds.iter().map(|&k| cell(rng, k)).collect())
+        .collect();
+    let batch = key_batch(rows, kinds.len(), hashing);
+    let typed = |c: &Column| matches!(c, Column::I64(_, None) | Column::F64(_, None));
+    assert!(batch.cols.iter().all(typed));
+    batch
+}
+
+/// Part one's grouping and join checks over every shape; the first
+/// failure.
+fn check_typed(subject: &dyn Subject) -> Result<(), String> {
+    for seed in 0..12u64 {
+        for shape in SHAPES {
+            for hashing in HASHINGS {
+                let mut rng = StdRng::seed_from_u64(0x7479_7065 + seed);
+                let spread = [3, 40, 700][seed as usize % 3];
+                let source =
+                    |rng: &mut StdRng, b, rows| typed_batch(rng, shape, b, rows, spread, hashing);
+                let context = format!("seed {seed} {shape:?} {hashing:?}");
+                let arity = shape.kinds(0).len();
+                group_batches(subject, &mut rng, arity, hashing, &source, &context)?;
+                join_batches(subject, &mut rng, arity, &source, &context)?;
+            }
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn null_free_keys_group_and_join_as_the_model_says_row_by_row_and_a_batch_at_a_time() {
+    check_typed(&Engine(KeySet::new(0))).unwrap();
+    check_typed(&Batched(Engine(KeySet::new(0)))).unwrap();
+    // And the batch intern passes part one's mixed sequences too.
+    check_all(&Batched(Engine(KeySet::new(0)))).unwrap();
+}
+
+#[test]
+fn the_checks_reject_a_typed_compare_with_nan_unequal_or_signed_zeros_unequal() {
+    let with = |double_eq: fn(f64, f64) -> bool| Composed {
+        double_eq: Some(double_eq),
+        ..Composed::default()
+    };
+    check_typed(&with(|x, y| x == y || (x.is_nan() && y.is_nan())))
+        .expect("the compare without a fault passes");
+    let nan = check_typed(&with(|x, y| x == y)).unwrap_err();
+    assert!(nan.contains("group ids differ"), "{nan}");
+    let zero = |x: f64, y: f64| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+    let signed = check_typed(&with(zero)).unwrap_err();
+    assert!(signed.contains("group ids differ"), "{signed}");
+}
+
+/// A primary-keyed table of a shape's first-batch types, filled and
+/// probed batch by batch; the first disagreement with the model.
+fn check_table(seed: u64, shape: Shape) -> Result<(), String> {
+    let mut rng = StdRng::seed_from_u64(0x7461_626c + seed);
+    let spread = [3, 40, 700][seed as usize % 3];
+    let kinds = shape.kinds(0);
+    let names = ["k0", "k1"];
+    let defs = kinds.iter().zip(names).map(|(kind, name)| match kind {
+        Kind::BigInt => schema::Column::new(name, DataType::BigInt),
+        _ => schema::Column::new(name, DataType::Double),
+    });
+    let schema = Schema::new(defs.collect(), &names[..kinds.len()]).unwrap();
+    let mut table = Table::new("t", schema);
+    let mut model: BTreeMap<Vec<KeyCell>, u32> = BTreeMap::new();
+    let context = format!("seed {seed} {shape:?}");
+    let columns = |rows: &[&Vec<Value>]| -> Vec<Column> {
+        let column = |c: usize| Column::from_values(rows.iter().map(|r| r[c].clone()).collect());
+        (0..kinds.len()).map(column).collect()
+    };
+    for b in 0..30 {
+        let rows = rng.random_range(1..200usize);
+        let batch = typed_batch(&mut rng, shape, 0, rows, spread, Hashing::Engine);
+        // The rows whose key is new, once each, enter; a row whose key
+        // the table holds, or a new key twice, is refused whole.
+        let mut fresh: BTreeMap<Vec<KeyCell>, usize> = BTreeMap::new();
+        let mut held = Vec::new();
+        for (i, key) in batch.rows.iter().enumerate() {
+            if model.contains_key(&model_key(key)) {
+                held.push(key);
+            } else {
+                fresh.entry(model_key(key)).or_insert(i);
+            }
+        }
+        let mut fresh: Vec<usize> = fresh.into_values().collect();
+        fresh.sort();
+        let fresh: Vec<&Vec<Value>> = fresh.iter().map(|&i| &batch.rows[i]).collect();
+        let before = table.len();
+        let repeated = [fresh.clone(), fresh.clone()].concat();
+        for refused in [&held[..], &repeated[..]] {
+            if refused.is_empty() {
+                continue;
+            }
+            let outcome = table.append(columns(refused));
+            if !matches!(outcome, Err(Error::DuplicateKey { .. })) || table.len() != before {
+                return Err(format!(
+                    "{context} batch {b}: a repeated key is not refused"
+                ));
+            }
+        }
+        if !fresh.is_empty() {
+            table
+                .append(columns(&fresh))
+                .map_err(|e| format!("{context} batch {b}: new keys refused: {e}"))?;
+        }
+        for (i, key) in fresh.iter().enumerate() {
+            model.insert(model_key(key), (before + i) as u32);
+        }
+        // Probe with the shape's later batches: for `Flips`, doubles
+        // against the stored BIGINTs.
+        let probe = typed_batch(&mut rng, shape, 1, 100, spread, Hashing::Engine);
+        let hits = table.probe(&probe.cols, probe.rows.len());
+        for (i, key) in probe.rows.iter().enumerate() {
+            let want = model.get(&model_key(key)).copied().unwrap_or(NO_ROW);
+            if hits[i] != want {
+                return Err(format!(
+                    "{context} batch {b}: probe row {i} ({key:?}) finds {}, the model says {want}",
+                    hits[i]
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn a_primary_key_index_over_null_free_keys_enters_and_probes_as_the_model_says() {
+    for seed in 0..6 {
+        for shape in SHAPES {
+            check_table(seed, shape).unwrap();
+        }
+    }
 }
