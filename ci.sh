@@ -40,17 +40,20 @@ Stages, in order:
                 and nowhere else; and one accumulator layout
                 (exec/aggregate.rs: one accumulator column per
                 aggregate): outside #[cfg(test)] no file under
-                crates/sqlengine/src names a Vec<Vec<AggState>> or
-                defines `fn update_rows`, and exec/aggregate.rs names
-                no Vec<AggState> and no `States(` (MIN/MAX are a typed
-                column of best values); and one group-table form (a
-                partial aggregate is the group table's columns in
-                memory and in transit): outside #[cfg(test)] no file
-                under crates/*/src names a Vec<(Row, Vec<AggState>)>
-                or defines `fn into_rows` / `fn absorb_rows` /
-                `fn key_columns`, and exec/aggregate.rs no
-                `fn take(` / `fn put(`; and one executor (UPDATE and
-                DELETE run on the SELECT pipeline): outside
+                crates/sqlengine/src defines `fn update_rows`, and
+                exec/aggregate.rs names no `States(` (MIN/MAX are a
+                typed column of best values); and one aggregate state
+                (the accumulator columns; the row-at-a-time reference
+                is tests/agg_model.rs's): outside #[cfg(test)] no file
+                under crates/*/src names AggState; and one group-table
+                form (a partial aggregate is the group table's columns
+                in memory and in transit, and a decoded one is built
+                cell by cell into them): outside #[cfg(test)] no file
+                under crates/*/src defines `fn into_rows` /
+                `fn absorb_rows` / `fn key_columns`, and
+                exec/aggregate.rs no `fn take(` / `fn put(`; and one
+                executor (UPDATE and DELETE run on the SELECT
+                pipeline): outside
                 #[cfg(test)] no file under crates/sqlengine/src defines
                 `fn update_where` / `fn delete_where` or names
                 eval_predicate or MAX_UPDATE_FROM_ROWS, and none but
@@ -276,17 +279,27 @@ fi
 # a batch at a time — no vector of states per group, no per-run dispatch
 # on a state's kind. MIN and MAX too: a typed column of best values, not
 # a column of value-by-value states.
-if { nontest 'Vec<Vec<AggState>>|fn update_rows' -path 'crates/sqlengine/src/*'
-     nontest 'Vec<AggState>|States\(' -path 'crates/sqlengine/src/exec/aggregate.rs'; } | grep .; then
+if { nontest 'fn update_rows' -path 'crates/sqlengine/src/*'
+     nontest 'States\(' -path 'crates/sqlengine/src/exec/aggregate.rs'; } | grep .; then
     echo "ERROR: per-group accumulator vectors are back (above); a group is" \
          "a row of exec::aggregate's accumulator columns" >&2
+    exit 1
+fi
+# One aggregate state: a group's accumulator is a row of the group
+# table's columns, in memory, in a merge and off the wire (the decoder
+# appends each cell into its column through PartialBuilder). The
+# row-at-a-time AggState is tests/agg_model.rs's reference, not product
+# code.
+if nontest 'AggState' | grep .; then
+    echo "ERROR: a second aggregate state is back (above); accumulate into" \
+         "exec::aggregate's accumulator columns (a partial: PartialBuilder)" >&2
     exit 1
 fi
 # One group-table form: a partial aggregate crosses partitions, shards
 # and the wire as the group table's columns (PartialAggResult holds
 # them) — no table of (key row, states) pairs, and no gathering of the
 # columns into states or scattering of states back into them.
-if { nontest 'Vec<\(Row, Vec<AggState>\)>|fn into_rows|fn absorb_rows|fn key_columns'
+if { nontest 'fn into_rows|fn absorb_rows|fn key_columns'
      nontest 'fn take\(|fn put\(' -path 'crates/sqlengine/src/exec/aggregate.rs'; } | grep .; then
     echo "ERROR: the row-of-states form of the group table is back (above);" \
          "merge and ship exec::aggregate's columns as they are" >&2

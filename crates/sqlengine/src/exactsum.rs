@@ -399,12 +399,6 @@ impl ExactSum {
         ExactSum::default()
     }
 
-    /// Whether anything non-finite has been absorbed (the finalized
-    /// value will be NaN or ±∞).
-    pub fn is_poisoned(&self) -> bool {
-        self.has_nan || self.pos_inf || self.neg_inf
-    }
-
     /// Record a non-finite input.
     fn flag(&mut self, x: f64) {
         self.has_nan |= x.is_nan();

@@ -249,41 +249,6 @@ fn rewrite(
 // Accumulation
 // ---------------------------------------------------------------------
 
-/// One accumulator on its own: one group's accumulator as the wire
-/// decodes it ([`PartialAggResult::push_group`]). Fed one row at a time
-/// ([`AggState::update`]) it is also the reference the batch loops are
-/// tested against (`tests/agg_model.rs`). An [`ExactSum`] travels as
-/// finite doubles whose sum is its exact value ([`ExactSum::to_parts`]:
-/// an inline expansion as it is, a wide sum as its canonical list) and
-/// merges without rounding, so recombining shards' groups is exact for
-/// `SUM`/`COUNT`/`AVG`/`MIN`/`MAX`. Two states are equal when they hold
-/// the same values, however each is represented.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AggState {
-    /// `SUM` — exact sum plus SQL bookkeeping.
-    Sum {
-        /// Exact running sum.
-        acc: ExactSum,
-        /// Non-NULL inputs seen (SUM over zero inputs is NULL).
-        count: u64,
-        /// Every input was an integer (integral SUM stays integral).
-        all_int: bool,
-    },
-    /// `COUNT` — rows counted so far.
-    Count(u64),
-    /// `AVG` — exact sum plus the divisor count.
-    Avg {
-        /// Exact running sum.
-        acc: ExactSum,
-        /// Non-NULL inputs seen.
-        count: u64,
-    },
-    /// `MIN` — best value so far (None = no non-NULL input).
-    Min(Option<Value>),
-    /// `MAX` — best value so far.
-    Max(Option<Value>),
-}
-
 /// The order MIN and MAX pick by: SQL comparison, except that a NaN —
 /// which SQL comparison orders against nothing — has one fixed place,
 /// above every number, where ORDER BY ([`Value::total_cmp`]) sorts it
@@ -301,130 +266,10 @@ fn nan_cmp(x: f64, y: f64) -> Ordering {
     (x.is_nan(), x.to_bits()).cmp(&(y.is_nan(), y.to_bits()))
 }
 
-/// Does `candidate` displace the current MIN/MAX `best`?
-fn displaces(best: &Option<Value>, candidate: &Value, want: Ordering) -> bool {
-    match best {
-        None => true,
-        Some(b) => extremum_cmp(candidate, b) == Some(want),
-    }
-}
-
-impl AggState {
-    /// The state of `kind` before any input.
-    pub fn new(kind: AggKind) -> AggState {
-        match kind {
-            AggKind::Sum => AggState::Sum {
-                acc: ExactSum::new(),
-                count: 0,
-                all_int: true,
-            },
-            AggKind::Count => AggState::Count(0),
-            AggKind::Avg => AggState::Avg {
-                acc: ExactSum::new(),
-                count: 0,
-            },
-            AggKind::Min => AggState::Min(None),
-            AggKind::Max => AggState::Max(None),
-        }
-    }
-
-    /// Feed one input: `None` is `COUNT(*)`'s "count every row";
-    /// otherwise NULLs are skipped by every aggregate.
-    pub fn update(&mut self, v: Option<Value>) -> Result<()> {
-        let Some(val) = v else {
-            if let AggState::Count(c) = self {
-                *c += 1;
-            }
-            return Ok(());
-        };
-        if val.is_null() {
-            return Ok(());
-        }
-        // SUM/AVG take an integer as the integer it is: past 2^53 its
-        // nearest double is another number.
-        let add_to = |acc: &mut ExactSum, what: &str| {
-            match val {
-                Value::Int(i) => acc.add_i64(i),
-                _ => acc.add(val.as_f64().ok_or_else(|| Error::TypeMismatch {
-                    context: format!("{what} over non-numeric value {val}"),
-                })?),
-            }
-            Ok::<(), Error>(())
-        };
-        match self {
-            AggState::Count(c) => *c += 1,
-            AggState::Sum {
-                acc,
-                count,
-                all_int,
-            } => {
-                add_to(acc, "SUM")?;
-                *all_int &= matches!(val, Value::Int(_));
-                *count += 1;
-            }
-            AggState::Avg { acc, count } => {
-                add_to(acc, "AVG")?;
-                *count += 1;
-            }
-            AggState::Min(best) => {
-                if displaces(best, &val, Ordering::Less) {
-                    *best = Some(val);
-                }
-            }
-            AggState::Max(best) => {
-                if displaces(best, &val, Ordering::Greater) {
-                    *best = Some(val);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The aggregate this is a state of.
-    fn kind(&self) -> AggKind {
-        match self {
-            AggState::Sum { .. } => AggKind::Sum,
-            AggState::Count(_) => AggKind::Count,
-            AggState::Avg { .. } => AggKind::Avg,
-            AggState::Min(_) => AggKind::Min,
-            AggState::Max(_) => AggKind::Max,
-        }
-    }
-
-    /// The aggregate's result over the inputs fed so far.
-    pub fn finalize(&self) -> Value {
-        match self {
-            AggState::Sum {
-                acc,
-                count,
-                all_int,
-            } => {
-                let total = acc.finalize();
-                if *count == 0 {
-                    Value::Null
-                } else if *all_int && total.abs() < 9.0e15 {
-                    Value::Int(total as i64)
-                } else {
-                    Value::Double(total)
-                }
-            }
-            AggState::Count(c) => Value::Int(*c as i64),
-            AggState::Avg { acc, count } => {
-                if *count == 0 {
-                    Value::Null
-                } else {
-                    Value::Double(acc.finalize() / *count as f64)
-                }
-            }
-            AggState::Min(b) | AggState::Max(b) => b.clone().unwrap_or(Value::Null),
-        }
-    }
-}
-
 impl AggSpec {
-    /// The static type of what `AggState::finalize` returns for this
-    /// accumulator when base-row slot `i` holds values of type
-    /// `slots[i]`, or why `AggState::update` can only fail. (An
+    /// The static type of what this aggregate's column finalizes to
+    /// (`Accumulators::finalize`) when base-row slot `i` holds values
+    /// of type `slots[i]`, or why accumulating it can only fail. (An
     /// integral `SUM` past ±9·10¹⁵ finalizes as a DOUBLE; like the
     /// DOUBLE → BIGINT coercion check that depends on the data.)
     pub fn result_ty(&self, slots: &[Ty]) -> Checked<Ty> {
@@ -449,8 +294,10 @@ impl AggSpec {
 // The group table, in memory and in transit
 // ---------------------------------------------------------------------
 
-/// What [`AggState::Sum`] holds, a vector per field: row `g` of each is
-/// group `g`'s. (`AVG` carries `all_int` without reading it.)
+/// What `SUM` holds, a vector per field — the exact running sum, the
+/// non-NULL inputs (a `SUM` of none is NULL) and whether each was an
+/// integer (an integral `SUM` stays integral): row `g` of each is group
+/// `g`'s. (`AVG` carries `all_int` without reading it.)
 #[derive(Debug, Clone, Default)]
 struct Sums {
     acc: Vec<ExactSum>,
@@ -506,6 +353,19 @@ pub enum AggCell<'a> {
     Max(&'a Column, usize),
 }
 
+impl AggCell<'_> {
+    /// The aggregate this is an accumulator of.
+    fn kind(&self) -> AggKind {
+        match self {
+            AggCell::Sum(..) => AggKind::Sum,
+            AggCell::Avg(..) => AggKind::Avg,
+            AggCell::Count(_) => AggKind::Count,
+            AggCell::Min(..) => AggKind::Min,
+            AggCell::Max(..) => AggKind::Max,
+        }
+    }
+}
+
 /// Call `f` with each run's group and rows, in row order.
 fn for_runs(runs: &[(usize, usize)], mut f: impl FnMut(usize, Range<usize>)) {
     let mut start = 0;
@@ -532,9 +392,9 @@ impl Sums {
                 all_int[gid] = false;
                 acc[gid].add_slice(&v[rows]);
             }),
-            // Otherwise value by value, as `AggState::update` takes them:
-            // an integer as the integer it is (exact past 2^53), a NULL
-            // skipped (a string ended the batch before it).
+            // Otherwise value by value, in row order: an integer as the
+            // integer it is (exact past 2^53), a NULL skipped (a string
+            // ended the batch before it).
             _ => for_runs(runs, |gid, rows| {
                 for p in rows {
                     match col.value(p) {
@@ -777,9 +637,10 @@ impl Accumulators {
         }
     }
 
-    /// Every group's result as one column, each value exactly what
-    /// [`AggState::finalize`] returns for it: DOUBLE or BIGINT where
-    /// every group's is (NULLs aside), [`Column::Val`] otherwise.
+    /// Every group's result as one column: DOUBLE or BIGINT where every
+    /// group's is (NULLs aside), [`Column::Val`] otherwise. (The
+    /// row-at-a-time reference these results are held to is
+    /// `tests/agg_model.rs`'s.)
     fn finalize(&self) -> Column {
         match self {
             Accumulators::Count(counts) => {
@@ -859,10 +720,7 @@ impl Groups {
         let theirs: Vec<AggKind> = kinds.collect();
         match self.keys.columns().len() {
             n if (n, &mine) == (arity, &theirs) => Ok(()),
-            n => Err(Error::Unsupported(format!(
-                "mismatched partial-aggregate kinds: {n} key cell(s) and {mine:?} \
-                 vs {arity} and {theirs:?}"
-            ))),
+            n => Err(mismatched(n, &mine, arity, &theirs)),
         }
     }
 
@@ -896,6 +754,15 @@ impl Groups {
     }
 }
 
+/// The typed error for a group of `arity` key cells and accumulators
+/// of `theirs` met by a table of `n` and `mine`.
+fn mismatched(n: usize, mine: &[AggKind], arity: usize, theirs: &[AggKind]) -> Error {
+    Error::Unsupported(format!(
+        "mismatched partial-aggregate kinds: {n} key cell(s) and {mine:?} \
+         vs {arity} and {theirs:?}"
+    ))
+}
+
 /// The group table of one aggregate statement with its accumulators
 /// un-finalized: what a shard returns for a scattered statement and
 /// ships group by group. The coordinator merges shards' tables, then
@@ -920,40 +787,6 @@ impl PartialAggResult {
         (keys.key(g), accs.iter().map(move |a| a.cell(g)))
     }
 
-    /// Append a group that crossed a process boundary: its key and one
-    /// accumulator per aggregate. The first group shapes the table; one
-    /// of another key arity or aggregates is a typed error and adds
-    /// nothing. A key already present merges into its group.
-    pub fn push_group(&mut self, key: Vec<Value>, states: &[AggState]) -> Result<()> {
-        let kinds = || states.iter().map(AggState::kind);
-        let groups = &mut self.groups;
-        if groups.keys.is_empty() {
-            *groups = Groups::new(key.len(), kinds().map(Accumulators::new).collect());
-        }
-        groups.check(key.len(), kinds())?;
-        let column = |cell: Value| Column::from_values(vec![cell]);
-        let key: Vec<Column> = key.into_iter().map(column).collect();
-        // A MIN or MAX state's value as the one-row column it merges from.
-        let best: Vec<Column> = states
-            .iter()
-            .map(|state| match state {
-                AggState::Min(v) | AggState::Max(v) => column(v.clone().unwrap_or(Value::Null)),
-                _ => Column::Val(Vec::new()),
-            })
-            .collect();
-        groups.absorb(&key, 1, |_, j| match &states[j] {
-            AggState::Sum {
-                acc,
-                count,
-                all_int,
-            } => AggCell::Sum(acc, *count, *all_int),
-            AggState::Avg { acc, count } => AggCell::Avg(acc, *count),
-            AggState::Count(count) => AggCell::Count(*count),
-            AggState::Min(_) => AggCell::Min(&best[j], 0),
-            AggState::Max(_) => AggCell::Max(&best[j], 0),
-        })
-    }
-
     /// Merge another shard's partial result: a group present on both
     /// sides merges accumulator by accumulator, a new group appends in
     /// `other`'s order — merging shards in index order therefore yields
@@ -965,6 +798,97 @@ impl PartialAggResult {
             return Ok(());
         }
         self.groups.absorb_table(&other.groups)
+    }
+}
+
+/// A [`PartialAggResult`] built from what crossed a process boundary,
+/// group by group as [`PartialAggResult::group`] hands it out — a
+/// [`key`](PartialBuilder::key), then one [`cell`](PartialBuilder::cell)
+/// per aggregate. Each cell is appended straight into its aggregate's
+/// accumulator column, and [`finish`](PartialBuilder::finish) interns
+/// every key in one pass, through the merge shards' tables take: a key
+/// that arrived before merges into its first group, whose key stays as
+/// it first arrived. The first group shapes the table; a group of another
+/// key arity or aggregates is a typed error, which ends the build.
+#[derive(Debug, Default)]
+pub struct PartialBuilder {
+    /// One column of key cells per GROUP BY expression, a row per group.
+    keys: Vec<Vec<Value>>,
+    /// One accumulator column per aggregate, a row per group.
+    accs: Vec<Accumulators>,
+    /// The open group's key, if a group is open.
+    open: Option<Vec<Value>>,
+    /// The cells the open group has had.
+    cells: usize,
+    /// Groups closed so far.
+    groups: usize,
+}
+
+impl PartialBuilder {
+    /// Open the next group with its key, closing the one before.
+    pub fn key(&mut self, key: Vec<Value>) -> Result<()> {
+        self.close()?;
+        (self.open, self.cells) = (Some(key), 0);
+        Ok(())
+    }
+
+    /// Append the open group's next accumulator.
+    pub fn cell(&mut self, cell: AggCell<'_>) -> Result<()> {
+        let Some(key) = &self.open else {
+            return Err(Error::Unsupported(
+                "an aggregate cell before its key".into(),
+            ));
+        };
+        let j = self.cells;
+        if self.groups == 0 && j == self.accs.len() {
+            self.accs.push(Accumulators::new(cell.kind()));
+        }
+        match self.accs.get_mut(j) {
+            Some(acc) if acc.kind() == cell.kind() => acc.absorb(None, cell),
+            _ => {
+                let mine = self.kinds();
+                let theirs = [&mine[..j], &[cell.kind()]].concat();
+                return Err(mismatched(self.keys.len(), &mine, key.len(), &theirs));
+            }
+        }
+        self.cells += 1;
+        Ok(())
+    }
+
+    /// The table's aggregates.
+    fn kinds(&self) -> Vec<AggKind> {
+        self.accs.iter().map(Accumulators::kind).collect()
+    }
+
+    /// Close the open group: fail unless it is of the table's shape (the
+    /// first group's), or append its key.
+    fn close(&mut self) -> Result<()> {
+        let Some(key) = self.open.take() else {
+            return Ok(());
+        };
+        if self.groups == 0 {
+            self.keys = vec![Vec::new(); key.len()];
+        }
+        if (key.len(), self.cells) != (self.keys.len(), self.accs.len()) {
+            let mine = self.kinds();
+            let theirs = &mine[..self.cells];
+            return Err(mismatched(self.keys.len(), &mine, key.len(), theirs));
+        }
+        for (col, cell) in self.keys.iter_mut().zip(key) {
+            col.push(cell);
+        }
+        self.groups += 1;
+        Ok(())
+    }
+
+    /// The groups as one partial result, each key interned once.
+    pub fn finish(mut self) -> Result<PartialAggResult> {
+        self.close()?;
+        let keys: Vec<Column> = self.keys.into_iter().map(Column::from_values).collect();
+        let accs = self.accs.iter().map(|a| Accumulators::new(a.kind()));
+        let mut groups = Groups::new(keys.len(), accs.collect());
+        groups.absorb(&keys, self.groups, |row, j| self.accs[j].cell(row))?;
+        Ok(PartialAggResult { groups })
     }
 }
 
@@ -1066,7 +990,7 @@ impl AggSink {
 
 /// What `SUM`/`AVG` would refuse among the first `n` rows of
 /// an argument column: the position of the first non-numeric value and
-/// the error [`AggState::update`] raises for it.
+/// the error for it.
 fn first_non_numeric(kind: AggKind, col: &Column, n: usize) -> Option<(usize, Error)> {
     let Column::Val(values) = col else {
         return None;
@@ -1077,10 +1001,9 @@ fn first_non_numeric(kind: AggKind, col: &Column, n: usize) -> Option<(usize, Er
     let pos = values[..n]
         .iter()
         .position(|v| matches!(v, Value::Str(_)))?;
-    let error = AggState::new(kind)
-        .update(Some(values[pos].clone()))
-        .expect_err("a string is not numeric");
-    Some((pos, error))
+    let what = if kind == AggKind::Sum { "SUM" } else { "AVG" };
+    let context = format!("{what} over non-numeric value {}", values[pos]);
+    Some((pos, Error::TypeMismatch { context }))
 }
 
 /// A batch's group keys and aggregate arguments, evaluated in the order

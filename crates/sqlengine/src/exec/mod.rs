@@ -149,7 +149,7 @@ pub fn statement_kind(stmt: &Statement) -> StatementKind {
 
 /// Every table name a statement touches — the DML/DDL target first,
 /// then any FROM sources — lowercased. Used by the fault-injection
-/// facility's table-pattern matching.
+/// facility's table-pattern matching and plancheck's lifecycle pass.
 pub fn statement_tables(stmt: &Statement) -> Vec<String> {
     let mut tables = Vec::new();
     let mut add = |name: &str| {

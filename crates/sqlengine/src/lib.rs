@@ -73,7 +73,7 @@ pub use engine::{
 };
 pub use error::{Error, Result};
 pub use exactsum::ExactSum;
-pub use exec::aggregate::{AggCell, AggState, PartialAggResult};
+pub use exec::aggregate::{AggCell, PartialAggResult, PartialBuilder};
 pub use exec::QueryResult;
 pub use executor::{PrepareError, PreparedId, SqlExecutor};
 pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultRule, FaultSite, Injection};

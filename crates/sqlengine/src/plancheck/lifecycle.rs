@@ -18,7 +18,8 @@
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
-use crate::ast::{InsertSource, Statement};
+use crate::ast::Statement;
+use crate::exec::statement_tables;
 
 use super::{find_ident_pos, Diagnostic, DiagnosticKind, ScriptStmt};
 
@@ -28,36 +29,6 @@ enum State {
     Live(Option<usize>),
     /// Dropped by an earlier statement.
     Dropped,
-}
-
-/// Tables a statement reads or writes (not counting DDL targets).
-fn used_tables(stmt: &Statement, out: &mut Vec<String>) {
-    match stmt {
-        Statement::CreateTable { .. } | Statement::DropTable { .. } => {}
-        Statement::Insert { table, source, .. } => {
-            out.push(table.to_ascii_lowercase());
-            if let InsertSource::Select(sel) = source {
-                for t in &sel.from {
-                    out.push(t.table.to_ascii_lowercase());
-                }
-            }
-        }
-        Statement::Update { table, from, .. } => {
-            out.push(table.to_ascii_lowercase());
-            for t in from {
-                out.push(t.table.to_ascii_lowercase());
-            }
-        }
-        Statement::Delete { table, .. } => out.push(table.to_ascii_lowercase()),
-        Statement::Select(sel) => {
-            for t in &sel.from {
-                out.push(t.table.to_ascii_lowercase());
-            }
-        }
-        // Plain EXPLAIN never touches data; EXPLAIN ANALYZE does.
-        Statement::Explain(_) => {}
-        Statement::ExplainAnalyze(inner) => used_tables(inner, out),
-    }
 }
 
 /// Run the lifecycle pass. `parsed[i]` holds the parsed statements of
@@ -95,9 +66,19 @@ pub(super) fn check(
             pos: find_ident_pos(&script_stmt.sql, table),
         };
         for stmt in group {
-            let mut used = Vec::new();
-            used_tables(stmt, &mut used);
-            used.dedup();
+            // The tables it reads or writes: a DDL target is this pass's
+            // own transition, and plain EXPLAIN never touches data
+            // (EXPLAIN ANALYZE runs its statement).
+            let mut touched = stmt;
+            while let Statement::ExplainAnalyze(inner) = touched {
+                touched = inner;
+            }
+            let used = match touched {
+                Statement::CreateTable { .. }
+                | Statement::DropTable { .. }
+                | Statement::Explain(_) => Vec::new(),
+                _ => statement_tables(touched),
+            };
             for t in used {
                 match state.get(&t) {
                     Some(State::Live(_)) => {}

@@ -68,7 +68,6 @@ struct Shared {
     sent: [AtomicU64; 2], // frames forwarded per direction
     fired: AtomicU64,     // rules consumed
     stop: AtomicBool,
-    active: AtomicU64, // live proxied connections
 }
 
 fn dir_index(d: Direction) -> usize {
@@ -103,7 +102,6 @@ impl ChaosProxy {
             sent: [AtomicU64::new(0), AtomicU64::new(0)],
             fired: AtomicU64::new(0),
             stop: AtomicBool::new(false),
-            active: AtomicU64::new(0),
         });
         let accept_shared = Arc::clone(&shared);
         let accept_thread = thread::spawn(move || accept_loop(listener, accept_shared));
@@ -151,11 +149,6 @@ impl ChaosProxy {
     pub fn rules_fired(&self) -> u64 {
         self.shared.fired.load(Ordering::SeqCst)
     }
-
-    /// Live proxied connections right now.
-    pub fn active_connections(&self) -> u64 {
-        self.shared.active.load(Ordering::SeqCst)
-    }
 }
 
 impl Drop for ChaosProxy {
@@ -200,27 +193,15 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 }
 
 fn spawn_relay_pair(client: TcpStream, server: TcpStream, shared: Arc<Shared>) {
-    shared.active.fetch_add(1, Ordering::SeqCst);
     let c2 = client.try_clone();
     let s2 = server.try_clone();
     let (c2, s2) = match (c2, s2) {
         (Ok(c), Ok(s)) => (c, s),
-        _ => {
-            shared.active.fetch_sub(1, Ordering::SeqCst);
-            return;
-        }
+        _ => return,
     };
     let sh_up = Arc::clone(&shared);
-    let sh_down = Arc::clone(&shared);
-    // Count the pair as one connection; release when the client→server
-    // leg dies (the client side defines the connection's lifetime).
-    thread::spawn(move || {
-        relay(client, s2, Direction::ToServer, &sh_up);
-        sh_up.active.fetch_sub(1, Ordering::SeqCst);
-    });
-    thread::spawn(move || {
-        relay(server, c2, Direction::ToClient, &sh_down);
-    });
+    thread::spawn(move || relay(client, s2, Direction::ToServer, &sh_up));
+    thread::spawn(move || relay(server, c2, Direction::ToClient, &shared));
 }
 
 /// Relay whole frames from `src` to `dst`, applying armed rules.

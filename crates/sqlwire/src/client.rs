@@ -212,11 +212,6 @@ impl RemoteConnection {
         self.hello.session
     }
 
-    /// The server's self-description from the handshake.
-    pub fn server_description(&self) -> &str {
-        &self.hello.description
-    }
-
     /// The session resume token the server issued (stable across
     /// reconnects; a restarted durable server recognizes it).
     pub fn resume_token(&self) -> &str {

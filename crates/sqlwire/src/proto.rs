@@ -42,7 +42,7 @@ use sqlengine::storage::codec::{
     read_opt_value, read_schema, read_value, Reader,
 };
 use sqlengine::{
-    AggCell, AggState, Error, ExactSum, ExecMetrics, Limits, PartialAggResult, QueryResult,
+    AggCell, Error, ExactSum, ExecMetrics, Limits, PartialAggResult, PartialBuilder, QueryResult,
     ScanMetric, StatementKind, SymbolicCatalog, Value,
 };
 use std::time::Duration;
@@ -475,28 +475,34 @@ fn put_agg_cell(buf: &mut Vec<u8>, cell: AggCell<'_>) {
     }
 }
 
-/// A MIN or MAX accumulator's value as its state holds it: `None` for
+/// A MIN or MAX accumulator's value as the wire carries it: `None` for
 /// a group that saw no non-NULL input.
 fn best_value(col: &Column, row: usize) -> Option<Value> {
     Some(col.value(row)).filter(|v| !v.is_null())
 }
 
-fn read_agg_state(r: &mut Reader<'_>) -> Result<AggState, Error> {
-    Ok(match r.u8()? {
-        AGG_COUNT => AggState::Count(r.u64()?),
-        AGG_SUM => AggState::Sum {
-            acc: read_exact_sum(r)?,
-            count: r.u64()?,
-            all_int: r.bool()?,
-        },
-        AGG_AVG => AggState::Avg {
-            acc: read_exact_sum(r)?,
-            count: r.u64()?,
-        },
-        AGG_MIN => AggState::Min(read_opt_value(r)?),
-        AGG_MAX => AggState::Max(read_opt_value(r)?),
-        _ => return Err(malformed("aggregate state tag")),
-    })
+/// Read one accumulator written by [`put_agg_cell`] into the open group
+/// of `partial`.
+fn read_agg_cell(r: &mut Reader<'_>, partial: &mut PartialBuilder) -> Result<(), Error> {
+    // A MIN or MAX value as the one-row column it is absorbed from.
+    let best = |r: &mut Reader<'_>| {
+        let v = read_opt_value(r)?.unwrap_or(Value::Null);
+        Ok::<_, Error>(Column::from_values(vec![v]))
+    };
+    match r.u8()? {
+        AGG_COUNT => partial.cell(AggCell::Count(r.u64()?)),
+        AGG_SUM => {
+            let acc = read_exact_sum(r)?;
+            partial.cell(AggCell::Sum(&acc, r.u64()?, r.bool()?))
+        }
+        AGG_AVG => {
+            let acc = read_exact_sum(r)?;
+            partial.cell(AggCell::Avg(&acc, r.u64()?))
+        }
+        AGG_MIN => partial.cell(AggCell::Min(&best(r)?, 0)),
+        AGG_MAX => partial.cell(AggCell::Max(&best(r)?, 0)),
+        _ => Err(malformed("aggregate state tag")),
+    }
 }
 
 /// A partial result travels group by group: key, then accumulators.
@@ -509,12 +515,12 @@ fn put_partial_result(buf: &mut Vec<u8>, p: &PartialAggResult) {
 }
 
 fn read_partial_result(r: &mut Reader<'_>) -> Result<PartialAggResult, Error> {
-    let mut partial = PartialAggResult::default();
+    let mut partial = PartialBuilder::default();
     r.seq(|r| {
-        let key = r.seq(read_value)?;
-        partial.push_group(key, &r.seq(read_agg_state)?)
+        partial.key(r.seq(read_value)?)?;
+        r.seq(|r| read_agg_cell(r, &mut partial))
     })?;
-    Ok(partial)
+    partial.finish()
 }
 
 fn put_limits(buf: &mut Vec<u8>, l: &Limits) {

@@ -198,15 +198,6 @@ impl ServerHandle {
     pub fn peak_memory_bytes(&self) -> Option<u64> {
         self.state.global_budget.as_ref().map(MemoryBudget::peak)
     }
-
-    /// Number of resume tokens with live dedup state (tests).
-    pub fn live_tokens(&self) -> usize {
-        self.state
-            .dedup
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .len()
-    }
 }
 
 /// A bound, not-yet-running server. Call [`Server::run`] to serve.

@@ -3,6 +3,8 @@
 //! loops, finalized into typed columns) against the obvious reference:
 //! one `AggState` per group and aggregate, fed one row at a time through
 //! `AggState::update`, finalized group by group — HAVING, then the items.
+//! The reference state is this file's own: the engine keeps none beside
+//! its columns.
 //!
 //! Part one runs seeded random plans — `SUM`/`AVG`/`COUNT`/`COUNT(*)`/
 //! `MIN`/`MAX` over a wild DOUBLE column, a BIGINT
@@ -42,12 +44,13 @@
 //! whose aggregate does not coerce to the target's type, and to leaving
 //! the target as it was.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 use prng::{Rng, StdRng};
 use sqlengine::exec::aggregate::AggKind;
 use sqlengine::expr::BATCH_ROWS;
-use sqlengine::{AggState, DataType, Database, Error, PartialAggResult, Value};
+use sqlengine::{DataType, Database, Error, ExactSum, PartialAggResult, Value};
 
 // ---------------------------------------------------------------------
 // The table
@@ -360,6 +363,161 @@ enum Fault {
 struct Reference {
     rows: Vec<Vec<Value>>,
     fault: Option<Fault>,
+}
+
+/// One group's accumulator of one aggregate on its own, fed one row at
+/// a time ([`AggState::update`]) and finalized on its own: the
+/// reference the engine's accumulator columns are held to.
+#[derive(Debug)]
+enum AggState {
+    /// `SUM` — exact sum plus SQL bookkeeping.
+    Sum {
+        /// Exact running sum.
+        acc: ExactSum,
+        /// Non-NULL inputs seen (SUM over zero inputs is NULL).
+        count: u64,
+        /// Every input was an integer (integral SUM stays integral).
+        all_int: bool,
+    },
+    /// `COUNT` — rows counted so far.
+    Count(u64),
+    /// `AVG` — exact sum plus the divisor count.
+    Avg {
+        /// Exact running sum.
+        acc: ExactSum,
+        /// Non-NULL inputs seen.
+        count: u64,
+    },
+    /// `MIN` — best value so far (None = no non-NULL input).
+    Min(Option<Value>),
+    /// `MAX` — best value so far.
+    Max(Option<Value>),
+}
+
+/// The order MIN and MAX pick by: SQL comparison, except that a NaN —
+/// which SQL comparison orders against nothing — has one fixed place,
+/// above every number, where ORDER BY ([`Value::total_cmp`]) sorts it
+/// too. NaNs order among themselves by bit pattern, so which one
+/// survives never depends on scan or merge order either.
+fn extremum_cmp(a: &Value, b: &Value) -> Option<Ordering> {
+    match (a.as_f64(), b.as_f64()) {
+        (Some(x), Some(y)) if x.is_nan() || y.is_nan() => Some(nan_cmp(x, y)),
+        _ => a.sql_cmp(b),
+    }
+}
+
+/// [`extremum_cmp`] of two doubles of which one at least is a NaN.
+fn nan_cmp(x: f64, y: f64) -> Ordering {
+    (x.is_nan(), x.to_bits()).cmp(&(y.is_nan(), y.to_bits()))
+}
+
+/// Does `candidate` displace the current MIN/MAX `best`?
+fn displaces(best: &Option<Value>, candidate: &Value, want: Ordering) -> bool {
+    match best {
+        None => true,
+        Some(b) => extremum_cmp(candidate, b) == Some(want),
+    }
+}
+
+impl AggState {
+    /// The state of `kind` before any input.
+    fn new(kind: AggKind) -> AggState {
+        match kind {
+            AggKind::Sum => AggState::Sum {
+                acc: ExactSum::new(),
+                count: 0,
+                all_int: true,
+            },
+            AggKind::Count => AggState::Count(0),
+            AggKind::Avg => AggState::Avg {
+                acc: ExactSum::new(),
+                count: 0,
+            },
+            AggKind::Min => AggState::Min(None),
+            AggKind::Max => AggState::Max(None),
+        }
+    }
+
+    /// Feed one input: `None` is `COUNT(*)`'s "count every row";
+    /// otherwise NULLs are skipped by every aggregate.
+    fn update(&mut self, v: Option<Value>) -> Result<(), Error> {
+        let Some(val) = v else {
+            if let AggState::Count(c) = self {
+                *c += 1;
+            }
+            return Ok(());
+        };
+        if val.is_null() {
+            return Ok(());
+        }
+        // SUM/AVG take an integer as the integer it is: past 2^53 its
+        // nearest double is another number.
+        let add_to = |acc: &mut ExactSum, what: &str| {
+            match val {
+                Value::Int(i) => acc.add_i64(i),
+                _ => acc.add(val.as_f64().ok_or_else(|| Error::TypeMismatch {
+                    context: format!("{what} over non-numeric value {val}"),
+                })?),
+            }
+            Ok::<(), Error>(())
+        };
+        match self {
+            AggState::Count(c) => *c += 1,
+            AggState::Sum {
+                acc,
+                count,
+                all_int,
+            } => {
+                add_to(acc, "SUM")?;
+                *all_int &= matches!(val, Value::Int(_));
+                *count += 1;
+            }
+            AggState::Avg { acc, count } => {
+                add_to(acc, "AVG")?;
+                *count += 1;
+            }
+            AggState::Min(best) => {
+                if displaces(best, &val, Ordering::Less) {
+                    *best = Some(val);
+                }
+            }
+            AggState::Max(best) => {
+                if displaces(best, &val, Ordering::Greater) {
+                    *best = Some(val);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The aggregate's result over the inputs fed so far.
+    fn finalize(&self) -> Value {
+        match self {
+            AggState::Sum {
+                acc,
+                count,
+                all_int,
+            } => {
+                let total = acc.finalize();
+                if *count == 0 {
+                    Value::Null
+                } else if *all_int && total.abs() < 9.0e15 {
+                    Value::Int(total as i64)
+                } else {
+                    Value::Double(total)
+                }
+            }
+            AggState::Count(c) => Value::Int(*c as i64),
+            AggState::Avg { acc, count } => {
+                if *count == 0 {
+                    Value::Null
+                } else {
+                    Value::Double(acc.finalize() / *count as f64)
+                }
+            }
+            AggState::Min(b) | AggState::Max(b) => b.clone().unwrap_or(Value::Null),
+        }
+    }
 }
 
 fn fresh(func: Func) -> AggState {

@@ -18,6 +18,8 @@
 //!   arbitrary double bit patterns (NaN payloads, `-0.0`, subnormals).
 //! - `ragged_partial_payloads_decode_to_a_typed_error` — a partial result
 //!   whose groups disagree on key arity or an aggregate is refused.
+//! - `a_key_repeated_in_a_partial_payload_merges_into_its_first_group` —
+//!   a key met twice in one payload decodes as the merge of its groups.
 //! - `frame_round_trip_truncation_and_flips` — any payload survives
 //!   framing; every strict prefix is a *transient* error; every
 //!   single-bit flip is rejected.
@@ -44,12 +46,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use prng::{Rng, StdRng};
+use sqlengine::expr::Column as Cells;
 use sqlengine::storage::codec::{crc32, put_record, record_header, RECORD_HEADER_LEN};
 use sqlengine::storage::snapshot::{decode_snapshot, encode_snapshot, SNAPSHOT_MAGIC};
 use sqlengine::wal::{encode_commit, encode_frame, scan, WalOp, WAL_MAGIC};
 use sqlengine::{
-    AggState, Column, DataType, Database, Error, ExactSum, ExecMetrics, Limits, PartialAggResult,
-    QueryResult, ScanMetric, Schema, StatementKind, SymbolicCatalog, Value, WalRecovery,
+    AggCell, Column, DataType, Database, Error, ExactSum, ExecMetrics, Limits, PartialAggResult,
+    PartialBuilder, QueryResult, ScanMetric, Schema, StatementKind, SymbolicCatalog, Value,
+    WalRecovery,
 };
 use sqlwire::frame::{encode_frame as wire_frame, read_frame};
 use sqlwire::proto::same_encoding;
@@ -254,23 +258,28 @@ fn gen_exact_sum(rng: &mut StdRng) -> ExactSum {
     ExactSum::from_parts(&comps, rng.random(), rng.random(), rng.random())
 }
 
-/// An accumulator of aggregate `kind`: `COUNT`, `SUM`, `AVG`, `MIN`,
-/// `MAX` by number.
-fn gen_agg_state(rng: &mut StdRng, kind: usize) -> AggState {
-    match kind {
-        0 => AggState::Count(rng.next_u64()),
-        1 => AggState::Sum {
-            acc: gen_exact_sum(rng),
-            count: rng.next_u64(),
-            all_int: rng.random(),
-        },
-        2 => AggState::Avg {
-            acc: gen_exact_sum(rng),
-            count: rng.next_u64(),
-        },
-        3 => AggState::Min(rng.random::<bool>().then(|| gen_value(rng))),
-        _ => AggState::Max(rng.random::<bool>().then(|| gen_value(rng))),
-    }
+/// Append an accumulator of aggregate `kind` — `COUNT`, `SUM`, `AVG`,
+/// `MIN`, `MAX` by number — to the open group of `partial`.
+fn gen_agg_cell(rng: &mut StdRng, kind: usize, partial: &mut PartialBuilder) {
+    // A MIN or MAX value (or none) as the one-row column it is read from.
+    let best = |rng: &mut StdRng| {
+        let v = rng.random::<bool>().then(|| gen_value(rng));
+        Cells::from_values(vec![v.unwrap_or(Value::Null)])
+    };
+    let pushed = match kind {
+        0 => partial.cell(AggCell::Count(rng.next_u64())),
+        1 => {
+            let acc = gen_exact_sum(rng);
+            partial.cell(AggCell::Sum(&acc, rng.next_u64(), rng.random()))
+        }
+        2 => {
+            let acc = gen_exact_sum(rng);
+            partial.cell(AggCell::Avg(&acc, rng.next_u64()))
+        }
+        3 => partial.cell(AggCell::Min(&best(rng), 0)),
+        _ => partial.cell(AggCell::Max(&best(rng), 0)),
+    };
+    pushed.unwrap();
 }
 
 /// A partial result of the one shape a statement produces: one key
@@ -280,17 +289,19 @@ fn gen_partial(rng: &mut StdRng) -> PartialAggResult {
     let arity = below(rng, 3);
     let kinds: Vec<usize> = (0..below(rng, 5)).map(|_| below(rng, 5)).collect();
     let mut keys: Vec<Vec<Value>> = Vec::new();
-    let mut partial = PartialAggResult::default();
+    let mut partial = PartialBuilder::default();
     for _ in 0..below(rng, 5) {
         let key = gen_row(rng, arity);
         if keys.contains(&key) {
             continue;
         }
-        let states: Vec<AggState> = kinds.iter().map(|&k| gen_agg_state(rng, k)).collect();
-        partial.push_group(key.clone(), &states).unwrap();
+        partial.key(key.clone()).unwrap();
+        for &k in &kinds {
+            gen_agg_cell(rng, k, &mut partial);
+        }
         keys.push(key);
     }
-    partial
+    partial.finish().unwrap()
 }
 
 fn gen_catalog(rng: &mut StdRng) -> SymbolicCatalog {
@@ -479,18 +490,20 @@ fn requests_and_responses_reencode_identically() {
 fn ragged_partial_payloads_decode_to_a_typed_error() {
     // One-group partials a statement could each produce, spliced into one
     // payload whose second group has another key arity or aggregate.
-    let frame = |key: Vec<Value>, state: AggState| {
-        let mut partial = PartialAggResult::default();
-        partial.push_group(key, &[state]).unwrap();
-        Response::Partial(partial).encode()
+    let frame = |key: Vec<Value>, cell: AggCell<'_>| {
+        let mut partial = PartialBuilder::default();
+        partial.key(key).unwrap();
+        partial.cell(cell).unwrap();
+        Response::Partial(partial.finish().unwrap()).encode()
     };
-    let min = AggState::Min(Some(Value::Double(3.0)));
-    let max = AggState::Max(Some(Value::Double(3.0)));
-    let first = frame(vec![Value::Int(1)], min.clone());
+    let three = Cells::from_values(vec![Value::Double(3.0)]);
+    let min = AggCell::Min(&three, 0);
+    let max = AggCell::Max(&three, 0);
+    let first = frame(vec![Value::Int(1)], min);
     for second in [
         frame(vec![Value::Int(2), Value::Null], min),
         frame(vec![Value::Int(2)], max),
-        frame(vec![Value::Int(2)], AggState::Count(3)),
+        frame(vec![Value::Int(2)], AggCell::Count(3)),
     ] {
         // Opcode, group count, then the groups.
         let mut payload = first.clone();
@@ -499,6 +512,40 @@ fn ragged_partial_payloads_decode_to_a_typed_error() {
         let decoded = Response::decode(&payload);
         assert!(matches!(decoded, Err(Error::Unsupported(_))), "{decoded:?}");
     }
+}
+
+#[test]
+fn a_key_repeated_in_a_partial_payload_merges_into_its_first_group() {
+    // Two one-group partials whose keys are one key, `Int(1)` then
+    // `Double(1.0)`, each with a SUM and a MIN, spliced into one payload.
+    let one = |key: Value, sum: &[f64], all_int: bool, min: Value| {
+        let mut partial = PartialBuilder::default();
+        partial.key(vec![key]).unwrap();
+        let acc = ExactSum::from_parts(sum, false, false, false);
+        partial
+            .cell(AggCell::Sum(&acc, sum.len() as u64, all_int))
+            .unwrap();
+        partial
+            .cell(AggCell::Min(&Cells::from_values(vec![min]), 0))
+            .unwrap();
+        partial.finish().unwrap()
+    };
+    let first = one(Value::Int(1), &[3.0, 4.0], true, Value::Int(7));
+    let second = one(Value::Double(1.0), &[0.1], false, Value::Double(2.5));
+    let mut payload = Response::Partial(first.clone()).encode();
+    payload[1..5].copy_from_slice(&2u32.to_le_bytes());
+    payload.extend_from_slice(&Response::Partial(second.clone()).encode()[5..]);
+
+    let Ok(Response::Partial(decoded)) = Response::decode(&payload) else {
+        panic!("a repeated key is not an error");
+    };
+    assert_eq!(decoded.group_count(), 1);
+    let (key, _) = decoded.group(0);
+    assert!(matches!(key[..], [Value::Int(1)]), "{key:?}");
+    let mut merged = first;
+    merged.merge(&second).unwrap();
+    let (same, merged) = (Response::Partial(decoded), Response::Partial(merged));
+    assert!(same_encoding(&same, &merged), "{same:?} vs {merged:?}");
 }
 
 #[test]
