@@ -92,6 +92,13 @@ Stages, in order:
                 a static footprint (fn footprint(, select_footprint,
                 build_footprint, peak_footprint, OverBudget) or the
                 switches expected_n, auto_fallback, cleanup_on_error;
+                and one schema mirror (the coordinator plans and
+                prepares against a SymbolicCatalog): outside
+                #[cfg(test)] cluster.rs calls no Database::new( and
+                defines no fn refresh_partition_map; and one fault
+                grammar (FaultRule's FromStr): no file under
+                crates/cli/src or crates/*/src/bin defines
+                fn parse_fault_rule;
                 prints the crates/*/src line
                 total and the non-test total (each file up to its first
                 #[cfg(test)]) so a PR's line delta is a CI output
@@ -404,6 +411,23 @@ if nontest 'fn footprint\(|select_footprint|build_footprint|peak_footprint|OverB
     echo "ERROR: a second memory model or a removed switch is back (above); a" \
          "budget is judged at run time (ResourceExhausted), the preflight falls" \
          "back and a failed run drops its tables unconditionally" >&2
+    exit 1
+fi
+# One schema mirror: the shard coordinator plans every statement and
+# checks every prepared script against a SymbolicCatalog adopted from
+# shard 0 (crates/sqlwire/src/cluster.rs) — no rowless Database beside
+# the shards re-running their DDL, and no partition map beside the
+# schemas (a table is partitioned iff it has a rid column).
+if nontest 'Database::new\(|fn refresh_partition_map' -path 'crates/sqlwire/src/cluster.rs' | grep .; then
+    echo "ERROR: a second schema mirror is back in the coordinator (above);" \
+         "plan against its SymbolicCatalog and read rid off the schema" >&2
+    exit 1
+fi
+# One fault grammar: --inject-fault SPEC is FaultRule's FromStr
+# (crates/sqlengine/src/fault.rs), which every binary parses through.
+if grep -rn 'fn parse_fault_rule' crates/cli/src crates/*/src/bin; then
+    echo "ERROR: a second --inject-fault grammar is back (above); parse a" \
+         "sqlengine::FaultRule with str::parse" >&2
     exit 1
 fi
 echo "   crates/*/src: $(find crates/*/src -name '*.rs' -exec cat {} + | wc -l) lines," \

@@ -118,9 +118,7 @@ use emcore::init::InitStrategy;
 use sqlem::{
     build_generator, EmSession, Generator, PlanReport, RetryPolicy, SqlemConfig, Strategy,
 };
-use sqlengine::{
-    Database, Error as SqlError, FaultPlan, FaultRule, MemoryBudget, SqlExecutor, StatementKind,
-};
+use sqlengine::{Database, Error as SqlError, FaultPlan, FaultRule, MemoryBudget, SqlExecutor};
 use sqlwire::{ClientConfig, Coordinator, RemoteConnection};
 
 /// Exit code for a `--connect` target that is unreachable or whose
@@ -370,8 +368,8 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Args {
             "--recover" => args.recover = true,
             "--memory-budget" => {
                 let v = value();
-                match parse_bytes(&v) {
-                    Some(b) if b > 0 => args.memory_budget = Some(b),
+                match MemoryBudget::parse_limit(&v) {
+                    Some(b) => args.memory_budget = Some(b),
                     _ => usage_error(format!(
                         "--memory-budget needs a positive byte count, got {v:?}"
                     )),
@@ -382,7 +380,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Args {
                 rows => args.load_chunk = Some(rows),
             },
             "--inject-fault" => {
-                let rule = parse_fault_rule(&value()).unwrap_or_else(|e| usage_error(e));
+                let rule = value().parse().unwrap_or_else(|e: String| usage_error(e));
                 args.faults.push(rule)
             }
             "--connect" => args.connect = Some(value()),
@@ -454,66 +452,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Args {
         }
     }
     args
-}
-
-/// Parse a byte count with an optional K/M/G suffix (powers of 1024).
-fn parse_bytes(s: &str) -> Option<u64> {
-    let t = s.trim().to_ascii_lowercase();
-    let (digits, mult) = if let Some(d) = t.strip_suffix('g') {
-        (d, 1u64 << 30)
-    } else if let Some(d) = t.strip_suffix('m') {
-        (d, 1 << 20)
-    } else if let Some(d) = t.strip_suffix('k') {
-        (d, 1 << 10)
-    } else {
-        (t.as_str(), 1)
-    };
-    digits.parse::<u64>().ok()?.checked_mul(mult)
-}
-
-/// Parse one `--inject-fault` spec: `SELECTOR[:MOD]...` where SELECTOR
-/// is a statement number, `kind=NAME`, or `table=SUBSTRING`, and MODs
-/// are `transient` (default), `permanent`, `exhaustion`, `once`
-/// (default), `always`.
-fn parse_fault_rule(spec: &str) -> Result<FaultRule, String> {
-    let mut parts = spec.split(':');
-    let selector = parts.next().unwrap_or_default();
-    let mut rule = if let Some(kind) = selector.strip_prefix("kind=") {
-        let kind = match kind {
-            "create" => StatementKind::CreateTable,
-            "drop" => StatementKind::DropTable,
-            "insert" => StatementKind::Insert,
-            "update" => StatementKind::Update,
-            "delete" => StatementKind::Delete,
-            "select" => StatementKind::Select,
-            other => return Err(format!("unknown statement kind {other:?} in {spec:?}")),
-        };
-        FaultRule::kind(kind)
-    } else if let Some(pattern) = selector.strip_prefix("table=") {
-        FaultRule::table(pattern)
-    } else {
-        let n: usize = selector.parse().map_err(|_| {
-            format!(
-                "fault selector must be a statement number, kind=…, or table=…, got {selector:?}"
-            )
-        })?;
-        FaultRule::nth(n)
-    };
-    let mut always = false;
-    for modifier in parts {
-        match modifier {
-            "transient" => rule = rule.transient(),
-            "permanent" => rule = rule.permanent(),
-            "exhaustion" => rule = rule.exhausting(),
-            "once" => always = false,
-            "always" => always = true,
-            other => return Err(format!("unknown fault modifier {other:?} in {spec:?}")),
-        }
-    }
-    if !always {
-        rule = rule.once();
-    }
-    Ok(rule)
 }
 
 fn run(args: &Args) -> Result<(), CliError> {
@@ -600,7 +538,7 @@ fn run(args: &Args) -> Result<(), CliError> {
         eprintln!("working-memory budget: {b} byte(s)");
     }
     if !args.faults.is_empty() {
-        db.set_fault_plan(FaultPlan::new(args.faults.clone()).with_seed(args.seed));
+        db.set_fault_plan(FaultPlan::new(args.faults.clone()));
     }
     run_clustering(args, &config, &data, p, &mut db)
 }

@@ -412,10 +412,17 @@ impl<'a, E: SqlExecutor, G: Generator> EmSession<'a, E, G> {
             0
         };
         let retries_before = self.db.retries();
-        for (purpose, id) in self.prepared.iter().flatten() {
-            self.db
-                .run_prepared(*id)
-                .map_err(|e| promote_degenerate(purpose, e))?;
+        let failed = self
+            .prepared
+            .iter()
+            .flatten()
+            .enumerate()
+            .find_map(|(i, (purpose, id))| {
+                let e = self.db.run_prepared(*id).err()?;
+                Some((i, purpose.clone(), e))
+            });
+        if let Some((i, purpose, e)) = failed {
+            return Err(self.step_error(i >= self.e_step.len(), &purpose, e));
         }
         let r = self
             .db
@@ -426,6 +433,18 @@ impl<'a, E: SqlExecutor, G: Generator> EmSession<'a, E, G> {
         }
         self.iterations_done += 1;
         Ok(r.scalar_f64().unwrap_or(0.0))
+    }
+
+    /// A failed E/M statement as the session reports it: an arithmetic
+    /// failure in the M step while a cluster has no responsibility mass
+    /// ([`Generator::dead_cluster`]) is that cluster's death.
+    fn step_error(&mut self, in_m_step: bool, purpose: &str, e: SqlError) -> SqlemError {
+        if in_m_step && matches!(e, SqlError::Arithmetic(_)) {
+            if let Some(j) = self.generator.dead_cluster(&mut self.db) {
+                return SqlemError::DegenerateCluster(j);
+            }
+        }
+        SqlemError::from_sql(purpose, e)
     }
 
     /// Build an [`IterationReport`] from the metrics entries appended
@@ -704,26 +723,9 @@ impl<'a, G: Generator> EmSession<'a, Database, G> {
 pub(crate) fn execute_stmts(db: &mut dyn SqlExecutor, stmts: &[Stmt]) -> Result<(), SqlemError> {
     for stmt in stmts {
         db.execute(&stmt.sql)
-            .map_err(|e| promote_degenerate(&stmt.purpose, e))?;
+            .map_err(|e| SqlemError::from_sql(&stmt.purpose, e))?;
     }
     Ok(())
-}
-
-/// Map a division-by-zero inside a mean-update statement to the
-/// domain-level "cluster died" error.
-fn promote_degenerate(purpose: &str, e: SqlError) -> SqlemError {
-    if let SqlError::Arithmetic(_) = &e {
-        if let Some(rest) = purpose.strip_prefix("M: mean of cluster ") {
-            if let Some(j) = rest
-                .split_whitespace()
-                .next()
-                .and_then(|t| t.parse::<usize>().ok())
-            {
-                return SqlemError::DegenerateCluster(j);
-            }
-        }
-    }
-    SqlemError::from_sql(purpose, e)
 }
 
 #[cfg(test)]

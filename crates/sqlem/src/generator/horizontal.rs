@@ -21,7 +21,7 @@ use crate::error::SqlemError;
 use crate::generator::{
     create_table, det_r_update, double_cols, guarded_r, horizontal_score, point_tables, read_row,
     recreate, seed_gmm, w_llh_sql, w_update, write_row, yd_body, yp_body, yp_then_yx, yx_body,
-    Generator, Stmt,
+    yx_dead_cluster, Generator, Stmt,
 };
 use crate::naming::Names;
 use crate::sqlfmt::unroll;
@@ -207,6 +207,10 @@ impl Generator for HorizontalGenerator {
 
     fn llh_sql(&self) -> String {
         w_llh_sql(&self.names)
+    }
+
+    fn dead_cluster(&self, db: &mut dyn SqlExecutor) -> Option<usize> {
+        yx_dead_cluster(db, &self.names, self.k)
     }
 
     fn write_params(&self, params: &GmmParams) -> Vec<Stmt> {

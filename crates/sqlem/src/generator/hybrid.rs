@@ -20,7 +20,7 @@ use crate::generator::{
     create_table, det_r_update, double_cols, fused_yx_body, fused_yx_insert, horizontal_score,
     mean_inserts, point_tables, read_keyed, read_row, recreate, seed_cr, seed_gmm, transpose_c,
     transpose_r_arms, w_llh_sql, w_update, write_keyed, write_row, yd_body, yp_body, yp_then_yx,
-    yx_body, Generator, Stmt,
+    yx_body, yx_dead_cluster, Generator, Stmt,
 };
 use crate::naming::Names;
 use crate::sqlfmt::unroll;
@@ -231,6 +231,10 @@ impl Generator for HybridGenerator {
 
     fn llh_sql(&self) -> String {
         w_llh_sql(&self.names)
+    }
+
+    fn dead_cluster(&self, db: &mut dyn SqlExecutor) -> Option<usize> {
+        yx_dead_cluster(db, &self.names, self.k)
     }
 
     fn write_params(&self, params: &GmmParams) -> Vec<Stmt> {

@@ -109,6 +109,16 @@ pub trait Generator {
     /// (through any [`SqlExecutor`] — in-process or remote).
     fn read_params(&self, db: &mut dyn SqlExecutor) -> Result<Self::Params, SqlemError>;
 
+    /// The 1-based cluster whose responsibility mass is zero, read off
+    /// this strategy's tables after an M-step statement failed on
+    /// arithmetic: the dead cluster a mean update divided by. `None`
+    /// when every cluster has mass, or when the model's M step divides
+    /// by no mass (K-means guards its update).
+    fn dead_cluster(&self, db: &mut dyn SqlExecutor) -> Option<usize> {
+        let _ = db;
+        None
+    }
+
     /// Length in bytes of the longest statement this generator emits —
     /// the §3.3 parser-limit analysis.
     fn longest_statement(&self) -> usize {
@@ -158,6 +168,9 @@ impl<G: Generator + ?Sized> Generator for Box<G> {
     }
     fn read_params(&self, db: &mut dyn SqlExecutor) -> Result<Self::Params, SqlemError> {
         (**self).read_params(db)
+    }
+    fn dead_cluster(&self, db: &mut dyn SqlExecutor) -> Option<usize> {
+        (**self).dead_cluster(db)
     }
 }
 
@@ -478,6 +491,17 @@ pub(crate) fn w_update(names: &Names, k: usize) -> Vec<Stmt> {
             ),
         ),
     ]
+}
+
+/// The first cluster whose responsibilities in a horizontal YX
+/// (`x1…xk`) sum to zero, 1-based ([`Generator::dead_cluster`]).
+pub(crate) fn yx_dead_cluster(db: &mut dyn SqlExecutor, names: &Names, k: usize) -> Option<usize> {
+    let sums = unroll(k, ", ", |j| format!("sum(x{j})"));
+    let r = db
+        .execute(&format!("SELECT {sums} FROM {yx}", yx = names.yx()))
+        .ok()?;
+    let masses = r.rows.first()?;
+    Some(masses.iter().position(|m| m.as_f64() == Some(0.0))? + 1)
 }
 
 /// The loglikelihood the M step stored beside the weights.

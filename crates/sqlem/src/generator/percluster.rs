@@ -27,7 +27,7 @@ use crate::generator::{
     create_table, double_cols, fused_yx_body, fused_yx_insert, guarded_r, horizontal_score,
     mean_inserts, point_tables, read_keyed, read_row, recreate, seed_cr, transpose_c,
     transpose_r_arms, two_pi_p_div2, values_insert, w_llh_sql, w_update, write_keyed, write_row,
-    yd_body, Generator, Stmt,
+    yd_body, yx_dead_cluster, Generator, Stmt,
 };
 use crate::naming::Names;
 use crate::sqlfmt::{lit, unroll};
@@ -203,6 +203,10 @@ impl Generator for PerClusterGenerator {
 
     fn llh_sql(&self) -> String {
         w_llh_sql(&self.names)
+    }
+
+    fn dead_cluster(&self, db: &mut dyn SqlExecutor) -> Option<usize> {
+        yx_dead_cluster(db, &self.names, self.k)
     }
 
     fn write_params(&self, params: &FullParams) -> Vec<Stmt> {

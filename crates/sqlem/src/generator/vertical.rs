@@ -334,6 +334,16 @@ impl Generator for VerticalGenerator {
         format!("SELECT sum(llh) FROM {ysump}", ysump = self.names.ysump())
     }
 
+    /// Read off WV, the per-cluster masses `C = C'/W'` divides by.
+    fn dead_cluster(&self, db: &mut dyn SqlExecutor) -> Option<usize> {
+        let sql = format!(
+            "SELECT i FROM {wv} WHERE sw = 0.0 ORDER BY i",
+            wv = self.names.wv()
+        );
+        let r = db.execute(&sql).ok()?;
+        Some(r.rows.first()?[0].as_i64()? as usize)
+    }
+
     fn write_params(&self, params: &GmmParams) -> Vec<Stmt> {
         let n = &self.names;
         assert_eq!(params.k(), self.k);

@@ -429,6 +429,38 @@ fn dead_cluster_reseeded_deterministically() {
 }
 
 #[test]
+fn dead_cluster_is_degenerate_and_recovers_under_every_strategy() {
+    // The far-cluster start above, for every strategy: the vertical M
+    // step divides every cluster's mean in one statement (C = C'/W'),
+    // and the dead cluster is still the one named and re-seeded.
+    let far = GmmParams::new(
+        vec![vec![5.0, 5.0], vec![1.0e8, 1.0e8]],
+        vec![1.0, 1.0],
+        vec![0.5, 0.5],
+    );
+    for strategy in Strategy::ALL {
+        let run = |config: SqlemConfig| {
+            let mut db = Database::new();
+            let mut session = EmSession::create(&mut db, &config, 2).unwrap();
+            session.load_points(&blobs()).unwrap();
+            session
+                .initialize(&InitStrategy::Explicit(far.clone()))
+                .unwrap();
+            session.run()
+        };
+        let strict = SqlemConfig::new(2, strategy).with_max_iterations(8);
+        let err = run(strict.clone()).unwrap_err();
+        assert!(err.is_degenerate(), "{strategy}: {err}");
+        assert_eq!(err.degenerate_cluster(), Some(1), "{strategy}");
+
+        let recovered = run(strict.with_degenerate_recovery(42)).unwrap();
+        assert_eq!(recovered.recoveries.len(), 1, "{strategy}");
+        assert_eq!(recovered.recoveries[0].cluster, 1, "{strategy}");
+        recovered.params.validate().unwrap();
+    }
+}
+
+#[test]
 fn degenerate_error_names_cluster_and_parameter() {
     let e = SqlemError::Degenerate {
         cluster: 1,

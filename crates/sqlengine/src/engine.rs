@@ -15,6 +15,7 @@ use crate::exec::{
     execute_statement, execute_statement_metered, explain_select, finalize_select_partials,
     run_select_partial, stage_rows, statement_kind, statement_tables, ExecConfig, QueryResult,
 };
+use crate::executor::{check_statement_len, prepare_text};
 use crate::expr::Column;
 use crate::fault::{FaultInjector, FaultKind, FaultPlan, FaultSite, Injection};
 use crate::metrics::{ExecMetrics, MetricsLog, StatementKind, StmtProbe};
@@ -350,7 +351,7 @@ impl Database {
     /// analysis of later ones. Rejections surface as
     /// [`Error::Analyze`] with a byte position into `sql`.
     pub fn execute_all(&mut self, sql: &str) -> Result<Vec<QueryResult>> {
-        self.check_statement_len(sql)?;
+        check_statement_len(sql, self.config.max_statement_len)?;
         let stmts = parse(sql)?;
         let mut out = Vec::with_capacity(stmts.len());
         for stmt in &stmts {
@@ -401,18 +402,6 @@ impl Database {
         let report = analyze(&self.catalog, stmt, &self.config.limits)
             .map_err(|e| Error::Analyze(e.locate(sql)))?;
         Ok((report, t0.elapsed()))
-    }
-
-    /// The statement-length cap (§1.3 parser limits), applied wherever
-    /// SQL text enters the engine.
-    fn check_statement_len(&self, sql: &str) -> Result<()> {
-        if sql.len() > self.config.max_statement_len {
-            return Err(Error::StatementTooLong {
-                len: sql.len(),
-                max: self.config.max_statement_len,
-            });
-        }
-        Ok(())
     }
 
     /// The one frame around every statement — SQL and bulk loads alike —
@@ -501,7 +490,7 @@ impl Database {
     /// (what both partial-aggregate entry points take); returns it with
     /// the plan it was analyzed on and the time the analysis took.
     fn single_select(&self, sql: &str, what: &str) -> Result<(Statement, SelectPlan, Duration)> {
-        self.check_statement_len(sql)?;
+        check_statement_len(sql, self.config.max_statement_len)?;
         let mut stmts = parse(sql)?;
         if !matches!(stmts.as_slice(), [Statement::Select(_)]) {
             return Err(Error::Unsupported(format!(
@@ -719,14 +708,12 @@ impl Database {
         symbolic: &mut SymbolicCatalog,
         sql: &str,
     ) -> Result<Vec<Statement>> {
-        self.check_statement_len(sql)?;
-        let stmts = parse(sql)?;
-        for stmt in &stmts {
-            symbolic
-                .apply(stmt, &self.config.limits)
-                .map_err(|e| Error::Analyze(e.locate(sql)))?;
-        }
-        Ok(stmts)
+        prepare_text(
+            symbolic,
+            sql,
+            self.config.max_statement_len,
+            &self.config.limits,
+        )
     }
 
     /// Snapshot the current table schemas for symbolic DDL replay (see

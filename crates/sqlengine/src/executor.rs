@@ -26,10 +26,12 @@
 //!   from a per-session buffer.
 
 use crate::analyze::{Limits, SymbolicCatalog};
+use crate::ast::Statement;
 use crate::engine::{Database, SharedDatabase};
 use crate::error::{Error, Result};
 use crate::exec::QueryResult;
 use crate::metrics::ExecMetrics;
+use crate::parser::parse;
 use crate::value::Value;
 
 /// Handle to one statement registered via [`SqlExecutor::prepare_script`].
@@ -62,6 +64,70 @@ impl std::fmt::Display for PrepareError {
 
 impl std::error::Error for PrepareError {}
 
+/// Fail `sql` if it is longer than `max` bytes: the statement-length
+/// cap (§1.3 parser limits), applied wherever SQL text enters an
+/// executor.
+pub fn check_statement_len(sql: &str, max: usize) -> Result<()> {
+    if sql.len() > max {
+        return Err(Error::StatementTooLong {
+            len: sql.len(),
+            max,
+        });
+    }
+    Ok(())
+}
+
+/// Parse `sql` under the length cap and apply each of its statements to
+/// `catalog` under `limits` ([`SymbolicCatalog::apply`]), so analysis
+/// sees the DDL effects of the statements before it; an analysis error
+/// is located in `sql`.
+pub(crate) fn prepare_text(
+    catalog: &mut SymbolicCatalog,
+    sql: &str,
+    max_len: usize,
+    limits: &Limits,
+) -> Result<Vec<Statement>> {
+    check_statement_len(sql, max_len)?;
+    let stmts = parse(sql)?;
+    for stmt in &stmts {
+        catalog
+            .apply(stmt, limits)
+            .map_err(|e| Error::Analyze(e.locate(sql)))?;
+    }
+    Ok(stmts)
+}
+
+/// Prepare a script of one statement per entry against `catalog`,
+/// entry by entry, so later entries see earlier entries' DDL. This is
+/// [`SqlExecutor::prepare_script`] for every executor that prepares
+/// locally — the engine and the shard coordinator — so both accept and
+/// reject the same scripts with the same errors.
+pub fn prepare_statements(
+    mut catalog: SymbolicCatalog,
+    statements: &[String],
+    max_len: usize,
+    limits: &Limits,
+) -> std::result::Result<Vec<Statement>, PrepareError> {
+    statements
+        .iter()
+        .enumerate()
+        .map(|(index, sql)| {
+            let mut parsed = prepare_text(&mut catalog, sql, max_len, limits)
+                .map_err(|error| PrepareError { index, error })?;
+            if parsed.len() != 1 {
+                return Err(PrepareError {
+                    index,
+                    error: Error::Unsupported(format!(
+                        "prepare_script: expected exactly one statement per entry, got {}",
+                        parsed.len()
+                    )),
+                });
+            }
+            Ok(parsed.pop().expect("length checked"))
+        })
+        .collect()
+}
+
 /// A SQL execution endpoint: the in-process [`Database`], a locked
 /// [`SharedDatabase`], or a remote server connection.
 ///
@@ -78,7 +144,7 @@ pub trait SqlExecutor {
 
     /// Parse + analyze a script for repeated execution, one statement
     /// per element, replaying DDL effects through a shared symbolic
-    /// catalog (see [`Database::prepare_with`]). Returns one id per
+    /// catalog (see [`prepare_statements`]). Returns one id per
     /// statement, valid until [`SqlExecutor::clear_prepared`].
     fn prepare_script(
         &mut self,
@@ -174,28 +240,16 @@ impl SqlExecutor for Database {
         &mut self,
         statements: &[String],
     ) -> std::result::Result<Vec<PreparedId>, PrepareError> {
-        // One shared symbolic catalog across the whole script so later
-        // statements see earlier statements' DDL effects.
-        let mut symbolic = self.symbolic_catalog();
-        let mut parsed_all = Vec::with_capacity(statements.len());
-        for (index, sql) in statements.iter().enumerate() {
-            let mut parsed = self
-                .prepare_with(&mut symbolic, sql)
-                .map_err(|error| PrepareError { index, error })?;
-            if parsed.len() != 1 {
-                return Err(PrepareError {
-                    index,
-                    error: Error::Unsupported(format!(
-                        "prepare_script: expected exactly one statement per entry, got {}",
-                        parsed.len()
-                    )),
-                });
-            }
-            parsed_all.push(parsed.pop().expect("length checked"));
-        }
+        let config = self.config();
+        let stmts = prepare_statements(
+            self.symbolic_catalog(),
+            statements,
+            config.max_statement_len,
+            &config.limits,
+        )?;
         // Register only once the whole script prepared, so a failure
         // leaves the registry untouched.
-        Ok(parsed_all
+        Ok(stmts
             .into_iter()
             .map(|stmt| PreparedId(self.register_prepared(stmt)))
             .collect())

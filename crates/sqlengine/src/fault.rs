@@ -6,9 +6,9 @@
 //! or permanently (disk full, privilege revoked). A [`FaultPlan`] scripts
 //! such failures against a [`crate::Database`] so the driver's retry,
 //! checkpoint and recovery machinery can be exercised deterministically:
-//! fail the Nth statement, fail every INSERT, fail anything touching a
-//! table whose name matches a pattern, or fail a seeded fraction of all
-//! statements.
+//! fail the Nth statement, fail every INSERT, or fail anything touching
+//! a table whose name matches a pattern. The command-line grammar for a
+//! rule is [`FaultRule`]'s `FromStr`.
 //!
 //! Injected failures surface as [`crate::Error::Injected`] carrying a
 //! transient/permanent classification, which the `sqlem` retry policy
@@ -110,9 +110,6 @@ pub struct FaultRule {
     /// Fire on statements whose target or source table names contain
     /// this substring (case-insensitive).
     pub table_pattern: Option<String>,
-    /// Fire with this probability per matching statement, drawn from the
-    /// plan's seeded generator (`None` ⇒ always fire when matched).
-    pub probability: Option<f64>,
     /// Transient or permanent.
     pub fault: FaultKind,
     /// Where the fault fires relative to execution.
@@ -196,12 +193,6 @@ impl FaultRule {
         self
     }
 
-    /// Builder: fire with probability `p` per matching statement.
-    pub fn with_probability(mut self, p: f64) -> Self {
-        self.probability = Some(p.clamp(0.0, 1.0));
-        self
-    }
-
     /// Builder: fire after the statement executed (lost-ack model).
     pub fn after_exec(mut self) -> Self {
         self.site = FaultSite::AfterExec;
@@ -241,34 +232,74 @@ impl FaultRule {
     }
 }
 
-/// A scripted set of [`FaultRule`]s plus the seed driving probabilistic
-/// rules. Install with [`crate::Database::set_fault_plan`].
+/// The `--inject-fault` grammar of `sqlem-cli` and `sqlem-server`:
+/// `SELECTOR[:MOD]...`, where SELECTOR is a statement number,
+/// `kind=NAME` (`create`, `drop`, `insert`, `update`, `delete`,
+/// `select`) or `table=SUBSTRING`, and the MODs are `transient`
+/// (default), `permanent`, `exhaustion`, `once` (default) and `always`.
+impl std::str::FromStr for FaultRule {
+    type Err = String;
+
+    fn from_str(spec: &str) -> Result<Self, String> {
+        let mut parts = spec.split(':');
+        let selector = parts.next().unwrap_or_default();
+        let mut rule = if let Some(kind) = selector.strip_prefix("kind=") {
+            let kind = match kind {
+                "create" => StatementKind::CreateTable,
+                "drop" => StatementKind::DropTable,
+                "insert" => StatementKind::Insert,
+                "update" => StatementKind::Update,
+                "delete" => StatementKind::Delete,
+                "select" => StatementKind::Select,
+                other => return Err(format!("unknown statement kind {other:?} in {spec:?}")),
+            };
+            FaultRule::kind(kind)
+        } else if let Some(pattern) = selector.strip_prefix("table=") {
+            FaultRule::table(pattern)
+        } else {
+            let n: usize = selector.parse().map_err(|_| {
+                format!(
+                    "fault selector must be a statement number, kind=…, or table=…, \
+                     got {selector:?}"
+                )
+            })?;
+            FaultRule::nth(n)
+        };
+        let mut always = false;
+        for modifier in parts {
+            match modifier {
+                "transient" => rule = rule.transient(),
+                "permanent" => rule = rule.permanent(),
+                "exhaustion" => rule = rule.exhausting(),
+                "once" => always = false,
+                "always" => always = true,
+                other => return Err(format!("unknown fault modifier {other:?} in {spec:?}")),
+            }
+        }
+        if !always {
+            rule = rule.once();
+        }
+        Ok(rule)
+    }
+}
+
+/// A scripted set of [`FaultRule`]s. Install with
+/// [`crate::Database::set_fault_plan`].
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     /// Rules, checked in order; the first match fires.
     pub rules: Vec<FaultRule>,
-    /// Seed for probabilistic rules (deterministic across runs).
-    pub seed: u64,
 }
 
 impl FaultPlan {
     /// Plan with one rule.
     pub fn single(rule: FaultRule) -> Self {
-        FaultPlan {
-            rules: vec![rule],
-            seed: 0,
-        }
+        FaultPlan { rules: vec![rule] }
     }
 
     /// Plan with a rule list.
     pub fn new(rules: Vec<FaultRule>) -> Self {
-        FaultPlan { rules, seed: 0 }
-    }
-
-    /// Builder: set the seed for probabilistic rules.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
+        FaultPlan { rules }
     }
 }
 
@@ -287,14 +318,13 @@ pub struct Injection {
     pub crash: bool,
 }
 
-/// Runtime state for a [`FaultPlan`]: statement counter, per-rule fire
-/// budgets and the seeded generator.
+/// Runtime state for a [`FaultPlan`]: statement counter and per-rule
+/// fire budgets.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     plan: FaultPlan,
     executed: usize,
     fired: Vec<usize>,
-    rng_state: u64,
     /// The next `BeforeExec` decision is a retry of the previous
     /// statement: reuse its sequence number instead of advancing.
     retry_pending: bool,
@@ -306,13 +336,10 @@ impl FaultInjector {
     /// region you want to test.
     pub fn new(plan: FaultPlan) -> Self {
         let fired = vec![0; plan.rules.len()];
-        // splitmix64 seeding; avoid the all-zeros fixpoint.
-        let rng_state = plan.seed ^ 0x9E37_79B9_7F4A_7C15;
         FaultInjector {
             plan,
             executed: 0,
             fired,
-            rng_state,
             retry_pending: false,
         }
     }
@@ -342,20 +369,6 @@ impl FaultInjector {
         self.fired.iter().sum()
     }
 
-    /// splitmix64 step — deterministic, dependency-free.
-    fn next_u64(&mut self) -> u64 {
-        self.rng_state = self.rng_state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.rng_state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn coin(&mut self, p: f64) -> bool {
-        let u = (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        u < p
-    }
-
     /// Decide whether the statement about to run (or just run, for
     /// non-`BeforeExec` checks) trips a rule at `site`. Advances the
     /// statement counter only when `site` is `BeforeExec` — call that
@@ -382,34 +395,19 @@ impl FaultInjector {
         } else {
             self.executed.saturating_sub(1)
         };
-        for i in 0..self.plan.rules.len() {
-            let (fault, probability, crash) = {
-                let rule = &self.plan.rules[i];
-                if rule.site != site || !rule.matches(seq, kind, tables) {
-                    continue;
-                }
-                if let Some(budget) = rule.budget {
-                    if self.fired[i] >= budget {
-                        continue;
-                    }
-                }
-                (rule.fault, rule.probability, rule.crash)
-            };
-            if let Some(p) = probability {
-                if !self.coin(p) {
-                    continue;
-                }
-            }
-            self.fired[i] += 1;
-            return Some(Injection {
-                fault,
-                site,
-                statement: seq,
-                rule: i,
-                crash,
-            });
-        }
-        None
+        let (i, rule) = self.plan.rules.iter().enumerate().find(|(i, rule)| {
+            rule.site == site
+                && rule.matches(seq, kind, tables)
+                && rule.budget.is_none_or(|budget| self.fired[*i] < budget)
+        })?;
+        self.fired[i] += 1;
+        Some(Injection {
+            fault: rule.fault,
+            site,
+            statement: seq,
+            rule: i,
+            crash: rule.crash,
+        })
     }
 }
 
@@ -472,25 +470,6 @@ mod tests {
         assert!(inj
             .decide(FaultSite::AfterExec, StatementKind::Insert, &no_tables())
             .is_none());
-    }
-
-    #[test]
-    fn probabilistic_rule_is_seed_deterministic() {
-        let run = |seed: u64| -> Vec<bool> {
-            let mut inj = FaultInjector::new(
-                FaultPlan::single(FaultRule::default().with_probability(0.5)).with_seed(seed),
-            );
-            (0..64)
-                .map(|_| {
-                    inj.decide(FaultSite::BeforeExec, StatementKind::Select, &no_tables())
-                        .is_some()
-                })
-                .collect()
-        };
-        assert_eq!(run(7), run(7), "same seed, same decisions");
-        assert_ne!(run(7), run(8), "different seed, different decisions");
-        let hits = run(7).iter().filter(|&&b| b).count();
-        assert!((10..=54).contains(&hits), "p=0.5 over 64 draws: {hits}");
     }
 
     #[test]
@@ -593,6 +572,22 @@ mod tests {
         assert_eq!(hit.statement, 1);
         assert!(hit.crash, "crashing() carried through to the injection");
         assert!(hit.site.is_wal());
+    }
+
+    #[test]
+    fn the_command_line_grammar_parses_selectors_and_modifiers() {
+        let rule: FaultRule = "table=YX:permanent:always".parse().unwrap();
+        assert_eq!(rule.table_pattern.as_deref(), Some("yx"));
+        assert_eq!((rule.fault, rule.budget), (FaultKind::Permanent, None));
+        let rule: FaultRule = "kind=insert:exhaustion".parse().unwrap();
+        assert_eq!(rule.kind, Some(StatementKind::Insert));
+        assert_eq!(rule.fault, FaultKind::ResourceExhaustion);
+        assert_eq!(rule.budget, Some(1), "once by default");
+        let rule: FaultRule = "12".parse().unwrap();
+        assert_eq!((rule.nth, rule.fault), (Some(12), FaultKind::Transient));
+        for bad in ["kind=merge", "x", "3:sometimes"] {
+            assert!(bad.parse::<FaultRule>().is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -75,7 +75,9 @@ pub use error::{Error, Result};
 pub use exactsum::ExactSum;
 pub use exec::aggregate::{AggCell, PartialAggResult, PartialBuilder};
 pub use exec::QueryResult;
-pub use executor::{PrepareError, PreparedId, SqlExecutor};
+pub use executor::{
+    check_statement_len, prepare_statements, PrepareError, PreparedId, SqlExecutor,
+};
 pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultRule, FaultSite, Injection};
 pub use metrics::{ExecMetrics, MetricsLog, ScanMetric, StatementKind, StmtProbe};
 pub use plancheck::{

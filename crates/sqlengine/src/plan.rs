@@ -35,8 +35,8 @@
 //! [`crate::AnalyzeError`] tagged with the clause that was being planned.
 //!
 //! Because the plan needs schemas only it is the same on a
-//! [`crate::catalog::Catalog`], a [`crate::SymbolicCatalog`] and the
-//! coordinator's rowless shadow catalog.
+//! [`crate::catalog::Catalog`] and a [`crate::SymbolicCatalog`] — the
+//! shard coordinator's schema mirror is one.
 
 use std::borrow::{Borrow, Cow};
 

@@ -118,6 +118,23 @@ impl MemoryBudget {
         }
     }
 
+    /// Parse a budget's limit as written on a command line: a positive
+    /// byte count with an optional `K`/`M`/`G` suffix (powers of 1024).
+    pub fn parse_limit(s: &str) -> Option<u64> {
+        let t = s.trim().to_ascii_lowercase();
+        let (digits, unit) = match t.char_indices().last() {
+            Some((i, 'k')) => (&t[..i], 1 << 10),
+            Some((i, 'm')) => (&t[..i], 1 << 20),
+            Some((i, 'g')) => (&t[..i], 1 << 30),
+            _ => (t.as_str(), 1),
+        };
+        digits
+            .parse::<u64>()
+            .ok()?
+            .checked_mul(unit)
+            .filter(|&b| b > 0)
+    }
+
     /// A budget that tracks usage but never rejects a charge — useful
     /// to observe peak footprint without governing it.
     pub fn unlimited() -> Self {
@@ -265,6 +282,17 @@ impl Drop for ResourceTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_limit_is_a_positive_byte_count_in_powers_of_1024() {
+        assert_eq!(MemoryBudget::parse_limit("4096"), Some(4096));
+        assert_eq!(MemoryBudget::parse_limit(" 1K "), Some(1 << 10));
+        assert_eq!(MemoryBudget::parse_limit("3m"), Some(3 << 20));
+        assert_eq!(MemoryBudget::parse_limit("2G"), Some(2 << 30));
+        for bad in ["0", "0K", "", "K", "-1", "1.5M", "1T", "99999999999G"] {
+            assert_eq!(MemoryBudget::parse_limit(bad), None, "{bad:?}");
+        }
+    }
 
     #[test]
     fn sizes_follow_the_logical_model() {

@@ -11,7 +11,7 @@
 //!              [--idle-timeout SECS] [--lock-timeout SECS]
 //!              [--auth-token TOKEN] [--drop-nth-connection N]
 //!              [--memory-budget BYTES] [--session-memory-budget BYTES]
-//!              [--inject-fault SPEC]... [--seed N]
+//!              [--inject-fault SPEC]...
 //! ```
 //!
 //! Prints `listening on ADDR` once ready (scripts wait for that line),
@@ -28,14 +28,13 @@ use std::io::{BufRead, Write};
 use std::process::ExitCode;
 use std::time::Duration;
 
-use sqlengine::{Database, FaultPlan, FaultRule, SharedDatabase, StatementKind};
+use sqlengine::{Database, FaultPlan, FaultRule, MemoryBudget, SharedDatabase};
 use sqlwire::{Server, ServerConfig};
 
 struct Args {
     listen: String,
     data_dir: Option<String>,
-    seed: u64,
-    fault_specs: Vec<String>,
+    faults: Vec<FaultRule>,
     server: ServerConfig,
 }
 
@@ -43,7 +42,7 @@ const USAGE: &str = "usage: sqlem-server [--listen ADDR] [--durable] [--data-dir
      [--max-connections N] [--idle-timeout SECS]\n\
      [--lock-timeout SECS] [--auth-token TOKEN]\n\
      [--drop-nth-connection N] [--memory-budget BYTES]\n\
-     [--session-memory-budget BYTES] [--inject-fault SPEC]... [--seed N]\n\
+     [--session-memory-budget BYTES] [--inject-fault SPEC]...\n\
 \n\
 Serves a SQLEM database over TCP (see docs/SERVER.md). Prints\n\
 'listening on ADDR' when ready; type 'shutdown' (or close stdin) for\n\
@@ -54,8 +53,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         listen: "127.0.0.1:7878".to_string(),
         data_dir: None,
-        seed: 0,
-        fault_specs: Vec::new(),
+        faults: Vec::new(),
         server: ServerConfig::default(),
     };
     let mut durable = false;
@@ -107,12 +105,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     &req("--session-memory-budget")?,
                 )?);
             }
-            "--inject-fault" => args.fault_specs.push(req("--inject-fault")?),
-            "--seed" => {
-                args.seed = req("--seed")?
-                    .parse()
-                    .map_err(|_| "--seed needs an integer".to_string())?;
-            }
+            "--inject-fault" => args.faults.push(req("--inject-fault")?.parse()?),
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown flag {other:?}\n\n{USAGE}")),
         }
@@ -123,69 +116,10 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     Ok(args)
 }
 
-/// Parse a byte budget with an optional K/M/G suffix (powers of 1024).
+/// Parse a byte budget: a positive count, K/M/G suffixes accepted.
 fn parse_budget(flag: &str, value: &str) -> Result<u64, String> {
-    let t = value.trim().to_ascii_lowercase();
-    let (digits, mult) = if let Some(d) = t.strip_suffix('g') {
-        (d, 1u64 << 30)
-    } else if let Some(d) = t.strip_suffix('m') {
-        (d, 1 << 20)
-    } else if let Some(d) = t.strip_suffix('k') {
-        (d, 1 << 10)
-    } else {
-        (t.as_str(), 1)
-    };
-    digits
-        .parse::<u64>()
-        .ok()
-        .and_then(|b| b.checked_mul(mult))
-        .filter(|&b| b > 0)
+    MemoryBudget::parse_limit(value)
         .ok_or_else(|| format!("{flag} needs a positive byte count (K/M/G suffixes accepted)"))
-}
-
-/// Same `--inject-fault` grammar as `sqlem-cli`:
-/// `SELECTOR[:MOD]...` with SELECTOR a statement number, `kind=NAME`
-/// or `table=SUBSTRING`, MODs `transient`/`permanent`/`exhaustion`/
-/// `once`/`always`.
-fn parse_fault_rule(spec: &str) -> Result<FaultRule, String> {
-    let mut parts = spec.split(':');
-    let selector = parts.next().unwrap_or_default();
-    let mut rule = if let Some(kind) = selector.strip_prefix("kind=") {
-        let kind = match kind {
-            "create" => StatementKind::CreateTable,
-            "drop" => StatementKind::DropTable,
-            "insert" => StatementKind::Insert,
-            "update" => StatementKind::Update,
-            "delete" => StatementKind::Delete,
-            "select" => StatementKind::Select,
-            other => return Err(format!("unknown statement kind {other:?} in {spec:?}")),
-        };
-        FaultRule::kind(kind)
-    } else if let Some(pattern) = selector.strip_prefix("table=") {
-        FaultRule::table(pattern)
-    } else {
-        let n: usize = selector.parse().map_err(|_| {
-            format!(
-                "fault selector must be a statement number, kind=…, or table=…, got {selector:?}"
-            )
-        })?;
-        FaultRule::nth(n)
-    };
-    let mut always = false;
-    for modifier in parts {
-        match modifier {
-            "transient" => rule = rule.transient(),
-            "permanent" => rule = rule.permanent(),
-            "exhaustion" => rule = rule.exhausting(),
-            "once" => always = false,
-            "always" => always = true,
-            other => return Err(format!("unknown fault modifier {other:?} in {spec:?}")),
-        }
-    }
-    if !always {
-        rule = rule.once();
-    }
-    Ok(rule)
 }
 
 fn run(args: Args) -> Result<(), String> {
@@ -198,14 +132,9 @@ fn run(args: Args) -> Result<(), String> {
         }
         None => Database::new(),
     };
-    if !args.fault_specs.is_empty() {
-        let rules = args
-            .fault_specs
-            .iter()
-            .map(|s| parse_fault_rule(s))
-            .collect::<Result<Vec<_>, _>>()?;
-        db.set_fault_plan(FaultPlan::new(rules).with_seed(args.seed));
-        eprintln!("fault plan armed ({} rule(s))", args.fault_specs.len());
+    if !args.faults.is_empty() {
+        eprintln!("fault plan armed ({} rule(s))", args.faults.len());
+        db.set_fault_plan(FaultPlan::new(args.faults));
     }
     if let Some(b) = args.server.memory_budget {
         eprintln!("global working-memory budget: {b} byte(s)");

@@ -6,7 +6,7 @@
 //! which partition cleanly. This module supplies that parallelism
 //! across *processes*: [`Coordinator`] implements
 //! [`sqlengine::SqlExecutor`] over N shard executors (remote
-//! [`crate::RemoteConnection`]s or embedded [`Database`]s), so the
+//! [`crate::RemoteConnection`]s or embedded [`sqlengine::Database`]s), so the
 //! whole `sqlem` driver runs against a cluster **unchanged**.
 //!
 //! ## Partitioning
@@ -22,11 +22,13 @@
 //!
 //! ## Statement fragmentation
 //!
-//! Each driver statement is planned against the shadow catalog's
-//! schemas ([`sqlengine::plan`], the plan every shard's executor
-//! instantiates) and its class read off that plan and the partition
-//! map — the coordinator analyzes no SQL of its own, and a statement no
-//! rule turns into a distributed plan is `Unsupported`:
+//! Each driver statement is planned against the coordinator's schema
+//! mirror ([`SymbolicCatalog`], adopted from shard 0 and advanced by
+//! every CREATE/DROP the shards applied) with [`sqlengine::plan`], the
+//! plan every shard's executor instantiates, and its class read off
+//! that plan and the mirror's `rid` columns — the coordinator analyzes
+//! no SQL of its own, and a statement no rule turns into a distributed
+//! plan is `Unsupported`:
 //!
 //! * DDL and broadcast-table mutations run verbatim on every shard.
 //! * Statements over partitioned tables whose output stays partitioned
@@ -47,6 +49,10 @@
 //!   as trailing columns, and the coordinator sorts the shards' runs,
 //!   concatenated in shard order, through the engine's own ORDER BY /
 //!   LIMIT tail ([`finish_select`]).
+//!
+//! A prepared script is checked by the engine's own
+//! [`prepare_statements`] against the mirror, under shard 0's limits, so
+//! the cluster rejects at prepare time what an embedded engine rejects.
 //!
 //! Bulk loads route each row by its rid hash; per-shard exactly-once
 //! delivery is inherited from the shard executor (the remote client's
@@ -75,6 +81,7 @@
 //! See `docs/CLUSTER.md` for the full fragment/merge grammar and the
 //! failure semantics.
 
+use sqlengine::analyze::SchemaProvider;
 use sqlengine::ast::{InsertSource, Select, SelectItem, Statement};
 use sqlengine::exec::{finalize_select_partials, finish_select};
 use sqlengine::parser::parse;
@@ -83,8 +90,9 @@ use sqlengine::plan::{
     StatementPlan,
 };
 use sqlengine::{
-    Database, Error, ExecMetrics, Limits, PartialAggResult, PrepareError, PreparedId, QueryResult,
-    Result, SqlExecutor, StatementKind, SymbolicCatalog, Value,
+    check_statement_len, prepare_statements, Error, ExecMetrics, Limits, PartialAggResult,
+    PrepareError, PreparedId, QueryResult, Result, SqlExecutor, StatementKind, SymbolicCatalog,
+    Value,
 };
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -106,7 +114,7 @@ pub fn shard_of_rid(rid: i64, nshards: usize) -> usize {
 }
 
 /// How a statement executes across the cluster: a function of its
-/// [`StatementPlan`] and the partition map, nothing else.
+/// [`StatementPlan`] and which tables are partitioned, nothing else.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Class {
     /// DDL / broadcast-table mutation: verbatim on every shard, result
@@ -160,12 +168,12 @@ struct Inflight {
     done: Vec<bool>,
 }
 
-/// A prepared script entry, parsed once: the text as prepared (for the
-/// length check and analysis-error locations) and each of its
-/// statements with its rendering, the text the shards run.
+/// A prepared script entry, parsed once: the text as prepared (for
+/// analysis-error locations) and its statement with its rendering, the
+/// text the shards run.
 struct Prepared {
     sql: String,
-    statements: Vec<(Statement, String)>,
+    statement: (Statement, String),
 }
 
 /// A job for a shard worker: runs on the worker's thread against the
@@ -221,7 +229,7 @@ fn reply<R>(rx: Receiver<R>) -> R {
 /// Implements [`SqlExecutor`], so the EM driver, the plancheck
 /// harness and the CLI run against a cluster without modification.
 /// Construct with [`Coordinator::new`] over any executors — remote
-/// connections for a real cluster, embedded [`Database`]s for tests
+/// connections for a real cluster, embedded [`sqlengine::Database`]s for tests
 /// and benchmarks.
 pub struct Coordinator<E: SqlExecutor + Send + 'static> {
     /// Shard 0's executor, on the caller's thread.
@@ -229,17 +237,19 @@ pub struct Coordinator<E: SqlExecutor + Send + 'static> {
     /// Shards 1.., each on a worker thread of its own; dropping the
     /// coordinator joins them.
     shard_workers: Vec<Worker<E>>,
-    /// Rowless schema mirror: receives every DDL statement, validates
-    /// prepared scripts, and plans every statement. Holding no base
-    /// rows, it plans exactly like the shards do. Its statement-length
-    /// cap is the smallest shard's, read at construction.
-    shadow: Database,
-    /// Partitioned table name → rid column slot.
-    partitioned: HashMap<String, usize>,
+    /// The shards' schemas: shard 0's catalog at construction, then
+    /// every CREATE/DROP all shards applied. Every statement is planned
+    /// and every prepared script checked against it; a table is
+    /// partitioned iff its schema has a `rid` column.
+    catalog: SymbolicCatalog,
+    /// The smallest shard's statement-length cap, read at construction.
+    max_len: usize,
     /// Prepared-statement id → its script entry, parsed once. Shards
     /// are not pre-prepared, and each run classifies afresh: a script's
-    /// own DDL changes what the shadow plans against.
+    /// own DDL changes what the catalog plans against.
     prepared: HashMap<u64, Arc<Prepared>>,
+    /// The next prepared-statement id (ids are never reused).
+    next_prepared: u64,
     inflight: Option<Inflight>,
     /// Coordinator-level telemetry: one merged entry per statement.
     metrics: Vec<ExecMetrics>,
@@ -248,13 +258,9 @@ pub struct Coordinator<E: SqlExecutor + Send + 'static> {
     cursors: Vec<usize>,
 }
 
-/// A table adopted from a shard catalog: name, `(column, type)` pairs,
-/// and primary-key column indexes.
-type AdoptedTable = (String, Vec<(String, sqlengine::DataType)>, Vec<usize>);
-
 impl<E: SqlExecutor + Send + 'static> Coordinator<E> {
     /// Build a coordinator over `shards` (at least one). Adopts the
-    /// first shard's catalog into the shadow so a coordinator can
+    /// first shard's catalog as its schema mirror, so a coordinator can
     /// attach to a cluster that already holds tables. Shard 0 stays on
     /// the calling thread; every other shard moves to a worker thread.
     pub fn new(mut shards: Vec<E>) -> Result<Self> {
@@ -263,49 +269,8 @@ impl<E: SqlExecutor + Send + 'static> Coordinator<E> {
                 "a cluster needs at least one shard".into(),
             ));
         }
-        let mut shadow = Database::new();
-        let min_len = shards.iter().map(|s| s.max_statement_len()).min().unwrap();
-        shadow.set_max_statement_len(min_len);
-        let mut partitioned = HashMap::new();
-        let snapshot = shards[0].catalog_snapshot()?;
-        let mut tables: Vec<AdoptedTable> = snapshot
-            .tables()
-            .map(|(name, schema)| {
-                (
-                    name.to_string(),
-                    schema
-                        .columns()
-                        .iter()
-                        .map(|c| (c.name.clone(), c.ty))
-                        .collect(),
-                    schema.primary_key().to_vec(),
-                )
-            })
-            .collect();
-        tables.sort_by(|a, b| a.0.cmp(&b.0));
-        for (name, cols, pk) in tables {
-            let mut ddl = format!("CREATE TABLE {name} (");
-            for (i, (cname, ty)) in cols.iter().enumerate() {
-                if i > 0 {
-                    ddl.push_str(", ");
-                }
-                let tyname = match ty {
-                    sqlengine::DataType::BigInt => "BIGINT",
-                    sqlengine::DataType::Double => "DOUBLE",
-                    sqlengine::DataType::Varchar => "VARCHAR",
-                };
-                ddl.push_str(&format!("{cname} {tyname}"));
-            }
-            if !pk.is_empty() {
-                let names: Vec<&str> = pk.iter().map(|&i| cols[i].0.as_str()).collect();
-                ddl.push_str(&format!(", PRIMARY KEY ({})", names.join(", ")));
-            }
-            ddl.push(')');
-            shadow.execute(&ddl)?;
-            if let Some(idx) = cols.iter().position(|(c, _)| c == "rid") {
-                partitioned.insert(name, idx);
-            }
-        }
+        let max_len = shards.iter().map(|s| s.max_statement_len()).min().unwrap();
+        let catalog = shards[0].catalog_snapshot()?;
         let cursors = vec![0; shards.len()];
         // Drain any pre-existing metrics so merged entries start clean.
         let metrics_on = shards[0].metrics_enabled();
@@ -313,9 +278,10 @@ impl<E: SqlExecutor + Send + 'static> Coordinator<E> {
         let mut coord = Coordinator {
             local: shards.next().expect("checked non-empty"),
             shard_workers: Vec::new(),
-            shadow,
-            partitioned,
+            catalog,
+            max_len,
             prepared: HashMap::new(),
+            next_prepared: 0,
             inflight: None,
             metrics: Vec::new(),
             metrics_on,
@@ -338,7 +304,12 @@ impl<E: SqlExecutor + Send + 'static> Coordinator<E> {
 
     /// Is `table` hash-partitioned (as opposed to broadcast)?
     pub fn is_partitioned(&self, table: &str) -> bool {
-        self.partitioned.contains_key(&table.to_ascii_lowercase())
+        self.partition_slot(table).is_some()
+    }
+
+    /// The `rid` column slot of `table`, if it is partitioned.
+    fn partition_slot(&self, table: &str) -> Option<usize> {
+        self.catalog.table_schema(table)?.column_index("rid")
     }
 
     fn reset_cursors(&mut self) -> Result<()> {
@@ -354,7 +325,7 @@ impl<E: SqlExecutor + Send + 'static> Coordinator<E> {
 
     /// The partition-column slot of `source`, if its table is partitioned.
     fn partition_column(&self, source: &Source) -> Option<usize> {
-        self.partitioned.get(&source.table).copied()
+        self.partition_slot(&source.table)
     }
 
     /// Are the partitioned sources of `chain` co-located — all connected
@@ -414,7 +385,7 @@ impl<E: SqlExecutor + Send + 'static> Coordinator<E> {
         })
     }
 
-    /// Plan `stmt` against the shadow catalog's schemas and read its
+    /// Plan `stmt` against the catalog's schemas and read its
     /// distribution class off the plan: no rule, no distributed plan —
     /// `Unsupported`.
     fn classify(&self, stmt: &Statement) -> Result<(Class, StatementPlan)> {
@@ -429,7 +400,7 @@ impl<E: SqlExecutor + Send + 'static> Coordinator<E> {
             }
             _ => {}
         }
-        let plan = plan_statement(self.shadow.catalog(), stmt)?;
+        let plan = plan_statement(&self.catalog, stmt)?;
         let class = match &plan {
             StatementPlan::Utility => Class::AllShards,
             StatementPlan::Select(select) => self.select_class(select)?,
@@ -629,25 +600,12 @@ impl<E: SqlExecutor + Send + 'static> Coordinator<E> {
         }
     }
 
-    /// Fail a script longer than the smallest shard's cap, as a shard
-    /// would.
-    fn check_len(&self, sql: &str) -> Result<()> {
-        let max = self.max_statement_len();
-        if sql.len() > max {
-            return Err(Error::StatementTooLong {
-                len: sql.len(),
-                max,
-            });
-        }
-        Ok(())
-    }
-
     /// Run the parsed statements of `sql` in order; the result is the
     /// last one's.
     fn run_script(&mut self, sql: &str, statements: &[(Statement, String)]) -> Result<QueryResult> {
         let mut last = None;
         for (stmt, text) in statements {
-            // A statement the shadow catalog cannot plan fails here as it
+            // A statement the catalog cannot plan fails here as it
             // would embedded: the same analysis error, located in `sql`.
             last = Some(self.run_one(stmt, text).map_err(|e| match e {
                 Error::Analyze(e) => Error::Analyze(e.locate(sql)),
@@ -669,14 +627,12 @@ impl<E: SqlExecutor + Send + 'static> Coordinator<E> {
                 let fp = fingerprint_text(text);
                 let sql = text.to_string();
                 let results = self.mutate_all(fp, move |_, shard| shard.execute(&sql))?;
-                // DDL also lands on the shadow so the coordinator's
-                // schema mirror stays exact.
+                // Every shard applied it: the mirror follows.
                 if matches!(
                     stmt,
                     Statement::CreateTable { .. } | Statement::DropTable { .. }
                 ) {
-                    self.shadow.execute(text)?;
-                    self.refresh_partition_map(stmt);
+                    self.catalog.apply(stmt, &self.local.analyze_limits())?;
                 }
                 self.drain_metrics(MergeMode::KeepFirst, None)?;
                 Ok(results
@@ -838,7 +794,7 @@ impl<E: SqlExecutor + Send + 'static> Coordinator<E> {
     /// Route full-arity rows of a partitioned table to their owning
     /// shards by rid hash and bulk-load each slice in parallel.
     fn route_bulk(&mut self, table: &str, rows: Vec<Vec<Value>>) -> Result<usize> {
-        let slot = self.partitioned.get(table).copied().ok_or_else(|| {
+        let slot = self.partition_slot(table).ok_or_else(|| {
             Error::Unsupported(format!("table {table} is not partitioned by rid"))
         })?;
         let n = self.num_shards();
@@ -870,24 +826,6 @@ impl<E: SqlExecutor + Send + 'static> Coordinator<E> {
             shard.bulk_insert_rows(&table_name, rows)
         })?;
         Ok(counts.into_iter().flatten().sum())
-    }
-
-    /// After DDL, re-derive the partition map entry for the table.
-    fn refresh_partition_map(&mut self, stmt: &Statement) {
-        match stmt {
-            Statement::CreateTable { name, columns, .. } => {
-                let lname = name.to_ascii_lowercase();
-                if let Some(idx) = columns.iter().position(|c| c.name == "rid") {
-                    self.partitioned.insert(lname, idx);
-                } else {
-                    self.partitioned.remove(&lname);
-                }
-            }
-            Statement::DropTable { name, .. } => {
-                self.partitioned.remove(&name.to_ascii_lowercase());
-            }
-            _ => {}
-        }
     }
 
     // ---- telemetry ---------------------------------------------------
@@ -930,7 +868,7 @@ impl<E: SqlExecutor + Send + 'static> Coordinator<E> {
                     // too: a single node would write those rows once.
                     if acc.is_some() {
                         for scan in &mut folded.scans {
-                            if !self.partitioned.contains_key(&scan.table) {
+                            if !self.is_partitioned(&scan.table) {
                                 scan.rows = 0;
                             }
                         }
@@ -983,17 +921,6 @@ fn fold_entries(entries: Vec<ExecMetrics>) -> Option<ExecMetrics> {
     Some(first)
 }
 
-/// Each statement of `sql` with its rendering.
-fn parse_rendered(sql: &str) -> Result<Vec<(Statement, String)>> {
-    Ok(parse(sql)?
-        .into_iter()
-        .map(|stmt| {
-            let text = stmt.to_string();
-            (stmt, text)
-        })
-        .collect())
-}
-
 fn fingerprint_text(text: &str) -> u64 {
     let mut h = DefaultHasher::new();
     "stmt".hash(&mut h);
@@ -1041,8 +968,14 @@ impl<E: SqlExecutor + Send + 'static> Drop for Coordinator<E> {
 
 impl<E: SqlExecutor + Send + 'static> SqlExecutor for Coordinator<E> {
     fn execute(&mut self, sql: &str) -> Result<QueryResult> {
-        self.check_len(sql)?;
-        let statements = parse_rendered(sql)?;
+        check_statement_len(sql, self.max_len)?;
+        let statements: Vec<_> = parse(sql)?
+            .into_iter()
+            .map(|stmt| {
+                let text = stmt.to_string();
+                (stmt, text)
+            })
+            .collect();
         self.run_script(sql, &statements)
     }
 
@@ -1074,17 +1007,29 @@ impl<E: SqlExecutor + Send + 'static> SqlExecutor for Coordinator<E> {
         &mut self,
         statements: &[String],
     ) -> std::result::Result<Vec<PreparedId>, PrepareError> {
-        // The shadow validates the whole script (symbolic DDL replay
-        // included) and allocates ids; shards see each statement only
-        // when it runs, freshly classified.
-        let ids = self.shadow.prepare_script(statements)?;
-        for (index, (id, sql)) in ids.iter().zip(statements).enumerate() {
-            let statements = parse_rendered(sql).map_err(|error| PrepareError { index, error })?;
-            let sql = sql.clone();
-            self.prepared
-                .insert(id.0, Arc::new(Prepared { sql, statements }));
-        }
-        Ok(ids)
+        // Checked as a shard would check it; shards see each statement
+        // only when it runs, freshly classified.
+        let stmts = prepare_statements(
+            self.catalog.clone(),
+            statements,
+            self.max_len,
+            &self.analyze_limits(),
+        )?;
+        Ok(stmts
+            .into_iter()
+            .zip(statements)
+            .map(|(stmt, sql)| {
+                let id = self.next_prepared;
+                self.next_prepared += 1;
+                let text = stmt.to_string();
+                let prepared = Prepared {
+                    sql: sql.clone(),
+                    statement: (stmt, text),
+                };
+                self.prepared.insert(id, Arc::new(prepared));
+                PreparedId(id)
+            })
+            .collect())
     }
 
     fn run_prepared(&mut self, id: PreparedId) -> Result<QueryResult> {
@@ -1093,18 +1038,17 @@ impl<E: SqlExecutor + Send + 'static> SqlExecutor for Coordinator<E> {
             .get(&id.0)
             .cloned()
             .ok_or_else(|| Error::Unsupported(format!("unknown prepared id {}", id.0)))?;
-        self.check_len(&prepared.sql)?;
-        self.run_script(&prepared.sql, &prepared.statements)
+        self.run_script(&prepared.sql, std::slice::from_ref(&prepared.statement))
     }
 
     fn clear_prepared(&mut self) -> Result<()> {
         self.prepared.clear();
-        self.shadow.clear_prepared()
+        Ok(())
     }
 
     fn bulk_insert_rows(&mut self, table: &str, rows: Vec<Vec<Value>>) -> Result<usize> {
         let lname = table.to_ascii_lowercase();
-        if self.partitioned.contains_key(&lname) {
+        if self.is_partitioned(&lname) {
             let inserted = self.route_bulk(&lname, rows)?;
             self.drain_metrics(MergeMode::MergeMasked, None)?;
             Ok(inserted)
@@ -1116,7 +1060,7 @@ impl<E: SqlExecutor + Send + 'static> SqlExecutor for Coordinator<E> {
     }
 
     fn table_rows(&mut self, table: &str) -> Result<usize> {
-        if self.partitioned.contains_key(&table.to_ascii_lowercase()) {
+        if self.is_partitioned(table) {
             let table = table.to_string();
             let results = self.fan_out(&[], move |_, shard| shard.table_rows(&table));
             let mut total = 0;
@@ -1134,11 +1078,11 @@ impl<E: SqlExecutor + Send + 'static> SqlExecutor for Coordinator<E> {
     }
 
     fn catalog_snapshot(&mut self) -> Result<SymbolicCatalog> {
-        Ok(self.shadow.symbolic_catalog())
+        Ok(self.catalog.clone())
     }
 
     fn max_statement_len(&self) -> usize {
-        SqlExecutor::max_statement_len(&self.shadow)
+        self.max_len
     }
 
     fn analyze_limits(&self) -> Limits {
@@ -1194,6 +1138,7 @@ impl<E: SqlExecutor + Send + 'static> SqlExecutor for Coordinator<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sqlengine::Database;
 
     impl<E: SqlExecutor + Send + 'static> Coordinator<E> {
         /// Run `f` on shard `i`'s executor, on the thread that owns it.
@@ -1592,6 +1537,26 @@ mod tests {
         assert_eq!(r.scalar_f64(), Some(7.0));
         coord.clear_prepared().unwrap();
         assert!(coord.run_prepared(ids[0]).is_err());
+    }
+
+    #[test]
+    fn prepare_rejects_what_the_shards_limits_reject() {
+        let tight = || {
+            let mut db = Database::new();
+            db.config_mut().limits.max_terms = 8;
+            db
+        };
+        let mut embedded = tight();
+        let mut coord = Coordinator::new(vec![tight(), tight()]).unwrap();
+        let ddl = "CREATE TABLE t (rid BIGINT, a DOUBLE)";
+        embedded.execute(ddl).unwrap();
+        coord.execute(ddl).unwrap();
+        let sum = vec!["a"; 40].join(" + ");
+        let script = [format!("SELECT sum({sum}) FROM t")];
+        let want = SqlExecutor::prepare_script(&mut embedded, &script).unwrap_err();
+        let got = coord.prepare_script(&script).unwrap_err();
+        assert_eq!(got.index, 0);
+        assert_eq!(got.to_string(), want.to_string());
     }
 
     #[test]
