@@ -98,7 +98,12 @@ Stages, in order:
                 defines no fn refresh_partition_map; and one fault
                 grammar (FaultRule's FromStr): no file under
                 crates/cli/src or crates/*/src/bin defines
-                fn parse_fault_rule;
+                fn parse_fault_rule; and a prepared statement is
+                planned once (the registry keeps its plan): outside
+                #[cfg(test)] sqlengine's engine.rs names no
+                Arc<Statement> and defines no fn execute_prepared, and
+                exec/select.rs has no agg.clone() (a sink borrows the
+                plan's aggregation);
                 prints the crates/*/src line
                 total and the non-test total (each file up to its first
                 #[cfg(test)]) so a PR's line delta is a CI output
@@ -428,6 +433,16 @@ fi
 if grep -rn 'fn parse_fault_rule' crates/cli/src crates/*/src/bin; then
     echo "ERROR: a second --inject-fault grammar is back (above); parse a" \
          "sqlengine::FaultRule with str::parse" >&2
+    exit 1
+fi
+# A prepared statement is planned once: Database's registry keeps its
+# text and, after its first run, its plan in place of the AST — no shared
+# AST planned on every run beside it — and a run borrows the kept plan
+# (the aggregate sinks take &AggPlan) instead of cloning it.
+if { nontest 'Arc<Statement>|fn execute_prepared' -path 'crates/sqlengine/src/engine.rs'
+     nontest 'agg\.clone\(\)' -path 'crates/sqlengine/src/exec/select.rs'; } | grep .; then
+    echo "ERROR: a prepared statement is planned again on every run, or its" \
+         "plan is copied (above); run the plan the registry keeps, by reference" >&2
     exit 1
 fi
 echo "   crates/*/src: $(find crates/*/src -name '*.rs' -exec cat {} + | wc -l) lines," \

@@ -40,6 +40,7 @@ pub use error::{AnalyzeError, AnalyzeErrorKind, Clause, Metric};
 pub(crate) use error::{Checked, Planned};
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::ast::{Expr, InsertSource, Select, SelectItem, Statement};
 use crate::catalog::Catalog;
@@ -51,14 +52,16 @@ use crate::plan::{
 use crate::schema::{Column, Schema};
 
 /// Read-only view of table schemas the analyzer resolves names against.
+/// A schema is shared: a plan holds the schemas of the tables it was made
+/// on, and so can tell by a pointer compare that they are still current.
 pub trait SchemaProvider {
     /// Schema of `name` (lowercase lookup), or `None` if absent.
-    fn table_schema(&self, name: &str) -> Option<&Schema>;
+    fn table_schema(&self, name: &str) -> Option<&Arc<Schema>>;
 }
 
 impl SchemaProvider for Catalog {
-    fn table_schema(&self, name: &str) -> Option<&Schema> {
-        self.table(name).ok().map(|t| t.schema())
+    fn table_schema(&self, name: &str) -> Option<&Arc<Schema>> {
+        self.table(name).ok().map(|t| t.shared_schema())
     }
 }
 
@@ -71,7 +74,7 @@ impl SchemaProvider for Catalog {
 /// rows are ever materialized.
 #[derive(Debug, Default, Clone)]
 pub struct SymbolicCatalog {
-    tables: HashMap<String, Schema>,
+    tables: HashMap<String, Arc<Schema>>,
 }
 
 impl SymbolicCatalog {
@@ -92,7 +95,8 @@ impl SymbolicCatalog {
 
     /// Register a table schema directly.
     pub fn insert(&mut self, name: &str, schema: Schema) {
-        self.tables.insert(name.to_ascii_lowercase(), schema);
+        self.tables
+            .insert(name.to_ascii_lowercase(), Arc::new(schema));
     }
 
     /// Does a table with this name exist symbolically?
@@ -104,7 +108,7 @@ impl SymbolicCatalog {
     /// the serialization hook the wire protocol uses to ship a snapshot
     /// to remote clients.
     pub fn tables(&self) -> impl Iterator<Item = (&str, &Schema)> {
-        self.tables.iter().map(|(n, s)| (n.as_str(), s))
+        self.tables.iter().map(|(n, s)| (n.as_str(), &**s))
     }
 
     /// Analyze `stmt` against the current symbolic state, then apply its
@@ -132,7 +136,7 @@ impl SymbolicCatalog {
                             Clause::Ddl,
                         )
                     })?;
-                    self.tables.insert(lname, schema);
+                    self.tables.insert(lname, Arc::new(schema));
                 }
             }
             Statement::DropTable { name, .. } => {
@@ -145,7 +149,7 @@ impl SymbolicCatalog {
 }
 
 impl SchemaProvider for SymbolicCatalog {
-    fn table_schema(&self, name: &str) -> Option<&Schema> {
+    fn table_schema(&self, name: &str) -> Option<&Arc<Schema>> {
         self.tables.get(&name.to_ascii_lowercase())
     }
 }
@@ -390,7 +394,7 @@ fn check_ddl(provider: &dyn SchemaProvider, stmt: &Statement) -> Result<(), Anal
 
 /// Declared column types of `sources`, in joined-row slot order.
 fn slot_types(sources: &[Source]) -> Vec<Ty> {
-    let columns = sources.iter().flat_map(|s| &s.columns);
+    let columns = sources.iter().flat_map(|s| s.columns());
     columns.map(|c| Ty::of(c.ty)).collect()
 }
 
@@ -410,7 +414,7 @@ fn check_types(plan: &StatementPlan) -> Result<Option<Vec<(String, Ty)>>, Analyz
         StatementPlan::Utility => {}
         StatementPlan::Select(select) => return select_types(select).map(Some),
         StatementPlan::Insert(insert) => {
-            let column = |j: usize| &insert.target.columns[insert.target_slot(j)];
+            let column = |j: usize| &insert.target.columns()[insert.target_slot(j)];
             match &insert.rows {
                 InsertRows::Values(rows) => {
                     for (j, cell) in rows.iter().flat_map(|row| row.iter().enumerate()) {
@@ -434,7 +438,7 @@ fn check_types(plan: &StatementPlan) -> Result<Option<Vec<(String, Ty)>>, Analyz
             let slots = slot_types(&update.chain.sources);
             for (slot, value) in &update.assignments {
                 let ty = type_in(Clause::Set, value, &slots)?;
-                let column = &update.chain.sources[0].columns[*slot];
+                let column = &update.chain.sources[0].columns()[*slot];
                 if !ty.storable_as(column.ty) {
                     return Err(unstorable(ty.to_string(), column, Clause::Set));
                 }

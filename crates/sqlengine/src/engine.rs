@@ -12,15 +12,16 @@ use crate::catalog::Catalog;
 use crate::error::{Error, Result};
 use crate::exec::aggregate::PartialAggResult;
 use crate::exec::{
-    execute_statement, execute_statement_metered, explain_select, finalize_select_partials,
-    run_select_partial, stage_rows, statement_kind, statement_tables, ExecConfig, QueryResult,
+    execute_plan, execute_statement, execute_statement_metered, explain_select,
+    finalize_select_partials, run_select_partial, stage_rows, statement_kind, statement_tables,
+    ExecConfig, QueryResult,
 };
-use crate::executor::{check_statement_len, prepare_text};
+use crate::executor::{check_statement_len, Kept};
 use crate::expr::Column;
 use crate::fault::{FaultInjector, FaultKind, FaultPlan, FaultSite, Injection};
 use crate::metrics::{ExecMetrics, MetricsLog, StatementKind, StmtProbe};
-use crate::parser::parse;
-use crate::plan::{SelectPlan, StatementPlan};
+use crate::parser::{parse, parse_one};
+use crate::plan::{plan_statement, SelectPlan, StatementPlan};
 use crate::storage::logfile::{read_or_empty, LogFile};
 use crate::storage::snapshot::{read_snapshot, write_snapshot};
 use crate::value::Value;
@@ -51,7 +52,8 @@ impl Default for DurabilityOptions {
 /// The operation a mutating statement logs, as staged before it runs:
 /// what [`WalOp`] is once decoded.
 enum Staged {
-    /// A statement, logged as its rendered SQL text.
+    /// A statement, logged as its rendered SQL text (a prepared
+    /// statement's, rendered when it was registered).
     Sql(String),
     /// A bulk load, logged as the rows its staged columns hold.
     Bulk {
@@ -126,6 +128,20 @@ fn injected(hit: &Injection) -> Error {
     }
 }
 
+/// One statement registered for repeated execution.
+#[derive(Debug)]
+struct Prepared {
+    /// The statement's canonical text, rendered once when it was
+    /// registered: what a durable database logs for it, and what it is
+    /// planned from.
+    text: String,
+    /// What it reports as.
+    kind: StatementKind,
+    /// The tables it touches (what fault rules match on).
+    tables: Vec<String>,
+    kept: Kept<StatementPlan>,
+}
+
 /// An in-memory relational database.
 ///
 /// ```
@@ -150,9 +166,8 @@ pub struct Database {
     /// Statements registered by id for repeated execution (the
     /// [`crate::executor::SqlExecutor`] prepared-statement registry).
     /// Keyed so a multi-session server can drop one session's ids
-    /// without shifting another's. Shared, so a run borrows a pointer
-    /// to its statement rather than a copy of the tree.
-    prepared: HashMap<u64, Arc<Statement>>,
+    /// without shifting another's.
+    prepared: HashMap<u64, Prepared>,
     /// Next id [`Database::register_prepared`] hands out.
     next_prepared: u64,
 }
@@ -683,77 +698,91 @@ impl Database {
         Ok(QueryResult::plan_lines(lines))
     }
 
-    /// Parse and analyze statements once for repeated execution
-    /// (prepared statements). The statement-length limit applies here,
-    /// exactly as it would at the DBMS parser (§1.3), and the full
-    /// semantic-analysis pass runs here too — DDL inside the script is
-    /// replayed symbolically so later statements can reference tables
-    /// the script itself creates. [`Database::execute_prepared`] then
-    /// skips re-analysis, which is what makes prepared replay cheap for
-    /// the EM loop.
-    pub fn prepare(&self, sql: &str) -> Result<Vec<Statement>> {
-        let mut symbolic = self.symbolic_catalog();
-        self.prepare_with(&mut symbolic, sql)
-    }
-
-    /// Like [`Database::prepare`], but replaying DDL effects into a
-    /// caller-held [`SymbolicCatalog`]. This is for preparing a *script*
-    /// one statement at a time — e.g. the SQLEM driver prepares each
-    /// E/M-step statement separately, and a `CREATE TABLE yd` prepared
-    /// now refers to a table a previously prepared `DROP TABLE yd` will
-    /// have dropped by the time it runs. Seed the catalog with
-    /// [`Database::symbolic_catalog`] and pass it to every call.
-    pub fn prepare_with(
-        &self,
-        symbolic: &mut SymbolicCatalog,
-        sql: &str,
-    ) -> Result<Vec<Statement>> {
-        prepare_text(
-            symbolic,
-            sql,
-            self.config.max_statement_len,
-            &self.config.limits,
-        )
-    }
-
     /// Snapshot the current table schemas for symbolic DDL replay (see
-    /// [`Database::prepare_with`] and [`crate::analyze`]).
+    /// [`crate::prepare_statements`] and [`crate::analyze`]).
     pub fn symbolic_catalog(&self) -> SymbolicCatalog {
         SymbolicCatalog::from_catalog(&self.catalog)
     }
 
-    /// Execute a statement prepared with [`Database::prepare`]. The
-    /// SQLEM driver prepares each E/M-step statement once and replays it
-    /// every iteration, like the paper's JDBC client would. Analysis
-    /// already happened at prepare time and is not repeated.
-    pub fn execute_prepared(&mut self, stmt: &Statement) -> Result<QueryResult> {
-        self.offering_dropped(stmt, |db| {
-            if let Statement::Explain(inner) = stmt {
-                return db.explain_statement(inner, None);
-            }
-            db.metered_statement(stmt, Duration::ZERO, |catalog, config, probe| {
-                execute_statement_metered(catalog, config, stmt, None, probe)
-            })
-        })
-    }
-
-    /// Register an already-prepared statement in the by-id registry
-    /// (the [`crate::executor::SqlExecutor`] prepared-statement
-    /// surface), returning its id. Ids are never reused within one
-    /// database, so a multi-session server can unregister one session's
-    /// statements ([`Database::unregister_prepared`]) without
-    /// invalidating another's ids.
-    pub fn register_prepared(&mut self, stmt: Statement) -> u64 {
+    /// Register a statement the engine prepared
+    /// ([`crate::executor::prepare_statements`]) for repeated execution,
+    /// returning its id. Ids are never reused within one database, so a
+    /// multi-session server can unregister one session's statements
+    /// ([`Database::unregister_prepared`]) without invalidating another's
+    /// ids.
+    pub(crate) fn register_prepared(&mut self, stmt: Statement) -> u64 {
         let id = self.next_prepared;
         self.next_prepared += 1;
-        self.prepared.insert(id, Arc::new(stmt));
+        let prepared = Prepared {
+            text: stmt.to_string(),
+            kind: statement_kind(&stmt),
+            tables: statement_tables(&stmt),
+            kept: Kept::new(stmt),
+        };
+        self.prepared.insert(id, prepared);
         id
     }
 
-    /// The registered statement with this id, if any (a shared pointer,
-    /// so the borrow does not pin the registry during execution).
-    pub fn registered_prepared(&self, id: u64) -> Option<Arc<Statement>> {
-        self.prepared.get(&id).cloned()
+    /// Run the registered statement `id` (the one prepared path,
+    /// [`crate::executor::SqlExecutor::run_prepared`]). Analysis happened
+    /// when it was prepared and is not repeated. A SELECT, INSERT, UPDATE
+    /// or DELETE runs the plan it keeps while every table that plan reads
+    /// or writes has the schema it was made on; otherwise — its first
+    /// run, or a table dropped, or created again with other columns,
+    /// types or key — it is planned again from its text inside the
+    /// statement's frame, with the errors and metrics of a statement
+    /// planned there, and the new plan is kept.
+    pub(crate) fn run_registered(&mut self, id: u64) -> Result<QueryResult> {
+        // Out of the registry for the run, so the run borrows it while
+        // the frame borrows the database.
+        let mut prepared = self
+            .prepared
+            .remove(&id)
+            .ok_or_else(|| Error::Unsupported(format!("unknown prepared statement id {id}")))?;
+        let result = self.run_kept(&mut prepared);
+        self.prepared.insert(id, prepared);
+        result
+    }
+
+    fn run_kept(&mut self, prepared: &mut Prepared) -> Result<QueryResult> {
+        let Prepared {
+            text,
+            kind,
+            tables,
+            kept,
+        } = prepared;
+        let kept = match kept {
+            Kept::Parsed(stmt) => {
+                let stmt: &Statement = stmt;
+                return self.offering_dropped(stmt, |db| {
+                    if let Statement::Explain(inner) = stmt {
+                        return db.explain_statement(inner, None);
+                    }
+                    db.metered_statement(stmt, Duration::ZERO, |catalog, config, probe| {
+                        execute_statement_metered(catalog, config, stmt, None, probe)
+                    })
+                });
+            }
+            Kept::Planned(kept) => kept,
+        };
+        // A SELECT, INSERT, UPDATE or DELETE: not a CREATE.
+        self.catalog.release_dropped();
+        let log = self.durability.is_some() && *kind != StatementKind::Select;
+        self.metered(
+            *kind,
+            tables,
+            Duration::ZERO,
+            |_, _| Ok(log.then(|| Staged::Sql(text.clone()))),
+            |catalog, config, probe, _| {
+                if !kept.as_mut().is_some_and(|plan| plan.holds_on(catalog)) {
+                    let t0 = Instant::now();
+                    *kept = Some(plan_statement(catalog, &parse_one(text)?)?);
+                    probe.add_plan_time(t0.elapsed());
+                }
+                let plan = kept.as_ref().expect("planned above");
+                execute_plan(catalog, config, plan, probe)
+            },
+        )
     }
 
     /// Remove one registered statement (a server session dropping only
@@ -1113,21 +1142,25 @@ mod tests {
 
     #[test]
     fn prepared_statements_replay() {
+        use crate::executor::SqlExecutor;
         let mut db = Database::new();
         db.execute("CREATE TABLE t (a BIGINT)").unwrap();
-        let stmts = db
-            .prepare("INSERT INTO t VALUES (1); SELECT count(*) FROM t")
-            .unwrap();
-        assert_eq!(stmts.len(), 2);
-        db.execute_prepared(&stmts[0]).unwrap();
-        db.execute_prepared(&stmts[0]).unwrap();
-        let r = db.execute_prepared(&stmts[1]).unwrap();
+        let script = ["INSERT INTO t VALUES (1)", "SELECT count(*) FROM t"].map(String::from);
+        let ids = SqlExecutor::prepare_script(&mut db, &script).unwrap();
+        assert_eq!(ids.len(), 2);
+        SqlExecutor::run_prepared(&mut db, ids[0]).unwrap();
+        SqlExecutor::run_prepared(&mut db, ids[0]).unwrap();
+        let r = SqlExecutor::run_prepared(&mut db, ids[1]).unwrap();
         assert_eq!(r.scalar(), Some(&Value::Int(2)));
         // Length limit applies at prepare time.
         db.set_max_statement_len(8);
+        let long = ["SELECT 12345678901234567890".to_string()];
         assert!(matches!(
-            db.prepare("SELECT 12345678901234567890"),
-            Err(Error::StatementTooLong { .. })
+            SqlExecutor::prepare_script(&mut db, &long),
+            Err(crate::PrepareError {
+                index: 0,
+                error: Error::StatementTooLong { .. }
+            })
         ));
     }
 

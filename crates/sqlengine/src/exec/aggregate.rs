@@ -893,8 +893,8 @@ impl PartialBuilder {
 }
 
 /// Hash-aggregation sink: the group table of one statement's pipeline.
-pub struct AggSink {
-    plan: AggPlan,
+pub struct AggSink<'p> {
+    plan: &'p AggPlan,
     groups: Groups,
     /// The runs of the batch in hand ([`AggSink::find_runs`]); kept
     /// between batches for its allocation.
@@ -903,9 +903,9 @@ pub struct AggSink {
     rows_seen: u64,
 }
 
-impl AggSink {
+impl<'p> AggSink<'p> {
     /// Fresh sink for `plan`.
-    pub fn new(plan: AggPlan) -> Self {
+    pub fn new(plan: &'p AggPlan) -> Self {
         let accs = plan.aggs.iter().map(|a| Accumulators::new(a.kind));
         AggSink {
             groups: Groups::new(plan.keys.len(), accs.collect()),
@@ -926,7 +926,7 @@ impl AggSink {
     /// Rebuild a sink from a merged partial result (the gather half),
     /// adopting its columns. They crossed a process boundary, so their
     /// key arity and aggregate kinds are checked against the plan first.
-    pub fn from_partial(plan: AggPlan, partial: PartialAggResult) -> Result<AggSink> {
+    pub fn from_partial(plan: &'p AggPlan, partial: PartialAggResult) -> Result<Self> {
         let mut sink = AggSink::new(plan);
         if partial.group_count() > 0 {
             let kinds = sink.plan.aggs.iter().map(|a| a.kind);
@@ -948,11 +948,11 @@ impl AggSink {
         let groups = keys.len();
         let slots = keys.into_columns().into_iter();
         let slots = slots.chain(accs.iter().map(Accumulators::finalize));
-        project_groups(&self.plan, slots.collect(), groups)
+        project_groups(self.plan, slots.collect(), groups)
     }
 }
 
-impl AggSink {
+impl AggSink<'_> {
     /// Cut the first `n` rows of a batch into runs of one group, from
     /// its key columns, into `self.runs` as `(group, end row)`: the key
     /// columns are hashed once, and a group is looked up in (or added
@@ -1083,9 +1083,9 @@ pub trait GroupSink: BatchSink {
     fn footprint_bytes(&self) -> u64;
 }
 
-impl BatchSink for AggSink {
+impl BatchSink for AggSink<'_> {
     fn push(&mut self, mut batch: Batch) -> Result<()> {
-        let (keys, args, pending) = eval_inputs(&self.plan, &mut batch);
+        let (keys, args, pending) = eval_inputs(self.plan, &mut batch);
         let n = batch.len();
         self.rows_seen += n as u64;
         if n > 0 {
@@ -1100,11 +1100,11 @@ impl BatchSink for AggSink {
     }
 
     fn expr_evals(&self) -> u64 {
-        input_evals(&self.plan, self.rows_seen)
+        input_evals(self.plan, self.rows_seen)
     }
 }
 
-impl GroupSink for AggSink {
+impl GroupSink for AggSink<'_> {
     fn group_count(&self) -> usize {
         self.groups.keys.len()
     }
@@ -1138,8 +1138,8 @@ impl GroupSink for AggSink {
 /// drained ([`StreamSink::finish`]), because a later row may still fail
 /// to accumulate, and that error wins. The groups before it have gone to
 /// `out` by then; a failed statement drops what they went into.
-pub struct StreamSink<E> {
-    plan: AggPlan,
+pub struct StreamSink<'p, E> {
+    plan: &'p AggPlan,
     /// The open group: its key and its accumulators (one row per
     /// aggregate).
     open: Option<(i64, Vec<Accumulators>)>,
@@ -1157,10 +1157,10 @@ pub struct StreamSink<E> {
     peak_bytes: u64,
 }
 
-impl<E: FnMut(Vec<Column>)> StreamSink<E> {
+impl<'p, E: FnMut(Vec<Column>)> StreamSink<'p, E> {
     /// Fresh sink for `plan`, whose input must arrive in key order,
     /// handing its output to `out`.
-    pub fn new(plan: AggPlan, out: E) -> Self {
+    pub fn new(plan: &'p AggPlan, out: E) -> Self {
         StreamSink {
             plan,
             open: None,
@@ -1233,7 +1233,7 @@ impl<E: FnMut(Vec<Column>)> StreamSink<E> {
         if self.parked.is_some() || groups == 0 {
             return;
         }
-        match project_groups(&self.plan, slots, groups) {
+        match project_groups(self.plan, slots, groups) {
             Ok(cols) if cols.first().is_some_and(|c| !c.is_empty()) => (self.out)(cols),
             Ok(_) => {}
             Err(error) => self.parked = Some(error),
@@ -1252,9 +1252,9 @@ impl<E: FnMut(Vec<Column>)> StreamSink<E> {
     }
 }
 
-impl<E: FnMut(Vec<Column>)> BatchSink for StreamSink<E> {
+impl<E: FnMut(Vec<Column>)> BatchSink for StreamSink<'_, E> {
     fn push(&mut self, mut batch: Batch) -> Result<()> {
-        let (keys, args, pending) = eval_inputs(&self.plan, &mut batch);
+        let (keys, args, pending) = eval_inputs(self.plan, &mut batch);
         let n = batch.len();
         self.rows_seen += n as u64;
         if n > 0 {
@@ -1264,11 +1264,11 @@ impl<E: FnMut(Vec<Column>)> BatchSink for StreamSink<E> {
     }
 
     fn expr_evals(&self) -> u64 {
-        input_evals(&self.plan, self.rows_seen)
+        input_evals(self.plan, self.rows_seen)
     }
 }
 
-impl<E: FnMut(Vec<Column>)> GroupSink for StreamSink<E> {
+impl<E: FnMut(Vec<Column>)> GroupSink for StreamSink<'_, E> {
     fn group_count(&self) -> usize {
         self.groups
     }
@@ -1379,7 +1379,7 @@ mod tests {
             &[Expr::col("i")],
             None,
         );
-        let mut sink = AggSink::new(plan);
+        let mut sink = AggSink::new(&plan);
         push_rows(&mut sink, &[(1, 1, 2.0), (2, 1, 3.0), (3, 2, 5.0)]);
         let rows = finalized(sink);
         assert_eq!(rows.len(), 2);
@@ -1398,7 +1398,7 @@ mod tests {
         // sum(x)/sum(x) — the M-step shape.
         let plan = plan_t(&[Expr::bin(BinOp::Div, sum_x.clone(), sum_x)], &[], None);
         assert_eq!(plan.aggs.len(), 1);
-        let mut sink = AggSink::new(plan);
+        let mut sink = AggSink::new(&plan);
         push_rows(&mut sink, &[(1, 1, 2.0), (2, 1, 4.0)]);
         let rows = finalized(sink);
         assert_eq!(rows[0][0], Value::Double(1.0));
@@ -1414,7 +1414,7 @@ mod tests {
             &[],
             None,
         );
-        let mut sink = AggSink::new(plan.clone());
+        let mut sink = AggSink::new(&plan);
         push_values(
             &mut sink,
             &[
@@ -1426,7 +1426,7 @@ mod tests {
         assert_eq!(rows[0][0], Value::Double(3.0));
 
         // All-NULL input → SUM is NULL.
-        let mut empty = AggSink::new(plan);
+        let mut empty = AggSink::new(&plan);
         push_values(
             &mut empty,
             &[vec![Value::Int(1), Value::Int(1), Value::Null]],
@@ -1451,7 +1451,7 @@ mod tests {
             &[],
             None,
         );
-        let mut sink = AggSink::new(plan);
+        let mut sink = AggSink::new(&plan);
         push_values(
             &mut sink,
             &[
@@ -1480,7 +1480,7 @@ mod tests {
             &[],
             None,
         );
-        let sink = AggSink::new(plan);
+        let sink = AggSink::new(&plan);
         let rows = finalized(sink);
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0][0], Value::Int(0));
@@ -1490,7 +1490,7 @@ mod tests {
     #[test]
     fn empty_input_with_group_by_yields_no_rows() {
         let plan = plan_t(&[Expr::col("i")], &[Expr::col("i")], None);
-        let sink = AggSink::new(plan);
+        let sink = AggSink::new(&plan);
         assert!(finalized(sink).is_empty());
     }
 
@@ -1508,7 +1508,7 @@ mod tests {
                 Expr::num(4.0),
             )),
         );
-        let mut sink = AggSink::new(plan);
+        let mut sink = AggSink::new(&plan);
         push_rows(&mut sink, &[(1, 1, 2.0), (2, 1, 1.0), (3, 2, 9.0)]);
         let rows = finalized(sink);
         assert_eq!(rows.len(), 1);
@@ -1535,8 +1535,8 @@ mod tests {
     }
 
     /// Merge `b`'s groups into `a`'s as the coordinator merges shards'.
-    fn merged(a: AggSink, b: AggSink) -> Result<AggSink> {
-        let plan = a.plan.clone();
+    fn merged<'p>(a: AggSink<'p>, b: AggSink<'p>) -> Result<AggSink<'p>> {
+        let plan = a.plan;
         let mut partial = a.into_partial();
         partial.merge(&b.into_partial())?;
         AggSink::from_partial(plan, partial)
@@ -1563,9 +1563,9 @@ mod tests {
             &[Expr::col("i")],
             None,
         );
-        let mut a = AggSink::new(plan.clone());
+        let mut a = AggSink::new(&plan);
         push_rows(&mut a, &[(1, 1, 2.0), (2, 2, 7.0)]);
-        let mut b = AggSink::new(plan);
+        let mut b = AggSink::new(&plan);
         push_rows(&mut b, &[(3, 1, 4.0), (4, 3, 1.0)]);
         let rows = finalized(merged(a, b).unwrap());
         assert_eq!(rows.len(), 3);
@@ -1596,7 +1596,7 @@ mod tests {
             &[],
             None,
         );
-        let mut sink = AggSink::new(plan);
+        let mut sink = AggSink::new(&plan);
         push_rows(&mut sink, &[(1, 1, 2.0), (2, 1, 4.0), (3, 1, 9.0)]);
         let rows = finalized(sink);
         assert_eq!(rows[0][0], Value::Double(5.0));
@@ -1616,7 +1616,7 @@ mod tests {
         let vals = [3.0, f64::NAN, -1.0, f64::INFINITY, f64::NAN, 2.0];
         let run = |order: &[usize], cut: usize| {
             let part = |idx: &[usize]| {
-                let mut sink = AggSink::new(plan.clone());
+                let mut sink = AggSink::new(&plan);
                 if !idx.is_empty() {
                     let rows: Vec<Vec<Value>> =
                         idx.iter().map(|&i| vec![Value::Double(vals[i])]).collect();
@@ -1649,7 +1649,7 @@ mod tests {
             args: vec![Expr::col("n")],
         };
         let plan = plan_over(&["n"], &[sum_n], &[], None).unwrap();
-        let mut sink = AggSink::new(plan);
+        let mut sink = AggSink::new(&plan);
         push_values(&mut sink, &[vec![Value::Int(2)], vec![Value::Int(3)]]);
         let rows = finalized(sink);
         assert_eq!(rows[0][0], Value::Int(5));
@@ -1666,7 +1666,7 @@ mod tests {
         let full = Error::GroupTableFull {
             max_groups: MAX_KEYS,
         };
-        let mut sink = AggSink::new(plan.clone());
+        let mut sink = AggSink::new(&plan);
         for first in (0..MAX_KEYS).step_by(1024) {
             push(&mut sink, first..first + 1024).unwrap();
         }
@@ -1677,7 +1677,7 @@ mod tests {
         assert_eq!(push(&mut sink, MAX_KEYS..MAX_KEYS + 1), Err(full.clone()));
         assert_eq!(sink.group_count(), MAX_KEYS);
         // Shards that fit one by one may not fit merged.
-        let mut other = AggSink::new(plan);
+        let mut other = AggSink::new(&plan);
         push(&mut other, MAX_KEYS - 1..MAX_KEYS + 1).unwrap();
         assert_eq!(merged(sink, other).err(), Some(full));
     }
@@ -1707,7 +1707,7 @@ mod tests {
         // GROUP BY i+1, project i+1 — must match by compiled structure.
         let key = Expr::bin(BinOp::Add, Expr::col("i"), Expr::int(1));
         let plan = plan_t(std::slice::from_ref(&key), std::slice::from_ref(&key), None);
-        let mut sink = AggSink::new(plan);
+        let mut sink = AggSink::new(&plan);
         push_rows(&mut sink, &[(1, 1, 0.0), (2, 1, 0.0)]);
         let rows = finalized(sink);
         assert_eq!(rows.len(), 1);

@@ -55,7 +55,7 @@ pub fn insert(
     let table = catalog.table_mut(&target.table)?;
     let staged = match table.is_empty() {
         true => table.take_storage(),
-        false => empty_columns(&target.columns),
+        false => empty_columns(target.columns()),
     };
     let mut staging = Staging {
         plan,
@@ -113,7 +113,7 @@ impl Staging<'_> {
         // NULL in the columns the column list leaves out.
         let coerced: Vec<Column> = full
             .into_iter()
-            .zip(&target.columns)
+            .zip(target.columns())
             .map(|(col, d)| {
                 let (col, failed) = col.unwrap_or_else(|| Column::nulls(d.ty, n)).coerce(d.ty);
                 if let Some(f) = failed {
@@ -214,7 +214,7 @@ impl BatchSink for DmlSink<'_> {
         let mut batch = batch.take(&first);
         let mut pending = None;
         for (slot, value) in self.assignments {
-            let ty = self.chain.sources[0].columns[*slot].ty;
+            let ty = self.chain.sources[0].columns()[*slot].ty;
             let (col, failed) = batch.eval_cut(value, &mut pending).coerce(ty);
             if let Some(failed) = failed.filter(|f| f.row < batch.len()) {
                 batch.truncate(failed.row);
@@ -259,7 +259,7 @@ fn run_dml(
     let sink = run_pipeline(&pipeline, config, probe, sink)?;
     let declared = assignments
         .iter()
-        .map(|(c, _)| chain.sources[0].columns[*c].ty);
+        .map(|(c, _)| chain.sources[0].columns()[*c].ty);
     let mut values: Vec<Column> = declared.map(Column::empty).collect();
     for batch in sink.values {
         values

@@ -190,7 +190,8 @@ pub fn statement_tables(stmt: &Statement) -> Vec<String> {
 /// Execute one parsed statement, recording telemetry into `probe`:
 /// instantiate its plan against the rows. `plan` is the statement's
 /// [`plan_statement`] result when the caller holds one (semantic
-/// analysis returns it); otherwise the statement is planned here.
+/// analysis returns it); otherwise the statement is planned here. DDL and
+/// plain EXPLAIN have no data flow and are not planned.
 pub fn execute_statement_metered(
     catalog: &mut Catalog,
     config: &ExecConfig,
@@ -198,6 +199,29 @@ pub fn execute_statement_metered(
     plan: Option<StatementPlan>,
     probe: &mut StmtProbe,
 ) -> Result<QueryResult> {
+    match stmt {
+        Statement::CreateTable {
+            name,
+            columns,
+            primary_key,
+            if_not_exists,
+        } => return dml::create_table(catalog, name, columns, primary_key, *if_not_exists),
+        Statement::DropTable { name, if_exists } => {
+            return dml::drop_table(catalog, name, *if_exists)
+        }
+        // `Database` answers EXPLAIN itself, from the statement's analysis.
+        Statement::Explain(inner) => {
+            return match plan_statement(catalog, inner)? {
+                StatementPlan::Select(select) => {
+                    Ok(QueryResult::plan_lines(explain_select(catalog, &select)?))
+                }
+                _ => Err(Error::Unsupported(
+                    "EXPLAIN supports SELECT statements only".into(),
+                )),
+            }
+        }
+        _ => {}
+    }
     let plan = match plan {
         Some(plan) => plan,
         None => {
@@ -207,32 +231,27 @@ pub fn execute_statement_metered(
             plan
         }
     };
-    match (stmt, &plan) {
-        (
-            Statement::CreateTable {
-                name,
-                columns,
-                primary_key,
-                if_not_exists,
-            },
-            _,
-        ) => dml::create_table(catalog, name, columns, primary_key, *if_not_exists),
-        (Statement::DropTable { name, if_exists }, _) => dml::drop_table(catalog, name, *if_exists),
-        // `Database` answers EXPLAIN itself, from the statement's analysis.
-        (Statement::Explain(inner), _) => match plan_statement(catalog, inner)? {
-            StatementPlan::Select(select) => {
-                Ok(QueryResult::plan_lines(explain_select(catalog, &select)?))
-            }
-            _ => Err(Error::Unsupported(
-                "EXPLAIN supports SELECT statements only".into(),
-            )),
-        },
-        (Statement::ExplainAnalyze(inner), _) => explain_analyze(catalog, config, inner, plan),
-        (_, StatementPlan::Select(plan)) => run_select(catalog, config, plan, probe),
-        (_, StatementPlan::Insert(plan)) => dml::insert(catalog, config, plan, probe),
-        (_, StatementPlan::Update(plan)) => dml::update(catalog, config, plan, probe),
-        (_, StatementPlan::Delete(plan)) => dml::delete(catalog, config, plan, probe),
-        (_, StatementPlan::Utility) => unreachable!("only DDL and EXPLAIN plan as Utility"),
+    match stmt {
+        Statement::ExplainAnalyze(inner) => explain_analyze(catalog, config, inner, plan),
+        _ => execute_plan(catalog, config, &plan, probe),
+    }
+}
+
+/// Instantiate the plan of a SELECT, INSERT, UPDATE or DELETE against
+/// the rows, recording telemetry into `probe`. The plan is borrowed: a
+/// prepared statement runs the plan it keeps.
+pub fn execute_plan(
+    catalog: &mut Catalog,
+    config: &ExecConfig,
+    plan: &StatementPlan,
+    probe: &mut StmtProbe,
+) -> Result<QueryResult> {
+    match plan {
+        StatementPlan::Select(plan) => run_select(catalog, config, plan, probe),
+        StatementPlan::Insert(plan) => dml::insert(catalog, config, plan, probe),
+        StatementPlan::Update(plan) => dml::update(catalog, config, plan, probe),
+        StatementPlan::Delete(plan) => dml::delete(catalog, config, plan, probe),
+        StatementPlan::Utility => unreachable!("only DDL and EXPLAIN plan as Utility"),
     }
 }
 

@@ -183,10 +183,10 @@ fn run_columns(
     };
     let pipeline = build_pipeline(catalog, &plan.chain, &sink_reads(&plan.sink), false, probe)?;
     if streams(&pipeline, agg) {
-        let sink = StreamSink::new(agg.clone(), out);
+        let sink = StreamSink::new(agg, out);
         return run_aggregate(&pipeline, config, probe, sink)?.finish();
     }
-    let sink = run_aggregate(&pipeline, config, probe, AggSink::new(agg.clone()))?;
+    let sink = run_aggregate(&pipeline, config, probe, AggSink::new(agg))?;
     one_chunk(sink.finalize()?).into_iter().for_each(out);
     Ok(())
 }
@@ -282,7 +282,7 @@ pub fn run_select_partial(
 ) -> Result<PartialAggResult> {
     let agg = aggregate_of(plan, "partial execution")?;
     let pipeline = build_pipeline(catalog, &plan.chain, &sink_reads(&plan.sink), false, probe)?;
-    let sink = run_aggregate(&pipeline, config, probe, AggSink::new(agg.clone()))?;
+    let sink = run_aggregate(&pipeline, config, probe, AggSink::new(agg))?;
     probe.set_rows_produced(sink.group_count());
     Ok(sink.into_partial())
 }
@@ -298,7 +298,7 @@ pub fn finalize_select_partials(
     partial: PartialAggResult,
 ) -> Result<QueryResult> {
     let agg = aggregate_of(plan, "partial finalize")?;
-    let cols = AggSink::from_partial(agg.clone(), partial)?.finalize()?;
+    let cols = AggSink::from_partial(agg, partial)?.finalize()?;
     Ok(finish_select(plan, rows_of(one_chunk(cols))))
 }
 
@@ -324,7 +324,9 @@ enum StageKind<'a> {
     /// Equi-join: probe keys are evaluated over the accumulated columns.
     Hash {
         lookup: Lookup<'a>,
-        probe_keys: Vec<CExpr>,
+        /// The plan's probe keys, in the index's key order for a
+        /// primary-key lookup.
+        probe_keys: Vec<&'a CExpr>,
     },
     /// Cross product with the (filtered) stage rows.
     Broadcast { indices: Vec<u32> },
@@ -367,7 +369,7 @@ struct Stage<'a> {
     kind: StageKind<'a>,
     /// Residual predicates evaluated over the accumulated columns once
     /// this stage's are filled in.
-    residuals: Vec<CExpr>,
+    residuals: &'a [CExpr],
 }
 
 /// The whole FROM/WHERE pipeline.
@@ -513,7 +515,7 @@ fn slots_read(chain: &Chain, reads: &[&CExpr]) -> Vec<bool> {
 /// carries the driver's row positions in slot `chain.width()`.
 pub(super) fn build_pipeline<'a>(
     catalog: &'a Catalog,
-    chain: &Chain,
+    chain: &'a Chain,
     reads: &[&CExpr],
     dml: bool,
     probe: &mut StmtProbe,
@@ -564,7 +566,7 @@ pub(super) fn build_pipeline<'a>(
             } => StageKind::Hash {
                 lookup: Lookup::PrimaryKey(table),
                 // Probe keys in the index's key order.
-                probe_keys: order.iter().map(|&j| probe_keys[j].clone()).collect(),
+                probe_keys: order.iter().map(|&j| &probe_keys[j]).collect(),
             },
             Join::Hash {
                 probe_keys,
@@ -577,7 +579,7 @@ pub(super) fn build_pipeline<'a>(
                 }
                 StageKind::Hash {
                     lookup: Lookup::Built(built),
-                    probe_keys: probe_keys.clone(),
+                    probe_keys: probe_keys.iter().collect(),
                 }
             }
         };
@@ -587,7 +589,7 @@ pub(super) fn build_pipeline<'a>(
                 offset: source.offset,
             },
             kind,
-            residuals: stage.residuals.clone(),
+            residuals: &stage.residuals,
         });
     }
     Ok(Pipeline {
@@ -830,7 +832,7 @@ impl Pipeline<'_> {
         stage.source.fill(&mut batch, &self.needed, matched);
         tally.expr_evals += (stage.residuals.len() * batch.len()) as u64;
         let mut pending = None;
-        for residual in &stage.residuals {
+        for residual in stage.residuals {
             batch.filter(residual, &mut pending);
         }
         self.run_stage(idx + 1, batch, sink, tally)?;

@@ -77,26 +77,6 @@ pub fn check_statement_len(sql: &str, max: usize) -> Result<()> {
     Ok(())
 }
 
-/// Parse `sql` under the length cap and apply each of its statements to
-/// `catalog` under `limits` ([`SymbolicCatalog::apply`]), so analysis
-/// sees the DDL effects of the statements before it; an analysis error
-/// is located in `sql`.
-pub(crate) fn prepare_text(
-    catalog: &mut SymbolicCatalog,
-    sql: &str,
-    max_len: usize,
-    limits: &Limits,
-) -> Result<Vec<Statement>> {
-    check_statement_len(sql, max_len)?;
-    let stmts = parse(sql)?;
-    for stmt in &stmts {
-        catalog
-            .apply(stmt, limits)
-            .map_err(|e| Error::Analyze(e.locate(sql)))?;
-    }
-    Ok(stmts)
-}
-
 /// Prepare a script of one statement per entry against `catalog`,
 /// entry by entry, so later entries see earlier entries' DDL. This is
 /// [`SqlExecutor::prepare_script`] for every executor that prepares
@@ -112,20 +92,52 @@ pub fn prepare_statements(
         .iter()
         .enumerate()
         .map(|(index, sql)| {
-            let mut parsed = prepare_text(&mut catalog, sql, max_len, limits)
-                .map_err(|error| PrepareError { index, error })?;
+            let fail = |error| PrepareError { index, error };
+            check_statement_len(sql, max_len).map_err(fail)?;
+            let mut parsed = parse(sql).map_err(fail)?;
+            for stmt in &parsed {
+                catalog
+                    .apply(stmt, limits)
+                    .map_err(|e| fail(Error::Analyze(e.locate(sql))))?;
+            }
             if parsed.len() != 1 {
-                return Err(PrepareError {
-                    index,
-                    error: Error::Unsupported(format!(
-                        "prepare_script: expected exactly one statement per entry, got {}",
-                        parsed.len()
-                    )),
-                });
+                return Err(fail(Error::Unsupported(format!(
+                    "prepare_script: expected exactly one statement per entry, got {}",
+                    parsed.len()
+                ))));
             }
             Ok(parsed.pop().expect("length checked"))
         })
         .collect()
+}
+
+/// What an executor keeps of a prepared statement besides its text.
+///
+/// DDL and EXPLAIN keep the parsed statement: there is nothing to plan
+/// ahead. A SELECT, INSERT, UPDATE or DELETE keeps what its last run
+/// planned — the engine a [`crate::plan::StatementPlan`], the shard
+/// coordinator its fragmentation — and nothing before its first run: its
+/// text is parsed and planned then, and again whenever the kept plan
+/// stops holding ([`crate::plan::StatementPlan::holds_on`]).
+#[derive(Debug)]
+pub enum Kept<P> {
+    /// DDL or EXPLAIN, as parsed.
+    Parsed(Box<Statement>),
+    /// The plan of the last run, if there was one.
+    Planned(Option<P>),
+}
+
+impl<P> Kept<P> {
+    /// What a prepared statement keeps before its first run.
+    pub fn new(stmt: Statement) -> Self {
+        match stmt {
+            Statement::Select(_)
+            | Statement::Insert { .. }
+            | Statement::Update { .. }
+            | Statement::Delete { .. } => Kept::Planned(None),
+            _ => Kept::Parsed(Box::new(stmt)),
+        }
+    }
 }
 
 /// A SQL execution endpoint: the in-process [`Database`], a locked
@@ -256,10 +268,7 @@ impl SqlExecutor for Database {
     }
 
     fn run_prepared(&mut self, id: PreparedId) -> Result<QueryResult> {
-        let stmt = self
-            .registered_prepared(id.0)
-            .ok_or_else(|| Error::Unsupported(format!("unknown prepared statement id {}", id.0)))?;
-        self.execute_prepared(&stmt)
+        self.run_registered(id.0)
     }
 
     fn clear_prepared(&mut self) -> Result<()> {

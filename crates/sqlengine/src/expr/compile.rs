@@ -43,7 +43,7 @@ impl<'a> ColumnResolver<'a> {
     pub fn resolve(&self, table: Option<&str>, name: &str) -> Checked<usize> {
         let lname = name.to_ascii_lowercase();
         let slot_in = |s: &Source| {
-            let i = s.columns.iter().position(|c| c.name == lname)?;
+            let i = s.columns().iter().position(|c| c.name == lname)?;
             Some(s.offset + i)
         };
         match table {

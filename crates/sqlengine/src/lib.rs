@@ -76,7 +76,7 @@ pub use exactsum::ExactSum;
 pub use exec::aggregate::{AggCell, PartialAggResult, PartialBuilder};
 pub use exec::QueryResult;
 pub use executor::{
-    check_statement_len, prepare_statements, PrepareError, PreparedId, SqlExecutor,
+    check_statement_len, prepare_statements, Kept, PrepareError, PreparedId, SqlExecutor,
 };
 pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultRule, FaultSite, Injection};
 pub use metrics::{ExecMetrics, MetricsLog, ScanMetric, StatementKind, StmtProbe};

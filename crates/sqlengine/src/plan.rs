@@ -39,6 +39,7 @@
 //! shard coordinator's schema mirror is one.
 
 use std::borrow::{Borrow, Cow};
+use std::sync::Arc;
 
 use crate::analyze::{AnalyzeErrorKind, Checked, Clause, Metric, Planned, SchemaProvider};
 use crate::ast::{BinOp, Expr, InsertSource, Select, SelectItem, Statement, TableRef};
@@ -56,34 +57,41 @@ pub struct Source {
     pub table: String,
     /// Visible name (the alias if one was given), lowercase.
     pub name: String,
-    /// The table's columns in order.
-    pub columns: Vec<Column>,
-    /// Column positions of the PRIMARY KEY (empty when keyless).
-    pub primary_key: Vec<usize>,
+    /// The table's schema, shared with the catalog the plan was made on:
+    /// the plan holds while the table still has it.
+    pub schema: Arc<Schema>,
     /// Slot of the table's first column in the joined row.
     pub offset: usize,
 }
 
 impl Source {
+    /// The table's columns in order.
+    pub fn columns(&self) -> &[Column] {
+        self.schema.columns()
+    }
+
+    /// Column positions of the PRIMARY KEY (empty when keyless).
+    pub fn primary_key(&self) -> &[usize] {
+        self.schema.primary_key()
+    }
+
     /// Number of columns.
     pub fn arity(&self) -> usize {
-        self.columns.len()
+        self.schema.arity()
     }
 
     /// Position of the column called `name` (any case).
     fn column_index(&self, name: &str) -> Option<usize> {
-        let lname = name.to_ascii_lowercase();
-        self.columns.iter().position(|c| c.name == lname)
+        self.schema.column_index(name)
     }
 }
 
-fn push_source(sources: &mut Vec<Source>, table: String, name: String, schema: &Schema) {
+fn push_source(sources: &mut Vec<Source>, table: String, name: String, schema: &Arc<Schema>) {
     let offset = sources.last().map_or(0, |s| s.offset + s.arity());
     sources.push(Source {
         table,
         name,
-        columns: schema.columns().to_vec(),
-        primary_key: schema.primary_key().to_vec(),
+        schema: Arc::clone(schema),
         offset,
     });
 }
@@ -136,7 +144,7 @@ struct Projection<'a> {
 /// items, planned like any other and stripped after sorting.
 fn expand_projection<'a>(select: &'a Select, sources: &[Source]) -> Planned<Projection<'a>> {
     fn expand(s: &Source, items: &mut Vec<Cow<'_, Expr>>, names: &mut Vec<String>) {
-        for c in &s.columns {
+        for c in s.columns() {
             items.push(Cow::Owned(Expr::qcol(&s.name, &c.name)));
             names.push(c.name.clone());
         }
@@ -446,7 +454,7 @@ fn primary_key_order(
     build_keys: &[CExpr],
     filters: &[CExpr],
 ) -> Option<Vec<usize>> {
-    let pk = &source.primary_key;
+    let pk = source.primary_key();
     if !filters.is_empty() || pk.is_empty() || pk.len() != build_keys.len() {
         return None;
     }
@@ -757,6 +765,40 @@ pub enum StatementPlan {
     Delete(DeletePlan),
 }
 
+impl StatementPlan {
+    /// Does the plan still hold on `provider`: has every table it reads
+    /// or writes the schema — columns, types, key — it was made on? A
+    /// plan is a function of its statement and those schemas alone, so
+    /// then planning again would make this plan. A schema equal to the
+    /// plan's but held apart (the table dropped and created again) is
+    /// adopted, so the next check of that table is a pointer compare.
+    pub fn holds_on(&mut self, provider: &dyn SchemaProvider) -> bool {
+        let holds = |source: &mut Source| match provider.table_schema(&source.table) {
+            Some(live) if Arc::ptr_eq(live, &source.schema) => true,
+            Some(live) if **live == *source.schema => {
+                source.schema = Arc::clone(live);
+                true
+            }
+            _ => false,
+        };
+        match self {
+            StatementPlan::Utility => true,
+            StatementPlan::Select(select) => select.chain.sources.iter_mut().all(holds),
+            StatementPlan::Insert(insert) => {
+                holds(&mut insert.target)
+                    && match &mut insert.rows {
+                        InsertRows::Values(_) => true,
+                        InsertRows::Select(select) => select.chain.sources.iter_mut().all(holds),
+                    }
+            }
+            StatementPlan::Update(update) => update.chain.sources.iter_mut().all(holds),
+            StatementPlan::Delete(delete) => {
+                holds(&mut delete.target) && delete.chain.sources.iter_mut().all(holds)
+            }
+        }
+    }
+}
+
 fn target_source(provider: &dyn SchemaProvider, table: &str) -> Planned<Source> {
     let mut sources = resolve_sources(provider, Some(table), &[])?;
     Ok(sources.pop().expect("the target"))
@@ -878,7 +920,7 @@ pub(crate) mod tests {
         let mut sources = Vec::new();
         for (name, columns) in tables {
             let columns = columns.iter().map(|c| Column::double(*c)).collect();
-            let schema = Schema::keyless(columns).unwrap();
+            let schema = Arc::new(Schema::keyless(columns).unwrap());
             push_source(&mut sources, name.to_string(), name.to_string(), &schema);
         }
         sources

@@ -155,7 +155,7 @@ impl SymState {
             (Statement::Insert { source, .. }, Some(StatementPlan::Insert(insert))) => {
                 let target = &insert.target;
                 let dest: Vec<String> = (0..insert.incoming_arity())
-                    .map(|j| target.columns[insert.target_slot(j)].name.clone())
+                    .map(|j| target.columns()[insert.target_slot(j)].name.clone())
                     .collect();
                 match (source, &insert.rows) {
                     (InsertSource::Values(rows), _) => {
@@ -308,7 +308,7 @@ impl SymState {
         let source = &chain.sources[source];
         Some(
             self.table(&source.table)?
-                .distinct_of(&source.columns[column].name),
+                .distinct_of(&source.columns()[column].name),
         )
     }
 

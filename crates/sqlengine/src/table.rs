@@ -16,6 +16,8 @@
 //! for BIGINTs past 2^53 — through a [`crate::keytable::KeyView`], so a
 //! BIGINT key column without NULLs compares as integers.
 
+use std::sync::Arc;
+
 use crate::error::{Error, Result};
 use crate::expr::Column;
 use crate::keytable::{hash_rows, KeyTable, KeyView, MAX_KEYS};
@@ -35,7 +37,9 @@ const MAX_ROWS: usize = MAX_KEYS;
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
-    schema: Schema,
+    /// Shared with the plans made on it, which compare it by pointer to
+    /// tell that they still hold.
+    schema: Arc<Schema>,
     /// One storage column per declared column, all of one length.
     cols: Vec<Column>,
     /// Key → row position over the key columns, present iff the schema
@@ -54,7 +58,7 @@ impl Table {
                 .map(|c| Column::empty(c.ty))
                 .collect(),
             index: schema.has_primary_key().then(KeyTable::new),
-            schema,
+            schema: Arc::new(schema),
         }
     }
 
@@ -65,6 +69,11 @@ impl Table {
 
     /// The table's schema.
     pub fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    /// The table's schema, as the plans made on it share it.
+    pub fn shared_schema(&self) -> &Arc<Schema> {
         &self.schema
     }
 

@@ -51,8 +51,12 @@
 //!   LIMIT tail ([`finish_select`]).
 //!
 //! A prepared script is checked by the engine's own
-//! [`prepare_statements`] against the mirror, under shard 0's limits, so
-//! the cluster rejects at prepare time what an embedded engine rejects.
+//! [`prepare_statements`] against the mirror, under the tightest of the
+//! shards' limits, so the cluster rejects at prepare time what any of its
+//! shards would reject. A prepared statement is fragmented on its first
+//! run and keeps its class, plan and shard text while every table its
+//! plan reads or writes keeps its schema on the mirror, as the engine
+//! keeps a prepared plan.
 //!
 //! Bulk loads route each row by its rid hash; per-shard exactly-once
 //! delivery is inherited from the shard executor (the remote client's
@@ -84,13 +88,13 @@
 use sqlengine::analyze::SchemaProvider;
 use sqlengine::ast::{InsertSource, Select, SelectItem, Statement};
 use sqlengine::exec::{finalize_select_partials, finish_select};
-use sqlengine::parser::parse;
+use sqlengine::parser::{parse, parse_one};
 use sqlengine::plan::{
     constant_rows, plan_statement, Chain, InsertPlan, InsertRows, Output, SelectPlan, Source,
     StatementPlan,
 };
 use sqlengine::{
-    check_statement_len, prepare_statements, Error, ExecMetrics, Limits, PartialAggResult,
+    check_statement_len, prepare_statements, Error, ExecMetrics, Kept, Limits, PartialAggResult,
     PrepareError, PreparedId, QueryResult, Result, SqlExecutor, StatementKind, SymbolicCatalog,
     Value,
 };
@@ -168,12 +172,37 @@ struct Inflight {
     done: Vec<bool>,
 }
 
-/// A prepared script entry, parsed once: the text as prepared (for
-/// analysis-error locations) and its statement with its rendering, the
-/// text the shards run.
+/// A statement as the cluster runs it, read off its plan on the mirror.
+struct Fragmented {
+    class: Class,
+    plan: StatementPlan,
+    /// The SELECT the shards run for a read that is not the statement
+    /// itself: a scatter-insert's SELECT, or a gather's with its hidden
+    /// sort keys appended ([`gather_text`]). It also keys the per-shard
+    /// completion of the rows an INSERT replicates.
+    read_text: Option<String>,
+}
+
+/// The text a gathered SELECT sends the shards: `sel` with the plan's
+/// hidden sort keys appended as trailing columns `__gk0`, `__gk1`, ….
+fn gather_text(sel: &Select, plan: &SelectPlan) -> String {
+    let mut shard_sel = sel.clone();
+    for (j, (expr, _)) in plan.sort_keys.iter().enumerate() {
+        shard_sel.items.push(SelectItem::Expr {
+            expr: expr.clone(),
+            alias: Some(format!("__gk{j}")),
+        });
+    }
+    shard_sel.to_string()
+}
+
+/// A prepared script entry: the text as prepared (analysis errors are
+/// located in it), its statement's rendering — the text the shards run —
+/// and what the coordinator keeps of it.
 struct Prepared {
     sql: String,
-    statement: (Statement, String),
+    text: String,
+    kept: Kept<Fragmented>,
 }
 
 /// A job for a shard worker: runs on the worker's thread against the
@@ -244,10 +273,14 @@ pub struct Coordinator<E: SqlExecutor + Send + 'static> {
     catalog: SymbolicCatalog,
     /// The smallest shard's statement-length cap, read at construction.
     max_len: usize,
-    /// Prepared-statement id → its script entry, parsed once. Shards
-    /// are not pre-prepared, and each run classifies afresh: a script's
-    /// own DDL changes what the catalog plans against.
-    prepared: HashMap<u64, Arc<Prepared>>,
+    /// The tightest of the shards' analysis limits, field by field, read
+    /// at construction: a script prepares only if every shard would
+    /// prepare it.
+    limits: Limits,
+    /// Prepared-statement id → its script entry. Shards are not
+    /// pre-prepared; a statement keeps its fragmentation while its plan
+    /// holds on the mirror ([`Coordinator::run_kept`]).
+    prepared: HashMap<u64, Prepared>,
     /// The next prepared-statement id (ids are never reused).
     next_prepared: u64,
     inflight: Option<Inflight>,
@@ -270,6 +303,7 @@ impl<E: SqlExecutor + Send + 'static> Coordinator<E> {
             ));
         }
         let max_len = shards.iter().map(|s| s.max_statement_len()).min().unwrap();
+        let limits = shards.iter().map(|s| s.analyze_limits()).reduce(tightest);
         let catalog = shards[0].catalog_snapshot()?;
         let cursors = vec![0; shards.len()];
         // Drain any pre-existing metrics so merged entries start clean.
@@ -280,6 +314,7 @@ impl<E: SqlExecutor + Send + 'static> Coordinator<E> {
             shard_workers: Vec::new(),
             catalog,
             max_len,
+            limits: limits.expect("checked non-empty"),
             prepared: HashMap::new(),
             next_prepared: 0,
             inflight: None,
@@ -600,39 +635,62 @@ impl<E: SqlExecutor + Send + 'static> Coordinator<E> {
         }
     }
 
-    /// Run the parsed statements of `sql` in order; the result is the
-    /// last one's.
-    fn run_script(&mut self, sql: &str, statements: &[(Statement, String)]) -> Result<QueryResult> {
-        let mut last = None;
-        for (stmt, text) in statements {
-            // A statement the catalog cannot plan fails here as it
-            // would embedded: the same analysis error, located in `sql`.
-            last = Some(self.run_one(stmt, text).map_err(|e| match e {
-                Error::Analyze(e) => Error::Analyze(e.locate(sql)),
-                e => e,
-            })?);
-        }
-        last.ok_or(Error::Parse {
-            pos: 0,
-            message: "empty statement".into(),
+    /// [`Self::classify`] `stmt`, and render the SELECT its read sends
+    /// the shards when that is not the statement's own text.
+    fn fragment(&self, stmt: &Statement) -> Result<Fragmented> {
+        let (class, plan) = self.classify(stmt)?;
+        let read_text = match (class, stmt, &plan) {
+            (Class::GatherRead, Statement::Select(sel), StatementPlan::Select(select)) => {
+                Some(gather_text(sel, select))
+            }
+            (
+                Class::ScatterInsert | Class::GatherInsert,
+                Statement::Insert {
+                    source: InsertSource::Select(sel),
+                    ..
+                },
+                StatementPlan::Insert(InsertPlan {
+                    rows: InsertRows::Select(select),
+                    ..
+                }),
+            ) => Some(match class {
+                Class::ScatterInsert => sel.to_string(),
+                _ => gather_text(sel, select),
+            }),
+            _ => None,
+        };
+        Ok(Fragmented {
+            class,
+            plan,
+            read_text,
         })
     }
 
-    /// Execute one parsed statement, rendered as `text`, across the
-    /// cluster.
-    fn run_one(&mut self, stmt: &Statement, text: &str) -> Result<QueryResult> {
-        let (class, plan) = self.classify(stmt)?;
-        match (class, stmt, &plan) {
+    /// Execute one fragmented statement, rendered as `text`, across the
+    /// cluster. `parsed` is the statement, when the caller keeps it: a
+    /// CREATE or DROP every shard applied advances the mirror, and an
+    /// EXPLAIN reports the distribution of its inner statement.
+    fn run_fragmented(
+        &mut self,
+        text: &str,
+        fragmented: &Fragmented,
+        parsed: Option<&Statement>,
+    ) -> Result<QueryResult> {
+        let Fragmented {
+            class,
+            plan,
+            read_text,
+        } = fragmented;
+        match (*class, plan, read_text.as_deref()) {
             (Class::AllShards, ..) => {
                 let fp = fingerprint_text(text);
                 let sql = text.to_string();
                 let results = self.mutate_all(fp, move |_, shard| shard.execute(&sql))?;
                 // Every shard applied it: the mirror follows.
-                if matches!(
-                    stmt,
-                    Statement::CreateTable { .. } | Statement::DropTable { .. }
-                ) {
-                    self.catalog.apply(stmt, &self.local.analyze_limits())?;
+                if let Some(ddl @ (Statement::CreateTable { .. } | Statement::DropTable { .. })) =
+                    parsed
+                {
+                    self.catalog.apply(ddl, &self.limits)?;
                 }
                 self.drain_metrics(MergeMode::KeepFirst, None)?;
                 Ok(results
@@ -656,9 +714,9 @@ impl<E: SqlExecutor + Send + 'static> Coordinator<E> {
             (Class::ReadOne, ..) => {
                 let mut result = self.local.execute(text)?;
                 self.drain_metrics(MergeMode::KeepFirst, None)?;
-                if let Statement::Explain(inner) = stmt {
-                    // The class `run_one` would match on for the inner
-                    // statement, as one more plan line.
+                if let Some(Statement::Explain(inner)) = parsed {
+                    // The class `run_fragmented` would match on for the
+                    // inner statement, as one more plan line.
                     let distribution = match self.classify(inner) {
                         Ok((class, _)) => class.name().to_string(),
                         Err(e) => format!("none ({e})"),
@@ -669,57 +727,77 @@ impl<E: SqlExecutor + Send + 'static> Coordinator<E> {
                 }
                 Ok(result)
             }
-            (Class::ScatterRead, _, StatementPlan::Select(select)) => {
+            (Class::ScatterRead, StatementPlan::Select(select), _) => {
                 let merged = self.scatter_partials(text)?;
                 let groups = merged.group_count();
                 let result = finalize_select_partials(select, merged)?;
                 self.drain_metrics(MergeMode::MergeMasked, Some((groups, result.rows.len())))?;
                 Ok(result)
             }
-            (Class::GatherRead, Statement::Select(sel), StatementPlan::Select(select)) => {
-                let result = self.gather_read(sel, select)?;
+            (Class::GatherRead, StatementPlan::Select(select), Some(read)) => {
+                let result = self.gather_read(read, select)?;
                 self.drain_metrics(MergeMode::MergeMasked, Some((0, result.rows.len())))?;
                 Ok(result)
             }
             (
                 Class::ScatterInsert | Class::GatherInsert,
-                Statement::Insert {
-                    source: InsertSource::Select(sel),
-                    ..
-                },
                 StatementPlan::Insert(
                     insert @ InsertPlan {
                         rows: InsertRows::Select(select),
                         ..
                     },
                 ),
+                Some(read),
             ) => {
-                let select_text = Statement::Select((**sel).clone()).to_string();
-                let produced = if class == Class::ScatterInsert {
-                    finalize_select_partials(select, self.scatter_partials(&select_text)?)?
+                let produced = if *class == Class::ScatterInsert {
+                    finalize_select_partials(select, self.scatter_partials(read)?)?
                 } else {
-                    self.gather_read(sel, select)?
+                    self.gather_read(read, select)?
                 };
                 let rows = full_rows(insert, produced.rows)?;
-                self.replicate_rows(&select_text, &insert.target.table, rows)
+                self.replicate_rows(read, &insert.target.table, rows)
             }
             (
                 Class::RoutedValues,
-                _,
                 StatementPlan::Insert(
                     insert @ InsertPlan {
                         rows: InsertRows::Values(rows),
                         ..
                     },
                 ),
+                _,
             ) => {
                 let rows = full_rows(insert, constant_rows(rows)?)?;
                 let n = self.route_bulk(&insert.target.table, rows)?;
                 self.drain_metrics(MergeMode::MergeMasked, None)?;
                 Ok(QueryResult::affected(n))
             }
-            _ => unreachable!("classify pairs every class with its statement and plan kind"),
+            _ => unreachable!("fragment pairs every class with its plan kind and read text"),
         }
+    }
+
+    /// Run a prepared statement. A SELECT, INSERT, UPDATE or DELETE runs
+    /// the fragmentation it keeps while its plan holds on the mirror
+    /// ([`StatementPlan::holds_on`]: equal schemas also mean the same
+    /// partitioning, which is all its class reads besides the plan);
+    /// otherwise it is fragmented again from its text, and kept. DDL and
+    /// EXPLAIN are fragmented afresh on every run.
+    fn run_kept(&mut self, prepared: &mut Prepared) -> Result<QueryResult> {
+        let Prepared { text, kept, .. } = prepared;
+        let kept = match kept {
+            Kept::Parsed(stmt) => {
+                let fragmented = self.fragment(stmt)?;
+                return self.run_fragmented(text, &fragmented, Some(stmt));
+            }
+            Kept::Planned(kept) => kept,
+        };
+        if !kept
+            .as_mut()
+            .is_some_and(|f| f.plan.holds_on(&self.catalog))
+        {
+            *kept = Some(self.fragment(&parse_one(text)?)?);
+        }
+        self.run_fragmented(text, kept.as_ref().expect("fragmented above"), None)
     }
 
     /// Scatter an aggregate select: every shard computes its group table
@@ -737,19 +815,13 @@ impl<E: SqlExecutor + Send + 'static> Coordinator<E> {
     }
 
     /// Gather a non-aggregate select: each shard executes it with the
-    /// plan's hidden sort keys appended as trailing columns, and the
-    /// shards' sorted runs, concatenated in shard order, go through the
-    /// engine's own ORDER BY / LIMIT tail — a stable sort, so equal keys
-    /// keep shard order. Without ORDER BY the runs stay in shard order.
-    fn gather_read(&mut self, sel: &Select, plan: &SelectPlan) -> Result<QueryResult> {
-        let mut shard_sel = sel.clone();
-        for (j, (expr, _)) in plan.sort_keys.iter().enumerate() {
-            shard_sel.items.push(SelectItem::Expr {
-                expr: expr.clone(),
-                alias: Some(format!("__gk{j}")),
-            });
-        }
-        let text = Statement::Select(shard_sel).to_string();
+    /// plan's hidden sort keys appended as trailing columns (`read`, see
+    /// [`gather_text`]), and the shards' sorted runs, concatenated in
+    /// shard order, go through the engine's own ORDER BY / LIMIT tail — a
+    /// stable sort, so equal keys keep shard order. Without ORDER BY the
+    /// runs stay in shard order.
+    fn gather_read(&mut self, read: &str, plan: &SelectPlan) -> Result<QueryResult> {
+        let text = read.to_string();
         let results = self.fan_out(&[], move |_, shard| shard.execute(&text));
         let mut rows = Vec::new();
         for r in results.into_iter().flatten() {
@@ -921,6 +993,25 @@ fn fold_entries(entries: Vec<ExecMetrics>) -> Option<ExecMetrics> {
     Some(first)
 }
 
+/// Each limit of `a` and `b`, whichever is tighter.
+fn tightest(a: Limits, b: Limits) -> Limits {
+    Limits {
+        max_terms: a.max_terms.min(b.max_terms),
+        max_depth: a.max_depth.min(b.max_depth),
+        max_columns: a.max_columns.min(b.max_columns),
+        max_tables: a.max_tables.min(b.max_tables),
+    }
+}
+
+/// An analysis error located in `sql`, the text it was found in, as an
+/// embedded engine reports it; any other error as it is.
+fn located_in(sql: &str) -> impl Fn(Error) -> Error + '_ {
+    move |e| match e {
+        Error::Analyze(e) => Error::Analyze(e.locate(sql)),
+        e => e,
+    }
+}
+
 fn fingerprint_text(text: &str) -> u64 {
     let mut h = DefaultHasher::new();
     "stmt".hash(&mut h);
@@ -969,14 +1060,16 @@ impl<E: SqlExecutor + Send + 'static> Drop for Coordinator<E> {
 impl<E: SqlExecutor + Send + 'static> SqlExecutor for Coordinator<E> {
     fn execute(&mut self, sql: &str) -> Result<QueryResult> {
         check_statement_len(sql, self.max_len)?;
-        let statements: Vec<_> = parse(sql)?
-            .into_iter()
-            .map(|stmt| {
-                let text = stmt.to_string();
-                (stmt, text)
-            })
-            .collect();
-        self.run_script(sql, &statements)
+        let mut last = None;
+        for stmt in parse(sql)? {
+            let fragmented = self.fragment(&stmt).map_err(located_in(sql))?;
+            let result = self.run_fragmented(&stmt.to_string(), &fragmented, Some(&stmt));
+            last = Some(result.map_err(located_in(sql))?);
+        }
+        last.ok_or(Error::Parse {
+            pos: 0,
+            message: "empty statement".into(),
+        })
     }
 
     fn execute_partial(&mut self, sql: &str) -> Result<PartialAggResult> {
@@ -1008,37 +1101,36 @@ impl<E: SqlExecutor + Send + 'static> SqlExecutor for Coordinator<E> {
         statements: &[String],
     ) -> std::result::Result<Vec<PreparedId>, PrepareError> {
         // Checked as a shard would check it; shards see each statement
-        // only when it runs, freshly classified.
-        let stmts = prepare_statements(
-            self.catalog.clone(),
-            statements,
-            self.max_len,
-            &self.analyze_limits(),
-        )?;
+        // only when it runs.
+        let stmts =
+            prepare_statements(self.catalog.clone(), statements, self.max_len, &self.limits)?;
         Ok(stmts
             .into_iter()
             .zip(statements)
             .map(|(stmt, sql)| {
                 let id = self.next_prepared;
                 self.next_prepared += 1;
-                let text = stmt.to_string();
                 let prepared = Prepared {
                     sql: sql.clone(),
-                    statement: (stmt, text),
+                    text: stmt.to_string(),
+                    kept: Kept::new(stmt),
                 };
-                self.prepared.insert(id, Arc::new(prepared));
+                self.prepared.insert(id, prepared);
                 PreparedId(id)
             })
             .collect())
     }
 
     fn run_prepared(&mut self, id: PreparedId) -> Result<QueryResult> {
-        let prepared = self
+        // Out of the map for the run, so the run can borrow it.
+        let mut prepared = self
             .prepared
-            .get(&id.0)
-            .cloned()
+            .remove(&id.0)
             .ok_or_else(|| Error::Unsupported(format!("unknown prepared id {}", id.0)))?;
-        self.run_script(&prepared.sql, std::slice::from_ref(&prepared.statement))
+        let result = self.run_kept(&mut prepared);
+        let result = result.map_err(located_in(&prepared.sql));
+        self.prepared.insert(id.0, prepared);
+        result
     }
 
     fn clear_prepared(&mut self) -> Result<()> {
@@ -1086,7 +1178,7 @@ impl<E: SqlExecutor + Send + 'static> SqlExecutor for Coordinator<E> {
     }
 
     fn analyze_limits(&self) -> Limits {
-        self.local.analyze_limits()
+        self.limits.clone()
     }
 
     fn memory_budget_bytes(&self) -> Option<u64> {
@@ -1557,6 +1649,25 @@ mod tests {
         let got = coord.prepare_script(&script).unwrap_err();
         assert_eq!(got.index, 0);
         assert_eq!(got.to_string(), want.to_string());
+    }
+
+    #[test]
+    fn prepare_rejects_what_any_shard_rejects() {
+        let mut embedded = Database::new();
+        embedded.config_mut().limits.max_terms = 8;
+        let mut tight = Database::new();
+        tight.config_mut().limits.max_terms = 8;
+        let mut coord = Coordinator::new(vec![Database::new(), tight]).unwrap();
+        let ddl = "CREATE TABLE t (rid BIGINT, a DOUBLE)";
+        embedded.execute(ddl).unwrap();
+        coord.execute(ddl).unwrap();
+        let sum = vec!["a"; 40].join(" + ");
+        let script = [format!("SELECT sum({sum}) FROM t")];
+        let want = SqlExecutor::prepare_script(&mut embedded, &script).unwrap_err();
+        let got = coord.prepare_script(&script).unwrap_err();
+        assert_eq!(got.index, 0);
+        assert_eq!(got.to_string(), want.to_string());
+        assert_eq!(coord.analyze_limits().max_terms, 8);
     }
 
     #[test]

@@ -21,6 +21,7 @@
 use sqlem::{
     build_generator, Generator, KmeansGenerator, PerClusterGenerator, SqlemConfig, Strategy,
 };
+use sqlengine::SqlExecutor;
 
 /// Problem size for the snapshots: small enough to read, large enough
 /// that per-dimension/per-cluster unrolling (y1..y3, c1..c2) shows up.
@@ -139,10 +140,8 @@ fn snapshots_parse_under_default_engine_limits() {
             .join("tests/snapshots")
             .join(format!("{name}.sql"));
         let script = std::fs::read_to_string(&path).unwrap();
-        let db = sqlengine::Database::new();
         // DDL + post-load must run; E/M statements reference tables the
         // DDL creates, so the whole script prepares in order.
-        let mut symbolic = db.symbolic_catalog();
         // The engine's parser takes bare statements: drop the `-- …`
         // annotation lines the snapshot renderer adds.
         let bare: String = script
@@ -150,14 +149,15 @@ fn snapshots_parse_under_default_engine_limits() {
             .filter(|l| !l.trim_start().starts_with("--"))
             .collect::<Vec<_>>()
             .join("\n");
-        for (i, stmt) in bare
+        let statements: Vec<String> = bare
             .split(';')
             .map(str::trim)
             .filter(|s| !s.is_empty())
-            .enumerate()
-        {
-            db.prepare_with(&mut symbolic, stmt)
-                .unwrap_or_else(|e| panic!("{name} statement {i} does not prepare: {e}"));
+            .map(String::from)
+            .collect();
+        let mut db = sqlengine::Database::new();
+        if let Err(e) = db.prepare_script(&statements) {
+            panic!("{name} statement {} does not prepare: {}", e.index, e.error);
         }
     }
 }
