@@ -103,7 +103,16 @@ Stages, in order:
                 #[cfg(test)] sqlengine's engine.rs names no
                 Arc<Statement> and defines no fn execute_prepared, and
                 exec/select.rs has no agg.clone() (a sink borrows the
-                plan's aggregation);
+                plan's aggregation); and one statement path (ad hoc,
+                prepared, partial and EXPLAIN ANALYZE statements run
+                through Database::run on the plan their analysis made,
+                a prepared one's at prepare; WAL replay plans and runs
+                directly): outside #[cfg(test)] nothing under
+                crates/*/src defines enum Kept, fn execute_statement( /
+                fn execute_statement_metered, fn run_statement or
+                fn metered_statement, and sqlengine's engine.rs and
+                sqlwire's cluster.rs each call parse_one( exactly once
+                (the re-plan of a plan that no longer holds);
                 prints the crates/*/src line
                 total and the non-test total (each file up to its first
                 #[cfg(test)]) so a PR's line delta is a CI output
@@ -445,6 +454,26 @@ if { nontest 'Arc<Statement>|fn execute_prepared' -path 'crates/sqlengine/src/en
          "plan is copied (above); run the plan the registry keeps, by reference" >&2
     exit 1
 fi
+# One statement path: every statement the engine runs — ad hoc,
+# prepared, partial, EXPLAIN ANALYZE — is made ready from its analysis
+# (a prepared one when it is prepared) and run by Database::run; no AST
+# interpreter beside the plan, and no first-run parse of a prepared
+# statement's text in the engine or the coordinator.
+if nontest 'enum Kept|fn execute_statement_metered|fn execute_statement\(|fn run_statement|fn metered_statement' | grep .; then
+    echo "ERROR: a second way into execution is back (above); make the" \
+         "statement ready from its analysis and run it with Database::run" >&2
+    exit 1
+fi
+for f in crates/sqlengine/src/engine.rs crates/sqlwire/src/cluster.rs; do
+    n=$(nontest 'parse_one\(' -path "$f" | wc -l)
+    if [ "$n" -ne 1 ]; then
+        nontest 'parse_one\(' -path "$f"
+        echo "ERROR: $f parses statement text $n time(s); a prepared statement" \
+             "is planned at prepare and parsed again only where its plan no" \
+             "longer holds" >&2
+        exit 1
+    fi
+done
 echo "   crates/*/src: $(find crates/*/src -name '*.rs' -exec cat {} + | wc -l) lines," \
      "$(find crates/*/src -name '*.rs' -exec awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} !t' {} + | wc -l)" \
      "outside #[cfg(test)]"

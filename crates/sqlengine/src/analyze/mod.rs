@@ -330,7 +330,15 @@ pub fn analyze(
             report.plan = StatementPlan::Utility;
             return Ok(report);
         }
-        Statement::ExplainAnalyze(inner) => return analyze(provider, inner, limits),
+        // EXPLAIN ANALYZE measures a plan running: DDL and EXPLAIN have none.
+        Statement::ExplainAnalyze(inner) => {
+            let report = analyze(provider, inner, limits)?;
+            if let StatementPlan::Utility = report.plan {
+                let what = "EXPLAIN ANALYZE takes a SELECT, INSERT, UPDATE or DELETE";
+                return Err(AnalyzeErrorKind::Unsupported(what.into()).at(Clause::Statement));
+            }
+            return Ok(report);
+        }
         _ => {}
     }
     check_ddl(provider, stmt)?;

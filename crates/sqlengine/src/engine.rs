@@ -6,22 +6,21 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::analyze::{analyze, Limits, Report, SymbolicCatalog};
+use crate::analyze::{analyze, Limits, SymbolicCatalog};
 use crate::ast::Statement;
 use crate::catalog::Catalog;
 use crate::error::{Error, Result};
 use crate::exec::aggregate::PartialAggResult;
 use crate::exec::{
-    execute_plan, execute_statement, execute_statement_metered, explain_select,
-    finalize_select_partials, run_select_partial, stage_rows, statement_kind, statement_tables,
-    ExecConfig, QueryResult,
+    execute_ddl, execute_plan, explain_analyze, explain_select, finalize_select_partials,
+    run_select_partial, stage_rows, statement_kind, statement_tables, ExecConfig, QueryResult,
 };
-use crate::executor::{check_statement_len, Kept};
+use crate::executor::{check_statement_len, prepare_statements, PrepareError};
 use crate::expr::Column;
 use crate::fault::{FaultInjector, FaultKind, FaultPlan, FaultSite, Injection};
 use crate::metrics::{ExecMetrics, MetricsLog, StatementKind, StmtProbe};
 use crate::parser::{parse, parse_one};
-use crate::plan::{plan_statement, SelectPlan, StatementPlan};
+use crate::plan::{plan_statement, StatementPlan};
 use crate::storage::logfile::{read_or_empty, LogFile};
 use crate::storage::snapshot::{read_snapshot, write_snapshot};
 use crate::value::Value;
@@ -51,10 +50,9 @@ impl Default for DurabilityOptions {
 
 /// The operation a mutating statement logs, as staged before it runs:
 /// what [`WalOp`] is once decoded.
-enum Staged {
-    /// A statement, logged as its rendered SQL text (a prepared
-    /// statement's, rendered when it was registered).
-    Sql(String),
+enum Staged<'a> {
+    /// A statement, logged as its canonical text ([`Ready::text`]).
+    Sql(&'a str),
     /// A bulk load, logged as the rows its staged columns hold.
     Bulk {
         /// Destination table (lowercase).
@@ -128,18 +126,51 @@ fn injected(hit: &Injection) -> Error {
     }
 }
 
-/// One statement registered for repeated execution.
+/// A statement ready to run: what the registry keeps of a prepared
+/// statement, and what an ad hoc statement's analysis makes of it.
+/// [`Database::run`] runs either.
 #[derive(Debug)]
-struct Prepared {
-    /// The statement's canonical text, rendered once when it was
-    /// registered: what a durable database logs for it, and what it is
-    /// planned from.
+struct Ready {
+    /// The statement's canonical text: what a durable database logs for
+    /// it, and what it is planned from again when its plan no longer
+    /// holds. An ad hoc statement renders it only when it is logged.
     text: String,
     /// What it reports as.
     kind: StatementKind,
-    /// The tables it touches (what fault rules match on).
+    /// The tables it touches (what fault rules match on). An ad hoc
+    /// statement lists them only when a fault plan is armed.
     tables: Vec<String>,
-    kept: Kept<StatementPlan>,
+    /// The plan of a SELECT, INSERT, UPDATE or DELETE — run under
+    /// `EXPLAIN ANALYZE` when `kind` is [`StatementKind::Explain`].
+    /// [`StatementPlan::Utility`] for the rest, which run `utility`.
+    plan: StatementPlan,
+    /// CREATE / DROP TABLE or EXPLAIN, as parsed: nothing to plan.
+    utility: Option<Box<Statement>>,
+}
+
+impl Ready {
+    /// `stmt`, analyzed as `plan`; its text is rendered if `render`, and
+    /// its tables listed if `list`. The registry keeps both of every
+    /// statement prepared ([`crate::executor::prepare_statements`]).
+    fn new(stmt: Statement, plan: StatementPlan, render: bool, list: bool) -> Self {
+        let text = if render {
+            stmt.to_string()
+        } else {
+            String::new()
+        };
+        let tables = if list {
+            statement_tables(&stmt)
+        } else {
+            Vec::new()
+        };
+        Ready {
+            text,
+            kind: statement_kind(&stmt),
+            tables,
+            utility: matches!(plan, StatementPlan::Utility).then(|| Box::new(stmt)),
+            plan,
+        }
+    }
 }
 
 /// An in-memory relational database.
@@ -167,7 +198,7 @@ pub struct Database {
     /// [`crate::executor::SqlExecutor`] prepared-statement registry).
     /// Keyed so a multi-session server can drop one session's ids
     /// without shifting another's.
-    prepared: HashMap<u64, Prepared>,
+    prepared: HashMap<u64, Ready>,
     /// Next id [`Database::register_prepared`] hands out.
     next_prepared: u64,
 }
@@ -265,7 +296,7 @@ impl Database {
                     if !matches!(stmt, Statement::CreateTable { .. }) {
                         self.catalog.release_dropped();
                     }
-                    execute_statement(&mut self.catalog, &replay_config, stmt).map_err(|e| {
+                    self.replay(stmt, &replay_config).map_err(|e| {
                         Error::corruption(format!(
                             "wal replay: logged statement failed: {e} (statement: {sql})"
                         ))
@@ -290,6 +321,18 @@ impl Database {
             }
         }
         Ok(())
+    }
+
+    /// Apply one logged statement: its DDL, or its plan on the rows (a
+    /// logged `EXPLAIN ANALYZE` has the effects of its statement).
+    fn replay(&mut self, mut stmt: &Statement, config: &ExecConfig) -> Result<QueryResult> {
+        while let Statement::ExplainAnalyze(inner) = stmt {
+            stmt = inner;
+        }
+        match plan_statement(&self.catalog, stmt)? {
+            StatementPlan::Utility => execute_ddl(&mut self.catalog, stmt),
+            plan => execute_plan(&mut self.catalog, config, &plan, &mut StmtProbe::disabled()),
+        }
     }
 
     /// Is this database backed by the durability layer?
@@ -369,37 +412,26 @@ impl Database {
         check_statement_len(sql, self.config.max_statement_len)?;
         let stmts = parse(sql)?;
         let mut out = Vec::with_capacity(stmts.len());
-        for stmt in &stmts {
-            out.push(self.run_statement(stmt, sql)?);
+        for stmt in stmts {
+            let creates = matches!(stmt, Statement::CreateTable { .. });
+            out.push(self.offering_dropped(creates, |db| {
+                let (mut ready, front_end) = db.ready(stmt, sql)?;
+                db.run(&mut ready, front_end, Some(sql))
+            })?);
         }
         Ok(out)
     }
 
-    /// Analyze one statement of `sql` and run the plan the analysis was
-    /// made on (EXPLAIN prints it instead).
-    fn run_statement(&mut self, stmt: &Statement, sql: &str) -> Result<QueryResult> {
-        self.offering_dropped(stmt, |db| {
-            if let Statement::Explain(inner) = stmt {
-                return db.explain_statement(inner, Some(sql));
-            }
-            let (report, front_end) = db.analyzed(stmt, sql)?;
-            db.metered_statement(stmt, front_end, |catalog, config, probe| {
-                execute_statement_metered(catalog, config, stmt, Some(report.plan), probe)
-            })
-        })
-    }
-
-    /// Run `stmt` with the table the previous statement dropped settled
-    /// ([`crate::catalog`]): a statement that is not a CREATE TABLE
-    /// frees it before it starts; a CREATE TABLE takes it, or frees it
-    /// when it fails. Every entry point runs a statement in here, or
-    /// frees the table itself.
+    /// Run a statement with the table the previous statement dropped
+    /// settled ([`crate::catalog`]): a statement that is not a CREATE
+    /// TABLE (`creates`) frees it before it starts; a CREATE TABLE takes
+    /// it, or frees it when it fails. Every entry point runs a statement
+    /// in here, or frees the table itself.
     fn offering_dropped<T>(
         &mut self,
-        stmt: &Statement,
+        creates: bool,
         run: impl FnOnce(&mut Self) -> Result<T>,
     ) -> Result<T> {
-        let creates = matches!(stmt, Statement::CreateTable { .. });
         if !creates {
             self.catalog.release_dropped();
         }
@@ -410,13 +442,24 @@ impl Database {
         result
     }
 
-    /// Semantic analysis of one statement of `sql` against the live
-    /// catalog, under the configured limits, and how long it took.
-    fn analyzed(&self, stmt: &Statement, sql: &str) -> Result<(Report, Duration)> {
+    /// Analyze one statement of `sql` against the live catalog and make it
+    /// ready to run on the analysis' plan (an EXPLAIN analyzes when it
+    /// runs); with the time the analysis took. Its text is rendered only
+    /// for a durable log, its tables listed only for an armed fault plan.
+    fn ready(&self, stmt: Statement, sql: &str) -> Result<(Ready, Duration)> {
         let t0 = Instant::now();
-        let report = analyze(&self.catalog, stmt, &self.config.limits)
-            .map_err(|e| Error::Analyze(e.locate(sql)))?;
-        Ok((report, t0.elapsed()))
+        let plan = match stmt {
+            Statement::Explain(_) => StatementPlan::Utility,
+            _ => {
+                analyze(&self.catalog, &stmt, &self.config.limits)
+                    .map_err(|e| Error::Analyze(e.locate(sql)))?
+                    .plan
+            }
+        };
+        let front_end = t0.elapsed();
+        let render = self.durability.is_some() && is_mutating(&stmt);
+        let ready = Ready::new(stmt, plan, render, self.injector.is_some());
+        Ok((ready, front_end))
     }
 
     /// The one frame around every statement — SQL and bulk loads alike —
@@ -435,16 +478,16 @@ impl Database {
     /// that fails in memory leaves its frame uncommitted — recovery
     /// skips it, matching the in-memory atomic semantics.
     ///
-    /// `front_end` is what analysis and planning took when they ran
-    /// before the frame (zero when `apply` plans): it is the entry's plan
-    /// time and part of its elapsed time, as planning inside `apply` is.
-    fn metered<T>(
+    /// `front_end` is what analysis took when it ran before the frame
+    /// (zero for a prepared statement): it is the entry's plan time and
+    /// part of its elapsed time, as planning inside `apply` is.
+    fn metered<'s, T>(
         &mut self,
         kind: StatementKind,
         tables: &[String],
         front_end: Duration,
-        stage: impl FnOnce(&Catalog, &mut StmtProbe) -> Result<Option<Staged>>,
-        apply: impl FnOnce(&mut Catalog, &ExecConfig, &mut StmtProbe, Option<Staged>) -> Result<T>,
+        stage: impl FnOnce(&Catalog, &mut StmtProbe) -> Result<Option<Staged<'s>>>,
+        apply: impl FnOnce(&mut Catalog, &ExecConfig, &mut StmtProbe, Option<Staged<'s>>) -> Result<T>,
     ) -> Result<T> {
         self.check_fault(FaultSite::BeforeExec, kind, tables)?;
         let mut probe = self.new_probe();
@@ -467,26 +510,72 @@ impl Database {
         Ok(result)
     }
 
-    /// [`Database::metered`] for one SQL statement, logged (when it
-    /// mutates) as its rendered text.
-    fn metered_statement<T>(
+    /// Run a statement ready to run, ad hoc or prepared — the one way
+    /// into execution: its plan, under `EXPLAIN ANALYZE` or not, or its
+    /// DDL, in the statement's frame ([`Database::run_plan`]). An EXPLAIN
+    /// is answered from its analysis (`source`, the text it came from,
+    /// locates an analysis error and sizes the statement).
+    fn run(
         &mut self,
-        stmt: &Statement,
+        ready: &mut Ready,
         front_end: Duration,
-        run: impl FnOnce(&mut Catalog, &ExecConfig, &mut StmtProbe) -> Result<T>,
-    ) -> Result<T> {
-        let log = self.durability.is_some() && is_mutating(stmt);
-        // Only an armed fault plan reads the table names.
-        let tables = match self.injector {
-            Some(_) => statement_tables(stmt),
-            None => Vec::new(),
-        };
-        self.metered(
-            statement_kind(stmt),
-            &tables,
+        source: Option<&str>,
+    ) -> Result<QueryResult> {
+        if let Some(Statement::Explain(inner)) = ready.utility.as_deref() {
+            return self.explain_statement(inner, source);
+        }
+        let analyzes = ready.kind == StatementKind::Explain;
+        self.run_plan(
+            ready,
             front_end,
-            |_, _| Ok(log.then(|| Staged::Sql(stmt.to_string()))),
-            |catalog, config, probe, _| run(catalog, config, probe),
+            |catalog, config, plan, ddl, probe| match (ddl, analyzes) {
+                (Some(ddl), _) => execute_ddl(catalog, ddl),
+                (None, true) => explain_analyze(catalog, config, plan),
+                (None, false) => execute_plan(catalog, config, plan, probe),
+            },
+        )
+    }
+
+    /// Run a ready statement in its frame ([`Database::metered`]) with
+    /// `exec`, which gets its plan and, for DDL, its statement. The plan
+    /// holds while every table it reads or writes has the schema it was
+    /// made on ([`StatementPlan::holds_on`]); otherwise — a table dropped,
+    /// or created again with another layout — it is planned again from
+    /// the text inside the frame, as a statement planned there, and kept.
+    fn run_plan<T>(
+        &mut self,
+        ready: &mut Ready,
+        front_end: Duration,
+        exec: impl FnOnce(
+            &mut Catalog,
+            &ExecConfig,
+            &StatementPlan,
+            Option<&Statement>,
+            &mut StmtProbe,
+        ) -> Result<T>,
+    ) -> Result<T> {
+        let Ready {
+            text,
+            kind,
+            tables,
+            plan,
+            utility,
+        } = ready;
+        let text = text.as_str();
+        let log = self.durability.is_some() && !matches!(plan, StatementPlan::Select(_));
+        self.metered(
+            *kind,
+            tables,
+            front_end,
+            |_, _| Ok(log.then_some(Staged::Sql(text))),
+            |catalog, config, probe, _| {
+                if !plan.holds_on(catalog) {
+                    let t0 = Instant::now();
+                    *plan = plan_statement(catalog, &parse_one(text)?)?;
+                    probe.add_plan_time(t0.elapsed());
+                }
+                exec(catalog, config, plan, utility.as_deref(), probe)
+            },
         )
     }
 
@@ -501,10 +590,10 @@ impl Database {
         .with_budget(self.config.memory_budget.clone())
     }
 
-    /// Length-check, parse and analyze `sql` as exactly one `SELECT`
-    /// (what both partial-aggregate entry points take); returns it with
-    /// the plan it was analyzed on and the time the analysis took.
-    fn single_select(&self, sql: &str, what: &str) -> Result<(Statement, SelectPlan, Duration)> {
+    /// Length-check and parse `sql` as exactly one `SELECT`, ready to run
+    /// ([`Database::ready`]): what both partial-aggregate entry points
+    /// take.
+    fn ready_select(&self, sql: &str, what: &str) -> Result<(Ready, Duration)> {
         check_statement_len(sql, self.config.max_statement_len)?;
         let mut stmts = parse(sql)?;
         if !matches!(stmts.as_slice(), [Statement::Select(_)]) {
@@ -512,12 +601,7 @@ impl Database {
                 "{what} takes exactly one SELECT statement"
             )));
         }
-        let stmt = stmts.pop().expect("length checked");
-        let (report, front_end) = self.analyzed(&stmt, sql)?;
-        let StatementPlan::Select(plan) = report.plan else {
-            unreachable!("a SELECT plans as a SelectPlan");
-        };
-        Ok((stmt, plan, front_end))
+        self.ready(stmts.pop().expect("length checked"), sql)
     }
 
     /// Execute the *scatter* half of a distributed aggregate `SELECT`:
@@ -534,9 +618,12 @@ impl Database {
     /// injection all behave exactly as for [`Database::execute`].
     pub fn execute_partial(&mut self, sql: &str) -> Result<PartialAggResult> {
         self.catalog.release_dropped();
-        let (stmt, plan, front_end) = self.single_select(sql, "partial execution")?;
-        self.metered_statement(&stmt, front_end, |catalog, config, probe| {
-            run_select_partial(catalog, config, &plan, probe)
+        let (mut ready, front_end) = self.ready_select(sql, "partial execution")?;
+        self.run_plan(&mut ready, front_end, |catalog, config, plan, _, probe| {
+            let StatementPlan::Select(plan) = plan else {
+                unreachable!("a SELECT plans as a SelectPlan");
+            };
+            run_select_partial(catalog, config, plan, probe)
         })
     }
 
@@ -552,8 +639,11 @@ impl Database {
         sql: &str,
         partial: &PartialAggResult,
     ) -> Result<QueryResult> {
-        let (_, plan, _) = self.single_select(sql, "partial finalize")?;
-        finalize_select_partials(&plan, partial.clone())
+        let (ready, _) = self.ready_select(sql, "partial finalize")?;
+        let StatementPlan::Select(plan) = &ready.plan else {
+            unreachable!("a SELECT plans as a SelectPlan");
+        };
+        finalize_select_partials(plan, partial.clone())
     }
 
     /// Consult the armed fault plan at one site of a statement's frame.
@@ -704,85 +794,45 @@ impl Database {
         SymbolicCatalog::from_catalog(&self.catalog)
     }
 
-    /// Register a statement the engine prepared
-    /// ([`crate::executor::prepare_statements`]) for repeated execution,
-    /// returning its id. Ids are never reused within one database, so a
-    /// multi-session server can unregister one session's statements
-    /// ([`Database::unregister_prepared`]) without invalidating another's
-    /// ids.
-    pub(crate) fn register_prepared(&mut self, stmt: Statement) -> u64 {
-        let id = self.next_prepared;
-        self.next_prepared += 1;
-        let prepared = Prepared {
-            text: stmt.to_string(),
-            kind: statement_kind(&stmt),
-            tables: statement_tables(&stmt),
-            kept: Kept::new(stmt),
-        };
-        self.prepared.insert(id, prepared);
-        id
+    /// Prepare a script ([`crate::executor::prepare_statements`]) and
+    /// register each statement, ready to run, for repeated execution;
+    /// returns their ids, or nothing registered when an entry fails. Ids
+    /// are never reused within one database, so a multi-session server
+    /// can unregister one session's statements
+    /// ([`Database::unregister_prepared`]) without invalidating another's.
+    pub(crate) fn register_script(
+        &mut self,
+        statements: &[String],
+    ) -> std::result::Result<Vec<u64>, PrepareError> {
+        let (max_len, limits) = (self.config.max_statement_len, &self.config.limits);
+        let ready = prepare_statements(
+            self.symbolic_catalog(),
+            statements,
+            max_len,
+            limits,
+            |_, stmt, plan, _| Ok(Ready::new(stmt, plan, true, true)),
+        )?;
+        let first = self.next_prepared;
+        self.next_prepared += ready.len() as u64;
+        self.prepared.extend((first..).zip(ready));
+        Ok((first..self.next_prepared).collect())
     }
 
     /// Run the registered statement `id` (the one prepared path,
-    /// [`crate::executor::SqlExecutor::run_prepared`]). Analysis happened
-    /// when it was prepared and is not repeated. A SELECT, INSERT, UPDATE
-    /// or DELETE runs the plan it keeps while every table that plan reads
-    /// or writes has the schema it was made on; otherwise — its first
-    /// run, or a table dropped, or created again with other columns,
-    /// types or key — it is planned again from its text inside the
-    /// statement's frame, with the errors and metrics of a statement
-    /// planned there, and the new plan is kept.
+    /// [`crate::executor::SqlExecutor::run_prepared`]) as an ad hoc
+    /// statement runs ([`Database::run`]). Analysis and planning happened
+    /// when it was prepared and are not repeated while its plan holds.
     pub(crate) fn run_registered(&mut self, id: u64) -> Result<QueryResult> {
         // Out of the registry for the run, so the run borrows it while
         // the frame borrows the database.
-        let mut prepared = self
+        let mut ready = self
             .prepared
             .remove(&id)
             .ok_or_else(|| Error::Unsupported(format!("unknown prepared statement id {id}")))?;
-        let result = self.run_kept(&mut prepared);
-        self.prepared.insert(id, prepared);
+        let creates = ready.kind == StatementKind::CreateTable;
+        let result = self.offering_dropped(creates, |db| db.run(&mut ready, Duration::ZERO, None));
+        self.prepared.insert(id, ready);
         result
-    }
-
-    fn run_kept(&mut self, prepared: &mut Prepared) -> Result<QueryResult> {
-        let Prepared {
-            text,
-            kind,
-            tables,
-            kept,
-        } = prepared;
-        let kept = match kept {
-            Kept::Parsed(stmt) => {
-                let stmt: &Statement = stmt;
-                return self.offering_dropped(stmt, |db| {
-                    if let Statement::Explain(inner) = stmt {
-                        return db.explain_statement(inner, None);
-                    }
-                    db.metered_statement(stmt, Duration::ZERO, |catalog, config, probe| {
-                        execute_statement_metered(catalog, config, stmt, None, probe)
-                    })
-                });
-            }
-            Kept::Planned(kept) => kept,
-        };
-        // A SELECT, INSERT, UPDATE or DELETE: not a CREATE.
-        self.catalog.release_dropped();
-        let log = self.durability.is_some() && *kind != StatementKind::Select;
-        self.metered(
-            *kind,
-            tables,
-            Duration::ZERO,
-            |_, _| Ok(log.then(|| Staged::Sql(text.clone()))),
-            |catalog, config, probe, _| {
-                if !kept.as_mut().is_some_and(|plan| plan.holds_on(catalog)) {
-                    let t0 = Instant::now();
-                    *kept = Some(plan_statement(catalog, &parse_one(text)?)?);
-                    probe.add_plan_time(t0.elapsed());
-                }
-                let plan = kept.as_ref().expect("planned above");
-                execute_plan(catalog, config, plan, probe)
-            },
-        )
     }
 
     /// Remove one registered statement (a server session dropping only
@@ -1317,6 +1367,36 @@ mod tests {
         assert!(db.data_dir().is_none());
         assert!(db.wal_len().is_none());
         assert!(matches!(db.compact(), Err(Error::Unsupported(_))));
+    }
+
+    #[test]
+    fn explain_analyze_takes_a_statement_with_a_plan() {
+        let mut db = Database::new();
+        for sql in [
+            "EXPLAIN ANALYZE CREATE TABLE t (a BIGINT)",
+            "EXPLAIN ANALYZE EXPLAIN SELECT 1",
+        ] {
+            assert!(matches!(db.execute(sql), Err(Error::Analyze(_))), "{sql}");
+        }
+        assert!(!db.contains_table("t"));
+        let r = db.execute("EXPLAIN ANALYZE SELECT 1").unwrap();
+        assert_eq!(r.rows.last().unwrap()[0].to_string(), "result: 1 row(s)");
+    }
+
+    #[test]
+    fn a_logged_explain_analyze_of_ddl_replays_as_its_ddl() {
+        // A log written while EXPLAIN ANALYZE still took DDL must reopen.
+        let dir = temp_dir("expanalyze_ddl");
+        let mut log = crate::wal::WAL_MAGIC.to_vec();
+        log.extend(encode_sql_frame(
+            0,
+            "EXPLAIN ANALYZE CREATE TABLE y (rid BIGINT)",
+        ));
+        log.extend(encode_commit(0));
+        std::fs::write(wal_path(&dir), log).unwrap();
+        let db = Database::open_durable(&dir).unwrap();
+        assert!(db.contains_table("y"));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Statement execution.
 //!
-//! [`execute_statement`] dispatches parsed statements against a catalog.
-//! SELECT, `INSERT … SELECT`, UPDATE and DELETE go through the
-//! batch-at-a-time join pipeline in the `select` module; DML and DDL are
-//! handled in `dml`. Every full pass over a table's rows is
-//! reported to the statement's [`StmtProbe`], which is how the harness
-//! verifies the paper's claim that one hybrid EM iteration costs `2k+3`
-//! scans of `n`-row tables plus one scan of a `pn`-row table (§3.5).
+//! [`execute_plan`] runs a statement's plan against a catalog: SELECT,
+//! `INSERT … SELECT`, UPDATE and DELETE go through the batch-at-a-time
+//! join pipeline in the `select` module; DML and DDL (`execute_ddl`) are
+//! handled in `dml`. Every full pass over a table's rows is reported to
+//! the statement's [`StmtProbe`], which is how the harness verifies the
+//! paper's claim that one hybrid EM iteration costs `2k+3` scans of
+//! `n`-row tables plus one scan of a `pn`-row table (§3.5).
 
 pub mod aggregate;
 mod dml;
@@ -20,9 +20,9 @@ pub use select::{
 
 use crate::ast::Statement;
 use crate::catalog::Catalog;
-use crate::error::{Error, Result};
+use crate::error::Result;
 use crate::metrics::{StatementKind, StmtProbe};
-use crate::plan::{plan_statement, StatementPlan};
+use crate::plan::StatementPlan;
 use crate::table::Row;
 use crate::value::Value;
 
@@ -124,16 +124,6 @@ impl QueryResult {
     }
 }
 
-/// Execute one parsed statement without telemetry (a disabled probe).
-pub fn execute_statement(
-    catalog: &mut Catalog,
-    config: &ExecConfig,
-    stmt: &Statement,
-) -> Result<QueryResult> {
-    let mut probe = StmtProbe::disabled().with_budget(config.memory_budget.clone());
-    execute_statement_metered(catalog, config, stmt, None, &mut probe)
-}
-
 /// The [`crate::metrics::StatementKind`] a statement reports as.
 pub fn statement_kind(stmt: &Statement) -> StatementKind {
     match stmt {
@@ -187,53 +177,17 @@ pub fn statement_tables(stmt: &Statement) -> Vec<String> {
     tables
 }
 
-/// Execute one parsed statement, recording telemetry into `probe`:
-/// instantiate its plan against the rows. `plan` is the statement's
-/// [`plan_statement`] result when the caller holds one (semantic
-/// analysis returns it); otherwise the statement is planned here. DDL and
-/// plain EXPLAIN have no data flow and are not planned.
-pub fn execute_statement_metered(
-    catalog: &mut Catalog,
-    config: &ExecConfig,
-    stmt: &Statement,
-    plan: Option<StatementPlan>,
-    probe: &mut StmtProbe,
-) -> Result<QueryResult> {
+/// Run a CREATE or DROP TABLE: DDL has no plan, and records no telemetry.
+pub(crate) fn execute_ddl(catalog: &mut Catalog, stmt: &Statement) -> Result<QueryResult> {
     match stmt {
         Statement::CreateTable {
             name,
             columns,
             primary_key,
             if_not_exists,
-        } => return dml::create_table(catalog, name, columns, primary_key, *if_not_exists),
-        Statement::DropTable { name, if_exists } => {
-            return dml::drop_table(catalog, name, *if_exists)
-        }
-        // `Database` answers EXPLAIN itself, from the statement's analysis.
-        Statement::Explain(inner) => {
-            return match plan_statement(catalog, inner)? {
-                StatementPlan::Select(select) => {
-                    Ok(QueryResult::plan_lines(explain_select(catalog, &select)?))
-                }
-                _ => Err(Error::Unsupported(
-                    "EXPLAIN supports SELECT statements only".into(),
-                )),
-            }
-        }
-        _ => {}
-    }
-    let plan = match plan {
-        Some(plan) => plan,
-        None => {
-            let t0 = std::time::Instant::now();
-            let plan = plan_statement(catalog, stmt)?;
-            probe.add_plan_time(t0.elapsed());
-            plan
-        }
-    };
-    match stmt {
-        Statement::ExplainAnalyze(inner) => explain_analyze(catalog, config, inner, plan),
-        _ => execute_plan(catalog, config, &plan, probe),
+        } => dml::create_table(catalog, name, columns, primary_key, *if_not_exists),
+        Statement::DropTable { name, if_exists } => dml::drop_table(catalog, name, *if_exists),
+        _ => unreachable!("only CREATE and DROP TABLE are DDL"),
     }
 }
 
@@ -255,25 +209,31 @@ pub fn execute_plan(
     }
 }
 
-/// `EXPLAIN ANALYZE <stmt>`: execute the inner statement with a live
-/// probe and return its plan (for SELECT) followed by the measured
+/// `EXPLAIN ANALYZE <stmt>`: execute the inner statement's plan with a
+/// live probe and return the plan (for SELECT) followed by the measured
 /// [`crate::metrics::ExecMetrics`] — one VARCHAR `plan` column, in the
 /// spirit of PostgreSQL's EXPLAIN ANALYZE. The inner statement's side
 /// effects are real, exactly like the original.
-fn explain_analyze(
+pub(crate) fn explain_analyze(
     catalog: &mut Catalog,
     config: &ExecConfig,
-    inner: &Statement,
-    plan: StatementPlan,
+    plan: &StatementPlan,
 ) -> Result<QueryResult> {
     let mut lines: Vec<String> = Vec::new();
-    if let StatementPlan::Select(select) = &plan {
-        lines.extend(explain_select(catalog, select)?);
-    }
+    let kind = match plan {
+        StatementPlan::Select(select) => {
+            lines.extend(explain_select(catalog, select)?);
+            StatementKind::Select
+        }
+        StatementPlan::Insert(_) => StatementKind::Insert,
+        StatementPlan::Update(_) => StatementKind::Update,
+        StatementPlan::Delete(_) => StatementKind::Delete,
+        StatementPlan::Utility => unreachable!("EXPLAIN ANALYZE runs a plan"),
+    };
     let mut probe = StmtProbe::enabled().with_budget(config.memory_budget.clone());
     let t0 = std::time::Instant::now();
-    let result = execute_statement_metered(catalog, config, inner, Some(plan), &mut probe)?;
-    let metrics = probe.finish(statement_kind(inner), t0.elapsed());
+    let result = execute_plan(catalog, config, plan, &mut probe)?;
+    let metrics = probe.finish(kind, t0.elapsed());
     lines.extend(metrics.render());
     lines.push(format!("result: {} row(s)", result.rows_affected));
     Ok(QueryResult::plan_lines(lines))

@@ -32,6 +32,7 @@ use crate::error::{Error, Result};
 use crate::exec::QueryResult;
 use crate::metrics::ExecMetrics;
 use crate::parser::parse;
+use crate::plan::StatementPlan;
 use crate::value::Value;
 
 /// Handle to one statement registered via [`SqlExecutor::prepare_script`].
@@ -82,12 +83,21 @@ pub fn check_statement_len(sql: &str, max: usize) -> Result<()> {
 /// [`SqlExecutor::prepare_script`] for every executor that prepares
 /// locally — the engine and the shard coordinator — so both accept and
 /// reject the same scripts with the same errors.
-pub fn prepare_statements(
+///
+/// Each entry is length-checked, parsed and analyzed
+/// ([`SymbolicCatalog::apply`]); then `keep` gets its text, its
+/// statement, the plan the analysis made
+/// ([`crate::analyze::Report::plan`]) and the catalog after the entry —
+/// for all but DDL, the one it was analyzed against — and returns what
+/// the caller keeps of it, so a script's ASTs are never all alive at
+/// once. An error from `keep` fails the script at that entry.
+pub fn prepare_statements<T>(
     mut catalog: SymbolicCatalog,
     statements: &[String],
     max_len: usize,
     limits: &Limits,
-) -> std::result::Result<Vec<Statement>, PrepareError> {
+    mut keep: impl FnMut(&str, Statement, StatementPlan, &SymbolicCatalog) -> Result<T>,
+) -> std::result::Result<Vec<T>, PrepareError> {
     statements
         .iter()
         .enumerate()
@@ -95,10 +105,12 @@ pub fn prepare_statements(
             let fail = |error| PrepareError { index, error };
             check_statement_len(sql, max_len).map_err(fail)?;
             let mut parsed = parse(sql).map_err(fail)?;
+            let mut plan = StatementPlan::Utility;
             for stmt in &parsed {
-                catalog
+                plan = catalog
                     .apply(stmt, limits)
-                    .map_err(|e| fail(Error::Analyze(e.locate(sql))))?;
+                    .map_err(|e| fail(Error::Analyze(e.locate(sql))))?
+                    .plan;
             }
             if parsed.len() != 1 {
                 return Err(fail(Error::Unsupported(format!(
@@ -106,38 +118,9 @@ pub fn prepare_statements(
                     parsed.len()
                 ))));
             }
-            Ok(parsed.pop().expect("length checked"))
+            keep(sql, parsed.pop().expect("length checked"), plan, &catalog).map_err(fail)
         })
         .collect()
-}
-
-/// What an executor keeps of a prepared statement besides its text.
-///
-/// DDL and EXPLAIN keep the parsed statement: there is nothing to plan
-/// ahead. A SELECT, INSERT, UPDATE or DELETE keeps what its last run
-/// planned — the engine a [`crate::plan::StatementPlan`], the shard
-/// coordinator its fragmentation — and nothing before its first run: its
-/// text is parsed and planned then, and again whenever the kept plan
-/// stops holding ([`crate::plan::StatementPlan::holds_on`]).
-#[derive(Debug)]
-pub enum Kept<P> {
-    /// DDL or EXPLAIN, as parsed.
-    Parsed(Box<Statement>),
-    /// The plan of the last run, if there was one.
-    Planned(Option<P>),
-}
-
-impl<P> Kept<P> {
-    /// What a prepared statement keeps before its first run.
-    pub fn new(stmt: Statement) -> Self {
-        match stmt {
-            Statement::Select(_)
-            | Statement::Insert { .. }
-            | Statement::Update { .. }
-            | Statement::Delete { .. } => Kept::Planned(None),
-            _ => Kept::Parsed(Box::new(stmt)),
-        }
-    }
 }
 
 /// A SQL execution endpoint: the in-process [`Database`], a locked
@@ -252,19 +235,8 @@ impl SqlExecutor for Database {
         &mut self,
         statements: &[String],
     ) -> std::result::Result<Vec<PreparedId>, PrepareError> {
-        let config = self.config();
-        let stmts = prepare_statements(
-            self.symbolic_catalog(),
-            statements,
-            config.max_statement_len,
-            &config.limits,
-        )?;
-        // Register only once the whole script prepared, so a failure
-        // leaves the registry untouched.
-        Ok(stmts
-            .into_iter()
-            .map(|stmt| PreparedId(self.register_prepared(stmt)))
-            .collect())
+        let ids = self.register_script(statements)?;
+        Ok(ids.into_iter().map(PreparedId).collect())
     }
 
     fn run_prepared(&mut self, id: PreparedId) -> Result<QueryResult> {

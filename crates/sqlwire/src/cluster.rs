@@ -52,11 +52,12 @@
 //!
 //! A prepared script is checked by the engine's own
 //! [`prepare_statements`] against the mirror, under the tightest of the
-//! shards' limits, so the cluster rejects at prepare time what any of its
-//! shards would reject. A prepared statement is fragmented on its first
-//! run and keeps its class, plan and shard text while every table its
-//! plan reads or writes keeps its schema on the mirror, as the engine
-//! keeps a prepared plan.
+//! shards' limits, and each entry is fragmented on the plan that check
+//! made, against the mirror as it stands at that entry: the cluster
+//! rejects at prepare time what any of its shards would reject, and what
+//! it cannot distribute. A prepared statement keeps its class, plan and
+//! shard text while every table its plan reads or writes keeps its schema
+//! on the mirror, as the engine keeps a prepared plan.
 //!
 //! Bulk loads route each row by its rid hash; per-shard exactly-once
 //! delivery is inherited from the shard executor (the remote client's
@@ -90,11 +91,10 @@ use sqlengine::ast::{InsertSource, Select, SelectItem, Statement};
 use sqlengine::exec::{finalize_select_partials, finish_select};
 use sqlengine::parser::{parse, parse_one};
 use sqlengine::plan::{
-    constant_rows, plan_statement, Chain, InsertPlan, InsertRows, Output, SelectPlan, Source,
-    StatementPlan,
+    constant_rows, plan_statement, Chain, InsertPlan, InsertRows, Output, SelectPlan, StatementPlan,
 };
 use sqlengine::{
-    check_statement_len, prepare_statements, Error, ExecMetrics, Kept, Limits, PartialAggResult,
+    check_statement_len, prepare_statements, Error, ExecMetrics, Limits, PartialAggResult,
     PrepareError, PreparedId, QueryResult, Result, SqlExecutor, StatementKind, SymbolicCatalog,
     Value,
 };
@@ -181,6 +181,9 @@ struct Fragmented {
     /// sort keys appended ([`gather_text`]). It also keys the per-shard
     /// completion of the rows an INSERT replicates.
     read_text: Option<String>,
+    /// CREATE / DROP TABLE (the mirror applies it once every shard did)
+    /// or EXPLAIN (its inner statement is classified when it runs).
+    utility: Option<Box<Statement>>,
 }
 
 /// The text a gathered SELECT sends the shards: `sel` with the plan's
@@ -196,13 +199,232 @@ fn gather_text(sel: &Select, plan: &SelectPlan) -> String {
     shard_sel.to_string()
 }
 
-/// A prepared script entry: the text as prepared (analysis errors are
-/// located in it), its statement's rendering — the text the shards run —
-/// and what the coordinator keeps of it.
+// ---- classification --------------------------------------------------
+
+/// The `rid` column slot of `table` on `catalog`, if it is partitioned.
+fn partition_slot(catalog: &SymbolicCatalog, table: &str) -> Option<usize> {
+    catalog.table_schema(table)?.column_index("rid")
+}
+
+/// Are the partitioned sources of `chain` co-located — all connected
+/// through equalities between their partition columns? That is what
+/// keeps a shard-local join equal to its slice of the global join.
+fn co_located(catalog: &SymbolicCatalog, chain: &Chain) -> bool {
+    let is_key = |(source, column): (usize, usize)| {
+        partition_slot(catalog, &chain.sources[source].table) == Some(column)
+    };
+    let mut group: Vec<usize> = (0..chain.sources.len()).collect();
+    for (a, b) in chain.equi_pairs() {
+        if is_key(a) && is_key(b) {
+            let (from, to) = (group[a.0], group[b.0]);
+            group
+                .iter_mut()
+                .filter(|g| **g == from)
+                .for_each(|g| *g = to);
+        }
+    }
+    let mut groups = (0..chain.sources.len())
+        .filter(|&i| partition_slot(catalog, &chain.sources[i].table).is_some())
+        .map(|i| group[i]);
+    let first = groups.next();
+    groups.all(|g| Some(g) == first)
+}
+
+/// How a SELECT's rows come together: `ReadOne` (broadcast sources
+/// only), `ScatterRead` (aggregate over partitioned input) or
+/// `GatherRead`.
+fn select_class(catalog: &SymbolicCatalog, plan: &SelectPlan) -> Result<Class> {
+    let chain = &plan.chain;
+    if !chain
+        .sources
+        .iter()
+        .any(|s| partition_slot(catalog, &s.table).is_some())
+    {
+        return Ok(Class::ReadOne);
+    }
+    if !co_located(catalog, chain) {
+        return Err(Error::Unsupported(
+            "joins between partitioned tables must include a rid equality \
+             for every table (cross-shard joins are not supported)"
+                .into(),
+        ));
+    }
+    if plan.limit.is_some() && plan.sort_keys.is_empty() {
+        return Err(Error::Unsupported(
+            "LIMIT without ORDER BY over partitioned data keeps whichever rows \
+             come first, which depends on the sharding"
+                .into(),
+        ));
+    }
+    Ok(if plan.is_aggregate() {
+        Class::ScatterRead
+    } else {
+        Class::GatherRead
+    })
+}
+
+/// Read the distribution class of `stmt`, planned as `plan` on
+/// `catalog`, off that plan and the catalog's partitioning: no rule, no
+/// distributed plan — `Unsupported`.
+fn classify(catalog: &SymbolicCatalog, stmt: &Statement, plan: &StatementPlan) -> Result<Class> {
+    match stmt {
+        Statement::Explain(_) => return Ok(Class::ReadOne),
+        Statement::ExplainAnalyze(_) => {
+            return Err(Error::Unsupported(
+                "EXPLAIN ANALYZE is not supported on a cluster (per-shard \
+                 side effects cannot merge into one plan)"
+                    .into(),
+            ))
+        }
+        _ => {}
+    }
+    Ok(match plan {
+        StatementPlan::Utility => Class::AllShards,
+        StatementPlan::Select(select) => select_class(catalog, select)?,
+        StatementPlan::Insert(insert) => insert_class(catalog, insert)?,
+        StatementPlan::Update(update) => {
+            let (target, from) = update
+                .chain
+                .sources
+                .split_first()
+                .expect("an UPDATE plan starts with its target");
+            let table = &target.table;
+            let from_partitioned = from
+                .iter()
+                .any(|s| partition_slot(catalog, &s.table).is_some());
+            match partition_slot(catalog, &target.table) {
+                None if from_partitioned => {
+                    return Err(Error::Unsupported(format!(
+                        "UPDATE {table}: cannot update a broadcast table from \
+                         partitioned data; aggregate into it with INSERT … SELECT instead"
+                    )))
+                }
+                None => Class::AllShards,
+                Some(_) if !co_located(catalog, &update.chain) => {
+                    return Err(Error::Unsupported(format!(
+                        "UPDATE {table}: partitioned FROM tables must join \
+                         the target on rid to execute shard-locally"
+                    )))
+                }
+                Some(key) if update.assignments.iter().any(|(slot, _)| *slot == key) => {
+                    return Err(Error::Unsupported(format!(
+                        "UPDATE {table}: assigning the partition column would \
+                         leave rows on the wrong shard"
+                    )))
+                }
+                Some(_) => Class::Local,
+            }
+        }
+        StatementPlan::Delete(delete) => match partition_slot(catalog, &delete.target.table) {
+            Some(_) => Class::Local,
+            None => Class::AllShards,
+        },
+    })
+}
+
+fn insert_class(catalog: &SymbolicCatalog, insert: &InsertPlan) -> Result<Class> {
+    let table = &insert.target.table;
+    let key = partition_slot(catalog, table);
+    let select = match &insert.rows {
+        // Constant VALUES: every shard computes the identical rows
+        // of a broadcast table; a partitioned one routes them.
+        InsertRows::Values(_) => return Ok(key.map_or(Class::AllShards, |_| Class::RoutedValues)),
+        InsertRows::Select(select) => select,
+    };
+    let inner = select_class(catalog, select)?;
+    let Some(key) = key else {
+        // Broadcast target: re-reading it while writing it breaks
+        // scatter/gather re-execution on retry.
+        if select.chain.sources.iter().any(|s| s.table == *table) {
+            return Err(Error::Unsupported(format!(
+                "INSERT INTO {table}: self-referential insert into a \
+                 broadcast table is not supported on a cluster"
+            )));
+        }
+        return Ok(match inner {
+            Class::ScatterRead => Class::ScatterInsert,
+            Class::GatherRead => Class::GatherInsert,
+            _ => Class::AllShards,
+        });
+    };
+    if inner == Class::ReadOne {
+        return Err(Error::Unsupported(format!(
+            "INSERT INTO {table}: inserting broadcast-derived rows \
+             into a partitioned table would replicate them on every \
+             shard; load partitioned data with the bulk loader"
+        )));
+    }
+    if select.limit.is_some() {
+        return Err(Error::Unsupported(format!(
+            "INSERT INTO {table}: a LIMIT over partitioned data cannot run \
+             shard-locally (every shard would keep its own LIMIT rows)"
+        )));
+    }
+    // Every produced row stays on the shard that computes it when
+    // the target's partition column is a copy of a source's: the
+    // produced keys are then a subset of the shard's own partition.
+    let fed_by = (0..insert.incoming_arity()).find(|&j| insert.target_slot(j) == key);
+    let keeps_partition = fed_by.is_some_and(|j| {
+        matches!(select.output(j), Output::Column(source, column)
+            if partition_slot(catalog, &select.chain.sources[source].table) == Some(column))
+    });
+    if !keeps_partition {
+        return Err(Error::Unsupported(format!(
+            "INSERT INTO {table}: a partitioned target requires \
+             the rid column to be copied from a partitioned \
+             source (rows must stay on their shard)"
+        )));
+    }
+    Ok(Class::Local)
+}
+
+/// [`classify`] `stmt`, planned as `plan` on `catalog`, and render the
+/// SELECT its read sends the shards when that is not the statement's own
+/// text.
+fn fragment(catalog: &SymbolicCatalog, stmt: Statement, plan: StatementPlan) -> Result<Fragmented> {
+    let class = classify(catalog, &stmt, &plan)?;
+    let read_text = match (class, &stmt, &plan) {
+        (Class::GatherRead, Statement::Select(sel), StatementPlan::Select(select)) => {
+            Some(gather_text(sel, select))
+        }
+        (
+            Class::ScatterInsert | Class::GatherInsert,
+            Statement::Insert {
+                source: InsertSource::Select(sel),
+                ..
+            },
+            StatementPlan::Insert(InsertPlan {
+                rows: InsertRows::Select(select),
+                ..
+            }),
+        ) => Some(match class {
+            Class::ScatterInsert => sel.to_string(),
+            _ => gather_text(sel, select),
+        }),
+        _ => None,
+    };
+    let utility = matches!(plan, StatementPlan::Utility).then(|| Box::new(stmt));
+    Ok(Fragmented {
+        class,
+        plan,
+        read_text,
+        utility,
+    })
+}
+
+/// [`fragment`] `stmt` on `catalog`, planning it there.
+fn plan_and_fragment(catalog: &SymbolicCatalog, stmt: Statement) -> Result<Fragmented> {
+    let plan = plan_statement(catalog, &stmt)?;
+    fragment(catalog, stmt, plan)
+}
+
+/// A prepared script entry, fragmented when it was prepared: the text as
+/// prepared (errors are located in it), its statement's rendering — the
+/// text the shards run — and how it runs across the cluster.
 struct Prepared {
     sql: String,
     text: String,
-    kept: Kept<Fragmented>,
+    fragmented: Fragmented,
 }
 
 /// A job for a shard worker: runs on the worker's thread against the
@@ -339,12 +561,7 @@ impl<E: SqlExecutor + Send + 'static> Coordinator<E> {
 
     /// Is `table` hash-partitioned (as opposed to broadcast)?
     pub fn is_partitioned(&self, table: &str) -> bool {
-        self.partition_slot(table).is_some()
-    }
-
-    /// The `rid` column slot of `table`, if it is partitioned.
-    fn partition_slot(&self, table: &str) -> Option<usize> {
-        self.catalog.table_schema(table)?.column_index("rid")
+        partition_slot(&self.catalog, table).is_some()
     }
 
     fn reset_cursors(&mut self) -> Result<()> {
@@ -354,187 +571,6 @@ impl<E: SqlExecutor + Send + 'static> Coordinator<E> {
             .flatten()
             .collect::<Result<_>>()?;
         Ok(())
-    }
-
-    // ---- classification ----------------------------------------------
-
-    /// The partition-column slot of `source`, if its table is partitioned.
-    fn partition_column(&self, source: &Source) -> Option<usize> {
-        self.partition_slot(&source.table)
-    }
-
-    /// Are the partitioned sources of `chain` co-located — all connected
-    /// through equalities between their partition columns? That is what
-    /// keeps a shard-local join equal to its slice of the global join.
-    fn co_located(&self, chain: &Chain) -> bool {
-        let is_key = |(source, column): (usize, usize)| {
-            self.partition_column(&chain.sources[source]) == Some(column)
-        };
-        let mut group: Vec<usize> = (0..chain.sources.len()).collect();
-        for (a, b) in chain.equi_pairs() {
-            if is_key(a) && is_key(b) {
-                let (from, to) = (group[a.0], group[b.0]);
-                group
-                    .iter_mut()
-                    .filter(|g| **g == from)
-                    .for_each(|g| *g = to);
-            }
-        }
-        let mut groups = (0..chain.sources.len())
-            .filter(|&i| self.partition_column(&chain.sources[i]).is_some())
-            .map(|i| group[i]);
-        let first = groups.next();
-        groups.all(|g| Some(g) == first)
-    }
-
-    /// How a SELECT's rows come together: `ReadOne` (broadcast sources
-    /// only), `ScatterRead` (aggregate over partitioned input) or
-    /// `GatherRead`.
-    fn select_class(&self, plan: &SelectPlan) -> Result<Class> {
-        let chain = &plan.chain;
-        if !chain
-            .sources
-            .iter()
-            .any(|s| self.partition_column(s).is_some())
-        {
-            return Ok(Class::ReadOne);
-        }
-        if !self.co_located(chain) {
-            return Err(Error::Unsupported(
-                "joins between partitioned tables must include a rid equality \
-                 for every table (cross-shard joins are not supported)"
-                    .into(),
-            ));
-        }
-        if plan.limit.is_some() && plan.sort_keys.is_empty() {
-            return Err(Error::Unsupported(
-                "LIMIT without ORDER BY over partitioned data keeps whichever rows \
-                 come first, which depends on the sharding"
-                    .into(),
-            ));
-        }
-        Ok(if plan.is_aggregate() {
-            Class::ScatterRead
-        } else {
-            Class::GatherRead
-        })
-    }
-
-    /// Plan `stmt` against the catalog's schemas and read its
-    /// distribution class off the plan: no rule, no distributed plan —
-    /// `Unsupported`.
-    fn classify(&self, stmt: &Statement) -> Result<(Class, StatementPlan)> {
-        match stmt {
-            Statement::Explain(_) => return Ok((Class::ReadOne, StatementPlan::Utility)),
-            Statement::ExplainAnalyze(_) => {
-                return Err(Error::Unsupported(
-                    "EXPLAIN ANALYZE is not supported on a cluster (per-shard \
-                     side effects cannot merge into one plan)"
-                        .into(),
-                ))
-            }
-            _ => {}
-        }
-        let plan = plan_statement(&self.catalog, stmt)?;
-        let class = match &plan {
-            StatementPlan::Utility => Class::AllShards,
-            StatementPlan::Select(select) => self.select_class(select)?,
-            StatementPlan::Insert(insert) => self.insert_class(insert)?,
-            StatementPlan::Update(update) => {
-                let (target, from) = update
-                    .chain
-                    .sources
-                    .split_first()
-                    .expect("an UPDATE plan starts with its target");
-                let table = &target.table;
-                let from_partitioned = from.iter().any(|s| self.partition_column(s).is_some());
-                match self.partition_column(target) {
-                    None if from_partitioned => {
-                        return Err(Error::Unsupported(format!(
-                            "UPDATE {table}: cannot update a broadcast table from \
-                             partitioned data; aggregate into it with INSERT … SELECT instead"
-                        )))
-                    }
-                    None => Class::AllShards,
-                    Some(_) if !self.co_located(&update.chain) => {
-                        return Err(Error::Unsupported(format!(
-                            "UPDATE {table}: partitioned FROM tables must join \
-                             the target on rid to execute shard-locally"
-                        )))
-                    }
-                    Some(key) if update.assignments.iter().any(|(slot, _)| *slot == key) => {
-                        return Err(Error::Unsupported(format!(
-                            "UPDATE {table}: assigning the partition column would \
-                             leave rows on the wrong shard"
-                        )))
-                    }
-                    Some(_) => Class::Local,
-                }
-            }
-            StatementPlan::Delete(delete) => match self.partition_column(&delete.target) {
-                Some(_) => Class::Local,
-                None => Class::AllShards,
-            },
-        };
-        Ok((class, plan))
-    }
-
-    fn insert_class(&self, insert: &InsertPlan) -> Result<Class> {
-        let table = &insert.target.table;
-        let key = self.partition_column(&insert.target);
-        let select = match &insert.rows {
-            // Constant VALUES: every shard computes the identical rows
-            // of a broadcast table; a partitioned one routes them.
-            InsertRows::Values(_) => {
-                return Ok(key.map_or(Class::AllShards, |_| Class::RoutedValues))
-            }
-            InsertRows::Select(select) => select,
-        };
-        let inner = self.select_class(select)?;
-        let Some(key) = key else {
-            // Broadcast target: re-reading it while writing it breaks
-            // scatter/gather re-execution on retry.
-            if select.chain.sources.iter().any(|s| s.table == *table) {
-                return Err(Error::Unsupported(format!(
-                    "INSERT INTO {table}: self-referential insert into a \
-                     broadcast table is not supported on a cluster"
-                )));
-            }
-            return Ok(match inner {
-                Class::ScatterRead => Class::ScatterInsert,
-                Class::GatherRead => Class::GatherInsert,
-                _ => Class::AllShards,
-            });
-        };
-        if inner == Class::ReadOne {
-            return Err(Error::Unsupported(format!(
-                "INSERT INTO {table}: inserting broadcast-derived rows \
-                 into a partitioned table would replicate them on every \
-                 shard; load partitioned data with the bulk loader"
-            )));
-        }
-        if select.limit.is_some() {
-            return Err(Error::Unsupported(format!(
-                "INSERT INTO {table}: a LIMIT over partitioned data cannot run \
-                 shard-locally (every shard would keep its own LIMIT rows)"
-            )));
-        }
-        // Every produced row stays on the shard that computes it when
-        // the target's partition column is a copy of a source's: the
-        // produced keys are then a subset of the shard's own partition.
-        let fed_by = (0..insert.incoming_arity()).find(|&j| insert.target_slot(j) == key);
-        let keeps_partition = fed_by.is_some_and(|j| {
-            matches!(select.output(j), Output::Column(source, column)
-                if self.partition_column(&select.chain.sources[source]) == Some(column))
-        });
-        if !keeps_partition {
-            return Err(Error::Unsupported(format!(
-                "INSERT INTO {table}: a partitioned target requires \
-                 the rid column to be copied from a partitioned \
-                 source (rows must stay on their shard)"
-            )));
-        }
-        Ok(Class::Local)
     }
 
     // ---- execution ---------------------------------------------------
@@ -635,51 +671,14 @@ impl<E: SqlExecutor + Send + 'static> Coordinator<E> {
         }
     }
 
-    /// [`Self::classify`] `stmt`, and render the SELECT its read sends
-    /// the shards when that is not the statement's own text.
-    fn fragment(&self, stmt: &Statement) -> Result<Fragmented> {
-        let (class, plan) = self.classify(stmt)?;
-        let read_text = match (class, stmt, &plan) {
-            (Class::GatherRead, Statement::Select(sel), StatementPlan::Select(select)) => {
-                Some(gather_text(sel, select))
-            }
-            (
-                Class::ScatterInsert | Class::GatherInsert,
-                Statement::Insert {
-                    source: InsertSource::Select(sel),
-                    ..
-                },
-                StatementPlan::Insert(InsertPlan {
-                    rows: InsertRows::Select(select),
-                    ..
-                }),
-            ) => Some(match class {
-                Class::ScatterInsert => sel.to_string(),
-                _ => gather_text(sel, select),
-            }),
-            _ => None,
-        };
-        Ok(Fragmented {
-            class,
-            plan,
-            read_text,
-        })
-    }
-
     /// Execute one fragmented statement, rendered as `text`, across the
-    /// cluster. `parsed` is the statement, when the caller keeps it: a
-    /// CREATE or DROP every shard applied advances the mirror, and an
-    /// EXPLAIN reports the distribution of its inner statement.
-    fn run_fragmented(
-        &mut self,
-        text: &str,
-        fragmented: &Fragmented,
-        parsed: Option<&Statement>,
-    ) -> Result<QueryResult> {
+    /// cluster.
+    fn run_fragmented(&mut self, text: &str, fragmented: &Fragmented) -> Result<QueryResult> {
         let Fragmented {
             class,
             plan,
             read_text,
+            utility,
         } = fragmented;
         match (*class, plan, read_text.as_deref()) {
             (Class::AllShards, ..) => {
@@ -688,7 +687,7 @@ impl<E: SqlExecutor + Send + 'static> Coordinator<E> {
                 let results = self.mutate_all(fp, move |_, shard| shard.execute(&sql))?;
                 // Every shard applied it: the mirror follows.
                 if let Some(ddl @ (Statement::CreateTable { .. } | Statement::DropTable { .. })) =
-                    parsed
+                    utility.as_deref()
                 {
                     self.catalog.apply(ddl, &self.limits)?;
                 }
@@ -714,11 +713,14 @@ impl<E: SqlExecutor + Send + 'static> Coordinator<E> {
             (Class::ReadOne, ..) => {
                 let mut result = self.local.execute(text)?;
                 self.drain_metrics(MergeMode::KeepFirst, None)?;
-                if let Some(Statement::Explain(inner)) = parsed {
+                if let Some(Statement::Explain(inner)) = utility.as_deref() {
                     // The class `run_fragmented` would match on for the
                     // inner statement, as one more plan line.
-                    let distribution = match self.classify(inner) {
-                        Ok((class, _)) => class.name().to_string(),
+                    let class = plan_statement(&self.catalog, inner)
+                        .map_err(Error::from)
+                        .and_then(|plan| classify(&self.catalog, inner, &plan));
+                    let distribution = match class {
+                        Ok(class) => class.name().to_string(),
                         Err(e) => format!("none ({e})"),
                     };
                     let line = format!("distribution: {distribution}");
@@ -776,28 +778,19 @@ impl<E: SqlExecutor + Send + 'static> Coordinator<E> {
         }
     }
 
-    /// Run a prepared statement. A SELECT, INSERT, UPDATE or DELETE runs
-    /// the fragmentation it keeps while its plan holds on the mirror
-    /// ([`StatementPlan::holds_on`]: equal schemas also mean the same
-    /// partitioning, which is all its class reads besides the plan);
-    /// otherwise it is fragmented again from its text, and kept. DDL and
-    /// EXPLAIN are fragmented afresh on every run.
+    /// Run a prepared statement on the fragmentation it was prepared with
+    /// while its plan holds on the mirror ([`StatementPlan::holds_on`]:
+    /// equal schemas also mean the same partitioning, which is all its
+    /// class reads besides the plan); otherwise it is planned and
+    /// fragmented again from its text, and kept.
     fn run_kept(&mut self, prepared: &mut Prepared) -> Result<QueryResult> {
-        let Prepared { text, kept, .. } = prepared;
-        let kept = match kept {
-            Kept::Parsed(stmt) => {
-                let fragmented = self.fragment(stmt)?;
-                return self.run_fragmented(text, &fragmented, Some(stmt));
-            }
-            Kept::Planned(kept) => kept,
-        };
-        if !kept
-            .as_mut()
-            .is_some_and(|f| f.plan.holds_on(&self.catalog))
-        {
-            *kept = Some(self.fragment(&parse_one(text)?)?);
+        let Prepared {
+            text, fragmented, ..
+        } = prepared;
+        if !fragmented.plan.holds_on(&self.catalog) {
+            *fragmented = plan_and_fragment(&self.catalog, parse_one(text)?)?;
         }
-        self.run_fragmented(text, kept.as_ref().expect("fragmented above"), None)
+        self.run_fragmented(text, fragmented)
     }
 
     /// Scatter an aggregate select: every shard computes its group table
@@ -866,7 +859,7 @@ impl<E: SqlExecutor + Send + 'static> Coordinator<E> {
     /// Route full-arity rows of a partitioned table to their owning
     /// shards by rid hash and bulk-load each slice in parallel.
     fn route_bulk(&mut self, table: &str, rows: Vec<Vec<Value>>) -> Result<usize> {
-        let slot = self.partition_slot(table).ok_or_else(|| {
+        let slot = partition_slot(&self.catalog, table).ok_or_else(|| {
             Error::Unsupported(format!("table {table} is not partitioned by rid"))
         })?;
         let n = self.num_shards();
@@ -1062,8 +1055,9 @@ impl<E: SqlExecutor + Send + 'static> SqlExecutor for Coordinator<E> {
         check_statement_len(sql, self.max_len)?;
         let mut last = None;
         for stmt in parse(sql)? {
-            let fragmented = self.fragment(&stmt).map_err(located_in(sql))?;
-            let result = self.run_fragmented(&stmt.to_string(), &fragmented, Some(&stmt));
+            let text = stmt.to_string();
+            let fragmented = plan_and_fragment(&self.catalog, stmt).map_err(located_in(sql))?;
+            let result = self.run_fragmented(&text, &fragmented);
             last = Some(result.map_err(located_in(sql))?);
         }
         last.ok_or(Error::Parse {
@@ -1073,13 +1067,15 @@ impl<E: SqlExecutor + Send + 'static> SqlExecutor for Coordinator<E> {
     }
 
     fn execute_partial(&mut self, sql: &str) -> Result<PartialAggResult> {
+        check_statement_len(sql, self.max_len)?;
         let stmts = parse(sql)?;
         let [stmt @ Statement::Select(_)] = stmts.as_slice() else {
             return Err(Error::Unsupported(
                 "partial execution requires a single SELECT".into(),
             ));
         };
-        match self.classify(stmt)?.0 {
+        let plan = plan_statement(&self.catalog, stmt)?;
+        match classify(&self.catalog, stmt, &plan)? {
             Class::ReadOne => {
                 let partial = self.local.execute_partial(sql)?;
                 self.drain_metrics(MergeMode::KeepFirst, None)?;
@@ -1100,21 +1096,28 @@ impl<E: SqlExecutor + Send + 'static> SqlExecutor for Coordinator<E> {
         &mut self,
         statements: &[String],
     ) -> std::result::Result<Vec<PreparedId>, PrepareError> {
-        // Checked as a shard would check it; shards see each statement
-        // only when it runs.
-        let stmts =
-            prepare_statements(self.catalog.clone(), statements, self.max_len, &self.limits)?;
-        Ok(stmts
+        // Checked as a shard would check it, and fragmented on the plan
+        // the check made; shards see each statement only when it runs.
+        let kept = prepare_statements(
+            self.catalog.clone(),
+            statements,
+            self.max_len,
+            &self.limits,
+            |sql, stmt, plan, catalog| {
+                let (sql, text) = (sql.to_string(), stmt.to_string());
+                let fragmented = fragment(catalog, stmt, plan)?;
+                Ok(Prepared {
+                    sql,
+                    text,
+                    fragmented,
+                })
+            },
+        )?;
+        Ok(kept
             .into_iter()
-            .zip(statements)
-            .map(|(stmt, sql)| {
+            .map(|prepared| {
                 let id = self.next_prepared;
                 self.next_prepared += 1;
-                let prepared = Prepared {
-                    sql: sql.clone(),
-                    text: stmt.to_string(),
-                    kept: Kept::new(stmt),
-                };
                 self.prepared.insert(id, prepared);
                 PreparedId(id)
             })
@@ -1668,6 +1671,52 @@ mod tests {
         assert_eq!(got.index, 0);
         assert_eq!(got.to_string(), want.to_string());
         assert_eq!(coord.analyze_limits().max_terms, 8);
+    }
+
+    #[test]
+    fn prepare_rejects_what_the_cluster_cannot_distribute_at_its_index() {
+        let mut coord = cluster(2);
+        coord
+            .execute("CREATE TABLE y (rid BIGINT, y1 DOUBLE)")
+            .unwrap();
+        coord
+            .execute("CREATE TABLE z (rid BIGINT, z1 DOUBLE)")
+            .unwrap();
+        let script = [
+            "SELECT sum(y1) FROM y",
+            "SELECT sum(z1) FROM y, z WHERE y.y1 = z.z1",
+        ]
+        .map(String::from);
+        match coord.prepare_script(&script) {
+            Err(PrepareError {
+                index: 1,
+                error: Error::Unsupported(m),
+            }) => assert_eq!(
+                m,
+                "joins between partitioned tables must include a rid equality \
+                 for every table (cross-shard joins are not supported)"
+            ),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn partial_execution_applies_the_statement_length_cap() {
+        let capped = || {
+            let mut db = Database::new();
+            db.set_max_statement_len(64);
+            db
+        };
+        let mut embedded = capped();
+        let mut coord = Coordinator::new(vec![capped(), capped()]).unwrap();
+        let ddl = "CREATE TABLE y (rid BIGINT, y1 DOUBLE)";
+        embedded.execute(ddl).unwrap();
+        coord.execute(ddl).unwrap();
+        let padded = format!("SELECT sum(y1) FROM y{}", " ".repeat(80));
+        let want = embedded.execute_partial(&padded).unwrap_err();
+        assert!(matches!(want, Error::StatementTooLong { .. }), "{want:?}");
+        assert_eq!(coord.execute_partial(&padded).unwrap_err(), want);
+        assert_eq!(coord.execute(&padded).unwrap_err(), want);
     }
 
     #[test]
